@@ -1,4 +1,4 @@
-//! Crypto lane micro-benchmark (three-way), and the emitter behind
+//! Crypto engine micro-benchmark (three-way), and the emitter behind
 //! `BENCH_ct.json` (run via `scripts/bench.sh`).
 //!
 //! Two halves:
@@ -7,15 +7,16 @@
 //!    available engine ([`CryptoBackend`]): raw AES block encryption
 //!    through the 8-block batch entry, AES-GCM seal and open over a bulk
 //!    payload, and the AES-GCM-SIV keywrap (16-byte plaintext, the
-//!    metadata object-key wrap shape). Lanes: `fast` (T-tables + Shoup),
-//!    `constant_time` (portable bitsliced + masked clmul), and
-//!    `hw_accel` (AES-NI + PCLMULQDQ) where CPUID allows. The slowdown
-//!    ratios quantify what the *portable* hardened lane costs; the
-//!    speedup ratios show the hardware lane beating the table lane while
-//!    staying constant-time.
+//!    metadata object-key wrap shape). JSON sections: `fast` (the
+//!    table-driven reference engine — T-tables + Shoup; the key predates
+//!    its retirement as a selectable lane), `constant_time` (portable
+//!    bitsliced + masked clmul), and `hw_accel` (AES-NI + PCLMULQDQ)
+//!    where CPUID allows. The slowdown ratios quantify what the
+//!    *portable* engine costs; the speedup ratios show the hardware
+//!    engine beating the table reference while staying constant-time.
 //! 2. **Leak classification** — the dudect-style experiment from
 //!    `nexus-testkit::timing`, run over the deterministic cold-cache
-//!    model fed by `Aes::encrypt_block_trace`: the table-driven Fast lane
+//!    model fed by `Aes::encrypt_block_trace`: the table-driven engine
 //!    must be *flagged* (Welch's t above the 4.5 threshold) and both
 //!    hardened engines must *pass* (their traces are empty — no
 //!    data-dependent access at all). An informational wall-clock t is

@@ -26,7 +26,6 @@ use std::time::Duration;
 use nexus_bench::json::Json;
 use nexus_bench::{arg_flag, arg_string, arg_usize, measure_micro, nanos, rule};
 use nexus_core::datapath::{open_chunks, seal_chunks};
-use nexus_core::CryptoProfile;
 use nexus_core::metadata::filenode::{ChunkContext, Filenode};
 use nexus_core::NexusUuid;
 use nexus_crypto::gcm::AesGcm;
@@ -91,17 +90,17 @@ fn main() {
     fnode.size = file_bytes as u64;
     fnode.chunks = contexts.clone();
 
-    let serial_ct = seal_chunks(&ThreadPool::new(1), CryptoProfile::Fast, &uuid, &data, chunk_size, &contexts);
+    let serial_ct = seal_chunks(&ThreadPool::new(1), &uuid, &data, chunk_size, &contexts);
     let mut seal_wall = Vec::new();
     let mut open_wall = Vec::new();
     for &threads in &THREAD_SWEEP {
         let pool = ThreadPool::new(threads);
         // Determinism gate: never time a configuration whose bytes differ.
-        let ct = seal_chunks(&pool, CryptoProfile::Fast, &uuid, &data, chunk_size, &contexts);
+        let ct = seal_chunks(&pool, &uuid, &data, chunk_size, &contexts);
         assert_eq!(ct, serial_ct, "parallel ciphertext diverged at {threads} threads");
-        let t_seal = measure_micro(|| seal_chunks(&pool, CryptoProfile::Fast, &uuid, &data, chunk_size, &contexts));
+        let t_seal = measure_micro(|| seal_chunks(&pool, &uuid, &data, chunk_size, &contexts));
         let t_open =
-            measure_micro(|| open_chunks(&pool, CryptoProfile::Fast, &fnode, &serial_ct, 0, n_chunks as u64).unwrap());
+            measure_micro(|| open_chunks(&pool, &fnode, &serial_ct, 0, n_chunks as u64).unwrap());
         println!(
             "chunk path {threads} thread(s)   seal {:>10} ({:>7.1} MiB/s)   open {:>10} ({:>7.1} MiB/s)",
             nanos(t_seal),

@@ -17,7 +17,6 @@
 //!   failing chunk, matching where the serial loop would have stopped.
 
 use nexus_crypto::gcm::AesGcm;
-use nexus_crypto::CryptoProfile;
 use nexus_pool::ThreadPool;
 
 use crate::error::{NexusError, Result};
@@ -36,7 +35,6 @@ pub(crate) fn chunk_aad(data_uuid: &NexusUuid, index: u64, total_size: u64) -> V
 /// pre-drawn per-chunk `contexts` (one per chunk, in index order).
 pub fn seal_chunks(
     pool: &ThreadPool,
-    profile: CryptoProfile,
     data_uuid: &NexusUuid,
     data: &[u8],
     chunk_size: usize,
@@ -47,7 +45,7 @@ pub fn seal_chunks(
     let total = data.len() as u64;
     let sealed = pool.par_map_indexed(&chunks, |idx, chunk| {
         let ctx = &contexts[idx];
-        let gcm = AesGcm::with_profile(&ctx.key, profile);
+        let gcm = AesGcm::new(&ctx.key);
         let aad = chunk_aad(data_uuid, idx as u64, total);
         let mut out = Vec::new();
         gcm.seal_to(&ctx.nonce, &aad, chunk, &mut out);
@@ -64,7 +62,6 @@ pub fn seal_chunks(
 /// begins exactly at chunk `first`'s ciphertext offset.
 pub fn open_chunks(
     pool: &ThreadPool,
-    profile: CryptoProfile,
     fnode: &Filenode,
     ciphertext: &[u8],
     first: u64,
@@ -87,7 +84,7 @@ pub fn open_chunks(
         pieces.push((idx, ctx, chunk_ct));
     }
     let opened = pool.par_map_indexed(&pieces, |_, &(idx, ctx, chunk_ct)| {
-        let gcm = AesGcm::with_profile(&ctx.key, profile);
+        let gcm = AesGcm::new(&ctx.key);
         let aad = chunk_aad(&fnode.data_uuid, idx, fnode.size);
         let mut plain = Vec::new();
         gcm.open_to(&ctx.nonce, &aad, chunk_ct, &mut plain)
@@ -115,7 +112,6 @@ pub fn open_chunks(
 /// result is even examined.
 pub fn open_chunks_pipelined<F>(
     pool: &ThreadPool,
-    profile: CryptoProfile,
     fnode: &Filenode,
     window: usize,
     fetch: F,
@@ -140,7 +136,7 @@ where
         let (plain, next) = std::thread::scope(|s| {
             let handle =
                 (next_count > 0).then(|| s.spawn(move || fetch_ref(next_first, next_count)));
-            let plain = open_chunks(pool, profile, fnode, &span, first, count);
+            let plain = open_chunks(pool, fnode, &span, first, count);
             let next = handle.map(|h| h.join().expect("prefetch thread panicked"));
             (plain, next)
         });
@@ -191,20 +187,20 @@ mod tests {
             let contexts = contexts_for(&mut rng, n_chunks);
             let uuid = NexusUuid([9; 16]);
 
-            let serial = seal_chunks(&ThreadPool::new(1), CryptoProfile::Fast, &uuid, &data, chunk_size as usize, &contexts);
+            let serial = seal_chunks(&ThreadPool::new(1), &uuid, &data, chunk_size as usize, &contexts);
             for workers in [2, 4, 8] {
                 let parallel =
-                    seal_chunks(&ThreadPool::new(workers), CryptoProfile::Fast, &uuid, &data, chunk_size as usize, &contexts);
+                    seal_chunks(&ThreadPool::new(workers), &uuid, &data, chunk_size as usize, &contexts);
                 assert_eq!(parallel, serial, "len={len} workers={workers}");
             }
 
             let mut fnode = filenode_with(contexts, len as u64, chunk_size);
             fnode.data_uuid = uuid;
             let count = fnode.chunks.len() as u64;
-            let serial_pt = open_chunks(&ThreadPool::new(1), CryptoProfile::Fast, &fnode, &serial, 0, count).unwrap();
+            let serial_pt = open_chunks(&ThreadPool::new(1), &fnode, &serial, 0, count).unwrap();
             assert_eq!(serial_pt, data);
             for workers in [2, 8] {
-                let pt = open_chunks(&ThreadPool::new(workers), CryptoProfile::Fast, &fnode, &serial, 0, count).unwrap();
+                let pt = open_chunks(&ThreadPool::new(workers), &fnode, &serial, 0, count).unwrap();
                 assert_eq!(pt, data, "len={len} workers={workers}");
             }
         }
@@ -218,7 +214,7 @@ mod tests {
         rng.fill(&mut data);
         let contexts = contexts_for(&mut rng, 10);
         let uuid = NexusUuid([4; 16]);
-        let mut ct = seal_chunks(&ThreadPool::new(4), CryptoProfile::Fast, &uuid, &data, chunk_size as usize, &contexts);
+        let mut ct = seal_chunks(&ThreadPool::new(4), &uuid, &data, chunk_size as usize, &contexts);
         // Corrupt chunks 3 and 7; the error must name chunk 3 at any width.
         let per = chunk_size as usize + CHUNK_OVERHEAD as usize;
         ct[3 * per] ^= 1;
@@ -226,7 +222,7 @@ mod tests {
         let mut fnode = filenode_with(contexts, 640, chunk_size);
         fnode.data_uuid = uuid;
         for workers in [1, 2, 8] {
-            let err = open_chunks(&ThreadPool::new(workers), CryptoProfile::Fast, &fnode, &ct, 0, 10).unwrap_err();
+            let err = open_chunks(&ThreadPool::new(workers), &fnode, &ct, 0, 10).unwrap_err();
             assert!(err.to_string().contains("chunk 3"), "workers={workers}: {err}");
         }
     }
@@ -241,11 +237,11 @@ mod tests {
             let n_chunks = Filenode::chunk_count_for(len as u64, chunk_size) as usize;
             let contexts = contexts_for(&mut rng, n_chunks);
             let uuid = NexusUuid([8; 16]);
-            let ct = seal_chunks(&ThreadPool::new(4), CryptoProfile::Fast, &uuid, &data, chunk_size as usize, &contexts);
+            let ct = seal_chunks(&ThreadPool::new(4), &uuid, &data, chunk_size as usize, &contexts);
             let mut fnode = filenode_with(contexts, len as u64, chunk_size);
             fnode.data_uuid = uuid;
             for window in [1usize, 2, 3, 4, 64] {
-                let got = open_chunks_pipelined(&ThreadPool::new(4), CryptoProfile::Fast, &fnode, window, |first, count| {
+                let got = open_chunks_pipelined(&ThreadPool::new(4), &fnode, window, |first, count| {
                     let (start, _) = fnode.ciphertext_range(first);
                     let (last_start, last_len) = fnode.ciphertext_range(first + count - 1);
                     Ok(ct[start as usize..(last_start + last_len) as usize].to_vec())
@@ -264,14 +260,14 @@ mod tests {
         rng.fill(&mut data);
         let contexts = contexts_for(&mut rng, 10);
         let uuid = NexusUuid([7; 16]);
-        let mut ct = seal_chunks(&ThreadPool::new(4), CryptoProfile::Fast, &uuid, &data, chunk_size as usize, &contexts);
+        let mut ct = seal_chunks(&ThreadPool::new(4), &uuid, &data, chunk_size as usize, &contexts);
         let per = chunk_size as usize + CHUNK_OVERHEAD as usize;
         ct[5 * per] ^= 1;
         ct[9 * per] ^= 1;
         let mut fnode = filenode_with(contexts, 640, chunk_size);
         fnode.data_uuid = uuid;
         for window in [1usize, 3, 4] {
-            let err = open_chunks_pipelined(&ThreadPool::new(2), CryptoProfile::Fast, &fnode, window, |first, count| {
+            let err = open_chunks_pipelined(&ThreadPool::new(2), &fnode, window, |first, count| {
                 let (start, _) = fnode.ciphertext_range(first);
                 let (last_start, last_len) = fnode.ciphertext_range(first + count - 1);
                 Ok(ct[start as usize..(last_start + last_len) as usize].to_vec())

@@ -10,7 +10,6 @@
 use std::collections::HashMap;
 
 use nexus_crypto::sha2::Sha256;
-use nexus_crypto::CryptoProfile;
 use nexus_sgx::EnclaveEnv;
 use nexus_storage::StorageBackend;
 
@@ -18,8 +17,7 @@ use crate::acl::{Principal, Rights, UserId};
 use crate::error::{NexusError, Result};
 use crate::groups::{self, GroupId};
 use crate::metadata::crypto::{
-    open_object_scoped, open_object_with, seal_object_with, KeyScope, ObjectKind, Preamble,
-    RootKey,
+    open_object, open_object_scoped, seal_object, KeyScope, ObjectKind, Preamble, RootKey,
 };
 use crate::metadata::dirnode::{Bucket, Dirnode};
 use crate::metadata::filenode::Filenode;
@@ -55,21 +53,6 @@ pub struct NexusConfig {
     /// shard degenerates to a single-lock cache (useful as a contention
     /// baseline). Clamped to at least 1.
     pub cache_shards: usize,
-    /// Which `nexus-crypto` implementation lane the enclave uses for every
-    /// seal/open: `Fast` (table-driven AES + Shoup GHASH) or `ConstantTime`
-    /// — the default — which runs AES-NI + PCLMULQDQ where the CPU has
-    /// them and the bitsliced/carryless-multiply fallback elsewhere (no
-    /// secret-indexed memory access either way). The lanes are
-    /// byte-compatible, so the profile can differ between clients of one
-    /// volume.
-    pub crypto_profile: CryptoProfile,
-    /// Force the `ConstantTime` profile onto its portable bitsliced
-    /// engine even when the CPU advertises AES-NI + PCLMULQDQ (the
-    /// `NEXUS_CRYPTO_FORCE_PORTABLE` environment variable does the same
-    /// without a config change). One-way for the process: applied at
-    /// volume create/mount, never un-forced. Useful for differential
-    /// debugging and for auditing the fallback on hardware-lane machines.
-    pub force_portable_crypto: bool,
 }
 
 impl Default for NexusConfig {
@@ -82,8 +65,6 @@ impl Default for NexusConfig {
             batch_rpcs: true,
             prefetch_window: 4,
             cache_shards: crate::cache::SHARD_COUNT,
-            crypto_profile: CryptoProfile::default(),
-            force_portable_crypto: false,
         }
     }
 }
@@ -221,7 +202,6 @@ impl EnclaveState {
 /// revocation migrates the object to the post-revocation key.
 pub(crate) fn seal_scope(
     mounted: &Mounted,
-    profile: CryptoProfile,
     scope: Option<GroupId>,
 ) -> Result<(Option<KeyScope>, RootKey)> {
     match scope {
@@ -231,7 +211,7 @@ pub(crate) fn seal_scope(
             let group = mounted.supernode.groups.by_id(gid).ok_or_else(|| {
                 NexusError::Integrity(format!("directory scoped to unknown group {}", gid.0))
             })?;
-            let key = group.current_key(&master, profile)?;
+            let key = group.current_key(&master)?;
             Ok((Some(KeyScope { group: gid, epoch: group.epoch }), key))
         }
     }
@@ -244,7 +224,6 @@ pub(crate) fn seal_scope(
 /// post-bump ciphertext.
 pub(crate) fn open_scope_key(
     mounted: &Mounted,
-    profile: CryptoProfile,
     scope: Option<KeyScope>,
 ) -> Result<RootKey> {
     match scope {
@@ -254,7 +233,7 @@ pub(crate) fn open_scope_key(
             let group = mounted.supernode.groups.by_id(ks.group).ok_or_else(|| {
                 NexusError::Integrity(format!("object scoped to unknown group {}", ks.group.0))
             })?;
-            group.unwrap_epoch_key(&master, profile, ks.epoch)
+            group.unwrap_epoch_key(&master, ks.epoch)
         }
     }
 }
@@ -267,7 +246,6 @@ pub(crate) fn ensure_supernode_current(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
 ) -> Result<()> {
-    let profile = state.config().crypto_profile;
     let (uuid, cached) = {
         let m = state.mounted()?;
         (m.supernode_uuid, m.supernode_storage_version)
@@ -277,7 +255,7 @@ pub(crate) fn ensure_supernode_current(
         return Ok(());
     }
     let rootkey = state.mounted()?.rootkey;
-    let (supernode, version) = fetch_supernode(io, &rootkey, profile, uuid)?;
+    let (supernode, version) = fetch_supernode(io, &rootkey, uuid)?;
     let m = state.mounted()?;
     if version < m.supernode_version {
         return Err(NexusError::Rollback {
@@ -299,16 +277,15 @@ pub(crate) fn ensure_supernode_current(
 fn open_meta_blob(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
-    profile: CryptoProfile,
     blob: &[u8],
 ) -> Result<(Preamble, Vec<u8>)> {
     let mounted = state.mounted()?;
-    match open_object_scoped(profile, blob, |scope| open_scope_key(mounted, profile, scope)) {
+    match open_object_scoped(blob, |scope| open_scope_key(mounted, scope)) {
         Ok(opened) => Ok(opened),
         Err(_) if blob.len() >= 4 && &blob[..4] == crate::metadata::crypto::MAGIC_SCOPED => {
             ensure_supernode_current(state, io)?;
             let mounted = state.mounted()?;
-            open_object_scoped(profile, blob, |scope| open_scope_key(mounted, profile, scope))
+            open_object_scoped(blob, |scope| open_scope_key(mounted, scope))
         }
         Err(e) => Err(e),
     }
@@ -509,7 +486,6 @@ fn load_dirnode_once(
     expected_parent: Option<NexusUuid>,
 ) -> Result<Dirnode> {
     let use_cache = state.config().cache_metadata;
-    let profile = state.config().crypto_profile;
     let mounted = state.mounted()?;
     if use_cache {
         if let Some((CachedNode::Dir(dir), cached_ver)) = mounted.meta_cache.get(&uuid) {
@@ -529,7 +505,7 @@ fn load_dirnode_once(
     let blob = io.get(&uuid)?;
     crate::freshness::verify_fresh(state, io, &uuid, &blob)?;
     let storage_version = io.version(&uuid).unwrap_or(0);
-    let (preamble, body) = open_meta_blob(state, io, profile, &blob)?;
+    let (preamble, body) = open_meta_blob(state, io, &blob)?;
     let mounted = state.mounted()?;
     admit(mounted, &preamble, &uuid, ObjectKind::Dirnode, expected_parent)?;
     let dir = Dirnode::decode_main(uuid, preamble.parent, &body)?;
@@ -566,8 +542,7 @@ pub(crate) fn load_bucket(
             "bucket {slot_uuid} does not match the MAC in its dirnode"
         )));
     }
-    let profile = state.config().crypto_profile;
-    let (preamble, body) = open_meta_blob(state, io, profile, &blob)?;
+    let (preamble, body) = open_meta_blob(state, io, &blob)?;
     let mounted = state.mounted()?;
     admit(mounted, &preamble, &slot_uuid, ObjectKind::DirBucket, Some(dir.uuid))?;
     let bucket = Bucket::decode(&body)?;
@@ -667,7 +642,6 @@ pub(crate) fn stage_dirnode(
     commit: &mut MetaCommit,
     mut dir: Dirnode,
 ) -> Result<()> {
-    let profile = state.config().crypto_profile;
     if dir.scope.is_some() {
         // Scoped writes must seal under the group's *current* epoch: pick
         // up any revocation another client committed, or the new blob
@@ -675,7 +649,7 @@ pub(crate) fn stage_dirnode(
         ensure_supernode_current(state, io)?;
     }
     let mounted = state.mounted()?;
-    let (scope, wrap_key) = seal_scope(mounted, profile, dir.scope)?;
+    let (scope, wrap_key) = seal_scope(mounted, dir.scope)?;
     for slot in dir.buckets.iter_mut() {
         if !slot.dirty {
             continue;
@@ -692,7 +666,7 @@ pub(crate) fn stage_dirnode(
             version,
             scope,
         };
-        let blob = seal_object_with(&wrap_key, profile, &preamble, &bucket.encode(), |dest| {
+        let blob = seal_object(&wrap_key, &preamble, &bucket.encode(), |dest| {
             io.env.random_bytes(dest)
         });
         slot.re.mac = Sha256::digest(&blob);
@@ -708,7 +682,7 @@ pub(crate) fn stage_dirnode(
         version,
         scope,
     };
-    let blob = seal_object_with(&wrap_key, profile, &preamble, &dir.encode_main(), |dest| {
+    let blob = seal_object(&wrap_key, &preamble, &dir.encode_main(), |dest| {
         io.env.random_bytes(dest)
     });
     commit.manifest_updates.push((dir.uuid, Sha256::digest(&blob)));
@@ -727,12 +701,11 @@ pub(crate) fn stage_filenode(
     fnode: Filenode,
     dir_scope: Option<GroupId>,
 ) -> Result<()> {
-    let profile = state.config().crypto_profile;
     if dir_scope.is_some() {
         ensure_supernode_current(state, io)?;
     }
     let mounted = state.mounted()?;
-    let (scope, wrap_key) = seal_scope(mounted, profile, dir_scope)?;
+    let (scope, wrap_key) = seal_scope(mounted, dir_scope)?;
     let version = next_version(mounted, &fnode.uuid);
     let preamble = Preamble {
         kind: ObjectKind::Filenode,
@@ -741,7 +714,7 @@ pub(crate) fn stage_filenode(
         version,
         scope,
     };
-    let blob = seal_object_with(&wrap_key, profile, &preamble, &fnode.encode(), |dest| {
+    let blob = seal_object(&wrap_key, &preamble, &fnode.encode(), |dest| {
         io.env.random_bytes(dest)
     });
     commit.manifest_updates.push((fnode.uuid, Sha256::digest(&blob)));
@@ -808,7 +781,6 @@ fn load_filenode_once(
     expected_parent: Option<NexusUuid>,
 ) -> Result<Filenode> {
     let use_cache = state.config().cache_metadata;
-    let profile = state.config().crypto_profile;
     let mounted = state.mounted()?;
     if use_cache {
         if let Some((CachedNode::File(fnode), cached_ver)) = mounted.meta_cache.get(&uuid) {
@@ -828,7 +800,7 @@ fn load_filenode_once(
     let blob = io.get(&uuid)?;
     crate::freshness::verify_fresh(state, io, &uuid, &blob)?;
     let storage_version = io.version(&uuid).unwrap_or(0);
-    let (preamble, body) = open_meta_blob(state, io, profile, &blob)?;
+    let (preamble, body) = open_meta_blob(state, io, &blob)?;
     let mounted = state.mounted()?;
     admit(mounted, &preamble, &uuid, ObjectKind::Filenode, expected_parent)?;
     let fnode = Filenode::decode(&body)?;
@@ -866,7 +838,6 @@ pub(crate) fn evict(state: &mut EnclaveState, uuid: &NexusUuid) {
 
 /// Seals and stores the supernode (after user list changes).
 pub(crate) fn store_supernode(state: &mut EnclaveState, io: &MetaIo<'_>) -> Result<()> {
-    let profile = state.config().crypto_profile;
     let mounted = state.mounted()?;
     let rootkey = mounted.rootkey;
     let uuid = mounted.supernode_uuid;
@@ -880,7 +851,7 @@ pub(crate) fn store_supernode(state: &mut EnclaveState, io: &MetaIo<'_>) -> Resu
         scope: None,
     };
     let body = mounted.supernode.encode();
-    let blob = seal_object_with(&rootkey, profile, &preamble, &body, |dest| {
+    let blob = seal_object(&rootkey, &preamble, &body, |dest| {
         io.env.random_bytes(dest)
     });
     io.put(&uuid, &blob)?;
@@ -898,11 +869,10 @@ pub(crate) fn store_supernode(state: &mut EnclaveState, io: &MetaIo<'_>) -> Resu
 pub(crate) fn fetch_supernode(
     io: &MetaIo<'_>,
     rootkey: &RootKey,
-    profile: CryptoProfile,
     uuid: NexusUuid,
 ) -> Result<(Supernode, u64)> {
     let blob = io.get(&uuid)?;
-    let (preamble, body) = open_object_with(rootkey, profile, &blob)?;
+    let (preamble, body) = open_object(rootkey, &blob)?;
     if preamble.uuid != uuid || preamble.kind != ObjectKind::Supernode {
         return Err(NexusError::Integrity("supernode identity mismatch".into()));
     }

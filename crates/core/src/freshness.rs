@@ -25,7 +25,7 @@ use nexus_crypto::sha2::Sha256;
 use crate::enclave::{next_version_pub as next_version, EnclaveState, MetaIo};
 use crate::error::{NexusError, Result};
 use crate::merkle::MerkleTree;
-use crate::metadata::crypto::{open_object_with, seal_object_with, ObjectKind, Preamble};
+use crate::metadata::crypto::{open_object, seal_object, ObjectKind, Preamble};
 use crate::uuid::NexusUuid;
 use crate::wire::{Reader, Writer};
 
@@ -107,10 +107,9 @@ pub(crate) fn ensure_manifest_current(state: &mut EnclaveState, io: &MetaIo<'_>)
         }
     }
     let blob = io.get(&uuid)?;
-    let profile = state.config().crypto_profile;
     let mounted = state.mounted()?;
     let rootkey = mounted.rootkey;
-    let (preamble, body) = open_object_with(&rootkey, profile, &blob)?;
+    let (preamble, body) = open_object(&rootkey, &blob)?;
     if preamble.uuid != uuid || preamble.kind != ObjectKind::Manifest {
         return Err(NexusError::Integrity("manifest identity mismatch".into()));
     }
@@ -197,7 +196,6 @@ fn record_locked(
     removals: &[NexusUuid],
 ) -> Result<()> {
     ensure_manifest_current(state, io)?;
-    let profile = state.config().crypto_profile;
     let mounted = state.mounted()?;
     let rootkey = mounted.rootkey;
     let manifest = mounted.manifest.as_mut().expect("ensured above");
@@ -216,7 +214,7 @@ fn record_locked(
         version,
         scope: None,
     };
-    let blob = seal_object_with(&rootkey, profile, &preamble, &body, |dest| {
+    let blob = seal_object(&rootkey, &preamble, &body, |dest| {
         io.env.random_bytes(dest)
     });
     io.put(&uuid, &blob)?;

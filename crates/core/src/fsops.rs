@@ -585,7 +585,6 @@ pub(crate) fn fs_encrypt(
     }
     let ciphertext = datapath::seal_chunks(
         nexus_pool::global(),
-        state.config().crypto_profile,
         &fnode.data_uuid,
         data,
         fnode.chunk_size as usize,
@@ -649,7 +648,6 @@ pub(crate) fn fs_decrypt(
     if config.batch_rpcs && window > 0 && n_chunks > window {
         return datapath::open_chunks_pipelined(
             nexus_pool::global(),
-            config.crypto_profile,
             &fnode,
             config.prefetch_window,
             |first, count| {
@@ -660,7 +658,7 @@ pub(crate) fn fs_decrypt(
         );
     }
     let ciphertext = io.get(&fnode.data_uuid)?;
-    decrypt_chunks(config.crypto_profile, &fnode, &ciphertext, 0, n_chunks)
+    datapath::open_chunks(nexus_pool::global(), &fnode, &ciphertext, 0, n_chunks)
 }
 
 /// Bulk `nexus_fs_decrypt`: resolves every path, fetches **all** data
@@ -683,10 +681,10 @@ pub(crate) fn fs_decrypt_many(
     } else {
         fnodes.iter().map(|f| io.get(&f.data_uuid)).collect()
     };
-    let profile = state.config().crypto_profile;
     let mut out = Vec::with_capacity(fnodes.len());
     for (fnode, ciphertext) in fnodes.iter().zip(ciphertexts) {
-        out.push(decrypt_chunks(profile, fnode, &ciphertext?, 0, fnode.chunks.len() as u64)?);
+        let count = fnode.chunks.len() as u64;
+        out.push(datapath::open_chunks(nexus_pool::global(), fnode, &ciphertext?, 0, count)?);
     }
     Ok(out)
 }
@@ -715,7 +713,8 @@ pub(crate) fn fs_read_range(
     let (span_start, _) = fnode.ciphertext_range(first);
     let (last_start, last_len) = fnode.ciphertext_range(last);
     let span = io.get_range(&fnode.data_uuid, span_start, last_start + last_len - span_start)?;
-    let plain = decrypt_chunks_at(state.config().crypto_profile, &fnode, &span, first, last - first + 1)?;
+    let plain =
+        datapath::open_chunks(nexus_pool::global(), &fnode, &span, first, last - first + 1)?;
     let skip = (offset - first * fnode.chunk_size as u64) as usize;
     Ok(plain[skip..skip + len as usize].to_vec())
 }
@@ -734,31 +733,6 @@ fn open_file_for_read(
     }
     let fnode = load_file_via(state, io, &dir, &entry)?;
     Ok((dir, entry, fnode))
-}
-
-/// Decrypts whole-file ciphertext (chunks `0..count`).
-fn decrypt_chunks(
-    profile: nexus_crypto::CryptoProfile,
-    fnode: &Filenode,
-    ciphertext: &[u8],
-    first: u64,
-    count: u64,
-) -> Result<Vec<u8>> {
-    decrypt_chunks_at(profile, fnode, ciphertext, first, count)
-}
-
-/// Decrypts `count` chunks starting at chunk `first`, where `ciphertext`
-/// begins exactly at chunk `first`'s ciphertext offset. Chunk opens fan
-/// out over the worker pool; see [`datapath`] for why the result (and any
-/// reported error) is identical to the serial loop.
-fn decrypt_chunks_at(
-    profile: nexus_crypto::CryptoProfile,
-    fnode: &Filenode,
-    ciphertext: &[u8],
-    first: u64,
-    count: u64,
-) -> Result<Vec<u8>> {
-    datapath::open_chunks(nexus_pool::global(), profile, fnode, ciphertext, first, count)
 }
 
 #[cfg(test)]

@@ -28,7 +28,6 @@
 
 use nexus_crypto::gcm_siv::AesGcmSiv;
 use nexus_crypto::hmac::hkdf;
-use nexus_crypto::CryptoProfile;
 
 use crate::acl::UserId;
 use crate::error::{NexusError, Result};
@@ -104,7 +103,6 @@ impl GroupRecord {
         id: GroupId,
         name: &str,
         master: &[u8; 32],
-        profile: CryptoProfile,
         mut fill_random: impl FnMut(&mut [u8]),
     ) -> GroupRecord {
         let mut record = GroupRecord {
@@ -114,7 +112,7 @@ impl GroupRecord {
             members: Vec::new(),
             keys: Vec::new(),
         };
-        record.push_key(master, profile, &mut fill_random);
+        record.push_key(master, &mut fill_random);
         record
     }
 
@@ -122,14 +120,13 @@ impl GroupRecord {
     fn push_key(
         &mut self,
         master: &[u8; 32],
-        profile: CryptoProfile,
         fill_random: &mut impl FnMut(&mut [u8]),
     ) {
         let mut key = [0u8; 32];
         fill_random(&mut key);
         let mut nonce = [0u8; 12];
         fill_random(&mut nonce);
-        let siv = AesGcmSiv::with_profile(master, profile);
+        let siv = AesGcmSiv::new(master);
         let sealed = siv.seal(&nonce, &wrap_aad(self.id, self.epoch), &key);
         nexus_crypto::ct::zeroize(&mut key);
         let mut wrapped = [0u8; WRAPPED_LEN];
@@ -143,11 +140,10 @@ impl GroupRecord {
     fn bump_epoch(
         &mut self,
         master: &[u8; 32],
-        profile: CryptoProfile,
         mut fill_random: impl FnMut(&mut [u8]),
     ) {
         self.epoch += 1;
-        self.push_key(master, profile, &mut fill_random);
+        self.push_key(master, &mut fill_random);
     }
 
     /// True when `user` is a member (binary search on the sorted set).
@@ -193,7 +189,6 @@ impl GroupRecord {
         &mut self,
         users: &[UserId],
         master: &[u8; 32],
-        profile: CryptoProfile,
         fill_random: impl FnMut(&mut [u8]),
     ) -> Result<usize> {
         let before = self.members.len();
@@ -205,7 +200,7 @@ impl GroupRecord {
                 self.name
             )));
         }
-        self.bump_epoch(master, profile, fill_random);
+        self.bump_epoch(master, fill_random);
         Ok(removed)
     }
 
@@ -227,7 +222,6 @@ impl GroupRecord {
     pub fn unwrap_epoch_key(
         &self,
         master: &[u8; 32],
-        profile: CryptoProfile,
         epoch: u64,
     ) -> Result<[u8; 32]> {
         let wrapped = self.key_for_epoch(epoch).ok_or_else(|| {
@@ -236,7 +230,7 @@ impl GroupRecord {
                 self.name, self.epoch
             ))
         })?;
-        let siv = AesGcmSiv::with_profile(master, profile);
+        let siv = AesGcmSiv::new(master);
         let key = siv
             .open(&wrapped.nonce, &wrap_aad(self.id, epoch), &wrapped.wrapped)
             .map_err(|_| NexusError::Integrity("group key unwrap failed".into()))?;
@@ -245,8 +239,8 @@ impl GroupRecord {
     }
 
     /// Unwraps the current epoch's key (what new writes seal under).
-    pub fn current_key(&self, master: &[u8; 32], profile: CryptoProfile) -> Result<[u8; 32]> {
-        self.unwrap_epoch_key(master, profile, self.epoch)
+    pub fn current_key(&self, master: &[u8; 32]) -> Result<[u8; 32]> {
+        self.unwrap_epoch_key(master, self.epoch)
     }
 
     fn encode(&self, w: &mut Writer) {
@@ -337,7 +331,6 @@ impl GroupSet {
         &mut self,
         name: &str,
         master: &[u8; 32],
-        profile: CryptoProfile,
         fill_random: impl FnMut(&mut [u8]),
     ) -> Result<GroupId> {
         if self.by_name(name).is_some() {
@@ -346,7 +339,7 @@ impl GroupSet {
         let id = GroupId(self.next_group_id);
         self.next_group_id += 1;
         self.groups
-            .push(GroupRecord::create(id, name, master, profile, fill_random));
+            .push(GroupRecord::create(id, name, master, fill_random));
         Ok(id)
     }
 
@@ -387,14 +380,13 @@ impl GroupSet {
         &mut self,
         user: UserId,
         master: &[u8; 32],
-        profile: CryptoProfile,
         mut fill_random: impl FnMut(&mut [u8]),
     ) -> Vec<GroupId> {
         let mut affected = Vec::new();
         for group in self.groups.iter_mut() {
             if group.contains(user) {
                 group
-                    .revoke_members(&[user], master, profile, &mut fill_random)
+                    .revoke_members(&[user], master, &mut fill_random)
                     .expect("member presence checked");
                 affected.push(group.id);
             }
@@ -461,12 +453,8 @@ mod tests {
         group_master_key(&[0x42; 32], &NexusUuid([7; 16]))
     }
 
-    fn profile() -> CryptoProfile {
-        CryptoProfile::default()
-    }
-
     fn sample() -> GroupRecord {
-        let mut g = GroupRecord::create(GroupId(1), "eng", &master(), profile(), rand);
+        let mut g = GroupRecord::create(GroupId(1), "eng", &master(), rand);
         g.add_members(&[UserId(5), UserId(2), UserId(9)]);
         g
     }
@@ -493,12 +481,12 @@ mod tests {
     #[test]
     fn revoke_bumps_epoch_and_keeps_old_keys() {
         let mut g = sample();
-        let key0 = g.current_key(&master(), profile()).unwrap();
+        let key0 = g.current_key(&master()).unwrap();
         assert_eq!(g.epoch, 0);
         // A distinct filler, so the epoch-1 key plaintext actually differs
         // from epoch 0's (the shared `rand` is stateless).
         let removed = g
-            .revoke_members(&[UserId(5)], &master(), profile(), |d: &mut [u8]| {
+            .revoke_members(&[UserId(5)], &master(), |d: &mut [u8]| {
                 for (i, b) in d.iter_mut().enumerate() {
                     *b = (i * 13 + 7) as u8;
                 }
@@ -509,16 +497,16 @@ mod tests {
         assert_eq!(g.key_count(), 2);
         assert!(!g.contains(UserId(5)));
         // Old ciphertext stays readable: epoch-0 key is retained …
-        assert_eq!(g.unwrap_epoch_key(&master(), profile(), 0).unwrap(), key0);
+        assert_eq!(g.unwrap_epoch_key(&master(), 0).unwrap(), key0);
         // … and the new epoch uses a different key.
-        assert_ne!(g.current_key(&master(), profile()).unwrap(), key0);
+        assert_ne!(g.current_key(&master()).unwrap(), key0);
     }
 
     #[test]
     fn noop_revoke_does_not_bump() {
         let mut g = sample();
         let err = g
-            .revoke_members(&[UserId(77)], &master(), profile(), rand)
+            .revoke_members(&[UserId(77)], &master(), rand)
             .unwrap_err();
         assert!(matches!(err, NexusError::NotFound(_)));
         assert_eq!(g.epoch, 0);
@@ -536,10 +524,10 @@ mod tests {
     #[test]
     fn unwrap_rejects_unknown_epoch_and_wrong_master() {
         let g = sample();
-        assert!(g.unwrap_epoch_key(&master(), profile(), 3).is_err());
+        assert!(g.unwrap_epoch_key(&master(), 3).is_err());
         let wrong = group_master_key(&[9; 32], &NexusUuid([7; 16]));
         assert!(matches!(
-            g.unwrap_epoch_key(&wrong, profile(), 0),
+            g.unwrap_epoch_key(&wrong, 0),
             Err(NexusError::Integrity(_))
         ));
     }
@@ -547,12 +535,12 @@ mod tests {
     #[test]
     fn set_roundtrips_and_rejects_tampering() {
         let mut set = GroupSet::default();
-        set.create("eng", &master(), profile(), rand).unwrap();
-        set.create("ops", &master(), profile(), rand).unwrap();
+        set.create("eng", &master(), rand).unwrap();
+        set.create("ops", &master(), rand).unwrap();
         set.by_name_mut("eng").unwrap().add_members(&[UserId(3), UserId(1)]);
         set.by_name_mut("ops")
             .unwrap()
-            .revoke_members(&[UserId(8)], &master(), profile(), rand)
+            .revoke_members(&[UserId(8)], &master(), rand)
             .err(); // no-op; ops stays at epoch 0
         let mut w = Writer::new();
         set.encode(&mut w);
@@ -575,9 +563,9 @@ mod tests {
     #[test]
     fn duplicate_group_names_rejected() {
         let mut set = GroupSet::default();
-        set.create("eng", &master(), profile(), rand).unwrap();
+        set.create("eng", &master(), rand).unwrap();
         assert!(matches!(
-            set.create("eng", &master(), profile(), rand),
+            set.create("eng", &master(), rand),
             Err(NexusError::AlreadyExists(_))
         ));
     }
@@ -585,12 +573,12 @@ mod tests {
     #[test]
     fn revoke_member_everywhere_bumps_only_affected_groups() {
         let mut set = GroupSet::default();
-        set.create("eng", &master(), profile(), rand).unwrap();
-        set.create("ops", &master(), profile(), rand).unwrap();
+        set.create("eng", &master(), rand).unwrap();
+        set.create("ops", &master(), rand).unwrap();
         set.by_name_mut("eng").unwrap().add_members(&[UserId(4)]);
         set.by_name_mut("ops").unwrap().add_members(&[UserId(5)]);
         let affected =
-            set.revoke_member_everywhere(UserId(4), &master(), profile(), rand);
+            set.revoke_member_everywhere(UserId(4), &master(), rand);
         assert_eq!(affected, vec![GroupId(1)]);
         assert_eq!(set.by_name("eng").unwrap().epoch, 1);
         assert_eq!(set.by_name("ops").unwrap().epoch, 0);

@@ -73,7 +73,6 @@ pub use acl::{Acl, Principal, Rights, UserId};
 pub use async_fs::{AsyncVolume, CryptoCost};
 pub use enclave::{NexusConfig, Session};
 pub use groups::{GroupId, GroupRecord, GroupSet};
-pub use nexus_crypto::CryptoProfile;
 pub use error::{NexusError, Result};
 pub use fsck::{FsckMode, FsckReport};
 pub use fsops::{DirRow, FileType, LookupInfo};

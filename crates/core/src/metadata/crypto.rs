@@ -27,7 +27,6 @@
 
 use nexus_crypto::gcm::AesGcm;
 use nexus_crypto::gcm_siv::AesGcmSiv;
-use nexus_crypto::CryptoProfile;
 
 use crate::error::{NexusError, Result};
 use crate::groups::GroupId;
@@ -160,8 +159,7 @@ const SIV_NONCE_LEN: usize = 12;
 const WRAPPED_KEY_LEN: usize = 16 + 16; // key + GCM-SIV tag
 const GCM_NONCE_LEN: usize = 12;
 
-/// Encrypts a metadata body into the full on-storage representation using
-/// the default (hardened) [`CryptoProfile`] lane.
+/// Encrypts a metadata body into the full on-storage representation.
 ///
 /// `wrap_key` is the rootkey for unscoped preambles; when
 /// `preamble.scope` is set, the caller must pass the group key for the
@@ -169,19 +167,6 @@ const GCM_NONCE_LEN: usize = 12;
 /// object key and nonces.
 pub fn seal_object(
     wrap_key: &RootKey,
-    preamble: &Preamble,
-    body: &[u8],
-    fill_random: impl FnMut(&mut [u8]),
-) -> Vec<u8> {
-    seal_object_with(wrap_key, CryptoProfile::default(), preamble, body, fill_random)
-}
-
-/// [`seal_object`] with an explicit crypto profile. Both profiles produce
-/// byte-identical blobs; the profile only selects the implementation lane
-/// (table-driven vs constant-time) used for the key wrap and body seal.
-pub fn seal_object_with(
-    wrap_key: &RootKey,
-    profile: CryptoProfile,
     preamble: &Preamble,
     body: &[u8],
     mut fill_random: impl FnMut(&mut [u8]),
@@ -196,7 +181,7 @@ pub fn seal_object_with(
     fill_random(&mut gcm_nonce);
 
     // Section 2: wrap the object key under the scope's wrap key.
-    let siv = AesGcmSiv::with_profile(wrap_key, profile);
+    let siv = AesGcmSiv::new(wrap_key);
     let wrapped = siv.seal(&siv_nonce, &preamble_bytes, &object_key);
     debug_assert_eq!(wrapped.len(), WRAPPED_KEY_LEN);
 
@@ -204,7 +189,7 @@ pub fn seal_object_with(
     let mut aad = preamble_bytes.clone();
     aad.extend_from_slice(&siv_nonce);
     aad.extend_from_slice(&wrapped);
-    let gcm = AesGcm::with_profile(&object_key, profile);
+    let gcm = AesGcm::new(&object_key);
     let ciphertext = gcm.seal(&gcm_nonce, &aad, body);
     nexus_crypto::ct::zeroize(&mut object_key);
 
@@ -219,8 +204,9 @@ pub fn seal_object_with(
     out
 }
 
-/// Verifies and decrypts a metadata object fetched from untrusted storage,
-/// using the default (hardened) [`CryptoProfile`] lane.
+/// Verifies and decrypts a metadata object fetched from untrusted storage.
+/// The caller-supplied key is used as the wrap key regardless of scope —
+/// for scope-aware resolution use [`open_object_scoped`].
 ///
 /// # Errors
 ///
@@ -228,19 +214,7 @@ pub fn seal_object_with(
 /// when any authentication check fails (wrong rootkey, tampering, or a
 /// spliced preamble).
 pub fn open_object(wrap_key: &RootKey, blob: &[u8]) -> Result<(Preamble, Vec<u8>)> {
-    open_object_with(wrap_key, CryptoProfile::default(), blob)
-}
-
-/// [`open_object`] with an explicit crypto profile. Accepts exactly the
-/// blobs the other profile produces. The caller-supplied key is used as
-/// the wrap key regardless of scope — for scope-aware resolution use
-/// [`open_object_scoped`].
-pub fn open_object_with(
-    wrap_key: &RootKey,
-    profile: CryptoProfile,
-    blob: &[u8],
-) -> Result<(Preamble, Vec<u8>)> {
-    open_object_scoped(profile, blob, |_| Ok(*wrap_key))
+    open_object_scoped(blob, |_| Ok(*wrap_key))
 }
 
 /// [`open_object`] with the wrap key chosen *after* the preamble is read:
@@ -250,7 +224,6 @@ pub fn open_object_with(
 /// wrong key; a resolver that cannot produce the epoch key (revoked
 /// member, pre-revocation supernode) simply errors.
 pub fn open_object_scoped(
-    profile: CryptoProfile,
     blob: &[u8],
     resolve: impl FnOnce(Option<KeyScope>) -> Result<RootKey>,
 ) -> Result<(Preamble, Vec<u8>)> {
@@ -265,7 +238,7 @@ pub fn open_object_scoped(
     let (gcm_nonce, ciphertext) = rest.split_at(GCM_NONCE_LEN);
 
     let mut wrap_key = resolve(preamble.scope)?;
-    let siv = AesGcmSiv::with_profile(&wrap_key, profile);
+    let siv = AesGcmSiv::new(&wrap_key);
     nexus_crypto::ct::zeroize(&mut wrap_key);
     let siv_nonce_arr: [u8; 12] = siv_nonce.try_into().unwrap();
     let object_key = siv
@@ -278,7 +251,7 @@ pub fn open_object_scoped(
     let mut aad = preamble_bytes.to_vec();
     aad.extend_from_slice(siv_nonce);
     aad.extend_from_slice(wrapped);
-    let gcm = AesGcm::with_profile(&object_key, profile);
+    let gcm = AesGcm::new(&object_key);
     nexus_crypto::ct::zeroize(&mut object_key);
     let gcm_nonce_arr: [u8; 12] = gcm_nonce.try_into().unwrap();
     let body = gcm
@@ -321,21 +294,6 @@ mod tests {
         let (preamble, body) = open_object(&rk(), &blob).unwrap();
         assert_eq!(preamble, pre());
         assert_eq!(body, b"directory contents");
-    }
-
-    #[test]
-    fn profiles_produce_identical_blobs_and_interoperate() {
-        // Same deterministic randomness → the two lanes must emit the same
-        // bytes, and each must open what the other sealed.
-        let fast = seal_object_with(&rk(), CryptoProfile::Fast, &pre(), b"body", rand);
-        let ct = seal_object_with(&rk(), CryptoProfile::ConstantTime, &pre(), b"body", rand);
-        assert_eq!(fast, ct);
-        let (preamble, body) = open_object_with(&rk(), CryptoProfile::ConstantTime, &fast).unwrap();
-        assert_eq!(preamble, pre());
-        assert_eq!(body, b"body");
-        let (preamble, body) = open_object_with(&rk(), CryptoProfile::Fast, &ct).unwrap();
-        assert_eq!(preamble, pre());
-        assert_eq!(body, b"body");
     }
 
     #[test]
@@ -410,7 +368,7 @@ mod tests {
         let group_key: RootKey = [0x33; 32];
         let blob = seal_object(&group_key, &scoped_pre(), b"shared", rand);
         assert_eq!(&blob[..4], MAGIC_SCOPED);
-        let (preamble, body) = open_object_scoped(CryptoProfile::default(), &blob, |scope| {
+        let (preamble, body) = open_object_scoped(&blob, |scope| {
             assert_eq!(scope, Some(KeyScope { group: GroupId(3), epoch: 2 }));
             Ok(group_key)
         })
@@ -425,10 +383,10 @@ mod tests {
         // A reader resolving a *different* key (e.g. the post-revocation
         // epoch) must hit an authentication failure, not wrong plaintext.
         let err =
-            open_object_scoped(CryptoProfile::default(), &blob, |_| Ok([0x44; 32])).unwrap_err();
+            open_object_scoped(&blob, |_| Ok([0x44; 32])).unwrap_err();
         assert!(matches!(err, NexusError::Integrity(_)));
         // And a resolver error (no key for this epoch) propagates.
-        let err = open_object_scoped(CryptoProfile::default(), &blob, |_| {
+        let err = open_object_scoped(&blob, |_| {
             Err(NexusError::Integrity("no key for epoch".into()))
         })
         .unwrap_err();
@@ -442,7 +400,7 @@ mod tests {
         // Flip a bit in the epoch field (last 8 bytes of the scoped
         // preamble): the scope is AAD, so authentication must fail.
         blob[Preamble::SCOPED_ENCODED_LEN - 1] ^= 1;
-        assert!(open_object_scoped(CryptoProfile::default(), &blob, |_| Ok(key)).is_err());
+        assert!(open_object_scoped(&blob, |_| Ok(key)).is_err());
         // Rewriting the magic to disguise a scoped blob as unscoped fails
         // outright (the preamble bytes no longer authenticate).
         let mut blob = seal_object(&key, &scoped_pre(), b"shared", rand);

@@ -290,7 +290,7 @@ mod tests {
         let master = [7u8; 32];
         let gid = sn
             .groups
-            .create("eng", &master, Default::default(), |d| d.fill(0xAB))
+            .create("eng", &master, |d| d.fill(0xAB))
             .unwrap();
         sn.groups.by_name_mut("eng").unwrap().add_members(&[UserId(1), UserId(2)]);
         let decoded = Supernode::decode(&sn.encode()).unwrap();

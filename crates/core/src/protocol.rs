@@ -79,7 +79,7 @@ pub(crate) fn auth_complete(
     // Re-verify the supernode we hold matches what is on storage: the
     // signature covers the ciphertext, so both sides must agree on it.
     let rootkey = state.mounted()?.rootkey;
-    let (supernode, version) = crate::enclave::fetch_supernode(io, &rootkey, state.config().crypto_profile, supernode_uuid)?;
+    let (supernode, version) = crate::enclave::fetch_supernode(io, &rootkey, supernode_uuid)?;
     {
         let mounted = state.mounted()?;
         if version < mounted.supernode_version {

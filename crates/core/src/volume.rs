@@ -118,9 +118,6 @@ impl NexusVolume {
         let owner_name = owner.name.clone();
         let owner_key = owner.public_key();
         let (volume_id, sealed) = enclave.ecall(move |state, env| -> Result<(NexusUuid, Vec<u8>)> {
-            if config.force_portable_crypto {
-                nexus_crypto::cpu::set_force_portable(true);
-            }
             state.config = Some(config);
             let io = MetaIo::new(env, b.as_ref());
 
@@ -181,16 +178,13 @@ impl NexusVolume {
         let b = backend.clone();
         let sealed_bytes = sealed.0.clone();
         let volume_id = enclave.ecall(move |state, env| -> Result<NexusUuid> {
-            if config.force_portable_crypto {
-                nexus_crypto::cpu::set_force_portable(true);
-            }
             state.config = Some(config);
             let (rootkey, uuid) = protocol::unseal_rootkey(env, &sealed_bytes)?;
             let io = MetaIo::new(env, b.as_ref());
             // Probe before fetch: if a writer lands between the two, the
             // recorded probe is merely stale and the next probe refetches.
             let storage_version = io.version(&uuid).unwrap_or(0);
-            let (supernode, version) = crate::enclave::fetch_supernode(&io, &rootkey, config.crypto_profile, uuid)?;
+            let (supernode, version) = crate::enclave::fetch_supernode(&io, &rootkey, uuid)?;
             state.mounted = Some(Mounted {
                 rootkey,
                 supernode_uuid: uuid,
@@ -454,10 +448,9 @@ impl NexusVolume {
         self.ecall(move |state, io| {
             Self::require_owner(state)?;
             let user_id = state.mounted()?.supernode.remove_user(&name)?;
-            let profile = state.config().crypto_profile;
             let m = state.mounted()?;
             let master = group_master_key(&m.rootkey, &m.supernode_uuid);
-            m.supernode.groups.revoke_member_everywhere(user_id, &master, profile, |d| {
+            m.supernode.groups.revoke_member_everywhere(user_id, &master, |d| {
                 io.env.random_bytes(d)
             });
             crate::enclave::store_supernode(state, io)?;
@@ -567,12 +560,11 @@ impl NexusVolume {
         let name = name.to_string();
         self.ecall(move |state, io| {
             Self::require_owner(state)?;
-            let profile = state.config().crypto_profile;
             let m = state.mounted()?;
             let master = group_master_key(&m.rootkey, &m.supernode_uuid);
             m.supernode
                 .groups
-                .create(&name, &master, profile, |d| io.env.random_bytes(d))?;
+                .create(&name, &master, |d| io.env.random_bytes(d))?;
             crate::enclave::store_supernode(state, io)
         })
     }
@@ -681,7 +673,6 @@ impl NexusVolume {
         let users: Vec<String> = users.iter().map(|s| s.to_string()).collect();
         self.ecall(move |state, io| {
             Self::require_owner(state)?;
-            let profile = state.config().crypto_profile;
             let m = state.mounted()?;
             let ids = users
                 .iter()
@@ -699,7 +690,7 @@ impl NexusVolume {
                 .by_name_mut(&group)
                 .ok_or_else(|| NexusError::NotFound(format!("group {group}")))?;
             let removed =
-                rec.revoke_members(&ids, &master, profile, |d| io.env.random_bytes(d))?;
+                rec.revoke_members(&ids, &master, |d| io.env.random_bytes(d))?;
             crate::enclave::store_supernode(state, io)?;
             Ok(removed)
         })

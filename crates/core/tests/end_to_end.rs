@@ -55,29 +55,6 @@ fn nested_directories_and_listing() {
 }
 
 #[test]
-fn force_portable_crypto_config_applies_at_create() {
-    let (platform, ias, backend, owner) = setup();
-    let config = NexusConfig { force_portable_crypto: true, ..NexusConfig::default() };
-    let (volume, _) = NexusVolume::create(&platform, backend, &ias, &owner, config).unwrap();
-    // The config flag must have flipped the process-wide override, so
-    // every ConstantTime key expanded from here on uses the bitsliced
-    // engine even on AES-NI hosts.
-    assert!(nexus_crypto::cpu::force_portable());
-    assert_eq!(
-        nexus_crypto::cpu::constant_time_backend(),
-        nexus_crypto::CryptoBackend::Bitsliced
-    );
-    // The volume works as usual — the lanes are byte-identical.
-    volume.authenticate(&owner).unwrap();
-    volume.write_file("f", b"forced portable").unwrap();
-    assert_eq!(volume.read_file("f").unwrap(), b"forced portable");
-    // Release the runtime half of the override so the rest of this test
-    // binary dispatches normally (concurrent tests may expand a key
-    // bitsliced in the window — safe, the engines agree byte-for-byte).
-    nexus_crypto::cpu::set_force_portable(false);
-}
-
-#[test]
 fn unauthenticated_access_denied() {
     let (platform, ias, backend, owner) = setup();
     let (volume, _) =

@@ -8,7 +8,6 @@
 use nexus_core::datapath::{open_chunks, seal_chunks};
 use nexus_core::metadata::filenode::{ChunkContext, Filenode};
 use nexus_core::NexusUuid;
-use nexus_core::CryptoProfile;
 use nexus_pool::ThreadPool;
 use nexus_testkit::{shrink, tk_assert_eq, Gen, Runner};
 
@@ -63,7 +62,7 @@ fn parallel_seal_open_matches_serial_at_every_width() {
                 let uuid = NexusUuid(g.bytes::<16>());
 
                 let serial =
-                    seal_chunks(&ThreadPool::new(1), CryptoProfile::Fast, &uuid, data, CHUNK_SIZE as usize, &contexts);
+                    seal_chunks(&ThreadPool::new(1), &uuid, data, CHUNK_SIZE as usize, &contexts);
                 tk_assert_eq!(
                     serial.len(),
                     data.len() + n_chunks * 16,
@@ -78,17 +77,17 @@ fn parallel_seal_open_matches_serial_at_every_width() {
                 for workers in [2usize, 8] {
                     let pool = ThreadPool::new(workers);
                     let parallel =
-                        seal_chunks(&pool, CryptoProfile::Fast, &uuid, data, CHUNK_SIZE as usize, &contexts);
+                        seal_chunks(&pool, &uuid, data, CHUNK_SIZE as usize, &contexts);
                     tk_assert_eq!(
                         &parallel,
                         &serial,
                         "ciphertext must be byte-identical at {workers} workers"
                     );
-                    let opened = open_chunks(&pool, CryptoProfile::Fast, &fnode, &serial, 0, n_chunks as u64)
+                    let opened = open_chunks(&pool, &fnode, &serial, 0, n_chunks as u64)
                         .map_err(|e| format!("open failed at {workers} workers: {e}"))?;
                     tk_assert_eq!(&opened, data, "roundtrip at {workers} workers");
                 }
-                let opened = open_chunks(&ThreadPool::new(1), CryptoProfile::Fast, &fnode, &serial, 0, n_chunks as u64)
+                let opened = open_chunks(&ThreadPool::new(1), &fnode, &serial, 0, n_chunks as u64)
                     .map_err(|e| format!("serial open failed: {e}"))?;
                 tk_assert_eq!(&opened, data, "serial roundtrip");
                 Ok(())

@@ -1,15 +1,16 @@
 //! The AES block cipher (FIPS 197), supporting 128- and 256-bit keys.
 //!
-//! Three engines live behind one API, selected at key expansion
-//! ([`CryptoProfile`] / [`CryptoBackend`]): the [`CryptoProfile::Fast`]
-//! lane encrypts through fused T-tables and decrypts byte-oriented, both
-//! indexing tables by secret-derived values; the default
-//! [`CryptoProfile::ConstantTime`] profile resolves through
-//! [`crate::cpu`] to either the AES-NI engine ([`crate::aes_ni`], on
-//! x86_64 CPUs that have it — constant-time on dedicated silicon and
-//! faster than the tables) or the portable bitsliced [`crate::aes_ct`]
-//! engine, whose keys expand through an algebraic S-box so no memory
-//! access depends on key or data bytes. All lanes are the foundation for
+//! [`Aes::new`] picks one of two constant-time engines at key expansion,
+//! from what [`crate::cpu`] observes: the AES-NI engine
+//! ([`crate::aes_ni`], on x86_64 CPUs that have it — dedicated silicon,
+//! and the fastest) or the portable bitsliced [`crate::aes_ct`] engine,
+//! whose keys expand through an algebraic S-box so no memory access
+//! depends on key or data bytes. A third, table-driven engine
+//! ([`CryptoBackend::Table`]: fused T-tables to encrypt, byte-oriented
+//! S-box rounds to decrypt, both indexed by secret-derived values) is kept
+//! as the reference the test suites compare the other two against and as
+//! the positive control of the timing-leak harness; only
+//! [`Aes::with_backend`] reaches it. All engines are the foundation for
 //! the [`crate::gcm`] and [`crate::gcm_siv`] AEAD modes used throughout
 //! NEXUS and produce identical ciphertext.
 //!
@@ -30,7 +31,7 @@
 use crate::aes_ct::{self, AesCt};
 #[cfg(target_arch = "x86_64")]
 use crate::aes_ni::AesNi;
-use crate::{CryptoBackend, CryptoProfile};
+use crate::CryptoBackend;
 
 /// The AES S-box (crate-visible so the bitsliced lane's tests can verify
 /// their algebraic S-box against it for all 256 inputs).
@@ -152,8 +153,14 @@ fn te_tables() -> &'static [[u32; 256]; 4] {
 /// [`CryptoBackend`]).
 #[derive(Clone)]
 enum Engine {
-    /// T-table fast lane (state lives in `Aes::round_keys_u32`).
-    Table,
+    /// Table-driven reference engine, the only one that keeps the FIPS 197
+    /// schedule in its plain forms.
+    Table {
+        /// Expanded round keys, whitening key first (decrypt path).
+        round_keys: Vec<[u8; 16]>,
+        /// The same keys as big-endian column words (T-table encrypt path).
+        round_keys_u32: Vec<[u32; 4]>,
+    },
     /// Portable bitsliced constant-time lane.
     Bitsliced(AesCt),
     /// AES-NI constant-time lane.
@@ -163,14 +170,10 @@ enum Engine {
 
 /// An expanded AES key, ready to encrypt or decrypt 16-byte blocks.
 ///
-/// Round-key material (byte, word, bitsliced-plane, and hardware-schedule
-/// forms) is volatilely zeroized when the value is dropped.
+/// Round-key material (whichever form the engine holds) is volatilely
+/// zeroized when the value is dropped.
 #[derive(Clone)]
 pub struct Aes {
-    /// Expanded round keys, 4 words per round plus the initial whitening key.
-    round_keys: Vec<[u8; 16]>,
-    /// Round keys as big-endian column words, for the T-table fast path.
-    round_keys_u32: Vec<[u32; 4]>,
     /// The engine block operations run through.
     engine: Engine,
     rounds: usize,
@@ -184,125 +187,67 @@ impl std::fmt::Debug for Aes {
 }
 
 impl Aes {
-    /// Expands a key of the given size under the default profile
-    /// ([`CryptoProfile::ConstantTime`]).
+    /// Expands a key of the given size on the engine
+    /// [`crate::cpu::constant_time_backend`] selects: AES-NI when the CPU
+    /// has it, else the bitsliced engine.
     ///
     /// # Panics
     ///
     /// Panics if `key.len()` does not match `size` (16 bytes for
     /// [`KeySize::Aes128`], 32 for [`KeySize::Aes256`]).
     pub fn new(key: &[u8], size: KeySize) -> Aes {
-        Aes::with_profile(key, size, CryptoProfile::default())
-    }
-
-    /// Expands a key for the given lane. [`CryptoProfile::ConstantTime`]
-    /// resolves through [`crate::cpu::constant_time_backend`] to the
-    /// AES-NI engine when the CPU has it, else the bitsliced engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key.len()` does not match `size`.
-    pub fn with_profile(key: &[u8], size: KeySize, profile: CryptoProfile) -> Aes {
-        Aes::with_backend(key, size, crate::cpu::backend_for(profile))
+        Aes::with_backend(key, size, crate::cpu::constant_time_backend())
     }
 
     /// Expands a key for one *specific* engine, bypassing CPU dispatch.
-    /// Normal callers want [`Aes::with_profile`]; this exists so the
-    /// differential test suites and the `micro_ct` bench can pin each
-    /// lane regardless of host CPU or the force-portable override.
+    /// Normal callers want [`Aes::new`]; this exists so the differential
+    /// test suites and the `micro_ct` bench can pin each engine regardless
+    /// of host CPU or the force-portable override.
     ///
     /// # Panics
     ///
     /// Panics if `key.len()` does not match `size`, or if
     /// [`CryptoBackend::HwAccel`] is requested on a CPU without
     /// AES-NI/PCLMULQDQ (check [`crate::cpu::hw_accel_available`] first).
+    #[doc(hidden)]
     pub fn with_backend(key: &[u8], size: KeySize, backend: CryptoBackend) -> Aes {
         assert_eq!(key.len(), size.nk() * 4, "AES key length mismatch");
-        #[cfg(target_arch = "x86_64")]
-        if backend == CryptoBackend::HwAccel {
+        let engine = match backend {
             // The hardware schedule never runs key bytes through a memory
             // table, and is much cheaper than the algebraic-S-box portable
-            // schedule; mirror its output into the byte/word forms used by
-            // the reference path and the wipe tests.
-            let ni = AesNi::new(key, size);
-            let nr = size.nr();
-            let mut round_keys = Vec::with_capacity(nr + 1);
-            let mut round_keys_u32 = Vec::with_capacity(nr + 1);
-            for rk in ni.round_keys() {
-                let mut rk32 = [0u32; 4];
-                for c in 0..4 {
-                    rk32[c] = u32::from_be_bytes(rk[c * 4..c * 4 + 4].try_into().unwrap());
-                }
-                round_keys.push(*rk);
-                round_keys_u32.push(rk32);
+            // schedule.
+            #[cfg(target_arch = "x86_64")]
+            CryptoBackend::HwAccel => Engine::HwAccel(AesNi::new(key, size)),
+            #[cfg(not(target_arch = "x86_64"))]
+            CryptoBackend::HwAccel => {
+                panic!("hardware crypto lane is x86_64-only; use CryptoBackend::Bitsliced")
             }
-            return Aes { round_keys, round_keys_u32, engine: Engine::HwAccel(ni), rounds: nr };
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        assert!(
-            backend != CryptoBackend::HwAccel,
-            "hardware crypto lane is x86_64-only; use CryptoBackend::Bitsliced"
-        );
-        let sub: fn(u8) -> u8 = match backend {
-            CryptoBackend::Table => |b| SBOX[b as usize],
-            _ => aes_ct::sbox_ct,
+            CryptoBackend::Bitsliced => {
+                let mut round_keys = expand_key(key, size, aes_ct::sbox_ct);
+                let ct = AesCt::from_round_keys(&round_keys);
+                crate::ct::zeroize(round_keys.as_flattened_mut());
+                Engine::Bitsliced(ct)
+            }
+            CryptoBackend::Table => {
+                let round_keys = expand_key(key, size, |b| SBOX[b as usize]);
+                let round_keys_u32 = round_keys
+                    .iter()
+                    .map(|rk| {
+                        std::array::from_fn(|c| {
+                            u32::from_be_bytes(rk[c * 4..c * 4 + 4].try_into().unwrap())
+                        })
+                    })
+                    .collect();
+                Engine::Table { round_keys, round_keys_u32 }
+            }
         };
-        let nk = size.nk();
-        let nr = size.nr();
-        let total_words = 4 * (nr + 1);
-        let mut w = vec![[0u8; 4]; total_words];
-        for (i, word) in w.iter_mut().take(nk).enumerate() {
-            word.copy_from_slice(&key[i * 4..i * 4 + 4]);
-        }
-        for i in nk..total_words {
-            let mut temp = w[i - 1];
-            if i % nk == 0 {
-                temp.rotate_left(1);
-                for b in temp.iter_mut() {
-                    *b = sub(*b);
-                }
-                temp[0] ^= RCON[i / nk];
-            } else if nk > 6 && i % nk == 4 {
-                for b in temp.iter_mut() {
-                    *b = sub(*b);
-                }
-            }
-            for j in 0..4 {
-                w[i][j] = w[i - nk][j] ^ temp[j];
-            }
-        }
-        let mut round_keys = Vec::with_capacity(nr + 1);
-        let mut round_keys_u32 = Vec::with_capacity(nr + 1);
-        for r in 0..=nr {
-            let mut rk = [0u8; 16];
-            let mut rk32 = [0u32; 4];
-            for c in 0..4 {
-                rk[c * 4..c * 4 + 4].copy_from_slice(&w[r * 4 + c]);
-                rk32[c] = u32::from_be_bytes(w[r * 4 + c]);
-            }
-            round_keys.push(rk);
-            round_keys_u32.push(rk32);
-        }
-        crate::ct::zeroize(w.as_flattened_mut());
-        let engine = match backend {
-            CryptoBackend::Table => Engine::Table,
-            _ => Engine::Bitsliced(AesCt::from_round_keys(&round_keys)),
-        };
-        Aes { round_keys, round_keys_u32, engine, rounds: nr }
-    }
-
-    /// The profile this key was expanded for.
-    pub fn profile(&self) -> CryptoProfile {
-        match self.engine {
-            Engine::Table => CryptoProfile::Fast,
-            _ => CryptoProfile::ConstantTime,
-        }
+        Aes { engine, rounds: size.nr() }
     }
 
     /// The concrete engine this key dispatches to.
     pub fn backend(&self) -> CryptoBackend {
         match self.engine {
-            Engine::Table => CryptoBackend::Table,
+            Engine::Table { .. } => CryptoBackend::Table,
             Engine::Bitsliced(_) => CryptoBackend::Bitsliced,
             #[cfg(target_arch = "x86_64")]
             Engine::HwAccel(_) => CryptoBackend::HwAccel,
@@ -334,118 +279,98 @@ impl Aes {
     /// timing behaviour; the AES-NI lane has a true single-block pipeline.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
         match &self.engine {
-            Engine::Table => {}
+            Engine::Table { round_keys_u32: rk, .. } => {
+                let te = te_tables();
+                let mut c = load_state(block, &rk[0]);
+                for k in &rk[1..self.rounds] {
+                    c = round(te, &c, k);
+                }
+                store_state(block, &final_round(&c, &rk[self.rounds]));
+            }
             Engine::Bitsliced(ct) => {
                 let mut batch = [[0u8; 16]; 8];
                 batch[0] = *block;
                 ct.encrypt_blocks8(&mut batch);
                 *block = batch[0];
-                return;
             }
             #[cfg(target_arch = "x86_64")]
-            Engine::HwAccel(ni) => {
-                ni.encrypt_block(block);
-                return;
-            }
+            Engine::HwAccel(ni) => ni.encrypt_block(block),
         }
-        let te = te_tables();
-        let rk = &self.round_keys_u32;
-        let mut c = load_state(block, &rk[0]);
-        for k in &rk[1..self.rounds] {
-            c = round(te, &c, k);
-        }
-        store_state(block, &final_round(&c, &rk[self.rounds]));
     }
 
-    /// Encrypts eight 16-byte blocks in place.
-    ///
-    /// The round loop iterates over the eight *independent* states inside
-    /// each round, so the sixteen T-table loads of one state overlap with
-    /// those of the next seven — the same result as eight
-    /// [`Aes::encrypt_block`] calls, with much better instruction-level
-    /// parallelism. This is what makes the batched GCM CTR keystream
-    /// (`crate::gcm`) cheaper per byte.
+    /// Encrypts eight 16-byte blocks in place — the same result as eight
+    /// [`Aes::encrypt_block`] calls. Native batch on the bitsliced and
+    /// AES-NI engines (this is what makes the batched GCM CTR keystream in
+    /// `crate::gcm` cheaper per byte); the table engine encrypts serially.
     pub fn encrypt_blocks8(&self, blocks: &mut [[u8; 16]; 8]) {
         match &self.engine {
-            Engine::Table => {}
-            Engine::Bitsliced(ct) => {
-                ct.encrypt_blocks8(blocks);
-                return;
+            Engine::Table { .. } => {
+                for block in blocks.iter_mut() {
+                    self.encrypt_block(block);
+                }
             }
+            Engine::Bitsliced(ct) => ct.encrypt_blocks8(blocks),
             #[cfg(target_arch = "x86_64")]
-            Engine::HwAccel(ni) => {
-                ni.encrypt_blocks8(blocks);
-                return;
-            }
-        }
-        let te = te_tables();
-        let rk = &self.round_keys_u32;
-        let mut states = [[0u32; 4]; 8];
-        for (state, block) in states.iter_mut().zip(blocks.iter()) {
-            *state = load_state(block, &rk[0]);
-        }
-        for k in &rk[1..self.rounds] {
-            for state in states.iter_mut() {
-                *state = round(te, state, k);
-            }
-        }
-        let last = &rk[self.rounds];
-        for (state, block) in states.iter().zip(blocks.iter_mut()) {
-            store_state(block, &final_round(state, last));
+            Engine::HwAccel(ni) => ni.encrypt_blocks8(blocks),
         }
     }
 
-    /// Reference (table-free) encryption, kept for differential testing.
+    /// Byte-oriented FIPS 197 encryption straight from the specification,
+    /// kept to check the T-table path against.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the key was expanded for [`CryptoBackend::Table`], the
+    /// only engine that keeps the byte-form schedule.
     #[doc(hidden)]
     pub fn encrypt_block_reference(&self, block: &mut [u8; 16]) {
-        add_round_key(block, &self.round_keys[0]);
-        for r in 1..self.rounds {
+        let Engine::Table { round_keys, .. } = &self.engine else {
+            panic!("the reference path needs the table engine's byte-form schedule");
+        };
+        add_round_key(block, &round_keys[0]);
+        for rk in &round_keys[1..self.rounds] {
             sub_bytes(block);
             shift_rows(block);
             mix_columns(block);
-            add_round_key(block, &self.round_keys[r]);
+            add_round_key(block, rk);
         }
         sub_bytes(block);
         shift_rows(block);
-        add_round_key(block, &self.round_keys[self.rounds]);
+        add_round_key(block, &round_keys[self.rounds]);
     }
 
     /// Decrypts one 16-byte block in place.
     pub fn decrypt_block(&self, block: &mut [u8; 16]) {
         match &self.engine {
-            Engine::Table => {}
+            Engine::Table { round_keys, .. } => {
+                add_round_key(block, &round_keys[self.rounds]);
+                inv_shift_rows(block);
+                inv_sub_bytes(block);
+                for rk in round_keys[1..self.rounds].iter().rev() {
+                    add_round_key(block, rk);
+                    inv_mix_columns(block);
+                    inv_shift_rows(block);
+                    inv_sub_bytes(block);
+                }
+                add_round_key(block, &round_keys[0]);
+            }
             Engine::Bitsliced(ct) => {
                 let mut batch = [[0u8; 16]; 8];
                 batch[0] = *block;
                 ct.decrypt_blocks8(&mut batch);
                 *block = batch[0];
-                return;
             }
             #[cfg(target_arch = "x86_64")]
-            Engine::HwAccel(ni) => {
-                ni.decrypt_block(block);
-                return;
-            }
+            Engine::HwAccel(ni) => ni.decrypt_block(block),
         }
-        add_round_key(block, &self.round_keys[self.rounds]);
-        inv_shift_rows(block);
-        inv_sub_bytes(block);
-        for r in (1..self.rounds).rev() {
-            add_round_key(block, &self.round_keys[r]);
-            inv_mix_columns(block);
-            inv_shift_rows(block);
-            inv_sub_bytes(block);
-        }
-        add_round_key(block, &self.round_keys[0]);
     }
 
     /// Decrypts eight 16-byte blocks in place — the inverse of
     /// [`Aes::encrypt_blocks8`]. Native batch on the bitsliced and AES-NI
-    /// engines; the table lane decrypts serially (its byte-oriented
-    /// inverse cipher gains nothing from interleaving).
+    /// engines; the table engine decrypts serially.
     pub fn decrypt_blocks8(&self, blocks: &mut [[u8; 16]; 8]) {
         match &self.engine {
-            Engine::Table => {
+            Engine::Table { .. } => {
                 for block in blocks.iter_mut() {
                     self.decrypt_block(block);
                 }
@@ -466,12 +391,11 @@ impl Aes {
     /// [`Aes::encrypt_block`].
     #[doc(hidden)]
     pub fn encrypt_block_trace(&self, block: &mut [u8; 16], trace: &mut Vec<(u8, u16)>) {
-        if !matches!(self.engine, Engine::Table) {
+        let Engine::Table { round_keys_u32: rk, .. } = &self.engine else {
             self.encrypt_block(block);
             return;
-        }
+        };
         let te = te_tables();
-        let rk = &self.round_keys_u32;
         let mut c = load_state(block, &rk[0]);
         for k in &rk[1..self.rounds] {
             c = round_traced(te, &c, k, trace);
@@ -479,17 +403,14 @@ impl Aes {
         store_state(block, &final_round_traced(&c, &rk[self.rounds], trace));
     }
 
-    /// Volatile best-effort clear of all round-key forms (also invoked by
-    /// `Drop`; kept separate so tests can observe the cleared state).
+    /// Volatile best-effort clear of the engine's round keys (also invoked
+    /// by `Drop`; kept separate so tests can observe the cleared state).
     fn wipe(&mut self) {
-        for rk in self.round_keys.iter_mut() {
-            crate::ct::zeroize(rk);
-        }
-        for rk in self.round_keys_u32.iter_mut() {
-            crate::ct::zeroize_u32(rk);
-        }
         match &mut self.engine {
-            Engine::Table => {}
+            Engine::Table { round_keys, round_keys_u32 } => {
+                crate::ct::zeroize(round_keys.as_flattened_mut());
+                crate::ct::zeroize_u32(round_keys_u32.as_flattened_mut());
+            }
             Engine::Bitsliced(ct) => ct.wipe(),
             #[cfg(target_arch = "x86_64")]
             Engine::HwAccel(ni) => ni.wipe(),
@@ -504,6 +425,40 @@ impl Drop for Aes {
 }
 
 impl crate::ct::ZeroizeOnDrop for Aes {}
+
+/// The FIPS 197 key expansion with the S-box supplied by the caller (a
+/// table lookup for the reference engine, the algebraic constant-time
+/// S-box for the bitsliced one). Returns one 16-byte key per round,
+/// whitening key first.
+fn expand_key(key: &[u8], size: KeySize, sub: fn(u8) -> u8) -> Vec<[u8; 16]> {
+    let nk = size.nk();
+    let total_words = 4 * (size.nr() + 1);
+    let mut w = vec![[0u8; 4]; total_words];
+    for (i, word) in w.iter_mut().take(nk).enumerate() {
+        word.copy_from_slice(&key[i * 4..i * 4 + 4]);
+    }
+    for i in nk..total_words {
+        let mut temp = w[i - 1];
+        if i % nk == 0 {
+            temp.rotate_left(1);
+            for b in temp.iter_mut() {
+                *b = sub(*b);
+            }
+            temp[0] ^= RCON[i / nk];
+        } else if nk > 6 && i % nk == 4 {
+            for b in temp.iter_mut() {
+                *b = sub(*b);
+            }
+        }
+        for j in 0..4 {
+            w[i][j] = w[i - nk][j] ^ temp[j];
+        }
+    }
+    let round_keys =
+        w.as_flattened().chunks_exact(16).map(|rk| rk.try_into().expect("16 bytes")).collect();
+    crate::ct::zeroize(w.as_flattened_mut());
+    round_keys
+}
 
 /// Loads a block into big-endian column words, applying the whitening key.
 #[inline(always)]
@@ -755,7 +710,8 @@ mod tests {
             let key16: [u8; 16] = rng.bytes();
             let key32: [u8; 32] = rng.bytes();
             let plain: [u8; 16] = rng.bytes();
-            for aes in [Aes::new_128(&key16), Aes::new_256(&key32)] {
+            for (key, size) in [(&key16[..], KeySize::Aes128), (&key32[..], KeySize::Aes256)] {
+                let aes = Aes::with_backend(key, size, CryptoBackend::Table);
                 let mut fast = plain;
                 let mut slow = plain;
                 aes.encrypt_block(&mut fast);
@@ -788,7 +744,7 @@ mod tests {
     }
 
     #[test]
-    fn fips197_vectors_pass_under_constant_time_profile() {
+    fn fips197_vectors_pass_under_every_engine() {
         let cases: [(&str, &str, &str); 3] = [
             (
                 "2b7e151628aed2a6abf7158809cf4f3c",
@@ -809,26 +765,27 @@ mod tests {
         for (key_hex, plain_hex, cipher_hex) in cases {
             let key = unhex(key_hex);
             let size = if key.len() == 16 { KeySize::Aes128 } else { KeySize::Aes256 };
-            let aes = Aes::with_profile(&key, size, CryptoProfile::ConstantTime);
-            assert_eq!(aes.profile(), CryptoProfile::ConstantTime);
-            let mut block: [u8; 16] = unhex(plain_hex).try_into().unwrap();
-            aes.encrypt_block(&mut block);
-            assert_eq!(block.to_vec(), unhex(cipher_hex));
-            aes.decrypt_block(&mut block);
-            assert_eq!(block.to_vec(), unhex(plain_hex));
+            for backend in all_backends() {
+                let aes = Aes::with_backend(&key, size, backend);
+                let mut block: [u8; 16] = unhex(plain_hex).try_into().unwrap();
+                aes.encrypt_block(&mut block);
+                assert_eq!(block.to_vec(), unhex(cipher_hex), "{backend:?}");
+                aes.decrypt_block(&mut block);
+                assert_eq!(block.to_vec(), unhex(plain_hex), "{backend:?}");
+            }
         }
     }
 
     #[test]
-    fn ct_lane_matches_fast_lane() {
+    fn default_engine_matches_table_engine() {
         use crate::rng::{SecureRandom, SeededRandom};
         let mut rng = SeededRandom::new(515);
         for _ in 0..50 {
             let key16: [u8; 16] = rng.bytes();
             let key32: [u8; 32] = rng.bytes();
             for (key, size) in [(&key16[..], KeySize::Aes128), (&key32[..], KeySize::Aes256)] {
-                let fast = Aes::with_profile(key, size, CryptoProfile::Fast);
-                let hard = Aes::with_profile(key, size, CryptoProfile::ConstantTime);
+                let fast = Aes::with_backend(key, size, CryptoBackend::Table);
+                let hard = Aes::new(key, size);
                 let mut batch = [[0u8; 16]; 8];
                 for b in batch.iter_mut() {
                     *b = rng.bytes();
@@ -854,7 +811,7 @@ mod tests {
         for _ in 0..20 {
             let key: [u8; 16] = rng.bytes();
             let plain: [u8; 16] = rng.bytes();
-            let fast = Aes::with_profile(&key, KeySize::Aes128, CryptoProfile::Fast);
+            let fast = Aes::with_backend(&key, KeySize::Aes128, CryptoBackend::Table);
             let mut expect = plain;
             fast.encrypt_block(&mut expect);
             let mut traced = plain;
@@ -885,13 +842,20 @@ mod tests {
         backends
     }
 
+    fn all_backends() -> Vec<CryptoBackend> {
+        let mut backends = vec![CryptoBackend::Table];
+        backends.extend(ct_backends());
+        backends
+    }
+
     #[test]
-    fn default_profile_is_constant_time() {
+    fn default_engine_is_constant_time() {
         let aes = Aes::new_128(&[0u8; 16]);
-        assert_eq!(aes.profile(), CryptoProfile::ConstantTime);
+        assert_eq!(aes.backend(), crate::cpu::constant_time_backend());
         assert_ne!(aes.backend(), CryptoBackend::Table);
     }
 
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn hw_schedule_matches_portable_schedule() {
         if !crate::cpu::hw_accel_available() {
@@ -903,12 +867,10 @@ mod tests {
             let key16: [u8; 16] = rng.bytes();
             let key32: [u8; 32] = rng.bytes();
             for (key, size) in [(&key16[..], KeySize::Aes128), (&key32[..], KeySize::Aes256)] {
-                let hw = Aes::with_backend(key, size, CryptoBackend::HwAccel);
-                let sw = Aes::with_backend(key, size, CryptoBackend::Table);
                 // The AESKEYGENASSIST schedule must produce the exact
-                // FIPS 197 expansion in every mirrored form.
-                assert_eq!(hw.round_keys, sw.round_keys);
-                assert_eq!(hw.round_keys_u32, sw.round_keys_u32);
+                // FIPS 197 expansion the reference engine holds.
+                let portable = expand_key(key, size, |b| SBOX[b as usize]);
+                assert_eq!(AesNi::new(key, size).round_keys(), &portable[..]);
             }
         }
     }
@@ -939,22 +901,27 @@ mod tests {
                 assert_eq!(single, expect[3], "{backend:?} encrypt_block");
                 aes.decrypt_block(&mut single);
                 assert_eq!(single, batch[3], "{backend:?} decrypt_block");
-                let mut reference_path = batch[5];
-                aes.encrypt_block_reference(&mut reference_path);
-                assert_eq!(reference_path, expect[5], "{backend:?} reference path");
             }
         }
     }
 
     #[test]
     fn wipe_clears_all_round_key_forms() {
-        let mut backends = vec![CryptoBackend::Table];
-        backends.extend(ct_backends());
-        for backend in backends {
+        for backend in all_backends() {
             let mut aes = Aes::with_backend(&[0x5au8; 16], KeySize::Aes128, backend);
             aes.wipe();
-            assert!(aes.round_keys.iter().all(|rk| rk.iter().all(|&b| b == 0)));
-            assert!(aes.round_keys_u32.iter().all(|rk| rk.iter().all(|&w| w == 0)));
+            match &aes.engine {
+                Engine::Table { round_keys, round_keys_u32 } => {
+                    assert!(round_keys.iter().all(|rk| rk.iter().all(|&b| b == 0)));
+                    assert!(round_keys_u32.iter().all(|rk| rk.iter().all(|&w| w == 0)));
+                }
+                // The plane form is private to `aes_ct`.
+                Engine::Bitsliced(_) => {}
+                #[cfg(target_arch = "x86_64")]
+                Engine::HwAccel(ni) => {
+                    assert!(ni.round_keys().iter().all(|rk| rk.iter().all(|&b| b == 0)));
+                }
+            }
         }
     }
 

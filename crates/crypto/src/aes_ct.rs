@@ -1,11 +1,11 @@
 //! Bitsliced constant-time AES.
 //!
-//! The Fast lane ([`crate::aes`]) encrypts through T-tables and S-box
+//! The table engine in [`crate::aes`] encrypts through T-tables and S-box
 //! lookups indexed by key- and plaintext-derived bytes; which cache lines
 //! those loads touch is a function of the secret state, the classic AES
 //! cache-timing channel. Inside an SGX-style enclave the adversary *is*
 //! the co-resident OS (paper §III), which can prime/probe caches at will,
-//! so the hardened profile must never index memory by a secret.
+//! so production keys must never index memory by a secret.
 //!
 //! This module bitslices instead: the 128 bytes of eight AES states are
 //! transposed into eight `u128` bit planes (plane `b`, bit `L` = bit `b`

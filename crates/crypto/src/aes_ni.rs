@@ -1,5 +1,5 @@
-//! AES through the x86_64 AES-NI instructions (the hardware half of the
-//! [`crate::CryptoProfile::ConstantTime`] profile, alongside
+//! AES through the x86_64 AES-NI instructions (the hardware engine
+//! [`crate::cpu`] selects where the CPU has it, alongside
 //! [`crate::ghash_clmul`]).
 //!
 //! AESENC/AESENCLAST execute one full round per instruction on dedicated
@@ -67,9 +67,9 @@ impl AesNi {
         unsafe { AesNi::expand(key, size) }
     }
 
-    /// The expanded encryption schedule (whitening key first), exposed so
-    /// [`crate::aes::Aes`] can mirror it into its byte/word round-key
-    /// forms without running the portable schedule a second time.
+    /// The expanded encryption schedule (whitening key first), for the
+    /// tests that compare it with the reference engine's.
+    #[cfg(test)]
     pub(crate) fn round_keys(&self) -> &[[u8; 16]] {
         &self.ek[..=self.rounds]
     }
@@ -304,7 +304,7 @@ mod tests {
     use super::*;
     use crate::aes::Aes;
     use crate::test_util::unhex;
-    use crate::CryptoProfile;
+    use crate::CryptoBackend;
 
     /// Every test self-skips on silicon without AES-NI: the dispatch layer
     /// never selects this lane there, so there is nothing to test.
@@ -347,7 +347,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_fast_lane_on_random_keys() {
+    fn matches_table_engine_on_random_keys() {
         if !hw() {
             return;
         }
@@ -358,7 +358,7 @@ mod tests {
             let key32: [u8; 32] = rng.bytes();
             for (key, size) in [(&key16[..], KeySize::Aes128), (&key32[..], KeySize::Aes256)] {
                 let ni = AesNi::new(key, size);
-                let fast = Aes::with_profile(key, size, CryptoProfile::Fast);
+                let fast = Aes::with_backend(key, size, CryptoBackend::Table);
                 let plain: [u8; 16] = rng.bytes();
                 let mut a = plain;
                 let mut b = plain;

@@ -1,37 +1,30 @@
-//! Runtime CPU-feature detection and crypto-lane dispatch.
+//! Runtime CPU-feature detection and crypto-engine dispatch.
 //!
-//! The hardened [`crate::CryptoProfile::ConstantTime`] profile has two
-//! interchangeable engines: the portable bitsliced lane
-//! ([`crate::aes_ct`]/[`crate::ghash_ct`]) and the hardware lane
-//! ([`crate::aes_ni`]/[`crate::ghash_clmul`]) built on AES-NI and
-//! PCLMULQDQ. Both are constant-time and byte-identical; this module
-//! decides which one a freshly expanded key uses:
+//! Keys expand onto one of two interchangeable constant-time engines: the
+//! portable bitsliced one ([`crate::aes_ct`]/[`crate::ghash_ct`]) and the
+//! hardware one ([`crate::aes_ni`]/[`crate::ghash_clmul`]) built on AES-NI
+//! and PCLMULQDQ. Both are byte-identical; this module decides which one
+//! a freshly expanded key uses:
 //!
-//! - on x86_64 with the AES and PCLMULQDQ CPUID bits set → hardware lane;
-//! - forced portable (env `NEXUS_CRYPTO_FORCE_PORTABLE` or
-//!   [`set_force_portable`], e.g. from `NexusConfig`) → bitsliced lane;
-//! - any other architecture → bitsliced lane, unconditionally (the
-//!   hardware modules are not even compiled there).
+//! - on x86_64 with the AES and PCLMULQDQ CPUID bits set → hardware;
+//! - forced portable (env `NEXUS_CRYPTO_FORCE_PORTABLE`, so the fallback
+//!   can be exercised on hardware-lane machines) → bitsliced;
+//! - any other architecture → bitsliced, unconditionally (the hardware
+//!   modules are not even compiled there).
 //!
 //! Detection runs our own `CPUID` wrapper rather than
 //! `is_x86_feature_detected!` so the dispatch logic stays auditable and
 //! identical across std versions: leaf 1, `ECX` bit 25 (`AESNI`) and
 //! bit 1 (`PCLMULQDQ`).
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 use crate::CryptoBackend;
-use crate::CryptoProfile;
 
 /// Environment variable that forces the portable bitsliced lane even when
 /// the CPU advertises AES-NI/PCLMULQDQ. Any value other than empty or `0`
 /// forces portable. Read once per process.
 pub const FORCE_PORTABLE_ENV: &str = "NEXUS_CRYPTO_FORCE_PORTABLE";
-
-/// Process-wide runtime override (set from `NexusConfig` at volume
-/// create/mount). OR-ed with the environment variable; never un-forces it.
-static FORCE_PORTABLE: AtomicBool = AtomicBool::new(false);
 
 /// CPUID leaf 1 ECX bit 25: the AESENC/AESDEC/AESKEYGENASSIST family.
 #[cfg(target_arch = "x86_64")]
@@ -65,30 +58,13 @@ fn detect_hw_accel() -> bool {
     false
 }
 
-/// True when the environment variable forces the portable lane.
-fn env_force_portable() -> bool {
+/// True when [`FORCE_PORTABLE_ENV`] forces the portable lane.
+pub fn force_portable() -> bool {
     static FORCED: OnceLock<bool> = OnceLock::new();
     *FORCED.get_or_init(|| match std::env::var(FORCE_PORTABLE_ENV) {
         Ok(v) => !(v.is_empty() || v == "0"),
         Err(_) => false,
     })
-}
-
-/// Forces (or releases the runtime half of) the portable-lane override.
-/// The environment variable always wins: `set_force_portable(false)` never
-/// re-enables hardware when `NEXUS_CRYPTO_FORCE_PORTABLE` is set.
-///
-/// Applied by `nexus-core` when `NexusConfig::force_portable_crypto` is set
-/// at volume create/mount. Affects keys expanded *after* the call; already
-/// constructed ciphers keep their lane (the lanes are byte-identical, so
-/// mixing them is safe).
-pub fn set_force_portable(on: bool) {
-    FORCE_PORTABLE.store(on, Ordering::Relaxed);
-}
-
-/// Current effective force-portable state (env OR runtime flag).
-pub fn force_portable() -> bool {
-    env_force_portable() || FORCE_PORTABLE.load(Ordering::Relaxed)
 }
 
 /// The dispatch table as a pure function of its inputs, so tests can
@@ -101,18 +77,10 @@ pub fn backend_for_flags(hw_available: bool, force_portable: bool) -> CryptoBack
     }
 }
 
-/// The engine a [`crate::CryptoProfile::ConstantTime`] key expanded right
-/// now would use.
+/// The engine a key expanded by `Aes::new` / `AesGcm::new` /
+/// `AesGcmSiv::new` uses in this process.
 pub fn constant_time_backend() -> CryptoBackend {
     backend_for_flags(hw_accel_available(), force_portable())
-}
-
-/// Resolves a profile to the concrete engine for a fresh key expansion.
-pub(crate) fn backend_for(profile: CryptoProfile) -> CryptoBackend {
-    match profile {
-        CryptoProfile::Fast => CryptoBackend::Table,
-        CryptoProfile::ConstantTime => constant_time_backend(),
-    }
 }
 
 #[cfg(test)]
@@ -130,11 +98,6 @@ mod tests {
         assert_eq!(backend_for_flags(false, true), CryptoBackend::Bitsliced);
     }
 
-    #[test]
-    fn fast_profile_always_resolves_to_table() {
-        assert_eq!(backend_for(CryptoProfile::Fast), CryptoBackend::Table);
-    }
-
     #[cfg(not(target_arch = "x86_64"))]
     #[test]
     fn non_x86_compiles_to_bitsliced_unconditionally() {
@@ -148,25 +111,5 @@ mod tests {
         // The cached answer must equal a fresh CPUID query.
         assert_eq!(hw_accel_available(), detect_hw_accel());
         assert_eq!(hw_accel_available(), detect_hw_accel());
-    }
-
-    /// Runtime override and its interaction with detection. One test (not
-    /// several) because `set_force_portable` is process-global; everything
-    /// else in the crate derives lane choice through `backend_for_flags`
-    /// or explicit `with_backend` constructors, so this toggle does not
-    /// race with other tests' correctness.
-    #[test]
-    fn runtime_override_forces_bitsliced() {
-        set_force_portable(true);
-        assert!(force_portable());
-        assert_eq!(constant_time_backend(), CryptoBackend::Bitsliced);
-        set_force_portable(false);
-        // With the runtime flag cleared, the env var (unset in the test
-        // runner) is the only remaining source of forcing.
-        assert_eq!(force_portable(), env_force_portable());
-        assert_eq!(
-            constant_time_backend(),
-            backend_for_flags(hw_accel_available(), env_force_portable())
-        );
     }
 }

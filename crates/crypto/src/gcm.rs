@@ -19,7 +19,7 @@
 use crate::aes::{Aes, KeySize};
 use crate::ct::ct_eq;
 use crate::ghash_ct::ghash_mul_ct;
-use crate::{AeadError, CryptoBackend, CryptoProfile};
+use crate::{AeadError, CryptoBackend};
 
 /// Length in bytes of the GCM authentication tag.
 pub const TAG_LEN: usize = 16;
@@ -40,18 +40,16 @@ fn ghash_shift(v: u128) -> u128 {
 
 /// One Shoup 4-bit lookup table: `table[p][nib]` is the field product of
 /// the key with a nibble placed at bit position `4p` of the multiplicand,
-/// so a full multiplication is 32 lookups and XORs. Shared with the
-/// POLYVAL batch path in [`crate::gcm_siv`], which works in the same
-/// GHASH-domain representation.
-pub(crate) type ShoupTable = [[u128; 16]; 32];
+/// so a full multiplication is 32 lookups and XORs.
+type ShoupTable = [[u128; 16]; 32];
 
-/// Minimum per-update payload before the 8-block batched GHASH (and its
-/// lazily built H-power tables) pays for itself. Metadata objects stay on
-/// the table-light scalar path; 1 MB file chunks always batch.
+/// Minimum per-update payload before the 8-block batched GHASH/POLYVAL
+/// pays for itself. Metadata objects stay on the scalar path; 1 MB file
+/// chunks always batch.
 pub(crate) const GHASH_BATCH_MIN: usize = 8 * 1024;
 
 /// Expands `h` into a [`ShoupTable`].
-pub(crate) fn build_table(h: u128) -> Box<ShoupTable> {
+fn build_table(h: u128) -> Box<ShoupTable> {
     // In the bitwise reference, bit i (LSB = 0) of the multiplicand
     // selects H shifted (127 - i) times.
     let mut shifted = [0u128; 128];
@@ -76,7 +74,7 @@ pub(crate) fn build_table(h: u128) -> Box<ShoupTable> {
 
 /// Field multiplication of `x` by the key expanded into `table`.
 #[inline]
-pub(crate) fn table_mul(table: &ShoupTable, x: u128) -> u128 {
+fn table_mul(table: &ShoupTable, x: u128) -> u128 {
     let mut z = 0u128;
     for p in 0..32 {
         z ^= table[p][((x >> (4 * p)) & 0xf) as usize];
@@ -84,26 +82,23 @@ pub(crate) fn table_mul(table: &ShoupTable, x: u128) -> u128 {
     z
 }
 
-/// A GHASH key in one of three lanes. The Table lane expands H into a
-/// Shoup table (plus lazily built tables for H^1..H^8 powering the
-/// 8-blocks-per-pass batched update); the constant-time lanes keep only
+/// A GHASH key on one of three engines. The constant-time engines keep
 /// the powers of H and multiply either through PCLMULQDQ with aggregated
 /// reduction ([`crate::ghash_clmul`]) or the portable masked carryless
-/// path ([`crate::ghash_ct`]). All key material is volatilely zeroized on
-/// drop.
+/// path ([`crate::ghash_ct`]); the table (reference) engine expands H
+/// into a Shoup table and multiplies one block at a time. All key
+/// material is volatilely zeroized on drop.
 #[derive(Clone)]
 struct GhashKey {
     h: u128,
-    /// `hpow[k]` is H^(k+1); index 7 is H^8 (used by every lane's batch).
+    /// `hpow[k]` is H^(k+1); index 7 is H^8 (the 8-block batch).
     hpow: [u128; 8],
-    /// Shoup table for H — `Some` only in the Table lane.
+    /// Shoup table for H — `Some` only on the table engine.
     table: Option<Box<ShoupTable>>,
     /// Multiplications run through PCLMULQDQ (set only when the paired
     /// AES key dispatched to [`CryptoBackend::HwAccel`], so the two always
     /// share one CPUID decision).
     hw: bool,
-    /// `batch[k]` is the table for H^(k+1); Table lane only, built lazily.
-    batch: std::sync::OnceLock<Box<[ShoupTable; 8]>>,
 }
 
 /// One constant-time field multiplication on whichever engine the key
@@ -128,16 +123,11 @@ impl std::fmt::Debug for GhashKey {
 impl GhashKey {
     fn new(h: u128, backend: CryptoBackend) -> GhashKey {
         let table = (backend == CryptoBackend::Table).then(|| build_table(h));
-        let hw = backend == CryptoBackend::HwAccel;
-        let mut hpow = [0u128; 8];
-        hpow[0] = h;
+        let mut key = GhashKey { h, hpow: [h; 8], table, hw: backend == CryptoBackend::HwAccel };
         for k in 1..8 {
-            hpow[k] = match &table {
-                Some(t) => table_mul(t, hpow[k - 1]),
-                None => ct_mul(hw, hpow[k - 1], h),
-            };
+            key.hpow[k] = key.mul(key.hpow[k - 1]);
         }
-        GhashKey { h, hpow, table, hw, batch: std::sync::OnceLock::new() }
+        key
     }
 
     /// Field multiplication of `x` by H.
@@ -149,29 +139,13 @@ impl GhashKey {
         }
     }
 
-    /// Tables for H^1..H^8, built on first bulk use (Table lane only).
-    fn batch_tables(&self) -> &[ShoupTable; 8] {
-        self.batch.get_or_init(|| {
-            let mut tables = Box::new([[[0u128; 16]; 32]; 8]);
-            for (k, h) in self.hpow.iter().enumerate() {
-                tables[k] = *build_table(*h);
-            }
-            tables
-        })
-    }
-
-    /// Volatile best-effort clear of H, its powers, and every derived
-    /// table (also invoked by `Drop`).
+    /// Volatile best-effort clear of H, its powers, and the Shoup table
+    /// (also invoked by `Drop`).
     fn wipe(&mut self) {
         crate::ct::zeroize_u128(std::slice::from_mut(&mut self.h));
         crate::ct::zeroize_u128(&mut self.hpow);
         if let Some(t) = &mut self.table {
             crate::ct::zeroize_u128(t.as_flattened_mut());
-        }
-        if let Some(mut b) = self.batch.take() {
-            for t in b.iter_mut() {
-                crate::ct::zeroize_u128(t.as_flattened_mut());
-            }
         }
     }
 }
@@ -203,13 +177,13 @@ impl<'k> Ghash<'k> {
 
     /// Absorbs `data`, zero-padding the final partial block.
     ///
-    /// Large updates run 8 blocks per pass: the Horner recurrence
-    /// `Y' = (Y ^ X1)·H^8 ^ X2·H^7 ^ … ^ X8·H` turns eight *dependent*
-    /// multiplications into eight independent table multiplications whose
-    /// loads and XOR trees overlap.
+    /// Large updates on the constant-time engines run 8 blocks per pass:
+    /// the Horner recurrence `Y' = (Y ^ X1)·H^8 ^ X2·H^7 ^ … ^ X8·H` turns
+    /// eight *dependent* multiplications into eight independent ones. The
+    /// table engine stays scalar at every length.
     fn update_padded(&mut self, data: &[u8]) {
         let mut rest = data;
-        if self.batch_enabled && data.len() >= GHASH_BATCH_MIN {
+        if self.batch_enabled && self.key.table.is_none() && data.len() >= GHASH_BATCH_MIN {
             rest = self.update_batched(data);
         }
         let mut chunks = rest.chunks_exact(16);
@@ -244,7 +218,6 @@ impl<'k> Ghash<'k> {
             }
             return batches.remainder();
         }
-        let tables = self.key.table.is_some().then(|| self.key.batch_tables());
         let mut batches = data.chunks_exact(128);
         for batch in &mut batches {
             let mut z = 0u128;
@@ -254,10 +227,7 @@ impl<'k> Ghash<'k> {
                 if j == 0 {
                     x ^= self.acc;
                 }
-                z ^= match tables {
-                    Some(t) => table_mul(&t[7 - j], x),
-                    None => ghash_mul_ct(x, self.key.hpow[7 - j]),
-                };
+                z ^= ghash_mul_ct(x, self.key.hpow[7 - j]);
             }
             self.acc = z;
         }
@@ -277,7 +247,7 @@ impl<'k> Ghash<'k> {
 #[derive(Clone)]
 pub struct AesGcm {
     aes: Aes,
-    /// GHASH subkey H = AES_K(0^128), expanded into lookup tables.
+    /// GHASH subkey H = AES_K(0^128), on the same engine as `aes`.
     h: GhashKey,
 }
 
@@ -288,26 +258,16 @@ impl std::fmt::Debug for AesGcm {
 }
 
 impl AesGcm {
-    /// Creates a context from a raw key of 16 or 32 bytes, under the
-    /// default profile ([`CryptoProfile::ConstantTime`]).
+    /// Creates a context from a raw key of 16 or 32 bytes on the engine
+    /// [`crate::cpu::constant_time_backend`] selects: AES-NI + PCLMULQDQ
+    /// when the CPU has them, bitsliced AES and masked multiplies
+    /// otherwise.
     ///
     /// # Panics
     ///
     /// Panics if the key is not 16 or 32 bytes long.
     pub fn new(key: &[u8]) -> AesGcm {
-        AesGcm::with_profile(key, CryptoProfile::default())
-    }
-
-    /// Creates a context in the given lane; the ConstantTime lane runs on
-    /// AES-NI + PCLMULQDQ when the CPU has them and bitsliced/masked
-    /// multiplies otherwise, with output byte-identical to the Fast lane
-    /// in every case.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key is not 16 or 32 bytes long.
-    pub fn with_profile(key: &[u8], profile: CryptoProfile) -> AesGcm {
-        AesGcm::with_backend(key, crate::cpu::backend_for(profile))
+        AesGcm::with_backend(key, crate::cpu::constant_time_backend())
     }
 
     /// Creates a context on one *specific* engine, bypassing CPU dispatch
@@ -317,6 +277,7 @@ impl AesGcm {
     ///
     /// Panics if the key is not 16 or 32 bytes long, or if
     /// [`CryptoBackend::HwAccel`] is requested without hardware support.
+    #[doc(hidden)]
     pub fn with_backend(key: &[u8], backend: CryptoBackend) -> AesGcm {
         let size = match key.len() {
             16 => KeySize::Aes128,
@@ -326,14 +287,7 @@ impl AesGcm {
         let aes = Aes::with_backend(key, size, backend);
         let mut h_block = [0u8; 16];
         aes.encrypt_block(&mut h_block);
-        // Key the GHASH lane off the cipher's resolved backend so AES and
-        // GHASH never split across engines.
-        AesGcm { h: GhashKey::new(u128::from_be_bytes(h_block), aes.backend()), aes }
-    }
-
-    /// The profile this context was created for.
-    pub fn profile(&self) -> CryptoProfile {
-        self.aes.profile()
+        AesGcm { h: GhashKey::new(u128::from_be_bytes(h_block), backend), aes }
     }
 
     /// The concrete engine this context dispatches to.
@@ -735,12 +689,12 @@ mod tests {
         }
     }
 
-    /// Every lane must agree bit-for-bit at every alignment, including
+    /// Every engine must agree bit-for-bit at every alignment, including
     /// lengths that cross the 8-block CTR batch and `GHASH_BATCH_MIN`
-    /// thresholds (the CT lanes batch GHASH through powers of H too —
-    /// aggregated reduction on the PCLMULQDQ lane).
+    /// thresholds, where the constant-time engines batch GHASH through
+    /// powers of H and the table engine stays scalar.
     #[test]
-    fn constant_time_lanes_match_fast_lane() {
+    fn constant_time_lanes_match_table_engine() {
         use crate::rng::{SecureRandom, SeededRandom};
         let mut rng = SeededRandom::new(0xc7);
         for key in [vec![0x33u8; 16], vec![0x44u8; 32]] {
@@ -761,7 +715,7 @@ mod tests {
                     let (ct_c, tag_c) = hard.seal_detached(&nonce, b"aad", &pt);
                     assert_eq!(ct_f, ct_c, "ciphertext diverged at len {len} ({backend:?})");
                     assert_eq!(tag_f, tag_c, "tag diverged at len {len} ({backend:?})");
-                    // Cross-lane open: sealed Fast, opened hardened.
+                    // Cross-engine open: sealed by the table engine.
                     assert_eq!(hard.open_detached(&nonce, b"aad", &ct_f, &tag_f).unwrap(), pt);
                 }
             }
@@ -772,16 +726,12 @@ mod tests {
     fn ghash_key_wipe_clears_tables_and_powers() {
         for backend in backends() {
             let mut key = GhashKey::new(0x1234_5678_9abc_def0_u128, backend);
-            if key.table.is_some() {
-                key.batch_tables();
-            }
             key.wipe();
             assert_eq!(key.h, 0);
             assert_eq!(key.hpow, [0u128; 8]);
             if let Some(t) = &key.table {
                 assert!(t.iter().all(|row| row.iter().all(|&v| v == 0)));
             }
-            assert!(key.batch.get().is_none(), "batch tables dropped on wipe");
         }
     }
 

@@ -17,9 +17,9 @@
 
 use crate::aes::{Aes, KeySize};
 use crate::ct::ct_eq;
-use crate::gcm::{build_table, table_mul, ShoupTable, GHASH_BATCH_MIN};
+use crate::gcm::GHASH_BATCH_MIN;
 use crate::ghash_ct::ghash_mul_ct;
-use crate::{AeadError, CryptoBackend, CryptoProfile};
+use crate::{AeadError, CryptoBackend};
 
 /// Length in bytes of the GCM-SIV authentication tag.
 pub const TAG_LEN: usize = 16;
@@ -60,25 +60,21 @@ fn byte_reverse(b: &[u8; 16]) -> [u8; 16] {
     out
 }
 
-/// The POLYVAL key mapped into the GHASH domain, plus lazily built Shoup
-/// tables for H^1..H^8 powering the 8-blocks-per-pass batch (the same
-/// scheme [`crate::gcm`] uses for GHASH — the appendix-A equivalence puts
-/// all arithmetic in the GHASH representation, so the tables apply
-/// unchanged). Tables are built at most once per instance and only when a
-/// bulk update actually arrives; key-wrap-sized inputs never pay for them.
+/// The POLYVAL key mapped into the GHASH domain (the appendix-A
+/// equivalence puts all arithmetic in the GHASH representation, so the
+/// multiplies of [`crate::gcm`] apply unchanged).
 #[derive(Clone)]
 struct PolyvalKey {
     h: u128,
-    /// Lane selection: the constant-time backends skip every Shoup table
-    /// and multiply through PCLMULQDQ ([`crate::ghash_clmul`]) or the
-    /// masked portable path ([`crate::ghash_ct`]).
+    /// Engine selection: the constant-time backends multiply through
+    /// PCLMULQDQ ([`crate::ghash_clmul`]) or the masked portable path
+    /// ([`crate::ghash_ct`]); the table (reference) backend uses the
+    /// bitwise textbook multiply.
     backend: CryptoBackend,
-    /// `batch[k]` is the table for H^(k+1); index 7 is H^8 (Table lane only).
-    batch: std::cell::OnceCell<Box<[ShoupTable; 8]>>,
 }
 
 impl PolyvalKey {
-    /// Scalar multiplication by H in the lane's arithmetic.
+    /// Scalar multiplication by H in the engine's arithmetic.
     #[inline]
     fn mul(&self, x: u128) -> u128 {
         match self.backend {
@@ -97,16 +93,6 @@ impl PolyvalKey {
             pow[k] = self.mul(pow[k - 1]);
         }
         pow
-    }
-
-    fn batch_tables(&self) -> &[ShoupTable; 8] {
-        self.batch.get_or_init(|| {
-            let mut tables = Box::new([[[0u128; 16]; 32]; 8]);
-            for (k, h) in self.h_powers().iter().enumerate() {
-                tables[k] = *build_table(*h);
-            }
-            tables
-        })
     }
 }
 
@@ -131,7 +117,7 @@ impl Polyval {
     fn new(h: &[u8; 16], backend: CryptoBackend) -> Polyval {
         let h_ghash = mul_x_ghash(u128::from_be_bytes(byte_reverse(h)));
         Polyval {
-            key: PolyvalKey { h: h_ghash, backend, batch: std::cell::OnceCell::new() },
+            key: PolyvalKey { h: h_ghash, backend },
             acc: 0,
             batch_enabled: true,
         }
@@ -145,13 +131,14 @@ impl Polyval {
 
     /// Absorbs `data` in 16-byte blocks, zero-padding the final partial one.
     ///
-    /// Large updates run 8 blocks per pass with the Horner recurrence
-    /// `Y' = (Y ^ X1)·H^8 ^ X2·H^7 ^ … ^ X8·H`, exactly as the batched
-    /// GHASH in [`crate::gcm`]; short updates keep the table-free scalar
-    /// multiply.
+    /// Large updates on the constant-time engines run 8 blocks per pass
+    /// with the Horner recurrence `Y' = (Y ^ X1)·H^8 ^ X2·H^7 ^ … ^ X8·H`,
+    /// exactly as the batched GHASH in [`crate::gcm`]; short updates, and
+    /// the table engine at every length, keep the scalar multiply.
     fn update_padded(&mut self, data: &[u8]) {
         let mut rest = data;
-        if self.batch_enabled && data.len() >= GHASH_BATCH_MIN {
+        let batch = self.batch_enabled && self.key.backend != CryptoBackend::Table;
+        if batch && data.len() >= GHASH_BATCH_MIN {
             rest = self.update_batched(rest);
         }
         for chunk in rest.chunks(16) {
@@ -186,10 +173,6 @@ impl Polyval {
         // update (7 scalar multiplies, amortized over >= 512 block
         // multiplies) rather than keeping another cached table of key
         // material.
-        let tables = match self.key.backend {
-            CryptoBackend::Table => Some(self.key.batch_tables()),
-            _ => None,
-        };
         let hpow = self.key.h_powers();
         let mut batches = data.chunks_exact(128);
         for batch in &mut batches {
@@ -200,10 +183,7 @@ impl Polyval {
                 if j == 0 {
                     x ^= self.acc;
                 }
-                z ^= match tables {
-                    Some(t) => table_mul(&t[7 - j], x),
-                    None => ghash_mul_ct(x, hpow[7 - j]),
-                };
+                z ^= ghash_mul_ct(x, hpow[7 - j]);
             }
             self.acc = z;
         }
@@ -219,16 +199,11 @@ impl Polyval {
         byte_reverse(&self.acc.to_be_bytes())
     }
 
-    /// Volatile best-effort clear of the mapped key, accumulator, and any
-    /// cached batch tables (also invoked by `Drop`).
+    /// Volatile best-effort clear of the mapped key and accumulator (also
+    /// invoked by `Drop`).
     fn wipe(&mut self) {
         crate::ct::zeroize_u128(std::slice::from_mut(&mut self.key.h));
         crate::ct::zeroize_u128(std::slice::from_mut(&mut self.acc));
-        if let Some(mut b) = self.key.batch.take() {
-            for t in b.iter_mut() {
-                crate::ct::zeroize_u128(t.as_flattened_mut());
-            }
-        }
     }
 }
 
@@ -258,35 +233,24 @@ impl std::fmt::Debug for AesGcmSiv {
 }
 
 impl AesGcmSiv {
-    /// Creates a context from a 16- or 32-byte key-generating key.
+    /// Creates a context from a 16- or 32-byte key-generating key on the
+    /// engine [`crate::cpu::constant_time_backend`] selects.
     ///
     /// # Panics
     ///
     /// Panics if the key is not 16 or 32 bytes.
     pub fn new(key: &[u8]) -> AesGcmSiv {
-        AesGcmSiv::with_profile(key, CryptoProfile::default())
-    }
-
-    /// Creates a context in the given lane; the ConstantTime lane runs AES
-    /// and POLYVAL through hardware intrinsics or the table-free portable
-    /// fallback ([`crate::cpu::constant_time_backend`]), with output
-    /// byte-identical to the Fast lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key is not 16 or 32 bytes.
-    pub fn with_profile(key: &[u8], profile: CryptoProfile) -> AesGcmSiv {
-        AesGcmSiv::with_backend(key, crate::cpu::backend_for(profile))
+        AesGcmSiv::with_backend(key, crate::cpu::constant_time_backend())
     }
 
     /// Creates a context pinned to a concrete engine (differential tests
-    /// and benchmarks; normal callers go through [`AesGcmSiv::new`] or
-    /// [`AesGcmSiv::with_profile`]).
+    /// and benchmarks; normal callers go through [`AesGcmSiv::new`]).
     ///
     /// # Panics
     ///
     /// Panics if the key is not 16 or 32 bytes, or if `HwAccel` is
     /// requested on a CPU without AES-NI + PCLMULQDQ.
+    #[doc(hidden)]
     pub fn with_backend(key: &[u8], backend: CryptoBackend) -> AesGcmSiv {
         let size = match key.len() {
             16 => KeySize::Aes128,
@@ -294,11 +258,6 @@ impl AesGcmSiv {
             n => panic!("AES-GCM-SIV key must be 16 or 32 bytes, got {n}"),
         };
         AesGcmSiv { kgk: Aes::with_backend(key, size, backend), key_len: key.len() }
-    }
-
-    /// The lane this context was created for.
-    pub fn profile(&self) -> CryptoProfile {
-        self.kgk.profile()
     }
 
     /// The concrete engine the cached key schedule was expanded for.
@@ -624,11 +583,11 @@ mod tests {
         }
     }
 
-    /// Every hardened lane must agree bit-for-bit with the table lane,
+    /// Every hardened lane must agree bit-for-bit with the table engine,
     /// including keywrap-sized inputs and lengths that cross the POLYVAL
     /// batching threshold.
     #[test]
-    fn constant_time_lanes_match_fast_lane() {
+    fn constant_time_lanes_match_table_engine() {
         use crate::rng::{SecureRandom, SeededRandom};
         let mut rng = SeededRandom::new(0x517);
         for key in [vec![0x66u8; 16], vec![0x77u8; 32]] {
@@ -644,7 +603,7 @@ mod tests {
                     let (ct_c, tag_c) = hard.seal_detached(&nonce, b"wrap", &pt);
                     assert_eq!(ct_f, ct_c, "ciphertext diverged at len {len} ({backend:?})");
                     assert_eq!(tag_f, tag_c, "tag diverged at len {len} ({backend:?})");
-                    // Cross-lane open: wrapped Fast, unwrapped hardened.
+                    // Cross-engine open: wrapped by the table engine.
                     assert_eq!(hard.open_detached(&nonce, b"wrap", &ct_f, &tag_f).unwrap(), pt);
                 }
             }
@@ -652,9 +611,9 @@ mod tests {
     }
 
     #[test]
-    fn default_profile_is_constant_time() {
+    fn default_engine_is_constant_time() {
         let siv = AesGcmSiv::new_256(&[7u8; 32]);
-        assert_eq!(siv.profile(), CryptoProfile::ConstantTime);
+        assert_eq!(siv.backend(), crate::cpu::constant_time_backend());
         assert_ne!(siv.backend(), CryptoBackend::Table);
     }
 
@@ -666,7 +625,6 @@ mod tests {
             pv.wipe();
             assert_eq!(pv.key.h, 0);
             assert_eq!(pv.acc, 0);
-            assert!(pv.key.batch.get().is_none());
         }
     }
 

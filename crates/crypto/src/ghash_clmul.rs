@@ -1,5 +1,5 @@
-//! GHASH/POLYVAL multiplication through PCLMULQDQ (the hardware half of
-//! the [`crate::CryptoProfile::ConstantTime`] profile, alongside
+//! GHASH/POLYVAL multiplication through PCLMULQDQ (the hardware engine
+//! [`crate::cpu`] selects where the CPU has it, alongside
 //! [`crate::aes_ni`]).
 //!
 //! PCLMULQDQ is a 64×64 → 127-bit carryless multiply executed on
@@ -88,7 +88,7 @@ fn reduce(lo: u128, hi: u128) -> u128 {
 pub(crate) fn ghash_mul_hw(x: u128, y: u128) -> u128 {
     debug_assert!(crate::cpu::hw_accel_available());
     // SAFETY: this lane is only ever selected when CPUID reported
-    // PCLMULQDQ (`cpu::backend_for`), and `debug_assert` re-checks.
+    // PCLMULQDQ (`cpu::backend_for_flags`), and `debug_assert` re-checks.
     let (lo, hi) = unsafe { clmul256(x, y) };
     reduce(lo, hi)
 }

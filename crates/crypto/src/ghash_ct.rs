@@ -1,6 +1,6 @@
 //! Constant-time GHASH/POLYVAL field multiplication.
 //!
-//! The Fast lane multiplies in GF(2^128) through key-dependent Shoup
+//! The table engine multiplies in GF(2^128) through key-dependent Shoup
 //! tables ([`crate::gcm`]), indexing memory by nibbles of the (secret,
 //! message-derived) multiplicand — a classic cache-timing channel that the
 //! SGX threat model (untrusted co-resident OS, paper §III) makes worse,

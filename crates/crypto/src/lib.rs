@@ -23,29 +23,29 @@
 //!
 //! ## Hardening note
 //!
-//! Two runtime profiles share every public API ([`CryptoProfile`]):
+//! There is one lane decision, and the code makes it: [`aes::Aes::new`],
+//! [`gcm::AesGcm::new`] and [`gcm_siv::AesGcmSiv::new`] expand every key
+//! onto a constant-time engine that never indexes memory or branches on
+//! key or message bytes, chosen by [`cpu::constant_time_backend`] from
+//! what the CPU reports. On x86_64 CPUs advertising AES-NI and PCLMULQDQ
+//! that is the hardware engine ([`aes_ni`], [`ghash_clmul`]) — dedicated
+//! silicon, and the fastest; everywhere else (or when
+//! [`cpu::FORCE_PORTABLE_ENV`] is set, which lets x86 hosts exercise the
+//! fallback) it is the bitsliced AES ([`aes_ct`]) with the masked
+//! carryless multiply ([`ghash_ct`]).
 //!
-//! - [`CryptoProfile::Fast`] encrypts through AES T-tables and Shoup-table
-//!   GHASH/POLYVAL — written for correctness and auditability, but its
-//!   table lookups are indexed by secret-derived values and therefore leak
-//!   through caches;
-//! - [`CryptoProfile::ConstantTime`] — the **default** — never indexes
-//!   memory or branches on key or message bytes. It dispatches at key
-//!   expansion between two engines ([`CryptoBackend`], chosen by
-//!   [`cpu::constant_time_backend`]): on x86_64 CPUs advertising AES-NI
-//!   and PCLMULQDQ, the hardware lane ([`aes_ni`], [`ghash_clmul`]) runs
-//!   the cipher on dedicated silicon — constant-time *and* faster than
-//!   the table lane; everywhere else (or when forced portable via
-//!   [`cpu::FORCE_PORTABLE_ENV`]), the bitsliced AES ([`aes_ct`]) and
-//!   masked carryless multiply ([`ghash_ct`]) fallback.
-//!
-//! All three lanes produce byte-identical output (differentially tested on
-//! every RFC vector and by the cross-lane property suite), and the
-//! `nexus-testkit` timing-leak harness flags the Fast lane while passing
-//! the hardened ones. Tag comparisons are branchless in every profile
-//! ([`ct::ct_eq`]), and key-holding types volatilely zeroize their material
-//! on `Drop` ([`ct::zeroize`]) — including the hardware lane's round-key
-//! and H-power state.
+//! A third, table-driven engine ([`CryptoBackend::Table`]: AES T-tables,
+//! Shoup-table GHASH) stays in the crate as a *reference*, reachable only
+//! through the `#[doc(hidden)]` `with_backend` constructors. Its lookups
+//! are indexed by secret-derived values and leak through caches, which is
+//! exactly why it is kept: the `nexus-testkit` timing-leak harness must
+//! flag it (positive control) while passing the other two, and the
+//! cross-engine suites compare all three byte for byte on every RFC
+//! vector. Nothing outside this crate's tests and the `micro_ct` bench
+//! names it. Tag comparisons are branchless ([`ct::ct_eq`]), and
+//! key-holding types volatilely zeroize their material on `Drop`
+//! ([`ct::zeroize`]) — including the hardware engine's round-key and
+//! H-power state.
 //!
 //! ## Example
 //!
@@ -79,32 +79,16 @@ pub mod rng;
 pub mod sha2;
 pub mod x25519;
 
-/// Which implementation lane the symmetric hot paths (AES, GHASH/POLYVAL)
-/// run through. See the crate-level hardening note.
-///
-/// The profiles are bit-for-bit compatible: ciphertexts and tags are
-/// identical, so data sealed under one profile opens under the other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CryptoProfile {
-    /// Table-driven lane: AES T-tables, Shoup-table GHASH/POLYVAL.
-    /// Secret-indexed loads leak through caches — only for benchmarks and
-    /// differential testing, no longer the default.
-    Fast,
-    /// Hardened lane (the default): no secret-dependent memory access or
-    /// branch. Runs on AES-NI + PCLMULQDQ where the CPU has them
-    /// ([`CryptoBackend::HwAccel`]), which also makes it the *fastest*
-    /// lane there; falls back to bitsliced AES and masked
-    /// carryless-multiply GHASH/POLYVAL ([`CryptoBackend::Bitsliced`]).
-    #[default]
-    ConstantTime,
-}
-
-/// The concrete engine a key was expanded for — the dispatch tier below
-/// [`CryptoProfile`]. Which backend `ConstantTime` resolves to is decided
-/// at key-expansion time by [`cpu::constant_time_backend`].
+/// The concrete engine a key was expanded for. Production constructors
+/// resolve it through [`cpu::constant_time_backend`] and only ever get
+/// [`CryptoBackend::Bitsliced`] or [`CryptoBackend::HwAccel`]; tests and
+/// the `micro_ct` bench pin one through the `with_backend` constructors.
+/// All three are bit-for-bit compatible: ciphertexts and tags are
+/// identical, so data sealed on one engine opens on any other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CryptoBackend {
-    /// T-table / Shoup-table engine ([`CryptoProfile::Fast`]).
+    /// T-table / Shoup-table reference engine. Secret-indexed loads leak
+    /// through caches — never selected by dispatch.
     Table,
     /// Portable bitsliced + masked-multiply engine.
     Bitsliced,

@@ -55,34 +55,6 @@ if [ -n "$relocked" ]; then
 fi
 echo "ok: mem/afs/cloud stores lock only through the shard layer"
 
-echo "== constant-time module audit =="
-# The hardened lanes' whole point is to never index memory by secret- or
-# message-derived values, so neither the ct-suffixed portable modules nor
-# the intrinsics modules may reference the lookup tables or the Shoup
-# table-multiply at all. Only the code before `#[cfg(test)]` is policed:
-# the test modules *should* reference the tables, since they
-# differentially verify that the lanes agree.
-ct_modules="crates/crypto/src/aes_ct.rs crates/crypto/src/ghash_ct.rs \
-    crates/crypto/src/aes_ni.rs crates/crypto/src/ghash_clmul.rs"
-for f in $ct_modules; do
-    # A deleted hardened module must fail here, not silently shrink the audit.
-    [ -f "$f" ] || { echo "FAIL: hardened crypto module missing: $f" >&2; exit 1; }
-done
-ct_offenders=$(for f in $ct_modules; do
-        awk -v f="$f" '/^#\[cfg\(test\)\]/{exit} {print f":"FNR":"$0}' "$f"
-    done \
-    | grep -E 'SBOX\[|INV_SBOX\[|ShoupTable|table_mul|GHASH_TABLE' \
-    | grep -vE '^[^:]+:[0-9]+:\s*//' || true)
-if [ -n "$ct_offenders" ]; then
-    echo "FAIL: table indexing inside a constant-time module:" >&2
-    echo "$ct_offenders" >&2
-    echo "aes_ct.rs / ghash_ct.rs / aes_ni.rs / ghash_clmul.rs must stay" >&2
-    echo "table-free (bitsliced or hardware S-box, carryless-multiply" >&2
-    echo "GHASH); see DESIGN.md §11 and §13." >&2
-    exit 1
-fi
-echo "ok: hardened crypto modules are table-free outside their test modules"
-
 echo "== executor scale-harness audit =="
 # The scale story (DESIGN.md §14) is "simulated clients are futures, not
 # OS threads". Two static gates keep it honest:
@@ -154,14 +126,23 @@ cargo test -q -p nexus-storage --offline --test crash_recovery > /dev/null
 cargo test -q -p nexus-storage --offline --test reopen > /dev/null
 echo "ok: fault sweep and reopen semantics pass for both durable backends"
 
-echo "== timing-leak harness smoke =="
+echo "== timing-leak harness + crypto source audit =="
 # Redundant with the workspace test run above, but invoked by target name
-# so deleting the leak test fails loudly here ("no test target named")
-# instead of silently shrinking coverage. The harness must flag the
-# table-driven lane and pass both hardened lanes (bitsliced always; the
-# AES-NI lane wherever the CPU has the silicon), deterministically.
+# so deleting either fails loudly here ("no test target named") instead
+# of silently shrinking coverage. The harness must flag the table
+# (reference) engine and pass both constant-time ones (bitsliced always;
+# AES-NI wherever the CPU has the silicon), deterministically; the audit
+# keeps the constant-time modules table-free and `with_backend` out of
+# every crate but nexus-crypto and nexus-bench.
 cargo test -q -p nexus-crypto --offline --test timing_leak > /dev/null
-echo "ok: table lane flagged, hardened lanes (bitsliced + hw where present) pass"
+cargo test -q -p nexus-crypto --offline --test source_audit > /dev/null
+echo "ok: table engine flagged, constant-time engines pass, nobody pins an engine"
+
+echo "== portable crypto engine, end to end =="
+# The bitsliced engine is the only one off x86_64; force it here so x86
+# hosts exercise it through the whole volume lifecycle too.
+NEXUS_CRYPTO_FORCE_PORTABLE=1 cargo test -q --offline -p nexus-core --test end_to_end -p nexus-crypto --test properties > /dev/null
+echo "ok: volume lifecycle and crypto properties pass on the forced-portable engine"
 
 echo "== executor smoke =="
 # By target name, like the suites above: 2000 simulated clients multiplex
