@@ -8,6 +8,7 @@
 //! ocalls (the crate-private `MetaIo` shim).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use nexus_crypto::sha2::Sha256;
 use nexus_sgx::EnclaveEnv;
@@ -48,11 +49,6 @@ pub struct NexusConfig {
     /// Chunks fetched ahead of the decryptor on the pipelined bulk-read
     /// path; `0` disables pipelining (whole-object fetch, then decrypt).
     pub prefetch_window: usize,
-    /// Shards in the in-enclave metadata cache's lock array. More shards
-    /// cut lock traffic when many threads drive one mounted volume; one
-    /// shard degenerates to a single-lock cache (useful as a contention
-    /// baseline). Clamped to at least 1.
-    pub cache_shards: usize,
 }
 
 impl Default for NexusConfig {
@@ -64,7 +60,6 @@ impl Default for NexusConfig {
             merkle_freshness: false,
             batch_rpcs: true,
             prefetch_window: 4,
-            cache_shards: crate::cache::SHARD_COUNT,
         }
     }
 }
@@ -92,11 +87,11 @@ impl std::fmt::Debug for ExchangeKeys {
     }
 }
 
-/// A cached, decrypted metadata node.
+/// A cached, decrypted metadata node, shared with whoever loaded it.
 #[derive(Debug, Clone)]
 pub(crate) enum CachedNode {
-    Dir(Dirnode),
-    File(Filenode),
+    Dir(Arc<Dirnode>),
+    File(Arc<Filenode>),
 }
 
 /// State of a mounted volume, held entirely in enclave memory.
@@ -112,9 +107,8 @@ pub(crate) struct Mounted {
     /// notices group-table updates (epoch bumps) other clients commit.
     pub(crate) supernode_storage_version: u64,
     pub(crate) session: Option<Session>,
-    /// uuid → (decrypted node, storage version it came from), sharded
-    /// 16 ways by UUID so lookups take `&self` and spread lock traffic.
-    pub(crate) meta_cache: crate::cache::ShardedCache,
+    /// uuid → (decrypted node, storage version it came from).
+    pub(crate) meta_cache: crate::cache::MetaCache,
     /// Rollback table: highest preamble version seen per object (§VI-C).
     pub(crate) version_table: HashMap<NexusUuid, u64>,
     /// Volume freshness manifest, when the volume carries one.
@@ -475,7 +469,7 @@ pub(crate) fn load_dirnode(
     io: &MetaIo<'_>,
     uuid: NexusUuid,
     expected_parent: Option<NexusUuid>,
-) -> Result<Dirnode> {
+) -> Result<Arc<Dirnode>> {
     retry_fresh(|| load_dirnode_once(state, io, uuid, expected_parent))
 }
 
@@ -484,7 +478,7 @@ fn load_dirnode_once(
     io: &MetaIo<'_>,
     uuid: NexusUuid,
     expected_parent: Option<NexusUuid>,
-) -> Result<Dirnode> {
+) -> Result<Arc<Dirnode>> {
     let use_cache = state.config().cache_metadata;
     let mounted = state.mounted()?;
     if use_cache {
@@ -499,7 +493,7 @@ fn load_dirnode_once(
                 }
                 return Ok(dir);
             }
-            mounted.meta_cache.remove(&uuid);
+            mounted.meta_cache.remove(io.env, &uuid);
         }
     }
     let blob = io.get(&uuid)?;
@@ -508,29 +502,35 @@ fn load_dirnode_once(
     let (preamble, body) = open_meta_blob(state, io, &blob)?;
     let mounted = state.mounted()?;
     admit(mounted, &preamble, &uuid, ObjectKind::Dirnode, expected_parent)?;
-    let dir = Dirnode::decode_main(uuid, preamble.parent, &body)?;
-    io.env.epc_alloc(body.len());
+    let dir = Arc::new(Dirnode::decode_main(uuid, preamble.parent, &body)?);
     if use_cache {
-        mounted
-            .meta_cache
-            .insert(uuid, CachedNode::Dir(dir.clone()), storage_version);
+        mounted.meta_cache.insert(
+            io.env,
+            uuid,
+            CachedNode::Dir(dir.clone()),
+            storage_version,
+            body.len(),
+        );
     }
     Ok(dir)
 }
 
 /// Loads one bucket of `dir` (index `idx`) if not already loaded, verifying
-/// its MAC against the main dirnode.
+/// its MAC against the main dirnode, and leaves it in the cached dirnode's
+/// slot too (see [`crate::cache::MetaCache::write_back_bucket`]) so the next
+/// walk does not fetch it again.
 pub(crate) fn load_bucket(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
-    dir: &mut Dirnode,
+    dir: &mut Arc<Dirnode>,
     idx: usize,
 ) -> Result<()> {
     if dir.buckets[idx].bucket.is_some() {
         return Ok(());
     }
-    let slot_uuid = dir.buckets[idx].re.uuid;
-    let expected_mac = dir.buckets[idx].re.mac;
+    let re = dir.buckets[idx].re;
+    let slot_uuid = re.uuid;
+    let expected_mac = re.mac;
     let blob = io.get(&slot_uuid)?;
     crate::freshness::verify_fresh(state, io, &slot_uuid, &blob)?;
     let mac = Sha256::digest(&blob);
@@ -545,9 +545,13 @@ pub(crate) fn load_bucket(
     let (preamble, body) = open_meta_blob(state, io, &blob)?;
     let mounted = state.mounted()?;
     admit(mounted, &preamble, &slot_uuid, ObjectKind::DirBucket, Some(dir.uuid))?;
-    let bucket = Bucket::decode(&body)?;
-    dir.buckets[idx].bucket = Some(bucket);
-    dir.buckets[idx].dirty = false;
+    let bucket = Arc::new(Bucket::decode(&body)?);
+    if state.config().cache_metadata {
+        state.mounted()?.meta_cache.write_back_bucket(io.env, &dir.uuid, idx, &re, &bucket);
+    }
+    let slot = &mut Arc::make_mut(dir).buckets[idx];
+    slot.bucket = Some(bucket);
+    slot.dirty = false;
     Ok(())
 }
 
@@ -557,8 +561,8 @@ pub(crate) fn load_bucket(
 fn retry_stale<T>(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
-    dir: &mut Dirnode,
-    mut f: impl FnMut(&mut EnclaveState, &MetaIo<'_>, &mut Dirnode) -> Result<T>,
+    dir: &mut Arc<Dirnode>,
+    mut f: impl FnMut(&mut EnclaveState, &MetaIo<'_>, &mut Arc<Dirnode>) -> Result<T>,
 ) -> Result<T> {
     const RETRIES: usize = 32;
     let mut last = String::new();
@@ -567,7 +571,7 @@ fn retry_stale<T>(
             Err(NexusError::StaleRead(why)) => {
                 last = why;
                 std::thread::yield_now();
-                evict(state, &dir.uuid);
+                evict(state, io, &dir.uuid);
                 *dir = load_dirnode(state, io, dir.uuid, None)?;
             }
             other => return other,
@@ -581,7 +585,7 @@ fn retry_stale<T>(
 pub(crate) fn load_all_buckets(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
-    dir: &mut Dirnode,
+    dir: &mut Arc<Dirnode>,
 ) -> Result<()> {
     retry_stale(state, io, dir, |state, io, dir| {
         for idx in 0..dir.buckets.len() {
@@ -596,14 +600,15 @@ pub(crate) fn load_all_buckets(
 pub(crate) fn lookup_entry(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
-    dir: &mut Dirnode,
+    dir: &mut Arc<Dirnode>,
     name: &str,
 ) -> Result<Option<crate::metadata::dirnode::DirEntry>> {
     retry_stale(state, io, dir, |state, io, dir| {
         for idx in 0..dir.buckets.len() {
             load_bucket(state, io, dir, idx)?;
-            if let Some(entry) = dir.buckets[idx].bucket.as_ref().unwrap().find(name) {
-                return Ok(Some(entry.clone()));
+            let bucket = dir.buckets[idx].bucket.as_ref().expect("loaded just above");
+            if let Some(entry) = bucket.find(name) {
+                return Ok(Some(entry.to_entry()));
             }
         }
         Ok(None)
@@ -619,7 +624,8 @@ pub(crate) fn lookup_entry(
 pub(crate) struct MetaCommit {
     pending: Vec<(NexusUuid, Vec<u8>)>,
     manifest_updates: Vec<(NexusUuid, [u8; 32])>,
-    cache_inserts: Vec<(NexusUuid, CachedNode)>,
+    /// (uuid, node, decrypted body bytes the node retains).
+    cache_inserts: Vec<(NexusUuid, CachedNode, usize)>,
 }
 
 impl MetaCommit {
@@ -640,7 +646,7 @@ pub(crate) fn stage_dirnode(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
     commit: &mut MetaCommit,
-    mut dir: Dirnode,
+    mut dir: Arc<Dirnode>,
 ) -> Result<()> {
     if dir.scope.is_some() {
         // Scoped writes must seal under the group's *current* epoch: pick
@@ -650,7 +656,10 @@ pub(crate) fn stage_dirnode(
     }
     let mounted = state.mounted()?;
     let (scope, wrap_key) = seal_scope(mounted, dir.scope)?;
-    for slot in dir.buckets.iter_mut() {
+    let dir_mut = Arc::make_mut(&mut dir);
+    let mut epc_bytes = 0;
+    for slot in dir_mut.buckets.iter_mut() {
+        epc_bytes += slot.bucket.as_ref().map_or(0, |b| b.as_bytes().len());
         if !slot.dirty {
             continue;
         }
@@ -662,11 +671,11 @@ pub(crate) fn stage_dirnode(
         let preamble = Preamble {
             kind: ObjectKind::DirBucket,
             uuid: slot.re.uuid,
-            parent: dir.uuid,
+            parent: dir_mut.uuid,
             version,
             scope,
         };
-        let blob = seal_object(&wrap_key, &preamble, &bucket.encode(), |dest| {
+        let blob = seal_object(&wrap_key, &preamble, bucket.as_bytes(), |dest| {
             io.env.random_bytes(dest)
         });
         slot.re.mac = Sha256::digest(&blob);
@@ -682,12 +691,14 @@ pub(crate) fn stage_dirnode(
         version,
         scope,
     };
-    let blob = seal_object(&wrap_key, &preamble, &dir.encode_main(), |dest| {
+    let body = dir.encode_main();
+    epc_bytes += body.len();
+    let blob = seal_object(&wrap_key, &preamble, &body, |dest| {
         io.env.random_bytes(dest)
     });
     commit.manifest_updates.push((dir.uuid, Sha256::digest(&blob)));
     commit.pending.push((dir.uuid, blob));
-    commit.cache_inserts.push((dir.uuid, CachedNode::Dir(dir)));
+    commit.cache_inserts.push((dir.uuid, CachedNode::Dir(dir), epc_bytes));
     Ok(())
 }
 
@@ -698,7 +709,7 @@ pub(crate) fn stage_filenode(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
     commit: &mut MetaCommit,
-    fnode: Filenode,
+    fnode: Arc<Filenode>,
     dir_scope: Option<GroupId>,
 ) -> Result<()> {
     if dir_scope.is_some() {
@@ -714,12 +725,13 @@ pub(crate) fn stage_filenode(
         version,
         scope,
     };
-    let blob = seal_object(&wrap_key, &preamble, &fnode.encode(), |dest| {
+    let body = fnode.encode();
+    let blob = seal_object(&wrap_key, &preamble, &body, |dest| {
         io.env.random_bytes(dest)
     });
     commit.manifest_updates.push((fnode.uuid, Sha256::digest(&blob)));
     commit.pending.push((fnode.uuid, blob));
-    commit.cache_inserts.push((fnode.uuid, CachedNode::File(fnode)));
+    commit.cache_inserts.push((fnode.uuid, CachedNode::File(fnode), body.len()));
     Ok(())
 }
 
@@ -742,9 +754,9 @@ pub(crate) fn commit_flush(
     }
     if config.cache_metadata {
         let mounted = state.mounted()?;
-        for (uuid, node) in commit.cache_inserts {
+        for (uuid, node, epc_bytes) in commit.cache_inserts {
             let storage_version = io.version(&uuid).unwrap_or(0);
-            mounted.meta_cache.insert(uuid, node, storage_version);
+            mounted.meta_cache.insert(io.env, uuid, node, storage_version, epc_bytes);
         }
     }
     crate::freshness::record_objects(state, io, &commit.manifest_updates, &[])?;
@@ -756,7 +768,7 @@ pub(crate) fn commit_flush(
 pub(crate) fn store_dirnode(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
-    dir: Dirnode,
+    dir: Arc<Dirnode>,
 ) -> Result<()> {
     let mut commit = MetaCommit::new();
     stage_dirnode(state, io, &mut commit, dir)?;
@@ -770,7 +782,7 @@ pub(crate) fn load_filenode(
     io: &MetaIo<'_>,
     uuid: NexusUuid,
     expected_parent: Option<NexusUuid>,
-) -> Result<Filenode> {
+) -> Result<Arc<Filenode>> {
     retry_fresh(|| load_filenode_once(state, io, uuid, expected_parent))
 }
 
@@ -779,7 +791,7 @@ fn load_filenode_once(
     io: &MetaIo<'_>,
     uuid: NexusUuid,
     expected_parent: Option<NexusUuid>,
-) -> Result<Filenode> {
+) -> Result<Arc<Filenode>> {
     let use_cache = state.config().cache_metadata;
     let mounted = state.mounted()?;
     if use_cache {
@@ -794,7 +806,7 @@ fn load_filenode_once(
                 }
                 return Ok(fnode);
             }
-            mounted.meta_cache.remove(&uuid);
+            mounted.meta_cache.remove(io.env, &uuid);
         }
     }
     let blob = io.get(&uuid)?;
@@ -803,15 +815,18 @@ fn load_filenode_once(
     let (preamble, body) = open_meta_blob(state, io, &blob)?;
     let mounted = state.mounted()?;
     admit(mounted, &preamble, &uuid, ObjectKind::Filenode, expected_parent)?;
-    let fnode = Filenode::decode(&body)?;
+    let fnode = Arc::new(Filenode::decode(&body)?);
     if fnode.uuid != uuid {
         return Err(NexusError::Integrity("filenode body uuid mismatch".into()));
     }
-    io.env.epc_alloc(body.len());
     if use_cache {
-        mounted
-            .meta_cache
-            .insert(uuid, CachedNode::File(fnode.clone()), storage_version);
+        mounted.meta_cache.insert(
+            io.env,
+            uuid,
+            CachedNode::File(fnode.clone()),
+            storage_version,
+            body.len(),
+        );
     }
     Ok(fnode)
 }
@@ -821,7 +836,7 @@ fn load_filenode_once(
 pub(crate) fn store_filenode(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
-    fnode: Filenode,
+    fnode: Arc<Filenode>,
     dir_scope: Option<GroupId>,
 ) -> Result<()> {
     let mut commit = MetaCommit::new();
@@ -830,9 +845,9 @@ pub(crate) fn store_filenode(
 }
 
 /// Drops an object from the metadata cache (after deletion).
-pub(crate) fn evict(state: &mut EnclaveState, uuid: &NexusUuid) {
+pub(crate) fn evict(state: &mut EnclaveState, io: &MetaIo<'_>, uuid: &NexusUuid) {
     if let Some(mounted) = state.mounted.as_mut() {
-        mounted.meta_cache.remove(uuid);
+        mounted.meta_cache.remove(io.env, uuid);
     }
 }
 
@@ -941,6 +956,92 @@ mod tests {
         assert!(state.check_access(&dir, local, Rights::WRITE).is_err());
     }
 
+    /// An owner session that populated `d/` (bucket size 4, so ten files
+    /// span three buckets) and a second session mounted afterwards.
+    fn populated() -> (crate::volume::NexusVolume, crate::volume::NexusVolume) {
+        use crate::volume::{NexusVolume, UserKeys};
+        let platform = nexus_sgx::Platform::seeded(0xCAC);
+        let ias = nexus_sgx::AttestationService::new();
+        ias.register_platform(&platform);
+        let backend = Arc::new(nexus_storage::MemBackend::new());
+        let owner = UserKeys::from_seed("o", &[1; 32]);
+        let config = NexusConfig { bucket_size: 4, ..NexusConfig::default() };
+        let (writer, sealed) =
+            NexusVolume::create(&platform, backend.clone(), &ias, &owner, config).unwrap();
+        writer.authenticate(&owner).unwrap();
+        writer.mkdir("d").unwrap();
+        for i in 0..10 {
+            writer.write_file(&format!("d/f{i}"), b"x").unwrap();
+        }
+        let reader = NexusVolume::mount(&platform, backend, &ias, &sealed, config).unwrap();
+        reader.authenticate(&owner).unwrap();
+        (writer, reader)
+    }
+
+    fn load_full(v: &crate::volume::NexusVolume, path: &'static str) -> Arc<Dirnode> {
+        v.ecall(|state, io| {
+            let (mut dir, _) = crate::fsops::resolve_dir(state, io, &[path])?;
+            load_all_buckets(state, io, &mut dir)?;
+            Ok(dir)
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn consecutive_loads_share_buckets_and_an_insert_copies_one() {
+        let (_writer, reader) = populated();
+        use crate::metadata::dirnode::shared_buckets as shared;
+        let first = load_full(&reader, "d");
+        let second = load_full(&reader, "d");
+        assert_eq!(shared(&first, &second), vec![true; 3], "buckets were written back");
+        let third = load_full(&reader, "d");
+        assert!(Arc::ptr_eq(&second, &third), "a hit on a loaded directory is the cached node");
+        // f8, f9 sit in the third bucket, which has room for the new entry.
+        reader.create_file("d/g").unwrap();
+        let after = load_full(&reader, "d");
+        assert_eq!(shared(&third, &after), vec![true, true, false]);
+        assert!(third.find_loaded("g").is_none() && after.find_loaded("g").is_some());
+    }
+
+    #[test]
+    fn epc_ledger_counts_what_the_cache_holds() {
+        let (writer, reader) = populated();
+        let cached_body_bytes = |v: &crate::volume::NexusVolume| -> usize {
+            v.enclave().ecall(|state, _| {
+                let cache = &state.mounted.as_ref().unwrap().meta_cache;
+                cache
+                    .nodes()
+                    .map(|node| match node {
+                        CachedNode::File(f) => f.encode().len(),
+                        CachedNode::Dir(d) => {
+                            let buckets = d.buckets.iter().filter_map(|s| s.bucket.as_ref());
+                            d.encode_main().len()
+                                + buckets.map(|b| b.as_bytes().len()).sum::<usize>()
+                        }
+                    })
+                    .sum()
+            })
+        };
+        assert_eq!(reader.enclave().epc().current(), 0, "nothing walked yet");
+        for i in 0..10 {
+            reader.lookup(&format!("d/f{i}")).unwrap();
+        }
+        assert_eq!(reader.list_dir("d").unwrap().len(), 10);
+        let warm = reader.enclave().epc().current();
+        assert!(warm > 0);
+        assert_eq!(warm, cached_body_bytes(&reader), "root + d with 3 buckets + 10 filenodes");
+        assert_eq!(writer.enclave().epc().current(), cached_body_bytes(&writer));
+
+        // Create then remove puts every byte back: the directory's node is
+        // evicted, the parent's replaced by one of the old size.
+        reader.mkdir("d/tmp").unwrap();
+        assert!(reader.enclave().epc().current() > warm);
+        reader.remove("d/tmp").unwrap();
+        assert_eq!(reader.enclave().epc().current(), warm);
+        assert_eq!(warm, cached_body_bytes(&reader));
+        assert!(reader.enclave().epc().peak() > warm);
+    }
+
     fn test_mounted(session: Option<Session>) -> Mounted {
         use nexus_crypto::ed25519::SigningKey;
         Mounted {
@@ -955,7 +1056,7 @@ mod tests {
             supernode_version: 1,
             supernode_storage_version: 0,
             session,
-            meta_cache: crate::cache::ShardedCache::new(),
+            meta_cache: Default::default(),
             version_table: HashMap::new(),
             manifest: None,
         }

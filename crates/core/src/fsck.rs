@@ -122,8 +122,7 @@ pub(crate) fn run_fsck(
                 }
             }
         }
-        let entries: Vec<_> = dir.list_loaded().into_iter().cloned().collect();
-        for entry in entries {
+        for entry in dir.list_loaded().map(|e| e.to_entry()) {
             let child_path = if path.is_empty() {
                 entry.name.clone()
             } else {

@@ -8,6 +8,8 @@
 //! layer (§IV-A), and takes the server-side advisory lock around metadata
 //! updates (§V-A).
 
+use std::sync::Arc;
+
 use crate::acl::{Rights, UserId};
 use crate::datapath;
 use crate::enclave::{
@@ -114,7 +116,7 @@ pub(crate) fn resolve_dir(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
     components: &[&str],
-) -> Result<(Dirnode, Rights)> {
+) -> Result<(Arc<Dirnode>, Rights)> {
     state.session()?;
     let root_uuid = state.mounted()?.supernode.root_dir;
     let mut dir = load_dirnode(state, io, root_uuid, Some(NexusUuid::NIL))?;
@@ -156,7 +158,7 @@ fn resolve_parent<'p>(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
     path: &'p str,
-) -> Result<(Dirnode, &'p str, Rights)> {
+) -> Result<(Arc<Dirnode>, &'p str, Rights)> {
     let comps = split_path(path)?;
     let (last, parents) = comps
         .split_last()
@@ -172,7 +174,6 @@ pub(crate) fn fs_touch(
     path: &str,
     kind: FileType,
 ) -> Result<NexusUuid> {
-    #[allow(unused_mut)]
     let (mut dir, name, effective) = resolve_parent(state, io, path)?;
     validate_name(name)?;
     state.check_access(&dir, effective, Rights::WRITE)?;
@@ -197,8 +198,8 @@ pub(crate) fn fs_touch(
             // Subdirectories of a group-shared directory inherit its key
             // scope, so the whole subtree follows the group's epochs.
             child.scope = dir.scope;
-            stage_dirnode(state, io, &mut commit, child)?;
-            dir.insert(
+            stage_dirnode(state, io, &mut commit, Arc::new(child))?;
+            Arc::make_mut(&mut dir).insert(
                 DirEntry { name: name.into(), uuid: child_uuid, kind: EntryKind::Directory },
                 fresh_uuid(io.env),
             )?;
@@ -207,8 +208,8 @@ pub(crate) fn fs_touch(
             let data_uuid = fresh_uuid(io.env);
             let fnode = Filenode::new(child_uuid, dir.uuid, data_uuid, config.chunk_size);
             commit.stage_raw(data_uuid, Vec::new());
-            stage_filenode(state, io, &mut commit, fnode, dir.scope)?;
-            dir.insert(
+            stage_filenode(state, io, &mut commit, Arc::new(fnode), dir.scope)?;
+            Arc::make_mut(&mut dir).insert(
                 DirEntry { name: name.into(), uuid: child_uuid, kind: EntryKind::File },
                 fresh_uuid(io.env),
             )?;
@@ -232,7 +233,7 @@ pub(crate) fn fs_remove(state: &mut EnclaveState, io: &MetaIo<'_>, path: &str) -
     load_all_buckets(state, io, &mut dir)?;
     let entry = dir
         .find_loaded(name)
-        .cloned()
+        .map(|e| e.to_entry())
         .ok_or_else(|| NexusError::NotFound(path.to_string()))?;
     let mut manifest_removals: Vec<NexusUuid> = Vec::new();
     match &entry.kind {
@@ -247,24 +248,25 @@ pub(crate) fn fs_remove(state: &mut EnclaveState, io: &MetaIo<'_>, path: &str) -
             }
             io.delete(&entry.uuid)?;
             manifest_removals.push(entry.uuid);
-            evict(state, &entry.uuid);
+            evict(state, io, &entry.uuid);
         }
         EntryKind::File => {
             let mut fnode = load_filenode(state, io, entry.uuid, None)?;
-            fnode.nlink = fnode.nlink.saturating_sub(1);
-            if fnode.nlink == 0 {
+            if fnode.nlink <= 1 {
                 let _ = io.delete(&fnode.data_uuid);
                 io.delete(&entry.uuid)?;
                 manifest_removals.push(entry.uuid);
-                evict(state, &entry.uuid);
+                evict(state, io, &entry.uuid);
             } else {
+                Arc::make_mut(&mut fnode).nlink -= 1;
                 store_filenode(state, io, fnode, dir.scope)?;
             }
         }
         EntryKind::Symlink(_) => {}
     }
-    dir.remove(name)?;
-    for pruned in dir.prune_empty_buckets() {
+    let dir_mut = Arc::make_mut(&mut dir);
+    dir_mut.remove(name)?;
+    for pruned in dir_mut.prune_empty_buckets() {
         let _ = io.delete(&pruned);
         manifest_removals.push(pruned);
     }
@@ -329,7 +331,7 @@ fn load_file_via(
     io: &MetaIo<'_>,
     dir: &Dirnode,
     entry: &DirEntry,
-) -> Result<Filenode> {
+) -> Result<Arc<Filenode>> {
     let fnode = load_filenode(state, io, entry.uuid, None)?;
     if fnode.nlink <= 1 && fnode.parent != dir.uuid {
         return Err(NexusError::Integrity(format!(
@@ -352,8 +354,7 @@ pub(crate) fn fs_filldir(
     load_all_buckets(state, io, &mut dir)?;
     Ok(dir
         .list_loaded()
-        .into_iter()
-        .map(|e| DirRow { name: e.name.clone(), kind: FileType::from(&e.kind) })
+        .map(|e| DirRow { name: e.name().to_string(), kind: FileType::from(&e.kind()) })
         .collect())
 }
 
@@ -371,7 +372,7 @@ pub(crate) fn fs_symlink(
     dir = load_dirnode(state, io, dir.uuid, None)?;
     load_all_buckets(state, io, &mut dir)?;
     let uuid = fresh_uuid(io.env);
-    dir.insert(
+    Arc::make_mut(&mut dir).insert(
         DirEntry { name: name.into(), uuid, kind: EntryKind::Symlink(target.into()) },
         fresh_uuid(io.env),
     )?;
@@ -421,9 +422,9 @@ pub(crate) fn fs_hardlink(
     if dst_dir.find_loaded(dst_name).is_some() {
         return Err(NexusError::AlreadyExists(linkpath.to_string()));
     }
-    fnode.nlink += 1;
+    Arc::make_mut(&mut fnode).nlink += 1;
     store_filenode(state, io, fnode, src_dir.scope)?;
-    dst_dir.insert(
+    Arc::make_mut(&mut dst_dir).insert(
         DirEntry { name: dst_name.into(), uuid: src_entry.uuid, kind: EntryKind::File },
         fresh_uuid(io.env),
     )?;
@@ -490,7 +491,7 @@ pub(crate) fn fs_rename(
     load_all_buckets(state, io, &mut src_dir)?;
     let entry = src_dir
         .find_loaded(src_name)
-        .cloned()
+        .map(|e| e.to_entry())
         .ok_or_else(|| NexusError::NotFound(from.to_string()))?;
 
     if same_dir {
@@ -500,8 +501,9 @@ pub(crate) fn fs_rename(
         if src_dir.find_loaded(dst_name).is_some() {
             return Err(NexusError::AlreadyExists(to.to_string()));
         }
-        src_dir.remove(src_name)?;
-        src_dir.insert(
+        let dir_mut = Arc::make_mut(&mut src_dir);
+        dir_mut.remove(src_name)?;
+        dir_mut.insert(
             DirEntry { name: dst_name.into(), ..entry },
             fresh_uuid(io.env),
         )?;
@@ -514,13 +516,13 @@ pub(crate) fn fs_rename(
     if dst_dir.find_loaded(dst_name).is_some() {
         return Err(NexusError::AlreadyExists(to.to_string()));
     }
-    src_dir.remove(src_name)?;
+    Arc::make_mut(&mut src_dir).remove(src_name)?;
 
     // Re-home the child's parent pointer so traversal checks keep holding.
     match &entry.kind {
         EntryKind::Directory => {
             let mut child = load_dirnode(state, io, entry.uuid, Some(src_dir.uuid))?;
-            child.parent = dst_dir.uuid;
+            Arc::make_mut(&mut child).parent = dst_dir.uuid;
             // Buckets carry the dirnode itself as parent, so only the main
             // object changes — but it must be marked so store rewrites it.
             store_dirnode(state, io, child)?;
@@ -528,7 +530,7 @@ pub(crate) fn fs_rename(
         EntryKind::File => {
             let mut fnode = load_filenode(state, io, entry.uuid, None)?;
             if fnode.nlink <= 1 {
-                fnode.parent = dst_dir.uuid;
+                Arc::make_mut(&mut fnode).parent = dst_dir.uuid;
                 // The file now lives under the destination directory, so
                 // it re-seals under *that* directory's key scope.
                 store_filenode(state, io, fnode, dst_dir.scope)?;
@@ -537,12 +539,12 @@ pub(crate) fn fs_rename(
         EntryKind::Symlink(_) => {}
     }
 
-    dst_dir.insert(
+    Arc::make_mut(&mut dst_dir).insert(
         DirEntry { name: dst_name.into(), ..entry },
         fresh_uuid(io.env),
     )?;
     let mut manifest_removals: Vec<NexusUuid> = Vec::new();
-    for pruned in src_dir.prune_empty_buckets() {
+    for pruned in Arc::make_mut(&mut src_dir).prune_empty_buckets() {
         let _ = io.delete(&pruned);
         manifest_removals.push(pruned);
     }
@@ -591,10 +593,28 @@ pub(crate) fn fs_encrypt(
         &contexts,
     );
     io.put(&fnode.data_uuid, &ciphertext)?;
-    fnode.size = data.len() as u64;
-    fnode.chunks = contexts;
+    let fnode_mut = Arc::make_mut(&mut fnode);
+    fnode_mut.size = data.len() as u64;
+    fnode_mut.chunks = contexts;
     store_filenode(state, io, fnode, dir.scope)?;
     Ok(())
+}
+
+/// Edits the main object of the directory at `path` (its ACL and key
+/// scope) like every other mutation: under the directory's advisory lock,
+/// on a copy reloaded under that lock, so a concurrent create or rename is
+/// never overwritten by a main object carrying the old bucket MACs.
+pub(crate) fn fs_update_acl(
+    state: &mut EnclaveState,
+    io: &MetaIo<'_>,
+    path: &str,
+    edit: impl FnOnce(&mut Dirnode) -> Result<()>,
+) -> Result<()> {
+    let (dir, _) = resolve_dir(state, io, &split_path(path)?)?;
+    let _lock = LockGuard::acquire(io, dir.uuid)?;
+    let mut dir = load_dirnode(state, io, dir.uuid, None)?;
+    edit(Arc::make_mut(&mut dir))?;
+    store_dirnode(state, io, dir)
 }
 
 /// Owner-driven revocation sweep: removes every ACL entry naming `user`
@@ -614,13 +634,8 @@ pub(crate) fn sweep_acl_user(
     while let Some(uuid) = stack.pop() {
         let mut dir = load_dirnode(state, io, uuid, None)?;
         load_all_buckets(state, io, &mut dir)?;
-        stack.extend(
-            dir.list_loaded()
-                .into_iter()
-                .filter(|e| matches!(e.kind, EntryKind::Directory))
-                .map(|e| e.uuid),
-        );
-        if dir.acl.revoke(user) {
+        stack.extend(dir.list_loaded().filter(|e| e.is_directory()).map(|e| e.uuid()));
+        if Arc::make_mut(&mut dir).acl.revoke(user) {
             changed += 1;
             stage_dirnode(state, io, &mut commit, dir)?;
         }
@@ -723,7 +738,7 @@ fn open_file_for_read(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
     path: &str,
-) -> Result<(Dirnode, DirEntry, Filenode)> {
+) -> Result<(Arc<Dirnode>, DirEntry, Arc<Filenode>)> {
     let (mut dir, name, effective) = resolve_parent(state, io, path)?;
     state.check_access(&dir, effective, Rights::READ)?;
     let entry = lookup_entry(state, io, &mut dir, name)?

@@ -7,6 +7,8 @@
 //! the main dirnode stores each bucket's MAC, preventing bucket-level
 //! rollback, and only dirty buckets are re-encrypted on flush.
 
+use std::sync::Arc;
+
 use crate::acl::Acl;
 use crate::error::{NexusError, Result};
 use crate::groups::GroupId;
@@ -43,15 +45,6 @@ impl EntryKind {
             }
         }
     }
-
-    fn decode(r: &mut Reader<'_>) -> Result<EntryKind> {
-        match r.u8()? {
-            1 => Ok(EntryKind::Directory),
-            2 => Ok(EntryKind::File),
-            3 => Ok(EntryKind::Symlink(r.string()?)),
-            other => Err(NexusError::Malformed(format!("unknown entry kind {other}"))),
-        }
-    }
 }
 
 /// One name → metadata-UUID mapping.
@@ -71,55 +64,207 @@ impl DirEntry {
         w.uuid(&self.uuid);
         self.kind.encode(w);
     }
+}
 
-    fn decode(r: &mut Reader<'_>) -> Result<DirEntry> {
-        let name = r.string()?;
-        let uuid = r.uuid()?;
-        let kind = EntryKind::decode(r)?;
-        Ok(DirEntry { name, uuid, kind })
+/// A directory entry borrowed from a bucket's wire body.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EntryRef<'a> {
+    name: &'a [u8],
+    uuid: &'a [u8; 16],
+    tag: u8,
+    target: &'a [u8],
+}
+
+/// Bucket bodies are UTF-8-checked once, in [`Bucket::decode`] (or built
+/// from `&str`s by [`Bucket::push`]).
+fn checked_str(bytes: &[u8]) -> &str {
+    std::str::from_utf8(bytes).expect("bucket body was validated when it was decoded")
+}
+
+fn le32(body: &[u8], at: usize) -> Option<usize> {
+    let bytes = body.get(at..at.checked_add(4)?)?;
+    Some(u32::from_le_bytes(bytes.try_into().ok()?) as usize)
+}
+
+impl<'a> EntryRef<'a> {
+    /// Frames the entry starting at `pos` of a bucket body — name length,
+    /// name, uuid, kind tag, and a symlink's target — and returns it with
+    /// the offset of the next one. `None` on truncation or an unknown tag.
+    /// The one parser of the entry format: [`Bucket::decode`] validates with
+    /// it and every later scan walks with it.
+    fn parse(body: &'a [u8], pos: usize) -> Option<(EntryRef<'a>, usize)> {
+        let name_at = pos.checked_add(4)?;
+        let uuid_at = name_at.checked_add(le32(body, pos)?)?;
+        let tag_at = uuid_at.checked_add(16)?;
+        let name = body.get(name_at..uuid_at)?;
+        let uuid = body.get(uuid_at..tag_at)?.try_into().ok()?;
+        let tag = *body.get(tag_at)?;
+        let (target, end): (&[u8], usize) = match tag {
+            1 | 2 => (&[], tag_at + 1),
+            3 => {
+                let target_at = tag_at.checked_add(5)?;
+                let end = target_at.checked_add(le32(body, tag_at + 1)?)?;
+                (body.get(target_at..end)?, end)
+            }
+            _ => return None,
+        };
+        Some((EntryRef { name, uuid, tag, target }, end))
+    }
+
+    /// Plaintext component name.
+    pub fn name(&self) -> &'a str {
+        checked_str(self.name)
+    }
+
+    /// UUID of the child's metadata object.
+    pub fn uuid(&self) -> NexusUuid {
+        NexusUuid(*self.uuid)
+    }
+
+    /// True for a subdirectory entry.
+    pub fn is_directory(&self) -> bool {
+        self.tag == 1
+    }
+
+    /// The entry type (allocates only for a symlink's target).
+    pub fn kind(&self) -> EntryKind {
+        match self.tag {
+            1 => EntryKind::Directory,
+            2 => EntryKind::File,
+            _ => EntryKind::Symlink(checked_str(self.target).to_string()),
+        }
+    }
+
+    /// An owned copy of the entry.
+    pub fn to_entry(&self) -> DirEntry {
+        DirEntry { name: self.name().to_string(), uuid: self.uuid(), kind: self.kind() }
     }
 }
 
-/// A bucket of directory entries (stored as its own metadata object).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Iterator over a bucket's entries, in insertion order.
+#[derive(Debug)]
+pub struct BucketIter<'a> {
+    body: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Iterator for BucketIter<'a> {
+    type Item = EntryRef<'a>;
+
+    fn next(&mut self) -> Option<EntryRef<'a>> {
+        if self.pos == self.body.len() {
+            return None;
+        }
+        let (entry, next) = EntryRef::parse(self.body, self.pos)
+            .expect("bucket body was validated when it was decoded");
+        self.pos = next;
+        Some(entry)
+    }
+}
+
+/// A bucket of directory entries (stored as its own metadata object), held
+/// as its wire body: a `u32` entry count, then the entries' encodings back
+/// to back in insertion order. The body is checked in full once, by
+/// [`Bucket::decode`], and scanned in place afterwards, so loading, cloning
+/// and dropping a bucket allocate nothing per entry.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bucket {
-    /// Entries in insertion order.
-    pub entries: Vec<DirEntry>,
+    body: Vec<u8>,
+}
+
+impl Default for Bucket {
+    fn default() -> Bucket {
+        Bucket::new()
+    }
 }
 
 impl Bucket {
-    /// Serializes the bucket body.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u32(self.entries.len() as u32);
-        for e in &self.entries {
-            e.encode(&mut w);
-        }
-        w.into_bytes()
+    /// An empty bucket.
+    pub fn new() -> Bucket {
+        Bucket { body: 0u32.to_le_bytes().to_vec() }
     }
 
-    /// Parses a bucket body.
+    /// The bucket body as stored (inside the sealed object).
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.body
+    }
+
+    /// A copy of the bucket body.
+    pub fn encode(&self) -> Vec<u8> {
+        self.body.clone()
+    }
+
+    /// Parses and validates a bucket body: framing, entry count, kind tags,
+    /// UTF-8 of every name and symlink target, no trailing bytes.
     ///
     /// # Errors
     ///
-    /// [`NexusError::Malformed`] on framing problems.
+    /// [`NexusError::Malformed`] on any of those.
     pub fn decode(bytes: &[u8]) -> Result<Bucket> {
-        let mut r = Reader::new(bytes);
-        let count = r.u32()? as usize;
-        if count > 10_000_000 {
-            return Err(NexusError::Malformed("absurd bucket entry count".into()));
-        }
-        let mut entries = Vec::with_capacity(count.min(4096));
+        let malformed = |what: &str| NexusError::Malformed(format!("bucket body: {what}"));
+        let count = le32(bytes, 0).ok_or_else(|| malformed("truncated entry count"))?;
+        let mut pos = 4;
         for _ in 0..count {
-            entries.push(DirEntry::decode(&mut r)?);
+            let (entry, next) = EntryRef::parse(bytes, pos)
+                .ok_or_else(|| malformed("truncated entry or unknown entry kind"))?;
+            if std::str::from_utf8(entry.name).is_err() || std::str::from_utf8(entry.target).is_err()
+            {
+                return Err(malformed("invalid utf-8"));
+            }
+            pos = next;
         }
-        r.finish()?;
-        Ok(Bucket { entries })
+        if pos != bytes.len() {
+            return Err(malformed("trailing bytes"));
+        }
+        Ok(Bucket { body: bytes.to_vec() })
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        le32(&self.body, 0).expect("bucket body starts with its count")
+    }
+
+    /// True when the bucket holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn set_len(&mut self, len: usize) {
+        self.body[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    }
+
+    /// The entries, in insertion order.
+    pub fn iter(&self) -> BucketIter<'_> {
+        BucketIter { body: &self.body, pos: 4 }
     }
 
     /// Finds an entry by name.
-    pub fn find(&self, name: &str) -> Option<&DirEntry> {
-        self.entries.iter().find(|e| e.name == name)
+    pub fn find(&self, name: &str) -> Option<EntryRef<'_>> {
+        self.iter().find(|e| e.name == name.as_bytes())
+    }
+
+    /// Appends an entry (the caller keeps names unique).
+    pub fn push(&mut self, entry: &DirEntry) {
+        let mut w = Writer::new();
+        entry.encode(&mut w);
+        self.body.extend_from_slice(&w.into_bytes());
+        self.set_len(self.len() + 1);
+    }
+
+    /// Removes and returns the entry named `name`.
+    pub fn remove(&mut self, name: &str) -> Option<DirEntry> {
+        let mut iter = self.iter();
+        loop {
+            let start = iter.pos;
+            let entry = iter.next()?;
+            if entry.name == name.as_bytes() {
+                let end = iter.pos;
+                let removed = entry.to_entry();
+                self.body.drain(start..end);
+                self.set_len(self.len() - 1);
+                return Some(removed);
+            }
+        }
     }
 }
 
@@ -134,13 +279,15 @@ pub struct BucketRef {
 }
 
 /// One bucket slot: the on-storage reference plus, when loaded, the
-/// decrypted bucket and its dirty flag.
+/// decrypted bucket and its dirty flag. Loaded buckets are shared between
+/// every copy of the dirnode (the metadata cache's and each operation's);
+/// a mutation copies the one bucket it changes (`Arc::make_mut`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BucketSlot {
     /// Persistent reference.
     pub re: BucketRef,
     /// Decrypted contents, when loaded.
-    pub bucket: Option<Bucket>,
+    pub bucket: Option<Arc<Bucket>>,
     /// True when the in-memory bucket differs from storage.
     pub dirty: bool,
 }
@@ -248,7 +395,7 @@ impl Dirnode {
     }
 
     /// Looks up `name` among *loaded* buckets.
-    pub fn find_loaded(&self, name: &str) -> Option<&DirEntry> {
+    pub fn find_loaded(&self, name: &str) -> Option<EntryRef<'_>> {
         self.buckets
             .iter()
             .filter_map(|s| s.bucket.as_ref())
@@ -276,17 +423,19 @@ impl Dirnode {
             return Err(NexusError::AlreadyExists(entry.name));
         }
         let cap = self.bucket_size;
-        if let Some(slot) = self
+        let room = self
             .buckets
             .iter_mut()
-            .find(|s| s.bucket.as_ref().map(|b| b.entries.len() < cap).unwrap_or(false))
-        {
-            slot.bucket.as_mut().unwrap().entries.push(entry);
+            .find(|s| s.bucket.as_ref().is_some_and(|b| b.len() < cap));
+        if let Some(slot) = room {
+            Arc::make_mut(slot.bucket.as_mut().expect("matched a loaded bucket")).push(&entry);
             slot.dirty = true;
         } else {
+            let mut bucket = Bucket::new();
+            bucket.push(&entry);
             self.buckets.push(BucketSlot {
                 re: BucketRef { uuid: fresh_uuid, mac: [0u8; 32] },
-                bucket: Some(Bucket { entries: vec![entry] }),
+                bucket: Some(Arc::new(bucket)),
                 dirty: true,
             });
         }
@@ -306,31 +455,33 @@ impl Dirnode {
     pub fn remove(&mut self, name: &str) -> Result<DirEntry> {
         assert!(self.fully_loaded(), "remove requires all buckets loaded");
         for slot in self.buckets.iter_mut() {
-            let bucket = slot.bucket.as_mut().unwrap();
-            if let Some(idx) = bucket.entries.iter().position(|e| e.name == name) {
-                let entry = bucket.entries.remove(idx);
-                slot.dirty = true;
-                self.entry_count -= 1;
-                return Ok(entry);
+            let bucket = slot.bucket.as_mut().expect("checked fully loaded");
+            // Probe the shared bucket first: only the one holding `name`
+            // is copied.
+            if bucket.find(name).is_none() {
+                continue;
             }
+            let entry = Arc::make_mut(bucket).remove(name).expect("found above");
+            slot.dirty = true;
+            self.entry_count -= 1;
+            return Ok(entry);
         }
         Err(NexusError::NotFound(name.to_string()))
     }
 
     /// All entries across loaded buckets, in bucket order.
-    pub fn list_loaded(&self) -> Vec<&DirEntry> {
+    pub fn list_loaded(&self) -> impl Iterator<Item = EntryRef<'_>> {
         self.buckets
             .iter()
             .filter_map(|s| s.bucket.as_ref())
-            .flat_map(|b| b.entries.iter())
-            .collect()
+            .flat_map(|b| b.iter())
     }
 
     /// Drops empty trailing bucket slots (after removals).
     pub fn prune_empty_buckets(&mut self) -> Vec<NexusUuid> {
         let mut removed = Vec::new();
         self.buckets.retain(|slot| match &slot.bucket {
-            Some(b) if b.entries.is_empty() => {
+            Some(b) if b.is_empty() => {
                 removed.push(slot.re.uuid);
                 false
             }
@@ -338,6 +489,14 @@ impl Dirnode {
         });
         removed
     }
+}
+
+/// Per slot, whether two fully loaded copies of a directory hold the very
+/// same bucket allocation (what the sharing tests pin).
+#[cfg(test)]
+pub(crate) fn shared_buckets(a: &Dirnode, b: &Dirnode) -> Vec<bool> {
+    let bucket = |s: &BucketSlot| s.bucket.clone().expect("fully loaded");
+    a.buckets.iter().zip(&b.buckets).map(|(x, y)| Arc::ptr_eq(&bucket(x), &bucket(y))).collect()
 }
 
 #[cfg(test)]
@@ -358,7 +517,7 @@ mod tests {
         let mut d = Dirnode::new(uuid(1), NexusUuid::NIL, 4);
         d.insert(entry("a.txt", 10), uuid(100)).unwrap();
         d.insert(entry("b.txt", 11), uuid(101)).unwrap();
-        assert_eq!(d.find_loaded("a.txt").unwrap().uuid, uuid(10));
+        assert_eq!(d.find_loaded("a.txt").unwrap().uuid(), uuid(10));
         assert!(d.find_loaded("c.txt").is_none());
         assert_eq!(d.entry_count, 2);
     }
@@ -381,7 +540,7 @@ mod tests {
         }
         assert_eq!(d.buckets.len(), 3, "5 entries at 2/bucket = 3 buckets");
         assert_eq!(d.entry_count, 5);
-        assert_eq!(d.list_loaded().len(), 5);
+        assert_eq!(d.list_loaded().count(), 5);
     }
 
     #[test]
@@ -446,32 +605,78 @@ mod tests {
         assert_eq!(decoded.acl, d.acl);
     }
 
+    fn bucket_of(entries: &[DirEntry]) -> Bucket {
+        let mut bucket = Bucket::new();
+        for e in entries {
+            bucket.push(e);
+        }
+        bucket
+    }
+
     #[test]
     fn bucket_body_roundtrip_with_all_kinds() {
-        let bucket = Bucket {
-            entries: vec![
-                DirEntry { name: "dir".into(), uuid: uuid(1), kind: EntryKind::Directory },
-                DirEntry { name: "file".into(), uuid: uuid(2), kind: EntryKind::File },
-                DirEntry {
-                    name: "link".into(),
-                    uuid: uuid(3),
-                    kind: EntryKind::Symlink("../target".into()),
-                },
-            ],
-        };
+        let entries = [
+            DirEntry { name: "dir".into(), uuid: uuid(1), kind: EntryKind::Directory },
+            DirEntry { name: "file".into(), uuid: uuid(2), kind: EntryKind::File },
+            DirEntry {
+                name: "link".into(),
+                uuid: uuid(3),
+                kind: EntryKind::Symlink("../target".into()),
+            },
+        ];
+        let bucket = bucket_of(&entries);
         let decoded = Bucket::decode(&bucket.encode()).unwrap();
         assert_eq!(decoded, bucket);
+        assert_eq!(decoded.iter().map(|e| e.to_entry()).collect::<Vec<_>>(), entries);
         assert!(matches!(
-            decoded.find("link").unwrap().kind,
+            decoded.find("link").unwrap().kind(),
             EntryKind::Symlink(ref t) if t == "../target"
         ));
     }
 
     #[test]
+    fn bucket_remove_splices_the_body() {
+        let mut bucket = bucket_of(&[entry("a", 1), entry("bb", 2), entry("ccc", 3)]);
+        assert_eq!(bucket.remove("bb"), Some(entry("bb", 2)));
+        assert_eq!(bucket.remove("bb"), None);
+        assert_eq!(bucket, bucket_of(&[entry("a", 1), entry("ccc", 3)]));
+        assert_eq!(bucket.len(), 2);
+        assert_eq!(bucket.remove("ccc"), Some(entry("ccc", 3)));
+        assert_eq!(bucket.remove("a"), Some(entry("a", 1)));
+        assert_eq!(bucket, Bucket::new());
+        assert!(bucket.is_empty());
+    }
+
+    #[test]
     fn bucket_decode_rejects_garbage() {
         assert!(Bucket::decode(&[1, 2, 3]).is_err());
-        let mut good = Bucket { entries: vec![entry("a", 1)] }.encode();
-        good.push(0xff);
-        assert!(Bucket::decode(&good).is_err(), "trailing bytes rejected");
+        let good = bucket_of(&[entry("a", 1)]).encode();
+        let mut trailing = good.clone();
+        trailing.push(0xff);
+        assert!(Bucket::decode(&trailing).is_err(), "trailing bytes rejected");
+        let mut bad_utf8 = good.clone();
+        bad_utf8[8] = 0xff; // the one name byte
+        assert!(Bucket::decode(&bad_utf8).is_err(), "names are UTF-8 checked");
+        let mut bad_kind = good.clone();
+        *bad_kind.last_mut().unwrap() = 9;
+        assert!(Bucket::decode(&bad_kind).is_err(), "kind tags are checked");
+        let mut bad_count = good;
+        bad_count[0] = 2;
+        assert!(Bucket::decode(&bad_count).is_err(), "count must match the entries");
+    }
+
+    #[test]
+    fn mutation_copies_only_the_bucket_it_changes() {
+        let mut d = Dirnode::new(uuid(1), NexusUuid::NIL, 2);
+        for i in 0..6 {
+            d.insert(entry(&format!("f{i}"), i as u8), uuid(100 + i as u8)).unwrap();
+        }
+        let mut copy = d.clone();
+        assert_eq!(shared_buckets(&d, &copy), vec![true, true, true], "a clone shares every bucket");
+        copy.remove("f3").unwrap();
+        assert_eq!(shared_buckets(&d, &copy), vec![true, false, true]);
+        copy.insert(entry("g", 9), uuid(200)).unwrap();
+        assert_eq!(shared_buckets(&d, &copy), vec![true, false, true], "the freed slot is reused");
+        assert!(d.find_loaded("f3").is_some() && d.find_loaded("g").is_none());
     }
 }

@@ -139,7 +139,7 @@ impl NexusVolume {
                 supernode_version: 0,
                 supernode_storage_version: 0,
                 session: None,
-                meta_cache: crate::cache::ShardedCache::with_shards(config.cache_shards),
+                meta_cache: Default::default(),
                 version_table: Default::default(),
                 manifest: None,
             });
@@ -148,7 +148,7 @@ impl NexusVolume {
                 crate::freshness::create_manifest(state, &io)?;
             }
             let root = Dirnode::new(root_dir_uuid, NexusUuid::NIL, config.bucket_size);
-            crate::enclave::store_dirnode(state, &io, root)?;
+            crate::enclave::store_dirnode(state, &io, Arc::new(root))?;
             crate::enclave::store_supernode(state, &io)?;
 
             let sealed = protocol::seal_rootkey(env, &rootkey, &supernode_uuid);
@@ -192,7 +192,7 @@ impl NexusVolume {
                 supernode_version: version,
                 supernode_storage_version: storage_version,
                 session: None,
-                meta_cache: crate::cache::ShardedCache::with_shards(config.cache_shards),
+                meta_cache: Default::default(),
                 version_table: Default::default(),
                 manifest: None,
             });
@@ -490,10 +490,10 @@ impl NexusVolume {
                 .user_by_name(&user_name)
                 .ok_or_else(|| NexusError::NotFound(format!("user {user_name}")))?
                 .id;
-            let comps = fsops::split_path(&path)?;
-            let (mut dir, _) = fsops::resolve_dir(state, io, &comps)?;
-            dir.acl.grant(user_id, rights);
-            crate::enclave::store_dirnode(state, io, dir)
+            fsops::fs_update_acl(state, io, &path, |dir| {
+                dir.acl.grant(user_id, rights);
+                Ok(())
+            })
         })
     }
 
@@ -509,14 +509,14 @@ impl NexusVolume {
                 .user_by_name(&user_name)
                 .ok_or_else(|| NexusError::NotFound(format!("user {user_name}")))?
                 .id;
-            let comps = fsops::split_path(&path)?;
-            let (mut dir, _) = fsops::resolve_dir(state, io, &comps)?;
-            if !dir.acl.revoke(user_id) {
-                return Err(NexusError::NotFound(format!(
-                    "user {user_name} holds no entry on the {path} ACL"
-                )));
-            }
-            crate::enclave::store_dirnode(state, io, dir)
+            fsops::fs_update_acl(state, io, &path, |dir| {
+                if !dir.acl.revoke(user_id) {
+                    return Err(NexusError::NotFound(format!(
+                        "user {user_name} holds no entry on the {path} ACL"
+                    )));
+                }
+                Ok(())
+            })
         })
     }
 
@@ -715,13 +715,13 @@ impl NexusVolume {
                 .by_name(&group)
                 .ok_or_else(|| NexusError::NotFound(format!("group {group}")))?
                 .id;
-            let comps = fsops::split_path(&path)?;
-            let (mut dir, _) = fsops::resolve_dir(state, io, &comps)?;
-            dir.acl.grant_group(gid, rights);
-            if dir.scope.is_none() {
-                dir.scope = Some(gid);
-            }
-            crate::enclave::store_dirnode(state, io, dir)
+            fsops::fs_update_acl(state, io, &path, |dir| {
+                dir.acl.grant_group(gid, rights);
+                if dir.scope.is_none() {
+                    dir.scope = Some(gid);
+                }
+                Ok(())
+            })
         })
     }
 
@@ -744,14 +744,14 @@ impl NexusVolume {
                 .by_name(&group)
                 .ok_or_else(|| NexusError::NotFound(format!("group {group}")))?
                 .id;
-            let comps = fsops::split_path(&path)?;
-            let (mut dir, _) = fsops::resolve_dir(state, io, &comps)?;
-            if !dir.acl.revoke_group(gid) {
-                return Err(NexusError::NotFound(format!(
-                    "group {group} holds no entry on the {path} ACL"
-                )));
-            }
-            crate::enclave::store_dirnode(state, io, dir)
+            fsops::fs_update_acl(state, io, &path, |dir| {
+                if !dir.acl.revoke_group(gid) {
+                    return Err(NexusError::NotFound(format!(
+                        "group {group} holds no entry on the {path} ACL"
+                    )));
+                }
+                Ok(())
+            })
         })
     }
 

@@ -107,16 +107,88 @@ fn sealed_objects_roundtrip() {
     );
 }
 
+/// The bucket body as the per-entry encoder wrote it before buckets were
+/// held in wire form: the reference `Bucket::encode` must stay equal to.
+fn encode_entries(entries: &[DirEntry]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.u32(entries.len() as u32);
+    for e in entries {
+        w.string(&e.name).uuid(&e.uuid);
+        match &e.kind {
+            EntryKind::Directory => w.u8(1),
+            EntryKind::File => w.u8(2),
+            EntryKind::Symlink(target) => w.u8(3).string(target),
+        };
+    }
+    w.into_bytes()
+}
+
 #[test]
 fn bucket_roundtrips() {
     Runner::new("bucket_roundtrips").cases(CASES).run(
         |g| g.vec(0, 40, gen_entry),
         |v| shrink::vec(v),
         |entries| {
-            let mut unique = entries.clone();
-            unique.sort_by(|a, b| a.name.cmp(&b.name));
-            unique.dedup_by(|a, b| a.name == b.name);
-            let bucket = Bucket { entries: unique };
+            let mut bucket = Bucket::new();
+            for e in entries {
+                bucket.push(e);
+            }
+            tk_assert_eq!(bucket.encode(), encode_entries(entries));
+            let decoded = Bucket::decode(&bucket.encode()).unwrap();
+            tk_assert_eq!(decoded, bucket);
+            tk_assert_eq!(decoded.iter().map(|e| e.to_entry()).collect::<Vec<_>>(), *entries);
+            Ok(())
+        },
+    );
+}
+
+/// One step of a bucket script: insert a fresh entry, or remove / look up
+/// the name at an index into the (small, colliding) name pool.
+#[derive(Debug, Clone)]
+enum BucketOp {
+    Insert(DirEntry),
+    Remove(String),
+    Find(String),
+}
+
+#[test]
+fn bucket_matches_a_vec_model() {
+    const POOL: &[&str] = &["a", "b", "cc", "dd.txt", "e-long-name", "\u{e9}t\u{e9}", "z"];
+    let pooled = |g: &mut Gen| POOL[g.usize_below(POOL.len())].to_string();
+    Runner::new("bucket_matches_a_vec_model").cases(CASES).run(
+        |g| {
+            g.vec(0, 60, |g| match g.usize_below(3) {
+                0 => BucketOp::Insert(DirEntry { name: pooled(g), ..gen_entry(g) }),
+                1 => BucketOp::Remove(pooled(g)),
+                _ => BucketOp::Find(pooled(g)),
+            })
+        },
+        |v| shrink::vec(v),
+        |script| {
+            let mut bucket = Bucket::new();
+            let mut model: Vec<DirEntry> = Vec::new();
+            for op in script {
+                match op {
+                    // Names are unique within a directory (Dirnode::insert
+                    // checks before it pushes); the script does the same.
+                    BucketOp::Insert(e) if model.iter().any(|m| m.name == e.name) => {}
+                    BucketOp::Insert(e) => {
+                        bucket.push(e);
+                        model.push(e.clone());
+                    }
+                    BucketOp::Remove(name) => {
+                        let expected =
+                            model.iter().position(|m| m.name == *name).map(|i| model.remove(i));
+                        tk_assert_eq!(bucket.remove(name), expected);
+                    }
+                    BucketOp::Find(name) => {
+                        let expected = model.iter().find(|m| m.name == *name).cloned();
+                        tk_assert_eq!(bucket.find(name).map(|e| e.to_entry()), expected);
+                    }
+                }
+                tk_assert_eq!(bucket.len(), model.len());
+                tk_assert_eq!(bucket.encode(), encode_entries(&model));
+            }
             tk_assert_eq!(Bucket::decode(&bucket.encode()).unwrap(), bucket);
             Ok(())
         },
@@ -125,11 +197,38 @@ fn bucket_roundtrips() {
 
 #[test]
 fn bucket_decode_never_panics() {
+    // Half the inputs are mutated valid bodies, so decoding succeeds often
+    // enough for the accessors to run on attacker-shaped buckets too.
     Runner::new("bucket_decode_never_panics").cases(CASES).run(
-        |g| g.byte_vec(0, 256),
+        |g| {
+            if g.usize_below(2) == 0 {
+                return g.byte_vec(0, 256);
+            }
+            let mut body = encode_entries(&g.vec(0, 6, gen_entry));
+            if g.usize_below(2) == 0 {
+                let at = g.usize_below(body.len());
+                body[at] ^= 1 << g.usize_below(8);
+            }
+            body
+        },
         |v| shrink::bytes(v),
         |bytes| {
-            let _ = Bucket::decode(bytes);
+            let Ok(mut bucket) = Bucket::decode(bytes) else { return Ok(()) };
+            tk_assert_eq!(bucket.encode(), *bytes);
+            let names: Vec<String> = bucket.iter().map(|e| e.name().to_string()).collect();
+            tk_assert_eq!(names.len(), bucket.len());
+            for e in bucket.iter() {
+                let _ = (e.uuid(), e.kind(), e.is_directory());
+            }
+            let _ = bucket.find("no-such-name");
+            // Duplicate names are not a decode error (only Dirnode::insert
+            // keeps them unique); find and remove take the first.
+            for name in &names {
+                tk_assert!(bucket.find(name).is_some());
+                tk_assert!(bucket.remove(name).is_some());
+            }
+            tk_assert!(bucket.is_empty());
+            tk_assert_eq!(bucket, Bucket::new());
             Ok(())
         },
     );

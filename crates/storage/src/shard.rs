@@ -4,14 +4,13 @@
 //! lock: `MemBackend` held a single `RwLock<Inner>` epoch, and the AFS
 //! client/server and cloud simulator each kept whole-store `Mutex` maps.
 //! This module centralizes the replacement: fixed arrays of `nexus-sync`
-//! locks indexed by a deterministic function of the object path, reusing
-//! the 16-shard scheme of `core::cache::ShardedCache` (which shards the
-//! in-enclave metadata cache by the UUID's first byte).
+//! locks indexed by a deterministic function of the object path, 16 by
+//! default.
 //!
 //! NEXUS object names are UUID hex strings, so for those the shard index
 //! *is* the UUID's first byte (parsed from the leading two hex chars)
-//! modulo the shard count — the same placement the enclave-side cache
-//! uses. Non-UUID names (bench fixtures, `.lock` objects, plain-AFS
+//! modulo the shard count, which is uniformly random for generated UUIDs.
+//! Non-UUID names (bench fixtures, `.lock` objects, plain-AFS
 //! baseline paths) fall back to an FNV-1a hash so they still spread
 //! uniformly.
 //!
@@ -32,7 +31,7 @@ use std::sync::Arc;
 
 use nexus_sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// Default shard count, matching `core::cache::ShardedCache`.
+/// Default shard count.
 pub const DEFAULT_SHARD_COUNT: usize = 16;
 
 fn hex_val(b: u8) -> Option<u8> {
@@ -105,7 +104,7 @@ impl<T> Clone for ShardedRwLock<T> {
 }
 
 impl<T: Default> ShardedRwLock<T> {
-    /// A 16-way array (the `ShardedCache` scheme).
+    /// A [`DEFAULT_SHARD_COUNT`]-way array.
     pub fn new() -> ShardedRwLock<T> {
         ShardedRwLock::with_shards(DEFAULT_SHARD_COUNT)
     }
@@ -185,7 +184,7 @@ impl<T> Clone for ShardedMutex<T> {
 }
 
 impl<T: Default> ShardedMutex<T> {
-    /// A 16-way array (the `ShardedCache` scheme).
+    /// A [`DEFAULT_SHARD_COUNT`]-way array.
     pub fn new() -> ShardedMutex<T> {
         ShardedMutex::with_shards(DEFAULT_SHARD_COUNT)
     }

@@ -244,10 +244,10 @@ pub fn build_fs_world(cfg: &FsScaleConfig) -> FsWorld {
     ias.register_platform(&owner_platform);
     let owner = UserKeys::from_seed("owner", &[0x51u8; 32]);
     let auditor = UserKeys::from_seed("auditor", &[0x52u8; 32]);
-    // One cache shard per client: no internal cache contention at 100k
-    // mounts, no 16-mutex memory tax (same reasoning as the wire world).
-    let nexus_cfg = NexusConfig { cache_shards: 1, ..NexusConfig::default() };
+    let nexus_cfg = NexusConfig::default();
 
+    // One AFS cache shard per client: no 16-mutex memory tax at 100k
+    // mounts (same reasoning as the wire world).
     let owner_afs =
         Arc::new(AfsClient::connect_with_cache_shards(&server, clock.clone(), cfg.latency, 1));
     let (owner_volume, sealed) =

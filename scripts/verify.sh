@@ -94,6 +94,13 @@ cargo build --release --workspace --offline
 echo "== cargo test -q --offline =="
 cargo test -q --workspace --offline
 
+echo "== benchmark package (its own workspace) =="
+# benchmark/ path-depends on crates/* but is not a member of this
+# workspace, so neither command above builds it: a nexus-core API change
+# could break the instrument that judges performance changes unnoticed.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
 echo "== durable-backend commit-path audit =="
 # The torn-write bug this repo once shipped was a bare `std::fs::write`
 # on DirBackend's put path: no temp file, no fsync, no atomic rename. A

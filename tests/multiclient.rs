@@ -231,3 +231,41 @@ fn threaded_clients_in_same_directory() {
     let _b = hb.join().unwrap();
     assert_eq!(a.list_dir("shared").unwrap().len(), 40, "no lost updates");
 }
+
+#[test]
+fn acl_updates_do_not_overwrite_concurrent_creates() {
+    // An ACL update rewrites the directory's main object, which also holds
+    // the bucket MACs: it must take the directory lock and reload under it
+    // like a create does, or it writes back the MACs it resolved before the
+    // other client's create landed (entry lost, then every reader sees a
+    // bucket that no longer matches its directory).
+    use std::sync::atomic::{AtomicBool, Ordering};
+    const FILES: usize = 60;
+    let deployment = Deployment::new();
+    let (owner, peer) = shared_pair(&deployment);
+    let done = Arc::new(AtomicBool::new(false));
+    let creator_done = done.clone();
+    let creator = std::thread::spawn(move || {
+        for i in 0..FILES {
+            peer.create_file(&format!("shared/f{i:02}")).unwrap();
+        }
+        creator_done.store(true, Ordering::SeqCst);
+        peer
+    });
+    let mut toggles = 0u32;
+    while !done.load(Ordering::SeqCst) {
+        let rights = if toggles.is_multiple_of(2) { Rights::READ } else { Rights::RW };
+        owner.set_acl("shared", "owner", rights).unwrap();
+        toggles += 1;
+    }
+    let peer = creator.join().unwrap();
+    assert!(toggles > 0);
+    for volume in [&owner, &peer] {
+        for i in 0..FILES {
+            volume.lookup(&format!("shared/f{i:02}")).unwrap();
+        }
+    }
+    let report = owner.fsck(nexus::core::FsckMode::Deep).unwrap();
+    assert!(report.is_clean(), "{:?}", report.errors);
+    assert_eq!(report.files, FILES as u64);
+}

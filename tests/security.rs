@@ -313,3 +313,83 @@ fn deleted_objects_stay_deleted() {
     evil.delete(&uuid).unwrap();
     assert!(matches!(volume.read_file("f.txt"), Err(NexusError::NotFound(_))));
 }
+
+// -- The same attacks against a session whose metadata cache is warm ------
+//
+// A warm session keeps decrypted dirnodes *and their buckets*; what lets it
+// trust them is the per-component version probe of the main object, which
+// binds every bucket by MAC. These pin that nothing served from the cache
+// skips a check a cold session would make.
+
+/// The object names `f` adds to the store.
+fn objects_added_by(evil: &Evil, f: impl FnOnce()) -> Vec<String> {
+    let before = evil.list("");
+    f();
+    evil.list("").into_iter().filter(|name| !before.contains(name)).collect()
+}
+
+#[test]
+fn warm_cache_never_consults_a_swapped_or_tampered_bucket() {
+    let (platform, ias, evil, owner, volume, sealed) = setup();
+    volume.mkdir("a").unwrap();
+    volume.mkdir("b").unwrap();
+    // A symlink is an entry and nothing else: the one new object is the
+    // directory's (first) bucket.
+    let bucket_a = objects_added_by(&evil, || volume.symlink("to-a", "a/l").unwrap());
+    let bucket_b = objects_added_by(&evil, || volume.symlink("to-b", "b/l").unwrap());
+    let (bucket_a, bucket_b) = (&bucket_a[0], &bucket_b[0]);
+    let mount = || {
+        let v = NexusVolume::mount(&platform, evil.clone(), &ias, &sealed, NexusConfig::default())
+            .unwrap();
+        v.authenticate(&owner).unwrap();
+        v
+    };
+    let warm = mount();
+    assert_eq!(warm.readlink("a/l").unwrap(), "to-a");
+    assert_eq!(warm.readlink("b/l").unwrap(), "to-b");
+
+    // Both buckets are authentic and carry their directory as parent, so
+    // only the MAC in the (unchanged) main object tells them apart.
+    evil.swap(bucket_a, bucket_b);
+    evil.tamper_with(bucket_a);
+    let reads = evil.stats().reads;
+    assert_eq!(warm.readlink("a/l").unwrap(), "to-a");
+    assert_eq!(warm.readlink("b/l").unwrap(), "to-b");
+    assert_eq!(evil.stats().reads, reads, "verified buckets are not fetched again");
+    // A cold session fetches them, and the MAC check rejects both.
+    let cold = mount();
+    for path in ["a/l", "b/l"] {
+        let err = cold.readlink(path).unwrap_err();
+        assert!(matches!(err, NexusError::Integrity(_)), "{path}: got {err}");
+    }
+    // The warm session is not immune either: once the directory changes it
+    // drops the node and must verify the buckets it is served again.
+    evil.clear_attacks();
+    volume.symlink("x", "a/l2").unwrap();
+    evil.swap(bucket_a, bucket_b);
+    let err = warm.readlink("a/l").unwrap_err();
+    assert!(matches!(err, NexusError::Integrity(_)), "got {err}");
+}
+
+#[test]
+fn warm_cache_still_detects_a_rolled_back_directory() {
+    let (platform, ias, evil, owner, volume, sealed) = setup();
+    volume.mkdir("d").unwrap();
+    let dir = volume.lookup("d").unwrap().uuid.object_name();
+    let bucket = objects_added_by(&evil, || volume.symlink("v1", "d/l1").unwrap());
+    volume.symlink("v2", "d/l2").unwrap();
+    let warm =
+        NexusVolume::mount(&platform, evil.clone(), &ias, &sealed, NexusConfig::default())
+            .unwrap();
+    warm.authenticate(&owner).unwrap();
+    assert_eq!(warm.readlink("d/l2").unwrap(), "v2");
+
+    // The server rolls main object and bucket back *together*, to versions
+    // that are consistent with each other, and advertises the old status.
+    evil.rollback(&dir);
+    evil.rollback(&bucket[0]);
+    let err = warm.readlink("d/l2").unwrap_err();
+    assert!(matches!(err, NexusError::Rollback { .. }), "got {err}");
+    let err = warm.list_dir("d").unwrap_err();
+    assert!(matches!(err, NexusError::Rollback { .. }), "got {err}");
+}
