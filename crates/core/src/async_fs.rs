@@ -173,8 +173,11 @@ impl AsyncVolume {
         self.lane.raise_to(arrival);
     }
 
-    /// Async whole-file write: lookup/create + chunk seal + one-RPC
-    /// `MetaCommit`; the lane pays the RPCs and the modelled seal cost.
+    /// Async whole-file write: the same single enclave call as
+    /// [`NexusVolume::write_file`] (walk, create if absent, chunk seal, one
+    /// `MetaCommit`), so the modelled seal cost is charged once per op, as
+    /// the serial oracle and the thread world charge it; the lane pays the
+    /// RPCs as they happen.
     pub async fn write_file(&self, path: &str, data: &[u8]) -> Result<()> {
         self.turn().await;
         let r = self.volume.write_file(path, data);

@@ -7,12 +7,13 @@
 //! [`crate::volume::NexusVolume`], and all storage traffic flows through
 //! ocalls (the crate-private `MetaIo` shim).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use nexus_crypto::sha2::Sha256;
 use nexus_sgx::EnclaveEnv;
 use nexus_storage::StorageBackend;
+use nexus_sync::Mutex;
 
 use crate::acl::{Principal, Rights, UserId};
 use crate::error::{NexusError, Result};
@@ -285,19 +286,123 @@ fn open_meta_blob(
     }
 }
 
+/// Cache hits an operation has relied on without having compared them with
+/// storage yet, and what the last comparison found.
+#[derive(Debug, Default)]
+struct Probes {
+    /// uuid → storage version of the cached node the operation used.
+    pending: BTreeMap<NexusUuid, u64>,
+    /// Cached objects a comparison found changed or gone, for
+    /// [`revalidated`] to evict.
+    stale: Vec<NexusUuid>,
+    /// Storage versions read this operation and not yet recorded with a
+    /// fetched body. Each is a lower bound on what a later fetch returns.
+    observed: BTreeMap<NexusUuid, u64>,
+}
+
 /// Storage access from inside the enclave: every call is an ocall into the
 /// untrusted runtime, which forwards to the backing store.
+///
+/// It also owns the operation's *pending probes* (DESIGN.md §9, "One probe
+/// per phase"): a metadata-cache hit is recorded with [`MetaIo::defer_probe`]
+/// instead of paying a `stat` on the spot, and every fetch, write, delete
+/// and lock settles the pending set first — one `stat_many` for the whole
+/// set — failing with [`NexusError::StaleRead`] when a cached object moved.
+/// Nothing is ever fetched, written or locked on the word of a cached object
+/// that has not been compared with storage since it was used.
 pub(crate) struct MetaIo<'a> {
     pub(crate) env: &'a EnclaveEnv<'a>,
-    pub(crate) backend: &'a dyn StorageBackend,
+    backend: &'a dyn StorageBackend,
+    /// `NexusConfig::batch_rpcs`: one `stat_many` per settle, else a serial
+    /// `stat` loop over the same objects.
+    batch: bool,
+    /// A mutex only because the pipelined read path calls `get_range` from
+    /// its prefetch thread; nothing ever contends for it.
+    probes: Mutex<Probes>,
 }
 
 impl<'a> MetaIo<'a> {
-    pub(crate) fn new(env: &'a EnclaveEnv<'a>, backend: &'a dyn StorageBackend) -> MetaIo<'a> {
-        MetaIo { env, backend }
+    pub(crate) fn new(
+        env: &'a EnclaveEnv<'a>,
+        backend: &'a dyn StorageBackend,
+        batch_rpcs: bool,
+    ) -> MetaIo<'a> {
+        MetaIo { env, backend, batch: batch_rpcs, probes: Mutex::default() }
+    }
+
+    /// Records that the operation is using the cached copy of `uuid`
+    /// decoded from storage version `cached`; the next [`MetaIo::settle`]
+    /// compares it.
+    pub(crate) fn defer_probe(&self, uuid: NexusUuid, cached: u64) {
+        self.probes.lock().pending.insert(uuid, cached);
+    }
+
+    /// Compares every pending probe with storage in one round trip. On a
+    /// mismatch the changed objects are queued for eviction and the caller
+    /// must re-run whatever it derived from them ([`revalidated`] does).
+    pub(crate) fn settle(&self) -> Result<()> {
+        self.probe_before_fetch(&[]).map(drop)
+    }
+
+    /// Settles the pending set and, in the same round trip, reads the
+    /// storage versions to record for the objects in `fetch`, which the
+    /// caller is about to fetch. Version **before** body: a write landing
+    /// between the two then leaves a newer body under an older version,
+    /// which the next probe refetches — never an older body under a newer
+    /// version, which every later probe would accept. A version a failed
+    /// comparison already saw is reused, so reloading a stale node costs
+    /// the failed probe and the fetch, nothing more.
+    pub(crate) fn probe_before_fetch(&self, fetch: &[NexusUuid]) -> Result<Vec<u64>> {
+        let (pending, unseen) = {
+            let mut probes = self.probes.lock();
+            let unseen: Vec<NexusUuid> =
+                fetch.iter().filter(|u| !probes.observed.contains_key(u)).copied().collect();
+            (std::mem::take(&mut probes.pending), unseen)
+        };
+        let mut on_store = self.versions(pending.keys().chain(&unseen)).into_iter();
+        let mut probes = self.probes.lock();
+        let mut moved = None;
+        for (uuid, cached) in pending {
+            let seen = on_store.next().flatten();
+            if seen == Some(cached) {
+                continue;
+            }
+            probes.stale.push(uuid);
+            moved = Some(uuid);
+            if let Some(version) = seen {
+                probes.observed.insert(uuid, version);
+            }
+        }
+        for uuid in unseen {
+            if let Some(version) = on_store.next().flatten() {
+                probes.observed.insert(uuid, version);
+            }
+        }
+        if let Some(uuid) = moved {
+            return Err(NexusError::StaleRead(format!(
+                "cached object {uuid} changed on storage"
+            )));
+        }
+        // An object that does not exist has no version; its fetch fails.
+        Ok(fetch.iter().map(|u| probes.observed.remove(u).unwrap_or(0)).collect())
+    }
+
+    /// True when no cache hit is waiting to be compared.
+    pub(crate) fn is_settled(&self) -> bool {
+        self.probes.lock().pending.is_empty()
+    }
+
+    /// Queues `uuid` for eviction by [`revalidated`].
+    pub(crate) fn mark_stale(&self, uuid: NexusUuid) {
+        self.probes.lock().stale.push(uuid);
+    }
+
+    fn take_stale(&self) -> Vec<NexusUuid> {
+        std::mem::take(&mut self.probes.lock().stale)
     }
 
     pub(crate) fn get(&self, uuid: &NexusUuid) -> Result<Vec<u8>> {
+        self.settle()?;
         let name = uuid.object_name();
         self.env
             .ocall(|| self.backend.get(&name))
@@ -305,6 +410,7 @@ impl<'a> MetaIo<'a> {
     }
 
     pub(crate) fn get_range(&self, uuid: &NexusUuid, offset: u64, len: u64) -> Result<Vec<u8>> {
+        self.settle()?;
         let name = uuid.object_name();
         self.env
             .ocall(|| self.backend.get_range(&name, offset, len))
@@ -312,46 +418,61 @@ impl<'a> MetaIo<'a> {
     }
 
     pub(crate) fn put(&self, uuid: &NexusUuid, data: &[u8]) -> Result<()> {
+        self.settle()?;
         let name = uuid.object_name();
         self.env
             .ocall(|| self.backend.put(&name, data))
             .map_err(NexusError::from)
     }
 
-    /// Fetches many objects in one enclave exit and one batched storage RPC.
-    /// Per-object results: a missing object fails its own slot only.
-    pub(crate) fn get_many(&self, uuids: &[NexusUuid]) -> Vec<Result<Vec<u8>>> {
+    /// Fetches many objects in one enclave exit and one batched storage RPC
+    /// (one `get` per object, in order, when batching is off). Per-object
+    /// results: a missing object fails its own slot only.
+    pub(crate) fn get_many(&self, uuids: &[NexusUuid]) -> Result<Vec<Result<Vec<u8>>>> {
+        if !self.batch {
+            return Ok(uuids.iter().map(|uuid| self.get(uuid)).collect());
+        }
+        self.settle()?;
         let names: Vec<String> = uuids.iter().map(|u| u.object_name()).collect();
-        self.env
+        Ok(self
+            .env
             .ocall(|| self.backend.get_many(&names))
             .into_iter()
             .map(|r| r.map_err(NexusError::from))
-            .collect()
+            .collect())
     }
 
-    /// Writes many objects in one enclave exit and one batched storage RPC,
-    /// surfacing the first per-object error. An empty batch issues nothing.
-    pub(crate) fn put_many(&self, items: Vec<(NexusUuid, Vec<u8>)>) -> Result<()> {
+    /// Writes many objects (object name, bytes) in one enclave exit and one
+    /// batched storage RPC — one `put` per object, in order, when batching
+    /// is off — surfacing the first per-object error. An empty batch issues
+    /// nothing.
+    pub(crate) fn put_many(&self, items: &[(String, Vec<u8>)]) -> Result<()> {
+        self.settle()?;
         if items.is_empty() {
             return Ok(());
         }
-        let named: Vec<(String, Vec<u8>)> = items
-            .into_iter()
-            .map(|(uuid, data)| (uuid.object_name(), data))
-            .collect();
-        for result in self.env.ocall(|| self.backend.put_many(&named)) {
+        let results = if self.batch {
+            self.env.ocall(|| self.backend.put_many(items))
+        } else {
+            items.iter().map(|(name, data)| self.env.ocall(|| self.backend.put(name, data))).collect()
+        };
+        for result in results {
             result?;
         }
         Ok(())
     }
 
     pub(crate) fn delete(&self, uuid: &NexusUuid) -> Result<()> {
+        self.settle()?;
         let name = uuid.object_name();
         self.env
             .ocall(|| self.backend.delete(&name))
             .map_err(NexusError::from)
     }
 
+    /// The storage version of one object (`None` when it does not exist).
+    /// Only the supernode and the manifest pay this round trip of their
+    /// own; metadata nodes go through [`MetaIo::probe_before_fetch`].
     pub(crate) fn version(&self, uuid: &NexusUuid) -> Option<u64> {
         let name = uuid.object_name();
         self.env
@@ -360,7 +481,29 @@ impl<'a> MetaIo<'a> {
             .map(|s| s.version)
     }
 
+    /// The storage versions of `uuids`: one `stat_many` when batching is
+    /// on, the same objects as a serial `stat` loop otherwise; no call at
+    /// all for no objects.
+    pub(crate) fn versions<'u>(
+        &self,
+        uuids: impl IntoIterator<Item = &'u NexusUuid>,
+    ) -> Vec<Option<u64>> {
+        if !self.batch {
+            return uuids.into_iter().map(|uuid| self.version(uuid)).collect();
+        }
+        let names: Vec<String> = uuids.into_iter().map(|u| u.object_name()).collect();
+        if names.is_empty() {
+            return Vec::new();
+        }
+        self.env
+            .ocall(|| self.backend.stat_many(&names))
+            .into_iter()
+            .map(|r| r.ok().map(|s| s.version))
+            .collect()
+    }
+
     pub(crate) fn lock(&self, uuid: &NexusUuid) -> Result<()> {
+        self.settle()?;
         // `flock` blocks until the lock is granted; emulate with a bounded
         // retry loop so cross-client contention resolves instead of erroring.
         let name = uuid.object_name();
@@ -442,38 +585,48 @@ fn next_version(mounted: &mut Mounted, uuid: &NexusUuid) -> u64 {
     *seen
 }
 
-/// Retries `load` while concurrent updates are observed (stale manifest
-/// disagreements), escalating to an integrity violation when persistent.
-fn retry_fresh<T>(
-    mut load: impl FnMut() -> Result<T>,
+/// Runs the read-only `phase` — a path walk, or the reload of what a
+/// mutation is built on after its locks are taken — until every cached
+/// object it relied on has been compared with storage and found current.
+///
+/// The phase's cache hits are settled in one round trip when it ends,
+/// whether it produced a value or an error (a `NotFound` derived from a
+/// stale parent is no answer). When the comparison — or the phase itself,
+/// through a fetch that settled early, a bucket that no longer matches its
+/// dirnode, or a freshness-manifest disagreement — reports a concurrent
+/// update, the changed objects are evicted and the phase runs again. The
+/// second run follows at once (a stale cache is not a race); later ones
+/// back off so an in-flight writer can land. A disagreement that outlives
+/// the budget is an integrity violation.
+///
+/// `phase` must not write: it may run many times.
+pub(crate) fn revalidated<T>(
+    state: &mut EnclaveState,
+    io: &MetaIo<'_>,
+    mut phase: impl FnMut(&mut EnclaveState, &MetaIo<'_>) -> Result<T>,
 ) -> Result<T> {
     const RETRIES: u64 = 32;
+    debug_assert!(io.is_settled(), "a phase must not inherit unverified cache hits");
     let mut last = String::new();
     for attempt in 0..RETRIES {
-        if attempt > 0 {
-            // Give the concurrent writer time to land its manifest update.
+        if attempt > 1 {
             std::thread::sleep(std::time::Duration::from_micros(50 * attempt));
         }
-        match load() {
+        let out = phase(state, io);
+        match io.settle().and(out) {
             Err(NexusError::StaleRead(why)) => last = why,
             other => return other,
+        }
+        for uuid in io.take_stale() {
+            evict(state, io, &uuid);
         }
     }
     Err(NexusError::Integrity(format!("{last} (persisted across retries)")))
 }
 
-/// Loads a dirnode's main object (buckets unloaded), honouring the cache
-/// and healing concurrent-update races.
+/// Loads a dirnode's main object (buckets unloaded). A cache hit is used
+/// at once and compared with storage when the phase settles.
 pub(crate) fn load_dirnode(
-    state: &mut EnclaveState,
-    io: &MetaIo<'_>,
-    uuid: NexusUuid,
-    expected_parent: Option<NexusUuid>,
-) -> Result<Arc<Dirnode>> {
-    retry_fresh(|| load_dirnode_once(state, io, uuid, expected_parent))
-}
-
-fn load_dirnode_once(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
     uuid: NexusUuid,
@@ -483,22 +636,20 @@ fn load_dirnode_once(
     let mounted = state.mounted()?;
     if use_cache {
         if let Some((CachedNode::Dir(dir), cached_ver)) = mounted.meta_cache.get(&uuid) {
-            if io.version(&uuid) == Some(cached_ver) {
-                if let Some(parent) = expected_parent {
-                    if dir.parent != parent {
-                        return Err(NexusError::Integrity(format!(
-                            "cached dirnode {uuid} has unexpected parent"
-                        )));
-                    }
+            io.defer_probe(uuid, cached_ver);
+            if let Some(parent) = expected_parent {
+                if dir.parent != parent {
+                    return Err(NexusError::Integrity(format!(
+                        "cached dirnode {uuid} has unexpected parent"
+                    )));
                 }
-                return Ok(dir);
             }
-            mounted.meta_cache.remove(io.env, &uuid);
+            return Ok(dir);
         }
     }
+    let storage_version = io.probe_before_fetch(&[uuid])?[0];
     let blob = io.get(&uuid)?;
     crate::freshness::verify_fresh(state, io, &uuid, &blob)?;
-    let storage_version = io.version(&uuid).unwrap_or(0);
     let (preamble, body) = open_meta_blob(state, io, &blob)?;
     let mounted = state.mounted()?;
     admit(mounted, &preamble, &uuid, ObjectKind::Dirnode, expected_parent)?;
@@ -536,8 +687,9 @@ pub(crate) fn load_bucket(
     let mac = Sha256::digest(&blob);
     if mac != expected_mac {
         // Either an attack, or a concurrent writer updated the bucket after
-        // we read the main dirnode. Callers retry with a fresh dirnode and
-        // report an integrity violation only if the mismatch persists.
+        // we read the main dirnode. The phase runs again on a fresh dirnode
+        // and reports an integrity violation only if the mismatch persists.
+        io.mark_stale(dir.uuid);
         return Err(NexusError::StaleRead(format!(
             "bucket {slot_uuid} does not match the MAC in its dirnode"
         )));
@@ -555,64 +707,33 @@ pub(crate) fn load_bucket(
     Ok(())
 }
 
-/// Retries `f` against a freshly reloaded dirnode whenever a concurrent
-/// update is observed mid-read (stale bucket MAC). After the retry budget,
-/// the persistent mismatch is reported as an integrity violation.
-fn retry_stale<T>(
-    state: &mut EnclaveState,
-    io: &MetaIo<'_>,
-    dir: &mut Arc<Dirnode>,
-    mut f: impl FnMut(&mut EnclaveState, &MetaIo<'_>, &mut Arc<Dirnode>) -> Result<T>,
-) -> Result<T> {
-    const RETRIES: usize = 32;
-    let mut last = String::new();
-    for _ in 0..RETRIES {
-        match f(state, io, dir) {
-            Err(NexusError::StaleRead(why)) => {
-                last = why;
-                std::thread::yield_now();
-                evict(state, io, &dir.uuid);
-                *dir = load_dirnode(state, io, dir.uuid, None)?;
-            }
-            other => return other,
-        }
-    }
-    Err(NexusError::Integrity(format!("{last} (persisted across retries)")))
-}
-
-/// Loads every bucket (required before mutations), healing concurrent-update
-/// races by reloading the dirnode.
+/// Loads every bucket of `dir` (required before mutations).
 pub(crate) fn load_all_buckets(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
     dir: &mut Arc<Dirnode>,
 ) -> Result<()> {
-    retry_stale(state, io, dir, |state, io, dir| {
-        for idx in 0..dir.buckets.len() {
-            load_bucket(state, io, dir, idx)?;
-        }
-        Ok(())
-    })
+    for idx in 0..dir.buckets.len() {
+        load_bucket(state, io, dir, idx)?;
+    }
+    Ok(())
 }
 
-/// Looks up `name` in `dir`, loading buckets lazily until found; heals
-/// concurrent-update races by reloading the dirnode.
+/// Looks up `name` in `dir`, loading buckets lazily until found.
 pub(crate) fn lookup_entry(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
     dir: &mut Arc<Dirnode>,
     name: &str,
 ) -> Result<Option<crate::metadata::dirnode::DirEntry>> {
-    retry_stale(state, io, dir, |state, io, dir| {
-        for idx in 0..dir.buckets.len() {
-            load_bucket(state, io, dir, idx)?;
-            let bucket = dir.buckets[idx].bucket.as_ref().expect("loaded just above");
-            if let Some(entry) = bucket.find(name) {
-                return Ok(Some(entry.to_entry()));
-            }
+    for idx in 0..dir.buckets.len() {
+        load_bucket(state, io, dir, idx)?;
+        let bucket = dir.buckets[idx].bucket.as_ref().expect("loaded just above");
+        if let Some(entry) = bucket.find(name) {
+            return Ok(Some(entry.to_entry()));
         }
-        Ok(None)
-    })
+    }
+    Ok(None)
 }
 
 /// A staged metadata commit: sealed blobs accumulate here and land on
@@ -622,7 +743,8 @@ pub(crate) fn lookup_entry(
 /// in both modes; only the RPC shape differs.
 #[derive(Debug, Default)]
 pub(crate) struct MetaCommit {
-    pending: Vec<(NexusUuid, Vec<u8>)>,
+    /// (object name, sealed blob), in staging order.
+    pending: Vec<(String, Vec<u8>)>,
     manifest_updates: Vec<(NexusUuid, [u8; 32])>,
     /// (uuid, node, decrypted body bytes the node retains).
     cache_inserts: Vec<(NexusUuid, CachedNode, usize)>,
@@ -636,7 +758,7 @@ impl MetaCommit {
     /// Stages a raw (non-metadata) object write, e.g. a new file's empty
     /// data object, so it rides the same batched flush.
     pub(crate) fn stage_raw(&mut self, uuid: NexusUuid, blob: Vec<u8>) {
-        self.pending.push((uuid, blob));
+        self.pending.push((uuid.object_name(), blob));
     }
 }
 
@@ -680,7 +802,7 @@ pub(crate) fn stage_dirnode(
         });
         slot.re.mac = Sha256::digest(&blob);
         commit.manifest_updates.push((slot.re.uuid, slot.re.mac));
-        commit.pending.push((slot.re.uuid, blob));
+        commit.pending.push((slot.re.uuid.object_name(), blob));
         slot.dirty = false;
     }
     let version = next_version(mounted, &dir.uuid);
@@ -697,7 +819,7 @@ pub(crate) fn stage_dirnode(
         io.env.random_bytes(dest)
     });
     commit.manifest_updates.push((dir.uuid, Sha256::digest(&blob)));
-    commit.pending.push((dir.uuid, blob));
+    commit.pending.push((dir.uuid.object_name(), blob));
     commit.cache_inserts.push((dir.uuid, CachedNode::Dir(dir), epc_bytes));
     Ok(())
 }
@@ -730,33 +852,32 @@ pub(crate) fn stage_filenode(
         io.env.random_bytes(dest)
     });
     commit.manifest_updates.push((fnode.uuid, Sha256::digest(&blob)));
-    commit.pending.push((fnode.uuid, blob));
+    commit.pending.push((fnode.uuid.object_name(), blob));
     commit.cache_inserts.push((fnode.uuid, CachedNode::File(fnode), body.len()));
     Ok(())
 }
 
 /// Lands a staged commit: every sealed blob in one `put_many` (one RPC,
 /// one lock epoch on the manifest) when batching is on, a serial put loop
-/// otherwise; then cache refresh and a single freshness-manifest record
-/// covering all updated objects.
+/// otherwise; then the cache learns the versions just written from one
+/// `stat_many` (the caller holds the advisory lock of every node it
+/// rewrites, so no foreign write can slip in between), and a single
+/// freshness-manifest record covers all updated objects.
 pub(crate) fn commit_flush(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
     commit: MetaCommit,
 ) -> Result<()> {
-    let config = state.config();
-    if config.batch_rpcs {
-        io.put_many(commit.pending)?;
-    } else {
-        for (uuid, blob) in &commit.pending {
-            io.put(uuid, blob)?;
-        }
-    }
-    if config.cache_metadata {
+    // The blobs are borrowed, and so outlive the cache inserts below: freed
+    // first, a multi-megabyte data object's chunk is what the allocator
+    // splits for those small long-lived nodes, and the next write's buffer
+    // no longer fits where this one was.
+    io.put_many(&commit.pending)?;
+    if state.config().cache_metadata {
+        let written = io.versions(commit.cache_inserts.iter().map(|(uuid, ..)| uuid));
         let mounted = state.mounted()?;
-        for (uuid, node, epc_bytes) in commit.cache_inserts {
-            let storage_version = io.version(&uuid).unwrap_or(0);
-            mounted.meta_cache.insert(io.env, uuid, node, storage_version, epc_bytes);
+        for ((uuid, node, epc_bytes), version) in commit.cache_inserts.into_iter().zip(written) {
+            mounted.meta_cache.insert(io.env, uuid, node, version.unwrap_or(0), epc_bytes);
         }
     }
     crate::freshness::record_objects(state, io, &commit.manifest_updates, &[])?;
@@ -775,46 +896,38 @@ pub(crate) fn store_dirnode(
     commit_flush(state, io, commit)
 }
 
-/// Loads a filenode, honouring the cache and healing concurrent-update
-/// races.
-pub(crate) fn load_filenode(
+/// The cached filenode `uuid`, its comparison with storage left pending.
+fn cached_filenode(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
     uuid: NexusUuid,
-    expected_parent: Option<NexusUuid>,
-) -> Result<Arc<Filenode>> {
-    retry_fresh(|| load_filenode_once(state, io, uuid, expected_parent))
+) -> Result<Option<Arc<Filenode>>> {
+    if !state.config().cache_metadata {
+        return Ok(None);
+    }
+    match state.mounted()?.meta_cache.get(&uuid) {
+        Some((CachedNode::File(fnode), cached_ver)) => {
+            io.defer_probe(uuid, cached_ver);
+            Ok(Some(fnode))
+        }
+        _ => Ok(None),
+    }
 }
 
-fn load_filenode_once(
+/// Checks in a filenode blob fetched from storage, whose storage version
+/// was read as `storage_version` before the fetch, and caches it.
+fn admit_filenode(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
     uuid: NexusUuid,
-    expected_parent: Option<NexusUuid>,
+    blob: &[u8],
+    storage_version: u64,
 ) -> Result<Arc<Filenode>> {
+    crate::freshness::verify_fresh(state, io, &uuid, blob)?;
+    let (preamble, body) = open_meta_blob(state, io, blob)?;
     let use_cache = state.config().cache_metadata;
     let mounted = state.mounted()?;
-    if use_cache {
-        if let Some((CachedNode::File(fnode), cached_ver)) = mounted.meta_cache.get(&uuid) {
-            if io.version(&uuid) == Some(cached_ver) {
-                if let Some(parent) = expected_parent {
-                    if fnode.parent != parent {
-                        return Err(NexusError::Integrity(format!(
-                            "cached filenode {uuid} has unexpected parent"
-                        )));
-                    }
-                }
-                return Ok(fnode);
-            }
-            mounted.meta_cache.remove(io.env, &uuid);
-        }
-    }
-    let blob = io.get(&uuid)?;
-    crate::freshness::verify_fresh(state, io, &uuid, &blob)?;
-    let storage_version = io.version(&uuid).unwrap_or(0);
-    let (preamble, body) = open_meta_blob(state, io, &blob)?;
-    let mounted = state.mounted()?;
-    admit(mounted, &preamble, &uuid, ObjectKind::Filenode, expected_parent)?;
+    admit(mounted, &preamble, &uuid, ObjectKind::Filenode, None)?;
     let fnode = Arc::new(Filenode::decode(&body)?);
     if fnode.uuid != uuid {
         return Err(NexusError::Integrity("filenode body uuid mismatch".into()));
@@ -831,17 +944,53 @@ fn load_filenode_once(
     Ok(fnode)
 }
 
-/// Seals and stores a filenode, updating the cache. `dir_scope` is the
-/// containing directory's key scope.
-pub(crate) fn store_filenode(
+/// Loads a filenode. A cache hit is used at once and compared with
+/// storage when the phase settles. (Which directory may lead to it is the
+/// caller's check: a hard-linked file has one parent pointer and many.)
+pub(crate) fn load_filenode(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
-    fnode: Arc<Filenode>,
-    dir_scope: Option<GroupId>,
-) -> Result<()> {
-    let mut commit = MetaCommit::new();
-    stage_filenode(state, io, &mut commit, fnode, dir_scope)?;
-    commit_flush(state, io, commit)
+    uuid: NexusUuid,
+) -> Result<Arc<Filenode>> {
+    if let Some(fnode) = cached_filenode(state, io, uuid)? {
+        return Ok(fnode);
+    }
+    let storage_version = io.probe_before_fetch(&[uuid])?[0];
+    let blob = io.get(&uuid)?;
+    admit_filenode(state, io, uuid, &blob, storage_version)
+}
+
+/// [`load_filenode`] for many files at once, in order: the misses are
+/// probed in the one `stat_many` that settles the pending set and fetched
+/// in one `get_many`. The
+/// first blob that fails its checks fails the load, as a serial loop would.
+pub(crate) fn load_filenodes(
+    state: &mut EnclaveState,
+    io: &MetaIo<'_>,
+    uuids: &[NexusUuid],
+) -> Result<Vec<Arc<Filenode>>> {
+    let mut cached = Vec::with_capacity(uuids.len());
+    let mut missing = Vec::new();
+    for uuid in uuids {
+        let hit = cached_filenode(state, io, *uuid)?;
+        if hit.is_none() {
+            missing.push(*uuid);
+        }
+        cached.push(hit);
+    }
+    let mut fetched = Vec::with_capacity(missing.len());
+    if !missing.is_empty() {
+        let versions = io.probe_before_fetch(&missing)?;
+        let blobs = io.get_many(&missing)?;
+        for ((uuid, version), blob) in missing.iter().zip(versions).zip(blobs) {
+            fetched.push(admit_filenode(state, io, *uuid, &blob?, version)?);
+        }
+    }
+    let mut fetched = fetched.into_iter();
+    Ok(cached
+        .into_iter()
+        .map(|hit| hit.unwrap_or_else(|| fetched.next().expect("one fetch per miss")))
+        .collect())
 }
 
 /// Drops an object from the metadata cache (after deletion).
@@ -980,9 +1129,11 @@ mod tests {
 
     fn load_full(v: &crate::volume::NexusVolume, path: &'static str) -> Arc<Dirnode> {
         v.ecall(|state, io| {
-            let (mut dir, _) = crate::fsops::resolve_dir(state, io, &[path])?;
-            load_all_buckets(state, io, &mut dir)?;
-            Ok(dir)
+            revalidated(state, io, |state, io| {
+                let (mut dir, _) = crate::fsops::resolve_dir(state, io, &[path])?;
+                load_all_buckets(state, io, &mut dir)?;
+                Ok(dir)
+            })
         })
         .unwrap()
     }

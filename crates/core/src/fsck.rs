@@ -10,7 +10,9 @@
 use std::collections::BTreeSet;
 
 use crate::acl::{Principal, Rights};
-use crate::enclave::{load_all_buckets, load_dirnode, load_filenode, EnclaveState, MetaIo};
+use crate::enclave::{
+    load_all_buckets, load_dirnode, load_filenode, revalidated, EnclaveState, MetaIo,
+};
 use crate::error::{NexusError, Result};
 use crate::fsops;
 use crate::metadata::dirnode::EntryKind;
@@ -86,7 +88,13 @@ pub(crate) fn run_fsck(
     while let Some((uuid, parent, path)) = stack.pop() {
         reachable.insert(uuid);
         let display = if path.is_empty() { "/".to_string() } else { path.clone() };
-        let mut dir = match load_dirnode(state, io, uuid, Some(parent)) {
+        // One phase: a bucket that no longer matches its dirnode sends the
+        // walk back to the dirnode, not just to the bucket.
+        let dir = match revalidated(state, io, |state, io| {
+            let mut dir = load_dirnode(state, io, uuid, Some(parent))?;
+            load_all_buckets(state, io, &mut dir)?;
+            Ok(dir)
+        }) {
             Ok(dir) => dir,
             Err(e) => {
                 report.errors.push((display, e.to_string()));
@@ -94,10 +102,6 @@ pub(crate) fn run_fsck(
             }
         };
         report.directories += 1;
-        if let Err(e) = load_all_buckets(state, io, &mut dir) {
-            report.errors.push((display, e.to_string()));
-            continue;
-        }
         for slot in &dir.buckets {
             reachable.insert(slot.re.uuid);
             report.buckets += 1;
@@ -135,7 +139,9 @@ pub(crate) fn run_fsck(
                 }
                 EntryKind::File => {
                     reachable.insert(entry.uuid);
-                    let fnode = match load_filenode(state, io, entry.uuid, None) {
+                    let fnode = match revalidated(state, io, |state, io| {
+                        load_filenode(state, io, entry.uuid)
+                    }) {
                         Ok(f) => f,
                         Err(e) => {
                             report.errors.push((child_path, e.to_string()));
@@ -200,17 +206,17 @@ impl NexusVolume {
     }
 
     fn enclave_fsck(&self, mode: FsckMode, inventory: Vec<String>) -> Result<FsckReport> {
-        let backend = self.backend().clone();
-        self.enclave().ecall(move |state, env| {
-            let io = MetaIo::new(env, backend.as_ref());
+        self.ecall(move |state, io| {
             // fsck reads everything; restrict to sessions with read access
             // at the root (the owner bypasses, per the ACL model).
             let session = state.session()?;
             if !session.is_owner {
-                let (root, effective) = fsops::resolve_dir(state, &io, &[])?;
-                state.check_access(&root, effective, Rights::READ)?;
+                revalidated(state, io, |state, io| {
+                    let (root, effective) = fsops::resolve_dir(state, io, &[])?;
+                    state.check_access(&root, effective, Rights::READ)
+                })?;
             }
-            run_fsck(state, &io, mode, &inventory)
+            run_fsck(state, io, mode, &inventory)
         })
     }
 

@@ -14,8 +14,8 @@ use crate::acl::{Rights, UserId};
 use crate::datapath;
 use crate::enclave::{
     commit_flush, evict, fresh_uuid, load_all_buckets, load_dirnode, load_filenode,
-    lookup_entry, stage_dirnode, stage_filenode, store_dirnode, store_filenode, EnclaveState,
-    MetaCommit, MetaIo,
+    load_filenodes, lookup_entry, revalidated, stage_dirnode, stage_filenode, store_dirnode,
+    EnclaveState, MetaCommit, MetaIo,
 };
 use crate::error::{NexusError, Result};
 use crate::metadata::dirnode::{DirEntry, Dirnode, EntryKind};
@@ -167,6 +167,100 @@ fn resolve_parent<'p>(
     Ok((dir, last, effective))
 }
 
+/// Walks to the directory that holds `path`'s final component, for a
+/// session allowed to write there: (the directory, the final name).
+fn writable_parent<'p>(
+    state: &mut EnclaveState,
+    io: &MetaIo<'_>,
+    path: &'p str,
+) -> Result<(NexusUuid, &'p str)> {
+    revalidated(state, io, |state, io| {
+        let (dir, name, effective) = resolve_parent(state, io, path)?;
+        validate_name(name)?;
+        state.check_access(&dir, effective, Rights::WRITE)?;
+        Ok((dir.uuid, name))
+    })
+}
+
+/// A directory with every bucket loaded — what a mutation is built on.
+/// Called inside the [`revalidated`] phase that follows the directory's
+/// lock, so a copy another client replaced since the walk is refetched
+/// while the lock keeps it still.
+fn load_full(state: &mut EnclaveState, io: &MetaIo<'_>, uuid: NexusUuid) -> Result<Arc<Dirnode>> {
+    let mut dir = load_dirnode(state, io, uuid, None)?;
+    load_all_buckets(state, io, &mut dir)?;
+    Ok(dir)
+}
+
+/// The metadata node behind a directory entry.
+enum Child {
+    Dir(Arc<Dirnode>),
+    File(Arc<Filenode>),
+    Symlink,
+}
+
+fn load_child(
+    state: &mut EnclaveState,
+    io: &MetaIo<'_>,
+    dir: &Dirnode,
+    entry: &DirEntry,
+) -> Result<Child> {
+    Ok(match entry.kind {
+        EntryKind::Directory => Child::Dir(load_dirnode(state, io, entry.uuid, Some(dir.uuid))?),
+        EntryKind::File => Child::File(load_filenode(state, io, entry.uuid)?),
+        EntryKind::Symlink(_) => Child::Symlink,
+    })
+}
+
+/// Adds a file or directory `name` to the directory `dir_uuid`: under the
+/// directory's advisory lock, on a copy reloaded under it. Returns the
+/// entry now bound to `name` and whether this call created it — another
+/// client may have, since the caller's walk.
+fn create_entry(
+    state: &mut EnclaveState,
+    io: &MetaIo<'_>,
+    dir_uuid: NexusUuid,
+    name: &str,
+    kind: FileType,
+) -> Result<(DirEntry, bool)> {
+    let _lock = LockGuard::acquire(io, dir_uuid)?;
+    let mut dir = revalidated(state, io, |state, io| load_full(state, io, dir_uuid))?;
+    if let Some(existing) = dir.find_loaded(name) {
+        return Ok((existing.to_entry(), false));
+    }
+    let child_uuid = fresh_uuid(io.env);
+    let config = state.config();
+    // The whole create — child object(s), the parent's dirty bucket, and
+    // the parent's main object — is staged into one commit and lands as a
+    // single batched round trip.
+    let mut commit = MetaCommit::new();
+    let entry_kind = match kind {
+        FileType::Directory => {
+            let mut child = Dirnode::new(child_uuid, dir.uuid, config.bucket_size);
+            // Subdirectories of a group-shared directory inherit its key
+            // scope, so the whole subtree follows the group's epochs.
+            child.scope = dir.scope;
+            stage_dirnode(state, io, &mut commit, Arc::new(child))?;
+            EntryKind::Directory
+        }
+        FileType::File => {
+            let data_uuid = fresh_uuid(io.env);
+            let fnode = Filenode::new(child_uuid, dir.uuid, data_uuid, config.chunk_size);
+            commit.stage_raw(data_uuid, Vec::new());
+            stage_filenode(state, io, &mut commit, Arc::new(fnode), dir.scope)?;
+            EntryKind::File
+        }
+        FileType::Symlink => {
+            return Err(NexusError::InvalidName("use fs_symlink for symlinks".into()))
+        }
+    };
+    let entry = DirEntry { name: name.into(), uuid: child_uuid, kind: entry_kind };
+    Arc::make_mut(&mut dir).insert(entry.clone(), fresh_uuid(io.env))?;
+    stage_dirnode(state, io, &mut commit, dir)?;
+    commit_flush(state, io, commit)?;
+    Ok((entry, true))
+}
+
 /// `nexus_fs_touch`: creates a file or directory at `path`.
 pub(crate) fn fs_touch(
     state: &mut EnclaveState,
@@ -174,71 +268,32 @@ pub(crate) fn fs_touch(
     path: &str,
     kind: FileType,
 ) -> Result<NexusUuid> {
-    let (mut dir, name, effective) = resolve_parent(state, io, path)?;
-    validate_name(name)?;
-    state.check_access(&dir, effective, Rights::WRITE)?;
-    let _lock = LockGuard::acquire(io, dir.uuid)?;
-    // Re-load under the lock: another client may have updated the dirnode
-    // between resolution and lock acquisition.
-    dir = load_dirnode(state, io, dir.uuid, None)?;
-    load_all_buckets(state, io, &mut dir)?;
-    if dir.find_loaded(name).is_some() {
-        return Err(NexusError::AlreadyExists(path.to_string()));
+    let (dir_uuid, name) = writable_parent(state, io, path)?;
+    match create_entry(state, io, dir_uuid, name, kind)? {
+        (entry, true) => Ok(entry.uuid),
+        (_, false) => Err(NexusError::AlreadyExists(path.to_string())),
     }
-    let child_uuid = fresh_uuid(io.env);
-    let config = state.config();
-    // The whole create — child object(s), the parent's dirty bucket, and
-    // the parent's main object — is staged into one commit and lands as a
-    // single batched round trip (§ISSUE: "metadata commit path groups
-    // dirnode-bucket + filenode + dirnode writes into one put_many").
-    let mut commit = MetaCommit::new();
-    match kind {
-        FileType::Directory => {
-            let mut child = Dirnode::new(child_uuid, dir.uuid, config.bucket_size);
-            // Subdirectories of a group-shared directory inherit its key
-            // scope, so the whole subtree follows the group's epochs.
-            child.scope = dir.scope;
-            stage_dirnode(state, io, &mut commit, Arc::new(child))?;
-            Arc::make_mut(&mut dir).insert(
-                DirEntry { name: name.into(), uuid: child_uuid, kind: EntryKind::Directory },
-                fresh_uuid(io.env),
-            )?;
-        }
-        FileType::File => {
-            let data_uuid = fresh_uuid(io.env);
-            let fnode = Filenode::new(child_uuid, dir.uuid, data_uuid, config.chunk_size);
-            commit.stage_raw(data_uuid, Vec::new());
-            stage_filenode(state, io, &mut commit, Arc::new(fnode), dir.scope)?;
-            Arc::make_mut(&mut dir).insert(
-                DirEntry { name: name.into(), uuid: child_uuid, kind: EntryKind::File },
-                fresh_uuid(io.env),
-            )?;
-        }
-        FileType::Symlink => {
-            return Err(NexusError::InvalidName("use fs_symlink for symlinks".into()))
-        }
-    }
-    stage_dirnode(state, io, &mut commit, dir)?;
-    commit_flush(state, io, commit)?;
-    Ok(child_uuid)
 }
 
 /// `nexus_fs_remove`: deletes the file, empty directory, or symlink at
 /// `path`.
 pub(crate) fn fs_remove(state: &mut EnclaveState, io: &MetaIo<'_>, path: &str) -> Result<()> {
-    let (mut dir, name, effective) = resolve_parent(state, io, path)?;
-    state.check_access(&dir, effective, Rights::WRITE)?;
-    let _lock = LockGuard::acquire(io, dir.uuid)?;
-    dir = load_dirnode(state, io, dir.uuid, None)?;
-    load_all_buckets(state, io, &mut dir)?;
-    let entry = dir
-        .find_loaded(name)
-        .map(|e| e.to_entry())
-        .ok_or_else(|| NexusError::NotFound(path.to_string()))?;
+    let (dir_uuid, name) = writable_parent(state, io, path)?;
+    let _lock = LockGuard::acquire(io, dir_uuid)?;
+    let (mut dir, child) = revalidated(state, io, |state, io| {
+        let dir = load_full(state, io, dir_uuid)?;
+        let entry = dir
+            .find_loaded(name)
+            .map(|e| e.to_entry())
+            .ok_or_else(|| NexusError::NotFound(path.to_string()))?;
+        let child = load_child(state, io, &dir, &entry)?;
+        Ok((dir, child))
+    })?;
+    let mut commit = MetaCommit::new();
     let mut manifest_removals: Vec<NexusUuid> = Vec::new();
-    match &entry.kind {
-        EntryKind::Directory => {
-            let child = load_dirnode(state, io, entry.uuid, Some(dir.uuid))?;
+    let mut _link_lock = None;
+    match child {
+        Child::Dir(child) => {
             if child.entry_count > 0 {
                 return Err(NexusError::NotEmpty(path.to_string()));
             }
@@ -246,23 +301,30 @@ pub(crate) fn fs_remove(state: &mut EnclaveState, io: &MetaIo<'_>, path: &str) -
                 let _ = io.delete(&slot.re.uuid);
                 manifest_removals.push(slot.re.uuid);
             }
-            io.delete(&entry.uuid)?;
-            manifest_removals.push(entry.uuid);
-            evict(state, io, &entry.uuid);
+            io.delete(&child.uuid)?;
+            manifest_removals.push(child.uuid);
+            evict(state, io, &child.uuid);
         }
-        EntryKind::File => {
-            let mut fnode = load_filenode(state, io, entry.uuid, None)?;
-            if fnode.nlink <= 1 {
-                let _ = io.delete(&fnode.data_uuid);
-                io.delete(&entry.uuid)?;
-                manifest_removals.push(entry.uuid);
-                evict(state, io, &entry.uuid);
-            } else {
+        Child::File(mut fnode) => {
+            if fnode.nlink > 1 {
+                // Another name keeps the file, so its filenode is rewritten:
+                // under the filenode's own lock, on a copy reloaded under
+                // it, like the overwrite this must not race.
+                let uuid = fnode.uuid;
+                _link_lock = Some(LockGuard::acquire(io, uuid)?);
+                fnode = revalidated(state, io, |state, io| load_filenode(state, io, uuid))?;
+            }
+            if fnode.nlink > 1 {
                 Arc::make_mut(&mut fnode).nlink -= 1;
-                store_filenode(state, io, fnode, dir.scope)?;
+                stage_filenode(state, io, &mut commit, fnode, dir.scope)?;
+            } else {
+                let _ = io.delete(&fnode.data_uuid);
+                io.delete(&fnode.uuid)?;
+                manifest_removals.push(fnode.uuid);
+                evict(state, io, &fnode.uuid);
             }
         }
-        EntryKind::Symlink(_) => {}
+        Child::Symlink => {}
     }
     let dir_mut = Arc::make_mut(&mut dir);
     dir_mut.remove(name)?;
@@ -270,7 +332,8 @@ pub(crate) fn fs_remove(state: &mut EnclaveState, io: &MetaIo<'_>, path: &str) -
         let _ = io.delete(&pruned);
         manifest_removals.push(pruned);
     }
-    store_dirnode(state, io, dir)?;
+    stage_dirnode(state, io, &mut commit, dir)?;
+    commit_flush(state, io, commit)?;
     crate::freshness::record_objects(state, io, &[], &manifest_removals)?;
     Ok(())
 }
@@ -282,64 +345,74 @@ pub(crate) fn fs_lookup(
     path: &str,
 ) -> Result<LookupInfo> {
     let comps = split_path(path)?;
-    if comps.is_empty() {
-        let (dir, effective) = resolve_dir(state, io, &[])?;
-        state.check_access(&dir, effective, Rights::READ)?;
-        return Ok(LookupInfo {
-            uuid: dir.uuid,
-            kind: FileType::Directory,
-            size: dir.entry_count,
-            nlink: 1,
-        });
-    }
-    let (mut dir, name, effective) = resolve_parent(state, io, path)?;
-    state.check_access(&dir, effective, Rights::READ)?;
-    let entry = lookup_entry(state, io, &mut dir, name)?
-        .ok_or_else(|| NexusError::NotFound(path.to_string()))?;
-    match &entry.kind {
-        EntryKind::Directory => {
-            let child = load_dirnode(state, io, entry.uuid, Some(dir.uuid))?;
-            Ok(LookupInfo {
-                uuid: entry.uuid,
+    revalidated(state, io, |state, io| {
+        if comps.is_empty() {
+            let (dir, effective) = resolve_dir(state, io, &[])?;
+            state.check_access(&dir, effective, Rights::READ)?;
+            return Ok(LookupInfo {
+                uuid: dir.uuid,
                 kind: FileType::Directory,
-                size: child.entry_count,
+                size: dir.entry_count,
                 nlink: 1,
-            })
+            });
         }
-        EntryKind::File => {
-            let fnode = load_file_via(state, io, &dir, &entry)?;
-            Ok(LookupInfo {
+        let (mut dir, name, effective) = resolve_parent(state, io, path)?;
+        state.check_access(&dir, effective, Rights::READ)?;
+        let entry = lookup_entry(state, io, &mut dir, name)?
+            .ok_or_else(|| NexusError::NotFound(path.to_string()))?;
+        match &entry.kind {
+            EntryKind::Directory => {
+                let child = load_dirnode(state, io, entry.uuid, Some(dir.uuid))?;
+                Ok(LookupInfo {
+                    uuid: entry.uuid,
+                    kind: FileType::Directory,
+                    size: child.entry_count,
+                    nlink: 1,
+                })
+            }
+            EntryKind::File => {
+                let fnode = load_file_via(state, io, dir.uuid, entry.uuid)?;
+                Ok(LookupInfo {
+                    uuid: entry.uuid,
+                    kind: FileType::File,
+                    size: fnode.size,
+                    nlink: fnode.nlink,
+                })
+            }
+            EntryKind::Symlink(_) => Ok(LookupInfo {
                 uuid: entry.uuid,
-                kind: FileType::File,
-                size: fnode.size,
-                nlink: fnode.nlink,
-            })
+                kind: FileType::Symlink,
+                size: 0,
+                nlink: 1,
+            }),
         }
-        EntryKind::Symlink(_) => Ok(LookupInfo {
-            uuid: entry.uuid,
-            kind: FileType::Symlink,
-            size: 0,
-            nlink: 1,
-        }),
-    }
+    })
 }
 
-/// Loads a filenode reached through `dir`, applying the parent-pointer check
-/// for non-hardlinked files (hardlinks legitimately have one parent only).
+/// Loads the filenode `file` reached through directory `dir`, applying the
+/// parent-pointer check.
 fn load_file_via(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
-    dir: &Dirnode,
-    entry: &DirEntry,
+    dir: NexusUuid,
+    file: NexusUuid,
 ) -> Result<Arc<Filenode>> {
-    let fnode = load_filenode(state, io, entry.uuid, None)?;
-    if fnode.nlink <= 1 && fnode.parent != dir.uuid {
+    let fnode = load_filenode(state, io, file)?;
+    check_reached_via(dir, &fnode)?;
+    Ok(fnode)
+}
+
+/// The parent-pointer check for a file reached through directory `dir`
+/// (non-hardlinked files only: a hardlinked one legitimately has one
+/// parent pointer and several parents).
+fn check_reached_via(dir: NexusUuid, fnode: &Filenode) -> Result<()> {
+    if fnode.nlink <= 1 && fnode.parent != dir {
         return Err(NexusError::Integrity(format!(
-            "filenode {} reached via {} but claims parent {} (swapping attack)",
-            entry.uuid, dir.uuid, fnode.parent
+            "filenode {} reached via {dir} but claims parent {} (swapping attack)",
+            fnode.uuid, fnode.parent
         )));
     }
-    Ok(fnode)
+    Ok(())
 }
 
 /// `nexus_fs_filldir`: lists a directory.
@@ -349,13 +422,15 @@ pub(crate) fn fs_filldir(
     path: &str,
 ) -> Result<Vec<DirRow>> {
     let comps = split_path(path)?;
-    let (mut dir, effective) = resolve_dir(state, io, &comps)?;
-    state.check_access(&dir, effective, Rights::READ)?;
-    load_all_buckets(state, io, &mut dir)?;
-    Ok(dir
-        .list_loaded()
-        .map(|e| DirRow { name: e.name().to_string(), kind: FileType::from(&e.kind()) })
-        .collect())
+    revalidated(state, io, |state, io| {
+        let (mut dir, effective) = resolve_dir(state, io, &comps)?;
+        state.check_access(&dir, effective, Rights::READ)?;
+        load_all_buckets(state, io, &mut dir)?;
+        Ok(dir
+            .list_loaded()
+            .map(|e| DirRow { name: e.name().to_string(), kind: FileType::from(&e.kind()) })
+            .collect())
+    })
 }
 
 /// `nexus_fs_symlink`: creates a symlink at `linkpath` pointing to `target`.
@@ -365,12 +440,9 @@ pub(crate) fn fs_symlink(
     target: &str,
     linkpath: &str,
 ) -> Result<NexusUuid> {
-    let (mut dir, name, effective) = resolve_parent(state, io, linkpath)?;
-    validate_name(name)?;
-    state.check_access(&dir, effective, Rights::WRITE)?;
-    let _lock = LockGuard::acquire(io, dir.uuid)?;
-    dir = load_dirnode(state, io, dir.uuid, None)?;
-    load_all_buckets(state, io, &mut dir)?;
+    let (dir_uuid, name) = writable_parent(state, io, linkpath)?;
+    let _lock = LockGuard::acquire(io, dir_uuid)?;
+    let mut dir = revalidated(state, io, |state, io| load_full(state, io, dir_uuid))?;
     let uuid = fresh_uuid(io.env);
     Arc::make_mut(&mut dir).insert(
         DirEntry { name: name.into(), uuid, kind: EntryKind::Symlink(target.into()) },
@@ -386,14 +458,16 @@ pub(crate) fn fs_readlink(
     io: &MetaIo<'_>,
     path: &str,
 ) -> Result<String> {
-    let (mut dir, name, effective) = resolve_parent(state, io, path)?;
-    state.check_access(&dir, effective, Rights::READ)?;
-    let entry = lookup_entry(state, io, &mut dir, name)?
-        .ok_or_else(|| NexusError::NotFound(path.to_string()))?;
-    match entry.kind {
-        EntryKind::Symlink(target) => Ok(target),
-        _ => Err(NexusError::InvalidName(format!("{path} is not a symlink"))),
-    }
+    revalidated(state, io, |state, io| {
+        let (mut dir, name, effective) = resolve_parent(state, io, path)?;
+        state.check_access(&dir, effective, Rights::READ)?;
+        let entry = lookup_entry(state, io, &mut dir, name)?
+            .ok_or_else(|| NexusError::NotFound(path.to_string()))?;
+        match entry.kind {
+            EntryKind::Symlink(target) => Ok(target),
+            _ => Err(NexusError::InvalidName(format!("{path} is not a symlink"))),
+        }
+    })
 }
 
 /// `nexus_fs_hardlink`: makes `linkpath` a second name for the file at
@@ -404,32 +478,40 @@ pub(crate) fn fs_hardlink(
     existing: &str,
     linkpath: &str,
 ) -> Result<()> {
-    let (mut src_dir, src_name, src_effective) = resolve_parent(state, io, existing)?;
-    state.check_access(&src_dir, src_effective, Rights::READ)?;
-    let src_entry = lookup_entry(state, io, &mut src_dir, src_name)?
-        .ok_or_else(|| NexusError::NotFound(existing.to_string()))?;
-    if !matches!(src_entry.kind, EntryKind::File) {
-        return Err(NexusError::IsADirectory(existing.to_string()));
-    }
-    let mut fnode = load_file_via(state, io, &src_dir, &src_entry)?;
-
-    let (mut dst_dir, dst_name, dst_effective) = resolve_parent(state, io, linkpath)?;
-    validate_name(dst_name)?;
-    state.check_access(&dst_dir, dst_effective, Rights::WRITE)?;
-    let _lock = LockGuard::acquire(io, dst_dir.uuid)?;
-    dst_dir = load_dirnode(state, io, dst_dir.uuid, None)?;
-    load_all_buckets(state, io, &mut dst_dir)?;
+    let (file, src_scope, dst_uuid, dst_name) = revalidated(state, io, |state, io| {
+        let (mut src_dir, src_name, src_effective) = resolve_parent(state, io, existing)?;
+        state.check_access(&src_dir, src_effective, Rights::READ)?;
+        let src_entry = lookup_entry(state, io, &mut src_dir, src_name)?
+            .ok_or_else(|| NexusError::NotFound(existing.to_string()))?;
+        if !matches!(src_entry.kind, EntryKind::File) {
+            return Err(NexusError::IsADirectory(existing.to_string()));
+        }
+        load_file_via(state, io, src_dir.uuid, src_entry.uuid)?;
+        let (dst_dir, dst_name, dst_effective) = resolve_parent(state, io, linkpath)?;
+        validate_name(dst_name)?;
+        state.check_access(&dst_dir, dst_effective, Rights::WRITE)?;
+        Ok((src_entry.uuid, src_dir.scope, dst_dir.uuid, dst_name))
+    })?;
+    // The link count lives in the filenode: its lock (after the
+    // directory's, the order every operation uses) excludes a concurrent
+    // overwrite or unlink of the same file.
+    let _lock = LockGuard::acquire(io, dst_uuid)?;
+    let _file_lock = LockGuard::acquire(io, file)?;
+    let (mut dst_dir, mut fnode) = revalidated(state, io, |state, io| {
+        Ok((load_full(state, io, dst_uuid)?, load_filenode(state, io, file)?))
+    })?;
     if dst_dir.find_loaded(dst_name).is_some() {
         return Err(NexusError::AlreadyExists(linkpath.to_string()));
     }
+    let mut commit = MetaCommit::new();
     Arc::make_mut(&mut fnode).nlink += 1;
-    store_filenode(state, io, fnode, src_dir.scope)?;
+    stage_filenode(state, io, &mut commit, fnode, src_scope)?;
     Arc::make_mut(&mut dst_dir).insert(
-        DirEntry { name: dst_name.into(), uuid: src_entry.uuid, kind: EntryKind::File },
+        DirEntry { name: dst_name.into(), uuid: file, kind: EntryKind::File },
         fresh_uuid(io.env),
     )?;
-    store_dirnode(state, io, dst_dir)?;
-    Ok(())
+    stage_dirnode(state, io, &mut commit, dst_dir)?;
+    commit_flush(state, io, commit)
 }
 
 /// True when `to` lies strictly inside the subtree rooted at `from`.
@@ -472,31 +554,62 @@ pub(crate) fn fs_rename(
             "cannot move {from:?} into its own subtree {to:?}"
         )));
     }
-    let (mut src_dir, src_name, src_effective) = resolve_parent(state, io, from)?;
-    state.check_access(&src_dir, src_effective, Rights::WRITE)?;
-    // POSIX ordering: the source must exist before the destination parent
-    // is even considered.
-    if lookup_entry(state, io, &mut src_dir, src_name)?.is_none() {
-        return Err(NexusError::NotFound(from.to_string()));
-    }
-    let (dst_dir, dst_name, dst_effective) = resolve_parent(state, io, to)?;
-    validate_name(dst_name)?;
-    state.check_access(&dst_dir, dst_effective, Rights::WRITE)?;
-
-    let same_dir = src_dir.uuid == dst_dir.uuid;
-    let _lock = LockGuard::acquire(io, src_dir.uuid)?;
-    let _lock2 = if same_dir { None } else { Some(LockGuard::acquire(io, dst_dir.uuid)?) };
-
-    src_dir = load_dirnode(state, io, src_dir.uuid, None)?;
-    load_all_buckets(state, io, &mut src_dir)?;
-    let entry = src_dir
-        .find_loaded(src_name)
-        .map(|e| e.to_entry())
-        .ok_or_else(|| NexusError::NotFound(from.to_string()))?;
-
-    if same_dir {
-        if src_name == dst_name {
+    const RESTARTS: usize = 32;
+    for _ in 0..RESTARTS {
+        if rename_once(state, io, from, to)? {
             return Ok(());
+        }
+    }
+    Err(NexusError::Integrity(format!(
+        "{from:?} was bound to a different object at every attempt to rename it"
+    )))
+}
+
+/// One attempt at [`fs_rename`]. `Ok(false)`: the source name was bound to
+/// another object between the walk and the locks (removed and re-created
+/// by another client), so the filenode lock taken is the wrong one — every
+/// lock is released and the caller walks again.
+fn rename_once(state: &mut EnclaveState, io: &MetaIo<'_>, from: &str, to: &str) -> Result<bool> {
+    let (src_uuid, src_name, seen, dst_uuid, dst_name) = revalidated(state, io, |state, io| {
+        let (mut src_dir, src_name, src_effective) = resolve_parent(state, io, from)?;
+        state.check_access(&src_dir, src_effective, Rights::WRITE)?;
+        // POSIX ordering: the source must exist before the destination
+        // parent is even considered.
+        let seen = lookup_entry(state, io, &mut src_dir, src_name)?
+            .ok_or_else(|| NexusError::NotFound(from.to_string()))?;
+        let (dst_dir, dst_name, dst_effective) = resolve_parent(state, io, to)?;
+        validate_name(dst_name)?;
+        state.check_access(&dst_dir, dst_effective, Rights::WRITE)?;
+        Ok((src_dir.uuid, src_name, seen, dst_dir.uuid, dst_name))
+    })?;
+    let same_dir = src_uuid == dst_uuid;
+    let _lock = LockGuard::acquire(io, src_uuid)?;
+    let _lock2 = if same_dir { None } else { Some(LockGuard::acquire(io, dst_uuid)?) };
+    // A file that changes directory has its filenode rewritten (the parent
+    // pointer): the filenode's lock excludes a concurrent overwrite. It is
+    // taken with the directory locks, before anything is reloaded, so that
+    // one probe covers all three nodes.
+    let relinks_file = !same_dir && matches!(seen.kind, EntryKind::File);
+    let _file_lock = if relinks_file { Some(LockGuard::acquire(io, seen.uuid)?) } else { None };
+
+    let (mut src_dir, entry, moved) = revalidated(state, io, |state, io| {
+        let src_dir = load_full(state, io, src_uuid)?;
+        let entry = src_dir
+            .find_loaded(src_name)
+            .map(|e| e.to_entry())
+            .ok_or_else(|| NexusError::NotFound(from.to_string()))?;
+        let moved = if same_dir {
+            None
+        } else {
+            let dst_dir = load_full(state, io, dst_uuid)?;
+            Some((dst_dir, load_child(state, io, &src_dir, &entry)?))
+        };
+        Ok((src_dir, entry, moved))
+    })?;
+
+    let Some((mut dst_dir, child)) = moved else {
+        if src_name == dst_name {
+            return Ok(true);
         }
         if src_dir.find_loaded(dst_name).is_some() {
             return Err(NexusError::AlreadyExists(to.to_string()));
@@ -508,35 +621,34 @@ pub(crate) fn fs_rename(
             fresh_uuid(io.env),
         )?;
         store_dirnode(state, io, src_dir)?;
-        return Ok(());
+        return Ok(true);
+    };
+    if entry.uuid != seen.uuid {
+        return Ok(false);
     }
-
-    let mut dst_dir = load_dirnode(state, io, dst_dir.uuid, None)?;
-    load_all_buckets(state, io, &mut dst_dir)?;
     if dst_dir.find_loaded(dst_name).is_some() {
         return Err(NexusError::AlreadyExists(to.to_string()));
     }
     Arc::make_mut(&mut src_dir).remove(src_name)?;
 
-    // Re-home the child's parent pointer so traversal checks keep holding.
-    match &entry.kind {
-        EntryKind::Directory => {
-            let mut child = load_dirnode(state, io, entry.uuid, Some(src_dir.uuid))?;
-            Arc::make_mut(&mut child).parent = dst_dir.uuid;
+    // The child, both directories' dirty buckets and both main objects land
+    // in one commit. Re-home the child's parent pointer so traversal checks
+    // keep holding.
+    let mut commit = MetaCommit::new();
+    match child {
+        Child::Dir(mut child) => {
             // Buckets carry the dirnode itself as parent, so only the main
-            // object changes — but it must be marked so store rewrites it.
-            store_dirnode(state, io, child)?;
+            // object changes.
+            Arc::make_mut(&mut child).parent = dst_dir.uuid;
+            stage_dirnode(state, io, &mut commit, child)?;
         }
-        EntryKind::File => {
-            let mut fnode = load_filenode(state, io, entry.uuid, None)?;
-            if fnode.nlink <= 1 {
-                Arc::make_mut(&mut fnode).parent = dst_dir.uuid;
-                // The file now lives under the destination directory, so
-                // it re-seals under *that* directory's key scope.
-                store_filenode(state, io, fnode, dst_dir.scope)?;
-            }
+        Child::File(mut fnode) if fnode.nlink <= 1 => {
+            Arc::make_mut(&mut fnode).parent = dst_dir.uuid;
+            // The file now lives under the destination directory, so
+            // it re-seals under *that* directory's key scope.
+            stage_filenode(state, io, &mut commit, fnode, dst_dir.scope)?;
         }
-        EntryKind::Symlink(_) => {}
+        Child::File(_) | Child::Symlink => {}
     }
 
     Arc::make_mut(&mut dst_dir).insert(
@@ -548,33 +660,62 @@ pub(crate) fn fs_rename(
         let _ = io.delete(&pruned);
         manifest_removals.push(pruned);
     }
-    store_dirnode(state, io, src_dir)?;
-    store_dirnode(state, io, dst_dir)?;
+    stage_dirnode(state, io, &mut commit, src_dir)?;
+    stage_dirnode(state, io, &mut commit, dst_dir)?;
+    commit_flush(state, io, commit)?;
     crate::freshness::record_objects(state, io, &[], &manifest_removals)?;
-    Ok(())
+    Ok(true)
 }
 
-/// `nexus_fs_encrypt`: replaces the contents of the file at `path` with
-/// `data`, drawing fresh per-chunk keys (§VI-A).
-///
-/// Key/nonce draws happen serially *before* the chunk seals fan out over
-/// the worker pool, so both the RNG stream and the ciphertext are
-/// byte-identical to the serial loop at every `NEXUS_THREADS` setting.
-pub(crate) fn fs_encrypt(
+/// `nexus_fs_encrypt`, creating the file when `path` names nothing: one
+/// walk finds the file or its absence, an absent file is created under the
+/// directory's lock, and the contents are replaced under the filenode's.
+pub(crate) fn fs_write(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
     path: &str,
     data: &[u8],
 ) -> Result<()> {
-    let (mut dir, name, effective) = resolve_parent(state, io, path)?;
-    state.check_access(&dir, effective, Rights::WRITE)?;
-    let entry = lookup_entry(state, io, &mut dir, name)?
-        .ok_or_else(|| NexusError::NotFound(path.to_string()))?;
+    let (dir_uuid, scope, name, found) = revalidated(state, io, |state, io| {
+        let (mut dir, name, effective) = resolve_parent(state, io, path)?;
+        state.check_access(&dir, effective, Rights::WRITE)?;
+        let found = lookup_entry(state, io, &mut dir, name)?;
+        if let Some(entry @ DirEntry { kind: EntryKind::File, .. }) = &found {
+            load_file_via(state, io, dir.uuid, entry.uuid)?;
+        }
+        Ok((dir.uuid, dir.scope, name, found))
+    })?;
+    let entry = match found {
+        Some(entry) => entry,
+        None => {
+            validate_name(name)?;
+            create_entry(state, io, dir_uuid, name, FileType::File)?.0
+        }
+    };
     if !matches!(entry.kind, EntryKind::File) {
         return Err(NexusError::IsADirectory(path.to_string()));
     }
-    let mut fnode = load_file_via(state, io, &dir, &entry)?;
-    let _lock = LockGuard::acquire(io, fnode.uuid)?;
+    replace_contents(state, io, entry.uuid, scope, data)
+}
+
+/// Replaces the contents of the file `file` with `data`, drawing fresh
+/// per-chunk keys (§VI-A). `dir_scope` is the containing directory's key
+/// scope.
+///
+/// Key/nonce draws happen serially *before* the chunk seals fan out over
+/// the worker pool, so both the RNG stream and the ciphertext are
+/// byte-identical to the serial loop at every `NEXUS_THREADS` setting.
+fn replace_contents(
+    state: &mut EnclaveState,
+    io: &MetaIo<'_>,
+    file: NexusUuid,
+    dir_scope: Option<crate::groups::GroupId>,
+    data: &[u8],
+) -> Result<()> {
+    let _lock = LockGuard::acquire(io, file)?;
+    // Reloaded under the lock: whatever a rename or a link wrote into the
+    // filenode since the walk (parent pointer, link count) is kept.
+    let mut fnode = revalidated(state, io, |state, io| load_filenode(state, io, file))?;
 
     let n_chunks = Filenode::chunk_count_for(data.len() as u64, fnode.chunk_size);
     let mut contexts = Vec::with_capacity(n_chunks as usize);
@@ -592,12 +733,14 @@ pub(crate) fn fs_encrypt(
         fnode.chunk_size as usize,
         &contexts,
     );
-    io.put(&fnode.data_uuid, &ciphertext)?;
+    // The data object rides the filenode's round trip.
+    let mut commit = MetaCommit::new();
+    commit.stage_raw(fnode.data_uuid, ciphertext);
     let fnode_mut = Arc::make_mut(&mut fnode);
     fnode_mut.size = data.len() as u64;
     fnode_mut.chunks = contexts;
-    store_filenode(state, io, fnode, dir.scope)?;
-    Ok(())
+    stage_filenode(state, io, &mut commit, fnode, dir_scope)?;
+    commit_flush(state, io, commit)
 }
 
 /// Edits the main object of the directory at `path` (its ACL and key
@@ -610,9 +753,10 @@ pub(crate) fn fs_update_acl(
     path: &str,
     edit: impl FnOnce(&mut Dirnode) -> Result<()>,
 ) -> Result<()> {
-    let (dir, _) = resolve_dir(state, io, &split_path(path)?)?;
-    let _lock = LockGuard::acquire(io, dir.uuid)?;
-    let mut dir = load_dirnode(state, io, dir.uuid, None)?;
+    let comps = split_path(path)?;
+    let uuid = revalidated(state, io, |state, io| Ok(resolve_dir(state, io, &comps)?.0.uuid))?;
+    let _lock = LockGuard::acquire(io, uuid)?;
+    let mut dir = revalidated(state, io, |state, io| load_dirnode(state, io, uuid, None))?;
     edit(Arc::make_mut(&mut dir))?;
     store_dirnode(state, io, dir)
 }
@@ -632,8 +776,7 @@ pub(crate) fn sweep_acl_user(
     let mut commit = MetaCommit::new();
     let mut changed = 0u64;
     while let Some(uuid) = stack.pop() {
-        let mut dir = load_dirnode(state, io, uuid, None)?;
-        load_all_buckets(state, io, &mut dir)?;
+        let mut dir = revalidated(state, io, |state, io| load_full(state, io, uuid))?;
         stack.extend(dir.list_loaded().filter(|e| e.is_directory()).map(|e| e.uuid()));
         if Arc::make_mut(&mut dir).acl.revoke(user) {
             changed += 1;
@@ -655,8 +798,7 @@ pub(crate) fn fs_decrypt(
     io: &MetaIo<'_>,
     path: &str,
 ) -> Result<Vec<u8>> {
-    let (dir, entry, fnode) = open_file_for_read(state, io, path)?;
-    let _ = (dir, entry);
+    let fnode = revalidated(state, io, |state, io| open_file_for_read(state, io, path))?;
     let config = state.config();
     let n_chunks = fnode.chunks.len() as u64;
     let window = config.prefetch_window as u64;
@@ -676,26 +818,44 @@ pub(crate) fn fs_decrypt(
     datapath::open_chunks(nexus_pool::global(), &fnode, &ciphertext, 0, n_chunks)
 }
 
-/// Bulk `nexus_fs_decrypt`: resolves every path, fetches **all** data
-/// objects in one batched storage RPC (`get_many`), then opens the chunks
-/// on the worker pool. Results are returned in input order; the first
-/// failing path aborts, exactly where a serial read loop would stop.
+/// Bulk `nexus_fs_decrypt`: walks every path to its directory entry, loads
+/// **all** filenodes together (one probe covers every cached node on every
+/// path and every filenode still to fetch; those are fetched in one
+/// `get_many`), fetches all data objects in one more `get_many`, then opens
+/// the chunks on the worker pool. Results are returned in input order, and
+/// the error reported is that of the lowest-indexed failing path, exactly
+/// where a serial read loop would stop.
 pub(crate) fn fs_decrypt_many(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
     paths: &[String],
 ) -> Result<Vec<Vec<u8>>> {
-    let mut fnodes = Vec::with_capacity(paths.len());
-    for path in paths {
-        let (_dir, _entry, fnode) = open_file_for_read(state, io, path)?;
-        fnodes.push(fnode);
-    }
-    let ciphertexts: Vec<Result<Vec<u8>>> = if state.config().batch_rpcs {
-        let uuids: Vec<NexusUuid> = fnodes.iter().map(|f| f.data_uuid).collect();
-        io.get_many(&uuids)
-    } else {
-        fnodes.iter().map(|f| io.get(&f.data_uuid)).collect()
-    };
+    let fnodes = revalidated(state, io, |state, io| {
+        let mut reached = Vec::with_capacity(paths.len());
+        let mut walk_error = None;
+        for path in paths {
+            match file_entry_for_read(state, io, path) {
+                Ok(dir_and_file) => reached.push(dir_and_file),
+                // What this run derived is void; later paths would only
+                // fetch on the word of nodes already known stale.
+                Err(stale @ NexusError::StaleRead(_)) => return Err(stale),
+                // The files before the failing path are loaded all the
+                // same: one of them failing comes first.
+                Err(e) => {
+                    walk_error = Some(e);
+                    break;
+                }
+            }
+        }
+        let files: Vec<NexusUuid> = reached.iter().map(|(_, file)| *file).collect();
+        let fnodes = load_filenodes(state, io, &files)?;
+        for ((dir, _), fnode) in reached.iter().zip(&fnodes) {
+            check_reached_via(*dir, fnode)?;
+        }
+        walk_error.map_or(Ok(fnodes), Err)
+    })?;
+    let data: Vec<NexusUuid> = fnodes.iter().map(|f| f.data_uuid).collect();
+    let ciphertexts = io.get_many(&data)?;
     let mut out = Vec::with_capacity(fnodes.len());
     for (fnode, ciphertext) in fnodes.iter().zip(ciphertexts) {
         let count = fnode.chunks.len() as u64;
@@ -712,7 +872,7 @@ pub(crate) fn fs_read_range(
     offset: u64,
     len: u64,
 ) -> Result<Vec<u8>> {
-    let (_dir, _entry, fnode) = open_file_for_read(state, io, path)?;
+    let fnode = revalidated(state, io, |state, io| open_file_for_read(state, io, path))?;
     if len == 0 {
         return Ok(Vec::new());
     }
@@ -734,11 +894,13 @@ pub(crate) fn fs_read_range(
     Ok(plain[skip..skip + len as usize].to_vec())
 }
 
-fn open_file_for_read(
+/// The file at `path` as (its directory, its filenode's uuid), for a
+/// session allowed to read it.
+fn file_entry_for_read(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
     path: &str,
-) -> Result<(Arc<Dirnode>, DirEntry, Arc<Filenode>)> {
+) -> Result<(NexusUuid, NexusUuid)> {
     let (mut dir, name, effective) = resolve_parent(state, io, path)?;
     state.check_access(&dir, effective, Rights::READ)?;
     let entry = lookup_entry(state, io, &mut dir, name)?
@@ -746,8 +908,17 @@ fn open_file_for_read(
     if !matches!(entry.kind, EntryKind::File) {
         return Err(NexusError::IsADirectory(path.to_string()));
     }
-    let fnode = load_file_via(state, io, &dir, &entry)?;
-    Ok((dir, entry, fnode))
+    Ok((dir.uuid, entry.uuid))
+}
+
+/// The filenode of the file at `path`, for a session allowed to read it.
+fn open_file_for_read(
+    state: &mut EnclaveState,
+    io: &MetaIo<'_>,
+    path: &str,
+) -> Result<Arc<Filenode>> {
+    let (dir, file) = file_entry_for_read(state, io, path)?;
+    load_file_via(state, io, dir, file)
 }
 
 #[cfg(test)]

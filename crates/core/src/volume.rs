@@ -119,7 +119,7 @@ impl NexusVolume {
         let owner_key = owner.public_key();
         let (volume_id, sealed) = enclave.ecall(move |state, env| -> Result<(NexusUuid, Vec<u8>)> {
             state.config = Some(config);
-            let io = MetaIo::new(env, b.as_ref());
+            let io = MetaIo::new(env, b.as_ref(), config.batch_rpcs);
 
             let mut rootkey = [0u8; 32];
             env.random_bytes(&mut rootkey);
@@ -180,7 +180,7 @@ impl NexusVolume {
         let volume_id = enclave.ecall(move |state, env| -> Result<NexusUuid> {
             state.config = Some(config);
             let (rootkey, uuid) = protocol::unseal_rootkey(env, &sealed_bytes)?;
-            let io = MetaIo::new(env, b.as_ref());
+            let io = MetaIo::new(env, b.as_ref(), config.batch_rpcs);
             // Probe before fetch: if a writer lands between the two, the
             // recorded probe is merely stale and the next probe refetches.
             let storage_version = io.version(&uuid).unwrap_or(0);
@@ -233,8 +233,10 @@ impl NexusVolume {
     ) -> Result<R> {
         let backend = self.backend.clone();
         self.enclave.ecall(move |state, env| {
-            let io = MetaIo::new(env, backend.as_ref());
-            f(state, &io)
+            let io = MetaIo::new(env, backend.as_ref(), state.config().batch_rpcs);
+            let out = f(state, &io);
+            debug_assert!(io.is_settled(), "an operation replied on unverified cache hits");
+            out
         })
     }
 
@@ -382,16 +384,11 @@ impl NexusVolume {
     }
 
     /// Writes (replaces) a file's contents, creating it if absent
-    /// (`nexus_fs_encrypt`).
+    /// (`nexus_fs_encrypt`): one enclave call over one path walk.
     pub fn write_file(&self, path: &str, data: &[u8]) -> Result<()> {
-        match self.lookup(path) {
-            Err(NexusError::NotFound(_)) => self.create_file(path)?,
-            Err(e) => return Err(e),
-            Ok(_) => {}
-        }
         let path = path.to_string();
         let data = data.to_vec();
-        self.ecall(move |state, io| fsops::fs_encrypt(state, io, &path, &data))
+        self.ecall(move |state, io| fsops::fs_write(state, io, &path, &data))
     }
 
     /// Reads and decrypts a whole file (`nexus_fs_decrypt`).
@@ -527,7 +524,9 @@ impl NexusVolume {
         let path = path.to_string();
         self.ecall(move |state, io| {
             let comps = fsops::split_path(&path)?;
-            let (dir, _) = fsops::resolve_dir(state, io, &comps)?;
+            let (dir, _) = crate::enclave::revalidated(state, io, |state, io| {
+                fsops::resolve_dir(state, io, &comps)
+            })?;
             let m = state.mounted()?;
             Ok(dir
                 .acl

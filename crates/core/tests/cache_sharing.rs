@@ -7,9 +7,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use nexus_core::{NexusConfig, NexusError, NexusVolume, UserKeys};
+use nexus_core::{NexusConfig, NexusError, NexusVolume, Rights, UserKeys};
 use nexus_sgx::{AttestationService, Platform};
-use nexus_storage::{IoStats, MemBackend, ObjectStat, StorageBackend, StorageError};
+use nexus_storage::{
+    HookedBackend, IoStats, MemBackend, ObjectStat, StorageBackend, StorageError,
+};
 
 /// Counts fetches and version probes on their way to a `MemBackend`.
 #[derive(Default)]
@@ -181,4 +183,52 @@ fn a_warm_session_sees_another_clients_create_and_remove() {
     // And the other way round: a's update invalidates b's warm node.
     a.rename("a/b/new", "a/b/newer").unwrap();
     assert!(b.exists("a/b/newer") && !b.exists("a/b/new"));
+}
+
+#[test]
+fn a_write_landing_between_probe_and_fetch_does_not_hide_behind_its_own_version() {
+    // A cold load reads an object's storage version and its body in two
+    // calls. If the version is read second, a write landing between the two
+    // caches the old body under the new version, every later probe accepts
+    // it — the reload under the directory's lock too — and the session's
+    // next mutation silently reverts the other client's. Read first, the
+    // same write leaves the new body under the old version: one refetch.
+    let platform = Platform::seeded(0xCA5E);
+    let ias = AttestationService::new();
+    ias.register_platform(&platform);
+    let mem = Arc::new(MemBackend::new());
+    let owner = UserKeys::from_seed("owner", &[1; 32]);
+    let config = NexusConfig::default();
+    let (writer, sealed) =
+        NexusVolume::create(&platform, mem.clone(), &ias, &owner, config).unwrap();
+    writer.authenticate(&owner).unwrap();
+    writer.mkdir("d").unwrap();
+    writer.add_user("alice", UserKeys::from_seed("alice", &[2; 32]).public_key()).unwrap();
+    let d = writer.lookup("d").unwrap().uuid.object_name();
+
+    let hooked = Arc::new(HookedBackend::new(mem.clone()));
+    let a = NexusVolume::mount(&platform, hooked.clone(), &ias, &sealed, config).unwrap();
+    a.authenticate(&owner).unwrap();
+    // The second call that names d's main object — whichever of the probe
+    // and the fetch comes second — waits for the writer's ACL grant.
+    let mut touches = 0;
+    hooked.before(
+        move |_, names| {
+            touches += usize::from(names.contains(&d));
+            touches == 2
+        },
+        move || writer.set_acl("d", "alice", Rights::READ).unwrap(),
+    );
+    assert_eq!(a.list_dir("d").unwrap().len(), 0);
+    assert!(!hooked.is_armed(), "the grant landed inside a's cold load of d");
+
+    a.create_file("d/x").unwrap();
+    let fresh = NexusVolume::mount(&platform, mem, &ias, &sealed, config).unwrap();
+    fresh.authenticate(&owner).unwrap();
+    assert_eq!(
+        fresh.acl_entries("d").unwrap(),
+        vec![("alice".to_string(), Rights::READ)],
+        "a's create was built on the directory the grant had already changed",
+    );
+    assert!(fresh.exists("d/x"));
 }

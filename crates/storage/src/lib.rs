@@ -18,8 +18,11 @@
 //!   `flock`, and a virtual-clock latency model ([`SimClock`],
 //!   [`LatencyModel`]) standing in for the paper's LAN testbed;
 //! - [`MaliciousBackend`] — an adversarial wrapper that mounts the threat
-//!   model's attacks (tamper, rollback, swap, dropped updates) for the
-//!   security evaluation.
+//!   model's attacks (tamper, rollback, swap, dropped updates, lying
+//!   version probes) for the security evaluation;
+//! - [`HookedBackend`] — a transparent wrapper that logs every call and can
+//!   run a test's hook right before a chosen one (call budgets, forced
+//!   interleavings).
 //!
 //! ## Example
 //!
@@ -42,6 +45,7 @@ pub mod cloud;
 pub mod clock;
 pub mod dir;
 pub mod fault;
+pub mod hooked;
 pub mod logstore;
 pub mod malicious;
 pub mod mem;
@@ -53,6 +57,7 @@ pub use clock::{ClockLane, LatencyModel, SimClock};
 pub use cloud::{CloudBilling, CloudStore};
 pub use dir::DirBackend;
 pub use fault::{FaultAction, FaultHook, FaultKind, FaultPoint};
+pub use hooked::HookedBackend;
 pub use logstore::{LogBackend, LogConfig};
 pub use malicious::MaliciousBackend;
 pub use mem::MemBackend;

@@ -26,6 +26,9 @@ struct AttackState {
     swap: Vec<(String, String)>,
     /// Silently drop updates to matching paths (fork/hide-update attack).
     drop_updates: Vec<String>,
+    /// Answer version probes for these paths with the status recorded when
+    /// the attack began (hide-update attack on the probe alone).
+    frozen_stat: HashMap<String, ObjectStat>,
     /// Full history of every version ever written, per path.
     history: HashMap<String, Vec<Vec<u8>>>,
     /// Everything the server ever observed: (path, bytes) pairs.
@@ -73,6 +76,21 @@ impl<B: StorageBackend> MaliciousBackend<B> {
         self.state.lock().drop_updates.push(fragment.to_string());
     }
 
+    /// Starts lying in version probes: `stat` — and `stat_many`, which
+    /// answers each slot with `stat` — keeps reporting, for every object
+    /// whose path contains `fragment`, the status it has right now, however
+    /// often it is rewritten afterwards. Content is served truthfully.
+    pub fn freeze_stat(&self, fragment: &str) {
+        let now: Vec<(String, ObjectStat)> = self
+            .inner
+            .list("")
+            .into_iter()
+            .filter(|path| path.contains(fragment))
+            .filter_map(|path| self.inner.stat(&path).ok().map(|stat| (path, stat)))
+            .collect();
+        self.state.lock().frozen_stat.extend(now);
+    }
+
     /// Clears all active attacks (history is retained).
     pub fn clear_attacks(&self) {
         let mut st = self.state.lock();
@@ -80,6 +98,7 @@ impl<B: StorageBackend> MaliciousBackend<B> {
         st.rollback.clear();
         st.swap.clear();
         st.drop_updates.clear();
+        st.frozen_stat.clear();
     }
 
     /// Everything the "server" has observed flowing past it. For
@@ -161,6 +180,9 @@ impl<B: StorageBackend> StorageBackend for MaliciousBackend<B> {
 
     fn stat(&self, path: &str) -> Result<ObjectStat, StorageError> {
         let effective = self.resolve_swap(path);
+        if let Some(frozen) = self.state.lock().frozen_stat.get(&effective) {
+            return Ok(*frozen);
+        }
         let stat = self.inner.stat(&effective)?;
         // A rolling-back server must lie consistently: the status it
         // advertises matches the stale content it serves.
@@ -256,6 +278,24 @@ mod tests {
         m.drop_updates_to("f");
         m.put("f", b"v2").unwrap();
         assert_eq!(m.get("f").unwrap(), b"v1");
+    }
+
+    #[test]
+    fn frozen_stat_hides_later_writes_from_single_and_batched_probes() {
+        let m = setup();
+        m.put("f", b"v1").unwrap();
+        m.put("g", b"v1").unwrap();
+        let before = m.stat("f").unwrap();
+        m.freeze_stat("f");
+        m.put("f", b"version two").unwrap();
+        m.put("g", b"version two").unwrap();
+        assert_eq!(m.stat("f").unwrap(), before);
+        let batch = m.stat_many(&["f".into(), "g".into()]);
+        assert_eq!(batch[0], Ok(before));
+        assert_ne!(batch[1], Ok(before), "only matching paths are lied about");
+        assert_eq!(m.get("f").unwrap(), b"version two", "content is served truthfully");
+        m.clear_attacks();
+        assert_ne!(m.stat("f").unwrap(), before);
     }
 
     #[test]

@@ -114,6 +114,16 @@ for key in ("windows", "rpcs", "sim_ms"):
     assert key in doc["prefetch_sweep"], f"{path}: missing prefetch_sweep.{key}"
 assert doc["ciphertext_identical"] is True, \
     "batching must not change a single stored byte"
+# Absolute ceilings, both modes (RPC counts are deterministic): a warm
+# create-and-write is lock + one commit per phase, every version probe of a
+# phase one stat_many; a bulk read is one probe and one get_many. A change
+# that goes back to a stat per path component fails here.
+files = doc["files"]
+meta_rpcs = doc["metadata_heavy"]["rpcs_batched"]
+assert meta_rpcs <= 4 * files, \
+    f"metadata_heavy: {meta_rpcs} batched RPCs for {files} creates (ceiling {4 * files})"
+bulk_rpcs = doc["bulk_read"]["rpcs_batched"]
+assert bulk_rpcs <= 2, f"bulk_read: {bulk_rpcs} batched RPCs (ceiling 2)"
 if mode == "full":
     # Acceptance floors (smoke only guards the emitter itself).
     for wl in ("metadata_heavy", "bulk_read"):

@@ -5,7 +5,8 @@
 use std::sync::Arc;
 
 use nexus::storage::afs::{AfsClient, AfsServer};
-use nexus::storage::{LatencyModel, SimClock};
+use nexus::storage::hooked::Call;
+use nexus::storage::{HookedBackend, LatencyModel, SimClock, StorageBackend};
 use nexus::{
     AttestationService, NexusConfig, NexusVolume, Platform, Rights, UserKeys, VolumeJoiner,
 };
@@ -37,6 +38,14 @@ impl Deployment {
 /// Creates the volume as owner, shares with a second user on a second
 /// machine, and returns both mounted, authenticated volumes.
 fn shared_pair(deployment: &Deployment) -> (NexusVolume, NexusVolume) {
+    shared_pair_over(deployment, deployment.client())
+}
+
+/// [`shared_pair`] with the owner's volume on `owner_backend`.
+fn shared_pair_over(
+    deployment: &Deployment,
+    owner_backend: Arc<dyn StorageBackend>,
+) -> (NexusVolume, NexusVolume) {
     let owner_machine = Platform::seeded(1);
     let peer_machine = Platform::seeded(2);
     deployment.ias.register_platform(&owner_machine);
@@ -46,7 +55,7 @@ fn shared_pair(deployment: &Deployment) -> (NexusVolume, NexusVolume) {
 
     let (owner_volume, _) = NexusVolume::create(
         &owner_machine,
-        deployment.client(),
+        owner_backend,
         &deployment.ias,
         &owner,
         NexusConfig::default(),
@@ -268,4 +277,38 @@ fn acl_updates_do_not_overwrite_concurrent_creates() {
     let report = owner.fsck(nexus::core::FsckMode::Deep).unwrap();
     assert!(report.is_clean(), "{:?}", report.errors);
     assert_eq!(report.files, FILES as u64);
+}
+
+#[test]
+fn an_overwrite_racing_a_cross_directory_rename_keeps_the_new_parent() {
+    // The owner's overwrite has walked to the file and asks for the
+    // filenode's lock; before it is granted, the peer moves the file to
+    // another directory, which rewrites the filenode's parent pointer. The
+    // overwrite must build on the filenode as it is under the lock — not on
+    // the one it walked to, whose parent pointer would fail the swapping
+    // check on every later read.
+    let deployment = Deployment::new();
+    let hooked = Arc::new(HookedBackend::new(deployment.client()));
+    let (owner, peer) = shared_pair_over(&deployment, hooked.clone());
+    owner.mkdir("shared/x").unwrap();
+    owner.mkdir("shared/y").unwrap();
+    owner.write_file("shared/x/f", b"old").unwrap();
+    assert_eq!(peer.read_file("shared/x/f").unwrap(), b"old");
+
+    let filenode = owner.lookup("shared/x/f").unwrap().uuid.object_name();
+    let peer = Arc::new(peer);
+    let mover = peer.clone();
+    hooked.before(
+        move |call, names| call == Call::Lock && names == [filenode.clone()],
+        move || mover.rename("shared/x/f", "shared/y/f").unwrap(),
+    );
+    owner.write_file("shared/x/f", b"new").unwrap();
+    assert!(!hooked.is_armed(), "the rename ran inside the overwrite");
+
+    for volume in [&owner, &*peer] {
+        assert_eq!(volume.read_file("shared/y/f").unwrap(), b"new");
+        assert!(!volume.exists("shared/x/f"));
+    }
+    let report = owner.fsck(nexus::core::FsckMode::Deep).unwrap();
+    assert!(report.is_clean(), "{:?}", report.errors);
 }

@@ -317,9 +317,9 @@ fn deleted_objects_stay_deleted() {
 // -- The same attacks against a session whose metadata cache is warm ------
 //
 // A warm session keeps decrypted dirnodes *and their buckets*; what lets it
-// trust them is the per-component version probe of the main object, which
-// binds every bucket by MAC. These pin that nothing served from the cache
-// skips a check a cold session would make.
+// trust them is the version probe of every main object on the path (one
+// `stat_many` per walk), each of which binds its buckets by MAC. These pin
+// that nothing served from the cache skips a check a cold session would make.
 
 /// The object names `f` adds to the store.
 fn objects_added_by(evil: &Evil, f: impl FnOnce()) -> Vec<String> {
@@ -392,4 +392,65 @@ fn warm_cache_still_detects_a_rolled_back_directory() {
     assert!(matches!(err, NexusError::Rollback { .. }), "got {err}");
     let err = warm.list_dir("d").unwrap_err();
     assert!(matches!(err, NexusError::Rollback { .. }), "got {err}");
+}
+
+#[test]
+fn lying_version_probes_serve_stale_but_authentic_state_at_worst() {
+    // A warm session asks the server one question before trusting its
+    // cache: "has any of these objects changed?" — now in one `stat_many`
+    // instead of a `stat` each. A server that answers "no" falsely buys
+    // exactly what it always could by withholding an update: the session
+    // keeps seeing an older state that was genuine when it was written.
+    // It never gets the session to accept bytes the enclave did not seal,
+    // with or without the other attacks on top.
+    let (platform, ias, evil, owner, warm, sealed) = setup();
+    warm.mkdir("d").unwrap();
+    warm.write_file("d/f", b"one").unwrap();
+    warm.write_file("d/h", b"kept").unwrap();
+    assert_eq!(warm.list_dir("d").unwrap().len(), 2);
+    let f_meta = warm.lookup("d/f").unwrap().uuid.object_name();
+    let h_meta = warm.lookup("d/h").unwrap().uuid.object_name();
+
+    let other =
+        NexusVolume::mount(&platform, evil.clone(), &ias, &sealed, NexusConfig::default())
+            .unwrap();
+    other.authenticate(&owner).unwrap();
+    evil.freeze_stat("");
+    other.write_file("d/g", b"two").unwrap();
+    other.write_file("d/f", b"three").unwrap();
+
+    // Stale, and authentic: the directory as the warm session last saw it.
+    let names: Vec<String> = warm.list_dir("d").unwrap().into_iter().map(|r| r.name).collect();
+    assert_eq!(names.len(), 2, "{names:?}");
+    assert!(matches!(warm.lookup("d/g"), Err(NexusError::NotFound(_))));
+    assert_eq!(warm.read_file("d/h").unwrap(), b"kept");
+    // The cached filenode no longer opens the data object: detected, not
+    // served.
+    assert!(matches!(warm.read_file("d/f"), Err(NexusError::Integrity(_))));
+
+    // Tampering, swapping or rolling back metadata behind the lie changes
+    // nothing the session accepts: it is either its verified copy or an
+    // error.
+    evil.tamper_with(&h_meta);
+    assert_eq!(warm.read_file("d/h").unwrap(), b"kept");
+    evil.clear_attacks();
+    evil.freeze_stat("");
+    evil.swap(&f_meta, &h_meta);
+    match warm.read_file("d/h") {
+        Ok(data) => assert_eq!(data, b"kept"),
+        Err(e) => assert!(matches!(e, NexusError::Integrity(_)), "got {e}"),
+    }
+    evil.rollback(&h_meta);
+    match warm.read_file("d/h") {
+        Ok(data) => assert_eq!(data, b"kept"),
+        Err(e) => {
+            assert!(matches!(e, NexusError::Integrity(_) | NexusError::Rollback { .. }), "got {e}")
+        }
+    }
+
+    // An honest server again: the session catches up at its next probe.
+    evil.clear_attacks();
+    assert_eq!(warm.list_dir("d").unwrap().len(), 3);
+    assert_eq!(warm.read_file("d/f").unwrap(), b"three");
+    assert_eq!(warm.read_file("d/g").unwrap(), b"two");
 }
