@@ -5,11 +5,11 @@
 //! disjoint per-client directories. Each client's RPC round trips are
 //! charged to its own clock lane, so the simulated wall-clock of a round
 //! is the *slowest* client, not the sum — the virtual-time analogue of N
-//! machines talking to one file server concurrently. Every (mix, N,
-//! batching) cell is also replayed in a serial world — same seeds, same
-//! ops, every client on one shared lane, driven from one thread — and the
-//! stored ciphertext plus each client's written-byte count are asserted
-//! identical between the two worlds before any timing is reported.
+//! machines talking to one file server concurrently. Every (mix, N) cell
+//! is also replayed in a serial world — same seeds, same ops, every client
+//! on one shared lane, driven from one thread — and the stored ciphertext
+//! plus each client's written-byte count are asserted identical between the
+//! two worlds before any timing is reported.
 //!
 //! Mixes, on the paper-calibrated latency model:
 //!
@@ -17,7 +17,7 @@
 //!    directory (dirnode bucket + filenode + dirnode commits per create).
 //! 2. **Bulk read** — each client writes F one-chunk files, all caches are
 //!    flushed, then every client `read_files`s its own set back (one
-//!    `get_many` round trip per client when batching is on).
+//!    `get_many` round trip per client).
 //!
 //! Flags: `--smoke` (1/4 clients, fewer files, for `scripts/verify.sh`),
 //! `--json PATH`, `--files N` (files per client per mix).
@@ -34,8 +34,8 @@ use nexus_workloads::harness::ConcurrentRig;
 /// under test live on the virtual clock.
 const CHUNK_SIZE: u32 = 64 * 1024;
 
-fn config(batch_rpcs: bool) -> NexusConfig {
-    NexusConfig { chunk_size: CHUNK_SIZE, batch_rpcs, ..NexusConfig::default() }
+fn config() -> NexusConfig {
+    NexusConfig { chunk_size: CHUNK_SIZE, ..NexusConfig::default() }
 }
 
 /// One timed mix on one world.
@@ -107,10 +107,9 @@ fn bulk_read(files: usize) -> impl Fn(usize, &NexusFs) + Sync {
 
 /// Runs both mixes on a concurrent world and its serial replay, asserting
 /// the two worlds observably match before returning any timing.
-fn run_cell(n: usize, batch_rpcs: bool, files: usize) -> (MixRun, MixRun) {
-    let conc = ConcurrentRig::build(n, LatencyModel::paper_calibrated(), config(batch_rpcs));
-    let serial =
-        ConcurrentRig::build_serial(n, LatencyModel::paper_calibrated(), config(batch_rpcs));
+fn run_cell(n: usize, files: usize) -> (MixRun, MixRun) {
+    let conc = ConcurrentRig::build(n, LatencyModel::paper_calibrated(), config());
+    let serial = ConcurrentRig::build_serial(n, LatencyModel::paper_calibrated(), config());
 
     let meta_conc = conc.run(metadata_mix(files));
     let meta_serial = serial.run_serial(metadata_mix(files));
@@ -178,44 +177,30 @@ fn main() {
         CHUNK_SIZE / 1024
     );
     rule(78);
-    println!(
-        "{:>9} {:>6} {:>15} {:>14} {:>12} {:>10}",
-        "batching", "n", "mix", "makespan", "agg ops/s", "overlap"
-    );
+    println!("{:>6} {:>15} {:>14} {:>12} {:>10}", "n", "mix", "makespan", "agg ops/s", "overlap");
     rule(78);
 
     let mut runs = Vec::new();
-    for &batching in &[true, false] {
-        for &n in client_counts {
-            let (meta, bulk) = run_cell(n, batching, files);
-            for (mix_name, run) in [("metadata_heavy", meta), ("bulk_read", bulk)] {
-                println!(
-                    "{:>9} {n:>6} {mix_name:>15} {:>11.2} ms {:>12.1} {:>9.2}x",
-                    if batching { "on" } else { "off" },
-                    run.conc_ms,
-                    run.agg_ops_per_sec(),
-                    run.overlap_speedup()
-                );
-            }
-            runs.push((batching, n, meta, bulk));
+    for &n in client_counts {
+        let (meta, bulk) = run_cell(n, files);
+        for (mix_name, run) in [("metadata_heavy", meta), ("bulk_read", bulk)] {
+            println!(
+                "{n:>6} {mix_name:>15} {:>11.2} ms {:>12.1} {:>9.2}x",
+                run.conc_ms,
+                run.agg_ops_per_sec(),
+                run.overlap_speedup()
+            );
         }
+        runs.push((n, meta, bulk));
     }
     rule(78);
 
     // Headline scaling ratio: aggregate metadata-heavy throughput of the
-    // largest client count over the single client, batching on.
-    let thru = |want_n: usize| {
-        runs.iter()
-            .find(|(b, n, _, _)| *b && *n == want_n)
-            .map(|(_, _, meta, _)| meta.agg_ops_per_sec())
-            .expect("cell present")
-    };
-    let n_max = *client_counts.last().expect("counts");
-    let scaling = thru(n_max) / thru(client_counts[0]);
-    println!(
-        "aggregate metadata throughput scales x{scaling:.2} from {} to {n_max} clients (batching on)",
-        client_counts[0]
-    );
+    // largest client count over the single client.
+    let (n_min, first, _) = runs[0];
+    let (n_max, last, _) = runs[runs.len() - 1];
+    let scaling = last.agg_ops_per_sec() / first.agg_ops_per_sec();
+    println!("aggregate metadata throughput scales x{scaling:.2} from {n_min} to {n_max} clients");
     println!("differential gates passed: ciphertext and per-client written bytes identical");
 
     if let Some(path) = arg_string("--json") {
@@ -231,7 +216,7 @@ fn main() {
             .field(
                 "scaling",
                 Json::obj()
-                    .field("from_clients", Json::Int(client_counts[0] as i64))
+                    .field("from_clients", Json::Int(n_min as i64))
                     .field("to_clients", Json::Int(n_max as i64))
                     .field("metadata_batched_throughput_ratio", Json::Num(scaling)),
             )
@@ -239,9 +224,8 @@ fn main() {
                 "runs",
                 Json::Arr(
                     runs.iter()
-                        .map(|(batching, n, meta, bulk)| {
+                        .map(|(n, meta, bulk)| {
                             Json::obj()
-                                .field("batching", Json::Bool(*batching))
                                 .field("clients", Json::Int(*n as i64))
                                 .field("metadata_heavy", mix_json(*meta))
                                 .field("bulk_read", mix_json(*bulk))

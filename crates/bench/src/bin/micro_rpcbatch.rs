@@ -1,32 +1,23 @@
 //! Batched-RPC micro-benchmark, and the emitter behind
 //! `BENCH_rpcbatch.json` (run via `scripts/bench.sh`).
 //!
-//! Two identically seeded NEXUS deployments run the same workloads, one
-//! with `batch_rpcs` on (the default) and one with it off (one RPC per
-//! object, the pre-batching behaviour). Before any number is reported the
-//! stored ciphertext of both servers is compared byte-for-byte: batching
-//! must change *when* objects travel, never *what* is stored.
-//!
-//! Workloads, on the paper-calibrated latency model:
+//! Counts the storage RPCs and the virtual time of two workloads on the
+//! paper-calibrated latency model (the per-object reference the batched
+//! calls are checked against lives in the storage crate's
+//! `batch_differential.rs`):
 //!
 //! 1. **Metadata-heavy** — create N small files; every create commits a
-//!    dirnode bucket + filenode + dirnode (+ data stub) which the batched
-//!    path groups into one `put_many` round trip.
+//!    dirnode bucket + filenode + dirnode (+ data stub) in one `put_many`
+//!    round trip.
 //! 2. **Bulk read** — write N one-chunk files, flush the AFS cache, then
-//!    `read_files` all of them; the batched path fetches every data object
-//!    in one `get_many`.
-//! 3. **Prefetch window sweep** — read one large file with the pipelined
-//!    fetch→decrypt path at windows 1/2/4/8; the virtual clock records the
-//!    (small) cost of splitting the fetch into ranged RPCs that buys the
-//!    real-time fetch/decrypt overlap.
+//!    `read_files` all of them: every data object in one `get_many`.
 //!
 //! Flags: `--smoke` (small sizes, for `scripts/verify.sh`), `--json PATH`,
-//! `--files N` (both workloads), `--sweep-chunks N`.
+//! `--files N` (both workloads).
 
 use nexus_bench::json::Json;
 use nexus_bench::{arg_flag, arg_string, arg_usize, rule};
 use nexus_core::NexusConfig;
-use nexus_storage::afs::AfsServer;
 use nexus_storage::{LatencyModel, StorageBackend};
 use nexus_workloads::bench_fs::{BenchFs, NexusFs};
 use nexus_workloads::fileio::file_contents;
@@ -35,14 +26,6 @@ use nexus_workloads::harness::TestRig;
 /// Small chunks keep the (real) crypto cost of the workloads negligible;
 /// the quantities under test live on the virtual clock.
 const CHUNK_SIZE: u32 = 64 * 1024;
-const WINDOW_SWEEP: [usize; 4] = [1, 2, 4, 8];
-
-fn rig(batch_rpcs: bool, prefetch_window: usize) -> TestRig {
-    TestRig::with(
-        LatencyModel::paper_calibrated(),
-        NexusConfig { chunk_size: CHUNK_SIZE, batch_rpcs, prefetch_window, ..NexusConfig::default() },
-    )
-}
 
 /// RPC count and virtual time consumed by one workload body.
 #[derive(Clone, Copy)]
@@ -61,20 +44,8 @@ fn measure_rpcs(fs: &NexusFs, body: impl FnOnce(&NexusFs)) -> Run {
     }
 }
 
-/// Full server-side view: every stored object's name and exact bytes.
-fn stored_objects(server: &AfsServer) -> Vec<(String, Vec<u8>)> {
-    server
-        .object_inventory()
-        .into_iter()
-        .map(|(name, _size)| {
-            let bytes = server.raw_store().get(&name).expect("inventoried object readable");
-            (name, bytes)
-        })
-        .collect()
-}
-
 /// Runs both workloads on one deployment, returning (metadata, bulk-read).
-fn run_workloads(server: &AfsServer, fs: &NexusFs, n_files: usize) -> (Run, Run) {
+fn run_workloads(fs: &NexusFs, n_files: usize) -> (Run, Run) {
     fs.mkdir_all("meta").expect("mkdir meta");
     fs.mkdir_all("bulk").expect("mkdir bulk");
     let meta = measure_rpcs(fs, |fs| {
@@ -96,91 +67,33 @@ fn run_workloads(server: &AfsServer, fs: &NexusFs, n_files: usize) -> (Run, Run)
             assert_eq!(blob, &file_contents(CHUNK_SIZE as usize, 0x1000 + i as u64));
         }
     });
-    let _ = server;
     (meta, bulk)
 }
 
-fn ratio(serial: Run, batched: Run) -> f64 {
-    serial.rpcs as f64 / (batched.rpcs as f64).max(1.0)
-}
-
-fn workload_json(name: &str, serial: Run, batched: Run) -> Json {
+fn workload_json(name: &str, run: Run) -> Json {
     Json::obj()
         .field("workload", Json::Str(name.into()))
-        .field("rpcs_serial", Json::Int(serial.rpcs as i64))
-        .field("rpcs_batched", Json::Int(batched.rpcs as i64))
-        .field("rpc_ratio", Json::Num(ratio(serial, batched)))
-        .field("sim_ms_serial", Json::Num(serial.sim_ms))
-        .field("sim_ms_batched", Json::Num(batched.sim_ms))
+        .field("rpcs_batched", Json::Int(run.rpcs as i64))
+        .field("sim_ms_batched", Json::Num(run.sim_ms))
 }
 
 fn main() {
     let smoke = arg_flag("--smoke");
     let n_files = arg_usize("--files", if smoke { 8 } else { 32 });
-    let sweep_chunks = arg_usize("--sweep-chunks", if smoke { 8 } else { 32 });
 
     rule(78);
-    println!("micro_rpcbatch — serial vs batched storage RPCs (virtual clock)");
+    println!("micro_rpcbatch — batched storage RPCs (virtual clock)");
     println!(
         "{n_files} files per workload, {} KiB chunks, paper-calibrated latency",
         CHUNK_SIZE / 1024
     );
     rule(78);
 
-    // Identically seeded deployments (TestRig::with reseeds the platform),
-    // so every uuid, key, and nonce draw matches between the two worlds.
-    let (server_b, fs_b) = rig(true, 4).nexus_deployment();
-    let (server_s, fs_s) = rig(false, 0).nexus_deployment();
-    let (meta_b, bulk_b) = run_workloads(&server_b, &fs_b, n_files);
-    let (meta_s, bulk_s) = run_workloads(&server_s, &fs_s, n_files);
-
-    // Determinism gate, before any timing is reported: batching must leave
-    // every stored byte untouched.
-    let objects_b = stored_objects(&server_b);
-    let objects_s = stored_objects(&server_s);
-    assert_eq!(objects_b.len(), objects_s.len(), "object counts diverged");
-    for ((name_b, bytes_b), (name_s, bytes_s)) in objects_b.iter().zip(&objects_s) {
-        assert_eq!(name_b, name_s, "object names diverged");
-        assert_eq!(bytes_b, bytes_s, "stored bytes diverged for {name_b}");
-    }
-    println!("ciphertext identical across {} stored objects", objects_b.len());
-
-    println!(
-        "metadata-heavy  serial {:>5} RPCs {:>9.2} ms   batched {:>5} RPCs {:>9.2} ms   x{:.2} fewer RPCs",
-        meta_s.rpcs,
-        meta_s.sim_ms,
-        meta_b.rpcs,
-        meta_b.sim_ms,
-        ratio(meta_s, meta_b)
-    );
-    println!(
-        "bulk-read       serial {:>5} RPCs {:>9.2} ms   batched {:>5} RPCs {:>9.2} ms   x{:.2} fewer RPCs",
-        bulk_s.rpcs,
-        bulk_s.sim_ms,
-        bulk_b.rpcs,
-        bulk_b.sim_ms,
-        ratio(bulk_s, bulk_b)
-    );
-
-    // Prefetch sweep: one large file read through the pipelined path.
-    let sweep_bytes = sweep_chunks * CHUNK_SIZE as usize;
-    let big = file_contents(sweep_bytes, 0xb16);
-    let mut sweep_rpcs = Vec::new();
-    let mut sweep_ms = Vec::new();
-    for &window in &WINDOW_SWEEP {
-        let (_server, fs) = rig(true, window).nexus_deployment();
-        fs.write_file("big.bin", &big).expect("sweep write");
-        fs.flush_caches();
-        let run = measure_rpcs(&fs, |fs| {
-            assert_eq!(fs.read_file("big.bin").expect("sweep read"), big);
-        });
-        println!(
-            "prefetch window {window}   {:>3} RPCs {:>9.2} ms (pipelined fetch+decrypt)",
-            run.rpcs, run.sim_ms
-        );
-        sweep_rpcs.push(run.rpcs as i64);
-        sweep_ms.push(run.sim_ms);
-    }
+    let config = NexusConfig { chunk_size: CHUNK_SIZE, ..NexusConfig::default() };
+    let (server, fs) = TestRig::with(LatencyModel::paper_calibrated(), config).nexus_deployment();
+    let (meta, bulk) = run_workloads(&fs, n_files);
+    println!("metadata-heavy  {:>5} RPCs {:>9.2} ms", meta.rpcs, meta.sim_ms);
+    println!("bulk-read       {:>5} RPCs {:>9.2} ms", bulk.rpcs, bulk.sim_ms);
     rule(78);
 
     if let Some(path) = arg_string("--json") {
@@ -191,18 +104,9 @@ fn main() {
             .field("files", Json::Int(n_files as i64))
             .field("chunk_bytes", Json::Int(CHUNK_SIZE as i64))
             .field("latency_model", Json::Str("paper_calibrated".into()))
-            .field("ciphertext_identical", Json::Bool(true))
-            .field("stored_objects", Json::Int(objects_b.len() as i64))
-            .field("metadata_heavy", workload_json("metadata_heavy", meta_s, meta_b))
-            .field("bulk_read", workload_json("bulk_read", bulk_s, bulk_b))
-            .field(
-                "prefetch_sweep",
-                Json::obj()
-                    .field("chunks", Json::Int(sweep_chunks as i64))
-                    .field("windows", Json::ints(WINDOW_SWEEP.iter().map(|&w| w as i64)))
-                    .field("rpcs", Json::ints(sweep_rpcs.iter().copied()))
-                    .field("sim_ms", Json::nums(sweep_ms.iter().copied())),
-            );
+            .field("stored_objects", Json::Int(server.object_inventory().len() as i64))
+            .field("metadata_heavy", workload_json("metadata_heavy", meta))
+            .field("bulk_read", workload_json("bulk_read", bulk));
         std::fs::write(&path, doc.render()).expect("write json");
         println!("wrote {path}");
     }

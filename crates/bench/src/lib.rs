@@ -13,7 +13,6 @@
 //! | `revocation` | §VII-E — revocation estimates vs a pure-crypto FS |
 //! | `sharing_costs` | §VII-F — sharing cost accounting |
 //! | `ablation_buckets` | §V-B — dirnode bucket-size sweep |
-//! | `ablation_caches` | §V-B — metadata cache on/off |
 //! | `ablation_chunks` | §VI-A — chunk-size sweep |
 //!
 //! | `micro_crypto` | substrate micro-benchmarks (AES-GCM, SHA-256, ed25519, x25519) |

@@ -100,53 +100,6 @@ pub fn open_chunks(
     Ok(out)
 }
 
-/// Pipelined fetch→decrypt over a whole data object: windows of `window`
-/// chunks are fetched by `fetch(first_chunk, count)` while the pool opens
-/// the previous window, so transfer and AES-GCM overlap instead of
-/// serialising. Double-buffered: at most one window is in flight ahead of
-/// the decryptor.
-///
-/// The plaintext is byte-identical to [`open_chunks`] over the full
-/// ciphertext, and the surfaced error is still the lowest-indexed failure:
-/// window `k`'s decrypt error is returned before window `k+1`'s fetch
-/// result is even examined.
-pub fn open_chunks_pipelined<F>(
-    pool: &ThreadPool,
-    fnode: &Filenode,
-    window: usize,
-    fetch: F,
-) -> Result<Vec<u8>>
-where
-    F: Fn(u64, u64) -> Result<Vec<u8>> + Sync,
-{
-    let total = fnode.chunks.len() as u64;
-    if total == 0 {
-        return Ok(Vec::new());
-    }
-    let window = window.max(1) as u64;
-    let mut out = Vec::with_capacity(fnode.size as usize);
-    let mut first = 0u64;
-    let mut inflight: Result<Vec<u8>> = fetch(0, window.min(total));
-    while first < total {
-        let count = window.min(total - first);
-        let next_first = first + count;
-        let next_count = window.min(total.saturating_sub(next_first));
-        let span = inflight?;
-        let fetch_ref = &fetch;
-        let (plain, next) = std::thread::scope(|s| {
-            let handle =
-                (next_count > 0).then(|| s.spawn(move || fetch_ref(next_first, next_count)));
-            let plain = open_chunks(pool, fnode, &span, first, count);
-            let next = handle.map(|h| h.join().expect("prefetch thread panicked"));
-            (plain, next)
-        });
-        out.extend_from_slice(&plain?);
-        inflight = next.unwrap_or(Ok(Vec::new()));
-        first = next_first;
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,56 +177,6 @@ mod tests {
         for workers in [1, 2, 8] {
             let err = open_chunks(&ThreadPool::new(workers), &fnode, &ct, 0, 10).unwrap_err();
             assert!(err.to_string().contains("chunk 3"), "workers={workers}: {err}");
-        }
-    }
-
-    #[test]
-    fn pipelined_open_matches_whole_object_open() {
-        let chunk_size = 128u32;
-        let mut rng = SeededRandom::new(79);
-        for len in [1usize, 127, 128, 129, 1000, 2048] {
-            let mut data = vec![0u8; len];
-            rng.fill(&mut data);
-            let n_chunks = Filenode::chunk_count_for(len as u64, chunk_size) as usize;
-            let contexts = contexts_for(&mut rng, n_chunks);
-            let uuid = NexusUuid([8; 16]);
-            let ct = seal_chunks(&ThreadPool::new(4), &uuid, &data, chunk_size as usize, &contexts);
-            let mut fnode = filenode_with(contexts, len as u64, chunk_size);
-            fnode.data_uuid = uuid;
-            for window in [1usize, 2, 3, 4, 64] {
-                let got = open_chunks_pipelined(&ThreadPool::new(4), &fnode, window, |first, count| {
-                    let (start, _) = fnode.ciphertext_range(first);
-                    let (last_start, last_len) = fnode.ciphertext_range(first + count - 1);
-                    Ok(ct[start as usize..(last_start + last_len) as usize].to_vec())
-                })
-                .unwrap();
-                assert_eq!(got, data, "len={len} window={window}");
-            }
-        }
-    }
-
-    #[test]
-    fn pipelined_open_reports_lowest_failing_chunk() {
-        let chunk_size = 64u32;
-        let mut rng = SeededRandom::new(80);
-        let mut data = vec![0u8; 640];
-        rng.fill(&mut data);
-        let contexts = contexts_for(&mut rng, 10);
-        let uuid = NexusUuid([7; 16]);
-        let mut ct = seal_chunks(&ThreadPool::new(4), &uuid, &data, chunk_size as usize, &contexts);
-        let per = chunk_size as usize + CHUNK_OVERHEAD as usize;
-        ct[5 * per] ^= 1;
-        ct[9 * per] ^= 1;
-        let mut fnode = filenode_with(contexts, 640, chunk_size);
-        fnode.data_uuid = uuid;
-        for window in [1usize, 3, 4] {
-            let err = open_chunks_pipelined(&ThreadPool::new(2), &fnode, window, |first, count| {
-                let (start, _) = fnode.ciphertext_range(first);
-                let (last_start, last_len) = fnode.ciphertext_range(first + count - 1);
-                Ok(ct[start as usize..(last_start + last_len) as usize].to_vec())
-            })
-            .unwrap_err();
-            assert!(err.to_string().contains("chunk 5"), "window={window}: {err}");
         }
     }
 

@@ -7,13 +7,13 @@
 //! [`crate::volume::NexusVolume`], and all storage traffic flows through
 //! ocalls (the crate-private `MetaIo` shim).
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use nexus_crypto::sha2::Sha256;
 use nexus_sgx::EnclaveEnv;
 use nexus_storage::StorageBackend;
-use nexus_sync::Mutex;
 
 use crate::acl::{Principal, Rights, UserId};
 use crate::error::{NexusError, Result};
@@ -26,30 +26,19 @@ use crate::metadata::filenode::Filenode;
 use crate::metadata::supernode::Supernode;
 use crate::uuid::NexusUuid;
 
-/// Tunables mirroring the paper's configuration knobs.
+/// The volume's format parameters (the paper's configuration knobs). How
+/// an operation runs is not configurable: there is one code path each.
 #[derive(Debug, Clone, Copy)]
 pub struct NexusConfig {
     /// File chunk size (1 MB in the evaluation).
     pub chunk_size: u32,
     /// Dirnode bucket size in entries (128 in the evaluation).
     pub bucket_size: usize,
-    /// Enable the in-enclave metadata/dentry caches (§V-B); disabling them
-    /// is used by the cache ablation benchmark.
-    pub cache_metadata: bool,
     /// Create volumes with the Merkle-anchored freshness manifest (§VI-C
     /// extension): volume-wide rollback protection at the cost of one extra
     /// metadata write per update. Read at volume *creation*; mounts follow
     /// whatever the volume was created with.
     pub merkle_freshness: bool,
-    /// Coalesce related storage writes (dirnode buckets + main object +
-    /// filenodes) into one batched `put_many` RPC per commit, and allow
-    /// bulk reads to fetch all their data objects in one `get_many`.
-    /// Disabling falls back to one RPC per object; the stored bytes are
-    /// identical either way.
-    pub batch_rpcs: bool,
-    /// Chunks fetched ahead of the decryptor on the pipelined bulk-read
-    /// path; `0` disables pipelining (whole-object fetch, then decrypt).
-    pub prefetch_window: usize,
 }
 
 impl Default for NexusConfig {
@@ -57,10 +46,7 @@ impl Default for NexusConfig {
         NexusConfig {
             chunk_size: crate::metadata::filenode::DEFAULT_CHUNK_SIZE,
             bucket_size: crate::metadata::dirnode::DEFAULT_BUCKET_SIZE,
-            cache_metadata: true,
             merkle_freshness: false,
-            batch_rpcs: true,
-            prefetch_window: 4,
         }
     }
 }
@@ -313,28 +299,19 @@ struct Probes {
 pub(crate) struct MetaIo<'a> {
     pub(crate) env: &'a EnclaveEnv<'a>,
     backend: &'a dyn StorageBackend,
-    /// `NexusConfig::batch_rpcs`: one `stat_many` per settle, else a serial
-    /// `stat` loop over the same objects.
-    batch: bool,
-    /// A mutex only because the pipelined read path calls `get_range` from
-    /// its prefetch thread; nothing ever contends for it.
-    probes: Mutex<Probes>,
+    probes: RefCell<Probes>,
 }
 
 impl<'a> MetaIo<'a> {
-    pub(crate) fn new(
-        env: &'a EnclaveEnv<'a>,
-        backend: &'a dyn StorageBackend,
-        batch_rpcs: bool,
-    ) -> MetaIo<'a> {
-        MetaIo { env, backend, batch: batch_rpcs, probes: Mutex::default() }
+    pub(crate) fn new(env: &'a EnclaveEnv<'a>, backend: &'a dyn StorageBackend) -> MetaIo<'a> {
+        MetaIo { env, backend, probes: RefCell::default() }
     }
 
     /// Records that the operation is using the cached copy of `uuid`
     /// decoded from storage version `cached`; the next [`MetaIo::settle`]
     /// compares it.
     pub(crate) fn defer_probe(&self, uuid: NexusUuid, cached: u64) {
-        self.probes.lock().pending.insert(uuid, cached);
+        self.probes.borrow_mut().pending.insert(uuid, cached);
     }
 
     /// Compares every pending probe with storage in one round trip. On a
@@ -353,14 +330,11 @@ impl<'a> MetaIo<'a> {
     /// comparison already saw is reused, so reloading a stale node costs
     /// the failed probe and the fetch, nothing more.
     pub(crate) fn probe_before_fetch(&self, fetch: &[NexusUuid]) -> Result<Vec<u64>> {
-        let (pending, unseen) = {
-            let mut probes = self.probes.lock();
-            let unseen: Vec<NexusUuid> =
-                fetch.iter().filter(|u| !probes.observed.contains_key(u)).copied().collect();
-            (std::mem::take(&mut probes.pending), unseen)
-        };
+        let mut probes = self.probes.borrow_mut();
+        let unseen: Vec<NexusUuid> =
+            fetch.iter().filter(|u| !probes.observed.contains_key(u)).copied().collect();
+        let pending = std::mem::take(&mut probes.pending);
         let mut on_store = self.versions(pending.keys().chain(&unseen)).into_iter();
-        let mut probes = self.probes.lock();
         let mut moved = None;
         for (uuid, cached) in pending {
             let seen = on_store.next().flatten();
@@ -389,16 +363,16 @@ impl<'a> MetaIo<'a> {
 
     /// True when no cache hit is waiting to be compared.
     pub(crate) fn is_settled(&self) -> bool {
-        self.probes.lock().pending.is_empty()
+        self.probes.borrow().pending.is_empty()
     }
 
     /// Queues `uuid` for eviction by [`revalidated`].
     pub(crate) fn mark_stale(&self, uuid: NexusUuid) {
-        self.probes.lock().stale.push(uuid);
+        self.probes.borrow_mut().stale.push(uuid);
     }
 
     fn take_stale(&self) -> Vec<NexusUuid> {
-        std::mem::take(&mut self.probes.lock().stale)
+        std::mem::take(&mut self.probes.borrow_mut().stale)
     }
 
     pub(crate) fn get(&self, uuid: &NexusUuid) -> Result<Vec<u8>> {
@@ -425,13 +399,9 @@ impl<'a> MetaIo<'a> {
             .map_err(NexusError::from)
     }
 
-    /// Fetches many objects in one enclave exit and one batched storage RPC
-    /// (one `get` per object, in order, when batching is off). Per-object
-    /// results: a missing object fails its own slot only.
+    /// Fetches many objects in one enclave exit and one batched storage RPC.
+    /// Per-object results: a missing object fails its own slot only.
     pub(crate) fn get_many(&self, uuids: &[NexusUuid]) -> Result<Vec<Result<Vec<u8>>>> {
-        if !self.batch {
-            return Ok(uuids.iter().map(|uuid| self.get(uuid)).collect());
-        }
         self.settle()?;
         let names: Vec<String> = uuids.iter().map(|u| u.object_name()).collect();
         Ok(self
@@ -443,20 +413,14 @@ impl<'a> MetaIo<'a> {
     }
 
     /// Writes many objects (object name, bytes) in one enclave exit and one
-    /// batched storage RPC — one `put` per object, in order, when batching
-    /// is off — surfacing the first per-object error. An empty batch issues
-    /// nothing.
+    /// batched storage RPC, surfacing the first per-object error. An empty
+    /// batch issues nothing.
     pub(crate) fn put_many(&self, items: &[(String, Vec<u8>)]) -> Result<()> {
         self.settle()?;
         if items.is_empty() {
             return Ok(());
         }
-        let results = if self.batch {
-            self.env.ocall(|| self.backend.put_many(items))
-        } else {
-            items.iter().map(|(name, data)| self.env.ocall(|| self.backend.put(name, data))).collect()
-        };
-        for result in results {
+        for result in self.env.ocall(|| self.backend.put_many(items)) {
             result?;
         }
         Ok(())
@@ -481,16 +445,12 @@ impl<'a> MetaIo<'a> {
             .map(|s| s.version)
     }
 
-    /// The storage versions of `uuids`: one `stat_many` when batching is
-    /// on, the same objects as a serial `stat` loop otherwise; no call at
-    /// all for no objects.
+    /// The storage versions of `uuids` from one `stat_many`; no call at all
+    /// for no objects.
     pub(crate) fn versions<'u>(
         &self,
         uuids: impl IntoIterator<Item = &'u NexusUuid>,
     ) -> Vec<Option<u64>> {
-        if !self.batch {
-            return uuids.into_iter().map(|uuid| self.version(uuid)).collect();
-        }
         let names: Vec<String> = uuids.into_iter().map(|u| u.object_name()).collect();
         if names.is_empty() {
             return Vec::new();
@@ -632,20 +592,16 @@ pub(crate) fn load_dirnode(
     uuid: NexusUuid,
     expected_parent: Option<NexusUuid>,
 ) -> Result<Arc<Dirnode>> {
-    let use_cache = state.config().cache_metadata;
-    let mounted = state.mounted()?;
-    if use_cache {
-        if let Some((CachedNode::Dir(dir), cached_ver)) = mounted.meta_cache.get(&uuid) {
-            io.defer_probe(uuid, cached_ver);
-            if let Some(parent) = expected_parent {
-                if dir.parent != parent {
-                    return Err(NexusError::Integrity(format!(
-                        "cached dirnode {uuid} has unexpected parent"
-                    )));
-                }
+    if let Some((CachedNode::Dir(dir), cached_ver)) = state.mounted()?.meta_cache.get(&uuid) {
+        io.defer_probe(uuid, cached_ver);
+        if let Some(parent) = expected_parent {
+            if dir.parent != parent {
+                return Err(NexusError::Integrity(format!(
+                    "cached dirnode {uuid} has unexpected parent"
+                )));
             }
-            return Ok(dir);
         }
+        return Ok(dir);
     }
     let storage_version = io.probe_before_fetch(&[uuid])?[0];
     let blob = io.get(&uuid)?;
@@ -654,15 +610,13 @@ pub(crate) fn load_dirnode(
     let mounted = state.mounted()?;
     admit(mounted, &preamble, &uuid, ObjectKind::Dirnode, expected_parent)?;
     let dir = Arc::new(Dirnode::decode_main(uuid, preamble.parent, &body)?);
-    if use_cache {
-        mounted.meta_cache.insert(
-            io.env,
-            uuid,
-            CachedNode::Dir(dir.clone()),
-            storage_version,
-            body.len(),
-        );
-    }
+    mounted.meta_cache.insert(
+        io.env,
+        uuid,
+        CachedNode::Dir(dir.clone()),
+        storage_version,
+        body.len(),
+    );
     Ok(dir)
 }
 
@@ -698,9 +652,7 @@ pub(crate) fn load_bucket(
     let mounted = state.mounted()?;
     admit(mounted, &preamble, &slot_uuid, ObjectKind::DirBucket, Some(dir.uuid))?;
     let bucket = Arc::new(Bucket::decode(&body)?);
-    if state.config().cache_metadata {
-        state.mounted()?.meta_cache.write_back_bucket(io.env, &dir.uuid, idx, &re, &bucket);
-    }
+    mounted.meta_cache.write_back_bucket(io.env, &dir.uuid, idx, &re, &bucket);
     let slot = &mut Arc::make_mut(dir).buckets[idx];
     slot.bucket = Some(bucket);
     slot.dirty = false;
@@ -737,10 +689,8 @@ pub(crate) fn lookup_entry(
 }
 
 /// A staged metadata commit: sealed blobs accumulate here and land on
-/// storage in one batched round trip (`MetaIo::put_many`) at flush time —
-/// or as a serial put-per-object loop when `batch_rpcs` is off. Sealing
-/// happens at *stage* time in call order, so the stored bytes are identical
-/// in both modes; only the RPC shape differs.
+/// storage in one batched round trip (`MetaIo::put_many`) at flush time.
+/// Sealing happens at *stage* time, in call order.
 #[derive(Debug, Default)]
 pub(crate) struct MetaCommit {
     /// (object name, sealed blob), in staging order.
@@ -858,11 +808,10 @@ pub(crate) fn stage_filenode(
 }
 
 /// Lands a staged commit: every sealed blob in one `put_many` (one RPC,
-/// one lock epoch on the manifest) when batching is on, a serial put loop
-/// otherwise; then the cache learns the versions just written from one
-/// `stat_many` (the caller holds the advisory lock of every node it
-/// rewrites, so no foreign write can slip in between), and a single
-/// freshness-manifest record covers all updated objects.
+/// one lock epoch on the manifest); then the cache learns the versions just
+/// written from one `stat_many` (the caller holds the advisory lock of
+/// every node it rewrites, so no foreign write can slip in between), and a
+/// single freshness-manifest record covers all updated objects.
 pub(crate) fn commit_flush(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
@@ -873,12 +822,10 @@ pub(crate) fn commit_flush(
     // splits for those small long-lived nodes, and the next write's buffer
     // no longer fits where this one was.
     io.put_many(&commit.pending)?;
-    if state.config().cache_metadata {
-        let written = io.versions(commit.cache_inserts.iter().map(|(uuid, ..)| uuid));
-        let mounted = state.mounted()?;
-        for ((uuid, node, epc_bytes), version) in commit.cache_inserts.into_iter().zip(written) {
-            mounted.meta_cache.insert(io.env, uuid, node, version.unwrap_or(0), epc_bytes);
-        }
+    let written = io.versions(commit.cache_inserts.iter().map(|(uuid, ..)| uuid));
+    let mounted = state.mounted()?;
+    for ((uuid, node, epc_bytes), version) in commit.cache_inserts.into_iter().zip(written) {
+        mounted.meta_cache.insert(io.env, uuid, node, version.unwrap_or(0), epc_bytes);
     }
     crate::freshness::record_objects(state, io, &commit.manifest_updates, &[])?;
     Ok(())
@@ -902,9 +849,6 @@ fn cached_filenode(
     io: &MetaIo<'_>,
     uuid: NexusUuid,
 ) -> Result<Option<Arc<Filenode>>> {
-    if !state.config().cache_metadata {
-        return Ok(None);
-    }
     match state.mounted()?.meta_cache.get(&uuid) {
         Some((CachedNode::File(fnode), cached_ver)) => {
             io.defer_probe(uuid, cached_ver);
@@ -925,22 +869,19 @@ fn admit_filenode(
 ) -> Result<Arc<Filenode>> {
     crate::freshness::verify_fresh(state, io, &uuid, blob)?;
     let (preamble, body) = open_meta_blob(state, io, blob)?;
-    let use_cache = state.config().cache_metadata;
     let mounted = state.mounted()?;
     admit(mounted, &preamble, &uuid, ObjectKind::Filenode, None)?;
     let fnode = Arc::new(Filenode::decode(&body)?);
     if fnode.uuid != uuid {
         return Err(NexusError::Integrity("filenode body uuid mismatch".into()));
     }
-    if use_cache {
-        mounted.meta_cache.insert(
-            io.env,
-            uuid,
-            CachedNode::File(fnode.clone()),
-            storage_version,
-            body.len(),
-        );
-    }
+    mounted.meta_cache.insert(
+        io.env,
+        uuid,
+        CachedNode::File(fnode.clone()),
+        storage_version,
+        body.len(),
+    );
     Ok(fnode)
 }
 
@@ -1054,10 +995,11 @@ mod tests {
 
     #[test]
     fn default_config_matches_paper() {
-        let cfg = NexusConfig::default();
-        assert_eq!(cfg.chunk_size, 1024 * 1024);
-        assert_eq!(cfg.bucket_size, 128);
-        assert!(cfg.cache_metadata);
+        // Exhaustive on purpose: a new field stops compiling here.
+        let NexusConfig { chunk_size, bucket_size, merkle_freshness } = NexusConfig::default();
+        assert_eq!(chunk_size, 1024 * 1024);
+        assert_eq!(bucket_size, 128);
+        assert!(!merkle_freshness);
     }
 
     #[test]

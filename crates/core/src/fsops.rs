@@ -787,35 +787,17 @@ pub(crate) fn sweep_acl_user(
     Ok(changed)
 }
 
-/// `nexus_fs_decrypt`: reads and decrypts the whole file at `path`.
-///
-/// Large files take the pipelined path: ranged fetches of
-/// `prefetch_window` chunks overlap with AES-GCM opens on the worker pool,
-/// so transfer and decrypt no longer serialise. Small files (or
-/// `batch_rpcs`/`prefetch_window` off) keep the single whole-object fetch.
+/// `nexus_fs_decrypt`: reads and decrypts the whole file at `path` — one
+/// fetch of the data object, then the chunks open on the worker pool.
 pub(crate) fn fs_decrypt(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
     path: &str,
 ) -> Result<Vec<u8>> {
     let fnode = revalidated(state, io, |state, io| open_file_for_read(state, io, path))?;
-    let config = state.config();
-    let n_chunks = fnode.chunks.len() as u64;
-    let window = config.prefetch_window as u64;
-    if config.batch_rpcs && window > 0 && n_chunks > window {
-        return datapath::open_chunks_pipelined(
-            nexus_pool::global(),
-            &fnode,
-            config.prefetch_window,
-            |first, count| {
-                let (start, _) = fnode.ciphertext_range(first);
-                let (last_start, last_len) = fnode.ciphertext_range(first + count - 1);
-                io.get_range(&fnode.data_uuid, start, last_start + last_len - start)
-            },
-        );
-    }
     let ciphertext = io.get(&fnode.data_uuid)?;
-    datapath::open_chunks(nexus_pool::global(), &fnode, &ciphertext, 0, n_chunks)
+    let count = fnode.chunks.len() as u64;
+    datapath::open_chunks(nexus_pool::global(), &fnode, &ciphertext, 0, count)
 }
 
 /// Bulk `nexus_fs_decrypt`: walks every path to its directory entry, loads

@@ -119,7 +119,7 @@ impl NexusVolume {
         let owner_key = owner.public_key();
         let (volume_id, sealed) = enclave.ecall(move |state, env| -> Result<(NexusUuid, Vec<u8>)> {
             state.config = Some(config);
-            let io = MetaIo::new(env, b.as_ref(), config.batch_rpcs);
+            let io = MetaIo::new(env, b.as_ref());
 
             let mut rootkey = [0u8; 32];
             env.random_bytes(&mut rootkey);
@@ -180,7 +180,7 @@ impl NexusVolume {
         let volume_id = enclave.ecall(move |state, env| -> Result<NexusUuid> {
             state.config = Some(config);
             let (rootkey, uuid) = protocol::unseal_rootkey(env, &sealed_bytes)?;
-            let io = MetaIo::new(env, b.as_ref(), config.batch_rpcs);
+            let io = MetaIo::new(env, b.as_ref());
             // Probe before fetch: if a writer lands between the two, the
             // recorded probe is merely stale and the next probe refetches.
             let storage_version = io.version(&uuid).unwrap_or(0);
@@ -233,7 +233,7 @@ impl NexusVolume {
     ) -> Result<R> {
         let backend = self.backend.clone();
         self.enclave.ecall(move |state, env| {
-            let io = MetaIo::new(env, backend.as_ref(), state.config().batch_rpcs);
+            let io = MetaIo::new(env, backend.as_ref());
             let out = f(state, &io);
             debug_assert!(io.is_settled(), "an operation replied on unverified cache hits");
             out

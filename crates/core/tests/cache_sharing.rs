@@ -138,26 +138,6 @@ fn a_warm_walk_fetches_nothing_and_still_probes_every_component() {
 }
 
 #[test]
-fn with_the_cache_off_every_walk_fetches_again() {
-    let platform = Platform::seeded(0xCA5E);
-    let ias = AttestationService::new();
-    ias.register_platform(&platform);
-    let backend = Arc::new(Counting::default());
-    let owner = UserKeys::from_seed("owner", &[1; 32]);
-    let config = NexusConfig { cache_metadata: false, ..NexusConfig::default() };
-    let (v, _) = NexusVolume::create(&platform, backend.clone(), &ias, &owner, config).unwrap();
-    v.authenticate(&owner).unwrap();
-    v.write_file("f", b"x").unwrap();
-    backend.take();
-    v.lookup("f").unwrap();
-    let first = backend.take().0;
-    v.lookup("f").unwrap();
-    assert_eq!(first, 3, "root, its bucket, the filenode");
-    assert_eq!(backend.take().0, first, "nothing was retained");
-    assert_eq!(v.enclave().epc().peak(), 0, "and nothing was ever charged to the EPC ledger");
-}
-
-#[test]
 fn a_warm_session_sees_another_clients_create_and_remove() {
     let w = world();
     let a = (w.mount)();

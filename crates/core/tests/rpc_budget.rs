@@ -6,17 +6,16 @@
 //! phase"): once for the path walk, once more for what a mutation reloads
 //! after its locks are taken. The budgets below are the call sequences of
 //! the default configuration on a depth-3 path; a change that goes back to
-//! a `stat` per path component fails them. With `batch_rpcs` off the same
-//! objects are touched one call each and the store ends up byte-identical;
-//! and two clients interleaving through each other's stale caches get, op
-//! for op, the answers of a pair that caches nothing.
+//! a `stat` per path component fails them. Two clients interleaving through
+//! each other's stale caches get, op for op, the answers of a client that
+//! caches nothing.
 
 use std::sync::Arc;
 
 use nexus_core::{NexusConfig, NexusError, NexusVolume, Rights, UserKeys};
 use nexus_sgx::{AttestationService, Platform};
 use nexus_storage::hooked::Call;
-use nexus_storage::{HookedBackend, MemBackend, StorageBackend};
+use nexus_storage::{HookedBackend, MemBackend};
 use nexus_testkit::Gen;
 
 type Log = Arc<HookedBackend<MemBackend>>;
@@ -24,12 +23,11 @@ type Log = Arc<HookedBackend<MemBackend>>;
 /// An owner session over a logged store. `a/b/` holds `f0..f3`, `a/c/` is
 /// empty, `alice` is a user; every node on those paths is cached. The
 /// closure mounts further (cold) sessions of the owner on the same log.
-fn warm_world(config: NexusConfig) -> (Log, Arc<MemBackend>, NexusVolume, impl Fn() -> NexusVolume) {
+fn warm_world(config: NexusConfig) -> (Log, NexusVolume, impl Fn() -> NexusVolume) {
     let platform = Platform::seeded(0xB0D6);
     let ias = AttestationService::new();
     ias.register_platform(&platform);
-    let mem = Arc::new(MemBackend::new());
-    let log: Log = Arc::new(HookedBackend::new(mem.clone()));
+    let log: Log = Arc::new(HookedBackend::new(Arc::new(MemBackend::new())));
     let owner = UserKeys::from_seed("owner", &[1; 32]);
     let (v, sealed) = NexusVolume::create(&platform, log.clone(), &ias, &owner, config).unwrap();
     v.authenticate(&owner).unwrap();
@@ -46,7 +44,7 @@ fn warm_world(config: NexusConfig) -> (Log, Arc<MemBackend>, NexusVolume, impl F
         v.authenticate(&owner).unwrap();
         v
     };
-    (log, mem, v, mount)
+    (log, v, mount)
 }
 
 const FILES: [&str; 4] = ["a/b/f0", "a/b/f1", "a/b/f2", "a/b/f3"];
@@ -61,7 +59,7 @@ fn calls_of<T>(log: &Log, op: impl FnOnce() -> T) -> Vec<Call> {
 #[test]
 fn a_warm_operation_pays_one_probe_per_phase() {
     use Call::*;
-    let (log, _, v, mount) = warm_world(NexusConfig::default());
+    let (log, v, mount) = warm_world(NexusConfig { chunk_size: 1024, ..NexusConfig::default() });
 
     // What a cache does not hold yet is probed in the round trip that
     // settles what it does, then fetched: a first touch under warm
@@ -79,6 +77,15 @@ fn a_warm_operation_pays_one_probe_per_phase() {
     assert_eq!(calls_of(&log, || v.read_file("a/b/f0").unwrap()), [StatMany, Get]);
     assert_eq!(calls_of(&log, || v.list_dir("a/b").unwrap()), [StatMany]);
     assert_eq!(calls_of(&log, || v.read_files(&FILES).unwrap()), [StatMany, GetMany]);
+
+    // A many-chunk file is still one fetch; a range fetches only its chunks.
+    let big: Vec<u8> = (0..10 * 1024u32).map(|i| i as u8).collect();
+    v.write_file("a/c/big", &big).unwrap();
+    assert_eq!(calls_of(&log, || assert_eq!(v.read_file("a/c/big").unwrap(), big)), [StatMany, Get]);
+    assert_eq!(
+        calls_of(&log, || assert_eq!(v.read_range("a/c/big", 3000, 2000).unwrap(), big[3000..5000])),
+        [StatMany, GetRange],
+    );
 
     // Walk, lock, the filenode again now that it cannot move, data object
     // and filenode in one batch, the versions just written, unlock.
@@ -114,56 +121,6 @@ fn a_warm_operation_pays_one_probe_per_phase() {
     );
     assert_eq!(v.read_file("a/c/g1").unwrap(), b"contents 1");
     assert_eq!(v.read_file("a/b/new").unwrap(), b"created");
-}
-
-/// Every kind of operation once, reads through the warm cache included.
-fn script(v: &NexusVolume) {
-    v.lookup("a/b/f0").unwrap();
-    assert_eq!(v.read_files(&FILES).unwrap().len(), 4);
-    v.write_file("a/b/f0", &[7u8; 3000]).unwrap();
-    v.write_file("a/b/new", b"created").unwrap();
-    v.rename("a/b/f1", "a/c/g1").unwrap();
-    v.rename("a/c/g1", "a/c/g2").unwrap();
-    v.hardlink("a/b/f2", "a/c/link").unwrap();
-    v.remove("a/b/f2").unwrap();
-    v.symlink("a/b/f3", "a/c/sym").unwrap();
-    v.set_acl("a/b", "alice", Rights::READ).unwrap();
-    v.revoke_acl("a/b", "alice").unwrap();
-    v.mkdir("a/c/d").unwrap();
-    v.remove("a/c/d").unwrap();
-    v.remove("a/c/link").unwrap();
-    assert_eq!(v.read_file("a/c/g2").unwrap(), b"contents 1");
-    assert!(matches!(v.read_file("a/b/f2"), Err(NexusError::NotFound(_))));
-    assert_eq!(v.list_dir("a/c").unwrap().len(), 2);
-}
-
-#[test]
-fn without_batching_the_same_objects_travel_one_call_each() {
-    let run = |batch_rpcs: bool| {
-        let config = NexusConfig { batch_rpcs, ..NexusConfig::default() };
-        let (log, mem, v, mount) = warm_world(config);
-        log.take_calls();
-        assert_eq!(mount().read_files(&FILES).unwrap().len(), 4, "a cold session's bulk read");
-        script(&v);
-        let calls = log.take_calls();
-        let mut store: Vec<(String, Vec<u8>)> =
-            mem.list("").into_iter().map(|name| (name.clone(), mem.get(&name).unwrap())).collect();
-        store.sort();
-        (calls, store)
-    };
-    let (batched, batched_store) = run(true);
-    let (serial, serial_store) = run(false);
-
-    assert!(serial.iter().all(|(call, _)| call.serial() == *call), "no batch call is issued");
-    let per_object = |calls: &[(Call, Vec<String>)]| -> Vec<(Call, String)> {
-        calls
-            .iter()
-            .flat_map(|(call, names)| names.iter().map(|n| (call.serial(), n.clone())))
-            .collect()
-    };
-    assert_eq!(per_object(&batched), per_object(&serial), "same objects, same order");
-    assert!(batched.len() * 3 < serial.len() * 2, "{} vs {}", batched.len(), serial.len());
-    assert_eq!(batched_store, serial_store, "and not one stored byte differs");
 }
 
 // -- Two clients, each reading through a cache the other keeps staling ------
@@ -256,30 +213,37 @@ fn interleaving(seed: u64, len: usize) -> Vec<(usize, Op)> {
     ops
 }
 
-/// Two sessions of one owner on one store.
-fn pair(config: NexusConfig) -> [NexusVolume; 2] {
+/// One owner's store, and how to mount one more session on it.
+fn world() -> (NexusVolume, impl Fn() -> NexusVolume) {
     let platform = Platform::seeded(0x2C11);
     let ias = AttestationService::new();
     ias.register_platform(&platform);
     let mem = Arc::new(MemBackend::new());
     let owner = UserKeys::from_seed("owner", &[1; 32]);
+    let config = NexusConfig::default();
     let (first, sealed) =
         NexusVolume::create(&platform, mem.clone(), &ias, &owner, config).unwrap();
     first.authenticate(&owner).unwrap();
-    let second = NexusVolume::mount(&platform, mem, &ias, &sealed, config).unwrap();
-    second.authenticate(&owner).unwrap();
-    [first, second]
+    let mount = move || {
+        let v = NexusVolume::mount(&platform, mem.clone(), &ias, &sealed, config).unwrap();
+        v.authenticate(&owner).unwrap();
+        v
+    };
+    (first, mount)
 }
 
 #[test]
 fn interleaved_clients_answer_like_a_pair_that_caches_nothing() {
     for seed in [1u64, 2, 3, 0xFEED] {
-        let cached = pair(NexusConfig::default());
-        let uncached = pair(NexusConfig { cache_metadata: false, ..NexusConfig::default() });
+        let (first, mount) = world();
+        let cached = [first, mount()];
+        // The reference mounts afresh for every operation: no cached node,
+        // version table or session survives from one to the next.
+        let (_, fresh_mount) = world();
         let mut succeeded = 0;
         for (step, (client, op)) in interleaving(seed, 400).iter().enumerate() {
             let got = apply(&cached[*client], op);
-            let want = apply(&uncached[*client], op);
+            let want = apply(&fresh_mount(), op);
             assert_eq!(got, want, "seed {seed:#x}, step {step}: client {client} ran {op:?}");
             succeeded += usize::from(!matches!(got, Answer::Failed(_)));
         }

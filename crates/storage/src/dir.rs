@@ -27,13 +27,13 @@
 
 use std::collections::HashMap;
 use std::fs::{self, File};
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use nexus_sync::Mutex;
 
-use crate::backend::{IoStats, ObjectStat, StorageBackend, StorageError};
+use crate::backend::{check_range, IoStats, ObjectStat, StorageBackend, StorageError};
 use crate::fault::{FaultAction, FaultHook, FaultPoint};
 use crate::logstore::crc32;
 
@@ -75,6 +75,16 @@ impl std::fmt::Debug for DirState {
 
 fn io_err(e: std::io::Error) -> StorageError {
     StorageError::Io(e.to_string())
+}
+
+/// The error of opening, reading or removing the file of object `path`:
+/// absence is diagnosed from the error itself (no exists()-then-act TOCTOU).
+fn object_err(path: &str, e: std::io::Error) -> StorageError {
+    if e.kind() == std::io::ErrorKind::NotFound {
+        StorageError::NotFound(path.to_string())
+    } else {
+        io_err(e)
+    }
 }
 
 /// Maps an object path to its on-disk file name. `%` is escaped first so
@@ -409,31 +419,31 @@ impl StorageBackend for DirBackend {
     }
 
     fn get(&self, path: &str) -> Result<Vec<u8>, StorageError> {
-        // Single read, no exists()-then-read TOCTOU: absence is diagnosed
-        // from the read error itself.
-        let data = fs::read(self.file_for(path)).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::NotFound {
-                StorageError::NotFound(path.to_string())
-            } else {
-                io_err(e)
-            }
-        })?;
+        let data = fs::read(self.file_for(path)).map_err(|e| object_err(path, e))?;
         let mut st = self.state.lock();
         st.stats.reads += 1;
         st.stats.bytes_read += data.len() as u64;
         Ok(data)
     }
 
+    fn get_range(&self, path: &str, offset: u64, len: u64) -> Result<Vec<u8>, StorageError> {
+        let mut file = File::open(self.file_for(path)).map_err(|e| object_err(path, e))?;
+        let size = file.metadata().map_err(io_err)?.len();
+        check_range(path, offset, len, size)?;
+        // `len <= size` now, so the allocation is bounded by the file.
+        let mut data = vec![0u8; len as usize];
+        file.seek(SeekFrom::Start(offset)).map_err(io_err)?;
+        file.read_exact(&mut data).map_err(io_err)?;
+        let mut st = self.state.lock();
+        st.stats.reads += 1;
+        st.stats.bytes_read += len;
+        Ok(data)
+    }
+
     fn delete(&self, path: &str) -> Result<(), StorageError> {
         let mut st = self.state.lock();
         Self::guard(&st)?;
-        fs::remove_file(self.file_for(path)).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::NotFound {
-                StorageError::NotFound(path.to_string())
-            } else {
-                io_err(e)
-            }
-        })?;
+        fs::remove_file(self.file_for(path)).map_err(|e| object_err(path, e))?;
         st.versions.remove(path);
         self.commit_sidecar(&mut st)?;
         st.stats.deletes += 1;
@@ -577,11 +587,22 @@ mod tests {
     }
 
     #[test]
-    fn get_range_via_trait_default() {
+    fn get_range_reads_only_the_range() {
         let backend = DirBackend::open(tmp()).unwrap();
         backend.put("r", b"0123456789").unwrap();
+        let before = backend.stats().bytes_read;
         assert_eq!(backend.get_range("r", 3, 4).unwrap(), b"3456");
-        assert!(backend.get_range("r", 8, 5).is_err());
+        assert_eq!(backend.stats().bytes_read - before, 4, "not the whole object");
+        assert_eq!(backend.get_range("r", 6, 4).unwrap(), b"6789");
+        assert_eq!(backend.get_range("r", 2, 0).unwrap(), b"");
+        assert_eq!(backend.get_range("r", 10, 0).unwrap(), b"");
+        for (offset, len) in [(8, 5), (10, 1), (11, 0), (u64::MAX, 2), (2, u64::MAX)] {
+            assert!(
+                matches!(backend.get_range("r", offset, len), Err(StorageError::BadRange { .. })),
+                "offset {offset}, len {len}",
+            );
+        }
+        assert!(matches!(backend.get_range("gone", 0, 1), Err(StorageError::NotFound(_))));
     }
 
     #[test]

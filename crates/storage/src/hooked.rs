@@ -45,19 +45,6 @@ pub enum Call {
     StatMany,
 }
 
-impl Call {
-    /// The single-object method a batch stands for (itself otherwise): a
-    /// `stat_many` over three objects and three `stat`s touch storage alike.
-    pub fn serial(self) -> Call {
-        match self {
-            Call::GetMany => Call::Get,
-            Call::PutMany => Call::Put,
-            Call::StatMany => Call::Stat,
-            other => other,
-        }
-    }
-}
-
 type When = Box<dyn FnMut(Call, &[String]) -> bool + Send>;
 type Run = Box<dyn FnOnce() + Send>;
 
@@ -221,7 +208,6 @@ mod tests {
         let kinds: Vec<Call> = calls.iter().map(|(call, _)| *call).collect();
         assert_eq!(kinds, [Call::Put, Call::Stat, Call::Get, Call::Get, Call::StatMany]);
         assert_eq!(calls[4].1, ["a", "b"]);
-        assert_eq!(Call::StatMany.serial(), Call::Stat);
         assert!(hooked.take_calls().is_empty());
     }
 }

@@ -249,14 +249,16 @@ impl LatencyHistogram {
         ((msb - HIST_SUB_BITS + 1) as usize) * HIST_SUB + sub
     }
 
-    /// Lower bound of bucket `i` in nanoseconds (the quantile estimate).
-    fn bucket_floor(i: usize) -> u64 {
+    /// The largest sample, in nanoseconds, that lands in bucket `i` (the
+    /// quantile estimate).
+    fn bucket_upper(i: usize) -> u64 {
         if i < HIST_SUB {
             return i as u64;
         }
         let octave = (i / HIST_SUB) as u32 + HIST_SUB_BITS - 1;
         let sub = (i % HIST_SUB) as u64;
-        (1u64 << octave) + (sub << (octave - HIST_SUB_BITS))
+        let width = 1u64 << (octave - HIST_SUB_BITS);
+        (1u64 << octave) + sub * width + (width - 1)
     }
 
     /// Records one latency sample.
@@ -304,8 +306,9 @@ impl LatencyHistogram {
         self.max_nanos.fetch_max(other.max_nanos.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
-    /// The `q`-quantile (`0.5` = p50, `0.999` = p999), resolved to the
-    /// floor of the bucket holding that sample.
+    /// The `q`-quantile (`0.5` = p50, `0.999` = p999), resolved to the upper
+    /// edge of the bucket holding that sample, or to [`Self::max`] when that
+    /// is lower: never below the sample, and above it by at most 1/32 of it.
     pub fn quantile(&self, q: f64) -> Duration {
         let n = self.count();
         if n == 0 {
@@ -316,7 +319,7 @@ impl LatencyHistogram {
         for (i, bucket) in self.buckets.iter().enumerate() {
             seen += bucket.load(Ordering::Relaxed);
             if seen >= target {
-                return Duration::from_nanos(Self::bucket_floor(i));
+                return Duration::from_nanos(Self::bucket_upper(i)).min(self.max());
             }
         }
         self.max()
@@ -484,19 +487,40 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_monotonic_and_indexable() {
-        // Every sample lands in a bucket whose floor does not exceed it,
-        // and bucket floors are non-decreasing in the index.
-        for nanos in [0u64, 1, 31, 32, 33, 1000, 123_456, u64::MAX / 2] {
+        // Every sample lands in a bucket whose upper edge is at least it
+        // and at most 1/32 above it; the edge itself is the bucket's last
+        // sample, the next nanosecond the next bucket's first.
+        for nanos in [0u64, 1, 31, 32, 33, 1000, 123_456, u64::MAX / 2, u64::MAX] {
             let i = LatencyHistogram::index(nanos);
             assert!(i < HIST_BUCKETS, "{nanos}");
-            assert!(LatencyHistogram::bucket_floor(i) <= nanos, "{nanos}");
+            let upper = LatencyHistogram::bucket_upper(i);
+            assert!(upper >= nanos && upper - nanos <= nanos / 32, "{nanos} in ..={upper}");
         }
-        let mut prev = 0u64;
         for i in 0..HIST_BUCKETS {
-            let floor = LatencyHistogram::bucket_floor(i);
-            assert!(floor >= prev, "bucket {i}");
-            prev = floor;
+            let upper = LatencyHistogram::bucket_upper(i);
+            assert_eq!(LatencyHistogram::index(upper), i);
+            if i + 1 < HIST_BUCKETS {
+                assert_eq!(LatencyHistogram::index(upper + 1), i + 1);
+            }
         }
+    }
+
+    #[test]
+    fn quantiles_of_a_constant_latency_are_not_below_its_mean() {
+        let h = LatencyHistogram::new();
+        let latency = Duration::from_nanos(1_210_200);
+        for _ in 0..1000 {
+            h.record(latency);
+        }
+        assert_eq!(h.mean(), latency);
+        for q in [0.5, 0.99, 0.999] {
+            assert_eq!(h.quantile(q), latency, "q={q}: the bucket edge, clamped to the max");
+        }
+        // One outlier lifts the max: the body's quantiles move to their
+        // bucket's edge, within the stated error, and stay at or above it.
+        h.record(Duration::from_secs(1));
+        let p50 = h.quantile(0.5);
+        assert!(p50 >= latency && p50 - latency <= latency / 32, "{p50:?}");
     }
 
     #[test]

@@ -13,14 +13,19 @@ use nexus::{
 type Evil = Arc<MaliciousBackend<MemBackend>>;
 
 fn setup() -> (Platform, AttestationService, Evil, UserKeys, NexusVolume, nexus::SealedRootKey) {
+    setup_with(NexusConfig::default())
+}
+
+fn setup_with(
+    config: NexusConfig,
+) -> (Platform, AttestationService, Evil, UserKeys, NexusVolume, nexus::SealedRootKey) {
     let platform = Platform::seeded(0x5EC);
     let ias = AttestationService::new();
     ias.register_platform(&platform);
     let evil: Evil = Arc::new(MaliciousBackend::new(MemBackend::new()));
     let owner = UserKeys::from_seed("owen", &[1u8; 32]);
     let (volume, sealed) =
-        NexusVolume::create(&platform, evil.clone(), &ias, &owner, NexusConfig::default())
-            .unwrap();
+        NexusVolume::create(&platform, evil.clone(), &ias, &owner, config).unwrap();
     volume.authenticate(&owner).unwrap();
     (platform, ias, evil, owner, volume, sealed)
 }
@@ -58,6 +63,25 @@ fn tampered_data_detected() {
         volume.read_file("f.txt"),
         Err(NexusError::Integrity(_))
     ));
+
+    // A many-chunk file is fetched whole and its chunks open side by side:
+    // the read still fails where a chunk-by-chunk reader would have stopped.
+    let (_, _, evil, _, volume, _) =
+        setup_with(NexusConfig { chunk_size: 1024, ..NexusConfig::default() });
+    let added = objects_added_by(&evil, || volume.write_file("big", &[7u8; 10 * 1024]).unwrap());
+    let sealed_chunk = 1024 + nexus::core::metadata::filenode::CHUNK_OVERHEAD as usize;
+    let data_object = added
+        .iter()
+        .find(|name| evil.get(name).unwrap().len() == 10 * sealed_chunk)
+        .expect("the data object");
+    let mut ciphertext = evil.get(data_object).unwrap();
+    ciphertext[5 * sealed_chunk + 100] ^= 1;
+    ciphertext[9 * sealed_chunk + 100] ^= 1;
+    evil.put(data_object, &ciphertext).unwrap();
+    match volume.read_file("big") {
+        Err(NexusError::Integrity(why)) => assert!(why.contains("chunk 5"), "{why}"),
+        other => panic!("expected the chunk-5 failure, got {other:?}"),
+    }
 }
 
 #[test]
