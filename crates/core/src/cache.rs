@@ -8,8 +8,9 @@
 //! bucket it touches) before the committed node replaces the cached one.
 //!
 //! The cache is also where EPC is accounted: an entry is charged the
-//! plaintext body bytes it retains (main object plus loaded buckets) when
-//! it is inserted or grows, and released when it is replaced or removed.
+//! plaintext body bytes it retains (main object plus loaded buckets, each
+//! with its name index) when it is inserted or grows, and released when it
+//! is replaced or removed.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -86,8 +87,8 @@ impl MetaCache {
             _ => return,
         }
         Arc::make_mut(cached).buckets[idx].bucket = Some(bucket.clone());
-        entry.epc_bytes += bucket.as_bytes().len();
-        env.epc_alloc(bucket.as_bytes().len());
+        entry.epc_bytes += bucket.epc_bytes();
+        env.epc_alloc(bucket.epc_bytes());
     }
 
     /// Every cached node (for the ledger tests).
@@ -168,7 +169,8 @@ mod tests {
             assert_eq!(loaded(cache), vec![false, true]);
             // A second offer for a loaded slot changes (and charges) nothing.
             cache.write_back_bucket(env, &uuid(1), 1, &full.buckets[1].re, &bucket(1));
-            assert_eq!(e.epc().current(), main.len() + bucket(1).as_bytes().len());
+            assert_eq!(e.epc().current(), main.len() + bucket(1).epc_bytes());
+            assert_eq!(bucket(1).epc_bytes(), bucket(1).as_bytes().len() + 4, "body + one offset");
             cache.remove(env, &uuid(1));
             assert_eq!(e.epc().current(), 0);
         });

@@ -620,37 +620,33 @@ pub(crate) fn load_dirnode(
     Ok(dir)
 }
 
-/// Loads one bucket of `dir` (index `idx`) if not already loaded, verifying
-/// its MAC against the main dirnode, and leaves it in the cached dirnode's
-/// slot too (see [`crate::cache::MetaCache::write_back_bucket`]) so the next
-/// walk does not fetch it again.
-pub(crate) fn load_bucket(
+/// Checks in the sealed blob fetched for slot `idx` of `dir` — freshness,
+/// the MAC in the main dirnode, the seal, the preamble, the body — and
+/// leaves the bucket in the cached dirnode's slot too (see
+/// [`crate::cache::MetaCache::write_back_bucket`]) so the next walk does not
+/// fetch it again.
+fn admit_bucket(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
     dir: &mut Arc<Dirnode>,
     idx: usize,
+    blob: &[u8],
 ) -> Result<()> {
-    if dir.buckets[idx].bucket.is_some() {
-        return Ok(());
-    }
     let re = dir.buckets[idx].re;
-    let slot_uuid = re.uuid;
-    let expected_mac = re.mac;
-    let blob = io.get(&slot_uuid)?;
-    crate::freshness::verify_fresh(state, io, &slot_uuid, &blob)?;
-    let mac = Sha256::digest(&blob);
-    if mac != expected_mac {
+    crate::freshness::verify_fresh(state, io, &re.uuid, blob)?;
+    if Sha256::digest(blob) != re.mac {
         // Either an attack, or a concurrent writer updated the bucket after
         // we read the main dirnode. The phase runs again on a fresh dirnode
         // and reports an integrity violation only if the mismatch persists.
         io.mark_stale(dir.uuid);
         return Err(NexusError::StaleRead(format!(
-            "bucket {slot_uuid} does not match the MAC in its dirnode"
+            "bucket {} does not match the MAC in its dirnode",
+            re.uuid
         )));
     }
-    let (preamble, body) = open_meta_blob(state, io, &blob)?;
+    let (preamble, body) = open_meta_blob(state, io, blob)?;
     let mounted = state.mounted()?;
-    admit(mounted, &preamble, &slot_uuid, ObjectKind::DirBucket, Some(dir.uuid))?;
+    admit(mounted, &preamble, &re.uuid, ObjectKind::DirBucket, Some(dir.uuid))?;
     let bucket = Arc::new(Bucket::decode(&body)?);
     mounted.meta_cache.write_back_bucket(io.env, &dir.uuid, idx, &re, &bucket);
     let slot = &mut Arc::make_mut(dir).buckets[idx];
@@ -659,27 +655,44 @@ pub(crate) fn load_bucket(
     Ok(())
 }
 
-/// Loads every bucket of `dir` (required before mutations).
+/// Loads every bucket of `dir` (required before mutations): the unloaded
+/// ones are fetched in one `get_many` and checked in slot order, so the
+/// lowest slot that fails its checks fails the load, as a serial loop would.
 pub(crate) fn load_all_buckets(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
     dir: &mut Arc<Dirnode>,
 ) -> Result<()> {
-    for idx in 0..dir.buckets.len() {
-        load_bucket(state, io, dir, idx)?;
+    let unloaded: Vec<usize> =
+        (0..dir.buckets.len()).filter(|&idx| dir.buckets[idx].bucket.is_none()).collect();
+    if unloaded.is_empty() {
+        return Ok(());
+    }
+    let uuids: Vec<NexusUuid> = unloaded.iter().map(|&idx| dir.buckets[idx].re.uuid).collect();
+    for (idx, blob) in unloaded.into_iter().zip(io.get_many(&uuids)?) {
+        admit_bucket(state, io, dir, idx, &blob?)?;
     }
     Ok(())
 }
 
-/// Looks up `name` in `dir`, loading buckets lazily until found.
+/// Looks up `name` in `dir`: the buckets already loaded first (a binary
+/// search each, no storage call), then the others, loaded one at a time
+/// until the name turns up.
 pub(crate) fn lookup_entry(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
     dir: &mut Arc<Dirnode>,
     name: &str,
 ) -> Result<Option<crate::metadata::dirnode::DirEntry>> {
+    if let Some(entry) = dir.find_loaded(name) {
+        return Ok(Some(entry.to_entry()));
+    }
     for idx in 0..dir.buckets.len() {
-        load_bucket(state, io, dir, idx)?;
+        if dir.buckets[idx].bucket.is_some() {
+            continue;
+        }
+        let blob = io.get(&dir.buckets[idx].re.uuid)?;
+        admit_bucket(state, io, dir, idx, &blob)?;
         let bucket = dir.buckets[idx].bucket.as_ref().expect("loaded just above");
         if let Some(entry) = bucket.find(name) {
             return Ok(Some(entry.to_entry()));
@@ -695,6 +708,8 @@ pub(crate) fn lookup_entry(
 pub(crate) struct MetaCommit {
     /// (object name, sealed blob), in staging order.
     pending: Vec<(String, Vec<u8>)>,
+    /// (uuid, SHA-256 of its sealed blob) for the freshness manifest; empty
+    /// on a volume without one, where nothing binds those digests.
     manifest_updates: Vec<(NexusUuid, [u8; 32])>,
     /// (uuid, node, decrypted body bytes the node retains).
     cache_inserts: Vec<(NexusUuid, CachedNode, usize)>,
@@ -728,10 +743,11 @@ pub(crate) fn stage_dirnode(
     }
     let mounted = state.mounted()?;
     let (scope, wrap_key) = seal_scope(mounted, dir.scope)?;
+    let has_manifest = !mounted.supernode.manifest_uuid.is_nil();
     let dir_mut = Arc::make_mut(&mut dir);
     let mut epc_bytes = 0;
     for slot in dir_mut.buckets.iter_mut() {
-        epc_bytes += slot.bucket.as_ref().map_or(0, |b| b.as_bytes().len());
+        epc_bytes += slot.bucket.as_ref().map_or(0, |b| b.epc_bytes());
         if !slot.dirty {
             continue;
         }
@@ -750,8 +766,11 @@ pub(crate) fn stage_dirnode(
         let blob = seal_object(&wrap_key, &preamble, bucket.as_bytes(), |dest| {
             io.env.random_bytes(dest)
         });
+        // The main object binds this one on every volume.
         slot.re.mac = Sha256::digest(&blob);
-        commit.manifest_updates.push((slot.re.uuid, slot.re.mac));
+        if has_manifest {
+            commit.manifest_updates.push((slot.re.uuid, slot.re.mac));
+        }
         commit.pending.push((slot.re.uuid.object_name(), blob));
         slot.dirty = false;
     }
@@ -768,7 +787,9 @@ pub(crate) fn stage_dirnode(
     let blob = seal_object(&wrap_key, &preamble, &body, |dest| {
         io.env.random_bytes(dest)
     });
-    commit.manifest_updates.push((dir.uuid, Sha256::digest(&blob)));
+    if has_manifest {
+        commit.manifest_updates.push((dir.uuid, Sha256::digest(&blob)));
+    }
     commit.pending.push((dir.uuid.object_name(), blob));
     commit.cache_inserts.push((dir.uuid, CachedNode::Dir(dir), epc_bytes));
     Ok(())
@@ -789,6 +810,7 @@ pub(crate) fn stage_filenode(
     }
     let mounted = state.mounted()?;
     let (scope, wrap_key) = seal_scope(mounted, dir_scope)?;
+    let has_manifest = !mounted.supernode.manifest_uuid.is_nil();
     let version = next_version(mounted, &fnode.uuid);
     let preamble = Preamble {
         kind: ObjectKind::Filenode,
@@ -801,7 +823,9 @@ pub(crate) fn stage_filenode(
     let blob = seal_object(&wrap_key, &preamble, &body, |dest| {
         io.env.random_bytes(dest)
     });
-    commit.manifest_updates.push((fnode.uuid, Sha256::digest(&blob)));
+    if has_manifest {
+        commit.manifest_updates.push((fnode.uuid, Sha256::digest(&blob)));
+    }
     commit.pending.push((fnode.uuid.object_name(), blob));
     commit.cache_inserts.push((fnode.uuid, CachedNode::File(fnode), body.len()));
     Ok(())
@@ -1047,14 +1071,18 @@ mod tests {
         assert!(state.check_access(&dir, local, Rights::WRITE).is_err());
     }
 
+    type CallLog = Arc<nexus_storage::HookedBackend<nexus_storage::MemBackend>>;
+
     /// An owner session that populated `d/` (bucket size 4, so ten files
-    /// span three buckets) and a second session mounted afterwards.
-    fn populated() -> (crate::volume::NexusVolume, crate::volume::NexusVolume) {
+    /// span three buckets), a second session mounted afterwards, and the
+    /// log of every storage call either makes.
+    fn populated() -> (crate::volume::NexusVolume, crate::volume::NexusVolume, CallLog) {
         use crate::volume::{NexusVolume, UserKeys};
         let platform = nexus_sgx::Platform::seeded(0xCAC);
         let ias = nexus_sgx::AttestationService::new();
         ias.register_platform(&platform);
-        let backend = Arc::new(nexus_storage::MemBackend::new());
+        let backend: CallLog =
+            Arc::new(nexus_storage::HookedBackend::new(Arc::new(nexus_storage::MemBackend::new())));
         let owner = UserKeys::from_seed("o", &[1; 32]);
         let config = NexusConfig { bucket_size: 4, ..NexusConfig::default() };
         let (writer, sealed) =
@@ -1064,9 +1092,9 @@ mod tests {
         for i in 0..10 {
             writer.write_file(&format!("d/f{i}"), b"x").unwrap();
         }
-        let reader = NexusVolume::mount(&platform, backend, &ias, &sealed, config).unwrap();
+        let reader = NexusVolume::mount(&platform, backend.clone(), &ias, &sealed, config).unwrap();
         reader.authenticate(&owner).unwrap();
-        (writer, reader)
+        (writer, reader, backend)
     }
 
     fn load_full(v: &crate::volume::NexusVolume, path: &'static str) -> Arc<Dirnode> {
@@ -1082,7 +1110,7 @@ mod tests {
 
     #[test]
     fn consecutive_loads_share_buckets_and_an_insert_copies_one() {
-        let (_writer, reader) = populated();
+        let (_writer, reader, _) = populated();
         use crate::metadata::dirnode::shared_buckets as shared;
         let first = load_full(&reader, "d");
         let second = load_full(&reader, "d");
@@ -1097,8 +1125,45 @@ mod tests {
     }
 
     #[test]
+    fn lookup_searches_loaded_buckets_before_it_loads_any() {
+        let (_writer, reader, log) = populated();
+        reader
+            .ecall(|state, io| {
+                revalidated(state, io, |state, io| {
+                    // Only the last of d's three buckets is held: f8 and f9.
+                    let (mut dir, _) = crate::fsops::resolve_dir(state, io, &["d"])?;
+                    let blob = io.get(&dir.buckets[2].re.uuid)?;
+                    admit_bucket(state, io, &mut dir, 2, &blob)?;
+                    let loaded = |dir: &Dirnode| -> Vec<bool> {
+                        dir.buckets.iter().map(|s| s.bucket.is_some()).collect()
+                    };
+                    assert_eq!(loaded(&dir), [false, false, true]);
+
+                    log.take_calls();
+                    let hit = lookup_entry(state, io, &mut dir, "f9")?.expect("f9 exists");
+                    assert_eq!(hit.name, "f9");
+                    assert_eq!(log.take_calls(), [], "found without touching slots 0 and 1");
+                    assert_eq!(loaded(&dir), [false, false, true]);
+
+                    // A name held by an unloaded slot fetches up to that slot;
+                    // a miss fetches what is left, each bucket once.
+                    assert!(lookup_entry(state, io, &mut dir, "f0")?.is_some());
+                    assert_eq!(loaded(&dir), [true, false, true]);
+                    assert!(lookup_entry(state, io, &mut dir, "nope")?.is_none());
+                    assert_eq!(loaded(&dir), [true, true, true]);
+                    let fetched = log.take_calls();
+                    assert_eq!(fetched.len(), 2, "{fetched:?}");
+                    assert!(lookup_entry(state, io, &mut dir, "nope")?.is_none());
+                    assert_eq!(log.take_calls(), [], "a warm miss is 3 binary searches");
+                    Ok(())
+                })
+            })
+            .unwrap();
+    }
+
+    #[test]
     fn epc_ledger_counts_what_the_cache_holds() {
-        let (writer, reader) = populated();
+        let (writer, reader, _) = populated();
         let cached_body_bytes = |v: &crate::volume::NexusVolume| -> usize {
             v.enclave().ecall(|state, _| {
                 let cache = &state.mounted.as_ref().unwrap().meta_cache;
@@ -1108,8 +1173,7 @@ mod tests {
                         CachedNode::File(f) => f.encode().len(),
                         CachedNode::Dir(d) => {
                             let buckets = d.buckets.iter().filter_map(|s| s.bucket.as_ref());
-                            d.encode_main().len()
-                                + buckets.map(|b| b.as_bytes().len()).sum::<usize>()
+                            d.encode_main().len() + buckets.map(|b| b.epc_bytes()).sum::<usize>()
                         }
                     })
                     .sum()
@@ -1123,6 +1187,11 @@ mod tests {
         let warm = reader.enclave().epc().current();
         assert!(warm > 0);
         assert_eq!(warm, cached_body_bytes(&reader), "root + d with 3 buckets + 10 filenodes");
+        let d = load_full(&reader, "d");
+        let held = d.buckets.iter().map(|s| s.bucket.as_ref().unwrap());
+        let (body, total): (usize, usize) =
+            held.fold((0, 0), |(b, t), bucket| (b + bucket.as_bytes().len(), t + bucket.epc_bytes()));
+        assert_eq!(total, body + 10 * 4, "each of d's ten names is charged its index offset");
         assert_eq!(writer.enclave().epc().current(), cached_body_bytes(&writer));
 
         // Create then remove puts every byte back: the directory's node is

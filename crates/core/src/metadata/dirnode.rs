@@ -7,6 +7,7 @@
 //! the main dirnode stores each bucket's MAC, preventing bucket-level
 //! rollback, and only dirty buckets are re-encrypted on flush.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use crate::acl::Acl;
@@ -84,6 +85,35 @@ fn checked_str(bytes: &[u8]) -> &str {
 fn le32(body: &[u8], at: usize) -> Option<usize> {
     let bytes = body.get(at..at.checked_add(4)?)?;
     Some(u32::from_le_bytes(bytes.try_into().ok()?) as usize)
+}
+
+/// Byte order of two names, as `<[u8]>::cmp` gives it. Component names are
+/// short and differ early, and a lookup compares a handful of them in every
+/// bucket of the directory: the leading bytes are compared in line, and
+/// `memcmp` — a call, three times the cost of the comparison it would make
+/// here — only takes over behind a long common prefix.
+fn cmp_names(a: &[u8], b: &[u8]) -> Ordering {
+    const IN_LINE: usize = 16;
+    for (x, y) in a.iter().zip(b).take(IN_LINE) {
+        if x != y {
+            return x.cmp(y);
+        }
+    }
+    if a.len().min(b.len()) <= IN_LINE {
+        a.len().cmp(&b.len())
+    } else {
+        a[IN_LINE..].cmp(&b[IN_LINE..])
+    }
+}
+
+/// The smallest entry encoding: empty name (4-byte length), uuid, kind tag.
+const MIN_ENTRY_LEN: usize = 4 + 16 + 1;
+
+/// The name bytes of the entry framed at `at` of a validated bucket body.
+fn name_at(body: &[u8], at: u32) -> &[u8] {
+    let at = at as usize;
+    let len = le32(body, at).expect("index offsets point at validated entries");
+    &body[at + 4..][..len]
 }
 
 impl<'a> EntryRef<'a> {
@@ -165,11 +195,20 @@ impl<'a> Iterator for BucketIter<'a> {
 /// A bucket of directory entries (stored as its own metadata object), held
 /// as its wire body: a `u32` entry count, then the entries' encodings back
 /// to back in insertion order. The body is checked in full once, by
-/// [`Bucket::decode`], and scanned in place afterwards, so loading, cloning
+/// [`Bucket::decode`], and read in place afterwards, so loading, cloning
 /// and dropping a bucket allocate nothing per entry.
+///
+/// Beside the body sits the in-enclave **name index**: the offset of every
+/// entry, sorted by name bytes, so a lookup is a binary search and only
+/// [`Bucket::iter`] walks the body. It is never stored — a function of the
+/// body (names are unique), rebuilt by `decode` — and it lives inside the
+/// `Arc<Bucket>`, shared by every copy of the dirnode and copied only with
+/// the one bucket a mutation changes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bucket {
     body: Vec<u8>,
+    /// Entry offsets into `body`, strictly increasing by name.
+    index: Vec<u32>,
 }
 
 impl Default for Bucket {
@@ -181,7 +220,7 @@ impl Default for Bucket {
 impl Bucket {
     /// An empty bucket.
     pub fn new() -> Bucket {
-        Bucket { body: 0u32.to_le_bytes().to_vec() }
+        Bucket { body: 0u32.to_le_bytes().to_vec(), index: Vec::new() }
     }
 
     /// The bucket body as stored (inside the sealed object).
@@ -194,8 +233,14 @@ impl Bucket {
         self.body.clone()
     }
 
-    /// Parses and validates a bucket body: framing, entry count, kind tags,
-    /// UTF-8 of every name and symlink target, no trailing bytes.
+    /// What the bucket occupies in enclave memory: the body and its index.
+    pub fn epc_bytes(&self) -> usize {
+        self.body.len() + self.index.len() * std::mem::size_of::<u32>()
+    }
+
+    /// Parses and validates a bucket body — framing, entry count, kind tags,
+    /// UTF-8 of every name and symlink target, no trailing bytes, no name
+    /// twice — and builds the name index in the same pass.
     ///
     /// # Errors
     ///
@@ -203,6 +248,11 @@ impl Bucket {
     pub fn decode(bytes: &[u8]) -> Result<Bucket> {
         let malformed = |what: &str| NexusError::Malformed(format!("bucket body: {what}"));
         let count = le32(bytes, 0).ok_or_else(|| malformed("truncated entry count"))?;
+        if bytes.len() > u32::MAX as usize {
+            return Err(malformed("larger than an entry offset can address"));
+        }
+        // Sized by what the input can hold, never by the count it claims.
+        let mut index = Vec::with_capacity(count.min(bytes.len() / MIN_ENTRY_LEN));
         let mut pos = 4;
         for _ in 0..count {
             let (entry, next) = EntryRef::parse(bytes, pos)
@@ -211,12 +261,20 @@ impl Bucket {
             {
                 return Err(malformed("invalid utf-8"));
             }
+            index.push(pos as u32);
             pos = next;
         }
         if pos != bytes.len() {
             return Err(malformed("trailing bytes"));
         }
-        Ok(Bucket { body: bytes.to_vec() })
+        index.sort_unstable_by(|&a, &b| cmp_names(name_at(bytes, a), name_at(bytes, b)));
+        let same = |w: &[u32]| cmp_names(name_at(bytes, w[0]), name_at(bytes, w[1])).is_eq();
+        if index.windows(2).any(same) {
+            return Err(malformed("duplicate name"));
+        }
+        let bucket = Bucket { body: bytes.to_vec(), index };
+        debug_assert!(bucket.index_is_consistent());
+        Ok(bucket)
     }
 
     /// Number of entries.
@@ -238,33 +296,76 @@ impl Bucket {
         BucketIter { body: &self.body, pos: 4 }
     }
 
-    /// Finds an entry by name.
-    pub fn find(&self, name: &str) -> Option<EntryRef<'_>> {
-        self.iter().find(|e| e.name == name.as_bytes())
+    /// Where `name` is in the index, or where it would go.
+    fn search(&self, name: &str) -> std::result::Result<usize, usize> {
+        self.index.binary_search_by(|&at| cmp_names(name_at(&self.body, at), name.as_bytes()))
     }
 
-    /// Appends an entry (the caller keeps names unique).
+    fn entry_at(&self, at: u32) -> (EntryRef<'_>, usize) {
+        EntryRef::parse(&self.body, at as usize).expect("index offsets point at validated entries")
+    }
+
+    /// Finds an entry by name.
+    pub fn find(&self, name: &str) -> Option<EntryRef<'_>> {
+        let slot = self.search(name).ok()?;
+        Some(self.entry_at(self.index[slot]).0)
+    }
+
+    /// Appends an entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the name is already present (the caller keeps names unique:
+    /// a body holding one twice would not decode again) or the body outgrows
+    /// a `u32` offset.
     pub fn push(&mut self, entry: &DirEntry) {
+        let Err(slot) = self.search(&entry.name) else {
+            panic!("bucket already holds an entry named {:?}", entry.name);
+        };
+        let at = self.body.len();
         let mut w = Writer::new();
         entry.encode(&mut w);
         self.body.extend_from_slice(&w.into_bytes());
+        assert!(self.body.len() <= u32::MAX as usize, "bucket body outgrew its u32 offsets");
+        self.index.insert(slot, at as u32);
         self.set_len(self.len() + 1);
+        debug_assert!(self.index_is_consistent());
     }
 
     /// Removes and returns the entry named `name`.
     pub fn remove(&mut self, name: &str) -> Option<DirEntry> {
-        let mut iter = self.iter();
-        loop {
-            let start = iter.pos;
-            let entry = iter.next()?;
-            if entry.name == name.as_bytes() {
-                let end = iter.pos;
-                let removed = entry.to_entry();
-                self.body.drain(start..end);
-                self.set_len(self.len() - 1);
-                return Some(removed);
-            }
+        let slot = self.search(name).ok()?;
+        let start = self.index.remove(slot);
+        let (entry, end) = self.entry_at(start);
+        let removed = entry.to_entry();
+        self.body.drain(start as usize..end);
+        // The entries behind the hole moved up by its length.
+        let hole = end as u32 - start;
+        for at in self.index.iter_mut().filter(|at| **at > start) {
+            *at -= hole;
         }
+        self.set_len(self.len() - 1);
+        debug_assert!(self.index_is_consistent());
+        Some(removed)
+    }
+
+    /// The index lists exactly the entries of the body, strictly increasing
+    /// by name (debug builds check it after every change).
+    fn index_is_consistent(&self) -> bool {
+        let mut starts = Vec::with_capacity(self.index.len());
+        let mut pos = 4;
+        while pos < self.body.len() {
+            let Some((_, next)) = EntryRef::parse(&self.body, pos) else { return false };
+            starts.push(pos as u32);
+            pos = next;
+        }
+        let mut by_offset = self.index.clone();
+        by_offset.sort_unstable();
+        let names_increase = self
+            .index
+            .windows(2)
+            .all(|w| name_at(&self.body, w[0]) < name_at(&self.body, w[1]));
+        self.index.len() == self.len() && by_offset == starts && names_increase
     }
 }
 
@@ -666,6 +767,60 @@ mod tests {
     }
 
     #[test]
+    fn names_order_as_byte_strings_on_both_sides_of_the_inline_compare() {
+        let stem = "a-common-prefix-"; // 16 bytes: what `cmp_names` compares in line
+        let mut names: Vec<String> = vec!["".into(), "a".into(), "b".into(), stem[..15].into()];
+        for tail in ["", "0", "00", "01", "1", "\u{e9}"] {
+            names.push(format!("{stem}{tail}"));
+        }
+        for a in &names {
+            for b in &names {
+                assert_eq!(cmp_names(a.as_bytes(), b.as_bytes()), a.as_bytes().cmp(b.as_bytes()));
+            }
+        }
+        // Pushed in reverse order, every one of them is found again.
+        let entries: Vec<DirEntry> = names.iter().rev().map(|n| entry(n, 1)).collect();
+        let bucket = Bucket::decode(&bucket_of(&entries).encode()).unwrap();
+        for e in &entries {
+            assert_eq!(bucket.find(&e.name).map(|f| f.to_entry()).as_ref(), Some(e));
+        }
+    }
+
+    #[test]
+    fn bucket_decode_rejects_a_name_listed_twice() {
+        // `find` would answer one and `remove` resurrect the other.
+        let mut body = bucket_of(&[entry("a", 1), entry("b", 2)]).encode();
+        body.extend_from_slice(&bucket_of(&[entry("a", 3)]).as_bytes()[4..]);
+        body[0] = 3;
+        match Bucket::decode(&body) {
+            Err(NexusError::Malformed(why)) => assert!(why.contains("duplicate name"), "{why}"),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+        let name_byte = body.len() - 18; // 'a', then the uuid and the kind tag
+        body[name_byte] = b'c';
+        assert_eq!(Bucket::decode(&body).unwrap().len(), 3, "the same bytes under a free name");
+    }
+
+    #[test]
+    fn bucket_decode_sizes_its_index_by_the_input_not_the_claimed_count() {
+        // Four bytes claiming four billion entries: a typed error, and no
+        // 16 GiB reservation on the way to it.
+        assert!(matches!(
+            Bucket::decode(&u32::MAX.to_le_bytes()),
+            Err(NexusError::Malformed(_))
+        ));
+        let bucket = bucket_of(&[entry("", 1), entry("b", 2)]);
+        assert_eq!(bucket.as_bytes().len(), 4 + MIN_ENTRY_LEN + MIN_ENTRY_LEN + 1);
+        assert_eq!(bucket.epc_bytes(), bucket.as_bytes().len() + 2 * 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "already holds")]
+    fn bucket_push_refuses_a_name_it_holds() {
+        bucket_of(&[entry("a", 1), entry("a", 2)]);
+    }
+
+    #[test]
     fn mutation_copies_only_the_bucket_it_changes() {
         let mut d = Dirnode::new(uuid(1), NexusUuid::NIL, 2);
         for i in 0..6 {
@@ -678,5 +833,40 @@ mod tests {
         copy.insert(entry("g", 9), uuid(200)).unwrap();
         assert_eq!(shared_buckets(&d, &copy), vec![true, false, true], "the freed slot is reused");
         assert!(d.find_loaded("f3").is_some() && d.find_loaded("g").is_none());
+    }
+
+    #[test]
+    fn a_sibling_copy_keeps_finding_every_name_after_the_other_mutates() {
+        // The index lives in the shared `Arc<Bucket>`: a mutation through one
+        // dirnode must copy it with the bucket, not edit it in place.
+        let link = |name: &str| DirEntry {
+            name: name.into(),
+            uuid: uuid(7),
+            kind: EntryKind::Symlink("some/target".into()),
+        };
+        let mut d = Dirnode::new(uuid(1), NexusUuid::NIL, 4);
+        let names = ["m", "a", "zz", "k", "b", "y", "c", "x"];
+        for (i, name) in names.into_iter().enumerate() {
+            let e = if i % 2 == 0 { link(name) } else { entry(name, i as u8) };
+            d.insert(e, uuid(100 + i as u8)).unwrap();
+        }
+        let before: Vec<DirEntry> = d.list_loaded().map(|e| e.to_entry()).collect();
+        let mut copy = d.clone();
+        for name in ["m", "k", "b"] {
+            copy.remove(name).unwrap();
+        }
+        copy.insert(entry("0-sorts-first", 50), uuid(200)).unwrap();
+        copy.insert(link("n"), uuid(201)).unwrap();
+        for e in &before {
+            assert_eq!(d.find_loaded(&e.name).map(|f| f.to_entry()).as_ref(), Some(e));
+        }
+        assert!(d.find_loaded("n").is_none() && d.find_loaded("0-sorts-first").is_none());
+        assert_eq!(d.list_loaded().map(|e| e.to_entry()).collect::<Vec<_>>(), before);
+        for gone in ["m", "k", "b"] {
+            assert!(copy.find_loaded(gone).is_none());
+        }
+        for kept in ["a", "zz", "y", "c", "x", "n", "0-sorts-first"] {
+            assert!(copy.find_loaded(kept).is_some(), "{kept}");
+        }
     }
 }

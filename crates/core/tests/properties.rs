@@ -123,20 +123,28 @@ fn encode_entries(entries: &[DirEntry]) -> Vec<u8> {
     w.into_bytes()
 }
 
+/// `entries` without those whose name an earlier one already took (names
+/// are unique within a bucket: `push` refuses a second, `decode` rejects it).
+fn first_of_each_name(entries: &[DirEntry]) -> Vec<DirEntry> {
+    let mut seen = std::collections::HashSet::new();
+    entries.iter().filter(|e| seen.insert(e.name.as_str())).cloned().collect()
+}
+
 #[test]
 fn bucket_roundtrips() {
     Runner::new("bucket_roundtrips").cases(CASES).run(
         |g| g.vec(0, 40, gen_entry),
         |v| shrink::vec(v),
         |entries| {
+            let entries = first_of_each_name(entries);
             let mut bucket = Bucket::new();
-            for e in entries {
+            for e in &entries {
                 bucket.push(e);
             }
-            tk_assert_eq!(bucket.encode(), encode_entries(entries));
+            tk_assert_eq!(bucket.encode(), encode_entries(&entries));
             let decoded = Bucket::decode(&bucket.encode()).unwrap();
             tk_assert_eq!(decoded, bucket);
-            tk_assert_eq!(decoded.iter().map(|e| e.to_entry()).collect::<Vec<_>>(), *entries);
+            tk_assert_eq!(decoded.iter().map(|e| e.to_entry()).collect::<Vec<_>>(), entries);
             Ok(())
         },
     );
@@ -153,13 +161,20 @@ enum BucketOp {
 
 #[test]
 fn bucket_matches_a_vec_model() {
-    const POOL: &[&str] = &["a", "b", "cc", "dd.txt", "e-long-name", "\u{e9}t\u{e9}", "z"];
+    // Names that are prefixes of one another, the empty name, and multi-byte
+    // UTF-8 that sorts (as bytes) between and after the ASCII ones; entries
+    // are files, directories and symlinks with targets of varying length, so
+    // a removal shifts the offsets behind it by a different amount each time.
+    const POOL: &[&str] = &[
+        "", "a", "ab", "abc", "abc.txt", "b", "cc", "dd.txt", "e-long-name", "z", "zz",
+        "\u{e9}", "\u{e9}t\u{e9}", "\u{65e5}\u{672c}", "\u{65e5}\u{672c}\u{8a9e}", "\u{1f980}",
+    ];
     let pooled = |g: &mut Gen| POOL[g.usize_below(POOL.len())].to_string();
     Runner::new("bucket_matches_a_vec_model").cases(CASES).run(
         |g| {
-            g.vec(0, 60, |g| match g.usize_below(3) {
-                0 => BucketOp::Insert(DirEntry { name: pooled(g), ..gen_entry(g) }),
-                1 => BucketOp::Remove(pooled(g)),
+            g.vec(0, 80, |g| match g.usize_below(5) {
+                0 | 1 => BucketOp::Insert(DirEntry { name: pooled(g), ..gen_entry(g) }),
+                2 => BucketOp::Remove(pooled(g)),
                 _ => BucketOp::Find(pooled(g)),
             })
         },
@@ -187,9 +202,16 @@ fn bucket_matches_a_vec_model() {
                     }
                 }
                 tk_assert_eq!(bucket.len(), model.len());
+                // Insertion order kept, byte for byte; and a decode of those
+                // bytes rebuilds the very index the edits maintained (`==`
+                // compares it with the body).
                 tk_assert_eq!(bucket.encode(), encode_entries(&model));
+                tk_assert_eq!(Bucket::decode(&bucket.encode()).unwrap(), bucket);
+                tk_assert_eq!(bucket.epc_bytes(), bucket.as_bytes().len() + 4 * model.len());
             }
-            tk_assert_eq!(Bucket::decode(&bucket.encode()).unwrap(), bucket);
+            for m in &model {
+                tk_assert_eq!(bucket.find(&m.name).map(|e| e.to_entry()), Some(m.clone()));
+            }
             Ok(())
         },
     );
@@ -198,13 +220,19 @@ fn bucket_matches_a_vec_model() {
 #[test]
 fn bucket_decode_never_panics() {
     // Half the inputs are mutated valid bodies, so decoding succeeds often
-    // enough for the accessors to run on attacker-shaped buckets too.
+    // enough for the accessors to run on attacker-shaped buckets too; one in
+    // six is well-formed except that one name is listed twice.
     Runner::new("bucket_decode_never_panics").cases(CASES).run(
         |g| {
             if g.usize_below(2) == 0 {
                 return g.byte_vec(0, 256);
             }
-            let mut body = encode_entries(&g.vec(0, 6, gen_entry));
+            let mut entries = first_of_each_name(&g.vec(0, 6, gen_entry));
+            if entries.len() > 1 && g.usize_below(3) == 0 {
+                let from = g.usize_below(entries.len() - 1);
+                entries.last_mut().unwrap().name = entries[from].name.clone();
+            }
+            let mut body = encode_entries(&entries);
             if g.usize_below(2) == 0 {
                 let at = g.usize_below(body.len());
                 body[at] ^= 1 << g.usize_below(8);
@@ -221,11 +249,12 @@ fn bucket_decode_never_panics() {
                 let _ = (e.uuid(), e.kind(), e.is_directory());
             }
             let _ = bucket.find("no-such-name");
-            // Duplicate names are not a decode error (only Dirnode::insert
-            // keeps them unique); find and remove take the first.
+            let distinct: std::collections::HashSet<&String> = names.iter().collect();
+            tk_assert_eq!(distinct.len(), names.len());
             for name in &names {
                 tk_assert!(bucket.find(name).is_some());
                 tk_assert!(bucket.remove(name).is_some());
+                tk_assert!(bucket.find(name).is_none());
             }
             tk_assert!(bucket.is_empty());
             tk_assert_eq!(bucket, Bucket::new());

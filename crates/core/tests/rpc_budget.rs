@@ -123,6 +123,28 @@ fn a_warm_operation_pays_one_probe_per_phase() {
     assert_eq!(v.read_file("a/b/new").unwrap(), b"created");
 }
 
+#[test]
+fn a_cold_mutation_fetches_every_bucket_in_one_call() {
+    use Call::*;
+    // Two entries per bucket: f0..f4 spread `a/b` over three.
+    let (log, v, mount) = warm_world(NexusConfig { bucket_size: 2, ..NexusConfig::default() });
+    v.write_file("a/b/f4", b"contents 4").unwrap();
+
+    let cold = mount();
+    assert!(cold.exists("a/b"), "b's main object is cached, none of its buckets");
+    log.take_calls();
+    cold.create_file("a/b/new").unwrap();
+    let (calls, named): (Vec<Call>, Vec<Vec<String>>) = log.take_calls().into_iter().unzip();
+    assert_eq!(
+        calls,
+        [StatMany, Lock, StatMany, GetMany, PutMany, StatMany, Unlock],
+        "the buckets the insert needs are one fetch, not three",
+    );
+    assert_eq!(named[3].len(), 3, "all of b's buckets: {:?}", named[3]);
+    assert_eq!(calls_of(&log, || cold.create_file("a/b/newer").unwrap()).len(), 6, "and now held");
+    assert_eq!(v.list_dir("a/b").unwrap().len(), 7);
+}
+
 // -- Two clients, each reading through a cache the other keeps staling ------
 
 #[derive(Debug, Clone)]

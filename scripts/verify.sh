@@ -147,9 +147,12 @@ echo "ok: table engine flagged, constant-time engines pass, nobody pins an engin
 
 echo "== portable crypto engine, end to end =="
 # The bitsliced engine is the only one off x86_64; force it here so x86
-# hosts exercise it through the whole volume lifecycle too.
+# hosts exercise it through the whole volume lifecycle too. `--test` picks
+# by target name in both packages: nexus-core's `properties` (wire format,
+# bucket index model, hostile bucket bodies) reruns here beside the crypto
+# ones.
 NEXUS_CRYPTO_FORCE_PORTABLE=1 cargo test -q --offline -p nexus-core --test end_to_end -p nexus-crypto --test properties > /dev/null
-echo "ok: volume lifecycle and crypto properties pass on the forced-portable engine"
+echo "ok: volume lifecycle, metadata and crypto properties pass on the forced-portable engine"
 
 echo "== executor smoke =="
 # By target name, like the suites above: 2000 simulated clients multiplex
