@@ -1,9 +1,18 @@
 //! The parallel chunk data path.
 //!
 //! NEXUS seals every file chunk under an independent key drawn fresh at
-//! write time (§VI-A), so the chunk loops of `fs_encrypt`/`fs_decrypt` have
+//! write time (§VI-A), so the chunk loops of `fs_write`/`fs_decrypt` have
 //! no cross-chunk data dependencies and fan out cleanly over the
 //! [`nexus_pool`] worker pool.
+//!
+//! **One buffer per direction.** [`seal_chunks`] allocates the data object
+//! once and every worker seals its chunk straight into that chunk's
+//! `chunk_size + CHUNK_OVERHEAD` slot ([`AesGcm::seal_into`]);
+//! [`open_chunks`] allocates the plaintext once and every worker opens
+//! into its slot ([`AesGcm::open_into`]). Nothing is sealed into a
+//! per-chunk buffer and concatenated afterwards. The slots are disjoint
+//! `&mut [u8]` sub-slices of the one buffer, handed to the workers by
+//! [`ThreadPool::par_map_indexed_mut`] — so the hand-out needs no `unsafe`.
 //!
 //! Output is **byte-identical for any worker count** because nothing
 //! order-dependent happens inside the fan-out:
@@ -11,10 +20,16 @@
 //! - all per-chunk keys and nonces are drawn *serially* by the caller
 //!   before the fan-out, so the RNG stream is consumed in the same order
 //!   as the serial loop;
-//! - each worker writes only its own indexed result slot, and the slots
-//!   are concatenated in index order afterwards;
+//! - each worker writes only its own slot, and a slot's position is a
+//!   function of its index alone;
 //! - on decrypt, the error surfaced is the one from the lowest-indexed
 //!   failing chunk, matching where the serial loop would have stopped.
+//!
+//! **Authentication on reads.** `open_into` decrypts in the same pass it
+//! authenticates and zeroizes its slot when the tag does not match; on any
+//! failing chunk `open_chunks` drops the whole buffer — the chunks that
+//! did authenticate included — and returns only the error. No
+//! unauthenticated byte leaves the enclave call.
 
 use nexus_crypto::gcm::AesGcm;
 use nexus_pool::ThreadPool;
@@ -31,6 +46,15 @@ pub(crate) fn chunk_aad(data_uuid: &NexusUuid, index: u64, total_size: u64) -> V
     w.into_bytes()
 }
 
+/// One chunk's work in a fan-out: which chunk, under which key, from
+/// which bytes, into which slot of the one output buffer.
+struct Job<'a> {
+    index: u64,
+    context: &'a ChunkContext,
+    input: &'a [u8],
+    slot: &'a mut [u8],
+}
+
 /// Seals `data` into the concatenated chunked-ciphertext format using the
 /// pre-drawn per-chunk `contexts` (one per chunk, in index order).
 pub fn seal_chunks(
@@ -40,26 +64,38 @@ pub fn seal_chunks(
     chunk_size: usize,
     contexts: &[ChunkContext],
 ) -> Vec<u8> {
-    let chunks: Vec<&[u8]> = data.chunks(chunk_size.max(1)).collect();
-    debug_assert_eq!(chunks.len(), contexts.len(), "one context per chunk");
+    let chunk_size = chunk_size.max(1);
+    let overhead = CHUNK_OVERHEAD as usize;
+    let n_chunks = data.len().div_ceil(chunk_size);
+    assert_eq!(n_chunks, contexts.len(), "one context per chunk");
     let total = data.len() as u64;
-    let sealed = pool.par_map_indexed(&chunks, |idx, chunk| {
-        let ctx = &contexts[idx];
-        let gcm = AesGcm::new(&ctx.key);
-        let aad = chunk_aad(data_uuid, idx as u64, total);
-        let mut out = Vec::new();
-        gcm.seal_to(&ctx.nonce, &aad, chunk, &mut out);
-        out
+    let mut ciphertext = vec![0u8; data.len() + n_chunks * overhead];
+    // Every chunk but the last is `chunk_size` long, so chunk i's slot
+    // starts at i × (chunk_size + overhead) and the iterators agree.
+    let mut jobs: Vec<Job<'_>> = data
+        .chunks(chunk_size)
+        .zip(ciphertext.chunks_mut(chunk_size + overhead))
+        .zip(contexts)
+        .zip(0..)
+        .map(|(((input, slot), context), index)| Job { index, context, input, slot })
+        .collect();
+    pool.par_map_indexed_mut(&mut jobs, |_, job| {
+        let gcm = AesGcm::new(&job.context.key);
+        let aad = chunk_aad(data_uuid, job.index, total);
+        gcm.seal_into(&job.context.nonce, &aad, job.input, job.slot);
     });
-    let mut ciphertext = Vec::with_capacity(data.len() + chunks.len() * CHUNK_OVERHEAD as usize);
-    for piece in &sealed {
-        ciphertext.extend_from_slice(piece);
-    }
     ciphertext
 }
 
 /// Decrypts `count` chunks starting at chunk `first`, where `ciphertext`
 /// begins exactly at chunk `first`'s ciphertext offset.
+///
+/// # Errors
+///
+/// [`NexusError::Integrity`] naming the lowest-indexed chunk that fails
+/// authentication (or a structural mismatch between the filenode and the
+/// span, found before any crypto runs). Nothing of the plaintext buffer is
+/// returned in that case.
 pub fn open_chunks(
     pool: &ThreadPool,
     fnode: &Filenode,
@@ -68,7 +104,8 @@ pub fn open_chunks(
     count: u64,
 ) -> Result<Vec<u8>> {
     // Slice the span into per-chunk ciphertexts serially (pure arithmetic)
-    // so structural errors surface before any crypto runs.
+    // so structural errors surface before any crypto runs — and before the
+    // plaintext is allocated, whose size the span therefore bounds.
     let mut pieces: Vec<(u64, &ChunkContext, &[u8])> = Vec::with_capacity(count as usize);
     let mut cursor = 0usize;
     for idx in first..first + count {
@@ -83,21 +120,28 @@ pub fn open_chunks(
         cursor += ct_len;
         pieces.push((idx, ctx, chunk_ct));
     }
-    let opened = pool.par_map_indexed(&pieces, |_, &(idx, ctx, chunk_ct)| {
-        let gcm = AesGcm::new(&ctx.key);
-        let aad = chunk_aad(&fnode.data_uuid, idx, fnode.size);
-        let mut plain = Vec::new();
-        gcm.open_to(&ctx.nonce, &aad, chunk_ct, &mut plain)
-            .map(|()| plain)
-            .map_err(|_| NexusError::Integrity(format!("chunk {idx} failed authentication")))
+    let overhead = CHUNK_OVERHEAD as usize;
+    let mut plain = vec![0u8; cursor - pieces.len() * overhead];
+    let mut unclaimed = plain.as_mut_slice();
+    let mut jobs: Vec<Job<'_>> = pieces
+        .into_iter()
+        .map(|(index, context, input)| {
+            let (slot, rest) = std::mem::take(&mut unclaimed).split_at_mut(input.len() - overhead);
+            unclaimed = rest;
+            Job { index, context, input, slot }
+        })
+        .collect();
+    let opened = pool.par_map_indexed_mut(&mut jobs, |_, job| {
+        let gcm = AesGcm::new(&job.context.key);
+        let aad = chunk_aad(&fnode.data_uuid, job.index, fnode.size);
+        gcm.open_into(&job.context.nonce, &aad, job.input, job.slot).map_err(|_| {
+            NexusError::Integrity(format!("chunk {} failed authentication", job.index))
+        })
     });
-    let mut out = Vec::with_capacity(ciphertext.len().saturating_sub(pieces.len() * CHUNK_OVERHEAD as usize));
-    // Iterating in index order makes the surfaced error the lowest-indexed
-    // failure, exactly as the serial loop would report.
-    for piece in opened {
-        out.extend_from_slice(&piece?);
-    }
-    Ok(out)
+    // In index order, so the surfaced error is the lowest-indexed failure,
+    // exactly as the serial loop would report; `plain` drops with it.
+    opened.into_iter().collect::<Result<()>>()?;
+    Ok(plain)
 }
 
 #[cfg(test)]
@@ -178,6 +222,64 @@ mod tests {
             let err = open_chunks(&ThreadPool::new(workers), &fnode, &ct, 0, 10).unwrap_err();
             assert!(err.to_string().contains("chunk 3"), "workers={workers}: {err}");
         }
+    }
+
+    /// The one-buffer layout is the per-chunk `seal` outputs laid end to
+    /// end — what the data object has always been — at every worker count,
+    /// and a ranged open lands each chunk in its own slot.
+    #[test]
+    fn slots_are_the_per_chunk_seals_laid_end_to_end() {
+        let chunk_size = 200u32;
+        let mut rng = SeededRandom::new(79);
+        let mut data = vec![0u8; 5 * 200 + 37];
+        rng.fill(&mut data);
+        let contexts = contexts_for(&mut rng, 6);
+        let uuid = NexusUuid([7; 16]);
+        let mut expect = Vec::new();
+        for (idx, (chunk, ctx)) in data.chunks(200).zip(&contexts).enumerate() {
+            let aad = chunk_aad(&uuid, idx as u64, data.len() as u64);
+            expect.extend(AesGcm::new(&ctx.key).seal(&ctx.nonce, &aad, chunk));
+        }
+        let mut fnode = filenode_with(contexts.clone(), data.len() as u64, chunk_size);
+        fnode.data_uuid = uuid;
+        for workers in [1, 2, 8] {
+            let pool = ThreadPool::new(workers);
+            let ct = seal_chunks(&pool, &uuid, &data, chunk_size as usize, &contexts);
+            assert_eq!(ct, expect, "workers={workers}");
+            // Chunks 2..=5, the short last chunk included.
+            let (start, _) = fnode.ciphertext_range(2);
+            let span = &ct[start as usize..];
+            assert_eq!(open_chunks(&pool, &fnode, span, 2, 4).unwrap(), data[400..]);
+        }
+    }
+
+    /// A failing open hands back the error naming the chunk and nothing
+    /// else: not the chunks that did authenticate, not a partial buffer.
+    #[test]
+    fn a_failing_open_returns_nothing_of_the_buffer() {
+        let chunk_size = 64u32;
+        let mut rng = SeededRandom::new(80);
+        let data = b"plaintext that authenticated must not leak past a failure. ".repeat(4);
+        let n = Filenode::chunk_count_for(data.len() as u64, chunk_size) as usize;
+        let contexts = contexts_for(&mut rng, n);
+        let uuid = NexusUuid([8; 16]);
+        let mut ct = seal_chunks(&ThreadPool::new(1), &uuid, &data, chunk_size as usize, &contexts);
+        // Only the last chunk is forged: every earlier slot holds
+        // authenticated plaintext when the failure is found.
+        *ct.last_mut().unwrap() ^= 1;
+        let mut fnode = filenode_with(contexts, data.len() as u64, chunk_size);
+        fnode.data_uuid = uuid;
+        for workers in [1, 2, 8] {
+            let result = open_chunks(&ThreadPool::new(workers), &fnode, &ct, 0, n as u64);
+            let expected = format!("chunk {} failed authentication", n - 1);
+            assert!(
+                matches!(&result, Err(NexusError::Integrity(msg)) if *msg == expected),
+                "workers={workers}: {result:?}"
+            );
+        }
+        // A span one byte short is refused before anything is opened.
+        let result = open_chunks(&ThreadPool::new(2), &fnode, &ct[..ct.len() - 1], 0, n as u64);
+        assert!(matches!(result, Err(NexusError::Integrity(msg)) if msg == "data object truncated"));
     }
 
     #[test]

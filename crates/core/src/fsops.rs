@@ -870,10 +870,13 @@ pub(crate) fn fs_read_range(
     let (span_start, _) = fnode.ciphertext_range(first);
     let (last_start, last_len) = fnode.ciphertext_range(last);
     let span = io.get_range(&fnode.data_uuid, span_start, last_start + last_len - span_start)?;
-    let plain =
+    let mut plain =
         datapath::open_chunks(nexus_pool::global(), &fnode, &span, first, last - first + 1)?;
+    // Trim the opened span to the range in place.
     let skip = (offset - first * fnode.chunk_size as u64) as usize;
-    Ok(plain[skip..skip + len as usize].to_vec())
+    plain.truncate(skip + len as usize);
+    plain.drain(..skip);
+    Ok(plain)
 }
 
 /// The file at `path` as (its directory, its filenode's uuid), for a

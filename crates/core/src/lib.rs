@@ -49,6 +49,11 @@
 //! # }
 //! ```
 
+// The enclave logic needs none: every intrinsic and volatile write lives
+// in `nexus-crypto`, and the chunk fan-out hands out its buffer slots
+// through `Mutex<&mut [u8]>` (see `datapath`).
+#![forbid(unsafe_code)]
+
 pub mod acl;
 pub mod api;
 pub mod async_fs;

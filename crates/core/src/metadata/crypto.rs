@@ -158,6 +158,7 @@ impl Preamble {
 const SIV_NONCE_LEN: usize = 12;
 const WRAPPED_KEY_LEN: usize = 16 + 16; // key + GCM-SIV tag
 const GCM_NONCE_LEN: usize = 12;
+const GCM_TAG_LEN: usize = nexus_crypto::gcm::TAG_LEN;
 
 /// Encrypts a metadata body into the full on-storage representation.
 ///
@@ -180,27 +181,26 @@ pub fn seal_object(
     let mut gcm_nonce = [0u8; GCM_NONCE_LEN];
     fill_random(&mut gcm_nonce);
 
-    // Section 2: wrap the object key under the scope's wrap key.
+    // Sections 1 and 2 open the blob: preamble, then the object key
+    // wrapped under the scope's wrap key.
     let siv = AesGcmSiv::new(wrap_key);
     let wrapped = siv.seal(&siv_nonce, &preamble_bytes, &object_key);
     debug_assert_eq!(wrapped.len(), WRAPPED_KEY_LEN);
-
-    // Section 3: encrypt the body, binding sections 1 and 2 as AAD.
-    let mut aad = preamble_bytes.clone();
-    aad.extend_from_slice(&siv_nonce);
-    aad.extend_from_slice(&wrapped);
-    let gcm = AesGcm::new(&object_key);
-    let ciphertext = gcm.seal(&gcm_nonce, &aad, body);
-    nexus_crypto::ct::zeroize(&mut object_key);
-
-    let mut out = Vec::with_capacity(
-        preamble_bytes.len() + SIV_NONCE_LEN + WRAPPED_KEY_LEN + GCM_NONCE_LEN + ciphertext.len(),
-    );
+    let aad_len = preamble_bytes.len() + SIV_NONCE_LEN + WRAPPED_KEY_LEN;
+    let body_at = aad_len + GCM_NONCE_LEN;
+    let mut out = Vec::with_capacity(body_at + body.len() + GCM_TAG_LEN);
     out.extend_from_slice(&preamble_bytes);
     out.extend_from_slice(&siv_nonce);
     out.extend_from_slice(&wrapped);
     out.extend_from_slice(&gcm_nonce);
-    out.extend_from_slice(&ciphertext);
+    out.resize(body_at + body.len() + GCM_TAG_LEN, 0);
+
+    // Section 3: encrypt the body straight into its place in the blob,
+    // binding sections 1 and 2 — the blob's own first bytes — as AAD.
+    let (head, sealed_body) = out.split_at_mut(body_at);
+    let gcm = AesGcm::new(&object_key);
+    gcm.seal_into(&gcm_nonce, &head[..aad_len], body, sealed_body);
+    nexus_crypto::ct::zeroize(&mut object_key);
     out
 }
 
@@ -228,7 +228,7 @@ pub fn open_object_scoped(
     resolve: impl FnOnce(Option<KeyScope>) -> Result<RootKey>,
 ) -> Result<(Preamble, Vec<u8>)> {
     let (preamble, preamble_len) = Preamble::parse(blob)?;
-    let fixed = preamble_len + SIV_NONCE_LEN + WRAPPED_KEY_LEN + GCM_NONCE_LEN + 16;
+    let fixed = preamble_len + SIV_NONCE_LEN + WRAPPED_KEY_LEN + GCM_NONCE_LEN + GCM_TAG_LEN;
     if blob.len() < fixed {
         return Err(NexusError::Malformed("metadata object too short".into()));
     }
@@ -248,14 +248,14 @@ pub fn open_object_scoped(
         .try_into()
         .map_err(|_| NexusError::Integrity("unwrapped key has wrong length".into()))?;
 
-    let mut aad = preamble_bytes.to_vec();
-    aad.extend_from_slice(siv_nonce);
-    aad.extend_from_slice(wrapped);
+    // Sections 1 and 2 are contiguous in the blob: they are the AAD as
+    // they stand.
+    let aad = &blob[..preamble_len + SIV_NONCE_LEN + WRAPPED_KEY_LEN];
     let gcm = AesGcm::new(&object_key);
     nexus_crypto::ct::zeroize(&mut object_key);
     let gcm_nonce_arr: [u8; 12] = gcm_nonce.try_into().unwrap();
-    let body = gcm
-        .open(&gcm_nonce_arr, &aad, ciphertext)
+    let mut body = vec![0u8; ciphertext.len() - GCM_TAG_LEN];
+    gcm.open_into(&gcm_nonce_arr, aad, ciphertext, &mut body)
         .map_err(|_| NexusError::Integrity("metadata body authentication failed".into()))?;
     Ok((preamble, body))
 }

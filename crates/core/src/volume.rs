@@ -386,9 +386,10 @@ impl NexusVolume {
     /// Writes (replaces) a file's contents, creating it if absent
     /// (`nexus_fs_encrypt`): one enclave call over one path walk.
     pub fn write_file(&self, path: &str, data: &[u8]) -> Result<()> {
-        let path = path.to_string();
-        let data = data.to_vec();
-        self.ecall(move |state, io| fsops::fs_write(state, io, &path, &data))
+        // The plaintext is borrowed across the boundary, not copied in:
+        // the enclave reads it exactly once, sealing each chunk straight
+        // into the data object.
+        self.ecall(|state, io| fsops::fs_write(state, io, path, data))
     }
 
     /// Reads and decrypts a whole file (`nexus_fs_decrypt`).

@@ -3,13 +3,17 @@
 //! opening through the worker pool at 1, 2, and 8 threads round-trips and
 //! produces ciphertext byte-for-byte identical to the serial loop. This is
 //! the determinism contract `nexus_core::datapath` documents; a scheduling
-//! dependency anywhere in the fan-out breaks it.
+//! dependency anywhere in the fan-out breaks it. Every worker seals into
+//! its slot of one shared buffer, so the serial bytes are also compared
+//! with the per-chunk `AesGcm::seal` outputs laid end to end, and a forged
+//! chunk must be named — the lowest one — at every width.
 
 use nexus_core::datapath::{open_chunks, seal_chunks};
 use nexus_core::metadata::filenode::{ChunkContext, Filenode};
-use nexus_core::NexusUuid;
+use nexus_core::{NexusError, NexusUuid};
+use nexus_crypto::gcm::AesGcm;
 use nexus_pool::ThreadPool;
-use nexus_testkit::{shrink, tk_assert_eq, Gen, Runner};
+use nexus_testkit::{shrink, tk_assert, tk_assert_eq, Gen, Runner};
 
 const CHUNK_SIZE: u32 = 256;
 
@@ -69,6 +73,18 @@ fn parallel_seal_open_matches_serial_at_every_width() {
                     "sealed size is plaintext plus one tag per chunk"
                 );
 
+                // The slot layout: chunk i's `seal` output at i × (chunk + tag).
+                let mut laid_out = Vec::with_capacity(serial.len());
+                for (idx, (chunk, ctx)) in
+                    data.chunks(CHUNK_SIZE as usize).zip(&contexts).enumerate()
+                {
+                    let mut aad = uuid.0.to_vec();
+                    aad.extend((idx as u64).to_le_bytes());
+                    aad.extend((data.len() as u64).to_le_bytes());
+                    laid_out.extend(AesGcm::new(&ctx.key).seal(&ctx.nonce, &aad, chunk));
+                }
+                tk_assert_eq!(&serial, &laid_out, "one buffer, same bytes as per-chunk seals");
+
                 let mut fnode =
                     Filenode::new(uuid, NexusUuid([0; 16]), uuid, CHUNK_SIZE);
                 fnode.size = data.len() as u64;
@@ -90,6 +106,31 @@ fn parallel_seal_open_matches_serial_at_every_width() {
                 let opened = open_chunks(&ThreadPool::new(1), &fnode, &serial, 0, n_chunks as u64)
                     .map_err(|e| format!("serial open failed: {e}"))?;
                 tk_assert_eq!(&opened, data, "serial roundtrip");
+
+                // Forge two chunks (where there are two): every width names
+                // the lower one and returns nothing else.
+                if n_chunks > 0 {
+                    let per = CHUNK_SIZE as usize + 16;
+                    let low = g.usize_below(n_chunks);
+                    let high = low + g.usize_below(n_chunks - low);
+                    let mut forged = serial.clone();
+                    // Distinct bits, so `low == high` is still a forgery.
+                    for (chunk, bit) in [(low, 0x80), (high, 0x01)] {
+                        // A chunk's last byte is always there (its tag), even
+                        // when the chunk is the short last one.
+                        let end = ((chunk + 1) * per).min(forged.len());
+                        forged[end - 1] ^= bit;
+                    }
+                    for workers in [1usize, 2, 8] {
+                        let result =
+                            open_chunks(&ThreadPool::new(workers), &fnode, &forged, 0, n_chunks as u64);
+                        let expected = format!("chunk {low} failed authentication");
+                        tk_assert!(
+                            matches!(&result, Err(NexusError::Integrity(m)) if *m == expected),
+                            "workers={workers}, forged {low} and {high}: {result:?}"
+                        );
+                    }
+                }
                 Ok(())
             },
         );

@@ -254,6 +254,16 @@ impl Aes {
         }
     }
 
+    /// The AES-NI key this value holds, on the hardware engine only — the
+    /// fused GCM kernel's way in ([`crate::gcm_ni`]).
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn hw(&self) -> Option<&AesNi> {
+        match &self.engine {
+            Engine::HwAccel(ni) => Some(ni),
+            _ => None,
+        }
+    }
+
     /// Expands a 16-byte AES-128 key.
     ///
     /// # Examples

@@ -13,9 +13,11 @@
 //!
 //! Everything here is `unsafe` at the instruction level but sound by
 //! construction: [`AesNi::new`] refuses to build unless
-//! [`crate::cpu::hw_accel_available`] reported the AES-NI CPUID bit, so
-//! the `#[target_feature]` functions only ever run on silicon that has
-//! them.
+//! [`crate::cpu::hw_accel_available`] reported the CPUID bits of every
+//! feature the hardware lane uses (AES-NI, PCLMULQDQ, SSSE3, SSE4.1), so
+//! the `#[target_feature]` functions — here and in [`crate::gcm_ni`],
+//! which takes an `&AesNi` as its proof — only ever run on silicon that
+//! has them.
 //!
 //! The 8-block batch entry points mirror [`crate::aes_ct::AesCt`]'s so the
 //! batched CTR hot path in [`crate::gcm`] slots onto either engine
@@ -59,7 +61,7 @@ impl AesNi {
     pub(crate) fn new(key: &[u8], size: KeySize) -> AesNi {
         assert!(
             crate::cpu::hw_accel_available(),
-            "AES-NI lane constructed on a CPU without AES/PCLMULQDQ"
+            "AES-NI lane constructed on a CPU without AES/PCLMULQDQ/SSSE3/SSE4.1"
         );
         assert_eq!(key.len(), size.nk() * 4, "AES key length mismatch");
         // SAFETY: the availability assert above guarantees the `aes`
@@ -67,9 +69,9 @@ impl AesNi {
         unsafe { AesNi::expand(key, size) }
     }
 
-    /// The expanded encryption schedule (whitening key first), for the
-    /// tests that compare it with the reference engine's.
-    #[cfg(test)]
+    /// The expanded encryption schedule (whitening key first): what the
+    /// fused GCM kernel ([`crate::gcm_ni`]) runs its eight AESENC chains
+    /// over, and what the tests compare with the reference engine's.
     pub(crate) fn round_keys(&self) -> &[[u8; 16]] {
         &self.ek[..=self.rounds]
     }

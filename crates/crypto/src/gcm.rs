@@ -5,6 +5,15 @@
 //! sealed with a fresh key and IV, with the unprotected sections passed as
 //! additional authenticated data.
 //!
+//! There is one bulk path, [`AesGcm::seal_into`] / [`AesGcm::open_into`]:
+//! source and destination are the caller's buffers, so a chunk is sealed
+//! straight into its slot of the data object and nothing is copied first.
+//! Every other entry point ([`AesGcm::seal`], [`AesGcm::open`], the
+//! detached pair) allocates the output and calls it. On the hardware lane
+//! the body runs through the fused AES-NI + PCLMULQDQ kernel
+//! (`gcm_ni`: keystream, XOR and GHASH in one pass over the bytes); the
+//! portable lanes copy, keystream in place and hash.
+//!
 //! # Examples
 //!
 //! ```
@@ -43,10 +52,22 @@ fn ghash_shift(v: u128) -> u128 {
 /// so a full multiplication is 32 lookups and XORs.
 type ShoupTable = [[u128; 16]; 32];
 
-/// Minimum per-update payload before the 8-block batched GHASH/POLYVAL
-/// pays for itself. Metadata objects stay on the scalar path; 1 MB file
-/// chunks always batch.
+/// Minimum per-update payload before the *portable* 8-block batched
+/// GHASH/POLYVAL pays for itself (the masked multiply is slow enough that
+/// setting up eight of them only wins on long inputs). The hardware lane
+/// never asks: its GCM bodies go through the fused kernel
+/// ([`crate::gcm_ni`]) from 128 bytes up, metadata objects included.
 pub(crate) const GHASH_BATCH_MIN: usize = 8 * 1024;
+
+/// Which way a message body is being transformed. GHASH always runs over
+/// the ciphertext: the destination when sealing, the source when opening.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Direction {
+    /// Plaintext in, ciphertext out.
+    Seal,
+    /// Ciphertext in, plaintext out.
+    Open,
+}
 
 /// Expands `h` into a [`ShoupTable`].
 fn build_table(h: u128) -> Box<ShoupTable> {
@@ -83,11 +104,13 @@ fn table_mul(table: &ShoupTable, x: u128) -> u128 {
 }
 
 /// A GHASH key on one of three engines. The constant-time engines keep
-/// the powers of H and multiply either through PCLMULQDQ with aggregated
-/// reduction ([`crate::ghash_clmul`]) or the portable masked carryless
-/// path ([`crate::ghash_ct`]); the table (reference) engine expands H
-/// into a Shoup table and multiplies one block at a time. All key
-/// material is volatilely zeroized on drop.
+/// the powers of H: the hardware one hands them to the fused kernel
+/// ([`crate::gcm_ni`], aggregated reduction over eight blocks) and
+/// multiplies stragglers one at a time through PCLMULQDQ
+/// ([`crate::ghash_clmul`]); the portable one batches long inputs on the
+/// masked carryless multiply ([`crate::ghash_ct`]). The table (reference)
+/// engine expands H into a Shoup table and multiplies one block at a
+/// time. All key material is volatilely zeroized on drop.
 #[derive(Clone)]
 struct GhashKey {
     h: u128,
@@ -177,13 +200,16 @@ impl<'k> Ghash<'k> {
 
     /// Absorbs `data`, zero-padding the final partial block.
     ///
-    /// Large updates on the constant-time engines run 8 blocks per pass:
-    /// the Horner recurrence `Y' = (Y ^ X1)·H^8 ^ X2·H^7 ^ … ^ X8·H` turns
+    /// Large updates on the bitsliced engine run 8 blocks per pass: the
+    /// Horner recurrence `Y' = (Y ^ X1)·H^8 ^ X2·H^7 ^ … ^ X8·H` turns
     /// eight *dependent* multiplications into eight independent ones. The
-    /// table engine stays scalar at every length.
+    /// table engine stays scalar at every length, and so does the hardware
+    /// engine *here*: its bulk is the fused kernel's, and what reaches
+    /// this function is AAD and a < 128-byte tail.
     fn update_padded(&mut self, data: &[u8]) {
         let mut rest = data;
-        if self.batch_enabled && self.key.table.is_none() && data.len() >= GHASH_BATCH_MIN {
+        let portable = self.key.table.is_none() && !self.key.hw;
+        if self.batch_enabled && portable && data.len() >= GHASH_BATCH_MIN {
             rest = self.update_batched(data);
         }
         let mut chunks = rest.chunks_exact(16);
@@ -199,25 +225,10 @@ impl<'k> Ghash<'k> {
         }
     }
 
-    /// The 8-blocks-per-pass body of [`Ghash::update_padded`]; returns the
-    /// unprocessed remainder (< 128 bytes). On the PCLMULQDQ lane the
-    /// whole pass is one aggregated reduction: eight unreduced 256-bit
-    /// products XOR-summed, one pentanomial fold.
+    /// The 8-blocks-per-pass body of [`Ghash::update_padded`] on the
+    /// masked portable multiply; returns the unprocessed remainder
+    /// (< 128 bytes).
     fn update_batched<'a>(&mut self, data: &'a [u8]) -> &'a [u8] {
-        #[cfg(target_arch = "x86_64")]
-        if self.key.hw {
-            let hs: [u128; 8] = std::array::from_fn(|j| self.key.hpow[7 - j]);
-            let mut batches = data.chunks_exact(128);
-            for batch in &mut batches {
-                let mut xs = [0u128; 8];
-                for (x, block) in xs.iter_mut().zip(batch.chunks_exact(16)) {
-                    *x = u128::from_be_bytes(block.try_into().unwrap());
-                }
-                xs[0] ^= self.acc;
-                self.acc = crate::ghash_clmul::ghash_mul_sum_hw(&xs, &hs);
-            }
-            return batches.remainder();
-        }
         let mut batches = data.chunks_exact(128);
         for batch in &mut batches {
             let mut z = 0u128;
@@ -313,26 +324,27 @@ impl AesGcm {
         j0
     }
 
-    /// CTR-mode keystream application starting at counter block `ctr`
-    /// (already incremented past J0).
+    /// CTR-mode keystream application; `ctr` is the last counter block
+    /// used (J0 for a fresh message) and is advanced past every block
+    /// consumed.
     ///
     /// Runs eight counter blocks through [`Aes::encrypt_blocks8`] per pass
     /// so the independent AES pipelines overlap; the tail (< 128 bytes)
     /// falls back to single blocks.
-    fn ctr_xor(&self, mut ctr: [u8; 16], data: &mut [u8]) {
+    fn ctr_xor(&self, ctr: &mut [u8; 16], data: &mut [u8]) {
         let mut batches = data.chunks_exact_mut(128);
         for batch in &mut batches {
             let mut ks = [[0u8; 16]; 8];
             for block in ks.iter_mut() {
-                inc32(&mut ctr);
-                *block = ctr;
+                inc32(ctr);
+                *block = *ctr;
             }
             self.aes.encrypt_blocks8(&mut ks);
             for (b, k) in batch.iter_mut().zip(ks.as_flattened()) {
                 *b ^= k;
             }
         }
-        self.ctr_xor_tail(&mut ctr, batches.into_remainder());
+        self.ctr_xor_tail(ctr, batches.into_remainder());
     }
 
     /// Reference single-block CTR path, also used for the final partial
@@ -348,17 +360,18 @@ impl AesGcm {
         }
     }
 
-    fn tag(&self, j0: &[u8; 16], aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
-        self.tag_inner(j0, aad, ciphertext, true)
-    }
-
-    fn tag_inner(&self, j0: &[u8; 16], aad: &[u8], ciphertext: &[u8], batch: bool) -> [u8; 16] {
-        let mut ghash = if batch { Ghash::new(&self.h) } else { Ghash::new_scalar(&self.h) };
-        ghash.update_padded(aad);
-        ghash.update_padded(ciphertext);
+    /// Closes a GHASH that has absorbed the AAD and the ciphertext: the
+    /// length block, then the mask `E(J0)`.
+    fn finish_tag(
+        &self,
+        mut ghash: Ghash<'_>,
+        j0: &[u8; 16],
+        aad_len: usize,
+        ciphertext_len: usize,
+    ) -> [u8; TAG_LEN] {
         let mut len_block = [0u8; 16];
-        len_block[..8].copy_from_slice(&((aad.len() as u64) * 8).to_be_bytes());
-        len_block[8..].copy_from_slice(&((ciphertext.len() as u64) * 8).to_be_bytes());
+        len_block[..8].copy_from_slice(&((aad_len as u64) * 8).to_be_bytes());
+        len_block[8..].copy_from_slice(&((ciphertext_len as u64) * 8).to_be_bytes());
         ghash.update_block(&len_block);
         let mut tag = ghash.finalize();
         let mut e_j0 = *j0;
@@ -369,6 +382,56 @@ impl AesGcm {
         tag
     }
 
+    /// The one bulk path: transforms `src` into `dst` (equal lengths) under
+    /// the CTR keystream and returns the tag over `aad` and the ciphertext.
+    ///
+    /// On the hardware lane every whole 128-byte group goes through the
+    /// fused kernel — one pass, keystream and GHASH together, `src` read
+    /// once and `dst` written once. What is left (the < 128-byte tail
+    /// there, the whole body on the portable lanes) is copied into `dst`,
+    /// keystreamed in place and hashed by the scalar code.
+    fn crypt(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        src: &[u8],
+        dst: &mut [u8],
+        direction: Direction,
+    ) -> [u8; TAG_LEN] {
+        assert_eq!(src.len(), dst.len(), "AES-GCM output buffer has the wrong length");
+        let j0 = self.j0(nonce);
+        let mut ghash = Ghash::new(&self.h);
+        ghash.update_padded(aad);
+        let mut ctr = j0;
+        #[cfg(target_arch = "x86_64")]
+        let fused = match self.aes.hw() {
+            Some(ni) => {
+                let fused = src.len() - src.len() % crate::gcm_ni::GROUP;
+                ghash.acc = crate::gcm_ni::crypt_groups(
+                    ni,
+                    &self.h.hpow,
+                    &mut ctr,
+                    ghash.acc,
+                    &src[..fused],
+                    &mut dst[..fused],
+                    direction,
+                );
+                fused
+            }
+            None => 0,
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let fused = 0;
+        let (rest_src, rest_dst) = (&src[fused..], &mut dst[fused..]);
+        rest_dst.copy_from_slice(rest_src);
+        self.ctr_xor(&mut ctr, rest_dst);
+        ghash.update_padded(match direction {
+            Direction::Seal => rest_dst,
+            Direction::Open => rest_src,
+        });
+        self.finish_tag(ghash, &j0, aad.len(), src.len())
+    }
+
     /// Encrypts `plaintext`, authenticating `aad`, returning the ciphertext
     /// and a detached 16-byte tag.
     pub fn seal_detached(
@@ -377,17 +440,16 @@ impl AesGcm {
         aad: &[u8],
         plaintext: &[u8],
     ) -> (Vec<u8>, [u8; TAG_LEN]) {
-        let j0 = self.j0(nonce);
-        let mut ct = plaintext.to_vec();
-        self.ctr_xor(j0, &mut ct);
-        let tag = self.tag(&j0, aad, &ct);
+        let mut ct = vec![0u8; plaintext.len()];
+        let tag = self.crypt(nonce, aad, plaintext, &mut ct, Direction::Seal);
         (ct, tag)
     }
 
     /// Reference implementation of [`AesGcm::seal_detached`] that bypasses
-    /// both the 8-block CTR batch and the batched GHASH. Kept for
-    /// differential tests and the scalar-vs-batched benchmark; not part of
-    /// the public API surface.
+    /// the fused kernel, the 8-block CTR batch and the batched GHASH: one
+    /// block at a time, straight from SP 800-38D. Kept for differential
+    /// tests and the scalar-vs-fused benchmark; not part of the public API
+    /// surface.
     #[doc(hidden)]
     pub fn seal_detached_scalar(
         &self,
@@ -399,36 +461,44 @@ impl AesGcm {
         let mut ct = plaintext.to_vec();
         let mut ctr = j0;
         self.ctr_xor_tail(&mut ctr, &mut ct);
-        let tag = self.tag_inner(&j0, aad, &ct, false);
+        let mut ghash = Ghash::new_scalar(&self.h);
+        ghash.update_padded(aad);
+        ghash.update_padded(&ct);
+        let tag = self.finish_tag(ghash, &j0, aad.len(), ct.len());
         (ct, tag)
     }
 
     /// Encrypts `plaintext` and returns `ciphertext || tag`.
     pub fn seal(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.seal_to(nonce, aad, plaintext, &mut out);
+        let mut out = vec![0u8; plaintext.len() + TAG_LEN];
+        self.seal_into(nonce, aad, plaintext, &mut out);
         out
     }
 
-    /// Encrypts `plaintext` and appends `ciphertext || tag` to `out`,
-    /// reserving exactly once. This is the allocation-lean path the chunk
-    /// loop uses: [`AesGcm::seal`] on a 1 MB chunk would otherwise grow an
-    /// exactly-sized ciphertext vector just to push the 16-byte tag,
-    /// copying the whole chunk a second time.
-    pub fn seal_to(
+    /// Encrypts `plaintext` and writes `ciphertext || tag` into `out`,
+    /// which the caller sized to `plaintext.len() + TAG_LEN`. The plaintext
+    /// is read once and the ciphertext written once, straight into `out`:
+    /// this is how the chunk loop seals each chunk into its slot of the
+    /// data object and how a metadata body lands in its blob, with no
+    /// intermediate ciphertext buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != plaintext.len() + TAG_LEN`.
+    pub fn seal_into(
         &self,
         nonce: &[u8; NONCE_LEN],
         aad: &[u8],
         plaintext: &[u8],
-        out: &mut Vec<u8>,
+        out: &mut [u8],
     ) {
-        out.reserve_exact(plaintext.len() + TAG_LEN);
-        let start = out.len();
-        out.extend_from_slice(plaintext);
-        let j0 = self.j0(nonce);
-        self.ctr_xor(j0, &mut out[start..]);
-        let tag = self.tag(&j0, aad, &out[start..]);
-        out.extend_from_slice(&tag);
+        assert_eq!(
+            out.len(),
+            plaintext.len() + TAG_LEN,
+            "AES-GCM output buffer has the wrong length"
+        );
+        let (ct, tag) = out.split_at_mut(plaintext.len());
+        tag.copy_from_slice(&self.crypt(nonce, aad, plaintext, ct, Direction::Seal));
     }
 
     /// Verifies the detached `tag` and decrypts `ciphertext`.
@@ -444,13 +514,8 @@ impl AesGcm {
         ciphertext: &[u8],
         tag: &[u8; TAG_LEN],
     ) -> Result<Vec<u8>, AeadError> {
-        let j0 = self.j0(nonce);
-        let expected = self.tag(&j0, aad, ciphertext);
-        if !ct_eq(&expected, tag) {
-            return Err(AeadError);
-        }
-        let mut pt = ciphertext.to_vec();
-        self.ctr_xor(j0, &mut pt);
+        let mut pt = vec![0u8; ciphertext.len()];
+        self.open_checked(nonce, aad, ciphertext, tag, &mut pt)?;
         Ok(pt)
     }
 
@@ -466,51 +531,69 @@ impl AesGcm {
         aad: &[u8],
         sealed: &[u8],
     ) -> Result<Vec<u8>, AeadError> {
-        if sealed.len() < TAG_LEN {
-            return Err(AeadError);
-        }
-        let (ct, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-        let tag: [u8; TAG_LEN] = tag.try_into().expect("split length");
-        self.open_detached(nonce, aad, ct, &tag)
+        let mut out = vec![0u8; sealed.len().checked_sub(TAG_LEN).ok_or(AeadError)?];
+        self.open_into(nonce, aad, sealed, &mut out)?;
+        Ok(out)
     }
 
-    /// Opens a `ciphertext || tag` buffer, appending the plaintext to
-    /// `out` with a single exact reservation (the decrypt counterpart of
-    /// [`AesGcm::seal_to`]).
+    /// Opens a `ciphertext || tag` buffer into `out`, which the caller
+    /// sized to `sealed.len() - TAG_LEN` (the decrypt counterpart of
+    /// [`AesGcm::seal_into`]).
+    ///
+    /// Decryption happens in the same pass as authentication, so `out`
+    /// holds unauthenticated plaintext while this call runs — and only
+    /// then: the caller has lent `out` exclusively, and on a tag mismatch
+    /// it is volatilely zeroized before the call returns. No
+    /// unauthenticated byte is ever handed back.
     ///
     /// # Errors
     ///
-    /// Returns [`AeadError`] if the buffer is shorter than a tag or the tag
-    /// does not verify; `out` is untouched in that case.
-    pub fn open_to(
+    /// Returns [`AeadError`] if `sealed` is shorter than a tag or the tag
+    /// does not verify; `out` is all zero in that case.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sealed` holds a tag and `out.len() != sealed.len() -
+    /// TAG_LEN`.
+    pub fn open_into(
         &self,
         nonce: &[u8; NONCE_LEN],
         aad: &[u8],
         sealed: &[u8],
-        out: &mut Vec<u8>,
+        out: &mut [u8],
     ) -> Result<(), AeadError> {
-        if sealed.len() < TAG_LEN {
+        let Some(ct_len) = sealed.len().checked_sub(TAG_LEN) else {
+            crate::ct::zeroize(out);
             return Err(AeadError);
+        };
+        let (ct, tag) = sealed.split_at(ct_len);
+        self.open_checked(nonce, aad, ct, tag, out)
+    }
+
+    /// Decrypts `ciphertext` into `out` and compares the tag in constant
+    /// time; wipes `out` when it does not match.
+    fn open_checked(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        ciphertext: &[u8],
+        tag: &[u8],
+        out: &mut [u8],
+    ) -> Result<(), AeadError> {
+        let expected = self.crypt(nonce, aad, ciphertext, out, Direction::Open);
+        if ct_eq(&expected, tag) {
+            Ok(())
+        } else {
+            crate::ct::zeroize(out);
+            Err(AeadError)
         }
-        let (ct, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-        let tag: [u8; TAG_LEN] = tag.try_into().expect("split length");
-        let j0 = self.j0(nonce);
-        let expected = self.tag(&j0, aad, ct);
-        if !ct_eq(&expected, &tag) {
-            return Err(AeadError);
-        }
-        out.reserve_exact(ct.len());
-        let start = out.len();
-        out.extend_from_slice(ct);
-        self.ctr_xor(j0, &mut out[start..]);
-        Ok(())
     }
 }
 
 impl crate::ct::ZeroizeOnDrop for AesGcm {}
 
-/// Increments the last 32 bits of a counter block (big-endian).
-fn inc32(block: &mut [u8; 16]) {
+/// Increments the last 32 bits of a counter block (big-endian, wrapping).
+pub(crate) fn inc32(block: &mut [u8; 16]) {
     let mut ctr = u32::from_be_bytes(block[12..16].try_into().unwrap());
     ctr = ctr.wrapping_add(1);
     block[12..16].copy_from_slice(&ctr.to_be_bytes());
@@ -542,6 +625,12 @@ mod tests {
             assert_eq!(hex(&t), tag, "tag ({backend:?})");
             let p = gcm.open_detached(&nonce, &unhex(aad), &c, &t).unwrap();
             assert_eq!(hex(&p), pt, "roundtrip ({backend:?})");
+            let mut sealed = vec![0u8; c.len() + TAG_LEN];
+            gcm.seal_into(&nonce, &unhex(aad), &unhex(pt), &mut sealed);
+            assert_eq!(hex(&sealed), format!("{ct}{tag}"), "seal_into ({backend:?})");
+            let mut opened = vec![0u8; c.len()];
+            gcm.open_into(&nonce, &unhex(aad), &sealed, &mut opened).unwrap();
+            assert_eq!(hex(&opened), pt, "open_into ({backend:?})");
         }
     }
 
@@ -735,28 +824,55 @@ mod tests {
         }
     }
 
+    /// `seal_into` is `seal` written in place; `open_into` is `open`, and a
+    /// failed open hands back nothing — neither plaintext nor leftovers.
     #[test]
-    fn seal_to_open_to_append_in_place() {
+    fn into_calls_write_in_place_and_wipe_on_failure() {
+        for backend in backends() {
+            let gcm = AesGcm::with_backend(&[5u8; 16], backend);
+            let nonce = [8u8; 12];
+            let pt: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
+            let (ct, tag) = gcm.seal_detached_scalar(&nonce, b"aad", &pt);
+            let mut sealed = vec![0xeeu8; pt.len() + TAG_LEN];
+            gcm.seal_into(&nonce, b"aad", &pt, &mut sealed);
+            assert_eq!(sealed[..pt.len()], ct[..], "{backend:?}");
+            assert_eq!(sealed[pt.len()..], tag, "{backend:?}");
+
+            let mut opened = vec![0xeeu8; pt.len()];
+            gcm.open_into(&nonce, b"aad", &sealed, &mut opened).unwrap();
+            assert_eq!(opened, pt, "{backend:?}");
+
+            // Body, tag and AAD tampering all leave `out` zeroed.
+            for flip in [0, 517, pt.len(), sealed.len() - 1] {
+                let mut tampered = sealed.clone();
+                tampered[flip] ^= 1;
+                let mut out = vec![0xeeu8; pt.len()];
+                assert!(gcm.open_into(&nonce, b"aad", &tampered, &mut out).is_err());
+                assert!(out.iter().all(|&b| b == 0), "{backend:?}: flip at {flip} leaked");
+                assert!(gcm.open(&nonce, b"aad", &tampered).is_err());
+            }
+            let mut out = vec![0xeeu8; pt.len()];
+            assert!(gcm.open_into(&nonce, b"other", &sealed, &mut out).is_err());
+            assert!(out.iter().all(|&b| b == 0));
+            // Too short to hold a tag: refused before any length check.
+            let mut out = vec![0xeeu8; 3];
+            assert!(gcm.open_into(&nonce, b"aad", &[0u8; 15], &mut out).is_err());
+            assert_eq!(out, [0u8; 3]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "wrong length")]
+    fn seal_into_refuses_a_missized_buffer() {
         let gcm = AesGcm::new_128(&[5u8; 16]);
-        let nonce = [8u8; 12];
-        let pt: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
-        let mut sealed = b"prefix-".to_vec();
-        gcm.seal_to(&nonce, b"aad", &pt, &mut sealed);
-        assert_eq!(&sealed[..7], b"prefix-");
-        assert_eq!(sealed[7..], gcm.seal(&nonce, b"aad", &pt)[..]);
+        gcm.seal_into(&[0u8; 12], b"", &[1, 2, 3], &mut [0u8; 3 + TAG_LEN + 1]);
+    }
 
-        let mut opened = b"head-".to_vec();
-        gcm.open_to(&nonce, b"aad", &sealed[7..], &mut opened).unwrap();
-        assert_eq!(&opened[..5], b"head-");
-        assert_eq!(&opened[5..], &pt[..]);
-
-        // A bad tag must leave the output buffer untouched.
-        let mut tampered = sealed[7..].to_vec();
-        *tampered.last_mut().unwrap() ^= 1;
-        let mut out = b"keep".to_vec();
-        assert!(gcm.open_to(&nonce, b"aad", &tampered, &mut out).is_err());
-        assert_eq!(out, b"keep");
-        assert!(gcm.open_to(&nonce, b"aad", &[0u8; 15], &mut out).is_err());
-        assert_eq!(out, b"keep");
+    #[test]
+    #[should_panic(expected = "wrong length")]
+    fn open_into_refuses_a_missized_buffer() {
+        let gcm = AesGcm::new_128(&[5u8; 16]);
+        let sealed = gcm.seal(&[0u8; 12], b"", &[1, 2, 3]);
+        let _ = gcm.open_into(&[0u8; 12], b"", &sealed, &mut [0u8; 2]);
     }
 }

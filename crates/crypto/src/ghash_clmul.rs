@@ -33,10 +33,12 @@
 //! Soundness: every public entry point is a safe fn whose callers (the
 //! [`crate::cpu`] dispatch layer) only select this lane when CPUID
 //! reported PCLMULQDQ; the `#[target_feature]` internals never run
-//! without it.
+//! without it. [`reduce`], [`to_vec`] and [`to_u128`] are plain safe
+//! helpers (baseline SSE2 at most) that the fused GCM kernel
+//! ([`crate::gcm_ni`]) shares.
 
 use core::arch::x86_64::{
-    __m128i, _mm_clmulepi64_si128, _mm_set_epi64x, _mm_slli_si128, _mm_srli_si128, _mm_xor_si128,
+    __m128i, _mm_clmulepi64_si128, _mm_slli_si128, _mm_srli_si128, _mm_xor_si128,
 };
 
 /// Carryless 128×128 → 256-bit multiply via four PCLMULQDQ (schoolbook
@@ -54,16 +56,20 @@ unsafe fn clmul256(x: u128, y: u128) -> (u128, u128) {
     (to_u128(lo), to_u128(hi))
 }
 
+/// A field element as a vector register: lane 0 is the low qword, as in
+/// a `u128` on this little-endian target.
 #[inline(always)]
-unsafe fn to_vec(x: u128) -> __m128i {
-    _mm_set_epi64x((x >> 64) as i64, x as i64)
+pub(crate) fn to_vec(x: u128) -> __m128i {
+    // SAFETY: both types are 16 bytes of plain data with every bit
+    // pattern valid (and `__m128i` itself is baseline on x86_64).
+    unsafe { core::mem::transmute::<u128, __m128i>(x) }
 }
 
+/// Inverse of [`to_vec`].
 #[inline(always)]
-unsafe fn to_u128(v: __m128i) -> u128 {
-    // Lane 0 of an `__m128i` is the low qword, matching `u128` on a
-    // little-endian target, so the transmute inverts `to_vec`.
-    core::mem::transmute::<__m128i, u128>(v)
+pub(crate) fn to_u128(v: __m128i) -> u128 {
+    // SAFETY: as in `to_vec`, whose inverse this is.
+    unsafe { core::mem::transmute::<__m128i, u128>(v) }
 }
 
 /// Reduces an unreduced 256-bit reflected-domain product modulo
@@ -72,7 +78,7 @@ unsafe fn to_u128(v: __m128i) -> u128 {
 /// fold steps are the mirror image of `ghash_ct`'s reduction (see the
 /// module docs). Pure shifts and XORs — constant-time.
 #[inline(always)]
-fn reduce(lo: u128, hi: u128) -> u128 {
+pub(crate) fn reduce(lo: u128, hi: u128) -> u128 {
     let bl = lo << 1;
     let bh = (hi << 1) | (lo >> 127);
     // Fold the low half through the mirrored pentanomial...

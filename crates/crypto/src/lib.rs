@@ -28,6 +28,7 @@
 //! onto a constant-time engine that never indexes memory or branches on
 //! key or message bytes, chosen by [`cpu::constant_time_backend`] from
 //! what the CPU reports. On x86_64 CPUs advertising AES-NI and PCLMULQDQ
+//! (and SSSE3/SSE4.1, which the fused GCM kernel `gcm_ni` also uses)
 //! that is the hardware engine ([`aes_ni`], [`ghash_clmul`]) — dedicated
 //! silicon, and the fastest; everywhere else (or when
 //! [`cpu::FORCE_PORTABLE_ENV`] is set, which lets x86 hosts exercise the
@@ -70,6 +71,8 @@ pub mod ct;
 pub mod ed25519;
 pub mod field25519;
 pub mod gcm;
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod gcm_ni;
 pub mod gcm_siv;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod ghash_clmul;

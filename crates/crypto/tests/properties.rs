@@ -257,3 +257,89 @@ fn all_crypto_lanes_are_byte_identical() {
         },
     );
 }
+
+/// The in-place calls against SP 800-38D one block at a time
+/// (`seal_detached_scalar` on the table engine: no fused kernel, no 8-block
+/// CTR batch, no batched GHASH), on every engine this host has. The
+/// lengths cross every boundary the bulk path has: each residue of the
+/// 128-byte group and the 16-byte block up to two groups and a bit, the
+/// portable GHASH batching threshold (8 KiB ± 1), a mid-sized ragged body
+/// and a whole file chunk; the AAD lengths are empty, sub-block, one block
+/// and ragged.
+#[test]
+fn into_calls_equal_the_scalar_reference_on_every_lane() {
+    let mut lens: Vec<usize> = (0..=300).collect();
+    lens.extend([8 * 1024 - 1, 8 * 1024, 8 * 1024 + 1, 64 * 1024 + 77, 1024 * 1024]);
+    let aad_src: Vec<u8> = (0..29u8).map(|i| i.wrapping_mul(37) ^ 0x5c).collect();
+    let mut g = nexus_testkit::Gen::new(0x1a70);
+    let mut src = vec![0u8; *lens.last().unwrap()];
+    for chunk in src.chunks_mut(8) {
+        chunk.copy_from_slice(&g.u64().to_le_bytes()[..chunk.len()]);
+    }
+    for key in [g.bytes::<32>()[..16].to_vec(), g.bytes::<32>().to_vec()] {
+        let reference = AesGcm::with_backend(&key, CryptoBackend::Table);
+        let lanes: Vec<AesGcm> =
+            all_backends().into_iter().map(|b| AesGcm::with_backend(&key, b)).collect();
+        for &len in &lens {
+            let pt = &src[..len];
+            // The megabyte runs once per lane; everything else at all four.
+            let aad_lens: &[usize] = if len > 64 * 1024 + 77 { &[29] } else { &[0, 1, 16, 29] };
+            for &aad_len in aad_lens {
+                let aad = &aad_src[..aad_len];
+                let nonce = g.bytes::<12>();
+                let (ct, tag) = reference.seal_detached_scalar(&nonce, aad, pt);
+                for gcm in &lanes {
+                    let lane = gcm.backend();
+                    let what = format!("{lane:?}, key {}, len {len}, aad {aad_len}", key.len());
+                    let mut sealed = vec![0xa5u8; len + 16];
+                    gcm.seal_into(&nonce, aad, pt, &mut sealed);
+                    assert!(sealed[..len] == ct[..], "ciphertext diverged: {what}");
+                    assert_eq!(sealed[len..], tag, "tag diverged: {what}");
+                    assert!(gcm.seal(&nonce, aad, pt) == sealed, "seal wrapper diverged: {what}");
+
+                    let mut opened = vec![0xa5u8; len];
+                    gcm.open_into(&nonce, aad, &sealed, &mut opened).expect("authentic");
+                    assert!(opened == pt, "plaintext diverged: {what}");
+                }
+            }
+        }
+    }
+}
+
+/// `open_into` decrypts while it authenticates, so a forgery has been
+/// decrypted by the time it is recognised: whatever byte is flipped — body,
+/// tag, or a byte of the AAD — the call fails and hands back zeros only.
+#[test]
+fn open_into_leaves_nothing_behind_a_flipped_byte() {
+    Runner::new("open_into_leaves_nothing_behind_a_flipped_byte").cases(CASES).run(
+        |g| {
+            // Straddle the fused kernel's 128-byte group: tail only, one
+            // group exactly, groups plus a tail.
+            let len = match g.u8() % 3 {
+                0 => g.usize_in(1, 127),
+                1 => 128 * g.usize_in(1, 4),
+                _ => g.usize_in(129, 3000),
+            };
+            (g.bytes::<16>(), g.bytes::<12>(), g.byte_vec(0, 40), g.byte_vec(len, len), g.u64(), g.u8() % 8)
+        },
+        shrink::none,
+        |(key, nonce, aad, pt, flip_byte, flip_bit)| {
+            for backend in all_backends() {
+                let gcm = AesGcm::with_backend(key, backend);
+                let mut sealed = vec![0u8; pt.len() + 16];
+                gcm.seal_into(nonce, aad, pt, &mut sealed);
+                let mut aad = aad.clone();
+                let idx = (*flip_byte % (sealed.len() + aad.len()) as u64) as usize;
+                match idx.checked_sub(sealed.len()) {
+                    None => sealed[idx] ^= 1 << flip_bit,
+                    Some(in_aad) => aad[in_aad] ^= 1 << flip_bit,
+                }
+                let mut out = vec![0xa5u8; pt.len()];
+                tk_assert!(gcm.open_into(nonce, &aad, &sealed, &mut out).is_err(), "{backend:?}");
+                tk_assert!(out.iter().all(|&b| b == 0), "{backend:?} left bytes in `out`");
+                tk_assert!(gcm.open(nonce, &aad, &sealed).is_err(), "{backend:?}");
+            }
+            Ok(())
+        },
+    );
+}

@@ -212,29 +212,30 @@ fn chunk_aad(path: &str, index: u64, total_size: u64) -> Vec<u8> {
 }
 
 /// Seals `data` as concatenated `chunk_size`-plaintext chunks, fanning the
-/// per-chunk AES-GCM over the worker pool. An empty file is one empty
-/// sealed chunk (a bare tag), so even zero-length contents are
-/// authenticated. Output is byte-identical at every worker count: chunk
-/// nonces are derived, not drawn, and results concatenate in index order.
+/// per-chunk AES-GCM over the worker pool, each chunk sealed straight into
+/// its slot of the one output buffer. An empty file is one empty sealed
+/// chunk (a bare tag), so even zero-length contents are authenticated.
+/// Output is byte-identical at every worker count: chunk nonces are
+/// derived, not drawn, and a slot's position is a function of its index.
 fn seal_file(gcm: &AesGcm, file_nonce: &[u8; 12], path: &str, data: &[u8], chunk_size: usize) -> Vec<u8> {
     let chunks: Vec<&[u8]> =
         if data.is_empty() { vec![&[][..]] } else { data.chunks(chunk_size).collect() };
     let total = data.len() as u64;
-    let sealed = nexus_pool::global().par_map_indexed(&chunks, |idx, chunk| {
-        let mut out = Vec::new();
-        gcm.seal_to(&chunk_nonce(file_nonce, idx as u64), &chunk_aad(path, idx as u64, total), chunk, &mut out);
-        out
+    let mut ciphertext = vec![0u8; data.len() + chunks.len() * TAG_LEN];
+    let mut jobs: Vec<(&[u8], &mut [u8])> =
+        chunks.into_iter().zip(ciphertext.chunks_mut(chunk_size + TAG_LEN)).collect();
+    nexus_pool::global().par_map_indexed_mut(&mut jobs, |idx, (chunk, slot)| {
+        let nonce = chunk_nonce(file_nonce, idx as u64);
+        gcm.seal_into(&nonce, &chunk_aad(path, idx as u64, total), chunk, slot);
     });
-    let mut ciphertext = Vec::with_capacity(data.len() + sealed.len() * TAG_LEN);
-    for piece in &sealed {
-        ciphertext.extend_from_slice(piece);
-    }
     ciphertext
 }
 
-/// Opens ciphertext produced by [`seal_file`]. Chunk boundaries are
-/// recovered from length arithmetic: every chunk but the last carries
-/// exactly `chunk_size` plaintext bytes.
+/// Opens ciphertext produced by [`seal_file`] into one plaintext buffer.
+/// Chunk boundaries are recovered from length arithmetic: every chunk but
+/// the last carries exactly `chunk_size` plaintext bytes. On any failing
+/// chunk the whole buffer is dropped (each failing slot already zeroized
+/// by `open_into`) and only the error is returned.
 fn open_file(
     gcm: &AesGcm,
     file_nonce: &[u8; 12],
@@ -242,31 +243,29 @@ fn open_file(
     ciphertext: &[u8],
     chunk_size: usize,
 ) -> Result<Vec<u8>> {
-    let per = chunk_size + TAG_LEN;
-    let mut pieces: Vec<&[u8]> = Vec::with_capacity(ciphertext.len() / per + 1);
-    let mut rest = ciphertext;
-    while rest.len() > per {
-        let (head, tail) = rest.split_at(per);
-        pieces.push(head);
-        rest = tail;
-    }
-    if rest.len() < TAG_LEN {
+    let pieces: Vec<&[u8]> = ciphertext.chunks(chunk_size + TAG_LEN).collect();
+    if pieces.last().is_none_or(|last| last.len() < TAG_LEN) {
         return Err(CryptoFsError::Integrity("data object truncated".into()));
     }
-    pieces.push(rest);
-    let total = (ciphertext.len() - pieces.len() * TAG_LEN) as u64;
-    let opened = nexus_pool::global().par_map_indexed(&pieces, |idx, piece| {
-        let mut plain = Vec::new();
-        gcm.open_to(&chunk_nonce(file_nonce, idx as u64), &chunk_aad(path, idx as u64, total), piece, &mut plain)
-            .map(|()| plain)
+    let total = ciphertext.len() - pieces.len() * TAG_LEN;
+    let mut plain = vec![0u8; total];
+    let mut unclaimed = plain.as_mut_slice();
+    let mut jobs: Vec<(&[u8], &mut [u8])> = pieces
+        .into_iter()
+        .map(|piece| {
+            let (slot, rest) = std::mem::take(&mut unclaimed).split_at_mut(piece.len() - TAG_LEN);
+            unclaimed = rest;
+            (piece, slot)
+        })
+        .collect();
+    let opened = nexus_pool::global().par_map_indexed_mut(&mut jobs, |idx, (piece, slot)| {
+        let nonce = chunk_nonce(file_nonce, idx as u64);
+        gcm.open_into(&nonce, &chunk_aad(path, idx as u64, total as u64), piece, slot)
             .map_err(|_| CryptoFsError::Integrity("file authentication failed".into()))
     });
-    let mut out = Vec::with_capacity(total as usize);
     // Index order, so the surfaced error is the lowest failing chunk.
-    for piece in opened {
-        out.extend_from_slice(&piece?);
-    }
-    Ok(out)
+    opened.into_iter().collect::<Result<()>>()?;
+    Ok(plain)
 }
 
 /// Draws random bytes from a thread-local CSPRNG. The data path fans file

@@ -4,9 +4,11 @@
 //!
 //! NEXUS seals every 1 MB file chunk under an independent key
 //! ([`ChunkContext`] in `nexus-core`), so the chunk loops of
-//! `fs_encrypt`/`fs_decrypt` are embarrassingly parallel. This crate
-//! provides the one primitive those loops need — [`ThreadPool::par_map_indexed`]
-//! — without pulling `rayon` into the hermetic zero-dependency workspace
+//! `fs_write`/`fs_decrypt` are embarrassingly parallel. This crate
+//! provides the one primitive those loops need — [`ThreadPool::par_map_indexed`],
+//! and its exclusive-item form [`ThreadPool::par_map_indexed_mut`] through
+//! which each worker fills its own slot of one output buffer — without
+//! pulling `rayon` into the hermetic zero-dependency workspace
 //! (DESIGN.md §7).
 //!
 //! Design:
@@ -144,6 +146,31 @@ impl ThreadPool {
             .map(|slot| slot.into_inner().expect("scope joined with an unfilled slot"))
             .collect()
     }
+
+    /// [`ThreadPool::par_map_indexed`] with **exclusive** access to each
+    /// item: `out[i] == f(i, &mut items[i])`. This is how the data path
+    /// gives every worker its own slot of one output buffer (the items are
+    /// disjoint `&mut [u8]` sub-slices) without `unsafe`: each item sits
+    /// behind its own `Mutex`, locked exactly once, by the one worker the
+    /// queue handed its index to — so the lock is never contended and never
+    /// waits.
+    ///
+    /// # Panics
+    ///
+    /// As [`ThreadPool::par_map_indexed`].
+    pub fn par_map_indexed_mut<T, R, F>(&self, items: &mut [T], f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send + Sync,
+        F: Fn(usize, &mut T) -> R + Sync,
+    {
+        let cells: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
+        self.par_map_indexed(&cells, |i, cell| {
+            // A poisoned cell means `f` panicked on it; the pool re-raises
+            // that panic, so nobody looks at the item again.
+            f(i, &mut cell.lock().unwrap_or_else(|e| e.into_inner()))
+        })
+    }
 }
 
 /// Parses a `NEXUS_THREADS` value; `None`, empty, zero, or garbage fall
@@ -217,6 +244,22 @@ mod tests {
             data[off..off + 256].iter().map(|&b| b as u64).sum::<u64>()
         });
         assert_eq!(sums, vec![7 * 256; 4]);
+    }
+
+    #[test]
+    fn exclusive_items_fill_disjoint_slots_of_one_buffer() {
+        for workers in [1, 2, 8] {
+            let mut buffer = vec![0u8; 1000];
+            let mut slots: Vec<&mut [u8]> = buffer.chunks_mut(96).collect();
+            let lens = ThreadPool::new(workers).par_map_indexed_mut(&mut slots, |i, slot| {
+                slot.fill(i as u8 + 1);
+                slot.len()
+            });
+            assert_eq!(lens.iter().sum::<usize>(), 1000, "workers={workers}");
+            for (i, chunk) in buffer.chunks(96).enumerate() {
+                assert!(chunk.iter().all(|&b| b == i as u8 + 1), "workers={workers} slot {i}");
+            }
+        }
     }
 
     #[test]

@@ -14,10 +14,12 @@
 #
 # Either way the resulting JSON is validated (parses, carries every field
 # downstream tooling reads); the full run additionally enforces the
-# acceptance floors: a single-thread batched-GCM win, >= 2x chunk
-# throughput at 4 threads (measured on >= 4-core hosts, ideal-pipeline
-# modeled otherwise — see "speedup_basis"), the absolute storage-RPC
-# ceilings of the batched workloads (both modes),
+# acceptance floors: the default lane's bulk GCM path (the fused kernel
+# on hardware-lane hosts) beating the one-block-at-a-time scalar
+# reference on one thread (the chunk-path thread sweep is reported as
+# this host measured it; nothing is modelled and no multi-thread floor is
+# set), the absolute storage-RPC ceilings of the batched workloads (both
+# modes),
 # >= 3x aggregate metadata throughput at 16 concurrent clients vs 1,
 # checkpointed recovery no slower than full-log replay at the longest
 # history in the logstore sweep, on AES-NI/PCLMULQDQ hosts the
@@ -71,8 +73,7 @@ path, mode = sys.argv[1], sys.argv[2]
 with open(path) as f:
     doc = json.load(f)
 for key in ("bench", "host_parallelism", "file_bytes", "chunk_bytes", "chunks",
-            "gcm_single_thread", "chunk_path", "pipeline_model",
-            "speedup_basis", "speedup_at_4_threads",
+            "gcm_single_thread", "chunk_path",
             "parallel_output_identical_to_serial"):
     assert key in doc, f"{path}: missing key {key!r}"
 for key in ("threads", "seal_s", "seal_mibps", "open_s", "open_mibps",
@@ -80,16 +81,18 @@ for key in ("threads", "seal_s", "seal_mibps", "open_s", "open_mibps",
     assert key in doc["chunk_path"], f"{path}: missing chunk_path.{key}"
 assert doc["parallel_output_identical_to_serial"] is True, \
     "parallel ciphertext must be byte-identical to serial"
-assert doc["speedup_basis"] in ("measured", "modeled")
+for key in ("scalar_mibps", "fused_mibps", "speedup"):
+    assert key in doc["gcm_single_thread"], f"{path}: missing gcm_single_thread.{key}"
 gcm = doc["gcm_single_thread"]["speedup"]
-at4 = doc["speedup_at_4_threads"]
 if mode == "full":
-    # Acceptance floors; the smoke run only guards the emitter itself
+    # Acceptance floor; the smoke run only guards the emitter itself
     # (tiny sizes on a loaded CI box are too noisy for perf assertions).
-    assert gcm > 1.0, f"batched GCM must beat scalar, got x{gcm:.2f}"
-    assert at4 >= 2.0, f"need >= 2x at 4 threads, got x{at4:.2f}"
-print(f"ok: {path} valid; gcm x{gcm:.2f}, "
-      f"4-thread x{at4:.2f} ({doc['speedup_basis']})")
+    assert gcm > 1.0, f"the bulk GCM path must beat scalar, got x{gcm:.2f}"
+threads = doc["chunk_path"]["threads"]
+measured = doc["chunk_path"]["measured_seal_speedup"]
+print(f"ok: {path} valid; gcm x{gcm:.2f}; measured seal speedup "
+      + ", ".join(f"{t}t x{s:.2f}" for t, s in zip(threads, measured))
+      + f" on {doc['host_parallelism']} core(s)")
 EOF
 
 echo "== micro_rpcbatch ($mode) =="

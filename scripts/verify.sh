@@ -139,8 +139,10 @@ echo "== timing-leak harness + crypto source audit =="
 # of silently shrinking coverage. The harness must flag the table
 # (reference) engine and pass both constant-time ones (bitsliced always;
 # AES-NI wherever the CPU has the silicon), deterministically; the audit
-# keeps the constant-time modules table-free and `with_backend` out of
-# every crate but nexus-crypto and nexus-bench.
+# keeps the constant-time modules table-free, `with_backend` out of
+# every crate but nexus-crypto and nexus-bench, every `#[target_feature]`
+# the intrinsics modules enable among the CPUID bits dispatch requires,
+# and a SAFETY note over each of their `unsafe` blocks.
 cargo test -q -p nexus-crypto --offline --test timing_leak > /dev/null
 cargo test -q -p nexus-crypto --offline --test source_audit > /dev/null
 echo "ok: table engine flagged, constant-time engines pass, nobody pins an engine"
@@ -150,9 +152,11 @@ echo "== portable crypto engine, end to end =="
 # hosts exercise it through the whole volume lifecycle too. `--test` picks
 # by target name in both packages: nexus-core's `properties` (wire format,
 # bucket index model, hostile bucket bodies) reruns here beside the crypto
-# ones.
-NEXUS_CRYPTO_FORCE_PORTABLE=1 cargo test -q --offline -p nexus-core --test end_to_end -p nexus-crypto --test properties > /dev/null
-echo "ok: volume lifecycle, metadata and crypto properties pass on the forced-portable engine"
+# ones. `golden_inventory` pins a SHA-256 over every stored byte of a
+# fixed script, so passing it here says the portable `seal_into` path
+# stores exactly what the fused hardware kernel stores.
+NEXUS_CRYPTO_FORCE_PORTABLE=1 cargo test -q --offline -p nexus-core --test end_to_end --test golden_inventory -p nexus-crypto --test properties > /dev/null
+echo "ok: volume lifecycle, golden stored bytes, metadata and crypto properties pass on the forced-portable engine"
 
 echo "== executor smoke =="
 # By target name, like the suites above: 2000 simulated clients multiplex
