@@ -31,7 +31,9 @@ fn main() {
     let siv = AesGcmSiv::new_256(&[3u8; 32]);
     micro("gcm-siv keywrap 16B", None, || siv.seal(&[0u8; 12], b"preamble", &[0x42u8; 16]));
 
-    for size in [64usize, 4096, 1024 * 1024] {
+    // 3400 B is a full 128-entry bucket blob: what a bucket MAC hashes.
+    println!("sha256 lane: {:?}", nexus_crypto::cpu::sha_lane());
+    for size in [64usize, 3400, 4096, 1024 * 1024] {
         let data = vec![0x17u8; size];
         micro(&format!("sha256 {size}B"), Some(size as u64), || Sha256::digest(&data));
     }

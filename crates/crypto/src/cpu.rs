@@ -1,5 +1,13 @@
 //! Runtime CPU-feature detection and crypto-engine dispatch.
 //!
+//! Two decisions are made here, each once per process and each from what
+//! `CPUID` reports: which engine a freshly expanded AES key uses, and which
+//! compression function SHA-256 runs. They are independent — a Skylake-class
+//! CPU has AES-NI and no SHA extensions, and keeps its hardware AES lane
+//! with the portable hash.
+//!
+//! # The AES lane
+//!
 //! Keys expand onto one of two interchangeable constant-time engines: the
 //! portable bitsliced one ([`crate::aes_ct`]/[`crate::ghash_ct`]) and the
 //! hardware one ([`crate::aes_ni`]/[`crate::ghash_clmul`]) built on AES-NI
@@ -21,14 +29,26 @@
 //! builds counter blocks with; the lane requires every feature any of its
 //! `#[target_feature]` functions names, so holding a hardware key is proof
 //! of all four.
+//!
+//! # The SHA lane
+//!
+//! [`crate::sha2::Sha256`] compresses on one of two byte-identical
+//! functions: the portable scalar one, or the SHA-NI kernel
+//! (`sha_ni`: `SHA256RNDS2`/`SHA256MSG1`/`SHA256MSG2`). [`sha_lane`] picks
+//! the kernel when the max CPUID leaf is ≥ 7, leaf 7 sub-leaf 0 `EBX` bit
+//! 29 (`SHA`) is set, leaf 1 `ECX` has bit 9 (`SSSE3`: the kernel's
+//! `PSHUFB` byte swap and `PALIGNR`) and bit 19 (`SSE4.1`: its `PBLENDW`),
+//! and [`FORCE_PORTABLE_ENV`] is not set — the one switch covers hashing
+//! too. SHA-512 has no hardware lane.
 
 use std::sync::OnceLock;
 
 use crate::CryptoBackend;
 
-/// Environment variable that forces the portable bitsliced lane even when
-/// the CPU advertises the hardware lane's features. Any value other than
-/// empty or `0` forces portable. Read once per process.
+/// Environment variable that forces the portable lanes — bitsliced AES/GHASH
+/// and scalar SHA-256 — even when the CPU advertises the hardware lanes'
+/// features. Any value other than empty or `0` forces portable. Read once
+/// per process.
 pub const FORCE_PORTABLE_ENV: &str = "NEXUS_CRYPTO_FORCE_PORTABLE";
 
 /// CPUID leaf 1 ECX bit 25: the AESENC/AESDEC/AESKEYGENASSIST family.
@@ -43,6 +63,11 @@ const CPUID_ECX_SSSE3: u32 = 1 << 9;
 /// CPUID leaf 1 ECX bit 19: SSE4.1 (`PINSRD`, the in-register counter).
 #[cfg(target_arch = "x86_64")]
 const CPUID_ECX_SSE41: u32 = 1 << 19;
+
+/// CPUID leaf 7 sub-leaf 0 EBX bit 29: the SHA extensions
+/// (`SHA256RNDS2`, `SHA256MSG1`, `SHA256MSG2`).
+#[cfg(target_arch = "x86_64")]
+const CPUID_7_EBX_SHA: u32 = 1 << 29;
 
 /// Whether a leaf 1 `ECX` value carries every feature the hardware lane's
 /// `#[target_feature]` functions name. Any one bit missing → portable.
@@ -77,7 +102,7 @@ fn detect_hw_accel() -> bool {
     false
 }
 
-/// True when [`FORCE_PORTABLE_ENV`] forces the portable lane.
+/// True when [`FORCE_PORTABLE_ENV`] forces the portable lanes.
 pub fn force_portable() -> bool {
     static FORCED: OnceLock<bool> = OnceLock::new();
     *FORCED.get_or_init(|| match std::env::var(FORCE_PORTABLE_ENV) {
@@ -100,6 +125,62 @@ pub fn backend_for_flags(hw_available: bool, force_portable: bool) -> CryptoBack
 /// `AesGcmSiv::new` uses in this process.
 pub fn constant_time_backend() -> CryptoBackend {
     backend_for_flags(hw_accel_available(), force_portable())
+}
+
+/// The SHA-256 compression function [`crate::sha2::Sha256`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShaLane {
+    /// The scalar FIPS 180-4 engine: every architecture.
+    Portable,
+    /// The SHA-NI kernel (x86_64 with the CPUID bits).
+    ShaNi,
+}
+
+/// The SHA lane's dispatch table as a pure function of the two CPUID words
+/// and the override, so tests can assert every row. `leaf7_ebx` is 0 when
+/// the CPU has no leaf 7. The leaf 1 mask is what `sha_ni`'s
+/// `#[target_feature]` names beside `sha` — not the AES lane's mask: a CPU
+/// may have either lane without the other.
+#[cfg(target_arch = "x86_64")]
+fn sha_lane_for_flags(leaf7_ebx: u32, leaf1_ecx: u32, force_portable: bool) -> ShaLane {
+    const REQUIRED_ECX: u32 = CPUID_ECX_SSSE3 | CPUID_ECX_SSE41;
+    let has_kernel_features =
+        leaf7_ebx & CPUID_7_EBX_SHA != 0 && leaf1_ecx & REQUIRED_ECX == REQUIRED_ECX;
+    if has_kernel_features && !force_portable {
+        ShaLane::ShaNi
+    } else {
+        ShaLane::Portable
+    }
+}
+
+/// True when the running CPU exposes the SHA extensions, SSSE3 and SSE4.1,
+/// i.e. the SHA-NI kernel can run — whatever [`force_portable`] says.
+/// Always false off x86_64.
+pub fn sha_ni_available() -> bool {
+    detect_sha_lane(false) == ShaLane::ShaNi
+}
+
+#[cfg(target_arch = "x86_64")]
+fn detect_sha_lane(force_portable: bool) -> ShaLane {
+    let max_leaf = core::arch::x86_64::__cpuid(0).eax;
+    if max_leaf < 7 {
+        return ShaLane::Portable;
+    }
+    let leaf7_ebx = core::arch::x86_64::__cpuid_count(7, 0).ebx;
+    let leaf1_ecx = core::arch::x86_64::__cpuid(1).ecx;
+    sha_lane_for_flags(leaf7_ebx, leaf1_ecx, force_portable)
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn detect_sha_lane(_force_portable: bool) -> ShaLane {
+    ShaLane::Portable
+}
+
+/// The compression function SHA-256 uses in this process. Cached after the
+/// first query: one atomic load per call after that.
+pub fn sha_lane() -> ShaLane {
+    static LANE: OnceLock<ShaLane> = OnceLock::new();
+    *LANE.get_or_init(|| detect_sha_lane(force_portable()))
 }
 
 #[cfg(test)]
@@ -133,11 +214,48 @@ mod tests {
         assert!(!ecx_has_hw_lane(0));
     }
 
+    /// Every row of the SHA lane's table: the `SHA` bit × the two leaf 1
+    /// bits × the override, and the two lanes' independence.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sha_dispatch_table() {
+        use ShaLane::{Portable, ShaNi};
+        let sha = CPUID_7_EBX_SHA;
+        let (ssse3, sse41) = (CPUID_ECX_SSSE3, CPUID_ECX_SSE41);
+        for forced in [false, true] {
+            let with_everything = if forced { Portable } else { ShaNi };
+            assert_eq!(sha_lane_for_flags(sha, ssse3 | sse41, forced), with_everything);
+            assert_eq!(sha_lane_for_flags(u32::MAX, u32::MAX, forced), with_everything);
+            // Any one of the three bits missing → portable.
+            assert_eq!(sha_lane_for_flags(0, ssse3 | sse41, forced), Portable);
+            assert_eq!(sha_lane_for_flags(!sha, u32::MAX, forced), Portable);
+            assert_eq!(sha_lane_for_flags(sha, sse41, forced), Portable);
+            assert_eq!(sha_lane_for_flags(sha, !ssse3, forced), Portable);
+            assert_eq!(sha_lane_for_flags(sha, ssse3, forced), Portable);
+            assert_eq!(sha_lane_for_flags(sha, !sse41, forced), Portable);
+            assert_eq!(sha_lane_for_flags(sha, 0, forced), Portable);
+            assert_eq!(sha_lane_for_flags(0, 0, forced), Portable);
+        }
+
+        // AES lane without SHA lane (Skylake): leaf 1 has everything the AES
+        // lane needs, leaf 7 lacks `SHA`. The hardware AES lane stays.
+        let aes_ecx = CPUID_ECX_AESNI | CPUID_ECX_PCLMULQDQ | ssse3 | sse41;
+        assert_eq!(backend_for_flags(ecx_has_hw_lane(aes_ecx), false), CryptoBackend::HwAccel);
+        assert_eq!(sha_lane_for_flags(0, aes_ecx, false), Portable);
+        // SHA lane without AES lane (a hypervisor may mask AES-NI): the hash
+        // does not wait for AES-NI or PCLMULQDQ.
+        let no_aes_ecx = ssse3 | sse41;
+        assert_eq!(backend_for_flags(ecx_has_hw_lane(no_aes_ecx), false), CryptoBackend::Bitsliced);
+        assert_eq!(sha_lane_for_flags(sha, no_aes_ecx, false), ShaNi);
+    }
+
     #[cfg(not(target_arch = "x86_64"))]
     #[test]
     fn non_x86_compiles_to_bitsliced_unconditionally() {
         assert!(!hw_accel_available());
         assert_eq!(constant_time_backend(), CryptoBackend::Bitsliced);
+        assert!(!sha_ni_available());
+        assert_eq!(sha_lane(), ShaLane::Portable);
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -154,5 +272,16 @@ mod tests {
                 && std::arch::is_x86_feature_detected!("ssse3")
                 && std::arch::is_x86_feature_detected!("sse4.1")
         );
+        // The SHA lane: cached decision = fresh CPUID + the override, and
+        // availability = std's detection of the kernel's three features.
+        assert_eq!(sha_lane(), detect_sha_lane(force_portable()));
+        assert_eq!(sha_lane(), detect_sha_lane(force_portable()));
+        assert_eq!(
+            sha_ni_available(),
+            std::arch::is_x86_feature_detected!("sha")
+                && std::arch::is_x86_feature_detected!("ssse3")
+                && std::arch::is_x86_feature_detected!("sse4.1")
+        );
+        assert_eq!(sha_lane() == ShaLane::ShaNi, sha_ni_available() && !force_portable());
     }
 }

@@ -105,45 +105,51 @@ pub fn hkdf(salt: &[u8], ikm: &[u8], info: &[u8], out_len: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_util::{hex, unhex};
+    use crate::test_util::{hex, on_each_sha_lane, unhex};
+
+    /// An RFC 4231 HMAC-SHA-256 case, on both SHA-256 engines.
+    fn assert_hmac_sha256(key: &[u8], msg: &[u8], expect: &str) {
+        on_each_sha_lane(|lane| assert_eq!(hex(&hmac_sha256(key, msg)), expect, "{lane:?}"));
+    }
+
+    /// An RFC 5869 HKDF case, on both SHA-256 engines.
+    fn assert_hkdf(salt: &[u8], ikm: &[u8], info: &[u8], out_len: usize, expect: &str) {
+        on_each_sha_lane(|lane| assert_eq!(hex(&hkdf(salt, ikm, info, out_len)), expect, "{lane:?}"));
+    }
 
     #[test]
     fn rfc4231_case1_sha256() {
-        let key = vec![0x0b; 20];
-        let tag = hmac_sha256(&key, b"Hi There");
-        assert_eq!(
-            hex(&tag),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
+        assert_hmac_sha256(
+            &[0x0b; 20],
+            b"Hi There",
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
         );
     }
 
     #[test]
     fn rfc4231_case2_sha256() {
-        let tag = hmac_sha256(b"Jefe", b"what do ya want for nothing?");
-        assert_eq!(
-            hex(&tag),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+        assert_hmac_sha256(
+            b"Jefe",
+            b"what do ya want for nothing?",
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
         );
     }
 
     #[test]
     fn rfc4231_case3_sha256() {
-        let key = vec![0xaa; 20];
-        let msg = vec![0xdd; 50];
-        let tag = hmac_sha256(&key, &msg);
-        assert_eq!(
-            hex(&tag),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
+        assert_hmac_sha256(
+            &[0xaa; 20],
+            &[0xdd; 50],
+            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
         );
     }
 
     #[test]
     fn rfc4231_case6_long_key_sha256() {
-        let key = vec![0xaa; 131];
-        let tag = hmac_sha256(&key, b"Test Using Larger Than Block-Size Key - Hash Key First");
-        assert_eq!(
-            hex(&tag),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+        assert_hmac_sha256(
+            &[0xaa; 131],
+            b"Test Using Larger Than Block-Size Key - Hash Key First",
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
         );
     }
 
@@ -163,11 +169,13 @@ mod tests {
         let ikm = vec![0x0b; 22];
         let salt = unhex("000102030405060708090a0b0c");
         let info = unhex("f0f1f2f3f4f5f6f7f8f9");
-        let okm = hkdf(&salt, &ikm, &info, 42);
-        assert_eq!(
-            hex(&okm),
+        assert_hkdf(
+            &salt,
+            &ikm,
+            &info,
+            42,
             "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf\
-             34007208d5b887185865"
+             34007208d5b887185865",
         );
     }
 
@@ -188,23 +196,27 @@ mod tests {
              d0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e3e4e5e6e7e8e9eaebecedeeef\
              f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff",
         );
-        let okm = hkdf(&salt, &ikm, &info, 82);
-        assert_eq!(
-            hex(&okm),
+        assert_hkdf(
+            &salt,
+            &ikm,
+            &info,
+            82,
             "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c\
              59045a99cac7827271cb41c65e590e09da3275600c2f09b8367793a9aca3db71\
-             cc30c58179ec3e87c14c01d5c1f3434f1d87"
+             cc30c58179ec3e87c14c01d5c1f3434f1d87",
         );
     }
 
     #[test]
     fn rfc5869_case3_zero_salt() {
         let ikm = vec![0x0b; 22];
-        let okm = hkdf(&[], &ikm, &[], 42);
-        assert_eq!(
-            hex(&okm),
+        assert_hkdf(
+            &[],
+            &ikm,
+            &[],
+            42,
             "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d\
-             9d201395faa4b61a96c8"
+             9d201395faa4b61a96c8",
         );
     }
 

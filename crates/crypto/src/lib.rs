@@ -8,7 +8,10 @@
 //!   chunk encryption;
 //! - [`gcm_siv`] — AES-GCM-SIV AEAD (RFC 8452), used to key-wrap per-metadata
 //!   keys under the volume rootkey;
-//! - [`sha2`] — SHA-256/512 (FIPS 180-4), used for enclave measurements;
+//! - [`sha2`] — SHA-256/512 (FIPS 180-4): enclave measurements, the bucket
+//!   MACs a dirnode binds its buckets by, manifest digests, and the hash
+//!   under HMAC/HKDF; SHA-256 runs on the SHA-NI kernel where
+//!   [`cpu::sha_lane`] finds the extensions;
 //! - [`hmac`] — HMAC and HKDF, used for SGX sealing-key derivation;
 //! - [`x25519`] — ECDH for the rootkey exchange protocol;
 //! - [`ed25519`] — signatures for user identities and quotes;
@@ -33,7 +36,10 @@
 //! silicon, and the fastest; everywhere else (or when
 //! [`cpu::FORCE_PORTABLE_ENV`] is set, which lets x86 hosts exercise the
 //! fallback) it is the bitsliced AES ([`aes_ct`]) with the masked
-//! carryless multiply ([`ghash_ct`]).
+//! carryless multiply ([`ghash_ct`]). SHA-256 makes the same kind of
+//! decision for itself ([`cpu::sha_lane`]: the SHA-NI kernel or the scalar
+//! engine, both free of secret-dependent indexing and branches), from its
+//! own CPUID bits and the same override.
 //!
 //! A third, table-driven engine ([`CryptoBackend::Table`]: AES T-tables,
 //! Shoup-table GHASH) stays in the crate as a *reference*, reachable only
@@ -80,6 +86,8 @@ pub(crate) mod ghash_ct;
 pub mod hmac;
 pub mod rng;
 pub mod sha2;
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod sha_ni;
 pub mod x25519;
 
 /// The concrete engine a key was expanded for. Production constructors
@@ -124,9 +132,47 @@ impl std::fmt::Display for SignatureError {
 
 impl std::error::Error for SignatureError {}
 
-/// Hex helpers shared by the test suites of every module.
+/// Hex helpers and the SHA lane pin shared by the test suites of every
+/// module.
 #[cfg(test)]
 pub(crate) mod test_util {
+    use std::cell::Cell;
+
+    use crate::cpu::ShaLane;
+
+    thread_local! {
+        static PINNED_SHA_LANE: Cell<Option<ShaLane>> = const { Cell::new(None) };
+    }
+
+    /// The lane [`on_each_sha_lane`] pinned for this thread, if any.
+    pub fn pinned_sha_lane() -> Option<ShaLane> {
+        PINNED_SHA_LANE.get()
+    }
+
+    /// Whether the SHA-NI kernel can run on this CPU; says so when it cannot,
+    /// so a test that returns early is a visible skip, not a silent pass.
+    pub fn sha_ni_or_skip() -> bool {
+        let available = crate::cpu::sha_ni_available();
+        if !available {
+            eprintln!("skipped on the SHA-NI lane: this CPU lacks sha, ssse3 or sse4.1");
+        }
+        available
+    }
+
+    /// Runs `body` with SHA-256 pinned to the portable engine, then to the
+    /// SHA-NI kernel — whatever dispatch would pick, so vectors cover both
+    /// on one host. The pin is per thread: tests run side by side.
+    pub fn on_each_sha_lane(mut body: impl FnMut(ShaLane)) {
+        for lane in [ShaLane::Portable, ShaLane::ShaNi] {
+            if lane == ShaLane::ShaNi && !sha_ni_or_skip() {
+                continue;
+            }
+            PINNED_SHA_LANE.set(Some(lane));
+            body(lane);
+            PINNED_SHA_LANE.set(None);
+        }
+    }
+
     /// Encodes bytes as lowercase hex.
     pub fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()

@@ -3,9 +3,10 @@
 //!
 //! The constant-time engines' whole point is to never index memory by
 //! secret- or message-derived values, and the table engine's is to be a
-//! reference nobody ships. The hardware lane's soundness argument is that
-//! CPU dispatch checks every feature its `#[target_feature]` functions
-//! enable, and that each `unsafe` block says why it may run. All are
+//! reference nobody ships. The hardware lanes' soundness argument is that
+//! CPU dispatch checks, per lane, every feature that lane's
+//! `#[target_feature]` functions enable, and that each `unsafe` block says
+//! why it may run. All are
 //! properties of the source text, so the gate reads the source.
 
 use std::path::{Path, PathBuf};
@@ -31,8 +32,8 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
 /// differentially verify that the engines agree.
 #[test]
 fn constant_time_modules_are_table_free() {
-    const MODULES: [&str; 5] =
-        ["aes_ct.rs", "ghash_ct.rs", "aes_ni.rs", "ghash_clmul.rs", "gcm_ni.rs"];
+    const MODULES: [&str; 6] =
+        ["aes_ct.rs", "ghash_ct.rs", "aes_ni.rs", "ghash_clmul.rs", "gcm_ni.rs", "sha_ni.rs"];
     const TABLE_NAMES: [&str; 4] = ["SBOX[", "INV_SBOX[", "ShoupTable", "table_mul"];
     for module in MODULES {
         let path = crates_dir().join("crypto/src").join(module);
@@ -77,9 +78,37 @@ fn no_crate_pins_an_engine() {
     }
 }
 
-/// The intrinsics modules: everything compiled only for x86_64 and reached
-/// only through CPU dispatch.
-const HW_MODULES: [&str; 3] = ["aes_ni.rs", "ghash_clmul.rs", "gcm_ni.rs"];
+/// One hardware lane: the intrinsics modules compiled only for x86_64 and
+/// reached only through this lane's CPU dispatch, the pure function in
+/// `cpu.rs` that states which CPUID bits dispatch requires, and the CPUID
+/// constant behind each feature the modules may enable.
+struct HwLane {
+    modules: &'static [&'static str],
+    requires: &'static str,
+    detected: &'static [(&'static str, &'static str)],
+}
+
+const HW_LANES: [HwLane; 2] = [
+    HwLane {
+        modules: &["aes_ni.rs", "ghash_clmul.rs", "gcm_ni.rs"],
+        requires: "fn ecx_has_hw_lane(",
+        detected: &[
+            ("aes", "CPUID_ECX_AESNI"),
+            ("pclmulqdq", "CPUID_ECX_PCLMULQDQ"),
+            ("ssse3", "CPUID_ECX_SSSE3"),
+            ("sse4.1", "CPUID_ECX_SSE41"),
+        ],
+    },
+    HwLane {
+        modules: &["sha_ni.rs"],
+        requires: "fn sha_lane_for_flags(",
+        detected: &[
+            ("sha", "CPUID_7_EBX_SHA"),
+            ("ssse3", "CPUID_ECX_SSSE3"),
+            ("sse4.1", "CPUID_ECX_SSE41"),
+        ],
+    },
+];
 
 fn hw_module(name: &str) -> String {
     let path = crates_dir().join("crypto/src").join(name);
@@ -88,52 +117,58 @@ fn hw_module(name: &str) -> String {
         .unwrap_or_else(|e| panic!("hardware crypto module {}: {e}", path.display()))
 }
 
-/// Holding a hardware key is the proof every `unsafe` call into a
-/// `#[target_feature]` function cites, so dispatch must require each
-/// feature any of them enables — not only the ones the first kernels used.
+/// Holding a hardware key (AES lane) or a `ShaNi` answer from
+/// `cpu::sha_lane` (SHA lane) is the proof every `unsafe` call into a
+/// `#[target_feature]` function cites, so each lane's dispatch must require
+/// each feature any of its modules enables — not only the ones the first
+/// kernels used — and must not start requiring the other lane's.
 #[test]
 fn dispatch_requires_every_target_feature_the_hardware_modules_enable() {
-    const DETECTED: [(&str, &str); 4] = [
-        ("aes", "CPUID_ECX_AESNI"),
-        ("pclmulqdq", "CPUID_ECX_PCLMULQDQ"),
-        ("ssse3", "CPUID_ECX_SSSE3"),
-        ("sse4.1", "CPUID_ECX_SSE41"),
-    ];
     let cpu = hw_module("cpu.rs");
-    let required = cpu
-        .split("const REQUIRED: u32 =")
-        .nth(1)
-        .and_then(|rest| rest.split(';').next())
-        .expect("cpu.rs states the hardware lane's REQUIRED mask");
-    for (feature, bit) in DETECTED {
-        assert!(required.contains(bit), "REQUIRED lacks {bit} ({feature})");
-    }
     let mut enabled = 0;
-    for module in HW_MODULES {
-        for (idx, line) in hw_module(module).lines().enumerate() {
-            let Some(list) = line.trim_start().strip_prefix("#[target_feature(enable = \"") else {
-                continue;
-            };
-            let list = list.split('"').next().expect("a closing quote");
-            for feature in list.split(',') {
-                enabled += 1;
-                assert!(
-                    DETECTED.iter().any(|(name, _)| *name == feature),
-                    "{module}:{}: enables `{feature}`, which CPU dispatch does not check",
-                    idx + 1
-                );
+    for lane in &HW_LANES {
+        let body = cpu
+            .split(lane.requires)
+            .nth(1)
+            .and_then(|rest| rest.split("\n}\n").next())
+            .unwrap_or_else(|| panic!("cpu.rs has `{}`", lane.requires));
+        for (feature, bit) in lane.detected {
+            assert!(body.contains(bit), "`{}` does not require {bit} ({feature})", lane.requires);
+        }
+        for other in HW_LANES.iter().flat_map(|l| l.detected) {
+            if !lane.detected.contains(other) {
+                let bit = other.1;
+                assert!(!body.contains(bit), "`{}` requires the other lane's {bit}", lane.requires);
+            }
+        }
+        for module in lane.modules {
+            for (idx, line) in hw_module(module).lines().enumerate() {
+                let Some(list) = line.trim_start().strip_prefix("#[target_feature(enable = \"")
+                else {
+                    continue;
+                };
+                let list = list.split('"').next().expect("a closing quote");
+                for feature in list.split(',') {
+                    enabled += 1;
+                    assert!(
+                        lane.detected.iter().any(|(name, _)| *name == feature),
+                        "{module}:{}: enables `{feature}`, which this lane's dispatch does not check",
+                        idx + 1
+                    );
+                }
             }
         }
     }
-    assert!(enabled >= 10, "found only {enabled} enabled features: has the attribute moved?");
+    assert!(enabled >= 13, "found only {enabled} enabled features: has the attribute moved?");
 }
 
-/// Every `unsafe` block in the intrinsics modules, tests included, sits
-/// directly under a comment block that carries its `SAFETY:` note.
+/// Every `unsafe` block in the intrinsics modules and in `sha2.rs` (which
+/// holds the one call into the SHA-NI kernel), tests included, sits directly
+/// under a comment block that carries its `SAFETY:` note.
 #[test]
 fn every_unsafe_block_in_the_hardware_modules_says_why_it_is_sound() {
     let mut blocks = 0;
-    for module in HW_MODULES {
+    for module in HW_LANES.iter().flat_map(|lane| lane.modules).chain(&["sha2.rs"]) {
         let text = hw_module(module);
         let lines: Vec<&str> = text.lines().map(str::trim_start).collect();
         for (idx, line) in lines.iter().enumerate() {
@@ -149,5 +184,5 @@ fn every_unsafe_block_in_the_hardware_modules_says_why_it_is_sound() {
             );
         }
     }
-    assert!(blocks >= 10, "found only {blocks} unsafe blocks: has the code moved?");
+    assert!(blocks >= 17, "found only {blocks} unsafe blocks: has the code moved?");
 }

@@ -141,8 +141,9 @@ echo "== timing-leak harness + crypto source audit =="
 # AES-NI wherever the CPU has the silicon), deterministically; the audit
 # keeps the constant-time modules table-free, `with_backend` out of
 # every crate but nexus-crypto and nexus-bench, every `#[target_feature]`
-# the intrinsics modules enable among the CPUID bits dispatch requires,
-# and a SAFETY note over each of their `unsafe` blocks.
+# the intrinsics modules enable among the CPUID bits their own lane's
+# dispatch requires (AES lane and SHA lane: a mask each), and a SAFETY
+# note over each of their `unsafe` blocks.
 cargo test -q -p nexus-crypto --offline --test timing_leak > /dev/null
 cargo test -q -p nexus-crypto --offline --test source_audit > /dev/null
 echo "ok: table engine flagged, constant-time engines pass, nobody pins an engine"
@@ -153,10 +154,15 @@ echo "== portable crypto engine, end to end =="
 # by target name in both packages: nexus-core's `properties` (wire format,
 # bucket index model, hostile bucket bodies) reruns here beside the crypto
 # ones. `golden_inventory` pins a SHA-256 over every stored byte of a
-# fixed script, so passing it here says the portable `seal_into` path
-# stores exactly what the fused hardware kernel stores.
+# fixed script, bucket MACs included, so passing it here says the
+# portable `seal_into` path stores exactly what the fused hardware kernel
+# stores and the scalar SHA-256 emits the MACs the SHA-NI kernel emits.
+# The override covers hashing too, so nexus-crypto's unit tests rerun as
+# well: dispatch itself lands on the scalar engine under the
+# sha2/hmac/hkdf vectors, on hosts where the default run used SHA-NI.
 NEXUS_CRYPTO_FORCE_PORTABLE=1 cargo test -q --offline -p nexus-core --test end_to_end --test golden_inventory -p nexus-crypto --test properties > /dev/null
-echo "ok: volume lifecycle, golden stored bytes, metadata and crypto properties pass on the forced-portable engine"
+NEXUS_CRYPTO_FORCE_PORTABLE=1 cargo test -q --offline -p nexus-crypto --lib > /dev/null
+echo "ok: volume lifecycle, golden stored bytes, metadata and crypto properties, crypto unit vectors pass on the forced-portable engines"
 
 echo "== executor smoke =="
 # By target name, like the suites above: 2000 simulated clients multiplex
