@@ -133,5 +133,5 @@ fn main() {
     println!("the reader's lane to the dirnode's last write time. That causality chain");
     println!("serializes the read-modify-write cycles in virtual time exactly as the");
     println!("server-side flock does in operation order; no creates are ever lost.");
-    println!("(Disjoint per-client directories scale instead: see micro_mclient.)");
+    println!("(Disjoint per-client directories scale instead: see micro_scale's fs cells.)");
 }

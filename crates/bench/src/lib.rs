@@ -1,7 +1,7 @@
 //! # nexus-bench
 //!
 //! The benchmark harness regenerating every table and figure of the NEXUS
-//! evaluation (paper §VII). One binary per experiment:
+//! evaluation (paper §VII). One binary per experiment (19):
 //!
 //! | Binary | Paper artifact |
 //! |---|---|
@@ -12,11 +12,21 @@
 //! | `fig_6` | Fig. 6 — Linux applications over LFSD/MFMD/SFLD |
 //! | `revocation` | §VII-E — revocation estimates vs a pure-crypto FS |
 //! | `sharing_costs` | §VII-F — sharing cost accounting |
+//! | `concurrency` | §V-A/§VII-F — N clients creating in one shared directory |
+//! | `portability` | §IV — the same volume code over AFS and a cloud object store |
 //! | `ablation_buckets` | §V-B — dirnode bucket-size sweep |
 //! | `ablation_chunks` | §VI-A — chunk-size sweep |
-//!
+//! | `ablation_rollback` | §VI-C — freshness-manifest cost |
 //! | `micro_crypto` | substrate micro-benchmarks (AES-GCM, SHA-256, ed25519, x25519) |
 //! | `micro_enclave` | substrate micro-benchmarks (ecall, seal, quote, metadata format) |
+//! | `micro_datapath` | `BENCH_datapath.json` — chunk seal/open, fused GCM vs scalar, thread sweep |
+//! | `micro_ct` | `BENCH_ct.json` — crypto lanes' throughput and the timing-leak classification |
+//! | `micro_logstore` | `BENCH_logstore.json` — log-structured vs per-file durable backend, recovery |
+//! | `micro_scale` | `BENCH_scale.json` — 1k/10k/100k clients, wire and fs level, three worlds |
+//! | `micro_groups` | `BENCH_groups.json` — group revocation cost across 10²–10⁶ members |
+//!
+//! The five `BENCH_*.json` emitters run (and are validated) through
+//! `scripts/bench.sh`.
 //!
 //! Every binary prints the measured (simulated-I/O + enclave) numbers next
 //! to the values the paper reports; the reproduction targets the *shape*

@@ -25,10 +25,9 @@
 //!   measured `enclave_nanos` would make virtual time nondeterministic,
 //!   so the adapter charges a *modelled* cost instead: a per-operation
 //!   ecall overhead plus plaintext bytes over a calibrated in-enclave
-//!   AES-GCM bandwidth ([`CryptoCost`]). The serial oracle and the
-//!   thread-per-client baseline charge the identical function, so
-//!   makespans stay world-independent and honest about where CPU time
-//!   goes.
+//!   AES-GCM bandwidth ([`CryptoCost`]). Every world of the scale
+//!   harness drives its clients through this adapter, so makespans stay
+//!   world-independent and honest about where CPU time goes.
 //!
 //! All methods take `&self`; the adapter is cheap to clone and the
 //! futures it returns are `Send`, so one client is one spawned future.
@@ -61,10 +60,10 @@ pub struct CryptoCost {
 }
 
 impl CryptoCost {
-    /// Calibrated to the paper's testbed scale: ~20 µs of enclave
+    /// Model constants at the paper's testbed scale: ~20 µs of enclave
     /// transition + metadata crypto per operation, and ~160 MB/s
-    /// in-enclave AES-GCM on file payloads (EXPERIMENTS.md
-    /// micro-benchmarks).
+    /// in-enclave AES-GCM on file payloads. Not a measurement of this
+    /// crate's engine (EXPERIMENTS.md, Methodology).
     pub fn paper_calibrated() -> CryptoCost {
         CryptoCost { op_overhead: Duration::from_micros(20), bytes_per_sec: 160_000_000 }
     }
@@ -81,9 +80,9 @@ impl CryptoCost {
         self.op_overhead + Duration::from_nanos((bytes as u64).saturating_mul(1_000_000_000) / bw)
     }
 
-    /// Charges one operation's modelled cost to `lane`. Every world —
-    /// async, serial oracle, thread baseline — must call exactly this,
-    /// so their lane arithmetic is identical.
+    /// Charges one operation's modelled cost to `lane`. [`AsyncVolume`]
+    /// is the one caller outside oracles in tests, so lane arithmetic is
+    /// identical wherever a volume is driven from.
     pub fn charge(&self, lane: &ClockLane, bytes: usize) {
         lane.advance(self.op_cost(bytes));
     }
@@ -175,9 +174,8 @@ impl AsyncVolume {
 
     /// Async whole-file write: the same single enclave call as
     /// [`NexusVolume::write_file`] (walk, create if absent, chunk seal, one
-    /// `MetaCommit`), so the modelled seal cost is charged once per op, as
-    /// the serial oracle and the thread world charge it; the lane pays the
-    /// RPCs as they happen.
+    /// `MetaCommit`), so the modelled seal cost is charged once per op;
+    /// the lane pays the RPCs as they happen.
     pub async fn write_file(&self, path: &str, data: &[u8]) -> Result<()> {
         self.turn().await;
         let r = self.volume.write_file(path, data);

@@ -3,10 +3,8 @@
 //! benchmarks.
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use nexus_core::{NexusConfig, NexusVolume, Rights, UserKeys, VolumeJoiner};
-use nexus_pool::ThreadPool;
+use nexus_core::{NexusConfig, NexusVolume, UserKeys};
 use nexus_sgx::{AttestationService, Platform};
 use nexus_storage::afs::{AfsClient, AfsServer};
 use nexus_storage::{LatencyModel, SimClock};
@@ -62,13 +60,7 @@ impl TestRig {
 
     /// A fresh, authenticated NEXUS volume over its own AFS deployment.
     pub fn nexus_fs(&self) -> NexusFs {
-        self.nexus_deployment().1
-    }
-
-    /// Like [`TestRig::nexus_fs`] but also hands back the AFS server, so a
-    /// benchmark can audit the stored (ciphertext) objects directly.
-    pub fn nexus_deployment(&self) -> (AfsServer, NexusFs) {
-        let (server, client, _clock) = self.afs();
+        let (_server, client, _clock) = self.afs();
         let (volume, _sealed) = NexusVolume::create(
             &self.platform,
             client.clone(),
@@ -78,196 +70,13 @@ impl TestRig {
         )
         .expect("volume creation");
         volume.authenticate(&self.owner).expect("owner auth");
-        (server, NexusFs::new(volume, client))
+        NexusFs::new(volume, client)
     }
 
     /// A fresh plain-AFS baseline over its own AFS deployment.
     pub fn plain_afs(&self) -> PlainAfs {
         let (_server, client, _clock) = self.afs();
         PlainAfs::new(client)
-    }
-}
-
-/// N authenticated NEXUS clients (one owner + N−1 grantees, each a full
-/// enclave on its own machine) over one shared AFS server, ready to be
-/// driven concurrently from [`nexus_pool`] workers.
-///
-/// Two flavors, identical except for clock wiring:
-///
-/// - [`ConcurrentRig::build`] puts each client's AFS connection on its own
-///   [`ClockLane`], so independent clients' RPC round trips overlap in
-///   simulated time and a round's wall-clock is the *slowest* client;
-/// - [`ConcurrentRig::build_serial`] hands every client one shared lane,
-///   reproducing the old single-channel scheduler where all clients' RPC
-///   costs sum — the serial baseline multi-client benchmarks compare
-///   against.
-///
-/// Setup (platform seeds, user keys, grant flow, per-client directories)
-/// is deterministic and identical in both flavors, so the resulting
-/// server states are byte-comparable.
-pub struct ConcurrentRig {
-    server: AfsServer,
-    clock: SimClock,
-    clients: Vec<NexusFs>,
-}
-
-impl ConcurrentRig {
-    /// Builds an N-client rig with a private clock lane per client.
-    pub fn build(n: usize, latency: LatencyModel, config: NexusConfig) -> ConcurrentRig {
-        ConcurrentRig::build_inner(n, latency, config, false)
-    }
-
-    /// Builds an N-client rig where every client charges one shared lane.
-    pub fn build_serial(n: usize, latency: LatencyModel, config: NexusConfig) -> ConcurrentRig {
-        ConcurrentRig::build_inner(n, latency, config, true)
-    }
-
-    fn build_inner(
-        n: usize,
-        latency: LatencyModel,
-        config: NexusConfig,
-        shared_lane: bool,
-    ) -> ConcurrentRig {
-        assert!(n >= 1, "a rig needs at least one client");
-        let server = AfsServer::new();
-        let clock = SimClock::new();
-        let ias = AttestationService::new();
-        let lane = clock.lane();
-        let connect = |server: &AfsServer| -> Arc<AfsClient> {
-            if shared_lane {
-                Arc::new(AfsClient::connect_on_lane(server, lane.clone(), latency))
-            } else {
-                Arc::new(AfsClient::connect(server, clock.clone(), latency))
-            }
-        };
-
-        let owner_machine = Platform::seeded(1);
-        ias.register_platform(&owner_machine);
-        let owner = UserKeys::from_seed("owner", &[11u8; 32]);
-        let owner_afs = connect(&server);
-        let (owner_volume, _) =
-            NexusVolume::create(&owner_machine, owner_afs.clone(), &ias, &owner, config)
-                .expect("create volume");
-        owner_volume.authenticate(&owner).expect("owner auth");
-        // Per-client working directories, created serially by the owner so
-        // setup is deterministic regardless of lane wiring.
-        for c in 0..n {
-            owner_volume.mkdir(&Self::dir(c)).expect("mkdir");
-        }
-
-        let mut clients = vec![NexusFs::new(owner_volume, owner_afs)];
-        for i in 1..n {
-            let machine = Platform::seeded(100 + i as u64);
-            ias.register_platform(&machine);
-            let mut seed = [0u8; 32];
-            seed[..8].copy_from_slice(&(0xA000 + i as u64).to_le_bytes());
-            let peer = UserKeys::from_seed(&format!("user{i}"), &seed);
-            let afs = connect(&server);
-            let joiner = VolumeJoiner::new(&machine, afs.clone());
-            joiner.publish_offer(&peer).expect("offer");
-            clients[0]
-                .volume()
-                .grant_access(&owner, &format!("user{i}"), &peer.public_key())
-                .expect("grant");
-            clients[0]
-                .volume()
-                .set_acl(&Self::dir(i), &format!("user{i}"), Rights::RW)
-                .expect("acl");
-            let sealed = joiner.accept_grant(&peer, &owner.public_key()).expect("accept");
-            let volume = NexusVolume::mount(&machine, afs.clone(), &ias, &sealed, config)
-                .expect("mount");
-            volume.authenticate(&peer).expect("peer auth");
-            clients.push(NexusFs::new(volume, afs));
-        }
-        ConcurrentRig { server, clock, clients }
-    }
-
-    /// Client `c`'s private working directory.
-    pub fn dir(c: usize) -> String {
-        format!("c{c}")
-    }
-
-    /// The shared AFS server (ciphertext inventory, callback state).
-    pub fn server(&self) -> &AfsServer {
-        &self.server
-    }
-
-    /// The shared virtual clock (reads the slowest lane).
-    pub fn clock(&self) -> &SimClock {
-        &self.clock
-    }
-
-    /// The authenticated clients, owner first.
-    pub fn clients(&self) -> &[NexusFs] {
-        &self.clients
-    }
-
-    /// Drops every client's AFS cache (cold-cache runs).
-    pub fn flush_all_caches(&self) {
-        for fs in &self.clients {
-            fs.client().flush_cache();
-        }
-    }
-
-    /// Drives `f(client_index, fs)` on every client from a worker pool and
-    /// returns the simulated makespan: all lanes are first raised to "now"
-    /// so the round starts synchronized, and the elapsed shared-clock time
-    /// (the slowest client's lane) is the round's wall-clock.
-    pub fn run(&self, f: impl Fn(usize, &NexusFs) + Sync) -> Duration {
-        let t0 = self.sync_lanes();
-        let pool = ThreadPool::new(self.clients.len());
-        pool.par_map_indexed(&self.clients, |i, fs| f(i, fs));
-        self.clock.now() - t0
-    }
-
-    /// Like [`ConcurrentRig::run`] but a poisoned client does not abort
-    /// the bench process: each client's work runs under `catch_unwind`,
-    /// and the panic payload (the actual message, preserved verbatim by
-    /// [`nexus_pool`]) comes back as that client's `Err` while the healthy
-    /// clients' results stay `Ok`.
-    pub fn run_fallible(
-        &self,
-        f: impl Fn(usize, &NexusFs) + Sync,
-    ) -> (Duration, Vec<Result<(), String>>) {
-        let t0 = self.sync_lanes();
-        let pool = ThreadPool::new(self.clients.len());
-        let outcomes = pool.par_map_indexed(&self.clients, |i, fs| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i, fs)))
-                .map_err(|payload| panic_message(&*payload))
-        });
-        (self.clock.now() - t0, outcomes)
-    }
-
-    /// Like [`ConcurrentRig::run`] but on the calling thread, one client
-    /// after another — with [`ConcurrentRig::build_serial`] this is the
-    /// old serial world end to end.
-    pub fn run_serial(&self, f: impl Fn(usize, &NexusFs)) -> Duration {
-        let t0 = self.sync_lanes();
-        for (i, fs) in self.clients.iter().enumerate() {
-            f(i, fs);
-        }
-        self.clock.now() - t0
-    }
-
-    fn sync_lanes(&self) -> Duration {
-        let now = self.clock.now();
-        for fs in &self.clients {
-            fs.client().lane().raise_to(now);
-        }
-        self.clock.now()
-    }
-}
-
-/// Renders a caught panic payload as a message. Formatted panics carry
-/// `String` or `&str` depending on how they were raised; anything exotic
-/// gets a fixed placeholder rather than a second panic.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
@@ -283,68 +92,5 @@ mod tests {
         let afs = rig.plain_afs();
         assert_eq!(nexus.name(), "nexus");
         assert_eq!(afs.name(), "openafs");
-    }
-
-    #[test]
-    fn concurrent_rig_clients_share_one_volume() {
-        let rig = ConcurrentRig::build(3, LatencyModel::instant(), NexusConfig::default());
-        assert_eq!(rig.clients().len(), 3);
-        let makespan = rig.run(|i, fs| {
-            fs.write_file(&format!("{}/hello", ConcurrentRig::dir(i)), b"from a worker")
-                .expect("write");
-        });
-        assert!(makespan >= std::time::Duration::ZERO);
-        // Every client's file is visible to the owner through the shared
-        // server, in that client's own directory.
-        for i in 0..3 {
-            assert_eq!(
-                rig.clients()[0]
-                    .read_file(&format!("{}/hello", ConcurrentRig::dir(i)))
-                    .expect("read"),
-                b"from a worker"
-            );
-        }
-    }
-
-    #[test]
-    fn poisoned_client_surfaces_as_per_client_error() {
-        // Regression for the scale harness: one client panicking mid-round
-        // must not take down the whole bench process — it becomes that
-        // client's Err (with the real message), the others finish Ok, and
-        // the rig stays usable for another round.
-        let rig = ConcurrentRig::build(3, LatencyModel::instant(), NexusConfig::default());
-        let (_span, outcomes) = rig.run_fallible(|i, fs| {
-            if i == 1 {
-                panic!("client {i} hit a corrupted chunk");
-            }
-            fs.write_file(&format!("{}/ok", ConcurrentRig::dir(i)), b"fine").expect("write");
-        });
-        assert_eq!(outcomes.len(), 3);
-        assert!(outcomes[0].is_ok());
-        assert_eq!(outcomes[1].as_ref().unwrap_err(), "client 1 hit a corrupted chunk");
-        assert!(outcomes[2].is_ok());
-        // The healthy clients' writes landed and the rig still runs.
-        assert_eq!(rig.clients()[0].read_file("c0/ok").expect("read"), b"fine");
-        let (_span, outcomes) = rig.run_fallible(|_, _| {});
-        assert!(outcomes.iter().all(Result::is_ok));
-    }
-
-    #[test]
-    fn serial_rig_replays_the_same_bytes() {
-        let work = |i: usize, fs: &NexusFs| {
-            for k in 0..3 {
-                fs.write_file(&format!("{}/f{k}", ConcurrentRig::dir(i)), &[i as u8; 64])
-                    .expect("write");
-            }
-        };
-        let conc = ConcurrentRig::build(2, LatencyModel::paper_calibrated(), NexusConfig::default());
-        let serial =
-            ConcurrentRig::build_serial(2, LatencyModel::paper_calibrated(), NexusConfig::default());
-        let conc_span = conc.run(work);
-        let serial_span = serial.run_serial(work);
-        // Deterministic setup + disjoint directories: identical ciphertext.
-        assert_eq!(conc.server().object_inventory(), serial.server().object_inventory());
-        // Lanes overlap in the concurrent world, sum in the serial one.
-        assert!(conc_span < serial_span, "{conc_span:?} vs {serial_span:?}");
     }
 }

@@ -14,14 +14,12 @@
 //!   (Table II);
 //! - [`apps`] — tar/du/grep/cp/mv over the LFSD/MFMD/SFLD workloads
 //!   (Table III, Fig. 6);
-//! - [`loadgen`] / [`loadgen_baseline`] — the massive-scale load harness:
-//!   seeded Zipf/Poisson op streams driven either as futures on the
-//!   `nexus-exec` executor (100k clients, ≤ 8 OS threads) or as the
-//!   thread-per-client baseline world (DESIGN.md §14);
-//! - [`loadgen_fs`] — the same harness one layer up: full enclave
-//!   clients (real `NexusVolume` mounts) as futures on the executor,
-//!   against a serial oracle and a thread-per-client fs baseline
-//!   (DESIGN.md §15).
+//! - [`loadgen`] — the massive-scale load driver: one
+//!   `run(source, cell, world)` over seeded Zipf/Poisson op streams at
+//!   the wire level (raw RPC clients) or the fs level (real `NexusVolume`
+//!   mounts), scheduled as futures on the `nexus-exec` executor (100k
+//!   clients, ≤ 8 OS threads), as a serial oracle, or as the
+//!   thread-per-client baseline (DESIGN.md §14, §15).
 
 pub mod apps;
 pub mod bench_fs;
@@ -29,8 +27,6 @@ pub mod dbbench;
 pub mod fileio;
 pub mod harness;
 pub mod loadgen;
-pub mod loadgen_baseline;
-pub mod loadgen_fs;
 pub mod repos;
 
 pub use bench_fs::{measure, BenchFs, FsClock, NexusFs, PlainAfs, Sample, WorkloadError};

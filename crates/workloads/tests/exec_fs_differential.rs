@@ -24,8 +24,9 @@ use nexus_core::async_fs::AsyncVolume;
 use nexus_core::Rights;
 use nexus_exec::Executor;
 use nexus_testkit::Runner;
-use nexus_workloads::loadgen::inventory_digest;
-use nexus_workloads::loadgen_fs::{build_fs_world, shared_file, FsScaleConfig, FsWorld};
+use nexus_workloads::loadgen::{
+    client_dir, inventory_digest, shared_file, Deployment, Fs, FsConn, Source,
+};
 
 const CLIENTS: usize = 3;
 const SHARED: usize = 4;
@@ -58,12 +59,12 @@ enum Observed {
     AclSet(bool),
 }
 
-fn world_config() -> FsScaleConfig {
-    let mut cfg = FsScaleConfig::standard(CLIENTS, 0);
-    cfg.shared_files = SHARED;
-    cfg.value_bytes = 32;
-    cfg.files_per_client = 2;
-    cfg
+fn source() -> Fs {
+    Fs { shared_files: SHARED, value_bytes: 32, files_per_client: 2, ..Fs::standard() }
+}
+
+fn deploy(source: &Fs) -> Deployment<FsConn> {
+    source.deploy(&Fs::cell(CLIENTS, 0))
 }
 
 fn value_for(c: u8, i: usize) -> Vec<u8> {
@@ -87,15 +88,15 @@ struct WorldOutcome {
 /// raised to the event's issue time first, charging the exact crypto
 /// model the async adapter charges.
 fn run_serial(script: &[Event]) -> WorldOutcome {
-    let cfg = world_config();
-    let world: FsWorld = build_fs_world(&cfg);
+    let fs = source();
+    let world = deploy(&fs);
     let base = world.clock.now();
     let observed = script
         .iter()
         .enumerate()
         .map(|(i, &(ec, kind, key))| {
             let c = ec as usize % CLIENTS;
-            let fsc = &world.clients[c];
+            let fsc = &world.conns[c];
             let lane = fsc.afs.lane();
             let at = issue_time(base, i);
             lane.raise_to(at);
@@ -103,12 +104,12 @@ fn run_serial(script: &[Event]) -> WorldOutcome {
                 FsKind::Write => {
                     let data = value_for(c as u8, i);
                     let r = fsc.volume.write_file(&shared_file(key as usize % SHARED), &data);
-                    cfg.crypto.charge(lane, data.len());
+                    fs.crypto.charge(lane, data.len());
                     Observed::Wrote(r.is_ok())
                 }
                 FsKind::Read => {
                     let r = fsc.volume.read_file(&shared_file(key as usize % SHARED)).ok();
-                    cfg.crypto.charge(lane, r.as_ref().map(Vec::len).unwrap_or(0));
+                    fs.crypto.charge(lane, r.as_ref().map(Vec::len).unwrap_or(0));
                     Observed::Got(r)
                 }
                 FsKind::Bulk => {
@@ -117,20 +118,18 @@ fn run_serial(script: &[Event]) -> WorldOutcome {
                     let r = fsc.volume.read_files(&refs).ok();
                     let bytes =
                         r.as_ref().map(|vs| vs.iter().map(Vec::len).sum()).unwrap_or(0);
-                    cfg.crypto.charge(lane, bytes);
+                    fs.crypto.charge(lane, bytes);
                     Observed::BulkGot(r)
                 }
                 FsKind::Lookup => {
                     let r = fsc.volume.lookup(&shared_file(key as usize % SHARED)).ok();
-                    cfg.crypto.charge(lane, 0);
+                    fs.crypto.charge(lane, 0);
                     Observed::Sized(r.map(|info| info.size))
                 }
                 FsKind::Acl => {
                     let rights = if key % 2 == 0 { Rights::READ } else { Rights::RW };
-                    let r = fsc
-                        .volume
-                        .set_acl(&nexus_workloads::loadgen_fs::client_dir(c), "auditor", rights);
-                    cfg.crypto.charge(lane, 0);
+                    let r = fsc.volume.set_acl(&client_dir(c), "auditor", rights);
+                    fs.crypto.charge(lane, 0);
                     Observed::AclSet(r.is_ok())
                 }
             };
@@ -146,7 +145,7 @@ fn run_serial(script: &[Event]) -> WorldOutcome {
         .collect();
     WorldOutcome {
         observed,
-        lane_ends: world.clients.iter().map(|fsc| fsc.afs.lane().local_now()).collect(),
+        lane_ends: world.conns.iter().map(|fsc| fsc.afs.lane().local_now()).collect(),
         inventory: inventory_digest(&world.server),
         clock_end: world.clock.now(),
     }
@@ -163,16 +162,16 @@ fn bulk_paths(key: u8) -> Vec<String> {
 /// deterministic single-thread executor; events interleave across clients
 /// purely by timer-wheel deadline order.
 fn run_async(script: &[Event]) -> WorldOutcome {
-    let cfg = world_config();
-    let world: FsWorld = build_fs_world(&cfg);
+    let fs = source();
+    let world = deploy(&fs);
     let base = world.clock.now();
     let ex = Executor::single(world.clock.clone());
 
     let volumes: Vec<AsyncVolume> = world
-        .clients
+        .conns
         .iter()
         .map(|fsc| {
-            AsyncVolume::new(fsc.volume.clone(), fsc.afs.lane().clone(), ex.timer(), cfg.crypto)
+            AsyncVolume::new(fsc.volume.clone(), fsc.afs.lane().clone(), ex.timer(), fs.crypto)
         })
         .collect();
     let handles: Vec<_> = (0..CLIENTS)
@@ -212,13 +211,7 @@ fn run_async(script: &[Event]) -> WorldOutcome {
                         FsKind::Acl => {
                             let rights = if key % 2 == 0 { Rights::READ } else { Rights::RW };
                             Observed::AclSet(
-                                av.set_acl(
-                                    &nexus_workloads::loadgen_fs::client_dir(c),
-                                    "auditor",
-                                    rights,
-                                )
-                                .await
-                                .is_ok(),
+                                av.set_acl(&client_dir(c), "auditor", rights).await.is_ok(),
                             )
                         }
                     };
@@ -238,7 +231,7 @@ fn run_async(script: &[Event]) -> WorldOutcome {
     }
     WorldOutcome {
         observed,
-        lane_ends: world.clients.iter().map(|fsc| fsc.afs.lane().local_now()).collect(),
+        lane_ends: world.conns.iter().map(|fsc| fsc.afs.lane().local_now()).collect(),
         inventory: inventory_digest(&world.server),
         clock_end: world.clock.now(),
     }

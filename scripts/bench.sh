@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
-# Perf harness: runs the micro_datapath, micro_rpcbatch, micro_mclient,
-# micro_ct, micro_logstore, and micro_scale benches and emits the
-# machine-readable BENCH_*.json documents at the repo root.
+# Perf harness: runs the micro_datapath, micro_ct, micro_logstore,
+# micro_scale, and micro_groups benches and emits the machine-readable
+# BENCH_*.json documents at the repo root.
 #
 #   scripts/bench.sh           full sizes, writes ./BENCH_datapath.json,
-#                              ./BENCH_rpcbatch.json, ./BENCH_mclient.json,
 #                              ./BENCH_ct.json, ./BENCH_logstore.json,
 #                              ./BENCH_scale.json, ./BENCH_groups.json
 #   scripts/bench.sh --smoke   reduced sizes for CI (scripts/verify.sh);
@@ -18,9 +17,7 @@
 # on hardware-lane hosts) beating the one-block-at-a-time scalar
 # reference on one thread (the chunk-path thread sweep is reported as
 # this host measured it; nothing is modelled and no multi-thread floor is
-# set), the absolute storage-RPC ceilings of the batched workloads (both
-# modes),
-# >= 3x aggregate metadata throughput at 16 concurrent clients vs 1,
+# set),
 # checkpointed recovery no slower than full-log replay at the longest
 # history in the logstore sweep, on AES-NI/PCLMULQDQ hosts the
 # hardened crypto default (hw_accel lane) at or above the table lane's
@@ -32,14 +29,15 @@
 # NexusVolume enclave clients), plus the group ladder: one-member
 # revocation from a 10^6-member group in exactly as many metadata
 # writes as from a 10^2-member one, with zero data objects touched.
+# (The storage-RPC ceilings are exact call sequences in
+# crates/core/tests/rpc_budget.rs and the multi-client scaling floor is a
+# test of the load driver; both run under `cargo test`.)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 mode="full"
 out="BENCH_datapath.json"
-out_rpc="BENCH_rpcbatch.json"
-out_mc="BENCH_mclient.json"
 out_ct="BENCH_ct.json"
 out_ls="BENCH_logstore.json"
 out_sc="BENCH_scale.json"
@@ -48,8 +46,6 @@ flags=()
 if [ "${1:-}" = "--smoke" ]; then
     mode="smoke"
     out="target/BENCH_datapath.smoke.json"
-    out_rpc="target/BENCH_rpcbatch.smoke.json"
-    out_mc="target/BENCH_mclient.smoke.json"
     out_ct="target/BENCH_ct.smoke.json"
     out_ls="target/BENCH_logstore.smoke.json"
     out_sc="target/BENCH_scale.smoke.json"
@@ -57,10 +53,9 @@ if [ "${1:-}" = "--smoke" ]; then
     flags+=(--smoke)
 fi
 
-echo "== cargo build --release (micro_datapath, micro_rpcbatch, micro_mclient, micro_ct, micro_logstore, micro_scale, micro_groups) =="
+echo "== cargo build --release (micro_datapath, micro_ct, micro_logstore, micro_scale, micro_groups) =="
 cargo build --release --offline -p nexus-bench \
-    --bin micro_datapath --bin micro_rpcbatch --bin micro_mclient --bin micro_ct \
-    --bin micro_logstore --bin micro_scale --bin micro_groups
+    --bin micro_datapath --bin micro_ct --bin micro_logstore --bin micro_scale --bin micro_groups
 
 echo "== micro_datapath ($mode) =="
 mkdir -p "$(dirname "$out")"
@@ -93,77 +88,6 @@ measured = doc["chunk_path"]["measured_seal_speedup"]
 print(f"ok: {path} valid; gcm x{gcm:.2f}; measured seal speedup "
       + ", ".join(f"{t}t x{s:.2f}" for t, s in zip(threads, measured))
       + f" on {doc['host_parallelism']} core(s)")
-EOF
-
-echo "== micro_rpcbatch ($mode) =="
-mkdir -p "$(dirname "$out_rpc")"
-./target/release/micro_rpcbatch "${flags[@]}" --json "$out_rpc"
-
-echo "== validate $out_rpc =="
-python3 - "$out_rpc" "$mode" <<'EOF'
-import json, sys
-path, mode = sys.argv[1], sys.argv[2]
-with open(path) as f:
-    doc = json.load(f)
-for key in ("bench", "files", "chunk_bytes", "latency_model",
-            "stored_objects", "metadata_heavy", "bulk_read"):
-    assert key in doc, f"{path}: missing key {key!r}"
-for wl in ("metadata_heavy", "bulk_read"):
-    for key in ("rpcs_batched", "sim_ms_batched"):
-        assert key in doc[wl], f"{path}: missing {wl}.{key}"
-# Absolute ceilings, both modes (RPC counts are deterministic): a warm
-# create-and-write is lock + one commit per phase, every version probe of a
-# phase one stat_many; a bulk read is one probe and one get_many. A change
-# that goes back to a stat per path component fails here.
-files = doc["files"]
-meta_rpcs = doc["metadata_heavy"]["rpcs_batched"]
-assert meta_rpcs <= 4 * files, \
-    f"metadata_heavy: {meta_rpcs} batched RPCs for {files} creates (ceiling {4 * files})"
-bulk_rpcs = doc["bulk_read"]["rpcs_batched"]
-assert bulk_rpcs <= 2, f"bulk_read: {bulk_rpcs} batched RPCs (ceiling 2)"
-print(f"ok: {path} valid; {meta_rpcs} RPCs for {files} creates, "
-      f"{bulk_rpcs} for the bulk read of {files}")
-EOF
-
-echo "== micro_mclient ($mode) =="
-mkdir -p "$(dirname "$out_mc")"
-./target/release/micro_mclient "${flags[@]}" --json "$out_mc"
-
-echo "== validate $out_mc =="
-python3 - "$out_mc" "$mode" <<'EOF'
-import json, sys
-path, mode = sys.argv[1], sys.argv[2]
-with open(path) as f:
-    doc = json.load(f)
-for key in ("bench", "smoke", "files_per_client", "chunk_bytes",
-            "latency_model", "clients", "worlds_identical", "scaling",
-            "runs"):
-    assert key in doc, f"{path}: missing key {key!r}"
-assert doc["worlds_identical"] is True, \
-    "concurrent and serial worlds must store identical bytes"
-for run in doc["runs"]:
-    for key in ("clients", "metadata_heavy", "bulk_read"):
-        assert key in run, f"{path}: run missing {key!r}"
-    for mix in ("metadata_heavy", "bulk_read"):
-        for key in ("ops", "conc_makespan_ms", "serial_makespan_ms",
-                    "agg_ops_per_sec", "overlap_speedup"):
-            assert key in run[mix], f"{path}: missing runs[].{mix}.{key}"
-# Recompute the headline scaling ratio from the raw cells rather than
-# trusting the emitter's arithmetic: aggregate metadata-heavy throughput,
-# largest client count over smallest.
-cells = {r["clients"]: r["metadata_heavy"]["agg_ops_per_sec"]
-         for r in doc["runs"]}
-lo, hi = min(cells), max(cells)
-scaling = cells[hi] / cells[lo]
-if mode == "full":
-    # Acceptance floor (smoke runs fewer clients and only guards the
-    # emitter itself).
-    assert hi >= 16, f"full run must include 16 clients, max was {hi}"
-    assert scaling >= 3.0, \
-        f"need >= 3x aggregate metadata throughput at {hi} vs {lo} " \
-        f"clients, got x{scaling:.2f}"
-print(f"ok: {path} valid; metadata throughput x{scaling:.2f} "
-      f"from {lo} to {hi} clients")
 EOF
 
 echo "== micro_ct ($mode) =="
@@ -285,10 +209,15 @@ for key in ("bench", "smoke", "latency_model", "zipf_alpha", "shared_keys",
 # clients ran, the executor never used more than 8 OS threads.
 assert doc["os_threads"] <= 8, \
     f"executor used {doc['os_threads']} OS threads (cap is 8)"
-assert doc["worlds_identical"] is True, \
-    "executor and thread-per-client worlds must be transcript-identical"
-assert doc["fs_worlds_identical"] is True, \
-    "async fs world must be transcript-identical to the serial oracle"
+for key in ("worlds_identical", "fs_worlds_identical"):
+    assert doc[key] is True, \
+        f"{key}: executor, serial and thread worlds must be transcript-identical"
+
+def check_wall(cell, what):
+    # Host cost beside every virtual-time figure: present and positive; it
+    # is this host's wall clock, so there is no floor on it.
+    for key in ("wall_s", "host_ns_per_op"):
+        assert cell.get(key, 0) > 0, f"{path}: {what} needs {key} > 0"
 
 def check_cells(cells, what):
     for cell in cells:
@@ -296,6 +225,7 @@ def check_cells(cells, what):
                     "makespan_ms", "agg_ops_per_sec", "latency", "reads",
                     "writes"):
             assert key in cell, f"{path}: {what} cell missing {key!r}"
+        check_wall(cell, f"{what} cell")
         assert cell["os_threads"] <= 8, \
             f"{cell['clients']}-client {what} cell used " \
             f"{cell['os_threads']} OS threads"
@@ -321,6 +251,7 @@ def check_speedup(doc, cells_key, open_key, base_key, sp_key, what):
     assert "per_client_hz" in doc[open_key], f"{open_key} missing per_client_hz"
     for key in ("clients", "ops_per_client", "os_threads", "agg_ops_per_sec"):
         assert key in doc[base_key], f"{path}: {base_key} missing {key!r}"
+    check_wall(doc[base_key], base_key)
     sp = doc[sp_key]
     for key in ("exec_clients", "exec_agg_ops_per_sec", "over_thread_baseline"):
         assert key in sp, f"{path}: {sp_key} missing {key!r}"

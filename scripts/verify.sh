@@ -55,39 +55,6 @@ if [ -n "$relocked" ]; then
 fi
 echo "ok: mem/afs/cloud stores lock only through the shard layer"
 
-echo "== executor scale-harness audit =="
-# The scale story (DESIGN.md §14) is "simulated clients are futures, not
-# OS threads". Two static gates keep it honest:
-#  1. the executor crate's core files must exist (a deleted crate would
-#     otherwise only fail at the smoke-test step below, with a worse
-#     message);
-#  2. the executor-world load path — the loadgen modules (wire-level
-#     and fs-level), the async fs adapter, and the micro_scale bench —
-#     must not spawn threads or reach for the worker pool in non-test
-#     code. The thread-per-client worlds live in loadgen_baseline.rs,
-#     which is deliberately exempt.
-for f in crates/exec/src/lib.rs crates/exec/src/wheel.rs crates/exec/src/io.rs \
-         crates/core/src/async_fs.rs crates/workloads/src/loadgen_fs.rs; do
-    [ -f "$f" ] || { echo "FAIL: executor module missing: $f" >&2; exit 1; }
-done
-grep -q 'MAX_WORKERS' crates/exec/src/lib.rs \
-    || { echo "FAIL: executor lost its MAX_WORKERS thread cap" >&2; exit 1; }
-exec_world="crates/workloads/src/loadgen.rs crates/workloads/src/loadgen_fs.rs \
-    crates/core/src/async_fs.rs crates/bench/src/bin/micro_scale.rs"
-threaded=$(for f in $exec_world; do
-        awk -v f="$f" '/^#\[cfg\(test\)\]/{exit} {print f":"FNR":"$0}' "$f"
-    done \
-    | grep -E 'thread::spawn|ThreadPool::new' \
-    | grep -vE '^[^:]+:[0-9]+:\s*//' || true)
-if [ -n "$threaded" ]; then
-    echo "FAIL: OS threads in the executor-world load path:" >&2
-    echo "$threaded" >&2
-    echo "Simulated clients must be futures on nexus-exec; only" >&2
-    echo "loadgen_baseline.rs may burn a thread per client." >&2
-    exit 1
-fi
-echo "ok: nexus-exec present; executor-world load path spawns no OS threads"
-
 echo "== cargo build --release --offline =="
 cargo build --release --workspace --offline
 
@@ -172,13 +139,17 @@ cargo test -q -p nexus-exec --offline --test executor_smoke > /dev/null
 cargo test -q -p nexus-exec --offline --test begin_at_zero_delay > /dev/null
 echo "ok: thousands of simulated clients on a bounded thread count"
 
-echo "== async fs differential =="
-# By target name: mixed metadata/data fs ops over real enclave mounts,
-# interleaved as futures, must match a serial oracle byte for byte —
-# per-op observations, lane ends, ciphertext inventory, shared clock —
-# under a shrinking property-test Runner (DESIGN.md §15).
-cargo test -q -p nexus-workloads --offline --test exec_fs_differential > /dev/null
-echo "ok: async crypto-fs world is byte-identical to the serial oracle"
+echo "== scale harness: source audit + async fs differential =="
+# By target name. The audit reads the load path's source (the driver, the
+# async fs adapter, micro_scale): simulated clients are futures, so OS
+# threads may appear only inside the one function that is the
+# thread-per-client world (DESIGN.md §14). The differential: mixed
+# metadata/data fs ops over real enclave mounts, interleaved as futures,
+# must match a serial oracle byte for byte — per-op observations, lane
+# ends, ciphertext inventory, shared clock — under a shrinking
+# property-test Runner (DESIGN.md §15).
+cargo test -q -p nexus-workloads --offline --test source_audit --test exec_fs_differential > /dev/null
+echo "ok: load path spawns no thread per client; async crypto-fs world is byte-identical to the serial oracle"
 
 echo "== revocation-path audit =="
 # The leaky-revocation bug class this PR fixed: a membership change that
