@@ -14,6 +14,7 @@ fn main() {
     rule(78);
     println!("micro_crypto — cryptographic substrate");
     println!("pure compute, no simulated I/O; median of 5 batched samples after calibration");
+    println!("crypto lanes: {}", nexus_crypto::cpu::describe());
     rule(78);
 
     let gcm = AesGcm::new_128(&[7u8; 16]);
@@ -32,7 +33,6 @@ fn main() {
     micro("gcm-siv keywrap 16B", None, || siv.seal(&[0u8; 12], b"preamble", &[0x42u8; 16]));
 
     // 3400 B is a full 128-entry bucket blob: what a bucket MAC hashes.
-    println!("sha256 lane: {:?}", nexus_crypto::cpu::sha_lane());
     for size in [64usize, 3400, 4096, 1024 * 1024] {
         let data = vec![0x17u8; size];
         micro(&format!("sha256 {size}B"), Some(size as u64), || Sha256::digest(&data));

@@ -169,6 +169,10 @@ fn main() {
         "payload {gcm_bytes} B; leak model {per_class} samples/class; hw lane: {}",
         if hw { "available (AES-NI + PCLMULQDQ)" } else { "absent" }
     );
+    println!(
+        "dispatched lanes (what the hw_accel row's GCM ran on): {}",
+        nexus_crypto::cpu::describe()
+    );
     rule(78);
 
     let fast = measure_lane(CryptoBackend::Table, gcm_bytes);
@@ -257,6 +261,7 @@ fn main() {
             .field("emitter", Json::Str("nexus-bench micro_ct (scripts/bench.sh)".into()))
             .field("smoke", Json::Bool(smoke))
             .field("payload_bytes", Json::Int(gcm_bytes as i64))
+            .field("gcm_kernel", Json::Str(nexus_crypto::cpu::describe()))
             .field("fast", lane_json(&fast))
             .field("constant_time", lane_json(&port))
             .field("hw_accel", hw_accel_json)

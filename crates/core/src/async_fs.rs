@@ -314,4 +314,55 @@ mod tests {
         assert_eq!(CryptoCost::free().op_cost(1 << 30), Duration::ZERO);
         assert!(CryptoCost::free().op_cost(usize::MAX) <= Duration::from_nanos(1));
     }
+
+    /// A ranged read is the volume's, charged for the bytes it produced —
+    /// and a range beyond eof, overflowing ones included, is an error that
+    /// costs one op overhead and leaves the client serving the next call.
+    #[test]
+    fn read_range_serves_ranges_and_refuses_overflowing_ones() {
+        use nexus_exec::Executor;
+        use nexus_sgx::{AttestationService, Platform};
+        use nexus_storage::{MemBackend, SimClock};
+
+        use crate::{NexusConfig, UserKeys};
+
+        let platform = Platform::seeded(7);
+        let ias = AttestationService::new();
+        ias.register_platform(&platform);
+        let owner = UserKeys::from_seed("owen", &[1u8; 32]);
+        let config = NexusConfig { chunk_size: 1024, ..Default::default() };
+        let backend = Arc::new(MemBackend::new());
+        let (volume, _) = NexusVolume::create(&platform, backend, &ias, &owner, config).unwrap();
+        volume.authenticate(&owner).unwrap();
+        let data: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
+        volume.write_file("big.bin", &data).unwrap();
+
+        let clock = SimClock::new();
+        let exec = Executor::single(clock.clone());
+        let cost = CryptoCost { op_overhead: Duration::from_micros(20), bytes_per_sec: 1_000_000 };
+        let client = AsyncVolume::new(Arc::new(volume), clock.lane(), exec.timer(), cost);
+        let task = {
+            let client = client.clone();
+            exec.spawn(async move {
+                let hit = client.read_range("big.bin", 1000, 100).await;
+                let after_hit = client.local_now();
+                let mut refused = Vec::new();
+                for (offset, len) in [(4999, 2), (u64::MAX, 2), (4000, u64::MAX - 10)] {
+                    refused.push(client.read_range("big.bin", offset, len).await);
+                }
+                let after_refusals = client.local_now();
+                let last = client.read_range("big.bin", 4999, 1).await;
+                (hit, after_hit, refused, after_refusals, last)
+            })
+        };
+        exec.run_until_idle();
+        let (hit, after_hit, refused, after_refusals, last) = task.try_take().expect("task ran");
+        assert_eq!(hit.unwrap(), data[1000..1100]);
+        assert_eq!(after_hit, cost.op_cost(100));
+        for r in refused {
+            assert!(r.unwrap_err().to_string().contains("beyond eof"));
+        }
+        assert_eq!(after_refusals - after_hit, cost.op_overhead * 3);
+        assert_eq!(last.unwrap(), data[4999..]);
+    }
 }

@@ -858,7 +858,8 @@ pub(crate) fn fs_read_range(
     if len == 0 {
         return Ok(Vec::new());
     }
-    if offset + len > fnode.size {
+    // `checked_add`: a range whose end wraps is beyond any eof.
+    if offset.checked_add(len).is_none_or(|end| end > fnode.size) {
         return Err(NexusError::Malformed(format!(
             "read {offset}+{len} beyond eof {}",
             fnode.size

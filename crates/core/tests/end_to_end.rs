@@ -177,6 +177,13 @@ fn multi_chunk_files_roundtrip() {
     assert_eq!(volume.read_range("big.bin", 0, 1).unwrap(), data[..1]);
     assert_eq!(volume.read_range("big.bin", 4999, 1).unwrap(), data[4999..]);
     assert!(volume.read_range("big.bin", 4999, 2).is_err());
+    // A range whose end overflows is beyond eof like any other, not a slice
+    // index inside the ecall; the volume serves the next call.
+    for (offset, len) in [(u64::MAX, 2), (4000, u64::MAX - 10), (u64::MAX, u64::MAX)] {
+        let err = volume.read_range("big.bin", offset, len).unwrap_err();
+        assert!(err.to_string().contains("beyond eof"), "{offset}+{len}: {err}");
+    }
+    assert_eq!(volume.read_range("big.bin", 4000, 1000).unwrap(), data[4000..]);
 }
 
 #[test]

@@ -6,7 +6,10 @@
 //! dependency anywhere in the fan-out breaks it. Every worker seals into
 //! its slot of one shared buffer, so the serial bytes are also compared
 //! with the per-chunk `AesGcm::seal` outputs laid end to end, and a forged
-//! chunk must be named — the lowest one — at every width.
+//! chunk must be named — the lowest one — at every width. A second test
+//! does the same at production chunk sizes, where each chunk is long enough
+//! for every stage of the hardware lane's AES-GCM chain (wide kernel, narrow
+//! kernel, scalar tail), against the one-block-at-a-time reference.
 
 use nexus_core::datapath::{open_chunks, seal_chunks};
 use nexus_core::metadata::filenode::{ChunkContext, Filenode};
@@ -134,4 +137,44 @@ fn parallel_seal_open_matches_serial_at_every_width() {
                 Ok(())
             },
         );
+}
+
+/// A 3 MiB + 300-byte file at the default 1 MiB chunk size (three chunks of
+/// whole 256-byte groups, then a 300-byte one: two 128-byte groups and a
+/// tail) and at 1 MiB + 200 (every chunk, the short last one included, is
+/// 256-byte groups, then one 128-byte group, then a tail — all three stages
+/// of the hardware lane in one chunk): the slots hold the scalar reference's
+/// bytes at every width, and open at every width.
+#[test]
+fn megabyte_chunks_match_the_scalar_reference_through_every_kernel_stage() {
+    const FILE: usize = 3 * (1 << 20) + 300;
+    let mut g = Gen::new(0x3_0300);
+    let mut data = vec![0u8; FILE];
+    for chunk in data.chunks_mut(8) {
+        chunk.copy_from_slice(&g.u64().to_le_bytes()[..chunk.len()]);
+    }
+    let uuid = NexusUuid(g.bytes::<16>());
+    for chunk_size in [1usize << 20, (1 << 20) + 200] {
+        let n_chunks = Filenode::chunk_count_for(FILE as u64, chunk_size as u32) as usize;
+        let contexts = contexts_for(&mut g, n_chunks);
+        let mut reference = Vec::with_capacity(FILE + n_chunks * 16);
+        for (idx, (chunk, ctx)) in data.chunks(chunk_size).zip(&contexts).enumerate() {
+            let mut aad = uuid.0.to_vec();
+            aad.extend((idx as u64).to_le_bytes());
+            aad.extend((FILE as u64).to_le_bytes());
+            let (ct, tag) = AesGcm::new(&ctx.key).seal_detached_scalar(&ctx.nonce, &aad, chunk);
+            reference.extend(ct);
+            reference.extend(tag);
+        }
+        let mut fnode = Filenode::new(uuid, NexusUuid([0; 16]), uuid, chunk_size as u32);
+        fnode.size = FILE as u64;
+        fnode.chunks = contexts.clone();
+        for workers in [1usize, 2, 8] {
+            let pool = ThreadPool::new(workers);
+            let sealed = seal_chunks(&pool, &uuid, &data, chunk_size, &contexts);
+            assert!(sealed == reference, "chunk size {chunk_size}, {workers} workers: bytes");
+            let opened = open_chunks(&pool, &fnode, &reference, 0, n_chunks as u64).unwrap();
+            assert!(opened == data, "chunk size {chunk_size}, {workers} workers: roundtrip");
+        }
+    }
 }

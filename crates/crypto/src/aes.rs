@@ -255,7 +255,7 @@ impl Aes {
     }
 
     /// The AES-NI key this value holds, on the hardware engine only — the
-    /// fused GCM kernel's way in ([`crate::gcm_ni`]).
+    /// fused GCM kernels' way in ([`crate::gcm_ni`], [`crate::gcm_vaes`]).
     #[cfg(target_arch = "x86_64")]
     pub(crate) fn hw(&self) -> Option<&AesNi> {
         match &self.engine {

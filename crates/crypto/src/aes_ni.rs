@@ -17,7 +17,9 @@
 //! feature the hardware lane uses (AES-NI, PCLMULQDQ, SSSE3, SSE4.1), so
 //! the `#[target_feature]` functions — here and in [`crate::gcm_ni`],
 //! which takes an `&AesNi` as its proof — only ever run on silicon that
-//! has them.
+//! has them. ([`crate::gcm_vaes`] runs over the same schedule but enables
+//! AVX-512 features this proof does not cover; it demands a
+//! [`crate::cpu::WideLane`] as well.)
 //!
 //! The 8-block batch entry points mirror [`crate::aes_ct::AesCt`]'s so the
 //! batched CTR hot path in [`crate::gcm`] slots onto either engine
@@ -70,8 +72,9 @@ impl AesNi {
     }
 
     /// The expanded encryption schedule (whitening key first): what the
-    /// fused GCM kernel ([`crate::gcm_ni`]) runs its eight AESENC chains
-    /// over, and what the tests compare with the reference engine's.
+    /// fused GCM kernels ([`crate::gcm_ni`], [`crate::gcm_vaes`]) run their
+    /// AESENC chains over, and what the tests compare with the reference
+    /// engine's.
     pub(crate) fn round_keys(&self) -> &[[u8; 16]] {
         &self.ek[..=self.rounds]
     }

@@ -1,10 +1,12 @@
 //! Runtime CPU-feature detection and crypto-engine dispatch.
 //!
-//! Two decisions are made here, each once per process and each from what
-//! `CPUID` reports: which engine a freshly expanded AES key uses, and which
-//! compression function SHA-256 runs. They are independent — a Skylake-class
-//! CPU has AES-NI and no SHA extensions, and keeps its hardware AES lane
-//! with the portable hash.
+//! Three decisions are made here, each once per process and each from what
+//! `CPUID` reports: which engine a freshly expanded AES key uses, whether
+//! that engine's GCM bodies may run sixteen blocks wide, and which
+//! compression function SHA-256 runs. The first and the last are
+//! independent — a Skylake-class CPU has AES-NI and no SHA extensions, and
+//! keeps its hardware AES lane with the portable hash; the second sits on
+//! top of the first.
 //!
 //! # The AES lane
 //!
@@ -29,6 +31,22 @@
 //! builds counter blocks with; the lane requires every feature any of its
 //! `#[target_feature]` functions names, so holding a hardware key is proof
 //! of all four.
+//!
+//! # The wide GCM kernel
+//!
+//! On the hardware lane, [`wide_lane`] decides whether a GCM body's whole
+//! 256-byte groups go through the VAES + VPCLMULQDQ kernel (`gcm_vaes`:
+//! four blocks per ZMM register) before the 128-bit kernel finishes the
+//! remainder. The CPU half of the decision is leaf 7 sub-leaf 0 `EBX` bit
+//! 16 (`AVX512F`) and bit 30 (`AVX512BW`), `ECX` bit 9 (`VAES`) and bit 10
+//! (`VPCLMULQDQ`). The OS half is what AVX-512 adds to any earlier lane: a
+//! ZMM register is only preserved across a context switch when the OS set
+//! the matching `XCR0` bits, so leaf 1 `ECX` bit 27 (`OSXSAVE`) must be set
+//! and `XGETBV(0)` must show SSE, AVX, opmask and both ZMM halves enabled
+//! (`XCR0 & 0xE6 == 0xE6`). All of that, plus the AES lane's own four bits,
+//! with [`FORCE_PORTABLE_ENV`] unset; anything missing keeps the 128-bit
+//! kernel. The answer is a [`WideLane`] token, which nothing but this
+//! decision can construct and which the kernel demands as its proof.
 //!
 //! # The SHA lane
 //!
@@ -63,6 +81,31 @@ const CPUID_ECX_SSSE3: u32 = 1 << 9;
 /// CPUID leaf 1 ECX bit 19: SSE4.1 (`PINSRD`, the in-register counter).
 #[cfg(target_arch = "x86_64")]
 const CPUID_ECX_SSE41: u32 = 1 << 19;
+
+/// CPUID leaf 1 ECX bit 27: the OS enabled XSAVE/XGETBV (`CR4.OSXSAVE`), so
+/// `XCR0` can be read and says which register state the OS saves.
+#[cfg(target_arch = "x86_64")]
+const CPUID_ECX_OSXSAVE: u32 = 1 << 27;
+
+/// CPUID leaf 7 sub-leaf 0 EBX bit 16: AVX-512 Foundation (the ZMM
+/// registers, `VPADDD`, `VBROADCASTI32X4`, `VEXTRACTI32X4`).
+#[cfg(target_arch = "x86_64")]
+const CPUID_7_EBX_AVX512F: u32 = 1 << 16;
+/// CPUID leaf 7 sub-leaf 0 EBX bit 30: AVX-512 Byte and Word (`VPSHUFB` and
+/// the per-lane byte shifts on ZMM, byte-granular masks).
+#[cfg(target_arch = "x86_64")]
+const CPUID_7_EBX_AVX512BW: u32 = 1 << 30;
+/// CPUID leaf 7 sub-leaf 0 ECX bit 9: `VAESENC`/`VAESENCLAST` on YMM/ZMM.
+#[cfg(target_arch = "x86_64")]
+const CPUID_7_ECX_VAES: u32 = 1 << 9;
+/// CPUID leaf 7 sub-leaf 0 ECX bit 10: `VPCLMULQDQ` on YMM/ZMM.
+#[cfg(target_arch = "x86_64")]
+const CPUID_7_ECX_VPCLMULQDQ: u32 = 1 << 10;
+/// `XCR0` bits 1, 2, 5, 6 and 7: the OS saves SSE, AVX, opmask, the upper
+/// halves of ZMM0–15 and all of ZMM16–31. AVX-512 code may run only with
+/// all five set.
+#[cfg(target_arch = "x86_64")]
+const XCR0_AVX512_STATE: u64 = 0xE6;
 
 /// CPUID leaf 7 sub-leaf 0 EBX bit 29: the SHA extensions
 /// (`SHA256RNDS2`, `SHA256MSG1`, `SHA256MSG2`).
@@ -125,6 +168,90 @@ pub fn backend_for_flags(hw_available: bool, force_portable: bool) -> CryptoBack
 /// `AesGcmSiv::new` uses in this process.
 pub fn constant_time_backend() -> CryptoBackend {
     backend_for_flags(hw_accel_available(), force_portable())
+}
+
+/// Proof that this process may run the VAES + VPCLMULQDQ GCM kernel
+/// (`gcm_vaes`): the CPU has every feature the kernel enables and the OS
+/// saves the ZMM state. The field is private, so only [`detect_wide_lane`]
+/// makes one — the kernel's entry point takes it by value the way the
+/// 128-bit kernel takes an `&AesNi`.
+#[cfg(target_arch = "x86_64")]
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WideLane(());
+
+/// The wide kernel's dispatch table as a pure function of the three CPUID
+/// words, `XCR0` and the override, so tests can assert every row. The
+/// leaf 7 words are 0 when the CPU has no leaf 7, and `xcr0` is 0 when
+/// `OSXSAVE` is clear (the register cannot be read then). The AES lane's
+/// own mask comes first: the wide kernel runs on an `AesNi` schedule and
+/// hands its remainder to the 128-bit kernel.
+#[cfg(target_arch = "x86_64")]
+fn wide_lane_for_flags(
+    leaf1_ecx: u32,
+    leaf7_ebx: u32,
+    leaf7_ecx: u32,
+    xcr0: u64,
+    force_portable: bool,
+) -> bool {
+    const REQUIRED_EBX: u32 = CPUID_7_EBX_AVX512F | CPUID_7_EBX_AVX512BW;
+    const REQUIRED_ECX: u32 = CPUID_7_ECX_VAES | CPUID_7_ECX_VPCLMULQDQ;
+    let cpu_has_kernel_features =
+        leaf7_ebx & REQUIRED_EBX == REQUIRED_EBX && leaf7_ecx & REQUIRED_ECX == REQUIRED_ECX;
+    let os_saves_zmm_state =
+        leaf1_ecx & CPUID_ECX_OSXSAVE != 0 && xcr0 & XCR0_AVX512_STATE == XCR0_AVX512_STATE;
+    ecx_has_hw_lane(leaf1_ecx) && cpu_has_kernel_features && os_saves_zmm_state && !force_portable
+}
+
+/// A fresh CPUID + `XGETBV` query behind [`wide_lane`]; with
+/// `force_portable` false it says what the silicon and the OS allow,
+/// whatever the override says (the kernel's own tests ask that way).
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn detect_wide_lane(force_portable: bool) -> Option<WideLane> {
+    let max_leaf = core::arch::x86_64::__cpuid(0).eax;
+    if max_leaf < 7 {
+        return None;
+    }
+    let leaf1_ecx = core::arch::x86_64::__cpuid(1).ecx;
+    let leaf7 = core::arch::x86_64::__cpuid_count(7, 0);
+    let xcr0 = if leaf1_ecx & CPUID_ECX_OSXSAVE != 0 {
+        // SAFETY: `XGETBV` faults only when `CR4.OSXSAVE` is clear, and
+        // CPUID just reported it set; register 0 (`XCR0`) always exists.
+        unsafe { core::arch::x86_64::_xgetbv(0) }
+    } else {
+        0
+    };
+    wide_lane_for_flags(leaf1_ecx, leaf7.ebx, leaf7.ecx, xcr0, force_portable)
+        .then_some(WideLane(()))
+}
+
+/// Whether hardware-lane GCM bodies run their 256-byte groups on the wide
+/// kernel in this process. Cached after the first query: one atomic load
+/// per call after that.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn wide_lane() -> Option<WideLane> {
+    static LANE: OnceLock<Option<WideLane>> = OnceLock::new();
+    *LANE.get_or_init(|| detect_wide_lane(force_portable()))
+}
+
+/// One line naming the kernels this process dispatched to, for bench
+/// headers and `BENCH_*.json`: `aes=vaes512|aesni128|bitsliced
+/// sha=sha-ni|portable`. `vaes512` means the wide GCM kernel takes the
+/// bodies long enough for it, over the `aesni128` lane.
+pub fn describe() -> String {
+    #[cfg(target_arch = "x86_64")]
+    let wide = wide_lane().is_some();
+    #[cfg(not(target_arch = "x86_64"))]
+    let wide = false;
+    let aes = match constant_time_backend() {
+        CryptoBackend::HwAccel if wide => "vaes512",
+        CryptoBackend::HwAccel => "aesni128",
+        _ => "bitsliced",
+    };
+    let sha = match sha_lane() {
+        ShaLane::ShaNi => "sha-ni",
+        ShaLane::Portable => "portable",
+    };
+    format!("aes={aes} sha={sha}")
 }
 
 /// The SHA-256 compression function [`crate::sha2::Sha256`] runs.
@@ -249,6 +376,61 @@ mod tests {
         assert_eq!(sha_lane_for_flags(sha, no_aes_ecx, false), ShaNi);
     }
 
+    /// Every row of the wide kernel's table: each of the five feature bits
+    /// missing, `OSXSAVE` clear, an `XCR0` that stops at AVX, the AES lane
+    /// absent, the override — never wide, and the AES lane kept wherever
+    /// its own four bits are there.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn wide_dispatch_table() {
+        let aes_ecx = CPUID_ECX_AESNI | CPUID_ECX_PCLMULQDQ | CPUID_ECX_SSSE3 | CPUID_ECX_SSE41;
+        let ecx1 = aes_ecx | CPUID_ECX_OSXSAVE;
+        let ebx7 = CPUID_7_EBX_AVX512F | CPUID_7_EBX_AVX512BW;
+        let ecx7 = CPUID_7_ECX_VAES | CPUID_7_ECX_VPCLMULQDQ;
+        let xcr0 = XCR0_AVX512_STATE;
+        let narrow_kept = |ecx: u32| backend_for_flags(ecx_has_hw_lane(ecx), false);
+
+        assert!(wide_lane_for_flags(ecx1, ebx7, ecx7, xcr0, false));
+        assert!(wide_lane_for_flags(u32::MAX, u32::MAX, u32::MAX, u64::MAX, false));
+        // The override wins over everything, as on the other lanes.
+        assert!(!wide_lane_for_flags(ecx1, ebx7, ecx7, xcr0, true));
+        assert!(!wide_lane_for_flags(u32::MAX, u32::MAX, u32::MAX, u64::MAX, true));
+
+        // Any one of the four leaf 7 bits missing (an AVX-512 part before
+        // Ice Lake has F and BW and neither vector-crypto bit).
+        for bit in [CPUID_7_EBX_AVX512F, CPUID_7_EBX_AVX512BW] {
+            assert!(!wide_lane_for_flags(ecx1, ebx7 & !bit, ecx7, xcr0, false), "ebx {bit:#x}");
+            assert!(!wide_lane_for_flags(u32::MAX, !bit, u32::MAX, u64::MAX, false));
+        }
+        for bit in [CPUID_7_ECX_VAES, CPUID_7_ECX_VPCLMULQDQ] {
+            assert!(!wide_lane_for_flags(ecx1, ebx7, ecx7 & !bit, xcr0, false), "ecx {bit:#x}");
+            assert!(!wide_lane_for_flags(u32::MAX, u32::MAX, !bit, u64::MAX, false));
+        }
+        assert!(!wide_lane_for_flags(ecx1, 0, 0, xcr0, false));
+        // The OS half: XSAVE not enabled (XCR0 unreadable, passed as 0 — and
+        // ignored even if a caller passed something else)...
+        assert!(!wide_lane_for_flags(aes_ecx, ebx7, ecx7, 0, false));
+        assert!(!wide_lane_for_flags(aes_ecx, ebx7, ecx7, xcr0, false));
+        // ...or enabled with SSE + AVX state only (0x07: a kernel built
+        // without AVX-512 support, or one that masked it off), or with any
+        // single AVX-512 component missing.
+        assert!(!wide_lane_for_flags(ecx1, ebx7, ecx7, 0x07, false));
+        for component in [1u64 << 1, 1 << 2, 1 << 5, 1 << 6, 1 << 7] {
+            assert!(!wide_lane_for_flags(ecx1, ebx7, ecx7, xcr0 & !component, false));
+            assert!(!wide_lane_for_flags(u32::MAX, u32::MAX, u32::MAX, !component, false));
+        }
+        // In every row above the 128-bit lane stays.
+        assert_eq!(narrow_kept(ecx1), CryptoBackend::HwAccel);
+        assert_eq!(narrow_kept(aes_ecx), CryptoBackend::HwAccel);
+
+        // The AES lane absent (any of its four bits): nothing for the wide
+        // kernel to sit on, whatever leaf 7 says.
+        for bit in [CPUID_ECX_AESNI, CPUID_ECX_PCLMULQDQ, CPUID_ECX_SSSE3, CPUID_ECX_SSE41] {
+            assert!(!wide_lane_for_flags(ecx1 & !bit, ebx7, ecx7, xcr0, false), "ecx {bit:#x}");
+            assert_eq!(narrow_kept(ecx1 & !bit), CryptoBackend::Bitsliced);
+        }
+    }
+
     #[cfg(not(target_arch = "x86_64"))]
     #[test]
     fn non_x86_compiles_to_bitsliced_unconditionally() {
@@ -256,6 +438,7 @@ mod tests {
         assert_eq!(constant_time_backend(), CryptoBackend::Bitsliced);
         assert!(!sha_ni_available());
         assert_eq!(sha_lane(), ShaLane::Portable);
+        assert_eq!(describe(), "aes=bitsliced sha=portable");
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -283,5 +466,33 @@ mod tests {
                 && std::arch::is_x86_feature_detected!("sse4.1")
         );
         assert_eq!(sha_lane() == ShaLane::ShaNi, sha_ni_available() && !force_portable());
+        // The wide kernel: cached decision = fresh CPUID + XGETBV + the
+        // override, and what the hardware allows = the AES lane plus std's
+        // detection of the kernel's four features (std reads XCR0 too).
+        assert_eq!(wide_lane().is_some(), detect_wide_lane(force_portable()).is_some());
+        assert_eq!(wide_lane().is_some(), detect_wide_lane(force_portable()).is_some());
+        assert_eq!(
+            detect_wide_lane(false).is_some(),
+            hw_accel_available()
+                && std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512bw")
+                && std::arch::is_x86_feature_detected!("vaes")
+                && std::arch::is_x86_feature_detected!("vpclmulqdq")
+        );
+        assert_eq!(wide_lane().is_some(), detect_wide_lane(false).is_some() && !force_portable());
+    }
+
+    /// `describe` names what dispatch picked, nothing else.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn describe_names_the_dispatched_kernels() {
+        let line = describe();
+        assert_eq!(line.contains("aes=vaes512"), wide_lane().is_some(), "{line}");
+        let narrow = constant_time_backend() == CryptoBackend::HwAccel && wide_lane().is_none();
+        assert_eq!(line.contains("aes=aesni128"), narrow, "{line}");
+        assert_eq!(line.ends_with(" sha=sha-ni"), sha_lane() == ShaLane::ShaNi, "{line}");
+        if force_portable() {
+            assert_eq!(line, "aes=bitsliced sha=portable");
+        }
     }
 }

@@ -10,9 +10,13 @@
 //! straight into its slot of the data object and nothing is copied first.
 //! Every other entry point ([`AesGcm::seal`], [`AesGcm::open`], the
 //! detached pair) allocates the output and calls it. On the hardware lane
-//! the body runs through the fused AES-NI + PCLMULQDQ kernel
-//! (`gcm_ni`: keystream, XOR and GHASH in one pass over the bytes); the
-//! portable lanes copy, keystream in place and hash.
+//! the body runs through the fused kernels — keystream, XOR and GHASH in
+//! one pass over the bytes: the VAES + VPCLMULQDQ one (`gcm_vaes`, sixteen
+//! blocks per step) where [`crate::cpu`] allows it and the body is long
+//! enough, then the AES-NI + PCLMULQDQ one (`gcm_ni`, eight blocks per
+//! step); the portable lanes copy, keystream in place and hash. The powers
+//! of H those kernels multiply by are built per body, only as many as the
+//! body's kernels use, and wiped with it.
 //!
 //! # Examples
 //!
@@ -55,9 +59,17 @@ type ShoupTable = [[u128; 16]; 32];
 /// Minimum per-update payload before the *portable* 8-block batched
 /// GHASH/POLYVAL pays for itself (the masked multiply is slow enough that
 /// setting up eight of them only wins on long inputs). The hardware lane
-/// never asks: its GCM bodies go through the fused kernel
+/// never asks: its GCM bodies go through the fused kernels
 /// ([`crate::gcm_ni`]) from 128 bytes up, metadata objects included.
 pub(crate) const GHASH_BATCH_MIN: usize = 8 * 1024;
+
+/// Minimum body length before the wide kernel ([`crate::gcm_vaes`]) repays
+/// the eight multiplies that extend H¹..H⁸ to H¹⁶ and its longer set-up:
+/// below it a body stays on the 128-bit kernel. Measured (DESIGN.md §13:
+/// the two kernels cross between 512 and 768 bytes); a property of the two
+/// kernels, not a setting.
+#[cfg(target_arch = "x86_64")]
+pub(crate) const WIDE_MIN: usize = 768;
 
 /// Which way a message body is being transformed. GHASH always runs over
 /// the ciphertext: the destination when sealing, the source when opening.
@@ -103,19 +115,16 @@ fn table_mul(table: &ShoupTable, x: u128) -> u128 {
     z
 }
 
-/// A GHASH key on one of three engines. The constant-time engines keep
-/// the powers of H: the hardware one hands them to the fused kernel
-/// ([`crate::gcm_ni`], aggregated reduction over eight blocks) and
-/// multiplies stragglers one at a time through PCLMULQDQ
-/// ([`crate::ghash_clmul`]); the portable one batches long inputs on the
-/// masked carryless multiply ([`crate::ghash_ct`]). The table (reference)
-/// engine expands H into a Shoup table and multiplies one block at a
-/// time. All key material is volatilely zeroized on drop.
+/// A GHASH key on one of three engines. The constant-time engines
+/// multiply through PCLMULQDQ ([`crate::ghash_clmul`]) or the masked
+/// portable multiply ([`crate::ghash_ct`]); their batched paths — the fused
+/// kernels, the portable 8-block GHASH — take the powers of H from an
+/// [`HPowers`] built for the body at hand. The table (reference) engine
+/// expands H into a Shoup table and multiplies one block at a time. All
+/// key material is volatilely zeroized on drop.
 #[derive(Clone)]
 struct GhashKey {
     h: u128,
-    /// `hpow[k]` is H^(k+1); index 7 is H^8 (the 8-block batch).
-    hpow: [u128; 8],
     /// Shoup table for H — `Some` only on the table engine.
     table: Option<Box<ShoupTable>>,
     /// Multiplications run through PCLMULQDQ (set only when the paired
@@ -146,11 +155,7 @@ impl std::fmt::Debug for GhashKey {
 impl GhashKey {
     fn new(h: u128, backend: CryptoBackend) -> GhashKey {
         let table = (backend == CryptoBackend::Table).then(|| build_table(h));
-        let mut key = GhashKey { h, hpow: [h; 8], table, hw: backend == CryptoBackend::HwAccel };
-        for k in 1..8 {
-            key.hpow[k] = key.mul(key.hpow[k - 1]);
-        }
-        key
+        GhashKey { h, table, hw: backend == CryptoBackend::HwAccel }
     }
 
     /// Field multiplication of `x` by H.
@@ -162,11 +167,10 @@ impl GhashKey {
         }
     }
 
-    /// Volatile best-effort clear of H, its powers, and the Shoup table
-    /// (also invoked by `Drop`).
+    /// Volatile best-effort clear of H and the Shoup table (also invoked
+    /// by `Drop`).
     fn wipe(&mut self) {
         crate::ct::zeroize_u128(std::slice::from_mut(&mut self.h));
-        crate::ct::zeroize_u128(&mut self.hpow);
         if let Some(t) = &mut self.table {
             crate::ct::zeroize_u128(t.as_flattened_mut());
         }
@@ -174,6 +178,51 @@ impl GhashKey {
 }
 
 impl Drop for GhashKey {
+    fn drop(&mut self) {
+        self.wipe();
+    }
+}
+
+/// The powers of H one body's batched multiplies use: `pow[k]` is H^(k+1)
+/// for `k < n`, zero above. Built when a body turns out to have a whole
+/// group for a kernel to take — a metadata body under 128 bytes never builds
+/// one — and volatilely zeroized when that body is done: the powers are key
+/// material exactly as H is.
+struct HPowers {
+    pow: [u128; 16],
+}
+
+impl HPowers {
+    /// H¹..Hⁿ by `n − 1` constant-time multiplications: eight for the
+    /// 8-block paths, sixteen for the wide kernel. Each round multiplies the
+    /// powers it has by the highest of them, doubling their number, so the
+    /// longest chain of dependent multiplies is four deep, not fifteen.
+    fn build(key: &GhashKey, n: usize) -> HPowers {
+        debug_assert!(key.table.is_none(), "the table engine never batches");
+        let mut pow = [0u128; 16];
+        pow[0] = key.h;
+        let mut have = 1;
+        while have < n {
+            for k in 0..have.min(n - have) {
+                pow[have + k] = ct_mul(key.hw, pow[have - 1], pow[k]);
+            }
+            have *= 2;
+        }
+        HPowers { pow }
+    }
+
+    /// H¹..H⁸, what the 8-block paths index.
+    fn first8(&self) -> &[u128; 8] {
+        self.pow.first_chunk().expect("sixteen powers hold eight")
+    }
+
+    /// Volatile best-effort clear (also invoked by `Drop`).
+    fn wipe(&mut self) {
+        crate::ct::zeroize_u128(&mut self.pow);
+    }
+}
+
+impl Drop for HPowers {
     fn drop(&mut self) {
         self.wipe();
     }
@@ -204,7 +253,7 @@ impl<'k> Ghash<'k> {
     /// Horner recurrence `Y' = (Y ^ X1)·H^8 ^ X2·H^7 ^ … ^ X8·H` turns
     /// eight *dependent* multiplications into eight independent ones. The
     /// table engine stays scalar at every length, and so does the hardware
-    /// engine *here*: its bulk is the fused kernel's, and what reaches
+    /// engine *here*: its bulk is the fused kernels', and what reaches
     /// this function is AAD and a < 128-byte tail.
     fn update_padded(&mut self, data: &[u8]) {
         let mut rest = data;
@@ -227,8 +276,11 @@ impl<'k> Ghash<'k> {
 
     /// The 8-blocks-per-pass body of [`Ghash::update_padded`] on the
     /// masked portable multiply; returns the unprocessed remainder
-    /// (< 128 bytes).
+    /// (< 128 bytes). H¹..H⁸ are built here, for this update (7 multiplies
+    /// against ≥ 512), as `gcm_siv`'s batched POLYVAL does.
     fn update_batched<'a>(&mut self, data: &'a [u8]) -> &'a [u8] {
+        let powers = HPowers::build(self.key, 8);
+        let hpow = powers.first8();
         let mut batches = data.chunks_exact(128);
         for batch in &mut batches {
             let mut z = 0u128;
@@ -238,7 +290,7 @@ impl<'k> Ghash<'k> {
                 if j == 0 {
                     x ^= self.acc;
                 }
-                z ^= ghash_mul_ct(x, self.key.hpow[7 - j]);
+                z ^= ghash_mul_ct(x, hpow[7 - j]);
             }
             self.acc = z;
         }
@@ -386,10 +438,10 @@ impl AesGcm {
     /// the CTR keystream and returns the tag over `aad` and the ciphertext.
     ///
     /// On the hardware lane every whole 128-byte group goes through the
-    /// fused kernel — one pass, keystream and GHASH together, `src` read
-    /// once and `dst` written once. What is left (the < 128-byte tail
-    /// there, the whole body on the portable lanes) is copied into `dst`,
-    /// keystreamed in place and hashed by the scalar code.
+    /// fused kernels ([`AesGcm::crypt_fused`]) — one pass, keystream and
+    /// GHASH together, `src` read once and `dst` written once. What is left
+    /// (the < 128-byte tail there, the whole body on the portable lanes) is
+    /// copied into `dst`, keystreamed in place and hashed by the scalar code.
     fn crypt(
         &self,
         nonce: &[u8; NONCE_LEN],
@@ -405,19 +457,7 @@ impl AesGcm {
         let mut ctr = j0;
         #[cfg(target_arch = "x86_64")]
         let fused = match self.aes.hw() {
-            Some(ni) => {
-                let fused = src.len() - src.len() % crate::gcm_ni::GROUP;
-                ghash.acc = crate::gcm_ni::crypt_groups(
-                    ni,
-                    &self.h.hpow,
-                    &mut ctr,
-                    ghash.acc,
-                    &src[..fused],
-                    &mut dst[..fused],
-                    direction,
-                );
-                fused
-            }
+            Some(ni) => self.crypt_fused(ni, &mut ctr, &mut ghash.acc, src, dst, direction),
             None => 0,
         };
         #[cfg(not(target_arch = "x86_64"))]
@@ -430,6 +470,43 @@ impl AesGcm {
             Direction::Open => rest_src,
         });
         self.finish_tag(ghash, &j0, aad.len(), src.len())
+    }
+
+    /// The hardware lane's share of a body: where [`crate::cpu::wide_lane`]
+    /// allows it and the body reaches [`WIDE_MIN`], every whole 256-byte
+    /// group through the wide kernel; then the whole 128-byte group that may
+    /// be left — or all of them — through the 128-bit kernel. Advances `ctr`
+    /// and `acc` past what it took and returns how many bytes that was. The
+    /// powers of H are built here: none for a body under 128 bytes, sixteen
+    /// when the wide kernel runs, eight otherwise.
+    #[cfg(target_arch = "x86_64")]
+    fn crypt_fused(
+        &self,
+        ni: &crate::aes_ni::AesNi,
+        ctr: &mut [u8; 16],
+        acc: &mut u128,
+        src: &[u8],
+        dst: &mut [u8],
+        direction: Direction,
+    ) -> usize {
+        use crate::{gcm_ni, gcm_vaes};
+        let fused = src.len() - src.len() % gcm_ni::GROUP;
+        if fused == 0 {
+            return 0;
+        }
+        let wide_proof = crate::cpu::wide_lane().filter(|_| src.len() >= WIDE_MIN);
+        let powers = HPowers::build(&self.h, if wide_proof.is_some() { 16 } else { 8 });
+        let mut wide = 0;
+        if let Some(proof) = wide_proof {
+            wide = src.len() - src.len() % gcm_vaes::GROUP;
+            let (s, d) = (&src[..wide], &mut dst[..wide]);
+            *acc = gcm_vaes::crypt_groups(proof, ni, &powers.pow, ctr, *acc, s, d, direction);
+        }
+        if wide < fused {
+            let (s, d) = (&src[wide..fused], &mut dst[wide..fused]);
+            *acc = gcm_ni::crypt_groups(ni, powers.first8(), ctr, *acc, s, d, direction);
+        }
+        fused
     }
 
     /// Encrypts `plaintext`, authenticating `aad`, returning the ciphertext
@@ -446,7 +523,7 @@ impl AesGcm {
     }
 
     /// Reference implementation of [`AesGcm::seal_detached`] that bypasses
-    /// the fused kernel, the 8-block CTR batch and the batched GHASH: one
+    /// the fused kernels, the 8-block CTR batch and the batched GHASH: one
     /// block at a time, straight from SP 800-38D. Kept for differential
     /// tests and the scalar-vs-fused benchmark; not part of the public API
     /// surface.
@@ -815,11 +892,35 @@ mod tests {
     fn ghash_key_wipe_clears_tables_and_powers() {
         for backend in backends() {
             let mut key = GhashKey::new(0x1234_5678_9abc_def0_u128, backend);
+            if backend != CryptoBackend::Table {
+                let mut powers = HPowers::build(&key, 16);
+                assert!(powers.pow.iter().all(|&p| p != 0));
+                powers.wipe();
+                assert_eq!(powers.pow, [0u128; 16]);
+            }
             key.wipe();
             assert_eq!(key.h, 0);
-            assert_eq!(key.hpow, [0u128; 8]);
             if let Some(t) = &key.table {
                 assert!(t.iter().all(|row| row.iter().all(|&v| v == 0)));
+            }
+        }
+    }
+
+    /// The doubling construction yields H¹..Hⁿ in order and nothing above
+    /// n, on both constant-time engines.
+    #[test]
+    fn h_powers_are_consecutive_and_only_as_many_as_asked() {
+        let h = 0x66e9_4bd4_ef8a_2c3b_884c_fa59_ca34_2b2e_u128;
+        for backend in backends().into_iter().filter(|&b| b != CryptoBackend::Table) {
+            let key = GhashKey::new(h, backend);
+            for n in [1usize, 8, 16] {
+                let powers = HPowers::build(&key, n);
+                let mut expect = h;
+                for (k, &p) in powers.pow.iter().enumerate() {
+                    let want = if k < n { expect } else { 0 };
+                    assert_eq!(p, want, "H^{} of {n} ({backend:?})", k + 1);
+                    expect = ghash_mul_ct(expect, h);
+                }
             }
         }
     }

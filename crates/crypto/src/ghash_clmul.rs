@@ -26,7 +26,7 @@
 //!   [`crate::ghash_ct::ghash_mul_ct`]'s verified reduction.
 //! - **Aggregated reduction** (Gueron's technique): for a batch of
 //!   independent products `Σ Xᵢ·Hⁱ` — the shape of the 8-block Horner
-//!   step over the H¹..H⁸ power table in [`crate::gcm`] — the unreduced
+//!   step over the powers H¹..H⁸ [`crate::gcm`] builds per body — the unreduced
 //!   256-bit products are XOR-summed first and the pentanomial reduction
 //!   runs once per batch instead of once per block.
 //!
@@ -34,8 +34,8 @@
 //! [`crate::cpu`] dispatch layer) only select this lane when CPUID
 //! reported PCLMULQDQ; the `#[target_feature]` internals never run
 //! without it. [`reduce`], [`to_vec`] and [`to_u128`] are plain safe
-//! helpers (baseline SSE2 at most) that the fused GCM kernel
-//! ([`crate::gcm_ni`]) shares.
+//! helpers (baseline SSE2 at most) that the fused GCM kernels
+//! ([`crate::gcm_ni`], [`crate::gcm_vaes`]) share.
 
 use core::arch::x86_64::{
     __m128i, _mm_clmulepi64_si128, _mm_slli_si128, _mm_srli_si128, _mm_xor_si128,

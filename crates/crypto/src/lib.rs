@@ -33,7 +33,10 @@
 //! what the CPU reports. On x86_64 CPUs advertising AES-NI and PCLMULQDQ
 //! (and SSSE3/SSE4.1, which the fused GCM kernel `gcm_ni` also uses)
 //! that is the hardware engine ([`aes_ni`], [`ghash_clmul`]) — dedicated
-//! silicon, and the fastest; everywhere else (or when
+//! silicon, and the fastest; where CPUID also shows AVX-512 with VAES and
+//! VPCLMULQDQ and `XCR0` shows the OS saving ZMM state, its long GCM bodies
+//! run on a second, sixteen-blocks-per-step kernel (`gcm_vaes`,
+//! [`cpu::describe`] says which is in use); everywhere else (or when
 //! [`cpu::FORCE_PORTABLE_ENV`] is set, which lets x86 hosts exercise the
 //! fallback) it is the bitsliced AES ([`aes_ct`]) with the masked
 //! carryless multiply ([`ghash_ct`]). SHA-256 makes the same kind of
@@ -80,6 +83,8 @@ pub mod gcm;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod gcm_ni;
 pub mod gcm_siv;
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod gcm_vaes;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod ghash_clmul;
 pub(crate) mod ghash_ct;
@@ -171,6 +176,33 @@ pub(crate) mod test_util {
             body(lane);
             PINNED_SHA_LANE.set(None);
         }
+    }
+
+    /// CTR + GHASH straight from SP 800-38D, one block at a time: keystream
+    /// from `encrypt_block` on [`crate::gcm::inc32`] counters, GHASH as the
+    /// plain Horner recurrence on the portable multiply. The reference both
+    /// fused kernels' unit tests compare with; `ctr` is advanced in place
+    /// and `(ciphertext, accumulator)` returned.
+    #[cfg(target_arch = "x86_64")]
+    pub fn ctr_ghash_block_at_a_time(
+        aes: &crate::aes_ni::AesNi,
+        h: u128,
+        ctr: &mut [u8; 16],
+        mut acc: u128,
+        plain: &[u8],
+    ) -> (Vec<u8>, u128) {
+        let mut ct = plain.to_vec();
+        for block in ct.chunks_exact_mut(16) {
+            crate::gcm::inc32(ctr);
+            let mut ks = *ctr;
+            aes.encrypt_block(&mut ks);
+            for (b, k) in block.iter_mut().zip(ks) {
+                *b ^= k;
+            }
+            let x = u128::from_be_bytes((&*block).try_into().unwrap());
+            acc = crate::ghash_ct::ghash_mul_ct(acc ^ x, h);
+        }
+        (ct, acc)
     }
 
     /// Encodes bytes as lowercase hex.

@@ -32,8 +32,15 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
 /// differentially verify that the engines agree.
 #[test]
 fn constant_time_modules_are_table_free() {
-    const MODULES: [&str; 6] =
-        ["aes_ct.rs", "ghash_ct.rs", "aes_ni.rs", "ghash_clmul.rs", "gcm_ni.rs", "sha_ni.rs"];
+    const MODULES: [&str; 7] = [
+        "aes_ct.rs",
+        "ghash_ct.rs",
+        "aes_ni.rs",
+        "ghash_clmul.rs",
+        "gcm_ni.rs",
+        "gcm_vaes.rs",
+        "sha_ni.rs",
+    ];
     const TABLE_NAMES: [&str; 4] = ["SBOX[", "INV_SBOX[", "ShoupTable", "table_mul"];
     for module in MODULES {
         let path = crates_dir().join("crypto/src").join(module);
@@ -81,14 +88,16 @@ fn no_crate_pins_an_engine() {
 /// One hardware lane: the intrinsics modules compiled only for x86_64 and
 /// reached only through this lane's CPU dispatch, the pure function in
 /// `cpu.rs` that states which CPUID bits dispatch requires, and the CPUID
-/// constant behind each feature the modules may enable.
+/// constant behind each feature the modules may enable (for the wide GCM
+/// kernel also the two constants of the OS half of its decision, which no
+/// `#[target_feature]` can name).
 struct HwLane {
     modules: &'static [&'static str],
     requires: &'static str,
     detected: &'static [(&'static str, &'static str)],
 }
 
-const HW_LANES: [HwLane; 2] = [
+const HW_LANES: [HwLane; 3] = [
     HwLane {
         modules: &["aes_ni.rs", "ghash_clmul.rs", "gcm_ni.rs"],
         requires: "fn ecx_has_hw_lane(",
@@ -97,6 +106,18 @@ const HW_LANES: [HwLane; 2] = [
             ("pclmulqdq", "CPUID_ECX_PCLMULQDQ"),
             ("ssse3", "CPUID_ECX_SSSE3"),
             ("sse4.1", "CPUID_ECX_SSE41"),
+        ],
+    },
+    HwLane {
+        modules: &["gcm_vaes.rs"],
+        requires: "fn wide_lane_for_flags(",
+        detected: &[
+            ("avx512f", "CPUID_7_EBX_AVX512F"),
+            ("avx512bw", "CPUID_7_EBX_AVX512BW"),
+            ("vaes", "CPUID_7_ECX_VAES"),
+            ("vpclmulqdq", "CPUID_7_ECX_VPCLMULQDQ"),
+            ("(OS: XGETBV readable)", "CPUID_ECX_OSXSAVE"),
+            ("(OS: ZMM state saved)", "XCR0_AVX512_STATE"),
         ],
     },
     HwLane {
@@ -117,11 +138,13 @@ fn hw_module(name: &str) -> String {
         .unwrap_or_else(|e| panic!("hardware crypto module {}: {e}", path.display()))
 }
 
-/// Holding a hardware key (AES lane) or a `ShaNi` answer from
-/// `cpu::sha_lane` (SHA lane) is the proof every `unsafe` call into a
-/// `#[target_feature]` function cites, so each lane's dispatch must require
-/// each feature any of its modules enables — not only the ones the first
-/// kernels used — and must not start requiring the other lane's.
+/// Holding a hardware key (AES lane), a `WideLane` token (the wide GCM
+/// kernel) or a `ShaNi` answer from `cpu::sha_lane` (SHA lane) is the proof
+/// every `unsafe` call into a `#[target_feature]` function cites, so each
+/// lane's dispatch must require each feature any of its modules enables — not
+/// only the ones the first kernels used — and must not start requiring
+/// another lane's. (The wide kernel sits on the AES lane; its predicate says
+/// so by calling `ecx_has_hw_lane`, not by naming that lane's bits.)
 #[test]
 fn dispatch_requires_every_target_feature_the_hardware_modules_enable() {
     let cpu = hw_module("cpu.rs");
@@ -159,16 +182,22 @@ fn dispatch_requires_every_target_feature_the_hardware_modules_enable() {
             }
         }
     }
-    assert!(enabled >= 13, "found only {enabled} enabled features: has the attribute moved?");
+    let wide = cpu.split("fn wide_lane_for_flags(").nth(1).expect("checked above");
+    assert!(
+        wide.split("\n}\n").next().expect("a body").contains("ecx_has_hw_lane("),
+        "the wide kernel no longer requires the AES lane it runs on"
+    );
+    assert!(enabled >= 27, "found only {enabled} enabled features: has the attribute moved?");
 }
 
-/// Every `unsafe` block in the intrinsics modules and in `sha2.rs` (which
-/// holds the one call into the SHA-NI kernel), tests included, sits directly
-/// under a comment block that carries its `SAFETY:` note.
+/// Every `unsafe` block in the intrinsics modules, in `sha2.rs` (which holds
+/// the one call into the SHA-NI kernel) and in `cpu.rs` (the `XGETBV` read),
+/// tests included, sits directly under a comment block that carries its
+/// `SAFETY:` note.
 #[test]
 fn every_unsafe_block_in_the_hardware_modules_says_why_it_is_sound() {
     let mut blocks = 0;
-    for module in HW_LANES.iter().flat_map(|lane| lane.modules).chain(&["sha2.rs"]) {
+    for module in HW_LANES.iter().flat_map(|lane| lane.modules).chain(&["sha2.rs", "cpu.rs"]) {
         let text = hw_module(module);
         let lines: Vec<&str> = text.lines().map(str::trim_start).collect();
         for (idx, line) in lines.iter().enumerate() {
@@ -184,5 +213,5 @@ fn every_unsafe_block_in_the_hardware_modules_says_why_it_is_sound() {
             );
         }
     }
-    assert!(blocks >= 17, "found only {blocks} unsafe blocks: has the code moved?");
+    assert!(blocks >= 29, "found only {blocks} unsafe blocks: has the code moved?");
 }

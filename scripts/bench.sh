@@ -67,10 +67,15 @@ import json, sys
 path, mode = sys.argv[1], sys.argv[2]
 with open(path) as f:
     doc = json.load(f)
-for key in ("bench", "host_parallelism", "file_bytes", "chunk_bytes", "chunks",
-            "gcm_single_thread", "chunk_path",
-            "parallel_output_identical_to_serial"):
+for key in ("bench", "host_parallelism", "gcm_kernel", "file_bytes",
+            "chunk_bytes", "chunks", "gcm_single_thread", "gcm_streamed",
+            "chunk_path", "parallel_output_identical_to_serial"):
     assert key in doc, f"{path}: missing key {key!r}"
+# A throughput is never read without the kernel that produced it.
+assert doc["gcm_kernel"].startswith("aes=") and " sha=" in doc["gcm_kernel"], \
+    f"{path}: gcm_kernel must be cpu::describe()'s line, got {doc['gcm_kernel']!r}"
+for key in ("chunks", "bytes", "seal_mibps", "open_mibps"):
+    assert key in doc["gcm_streamed"], f"{path}: missing gcm_streamed.{key}"
 for key in ("threads", "seal_s", "seal_mibps", "open_s", "open_mibps",
             "measured_seal_speedup"):
     assert key in doc["chunk_path"], f"{path}: missing chunk_path.{key}"
@@ -85,7 +90,7 @@ if mode == "full":
     assert gcm > 1.0, f"the bulk GCM path must beat scalar, got x{gcm:.2f}"
 threads = doc["chunk_path"]["threads"]
 measured = doc["chunk_path"]["measured_seal_speedup"]
-print(f"ok: {path} valid; gcm x{gcm:.2f}; measured seal speedup "
+print(f"ok: {path} valid ({doc['gcm_kernel']}); gcm x{gcm:.2f}; measured seal speedup "
       + ", ".join(f"{t}t x{s:.2f}" for t, s in zip(threads, measured))
       + f" on {doc['host_parallelism']} core(s)")
 EOF
@@ -100,8 +105,8 @@ import json, sys
 path, mode = sys.argv[1], sys.argv[2]
 with open(path) as f:
     doc = json.load(f)
-for key in ("bench", "smoke", "payload_bytes", "fast", "constant_time",
-            "hw_accel", "slowdown", "leak_model",
+for key in ("bench", "smoke", "payload_bytes", "gcm_kernel", "fast",
+            "constant_time", "hw_accel", "slowdown", "leak_model",
             "leak_wallclock_informational"):
     assert key in doc, f"{path}: missing key {key!r}"
 for lane in ("fast", "constant_time"):

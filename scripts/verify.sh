@@ -109,11 +109,16 @@ echo "== timing-leak harness + crypto source audit =="
 # keeps the constant-time modules table-free, `with_backend` out of
 # every crate but nexus-crypto and nexus-bench, every `#[target_feature]`
 # the intrinsics modules enable among the CPUID bits their own lane's
-# dispatch requires (AES lane and SHA lane: a mask each), and a SAFETY
-# note over each of their `unsafe` blocks.
+# dispatch requires (AES lane, wide GCM kernel and SHA lane: a mask each;
+# the audit fails on a missing module, gcm_vaes.rs included), and a SAFETY
+# note over each of their `unsafe` blocks. The kernel differential drives
+# seal_into/open_into at every length 0..=1024 and around every multiple of
+# 256 up to 8 KiB, across source and destination misalignments, against
+# the table engine's one-block-at-a-time reference.
 cargo test -q -p nexus-crypto --offline --test timing_leak > /dev/null
 cargo test -q -p nexus-crypto --offline --test source_audit > /dev/null
-echo "ok: table engine flagged, constant-time engines pass, nobody pins an engine"
+cargo test -q -p nexus-crypto --offline --test kernel_differential > /dev/null
+echo "ok: table engine flagged, constant-time engines pass, nobody pins an engine, kernels match the scalar reference"
 
 echo "== portable crypto engine, end to end =="
 # The bitsliced engine is the only one off x86_64; force it here so x86
@@ -129,7 +134,12 @@ echo "== portable crypto engine, end to end =="
 # sha2/hmac/hkdf vectors, on hosts where the default run used SHA-NI.
 NEXUS_CRYPTO_FORCE_PORTABLE=1 cargo test -q --offline -p nexus-core --test end_to_end --test golden_inventory -p nexus-crypto --test properties > /dev/null
 NEXUS_CRYPTO_FORCE_PORTABLE=1 cargo test -q --offline -p nexus-crypto --lib > /dev/null
-echo "ok: volume lifecycle, golden stored bytes, metadata and crypto properties, crypto unit vectors pass on the forced-portable engines"
+# The override also switches the wide GCM kernel off, so the differential
+# rerun covers the bitsliced engine and, with the hardware engine pinned
+# beside it, the 128-bit kernel alone over every whole group; the audit
+# reads source and must not care which lane the process is on.
+NEXUS_CRYPTO_FORCE_PORTABLE=1 cargo test -q --offline -p nexus-crypto --test kernel_differential --test source_audit > /dev/null
+echo "ok: volume lifecycle, golden stored bytes, metadata and crypto properties, crypto unit vectors, kernel differential pass on the forced-portable engines"
 
 echo "== executor smoke =="
 # By target name, like the suites above: 2000 simulated clients multiplex
