@@ -1,42 +1,228 @@
 //! # nexus-bench
 //!
-//! The benchmark harness regenerating every table and figure of the NEXUS
-//! evaluation (paper §VII). One binary per experiment (19):
+//! One binary, `nexus-bench <cmd> [--smoke]`, regenerating every table and
+//! figure of the NEXUS evaluation (paper §VII) and the five `BENCH_*.json`
+//! documents. [`COMMANDS`] declares the nineteen commands beside `paper`;
+//! run the binary with no argument for the list (a test holds the usage
+//! text and README's list to that table).
 //!
-//! | Binary | Paper artifact |
-//! |---|---|
-//! | `table_5a` | Table 5a — file I/O latency |
-//! | `table_5b` | Table 5b — directory-operation latency |
-//! | `fig_5c` | Fig. 5c — git-clone latency |
-//! | `table_2` | Table II — LevelDB/SQLite benchmarks |
-//! | `fig_6` | Fig. 6 — Linux applications over LFSD/MFMD/SFLD |
-//! | `revocation` | §VII-E — revocation estimates vs a pure-crypto FS |
-//! | `sharing_costs` | §VII-F — sharing cost accounting |
-//! | `concurrency` | §V-A/§VII-F — N clients creating in one shared directory |
-//! | `portability` | §IV — the same volume code over AFS and a cloud object store |
-//! | `ablation_buckets` | §V-B — dirnode bucket-size sweep |
-//! | `ablation_chunks` | §VI-A — chunk-size sweep |
-//! | `ablation_rollback` | §VI-C — freshness-manifest cost |
-//! | `micro_crypto` | substrate micro-benchmarks (AES-GCM, SHA-256, ed25519, x25519) |
-//! | `micro_enclave` | substrate micro-benchmarks (ecall, seal, quote, metadata format) |
-//! | `micro_datapath` | `BENCH_datapath.json` — chunk seal/open, fused GCM vs scalar, thread sweep |
-//! | `micro_ct` | `BENCH_ct.json` — crypto lanes' throughput and the timing-leak classification |
-//! | `micro_logstore` | `BENCH_logstore.json` — log-structured vs per-file durable backend, recovery |
-//! | `micro_scale` | `BENCH_scale.json` — 1k/10k/100k clients, wire and fs level, three worlds |
-//! | `micro_groups` | `BENCH_groups.json` — group revocation cost across 10²–10⁶ members |
+//! The first twelve are the paper-facing ones; `paper` runs them all. Each
+//! returns the rows of a typed [`table::Table`] — simulated-I/O and
+//! measured-enclave cells next to the paper's figure — after asserting the
+//! shape the paper claims (who wins, by roughly what factor; never the
+//! absolute numbers of the authors' 2019 testbed), and one renderer prints
+//! them all. `paper` writes those same tables into the marked blocks of
+//! EXPERIMENTS.md, so no §VII number is typed by hand or checked in twice.
 //!
-//! The five `BENCH_*.json` emitters run (and are validated) through
-//! `scripts/bench.sh`.
-//!
-//! Every binary prints the measured (simulated-I/O + enclave) numbers next
-//! to the values the paper reports; the reproduction targets the *shape*
-//! (who wins, by roughly what factor), not the absolute numbers of the
-//! authors' 2019 testbed. The `micro_*` binaries use the in-repo [`micro`]
-//! timing harness (hermetic build policy: no criterion).
+//! The five `BENCH_*.json` emitters are [`Report`]s: measured, then gated
+//! against their floors, and only then rendered, printed and written —
+//! `BENCH_<x>.json` at the repository root in a full run,
+//! `target/BENCH_<x>.smoke.json` under `--smoke`. `scripts/bench.sh` is a
+//! loop over their names. The `micro_*` commands time with the in-repo
+//! [`measure_micro`] harness (hermetic build policy: no criterion).
 
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use json::Json;
 use nexus_workloads::Sample;
+use table::{Row, Table};
+
+mod ct;
+mod datapath;
+mod groups;
+mod logstore;
+mod micro;
+mod paper;
+mod scale;
+pub mod table;
+
+/// What a command is, which decides what the dispatcher does with it.
+pub enum Run {
+    /// A paper-facing table: its column list (the paper's figure last,
+    /// where the paper gives one) and the function that measures its rows
+    /// and asserts their shape. `--smoke` drops the rows that dominate the
+    /// run time.
+    Paper(&'static [&'static str], fn(bool) -> Vec<Row>),
+    /// A `BENCH_<x>.json` emitter, `<x>` being the command name less its
+    /// `micro_` prefix: the document of a [`Report`] that cleared its gate.
+    Emit(fn(bool) -> Json),
+    /// Prints its own rows; has no smoke size.
+    Micro(fn()),
+}
+
+/// Every command but `paper`: name, the artefact it regenerates, what runs.
+pub const COMMANDS: &[(&str, &str, Run)] = &[
+    ("table_5a", "Table 5a — file I/O latency", paper::TABLE_5A),
+    ("table_5b", "Table 5b — directory-operation latency", paper::TABLE_5B),
+    ("fig_5c", "Fig. 5c — git-clone latency", paper::FIG_5C),
+    ("table_2", "Table II — LevelDB/SQLite benchmarks", paper::TABLE_2),
+    ("fig_6", "Fig. 6 — Linux applications over LFSD/MFMD/SFLD", paper::FIG_6),
+    ("revocation", "§VII-E — revocation estimates vs a pure-crypto FS", paper::REVOCATION),
+    ("sharing_costs", "§VII-F — sharing cost accounting", paper::SHARING_COSTS),
+    (
+        "portability",
+        "§IV — the same volume code over AFS and a cloud object store",
+        paper::PORTABILITY,
+    ),
+    (
+        "concurrency",
+        "§V-A/§VII-F — N clients creating in one shared directory",
+        paper::CONCURRENCY,
+    ),
+    ("ablation_buckets", "§V-B — dirnode bucket-size sweep", paper::ABLATION_BUCKETS),
+    ("ablation_chunks", "§VI-A — chunk-size sweep", paper::ABLATION_CHUNKS),
+    ("ablation_rollback", "§VI-C — freshness-manifest cost", paper::ABLATION_ROLLBACK),
+    (
+        "micro_crypto",
+        "substrate micro-benchmarks (AES-GCM, SHA-256, ed25519, x25519)",
+        Run::Micro(micro::crypto),
+    ),
+    (
+        "micro_enclave",
+        "substrate micro-benchmarks (ecall, seal, quote, metadata format)",
+        Run::Micro(micro::enclave),
+    ),
+    (
+        "micro_datapath",
+        "`BENCH_datapath.json` — chunk seal/open, fused GCM vs scalar, thread sweep",
+        Run::Emit(emit::<datapath::Datapath>),
+    ),
+    (
+        "micro_ct",
+        "`BENCH_ct.json` — crypto lanes' throughput and the timing-leak classification",
+        Run::Emit(emit::<ct::Ct>),
+    ),
+    (
+        "micro_logstore",
+        "`BENCH_logstore.json` — log-structured vs per-file durable backend, recovery",
+        Run::Emit(emit::<logstore::Logstore>),
+    ),
+    (
+        "micro_scale",
+        "`BENCH_scale.json` — 1k/10k/100k clients, wire and fs level, three worlds",
+        Run::Emit(emit::<scale::Scale>),
+    ),
+    (
+        "micro_groups",
+        "`BENCH_groups.json` — group revocation cost across 10²–10⁶ members",
+        Run::Emit(emit::<groups::Groups>),
+    ),
+];
+
+/// What `paper` is, for the usage text.
+pub const PAPER: &str =
+    "the twelve paper-facing commands in one run, EXPERIMENTS.md's tables rewritten from them";
+
+/// A `BENCH_<x>.json` emitter: a typed report of one run, the floors it
+/// must clear, and the document it becomes. The document is built from the
+/// report, so a key the gate reads cannot be missing from it.
+pub(crate) trait Report: Sized {
+    /// Runs the benchmark.
+    fn measure(smoke: bool) -> Self;
+    /// Panics at the first floor the report misses. Correctness floors hold
+    /// at both sizes; performance floors in full runs only (smoke sizes on
+    /// a loaded CI host are too noisy for them).
+    fn gate(&self);
+    /// The machine-readable document.
+    fn json(&self) -> Json;
+}
+
+fn emit<R: Report>(smoke: bool) -> Json {
+    let report = R::measure(smoke);
+    report.gate();
+    report.json()
+}
+
+/// The repository root: where `BENCH_*.json` and EXPERIMENTS.md live.
+pub fn repo_root() -> PathBuf {
+    let bench = Path::new(env!("CARGO_MANIFEST_DIR"));
+    bench.ancestors().nth(2).expect("crates/bench sits two levels under the root").to_path_buf()
+}
+
+/// The usage text: every command and the artefact it regenerates.
+pub fn usage() -> String {
+    let mut text = String::from("usage: nexus-bench <command> [--smoke]\n\ncommands:\n");
+    for (name, artefact) in COMMANDS.iter().map(|c| (c.0, c.1)).chain([("paper", PAPER)]) {
+        text.push_str(&format!("  {name:<18} {artefact}\n"));
+    }
+    text.push_str(
+        "\n--smoke runs reduced sizes: the JSON emitters write target/BENCH_<x>.smoke.json\n\
+         instead of ./BENCH_<x>.json, table_5b drops its 8192-file row, fig_5c its nodejs\n\
+         tree, and `paper` leaves EXPERIMENTS.md as it is.\n",
+    );
+    text
+}
+
+/// Runs `nexus-bench` on its arguments (the program name already dropped).
+/// Anything but `<command>` or `<command> --smoke` gets the usage text and
+/// a failing exit code; a failed gate panics.
+pub fn run(args: &[String]) -> ExitCode {
+    let (command, smoke) = match args {
+        [command] => (command.as_str(), false),
+        [command, flag] if flag == "--smoke" => (command.as_str(), true),
+        _ => ("", false),
+    };
+    if command == "paper" {
+        paper::record(smoke);
+        return ExitCode::SUCCESS;
+    }
+    let Some((name, artefact, run)) = COMMANDS.iter().find(|c| c.0 == command) else {
+        eprint!("{}", usage());
+        return ExitCode::from(2);
+    };
+    match run {
+        Run::Paper(columns, rows) => drop(print_table(name, artefact, columns, *rows, smoke)),
+        Run::Micro(print_rows) => {
+            header(name, artefact);
+            print_rows();
+        }
+        Run::Emit(document) => {
+            header(name, artefact);
+            let stem = name.strip_prefix("micro_").expect("emitters are the micro_<x> commands");
+            let path = repo_root().join(if smoke {
+                format!("target/BENCH_{stem}.smoke.json")
+            } else {
+                format!("BENCH_{stem}.json")
+            });
+            let text = document(smoke).render();
+            print!("{text}");
+            std::fs::create_dir_all(path.parent().expect("a file under the root"))
+                .and_then(|()| std::fs::write(&path, text))
+                .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+            println!("wrote {}", path.display());
+        }
+    }
+    ExitCode::SUCCESS
+}
+
+/// Prints a command's header: a throughput or an enclave time is never
+/// read without the kernels that produced it.
+fn header(name: &str, artefact: &str) {
+    rule(78);
+    println!("{name} — {artefact}");
+    println!("crypto lanes: {}", nexus_crypto::cpu::describe());
+    rule(78);
+}
+
+/// Runs a paper-facing command, prints its table and returns it rendered.
+pub(crate) fn print_table(
+    name: &str,
+    artefact: &str,
+    columns: &'static [&'static str],
+    rows: fn(bool) -> Vec<Row>,
+    smoke: bool,
+) -> String {
+    header(name, artefact);
+    println!(
+        "latency = simulated network I/O (virtual clock, LAN-calibrated) + measured\n\
+         enclave compute; see EXPERIMENTS.md"
+    );
+    let table = Table { columns, rows: rows(smoke) }.render();
+    print!("{table}");
+    table
+}
 
 /// Formats a duration in seconds with sensible precision.
 pub fn secs(d: Duration) -> String {
@@ -50,47 +236,14 @@ pub fn secs(d: Duration) -> String {
     }
 }
 
-/// Formats a sample's headline total.
-pub fn total(sample: &Sample) -> String {
-    secs(sample.total())
+/// Payload throughput in MiB/s.
+fn mibps(bytes: usize, d: Duration) -> f64 {
+    bytes as f64 / d.as_secs_f64().max(1e-12) / (1024.0 * 1024.0)
 }
 
-/// Overhead ratio `nexus / baseline` rendered as the paper's `×N.NN`.
-pub fn overhead(nexus: &Sample, baseline: &Sample) -> String {
-    let ratio = nexus.total().as_secs_f64() / baseline.total().as_secs_f64().max(1e-12);
-    format!("\u{d7}{ratio:.2}")
-}
-
-/// Parses `--flag value` style arguments with a default.
-pub fn arg_f64(name: &str, default: f64) -> f64 {
-    arg_value(name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Parses an integer argument with a default.
-pub fn arg_usize(name: &str, default: usize) -> usize {
-    arg_value(name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// True when `--flag` is present.
-pub fn arg_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
-/// The raw value following `--flag`, if present.
-pub fn arg_string(name: &str) -> Option<String> {
-    arg_value(name)
-}
-
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// Overhead ratio `nexus / baseline` on the headline totals.
+pub fn overhead(nexus: &Sample, baseline: &Sample) -> f64 {
+    nexus.total().as_secs_f64() / baseline.total().as_secs_f64().max(1e-12)
 }
 
 /// Minimal JSON document builder for machine-readable bench output
@@ -103,7 +256,8 @@ pub mod json {
     pub enum Json {
         /// A string (escaped on render).
         Str(String),
-        /// A finite number, rendered with up to 6 significant decimals.
+        /// A finite number, rendered with up to 6 decimals; rendering a
+        /// non-finite one panics.
         Num(f64),
         /// An integer, rendered exactly.
         Int(i64),
@@ -173,9 +327,10 @@ pub mod json {
                     out.push('"');
                 }
                 Json::Num(n) => {
-                    if !n.is_finite() {
-                        out.push_str("null");
-                    } else if n.fract() == 0.0 && n.abs() < 1e15 {
+                    // A NaN or infinite measurement is a broken emitter,
+                    // not a value to publish as `null`.
+                    assert!(n.is_finite(), "non-finite number in a bench document: {n}");
+                    if n.fract() == 0.0 && n.abs() < 1e15 {
                         out.push_str(&format!("{}", *n as i64));
                     } else {
                         let s = format!("{n:.6}");
@@ -261,8 +416,7 @@ pub fn micro<R>(name: &str, bytes: Option<u64>, f: impl FnMut() -> R) {
     let per_iter = measure_micro(f);
     match bytes {
         Some(n) => {
-            let mibps = n as f64 / per_iter.as_secs_f64().max(1e-12) / (1024.0 * 1024.0);
-            println!("{name:<32} {:>12}   {mibps:>10.1} MiB/s", nanos(per_iter));
+            println!("{name:<32} {:>12}   {:>10.1} MiB/s", nanos(per_iter), mibps(n as usize, per_iter));
         }
         None => println!("{name:<32} {:>12}", nanos(per_iter)),
     }
@@ -283,18 +437,6 @@ pub fn nanos(d: Duration) -> String {
 /// Prints a horizontal rule sized to `width`.
 pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
-}
-
-/// Prints the standard experiment header.
-pub fn header(title: &str, detail: &str) {
-    rule(78);
-    println!("{title}");
-    println!("{detail}");
-    println!(
-        "methodology: latency = simulated network I/O (virtual clock, LAN-calibrated)\n\
-         + measured enclave compute; see EXPERIMENTS.md"
-    );
-    rule(78);
 }
 
 #[cfg(test)]
@@ -325,7 +467,7 @@ mod tests {
     fn overhead_ratio() {
         let a = Sample { sim_io: Duration::from_secs(2), ..Default::default() };
         let b = Sample { sim_io: Duration::from_secs(1), ..Default::default() };
-        assert_eq!(overhead(&a, &b), "\u{d7}2.00");
+        assert_eq!(table::Cell::Ratio(overhead(&a, &b)).to_string(), "\u{d7}2.00");
     }
 
     #[test]
@@ -362,8 +504,161 @@ mod tests {
         use super::json::Json;
         assert_eq!(Json::Num(2.0).render(), "2\n");
         assert_eq!(Json::Num(0.5).render(), "0.5\n");
-        assert_eq!(Json::Num(f64::NAN).render(), "null\n");
         assert_eq!(Json::Arr(vec![]).render(), "[]\n");
         assert_eq!(Json::obj().render(), "{}\n");
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite number")]
+    fn json_refuses_a_non_finite_number() {
+        json::Json::obj().field("mibps", json::Json::Num(1.0 / 0.0)).render();
+    }
+
+    fn read(path: &str) -> String {
+        std::fs::read_to_string(repo_root().join(path)).unwrap_or_else(|e| panic!("{path}: {e}"))
+    }
+
+    /// The usage text and README's list come from or are held to [`COMMANDS`].
+    #[test]
+    fn docs_list_exactly_the_commands() {
+        let listed: Vec<(&str, &str)> =
+            COMMANDS.iter().map(|c| (c.0, c.1)).chain([("paper", PAPER)]).collect();
+        assert_eq!(listed.len(), 20);
+        let (readme, usage) = (read("README.md"), usage());
+        for (name, artefact) in &listed {
+            assert!(readme.contains(&format!("nexus-bench -- {name} ")), "README: {name}");
+            assert!(usage.contains(&format!("  {name:<18} {artefact}\n")), "usage: {name}");
+        }
+        let run_lines = readme.lines().filter(|l| l.starts_with("cargo run --release -p nexus-bench -- "));
+        assert_eq!(run_lines.count(), listed.len(), "README runs a command that does not exist");
+    }
+
+    #[test]
+    fn anything_but_a_command_and_smoke_gets_the_usage() {
+        let run = |args: &[&str]| run(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>());
+        let usage_error = std::process::ExitCode::from(2);
+        for args in [
+            &[][..],
+            &["table_9"],
+            &["--smoke"],
+            &["table_5b", "--mx", "10"],
+            &["table_5b", "--smoke=1"],
+            &["table_5b", "--smoke", "--smoke"],
+        ] {
+            assert_eq!(format!("{:?}", run(args)), format!("{usage_error:?}"), "{args:?}");
+        }
+    }
+
+    /// EXPERIMENTS.md's generated blocks and the paper-facing commands are
+    /// one to one, each block under its command's column list.
+    #[test]
+    fn experiments_blocks_match_the_paper_commands() {
+        let document = read("EXPERIMENTS.md");
+        let paper: Vec<(&str, &[&str])> = COMMANDS
+            .iter()
+            .filter_map(|(name, _, run)| match run {
+                Run::Paper(columns, _) => Some((*name, *columns)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(paper.len(), 12);
+        // Panics on a block that names no command and a command with no block.
+        let empty: Vec<(&str, String)> = paper.iter().map(|(n, _)| (*n, String::new())).collect();
+        table::splice(&document, &empty);
+        let mut lines = document.lines();
+        while let Some(line) = lines.next() {
+            let Some(name) = table::block_name(line) else { continue };
+            let columns = paper.iter().find(|(n, _)| *n == name).expect("spliced above").1;
+            let header = table::cells_of(lines.next().expect("a header row"));
+            assert_eq!(header, columns, "EXPERIMENTS.md block `{name}` has another command's columns");
+        }
+    }
+
+    /// What a doctored field amounts to, and the edit that makes it so.
+    type Doctored<R> = (&'static str, fn(&mut R));
+
+    /// Measures a smoke report, which must pass its gate, and holds the
+    /// gate to refusing it once any one field is doctored.
+    fn negative_controls<R: Report + Clone>(emitter: &str, doctored: &[Doctored<R>]) {
+        let good = R::measure(true);
+        good.gate();
+        for (what, doctor) in doctored {
+            let mut bad = good.clone();
+            doctor(&mut bad);
+            let refused =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| bad.gate())).is_err();
+            assert!(refused, "{emitter}: the gate accepted {what}");
+        }
+    }
+
+    #[test]
+    fn doctored_reports_fail_their_gates() {
+        negative_controls::<datapath::Datapath>(
+            "micro_datapath",
+            &[
+                ("parallel_output_identical_to_serial = false", |r| {
+                    r.parallel_output_identical_to_serial = false
+                }),
+                ("a gcm_kernel that is not cpu::describe()'s line", |r| r.gcm_kernel = "fast".into()),
+                ("a full run whose fused kernel loses to scalar", |r| {
+                    r.smoke = false;
+                    r.fused = r.scalar * 2;
+                }),
+            ],
+        );
+        negative_controls::<ct::Ct>(
+            "micro_ct",
+            &[
+                ("table_flagged = false", |r| r.table_flagged = false),
+                ("ct_passes = false", |r| r.ct_passes = false),
+                ("a lane without throughput", |r| r.constant_time.gcm_open_mibps = 0.0),
+                ("a hardware lane that leaks or is slower than the table", |r| match &mut r.hw_accel {
+                    Some(hw) => hw.passes = false,
+                    None => r.fast.keywrap_ops_per_s = 0.0,
+                }),
+            ],
+        );
+        negative_controls::<logstore::Logstore>(
+            "micro_logstore",
+            &[
+                ("recovered_state_identical = false", |r| r.recovered_state_identical = false),
+                ("sweep arrays of different lengths", |r| {
+                    r.replay_ms.pop();
+                }),
+                ("a backend without put throughput", |r| r.dir.put_ops_per_s = 0.0),
+                ("a full run whose checkpointed recovery is slower", |r| {
+                    r.smoke = false;
+                    r.log.put_ops_per_s = r.dir.put_ops_per_s * 2.0;
+                    r.checkpointed_ms = r.replay_ms.iter().map(|ms| ms + 1.0).collect();
+                }),
+            ],
+        );
+        negative_controls::<scale::Scale>(
+            "micro_scale",
+            &[
+                ("fs_worlds_identical = false", |r| r.fs.worlds_identical = false),
+                ("os_threads = 9", |r| r.os_threads = 9),
+                ("a cell with os_threads = 9", |r| r.wire.cells[0].os_threads = 9),
+                ("quantiles out of order", |r| {
+                    let h = &mut r.fs.cells[1].latency;
+                    h.p50_us = h.p99_us + 1.0;
+                }),
+                ("a headline that is not the cells' ratio", |r| r.wire.over_thread_baseline *= 1.5),
+                ("a headline cell that moved under its headline", |r| {
+                    r.fs.cells[1].agg_ops_per_sec *= 0.5
+                }),
+            ],
+        );
+        negative_controls::<groups::Groups>(
+            "micro_groups",
+            &[
+                ("revoke_deletes = 1", |r| r.cells[0].revoke_deletes = 1),
+                ("revoke_bytes_written != supernode_bytes", |r| r.cells[1].revoke_bytes_written += 1),
+                ("epoch_after = 2", |r| r.cells[0].epoch_after = 2),
+                ("key_count_after = 1", |r| r.cells[1].key_count_after = 1),
+                ("a write count that grows with the group", |r| r.cells[1].revoke_writes += 1),
+                ("a full run without the 10^6 cell", |r| r.smoke = false),
+            ],
+        );
     }
 }

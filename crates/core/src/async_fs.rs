@@ -132,12 +132,6 @@ impl AsyncVolume {
         )
     }
 
-    /// Replaces the CPU cost model.
-    pub fn with_crypto_cost(mut self, crypto: CryptoCost) -> AsyncVolume {
-        self.crypto = crypto;
-        self
-    }
-
     /// The wrapped synchronous volume.
     pub fn volume(&self) -> &Arc<NexusVolume> {
         &self.volume
@@ -146,11 +140,6 @@ impl AsyncVolume {
     /// The lane fs costs are charged to.
     pub fn lane(&self) -> &ClockLane {
         &self.lane
-    }
-
-    /// The CPU cost model in force.
-    pub fn crypto_cost(&self) -> CryptoCost {
-        self.crypto
     }
 
     /// This client's lane-local virtual time.

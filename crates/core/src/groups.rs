@@ -24,7 +24,9 @@
 //! holding only a pre-revocation supernode has no key for the new epoch
 //! and can open nothing written after the bump. Every membership-removal
 //! path flows through [`GroupRecord::revoke_members`], which performs the
-//! bump unconditionally (audited by `scripts/verify.sh`).
+//! bump unconditionally; `bump_epoch` is private to this module, and
+//! `tests::{revoke_bumps_epoch_and_keeps_old_keys, grants_do_not_bump_epoch}`
+//! hold both directions.
 
 use nexus_crypto::gcm_siv::AesGcmSiv;
 use nexus_crypto::hmac::hkdf;

@@ -128,7 +128,7 @@ impl<'v> NexusFile<'v> {
     /// Reads up to `len` bytes from the current position.
     pub fn read(&mut self, len: usize) -> Vec<u8> {
         let start = (self.position as usize).min(self.buffer.len());
-        let end = (start + len).min(self.buffer.len());
+        let end = start.saturating_add(len).min(self.buffer.len());
         let out = self.buffer[start..end].to_vec();
         self.position = end as u64;
         out

@@ -213,3 +213,38 @@ fn subdirectories_inherit_the_group_scope() {
     assert_eq!(&backend.get(&sub_uuid.object_name()).unwrap()[..4], b"NXS2");
     assert_eq!(&backend.get(&deep_uuid.object_name()).unwrap()[..4], b"NXS2");
 }
+
+#[test]
+fn revoking_the_group_acl_entry_denies_members_and_keeps_the_scope() {
+    let (_ias, backend, _owner, volume, alice_vol, bob_vol) = group_fixture();
+    volume.set_acl("team", "alice", Rights::READ).unwrap();
+    let team_uuid = volume.lookup("team").unwrap().uuid;
+    // Scoped preamble up to and including group(4) and epoch(8).
+    let scope_of = |uuid: &nexus_core::NexusUuid| {
+        let blob = backend.get(&uuid.object_name()).unwrap();
+        assert_eq!(&blob[..4], b"NXS2");
+        blob[45..45 + 12].to_vec()
+    };
+    let scope_before = scope_of(&team_uuid);
+    assert_eq!(bob_vol.read_file("team/pre.txt").unwrap(), b"written before the bump");
+
+    volume.revoke_group_acl("team", "eng").unwrap();
+
+    // A mounted member whose only way in was the `@eng` entry is denied on
+    // his next request; membership and epoch are untouched.
+    assert!(matches!(bob_vol.read_file("team/pre.txt"), Err(NexusError::AccessDenied(_))));
+    assert_eq!(volume.group_epoch("eng").unwrap(), 0);
+    assert_eq!(volume.group_members("eng").unwrap(), vec!["alice", "bob"]);
+    // The remaining *user* entry still works.
+    assert_eq!(volume.acl_entries("team").unwrap(), vec![("alice".to_string(), Rights::READ)]);
+    assert_eq!(alice_vol.read_file("team/pre.txt").unwrap(), b"written before the bump");
+    // The entry is gone, so a second call has nothing to remove.
+    assert!(matches!(volume.revoke_group_acl("team", "eng"), Err(NexusError::NotFound(_))));
+    assert!(matches!(volume.revoke_group_acl("team", "nope"), Err(NexusError::NotFound(_))));
+    // ACL removal does not rotate or drop the key scope: the directory and
+    // anything written under it afterwards stay on the group's epoch chain.
+    assert_eq!(scope_of(&team_uuid), scope_before);
+    volume.write_file("team/after.txt", b"still scoped").unwrap();
+    assert_eq!(scope_of(&volume.lookup("team/after.txt").unwrap().uuid), scope_before);
+    assert_eq!(alice_vol.read_file("team/after.txt").unwrap(), b"still scoped");
+}

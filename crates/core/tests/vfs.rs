@@ -147,6 +147,11 @@ fn reads_clamp_at_eof() {
     let mut f = NexusFile::open(&v, "small", OpenMode::Read).unwrap();
     assert_eq!(f.read(100), b"abc");
     assert_eq!(f.read(100), b"");
+    // The read-the-rest idiom after an earlier read: `start + len` must
+    // not overflow.
+    f.seek(0);
+    assert_eq!(f.read(1), b"a");
+    assert_eq!(f.read(usize::MAX), b"bc");
     f.seek(1000);
     assert_eq!(f.position(), 3, "seek clamps to file size");
 }

@@ -1,6 +1,6 @@
-//! End-to-end executor smoke test, invoked by target name from
-//! `scripts/verify.sh`: deleting this suite fails the gate loudly instead
-//! of silently shrinking coverage.
+//! End-to-end executor smoke test, one of the gate suites
+//! `tests/repo_audit.rs` requires to exist: deleting this suite fails the
+//! gate loudly instead of silently shrinking coverage.
 //!
 //! One compact scenario exercises the whole stack: many simulated clients
 //! multiplexed over a bounded thread count, timer-wheel wakeups in virtual

@@ -103,11 +103,6 @@ impl std::fmt::Debug for EnclaveEnv<'_> {
 }
 
 impl EnclaveEnv<'_> {
-    /// The running enclave's own measurement.
-    pub fn self_measurement(&self) -> Measurement {
-        self.measurement
-    }
-
     /// Fills `dest` from the platform RNG (`RDRAND`).
     pub fn random_bytes(&self, dest: &mut [u8]) {
         self.platform.random_bytes(dest);

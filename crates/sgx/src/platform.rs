@@ -14,7 +14,6 @@ use nexus_crypto::rng::{OsRandom, SecureRandom, SeededRandom};
 use nexus_sync::Mutex;
 
 use crate::counter::MonotonicCounters;
-use crate::epc::EpcConfig;
 
 /// Identifier of a simulated CPU package.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -37,7 +36,6 @@ pub(crate) struct PlatformInner {
     /// Key the quoting enclave signs with (provisioned by "Intel").
     pub(crate) attestation_key: SigningKey,
     pub(crate) rng: Mutex<Box<dyn SecureRandom>>,
-    pub(crate) epc: EpcConfig,
     /// Hardware monotonic counters (platform services).
     pub(crate) counters: MonotonicCounters,
 }
@@ -116,7 +114,6 @@ impl Platform {
                 hardware_key,
                 attestation_key: SigningKey::from_seed(&att_seed),
                 rng: Mutex::new(Box::new(SeededRandom::new(rng_seed))),
-                epc: EpcConfig::default(),
                 counters: MonotonicCounters::new(),
             }),
         }
@@ -155,7 +152,6 @@ impl Platform {
                 hardware_key,
                 attestation_key: SigningKey::from_seed(&att_seed),
                 rng: Mutex::new(Box::new(OsRandom::new())),
-                epc: EpcConfig::default(),
                 counters,
             }),
         }
@@ -180,7 +176,6 @@ impl Platform {
                 hardware_key,
                 attestation_key: SigningKey::from_seed(&att_seed),
                 rng: Mutex::new(rng),
-                epc: EpcConfig::default(),
                 counters: MonotonicCounters::new(),
             }),
         }
@@ -200,11 +195,6 @@ impl Platform {
     /// Draws random bytes from the platform's hardware RNG (RDRAND stand-in).
     pub fn random_bytes(&self, dest: &mut [u8]) {
         self.inner.rng.lock().fill(dest);
-    }
-
-    /// The platform's EPC sizing.
-    pub fn epc_config(&self) -> crate::epc::EpcConfig {
-        self.inner.epc
     }
 }
 

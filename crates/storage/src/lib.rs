@@ -40,7 +40,6 @@
 
 pub mod afs;
 pub mod backend;
-pub mod batch;
 pub mod cloud;
 pub mod clock;
 pub mod dir;
@@ -52,7 +51,6 @@ pub mod mem;
 pub mod shard;
 
 pub use backend::{IoStats, ObjectStat, StorageBackend, StorageError};
-pub use batch::BatchWriter;
 pub use clock::{ClockLane, LatencyModel, SimClock};
 pub use cloud::{CloudBilling, CloudStore};
 pub use dir::DirBackend;

@@ -202,8 +202,8 @@ impl StorageBackend for MemBackend {
     }
 
     fn put_many(&self, items: &[(String, Vec<u8>)]) -> Vec<Result<(), StorageError>> {
-        // Applied atomically under one multi-shard write epoch; BatchWriter
-        // relies on this when flushing a metadata commit.
+        // Applied atomically under one multi-shard write epoch: a metadata
+        // commit lands whole or not at all.
         let group = self.shards.group(items.iter().map(|(p, _)| p.as_str()));
         let mut guards = self.shards.write_group(&group);
         items

@@ -101,6 +101,17 @@ pub struct DbResult {
     pub sample: Sample,
 }
 
+impl DbResult {
+    /// Overhead of this row over the same row on `baseline`, or `None` when
+    /// neither side charged simulated I/O or enclave time: a batch commit
+    /// buffers locally, so both metrics are host-timer readings of a
+    /// sub-millisecond loop and their ratio is noise, not overhead.
+    pub fn overhead_vs(&self, baseline: &DbResult) -> Option<f64> {
+        let idle = self.sample.total().is_zero() && baseline.sample.total().is_zero();
+        (!idle).then(|| self.metric.overhead_vs(&baseline.metric))
+    }
+}
+
 fn mb(bytes: u64, sample: &Sample) -> DbMetric {
     // Workload phases that never touch storage (batch commits) are bounded
     // by real memory speed rather than simulated I/O.
@@ -526,6 +537,23 @@ mod tests {
         let batch_per_op = batch.sample.total().as_secs_f64() / 2_000.0;
         let sync_per_op = sync.sample.total().as_secs_f64() / 20.0;
         assert!(sync_per_op > batch_per_op * 5.0);
+    }
+
+    #[test]
+    fn rows_without_storage_io_report_no_overhead() {
+        let rig = TestRig::default_latency();
+        let (afs, nexus) = (rig.plain_afs(), rig.nexus_fs());
+        let mut base = SqliteSim::create(&afs, tiny(), "sq").unwrap();
+        let mut ours = SqliteSim::create(&nexus, tiny(), "sq").unwrap();
+        for (b, n) in [
+            (base.fillseqbatch().unwrap(), ours.fillseqbatch().unwrap()),
+            (base.fillrandbatch().unwrap(), ours.fillrandbatch().unwrap()),
+        ] {
+            assert!(b.sample.total().is_zero() && n.sample.total().is_zero(), "{}", b.op);
+            assert_eq!(n.overhead_vs(&b), None, "{}: a ratio of two host timers", b.op);
+        }
+        let (b, n) = (base.fillseqsync().unwrap(), ours.fillseqsync().unwrap());
+        assert!(n.overhead_vs(&b).unwrap() > 1.0);
     }
 
     #[test]

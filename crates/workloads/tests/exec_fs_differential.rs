@@ -1,5 +1,5 @@
 //! Differential property test for the *crypto-fs* async layer
-//! (DESIGN.md §15), registered by target name in `scripts/verify.sh`:
+//! (DESIGN.md §15), one of the gate suites `tests/repo_audit.rs` requires:
 //! full enclave clients ([`NexusVolume`] mounts) interleaved as futures
 //! on the executor must execute byte-for-byte what a serial oracle
 //! executes — mixed metadata and data ops, including reads that cross

@@ -1,5 +1,5 @@
-//! Source-reading audit of the scale harness (DESIGN.md §14), invoked by
-//! target name from `scripts/verify.sh`.
+//! Source-reading audit of the scale harness (DESIGN.md §14), one of the
+//! gate suites `tests/repo_audit.rs` requires to exist.
 //!
 //! The scale story is "simulated clients are futures, not OS threads". A
 //! thread spawned per client somewhere on the load path would pass every
@@ -17,7 +17,7 @@ fn only_the_thread_world_spawns_threads() {
     const LOAD_PATH: [&str; 3] = [
         "workloads/src/loadgen.rs",
         "core/src/async_fs.rs",
-        "bench/src/bin/micro_scale.rs",
+        "bench/src/scale.rs",
     ];
     let crates = Path::new(env!("CARGO_MANIFEST_DIR")).parent().expect("crates/");
     let mut exempted = 0;

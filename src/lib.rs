@@ -15,8 +15,8 @@
 //! - [`workloads`] ([`nexus_workloads`]) — the evaluation workloads.
 //!
 //! See `examples/quickstart.rs` for the five-minute tour, and the
-//! `nexus-bench` crate for the binaries regenerating every table and
-//! figure of the paper's evaluation.
+//! `nexus-bench` crate for the one binary (`nexus-bench <command>`)
+//! regenerating every table and figure of the paper's evaluation.
 
 pub use nexus_core as core;
 pub use nexus_crypto as crypto;
