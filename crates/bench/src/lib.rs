@@ -604,6 +604,10 @@ mod tests {
                     r.smoke = false;
                     r.fused = r.scalar * 2;
                 }),
+                ("a full run whose chunk path seals at half the streamed kernel's rate", |r| {
+                    r.smoke = false;
+                    r.seal_wall[0] = r.stream_seal * 2;
+                }),
             ],
         );
         negative_controls::<ct::Ct>(

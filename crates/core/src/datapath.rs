@@ -5,14 +5,18 @@
 //! no cross-chunk data dependencies and fan out cleanly over the
 //! [`nexus_pool`] worker pool.
 //!
-//! **One buffer per direction.** [`seal_chunks`] allocates the data object
-//! once and every worker seals its chunk straight into that chunk's
-//! `chunk_size + CHUNK_OVERHEAD` slot ([`AesGcm::seal_into`]);
-//! [`open_chunks`] allocates the plaintext once and every worker opens
-//! into its slot ([`AesGcm::open_into`]). Nothing is sealed into a
-//! per-chunk buffer and concatenated afterwards. The slots are disjoint
-//! `&mut [u8]` sub-slices of the one buffer, handed to the workers by
-//! [`ThreadPool::par_map_indexed_mut`] — so the hand-out needs no `unsafe`.
+//! **One buffer per direction, written once.** [`seal_chunks`] reserves the
+//! data object as a [`WriteOnce`] — capacity, no fill — and every worker
+//! seals its chunk straight into that chunk's `chunk_size + CHUNK_OVERHEAD`
+//! [`Slot`]; [`open_chunks`] reserves the plaintext the same way and every
+//! worker opens into its slot. Nothing is sealed into a per-chunk buffer and
+//! concatenated afterwards, and nothing zeroes 8 MiB that the kernel is
+//! about to overwrite. The slots are disjoint pieces of the one buffer,
+//! handed to the workers by [`ThreadPool::par_map_indexed_mut`]; a slot can
+//! be sealed or opened into and nothing else, and the buffer becomes a
+//! `Vec<u8>` only when every slot was filled — so neither the hand-out nor
+//! the missing fill needs `unsafe` here (it lives in
+//! [`nexus_crypto::write_once`]).
 //!
 //! Output is **byte-identical for any worker count** because nothing
 //! order-dependent happens inside the fan-out:
@@ -25,25 +29,28 @@
 //! - on decrypt, the error surfaced is the one from the lowest-indexed
 //!   failing chunk, matching where the serial loop would have stopped.
 //!
-//! **Authentication on reads.** `open_into` decrypts in the same pass it
-//! authenticates and zeroizes its slot when the tag does not match; on any
-//! failing chunk `open_chunks` drops the whole buffer — the chunks that
-//! did authenticate included — and returns only the error. No
-//! unauthenticated byte leaves the enclave call.
+//! **Authentication on reads.** [`Slot::open`] decrypts in the same pass it
+//! authenticates, zeroizes its slot when the tag does not match and leaves
+//! it unfilled; on any failing chunk `open_chunks` drops the whole buffer —
+//! the chunks that did authenticate included — and returns only the error.
+//! No unauthenticated byte leaves the enclave call.
 
 use nexus_crypto::gcm::AesGcm;
+use nexus_crypto::write_once::{Slot, WriteOnce};
 use nexus_pool::ThreadPool;
 
 use crate::error::{NexusError, Result};
 use crate::metadata::filenode::{ChunkContext, Filenode, CHUNK_OVERHEAD};
 use crate::uuid::NexusUuid;
-use crate::wire::Writer;
 
-/// AAD binding a chunk to its file, position, and file size.
-pub(crate) fn chunk_aad(data_uuid: &NexusUuid, index: u64, total_size: u64) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.uuid(data_uuid).u64(index).u64(total_size);
-    w.into_bytes()
+/// AAD binding a chunk to its file, position, and file size:
+/// `uuid ‖ index LE ‖ size LE`.
+pub(crate) fn chunk_aad(data_uuid: &NexusUuid, index: u64, total_size: u64) -> [u8; 32] {
+    let mut aad = [0u8; 32];
+    aad[..16].copy_from_slice(&data_uuid.0);
+    aad[16..24].copy_from_slice(&index.to_le_bytes());
+    aad[24..].copy_from_slice(&total_size.to_le_bytes());
+    aad
 }
 
 /// One chunk's work in a fan-out: which chunk, under which key, from
@@ -52,7 +59,7 @@ struct Job<'a> {
     index: u64,
     context: &'a ChunkContext,
     input: &'a [u8],
-    slot: &'a mut [u8],
+    slot: Slot<'a>,
 }
 
 /// Seals `data` into the concatenated chunked-ciphertext format using the
@@ -69,12 +76,13 @@ pub fn seal_chunks(
     let n_chunks = data.len().div_ceil(chunk_size);
     assert_eq!(n_chunks, contexts.len(), "one context per chunk");
     let total = data.len() as u64;
-    let mut ciphertext = vec![0u8; data.len() + n_chunks * overhead];
+    let mut ciphertext = WriteOnce::reserve(data.len() + n_chunks * overhead);
     // Every chunk but the last is `chunk_size` long, so chunk i's slot
-    // starts at i × (chunk_size + overhead) and the iterators agree.
+    // starts at i × (chunk_size + overhead).
+    let slots = ciphertext.slots(data.chunks(chunk_size).map(|chunk| chunk.len() + overhead));
     let mut jobs: Vec<Job<'_>> = data
         .chunks(chunk_size)
-        .zip(ciphertext.chunks_mut(chunk_size + overhead))
+        .zip(slots)
         .zip(contexts)
         .zip(0..)
         .map(|(((input, slot), context), index)| Job { index, context, input, slot })
@@ -82,9 +90,9 @@ pub fn seal_chunks(
     pool.par_map_indexed_mut(&mut jobs, |_, job| {
         let gcm = AesGcm::new(&job.context.key);
         let aad = chunk_aad(data_uuid, job.index, total);
-        gcm.seal_into(&job.context.nonce, &aad, job.input, job.slot);
+        job.slot.seal(&gcm, &job.context.nonce, &aad, job.input);
     });
-    ciphertext
+    ciphertext.finish()
 }
 
 /// Decrypts `count` chunks starting at chunk `first`, where `ciphertext`
@@ -104,44 +112,43 @@ pub fn open_chunks(
     count: u64,
 ) -> Result<Vec<u8>> {
     // Slice the span into per-chunk ciphertexts serially (pure arithmetic)
-    // so structural errors surface before any crypto runs — and before the
-    // plaintext is allocated, whose size the span therefore bounds.
-    let mut pieces: Vec<(u64, &ChunkContext, &[u8])> = Vec::with_capacity(count as usize);
+    // so structural errors surface before any crypto runs — and before
+    // anything is allocated: the filenode bounds the chunk list, and the
+    // span the plaintext.
+    let contexts = first
+        .checked_add(count)
+        .and_then(|end| fnode.chunks.get(usize::try_from(first).ok()?..usize::try_from(end).ok()?))
+        .ok_or_else(|| NexusError::Integrity("missing chunk context".into()))?;
+    let overhead = CHUNK_OVERHEAD as usize;
+    let mut pieces: Vec<(u64, &ChunkContext, &[u8])> = Vec::with_capacity(contexts.len());
     let mut cursor = 0usize;
-    for idx in first..first + count {
-        let ctx = fnode
-            .chunks
-            .get(idx as usize)
-            .ok_or_else(|| NexusError::Integrity("missing chunk context".into()))?;
-        let ct_len = (fnode.plaintext_chunk_len(idx) + CHUNK_OVERHEAD) as usize;
+    for (idx, ctx) in (first..).zip(contexts) {
+        let ct_len = fnode.plaintext_chunk_len(idx) as usize + overhead;
         let chunk_ct = ciphertext
             .get(cursor..cursor + ct_len)
             .ok_or_else(|| NexusError::Integrity("data object truncated".into()))?;
         cursor += ct_len;
         pieces.push((idx, ctx, chunk_ct));
     }
-    let overhead = CHUNK_OVERHEAD as usize;
-    let mut plain = vec![0u8; cursor - pieces.len() * overhead];
-    let mut unclaimed = plain.as_mut_slice();
+    let mut plain = WriteOnce::reserve(cursor - pieces.len() * overhead);
+    let slots = plain.slots(pieces.iter().map(|(_, _, input)| input.len() - overhead));
     let mut jobs: Vec<Job<'_>> = pieces
         .into_iter()
-        .map(|(index, context, input)| {
-            let (slot, rest) = std::mem::take(&mut unclaimed).split_at_mut(input.len() - overhead);
-            unclaimed = rest;
-            Job { index, context, input, slot }
-        })
+        .zip(slots)
+        .map(|((index, context, input), slot)| Job { index, context, input, slot })
         .collect();
     let opened = pool.par_map_indexed_mut(&mut jobs, |_, job| {
         let gcm = AesGcm::new(&job.context.key);
         let aad = chunk_aad(&fnode.data_uuid, job.index, fnode.size);
-        gcm.open_into(&job.context.nonce, &aad, job.input, job.slot).map_err(|_| {
+        job.slot.open(&gcm, &job.context.nonce, &aad, job.input).map_err(|_| {
             NexusError::Integrity(format!("chunk {} failed authentication", job.index))
         })
     });
     // In index order, so the surfaced error is the lowest-indexed failure,
-    // exactly as the serial loop would report; `plain` drops with it.
+    // exactly as the serial loop would report; `plain` drops with it,
+    // unfinished.
     opened.into_iter().collect::<Result<()>>()?;
-    Ok(plain)
+    Ok(plain.finish())
 }
 
 #[cfg(test)]
@@ -282,11 +289,94 @@ mod tests {
         assert!(matches!(result, Err(NexusError::Integrity(msg)) if msg == "data object truncated"));
     }
 
+    /// `first` and `count` come from the caller: a range the filenode does
+    /// not hold — past its end, or wrapping `u64` — is an error found before
+    /// anything is allocated for it, not a capacity-overflow panic.
+    #[test]
+    fn a_chunk_range_outside_the_filenode_is_refused_up_front() {
+        let mut rng = SeededRandom::new(81);
+        let data = [7u8; 4 * 64];
+        let contexts = contexts_for(&mut rng, 4);
+        let uuid = NexusUuid([8; 16]);
+        let pool = ThreadPool::new(1);
+        let ct = seal_chunks(&pool, &uuid, &data, 64, &contexts);
+        let mut fnode = filenode_with(contexts, data.len() as u64, 64);
+        fnode.data_uuid = uuid;
+        for (first, count) in [(0, u64::MAX), (1, u64::MAX), (u64::MAX, 1), (0, 5), (4, 1), (5, 0)] {
+            let result = open_chunks(&pool, &fnode, &ct, first, count);
+            assert!(
+                matches!(&result, Err(NexusError::Integrity(msg)) if msg == "missing chunk context"),
+                "first={first} count={count}: {result:?}"
+            );
+        }
+        // The empty range at the end is a range of the filenode.
+        assert_eq!(open_chunks(&pool, &fnode, &[], 4, 0).unwrap(), Vec::<u8>::new());
+        assert_eq!(open_chunks(&pool, &fnode, &ct, 0, 4).unwrap(), data);
+    }
+
+    /// Eight chunks, the tag of the last one flipped: seven slots hold
+    /// authenticated plaintext and count as filled when the eighth is
+    /// refused, and still nothing comes back but the error — at any width.
+    #[test]
+    fn a_flipped_tag_in_the_last_of_eight_chunks_returns_only_the_error() {
+        let mut rng = SeededRandom::new(82);
+        let mut data = vec![0u8; 8 * 512];
+        rng.fill(&mut data);
+        let contexts = contexts_for(&mut rng, 8);
+        let uuid = NexusUuid([6; 16]);
+        let mut ct = seal_chunks(&ThreadPool::new(1), &uuid, &data, 512, &contexts);
+        let mut fnode = filenode_with(contexts, data.len() as u64, 512);
+        fnode.data_uuid = uuid;
+        assert_eq!(open_chunks(&ThreadPool::new(8), &fnode, &ct, 0, 8).unwrap(), data);
+        let tag_byte = ct.len() - CHUNK_OVERHEAD as usize;
+        ct[tag_byte] ^= 0x10;
+        for workers in [1, 2, 8] {
+            let result = open_chunks(&ThreadPool::new(workers), &fnode, &ct, 0, 8);
+            assert!(
+                matches!(&result, Err(NexusError::Integrity(msg)) if msg == "chunk 7 failed authentication"),
+                "workers={workers}: {result:?}"
+            );
+        }
+    }
+
+    /// An empty file is no chunks: nothing reserved, nothing handed out,
+    /// and the empty buffer still finishes.
+    #[test]
+    fn an_empty_file_is_an_empty_object() {
+        let pool = ThreadPool::new(2);
+        let uuid = NexusUuid([3; 16]);
+        assert!(seal_chunks(&pool, &uuid, &[], 64, &[]).is_empty());
+        let mut fnode = filenode_with(Vec::new(), 0, 64);
+        fnode.data_uuid = uuid;
+        assert!(open_chunks(&pool, &fnode, &[], 0, 0).unwrap().is_empty());
+    }
+
     #[test]
     fn chunk_aad_is_positional() {
         let u = NexusUuid([5; 16]);
         assert_ne!(chunk_aad(&u, 0, 100), chunk_aad(&u, 1, 100));
         assert_ne!(chunk_aad(&u, 0, 100), chunk_aad(&u, 0, 101));
         assert_ne!(chunk_aad(&u, 0, 100), chunk_aad(&NexusUuid([6; 16]), 0, 100));
+    }
+
+    /// The AAD is part of every stored chunk's tag: its 32 bytes are a
+    /// format, pinned here so a rewrite of the encoder cannot move them.
+    #[test]
+    fn chunk_aad_layout_is_pinned() {
+        let uuid = NexusUuid(std::array::from_fn(|i| 0xa0 + i as u8));
+        let aad = chunk_aad(&uuid, 0x0102_0304_0506_0708, 0x1112_1314_1516_1718);
+        assert_eq!(
+            aad,
+            [
+                0xa0, 0xa1, 0xa2, 0xa3, 0xa4, 0xa5, 0xa6, 0xa7, 0xa8, 0xa9, 0xaa, 0xab, 0xac, 0xad,
+                0xae, 0xaf, // data uuid
+                0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // chunk index, little-endian
+                0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11, // file size, little-endian
+            ]
+        );
+        // What `wire::Writer` wrote for it before the array.
+        let mut w = crate::wire::Writer::new();
+        w.uuid(&uuid).u64(0x0102_0304_0506_0708).u64(0x1112_1314_1516_1718);
+        assert_eq!(w.into_bytes(), aad);
     }
 }

@@ -27,6 +27,7 @@
 
 use nexus_crypto::gcm::AesGcm;
 use nexus_crypto::gcm_siv::AesGcmSiv;
+use nexus_crypto::write_once::WriteOnce;
 
 use crate::error::{NexusError, Result};
 use crate::groups::GroupId;
@@ -110,8 +111,11 @@ impl Preamble {
     const ENCODED_LEN: usize = 4 + 1 + 16 + 16 + 8;
     const SCOPED_ENCODED_LEN: usize = Preamble::ENCODED_LEN + 4 + 8;
 
+    /// The encoded preamble, in a buffer with room for the rest of the
+    /// blob's head ([`HEAD_MAX_LEN`]): `seal_object` appends the crypto
+    /// context to it without reallocating.
     fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Writer::with_capacity(HEAD_MAX_LEN);
         w.raw(if self.scope.is_some() { MAGIC_SCOPED } else { MAGIC })
             .u8(self.kind.to_u8())
             .uuid(&self.uuid)
@@ -159,6 +163,9 @@ const SIV_NONCE_LEN: usize = 12;
 const WRAPPED_KEY_LEN: usize = 16 + 16; // key + GCM-SIV tag
 const GCM_NONCE_LEN: usize = 12;
 const GCM_TAG_LEN: usize = nexus_crypto::gcm::TAG_LEN;
+/// Everything in front of the sealed body, at its longest (scoped).
+const HEAD_MAX_LEN: usize =
+    Preamble::SCOPED_ENCODED_LEN + SIV_NONCE_LEN + WRAPPED_KEY_LEN + GCM_NONCE_LEN;
 
 /// Encrypts a metadata body into the full on-storage representation.
 ///
@@ -186,22 +193,19 @@ pub fn seal_object(
     let siv = AesGcmSiv::new(wrap_key);
     let wrapped = siv.seal(&siv_nonce, &preamble_bytes, &object_key);
     debug_assert_eq!(wrapped.len(), WRAPPED_KEY_LEN);
-    let aad_len = preamble_bytes.len() + SIV_NONCE_LEN + WRAPPED_KEY_LEN;
-    let body_at = aad_len + GCM_NONCE_LEN;
-    let mut out = Vec::with_capacity(body_at + body.len() + GCM_TAG_LEN);
-    out.extend_from_slice(&preamble_bytes);
-    out.extend_from_slice(&siv_nonce);
-    out.extend_from_slice(&wrapped);
-    out.extend_from_slice(&gcm_nonce);
-    out.resize(body_at + body.len() + GCM_TAG_LEN, 0);
+    let mut head = preamble_bytes;
+    head.extend_from_slice(&siv_nonce);
+    head.extend_from_slice(&wrapped);
+    let aad_len = head.len();
+    head.extend_from_slice(&gcm_nonce);
 
     // Section 3: encrypt the body straight into its place in the blob,
-    // binding sections 1 and 2 — the blob's own first bytes — as AAD.
-    let (head, sealed_body) = out.split_at_mut(body_at);
+    // behind a copy of the head, binding sections 1 and 2 as AAD.
+    let mut out = WriteOnce::after(&head, body.len() + GCM_TAG_LEN);
     let gcm = AesGcm::new(&object_key);
-    gcm.seal_into(&gcm_nonce, &head[..aad_len], body, sealed_body);
+    out.slot().seal(&gcm, &gcm_nonce, &head[..aad_len], body);
     nexus_crypto::ct::zeroize(&mut object_key);
-    out
+    out.finish()
 }
 
 /// Verifies and decrypts a metadata object fetched from untrusted storage.
@@ -254,8 +258,8 @@ pub fn open_object_scoped(
     let gcm = AesGcm::new(&object_key);
     nexus_crypto::ct::zeroize(&mut object_key);
     let gcm_nonce_arr: [u8; 12] = gcm_nonce.try_into().unwrap();
-    let mut body = vec![0u8; ciphertext.len() - GCM_TAG_LEN];
-    gcm.open_into(&gcm_nonce_arr, aad, ciphertext, &mut body)
+    let body = gcm
+        .open(&gcm_nonce_arr, aad, ciphertext)
         .map_err(|_| NexusError::Integrity("metadata body authentication failed".into()))?;
     Ok((preamble, body))
 }

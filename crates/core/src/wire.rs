@@ -20,6 +20,12 @@ impl Writer {
         Writer::default()
     }
 
+    /// Creates an empty writer with room for `capacity` bytes, for an
+    /// encoding whose length is known and whose buffer the caller extends.
+    pub fn with_capacity(capacity: usize) -> Writer {
+        Writer { buf: Vec::with_capacity(capacity) }
+    }
+
     /// Consumes the writer, returning the bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

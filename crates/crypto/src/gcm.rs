@@ -5,11 +5,15 @@
 //! sealed with a fresh key and IV, with the unprotected sections passed as
 //! additional authenticated data.
 //!
-//! There is one bulk path, [`AesGcm::seal_into`] / [`AesGcm::open_into`]:
-//! source and destination are the caller's buffers, so a chunk is sealed
-//! straight into its slot of the data object and nothing is copied first.
-//! Every other entry point ([`AesGcm::seal`], [`AesGcm::open`], the
-//! detached pair) allocates the output and calls it. On the hardware lane
+//! There is one bulk path, [`Slot::seal`] / [`Slot::open`] over one
+//! dispatcher: source and destination are different buffers, so a chunk is
+//! sealed straight into its slot of the data object and nothing is copied
+//! first — and the destination is *written*, never read, so it is handed
+//! over as `&mut [MaybeUninit<u8>]` and nothing fills it beforehand
+//! ([`crate::write_once`]). Every allocating entry point ([`AesGcm::seal`],
+//! [`AesGcm::open`], the detached pair) reserves a [`WriteOnce`] and fills
+//! its one slot; [`AesGcm::seal_into`] / [`AesGcm::open_into`] lend the
+//! caller's own bytes as the slot. On the hardware lane
 //! the body runs through the fused kernels — keystream, XOR and GHASH in
 //! one pass over the bytes: the VAES + VPCLMULQDQ one (`gcm_vaes`, sixteen
 //! blocks per step) where [`crate::cpu`] allows it and the body is long
@@ -29,9 +33,11 @@
 //! assert_eq!(opened, b"secret payload");
 //! ```
 
+use std::mem::MaybeUninit;
+
 use crate::aes::{Aes, KeySize};
-use crate::ct::ct_eq;
 use crate::ghash_ct::ghash_mul_ct;
+use crate::write_once::{Slot, WriteOnce};
 use crate::{AeadError, CryptoBackend};
 
 /// Length in bytes of the GCM authentication tag.
@@ -437,17 +443,24 @@ impl AesGcm {
     /// The one bulk path: transforms `src` into `dst` (equal lengths) under
     /// the CTR keystream and returns the tag over `aad` and the ciphertext.
     ///
+    /// **Writes every byte of `dst`**, whatever it held: [`WriteOnce`]
+    /// counts a slot filled on the strength of that, so it is a memory-safety
+    /// contract, not a convenience. It is met in two pieces that cover `dst`
+    /// between them — `dst[..fused]` by the fused kernels, `dst[fused..]` by
+    /// the copy below.
+    ///
     /// On the hardware lane every whole 128-byte group goes through the
     /// fused kernels ([`AesGcm::crypt_fused`]) — one pass, keystream and
     /// GHASH together, `src` read once and `dst` written once. What is left
     /// (the < 128-byte tail there, the whole body on the portable lanes) is
-    /// copied into `dst`, keystreamed in place and hashed by the scalar code.
-    fn crypt(
+    /// copied into `dst`, keystreamed in place and hashed by the scalar code:
+    /// that stretch is written twice, and read back when sealing.
+    pub(crate) fn crypt(
         &self,
         nonce: &[u8; NONCE_LEN],
         aad: &[u8],
         src: &[u8],
-        dst: &mut [u8],
+        dst: &mut [MaybeUninit<u8>],
         direction: Direction,
     ) -> [u8; TAG_LEN] {
         assert_eq!(src.len(), dst.len(), "AES-GCM output buffer has the wrong length");
@@ -462,8 +475,8 @@ impl AesGcm {
         };
         #[cfg(not(target_arch = "x86_64"))]
         let fused = 0;
-        let (rest_src, rest_dst) = (&src[fused..], &mut dst[fused..]);
-        rest_dst.copy_from_slice(rest_src);
+        let rest_src = &src[fused..];
+        let rest_dst = dst[fused..].write_copy_of_slice(rest_src);
         self.ctr_xor(&mut ctr, rest_dst);
         ghash.update_padded(match direction {
             Direction::Seal => rest_dst,
@@ -476,7 +489,9 @@ impl AesGcm {
     /// allows it and the body reaches [`WIDE_MIN`], every whole 256-byte
     /// group through the wide kernel; then the whole 128-byte group that may
     /// be left — or all of them — through the 128-bit kernel. Advances `ctr`
-    /// and `acc` past what it took and returns how many bytes that was. The
+    /// and `acc` past what it took and returns how many bytes that was, every
+    /// one of them written to `dst[..that]` (each kernel writes the whole of
+    /// the destination it is given, and the two are given adjacent pieces). The
     /// powers of H are built here: none for a body under 128 bytes, sixteen
     /// when the wide kernel runs, eight otherwise.
     #[cfg(target_arch = "x86_64")]
@@ -486,7 +501,7 @@ impl AesGcm {
         ctr: &mut [u8; 16],
         acc: &mut u128,
         src: &[u8],
-        dst: &mut [u8],
+        dst: &mut [MaybeUninit<u8>],
         direction: Direction,
     ) -> usize {
         use crate::{gcm_ni, gcm_vaes};
@@ -517,9 +532,9 @@ impl AesGcm {
         aad: &[u8],
         plaintext: &[u8],
     ) -> (Vec<u8>, [u8; TAG_LEN]) {
-        let mut ct = vec![0u8; plaintext.len()];
-        let tag = self.crypt(nonce, aad, plaintext, &mut ct, Direction::Seal);
-        (ct, tag)
+        let mut ct = WriteOnce::reserve(plaintext.len());
+        let tag = ct.slot().seal_detached(self, nonce, aad, plaintext);
+        (ct.finish(), tag)
     }
 
     /// Reference implementation of [`AesGcm::seal_detached`] that bypasses
@@ -547,17 +562,16 @@ impl AesGcm {
 
     /// Encrypts `plaintext` and returns `ciphertext || tag`.
     pub fn seal(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-        let mut out = vec![0u8; plaintext.len() + TAG_LEN];
-        self.seal_into(nonce, aad, plaintext, &mut out);
-        out
+        let mut out = WriteOnce::reserve(plaintext.len() + TAG_LEN);
+        out.slot().seal(self, nonce, aad, plaintext);
+        out.finish()
     }
 
     /// Encrypts `plaintext` and writes `ciphertext || tag` into `out`,
-    /// which the caller sized to `plaintext.len() + TAG_LEN`. The plaintext
-    /// is read once and the ciphertext written once, straight into `out`:
-    /// this is how the chunk loop seals each chunk into its slot of the
-    /// data object and how a metadata body lands in its blob, with no
-    /// intermediate ciphertext buffer.
+    /// which the caller sized to `plaintext.len() + TAG_LEN`: [`Slot::seal`]
+    /// over bytes the caller already owns (a reused buffer, say). Output
+    /// that is allocated for the call goes through a [`WriteOnce`] instead,
+    /// which does not fill it first.
     ///
     /// # Panics
     ///
@@ -569,13 +583,7 @@ impl AesGcm {
         plaintext: &[u8],
         out: &mut [u8],
     ) {
-        assert_eq!(
-            out.len(),
-            plaintext.len() + TAG_LEN,
-            "AES-GCM output buffer has the wrong length"
-        );
-        let (ct, tag) = out.split_at_mut(plaintext.len());
-        tag.copy_from_slice(&self.crypt(nonce, aad, plaintext, ct, Direction::Seal));
+        Slot::over(out).seal(self, nonce, aad, plaintext);
     }
 
     /// Verifies the detached `tag` and decrypts `ciphertext`.
@@ -591,9 +599,9 @@ impl AesGcm {
         ciphertext: &[u8],
         tag: &[u8; TAG_LEN],
     ) -> Result<Vec<u8>, AeadError> {
-        let mut pt = vec![0u8; ciphertext.len()];
-        self.open_checked(nonce, aad, ciphertext, tag, &mut pt)?;
-        Ok(pt)
+        let mut pt = WriteOnce::reserve(ciphertext.len());
+        pt.slot().open_detached(self, nonce, aad, ciphertext, tag)?;
+        Ok(pt.finish())
     }
 
     /// Opens a `ciphertext || tag` buffer produced by [`AesGcm::seal`].
@@ -608,14 +616,14 @@ impl AesGcm {
         aad: &[u8],
         sealed: &[u8],
     ) -> Result<Vec<u8>, AeadError> {
-        let mut out = vec![0u8; sealed.len().checked_sub(TAG_LEN).ok_or(AeadError)?];
-        self.open_into(nonce, aad, sealed, &mut out)?;
-        Ok(out)
+        let mut out = WriteOnce::reserve(sealed.len().checked_sub(TAG_LEN).ok_or(AeadError)?);
+        out.slot().open(self, nonce, aad, sealed)?;
+        Ok(out.finish())
     }
 
     /// Opens a `ciphertext || tag` buffer into `out`, which the caller
     /// sized to `sealed.len() - TAG_LEN` (the decrypt counterpart of
-    /// [`AesGcm::seal_into`]).
+    /// [`AesGcm::seal_into`]): [`Slot::open`] over the caller's bytes.
     ///
     /// Decryption happens in the same pass as authentication, so `out`
     /// holds unauthenticated plaintext while this call runs — and only
@@ -639,31 +647,7 @@ impl AesGcm {
         sealed: &[u8],
         out: &mut [u8],
     ) -> Result<(), AeadError> {
-        let Some(ct_len) = sealed.len().checked_sub(TAG_LEN) else {
-            crate::ct::zeroize(out);
-            return Err(AeadError);
-        };
-        let (ct, tag) = sealed.split_at(ct_len);
-        self.open_checked(nonce, aad, ct, tag, out)
-    }
-
-    /// Decrypts `ciphertext` into `out` and compares the tag in constant
-    /// time; wipes `out` when it does not match.
-    fn open_checked(
-        &self,
-        nonce: &[u8; NONCE_LEN],
-        aad: &[u8],
-        ciphertext: &[u8],
-        tag: &[u8],
-        out: &mut [u8],
-    ) -> Result<(), AeadError> {
-        let expected = self.crypt(nonce, aad, ciphertext, out, Direction::Open);
-        if ct_eq(&expected, tag) {
-            Ok(())
-        } else {
-            crate::ct::zeroize(out);
-            Err(AeadError)
-        }
+        Slot::over(out).open(self, nonce, aad, sealed)
     }
 }
 

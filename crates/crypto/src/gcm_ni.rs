@@ -54,6 +54,7 @@ use core::arch::x86_64::{
     _mm_loadu_si128, _mm_set_epi8, _mm_setzero_si128, _mm_shuffle_epi8, _mm_slli_si128,
     _mm_srli_si128, _mm_storeu_si128, _mm_xor_si128,
 };
+use core::mem::MaybeUninit;
 
 use crate::aes_ni::AesNi;
 use crate::gcm::Direction;
@@ -62,7 +63,8 @@ use crate::ghash_clmul::{reduce, to_u128, to_vec};
 /// Bytes per pass of the kernel: eight AES blocks.
 pub(crate) const GROUP: usize = 128;
 
-/// Runs CTR + GHASH over `src` (a whole number of [`GROUP`]s) into `dst`.
+/// Runs CTR + GHASH over `src` (a whole number of [`GROUP`]s) into `dst`,
+/// every byte of which it writes and none of which it reads.
 ///
 /// `ctr` is the last counter block already used (J0 for a fresh message);
 /// it is advanced by one per block, exactly as [`crate::gcm::inc32`] would.
@@ -80,7 +82,7 @@ pub(crate) fn crypt_groups(
     ctr: &mut [u8; 16],
     acc: u128,
     src: &[u8],
-    dst: &mut [u8],
+    dst: &mut [MaybeUninit<u8>],
     direction: Direction,
 ) -> u128 {
     assert_eq!(src.len(), dst.len(), "fused GCM source/destination length mismatch");
@@ -134,7 +136,7 @@ fn groups(
     ctr: &mut [u8; 16],
     acc: u128,
     src: &[u8],
-    dst: &mut [u8],
+    dst: &mut [MaybeUninit<u8>],
     direction: Direction,
 ) -> u128 {
     let rounds = round_keys.len() - 1;
@@ -179,7 +181,8 @@ fn groups(
             let output = _mm_xor_si128(input, *k);
             // SAFETY: `chunks_exact_mut(GROUP)` made `d` exactly 128 bytes
             // and exclusively borrowed, so the 16 bytes at offset 16·j
-            // (j < 8) are in bounds and ours to write; unaligned.
+            // (j < 8) are in bounds and ours to write — a store needs
+            // nothing of what they held; unaligned.
             unsafe { _mm_storeu_si128(d.as_mut_ptr().add(16 * j) as *mut __m128i, output) };
             *c = match direction {
                 Direction::Seal => output,
@@ -207,6 +210,7 @@ mod tests {
     use crate::ghash_ct::ghash_mul_ct;
     use crate::rng::{SecureRandom, SeededRandom};
     use crate::test_util::ctr_ghash_block_at_a_time;
+    use crate::write_once::written_by;
 
     /// Self-skip off the hardware lane (dispatch never reaches this module
     /// there).
@@ -280,18 +284,18 @@ mod tests {
                     let (expect_ct, expect_acc) =
                         ctr_ghash_block_at_a_time(&aes, h, &mut expect_ctr, acc0, &plain);
 
-                    let mut ctr = ctr0;
-                    let mut ct = vec![0xa5u8; plain.len()];
-                    let acc =
-                        crypt_groups(&aes, &hpow, &mut ctr, acc0, &plain, &mut ct, Direction::Seal);
+                    let (mut ctr, mut acc) = (ctr0, acc0);
+                    let ct = written_by(plain.len(), |ct| {
+                        acc = crypt_groups(&aes, &hpow, &mut ctr, acc, &plain, ct, Direction::Seal);
+                    });
                     assert_eq!(ct, expect_ct, "ciphertext, start {start:#x}, {n_groups} groups");
                     assert_eq!(ctr, expect_ctr, "counter, start {start:#x}, {n_groups} groups");
                     assert_eq!(acc, expect_acc, "GHASH, start {start:#x}, {n_groups} groups");
 
-                    let mut ctr = ctr0;
-                    let mut back = vec![0x5au8; plain.len()];
-                    let acc =
-                        crypt_groups(&aes, &hpow, &mut ctr, acc0, &ct, &mut back, Direction::Open);
+                    let (mut ctr, mut acc) = (ctr0, acc0);
+                    let back = written_by(ct.len(), |back| {
+                        acc = crypt_groups(&aes, &hpow, &mut ctr, acc, &ct, back, Direction::Open);
+                    });
                     assert_eq!(back, plain, "plaintext, start {start:#x}, {n_groups} groups");
                     assert_eq!(ctr, expect_ctr);
                     assert_eq!(acc, expect_acc, "GHASH is over the ciphertext in both directions");
@@ -307,7 +311,7 @@ mod tests {
             panic!("whole 128-byte groups");
         }
         let aes = AesNi::new(&[1u8; 16], KeySize::Aes128);
-        let mut dst = [0u8; 130];
+        let mut dst = [MaybeUninit::new(0u8); 130];
         crypt_groups(&aes, &[0; 8], &mut [0; 16], 0, &[0u8; 130], &mut dst, Direction::Seal);
     }
 }

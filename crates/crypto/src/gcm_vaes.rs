@@ -57,6 +57,7 @@ use core::arch::x86_64::{
     _mm512_storeu_si512, _mm512_xor_si512, _mm512_zextsi128_si512, _mm_loadu_si128, _mm_set_epi8,
     _mm_xor_si128,
 };
+use core::mem::MaybeUninit;
 
 use crate::aes_ni::AesNi;
 use crate::cpu::WideLane;
@@ -74,7 +75,8 @@ const COUNTER_BYTES: u64 = 0xf000_f000_f000_f000;
 /// previous one's.
 const COUNTER_STEP: i32 = 4;
 
-/// Runs CTR + GHASH over `src` (a whole number of [`GROUP`]s) into `dst`.
+/// Runs CTR + GHASH over `src` (a whole number of [`GROUP`]s) into `dst`,
+/// every byte of which it writes and none of which it reads.
 ///
 /// The contract is [`crate::gcm_ni::crypt_groups`]'s: `ctr` is the last
 /// counter block already used and is advanced by one per block, `acc` is
@@ -94,7 +96,7 @@ pub(crate) fn crypt_groups(
     ctr: &mut [u8; 16],
     acc: u128,
     src: &[u8],
-    dst: &mut [u8],
+    dst: &mut [MaybeUninit<u8>],
     direction: Direction,
 ) -> u128 {
     assert_eq!(src.len(), dst.len(), "wide GCM source/destination length mismatch");
@@ -185,7 +187,7 @@ fn groups(
     ctr: &mut [u8; 16],
     acc: u128,
     src: &[u8],
-    dst: &mut [u8],
+    dst: &mut [MaybeUninit<u8>],
     direction: Direction,
 ) -> u128 {
     let rounds = round_keys.len() - 1;
@@ -242,7 +244,8 @@ fn groups(
             let output = _mm512_xor_si512(input, *k);
             // SAFETY: `chunks_exact_mut(GROUP)` made `d` exactly 256 bytes
             // and exclusively borrowed, so the 64 bytes at offset 64·j
-            // (j < 4) are in bounds and ours to write; unaligned.
+            // (j < 4) are in bounds and ours to write — a store needs
+            // nothing of what they held; unaligned.
             unsafe { _mm512_storeu_si512(d.as_mut_ptr().add(64 * j) as *mut __m512i, output) };
             *c = match direction {
                 Direction::Seal => output,
@@ -272,6 +275,7 @@ mod tests {
     use crate::ghash_ct::ghash_mul_ct;
     use crate::rng::{SecureRandom, SeededRandom};
     use crate::test_util::ctr_ghash_block_at_a_time;
+    use crate::write_once::written_by;
 
     /// What the CPU and the OS allow, whatever `NEXUS_CRYPTO_FORCE_PORTABLE`
     /// says (dispatch never reaches this module without it); says so when
@@ -366,20 +370,21 @@ mod tests {
                         (Direction::Open, &expect_ct, &plain),
                     ] {
                         let what = format!("{direction:?}, start {start:#x}, {n_groups} groups");
-                        let mut ctr = ctr0;
-                        let mut out = vec![0xa5u8; input.len()];
-                        let acc = crypt_groups(
-                            lane, &aes, &hpow, &mut ctr, acc0, input, &mut out, direction,
-                        );
+                        let (mut ctr, mut acc) = (ctr0, acc0);
+                        let out = written_by(input.len(), |out| {
+                            acc =
+                                crypt_groups(lane, &aes, &hpow, &mut ctr, acc, input, out, direction);
+                        });
                         assert_eq!(&out, output, "wide bytes: {what}");
                         assert_eq!(ctr, expect_ctr, "wide counter: {what}");
                         assert_eq!(acc, expect_acc, "wide GHASH: {what}");
 
-                        let mut ctr = ctr0;
-                        let mut out = vec![0x5au8; input.len()];
-                        let acc = crate::gcm_ni::crypt_groups(
-                            &aes, narrow_pow, &mut ctr, acc0, input, &mut out, direction,
-                        );
+                        let (mut ctr, mut acc) = (ctr0, acc0);
+                        let out = written_by(input.len(), |out| {
+                            acc = crate::gcm_ni::crypt_groups(
+                                &aes, narrow_pow, &mut ctr, acc, input, out, direction,
+                            );
+                        });
                         assert_eq!(&out, output, "narrow bytes: {what}");
                         assert_eq!(ctr, expect_ctr, "narrow counter: {what}");
                         assert_eq!(acc, expect_acc, "narrow GHASH: {what}");
@@ -396,7 +401,7 @@ mod tests {
             panic!("whole 256-byte groups");
         };
         let aes = AesNi::new(&[1u8; 16], KeySize::Aes128);
-        let mut dst = [0u8; 384];
+        let mut dst = [MaybeUninit::new(0u8); 384];
         crypt_groups(lane, &aes, &[0; 16], &mut [0; 16], 0, &[0u8; 384], &mut dst, Direction::Seal);
     }
 }

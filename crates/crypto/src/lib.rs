@@ -16,6 +16,8 @@
 //! - [`x25519`] — ECDH for the rootkey exchange protocol;
 //! - [`ed25519`] — signatures for user identities and quotes;
 //! - [`rng`] — pluggable randomness sources;
+//! - [`write_once`] — AEAD output buffers the kernels fill, allocated
+//!   without a zero-fill first;
 //! - [`ct`] — constant-time comparison.
 //!
 //! The paper's prototype links MbedTLS and Gueron et al.'s AES-GCM-SIV into
@@ -93,6 +95,7 @@ pub mod rng;
 pub mod sha2;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod sha_ni;
+pub mod write_once;
 pub mod x25519;
 
 /// The concrete engine a key was expanded for. Production constructors

@@ -469,6 +469,56 @@ mod tests {
         });
     }
 
+    /// The SHA-NI lane against the portable engine over the matrix the GCM
+    /// kernels get in `kernel_differential.rs`: every length 0..=1024, read
+    /// from each of the sixteen offsets past a 16-byte boundary (the kernel's
+    /// block loads are unaligned ones; `update` hands it the caller's bytes
+    /// where they lie), fed in two `update`s cut wherever the block buffer
+    /// changes behaviour — empty, one byte, either side of the padding
+    /// boundary, either side of one and two blocks, the middle, one short of
+    /// everything. The pin reaches both lanes in one process, whatever
+    /// dispatch or `NEXUS_CRYPTO_FORCE_PORTABLE` picked.
+    #[test]
+    fn sha_ni_lane_matches_portable_at_every_length_offset_and_split() {
+        const MAX: usize = 1024;
+        let mut content = vec![0u8; MAX];
+        SeededRandom::new(0x0005_a256_d1ff).fill(&mut content);
+        let mut arena = vec![0u8; MAX + 32];
+        let aligned = arena.as_ptr().align_offset(16);
+        let mut expect: Vec<[u8; 32]> = Vec::new();
+        let mut compared = 0usize;
+        on_each_sha_lane(|lane| {
+            if lane == ShaLane::Portable {
+                expect = (0..=MAX).map(|len| Sha256::digest(&content[..len])).collect();
+                return;
+            }
+            for offset in 0..16 {
+                let at = aligned + offset;
+                arena[at..at + MAX].copy_from_slice(&content);
+                for (len, expect) in expect.iter().enumerate() {
+                    let msg = &arena[at..at + len];
+                    let mut splits = vec![0, 1, 55, 56, 63, 64, 65, 119, 127, 128, 129];
+                    splits.extend([len / 2, len.saturating_sub(1), len]);
+                    splits.retain(|&split| split <= len);
+                    splits.sort_unstable();
+                    splits.dedup();
+                    for split in splits {
+                        let mut h = Sha256::new();
+                        h.update(&msg[..split]).update(&msg[split..]);
+                        assert!(
+                            h.finalize() == *expect,
+                            "{lane:?} diverged: {len} bytes at offset {offset}, split at {split}"
+                        );
+                        compared += 1;
+                    }
+                }
+            }
+        });
+        if crate::cpu::sha_ni_available() {
+            assert!(compared > 16 * MAX * 10, "only {compared} comparisons: has the matrix shrunk?");
+        }
+    }
+
     /// Incremental hashing over seeded random piece sequences — with the
     /// pieces that stress the buffer (empty, one byte, one short of a block,
     /// a block, one over) dealt in often — equals one-shot, on both lanes.

@@ -1,5 +1,6 @@
-//! Source-reading audits of where the table engine may be named, and of
-//! the hardware lane's `unsafe`.
+//! Source-reading audits of where the table engine may be named, of the
+//! hardware lane's `unsafe`, and of where `unsafe` and zero-filled AEAD
+//! output buffers may appear at all.
 //!
 //! The constant-time engines' whole point is to never index memory by
 //! secret- or message-derived values, and the table engine's is to be a
@@ -190,14 +191,29 @@ fn dispatch_requires_every_target_feature_the_hardware_modules_enable() {
     assert!(enabled >= 27, "found only {enabled} enabled features: has the attribute moved?");
 }
 
-/// Every `unsafe` block in the intrinsics modules, in `sha2.rs` (which holds
-/// the one call into the SHA-NI kernel) and in `cpu.rs` (the `XGETBV` read),
-/// tests included, sits directly under a comment block that carries its
-/// `SAFETY:` note.
+/// The files of `nexus-crypto` that may say `unsafe`, and why each does:
+/// the intrinsics modules; `sha2.rs` (the one call into the SHA-NI kernel);
+/// `cpu.rs` (the `XGETBV` read); `ct.rs` (the volatile stores of `zeroize`);
+/// `write_once.rs` (output buffers the kernels fill: the `set_len`, the
+/// `&mut [u8]` lent as a destination, the volatile wipe).
+const UNSAFE_MODULES: [&str; 9] = [
+    "aes_ni.rs",
+    "ghash_clmul.rs",
+    "gcm_ni.rs",
+    "gcm_vaes.rs",
+    "sha_ni.rs",
+    "sha2.rs",
+    "cpu.rs",
+    "ct.rs",
+    "write_once.rs",
+];
+
+/// Every `unsafe` block in the files that may hold one, tests included,
+/// sits directly under a comment block that carries its `SAFETY:` note.
 #[test]
 fn every_unsafe_block_in_the_hardware_modules_says_why_it_is_sound() {
     let mut blocks = 0;
-    for module in HW_LANES.iter().flat_map(|lane| lane.modules).chain(&["sha2.rs", "cpu.rs"]) {
+    for module in UNSAFE_MODULES {
         let text = hw_module(module);
         let lines: Vec<&str> = text.lines().map(str::trim_start).collect();
         for (idx, line) in lines.iter().enumerate() {
@@ -213,5 +229,61 @@ fn every_unsafe_block_in_the_hardware_modules_says_why_it_is_sound() {
             );
         }
     }
-    assert!(blocks >= 29, "found only {blocks} unsafe blocks: has the code moved?");
+    assert!(blocks >= 36, "found only {blocks} unsafe blocks: has the code moved?");
+}
+
+/// `unsafe` stays where it is audited: nowhere in `nexus-crypto` (sources
+/// and tests) outside [`UNSAFE_MODULES`] — each of them checked block by
+/// block above — and nowhere at all in `nexus-core`, which says so itself.
+#[test]
+fn unsafe_appears_only_in_the_listed_files() {
+    let mut sources = Vec::new();
+    rust_sources(&crates_dir().join("crypto"), &mut sources);
+    assert!(sources.len() >= 20, "found only {} sources under crates/crypto", sources.len());
+    for path in sources {
+        let name = path.file_name().and_then(|n| n.to_str()).expect("a UTF-8 file name");
+        // This file names the word it polices.
+        if UNSAFE_MODULES.contains(&name) || name == "source_audit.rs" {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("a readable source file");
+        for (idx, line) in text.lines().enumerate() {
+            assert!(
+                !line.contains("unsafe"),
+                "{}:{}: `unsafe` outside the audited files: {}",
+                path.display(),
+                idx + 1,
+                line.trim()
+            );
+        }
+    }
+    let core = std::fs::read_to_string(crates_dir().join("core/src/lib.rs")).expect("core's lib.rs");
+    assert!(
+        core.lines().any(|l| l.trim() == "#![forbid(unsafe_code)]"),
+        "crates/core/src/lib.rs no longer forbids unsafe code"
+    );
+}
+
+/// One allocation path for AEAD output: the three files that produce it
+/// reserve a `WriteOnce` and let the kernel write it, so none of them
+/// zero-fills a buffer first (tests may: they build inputs that way).
+#[test]
+fn aead_output_buffers_are_not_zero_filled() {
+    for file in ["crypto/src/gcm.rs", "core/src/datapath.rs", "core/src/metadata/crypto.rs"] {
+        let path = crates_dir().join(file);
+        // A moved file must fail here, not silently shrink the audit.
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("AEAD output producer {}: {e}", path.display()));
+        assert!(text.contains("WriteOnce"), "{file} no longer allocates through `WriteOnce`");
+        let code = text
+            .lines()
+            .take_while(|l| !l.starts_with("#[cfg(test)]"))
+            .enumerate()
+            .filter(|(_, l)| !l.trim_start().starts_with("//"));
+        for (idx, line) in code {
+            let zero_fill = line.contains("vec![0u8;")
+                || (line.contains(".resize(") && line.trim_end().ends_with(", 0);"));
+            assert!(!zero_fill, "{file}:{}: a zero-filled buffer: {}", idx + 1, line.trim());
+        }
+    }
 }

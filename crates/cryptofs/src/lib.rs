@@ -40,6 +40,7 @@ use nexus_crypto::ed25519::{Signature, SigningKey, VerifyingKey};
 use nexus_crypto::gcm::{AesGcm, TAG_LEN};
 use nexus_crypto::hmac::hkdf;
 use nexus_crypto::rng::{OsRandom, SecureRandom};
+use nexus_crypto::write_once::{Slot, WriteOnce};
 use nexus_crypto::x25519;
 use nexus_storage::StorageBackend;
 
@@ -221,21 +222,21 @@ fn seal_file(gcm: &AesGcm, file_nonce: &[u8; 12], path: &str, data: &[u8], chunk
     let chunks: Vec<&[u8]> =
         if data.is_empty() { vec![&[][..]] } else { data.chunks(chunk_size).collect() };
     let total = data.len() as u64;
-    let mut ciphertext = vec![0u8; data.len() + chunks.len() * TAG_LEN];
-    let mut jobs: Vec<(&[u8], &mut [u8])> =
-        chunks.into_iter().zip(ciphertext.chunks_mut(chunk_size + TAG_LEN)).collect();
+    let mut ciphertext = WriteOnce::reserve(data.len() + chunks.len() * TAG_LEN);
+    let slots = ciphertext.slots(chunks.iter().map(|chunk| chunk.len() + TAG_LEN));
+    let mut jobs: Vec<(&[u8], Slot<'_>)> = chunks.into_iter().zip(slots).collect();
     nexus_pool::global().par_map_indexed_mut(&mut jobs, |idx, (chunk, slot)| {
         let nonce = chunk_nonce(file_nonce, idx as u64);
-        gcm.seal_into(&nonce, &chunk_aad(path, idx as u64, total), chunk, slot);
+        slot.seal(gcm, &nonce, &chunk_aad(path, idx as u64, total), chunk);
     });
-    ciphertext
+    ciphertext.finish()
 }
 
 /// Opens ciphertext produced by [`seal_file`] into one plaintext buffer.
 /// Chunk boundaries are recovered from length arithmetic: every chunk but
 /// the last carries exactly `chunk_size` plaintext bytes. On any failing
-/// chunk the whole buffer is dropped (each failing slot already zeroized
-/// by `open_into`) and only the error is returned.
+/// chunk the whole buffer is dropped unfinished (each failing slot already
+/// zeroized by `Slot::open`) and only the error is returned.
 fn open_file(
     gcm: &AesGcm,
     file_nonce: &[u8; 12],
@@ -248,24 +249,17 @@ fn open_file(
         return Err(CryptoFsError::Integrity("data object truncated".into()));
     }
     let total = ciphertext.len() - pieces.len() * TAG_LEN;
-    let mut plain = vec![0u8; total];
-    let mut unclaimed = plain.as_mut_slice();
-    let mut jobs: Vec<(&[u8], &mut [u8])> = pieces
-        .into_iter()
-        .map(|piece| {
-            let (slot, rest) = std::mem::take(&mut unclaimed).split_at_mut(piece.len() - TAG_LEN);
-            unclaimed = rest;
-            (piece, slot)
-        })
-        .collect();
+    let mut plain = WriteOnce::reserve(total);
+    let slots = plain.slots(pieces.iter().map(|piece| piece.len() - TAG_LEN));
+    let mut jobs: Vec<(&[u8], Slot<'_>)> = pieces.into_iter().zip(slots).collect();
     let opened = nexus_pool::global().par_map_indexed_mut(&mut jobs, |idx, (piece, slot)| {
         let nonce = chunk_nonce(file_nonce, idx as u64);
-        gcm.open_into(&nonce, &chunk_aad(path, idx as u64, total as u64), piece, slot)
+        slot.open(gcm, &nonce, &chunk_aad(path, idx as u64, total as u64), piece)
             .map_err(|_| CryptoFsError::Integrity("file authentication failed".into()))
     });
     // Index order, so the surfaced error is the lowest failing chunk.
     opened.into_iter().collect::<Result<()>>()?;
-    Ok(plain)
+    Ok(plain.finish())
 }
 
 /// Draws random bytes from a thread-local CSPRNG. The data path fans file
