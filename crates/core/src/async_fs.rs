@@ -162,9 +162,9 @@ impl AsyncVolume {
     }
 
     /// Async whole-file write: the same single enclave call as
-    /// [`NexusVolume::write_file`] (walk, create if absent, chunk seal, one
-    /// `MetaCommit`), so the modelled seal cost is charged once per op;
-    /// the lane pays the RPCs as they happen.
+    /// [`NexusVolume::write_file`] (walk, chunk seal, one `MetaCommit`
+    /// that also creates the file if it is absent), so the modelled seal
+    /// cost is charged once per op; the lane pays the RPCs as they happen.
     pub async fn write_file(&self, path: &str, data: &[u8]) -> Result<()> {
         self.turn().await;
         let r = self.volume.write_file(path, data);

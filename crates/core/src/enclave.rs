@@ -713,6 +713,8 @@ pub(crate) struct MetaCommit {
     manifest_updates: Vec<(NexusUuid, [u8; 32])>,
     /// (uuid, node, decrypted body bytes the node retains).
     cache_inserts: Vec<(NexusUuid, CachedNode, usize)>,
+    /// The node this commit creates, if any (see [`MetaCommit::born`]).
+    born: Option<NexusUuid>,
 }
 
 impl MetaCommit {
@@ -720,10 +722,18 @@ impl MetaCommit {
         MetaCommit::default()
     }
 
-    /// Stages a raw (non-metadata) object write, e.g. a new file's empty
-    /// data object, so it rides the same batched flush.
+    /// Stages a raw (non-metadata) object write, e.g. a file's data object,
+    /// so it rides the same batched flush.
     pub(crate) fn stage_raw(&mut self, uuid: NexusUuid, blob: Vec<u8>) {
         self.pending.push((uuid.object_name(), blob));
+    }
+
+    /// Marks the staged node `uuid` as one this commit creates. No lock
+    /// covers it, so once the commit lands another client may rewrite it
+    /// before [`commit_flush`] reads its version back; it is cached only at
+    /// the version its own first write gave it.
+    pub(crate) fn born(&mut self, uuid: NexusUuid) {
+        self.born = Some(uuid);
     }
 }
 
@@ -834,7 +844,8 @@ pub(crate) fn stage_filenode(
 /// Lands a staged commit: every sealed blob in one `put_many` (one RPC,
 /// one lock epoch on the manifest); then the cache learns the versions just
 /// written from one `stat_many` (the caller holds the advisory lock of
-/// every node it rewrites, so no foreign write can slip in between), and a
+/// every node it rewrites, so no foreign write can slip in between — a
+/// node it creates is the exception, see [`MetaCommit::born`]), and a
 /// single freshness-manifest record covers all updated objects.
 pub(crate) fn commit_flush(
     state: &mut EnclaveState,
@@ -849,6 +860,12 @@ pub(crate) fn commit_flush(
     let written = io.versions(commit.cache_inserts.iter().map(|(uuid, ..)| uuid));
     let mounted = state.mounted()?;
     for ((uuid, node, epc_bytes), version) in commit.cache_inserts.into_iter().zip(written) {
+        // A first write is version 1 (0 on a store that keeps none): past
+        // it, another client has already rewritten the node just created,
+        // and its next load fetches that rather than trust this copy.
+        if commit.born == Some(uuid) && version.is_some_and(|v| v > 1) {
+            continue;
+        }
         mounted.meta_cache.insert(io.env, uuid, node, version.unwrap_or(0), epc_bytes);
     }
     crate::freshness::record_objects(state, io, &commit.manifest_updates, &[])?;

@@ -212,30 +212,55 @@ fn load_child(
     })
 }
 
-/// Adds a file or directory `name` to the directory `dir_uuid`: under the
-/// directory's advisory lock, on a copy reloaded under it. Returns the
-/// entry now bound to `name` and whether this call created it — another
-/// client may have, since the caller's walk.
+/// Adds a file or directory `name` to the directory `dir_uuid`, a file
+/// holding `contents` (empty for a directory): under the directory's
+/// advisory lock, on a copy reloaded under it. Returns the entry now bound
+/// to `name` and whether this call created it — another client may have,
+/// since the caller's walk; then nothing was written.
+///
+/// The new node is written once, already holding its contents, and lands
+/// in the same commit as the entry that names it, so no client sees it
+/// before it is whole and none can lock or rewrite it before that commit:
+/// it needs no lock of its own. A file's chunks are sealed before the
+/// directory's lock is taken, so a large create holds it no longer than an
+/// empty one.
 fn create_entry(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
     dir_uuid: NexusUuid,
     name: &str,
     kind: FileType,
+    contents: &[u8],
 ) -> Result<(DirEntry, bool)> {
-    let _lock = LockGuard::acquire(io, dir_uuid)?;
-    let mut dir = revalidated(state, io, |state, io| load_full(state, io, dir_uuid))?;
-    if let Some(existing) = dir.find_loaded(name) {
-        return Ok((existing.to_entry(), false));
-    }
     let child_uuid = fresh_uuid(io.env);
     let config = state.config();
     // The whole create — child object(s), the parent's dirty bucket, and
     // the parent's main object — is staged into one commit and lands as a
     // single batched round trip.
     let mut commit = MetaCommit::new();
-    let entry_kind = match kind {
-        FileType::Directory => {
+    let fnode = match kind {
+        FileType::File => {
+            let data_uuid = fresh_uuid(io.env);
+            let mut fnode = Filenode::new(child_uuid, dir_uuid, data_uuid, config.chunk_size);
+            seal_contents(io, &mut commit, &mut fnode, contents);
+            Some(fnode)
+        }
+        FileType::Directory => None,
+        FileType::Symlink => {
+            return Err(NexusError::InvalidName("use fs_symlink for symlinks".into()))
+        }
+    };
+    let _lock = LockGuard::acquire(io, dir_uuid)?;
+    let mut dir = revalidated(state, io, |state, io| load_full(state, io, dir_uuid))?;
+    if let Some(existing) = dir.find_loaded(name) {
+        return Ok((existing.to_entry(), false));
+    }
+    let entry_kind = match fnode {
+        Some(fnode) => {
+            stage_filenode(state, io, &mut commit, Arc::new(fnode), dir.scope)?;
+            EntryKind::File
+        }
+        None => {
             let mut child = Dirnode::new(child_uuid, dir.uuid, config.bucket_size);
             // Subdirectories of a group-shared directory inherit its key
             // scope, so the whole subtree follows the group's epochs.
@@ -243,17 +268,8 @@ fn create_entry(
             stage_dirnode(state, io, &mut commit, Arc::new(child))?;
             EntryKind::Directory
         }
-        FileType::File => {
-            let data_uuid = fresh_uuid(io.env);
-            let fnode = Filenode::new(child_uuid, dir.uuid, data_uuid, config.chunk_size);
-            commit.stage_raw(data_uuid, Vec::new());
-            stage_filenode(state, io, &mut commit, Arc::new(fnode), dir.scope)?;
-            EntryKind::File
-        }
-        FileType::Symlink => {
-            return Err(NexusError::InvalidName("use fs_symlink for symlinks".into()))
-        }
     };
+    commit.born(child_uuid);
     let entry = DirEntry { name: name.into(), uuid: child_uuid, kind: entry_kind };
     Arc::make_mut(&mut dir).insert(entry.clone(), fresh_uuid(io.env))?;
     stage_dirnode(state, io, &mut commit, dir)?;
@@ -269,7 +285,7 @@ pub(crate) fn fs_touch(
     kind: FileType,
 ) -> Result<NexusUuid> {
     let (dir_uuid, name) = writable_parent(state, io, path)?;
-    match create_entry(state, io, dir_uuid, name, kind)? {
+    match create_entry(state, io, dir_uuid, name, kind, &[])? {
         (entry, true) => Ok(entry.uuid),
         (_, false) => Err(NexusError::AlreadyExists(path.to_string())),
     }
@@ -668,8 +684,10 @@ fn rename_once(state: &mut EnclaveState, io: &MetaIo<'_>, from: &str, to: &str) 
 }
 
 /// `nexus_fs_encrypt`, creating the file when `path` names nothing: one
-/// walk finds the file or its absence, an absent file is created under the
-/// directory's lock, and the contents are replaced under the filenode's.
+/// walk finds the file or its absence. An absent file is created holding
+/// `data` in one commit under the directory's lock; an existing one — or
+/// one another client created since the walk — has its contents replaced
+/// under the filenode's.
 pub(crate) fn fs_write(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
@@ -689,7 +707,10 @@ pub(crate) fn fs_write(
         Some(entry) => entry,
         None => {
             validate_name(name)?;
-            create_entry(state, io, dir_uuid, name, FileType::File)?.0
+            match create_entry(state, io, dir_uuid, name, FileType::File, data)? {
+                (_, true) => return Ok(()),
+                (entry, false) => entry,
+            }
         }
     };
     if !matches!(entry.kind, EntryKind::File) {
@@ -698,13 +719,39 @@ pub(crate) fn fs_write(
     replace_contents(state, io, entry.uuid, scope, data)
 }
 
-/// Replaces the contents of the file `file` with `data`, drawing fresh
-/// per-chunk keys (§VI-A). `dir_scope` is the containing directory's key
-/// scope.
+/// Seals `data` as `fnode`'s contents under fresh per-chunk keys (§VI-A):
+/// the data object is staged into `commit`, and `fnode` takes the chunk
+/// contexts and the size. The one seal path of a create and an overwrite.
 ///
 /// Key/nonce draws happen serially *before* the chunk seals fan out over
 /// the worker pool, so both the RNG stream and the ciphertext are
 /// byte-identical to the serial loop at every `NEXUS_THREADS` setting.
+fn seal_contents(io: &MetaIo<'_>, commit: &mut MetaCommit, fnode: &mut Filenode, data: &[u8]) {
+    let n_chunks = Filenode::chunk_count_for(data.len() as u64, fnode.chunk_size);
+    let contexts: Vec<ChunkContext> = (0..n_chunks)
+        .map(|_| {
+            let mut key = [0u8; 16];
+            io.env.random_bytes(&mut key);
+            let mut nonce = [0u8; 12];
+            io.env.random_bytes(&mut nonce);
+            ChunkContext { key, nonce }
+        })
+        .collect();
+    let ciphertext = datapath::seal_chunks(
+        nexus_pool::global(),
+        &fnode.data_uuid,
+        data,
+        fnode.chunk_size as usize,
+        &contexts,
+    );
+    // The data object rides the filenode's round trip.
+    commit.stage_raw(fnode.data_uuid, ciphertext);
+    fnode.size = data.len() as u64;
+    fnode.chunks = contexts;
+}
+
+/// Replaces the contents of the file `file` with `data`. `dir_scope` is
+/// the containing directory's key scope.
 fn replace_contents(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
@@ -716,29 +763,8 @@ fn replace_contents(
     // Reloaded under the lock: whatever a rename or a link wrote into the
     // filenode since the walk (parent pointer, link count) is kept.
     let mut fnode = revalidated(state, io, |state, io| load_filenode(state, io, file))?;
-
-    let n_chunks = Filenode::chunk_count_for(data.len() as u64, fnode.chunk_size);
-    let mut contexts = Vec::with_capacity(n_chunks as usize);
-    for _ in 0..n_chunks {
-        let mut key = [0u8; 16];
-        io.env.random_bytes(&mut key);
-        let mut nonce = [0u8; 12];
-        io.env.random_bytes(&mut nonce);
-        contexts.push(ChunkContext { key, nonce });
-    }
-    let ciphertext = datapath::seal_chunks(
-        nexus_pool::global(),
-        &fnode.data_uuid,
-        data,
-        fnode.chunk_size as usize,
-        &contexts,
-    );
-    // The data object rides the filenode's round trip.
     let mut commit = MetaCommit::new();
-    commit.stage_raw(fnode.data_uuid, ciphertext);
-    let fnode_mut = Arc::make_mut(&mut fnode);
-    fnode_mut.size = data.len() as u64;
-    fnode_mut.chunks = contexts;
+    seal_contents(io, &mut commit, Arc::make_mut(&mut fnode), data);
     stage_filenode(state, io, &mut commit, fnode, dir_scope)?;
     commit_flush(state, io, commit)
 }

@@ -384,7 +384,8 @@ impl NexusVolume {
     }
 
     /// Writes (replaces) a file's contents, creating it if absent
-    /// (`nexus_fs_encrypt`): one enclave call over one path walk.
+    /// (`nexus_fs_encrypt`): one enclave call over one path walk and one
+    /// metadata commit, a create included.
     pub fn write_file(&self, path: &str, data: &[u8]) -> Result<()> {
         // The plaintext is borrowed across the boundary, not copied in:
         // the enclave reads it exactly once, sealing each chunk straight

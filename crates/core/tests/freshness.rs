@@ -79,18 +79,30 @@ fn without_manifest_fresh_client_misses_single_object_rollback() {
     // attack when the victim has no history — motivating the manifest.
     let (platform, ias, evil, owner, volume, sealed) = setup(NexusConfig::default());
     volume.write_file("doc.txt", b"version 1").unwrap();
+    let before = evil.observed().len();
     volume.write_file("doc.txt", b"version 2").unwrap();
+    // The server rolls back what the overwrite rewrote — the filenode and
+    // its data object — to the versions the create wrote.
+    let rewritten: Vec<String> =
+        evil.observed().split_off(before).into_iter().map(|(path, _)| path).collect();
     let filenode_uuid = volume.lookup("doc.txt").unwrap().uuid.object_name();
-    evil.rollback(&filenode_uuid);
+    assert_eq!(rewritten.len(), 2, "{rewritten:?}");
+    assert!(rewritten.contains(&filenode_uuid), "{rewritten:?}");
+    for path in &rewritten {
+        assert_eq!(evil.version_count(path), 2, "{path} was first written by the create");
+        evil.rollback(path);
+    }
     let fresh =
         NexusVolume::mount(&platform, evil.clone(), &ias, &sealed, NexusConfig::default())
             .unwrap();
     fresh.authenticate(&owner).unwrap();
-    // The stale filenode is authentic and the client has no version memory:
-    // rolled-back (stale) content is served without any error. (The oldest
-    // recorded filenode version is the just-created empty file.)
-    let served = fresh.read_file("doc.txt").unwrap();
-    assert_ne!(served, b"version 2", "client was served stale state silently");
+    // The stale pair is authentic and the client has no version memory:
+    // the rolled-back contents are served without any error.
+    assert_eq!(
+        fresh.read_file("doc.txt").unwrap(),
+        b"version 1",
+        "client was served stale state silently"
+    );
 }
 
 #[test]

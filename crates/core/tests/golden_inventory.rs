@@ -6,6 +6,13 @@
 //! (key wrap, body seal, chunk seal, preamble layout, RNG draw order)
 //! changes the digest; a refactor that must not orphan stored volumes
 //! keeps it.
+//!
+//! The script runs twice. Spelled with every first write as `create_file`
+//! then `write_file`, it stores what a create that committed an empty file
+//! and then its contents stored, so [`TWO_STEP`] has not moved since that
+//! create was two commits: every object an empty create, a `mkdir` or an
+//! overwrite stores is byte for byte what it was. Spelled with one
+//! `write_file` per first write, it pins today's one-commit create.
 
 use std::sync::Arc;
 
@@ -14,12 +21,19 @@ use nexus_crypto::sha2::Sha256;
 use nexus_sgx::{AttestationService, Platform};
 use nexus_storage::{MemBackend, StorageBackend};
 
-/// Computed at the parent commit (8878dd2), identical under
+/// Computed at commit 8878dd2 for the script whose first writes are
+/// `create_file` + `write_file`; identical under
 /// `NEXUS_CRYPTO_FORCE_PORTABLE=1`.
-const GOLDEN: &str = "0232e371dd056951806110dd48715f2b4e612bd13c93f9a6606e2ed0923e5db5";
+const TWO_STEP: &str = "0232e371dd056951806110dd48715f2b4e612bd13c93f9a6606e2ed0923e5db5";
 
-#[test]
-fn fixed_script_leaves_golden_bytes_on_the_store() {
+/// The same script with each first write a single `write_file`: the new
+/// file's filenode is written once, at version 1, holding its contents.
+/// Identical under `NEXUS_CRYPTO_FORCE_PORTABLE=1`.
+const GOLDEN: &str = "590ef17c801a900d0c11cd1cdb115b7be30b38e9dfa41f5a5ce19c2f40aeedda";
+
+/// Runs the fixed script on a fresh store and returns (its digest, the
+/// number of objects on the store).
+fn inventory(create_first: bool) -> (String, usize) {
     let platform = Platform::seeded(0x601d);
     let ias = AttestationService::new();
     ias.register_platform(&platform);
@@ -32,10 +46,16 @@ fn fixed_script_leaves_golden_bytes_on_the_store() {
     volume.authenticate(&owner).unwrap();
 
     let pattern = |len: usize, mul: usize| -> Vec<u8> { (0..len).map(|i| (i * mul) as u8).collect() };
+    let first_write = |path: &str, data: &[u8]| {
+        if create_first {
+            volume.create_file(path).unwrap();
+        }
+        volume.write_file(path, data).unwrap();
+    };
     volume.mkdir("docs").unwrap();
     volume.mkdir("team").unwrap();
-    volume.write_file("docs/big.bin", &pattern(10_000, 7)).unwrap();
-    volume.write_file("docs/small.txt", &pattern(100, 3)).unwrap();
+    first_write("docs/big.bin", &pattern(10_000, 7));
+    first_write("docs/small.txt", &pattern(100, 3));
     volume.write_file("docs/small.txt", &pattern(300, 5)).unwrap();
     volume.rename("docs/big.bin", "team/big.bin").unwrap();
 
@@ -46,7 +66,7 @@ fn fixed_script_leaves_golden_bytes_on_the_store() {
     volume.create_group("eng").unwrap();
     volume.add_group_members("eng", &["alice", "bob"]).unwrap();
     volume.set_group_acl("team", "eng", Rights::RW).unwrap();
-    volume.write_file("team/scoped.txt", &pattern(5000, 11)).unwrap();
+    first_write("team/scoped.txt", &pattern(5000, 11));
     volume.remove_group_members("eng", &["bob"]).unwrap();
     volume.write_file("team/scoped.txt", &pattern(6000, 13)).unwrap();
 
@@ -63,6 +83,18 @@ fn fixed_script_leaves_golden_bytes_on_the_store() {
         inventory.update(&(bytes.len() as u64).to_be_bytes());
         inventory.update(&bytes);
     }
-    let digest: String = inventory.finalize().iter().map(|b| format!("{b:02x}")).collect();
-    assert_eq!(digest, GOLDEN, "{} objects on the store", names.len());
+    let digest = inventory.finalize().iter().map(|b| format!("{b:02x}")).collect();
+    (digest, names.len())
+}
+
+#[test]
+fn fixed_script_leaves_golden_bytes_on_the_store() {
+    let (digest, objects) = inventory(false);
+    assert_eq!(digest, GOLDEN, "{objects} objects on the store");
+}
+
+#[test]
+fn create_then_write_leaves_the_bytes_of_a_two_commit_create() {
+    let (digest, objects) = inventory(true);
+    assert_eq!(digest, TWO_STEP, "{objects} objects on the store");
 }

@@ -97,13 +97,13 @@ fn a_warm_operation_pays_one_probe_per_phase() {
     let ecalls = v.enclave().stats().ecalls();
     let create = calls_of(&log, || v.write_file("a/b/new", b"created").unwrap());
     assert_eq!(v.enclave().stats().ecalls() - ecalls, 1, "create-and-write is one enclave call");
-    assert_eq!(
-        create,
-        [
-            StatMany, Lock, StatMany, PutMany, StatMany, Unlock, // create under b's lock
-            Lock, StatMany, PutMany, StatMany, Unlock, // contents under the filenode's
-        ],
-    );
+    // Walk, lock b, b again now that it cannot move, the data object, the
+    // filenode, b's bucket and b in one batch, the versions, unlock.
+    assert_eq!(create, [StatMany, Lock, StatMany, PutMany, StatMany, Unlock]);
+    let touch = calls_of(&log, || v.create_file("a/b/touched").unwrap());
+    assert_eq!(create, touch, "the calls of an empty create");
+    let table_5b = calls_of(&log, || v.write_file("a/b/empty", b"").unwrap());
+    assert_eq!(create, table_5b, "the calls of Table 5b's create");
 
     let rename = calls_of(&log, || v.rename("a/b/f1", "a/c/g1").unwrap());
     assert_eq!(
