@@ -272,30 +272,39 @@ fn open_meta_blob(
     }
 }
 
-/// Cache hits an operation has relied on without having compared them with
-/// storage yet, and what the last comparison found.
+/// What an operation has relied on without having compared it with storage
+/// yet, and what the last comparison found.
 #[derive(Debug, Default)]
 struct Probes {
     /// uuid → storage version of the cached node the operation used.
     pending: BTreeMap<NexusUuid, u64>,
-    /// Cached objects a comparison found changed or gone, for
-    /// [`revalidated`] to evict.
+    /// Cached objects a comparison found changed or gone, for [`locked`]
+    /// to evict.
     stale: Vec<NexusUuid>,
     /// Storage versions read this operation and not yet recorded with a
     /// fetched body. Each is a lower bound on what a later fetch returns.
     observed: BTreeMap<NexusUuid, u64>,
+    /// uuid → storage version of each object fetched since [`locked`]
+    /// began or last took its locks. Taking them moves these into
+    /// `pending`: what a mutation's walk fetched before its locks is
+    /// compared after them, like its cache hits.
+    fetched: BTreeMap<NexusUuid, u64>,
 }
 
 /// Storage access from inside the enclave: every call is an ocall into the
 /// untrusted runtime, which forwards to the backing store.
 ///
 /// It also owns the operation's *pending probes* (DESIGN.md §9, "One probe
-/// per phase"): a metadata-cache hit is recorded with [`MetaIo::defer_probe`]
-/// instead of paying a `stat` on the spot, and every fetch, write, delete
-/// and lock settles the pending set first — one `stat_many` for the whole
-/// set — failing with [`NexusError::StaleRead`] when a cached object moved.
-/// Nothing is ever fetched, written or locked on the word of a cached object
-/// that has not been compared with storage since it was used.
+/// per mutation"): a metadata-cache hit is recorded with
+/// [`MetaIo::defer_probe`] instead of paying a `stat` on the spot, and every
+/// fetch, write and delete settles the pending set first — one `stat_many`
+/// for the whole set — failing with [`NexusError::StaleRead`] when a cached
+/// object moved. Nothing is ever fetched, written, deleted or answered on the
+/// word of a cached object that has not been compared with storage since it
+/// was used. A lock is the one call that does not settle: it carries no
+/// data, so a mutation's walk — its cache hits and what it fetched — is
+/// compared after its locks, in the same round trip as what it reloads
+/// under them ([`locked`]).
 pub(crate) struct MetaIo<'a> {
     pub(crate) env: &'a EnclaveEnv<'a>,
     backend: &'a dyn StorageBackend,
@@ -316,7 +325,7 @@ impl<'a> MetaIo<'a> {
 
     /// Compares every pending probe with storage in one round trip. On a
     /// mismatch the changed objects are queued for eviction and the caller
-    /// must re-run whatever it derived from them ([`revalidated`] does).
+    /// must re-run whatever it derived from them ([`locked`] does).
     pub(crate) fn settle(&self) -> Result<()> {
         self.probe_before_fetch(&[]).map(drop)
     }
@@ -358,7 +367,20 @@ impl<'a> MetaIo<'a> {
             )));
         }
         // An object that does not exist has no version; its fetch fails.
-        Ok(fetch.iter().map(|u| probes.observed.remove(u).unwrap_or(0)).collect())
+        let mut versions = Vec::with_capacity(fetch.len());
+        for uuid in fetch {
+            let version = probes.observed.remove(uuid);
+            if let Some(version) = version {
+                probes.fetched.insert(*uuid, version);
+            }
+            versions.push(version.unwrap_or(0));
+        }
+        Ok(versions)
+    }
+
+    /// Empties the record of fetched versions, returning what it held.
+    fn take_fetched(&self) -> BTreeMap<NexusUuid, u64> {
+        std::mem::take(&mut self.probes.borrow_mut().fetched)
     }
 
     /// True when no cache hit is waiting to be compared.
@@ -366,7 +388,7 @@ impl<'a> MetaIo<'a> {
         self.probes.borrow().pending.is_empty()
     }
 
-    /// Queues `uuid` for eviction by [`revalidated`].
+    /// Queues `uuid` for eviction by [`locked`].
     pub(crate) fn mark_stale(&self, uuid: NexusUuid) {
         self.probes.borrow_mut().stale.push(uuid);
     }
@@ -462,8 +484,11 @@ impl<'a> MetaIo<'a> {
             .collect()
     }
 
+    /// Takes the advisory lock on `uuid`. Nothing is compared first: a lock
+    /// carries no data, and one a stale walk took by mistake costs only its
+    /// unlock. What the holder relies on is compared after it is granted
+    /// ([`locked`]).
     pub(crate) fn lock(&self, uuid: &NexusUuid) -> Result<()> {
-        self.settle()?;
         // `flock` blocks until the lock is granted; emulate with a bounded
         // retry loop so cross-client contention resolves instead of erroring.
         let name = uuid.object_name();
@@ -545,19 +570,11 @@ fn next_version(mounted: &mut Mounted, uuid: &NexusUuid) -> u64 {
     *seen
 }
 
-/// Runs the read-only `phase` — a path walk, or the reload of what a
-/// mutation is built on after its locks are taken — until every cached
-/// object it relied on has been compared with storage and found current.
-///
-/// The phase's cache hits are settled in one round trip when it ends,
-/// whether it produced a value or an error (a `NotFound` derived from a
-/// stale parent is no answer). When the comparison — or the phase itself,
-/// through a fetch that settled early, a bucket that no longer matches its
-/// dirnode, or a freshness-manifest disagreement — reports a concurrent
-/// update, the changed objects are evicted and the phase runs again. The
-/// second run follows at once (a stale cache is not a race); later ones
-/// back off so an in-flight writer can land. A disagreement that outlives
-/// the budget is an integrity violation.
+/// Runs the read-only `phase` of a read-only operation until every cached
+/// object it relied on has been compared with storage and found current:
+/// [`locked`] with no locks and nothing to reload, so the phase's cache
+/// hits are settled in one round trip when it ends, on the same retry
+/// budget. (A mutation runs [`locked`] itself.)
 ///
 /// `phase` must not write: it may run many times.
 pub(crate) fn revalidated<T>(
@@ -565,17 +582,106 @@ pub(crate) fn revalidated<T>(
     io: &MetaIo<'_>,
     mut phase: impl FnMut(&mut EnclaveState, &MetaIo<'_>) -> Result<T>,
 ) -> Result<T> {
+    locked(state, io, |state, io| Ok((phase(state, io)?, Vec::new())), |_, _, _| Ok(()))
+        .map(|(_, out, ())| out)
+}
+
+/// The server-side advisory locks a mutation holds (§V-A), taken in the
+/// order named and released in reverse when dropped.
+pub(crate) struct LockGuard<'x, 'a> {
+    io: &'x MetaIo<'a>,
+    held: Vec<NexusUuid>,
+}
+
+impl<'x, 'a> LockGuard<'x, 'a> {
+    /// Takes every lock of `set` in order. When one cannot be had, those
+    /// already taken are released.
+    pub(crate) fn acquire(io: &'x MetaIo<'a>, set: &[NexusUuid]) -> Result<LockGuard<'x, 'a>> {
+        let mut guard = LockGuard { io, held: Vec::with_capacity(set.len()) };
+        for uuid in set {
+            io.lock(uuid)?;
+            guard.held.push(*uuid);
+        }
+        Ok(guard)
+    }
+
+    fn release(&mut self) {
+        while let Some(uuid) = self.held.pop() {
+            self.io.unlock(&uuid);
+        }
+    }
+}
+
+impl Drop for LockGuard<'_, '_> {
+    fn drop(&mut self) {
+        self.release();
+    }
+}
+
+/// Runs a mutation up to its commit, comparing what it relied on with
+/// storage once, after its locks are held:
+///
+/// 1. `walk` finds what the operation is about and checks the session's
+///    rights on it. It fetches only on a cache miss and does not settle
+///    when it ends. It names the locks the commit needs, directory locks
+///    first, then a filenode's.
+/// 2. Those locks are taken.
+/// 3. `reload` loads what the commit is built on, from the cache when it
+///    can.
+/// 4. **One** `stat_many` settles the cache hits of both and what the
+///    walk fetched before the locks — a right granted by an ancestor a
+///    cold walk fetched is confirmed after the locks too.
+///
+/// Returns the locks, for the caller to hold until its commit has landed,
+/// with what the walk and the reload produced. Nothing after step 4 reads
+/// the cache, so a stale hit never aborts a half-staged commit. An empty
+/// lock set takes no lock: that is [`revalidated`].
+///
+/// The comparison runs whether the phases produced a value or an error (a
+/// `NotFound` derived from a stale parent is no answer). When it — or
+/// either phase, through a fetch that settled early, a bucket that no
+/// longer matches its dirnode, or a freshness-manifest disagreement —
+/// reports a concurrent update, the changed objects are evicted and the
+/// walk runs again. The second run follows at once (a stale cache is not a
+/// race); later ones back off so an in-flight writer can land. A
+/// disagreement that outlives the budget is an integrity violation. A walk
+/// that names the locks already held keeps them (a create in a busy
+/// directory makes progress on its second attempt); one that names others
+/// has every lock released and the new set taken in order; one that fails,
+/// once the comparison confirms the failure, releases them and reports it.
+///
+/// Neither phase may write: both may run many times.
+pub(crate) fn locked<'x, 'a, W, R>(
+    state: &mut EnclaveState,
+    io: &'x MetaIo<'a>,
+    mut walk: impl FnMut(&mut EnclaveState, &MetaIo<'_>) -> Result<(W, Vec<NexusUuid>)>,
+    mut reload: impl FnMut(&mut EnclaveState, &MetaIo<'_>, &W) -> Result<R>,
+) -> Result<(LockGuard<'x, 'a>, W, R)> {
     const RETRIES: u64 = 32;
     debug_assert!(io.is_settled(), "a phase must not inherit unverified cache hits");
+    // Only this phase's own fetches are compared after its locks.
+    io.take_fetched();
+    let mut locks = LockGuard { io, held: Vec::new() };
     let mut last = String::new();
     for attempt in 0..RETRIES {
         if attempt > 1 {
             std::thread::sleep(std::time::Duration::from_micros(50 * attempt));
         }
-        let out = phase(state, io);
+        let out = walk(state, io).and_then(|(plan, set)| {
+            if locks.held != set {
+                locks.release();
+                locks = LockGuard::acquire(io, &set)?;
+                for (uuid, version) in io.take_fetched() {
+                    io.defer_probe(uuid, version);
+                }
+            }
+            let reloaded = reload(state, io, &plan)?;
+            Ok((plan, reloaded))
+        });
         match io.settle().and(out) {
             Err(NexusError::StaleRead(why)) => last = why,
-            other => return other,
+            Ok((plan, reloaded)) => return Ok((locks, plan, reloaded)),
+            Err(e) => return Err(e),
         }
         for uuid in io.take_stale() {
             evict(state, io, &uuid);
@@ -884,8 +990,9 @@ pub(crate) fn store_dirnode(
     commit_flush(state, io, commit)
 }
 
-/// The cached filenode `uuid`, its comparison with storage left pending.
-fn cached_filenode(
+/// The cached filenode `uuid`, its comparison with storage left pending;
+/// `None` on a miss, which fetches nothing.
+pub(crate) fn cached_filenode(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
     uuid: NexusUuid,

@@ -6,16 +6,17 @@
 //! chunked format exists for. Each operation traverses the volume's
 //! metadata from the root, decrypting and enforcing access control at every
 //! layer (§IV-A), and takes the server-side advisory lock around metadata
-//! updates (§V-A).
+//! updates (§V-A): a read-only operation runs under
+//! [`revalidated`], a mutation under [`locked`].
 
 use std::sync::Arc;
 
-use crate::acl::{Rights, UserId};
+use crate::acl::{Principal, Rights, UserId};
 use crate::datapath;
 use crate::enclave::{
-    commit_flush, evict, fresh_uuid, load_all_buckets, load_dirnode, load_filenode,
-    load_filenodes, lookup_entry, revalidated, stage_dirnode, stage_filenode, store_dirnode,
-    EnclaveState, MetaCommit, MetaIo,
+    cached_filenode, commit_flush, evict, fresh_uuid, load_all_buckets, load_dirnode, load_filenode,
+    load_filenodes, locked, lookup_entry, revalidated, stage_dirnode, stage_filenode,
+    store_dirnode, CachedNode, EnclaveState, MetaCommit, MetaIo, NexusConfig,
 };
 use crate::error::{NexusError, Result};
 use crate::metadata::dirnode::{DirEntry, Dirnode, EntryKind};
@@ -63,25 +64,6 @@ pub struct DirRow {
     pub name: String,
     /// Entry type.
     pub kind: FileType,
-}
-
-/// RAII unlock for the server-side advisory lock.
-struct LockGuard<'x, 'a> {
-    io: &'x MetaIo<'a>,
-    uuid: NexusUuid,
-}
-
-impl<'x, 'a> LockGuard<'x, 'a> {
-    fn acquire(io: &'x MetaIo<'a>, uuid: NexusUuid) -> Result<LockGuard<'x, 'a>> {
-        io.lock(&uuid)?;
-        Ok(LockGuard { io, uuid })
-    }
-}
-
-impl Drop for LockGuard<'_, '_> {
-    fn drop(&mut self) {
-        self.io.unlock(&self.uuid);
-    }
 }
 
 /// Splits and validates a path into components.
@@ -173,19 +155,17 @@ fn writable_parent<'p>(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
     path: &'p str,
-) -> Result<(NexusUuid, &'p str)> {
-    revalidated(state, io, |state, io| {
-        let (dir, name, effective) = resolve_parent(state, io, path)?;
-        validate_name(name)?;
-        state.check_access(&dir, effective, Rights::WRITE)?;
-        Ok((dir.uuid, name))
-    })
+) -> Result<(Arc<Dirnode>, &'p str)> {
+    let (dir, name, effective) = resolve_parent(state, io, path)?;
+    validate_name(name)?;
+    state.check_access(&dir, effective, Rights::WRITE)?;
+    Ok((dir, name))
 }
 
 /// A directory with every bucket loaded — what a mutation is built on.
-/// Called inside the [`revalidated`] phase that follows the directory's
-/// lock, so a copy another client replaced since the walk is refetched
-/// while the lock keeps it still.
+/// Called from the reload of [`locked`], after the directory's lock is
+/// taken, so a copy another client replaced since is caught by the
+/// comparison that follows while the lock keeps it still.
 fn load_full(state: &mut EnclaveState, io: &MetaIo<'_>, uuid: NexusUuid) -> Result<Arc<Dirnode>> {
     let mut dir = load_dirnode(state, io, uuid, None)?;
     load_all_buckets(state, io, &mut dir)?;
@@ -212,56 +192,65 @@ fn load_child(
     })
 }
 
-/// Adds a file or directory `name` to the directory `dir_uuid`, a file
-/// holding `contents` (empty for a directory): under the directory's
-/// advisory lock, on a copy reloaded under it. Returns the entry now bound
-/// to `name` and whether this call created it — another client may have,
-/// since the caller's walk; then nothing was written.
-///
-/// The new node is written once, already holding its contents, and lands
-/// in the same commit as the entry that names it, so no client sees it
-/// before it is whole and none can lock or rewrite it before that commit:
-/// it needs no lock of its own. A file's chunks are sealed before the
-/// directory's lock is taken, so a large create holds it no longer than an
-/// empty one.
+/// A node a create is about to bind to a name: its uuid drawn and, for a
+/// file, its contents sealed into the commit that will carry it. A create
+/// makes one, in its walk, before it takes the directory's lock — so a
+/// large create holds that lock no longer than an empty one — and once
+/// however often the walk runs.
+struct Newborn {
+    uuid: NexusUuid,
+    file: Option<Filenode>,
+    commit: MetaCommit,
+}
+
+impl Newborn {
+    fn new(
+        io: &MetaIo<'_>,
+        config: NexusConfig,
+        kind: FileType,
+        contents: &[u8],
+    ) -> Result<Newborn> {
+        let uuid = fresh_uuid(io.env);
+        let mut commit = MetaCommit::new();
+        let file = match kind {
+            FileType::File => {
+                // The parent is set when the entry is bound.
+                let mut fnode =
+                    Filenode::new(uuid, NexusUuid::NIL, fresh_uuid(io.env), config.chunk_size);
+                seal_contents(io, &mut commit, &mut fnode, contents);
+                Some(fnode)
+            }
+            FileType::Directory => None,
+            FileType::Symlink => {
+                return Err(NexusError::InvalidName("use fs_symlink for symlinks".into()))
+            }
+        };
+        Ok(Newborn { uuid, file, commit })
+    }
+}
+
+/// Binds `name` in `dir` — reloaded under its lock, and not holding the
+/// name — to `born`. The whole create lands in one commit: the new node,
+/// already holding its contents, a file's data object, the directory's
+/// dirty bucket and its main object. So no client sees the node before it
+/// is whole and none can lock or rewrite it before that commit: it needs
+/// no lock of its own.
 fn create_entry(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
-    dir_uuid: NexusUuid,
+    mut dir: Arc<Dirnode>,
     name: &str,
-    kind: FileType,
-    contents: &[u8],
-) -> Result<(DirEntry, bool)> {
-    let child_uuid = fresh_uuid(io.env);
-    let config = state.config();
-    // The whole create — child object(s), the parent's dirty bucket, and
-    // the parent's main object — is staged into one commit and lands as a
-    // single batched round trip.
-    let mut commit = MetaCommit::new();
-    let fnode = match kind {
-        FileType::File => {
-            let data_uuid = fresh_uuid(io.env);
-            let mut fnode = Filenode::new(child_uuid, dir_uuid, data_uuid, config.chunk_size);
-            seal_contents(io, &mut commit, &mut fnode, contents);
-            Some(fnode)
-        }
-        FileType::Directory => None,
-        FileType::Symlink => {
-            return Err(NexusError::InvalidName("use fs_symlink for symlinks".into()))
-        }
-    };
-    let _lock = LockGuard::acquire(io, dir_uuid)?;
-    let mut dir = revalidated(state, io, |state, io| load_full(state, io, dir_uuid))?;
-    if let Some(existing) = dir.find_loaded(name) {
-        return Ok((existing.to_entry(), false));
-    }
-    let entry_kind = match fnode {
-        Some(fnode) => {
+    born: Newborn,
+) -> Result<NexusUuid> {
+    let Newborn { uuid, file, mut commit } = born;
+    let kind = match file {
+        Some(mut fnode) => {
+            fnode.parent = dir.uuid;
             stage_filenode(state, io, &mut commit, Arc::new(fnode), dir.scope)?;
             EntryKind::File
         }
         None => {
-            let mut child = Dirnode::new(child_uuid, dir.uuid, config.bucket_size);
+            let mut child = Dirnode::new(uuid, dir.uuid, state.config().bucket_size);
             // Subdirectories of a group-shared directory inherit its key
             // scope, so the whole subtree follows the group's epochs.
             child.scope = dir.scope;
@@ -269,12 +258,11 @@ fn create_entry(
             EntryKind::Directory
         }
     };
-    commit.born(child_uuid);
-    let entry = DirEntry { name: name.into(), uuid: child_uuid, kind: entry_kind };
-    Arc::make_mut(&mut dir).insert(entry.clone(), fresh_uuid(io.env))?;
+    commit.born(uuid);
+    Arc::make_mut(&mut dir).insert(DirEntry { name: name.into(), uuid, kind }, fresh_uuid(io.env))?;
     stage_dirnode(state, io, &mut commit, dir)?;
     commit_flush(state, io, commit)?;
-    Ok((entry, true))
+    Ok(uuid)
 }
 
 /// `nexus_fs_touch`: creates a file or directory at `path`.
@@ -284,72 +272,95 @@ pub(crate) fn fs_touch(
     path: &str,
     kind: FileType,
 ) -> Result<NexusUuid> {
-    let (dir_uuid, name) = writable_parent(state, io, path)?;
-    match create_entry(state, io, dir_uuid, name, kind, &[])? {
-        (entry, true) => Ok(entry.uuid),
-        (_, false) => Err(NexusError::AlreadyExists(path.to_string())),
+    let mut born = None;
+    let (_locks, (_, name), dir) = locked(
+        state,
+        io,
+        |state, io| {
+            let (dir, name) = writable_parent(state, io, path)?;
+            if born.is_none() {
+                born = Some(Newborn::new(io, state.config(), kind, &[])?);
+            }
+            Ok(((dir.uuid, name), vec![dir.uuid]))
+        },
+        |state, io, &(dir, _)| load_full(state, io, dir),
+    )?;
+    if dir.find_loaded(name).is_some() {
+        return Err(NexusError::AlreadyExists(path.to_string()));
     }
+    create_entry(state, io, dir, name, born.expect("drawn by the walk"))
 }
 
 /// `nexus_fs_remove`: deletes the file, empty directory, or symlink at
-/// `path`.
+/// `path`. The directory stops naming it first; the objects it leaves
+/// unreachable are deleted once that commit has landed, so a reader in any
+/// gap sees the entry whole or gone, and a crash between leaves orphans.
 pub(crate) fn fs_remove(state: &mut EnclaveState, io: &MetaIo<'_>, path: &str) -> Result<()> {
-    let (dir_uuid, name) = writable_parent(state, io, path)?;
-    let _lock = LockGuard::acquire(io, dir_uuid)?;
-    let (mut dir, child) = revalidated(state, io, |state, io| {
-        let dir = load_full(state, io, dir_uuid)?;
-        let entry = dir
-            .find_loaded(name)
-            .map(|e| e.to_entry())
-            .ok_or_else(|| NexusError::NotFound(path.to_string()))?;
-        let child = load_child(state, io, &dir, &entry)?;
-        Ok((dir, child))
-    })?;
+    let (_locks, (_, entry, _), (mut dir, child)) = locked(
+        state,
+        io,
+        |state, io| {
+            let (mut dir, name) = writable_parent(state, io, path)?;
+            let entry = lookup_entry(state, io, &mut dir, name)?
+                .ok_or_else(|| NexusError::NotFound(path.to_string()))?;
+            let mut locks = vec![dir.uuid];
+            // Another name keeps a hard-linked file, so its filenode is
+            // rewritten: under its own lock too, like the overwrite this
+            // must not race. A filenode the cache lacks is fetched under the
+            // directory's lock, by the reload.
+            if matches!(entry.kind, EntryKind::File)
+                && cached_filenode(state, io, entry.uuid)?.is_some_and(|f| f.nlink > 1)
+            {
+                locks.push(entry.uuid);
+            }
+            Ok(((dir.uuid, entry, locks.len() > 1), locks))
+        },
+        |state, io, (dir, entry, file_locked)| {
+            let dir = load_full(state, io, *dir)?;
+            let child = load_child(state, io, &dir, entry)?;
+            if matches!(&child, Child::File(f) if f.nlink > 1 && !file_locked) {
+                // Now cached, so the next walk names the filenode's lock.
+                return Err(NexusError::StaleRead(format!("{path} is hard-linked")));
+            }
+            Ok((dir, child))
+        },
+    )?;
     let mut commit = MetaCommit::new();
+    let mut unlinked: Vec<NexusUuid> = Vec::new();
     let mut manifest_removals: Vec<NexusUuid> = Vec::new();
-    let mut _link_lock = None;
     match child {
         Child::Dir(child) => {
             if child.entry_count > 0 {
                 return Err(NexusError::NotEmpty(path.to_string()));
             }
-            for slot in &child.buckets {
-                let _ = io.delete(&slot.re.uuid);
-                manifest_removals.push(slot.re.uuid);
-            }
-            io.delete(&child.uuid)?;
+            manifest_removals.extend(child.buckets.iter().map(|slot| slot.re.uuid));
             manifest_removals.push(child.uuid);
+            unlinked.extend(&manifest_removals);
             evict(state, io, &child.uuid);
         }
-        Child::File(mut fnode) => {
-            if fnode.nlink > 1 {
-                // Another name keeps the file, so its filenode is rewritten:
-                // under the filenode's own lock, on a copy reloaded under
-                // it, like the overwrite this must not race.
-                let uuid = fnode.uuid;
-                _link_lock = Some(LockGuard::acquire(io, uuid)?);
-                fnode = revalidated(state, io, |state, io| load_filenode(state, io, uuid))?;
-            }
-            if fnode.nlink > 1 {
-                Arc::make_mut(&mut fnode).nlink -= 1;
-                stage_filenode(state, io, &mut commit, fnode, dir.scope)?;
-            } else {
-                let _ = io.delete(&fnode.data_uuid);
-                io.delete(&fnode.uuid)?;
-                manifest_removals.push(fnode.uuid);
-                evict(state, io, &fnode.uuid);
-            }
+        Child::File(mut fnode) if fnode.nlink > 1 => {
+            Arc::make_mut(&mut fnode).nlink -= 1;
+            stage_filenode(state, io, &mut commit, fnode, dir.scope)?;
+        }
+        Child::File(fnode) => {
+            unlinked.extend([fnode.data_uuid, fnode.uuid]);
+            manifest_removals.push(fnode.uuid);
+            evict(state, io, &fnode.uuid);
         }
         Child::Symlink => {}
     }
     let dir_mut = Arc::make_mut(&mut dir);
-    dir_mut.remove(name)?;
+    dir_mut.remove(&entry.name)?;
     for pruned in dir_mut.prune_empty_buckets() {
-        let _ = io.delete(&pruned);
+        unlinked.push(pruned);
         manifest_removals.push(pruned);
     }
     stage_dirnode(state, io, &mut commit, dir)?;
     commit_flush(state, io, commit)?;
+    for uuid in &unlinked {
+        // Nothing names it any more: one left behind is an orphan for fsck.
+        let _ = io.delete(uuid);
+    }
     crate::freshness::record_objects(state, io, &[], &manifest_removals)?;
     Ok(())
 }
@@ -456,9 +467,15 @@ pub(crate) fn fs_symlink(
     target: &str,
     linkpath: &str,
 ) -> Result<NexusUuid> {
-    let (dir_uuid, name) = writable_parent(state, io, linkpath)?;
-    let _lock = LockGuard::acquire(io, dir_uuid)?;
-    let mut dir = revalidated(state, io, |state, io| load_full(state, io, dir_uuid))?;
+    let (_locks, (_, name), mut dir) = locked(
+        state,
+        io,
+        |state, io| {
+            let (dir, name) = writable_parent(state, io, linkpath)?;
+            Ok(((dir.uuid, name), vec![dir.uuid]))
+        },
+        |state, io, &(dir, _)| load_full(state, io, dir),
+    )?;
     let uuid = fresh_uuid(io.env);
     Arc::make_mut(&mut dir).insert(
         DirEntry { name: name.into(), uuid, kind: EntryKind::Symlink(target.into()) },
@@ -494,28 +511,31 @@ pub(crate) fn fs_hardlink(
     existing: &str,
     linkpath: &str,
 ) -> Result<()> {
-    let (file, src_scope, dst_uuid, dst_name) = revalidated(state, io, |state, io| {
-        let (mut src_dir, src_name, src_effective) = resolve_parent(state, io, existing)?;
-        state.check_access(&src_dir, src_effective, Rights::READ)?;
-        let src_entry = lookup_entry(state, io, &mut src_dir, src_name)?
-            .ok_or_else(|| NexusError::NotFound(existing.to_string()))?;
-        if !matches!(src_entry.kind, EntryKind::File) {
-            return Err(NexusError::IsADirectory(existing.to_string()));
-        }
-        load_file_via(state, io, src_dir.uuid, src_entry.uuid)?;
-        let (dst_dir, dst_name, dst_effective) = resolve_parent(state, io, linkpath)?;
-        validate_name(dst_name)?;
-        state.check_access(&dst_dir, dst_effective, Rights::WRITE)?;
-        Ok((src_entry.uuid, src_dir.scope, dst_dir.uuid, dst_name))
-    })?;
-    // The link count lives in the filenode: its lock (after the
-    // directory's, the order every operation uses) excludes a concurrent
-    // overwrite or unlink of the same file.
-    let _lock = LockGuard::acquire(io, dst_uuid)?;
-    let _file_lock = LockGuard::acquire(io, file)?;
-    let (mut dst_dir, mut fnode) = revalidated(state, io, |state, io| {
-        Ok((load_full(state, io, dst_uuid)?, load_filenode(state, io, file)?))
-    })?;
+    let (_locks, (file, _, src_scope, _, dst_name), (mut dst_dir, mut fnode)) = locked(
+        state,
+        io,
+        |state, io| {
+            let (mut src_dir, src_name, src_effective) = resolve_parent(state, io, existing)?;
+            state.check_access(&src_dir, src_effective, Rights::READ)?;
+            let src_entry = lookup_entry(state, io, &mut src_dir, src_name)?
+                .ok_or_else(|| NexusError::NotFound(existing.to_string()))?;
+            if !matches!(src_entry.kind, EntryKind::File) {
+                return Err(NexusError::IsADirectory(existing.to_string()));
+            }
+            let (dst_dir, dst_name, dst_effective) = resolve_parent(state, io, linkpath)?;
+            validate_name(dst_name)?;
+            state.check_access(&dst_dir, dst_effective, Rights::WRITE)?;
+            // The link count lives in the filenode: its lock (after the
+            // directory's, the order every operation uses) excludes a
+            // concurrent overwrite or unlink of the same file.
+            let locks = vec![dst_dir.uuid, src_entry.uuid];
+            let plan = (src_entry.uuid, src_dir.uuid, src_dir.scope, dst_dir.uuid, dst_name);
+            Ok((plan, locks))
+        },
+        |state, io, &(file, src, _, dst, _)| {
+            Ok((load_full(state, io, dst)?, load_file_via(state, io, src, file)?))
+        },
+    )?;
     if dst_dir.find_loaded(dst_name).is_some() {
         return Err(NexusError::AlreadyExists(linkpath.to_string()));
     }
@@ -570,62 +590,48 @@ pub(crate) fn fs_rename(
             "cannot move {from:?} into its own subtree {to:?}"
         )));
     }
-    const RESTARTS: usize = 32;
-    for _ in 0..RESTARTS {
-        if rename_once(state, io, from, to)? {
-            return Ok(());
-        }
-    }
-    Err(NexusError::Integrity(format!(
-        "{from:?} was bound to a different object at every attempt to rename it"
-    )))
-}
-
-/// One attempt at [`fs_rename`]. `Ok(false)`: the source name was bound to
-/// another object between the walk and the locks (removed and re-created
-/// by another client), so the filenode lock taken is the wrong one — every
-/// lock is released and the caller walks again.
-fn rename_once(state: &mut EnclaveState, io: &MetaIo<'_>, from: &str, to: &str) -> Result<bool> {
-    let (src_uuid, src_name, seen, dst_uuid, dst_name) = revalidated(state, io, |state, io| {
-        let (mut src_dir, src_name, src_effective) = resolve_parent(state, io, from)?;
-        state.check_access(&src_dir, src_effective, Rights::WRITE)?;
-        // POSIX ordering: the source must exist before the destination
-        // parent is even considered.
-        let seen = lookup_entry(state, io, &mut src_dir, src_name)?
-            .ok_or_else(|| NexusError::NotFound(from.to_string()))?;
-        let (dst_dir, dst_name, dst_effective) = resolve_parent(state, io, to)?;
-        validate_name(dst_name)?;
-        state.check_access(&dst_dir, dst_effective, Rights::WRITE)?;
-        Ok((src_dir.uuid, src_name, seen, dst_dir.uuid, dst_name))
-    })?;
-    let same_dir = src_uuid == dst_uuid;
-    let _lock = LockGuard::acquire(io, src_uuid)?;
-    let _lock2 = if same_dir { None } else { Some(LockGuard::acquire(io, dst_uuid)?) };
-    // A file that changes directory has its filenode rewritten (the parent
-    // pointer): the filenode's lock excludes a concurrent overwrite. It is
-    // taken with the directory locks, before anything is reloaded, so that
-    // one probe covers all three nodes.
-    let relinks_file = !same_dir && matches!(seen.kind, EntryKind::File);
-    let _file_lock = if relinks_file { Some(LockGuard::acquire(io, seen.uuid)?) } else { None };
-
-    let (mut src_dir, entry, moved) = revalidated(state, io, |state, io| {
-        let src_dir = load_full(state, io, src_uuid)?;
-        let entry = src_dir
-            .find_loaded(src_name)
-            .map(|e| e.to_entry())
-            .ok_or_else(|| NexusError::NotFound(from.to_string()))?;
-        let moved = if same_dir {
-            None
-        } else {
-            let dst_dir = load_full(state, io, dst_uuid)?;
-            Some((dst_dir, load_child(state, io, &src_dir, &entry)?))
-        };
-        Ok((src_dir, entry, moved))
-    })?;
+    let (_locks, plan, (mut src_dir, moved)) = locked(
+        state,
+        io,
+        |state, io| {
+            let (mut src_dir, src_name, src_effective) = resolve_parent(state, io, from)?;
+            state.check_access(&src_dir, src_effective, Rights::WRITE)?;
+            // POSIX ordering: the source must exist before the destination
+            // parent is even considered.
+            let entry = lookup_entry(state, io, &mut src_dir, src_name)?
+                .ok_or_else(|| NexusError::NotFound(from.to_string()))?;
+            let (dst_dir, dst_name, dst_effective) = resolve_parent(state, io, to)?;
+            validate_name(dst_name)?;
+            state.check_access(&dst_dir, dst_effective, Rights::WRITE)?;
+            let mut locks = vec![src_dir.uuid];
+            if dst_dir.uuid != src_dir.uuid {
+                locks.push(dst_dir.uuid);
+                // A file that changes directory has its filenode rewritten
+                // (the parent pointer): the filenode's lock excludes a
+                // concurrent overwrite.
+                if matches!(entry.kind, EntryKind::File) {
+                    locks.push(entry.uuid);
+                }
+            }
+            let plan = Move { src: src_dir.uuid, src_name, dst: dst_dir.uuid, dst_name, entry };
+            Ok((plan, locks))
+        },
+        |state, io, plan| {
+            let src_dir = load_full(state, io, plan.src)?;
+            let moved = if plan.src == plan.dst {
+                None
+            } else {
+                let dst_dir = load_full(state, io, plan.dst)?;
+                Some((dst_dir, load_child(state, io, &src_dir, &plan.entry)?))
+            };
+            Ok((src_dir, moved))
+        },
+    )?;
+    let Move { src_name, dst_name, entry, .. } = plan;
 
     let Some((mut dst_dir, child)) = moved else {
         if src_name == dst_name {
-            return Ok(true);
+            return Ok(());
         }
         if src_dir.find_loaded(dst_name).is_some() {
             return Err(NexusError::AlreadyExists(to.to_string()));
@@ -636,12 +642,8 @@ fn rename_once(state: &mut EnclaveState, io: &MetaIo<'_>, from: &str, to: &str) 
             DirEntry { name: dst_name.into(), ..entry },
             fresh_uuid(io.env),
         )?;
-        store_dirnode(state, io, src_dir)?;
-        return Ok(true);
+        return store_dirnode(state, io, src_dir);
     };
-    if entry.uuid != seen.uuid {
-        return Ok(false);
-    }
     if dst_dir.find_loaded(dst_name).is_some() {
         return Err(NexusError::AlreadyExists(to.to_string()));
     }
@@ -671,52 +673,82 @@ fn rename_once(state: &mut EnclaveState, io: &MetaIo<'_>, from: &str, to: &str) 
         DirEntry { name: dst_name.into(), ..entry },
         fresh_uuid(io.env),
     )?;
-    let mut manifest_removals: Vec<NexusUuid> = Vec::new();
-    for pruned in Arc::make_mut(&mut src_dir).prune_empty_buckets() {
-        let _ = io.delete(&pruned);
-        manifest_removals.push(pruned);
-    }
+    let pruned = Arc::make_mut(&mut src_dir).prune_empty_buckets();
     stage_dirnode(state, io, &mut commit, src_dir)?;
     stage_dirnode(state, io, &mut commit, dst_dir)?;
     commit_flush(state, io, commit)?;
-    crate::freshness::record_objects(state, io, &[], &manifest_removals)?;
-    Ok(true)
+    for uuid in &pruned {
+        // No longer named by the directory that just landed.
+        let _ = io.delete(uuid);
+    }
+    crate::freshness::record_objects(state, io, &[], &pruned)
+}
+
+/// What a rename's walk found: the source and destination directories and
+/// names, and the entry that moves.
+struct Move<'p> {
+    src: NexusUuid,
+    src_name: &'p str,
+    dst: NexusUuid,
+    dst_name: &'p str,
+    entry: DirEntry,
 }
 
 /// `nexus_fs_encrypt`, creating the file when `path` names nothing: one
-/// walk finds the file or its absence. An absent file is created holding
-/// `data` in one commit under the directory's lock; an existing one — or
-/// one another client created since the walk — has its contents replaced
-/// under the filenode's.
+/// walk finds the file or its absence. An existing file has its contents
+/// replaced under the filenode's lock; an absent one is created holding
+/// `data`, in one commit under the directory's. When another client binds
+/// or unbinds the name between the walk and the lock, the comparison under
+/// the lock sends the walk round again and it takes the other lock.
 pub(crate) fn fs_write(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
     path: &str,
     data: &[u8],
 ) -> Result<()> {
-    let (dir_uuid, scope, name, found) = revalidated(state, io, |state, io| {
-        let (mut dir, name, effective) = resolve_parent(state, io, path)?;
-        state.check_access(&dir, effective, Rights::WRITE)?;
-        let found = lookup_entry(state, io, &mut dir, name)?;
-        if let Some(entry @ DirEntry { kind: EntryKind::File, .. }) = &found {
-            load_file_via(state, io, dir.uuid, entry.uuid)?;
+    let mut born = None;
+    let (_locks, (_, _, scope, name), node) = locked(
+        state,
+        io,
+        |state, io| {
+            let (mut dir, name, effective) = resolve_parent(state, io, path)?;
+            state.check_access(&dir, effective, Rights::WRITE)?;
+            // The node the commit is built on: the file, or its directory.
+            let target = match lookup_entry(state, io, &mut dir, name)? {
+                Some(DirEntry { kind: EntryKind::File, uuid, .. }) => (uuid, true),
+                Some(_) => return Err(NexusError::IsADirectory(path.to_string())),
+                None => {
+                    validate_name(name)?;
+                    if born.is_none() {
+                        born = Some(Newborn::new(io, state.config(), FileType::File, data)?);
+                    }
+                    (dir.uuid, false)
+                }
+            };
+            Ok(((target, dir.uuid, dir.scope, name), vec![target.0]))
+        },
+        |state, io, &((uuid, exists), dir, ..)| {
+            Ok(if exists {
+                CachedNode::File(load_file_via(state, io, dir, uuid)?)
+            } else {
+                CachedNode::Dir(load_full(state, io, uuid)?)
+            })
+        },
+    )?;
+    match node {
+        // Reloaded under its lock: whatever a rename or a link wrote into
+        // the filenode since the walk (parent pointer, link count) is kept.
+        CachedNode::File(mut fnode) => {
+            let mut commit = MetaCommit::new();
+            seal_contents(io, &mut commit, Arc::make_mut(&mut fnode), data);
+            stage_filenode(state, io, &mut commit, fnode, scope)?;
+            commit_flush(state, io, commit)
         }
-        Ok((dir.uuid, dir.scope, name, found))
-    })?;
-    let entry = match found {
-        Some(entry) => entry,
-        None => {
-            validate_name(name)?;
-            match create_entry(state, io, dir_uuid, name, FileType::File, data)? {
-                (_, true) => return Ok(()),
-                (entry, false) => entry,
-            }
+        // The walk found the name free in this very copy of the directory.
+        CachedNode::Dir(dir) => {
+            create_entry(state, io, dir, name, born.expect("drawn by the walk")).map(drop)
         }
-    };
-    if !matches!(entry.kind, EntryKind::File) {
-        return Err(NexusError::IsADirectory(path.to_string()));
     }
-    replace_contents(state, io, entry.uuid, scope, data)
 }
 
 /// Seals `data` as `fnode`'s contents under fresh per-chunk keys (§VI-A):
@@ -750,29 +782,11 @@ fn seal_contents(io: &MetaIo<'_>, commit: &mut MetaCommit, fnode: &mut Filenode,
     fnode.chunks = contexts;
 }
 
-/// Replaces the contents of the file `file` with `data`. `dir_scope` is
-/// the containing directory's key scope.
-fn replace_contents(
-    state: &mut EnclaveState,
-    io: &MetaIo<'_>,
-    file: NexusUuid,
-    dir_scope: Option<crate::groups::GroupId>,
-    data: &[u8],
-) -> Result<()> {
-    let _lock = LockGuard::acquire(io, file)?;
-    // Reloaded under the lock: whatever a rename or a link wrote into the
-    // filenode since the walk (parent pointer, link count) is kept.
-    let mut fnode = revalidated(state, io, |state, io| load_filenode(state, io, file))?;
-    let mut commit = MetaCommit::new();
-    seal_contents(io, &mut commit, Arc::make_mut(&mut fnode), data);
-    stage_filenode(state, io, &mut commit, fnode, dir_scope)?;
-    commit_flush(state, io, commit)
-}
-
 /// Edits the main object of the directory at `path` (its ACL and key
 /// scope) like every other mutation: under the directory's advisory lock,
-/// on a copy reloaded under that lock, so a concurrent create or rename is
-/// never overwritten by a main object carrying the old bucket MACs.
+/// on a copy the comparison under that lock confirms, so a concurrent
+/// create or rename is never overwritten by a main object carrying the old
+/// bucket MACs.
 pub(crate) fn fs_update_acl(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
@@ -780,18 +794,25 @@ pub(crate) fn fs_update_acl(
     edit: impl FnOnce(&mut Dirnode) -> Result<()>,
 ) -> Result<()> {
     let comps = split_path(path)?;
-    let uuid = revalidated(state, io, |state, io| Ok(resolve_dir(state, io, &comps)?.0.uuid))?;
-    let _lock = LockGuard::acquire(io, uuid)?;
-    let mut dir = revalidated(state, io, |state, io| load_dirnode(state, io, uuid, None))?;
+    let (_locks, _, mut dir) = locked(
+        state,
+        io,
+        |state, io| {
+            let uuid = resolve_dir(state, io, &comps)?.0.uuid;
+            Ok((uuid, vec![uuid]))
+        },
+        |state, io, &uuid| load_dirnode(state, io, uuid, None),
+    )?;
     edit(Arc::make_mut(&mut dir))?;
     store_dirnode(state, io, dir)
 }
 
 /// Owner-driven revocation sweep: removes every ACL entry naming `user`
-/// from all reachable dirnodes, staging the modified main objects into one
-/// `MetaCommit` so the whole sweep lands in a single batched `put_many`.
-/// Buckets are untouched (ACLs live in the main object only). Returns the
-/// number of directories whose ACL changed.
+/// from all reachable dirnodes. Every directory is visited like a mutation
+/// visits one; one whose ACL names the user is rewritten under its lock,
+/// on the copy the comparison under that lock confirms, so a create that
+/// lands in it meanwhile is kept. Buckets are untouched (ACLs live in the
+/// main object only). Returns the number of directories whose ACL changed.
 pub(crate) fn sweep_acl_user(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
@@ -799,17 +820,27 @@ pub(crate) fn sweep_acl_user(
 ) -> Result<u64> {
     let root = state.mounted()?.supernode.root_dir;
     let mut stack = vec![root];
-    let mut commit = MetaCommit::new();
     let mut changed = 0u64;
     while let Some(uuid) = stack.pop() {
-        let mut dir = revalidated(state, io, |state, io| load_full(state, io, uuid))?;
-        stack.extend(dir.list_loaded().filter(|e| e.is_directory()).map(|e| e.uuid()));
-        if Arc::make_mut(&mut dir).acl.revoke(user) {
+        let (_locks, (subdirs, named), mut dir) = locked(
+            state,
+            io,
+            |state, io| {
+                let dir = load_full(state, io, uuid)?;
+                let subdirs: Vec<NexusUuid> =
+                    dir.list_loaded().filter(|e| e.is_directory()).map(|e| e.uuid()).collect();
+                let named = dir.acl.iter().any(|(p, _)| *p == Principal::User(user));
+                Ok(((subdirs, named), if named { vec![uuid] } else { Vec::new() }))
+            },
+            |state, io, _| load_dirnode(state, io, uuid, None),
+        )?;
+        stack.extend(subdirs);
+        if named {
+            Arc::make_mut(&mut dir).acl.revoke(user);
+            store_dirnode(state, io, dir)?;
             changed += 1;
-            stage_dirnode(state, io, &mut commit, dir)?;
         }
     }
-    commit_flush(state, io, commit)?;
     Ok(changed)
 }
 

@@ -439,8 +439,8 @@ impl NexusVolume {
     /// Revokes a user from the volume entirely (owner only). One supernode
     /// write — no file re-encryption (paper §VII-E); groups the user
     /// belonged to rotate to a fresh key epoch in that same write, and
-    /// their ACL entries are swept out of every reachable dirnode in one
-    /// batched commit.
+    /// their ACL entries are swept out of every reachable dirnode, each
+    /// rewritten under its own directory lock.
     pub fn revoke_user(&self, name: &str) -> Result<()> {
         let name = name.to_string();
         let cleanup = name.clone();

@@ -2,32 +2,41 @@
 //! changes no answer.
 //!
 //! A warm session compares every cached node an operation relied on with
-//! storage in **one** `stat_many` per phase (DESIGN.md §9, "One probe per
-//! phase"): once for the path walk, once more for what a mutation reloads
-//! after its locks are taken. The budgets below are the call sequences of
-//! the default configuration on a depth-3 path; a change that goes back to
-//! a `stat` per path component fails them. Two clients interleaving through
-//! each other's stale caches get, op for op, the answers of a client that
-//! caches nothing.
+//! storage in **one** `stat_many` (DESIGN.md §9, "One probe per
+//! mutation"): a read-only operation when its walk ends; a mutation once
+//! its locks are held, for its walk and for what it reloads under them
+//! together. The budgets below are the call sequences of the default
+//! configuration on a depth-3 path; a change that goes back to a `stat` per
+//! path component, or to a second probe per mutation, fails them. When
+//! another client changes what a mutation walked through between its walk
+//! and its lock, the mutation keeps the lock it still needs and pays one
+//! reload, or releases it and answers as a fresh walk would. Two clients
+//! interleaving through each other's stale caches get, op for op, the
+//! answers of a client that caches nothing.
 
 use std::sync::Arc;
 
 use nexus_core::{NexusConfig, NexusError, NexusVolume, Rights, UserKeys};
 use nexus_sgx::{AttestationService, Platform};
 use nexus_storage::hooked::Call;
-use nexus_storage::{HookedBackend, MemBackend};
+use nexus_storage::{HookedBackend, MemBackend, StorageBackend};
 use nexus_testkit::Gen;
 
 type Log = Arc<HookedBackend<MemBackend>>;
 
 /// An owner session over a logged store. `a/b/` holds `f0..f3`, `a/c/` is
-/// empty, `alice` is a user; every node on those paths is cached. The
-/// closure mounts further (cold) sessions of the owner on the same log.
-fn warm_world(config: NexusConfig) -> (Log, NexusVolume, impl Fn() -> NexusVolume) {
+/// empty, `alice` is a user; every node on those paths is cached. The first
+/// closure mounts further (cold) sessions of the owner on the same log; the
+/// second mounts one beside it, on the store itself, whose calls the log
+/// does not see.
+fn warm_world(
+    config: NexusConfig,
+) -> (Log, NexusVolume, impl Fn() -> NexusVolume, impl Fn() -> NexusVolume) {
     let platform = Platform::seeded(0xB0D6);
     let ias = AttestationService::new();
     ias.register_platform(&platform);
-    let log: Log = Arc::new(HookedBackend::new(Arc::new(MemBackend::new())));
+    let mem = Arc::new(MemBackend::new());
+    let log: Log = Arc::new(HookedBackend::new(mem.clone()));
     let owner = UserKeys::from_seed("owner", &[1; 32]);
     let (v, sealed) = NexusVolume::create(&platform, log.clone(), &ias, &owner, config).unwrap();
     v.authenticate(&owner).unwrap();
@@ -38,13 +47,13 @@ fn warm_world(config: NexusConfig) -> (Log, NexusVolume, impl Fn() -> NexusVolum
     }
     v.add_user("alice", UserKeys::from_seed("alice", &[2; 32]).public_key()).unwrap();
     assert_eq!(v.list_dir("a/c").unwrap().len(), 0);
-    let store = log.clone();
-    let mount = move || {
-        let v = NexusVolume::mount(&platform, store.clone(), &ias, &sealed, config).unwrap();
+    let mount_on = Arc::new(move |store: Arc<dyn StorageBackend>| {
+        let v = NexusVolume::mount(&platform, store, &ias, &sealed, config).unwrap();
         v.authenticate(&owner).unwrap();
         v
-    };
-    (log, v, mount)
+    });
+    let (logged, store) = (mount_on.clone(), log.clone());
+    (log, v, move || logged(store.clone()), move || mount_on(mem.clone()))
 }
 
 const FILES: [&str; 4] = ["a/b/f0", "a/b/f1", "a/b/f2", "a/b/f3"];
@@ -59,7 +68,8 @@ fn calls_of<T>(log: &Log, op: impl FnOnce() -> T) -> Vec<Call> {
 #[test]
 fn a_warm_operation_pays_one_probe_per_phase() {
     use Call::*;
-    let (log, v, mount) = warm_world(NexusConfig { chunk_size: 1024, ..NexusConfig::default() });
+    let (log, v, mount, _) =
+        warm_world(NexusConfig { chunk_size: 1024, ..NexusConfig::default() });
 
     // What a cache does not hold yet is probed in the round trip that
     // settles what it does, then fetched: a first touch under warm
@@ -87,19 +97,21 @@ fn a_warm_operation_pays_one_probe_per_phase() {
         [StatMany, GetRange],
     );
 
-    // Walk, lock, the filenode again now that it cannot move, data object
-    // and filenode in one batch, the versions just written, unlock.
+    // Walk, lock the filenode, the walk's nodes and the filenode compared
+    // in one probe, data object and filenode in one batch, the versions
+    // just written, unlock.
     assert_eq!(
         calls_of(&log, || v.write_file("a/b/f0", b"overwritten").unwrap()),
-        [StatMany, Lock, StatMany, PutMany, StatMany, Unlock],
+        [Lock, StatMany, PutMany, StatMany, Unlock],
     );
 
     let ecalls = v.enclave().stats().ecalls();
     let create = calls_of(&log, || v.write_file("a/b/new", b"created").unwrap());
     assert_eq!(v.enclave().stats().ecalls() - ecalls, 1, "create-and-write is one enclave call");
-    // Walk, lock b, b again now that it cannot move, the data object, the
-    // filenode, b's bucket and b in one batch, the versions, unlock.
-    assert_eq!(create, [StatMany, Lock, StatMany, PutMany, StatMany, Unlock]);
+    // Walk, lock b, one probe for the walk and for b as reloaded under the
+    // lock, the data object, the filenode, b's bucket and b in one batch,
+    // the versions, unlock.
+    assert_eq!(create, [Lock, StatMany, PutMany, StatMany, Unlock]);
     let touch = calls_of(&log, || v.create_file("a/b/touched").unwrap());
     assert_eq!(create, touch, "the calls of an empty create");
     let table_5b = calls_of(&log, || v.write_file("a/b/empty", b"").unwrap());
@@ -108,16 +120,19 @@ fn a_warm_operation_pays_one_probe_per_phase() {
     let rename = calls_of(&log, || v.rename("a/b/f1", "a/c/g1").unwrap());
     assert_eq!(
         rename,
-        [StatMany, Lock, Lock, Lock, StatMany, PutMany, StatMany, Unlock, Unlock, Unlock],
-        "one walk over both paths; b, c and the filenode locked; one commit",
+        [Lock, Lock, Lock, StatMany, PutMany, StatMany, Unlock, Unlock, Unlock],
+        "one walk over both paths; b, c and the filenode locked; one probe; one commit",
     );
 
     let set_acl = calls_of(&log, || v.set_acl("a/b", "alice", Rights::READ).unwrap());
-    assert_eq!(set_acl, [StatMany, Lock, StatMany, PutMany, StatMany, Unlock]);
+    assert_eq!(set_acl, [Lock, StatMany, PutMany, StatMany, Unlock]);
 
+    // The directory stops naming the file before its filenode and data
+    // object are deleted: a crash in between leaves orphans, not a name
+    // whose file is gone.
     assert_eq!(
         calls_of(&log, || v.remove("a/b/f2").unwrap()),
-        [StatMany, Lock, StatMany, Delete, Delete, PutMany, StatMany, Unlock],
+        [Lock, StatMany, PutMany, StatMany, Delete, Delete, Unlock],
     );
     assert_eq!(v.read_file("a/c/g1").unwrap(), b"contents 1");
     assert_eq!(v.read_file("a/b/new").unwrap(), b"created");
@@ -127,7 +142,7 @@ fn a_warm_operation_pays_one_probe_per_phase() {
 fn a_cold_mutation_fetches_every_bucket_in_one_call() {
     use Call::*;
     // Two entries per bucket: f0..f4 spread `a/b` over three.
-    let (log, v, mount) = warm_world(NexusConfig { bucket_size: 2, ..NexusConfig::default() });
+    let (log, v, mount, _) = warm_world(NexusConfig { bucket_size: 2, ..NexusConfig::default() });
     v.write_file("a/b/f4", b"contents 4").unwrap();
 
     let cold = mount();
@@ -137,12 +152,97 @@ fn a_cold_mutation_fetches_every_bucket_in_one_call() {
     let (calls, named): (Vec<Call>, Vec<Vec<String>>) = log.take_calls().into_iter().unzip();
     assert_eq!(
         calls,
-        [StatMany, Lock, StatMany, GetMany, PutMany, StatMany, Unlock],
+        [Lock, StatMany, GetMany, PutMany, StatMany, Unlock],
         "the buckets the insert needs are one fetch, not three",
     );
-    assert_eq!(named[3].len(), 3, "all of b's buckets: {:?}", named[3]);
-    assert_eq!(calls_of(&log, || cold.create_file("a/b/newer").unwrap()).len(), 6, "and now held");
+    assert_eq!(named[2].len(), 3, "all of b's buckets: {:?}", named[2]);
+    assert_eq!(calls_of(&log, || cold.create_file("a/b/newer").unwrap()).len(), 5, "and now held");
+    assert_eq!(
+        calls_of(&log, || cold.write_file("a/b/f0", b"again").unwrap()),
+        [Lock, StatMany, Get, PutMany, StatMany, Unlock],
+        "a filenode the cache lacks is fetched under its lock, and its version then needs no probe",
+    );
     assert_eq!(v.list_dir("a/b").unwrap().len(), 7);
+}
+
+/// Runs `op` with `other` fired just before its first `Lock` reaches the
+/// store; returns the calls `op` made.
+fn calls_around_its_lock<T>(
+    log: &Log,
+    other: impl FnOnce() + Send + 'static,
+    op: impl FnOnce() -> T,
+) -> (T, Vec<Call>) {
+    log.take_calls();
+    log.before(|call, _| call == Call::Lock, other);
+    let out = op();
+    assert!(!log.is_armed(), "the operation took a lock");
+    (out, log.take_calls().into_iter().map(|(call, _)| call).collect())
+}
+
+#[test]
+fn a_directory_changed_before_its_lock_is_reloaded_under_the_lock_it_keeps() {
+    use Call::*;
+    let (log, v, _, beside) = warm_world(NexusConfig::default());
+    let other = beside();
+    let (created, calls) = calls_around_its_lock(
+        &log,
+        move || other.write_file("a/b/theirs", b"t").unwrap(),
+        || v.create_file("a/b/mine"),
+    );
+    created.unwrap();
+    // The probe under the lock finds b changed. The walk runs again and
+    // names b again, so the lock stays: b's main object and its bucket are
+    // fetched under it, each after a probe of the cache hits before it (a
+    // retry compares again what the failed probe found current).
+    assert_eq!(
+        calls,
+        [Lock, StatMany, StatMany, Get, StatMany, GetMany, PutMany, StatMany, Unlock],
+    );
+    let mut names: Vec<String> = v.list_dir("a/b").unwrap().into_iter().map(|r| r.name).collect();
+    names.sort();
+    assert_eq!(names, ["f0", "f1", "f2", "f3", "mine", "theirs"]);
+}
+
+#[test]
+fn an_ancestor_renamed_before_the_lock_releases_it_and_reports_not_found() {
+    use Call::*;
+    let (log, v, _, beside) = warm_world(NexusConfig::default());
+    let other = beside();
+    let (created, calls) = calls_around_its_lock(
+        &log,
+        move || other.rename("a", "z").unwrap(),
+        || v.create_file("a/b/mine"),
+    );
+    assert!(matches!(created, Err(NexusError::NotFound(_))), "{created:?}");
+    // The probe under b's lock finds the root changed; the walk runs again
+    // on the root as it is now (main object, then its bucket), finds no `a`,
+    // and the lock it no longer needs is released. Nothing was written.
+    assert_eq!(calls, [Lock, StatMany, Get, Get, Unlock]);
+    assert_eq!(v.list_dir("z/b").unwrap().len(), 4);
+}
+
+#[test]
+fn a_hard_link_the_cache_lacks_is_locked_on_a_second_walk() {
+    use Call::*;
+    let (log, v, mount, _) = warm_world(NexusConfig::default());
+    v.hardlink("a/b/f0", "a/c/link").unwrap();
+    let cold = mount();
+    assert_eq!(cold.list_dir("a/c").unwrap().len(), 1, "a/c cached, not the filenode");
+    // The walk cannot see the link count, so it locks `c` alone; the
+    // reload fetches the filenode under that lock, finds a second name,
+    // and the walk runs again with the filenode now cached: every lock is
+    // traded for `c` and the filenode, one probe, one commit. The one
+    // delete is `c`'s bucket, empty now, after the commit that drops it.
+    assert_eq!(
+        calls_of(&log, || cold.remove("a/c/link").unwrap()),
+        [
+            Lock, StatMany, Get, Unlock,
+            Lock, Lock, StatMany, PutMany, StatMany, Delete, Unlock, Unlock,
+        ],
+    );
+    assert_eq!(v.read_file("a/b/f0").unwrap(), b"contents 0");
+    assert_eq!(v.lookup("a/b/f0").unwrap().nlink, 1);
+    assert!(v.fsck(nexus_core::FsckMode::Deep).unwrap().is_clean());
 }
 
 // -- Two clients, each reading through a cache the other keeps staling ------

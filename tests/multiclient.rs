@@ -284,9 +284,12 @@ fn an_overwrite_racing_a_cross_directory_rename_keeps_the_new_parent() {
     // The owner's overwrite has walked to the file and asks for the
     // filenode's lock; before it is granted, the peer moves the file to
     // another directory, which rewrites the filenode's parent pointer. The
-    // overwrite must build on the filenode as it is under the lock — not on
-    // the one it walked to, whose parent pointer would fail the swapping
-    // check on every later read.
+    // overwrite must not build on the filenode it walked to, whose parent
+    // pointer would fail the swapping check on every later read. The
+    // comparison under the lock finds `x` and the filenode changed and the
+    // walk runs again: `x/f` names nothing now, so the write creates it, as
+    // if the rename had run first. The moved file keeps its contents and
+    // its new parent.
     let deployment = Deployment::new();
     let hooked = Arc::new(HookedBackend::new(deployment.client()));
     let (owner, peer) = shared_pair_over(&deployment, hooked.clone());
@@ -306,8 +309,49 @@ fn an_overwrite_racing_a_cross_directory_rename_keeps_the_new_parent() {
     assert!(!hooked.is_armed(), "the rename ran inside the overwrite");
 
     for volume in [&owner, &*peer] {
-        assert_eq!(volume.read_file("shared/y/f").unwrap(), b"new");
-        assert!(!volume.exists("shared/x/f"));
+        assert_eq!(volume.read_file("shared/y/f").unwrap(), b"old");
+        assert_eq!(volume.read_file("shared/x/f").unwrap(), b"new");
+    }
+    let report = owner.fsck(nexus::core::FsckMode::Deep).unwrap();
+    assert!(report.is_clean(), "{:?}", report.errors);
+}
+
+#[test]
+fn an_overwrite_keeps_a_link_count_another_client_changed_before_its_lock() {
+    // Before the owner's overwrite is granted the filenode's lock, the peer
+    // links the file into another directory: the filenode now counts two
+    // names, and the directory the overwrite walked through is unchanged.
+    // The comparison under the lock finds the cached filenode stale; the
+    // walk runs again and names the same lock, which is kept, and the
+    // filenode is reloaded under it. The commit is built on that copy: both
+    // names read the new contents and the link count stays two.
+    let deployment = Deployment::new();
+    let hooked = Arc::new(HookedBackend::new(deployment.client()));
+    let (owner, peer) = shared_pair_over(&deployment, hooked.clone());
+    owner.mkdir("shared/x").unwrap();
+    owner.mkdir("shared/y").unwrap();
+    owner.write_file("shared/x/f", b"old").unwrap();
+    assert_eq!(peer.read_file("shared/x/f").unwrap(), b"old");
+
+    let filenode = owner.lookup("shared/x/f").unwrap().uuid.object_name();
+    let peer = Arc::new(peer);
+    let linker = peer.clone();
+    hooked.take_calls();
+    hooked.before(
+        move |call, names| call == Call::Lock && names == [filenode.clone()],
+        move || linker.hardlink("shared/x/f", "shared/y/g").unwrap(),
+    );
+    owner.write_file("shared/x/f", b"new").unwrap();
+    assert!(!hooked.is_armed(), "the link ran inside the overwrite");
+    let calls: Vec<Call> = hooked.take_calls().into_iter().map(|(call, _)| call).collect();
+    let count = |wanted| calls.iter().filter(|&&call| call == wanted).count();
+    assert_eq!((count(Call::Lock), count(Call::Unlock)), (1, 1), "{calls:?}");
+
+    for volume in [&owner, &*peer] {
+        for name in ["shared/x/f", "shared/y/g"] {
+            assert_eq!(volume.read_file(name).unwrap(), b"new", "{name}");
+            assert_eq!(volume.lookup(name).unwrap().nlink, 2, "{name}");
+        }
     }
     let report = owner.fsck(nexus::core::FsckMode::Deep).unwrap();
     assert!(report.is_clean(), "{:?}", report.errors);

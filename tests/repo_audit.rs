@@ -44,7 +44,8 @@ fn dependency_graph_is_workspace_crates_only() {
 /// reopen semantics of both durable backends, the timing-leak harness and
 /// kernel differential, the source audits, the executor smoke, the async
 /// crypto-fs differential, epoch-key revocation and its leaky-path
-/// regressions, exact RPC sequences and golden stored bytes.
+/// regressions, exact RPC sequences, the race sweep over their call gaps,
+/// the one-lock-path audit and golden stored bytes.
 #[test]
 fn gate_suites_exist() {
     const SUITES: [(&str, &[&str]); 5] = [
@@ -61,6 +62,8 @@ fn gate_suites_exist() {
                 "golden_inventory",
                 "properties",
                 "rpc_budget",
+                "create_gaps",
+                "source_audit",
             ],
         ),
     ];
