@@ -3,10 +3,9 @@
 //! modelled, read together with the kernels dispatch picked (`gcm_kernel`):
 //!
 //! 1. **Single-thread AES-GCM** — the default lane's bulk path (on the
-//!    hardware lane the fused kernels: CTR and GHASH in one pass) against
-//!    the retained one-block-at-a-time scalar reference on one chunk-sized
-//!    seal. One chunk sealed over and over stays in L2: this is what the
-//!    kernel can do, not what a file sees.
+//!    hardware lane the fused kernels: CTR and GHASH in one pass) on one
+//!    chunk-sized seal. One chunk sealed over and over stays in L2: this is
+//!    what the kernel can do, not what a file sees.
 //! 2. **Past the cache** — eight different chunks sealed, then opened, one
 //!    after another into one reused buffer (`seal_into`/`open_into`, no
 //!    allocation): 8 MiB in, 8 MiB out per pass, so every byte comes from
@@ -21,9 +20,8 @@
 //!
 //! Floors: the parallel ciphertext is byte-identical to serial at every
 //! thread count, `gcm_kernel` is `cpu::describe()`'s line, and in a full
-//! run the bulk path beats the scalar reference on one thread and the
-//! one-thread chunk path keeps [`STREAMED_FLOOR`] of the streamed row's
-//! throughput in both directions. No multi-thread floor is set.
+//! run the one-thread chunk path keeps [`STREAMED_FLOOR`] of the streamed
+//! row's throughput in both directions. No multi-thread floor is set.
 
 use std::time::Duration;
 
@@ -53,8 +51,7 @@ pub(crate) struct Datapath {
     file_bytes: usize,
     chunk_bytes: usize,
     chunks: usize,
-    pub(crate) scalar: Duration,
-    pub(crate) fused: Duration,
+    fused: Duration,
     pub(crate) stream_seal: Duration,
     stream_open: Duration,
     pub(crate) seal_wall: Vec<Duration>,
@@ -63,10 +60,6 @@ pub(crate) struct Datapath {
 }
 
 impl Datapath {
-    fn gcm_speedup(&self) -> f64 {
-        self.scalar.as_secs_f64() / self.fused.as_secs_f64().max(1e-12)
-    }
-
     /// One-thread chunk-path throughput as a share of the streamed row's
     /// (reused buffers, no allocation), `[seal, open]`.
     fn one_thread_vs_streamed(&self) -> [f64; 2] {
@@ -84,11 +77,10 @@ impl Report for Datapath {
         let gcm_bytes = chunk_bytes;
         let gcm_kernel = nexus_crypto::cpu::describe();
         let host_parallelism = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        // 1. Single-thread AES-GCM: the lane's bulk path vs scalar reference.
+        // 1. Single-thread AES-GCM: the lane's bulk path.
         let gcm = AesGcm::new_128(&[7u8; 16]);
         let pt = file_contents(gcm_bytes, 0xda7a);
         let nonce = [1u8; 12];
-        let scalar = measure_micro(|| gcm.seal_detached_scalar(&nonce, b"aad", &pt));
         let mut sealed = vec![0u8; gcm_bytes + nexus_crypto::gcm::TAG_LEN];
         let fused = measure_micro(|| gcm.seal_into(&nonce, b"aad", &pt, &mut sealed));
 
@@ -147,7 +139,6 @@ impl Report for Datapath {
             file_bytes,
             chunk_bytes,
             chunks,
-            scalar,
             fused,
             stream_seal,
             stream_open,
@@ -169,8 +160,6 @@ impl Report for Datapath {
             self.gcm_kernel
         );
         if !self.smoke {
-            let speedup = self.gcm_speedup();
-            assert!(speedup > 1.0, "the bulk GCM path must beat scalar, got x{speedup:.2}");
             let [seal, open] = self.one_thread_vs_streamed();
             assert!(
                 seal.min(open) >= STREAMED_FLOOR,
@@ -196,9 +185,7 @@ impl Report for Datapath {
                 "gcm_single_thread",
                 Json::obj()
                     .field("bytes", Json::Int(self.chunk_bytes as i64))
-                    .field("scalar_mibps", Json::Num(mibps(self.chunk_bytes, self.scalar)))
-                    .field("fused_mibps", Json::Num(mibps(self.chunk_bytes, self.fused)))
-                    .field("speedup", Json::Num(self.gcm_speedup())),
+                    .field("fused_mibps", Json::Num(mibps(self.chunk_bytes, self.fused))),
             )
             .field(
                 "gcm_streamed",

@@ -86,7 +86,7 @@ pub const COMMANDS: &[(&str, &str, Run)] = &[
     ),
     (
         "micro_datapath",
-        "`BENCH_datapath.json` — chunk seal/open, fused GCM vs scalar, thread sweep",
+        "`BENCH_datapath.json` — chunk seal/open, fused GCM, thread sweep",
         Run::Emit(emit::<datapath::Datapath>),
     ),
     (
@@ -600,10 +600,6 @@ mod tests {
                     r.parallel_output_identical_to_serial = false
                 }),
                 ("a gcm_kernel that is not cpu::describe()'s line", |r| r.gcm_kernel = "fast".into()),
-                ("a full run whose fused kernel loses to scalar", |r| {
-                    r.smoke = false;
-                    r.fused = r.scalar * 2;
-                }),
                 ("a full run whose chunk path seals at half the streamed kernel's rate", |r| {
                     r.smoke = false;
                     r.seal_wall[0] = r.stream_seal * 2;
@@ -614,11 +610,10 @@ mod tests {
             "micro_ct",
             &[
                 ("table_flagged = false", |r| r.table_flagged = false),
-                ("ct_passes = false", |r| r.ct_passes = false),
                 ("a lane without throughput", |r| r.constant_time.gcm_open_mibps = 0.0),
-                ("a hardware lane that leaks or is slower than the table", |r| match &mut r.hw_accel {
-                    Some(hw) => hw.passes = false,
-                    None => r.fast.keywrap_ops_per_s = 0.0,
+                ("a hardware lane without throughput", |r| match &mut r.hw_accel {
+                    Some(hw) => hw.gcm_seal_mibps = 0.0,
+                    None => r.constant_time.keywrap_ops_per_s = 0.0,
                 }),
             ],
         );

@@ -559,12 +559,7 @@ fn admit(
 }
 
 /// Next version for an object we are about to write.
-pub(crate) fn next_version_pub(mounted: &mut Mounted, uuid: &NexusUuid) -> u64 {
-    next_version(mounted, uuid)
-}
-
-/// Next version for an object we are about to write.
-fn next_version(mounted: &mut Mounted, uuid: &NexusUuid) -> u64 {
+pub(crate) fn next_version(mounted: &mut Mounted, uuid: &NexusUuid) -> u64 {
     let seen = mounted.version_table.entry(*uuid).or_insert(0);
     *seen += 1;
     *seen

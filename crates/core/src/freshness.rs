@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 
 use nexus_crypto::sha2::Sha256;
 
-use crate::enclave::{next_version_pub as next_version, EnclaveState, MetaIo};
+use crate::enclave::{next_version, EnclaveState, MetaIo};
 use crate::error::{NexusError, Result};
 use crate::merkle::MerkleTree;
 use crate::metadata::crypto::{open_object, seal_object, ObjectKind, Preamble};
@@ -32,9 +32,6 @@ use crate::wire::{Reader, Writer};
 /// In-enclave manifest state for a mounted volume.
 #[derive(Debug, Clone)]
 pub(crate) struct ManifestState {
-    /// Manifest object UUID (kept for diagnostics and tests).
-    #[allow(dead_code)]
-    pub(crate) uuid: NexusUuid,
     /// uuid → SHA-256 of the object's current sealed blob.
     pub(crate) entries: BTreeMap<NexusUuid, [u8; 32]>,
     /// Storage version the cached manifest was loaded at.
@@ -58,7 +55,7 @@ impl ManifestState {
         w.into_bytes()
     }
 
-    fn decode(uuid: NexusUuid, storage_version: u64, bytes: &[u8]) -> Result<ManifestState> {
+    fn decode(storage_version: u64, bytes: &[u8]) -> Result<ManifestState> {
         let mut r = Reader::new(bytes);
         let count = r.u32()? as usize;
         if count > 50_000_000 {
@@ -72,7 +69,7 @@ impl ManifestState {
         }
         let stored_root = r.array::<32>()?;
         r.finish()?;
-        let state = ManifestState { uuid, entries, storage_version };
+        let state = ManifestState { entries, storage_version };
         if state.root() != stored_root {
             return Err(NexusError::Integrity("manifest root mismatch".into()));
         }
@@ -133,7 +130,7 @@ pub(crate) fn ensure_manifest_current(state: &mut EnclaveState, io: &MetaIo<'_>)
             got: preamble.version,
         });
     }
-    let manifest = ManifestState::decode(uuid, storage_version, &body)?;
+    let manifest = ManifestState::decode(storage_version, &body)?;
     state.mounted()?.manifest = Some(manifest);
     Ok(())
 }
@@ -239,11 +236,7 @@ pub(crate) fn create_manifest(
     let uuid = crate::enclave::fresh_uuid(io.env);
     let mounted = state.mounted()?;
     mounted.supernode.manifest_uuid = uuid;
-    mounted.manifest = Some(ManifestState {
-        uuid,
-        entries: BTreeMap::new(),
-        storage_version: 0,
-    });
+    mounted.manifest = Some(ManifestState { entries: BTreeMap::new(), storage_version: 0 });
     record_objects(state, io, &[], &[])
         .map(|()| uuid)
 }
@@ -257,9 +250,8 @@ mod tests {
         let mut entries = BTreeMap::new();
         entries.insert(NexusUuid([1; 16]), [0xAA; 32]);
         entries.insert(NexusUuid([2; 16]), [0xBB; 32]);
-        let manifest = ManifestState { uuid: NexusUuid([9; 16]), entries, storage_version: 3 };
-        let decoded =
-            ManifestState::decode(NexusUuid([9; 16]), 3, &manifest.encode()).unwrap();
+        let manifest = ManifestState { entries, storage_version: 3 };
+        let decoded = ManifestState::decode(3, &manifest.encode()).unwrap();
         assert_eq!(decoded.entries, manifest.entries);
         assert_eq!(decoded.root(), manifest.root());
     }
@@ -268,20 +260,16 @@ mod tests {
     fn decode_rejects_corrupted_root() {
         let mut entries = BTreeMap::new();
         entries.insert(NexusUuid([1; 16]), [0xAA; 32]);
-        let manifest = ManifestState { uuid: NexusUuid([9; 16]), entries, storage_version: 0 };
+        let manifest = ManifestState { entries, storage_version: 0 };
         let mut bytes = manifest.encode();
         let last = bytes.len() - 1;
         bytes[last] ^= 1;
-        assert!(ManifestState::decode(NexusUuid([9; 16]), 0, &bytes).is_err());
+        assert!(ManifestState::decode(0, &bytes).is_err());
     }
 
     #[test]
     fn root_tracks_entries() {
-        let empty = ManifestState {
-            uuid: NexusUuid([9; 16]),
-            entries: BTreeMap::new(),
-            storage_version: 0,
-        };
+        let empty = ManifestState { entries: BTreeMap::new(), storage_version: 0 };
         let mut one = empty.clone();
         one.entries.insert(NexusUuid([1; 16]), [7; 32]);
         assert_ne!(empty.root(), one.root());

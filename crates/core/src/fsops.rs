@@ -1,13 +1,26 @@
 //! The NEXUS filesystem API (paper Table I) — enclave-side implementations.
 //!
-//! Nine operations: seven directory operations (`touch`, `remove`,
-//! `lookup`, `filldir`, `symlink`, `hardlink`, `rename`) and two file
-//! operations (`encrypt`, `decrypt`), plus the random-access read the
-//! chunked format exists for. Each operation traverses the volume's
-//! metadata from the root, decrypting and enforcing access control at every
-//! layer (§IV-A), and takes the server-side advisory lock around metadata
-//! updates (§V-A): a read-only operation runs under
-//! [`revalidated`], a mutation under [`locked`].
+//! Nine operations: seven directory operations and two file operations,
+//! plus the random-access read the chunked format exists for. Each Table I
+//! call is one function here, reached through the
+//! [`NexusVolume`](crate::volume::NexusVolume) method beside it:
+//!
+//! | Table I call | Description (paper) | Here | `NexusVolume` |
+//! |---|---|---|---|
+//! | `nexus_fs_touch` | Creates a new file/directory | `fs_touch` | `create_file`, `mkdir` |
+//! | `nexus_fs_remove` | Deletes file/directory | `fs_remove` | `remove` |
+//! | `nexus_fs_lookup` | Finds a file by name | `fs_lookup` | `lookup` |
+//! | `nexus_fs_filldir` | Lists directory contents | `fs_filldir` | `list_dir` |
+//! | `nexus_fs_symlink` | Creates a symlink | `fs_symlink` | `symlink` |
+//! | `nexus_fs_hardlink` | Creates a hardlink | `fs_hardlink` | `hardlink` |
+//! | `nexus_fs_rename` | Moves a file | `fs_rename` | `rename` |
+//! | `nexus_fs_encrypt` | Encrypts a file contents | `fs_write` | `write_file` |
+//! | `nexus_fs_decrypt` | Decrypts a file contents | `fs_decrypt` | `read_file` |
+//!
+//! Each operation traverses the volume's metadata from the root, decrypting
+//! and enforcing access control at every layer (§IV-A), and takes the
+//! server-side advisory lock around metadata updates (§V-A): a read-only
+//! operation runs under [`revalidated`], a mutation under [`locked`].
 
 use std::sync::Arc;
 

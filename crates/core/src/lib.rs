@@ -55,7 +55,6 @@
 #![forbid(unsafe_code)]
 
 pub mod acl;
-pub mod api;
 pub mod async_fs;
 pub(crate) mod cache;
 pub mod datapath;

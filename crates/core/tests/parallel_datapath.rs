@@ -16,7 +16,7 @@ use nexus_core::metadata::filenode::{ChunkContext, Filenode};
 use nexus_core::{NexusError, NexusUuid};
 use nexus_crypto::gcm::AesGcm;
 use nexus_pool::ThreadPool;
-use nexus_testkit::{shrink, tk_assert, tk_assert_eq, Gen, Runner};
+use nexus_testkit::{shrink, spec, tk_assert, tk_assert_eq, Gen, Runner};
 
 const CHUNK_SIZE: u32 = 256;
 
@@ -143,7 +143,7 @@ fn parallel_seal_open_matches_serial_at_every_width() {
 /// whole 256-byte groups, then a 300-byte one: two 128-byte groups and a
 /// tail) and at 1 MiB + 200 (every chunk, the short last one included, is
 /// 256-byte groups, then one 128-byte group, then a tail — all three stages
-/// of the hardware lane in one chunk): the slots hold the scalar reference's
+/// of the hardware lane in one chunk): the slots hold the spec reference's
 /// bytes at every width, and open at every width.
 #[test]
 fn megabyte_chunks_match_the_scalar_reference_through_every_kernel_stage() {
@@ -162,7 +162,7 @@ fn megabyte_chunks_match_the_scalar_reference_through_every_kernel_stage() {
             let mut aad = uuid.0.to_vec();
             aad.extend((idx as u64).to_le_bytes());
             aad.extend((FILE as u64).to_le_bytes());
-            let (ct, tag) = AesGcm::new(&ctx.key).seal_detached_scalar(&ctx.nonce, &aad, chunk);
+            let (ct, tag) = spec::gcm_seal(&ctx.key, &ctx.nonce, &aad, chunk);
             reference.extend(ct);
             reference.extend(tag);
         }

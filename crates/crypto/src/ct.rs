@@ -64,16 +64,7 @@ pub fn zeroize(buf: &mut [u8]) {
     std::sync::atomic::compiler_fence(std::sync::atomic::Ordering::SeqCst);
 }
 
-/// [`zeroize`] for `u32` words (AES round-key words).
-pub fn zeroize_u32(buf: &mut [u32]) {
-    for w in buf.iter_mut() {
-        // SAFETY: `w` is a valid, aligned, exclusive reference.
-        unsafe { std::ptr::write_volatile(w, 0) };
-    }
-    std::sync::atomic::compiler_fence(std::sync::atomic::Ordering::SeqCst);
-}
-
-/// [`zeroize`] for `u128` words (GHASH/POLYVAL keys, Shoup tables,
+/// [`zeroize`] for `u128` words (GHASH/POLYVAL keys, powers of H,
 /// bitsliced key planes).
 pub fn zeroize_u128(buf: &mut [u128]) {
     for w in buf.iter_mut() {
@@ -128,9 +119,6 @@ mod tests {
         let mut bytes = [0xaau8; 37];
         zeroize(&mut bytes);
         assert_eq!(bytes, [0u8; 37]);
-        let mut words = [0xdead_beefu32; 9];
-        zeroize_u32(&mut words);
-        assert_eq!(words, [0u32; 9]);
         let mut wide = [u128::MAX; 5];
         zeroize_u128(&mut wide);
         assert_eq!(wide, [0u128; 5]);

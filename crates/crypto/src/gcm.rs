@@ -45,23 +45,6 @@ pub const TAG_LEN: usize = 16;
 /// Length in bytes of the GCM nonce (IV).
 pub const NONCE_LEN: usize = 12;
 
-/// One application of the GHASH shift map (multiplication by `x` in the
-/// bit-reflected representation of SP 800-38D §6.3).
-#[inline]
-fn ghash_shift(v: u128) -> u128 {
-    const R: u128 = 0xe1 << 120;
-    if v & 1 == 1 {
-        (v >> 1) ^ R
-    } else {
-        v >> 1
-    }
-}
-
-/// One Shoup 4-bit lookup table: `table[p][nib]` is the field product of
-/// the key with a nibble placed at bit position `4p` of the multiplicand,
-/// so a full multiplication is 32 lookups and XORs.
-type ShoupTable = [[u128; 16]; 32];
-
 /// Minimum per-update payload before the *portable* 8-block batched
 /// GHASH/POLYVAL pays for itself (the masked multiply is slow enough that
 /// setting up eight of them only wins on long inputs). The hardware lane
@@ -87,52 +70,14 @@ pub(crate) enum Direction {
     Open,
 }
 
-/// Expands `h` into a [`ShoupTable`].
-fn build_table(h: u128) -> Box<ShoupTable> {
-    // In the bitwise reference, bit i (LSB = 0) of the multiplicand
-    // selects H shifted (127 - i) times.
-    let mut shifted = [0u128; 128];
-    shifted[0] = h;
-    for k in 1..128 {
-        shifted[k] = ghash_shift(shifted[k - 1]);
-    }
-    let mut table = Box::new([[0u128; 16]; 32]);
-    for p in 0..32 {
-        for nib in 0..16usize {
-            let mut acc = 0u128;
-            for b in 0..4 {
-                if (nib >> b) & 1 == 1 {
-                    acc ^= shifted[127 - (4 * p + b)];
-                }
-            }
-            table[p][nib] = acc;
-        }
-    }
-    table
-}
-
-/// Field multiplication of `x` by the key expanded into `table`.
-#[inline]
-fn table_mul(table: &ShoupTable, x: u128) -> u128 {
-    let mut z = 0u128;
-    for p in 0..32 {
-        z ^= table[p][((x >> (4 * p)) & 0xf) as usize];
-    }
-    z
-}
-
-/// A GHASH key on one of three engines. The constant-time engines
-/// multiply through PCLMULQDQ ([`crate::ghash_clmul`]) or the masked
-/// portable multiply ([`crate::ghash_ct`]); their batched paths — the fused
-/// kernels, the portable 8-block GHASH — take the powers of H from an
-/// [`HPowers`] built for the body at hand. The table (reference) engine
-/// expands H into a Shoup table and multiplies one block at a time. All
-/// key material is volatilely zeroized on drop.
+/// A GHASH key on one of the two engines: multiplies run through
+/// PCLMULQDQ ([`crate::ghash_clmul`]) or the masked portable multiply
+/// ([`crate::ghash_ct`]), and the batched paths — the fused kernels, the
+/// portable 8-block GHASH — take the powers of H from an [`HPowers`] built
+/// for the body at hand. H is volatilely zeroized on drop.
 #[derive(Clone)]
 struct GhashKey {
     h: u128,
-    /// Shoup table for H — `Some` only on the table engine.
-    table: Option<Box<ShoupTable>>,
     /// Multiplications run through PCLMULQDQ (set only when the paired
     /// AES key dispatched to [`CryptoBackend::HwAccel`], so the two always
     /// share one CPUID decision).
@@ -140,9 +85,10 @@ struct GhashKey {
 }
 
 /// One constant-time field multiplication on whichever engine the key
-/// selected: PCLMULQDQ when `hw`, the masked portable multiply otherwise.
+/// selected: PCLMULQDQ when `hw`, the masked portable multiply otherwise
+/// (also POLYVAL's, through its GHASH mapping in [`crate::gcm_siv`]).
 #[inline]
-fn ct_mul(hw: bool, x: u128, y: u128) -> u128 {
+pub(crate) fn ct_mul(hw: bool, x: u128, y: u128) -> u128 {
     #[cfg(target_arch = "x86_64")]
     if hw {
         return crate::ghash_clmul::ghash_mul_hw(x, y);
@@ -160,26 +106,18 @@ impl std::fmt::Debug for GhashKey {
 
 impl GhashKey {
     fn new(h: u128, backend: CryptoBackend) -> GhashKey {
-        let table = (backend == CryptoBackend::Table).then(|| build_table(h));
-        GhashKey { h, table, hw: backend == CryptoBackend::HwAccel }
+        GhashKey { h, hw: backend == CryptoBackend::HwAccel }
     }
 
     /// Field multiplication of `x` by H.
     #[inline]
     fn mul(&self, x: u128) -> u128 {
-        match &self.table {
-            Some(t) => table_mul(t, x),
-            None => ct_mul(self.hw, x, self.h),
-        }
+        ct_mul(self.hw, x, self.h)
     }
 
-    /// Volatile best-effort clear of H and the Shoup table (also invoked
-    /// by `Drop`).
+    /// Volatile best-effort clear of H (also invoked by `Drop`).
     fn wipe(&mut self) {
         crate::ct::zeroize_u128(std::slice::from_mut(&mut self.h));
-        if let Some(t) = &mut self.table {
-            crate::ct::zeroize_u128(t.as_flattened_mut());
-        }
     }
 }
 
@@ -204,7 +142,6 @@ impl HPowers {
     /// powers it has by the highest of them, doubling their number, so the
     /// longest chain of dependent multiplies is four deep, not fifteen.
     fn build(key: &GhashKey, n: usize) -> HPowers {
-        debug_assert!(key.table.is_none(), "the table engine never batches");
         let mut pow = [0u128; 16];
         pow[0] = key.h;
         let mut have = 1;
@@ -239,18 +176,11 @@ impl Drop for HPowers {
 struct Ghash<'k> {
     key: &'k GhashKey,
     acc: u128,
-    /// When false, force the scalar one-block-at-a-time path (reference
-    /// implementation used for differential testing).
-    batch_enabled: bool,
 }
 
 impl<'k> Ghash<'k> {
     fn new(key: &'k GhashKey) -> Ghash<'k> {
-        Ghash { key, acc: 0, batch_enabled: true }
-    }
-
-    fn new_scalar(key: &'k GhashKey) -> Ghash<'k> {
-        Ghash { key, acc: 0, batch_enabled: false }
+        Ghash { key, acc: 0 }
     }
 
     /// Absorbs `data`, zero-padding the final partial block.
@@ -258,13 +188,11 @@ impl<'k> Ghash<'k> {
     /// Large updates on the bitsliced engine run 8 blocks per pass: the
     /// Horner recurrence `Y' = (Y ^ X1)·H^8 ^ X2·H^7 ^ … ^ X8·H` turns
     /// eight *dependent* multiplications into eight independent ones. The
-    /// table engine stays scalar at every length, and so does the hardware
-    /// engine *here*: its bulk is the fused kernels', and what reaches
-    /// this function is AAD and a < 128-byte tail.
+    /// hardware engine stays scalar *here*: its bulk is the fused kernels',
+    /// and what reaches this function is AAD and a < 128-byte tail.
     fn update_padded(&mut self, data: &[u8]) {
         let mut rest = data;
-        let portable = self.key.table.is_none() && !self.key.hw;
-        if self.batch_enabled && portable && data.len() >= GHASH_BATCH_MIN {
+        if !self.key.hw && data.len() >= GHASH_BATCH_MIN {
             rest = self.update_batched(data);
         }
         let mut chunks = rest.chunks_exact(16);
@@ -405,8 +333,8 @@ impl AesGcm {
         self.ctr_xor_tail(ctr, batches.into_remainder());
     }
 
-    /// Reference single-block CTR path, also used for the final partial
-    /// batch. `ctr` is advanced in place.
+    /// Single-block CTR for the final partial batch. `ctr` is advanced in
+    /// place.
     fn ctr_xor_tail(&self, ctr: &mut [u8; 16], data: &mut [u8]) {
         for chunk in data.chunks_mut(16) {
             inc32(ctr);
@@ -537,29 +465,6 @@ impl AesGcm {
         (ct.finish(), tag)
     }
 
-    /// Reference implementation of [`AesGcm::seal_detached`] that bypasses
-    /// the fused kernels, the 8-block CTR batch and the batched GHASH: one
-    /// block at a time, straight from SP 800-38D. Kept for differential
-    /// tests and the scalar-vs-fused benchmark; not part of the public API
-    /// surface.
-    #[doc(hidden)]
-    pub fn seal_detached_scalar(
-        &self,
-        nonce: &[u8; NONCE_LEN],
-        aad: &[u8],
-        plaintext: &[u8],
-    ) -> (Vec<u8>, [u8; TAG_LEN]) {
-        let j0 = self.j0(nonce);
-        let mut ct = plaintext.to_vec();
-        let mut ctr = j0;
-        self.ctr_xor_tail(&mut ctr, &mut ct);
-        let mut ghash = Ghash::new_scalar(&self.h);
-        ghash.update_padded(aad);
-        ghash.update_padded(&ct);
-        let tag = self.finish_tag(ghash, &j0, aad.len(), ct.len());
-        (ct, tag)
-    }
-
     /// Encrypts `plaintext` and returns `ciphertext || tag`.
     pub fn seal(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
         let mut out = WriteOnce::reserve(plaintext.len() + TAG_LEN);
@@ -664,11 +569,12 @@ pub(crate) fn inc32(block: &mut [u8; 16]) {
 mod tests {
     use super::*;
     use crate::test_util::{hex, unhex};
+    use nexus_testkit::spec;
 
-    /// Every engine testable on this host: table and bitsliced always,
-    /// the AES-NI/PCLMULQDQ lane where the CPU has it.
+    /// Every engine testable on this host: bitsliced always, the
+    /// AES-NI/PCLMULQDQ lane where the CPU has it.
     fn backends() -> Vec<CryptoBackend> {
-        let mut v = vec![CryptoBackend::Table, CryptoBackend::Bitsliced];
+        let mut v = vec![CryptoBackend::Bitsliced];
         if crate::cpu::hw_accel_available() {
             v.push(CryptoBackend::HwAccel);
         }
@@ -814,8 +720,9 @@ mod tests {
     }
 
     /// The batched paths (8-block CTR, 8-block GHASH above
-    /// `GHASH_BATCH_MIN`) must agree bit-for-bit with the scalar reference
-    /// at every alignment: multiples of 128, stragglers, partial blocks,
+    /// `GHASH_BATCH_MIN`, the fused kernels) must agree bit-for-bit with the
+    /// scalar reference — SP 800-38D one block at a time, `spec::gcm_seal`
+    /// — at every alignment: multiples of 128, stragglers, partial blocks,
     /// and sizes large enough to cross the GHASH batching threshold.
     #[test]
     fn batched_matches_scalar_reference() {
@@ -831,7 +738,7 @@ mod tests {
                 let mut nonce = [0u8; 12];
                 rng.fill(&mut nonce);
                 let (ct_fast, tag_fast) = gcm.seal_detached(&nonce, b"aad", &pt);
-                let (ct_ref, tag_ref) = gcm.seal_detached_scalar(&nonce, b"aad", &pt);
+                let (ct_ref, tag_ref) = spec::gcm_seal(&key, &nonce, b"aad", &pt);
                 assert_eq!(ct_fast, ct_ref, "ciphertext diverged at len {len}");
                 assert_eq!(tag_fast, tag_ref, "tag diverged at len {len}");
                 assert_eq!(gcm.open(&nonce, b"aad", &gcm.seal(&nonce, b"aad", &pt)).unwrap(), pt);
@@ -839,54 +746,48 @@ mod tests {
         }
     }
 
-    /// Every engine must agree bit-for-bit at every alignment, including
-    /// lengths that cross the 8-block CTR batch and `GHASH_BATCH_MIN`
-    /// thresholds, where the constant-time engines batch GHASH through
-    /// powers of H and the table engine stays scalar.
+    /// Every engine must agree bit-for-bit with the table-driven spec
+    /// reference at every alignment, including lengths that cross the
+    /// 8-block CTR batch and `GHASH_BATCH_MIN` thresholds, where the
+    /// constant-time engines batch GHASH through powers of H and the
+    /// reference stays one block at a time.
     #[test]
     fn constant_time_lanes_match_table_engine() {
         use crate::rng::{SecureRandom, SeededRandom};
         let mut rng = SeededRandom::new(0xc7);
         for key in [vec![0x33u8; 16], vec![0x44u8; 32]] {
-            let fast = AesGcm::with_backend(&key, CryptoBackend::Table);
-            let lanes: Vec<AesGcm> = backends()
-                .into_iter()
-                .filter(|&b| b != CryptoBackend::Table)
-                .map(|b| AesGcm::with_backend(&key, b))
-                .collect();
+            let lanes: Vec<AesGcm> =
+                backends().into_iter().map(|b| AesGcm::with_backend(&key, b)).collect();
             for len in [0usize, 1, 16, 127, 128, 129, 1000, 8191, 8192, 8193, 20_000] {
                 let mut pt = vec![0u8; len];
                 rng.fill(&mut pt);
                 let mut nonce = [0u8; 12];
                 rng.fill(&mut nonce);
-                let (ct_f, tag_f) = fast.seal_detached(&nonce, b"aad", &pt);
+                let (ct_f, tag_f) = spec::gcm_seal(&key, &nonce, b"aad", &pt);
                 for hard in &lanes {
                     let backend = hard.backend();
                     let (ct_c, tag_c) = hard.seal_detached(&nonce, b"aad", &pt);
                     assert_eq!(ct_f, ct_c, "ciphertext diverged at len {len} ({backend:?})");
                     assert_eq!(tag_f, tag_c, "tag diverged at len {len} ({backend:?})");
-                    // Cross-engine open: sealed by the table engine.
+                    // Cross-engine open: sealed by the reference.
                     assert_eq!(hard.open_detached(&nonce, b"aad", &ct_f, &tag_f).unwrap(), pt);
                 }
             }
         }
     }
 
+    /// Both wipes reach every word: H in the key, the table of its powers
+    /// a body builds.
     #[test]
     fn ghash_key_wipe_clears_tables_and_powers() {
         for backend in backends() {
             let mut key = GhashKey::new(0x1234_5678_9abc_def0_u128, backend);
-            if backend != CryptoBackend::Table {
-                let mut powers = HPowers::build(&key, 16);
-                assert!(powers.pow.iter().all(|&p| p != 0));
-                powers.wipe();
-                assert_eq!(powers.pow, [0u128; 16]);
-            }
+            let mut powers = HPowers::build(&key, 16);
+            assert!(powers.pow.iter().all(|&p| p != 0));
+            powers.wipe();
+            assert_eq!(powers.pow, [0u128; 16]);
             key.wipe();
             assert_eq!(key.h, 0);
-            if let Some(t) = &key.table {
-                assert!(t.iter().all(|row| row.iter().all(|&v| v == 0)));
-            }
         }
     }
 
@@ -895,7 +796,7 @@ mod tests {
     #[test]
     fn h_powers_are_consecutive_and_only_as_many_as_asked() {
         let h = 0x66e9_4bd4_ef8a_2c3b_884c_fa59_ca34_2b2e_u128;
-        for backend in backends().into_iter().filter(|&b| b != CryptoBackend::Table) {
+        for backend in backends() {
             let key = GhashKey::new(h, backend);
             for n in [1usize, 8, 16] {
                 let powers = HPowers::build(&key, n);
@@ -917,7 +818,7 @@ mod tests {
             let gcm = AesGcm::with_backend(&[5u8; 16], backend);
             let nonce = [8u8; 12];
             let pt: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
-            let (ct, tag) = gcm.seal_detached_scalar(&nonce, b"aad", &pt);
+            let (ct, tag) = spec::gcm_seal(&[5u8; 16], &nonce, b"aad", &pt);
             let mut sealed = vec![0xeeu8; pt.len() + TAG_LEN];
             gcm.seal_into(&nonce, b"aad", &pt, &mut sealed);
             assert_eq!(sealed[..pt.len()], ct[..], "{backend:?}");

@@ -17,7 +17,7 @@
 
 use crate::aes::{Aes, KeySize};
 use crate::ct::ct_eq;
-use crate::gcm::GHASH_BATCH_MIN;
+use crate::gcm::{ct_mul, GHASH_BATCH_MIN};
 use crate::ghash_ct::ghash_mul_ct;
 use crate::{AeadError, CryptoBackend};
 
@@ -25,24 +25,6 @@ use crate::{AeadError, CryptoBackend};
 pub const TAG_LEN: usize = 16;
 /// Length in bytes of the GCM-SIV nonce.
 pub const NONCE_LEN: usize = 12;
-
-/// Multiplication in the GHASH field (same convention as `crate::gcm`).
-fn ghash_mul(x: u128, y: u128) -> u128 {
-    const R: u128 = 0xe1 << 120;
-    let mut z = 0u128;
-    let mut v = y;
-    for i in (0..128).rev() {
-        if (x >> i) & 1 == 1 {
-            z ^= v;
-        }
-        if v & 1 == 1 {
-            v = (v >> 1) ^ R;
-        } else {
-            v >>= 1;
-        }
-    }
-    z
-}
 
 /// Multiplies a GHASH field element by `x` (RFC 8452 appendix A, `mulX_GHASH`).
 fn mul_x_ghash(v: u128) -> u128 {
@@ -66,23 +48,17 @@ fn byte_reverse(b: &[u8; 16]) -> [u8; 16] {
 #[derive(Clone)]
 struct PolyvalKey {
     h: u128,
-    /// Engine selection: the constant-time backends multiply through
-    /// PCLMULQDQ ([`crate::ghash_clmul`]) or the masked portable path
-    /// ([`crate::ghash_ct`]); the table (reference) backend uses the
-    /// bitwise textbook multiply.
-    backend: CryptoBackend,
+    /// Multiplications run through PCLMULQDQ ([`crate::ghash_clmul`]), set
+    /// when the record-encryption key is on [`CryptoBackend::HwAccel`];
+    /// otherwise through the masked portable multiply ([`crate::ghash_ct`]).
+    hw: bool,
 }
 
 impl PolyvalKey {
     /// Scalar multiplication by H in the engine's arithmetic.
     #[inline]
     fn mul(&self, x: u128) -> u128 {
-        match self.backend {
-            CryptoBackend::Table => ghash_mul(x, self.h),
-            #[cfg(target_arch = "x86_64")]
-            CryptoBackend::HwAccel => crate::ghash_clmul::ghash_mul_hw(x, self.h),
-            _ => ghash_mul_ct(x, self.h),
-        }
+        ct_mul(self.hw, x, self.h)
     }
 
     /// Powers H^1..H^8 for the batched Horner recurrence (index 7 = H^8).
@@ -102,9 +78,6 @@ impl PolyvalKey {
 struct Polyval {
     key: PolyvalKey,
     acc: u128,
-    /// When false, force the scalar one-block-at-a-time path (reference
-    /// implementation used for differential testing).
-    batch_enabled: bool,
 }
 
 impl std::fmt::Debug for Polyval {
@@ -116,29 +89,17 @@ impl std::fmt::Debug for Polyval {
 impl Polyval {
     fn new(h: &[u8; 16], backend: CryptoBackend) -> Polyval {
         let h_ghash = mul_x_ghash(u128::from_be_bytes(byte_reverse(h)));
-        Polyval {
-            key: PolyvalKey { h: h_ghash, backend },
-            acc: 0,
-            batch_enabled: true,
-        }
-    }
-
-    fn new_scalar(h: &[u8; 16], backend: CryptoBackend) -> Polyval {
-        let mut pv = Polyval::new(h, backend);
-        pv.batch_enabled = false;
-        pv
+        Polyval { key: PolyvalKey { h: h_ghash, hw: backend == CryptoBackend::HwAccel }, acc: 0 }
     }
 
     /// Absorbs `data` in 16-byte blocks, zero-padding the final partial one.
     ///
-    /// Large updates on the constant-time engines run 8 blocks per pass
-    /// with the Horner recurrence `Y' = (Y ^ X1)·H^8 ^ X2·H^7 ^ … ^ X8·H`,
-    /// exactly as the batched GHASH in [`crate::gcm`]; short updates, and
-    /// the table engine at every length, keep the scalar multiply.
+    /// Large updates run 8 blocks per pass with the Horner recurrence
+    /// `Y' = (Y ^ X1)·H^8 ^ X2·H^7 ^ … ^ X8·H`, exactly as the batched GHASH
+    /// in [`crate::gcm`]; short updates keep the scalar multiply.
     fn update_padded(&mut self, data: &[u8]) {
         let mut rest = data;
-        let batch = self.batch_enabled && self.key.backend != CryptoBackend::Table;
-        if batch && data.len() >= GHASH_BATCH_MIN {
+        if data.len() >= GHASH_BATCH_MIN {
             rest = self.update_batched(rest);
         }
         for chunk in rest.chunks(16) {
@@ -154,7 +115,7 @@ impl Polyval {
         // The hardware lane XOR-sums the eight unreduced PCLMULQDQ
         // products and reduces once per group (aggregated reduction).
         #[cfg(target_arch = "x86_64")]
-        if self.key.backend == CryptoBackend::HwAccel {
+        if self.key.hw {
             let hpow = self.key.h_powers();
             let hs: [u128; 8] = std::array::from_fn(|j| hpow[7 - j]);
             let mut batches = data.chunks_exact(128);
@@ -306,20 +267,7 @@ impl AesGcmSiv {
         aad: &[u8],
         plaintext: &[u8],
     ) -> [u8; 16] {
-        Self::polyval_tag_inner(auth_key, enc, nonce, aad, plaintext, true)
-    }
-
-    fn polyval_tag_inner(
-        auth_key: &[u8; 16],
-        enc: &Aes,
-        nonce: &[u8; NONCE_LEN],
-        aad: &[u8],
-        plaintext: &[u8],
-        batch: bool,
-    ) -> [u8; 16] {
-        let backend = enc.backend();
-        let mut pv =
-            if batch { Polyval::new(auth_key, backend) } else { Polyval::new_scalar(auth_key, backend) };
+        let mut pv = Polyval::new(auth_key, enc.backend());
         pv.update_padded(aad);
         pv.update_padded(plaintext);
         let mut len_block = [0u8; 16];
@@ -378,25 +326,6 @@ impl AesGcmSiv {
         (ct, tag)
     }
 
-    /// Reference implementation of [`AesGcmSiv::seal_detached`] that forces
-    /// the scalar one-block POLYVAL. Kept for differential tests and the
-    /// scalar-vs-batched benchmark; not part of the public API surface.
-    #[doc(hidden)]
-    pub fn seal_detached_scalar(
-        &self,
-        nonce: &[u8; NONCE_LEN],
-        aad: &[u8],
-        plaintext: &[u8],
-    ) -> (Vec<u8>, [u8; TAG_LEN]) {
-        let (mut auth_key, mut enc_key) = self.derive_keys(nonce);
-        let enc = self.enc_cipher(&mut enc_key);
-        let tag = Self::polyval_tag_inner(&auth_key, &enc, nonce, aad, plaintext, false);
-        crate::ct::zeroize(&mut auth_key);
-        let mut ct = plaintext.to_vec();
-        Self::ctr_xor(&enc, &tag, &mut ct);
-        (ct, tag)
-    }
-
     /// Encrypts `plaintext` and returns `ciphertext || tag`.
     pub fn seal(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
         let (mut ct, tag) = self.seal_detached(nonce, aad, plaintext);
@@ -408,7 +337,8 @@ impl AesGcmSiv {
     ///
     /// # Errors
     ///
-    /// Returns [`AeadError`] when the tag does not verify.
+    /// Returns [`AeadError`] when the tag does not verify; no plaintext is
+    /// released in that case, nor left behind in freed memory.
     pub fn open_detached(
         &self,
         nonce: &[u8; NONCE_LEN],
@@ -416,16 +346,34 @@ impl AesGcmSiv {
         ciphertext: &[u8],
         tag: &[u8; TAG_LEN],
     ) -> Result<Vec<u8>, AeadError> {
+        let mut pt = ciphertext.to_vec();
+        self.open_in_place(nonce, aad, &mut pt, tag)?;
+        Ok(pt)
+    }
+
+    /// Decrypts `buf` in place, then verifies `tag` over the plaintext.
+    /// SIV authenticates the plaintext, so a forgery is decrypted before it
+    /// is recognised — and what it decrypts to is a wrapped key with a few
+    /// bits flipped: on a refusal `buf` is volatilely zeroized before the
+    /// error returns, as a refused [`crate::write_once::Slot::open`] wipes
+    /// its destination.
+    fn open_in_place(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        buf: &mut [u8],
+        tag: &[u8; TAG_LEN],
+    ) -> Result<(), AeadError> {
         let (mut auth_key, mut enc_key) = self.derive_keys(nonce);
         let enc = self.enc_cipher(&mut enc_key);
-        let mut pt = ciphertext.to_vec();
-        Self::ctr_xor(&enc, tag, &mut pt);
-        let expected = Self::polyval_tag(&auth_key, &enc, nonce, aad, &pt);
+        Self::ctr_xor(&enc, tag, buf);
+        let expected = Self::polyval_tag(&auth_key, &enc, nonce, aad, buf);
         crate::ct::zeroize(&mut auth_key);
         if !ct_eq(&expected, tag) {
+            crate::ct::zeroize(buf);
             return Err(AeadError);
         }
-        Ok(pt)
+        Ok(())
     }
 
     /// Opens a `ciphertext || tag` buffer produced by [`AesGcmSiv::seal`].
@@ -456,11 +404,12 @@ impl crate::ct::ZeroizeOnDrop for AesGcmSiv {}
 mod tests {
     use super::*;
     use crate::test_util::{hex, unhex};
+    use nexus_testkit::spec;
 
-    /// Every engine available on this machine: the table lane, the
-    /// portable bitsliced lane, and (where CPUID allows) the hardware lane.
+    /// Every engine available on this machine: the portable bitsliced
+    /// lane, and (where CPUID allows) the hardware lane.
     fn backends() -> Vec<CryptoBackend> {
-        let mut v = vec![CryptoBackend::Table, CryptoBackend::Bitsliced];
+        let mut v = vec![CryptoBackend::Bitsliced];
         if crate::cpu::hw_accel_available() {
             v.push(CryptoBackend::HwAccel);
         }
@@ -583,27 +532,26 @@ mod tests {
         }
     }
 
-    /// Every hardened lane must agree bit-for-bit with the table engine,
-    /// including keywrap-sized inputs and lengths that cross the POLYVAL
-    /// batching threshold.
+    /// Every hardened lane must agree bit-for-bit with the table-driven
+    /// RFC 8452 reference (`spec::gcm_siv_seal`), including keywrap-sized
+    /// inputs and lengths that cross the POLYVAL batching threshold.
     #[test]
     fn constant_time_lanes_match_table_engine() {
         use crate::rng::{SecureRandom, SeededRandom};
         let mut rng = SeededRandom::new(0x517);
         for key in [vec![0x66u8; 16], vec![0x77u8; 32]] {
-            let fast = AesGcmSiv::with_backend(&key, CryptoBackend::Table);
-            for backend in backends().into_iter().filter(|&b| b != CryptoBackend::Table) {
+            for backend in backends() {
                 let hard = AesGcmSiv::with_backend(&key, backend);
                 for len in [0usize, 16, 32, 127, 128, 129, 1000, 8191, 8192, 8193, 20_000] {
                     let mut pt = vec![0u8; len];
                     rng.fill(&mut pt);
                     let mut nonce = [0u8; 12];
                     rng.fill(&mut nonce);
-                    let (ct_f, tag_f) = fast.seal_detached(&nonce, b"wrap", &pt);
+                    let (ct_f, tag_f) = spec::gcm_siv_seal(&key, &nonce, b"wrap", &pt);
                     let (ct_c, tag_c) = hard.seal_detached(&nonce, b"wrap", &pt);
                     assert_eq!(ct_f, ct_c, "ciphertext diverged at len {len} ({backend:?})");
                     assert_eq!(tag_f, tag_c, "tag diverged at len {len} ({backend:?})");
-                    // Cross-engine open: wrapped by the table engine.
+                    // Cross-engine open: wrapped by the reference.
                     assert_eq!(hard.open_detached(&nonce, b"wrap", &ct_f, &tag_f).unwrap(), pt);
                 }
             }
@@ -614,7 +562,6 @@ mod tests {
     fn default_engine_is_constant_time() {
         let siv = AesGcmSiv::new_256(&[7u8; 32]);
         assert_eq!(siv.backend(), crate::cpu::constant_time_backend());
-        assert_ne!(siv.backend(), CryptoBackend::Table);
     }
 
     #[test]
@@ -629,7 +576,8 @@ mod tests {
     }
 
     /// The 8-block batched POLYVAL must agree bit-for-bit with the scalar
-    /// reference at every alignment: below the batching threshold, exactly
+    /// reference — RFC 8452 one block at a time, `spec::gcm_siv_seal` — at
+    /// every alignment: below the batching threshold, exactly
     /// at it, just past it, at non-128-byte remainders, and with AAD large
     /// enough to batch on its own.
     #[test]
@@ -646,7 +594,7 @@ mod tests {
                 let mut nonce = [0u8; 12];
                 rng.fill(&mut nonce);
                 let (ct_fast, tag_fast) = siv.seal_detached(&nonce, b"aad", &pt);
-                let (ct_ref, tag_ref) = siv.seal_detached_scalar(&nonce, b"aad", &pt);
+                let (ct_ref, tag_ref) = spec::gcm_siv_seal(&key, &nonce, b"aad", &pt);
                 assert_eq!(ct_fast, ct_ref, "ciphertext diverged at len {len}");
                 assert_eq!(tag_fast, tag_ref, "tag diverged at len {len}");
                 assert_eq!(siv.open(&nonce, b"aad", &siv.seal(&nonce, b"aad", &pt)).unwrap(), pt);
@@ -655,8 +603,38 @@ mod tests {
             let mut aad = vec![0u8; 10_000];
             rng.fill(&mut aad);
             let (ct_fast, tag_fast) = siv.seal_detached(&[7u8; 12], &aad, b"small");
-            let (ct_ref, tag_ref) = siv.seal_detached_scalar(&[7u8; 12], &aad, b"small");
+            let (ct_ref, tag_ref) = spec::gcm_siv_seal(&key, &[7u8; 12], &aad, b"small");
             assert_eq!((ct_fast, tag_fast), (ct_ref, tag_ref), "aad-driven batch diverged");
+        }
+    }
+
+    /// A refused open hands back nothing and leaves nothing: the buffer it
+    /// decrypted in — here the caller's own — is all zero after a flipped
+    /// bit anywhere in the wrapped key, its tag, or the AAD.
+    #[test]
+    fn a_refused_open_in_place_leaves_the_buffer_zeroed() {
+        for backend in backends() {
+            for key in [vec![0x21u8; 16], vec![0x43u8; 32]] {
+                let siv = AesGcmSiv::with_backend(&key, backend);
+                let nonce = [0x65u8; 12];
+                let object_key = [0x87u8; 16];
+                let (wrapped, tag) = siv.seal_detached(&nonce, b"uuid", &object_key);
+                let mut buf = wrapped.clone();
+                siv.open_in_place(&nonce, b"uuid", &mut buf, &tag).unwrap();
+                assert_eq!(buf, object_key, "{backend:?}");
+                for flip in 0..8 * (wrapped.len() + TAG_LEN) {
+                    let (mut buf, mut bad_tag) = (wrapped.clone(), tag);
+                    match flip / 8 {
+                        byte if byte < wrapped.len() => buf[byte] ^= 1 << (flip % 8),
+                        byte => bad_tag[byte - wrapped.len()] ^= 1 << (flip % 8),
+                    }
+                    assert!(siv.open_in_place(&nonce, b"uuid", &mut buf, &bad_tag).is_err());
+                    assert_eq!(buf, [0u8; 16], "{backend:?}: bit {flip} left plaintext behind");
+                }
+                let mut buf = wrapped.clone();
+                assert!(siv.open_in_place(&nonce, b"uuie", &mut buf, &tag).is_err());
+                assert_eq!(buf, [0u8; 16], "{backend:?}: wrong AAD left plaintext behind");
+            }
         }
     }
 }

@@ -90,7 +90,7 @@ pub(crate) fn reduce(lo: u128, hi: u128) -> u128 {
 }
 
 /// GF(2^128) multiply in GHASH bit order; byte-identical to
-/// [`crate::ghash_ct::ghash_mul_ct`] and to the Shoup table lane.
+/// [`crate::ghash_ct::ghash_mul_ct`].
 pub(crate) fn ghash_mul_hw(x: u128, y: u128) -> u128 {
     debug_assert!(crate::cpu::hw_accel_available());
     // SAFETY: this lane is only ever selected when CPUID reported

@@ -1,11 +1,11 @@
 //! Constant-time GHASH/POLYVAL field multiplication.
 //!
-//! The table engine multiplies in GF(2^128) through key-dependent Shoup
-//! tables ([`crate::gcm`]), indexing memory by nibbles of the (secret,
+//! The textbook fast GHASH multiplies in GF(2^128) through key-dependent
+//! Shoup tables, indexing memory by nibbles of the (secret,
 //! message-derived) multiplicand — a classic cache-timing channel that the
 //! SGX threat model (untrusted co-resident OS, paper §III) makes worse,
-//! not better. This module is the hardened replacement: a software
-//! carryless multiply built from masked integer multiplications, so no
+//! not better. This module is the portable hardened multiply instead: a
+//! software carryless multiply built from masked integer multiplications, so no
 //! memory address and no branch ever depends on a secret or
 //! message-derived value.
 //!
@@ -69,9 +69,9 @@ fn clmul128(a: u128, b: u128) -> (u128, u128) {
     (p00 ^ (mid << 64), p11 ^ (mid >> 64))
 }
 
-/// Constant-time multiplication in the GHASH field, same convention as
-/// [`crate::gcm`]'s Shoup-table `table_mul` (big-endian-loaded `u128`,
-/// reduction polynomial `t^128 + t^7 + t^2 + t + 1`).
+/// Constant-time multiplication in the GHASH field, in SP 800-38D's
+/// convention (big-endian-loaded `u128`, reduction polynomial
+/// `t^128 + t^7 + t^2 + t + 1`).
 ///
 /// No memory access and no branch depends on `x` or `y`.
 pub(crate) fn ghash_mul_ct(x: u128, y: u128) -> u128 {

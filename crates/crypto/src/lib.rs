@@ -46,18 +46,19 @@
 //! engine, both free of secret-dependent indexing and branches), from its
 //! own CPUID bits and the same override.
 //!
-//! A third, table-driven engine ([`CryptoBackend::Table`]: AES T-tables,
-//! Shoup-table GHASH) stays in the crate as a *reference*, reachable only
-//! through the `#[doc(hidden)]` `with_backend` constructors. Its lookups
-//! are indexed by secret-derived values and leak through caches, which is
-//! exactly why it is kept: the `nexus-testkit` timing-leak harness must
-//! flag it (positive control) while passing the other two, and the
-//! cross-engine suites compare all three byte for byte on every RFC
-//! vector. Nothing outside this crate's tests and the `micro_ct` bench
-//! names it. Tag comparisons are branchless ([`ct::ct_eq`]), and
-//! key-holding types volatilely zeroize their material on `Drop`
-//! ([`ct::zeroize`]) — including the hardware engine's round-key and
-//! H-power state.
+//! Those two engines are all the crate ships: no module outside the test
+//! suites indexes a table by a secret-derived value, and
+//! `tests/source_audit.rs` reads every one of them to hold that. The
+//! `#[doc(hidden)]` `with_backend` constructors pin one of the two for the
+//! differential suites and the `micro_ct` bench, and nothing else names
+//! them. The table-driven reference both engines are checked against —
+//! FIPS 197, SP 800-38D and RFC 8452 one block at a time, its lookups
+//! traceable for the timing-leak harness's positive control — is
+//! `nexus_testkit::spec`, outside the shipped crate. Tag comparisons are
+//! branchless ([`ct::ct_eq`]), and key-holding types volatilely zeroize
+//! their material on `Drop` ([`ct::zeroize`]) — including the hardware
+//! engine's round-key and H-power state; a refused open wipes the
+//! plaintext it decrypted before returning.
 //!
 //! ## Example
 //!
@@ -99,16 +100,12 @@ pub mod write_once;
 pub mod x25519;
 
 /// The concrete engine a key was expanded for. Production constructors
-/// resolve it through [`cpu::constant_time_backend`] and only ever get
-/// [`CryptoBackend::Bitsliced`] or [`CryptoBackend::HwAccel`]; tests and
-/// the `micro_ct` bench pin one through the `with_backend` constructors.
-/// All three are bit-for-bit compatible: ciphertexts and tags are
-/// identical, so data sealed on one engine opens on any other.
+/// resolve it through [`cpu::constant_time_backend`]; tests and the
+/// `micro_ct` bench pin one through the `with_backend` constructors. Both
+/// are constant-time and bit-for-bit compatible: ciphertexts and tags are
+/// identical, so data sealed on one engine opens on the other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CryptoBackend {
-    /// T-table / Shoup-table reference engine. Secret-indexed loads leak
-    /// through caches — never selected by dispatch.
-    Table,
     /// Portable bitsliced + masked-multiply engine.
     Bitsliced,
     /// AES-NI + PCLMULQDQ intrinsics engine (x86_64 with the CPUID bits).

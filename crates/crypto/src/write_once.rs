@@ -39,8 +39,8 @@
 //!   destination it is given — its contract (`gcm.rs`), which the fused
 //!   kernels meet by walking `chunks_exact_mut` of the whole destination and
 //!   the tail by `write_copy_of_slice` of what is left, and which
-//!   `kernel_differential.rs` checks against the reference at every length
-//!   and alignment — and the tag is written here. A slot gives its
+//!   `kernel_differential.rs` checks against the spec reference at every
+//!   length and alignment — and the tag is written here. A slot gives its
 //!   destination away to the first `seal` or `open` it meets and is spent by
 //!   it, so no slot is counted twice and none is counted for a fill that
 //!   was refused.

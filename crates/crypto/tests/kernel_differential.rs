@@ -15,9 +15,10 @@
 //! where the bytes are forty times as many and nothing but the group count
 //! changes.
 //!
-//! The reference is `seal_detached_scalar` on the **table** engine: FIPS 197
-//! by lookup, SP 800-38D one block at a time, sharing no code with any kernel
-//! or with the bitsliced engine.
+//! The reference is `nexus_testkit::spec::gcm_seal`: FIPS 197 by S-box
+//! lookup, SP 800-38D one block at a time, sharing no code — not even the key
+//! schedule — with any kernel, with the bitsliced engine, or with
+//! `nexus-crypto` at all.
 //!
 //! Which engines run: the one `AesGcm::new` dispatches to, always. Under
 //! `NEXUS_CRYPTO_FORCE_PORTABLE=1` (as `scripts/verify.sh` reruns this file)
@@ -37,6 +38,7 @@
 
 use nexus_crypto::gcm::{AesGcm, TAG_LEN};
 use nexus_crypto::CryptoBackend;
+use nexus_testkit::spec;
 
 const NONCE: [u8; 12] = [0xa1, 0xb2, 0xc3, 0xd4, 0xe5, 0xf6, 0x07, 0x18, 0x29, 0x3a, 0x4b, 0x5c];
 const AAD_37: &[u8; 37] = b"thirty-seven bytes of associated data";
@@ -96,15 +98,16 @@ impl Arena {
 /// the reference's `ciphertext ‖ tag` and `open_into` must give the
 /// plaintext back, wherever source and destination start.
 fn differential(key: &[u8], aad: &[u8]) {
-    let reference = AesGcm::with_backend(key, CryptoBackend::Table);
     let plain = pattern(MAX_LEN, key.len() as u8);
     let (mut src, mut dst) = (Arena::new(MAX_LEN + TAG_LEN), Arena::new(MAX_LEN + TAG_LEN));
-    for lane in lanes() {
-        let gcm = AesGcm::with_backend(key, lane.backend);
-        for len in lengths() {
-            let pt = &plain[..len];
-            let (ct, tag) = reference.seal_detached_scalar(&NONCE, aad, pt);
-            let sealed = [&ct[..], &tag[..]].concat();
+    let lanes: Vec<(AesGcm, Lane)> =
+        lanes().into_iter().map(|lane| (AesGcm::with_backend(key, lane.backend), lane)).collect();
+    for len in lengths() {
+        let pt = &plain[..len];
+        // One reference seal per length, whichever lanes check against it.
+        let (ct, tag) = spec::gcm_seal(key, &NONCE, aad, pt);
+        let sealed = [&ct[..], &tag[..]].concat();
+        for (gcm, lane) in &lanes {
             let pairs: Vec<(usize, usize)> = match (lane.every_offset_pair, len <= 1024) {
                 (true, true) => (0..16).flat_map(|s| (0..16).map(move |d| (s, d))).collect(),
                 // Every source offset and every destination offset once per

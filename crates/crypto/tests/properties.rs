@@ -9,7 +9,7 @@ use nexus_crypto::hmac::{hkdf, hmac_sha256};
 use nexus_crypto::sha2::{Sha256, Sha512};
 use nexus_crypto::x25519;
 use nexus_crypto::CryptoBackend;
-use nexus_testkit::{shrink, tk_assert, tk_assert_eq, tk_assert_ne, Runner};
+use nexus_testkit::{shrink, spec, tk_assert, tk_assert_eq, tk_assert_ne, Runner};
 
 const CASES: u32 = 64;
 
@@ -239,10 +239,10 @@ fn hkdf_output_lengths_are_exact() {
     );
 }
 
-/// Every engine available on this machine: the table lane, the portable
-/// bitsliced lane, and — where CPUID allows — the AES-NI + PCLMULQDQ lane.
+/// Every engine available on this machine: the portable bitsliced lane,
+/// and — where CPUID allows — the AES-NI + PCLMULQDQ lane.
 fn all_backends() -> Vec<CryptoBackend> {
-    let mut v = vec![CryptoBackend::Table, CryptoBackend::Bitsliced];
+    let mut v = vec![CryptoBackend::Bitsliced];
     if nexus_crypto::cpu::hw_accel_available() {
         v.push(CryptoBackend::HwAccel);
     }
@@ -251,11 +251,11 @@ fn all_backends() -> Vec<CryptoBackend> {
 
 #[test]
 fn all_crypto_lanes_are_byte_identical() {
-    // Satellite of the hardware lane: every implementation engine (table,
-    // bitsliced, intrinsics) must be byte-identical for every
-    // key/nonce/AAD/length, including lengths straddling the 8-block
-    // (128-byte) batch boundary, and each lane must open what every other
-    // lane sealed (cross-lane seal/open regression).
+    // Every implementation engine (bitsliced, intrinsics) must be
+    // byte-identical to the spec reference for every key/nonce/AAD/length,
+    // including lengths straddling the 8-block (128-byte) batch boundary,
+    // and each lane must open what every other lane sealed (cross-lane
+    // seal/open regression).
     const BOUNDARY_LENS: [usize; 10] = [0, 1, 15, 16, 17, 112, 127, 128, 129, 257];
     Runner::new("all_crypto_lanes_are_byte_identical").cases(CASES).run(
         |g| {
@@ -271,43 +271,42 @@ fn all_crypto_lanes_are_byte_identical() {
             shrink::bytes(pt).into_iter().map(|pt| (*key, *nonce, aad.clone(), pt)).collect()
         },
         |(key, nonce, aad, pt)| {
+            let (ct, tag) = spec::gcm_seal(key, nonce, aad, pt);
+            let reference = [ct, tag.to_vec()].concat();
             let gcms: Vec<AesGcm> =
                 all_backends().into_iter().map(|b| AesGcm::with_backend(key, b)).collect();
             let sealed: Vec<Vec<u8>> = gcms.iter().map(|g| g.seal(nonce, aad, pt)).collect();
             for (g, s) in gcms.iter().zip(sealed.iter()) {
-                tk_assert_eq!(s, &sealed[0], "GCM lane diverged ({:?})", g.backend());
+                tk_assert_eq!(s, &reference, "GCM lane diverged ({:?})", g.backend());
                 // Cross-lane: every lane opens what every other lane sealed.
                 for other in &sealed {
                     tk_assert_eq!(g.open(nonce, aad, other).unwrap(), *pt);
                 }
             }
+            // What dispatch picks seals as the reference does.
+            tk_assert_eq!(AesGcm::new(key).seal(nonce, aad, pt), reference);
 
-            // What dispatch picks interoperates with the table engine
-            // (`sealed[0]`) in both directions.
-            let default = AesGcm::new(key);
-            tk_assert_eq!(default.open(nonce, aad, &sealed[0]).unwrap(), *pt);
-            tk_assert_eq!(gcms[0].open(nonce, aad, &default.seal(nonce, aad, pt)).unwrap(), *pt);
-
+            let (ct, tag) = spec::gcm_siv_seal(key, nonce, aad, pt);
+            let reference = [ct, tag.to_vec()].concat();
             let sivs: Vec<AesGcmSiv> =
                 all_backends().into_iter().map(|b| AesGcmSiv::with_backend(key, b)).collect();
             let sealed: Vec<Vec<u8>> = sivs.iter().map(|s| s.seal(nonce, aad, pt)).collect();
             for (siv, s) in sivs.iter().zip(sealed.iter()) {
-                tk_assert_eq!(s, &sealed[0], "SIV lane diverged ({:?})", siv.backend());
+                tk_assert_eq!(s, &reference, "SIV lane diverged ({:?})", siv.backend());
                 for other in &sealed {
                     tk_assert_eq!(siv.open(nonce, aad, other).unwrap(), *pt);
                 }
             }
-            let default = AesGcmSiv::new(key);
-            tk_assert_eq!(default.open(nonce, aad, &sealed[0]).unwrap(), *pt);
-            tk_assert_eq!(sivs[0].open(nonce, aad, &default.seal(nonce, aad, pt)).unwrap(), *pt);
+            tk_assert_eq!(AesGcmSiv::new(key).seal(nonce, aad, pt), reference);
             Ok(())
         },
     );
 }
 
 /// The in-place calls against SP 800-38D one block at a time
-/// (`seal_detached_scalar` on the table engine: no fused kernel, no 8-block
-/// CTR batch, no batched GHASH), on every engine this host has. The
+/// (`spec::gcm_seal`: no fused kernel, no 8-block CTR batch, no batched
+/// GHASH, no code shared with `nexus-crypto`), on every engine this host
+/// has. The
 /// lengths cross every boundary the bulk path has: each residue of the
 /// 128-byte group and the 16-byte block up to two groups and a bit, the
 /// portable GHASH batching threshold (8 KiB ± 1), a mid-sized ragged body
@@ -324,7 +323,6 @@ fn into_calls_equal_the_scalar_reference_on_every_lane() {
         chunk.copy_from_slice(&g.u64().to_le_bytes()[..chunk.len()]);
     }
     for key in [g.bytes::<32>()[..16].to_vec(), g.bytes::<32>().to_vec()] {
-        let reference = AesGcm::with_backend(&key, CryptoBackend::Table);
         let lanes: Vec<AesGcm> =
             all_backends().into_iter().map(|b| AesGcm::with_backend(&key, b)).collect();
         for &len in &lens {
@@ -334,7 +332,7 @@ fn into_calls_equal_the_scalar_reference_on_every_lane() {
             for &aad_len in aad_lens {
                 let aad = &aad_src[..aad_len];
                 let nonce = g.bytes::<12>();
-                let (ct, tag) = reference.seal_detached_scalar(&nonce, aad, pt);
+                let (ct, tag) = spec::gcm_seal(&key, &nonce, aad, pt);
                 for gcm in &lanes {
                     let lane = gcm.backend();
                     let what = format!("{lane:?}, key {}, len {len}, aad {aad_len}", key.len());

@@ -19,6 +19,10 @@
 //!   role of proptest's `*.proptest-regressions` corpus as always-run,
 //!   checked-in cases.
 //!
+//! Beside the harness, [`spec`] holds the one reference the crypto suites
+//! compare against — AES, AES-GCM and AES-GCM-SIV written from FIPS 197,
+//! SP 800-38D and RFC 8452 — and [`timing`] the dudect-style leak test.
+//!
 //! Environment overrides for exploration (never needed in CI):
 //! `NEXUS_TESTKIT_SEED` re-seeds generation, `NEXUS_TESTKIT_CASES`
 //! changes the case count.
@@ -176,6 +180,7 @@ impl Gen {
 
 pub mod dist;
 pub mod faults;
+pub mod spec;
 pub mod timing;
 
 /// Canonical shrink-candidate sets: smaller-but-similar variants of a

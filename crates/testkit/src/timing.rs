@@ -13,10 +13,13 @@
 //! Two cost sources are supported:
 //!
 //! - **Deterministic model costs** ([`CacheModel`]): the caller replays a
-//!   table-access trace (e.g. `Aes::encrypt_block_trace`) through a
+//!   table-access trace (as [`crate::spec::Aes::cold_cache_cost`] does with
+//!   the T-table lookups of the spec AES: the positive control) through a
 //!   cold-cache model that charges a miss for the first touch of each
 //!   64-byte line. This is noise-free, so classification is exactly
-//!   reproducible from the seed — the form used by CI tests.
+//!   reproducible from the seed — the form used by CI tests. Only code
+//!   that indexes tables has a trace to replay; code that indexes none
+//!   (the shipped AES engines) is shown to by reading its source.
 //! - **Wall-clock cycles**: the caller times the real operation and feeds
 //!   the duration in. Informative on quiet machines, but never used for
 //!   pass/fail in CI.

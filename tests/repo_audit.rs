@@ -48,9 +48,10 @@ fn dependency_graph_is_workspace_crates_only() {
 /// the one-lock-path audit and golden stored bytes.
 #[test]
 fn gate_suites_exist() {
-    const SUITES: [(&str, &[&str]); 5] = [
+    const SUITES: [(&str, &[&str]); 6] = [
         ("storage", &["crash_recovery", "reopen", "batch_differential", "source_audit"]),
-        ("crypto", &["timing_leak", "source_audit", "kernel_differential", "properties"]),
+        ("crypto", &["source_audit", "kernel_differential", "properties"]),
+        ("testkit", &["timing_leak"]),
         ("exec", &["executor_smoke", "begin_at_zero_delay"]),
         ("workloads", &["source_audit", "exec_differential", "exec_fs_differential"]),
         (
