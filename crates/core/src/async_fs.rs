@@ -5,7 +5,7 @@
 //! RPC surface: the volume's operations stay synchronous (one ecall
 //! sequence that charges its RPC costs to the client's [`ClockLane`] as
 //! it goes), and what makes them *async* is ordering — before each
-//! operation the adapter parks its task in the executor's timer wheel at
+//! operation the adapter parks its task in the executor's reactor at
 //! the lane's local time, so thousands of full enclave clients (seal and
 //! open, `MetaCommit` group commits, freshness checks, batched
 //! `get_many` fetch→decrypt reads) execute in global issue-time order
@@ -35,7 +35,6 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use nexus_exec::io::{AsyncStorage, LaneBackend};
 use nexus_exec::Timer;
 use nexus_storage::ClockLane;
 
@@ -68,11 +67,6 @@ impl CryptoCost {
         CryptoCost { op_overhead: Duration::from_micros(20), bytes_per_sec: 160_000_000 }
     }
 
-    /// Zero cost (pure-RPC accounting, for tests).
-    pub fn free() -> CryptoCost {
-        CryptoCost { op_overhead: Duration::ZERO, bytes_per_sec: u64::MAX }
-    }
-
     /// The modelled CPU cost of one operation that moved `bytes` of
     /// plaintext through the enclave's data path.
     pub fn op_cost(&self, bytes: usize) -> Duration {
@@ -88,7 +82,7 @@ impl CryptoCost {
     }
 }
 
-/// A mounted NEXUS volume as an async client on the `nexus-exec` wheel.
+/// A mounted NEXUS volume as an async client on the `nexus-exec` reactor.
 pub struct AsyncVolume {
     volume: Arc<NexusVolume>,
     lane: ClockLane,
@@ -120,18 +114,6 @@ impl AsyncVolume {
         AsyncVolume { volume, lane, timer, crypto }
     }
 
-    /// Builds the adapter over the same lane and timer an
-    /// [`AsyncStorage`] already uses — the layering the scale harness
-    /// wants: raw RPC futures and fs futures share one wheel.
-    pub fn over<B: LaneBackend>(volume: Arc<NexusVolume>, storage: &AsyncStorage<B>) -> AsyncVolume {
-        AsyncVolume::new(
-            volume,
-            storage.backend().io_lane().clone(),
-            storage.timer().clone(),
-            CryptoCost::paper_calibrated(),
-        )
-    }
-
     /// The wrapped synchronous volume.
     pub fn volume(&self) -> &Arc<NexusVolume> {
         &self.volume
@@ -154,7 +136,8 @@ impl AsyncVolume {
     }
 
     /// Parks until `arrival`, raising the lane there — the open-loop
-    /// arrival primitive, mirroring [`AsyncStorage::begin_at`].
+    /// arrival primitive, mirroring
+    /// [`nexus_exec::io::AsyncStorage::begin_at`].
     pub async fn begin_at(&self, arrival: Duration) {
         let at = arrival.max(self.lane.local_now());
         self.timer.schedule_at(at).await;
@@ -298,10 +281,6 @@ mod tests {
         assert!(two_mib <= one_mib * 2 + Duration::from_nanos(2));
         // ~160 MB/s: 1 MiB costs ~6.6 ms.
         assert!(one_mib > Duration::from_millis(6) && one_mib < Duration::from_millis(7));
-        // The free model charges nothing at realistic sizes (sizes big
-        // enough to saturate the nanos product round up to 1 ns).
-        assert_eq!(CryptoCost::free().op_cost(1 << 30), Duration::ZERO);
-        assert!(CryptoCost::free().op_cost(usize::MAX) <= Duration::from_nanos(1));
     }
 
     /// A ranged read is the volume's, charged for the bytes it produced —

@@ -1089,7 +1089,10 @@ pub(crate) fn store_supernode(state: &mut EnclaveState, io: &MetaIo<'_>) -> Resu
     let mounted = state.mounted()?;
     let rootkey = mounted.rootkey;
     let uuid = mounted.supernode_uuid;
-    let version = next_version(mounted, &uuid);
+    // One past the newest supernode this session has seen, written or
+    // fetched: a session that did not create the volume must not write a
+    // version other sessions already passed.
+    let version = mounted.supernode_version + 1;
     mounted.supernode_version = version;
     let preamble = Preamble {
         kind: ObjectKind::Supernode,
@@ -1119,8 +1122,16 @@ pub(crate) fn fetch_supernode(
     rootkey: &RootKey,
     uuid: NexusUuid,
 ) -> Result<(Supernode, u64)> {
-    let blob = io.get(&uuid)?;
-    let (preamble, body) = open_object(rootkey, &blob)?;
+    open_supernode(rootkey, uuid, &io.get(&uuid)?)
+}
+
+/// Verifies and decodes `blob` as the supernode for `uuid`.
+pub(crate) fn open_supernode(
+    rootkey: &RootKey,
+    uuid: NexusUuid,
+    blob: &[u8],
+) -> Result<(Supernode, u64)> {
+    let (preamble, body) = open_object(rootkey, blob)?;
     if preamble.uuid != uuid || preamble.kind != ObjectKind::Supernode {
         return Err(NexusError::Integrity("supernode identity mismatch".into()));
     }

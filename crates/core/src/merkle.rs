@@ -9,8 +9,7 @@
 //!
 //! The tree is built over `(uuid, object hash)` leaves in sorted UUID
 //! order, so a single 32-byte root commits to the exact current version of
-//! *every* metadata object in the volume. Inclusion proofs allow spot
-//! verification without shipping the whole leaf set.
+//! *every* metadata object in the volume.
 
 use nexus_crypto::sha2::Sha256;
 
@@ -38,49 +37,9 @@ pub fn empty_root() -> [u8; 32] {
     Sha256::digest(b"nexus-merkle-empty")
 }
 
-/// One step of an inclusion proof.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProofStep {
-    /// Sibling hash at this level.
-    pub sibling: [u8; 32],
-    /// True when the sibling is on the right of the running hash.
-    pub sibling_on_right: bool,
-}
-
-/// An inclusion proof for one leaf.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InclusionProof {
-    /// Index of the proven leaf in the sorted leaf order.
-    pub leaf_index: usize,
-    /// Bottom-up sibling path.
-    pub path: Vec<ProofStep>,
-}
-
-impl InclusionProof {
-    /// Recomputes the root implied by this proof for `leaf`.
-    pub fn implied_root(&self, leaf: [u8; 32]) -> [u8; 32] {
-        let mut acc = leaf;
-        for step in &self.path {
-            acc = if step.sibling_on_right {
-                node_hash(&acc, &step.sibling)
-            } else {
-                node_hash(&step.sibling, &acc)
-            };
-        }
-        acc
-    }
-
-    /// Verifies the proof against an expected root.
-    pub fn verify(&self, leaf: [u8; 32], root: &[u8; 32]) -> bool {
-        self.implied_root(leaf) == *root
-    }
-}
-
 /// A Merkle tree over sorted `(uuid, object hash)` leaves.
 #[derive(Debug, Clone)]
 pub struct MerkleTree {
-    /// Sorted leaf keys.
-    keys: Vec<NexusUuid>,
     /// levels[0] = leaf hashes; levels.last() = [root].
     levels: Vec<Vec<[u8; 32]>>,
 }
@@ -92,7 +51,6 @@ impl MerkleTree {
         let mut pairs: Vec<(NexusUuid, [u8; 32])> = entries.into_iter().collect();
         pairs.sort_by_key(|(uuid, _)| *uuid);
         pairs.dedup_by_key(|(uuid, _)| *uuid);
-        let keys: Vec<NexusUuid> = pairs.iter().map(|(u, _)| *u).collect();
         let mut levels = Vec::new();
         let leaves: Vec<[u8; 32]> = pairs.iter().map(|(u, h)| leaf_hash(u, h)).collect();
         levels.push(leaves);
@@ -109,17 +67,17 @@ impl MerkleTree {
             }
             levels.push(next);
         }
-        MerkleTree { keys, levels }
+        MerkleTree { levels }
     }
 
     /// Number of leaves.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.levels[0].len()
     }
 
     /// True when the tree has no leaves.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.levels[0].is_empty()
     }
 
     /// The root hash committing to every leaf.
@@ -128,25 +86,6 @@ impl MerkleTree {
             return empty_root();
         }
         self.levels.last().unwrap()[0]
-    }
-
-    /// Builds an inclusion proof for `uuid`, if present.
-    pub fn prove(&self, uuid: &NexusUuid) -> Option<InclusionProof> {
-        let leaf_index = self.keys.binary_search(uuid).ok()?;
-        let mut path = Vec::new();
-        let mut index = leaf_index;
-        for level in &self.levels[..self.levels.len().saturating_sub(1)] {
-            let sibling_index = index ^ 1;
-            if sibling_index < level.len() {
-                path.push(ProofStep {
-                    sibling: level[sibling_index],
-                    sibling_on_right: sibling_index > index,
-                });
-            }
-            // Odd promoted nodes contribute no step at this level.
-            index /= 2;
-        }
-        Some(InclusionProof { leaf_index, path })
     }
 }
 
@@ -189,36 +128,6 @@ mod tests {
         // Adding or removing a leaf changes the root too.
         assert_ne!(MerkleTree::build(entries(7)).root(), base);
         assert_ne!(MerkleTree::build(entries(9)).root(), base);
-    }
-
-    #[test]
-    fn inclusion_proofs_verify_for_all_sizes() {
-        for n in 1..=17u8 {
-            let tree = MerkleTree::build(entries(n));
-            let root = tree.root();
-            for i in 1..=n {
-                let proof = tree.prove(&uuid(i)).expect("leaf present");
-                let leaf = leaf_hash(&uuid(i), &[i; 32]);
-                assert!(proof.verify(leaf, &root), "n={n} leaf={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn proof_rejects_wrong_leaf_or_root() {
-        let tree = MerkleTree::build(entries(9));
-        let proof = tree.prove(&uuid(4)).unwrap();
-        let right_leaf = leaf_hash(&uuid(4), &[4; 32]);
-        let wrong_leaf = leaf_hash(&uuid(4), &[5; 32]);
-        assert!(proof.verify(right_leaf, &tree.root()));
-        assert!(!proof.verify(wrong_leaf, &tree.root()));
-        assert!(!proof.verify(right_leaf, &[0; 32]));
-    }
-
-    #[test]
-    fn prove_missing_leaf_is_none() {
-        let tree = MerkleTree::build(entries(4));
-        assert!(tree.prove(&uuid(99)).is_none());
     }
 
     #[test]

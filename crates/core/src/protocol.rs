@@ -76,10 +76,11 @@ pub(crate) fn auth_complete(
     let storage_version = io.version(&supernode_uuid).unwrap_or(0);
     let blob = io.get(&supernode_uuid)?;
 
-    // Re-verify the supernode we hold matches what is on storage: the
-    // signature covers the ciphertext, so both sides must agree on it.
+    // The session takes the supernode from the very blob the signature is
+    // checked over: the user signed this ciphertext, so both sides agree on
+    // it, and a write landing after the fetch cannot swap in another.
     let rootkey = state.mounted()?.rootkey;
-    let (supernode, version) = crate::enclave::fetch_supernode(io, &rootkey, supernode_uuid)?;
+    let (supernode, version) = crate::enclave::open_supernode(&rootkey, supernode_uuid, &blob)?;
     {
         let mounted = state.mounted()?;
         if version < mounted.supernode_version {

@@ -363,6 +363,21 @@ fn works_over_cloud_object_store() {
 }
 
 #[test]
+fn a_second_session_writes_the_supernode_forward() {
+    let (platform, ias, backend, owner) = setup();
+    let (first, sealed) = create_volume(&platform, &ias, backend.clone(), &owner);
+    first.add_user("alice", UserKeys::from_seed("alice", &[2u8; 32]).public_key()).unwrap();
+    let second =
+        NexusVolume::mount(&platform, backend, &ias, &sealed, NexusConfig::default()).unwrap();
+    second.authenticate(&owner).unwrap();
+    second.add_user("bob", UserKeys::from_seed("bob", &[3u8; 32]).public_key()).unwrap();
+    // The first session refetches the supernode and must find it newer
+    // than the one it wrote, not a rollback.
+    first.authenticate(&owner).unwrap();
+    assert_eq!(first.users().unwrap(), ["owen", "alice", "bob"]);
+}
+
+#[test]
 fn users_listing_and_owner_admin_only() {
     let (platform, ias, backend, owner) = setup();
     let (volume, _) = create_volume(&platform, &ias, backend.clone(), &owner);

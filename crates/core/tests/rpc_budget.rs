@@ -136,6 +136,32 @@ fn a_warm_operation_pays_one_probe_per_phase() {
     );
     assert_eq!(v.read_file("a/c/g1").unwrap(), b"contents 1");
     assert_eq!(v.read_file("a/b/new").unwrap(), b"created");
+
+    // The user fetches the supernode to sign it; the enclave compares the
+    // version, fetches the blob, checks the signature over it and decodes
+    // that same blob.
+    let owner = UserKeys::from_seed("owner", &[1; 32]);
+    assert_eq!(calls_of(&log, || v.authenticate(&owner).unwrap()), [Get, Stat, Get]);
+}
+
+#[test]
+fn a_supernode_written_after_the_signed_fetch_stays_out_of_the_session() {
+    let (log, v, mount, _) = warm_world(NexusConfig::default());
+    let cold = mount();
+    let bob = UserKeys::from_seed("bob", &[3; 32]).public_key();
+    log.take_calls();
+    // Fires before whatever call follows the user's fetch, the version
+    // probe and the enclave's fetch of the blob the signature covers.
+    let mut calls = 0;
+    log.before(
+        move |_, _| {
+            calls += 1;
+            calls > 3
+        },
+        move || v.add_user("bob", bob).unwrap(),
+    );
+    cold.authenticate(&UserKeys::from_seed("owner", &[1; 32])).unwrap();
+    assert_eq!(cold.users().unwrap(), ["owner", "alice"], "the supernode the owner signed");
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! The storage simulators are synchronous: an RPC advances the caller's
 //! [`ClockLane`] by its modelled cost and returns. What makes them *async*
 //! here is ordering, not blocking — before each operation the adapter
-//! parks the task in the executor's timer wheel at the lane's local time
+//! parks the task in the executor's reactor at the lane's local time
 //! ([`Timer::schedule_at`]), so operations from thousands of clients
 //! execute in global issue-time order while their RPC costs overlap in
 //! simulated time (each lane advances privately; the shared clock reads
@@ -54,7 +54,7 @@ impl<B: LaneBackend> Clone for AsyncStorage<B> {
 }
 
 impl<B: LaneBackend> AsyncStorage<B> {
-    /// Wraps `backend`, parking each operation on `timer`'s wheel.
+    /// Wraps `backend`, parking each operation on `timer`'s reactor.
     pub fn new(backend: Arc<B>, timer: Timer) -> AsyncStorage<B> {
         AsyncStorage { backend, timer }
     }
@@ -62,12 +62,6 @@ impl<B: LaneBackend> AsyncStorage<B> {
     /// The wrapped synchronous backend.
     pub fn backend(&self) -> &Arc<B> {
         &self.backend
-    }
-
-    /// The timer this adapter parks on (for layering further async
-    /// adapters — e.g. an async volume — over the same wheel and lane).
-    pub fn timer(&self) -> &Timer {
-        &self.timer
     }
 
     /// This client's lane-local virtual time.

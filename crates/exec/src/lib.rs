@@ -10,10 +10,11 @@
 //!
 //! - a **run queue** of waker-schedulable tasks ([`Executor::spawn`]),
 //!   drained by the driver thread plus up to [`MAX_WORKERS`]`-1` helpers;
-//! - a **virtual-time reactor**: a hierarchical [`wheel::TimerWheel`] keyed
-//!   by [`SimClock`] nanoseconds. When every task is parked the driver
-//!   advances the shared clock straight to the earliest deadline and wakes
-//!   that batch — simulated time never waits for wall-clock sleeps;
+//! - a **virtual-time reactor**: one ordered map of wakeups keyed by
+//!   `(deadline, seq)` in [`SimClock`] nanoseconds. When every task is
+//!   parked the driver advances the shared clock straight to the earliest
+//!   deadline and wakes that batch — simulated time never waits for
+//!   wall-clock sleeps;
 //! - **async storage adapters** ([`io`]) that park each RPC at the issuing
 //!   client's [`ClockLane`] time, so cross-client operations execute in
 //!   global issue-time order and in-flight RPCs genuinely overlap in
@@ -22,7 +23,7 @@
 //! ## Determinism
 //!
 //! With a single worker (the driver itself, [`Executor::single`]) execution
-//! is fully deterministic: the wheel fires `(deadline, seq)`-ordered
+//! is fully deterministic: the reactor fires `(deadline, seq)`-ordered
 //! batches into a FIFO queue drained by one thread, so an async-interleaved
 //! run equals the serial oracle event-for-event (pinned by the
 //! `exec_differential` suite in `nexus-workloads`). With extra workers,
@@ -35,7 +36,7 @@
 //! polls.
 
 use std::any::Any;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::future::Future;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::pin::Pin;
@@ -48,9 +49,6 @@ use nexus_storage::SimClock;
 use nexus_sync::{Monitor, Mutex};
 
 pub mod io;
-pub mod wheel;
-
-use wheel::TimerWheel;
 
 /// Hard ceiling on OS threads an executor may use (driver included). The
 /// whole point of this crate is that client count and thread count are
@@ -92,10 +90,50 @@ struct QueueState {
     shutdown: bool,
 }
 
+/// One parked wakeup: the task to wake, and the flag its [`Sleep`] reads
+/// once the driver has fired it.
+type Wakeup = (Waker, Arc<AtomicBool>);
+
+/// Wakeups by `(deadline, seq)`: the map's order is the firing order.
+type Wakeups = BTreeMap<(u64, u64), Wakeup>;
+
+/// The virtual-time reactor. `seq` counts registrations, so equal
+/// deadlines fire in registration order.
+#[derive(Default)]
+struct Reactor {
+    timers: Wakeups,
+    next_seq: u64,
+    /// The deadline of the last batch fired. A wakeup registered at or
+    /// below it (a `schedule_at` whose lane is behind the shared clock)
+    /// fires with the next batch, in key order with the rest of it.
+    fired_to: u64,
+}
+
+impl Reactor {
+    fn register(&mut self, deadline: u64, wakeup: Wakeup) {
+        self.timers.insert((deadline, self.next_seq), wakeup);
+        self.next_seq += 1;
+    }
+
+    /// Takes the next batch: every wakeup at or below the earliest
+    /// deadline or `fired_to`, whichever is later, in `(deadline, seq)`
+    /// order. Returns the earliest deadline with it; `None` when nothing
+    /// is registered.
+    fn fire(&mut self) -> Option<(u64, Wakeups)> {
+        let (&(deadline, _), _) = self.timers.first_key_value()?;
+        self.fired_to = self.fired_to.max(deadline);
+        let later = match self.fired_to.checked_add(1) {
+            Some(after) => self.timers.split_off(&(after, 0)),
+            None => Wakeups::new(),
+        };
+        Some((deadline, std::mem::replace(&mut self.timers, later)))
+    }
+}
+
 struct Shared {
     queue: Monitor<QueueState>,
     clock: SimClock,
-    wheel: Mutex<TimerWheel>,
+    reactor: Mutex<Reactor>,
     /// First panic payload captured from a task; re-raised (with the
     /// original payload) on the driver when `run_until_idle` finishes.
     panics: Mutex<Vec<Box<dyn Any + Send>>>,
@@ -272,7 +310,7 @@ impl Executor {
                 shutdown: false,
             }),
             clock,
-            wheel: Mutex::new(TimerWheel::new()),
+            reactor: Mutex::new(Reactor::default()),
             panics: Mutex::new(Vec::new()),
         });
         let workers = (1..threads)
@@ -337,7 +375,7 @@ impl Executor {
     /// the run queue quiesces. Returns the clock's final reading.
     ///
     /// A task that parks on something other than a timer or a join (i.e. a
-    /// deadlock) is abandoned when the wheel drains. If any task panicked,
+    /// deadlock) is abandoned when the reactor drains. If any task panicked,
     /// the first captured payload is re-raised here — after all other
     /// tasks have run.
     pub fn run_until_idle(&self) -> Duration {
@@ -348,21 +386,13 @@ impl Executor {
             }
             // Quiescent: all tasks parked. Jump virtual time to the next
             // deadline and wake that batch, earliest-(deadline, seq) first.
-            let batch = {
-                let mut wheel = self.shared.wheel.lock();
-                match wheel.next_deadline() {
-                    None => break,
-                    Some(deadline) => {
-                        let batch = wheel.advance(deadline);
-                        drop(wheel);
-                        self.shared.clock.advance_to(Duration::from_nanos(deadline));
-                        batch
-                    }
-                }
+            let Some((deadline, batch)) = self.shared.reactor.lock().fire() else {
+                break;
             };
-            for entry in batch {
-                entry.fired.store(true, Ordering::Release);
-                entry.waker.wake();
+            self.shared.clock.advance_to(Duration::from_nanos(deadline));
+            for (waker, fired) in batch.into_values() {
+                fired.store(true, Ordering::Release);
+                waker.wake();
             }
         }
         let payload = self.shared.panics.lock().drain(..).next();
@@ -411,12 +441,12 @@ impl Timer {
         self.sleep_until(self.now() + d)
     }
 
-    /// Parks in the wheel at `at` and yields **even if already due**.
+    /// Parks in the reactor at `at` and yields **even if already due**.
     ///
     /// This is the ordering primitive of the simulation: the shared clock
     /// is the max over all lanes, so "now" may have run past a slower
     /// client's issue time. `schedule_at(lane.local_now())` re-enters the
-    /// task through the wheel, which fires in `(deadline, seq)` order —
+    /// task through the reactor, which fires in `(deadline, seq)` order —
     /// cross-client operations therefore execute in global issue-time
     /// order no matter how far individual lanes have drifted apart.
     pub fn schedule_at(&self, at: Duration) -> Sleep {
@@ -458,8 +488,8 @@ impl Future for Sleep {
                 return Poll::Ready(());
             }
             self.registered = true;
-            let (deadline, fired) = (self.deadline_nanos, self.fired.clone());
-            self.shared.wheel.lock().insert(deadline, cx.waker().clone(), fired);
+            let wakeup = (cx.waker().clone(), self.fired.clone());
+            self.shared.reactor.lock().register(self.deadline_nanos, wakeup);
         }
         // Registered and not fired: a spurious poll. Wakers are stable on
         // this executor (the waker IS the task), so no re-registration.
@@ -471,6 +501,75 @@ impl Future for Sleep {
 mod tests {
     use super::*;
     use nexus_sync::Mutex;
+
+    /// A waker that does nothing — the reactor tests inspect batches
+    /// directly.
+    fn noop_waker() -> Waker {
+        struct Noop;
+        impl Wake for Noop {
+            fn wake(self: Arc<Self>) {}
+        }
+        Waker::from(Arc::new(Noop))
+    }
+
+    fn register(r: &mut Reactor, deadline: u64) -> Arc<AtomicBool> {
+        let fired = Arc::new(AtomicBool::new(false));
+        r.register(deadline, (noop_waker(), fired.clone()));
+        fired
+    }
+
+    /// The next batch's earliest deadline and every `(deadline, seq)` in it.
+    fn fire(r: &mut Reactor) -> Option<(u64, Vec<(u64, u64)>)> {
+        r.fire().map(|(deadline, batch)| (deadline, batch.into_keys().collect()))
+    }
+
+    #[test]
+    fn fires_in_deadline_order_regardless_of_insertion_order() {
+        let mut r = Reactor::default();
+        for d in [5_000_000u64, 1_000, 3_000_000_000, 40, 777_777] {
+            register(&mut r, d);
+        }
+        let mut fired = Vec::new();
+        while let Some((deadline, batch)) = fire(&mut r) {
+            assert_eq!(batch, [(deadline, batch[0].1)], "one deadline per batch");
+            fired.push(deadline);
+        }
+        assert_eq!(fired, [40, 1_000, 777_777, 5_000_000, 3_000_000_000]);
+    }
+
+    #[test]
+    fn equal_deadlines_fire_in_registration_order() {
+        let mut r = Reactor::default();
+        for _ in 0..3 {
+            register(&mut r, 10_000);
+        }
+        assert_eq!(fire(&mut r), Some((10_000, vec![(10_000, 0), (10_000, 1), (10_000, 2)])));
+        assert_eq!(fire(&mut r), None);
+    }
+
+    #[test]
+    fn past_deadlines_fire_in_the_next_batch_in_order() {
+        let mut r = Reactor::default();
+        register(&mut r, 1_000_000);
+        assert_eq!(fire(&mut r), Some((1_000_000, vec![(1_000_000, 0)])));
+        // Lanes behind the last fired deadline register in the past: they
+        // all fire in the next batch, in deadline order, and nothing later.
+        register(&mut r, 400_000);
+        register(&mut r, 20_000);
+        register(&mut r, 1_500_000);
+        assert_eq!(fire(&mut r), Some((20_000, vec![(20_000, 2), (400_000, 1)])));
+        assert_eq!(fire(&mut r), Some((1_500_000, vec![(1_500_000, 3)])));
+    }
+
+    #[test]
+    fn fired_flag_plumbing() {
+        let mut r = Reactor::default();
+        let flag = register(&mut r, 9);
+        let (_, batch) = r.fire().expect("one wakeup");
+        let (_, fired) = batch.into_values().next().expect("in the batch");
+        assert!(Arc::ptr_eq(&fired, &flag));
+        assert!(!flag.load(Ordering::Relaxed), "the driver, not the reactor, marks firing");
+    }
 
     #[test]
     fn spawn_and_join() {

@@ -1,5 +1,5 @@
 //! Regression gate: `AsyncStorage::begin_at` with an arrival at (or
-//! before) the lane's current time must not spin. The timer wheel's
+//! before) the lane's current time must not spin. The reactor's
 //! `schedule_at` is specified to yield exactly once even when the
 //! deadline is already due; if a refactor ever turns that into a
 //! ready-poll loop or a double wakeup, open-loop clients that have
@@ -7,11 +7,11 @@
 //! overload — would burn a poll per spin on every queued operation.
 //!
 //! The probe counts raw `Future::poll` calls on the client task around
-//! the `begin_at().await`. The poll that registers in the wheel is the
+//! the `begin_at().await`. The poll that registers in the reactor is the
 //! one already running when the await starts, so a correct `begin_at`
 //! suspends the task exactly once: precisely one further poll (the
 //! wakeup) completes it. Zero would mean the yield was skipped; two or
-//! more means the wheel re-queued the task — a spin.
+//! more means the reactor re-queued the task — a spin.
 
 use std::future::Future;
 use std::pin::Pin;

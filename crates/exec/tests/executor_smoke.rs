@@ -3,7 +3,7 @@
 //! gate loudly instead of silently shrinking coverage.
 //!
 //! One compact scenario exercises the whole stack: many simulated clients
-//! multiplexed over a bounded thread count, timer-wheel wakeups in virtual
+//! multiplexed over a bounded thread count, reactor wakeups in virtual
 //! time, and the async storage adapter overlapping lanes in simulated time.
 
 use std::sync::Arc;

@@ -13,8 +13,9 @@
 //!   [`SimClock`] by an RTT plus a bandwidth term, so benchmark harnesses
 //!   measure simulated network time without sleeping.
 //!
-//! Concurrency model (DESIGN.md §10): server callback/write-time state and
-//! the client's data+status cache are UUID-byte-sharded lock arrays, and
+//! Concurrency model (DESIGN.md §10): server callback/write-time state is a
+//! UUID-byte-sharded lock array, each client's data+status cache is one
+//! lock of its own (one client's cache serves one enclave at a time), and
 //! per-client accounting is lock-free atomics, so N clients only contend
 //! where they actually share objects. Each client charges RPC costs to its
 //! own [`ClockLane`]; the shared clock reads the *maximum* over lanes, so
@@ -23,12 +24,14 @@
 //! path's shard lock (`fetch_with_callback`/`put_with_callback`), which is
 //! what makes a callback break delivered mid-batch always win over a
 //! racing stale re-grant. Lock order is always server-state shard → store
-//! shard; client cache shards are never held across a server call.
+//! shard; the client cache lock is never held across a server call.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+use nexus_sync::Mutex;
 
 use crate::backend::{AtomicIoStats, IoStats, ObjectStat, StorageBackend, StorageError};
 use crate::clock::{ClockLane, LatencyModel, SimClock};
@@ -174,17 +177,16 @@ impl AfsServer {
     }
 }
 
-/// One shard of the client's local cache: whole-file data and status
-/// (FetchStatus) entries live together, so the fetch and invalidation
-/// paths take exactly one lock per path — there is no second mutex to
-/// acquire in a conflicting order.
+/// The client's local cache: whole-file data and status (FetchStatus)
+/// entries live together, so the fetch and invalidation paths take exactly
+/// one lock — there is no second mutex to acquire in a conflicting order.
 #[derive(Debug, Default)]
-struct ClientShard {
+struct ClientCache {
     data: HashMap<String, Arc<Vec<u8>>>,
     status: HashMap<String, ObjectStat>,
 }
 
-impl ClientShard {
+impl ClientCache {
     /// Admits a fetched/stored snapshot of `path`, refusing to go
     /// backwards: a slow racing insert of version *n* never overwrites
     /// version *n+1* already admitted by a newer fetch.
@@ -222,7 +224,7 @@ pub struct AfsClient {
     clock: SimClock,
     lane: ClockLane,
     latency: LatencyModel,
-    cache: ShardedMutex<ClientShard>,
+    cache: Mutex<ClientCache>,
     accounting: AtomicAccounting,
 }
 
@@ -251,25 +253,6 @@ impl AfsClient {
         AfsClient::with_lane(server, clock, lane, latency)
     }
 
-    /// Like [`AfsClient::connect`] but with a custom cache shard count.
-    ///
-    /// The default 16-way cache is sized for a handful of worker threads
-    /// hammering one client; a scale harness simulating 100k clients wants
-    /// the opposite trade (one shard per client, since each simulated
-    /// client's cache sees no internal contention and 16 mutexes apiece is
-    /// pure memory overhead).
-    pub fn connect_with_cache_shards(
-        server: &AfsServer,
-        clock: SimClock,
-        latency: LatencyModel,
-        shards: usize,
-    ) -> AfsClient {
-        let lane = clock.lane();
-        let mut client = AfsClient::with_lane(server, clock, lane, latency);
-        client.cache = ShardedMutex::with_shards(shards);
-        client
-    }
-
     fn with_lane(
         server: &AfsServer,
         clock: SimClock,
@@ -282,7 +265,7 @@ impl AfsClient {
             clock,
             lane,
             latency,
-            cache: ShardedMutex::new(),
+            cache: Mutex::default(),
             accounting: AtomicAccounting::default(),
         }
     }
@@ -305,11 +288,7 @@ impl AfsClient {
     /// Drops all locally cached file contents (the evaluation flushes the
     /// AFS cache before each run, §VII-A).
     pub fn flush_cache(&self) {
-        for i in 0..self.cache.shard_count() {
-            let mut shard = self.cache.lock_shard(i);
-            shard.data.clear();
-            shard.status.clear();
-        }
+        *self.cache.lock() = ClientCache::default();
     }
 
     fn charge(&self, cost: Duration) {
@@ -342,18 +321,18 @@ impl AfsClient {
 
     fn cache_valid(&self, path: &str) -> Option<Arc<Vec<u8>>> {
         if !self.server.has_callback(path, self.id) {
-            self.cache.lock(path).purge(path);
+            self.cache.lock().purge(path);
             return None;
         }
-        self.cache.lock(path).data.get(path).cloned()
+        self.cache.lock().data.get(path).cloned()
     }
 
     fn status_valid(&self, path: &str) -> Option<ObjectStat> {
         if !self.server.has_callback(path, self.id) {
-            self.cache.lock(path).purge(path);
+            self.cache.lock().purge(path);
             return None;
         }
-        self.cache.lock(path).status.get(path).copied()
+        self.cache.lock().status.get(path).copied()
     }
 
     /// Server-side rename (`RXAFS_Rename`): one RPC, no data transfer.
@@ -366,16 +345,11 @@ impl AfsClient {
         let version = self.server.put_with_callback(to, &data, self.id)?;
         self.server.store.delete(from)?;
         self.server.break_callbacks(from, u64::MAX);
-        let moved = {
-            let mut shard = self.cache.lock(from);
-            shard.status.remove(from);
-            shard.data.remove(from)
-        };
-        self.cache.lock(to).admit(
-            to,
-            moved,
-            ObjectStat { size: data.len() as u64, version },
-        );
+        let mut cache = self.cache.lock();
+        cache.status.remove(from);
+        let moved = cache.data.remove(from);
+        cache.admit(to, moved, ObjectStat { size: data.len() as u64, version });
+        drop(cache);
         self.charge_rpc(0);
         self.accounting.stats.writes.fetch_add(1, Ordering::Relaxed);
         self.server.record_write(to, self.lane.local_now());
@@ -386,7 +360,7 @@ impl AfsClient {
 impl StorageBackend for AfsClient {
     fn put(&self, path: &str, data: &[u8]) -> Result<(), StorageError> {
         let version = self.server.put_with_callback(path, data, self.id)?;
-        self.cache.lock(path).admit(
+        self.cache.lock().admit(
             path,
             Some(Arc::new(data.to_vec())),
             ObjectStat { size: data.len() as u64, version },
@@ -404,7 +378,7 @@ impl StorageBackend for AfsClient {
             return Ok(data.as_ref().clone());
         }
         let (data, version, avail) = self.server.fetch_with_callback(path, self.id)?;
-        self.cache.lock(path).admit(
+        self.cache.lock().admit(
             path,
             Some(data.clone()),
             ObjectStat { size: data.len() as u64, version },
@@ -434,7 +408,7 @@ impl StorageBackend for AfsClient {
     fn delete(&self, path: &str) -> Result<(), StorageError> {
         self.server.store.delete(path)?;
         self.server.break_callbacks(path, u64::MAX);
-        self.cache.lock(path).purge(path);
+        self.cache.lock().purge(path);
         self.charge_rpc(0);
         self.accounting.stats.deletes.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -448,7 +422,7 @@ impl StorageBackend for AfsClient {
         self.charge_rpc(0);
         match self.server.stat_with_callback(path, self.id) {
             Ok(stat) => {
-                self.cache.lock(path).admit(path, None, stat);
+                self.cache.lock().admit(path, None, stat);
                 true
             }
             Err(_) => false,
@@ -462,7 +436,7 @@ impl StorageBackend for AfsClient {
         }
         self.charge_rpc(0);
         let stat = self.server.stat_with_callback(path, self.id)?;
-        self.cache.lock(path).admit(path, None, stat);
+        self.cache.lock().admit(path, None, stat);
         Ok(stat)
     }
 
@@ -508,7 +482,7 @@ impl StorageBackend for AfsClient {
             }
             match self.server.fetch_with_callback(path, self.id) {
                 Ok((data, version, wrote_at)) => {
-                    self.cache.lock(path).admit(
+                    self.cache.lock().admit(
                         path,
                         Some(data.clone()),
                         ObjectStat { size: data.len() as u64, version },
@@ -542,7 +516,7 @@ impl StorageBackend for AfsClient {
         for (path, data) in items {
             match self.server.put_with_callback(path, data, self.id) {
                 Ok(version) => {
-                    self.cache.lock(path).admit(
+                    self.cache.lock().admit(
                         path,
                         Some(Arc::new(data.clone())),
                         ObjectStat { size: data.len() as u64, version },
@@ -586,7 +560,7 @@ impl StorageBackend for AfsClient {
             misses += 1;
             match self.server.stat_with_callback(path, self.id) {
                 Ok(stat) => {
-                    self.cache.lock(path).admit(path, None, stat);
+                    self.cache.lock().admit(path, None, stat);
                     out.push(Ok(stat));
                 }
                 Err(e) => out.push(Err(e)),

@@ -87,11 +87,6 @@ impl MemBackend {
         MemBackend::default()
     }
 
-    /// Creates an empty store with a custom shard count.
-    pub fn with_shards(n: usize) -> MemBackend {
-        MemBackend { shards: ShardedRwLock::with_shards(n) }
-    }
-
     /// Number of stored objects.
     pub fn len(&self) -> usize {
         (0..self.shards.shard_count())
@@ -432,19 +427,6 @@ mod tests {
                 }
             });
         });
-    }
-
-    #[test]
-    fn custom_shard_counts_behave() {
-        for n in [1usize, 3, 16, 64] {
-            let store = MemBackend::with_shards(n);
-            for i in 0..32 {
-                store.put(&format!("{i:02x}name"), &[i as u8]).unwrap();
-            }
-            assert_eq!(store.len(), 32);
-            assert_eq!(store.list("").len(), 32);
-            assert_eq!(store.stats().writes, 32);
-        }
     }
 
     #[test]

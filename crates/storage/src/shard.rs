@@ -3,9 +3,9 @@
 //! Every backend in this crate used to serialize all clients behind one
 //! lock: `MemBackend` held a single `RwLock<Inner>` epoch, and the AFS
 //! client/server and cloud simulator each kept whole-store `Mutex` maps.
-//! This module centralizes the replacement: fixed arrays of `nexus-sync`
-//! locks indexed by a deterministic function of the object path, 16 by
-//! default.
+//! This module centralizes the replacement for the stores clients share:
+//! fixed arrays of [`DEFAULT_SHARD_COUNT`] `nexus-sync` locks indexed by a
+//! deterministic function of the object path.
 //!
 //! NEXUS object names are UUID hex strings, so for those the shard index
 //! *is* the UUID's first byte (parsed from the leading two hex chars)
@@ -106,13 +106,8 @@ impl<T> Clone for ShardedRwLock<T> {
 impl<T: Default> ShardedRwLock<T> {
     /// A [`DEFAULT_SHARD_COUNT`]-way array.
     pub fn new() -> ShardedRwLock<T> {
-        ShardedRwLock::with_shards(DEFAULT_SHARD_COUNT)
-    }
-
-    /// An array with a custom shard count (clamped to at least one).
-    pub fn with_shards(n: usize) -> ShardedRwLock<T> {
-        let n = n.max(1);
-        ShardedRwLock { shards: Arc::new((0..n).map(|_| RwLock::new(T::default())).collect()) }
+        let shards = (0..DEFAULT_SHARD_COUNT).map(|_| RwLock::new(T::default())).collect();
+        ShardedRwLock { shards: Arc::new(shards) }
     }
 }
 
@@ -186,13 +181,8 @@ impl<T> Clone for ShardedMutex<T> {
 impl<T: Default> ShardedMutex<T> {
     /// A [`DEFAULT_SHARD_COUNT`]-way array.
     pub fn new() -> ShardedMutex<T> {
-        ShardedMutex::with_shards(DEFAULT_SHARD_COUNT)
-    }
-
-    /// An array with a custom shard count (clamped to at least one).
-    pub fn with_shards(n: usize) -> ShardedMutex<T> {
-        let n = n.max(1);
-        ShardedMutex { shards: Arc::new((0..n).map(|_| Mutex::new(T::default())).collect()) }
+        let shards = (0..DEFAULT_SHARD_COUNT).map(|_| Mutex::new(T::default())).collect();
+        ShardedMutex { shards: Arc::new(shards) }
     }
 }
 
@@ -203,20 +193,9 @@ impl<T: Default> Default for ShardedMutex<T> {
 }
 
 impl<T> ShardedMutex<T> {
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard holding `path`.
     pub fn lock(&self, path: &str) -> MutexGuard<'_, T> {
         self.shards[shard_index(path, self.shards.len())].lock()
-    }
-
-    /// Shard `i` directly (all-shard scans; taken one at a time, never
-    /// nested).
-    pub fn lock_shard(&self, i: usize) -> MutexGuard<'_, T> {
-        self.shards[i].lock()
     }
 }
 
@@ -257,10 +236,10 @@ mod tests {
 
     #[test]
     fn group_orders_and_dedups() {
-        let s: ShardedRwLock<u32> = ShardedRwLock::with_shards(8);
-        let paths = ["07aa", "ffbb", "07aa", "20cc"]; // shards 7, 7, 7, 0
+        let s: ShardedRwLock<u32> = ShardedRwLock::new();
+        let paths = ["07aa", "ffbb", "07aa", "20cc"]; // shards 7, 15, 7, 0
         let group = s.group(paths.iter().copied());
-        assert_eq!(group.unique(), &[0, 7]);
+        assert_eq!(group.unique(), &[0, 7, 15]);
         // Ascending acquisition order.
         assert!(group.unique().windows(2).all(|w| w[0] < w[1]));
         // Every item resolves to a live guard slot.
@@ -304,10 +283,11 @@ mod tests {
 
     #[test]
     fn sharded_mutex_roundtrip() {
-        let s: ShardedMutex<Vec<u32>> = ShardedMutex::with_shards(4);
+        let s: ShardedMutex<Vec<u32>> = ShardedMutex::new();
         s.lock("abcd").push(7);
         assert_eq!(*s.lock("abcd"), vec![7]);
-        let total: usize = (0..s.shard_count()).map(|i| s.lock_shard(i).len()).sum();
-        assert_eq!(total, 1);
+        // 0xab and 0xbb share shard 11 of 16; 0xac is shard 12.
+        assert_eq!(*s.lock("bb00"), vec![7]);
+        assert!(s.lock("ac00").is_empty());
     }
 }

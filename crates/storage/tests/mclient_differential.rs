@@ -264,10 +264,10 @@ fn callback_break_mid_batch_never_yields_stale_reads() {
 #[test]
 fn fetch_and_invalidation_paths_cannot_deadlock() {
     // The old client held separate cache and accounting mutexes acquired
-    // in different orders by the fetch and invalidation paths. The merged
-    // cache shard plus the no-guard-across-server-calls rule makes a lock
+    // in different orders by the fetch and invalidation paths. The one
+    // cache lock plus the no-guard-across-server-calls rule makes a lock
     // cycle impossible; this hammer interleaves every such path (hit,
-    // miss, purge-on-broken-callback, rename's two-shard move, flush)
+    // miss, purge-on-broken-callback, rename's move, flush)
     // from two threads and must simply terminate.
     let server = AfsServer::new();
     let clock = SimClock::new();

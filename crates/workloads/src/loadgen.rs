@@ -220,11 +220,9 @@ fn payload(len: usize, tag: u64, stride: usize) -> Vec<u8> {
     (0..len).map(|i| tag[i % 8] ^ i.wrapping_mul(stride) as u8).collect()
 }
 
-/// Opens one client's connection. One cache shard per simulated client:
-/// its cache has no internal contention, and 16 mutexes × 100k clients is
-/// pure memory overhead.
+/// Opens one client's connection, on a lane of its own.
 fn connect_afs(server: &AfsServer, clock: &SimClock, cell: &Cell) -> Arc<AfsClient> {
-    Arc::new(AfsClient::connect_with_cache_shards(server, clock.clone(), cell.latency, 1))
+    Arc::new(AfsClient::connect(server, clock.clone(), cell.latency))
 }
 
 /// Uniform `f64` in `[0, 1)` from the top 53 bits of a `u64` draw.

@@ -15,7 +15,7 @@
 //! Reads here cross client boundaries on purpose (unlike the scale
 //! harness, where commuting ops are a design choice): a client may read
 //! another client's freshest write, which is only deterministic because
-//! the timer wheel fires `begin_at` wakeups in exact virtual-deadline
+//! the reactor fires `begin_at` wakeups in exact virtual-deadline
 //! order.
 
 use std::sync::Arc;
@@ -108,7 +108,7 @@ fn run_serial(script: &[Event]) -> WorldOutcome {
 
 /// Async world: one future per client, each holding every op until its
 /// virtual issue time with `begin_at`, on a deterministic single-thread
-/// executor. Events interleave across clients purely by timer-wheel order.
+/// executor. Events interleave across clients purely by reactor order.
 fn run_async(script: &[Event]) -> WorldOutcome {
     let server = AfsServer::new();
     let clock = SimClock::new();

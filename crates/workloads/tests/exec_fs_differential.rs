@@ -160,7 +160,7 @@ fn bulk_paths(key: u8) -> Vec<String> {
 
 /// Async world: one future per mounted client over [`AsyncVolume`], on a
 /// deterministic single-thread executor; events interleave across clients
-/// purely by timer-wheel deadline order.
+/// purely by the reactor's deadline order.
 fn run_async(script: &[Event]) -> WorldOutcome {
     let fs = source();
     let world = deploy(&fs);

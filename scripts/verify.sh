@@ -3,10 +3,12 @@
 # network. Everything that used to be a grep over source or a walk over
 # `cargo metadata` here is now a test `cargo test` runs: the dependency
 # graph holds nexus-* workspace crates only and the gate suites exist
-# (tests/repo_audit.rs); stores lock only through the shard layer and no
-# storage commit path calls a bare fs::write
-# (crates/storage/tests/source_audit.rs); crypto lanes and the load path
-# (crates/{crypto,workloads}/tests/source_audit.rs). What is left is what
+# (tests/repo_audit.rs); the docs name only live code (tests/docs_audit.rs);
+# the stores clients share lock only through the shard layer (a client's
+# own cache is one lock, exempt by name) and no storage commit path calls
+# a bare fs::write (crates/storage/tests/source_audit.rs); crypto lanes and
+# the load path (crates/{crypto,workloads}/tests/source_audit.rs). What is
+# left is what
 # needs another process: a second workspace, an environment override read
 # once per process, and the built bench binary.
 # Run from anywhere; operates on the repo this script lives in.

@@ -40,22 +40,23 @@ fn dependency_graph_is_workspace_crates_only() {
 }
 
 /// `cargo test` runs whatever test targets exist, so deleting one of these
-/// would shrink the gate silently: the crash-recovery fault sweep and
-/// reopen semantics of both durable backends, the timing-leak harness and
-/// kernel differential, the source audits, the executor smoke, the async
-/// crypto-fs differential, epoch-key revocation and its leaky-path
-/// regressions, exact RPC sequences, the race sweep over their call gaps,
-/// the one-lock-path audit and golden stored bytes.
+/// would shrink the gate silently: the docs audit, the crash-recovery fault
+/// sweep and reopen semantics of both durable backends, the timing-leak
+/// harness and kernel differential, the source audits, the executor smoke,
+/// the async crypto-fs differential, epoch-key revocation and its
+/// leaky-path regressions, exact RPC sequences, the race sweep over their
+/// call gaps, the one-lock-path audit and golden stored bytes.
 #[test]
 fn gate_suites_exist() {
-    const SUITES: [(&str, &[&str]); 6] = [
-        ("storage", &["crash_recovery", "reopen", "batch_differential", "source_audit"]),
-        ("crypto", &["source_audit", "kernel_differential", "properties"]),
-        ("testkit", &["timing_leak"]),
-        ("exec", &["executor_smoke", "begin_at_zero_delay"]),
-        ("workloads", &["source_audit", "exec_differential", "exec_fs_differential"]),
+    const SUITES: [(&str, &[&str]); 7] = [
+        (".", &["docs_audit"]),
+        ("crates/storage", &["crash_recovery", "reopen", "batch_differential", "source_audit"]),
+        ("crates/crypto", &["source_audit", "kernel_differential", "properties"]),
+        ("crates/testkit", &["timing_leak"]),
+        ("crates/exec", &["executor_smoke", "begin_at_zero_delay"]),
+        ("crates/workloads", &["source_audit", "exec_differential", "exec_fs_differential"]),
         (
-            "core",
+            "crates/core",
             &[
                 "groups_differential",
                 "revocation_paths",
@@ -68,10 +69,10 @@ fn gate_suites_exist() {
             ],
         ),
     ];
-    for (krate, suites) in SUITES {
+    for (package, suites) in SUITES {
         for suite in suites {
-            let text = read(&format!("crates/{krate}/tests/{suite}.rs"));
-            assert!(text.contains("#[test]"), "crates/{krate}/tests/{suite}.rs holds no test");
+            let text = read(&format!("{package}/tests/{suite}.rs"));
+            assert!(text.contains("#[test]"), "{package}/tests/{suite}.rs holds no test");
         }
     }
 }
