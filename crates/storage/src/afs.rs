@@ -13,18 +13,18 @@
 //!   [`SimClock`] by an RTT plus a bandwidth term, so benchmark harnesses
 //!   measure simulated network time without sleeping.
 //!
-//! Concurrency model (DESIGN.md §10): server callback/write-time state is a
-//! UUID-byte-sharded lock array, each client's data+status cache is one
-//! lock of its own (one client's cache serves one enclave at a time), and
-//! per-client accounting is lock-free atomics, so N clients only contend
-//! where they actually share objects. Each client charges RPC costs to its
-//! own [`ClockLane`]; the shared clock reads the *maximum* over lanes, so
-//! independent clients' round trips overlap in simulated time. Server-side
-//! store/callback mutations for one path happen atomically under that
-//! path's shard lock (`fetch_with_callback`/`put_with_callback`), which is
-//! what makes a callback break delivered mid-batch always win over a
-//! racing stale re-grant. Lock order is always server-state shard → store
-//! shard; the client cache lock is never held across a server call.
+//! Concurrency model (DESIGN.md §10): the server's callback/write-time
+//! state is one lock, its object store ([`MemBackend`]) another, each
+//! client's data+status cache one lock of its own (one client's cache
+//! serves one enclave at a time), and per-client accounting lock-free
+//! atomics. Each client charges RPC costs to its own [`ClockLane`]; the
+//! shared clock reads the *maximum* over lanes, so independent clients'
+//! round trips overlap in simulated time. A server-side store/callback
+//! mutation happens atomically under the state lock
+//! (`fetch_with_callback`/`put_with_callback`), which is what makes a
+//! callback break delivered mid-batch always win over a racing stale
+//! re-grant. Lock order is always server state → store; the client cache
+//! lock is never held across a server call.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,17 +36,22 @@ use nexus_sync::Mutex;
 use crate::backend::{AtomicIoStats, IoStats, ObjectStat, StorageBackend, StorageError};
 use crate::clock::{ClockLane, LatencyModel, SimClock};
 use crate::mem::MemBackend;
-use crate::shard::ShardedMutex;
 
-/// Per-path server state: callback holders and the lane time at which the
-/// last write to the path finished (the happens-before edge handed to
-/// later readers on other lanes).
+/// Server state: callback holders and, per path, the lane time at which
+/// the last write to it finished (the happens-before edge handed to later
+/// readers on other lanes).
 #[derive(Debug, Default)]
-struct ServerShard {
+struct ServerState {
     /// path → clients holding a valid callback promise.
     callbacks: HashMap<String, HashSet<u64>>,
     /// path → latest writer-lane nanosecond the object became available.
     write_nanos: HashMap<String, u64>,
+}
+
+impl ServerState {
+    fn write_time(&self, path: &str) -> Duration {
+        Duration::from_nanos(self.write_nanos.get(path).copied().unwrap_or(0))
+    }
 }
 
 /// The shared AFS file server.
@@ -56,7 +61,7 @@ struct ServerShard {
 #[derive(Debug, Clone, Default)]
 pub struct AfsServer {
     store: MemBackend,
-    state: ShardedMutex<ServerShard>,
+    state: Arc<Mutex<ServerState>>,
     next_client_id: Arc<AtomicU64>,
 }
 
@@ -78,23 +83,18 @@ impl AfsServer {
     }
 
     fn has_callback(&self, path: &str, client: u64) -> bool {
-        self.state
-            .lock(path)
-            .callbacks
-            .get(path)
-            .map(|s| s.contains(&client))
-            .unwrap_or(false)
+        self.state.lock().callbacks.get(path).is_some_and(|s| s.contains(&client))
     }
 
     /// Breaks every callback on `path` except the updating client's.
     fn break_callbacks(&self, path: &str, except: u64) {
-        if let Some(holders) = self.state.lock(path).callbacks.get_mut(path) {
+        if let Some(holders) = self.state.lock().callbacks.get_mut(path) {
             holders.retain(|&c| c == except);
         }
     }
 
     /// Atomic server-side FetchData: reads the object and grants the
-    /// caller's callback under the path's shard lock, so a concurrent
+    /// caller's callback under the state lock, so a concurrent
     /// writer's break either happens entirely before (the caller reads the
     /// new bytes) or entirely after (the caller's fresh promise is broken
     /// and the next read refetches). Returns the data, its version, and
@@ -104,23 +104,23 @@ impl AfsServer {
         path: &str,
         client: u64,
     ) -> Result<(Arc<Vec<u8>>, u64, Duration), StorageError> {
-        let mut state = self.state.lock(path);
+        let mut state = self.state.lock();
         let (data, version) = self.store.get_arc(path)?;
         state.callbacks.entry(path.to_string()).or_default().insert(client);
-        let avail = Duration::from_nanos(state.write_nanos.get(path).copied().unwrap_or(0));
+        let avail = state.write_time(path);
         Ok((data, version, avail))
     }
 
     /// Atomic server-side StoreData: writes the object, breaks every other
-    /// client's callback, and grants the writer's, all under the path's
-    /// shard lock. Returns the new object version.
+    /// client's callback, and grants the writer's, all under the state
+    /// lock. Returns the new object version.
     fn put_with_callback(
         &self,
         path: &str,
         data: &[u8],
         client: u64,
     ) -> Result<u64, StorageError> {
-        let mut state = self.state.lock(path);
+        let mut state = self.state.lock();
         let version = self.store.put_versioned(path, data);
         let holders = state.callbacks.entry(path.to_string()).or_default();
         holders.retain(|&c| c == client);
@@ -132,17 +132,22 @@ impl AfsServer {
     /// caller's callback (real AFS caches attributes under the same
     /// promise as data).
     fn stat_with_callback(&self, path: &str, client: u64) -> Result<ObjectStat, StorageError> {
-        let mut state = self.state.lock(path);
+        let mut state = self.state.lock();
         let stat = self.store.stat(path)?;
         state.callbacks.entry(path.to_string()).or_default().insert(client);
         Ok(stat)
+    }
+
+    /// Writer-lane time at which `path` last finished being written.
+    fn write_time(&self, path: &str) -> Duration {
+        self.state.lock().write_time(path)
     }
 
     /// Records that `path` finished being written at writer-lane time `at`
     /// (monotonic per path).
     fn record_write(&self, path: &str, at: Duration) {
         let nanos = u64::try_from(at.as_nanos()).unwrap_or(u64::MAX);
-        let mut state = self.state.lock(path);
+        let mut state = self.state.lock();
         let entry = state.write_nanos.entry(path.to_string()).or_insert(0);
         *entry = (*entry).max(nanos);
     }
@@ -153,13 +158,9 @@ impl AfsServer {
     /// suite asserts that `put_many` breaks exactly the callbacks the
     /// serial puts would have broken.
     pub fn callback_holders(&self, path: &str) -> Vec<u64> {
-        let mut holders: Vec<u64> = self
-            .state
-            .lock(path)
-            .callbacks
-            .get(path)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
+        let state = self.state.lock();
+        let mut holders: Vec<u64> =
+            state.callbacks.get(path).into_iter().flatten().copied().collect();
         holders.sort_unstable();
         holders
     }
@@ -309,16 +310,6 @@ impl AfsClient {
         self.accounting.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn count_read(&self, bytes: u64) {
-        self.accounting.stats.reads.fetch_add(1, Ordering::Relaxed);
-        self.accounting.stats.bytes_read.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    fn count_write(&self, bytes: u64) {
-        self.accounting.stats.writes.fetch_add(1, Ordering::Relaxed);
-        self.accounting.stats.bytes_written.fetch_add(bytes, Ordering::Relaxed);
-    }
-
     fn cache_valid(&self, path: &str) -> Option<Arc<Vec<u8>>> {
         if !self.server.has_callback(path, self.id) {
             self.cache.lock().purge(path);
@@ -366,7 +357,7 @@ impl StorageBackend for AfsClient {
             ObjectStat { size: data.len() as u64, version },
         );
         self.charge_rpc(data.len());
-        self.count_write(data.len() as u64);
+        self.accounting.stats.count_write(data.len() as u64);
         self.server.record_write(path, self.lane.local_now());
         Ok(())
     }
@@ -374,7 +365,7 @@ impl StorageBackend for AfsClient {
     fn get(&self, path: &str) -> Result<Vec<u8>, StorageError> {
         if let Some(data) = self.cache_valid(path) {
             self.charge_cache_hit();
-            self.count_read(data.len() as u64);
+            self.accounting.stats.count_read(data.len() as u64);
             return Ok(data.as_ref().clone());
         }
         let (data, version, avail) = self.server.fetch_with_callback(path, self.id)?;
@@ -387,7 +378,7 @@ impl StorageBackend for AfsClient {
         // it: raise this lane to the availability time, then pay the RPC.
         self.lane.raise_to(avail);
         self.charge_rpc(data.len());
-        self.count_read(data.len() as u64);
+        self.accounting.stats.count_read(data.len() as u64);
         Ok(data.as_ref().clone())
     }
 
@@ -395,13 +386,13 @@ impl StorageBackend for AfsClient {
         if let Some(data) = self.cache_valid(path) {
             crate::backend::check_range(path, offset, len, data.len() as u64)?;
             self.charge_cache_hit();
-            self.count_read(len);
+            self.accounting.stats.count_read(len);
             return Ok(data[offset as usize..(offset + len) as usize].to_vec());
         }
         let out = self.server.store.get_range(path, offset, len)?;
         self.lane.raise_to(self.server.write_time(path));
         self.charge_rpc(out.len());
-        self.count_read(len);
+        self.accounting.stats.count_read(len);
         Ok(out)
     }
 
@@ -476,7 +467,7 @@ impl StorageBackend for AfsClient {
         for path in paths {
             if let Some(data) = self.cache_valid(path) {
                 self.charge_cache_hit();
-                self.count_read(data.len() as u64);
+                self.accounting.stats.count_read(data.len() as u64);
                 out.push(Ok(data.as_ref().clone()));
                 continue;
             }
@@ -490,7 +481,7 @@ impl StorageBackend for AfsClient {
                     total_bytes += data.len();
                     served += 1;
                     avail = avail.max(wrote_at);
-                    self.count_read(data.len() as u64);
+                    self.accounting.stats.count_read(data.len() as u64);
                     out.push(Ok(data.as_ref().clone()));
                 }
                 Err(e) => out.push(Err(e)),
@@ -523,7 +514,7 @@ impl StorageBackend for AfsClient {
                     );
                     total_bytes += data.len();
                     served += 1;
-                    self.count_write(data.len() as u64);
+                    self.accounting.stats.count_write(data.len() as u64);
                     out.push(Ok(()));
                 }
                 Err(e) => out.push(Err(e)),
@@ -579,20 +570,6 @@ impl StorageBackend for AfsClient {
 
     fn simulated_time(&self) -> Duration {
         Duration::from_nanos(self.accounting.simulated_nanos.load(Ordering::Relaxed))
-    }
-}
-
-impl AfsServer {
-    /// Writer-lane time at which `path` last finished being written.
-    fn write_time(&self, path: &str) -> Duration {
-        Duration::from_nanos(
-            self.state
-                .lock(path)
-                .write_nanos
-                .get(path)
-                .copied()
-                .unwrap_or(0),
-        )
     }
 }
 

@@ -107,6 +107,18 @@ pub(crate) struct AtomicIoStats {
 }
 
 impl AtomicIoStats {
+    pub(crate) fn count_read(&self, bytes: u64) {
+        use std::sync::atomic::Ordering::Relaxed;
+        self.reads.fetch_add(1, Relaxed);
+        self.bytes_read.fetch_add(bytes, Relaxed);
+    }
+
+    pub(crate) fn count_write(&self, bytes: u64) {
+        use std::sync::atomic::Ordering::Relaxed;
+        self.writes.fetch_add(1, Relaxed);
+        self.bytes_written.fetch_add(bytes, Relaxed);
+    }
+
     pub(crate) fn snapshot(&self) -> IoStats {
         use std::sync::atomic::Ordering::Relaxed;
         IoStats {

@@ -166,8 +166,7 @@ impl StorageBackend for CloudStore {
         self.charge(data.len());
         self.billing.put_requests.fetch_add(1, Ordering::Relaxed);
         self.billing.ingress_bytes.fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.stats.writes.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes_written.fetch_add(data.len() as u64, Ordering::Relaxed);
+        self.stats.count_write(data.len() as u64);
         Ok(())
     }
 
@@ -176,8 +175,7 @@ impl StorageBackend for CloudStore {
         self.charge(data.len());
         self.billing.get_requests.fetch_add(1, Ordering::Relaxed);
         self.billing.egress_bytes.fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.stats.reads.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes_read.fetch_add(data.len() as u64, Ordering::Relaxed);
+        self.stats.count_read(data.len() as u64);
         Ok(data)
     }
 
@@ -187,8 +185,7 @@ impl StorageBackend for CloudStore {
         self.charge(data.len());
         self.billing.get_requests.fetch_add(1, Ordering::Relaxed);
         self.billing.egress_bytes.fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.stats.reads.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes_read.fetch_add(len, Ordering::Relaxed);
+        self.stats.count_read(len);
         Ok(data)
     }
 
@@ -265,8 +262,7 @@ impl StorageBackend for CloudStore {
                     served += 1;
                     self.billing.get_requests.fetch_add(1, Ordering::Relaxed);
                     self.billing.egress_bytes.fetch_add(data.len() as u64, Ordering::Relaxed);
-                    self.stats.reads.fetch_add(1, Ordering::Relaxed);
-                    self.stats.bytes_read.fetch_add(data.len() as u64, Ordering::Relaxed);
+                    self.stats.count_read(data.len() as u64);
                     out.push(Ok(data));
                 }
                 Err(e) => out.push(Err(e)),
@@ -292,8 +288,7 @@ impl StorageBackend for CloudStore {
                     served += 1;
                     self.billing.put_requests.fetch_add(1, Ordering::Relaxed);
                     self.billing.ingress_bytes.fetch_add(data.len() as u64, Ordering::Relaxed);
-                    self.stats.writes.fetch_add(1, Ordering::Relaxed);
-                    self.stats.bytes_written.fetch_add(data.len() as u64, Ordering::Relaxed);
+                    self.stats.count_write(data.len() as u64);
                     out.push(Ok(()));
                 }
                 Err(e) => out.push(Err(e)),

@@ -48,7 +48,6 @@ pub mod hooked;
 pub mod logstore;
 pub mod malicious;
 pub mod mem;
-pub mod shard;
 
 pub use backend::{IoStats, ObjectStat, StorageBackend, StorageError};
 pub use clock::{ClockLane, LatencyModel, SimClock};

@@ -1,10 +1,12 @@
 //! A crash-consistent, log-structured on-disk storage backend.
 //!
-//! [`LogBackend`] is the durable counterpart of [`crate::MemBackend`]: the
-//! same object-map semantics (per-put version bumps, advisory locks,
-//! atomic batches), persisted so that a host crash — or restart — at *any*
-//! instant loses at most the operation in flight. The design (DESIGN.md
-//! §12) is the classic write-ahead shape production stores use:
+//! [`LogBackend`] is the durable counterpart of [`crate::MemBackend`]: its
+//! live image is the same object map (`mem::ObjectMap`: per-put version
+//! bumps, advisory locks, atomic batches), persisted so that a host crash —
+//! or restart — at *any* instant loses at most the operation in flight.
+//! Checkpoints, recovery replay and [`LogBackend::audit`] all rebuild one
+//! such map. The design (DESIGN.md §12) is the classic write-ahead shape
+//! production stores use:
 //!
 //! - **Append-only segment files** (`seg-NNNNNNNNNN.log`): every mutation
 //!   is one length-prefixed, CRC-32-checksummed record carrying the path,
@@ -44,8 +46,9 @@ use std::sync::Arc;
 
 use nexus_sync::Mutex;
 
-use crate::backend::{check_range, IoStats, ObjectStat, StorageBackend, StorageError};
+use crate::backend::{IoStats, ObjectStat, StorageBackend, StorageError};
 use crate::fault::{FaultAction, FaultHook, FaultPoint};
+use crate::mem::ObjectMap;
 
 /// Per-record frame magic: "NXLG".
 const REC_MAGIC: u32 = 0x4E58_4C47;
@@ -235,12 +238,6 @@ impl std::fmt::Debug for LogConfig {
 // ---------------------------------------------------------------------------
 // Backend
 
-#[derive(Debug, Clone)]
-struct Object {
-    data: Arc<Vec<u8>>,
-    version: u64,
-}
-
 #[derive(Debug)]
 struct ActiveSegment {
     seq: u64,
@@ -257,9 +254,7 @@ struct ActiveSegment {
 struct LogInner {
     root: PathBuf,
     cfg: LogConfig,
-    objects: BTreeMap<String, Object>,
-    locks: HashMap<String, u64>,
-    lock_epoch: u64,
+    image: Image,
     seg: ActiveSegment,
     /// Sequence of the newest committed checkpoint (0 = none yet).
     ckpt_seq: u64,
@@ -353,32 +348,54 @@ fn scan_segment(
     SegmentScan::Clean
 }
 
-/// A decoded checkpoint: the state snapshot plus its log watermark.
+/// What the log and its checkpoints describe: the object map (objects,
+/// versions, lock holders) and the lock epoch, the count of acquisitions
+/// over the store's lifetime.
+#[derive(Debug, Default)]
+struct Image {
+    map: ObjectMap,
+    lock_epoch: u64,
+}
+
+impl Image {
+    fn apply(&mut self, rec: Record) {
+        match rec {
+            Record::Put { path, version, data } => self.map.insert(path, version, Arc::new(data)),
+            Record::Delete { path } => {
+                let _ = self.map.remove(&path);
+            }
+            Record::Lock { path, owner, epoch } => {
+                self.map.set_lock(path, owner);
+                self.lock_epoch = self.lock_epoch.max(epoch);
+            }
+            Record::Unlock { path, owner } => self.map.unlock(&path, owner),
+        }
+    }
+}
+
+/// A decoded checkpoint: the image snapshot plus its log watermark.
 struct Checkpoint {
     watermark: u64,
-    lock_epoch: u64,
-    objects: BTreeMap<String, Object>,
-    locks: HashMap<String, u64>,
+    image: Image,
 }
 
 impl Checkpoint {
-    fn encode(inner: &LogInner, ckpt_seq: u64, watermark: u64) -> Vec<u8> {
+    fn encode(image: &Image, ckpt_seq: u64, watermark: u64) -> Vec<u8> {
         let mut body = Vec::new();
         body.extend_from_slice(&CKPT_MAGIC.to_le_bytes());
         body.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         body.extend_from_slice(&ckpt_seq.to_le_bytes());
         body.extend_from_slice(&watermark.to_le_bytes());
-        body.extend_from_slice(&inner.lock_epoch.to_le_bytes());
-        body.extend_from_slice(&(inner.objects.len() as u64).to_le_bytes());
-        for (path, obj) in &inner.objects {
+        body.extend_from_slice(&image.lock_epoch.to_le_bytes());
+        body.extend_from_slice(&(image.map.len() as u64).to_le_bytes());
+        for (path, version, data) in image.map.objects() {
             body.extend_from_slice(&(path.len() as u32).to_le_bytes());
             body.extend_from_slice(path.as_bytes());
-            body.extend_from_slice(&obj.version.to_le_bytes());
-            body.extend_from_slice(&(obj.data.len() as u32).to_le_bytes());
-            body.extend_from_slice(&obj.data);
+            body.extend_from_slice(&version.to_le_bytes());
+            body.extend_from_slice(&(data.len() as u32).to_le_bytes());
+            body.extend_from_slice(data);
         }
-        let mut locks: Vec<(&String, &u64)> = inner.locks.iter().collect();
-        locks.sort();
+        let locks: Vec<(&str, u64)> = image.map.locks().collect();
         body.extend_from_slice(&(locks.len() as u64).to_le_bytes());
         for (path, owner) in locks {
             body.extend_from_slice(&(path.len() as u32).to_le_bytes());
@@ -407,26 +424,21 @@ impl Checkpoint {
             return None;
         }
         let watermark = r.u64()?;
-        let lock_epoch = r.u64()?;
-        let n_objects = r.u64()?;
-        let mut objects = BTreeMap::new();
-        for _ in 0..n_objects {
+        let mut image = Image { map: ObjectMap::default(), lock_epoch: r.u64()? };
+        for _ in 0..r.u64()? {
             let path = String::from_utf8(r.bytes_u32_len()?.to_vec()).ok()?;
             let version = r.u64()?;
             let data = r.bytes_u32_len()?.to_vec();
-            objects.insert(path, Object { data: Arc::new(data), version });
+            image.map.insert(path, version, Arc::new(data));
         }
-        let n_locks = r.u64()?;
-        let mut locks = HashMap::new();
-        for _ in 0..n_locks {
+        for _ in 0..r.u64()? {
             let path = String::from_utf8(r.bytes_u32_len()?.to_vec()).ok()?;
-            let owner = r.u64()?;
-            locks.insert(path, owner);
+            image.map.set_lock(path, r.u64()?);
         }
         if !r.done() {
             return None;
         }
-        Some(Checkpoint { watermark, lock_epoch, objects, locks })
+        Some(Checkpoint { watermark, image })
     }
 }
 
@@ -529,7 +541,7 @@ impl LogInner {
 
         // 2. Write the snapshot to a temp file.
         let ck_seq = self.ckpt_seq + 1;
-        let body = Checkpoint::encode(self, ck_seq, new_seq);
+        let body = Checkpoint::encode(&self.image, ck_seq, new_seq);
         let tmp = self.root.join(ckpt_tmp_name(ck_seq));
         let committed = self.root.join(ckpt_name(ck_seq));
         let mut f = File::create(&tmp).map_err(io_err)?;
@@ -603,35 +615,6 @@ impl LogInner {
             }
         }
     }
-
-    fn apply(&mut self, rec: Record) {
-        apply_record(&mut self.objects, &mut self.locks, &mut self.lock_epoch, rec);
-    }
-}
-
-fn apply_record(
-    objects: &mut BTreeMap<String, Object>,
-    locks: &mut HashMap<String, u64>,
-    lock_epoch: &mut u64,
-    rec: Record,
-) {
-    match rec {
-        Record::Put { path, version, data } => {
-            objects.insert(path, Object { data: Arc::new(data), version });
-        }
-        Record::Delete { path } => {
-            objects.remove(&path);
-        }
-        Record::Lock { path, owner, epoch } => {
-            locks.insert(path, owner);
-            *lock_epoch = (*lock_epoch).max(epoch);
-        }
-        Record::Unlock { path, owner } => {
-            if locks.get(&path) == Some(&owner) {
-                locks.remove(&path);
-            }
-        }
-    }
 }
 
 impl LogBackend {
@@ -678,9 +661,7 @@ impl LogBackend {
         // Load the newest committed checkpoint. A committed checkpoint was
         // fully fsynced before its rename, so failing to decode one is not
         // a crash artifact — refuse to open rather than losing data.
-        let mut objects = BTreeMap::new();
-        let mut locks = HashMap::new();
-        let mut lock_epoch = 0u64;
+        let mut image = Image::default();
         let mut watermark = 0u64;
         let mut ckpt_seq = 0u64;
         if let Some((&seq, path)) = ckpts.iter().next_back() {
@@ -691,9 +672,7 @@ impl LogBackend {
                     path.display()
                 ))
             })?;
-            objects = ckpt.objects;
-            locks = ckpt.locks;
-            lock_epoch = ckpt.lock_epoch;
+            image = ckpt.image;
             watermark = ckpt.watermark;
             ckpt_seq = seq;
         }
@@ -714,9 +693,7 @@ impl LogBackend {
                 }
             }
             let bytes = fs::read(path).map_err(io_err)?;
-            let scan = scan_segment(&bytes, |rec| {
-                apply_record(&mut objects, &mut locks, &mut lock_epoch, rec);
-            });
+            let scan = scan_segment(&bytes, |rec| image.apply(rec));
             if let SegmentScan::CorruptAt(offset) = scan {
                 let f = OpenOptions::new().write(true).open(path).map_err(io_err)?;
                 f.set_len(offset).map_err(io_err)?;
@@ -760,9 +737,7 @@ impl LogBackend {
         let inner = LogInner {
             root,
             cfg,
-            objects,
-            locks,
-            lock_epoch,
+            image,
             seg: ActiveSegment { seq: head_seq, file, written, durable: written },
             ckpt_seq,
             watermark,
@@ -793,17 +768,13 @@ impl LogBackend {
     /// Current advisory-lock holders, sorted by path (recovery-inspection
     /// surface for the differential suite).
     pub fn lock_holders(&self) -> Vec<(String, u64)> {
-        let inner = self.inner.lock();
-        let mut out: Vec<(String, u64)> =
-            inner.locks.iter().map(|(p, &o)| (p.clone(), o)).collect();
-        out.sort();
-        out
+        self.inner.lock().image.map.locks().map(|(p, o)| (p.to_string(), o)).collect()
     }
 
     /// The persisted lock epoch: total successful acquisitions over the
     /// store's lifetime, surviving reopen.
     pub fn lock_epoch(&self) -> u64 {
-        self.inner.lock().lock_epoch
+        self.inner.lock().image.lock_epoch
     }
 
     /// On-disk footprint: (number of log/checkpoint files, total bytes).
@@ -853,9 +824,7 @@ impl LogBackend {
 
         // Checkpoint: at most the committed one, decodable, watermark
         // agreeing with the in-memory view.
-        let mut objects = BTreeMap::new();
-        let mut locks = HashMap::new();
-        let mut lock_epoch = 0u64;
+        let mut replay = Image::default();
         let mut watermark = 0u64;
         for (&seq, path) in &ckpts {
             if seq != inner.ckpt_seq {
@@ -870,9 +839,7 @@ impl LogBackend {
                             ckpt.watermark, inner.watermark
                         ));
                     }
-                    objects = ckpt.objects;
-                    locks = ckpt.locks;
-                    lock_epoch = ckpt.lock_epoch;
+                    replay = ckpt.image;
                     watermark = ckpt.watermark;
                 }
                 None => findings.push(format!("undecodable checkpoint: {}", path.display())),
@@ -895,9 +862,8 @@ impl LogBackend {
             let path = &segs[&seq];
             match fs::read(path) {
                 Ok(bytes) => {
-                    if let SegmentScan::CorruptAt(off) = scan_segment(&bytes, |rec| {
-                        apply_record(&mut objects, &mut locks, &mut lock_epoch, rec);
-                    }) {
+                    let scan = scan_segment(&bytes, |rec| replay.apply(rec));
+                    if let SegmentScan::CorruptAt(off) = scan {
                         findings.push(format!(
                             "corrupt record in {} at offset {off}",
                             path.display()
@@ -913,36 +879,23 @@ impl LogBackend {
             }
         }
 
-        // Independent replay must reconstruct the live state exactly.
+        // Independent replay must reconstruct the live image exactly.
         if findings.is_empty() {
-            if objects.len() != inner.objects.len() {
+            let live = &inner.image;
+            if replay.map != live.map {
                 findings.push(format!(
-                    "replayed object count {} != live {}",
-                    objects.len(),
-                    inner.objects.len()
+                    "replayed object map ({} objects, {} locks) disagrees with the live one \
+                     ({} objects, {} locks)",
+                    replay.map.len(),
+                    replay.map.locks().count(),
+                    live.map.len(),
+                    live.map.locks().count()
                 ));
             }
-            for (path, obj) in &inner.objects {
-                match objects.get(path) {
-                    Some(re) if re.version == obj.version && re.data == obj.data => {}
-                    Some(re) => findings.push(format!(
-                        "replay disagrees for {path:?}: version {} vs live {}",
-                        re.version, obj.version
-                    )),
-                    None => findings.push(format!("live object {path:?} missing from replay")),
-                }
-            }
-            let mut live_locks: Vec<(&String, &u64)> = inner.locks.iter().collect();
-            let mut replay_locks: Vec<(&String, &u64)> = locks.iter().collect();
-            live_locks.sort();
-            replay_locks.sort();
-            if live_locks != replay_locks {
-                findings.push("replayed lock table disagrees with live lock table".into());
-            }
-            if lock_epoch != inner.lock_epoch {
+            if replay.lock_epoch != live.lock_epoch {
                 findings.push(format!(
-                    "replayed lock epoch {lock_epoch} != live {}",
-                    inner.lock_epoch
+                    "replayed lock epoch {} != live {}",
+                    replay.lock_epoch, live.lock_epoch
                 ));
             }
         }
@@ -954,39 +907,24 @@ impl StorageBackend for LogBackend {
     fn put(&self, path: &str, data: &[u8]) -> Result<(), StorageError> {
         let mut inner = self.inner.lock();
         inner.guard()?;
-        let version = inner.objects.get(path).map(|o| o.version + 1).unwrap_or(1);
+        let version = inner.image.map.version(path) + 1;
         let rec = Record::Put { path: path.to_string(), version, data: data.to_vec() };
         inner.append_record(&rec)?;
         inner.sync_segment()?;
-        inner.apply(rec);
+        inner.image.apply(rec);
         inner.stats.writes += 1;
         inner.stats.bytes_written += data.len() as u64;
         inner.note_ops(1)
     }
 
     fn get(&self, path: &str) -> Result<Vec<u8>, StorageError> {
-        let mut inner = self.inner.lock();
-        inner.guard()?;
-        match inner.objects.get(path) {
-            Some(obj) => {
-                let data = obj.data.as_ref().clone();
-                inner.stats.reads += 1;
-                inner.stats.bytes_read += data.len() as u64;
-                Ok(data)
-            }
-            None => Err(StorageError::NotFound(path.to_string())),
-        }
+        self.get_many(&[path.to_string()]).remove(0)
     }
 
     fn get_range(&self, path: &str, offset: u64, len: u64) -> Result<Vec<u8>, StorageError> {
         let mut inner = self.inner.lock();
         inner.guard()?;
-        let obj = inner
-            .objects
-            .get(path)
-            .ok_or_else(|| StorageError::NotFound(path.to_string()))?;
-        check_range(path, offset, len, obj.data.len() as u64)?;
-        let out = obj.data[offset as usize..(offset + len) as usize].to_vec();
+        let out = inner.image.map.get_range(path, offset, len)?;
         inner.stats.reads += 1;
         inner.stats.bytes_read += len;
         Ok(out)
@@ -995,62 +933,50 @@ impl StorageBackend for LogBackend {
     fn delete(&self, path: &str) -> Result<(), StorageError> {
         let mut inner = self.inner.lock();
         inner.guard()?;
-        if !inner.objects.contains_key(path) {
-            return Err(StorageError::NotFound(path.to_string()));
-        }
+        inner.image.map.stat(path)?; // NotFound before anything is logged
         let rec = Record::Delete { path: path.to_string() };
         inner.append_record(&rec)?;
         inner.sync_segment()?;
-        inner.apply(rec);
+        inner.image.apply(rec);
         inner.stats.deletes += 1;
         inner.note_ops(1)
     }
 
     fn exists(&self, path: &str) -> bool {
-        self.inner.lock().objects.contains_key(path)
+        self.inner.lock().image.map.contains(path)
     }
 
     fn stat(&self, path: &str) -> Result<ObjectStat, StorageError> {
-        let inner = self.inner.lock();
-        inner
-            .objects
-            .get(path)
-            .map(|o| ObjectStat { size: o.data.len() as u64, version: o.version })
-            .ok_or_else(|| StorageError::NotFound(path.to_string()))
+        self.stat_many(&[path.to_string()]).remove(0)
     }
 
     fn list(&self, prefix: &str) -> Vec<String> {
-        let inner = self.inner.lock();
-        inner.objects.keys().filter(|k| k.starts_with(prefix)).cloned().collect()
+        self.inner.lock().image.map.list(prefix)
     }
 
     fn lock(&self, path: &str, owner: u64) -> Result<(), StorageError> {
         let mut inner = self.inner.lock();
         inner.guard()?;
-        if let Some(&holder) = inner.locks.get(path) {
-            if holder != owner {
-                return Err(StorageError::LockContended(path.to_string()));
-            }
-        }
-        let epoch = inner.lock_epoch + 1;
+        inner.image.map.check_lock(path, owner)?;
+        let epoch = inner.image.lock_epoch + 1;
         let rec = Record::Lock { path: path.to_string(), owner, epoch };
         inner.append_record(&rec)?;
         inner.sync_segment()?;
-        inner.apply(rec);
+        inner.image.apply(rec);
         inner.stats.locks += 1;
         inner.note_ops(1)
     }
 
     fn unlock(&self, path: &str, owner: u64) {
         let mut inner = self.inner.lock();
-        if inner.guard().is_err() || inner.locks.get(path) != Some(&owner) {
+        if inner.guard().is_err() || !inner.image.map.holds(path, owner) {
             return;
         }
         let rec = Record::Unlock { path: path.to_string(), owner };
         if inner.append_record(&rec).is_err() || inner.sync_segment().is_err() {
             return;
         }
-        inner.apply(rec);
+        inner.image.apply(rec);
         let _ = inner.note_ops(1);
     }
 
@@ -1065,11 +991,10 @@ impl StorageBackend for LogBackend {
         let mut staged: Vec<Record> = Vec::with_capacity(items.len());
         let mut versions: HashMap<&str, u64> = HashMap::new();
         for (path, data) in items {
-            let current = versions
-                .get(path.as_str())
-                .copied()
-                .or_else(|| inner.objects.get(path).map(|o| o.version))
-                .unwrap_or(0);
+            let current = match versions.get(path.as_str()) {
+                Some(&v) => v,
+                None => inner.image.map.version(path),
+            };
             let version = current + 1;
             versions.insert(path, version);
             let rec = Record::Put { path: path.clone(), version, data: data.clone() };
@@ -1081,12 +1006,10 @@ impl StorageBackend for LogBackend {
         if let Err(e) = inner.sync_segment() {
             return items.iter().map(|_| Err(e.clone())).collect();
         }
+        inner.stats.writes += items.len() as u64;
+        inner.stats.bytes_written += items.iter().map(|(_, data)| data.len() as u64).sum::<u64>();
         for rec in staged {
-            if let Record::Put { data, .. } = &rec {
-                inner.stats.writes += 1;
-                inner.stats.bytes_written += data.len() as u64;
-            }
-            inner.apply(rec);
+            inner.image.apply(rec);
         }
         if let Err(e) = inner.note_ops(items.len() as u64) {
             // The batch itself is durable and applied; only the follow-on
@@ -1104,30 +1027,21 @@ impl StorageBackend for LogBackend {
         }
         paths
             .iter()
-            .map(|path| match inner.objects.get(path) {
-                Some(obj) => {
-                    let data = obj.data.as_ref().clone();
-                    inner.stats.reads += 1;
-                    inner.stats.bytes_read += data.len() as u64;
-                    Ok(data)
-                }
-                None => Err(StorageError::NotFound(path.clone())),
+            .map(|path| {
+                let (data, _) = inner.image.map.get(path)?;
+                inner.stats.reads += 1;
+                inner.stats.bytes_read += data.len() as u64;
+                Ok(data.as_ref().clone())
             })
             .collect()
     }
 
     fn stat_many(&self, paths: &[String]) -> Vec<Result<ObjectStat, StorageError>> {
         let inner = self.inner.lock();
-        paths
-            .iter()
-            .map(|path| {
-                inner
-                    .objects
-                    .get(path)
-                    .map(|o| ObjectStat { size: o.data.len() as u64, version: o.version })
-                    .ok_or_else(|| StorageError::NotFound(path.clone()))
-            })
-            .collect()
+        if let Err(e) = inner.guard() {
+            return paths.iter().map(|_| Err(e.clone())).collect();
+        }
+        paths.iter().map(|path| inner.image.map.stat(path)).collect()
     }
 
     fn stats(&self) -> IoStats {

@@ -1,67 +1,139 @@
-//! An in-memory storage backend.
+//! An in-memory storage backend, and the object map every in-memory store
+//! image is kept in.
 //!
-//! The simplest [`StorageBackend`]: a versioned object map with advisory
-//! locks. Used directly in unit tests and as the server-side store of the
-//! AFS simulator.
+//! `ObjectMap` is the one place that decides how a store holds objects
+//! in memory: versioned objects (a put bumps the version, a delete ends
+//! the chain), bounds-checked ranged reads, sorted prefix listing, and the
+//! advisory lock table whose owner may re-take its own lock.
+//! [`MemBackend`] keeps one behind a single `RwLock`; `LogBackend`
+//! ([`crate::logstore`]) keeps its live image, its checkpoints and its
+//! audit replays in one.
 //!
-//! The store is sharded: objects, advisory locks, and I/O counters live in
-//! a 16-way UUID-byte-sharded lock array ([`crate::shard`]) instead of the
-//! single `RwLock<Inner>` epoch the store used to be — independent clients
-//! touching different objects no longer serialize on one lock word.
-//! Batched operations still get their atomicity: `put_many`/`get_many`
-//! acquire every shard the batch touches in ascending index order and hold
-//! them simultaneously, so readers see either none or all of a concurrent
-//! `put_many` for the paths they look at, exactly as under the single
-//! epoch.
+//! `MemBackend` is the simplest [`StorageBackend`], used directly in unit
+//! tests and as the server-side store of the AFS and cloud simulators.
+//! Reads (`get`, `get_range`, `get_many`, `stat_many`, `list`) share the
+//! read lock and count themselves in lock-free `AtomicIoStats`; a
+//! `put_many` holds the write lock for the whole batch, so a reader sees
+//! all of it or none.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::ops::Bound;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
-use crate::backend::{IoStats, ObjectStat, StorageBackend, StorageError};
-use crate::shard::ShardedRwLock;
+use nexus_sync::RwLock;
 
-#[derive(Debug, Clone)]
+use crate::backend::{check_range, AtomicIoStats, IoStats, ObjectStat, StorageBackend, StorageError};
+
+#[derive(Debug, PartialEq, Eq)]
 struct Object {
     data: Arc<Vec<u8>>,
     version: u64,
 }
 
-/// One shard: its slice of the object map, the advisory locks, and the
-/// I/O counters for traffic it served (global stats are the shard sum).
-#[derive(Debug, Default)]
-struct Shard {
-    objects: BTreeMap<String, Object>,
-    locks: HashMap<String, u64>,
-    stats: IoStats,
+fn not_found(path: &str) -> StorageError {
+    StorageError::NotFound(path.to_string())
 }
 
-impl Shard {
-    fn put(&mut self, path: &str, data: &[u8]) -> u64 {
-        let version = self.objects.get(path).map(|o| o.version + 1).unwrap_or(1);
-        self.objects
-            .insert(path.to_string(), Object { data: Arc::new(data.to_vec()), version });
-        self.stats.writes += 1;
-        self.stats.bytes_written += data.len() as u64;
+/// A store's in-memory image: versioned objects and advisory locks.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct ObjectMap {
+    objects: BTreeMap<String, Object>,
+    /// path → owner holding the advisory lock.
+    locks: BTreeMap<String, u64>,
+}
+
+impl ObjectMap {
+    /// Version of `path`; 0 when absent, so a put assigns `version + 1`.
+    pub(crate) fn version(&self, path: &str) -> u64 {
+        self.objects.get(path).map_or(0, |o| o.version)
+    }
+
+    /// Stores `data` at `path` under an explicit `version` (what a log
+    /// record or checkpoint carries).
+    pub(crate) fn insert(&mut self, path: String, version: u64, data: Arc<Vec<u8>>) {
+        self.objects.insert(path, Object { data, version });
+    }
+
+    /// Stores `data` one version past the current one and returns it.
+    pub(crate) fn put(&mut self, path: &str, data: &[u8]) -> u64 {
+        let version = self.version(path) + 1;
+        self.insert(path.to_string(), version, Arc::new(data.to_vec()));
         version
     }
 
-    fn get_arc(&mut self, path: &str) -> Result<(Arc<Vec<u8>>, u64), StorageError> {
-        match self.objects.get(path) {
-            Some(obj) => {
-                let (data, version) = (obj.data.clone(), obj.version);
-                self.stats.reads += 1;
-                self.stats.bytes_read += data.len() as u64;
-                Ok((data, version))
-            }
-            None => Err(StorageError::NotFound(path.to_string())),
+    /// The object's shared bytes and version.
+    pub(crate) fn get(&self, path: &str) -> Result<(Arc<Vec<u8>>, u64), StorageError> {
+        let obj = self.objects.get(path).ok_or_else(|| not_found(path))?;
+        Ok((obj.data.clone(), obj.version))
+    }
+
+    /// `len` bytes of `path` from `off`, bounds-checked.
+    pub(crate) fn get_range(&self, path: &str, off: u64, len: u64) -> Result<Vec<u8>, StorageError> {
+        let obj = self.objects.get(path).ok_or_else(|| not_found(path))?;
+        check_range(path, off, len, obj.data.len() as u64)?;
+        Ok(obj.data[off as usize..(off + len) as usize].to_vec())
+    }
+
+    pub(crate) fn stat(&self, path: &str) -> Result<ObjectStat, StorageError> {
+        let obj = self.objects.get(path).ok_or_else(|| not_found(path))?;
+        Ok(ObjectStat { size: obj.data.len() as u64, version: obj.version })
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.objects.len()
+    }
+
+    pub(crate) fn contains(&self, path: &str) -> bool {
+        self.objects.contains_key(path)
+    }
+
+    pub(crate) fn remove(&mut self, path: &str) -> Result<(), StorageError> {
+        self.objects.remove(path).map(drop).ok_or_else(|| not_found(path))
+    }
+
+    /// Paths starting with `prefix`, sorted.
+    pub(crate) fn list(&self, prefix: &str) -> Vec<String> {
+        self.objects
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(|(k, _)| k.starts_with(prefix))
+            .map(|(k, _)| k.clone())
+            .collect()
+    }
+
+    /// `(path, version, bytes)` of every object, sorted by path.
+    pub(crate) fn objects(&self) -> impl Iterator<Item = (&str, u64, &[u8])> {
+        self.objects.iter().map(|(p, o)| (p.as_str(), o.version, o.data.as_slice()))
+    }
+
+    /// `(path, owner)` of every held lock, sorted by path.
+    pub(crate) fn locks(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.locks.iter().map(|(p, &o)| (p.as_str(), o))
+    }
+
+    /// Fails when another owner holds `path`'s lock; its holder may take
+    /// it again.
+    pub(crate) fn check_lock(&self, path: &str, owner: u64) -> Result<(), StorageError> {
+        match self.locks.get(path) {
+            Some(&holder) if holder != owner => Err(StorageError::LockContended(path.to_string())),
+            _ => Ok(()),
         }
     }
 
-    fn stat(&self, path: &str) -> Result<ObjectStat, StorageError> {
-        self.objects
-            .get(path)
-            .map(|o| ObjectStat { size: o.data.len() as u64, version: o.version })
-            .ok_or_else(|| StorageError::NotFound(path.to_string()))
+    pub(crate) fn set_lock(&mut self, path: String, owner: u64) {
+        self.locks.insert(path, owner);
+    }
+
+    /// True when `owner` holds `path`'s lock.
+    pub(crate) fn holds(&self, path: &str, owner: u64) -> bool {
+        self.locks.get(path) == Some(&owner)
+    }
+
+    /// Releases `path`'s lock if `owner` holds it.
+    pub(crate) fn unlock(&mut self, path: &str, owner: u64) {
+        if self.holds(path, owner) {
+            self.locks.remove(path);
+        }
     }
 }
 
@@ -78,20 +150,19 @@ impl Shard {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MemBackend {
-    shards: ShardedRwLock<Shard>,
+    map: Arc<RwLock<ObjectMap>>,
+    stats: Arc<AtomicIoStats>,
 }
 
 impl MemBackend {
-    /// Creates an empty store (16 shards).
+    /// Creates an empty store.
     pub fn new() -> MemBackend {
         MemBackend::default()
     }
 
     /// Number of stored objects.
     pub fn len(&self) -> usize {
-        (0..self.shards.shard_count())
-            .map(|i| self.shards.read_shard(i).objects.len())
-            .sum()
+        self.map.read().len()
     }
 
     /// True when no objects are stored.
@@ -101,31 +172,26 @@ impl MemBackend {
 
     /// Total payload bytes stored.
     pub fn total_bytes(&self) -> u64 {
-        (0..self.shards.shard_count())
-            .map(|i| {
-                self.shards
-                    .read_shard(i)
-                    .objects
-                    .values()
-                    .map(|o| o.data.len() as u64)
-                    .sum::<u64>()
-            })
-            .sum()
+        self.map.read().objects().map(|(_, _, data)| data.len() as u64).sum()
     }
 
     pub(crate) fn get_arc(&self, path: &str) -> Result<(Arc<Vec<u8>>, u64), StorageError> {
-        self.shards.write(path).get_arc(path)
+        let (data, version) = self.map.read().get(path)?;
+        self.stats.count_read(data.len() as u64);
+        Ok((data, version))
     }
 
     /// Stores an object and reports the version it got (AFS server use).
     pub(crate) fn put_versioned(&self, path: &str, data: &[u8]) -> u64 {
-        self.shards.write(path).put(path, data)
+        let version = self.map.write().put(path, data);
+        self.stats.count_write(data.len() as u64);
+        version
     }
 }
 
 impl StorageBackend for MemBackend {
     fn put(&self, path: &str, data: &[u8]) -> Result<(), StorageError> {
-        self.shards.write(path).put(path, data);
+        self.put_versioned(path, data);
         Ok(())
     }
 
@@ -134,128 +200,74 @@ impl StorageBackend for MemBackend {
     }
 
     fn get_range(&self, path: &str, offset: u64, len: u64) -> Result<Vec<u8>, StorageError> {
-        let mut shard = self.shards.write(path);
-        let obj = shard
-            .objects
-            .get(path)
-            .ok_or_else(|| StorageError::NotFound(path.to_string()))?;
-        crate::backend::check_range(path, offset, len, obj.data.len() as u64)?;
-        let out = obj.data[offset as usize..(offset + len) as usize].to_vec();
-        shard.stats.reads += 1;
-        shard.stats.bytes_read += len;
+        let out = self.map.read().get_range(path, offset, len)?;
+        self.stats.count_read(len);
         Ok(out)
     }
 
     fn delete(&self, path: &str) -> Result<(), StorageError> {
-        let mut shard = self.shards.write(path);
-        if shard.objects.remove(path).is_none() {
-            return Err(StorageError::NotFound(path.to_string()));
-        }
-        shard.stats.deletes += 1;
+        self.map.write().remove(path)?;
+        self.stats.deletes.fetch_add(1, Relaxed);
         Ok(())
     }
 
     fn exists(&self, path: &str) -> bool {
-        self.shards.read(path).objects.contains_key(path)
+        self.map.read().contains(path)
     }
 
     fn stat(&self, path: &str) -> Result<ObjectStat, StorageError> {
-        self.shards.read(path).stat(path)
+        self.map.read().stat(path)
     }
 
     fn list(&self, prefix: &str) -> Vec<String> {
-        let mut out: Vec<String> = (0..self.shards.shard_count())
-            .flat_map(|i| {
-                self.shards
-                    .read_shard(i)
-                    .objects
-                    .keys()
-                    .filter(|k| k.starts_with(prefix))
-                    .cloned()
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        out.sort_unstable();
-        out
+        self.map.read().list(prefix)
     }
 
     fn get_many(&self, paths: &[String]) -> Vec<Result<Vec<u8>, StorageError>> {
-        // One epoch over every shard the batch touches (ascending-order
-        // acquisition, held simultaneously): readers see either none or
-        // all of a concurrent `put_many`, never an interleaving.
-        let group = self.shards.group(paths.iter().map(|p| p.as_str()));
-        let mut guards = self.shards.write_group(&group);
+        // One read lock for the batch: no `put_many` lands halfway through.
+        let map = self.map.read();
         paths
             .iter()
-            .enumerate()
-            .map(|(i, path)| {
-                guards[group.slot(i)]
-                    .get_arc(path)
-                    .map(|(data, _)| data.as_ref().clone())
+            .map(|path| {
+                let (data, _) = map.get(path)?;
+                self.stats.count_read(data.len() as u64);
+                Ok(data.as_ref().clone())
             })
             .collect()
     }
 
     fn put_many(&self, items: &[(String, Vec<u8>)]) -> Vec<Result<(), StorageError>> {
-        // Applied atomically under one multi-shard write epoch: a metadata
-        // commit lands whole or not at all.
-        let group = self.shards.group(items.iter().map(|(p, _)| p.as_str()));
-        let mut guards = self.shards.write_group(&group);
+        // One write lock for the batch: a metadata commit lands whole.
+        let mut map = self.map.write();
         items
             .iter()
-            .enumerate()
-            .map(|(i, (path, data))| {
-                guards[group.slot(i)].put(path, data);
+            .map(|(path, data)| {
+                map.put(path, data);
+                self.stats.count_write(data.len() as u64);
                 Ok(())
             })
             .collect()
     }
 
     fn stat_many(&self, paths: &[String]) -> Vec<Result<ObjectStat, StorageError>> {
-        let group = self.shards.group(paths.iter().map(|p| p.as_str()));
-        let guards = self.shards.read_group(&group);
-        paths
-            .iter()
-            .enumerate()
-            .map(|(i, path)| guards[group.slot(i)].stat(path))
-            .collect()
+        let map = self.map.read();
+        paths.iter().map(|path| map.stat(path)).collect()
     }
 
     fn lock(&self, path: &str, owner: u64) -> Result<(), StorageError> {
-        let mut shard = self.shards.write(path);
-        match shard.locks.get(path) {
-            Some(&holder) if holder != owner => {
-                Err(StorageError::LockContended(path.to_string()))
-            }
-            _ => {
-                shard.locks.insert(path.to_string(), owner);
-                shard.stats.locks += 1;
-                Ok(())
-            }
-        }
+        let mut map = self.map.write();
+        map.check_lock(path, owner)?;
+        map.set_lock(path.to_string(), owner);
+        self.stats.locks.fetch_add(1, Relaxed);
+        Ok(())
     }
 
     fn unlock(&self, path: &str, owner: u64) {
-        let mut shard = self.shards.write(path);
-        if shard.locks.get(path) == Some(&owner) {
-            shard.locks.remove(path);
-        }
+        self.map.write().unlock(path, owner);
     }
 
     fn stats(&self) -> IoStats {
-        let mut total = IoStats::default();
-        for i in 0..self.shards.shard_count() {
-            let s = self.shards.read_shard(i).stats;
-            total.reads += s.reads;
-            total.writes += s.writes;
-            total.deletes += s.deletes;
-            total.locks += s.locks;
-            total.bytes_read += s.bytes_read;
-            total.bytes_written += s.bytes_written;
-            total.remote_rpcs += s.remote_rpcs;
-            total.cache_hits += s.cache_hits;
-        }
-        total
+        self.stats.snapshot()
     }
 }
 
@@ -328,8 +340,7 @@ mod tests {
 
     #[test]
     fn list_sorted_across_shards() {
-        // Paths landing in different shards still come back globally
-        // sorted, as the old single-BTreeMap store guaranteed.
+        // Paths spread over many leading bytes come back globally sorted.
         let store = MemBackend::new();
         let mut names: Vec<String> =
             (0..64u32).map(|i| format!("{:02x}object{i}", (i * 37) % 256)).collect();
@@ -391,7 +402,7 @@ mod tests {
     }
 
     #[test]
-    fn batches_stay_atomic_across_shards() {
+    fn batches_stay_atomic() {
         // A put_many spanning several shards is never observed
         // half-applied by a concurrent get_many of the same paths — the
         // guarantee the single RwLock epoch used to give.

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use nexus_storage::fault::{CountHook, FireAt};
-use nexus_storage::{FaultKind, LogBackend, LogConfig, MemBackend, StorageBackend};
+use nexus_storage::{FaultKind, LogBackend, LogConfig, MemBackend, StorageBackend, StorageError};
 use nexus_testkit::{faults, shrink, tk_assert, tk_assert_eq, Gen, Runner};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -264,6 +264,12 @@ fn crash_at_every_fault_point_recovers_prefix_consistently() {
                 "point {point} ({kind:?}) never fired — sweep out of sync"
             );
             let fired = hook.fired_at().unwrap_or_default();
+            let mut probes =
+                [log.stat(PATHS[0])].into_iter().chain(log.stat_many(&[PATHS[0].into()]));
+            tk_assert!(
+                probes.all(|r| matches!(r, Err(StorageError::Io(_)))),
+                "crash at {fired}: stat or stat_many answered from the dead process's memory"
+            );
             drop(log);
 
             // The crashed process is gone; recovery reads what's on disk.

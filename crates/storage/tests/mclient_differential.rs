@@ -1,10 +1,10 @@
-//! Multi-client differential property test: N clients driving the sharded
-//! AFS stores concurrently must be observationally identical, per client,
+//! Multi-client differential property test: N clients driving the AFS
+//! stores from N threads must be observationally identical, per client,
 //! to the same ops replayed serially on a single shared clock lane (the
-//! pre-sharding single-lock world): equal per-client `IoStats`, equal
-//! per-client simulated time, equal per-slot results, and a byte-identical
-//! server inventory. The concurrent world may only finish *earlier* on the
-//! shared wall clock (lanes overlap; they never add work).
+//! pre-lane world): equal per-client `IoStats`, equal per-client simulated
+//! time, equal per-slot results, and a byte-identical server inventory.
+//! The concurrent world may only finish *earlier* on the shared wall clock
+//! (lanes overlap; they never add work).
 //!
 //! Also here: the mid-batch callback-staleness regression (a break
 //! delivered while another client is fetching must never let a stale

@@ -601,8 +601,7 @@ impl Wire {
     }
 }
 
-/// Path of a shared key. (Not UUID-shaped, so it FNV-spreads across the
-/// server's lock shards.)
+/// Path of a shared key: the same name for every client that draws `rank`.
 fn shared_key(rank: usize) -> String {
     format!("shared/k{rank}")
 }

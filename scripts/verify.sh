@@ -4,13 +4,12 @@
 # `cargo metadata` here is now a test `cargo test` runs: the dependency
 # graph holds nexus-* workspace crates only and the gate suites exist
 # (tests/repo_audit.rs); the docs name only live code (tests/docs_audit.rs);
-# the stores clients share lock only through the shard layer (a client's
-# own cache is one lock, exempt by name) and no storage commit path calls
-# a bare fs::write (crates/storage/tests/source_audit.rs); crypto lanes and
-# the load path (crates/{crypto,workloads}/tests/source_audit.rs). What is
-# left is what
+# no storage commit path calls a bare fs::write
+# (crates/storage/tests/source_audit.rs); crypto lanes and the load path
+# (crates/{crypto,workloads}/tests/source_audit.rs). What is left is what
 # needs another process: a second workspace, an environment override read
-# once per process, and the built bench binary.
+# once per process, and the built bench binary, run twice where its output
+# must not depend on the run.
 # Run from anywhere; operates on the repo this script lives in.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -52,5 +51,18 @@ echo "== paper tables: shape gates, smoke sizes =="
 
 echo "== bench smoke (JSON emitters and their floors) =="
 scripts/bench.sh --smoke
+
+echo "== scale harness determinism =="
+# Every virtual-time figure micro_scale reports is a function of its seeds,
+# however its executor threads interleave on the host: a second smoke run
+# must match the first byte for byte once the host wall-clock lines
+# ("wall_s", "host_ns_per_op") are dropped.
+virtual_only() { grep -v -e '"wall_s"' -e '"host_ns_per_op"' "$1"; }
+first=$(mktemp)
+trap 'rm -f "$first"' EXIT
+virtual_only target/BENCH_scale.smoke.json > "$first"
+./target/release/nexus-bench micro_scale --smoke > /dev/null
+cmp "$first" <(virtual_only target/BENCH_scale.smoke.json)
+echo "ok: two micro_scale --smoke runs agree on every virtual-time figure"
 
 echo "verify: OK"

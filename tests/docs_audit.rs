@@ -4,8 +4,11 @@
 //! `tests/security.rs::some_test`) must name a file or directory in the
 //! tree, and every backticked crate path (`nexus_exec::io`,
 //! `storage::afs`) must resolve to a module file of that crate, or to an
-//! item its module declares. A deleted module then fails here instead of
-//! living on in prose. History files — `CHANGES.md`, `ROADMAP.md`,
+//! item its module declares. A bare `Type::item` (`MemBackend::put_many`,
+//! `Dirnode::{insert, remove}`) must name a type declared in the tree and a
+//! `fn`, `const`, variant or field declared where that type is declared or
+//! implemented. A deleted module then fails here instead of living on in
+//! prose. History files — `CHANGES.md`, `ROADMAP.md`,
 //! `EXPERIMENTS.md` — record what once was and are not read.
 
 use std::path::{Path, PathBuf};
@@ -17,6 +20,9 @@ const DOCS: [&str; 4] =
 /// Crate paths that are not ours: Rust's own `core` shares nexus-core's
 /// short name.
 const NOT_OURS: [&str; 1] = ["core::arch"];
+
+/// Standard-library types a `Type::item` span may name.
+const STD_TYPES: [&str; 2] = ["Arc", "Vec"];
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -76,32 +82,127 @@ fn expand_braces(token: &str) -> Vec<String> {
     }
 }
 
+/// Item keywords a declaration starts with.
+const ITEM_KINDS: [&str; 10] =
+    ["fn", "struct", "enum", "trait", "type", "const", "static", "mod", "union", "macro_rules!"];
+
+/// Keywords that declare a type.
+const TYPE_KINDS: [&str; 5] = ["struct", "enum", "trait", "type", "union"];
+
+fn is_ident_char(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+fn is_ident(text: &str) -> bool {
+    !text.is_empty() && text.chars().all(is_ident_char)
+}
+
 /// True when `source` declares `name` as an item, or re-exports it.
 fn declares(source: &str, name: &str) -> bool {
-    const KINDS: [&str; 10] = [
-        "fn",
-        "struct",
-        "enum",
-        "trait",
-        "type",
-        "const",
-        "static",
-        "mod",
-        "union",
-        "macro_rules!",
-    ];
-    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    declares_as(source, name, &ITEM_KINDS, true)
+}
+
+/// True when `source` declares `name` after one of `kinds` (or, with
+/// `reexports`, names it on a `use` line).
+fn declares_as(source: &str, name: &str, kinds: &[&str], reexports: bool) -> bool {
     let word_at = |text: &str, at: usize| {
-        !text[..at].ends_with(is_ident) && !text[at + name.len()..].starts_with(is_ident)
+        !text[..at].ends_with(is_ident_char) && !text[at + name.len()..].starts_with(is_ident_char)
     };
     source.lines().any(|line| {
         let line = line.trim_start();
-        let reexport = line.starts_with("pub use ") || line.starts_with("use ");
+        let reexport = reexports && (line.starts_with("pub use ") || line.starts_with("use "));
         line.match_indices(name).any(|(at, _)| {
             word_at(line, at)
-                && (reexport || KINDS.iter().any(|kind| line[..at].trim_end().ends_with(kind)))
+                && (reexport || kinds.iter().any(|kind| line[..at].trim_end().ends_with(kind)))
         })
     })
+}
+
+/// True when `source` opens an `impl` block (inherent or of a trait) whose
+/// self type is `ty`.
+fn implements(source: &str, ty: &str) -> bool {
+    source.lines().filter_map(|l| l.trim_start().strip_prefix("impl")).any(|rest| {
+        let mut depth = 0;
+        let generics_end = rest
+            .char_indices()
+            .find(|&(_, c)| {
+                depth += match c {
+                    '<' => 1,
+                    '>' => -1,
+                    _ => 0,
+                };
+                depth == 0
+            })
+            .map_or(0, |(i, _)| i + 1);
+        let target = &rest[generics_end..];
+        let target = target.rsplit(" for ").next().unwrap_or(target).trim_start();
+        let path = target.split(['<', ' ', '{']).next().unwrap_or("");
+        path.rsplit("::").next() == Some(ty)
+    })
+}
+
+/// True when `source` declares `item` as a `fn` or `const`, or as an enum
+/// variant or struct field (a line opening with `item` and one of `,({:=`).
+fn declares_member(source: &str, item: &str) -> bool {
+    declares_as(source, item, &["fn", "const"], false)
+        || source.lines().any(|line| {
+            let line = line.trim_start();
+            let line =
+                line.strip_prefix("pub(crate) ").or(line.strip_prefix("pub ")).unwrap_or(line);
+            line.strip_prefix(item).is_some_and(|rest| {
+                let rest = rest.trim_start();
+                rest.starts_with([',', '(', '{', '='])
+                    || (rest.starts_with(':') && !rest.starts_with("::"))
+            })
+        })
+}
+
+/// Why a backticked `Type::item` (or `Type::{a, b}`) names nothing, if it
+/// does. `sources` holds every Rust file of the tree.
+fn dead_member(token: &str, sources: &[String]) -> Option<String> {
+    let (ty, rest) = token.split_once("::")?;
+    if !ty.starts_with(|c: char| c.is_ascii_uppercase()) || !is_ident(ty) {
+        return None;
+    }
+    if STD_TYPES.contains(&ty) {
+        return None;
+    }
+    // Argument lists are prose: `Slot::over(&mut [u8])` names `over`.
+    let mut bare = String::new();
+    let mut depth = 0;
+    for c in rest.chars() {
+        match c {
+            '(' => depth += 1,
+            ')' => depth -= 1,
+            _ if depth == 0 => bare.push(c),
+            _ => {}
+        }
+    }
+    let items: Vec<&str> = match bare.strip_prefix('{').and_then(|b| b.strip_suffix('}')) {
+        Some(list) => list.split(',').map(str::trim).collect(),
+        None => vec![bare.as_str()],
+    };
+    if !items.iter().all(|item| is_ident(item)) {
+        return None;
+    }
+    let homes: Vec<&String> = sources
+        .iter()
+        .filter(|src| declares_as(src, ty, &TYPE_KINDS, false) || implements(src, ty))
+        .collect();
+    if !homes.iter().any(|src| declares_as(src, ty, &TYPE_KINDS, false)) {
+        return Some(format!("no type `{ty}` is declared in the tree"));
+    }
+    let missing =
+        items.into_iter().find(|item| !homes.iter().any(|src| declares_member(src, item)))?;
+    Some(format!("`{ty}` has no fn, const, variant or field `{missing}`"))
+}
+
+/// The text of every Rust file in `tree`.
+fn rust_sources(tree: &[PathBuf]) -> Vec<String> {
+    tree.iter()
+        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+        .filter_map(|p| std::fs::read_to_string(p).ok())
+        .collect()
 }
 
 /// Why a backticked repo path names nothing, if it does.
@@ -157,7 +258,7 @@ fn dead_crate_path(token: &str, crates: &[String]) -> Option<String> {
     let mut module = dir.join("lib.rs");
     for segment in &segments[1..] {
         let name = segment.split('(').next().unwrap_or(segment);
-        if name.is_empty() || !name.chars().all(|c| c.is_alphanumeric() || c == '_') {
+        if !is_ident(name) {
             return None;
         }
         if dir.join(format!("{name}.rs")).is_file() {
@@ -191,18 +292,43 @@ fn docs_name_only_live_code() {
     let crates = listing(&root().join("crates"));
     let mut tree = Vec::new();
     files(root(), &mut tree);
+    let sources = rust_sources(&tree);
     let mut dead = Vec::new();
     for doc in DOCS {
         let text =
             std::fs::read_to_string(root().join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
         for (line, span) in code_spans(&text) {
             let token = span.trim();
-            let why =
-                dead_path(token, &top_level, &tree).or_else(|| dead_crate_path(token, &crates));
+            let why = dead_path(token, &top_level, &tree)
+                .or_else(|| dead_crate_path(token, &crates))
+                .or_else(|| dead_member(token, &sources));
             if let Some(why) = why {
                 dead.push(format!("{doc}:{line}: `{token}`: {why}"));
             }
         }
     }
     assert!(dead.is_empty(), "docs name code that does not exist:\n{}", dead.join("\n"));
+}
+
+/// The `Type::item` check catches what it is for: a type or a member that
+/// is not in the tree. Live spans of each shape pass.
+#[test]
+fn doctored_type_item_spans_fail() {
+    let mut tree = Vec::new();
+    files(root(), &mut tree);
+    let sources = rust_sources(&tree);
+    for live in [
+        "MemBackend::put_many",
+        "Dirnode::{find_loaded, insert, remove}",
+        "Slot::over(&mut [u8])",
+        "CryptoBackend::HwAccel",
+        "Arc::make_mut",
+    ] {
+        assert_eq!(dead_member(live, &sources), None, "{live}");
+    }
+    for doctored in
+        ["MemBackend::put_striped", "StripedLock::write_group", "Dirnode::{insert, evict}"]
+    {
+        assert!(dead_member(doctored, &sources).is_some(), "{doctored} passed");
+    }
 }
