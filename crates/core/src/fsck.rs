@@ -342,6 +342,24 @@ mod tests {
     }
 
     #[test]
+    fn foreign_names_that_parse_as_hex_are_not_orphans() {
+        // `u8::from_str_radix` takes both of these; `object_name` writes
+        // neither, so neither is a NEXUS object and gc must leave them.
+        let (v, backend) = volume();
+        v.write_file("keep.txt", b"keep").unwrap();
+        let signed = "+a".repeat(16);
+        let upper = "9E107D9D372BB6826BD81D3542A419D6"; // an uppercase MD5 digest
+        backend.put(&signed, b"foreign").unwrap();
+        backend.put(upper, b"foreign").unwrap();
+        let report = v.fsck(FsckMode::Metadata).unwrap();
+        assert!(report.is_clean(), "{:?}", report.errors);
+        assert!(report.orphans.is_empty(), "{:?}", report.orphans);
+        assert_eq!(v.gc().unwrap(), 0);
+        assert!(backend.exists(&signed));
+        assert!(backend.exists(upper));
+    }
+
+    #[test]
     fn gc_is_owner_only() {
         let (v, _) = volume();
         let alice = UserKeys::from_seed("alice", &[2; 32]);

@@ -5,6 +5,14 @@
 //! names on the untrusted storage service, so the server learns nothing
 //! from the namespace.
 
+/// The digit of every nibble value, shared by the encoder and the parser.
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// The nibble `digit` spells in [`HEX`]; `None` for anything else.
+fn hex_value(digit: u8) -> Option<u8> {
+    HEX.iter().position(|&d| d == digit).map(|nibble| nibble as u8)
+}
+
 /// A 16-byte universally unique identifier.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NexusUuid(pub [u8; 16]);
@@ -21,25 +29,33 @@ impl NexusUuid {
         NexusUuid(bytes)
     }
 
-    /// The obfuscated object name used on the storage service.
+    /// The obfuscated object name used on the storage service: 32
+    /// lowercase hex digits.
     pub fn object_name(&self) -> String {
-        let mut s = String::with_capacity(32);
-        for b in &self.0 {
-            s.push_str(&format!("{b:02x}"));
-        }
-        s
+        ascii(&self.digits()).to_owned()
     }
 
-    /// Parses an object name back into a UUID.
+    /// Parses an object name back into a UUID: exactly 32 lowercase hex
+    /// digits, so the parse is the inverse of [`NexusUuid::object_name`]
+    /// and no foreign name (a `+`-signed pair, uppercase hex) reads as a
+    /// NEXUS object.
     pub fn from_object_name(name: &str) -> Option<NexusUuid> {
-        if name.len() != 32 {
-            return None;
-        }
+        let name: &[u8; 32] = name.as_bytes().try_into().ok()?;
         let mut bytes = [0u8; 16];
-        for (i, b) in bytes.iter_mut().enumerate() {
-            *b = u8::from_str_radix(name.get(i * 2..i * 2 + 2)?, 16).ok()?;
+        for (b, pair) in bytes.iter_mut().zip(name.chunks_exact(2)) {
+            *b = hex_value(pair[0])? << 4 | hex_value(pair[1])?;
         }
         Some(NexusUuid(bytes))
+    }
+
+    /// The object name's digits, two per byte, high nibble first.
+    fn digits(&self) -> [u8; 32] {
+        let mut out = [0u8; 32];
+        for (pair, b) in out.chunks_exact_mut(2).zip(self.0) {
+            pair[0] = HEX[usize::from(b >> 4)];
+            pair[1] = HEX[usize::from(b & 0xf)];
+        }
+        out
     }
 
     /// True for the NIL sentinel.
@@ -50,14 +66,21 @@ impl NexusUuid {
 
 impl std::fmt::Debug for NexusUuid {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Uuid({}..)", &self.object_name()[..8])
+        f.write_str("Uuid(")?;
+        f.write_str(ascii(&self.digits()[..8]))?;
+        f.write_str("..)")
     }
 }
 
 impl std::fmt::Display for NexusUuid {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.object_name())
+        f.write_str(ascii(&self.digits()))
     }
+}
+
+/// `digits` (from [`NexusUuid::digits`]) as the `str` they spell.
+fn ascii(digits: &[u8]) -> &str {
+    std::str::from_utf8(digits).expect("hex digits are ASCII")
 }
 
 #[cfg(test)]
@@ -76,6 +99,33 @@ mod tests {
     fn parse_rejects_bad_names() {
         assert!(NexusUuid::from_object_name("short").is_none());
         assert!(NexusUuid::from_object_name(&"zz".repeat(16)).is_none());
+        // What `u8::from_str_radix` would take but `object_name` never
+        // writes: a `+`-signed pair, uppercase hex, a 32-byte name whose
+        // pairs straddle a multi-byte character.
+        assert!(NexusUuid::from_object_name(&"+a".repeat(16)).is_none());
+        assert!(NexusUuid::from_object_name(&"AB".repeat(16)).is_none());
+        assert!(NexusUuid::from_object_name(&format!("{}Ab", "ab".repeat(15))).is_none());
+        assert!(NexusUuid::from_object_name(&format!("{}é", "a".repeat(30))).is_none());
+    }
+
+    /// The table encoder spells every byte value at every position as the
+    /// `format!` encoder it replaced, and the parser inverts it.
+    #[test]
+    fn encoder_matches_the_format_reference() {
+        let reference = |u: &NexusUuid| u.0.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        for value in 0..=255u8 {
+            for at in 0..16 {
+                let mut bytes = [0x5au8; 16];
+                bytes[at] = value;
+                let u = NexusUuid(bytes);
+                let name = u.object_name();
+                assert_eq!(name, reference(&u), "byte {value:#04x} at {at}");
+                assert_eq!(u.to_string(), name);
+                assert_eq!(format!("{u:?}"), format!("Uuid({}..)", &name[..8]));
+                assert_eq!(NexusUuid::from_object_name(&name), Some(u));
+            }
+        }
+        assert_eq!(format!("{:?}", NexusUuid([0xab; 16])), "Uuid(abababab..)");
     }
 
     #[test]

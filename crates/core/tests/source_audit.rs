@@ -107,3 +107,49 @@ fn revalidated_serves_read_only_operations() {
     }
     assert!(readers >= 5, "only {readers} read-only operations found");
 }
+
+/// Object names are spelled through `uuid.rs`'s digit table: every storage
+/// call names its objects, so a `format!` per byte there is paid 5 to 9
+/// times an operation (DESIGN.md §9, "What a storage call costs the host").
+#[test]
+fn object_names_are_spelled_without_the_formatter() {
+    for (number, line) in shipped("uuid.rs") {
+        for call in ["format!", "write!("] {
+            assert!(
+                !line.contains(call),
+                "uuid.rs:{number}: `{call}` spells a name: {}",
+                line.trim()
+            );
+        }
+    }
+}
+
+/// No module of the crate writes bytes out as hex through the formatter;
+/// `NexusUuid`'s `Display` is the one hex spelling.
+#[test]
+fn no_module_formats_bytes_as_hex() {
+    let src = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("src");
+    let mut modules = Vec::new();
+    let mut dirs = vec![src.clone()];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("crates/core/src is readable") {
+            let path = entry.expect("a directory entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let module = path.strip_prefix(&src).expect("under src");
+                modules.push(module.to_string_lossy().into_owned());
+            }
+        }
+    }
+    assert!(modules.len() > 20, "only {} modules found", modules.len());
+    for module in modules {
+        for (number, line) in shipped(&module) {
+            assert!(
+                !line.contains("02x"),
+                "{module}:{number}: bytes formatted as hex: {}",
+                line.trim()
+            );
+        }
+    }
+}

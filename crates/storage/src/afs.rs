@@ -617,6 +617,18 @@ mod tests {
     }
 
     #[test]
+    fn a_cached_copy_survives_another_clients_overwrite() {
+        // b's cache shares the server's buffer; a's same-size write must
+        // land in a fresh one, not refill the bytes b holds.
+        let (_, a, b) = setup();
+        a.put("f", b"v1").unwrap();
+        b.get("f").unwrap();
+        a.put("f", b"v2").unwrap();
+        assert_eq!(b.cache.lock().data["f"].as_slice(), b"v1");
+        assert_eq!(b.get("f").unwrap(), b"v2");
+    }
+
+    #[test]
     fn clock_advances_with_size() {
         let server = AfsServer::new();
         let clock = SimClock::new();

@@ -15,6 +15,14 @@
 //! read lock and count themselves in lock-free `AtomicIoStats`; a
 //! `put_many` holds the write lock for the whole batch, so a reader sees
 //! all of it or none.
+//!
+//! A put over an existing object overwrites it in place: the version is
+//! bumped on the same map entry, and the old buffer is refilled when
+//! `Arc::get_mut` shows that no reader holds it (an AFS client's cache,
+//! a `get_arc` caller) and its capacity lies between the new length and
+//! twice it. Otherwise the put allocates a fresh buffer, so bytes a
+//! reader holds never change, and a shrunken object never pins its old
+//! size.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -55,11 +63,22 @@ impl ObjectMap {
         self.objects.insert(path, Object { data, version });
     }
 
-    /// Stores `data` one version past the current one and returns it.
+    /// Stores `data` one version past the current one and returns it; an
+    /// overwrite happens in place (module doc).
     pub(crate) fn put(&mut self, path: &str, data: &[u8]) -> u64 {
-        let version = self.version(path) + 1;
-        self.insert(path.to_string(), version, Arc::new(data.to_vec()));
-        version
+        let Some(obj) = self.objects.get_mut(path) else {
+            self.insert(path.to_string(), 1, Arc::new(data.to_vec()));
+            return 1;
+        };
+        obj.version += 1;
+        match Arc::get_mut(&mut obj.data) {
+            Some(buf) if (data.len()..=2 * data.len()).contains(&buf.capacity()) => {
+                buf.clear();
+                buf.extend_from_slice(data);
+            }
+            _ => obj.data = Arc::new(data.to_vec()),
+        }
+        obj.version
     }
 
     /// The object's shared bytes and version.
@@ -438,6 +457,30 @@ mod tests {
                 }
             });
         });
+    }
+
+    #[test]
+    fn an_overwrite_leaves_held_bytes_alone() {
+        let store = MemBackend::new();
+        store.put("a", b"old!").unwrap();
+        let (held, _) = store.get_arc("a").unwrap();
+        store.put("a", b"new!").unwrap();
+        assert_eq!(held.as_slice(), b"old!");
+        assert_eq!(store.get("a").unwrap(), b"new!");
+        drop(held);
+        store.put("a", b"last").unwrap();
+        assert_eq!(store.get("a").unwrap(), b"last");
+        assert_eq!(store.stat("a").unwrap().version, 3);
+    }
+
+    #[test]
+    fn a_shrinking_overwrite_drops_the_big_buffer() {
+        let store = MemBackend::new();
+        store.put("a", &vec![1u8; 8 << 20]).unwrap();
+        store.put("a", &[2u8; 4096]).unwrap();
+        let (data, _) = store.get_arc("a").unwrap();
+        assert_eq!(data.as_slice(), &[2u8; 4096][..]);
+        assert!(data.capacity() <= 2 * 4096, "kept {} bytes", data.capacity());
     }
 
     #[test]
