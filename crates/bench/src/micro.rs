@@ -1,13 +1,17 @@
 //! Micro-benchmarks of the substrate, on the in-repo timing harness
 //! (hermetic build policy: no criterion).
 
-use nexus_core::metadata::crypto::{open_object, seal_object, ObjectKind, Preamble};
+use nexus_core::metadata::crypto::{
+    open_object, open_object_with, seal_object, seal_object_with, ObjectKind, Preamble,
+};
 use nexus_core::NexusUuid;
+use nexus_crypto::aes::{Aes, KeySize};
 use nexus_crypto::ed25519::SigningKey;
 use nexus_crypto::gcm::AesGcm;
 use nexus_crypto::gcm_siv::AesGcmSiv;
 use nexus_crypto::sha2::Sha256;
 use nexus_crypto::x25519;
+use nexus_crypto::CryptoBackend;
 use nexus_sgx::{AttestationService, Enclave, EnclaveImage, Platform, SealPolicy};
 
 use crate::{micro, rule};
@@ -31,6 +35,21 @@ pub(crate) fn crypto() {
 
     let siv = AesGcmSiv::new_256(&[3u8; 32]);
     micro("gcm-siv keywrap 16B", None, || siv.seal(&[0u8; 12], b"preamble", &[0x42u8; 16]));
+
+    // The fixed cost of every fresh key: expand the schedule, and wipe it
+    // when the value drops (each iteration drops its key), on each engine.
+    let mut engines = vec![CryptoBackend::Bitsliced];
+    if nexus_crypto::cpu::hw_accel_available() {
+        engines.push(CryptoBackend::HwAccel);
+    }
+    for backend in engines {
+        micro(&format!("AES-128 key schedule + wipe ({backend:?})"), None, || {
+            Aes::with_backend(&[0x5a; 16], KeySize::Aes128, backend)
+        });
+        micro(&format!("AES-256 key schedule + wipe ({backend:?})"), None, || {
+            Aes::with_backend(&[0x5a; 32], KeySize::Aes256, backend)
+        });
+    }
 
     // 3400 B is a full 128-entry bucket blob: what a bucket MAC hashes.
     for size in [64usize, 3400, 4096, 1024 * 1024] {
@@ -94,6 +113,16 @@ pub(crate) fn enclave() {
     });
     let blob = seal_object(&rootkey, &preamble, &body, |dest| dest.fill(9));
     micro("metadata open 5KB", Some(body.len() as u64), || open_object(&rootkey, &blob).unwrap());
+    // The same two under the wrap cipher a mount expands once: the rows
+    // above expand the raw key on every call, as the raw-key wrappers do.
+    let wrap = AesGcmSiv::new(&rootkey);
+    micro("metadata seal 5KB (mounted wrap cipher)", Some(body.len() as u64), || {
+        counter = counter.wrapping_add(1);
+        seal_object_with(&wrap, &preamble, &body, |dest| dest.fill(counter))
+    });
+    micro("metadata open 5KB (mounted wrap cipher)", Some(body.len() as u64), || {
+        open_object_with(&wrap, &blob).unwrap()
+    });
     // Every storage call names its objects (5 to 9 per operation).
     micro("object name (uuid → storage name)", None, || {
         std::hint::black_box(&preamble.uuid).object_name()

@@ -7,10 +7,12 @@
 //! [`crate::volume::NexusVolume`], and all storage traffic flows through
 //! ocalls (the crate-private `MetaIo` shim).
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
+use nexus_crypto::gcm_siv::AesGcmSiv;
 use nexus_crypto::sha2::Sha256;
 use nexus_sgx::EnclaveEnv;
 use nexus_storage::StorageBackend;
@@ -19,7 +21,8 @@ use crate::acl::{Principal, Rights, UserId};
 use crate::error::{NexusError, Result};
 use crate::groups::{self, GroupId};
 use crate::metadata::crypto::{
-    open_object, open_object_scoped, seal_object, KeyScope, ObjectKind, Preamble, RootKey,
+    open_object_scoped, open_object_with, seal_object_with, KeyScope, ObjectKind, Preamble,
+    RootKey,
 };
 use crate::metadata::dirnode::{Bucket, Dirnode};
 use crate::metadata::filenode::Filenode;
@@ -82,9 +85,15 @@ pub(crate) enum CachedNode {
 }
 
 /// State of a mounted volume, held entirely in enclave memory.
-#[derive(Debug)]
+///
+/// The rootkey is expanded once, into `wrap`, when the volume is created
+/// or mounted: every rootkey-scoped seal and open runs on that schedule.
+/// `Debug` shows neither, and `Drop` wipes the raw key (the schedule
+/// wipes itself).
 pub(crate) struct Mounted {
     pub(crate) rootkey: RootKey,
+    /// The rootkey's AES-GCM-SIV wrap cipher.
+    pub(crate) wrap: AesGcmSiv,
     pub(crate) supernode_uuid: NexusUuid,
     pub(crate) supernode: Supernode,
     /// Version of the supernode object we decrypted.
@@ -100,6 +109,50 @@ pub(crate) struct Mounted {
     pub(crate) version_table: HashMap<NexusUuid, u64>,
     /// Volume freshness manifest, when the volume carries one.
     pub(crate) manifest: Option<crate::freshness::ManifestState>,
+}
+
+impl Mounted {
+    /// A fresh mount of the volume whose supernode is `supernode_uuid`,
+    /// with `wrap` the expanded `rootkey`; no session, empty caches.
+    pub(crate) fn new(
+        rootkey: RootKey,
+        wrap: AesGcmSiv,
+        supernode_uuid: NexusUuid,
+        supernode: Supernode,
+        supernode_version: u64,
+        supernode_storage_version: u64,
+    ) -> Mounted {
+        Mounted {
+            rootkey,
+            wrap,
+            supernode_uuid,
+            supernode,
+            supernode_version,
+            supernode_storage_version,
+            session: None,
+            meta_cache: Default::default(),
+            version_table: Default::default(),
+            manifest: None,
+        }
+    }
+}
+
+impl std::fmt::Debug for Mounted {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The rootkey and its schedule never reach Debug output.
+        f.debug_struct("Mounted")
+            .field("supernode_uuid", &self.supernode_uuid)
+            .field("supernode_version", &self.supernode_version)
+            .field("supernode_storage_version", &self.supernode_storage_version)
+            .field("session", &self.session)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Drop for Mounted {
+    fn drop(&mut self) {
+        nexus_crypto::ct::zeroize(&mut self.rootkey);
+    }
 }
 
 /// The private state inside the NEXUS enclave.
@@ -177,46 +230,57 @@ impl EnclaveState {
     }
 }
 
-/// Resolves the wrap key (and the preamble [`KeyScope`]) for sealing an
-/// object under `scope`. Scoped objects always seal under the group's
-/// *current* epoch — this is the lazy re-wrap rule: any write after a
-/// revocation migrates the object to the post-revocation key.
+/// Resolves the preamble [`KeyScope`] for sealing an object under
+/// `scope`, with the group's epoch key expanded for it; `None` for the
+/// rootkey, whose cipher the caller takes from `mounted.wrap` (returned
+/// apart so the caller may go on bumping versions in `mounted`). Scoped
+/// objects always seal under the group's *current* epoch — this is the
+/// lazy re-wrap rule: any write after a revocation migrates the object to
+/// the post-revocation key.
 pub(crate) fn seal_scope(
     mounted: &Mounted,
     scope: Option<GroupId>,
-) -> Result<(Option<KeyScope>, RootKey)> {
+) -> Result<Option<(KeyScope, AesGcmSiv)>> {
+    let Some(gid) = scope else {
+        return Ok(None);
+    };
+    let group = mounted.supernode.groups.by_id(gid).ok_or_else(|| {
+        NexusError::Integrity(format!("directory scoped to unknown group {}", gid.0))
+    })?;
+    let wrap = epoch_cipher(mounted, group, group.epoch)?;
+    Ok(Some((KeyScope { group: gid, epoch: group.epoch }, wrap)))
+}
+
+/// Resolves the unwrap cipher for an object whose preamble carried
+/// `scope`. Fails with [`NexusError::Integrity`] when the mounted
+/// supernode's group table has no key for that `(group, epoch)` — which is
+/// exactly the position of an enclave holding a pre-revocation supernode
+/// against post-bump ciphertext.
+pub(crate) fn open_scope_key(
+    mounted: &Mounted,
+    scope: Option<KeyScope>,
+) -> Result<Cow<'_, AesGcmSiv>> {
     match scope {
-        None => Ok((None, mounted.rootkey)),
-        Some(gid) => {
-            let master = groups::group_master_key(&mounted.rootkey, &mounted.supernode_uuid);
-            let group = mounted.supernode.groups.by_id(gid).ok_or_else(|| {
-                NexusError::Integrity(format!("directory scoped to unknown group {}", gid.0))
+        None => Ok(Cow::Borrowed(&mounted.wrap)),
+        Some(ks) => {
+            let group = mounted.supernode.groups.by_id(ks.group).ok_or_else(|| {
+                NexusError::Integrity(format!("object scoped to unknown group {}", ks.group.0))
             })?;
-            let key = group.current_key(&master)?;
-            Ok((Some(KeyScope { group: gid, epoch: group.epoch }), key))
+            epoch_cipher(mounted, group, ks.epoch).map(Cow::Owned)
         }
     }
 }
 
-/// Resolves the unwrap key for an object whose preamble carried `scope`.
-/// Fails with [`NexusError::Integrity`] when the mounted supernode's
-/// group table has no key for that `(group, epoch)` — which is exactly
-/// the position of an enclave holding a pre-revocation supernode against
-/// post-bump ciphertext.
-pub(crate) fn open_scope_key(
-    mounted: &Mounted,
-    scope: Option<KeyScope>,
-) -> Result<RootKey> {
-    match scope {
-        None => Ok(mounted.rootkey),
-        Some(ks) => {
-            let master = groups::group_master_key(&mounted.rootkey, &mounted.supernode_uuid);
-            let group = mounted.supernode.groups.by_id(ks.group).ok_or_else(|| {
-                NexusError::Integrity(format!("object scoped to unknown group {}", ks.group.0))
-            })?;
-            group.unwrap_epoch_key(&master, ks.epoch)
-        }
-    }
+/// `group`'s key for `epoch`, unwrapped and expanded; the raw key and the
+/// master key it was unwrapped with are wiped before this returns.
+fn epoch_cipher(mounted: &Mounted, group: &groups::GroupRecord, epoch: u64) -> Result<AesGcmSiv> {
+    let mut master = groups::group_master_key(&mounted.rootkey, &mounted.supernode_uuid);
+    let unwrapped = group.unwrap_epoch_key(&master, epoch);
+    nexus_crypto::ct::zeroize(&mut master);
+    let mut key = unwrapped?;
+    let wrap = AesGcmSiv::new(&key);
+    nexus_crypto::ct::zeroize(&mut key);
+    Ok(wrap)
 }
 
 /// Revalidates the cached supernode against storage when another client
@@ -235,9 +299,8 @@ pub(crate) fn ensure_supernode_current(
     if on_store == cached {
         return Ok(());
     }
-    let rootkey = state.mounted()?.rootkey;
-    let (supernode, version) = fetch_supernode(io, &rootkey, uuid)?;
     let m = state.mounted()?;
+    let (supernode, version) = fetch_supernode(io, &m.wrap, uuid)?;
     if version < m.supernode_version {
         return Err(NexusError::Rollback {
             object: uuid.to_string(),
@@ -559,8 +622,8 @@ fn admit(
 }
 
 /// Next version for an object we are about to write.
-pub(crate) fn next_version(mounted: &mut Mounted, uuid: &NexusUuid) -> u64 {
-    let seen = mounted.version_table.entry(*uuid).or_insert(0);
+pub(crate) fn next_version(version_table: &mut HashMap<NexusUuid, u64>, uuid: &NexusUuid) -> u64 {
+    let seen = version_table.entry(*uuid).or_insert(0);
     *seen += 1;
     *seen
 }
@@ -853,7 +916,9 @@ pub(crate) fn stage_dirnode(
         ensure_supernode_current(state, io)?;
     }
     let mounted = state.mounted()?;
-    let (scope, wrap_key) = seal_scope(mounted, dir.scope)?;
+    let scoped = seal_scope(mounted, dir.scope)?;
+    let scope = scoped.as_ref().map(|(scope, _)| *scope);
+    let wrap = scoped.as_ref().map_or(&mounted.wrap, |(_, wrap)| wrap);
     let has_manifest = !mounted.supernode.manifest_uuid.is_nil();
     let dir_mut = Arc::make_mut(&mut dir);
     let mut epc_bytes = 0;
@@ -866,7 +931,7 @@ pub(crate) fn stage_dirnode(
             .bucket
             .as_ref()
             .expect("dirty bucket must be loaded");
-        let version = next_version(mounted, &slot.re.uuid);
+        let version = next_version(&mut mounted.version_table, &slot.re.uuid);
         let preamble = Preamble {
             kind: ObjectKind::DirBucket,
             uuid: slot.re.uuid,
@@ -874,7 +939,7 @@ pub(crate) fn stage_dirnode(
             version,
             scope,
         };
-        let blob = seal_object(&wrap_key, &preamble, bucket.as_bytes(), |dest| {
+        let blob = seal_object_with(wrap, &preamble, bucket.as_bytes(), |dest| {
             io.env.random_bytes(dest)
         });
         // The main object binds this one on every volume.
@@ -885,7 +950,7 @@ pub(crate) fn stage_dirnode(
         commit.pending.push((slot.re.uuid.object_name(), blob));
         slot.dirty = false;
     }
-    let version = next_version(mounted, &dir.uuid);
+    let version = next_version(&mut mounted.version_table, &dir.uuid);
     let preamble = Preamble {
         kind: ObjectKind::Dirnode,
         uuid: dir.uuid,
@@ -895,7 +960,7 @@ pub(crate) fn stage_dirnode(
     };
     let body = dir.encode_main();
     epc_bytes += body.len();
-    let blob = seal_object(&wrap_key, &preamble, &body, |dest| {
+    let blob = seal_object_with(wrap, &preamble, &body, |dest| {
         io.env.random_bytes(dest)
     });
     if has_manifest {
@@ -920,9 +985,11 @@ pub(crate) fn stage_filenode(
         ensure_supernode_current(state, io)?;
     }
     let mounted = state.mounted()?;
-    let (scope, wrap_key) = seal_scope(mounted, dir_scope)?;
+    let scoped = seal_scope(mounted, dir_scope)?;
+    let scope = scoped.as_ref().map(|(scope, _)| *scope);
+    let wrap = scoped.as_ref().map_or(&mounted.wrap, |(_, wrap)| wrap);
     let has_manifest = !mounted.supernode.manifest_uuid.is_nil();
-    let version = next_version(mounted, &fnode.uuid);
+    let version = next_version(&mut mounted.version_table, &fnode.uuid);
     let preamble = Preamble {
         kind: ObjectKind::Filenode,
         uuid: fnode.uuid,
@@ -931,7 +998,7 @@ pub(crate) fn stage_filenode(
         scope,
     };
     let body = fnode.encode();
-    let blob = seal_object(&wrap_key, &preamble, &body, |dest| {
+    let blob = seal_object_with(wrap, &preamble, &body, |dest| {
         io.env.random_bytes(dest)
     });
     if has_manifest {
@@ -1087,7 +1154,6 @@ pub(crate) fn evict(state: &mut EnclaveState, io: &MetaIo<'_>, uuid: &NexusUuid)
 /// Seals and stores the supernode (after user list changes).
 pub(crate) fn store_supernode(state: &mut EnclaveState, io: &MetaIo<'_>) -> Result<()> {
     let mounted = state.mounted()?;
-    let rootkey = mounted.rootkey;
     let uuid = mounted.supernode_uuid;
     // One past the newest supernode this session has seen, written or
     // fetched: a session that did not create the volume must not write a
@@ -1102,7 +1168,7 @@ pub(crate) fn store_supernode(state: &mut EnclaveState, io: &MetaIo<'_>) -> Resu
         scope: None,
     };
     let body = mounted.supernode.encode();
-    let blob = seal_object(&rootkey, &preamble, &body, |dest| {
+    let blob = seal_object_with(&mounted.wrap, &preamble, &body, |dest| {
         io.env.random_bytes(dest)
     });
     io.put(&uuid, &blob)?;
@@ -1116,22 +1182,23 @@ pub(crate) fn store_supernode(state: &mut EnclaveState, io: &MetaIo<'_>) -> Resu
     Ok(())
 }
 
-/// Fetches, verifies, and decodes the supernode for `uuid`.
+/// Fetches, verifies, and decodes the supernode for `uuid`, under the
+/// rootkey's wrap cipher.
 pub(crate) fn fetch_supernode(
     io: &MetaIo<'_>,
-    rootkey: &RootKey,
+    wrap: &AesGcmSiv,
     uuid: NexusUuid,
 ) -> Result<(Supernode, u64)> {
-    open_supernode(rootkey, uuid, &io.get(&uuid)?)
+    open_supernode(wrap, uuid, &io.get(&uuid)?)
 }
 
 /// Verifies and decodes `blob` as the supernode for `uuid`.
 pub(crate) fn open_supernode(
-    rootkey: &RootKey,
+    wrap: &AesGcmSiv,
     uuid: NexusUuid,
     blob: &[u8],
 ) -> Result<(Supernode, u64)> {
-    let (preamble, body) = open_object(rootkey, blob)?;
+    let (preamble, body) = open_object_with(wrap, blob)?;
     if preamble.uuid != uuid || preamble.kind != ObjectKind::Supernode {
         return Err(NexusError::Integrity("supernode identity mismatch".into()));
     }
@@ -1336,21 +1403,16 @@ mod tests {
 
     fn test_mounted(session: Option<Session>) -> Mounted {
         use nexus_crypto::ed25519::SigningKey;
-        Mounted {
-            rootkey: [0u8; 32],
-            supernode_uuid: NexusUuid([9; 16]),
-            supernode: Supernode::new(
-                NexusUuid([9; 16]),
-                NexusUuid([8; 16]),
-                "owner",
-                SigningKey::from_seed(&[1; 32]).verifying_key(),
-            ),
-            supernode_version: 1,
-            supernode_storage_version: 0,
-            session,
-            meta_cache: Default::default(),
-            version_table: HashMap::new(),
-            manifest: None,
-        }
+        let supernode = Supernode::new(
+            NexusUuid([9; 16]),
+            NexusUuid([8; 16]),
+            "owner",
+            SigningKey::from_seed(&[1; 32]).verifying_key(),
+        );
+        let rootkey = [0u8; 32];
+        let mut mounted =
+            Mounted::new(rootkey, AesGcmSiv::new(&rootkey), NexusUuid([9; 16]), supernode, 1, 0);
+        mounted.session = session;
+        mounted
     }
 }

@@ -25,7 +25,7 @@ use nexus_crypto::sha2::Sha256;
 use crate::enclave::{next_version, EnclaveState, MetaIo};
 use crate::error::{NexusError, Result};
 use crate::merkle::MerkleTree;
-use crate::metadata::crypto::{open_object, seal_object, ObjectKind, Preamble};
+use crate::metadata::crypto::{open_object_with, seal_object_with, ObjectKind, Preamble};
 use crate::uuid::NexusUuid;
 use crate::wire::{Reader, Writer};
 
@@ -105,8 +105,7 @@ pub(crate) fn ensure_manifest_current(state: &mut EnclaveState, io: &MetaIo<'_>)
     }
     let blob = io.get(&uuid)?;
     let mounted = state.mounted()?;
-    let rootkey = mounted.rootkey;
-    let (preamble, body) = open_object(&rootkey, &blob)?;
+    let (preamble, body) = open_object_with(&mounted.wrap, &blob)?;
     if preamble.uuid != uuid || preamble.kind != ObjectKind::Manifest {
         return Err(NexusError::Integrity("manifest identity mismatch".into()));
     }
@@ -194,7 +193,6 @@ fn record_locked(
 ) -> Result<()> {
     ensure_manifest_current(state, io)?;
     let mounted = state.mounted()?;
-    let rootkey = mounted.rootkey;
     let manifest = mounted.manifest.as_mut().expect("ensured above");
     for (u, h) in updates {
         manifest.entries.insert(*u, *h);
@@ -203,7 +201,7 @@ fn record_locked(
         manifest.entries.remove(u);
     }
     let body = manifest.encode();
-    let version = next_version(mounted, &uuid);
+    let version = next_version(&mut mounted.version_table, &uuid);
     let preamble = Preamble {
         kind: ObjectKind::Manifest,
         uuid,
@@ -211,7 +209,7 @@ fn record_locked(
         version,
         scope: None,
     };
-    let blob = seal_object(&rootkey, &preamble, &body, |dest| {
+    let blob = seal_object_with(&mounted.wrap, &preamble, &body, |dest| {
         io.env.random_bytes(dest)
     });
     io.put(&uuid, &blob)?;

@@ -29,7 +29,7 @@
 //! hold both directions.
 
 use nexus_crypto::gcm_siv::AesGcmSiv;
-use nexus_crypto::hmac::hkdf;
+use nexus_crypto::hmac::hkdf_into;
 
 use crate::acl::UserId;
 use crate::error::{NexusError, Result};
@@ -57,10 +57,10 @@ const MAX_EPOCHS: usize = 1_000_000;
 /// Only the enclave holds the rootkey, so only the enclave can mint or
 /// unwrap group keys — the supernode body stores them wrapped, and a
 /// future key-escrow split would only need to move this derivation.
+/// HKDF writes straight into the returned array, which the caller wipes.
 pub fn group_master_key(rootkey: &RootKey, volume: &NexusUuid) -> [u8; 32] {
-    let okm = hkdf(b"nexus-group-master-v1", rootkey, &volume.0, 32);
     let mut key = [0u8; 32];
-    key.copy_from_slice(&okm);
+    hkdf_into(b"nexus-group-master-v1", rootkey, &volume.0, &mut key);
     key
 }
 
@@ -214,7 +214,8 @@ impl GroupRecord {
             .map(|i| &self.keys[i])
     }
 
-    /// Unwraps the group key for `epoch`.
+    /// Unwraps the group key for `epoch` into the returned array (which
+    /// the caller wipes); no copy of it is left in freed memory.
     ///
     /// # Errors
     ///
@@ -232,12 +233,11 @@ impl GroupRecord {
                 self.name, self.epoch
             ))
         })?;
-        let siv = AesGcmSiv::new(master);
-        let key = siv
-            .open(&wrapped.nonce, &wrap_aad(self.id, epoch), &wrapped.wrapped)
+        let mut key = [0u8; 32];
+        AesGcmSiv::new(master)
+            .open_into(&wrapped.nonce, &wrap_aad(self.id, epoch), &wrapped.wrapped, &mut key)
             .map_err(|_| NexusError::Integrity("group key unwrap failed".into()))?;
-        key.try_into()
-            .map_err(|_| NexusError::Integrity("group key has wrong length".into()))
+        Ok(key)
     }
 
     /// Unwraps the current epoch's key (what new writes seal under).

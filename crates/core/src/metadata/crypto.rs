@@ -24,6 +24,16 @@
 //! the wrap key from the epoch recorded here, which is what makes
 //! revocation *lazy*: an epoch bump re-keys nothing, and each object
 //! migrates to the current epoch on its next write.
+//!
+//! ## Wrap ciphers
+//!
+//! The wrap key enters as an expanded [`AesGcmSiv`]: a mounted volume
+//! expands its rootkey once and seals and opens every rootkey-scoped
+//! object with that cipher ([`seal_object_with`], [`open_object_with`]).
+//! [`seal_object`] and [`open_object`] take a raw key and expand it per
+//! call, for callers that hold no mount.
+
+use std::borrow::Cow;
 
 use nexus_crypto::gcm::AesGcm;
 use nexus_crypto::gcm_siv::AesGcmSiv;
@@ -172,9 +182,20 @@ const HEAD_MAX_LEN: usize =
 /// `wrap_key` is the rootkey for unscoped preambles; when
 /// `preamble.scope` is set, the caller must pass the group key for the
 /// scope's epoch. `fill_random` supplies enclave randomness for the fresh
-/// object key and nonces.
+/// object key and nonces. Expands `wrap_key` for this one call; see
+/// [`seal_object_with`].
 pub fn seal_object(
     wrap_key: &RootKey,
+    preamble: &Preamble,
+    body: &[u8],
+    fill_random: impl FnMut(&mut [u8]),
+) -> Vec<u8> {
+    seal_object_with(&AesGcmSiv::new(wrap_key), preamble, body, fill_random)
+}
+
+/// [`seal_object`] under an already expanded wrap cipher.
+pub fn seal_object_with(
+    wrap: &AesGcmSiv,
     preamble: &Preamble,
     body: &[u8],
     mut fill_random: impl FnMut(&mut [u8]),
@@ -190,8 +211,7 @@ pub fn seal_object(
 
     // Sections 1 and 2 open the blob: preamble, then the object key
     // wrapped under the scope's wrap key.
-    let siv = AesGcmSiv::new(wrap_key);
-    let wrapped = siv.seal(&siv_nonce, &preamble_bytes, &object_key);
+    let wrapped = wrap.seal(&siv_nonce, &preamble_bytes, &object_key);
     debug_assert_eq!(wrapped.len(), WRAPPED_KEY_LEN);
     let mut head = preamble_bytes;
     head.extend_from_slice(&siv_nonce);
@@ -210,7 +230,8 @@ pub fn seal_object(
 
 /// Verifies and decrypts a metadata object fetched from untrusted storage.
 /// The caller-supplied key is used as the wrap key regardless of scope —
-/// for scope-aware resolution use [`open_object_scoped`].
+/// for scope-aware resolution use [`open_object_scoped`]. Expands
+/// `wrap_key` for this one call; see [`open_object_with`].
 ///
 /// # Errors
 ///
@@ -218,18 +239,33 @@ pub fn seal_object(
 /// when any authentication check fails (wrong rootkey, tampering, or a
 /// spliced preamble).
 pub fn open_object(wrap_key: &RootKey, blob: &[u8]) -> Result<(Preamble, Vec<u8>)> {
-    open_object_scoped(blob, |_| Ok(*wrap_key))
+    open_object_with(&AesGcmSiv::new(wrap_key), blob)
 }
 
-/// [`open_object`] with the wrap key chosen *after* the preamble is read:
-/// `resolve` receives the object's [`KeyScope`] (None → rootkey-scoped)
-/// and returns the matching wrap key. The scope sits in the AAD, so a
-/// lying preamble fails authentication rather than decrypting under the
+/// [`open_object`] under an already expanded wrap cipher.
+///
+/// # Errors
+///
+/// As [`open_object`].
+pub fn open_object_with(wrap: &AesGcmSiv, blob: &[u8]) -> Result<(Preamble, Vec<u8>)> {
+    open_object_scoped(blob, |_| Ok(Cow::Borrowed(wrap)))
+}
+
+/// [`open_object`] with the wrap cipher chosen *after* the preamble is
+/// read: `resolve` receives the object's [`KeyScope`] (None →
+/// rootkey-scoped) and returns the matching cipher, borrowed when the
+/// caller keeps it expanded (a mount's rootkey) and owned when it was
+/// expanded for this object (an epoch key). The scope sits in the AAD, so
+/// a lying preamble fails authentication rather than decrypting under the
 /// wrong key; a resolver that cannot produce the epoch key (revoked
 /// member, pre-revocation supernode) simply errors.
-pub fn open_object_scoped(
+///
+/// # Errors
+///
+/// As [`open_object`], and whatever `resolve` returns.
+pub fn open_object_scoped<'k>(
     blob: &[u8],
-    resolve: impl FnOnce(Option<KeyScope>) -> Result<RootKey>,
+    resolve: impl FnOnce(Option<KeyScope>) -> Result<Cow<'k, AesGcmSiv>>,
 ) -> Result<(Preamble, Vec<u8>)> {
     let (preamble, preamble_len) = Preamble::parse(blob)?;
     let fixed = preamble_len + SIV_NONCE_LEN + WRAPPED_KEY_LEN + GCM_NONCE_LEN + GCM_TAG_LEN;
@@ -241,16 +277,12 @@ pub fn open_object_scoped(
     let (wrapped, rest) = rest.split_at(WRAPPED_KEY_LEN);
     let (gcm_nonce, ciphertext) = rest.split_at(GCM_NONCE_LEN);
 
-    let mut wrap_key = resolve(preamble.scope)?;
-    let siv = AesGcmSiv::new(&wrap_key);
-    nexus_crypto::ct::zeroize(&mut wrap_key);
+    let wrap = resolve(preamble.scope)?;
     let siv_nonce_arr: [u8; 12] = siv_nonce.try_into().unwrap();
-    let object_key = siv
-        .open(&siv_nonce_arr, preamble_bytes, wrapped)
+    // The object key is unwrapped into this array and nowhere else.
+    let mut object_key = [0u8; 16];
+    wrap.open_into(&siv_nonce_arr, preamble_bytes, wrapped, &mut object_key)
         .map_err(|_| NexusError::Integrity("metadata key unwrap failed".into()))?;
-    let mut object_key: [u8; 16] = object_key
-        .try_into()
-        .map_err(|_| NexusError::Integrity("unwrapped key has wrong length".into()))?;
 
     // Sections 1 and 2 are contiguous in the blob: they are the AAD as
     // they stand.
@@ -374,7 +406,7 @@ mod tests {
         assert_eq!(&blob[..4], MAGIC_SCOPED);
         let (preamble, body) = open_object_scoped(&blob, |scope| {
             assert_eq!(scope, Some(KeyScope { group: GroupId(3), epoch: 2 }));
-            Ok(group_key)
+            Ok(Cow::Owned(AesGcmSiv::new(&group_key)))
         })
         .unwrap();
         assert_eq!(preamble, scoped_pre());
@@ -386,8 +418,8 @@ mod tests {
         let blob = seal_object(&[0x33; 32], &scoped_pre(), b"shared", rand);
         // A reader resolving a *different* key (e.g. the post-revocation
         // epoch) must hit an authentication failure, not wrong plaintext.
-        let err =
-            open_object_scoped(&blob, |_| Ok([0x44; 32])).unwrap_err();
+        let err = open_object_scoped(&blob, |_| Ok(Cow::Owned(AesGcmSiv::new(&[0x44; 32]))))
+            .unwrap_err();
         assert!(matches!(err, NexusError::Integrity(_)));
         // And a resolver error (no key for this epoch) propagates.
         let err = open_object_scoped(&blob, |_| {
@@ -404,12 +436,23 @@ mod tests {
         // Flip a bit in the epoch field (last 8 bytes of the scoped
         // preamble): the scope is AAD, so authentication must fail.
         blob[Preamble::SCOPED_ENCODED_LEN - 1] ^= 1;
-        assert!(open_object_scoped(&blob, |_| Ok(key)).is_err());
+        assert!(open_object_with(&AesGcmSiv::new(&key), &blob).is_err());
         // Rewriting the magic to disguise a scoped blob as unscoped fails
         // outright (the preamble bytes no longer authenticate).
         let mut blob = seal_object(&key, &scoped_pre(), b"shared", rand);
         blob[..4].copy_from_slice(MAGIC);
         assert!(open_object(&key, &blob).is_err());
+    }
+
+    /// A wrap cipher expanded once seals and opens exactly what the raw-key
+    /// wrappers do, byte for byte.
+    #[test]
+    fn an_expanded_wrap_cipher_matches_the_raw_key_wrappers() {
+        let wrap = AesGcmSiv::new(&rk());
+        let blob = seal_object_with(&wrap, &pre(), b"directory contents", rand);
+        assert_eq!(blob, seal_object(&rk(), &pre(), b"directory contents", rand));
+        assert_eq!(open_object_with(&wrap, &blob).unwrap(), open_object(&rk(), &blob).unwrap());
+        assert!(open_object_with(&AesGcmSiv::new(&[0x22; 32]), &blob).is_err());
     }
 
     #[test]

@@ -79,8 +79,8 @@ pub(crate) fn auth_complete(
     // The session takes the supernode from the very blob the signature is
     // checked over: the user signed this ciphertext, so both sides agree on
     // it, and a write landing after the fetch cannot swap in another.
-    let rootkey = state.mounted()?.rootkey;
-    let (supernode, version) = crate::enclave::open_supernode(&rootkey, supernode_uuid, &blob)?;
+    let (supernode, version) =
+        crate::enclave::open_supernode(&state.mounted()?.wrap, supernode_uuid, &blob)?;
     {
         let mounted = state.mounted()?;
         if version < mounted.supernode_version {
@@ -148,8 +148,9 @@ pub(crate) fn seal_rootkey(
     let mut payload = Vec::with_capacity(48);
     payload.extend_from_slice(rootkey);
     payload.extend_from_slice(&volume.0);
-    env.seal(SealPolicy::MrEnclave, &payload, ROOTKEY_SEAL_AAD)
-        .to_bytes()
+    let sealed = env.seal(SealPolicy::MrEnclave, &payload, ROOTKEY_SEAL_AAD).to_bytes();
+    nexus_crypto::ct::zeroize(&mut payload);
+    sealed
 }
 
 /// Unseals a rootkey blob produced by [`seal_rootkey`].
@@ -159,16 +160,18 @@ pub(crate) fn unseal_rootkey(
 ) -> Result<(RootKey, NexusUuid)> {
     let sealed = SealedData::from_bytes(sealed)
         .map_err(|e| NexusError::Seal(e.to_string()))?;
-    let payload = env
+    let mut payload = env
         .unseal(&sealed, ROOTKEY_SEAL_AAD)
         .map_err(|e| NexusError::Seal(e.to_string()))?;
     if payload.len() != 48 {
+        nexus_crypto::ct::zeroize(&mut payload);
         return Err(NexusError::Seal("sealed rootkey payload has wrong length".into()));
     }
     let mut rootkey = [0u8; 32];
     rootkey.copy_from_slice(&payload[..32]);
     let mut uuid = [0u8; 16];
     uuid.copy_from_slice(&payload[32..]);
+    nexus_crypto::ct::zeroize(&mut payload);
     Ok((rootkey, NexusUuid(uuid)))
 }
 

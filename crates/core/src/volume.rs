@@ -8,6 +8,7 @@
 use std::sync::Arc;
 
 use nexus_crypto::ed25519::{SigningKey, VerifyingKey};
+use nexus_crypto::gcm_siv::AesGcmSiv;
 use nexus_crypto::rng::SecureRandom;
 use nexus_sgx::{AttestationService, Enclave, EnclaveImage, Measurement, Platform};
 use nexus_storage::{IoStats, StorageBackend};
@@ -132,17 +133,8 @@ impl NexusVolume {
                 &owner_name,
                 owner_key,
             );
-            state.mounted = Some(Mounted {
-                rootkey,
-                supernode_uuid,
-                supernode,
-                supernode_version: 0,
-                supernode_storage_version: 0,
-                session: None,
-                meta_cache: Default::default(),
-                version_table: Default::default(),
-                manifest: None,
-            });
+            let wrap = AesGcmSiv::new(&rootkey);
+            state.mounted = Some(Mounted::new(rootkey, wrap, supernode_uuid, supernode, 0, 0));
 
             if config.merkle_freshness {
                 crate::freshness::create_manifest(state, &io)?;
@@ -180,22 +172,15 @@ impl NexusVolume {
         let volume_id = enclave.ecall(move |state, env| -> Result<NexusUuid> {
             state.config = Some(config);
             let (rootkey, uuid) = protocol::unseal_rootkey(env, &sealed_bytes)?;
+            // The one expansion of the rootkey for this mount.
+            let wrap = AesGcmSiv::new(&rootkey);
             let io = MetaIo::new(env, b.as_ref());
             // Probe before fetch: if a writer lands between the two, the
             // recorded probe is merely stale and the next probe refetches.
             let storage_version = io.version(&uuid).unwrap_or(0);
-            let (supernode, version) = crate::enclave::fetch_supernode(&io, &rootkey, uuid)?;
-            state.mounted = Some(Mounted {
-                rootkey,
-                supernode_uuid: uuid,
-                supernode,
-                supernode_version: version,
-                supernode_storage_version: storage_version,
-                session: None,
-                meta_cache: Default::default(),
-                version_table: Default::default(),
-                manifest: None,
-            });
+            let (supernode, version) = crate::enclave::fetch_supernode(&io, &wrap, uuid)?;
+            state.mounted =
+                Some(Mounted::new(rootkey, wrap, uuid, supernode, version, storage_version));
             Ok(uuid)
         })?;
         Ok(NexusVolume { enclave, backend, ias: ias.clone(), volume_id })

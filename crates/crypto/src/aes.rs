@@ -11,6 +11,11 @@
 //! foundation for the [`crate::gcm`] and [`crate::gcm_siv`] AEAD modes
 //! used throughout NEXUS and produce identical ciphertext.
 //!
+//! Only the forward cipher exists. GCM, GCM-SIV and their CTR keystreams
+//! run AES forwards on both sides of every operation, so an expanded key
+//! holds the encryption schedule alone: no inverse schedule is derived,
+//! kept or wiped.
+//!
 //! # Examples
 //!
 //! ```
@@ -19,10 +24,8 @@
 //! let key = [0u8; 16];
 //! let aes = Aes::new_128(&key);
 //! let mut block = *b"sixteen byte msg";
-//! let original = block;
 //! aes.encrypt_block(&mut block);
-//! aes.decrypt_block(&mut block);
-//! assert_eq!(block, original);
+//! assert_ne!(&block, b"sixteen byte msg");
 //! ```
 
 use crate::aes_ct::{self, AesCt};
@@ -71,7 +74,7 @@ enum Engine {
     HwAccel(AesNi),
 }
 
-/// An expanded AES key, ready to encrypt or decrypt 16-byte blocks.
+/// An expanded AES key, ready to encrypt 16-byte blocks.
 ///
 /// Round-key material (whichever form the engine holds) is volatilely
 /// zeroized when the value is dropped.
@@ -202,30 +205,6 @@ impl Aes {
         }
     }
 
-    /// Decrypts one 16-byte block in place.
-    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-        match &self.engine {
-            Engine::Bitsliced(ct) => {
-                let mut batch = [[0u8; 16]; 8];
-                batch[0] = *block;
-                ct.decrypt_blocks8(&mut batch);
-                *block = batch[0];
-            }
-            #[cfg(target_arch = "x86_64")]
-            Engine::HwAccel(ni) => ni.decrypt_block(block),
-        }
-    }
-
-    /// Decrypts eight 16-byte blocks in place — the inverse of
-    /// [`Aes::encrypt_blocks8`], in one native batch on either engine.
-    pub fn decrypt_blocks8(&self, blocks: &mut [[u8; 16]; 8]) {
-        match &self.engine {
-            Engine::Bitsliced(ct) => ct.decrypt_blocks8(blocks),
-            #[cfg(target_arch = "x86_64")]
-            Engine::HwAccel(ni) => ni.decrypt_blocks8(blocks),
-        }
-    }
-
     /// Volatile best-effort clear of the engine's round keys (also invoked
     /// by `Drop`; kept separate so tests can observe the cleared state).
     fn wipe(&mut self) {
@@ -292,8 +271,6 @@ mod tests {
         let aes = Aes::new_128(&key);
         aes.encrypt_block(&mut block);
         assert_eq!(block.to_vec(), unhex("3925841d02dc09fbdc118597196a0b32"));
-        aes.decrypt_block(&mut block);
-        assert_eq!(block.to_vec(), unhex("3243f6a8885a308d313198a2e0370734"));
     }
 
     #[test]
@@ -315,24 +292,6 @@ mod tests {
         let aes = Aes::new_256(&key);
         aes.encrypt_block(&mut block);
         assert_eq!(block.to_vec(), unhex("8ea2b7ca516745bfeafc49904b496089"));
-        aes.decrypt_block(&mut block);
-        assert_eq!(block.to_vec(), unhex("00112233445566778899aabbccddeeff"));
-    }
-
-    #[test]
-    fn encrypt_decrypt_roundtrip_random_keys() {
-        use crate::rng::{SecureRandom, SeededRandom};
-        let mut rng = SeededRandom::new(7);
-        for _ in 0..50 {
-            let key: [u8; 32] = rng.bytes();
-            let aes = Aes::new_256(&key);
-            let plain: [u8; 16] = rng.bytes();
-            let mut block = plain;
-            aes.encrypt_block(&mut block);
-            assert_ne!(block, plain);
-            aes.decrypt_block(&mut block);
-            assert_eq!(block, plain);
-        }
     }
 
     #[test]
@@ -390,14 +349,12 @@ mod tests {
                 let mut block: [u8; 16] = unhex(plain_hex).try_into().unwrap();
                 aes.encrypt_block(&mut block);
                 assert_eq!(block.to_vec(), unhex(cipher_hex), "{backend:?}");
-                aes.decrypt_block(&mut block);
-                assert_eq!(block.to_vec(), unhex(plain_hex), "{backend:?}");
             }
         }
     }
 
     /// What dispatch picks encrypts as the table-driven FIPS 197 reference
-    /// (`nexus_testkit::spec`) does, batched and single, and decrypts back.
+    /// (`nexus_testkit::spec`) does, batched and single.
     #[test]
     fn default_engine_matches_table_engine() {
         use crate::rng::{SecureRandom, SeededRandom};
@@ -420,8 +377,6 @@ mod tests {
                 let mut single = batch[0];
                 hard.encrypt_block(&mut single);
                 assert_eq!(single, expect[0]);
-                hard.decrypt_block(&mut single);
-                assert_eq!(single, batch[0]);
             }
         }
     }
@@ -482,13 +437,9 @@ mod tests {
                 let mut enc = batch;
                 aes.encrypt_blocks8(&mut enc);
                 assert_eq!(enc, expect, "{backend:?} encrypt_blocks8");
-                aes.decrypt_blocks8(&mut enc);
-                assert_eq!(enc, batch, "{backend:?} decrypt_blocks8");
                 let mut single = batch[3];
                 aes.encrypt_block(&mut single);
                 assert_eq!(single, expect[3], "{backend:?} encrypt_block");
-                aes.decrypt_block(&mut single);
-                assert_eq!(single, batch[3], "{backend:?} decrypt_block");
             }
         }
     }
@@ -499,8 +450,9 @@ mod tests {
             let mut aes = Aes::with_backend(&[0x5au8; 16], KeySize::Aes128, backend);
             aes.wipe();
             match &aes.engine {
-                // The plane form is private to `aes_ct`.
-                Engine::Bitsliced(_) => {}
+                Engine::Bitsliced(ct) => {
+                    assert!(ct.planes().iter().flatten().all(|&plane| plane == 0));
+                }
                 #[cfg(target_arch = "x86_64")]
                 Engine::HwAccel(ni) => {
                     assert!(ni.round_keys().iter().all(|rk| rk.iter().all(|&b| b == 0)));

@@ -164,19 +164,6 @@ fn sub_bytes(q: &mut [u128; 8]) {
     }
 }
 
-/// Bitsliced InvSubBytes: inverse affine map
-/// `b_i = y_{i+2} ⊕ y_{i+5} ⊕ y_{i+7} ⊕ 0x05_i`, then inversion.
-fn inv_sub_bytes(q: &mut [u128; 8]) {
-    let mut t = [0u128; 8];
-    for (i, plane) in t.iter_mut().enumerate() {
-        *plane = q[(i + 2) % 8]
-            ^ q[(i + 5) % 8]
-            ^ q[(i + 7) % 8]
-            ^ (if (0x05 >> i) & 1 == 1 { ONES } else { 0 });
-    }
-    *q = ginv(&t);
-}
-
 /// Bitsliced ShiftRows. State byte `4c + r` sits at bit `4c + r` of each
 /// block group; row `r` rotates left by `r` columns, i.e. bit `p` takes
 /// the value of bit `p + 4r` within its group.
@@ -187,17 +174,6 @@ fn shift_rows(q: &mut [u128; 8]) {
             | rotr16(p & rep16(0x1111 << 1), 4)
             | rotr16(p & rep16(0x1111 << 2), 8)
             | rotr16(p & rep16(0x1111 << 3), 12);
-    }
-}
-
-/// Bitsliced InvShiftRows (rotations in the opposite direction).
-fn inv_shift_rows(q: &mut [u128; 8]) {
-    for plane in q.iter_mut() {
-        let p = *plane;
-        *plane = (p & rep16(0x1111))
-            | rotr16(p & rep16(0x1111 << 1), 12)
-            | rotr16(p & rep16(0x1111 << 2), 8)
-            | rotr16(p & rep16(0x1111 << 3), 4);
     }
 }
 
@@ -222,33 +198,6 @@ fn mix_columns(q: &mut [u128; 8]) {
     for i in 0..8 {
         q[i] = doubled[i] ^ rest[i];
     }
-}
-
-/// Bitsliced InvMixColumns: `0e·s ⊕ 0b·rot1 ⊕ 0d·rot2 ⊕ 09·rot3`, each
-/// constant multiple assembled from `xtime` chains (x2, x4, x8).
-fn inv_mix_columns(q: &mut [u128; 8]) {
-    let mut acc = [0u128; 8];
-    for k in 0..4u32 {
-        let mut u = *q;
-        if k > 0 {
-            for plane in u.iter_mut() {
-                *plane = rotr4(*plane, k);
-            }
-        }
-        let x2 = xt(&u);
-        let x4 = xt(&x2);
-        let x8 = xt(&x4);
-        for i in 0..8 {
-            // Constants by rotation: 0x0e, 0x0b, 0x0d, 0x09.
-            acc[i] ^= match k {
-                0 => x8[i] ^ x4[i] ^ x2[i],
-                1 => x8[i] ^ x2[i] ^ u[i],
-                2 => x8[i] ^ x4[i] ^ u[i],
-                _ => x8[i] ^ u[i],
-            };
-        }
-    }
-    *q = acc;
 }
 
 #[inline(always)]
@@ -337,28 +286,16 @@ impl AesCt {
         unpack(&q, blocks);
     }
 
-    /// Decrypts eight blocks in place (inverse round order).
-    pub(crate) fn decrypt_blocks8(&self, blocks: &mut [[u8; 16]; 8]) {
-        let mut q = pack(blocks);
-        xor_planes(&mut q, &self.rk_planes[self.rounds]);
-        inv_shift_rows(&mut q);
-        inv_sub_bytes(&mut q);
-        for rk in self.rk_planes[1..self.rounds].iter().rev() {
-            xor_planes(&mut q, rk);
-            inv_mix_columns(&mut q);
-            inv_shift_rows(&mut q);
-            inv_sub_bytes(&mut q);
-        }
-        xor_planes(&mut q, &self.rk_planes[0]);
-        unpack(&q, blocks);
-    }
-
     /// Best-effort volatile clear of the round-key planes (called from
     /// [`crate::aes::Aes`]'s `Drop`).
     pub(crate) fn wipe(&mut self) {
-        for planes in self.rk_planes.iter_mut() {
-            crate::ct::zeroize_u128(planes);
-        }
+        crate::ct::zeroize_u128(self.rk_planes.as_flattened_mut());
+    }
+
+    /// The round-key planes, for the tests that check the wipe.
+    #[cfg(test)]
+    pub(crate) fn planes(&self) -> &[[u128; 8]] {
+        &self.rk_planes
     }
 }
 
@@ -426,30 +363,17 @@ mod tests {
         }
     }
 
-    /// The inverse S-box undoes the table's S-box on every byte.
-    #[test]
-    fn bitsliced_inv_sub_bytes_matches_table_for_all_bytes() {
-        for base in [0usize, 128] {
-            let out = map_lanes(base, inv_sub_bytes);
-            for lane in 0..128 {
-                assert_eq!(SBOX[out[lane] as usize] as usize, base + lane, "byte {}", base + lane);
-            }
-        }
-    }
-
     /// ShiftRows and MixColumns on the planes match the spec's byte-level
-    /// transforms, and their inverses undo them.
+    /// transforms.
     #[test]
     fn bitsliced_row_column_ops_match_byte_reference() {
         use crate::rng::{SecureRandom, SeededRandom};
         let mut rng = SeededRandom::new(9);
         type PlaneOp = fn(&mut [u128; 8]);
         type ByteOp = fn(&mut [u8; 16]);
-        let cases: [(PlaneOp, PlaneOp, ByteOp); 2] = [
-            (shift_rows, inv_shift_rows, spec::shift_rows),
-            (mix_columns, inv_mix_columns, spec::mix_columns),
-        ];
-        for (plane_op, inverse, byte_op) in cases {
+        let cases: [(PlaneOp, ByteOp); 2] =
+            [(shift_rows, spec::shift_rows), (mix_columns, spec::mix_columns)];
+        for (plane_op, byte_op) in cases {
             for _ in 0..20 {
                 let mut blocks = [[0u8; 16]; 8];
                 for b in blocks.iter_mut() {
@@ -464,9 +388,6 @@ mod tests {
                 let mut got = [[0u8; 16]; 8];
                 unpack(&q, &mut got);
                 assert_eq!(got, expect);
-                inverse(&mut q);
-                unpack(&q, &mut got);
-                assert_eq!(got, blocks);
             }
         }
     }

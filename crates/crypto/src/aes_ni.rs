@@ -7,9 +7,8 @@
 //! branch — constant-time by construction, and several times faster than
 //! the T-table lane. The key schedule runs through AESKEYGENASSIST (the
 //! S-box lookups happen inside the ALU, so key bytes never index memory
-//! either), and decryption uses the Equivalent Inverse Cipher: round keys
-//! passed through AESIMC, applied in reverse with AESDEC/AESDECLAST
-//! (FIPS 197 §5.3.5).
+//! either). Only the encryption schedule is expanded: every mode in this
+//! crate runs AES forwards.
 //!
 //! Everything here is `unsafe` at the instruction level but sound by
 //! construction: [`AesNi::new`] refuses to build unless
@@ -27,9 +26,9 @@
 //! (latency ~4 cycles, throughput 1/cycle on current cores).
 
 use core::arch::x86_64::{
-    __m128i, _mm_aesdec_si128, _mm_aesdeclast_si128, _mm_aesenc_si128, _mm_aesenclast_si128,
-    _mm_aesimc_si128, _mm_aeskeygenassist_si128, _mm_loadu_si128, _mm_setzero_si128,
-    _mm_shuffle_epi32, _mm_slli_si128, _mm_storeu_si128, _mm_xor_si128,
+    __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_aeskeygenassist_si128,
+    _mm_loadu_si128, _mm_setzero_si128, _mm_shuffle_epi32, _mm_slli_si128, _mm_storeu_si128,
+    _mm_xor_si128,
 };
 
 use crate::aes::KeySize;
@@ -40,15 +39,13 @@ const MAX_RK: usize = 15;
 /// An AES key expanded for the AES-NI lane.
 ///
 /// Round keys are stored as plain byte arrays (loaded into vector
-/// registers per call); both the encryption and the AESIMC-transformed
-/// decryption schedules are wiped by [`AesNi::wipe`], which the owning
+/// registers per call) and wiped by [`AesNi::wipe`], which the owning
 /// [`crate::aes::Aes`] invokes from its `Drop`.
 #[derive(Clone)]
 pub(crate) struct AesNi {
-    /// Encryption round keys, `ek[0]` = whitening key.
+    /// Encryption round keys, `ek[0]` = whitening key; past
+    /// `ek[rounds]` the array stays zero.
     ek: [[u8; 16]; MAX_RK],
-    /// Equivalent-inverse-cipher round keys, `dk[0]` = last encryption key.
-    dk: [[u8; 16]; MAX_RK],
     rounds: usize,
 }
 
@@ -153,18 +150,9 @@ impl AesNi {
                 even!(14, 0x40);
             }
         }
-        // Equivalent Inverse Cipher schedule: reverse order, inner keys
-        // through InvMixColumns (AESIMC).
-        let mut d = [_mm_setzero_si128(); MAX_RK];
-        d[0] = w[rounds];
-        for i in 1..rounds {
-            d[i] = _mm_aesimc_si128(w[rounds - i]);
-        }
-        d[rounds] = w[0];
-        let mut out = AesNi { ek: [[0u8; 16]; MAX_RK], dk: [[0u8; 16]; MAX_RK], rounds };
-        for i in 0..=rounds {
-            _mm_storeu_si128(out.ek[i].as_mut_ptr() as *mut __m128i, w[i]);
-            _mm_storeu_si128(out.dk[i].as_mut_ptr() as *mut __m128i, d[i]);
+        let mut out = AesNi { ek: [[0u8; 16]; MAX_RK], rounds };
+        for (rk, v) in out.ek.iter_mut().zip(w).take(rounds + 1) {
+            _mm_storeu_si128(rk.as_mut_ptr() as *mut __m128i, v);
         }
         out
     }
@@ -176,23 +164,11 @@ impl AesNi {
         unsafe { self.encrypt_block_impl(block) }
     }
 
-    /// Decrypts one block.
-    pub(crate) fn decrypt_block(&self, block: &mut [u8; 16]) {
-        // SAFETY: `new` asserted AES-NI availability.
-        unsafe { self.decrypt_block_impl(block) }
-    }
-
     /// Encrypts eight independent blocks, interleaved to keep the AESENC
     /// pipeline saturated.
     pub(crate) fn encrypt_blocks8(&self, blocks: &mut [[u8; 16]; 8]) {
         // SAFETY: `new` asserted AES-NI availability.
         unsafe { self.encrypt_blocks8_impl(blocks) }
-    }
-
-    /// Decrypts eight independent blocks.
-    pub(crate) fn decrypt_blocks8(&self, blocks: &mut [[u8; 16]; 8]) {
-        // SAFETY: `new` asserted AES-NI availability.
-        unsafe { self.decrypt_blocks8_impl(blocks) }
     }
 
     #[target_feature(enable = "aes")]
@@ -203,17 +179,6 @@ impl AesNi {
             s = _mm_aesenc_si128(s, load(&self.ek[r]));
         }
         s = _mm_aesenclast_si128(s, load(&self.ek[self.rounds]));
-        _mm_storeu_si128(block.as_mut_ptr() as *mut __m128i, s);
-    }
-
-    #[target_feature(enable = "aes")]
-    unsafe fn decrypt_block_impl(&self, block: &mut [u8; 16]) {
-        let mut s = _mm_loadu_si128(block.as_ptr() as *const __m128i);
-        s = _mm_xor_si128(s, load(&self.dk[0]));
-        for r in 1..self.rounds {
-            s = _mm_aesdec_si128(s, load(&self.dk[r]));
-        }
-        s = _mm_aesdeclast_si128(s, load(&self.dk[self.rounds]));
         _mm_storeu_si128(block.as_mut_ptr() as *mut __m128i, s);
     }
 
@@ -242,36 +207,11 @@ impl AesNi {
         }
     }
 
-    #[target_feature(enable = "aes")]
-    unsafe fn decrypt_blocks8_impl(&self, blocks: &mut [[u8; 16]; 8]) {
-        let mut s = [_mm_setzero_si128(); 8];
-        for (v, b) in s.iter_mut().zip(blocks.iter()) {
-            *v = _mm_loadu_si128(b.as_ptr() as *const __m128i);
-        }
-        let k = load(&self.dk[0]);
-        for v in s.iter_mut() {
-            *v = _mm_xor_si128(*v, k);
-        }
-        for r in 1..self.rounds {
-            let k = load(&self.dk[r]);
-            for v in s.iter_mut() {
-                *v = _mm_aesdec_si128(*v, k);
-            }
-        }
-        let k = load(&self.dk[self.rounds]);
-        for v in s.iter_mut() {
-            *v = _mm_aesdeclast_si128(*v, k);
-        }
-        for (v, b) in s.iter().zip(blocks.iter_mut()) {
-            _mm_storeu_si128(b.as_mut_ptr() as *mut __m128i, *v);
-        }
-    }
-
-    /// Volatile clear of both round-key schedules (invoked by
-    /// [`crate::aes::Aes::drop`] via its `wipe`).
+    /// Volatile clear of the round keys [`AesNi::new`] filled, the rest
+    /// being zero already (invoked by [`crate::aes::Aes::drop`] via its
+    /// `wipe`).
     pub(crate) fn wipe(&mut self) {
-        crate::ct::zeroize(self.ek.as_flattened_mut());
-        crate::ct::zeroize(self.dk.as_flattened_mut());
+        crate::ct::zeroize(self.ek[..=self.rounds].as_flattened_mut());
     }
 }
 
@@ -345,8 +285,6 @@ mod tests {
             let mut block: [u8; 16] = unhex(plain_hex).try_into().unwrap();
             ni.encrypt_block(&mut block);
             assert_eq!(block.to_vec(), unhex(cipher_hex));
-            ni.decrypt_block(&mut block);
-            assert_eq!(block.to_vec(), unhex(plain_hex));
         }
     }
 
@@ -370,8 +308,6 @@ mod tests {
                 ni.encrypt_block(&mut a);
                 spec::Aes::new(key).encrypt_block(&mut b);
                 assert_eq!(a, b);
-                ni.decrypt_block(&mut a);
-                assert_eq!(a, plain);
             }
         }
     }
@@ -390,29 +326,28 @@ mod tests {
             for b in batch.iter_mut() {
                 *b = rng.bytes();
             }
-            let plain = batch;
             let mut singles = batch;
             ni.encrypt_blocks8(&mut batch);
             for b in singles.iter_mut() {
                 ni.encrypt_block(b);
             }
             assert_eq!(batch, singles);
-            ni.decrypt_blocks8(&mut batch);
-            assert_eq!(batch, plain);
         }
     }
 
+    /// Both key sizes: every round key the schedule filled is non-zero
+    /// before the wipe, and the whole array is zero after it.
     #[test]
-    fn wipe_clears_both_schedules() {
+    fn wipe_clears_the_schedule() {
         if !hw() {
             return;
         }
-        let mut ni = AesNi::new(&[0x5a; 16], KeySize::Aes128);
-        assert!(ni.ek.iter().any(|rk| rk.iter().any(|&b| b != 0)));
-        assert!(ni.dk.iter().any(|rk| rk.iter().any(|&b| b != 0)));
-        ni.wipe();
-        assert!(ni.ek.iter().all(|rk| rk.iter().all(|&b| b == 0)));
-        assert!(ni.dk.iter().all(|rk| rk.iter().all(|&b| b == 0)));
+        for (key, size) in [(&[0x5a; 16][..], KeySize::Aes128), (&[0xa5; 32][..], KeySize::Aes256)] {
+            let mut ni = AesNi::new(key, size);
+            assert!(ni.round_keys().iter().all(|rk| rk.iter().any(|&b| b != 0)));
+            ni.wipe();
+            assert!(ni.ek.iter().all(|rk| rk.iter().all(|&b| b == 0)));
+        }
     }
 
     #[test]

@@ -236,28 +236,27 @@ impl AesGcmSiv {
         AesGcmSiv::new(key)
     }
 
-    /// Per-nonce key derivation (RFC 8452 §4), running six block
-    /// encryptions under the cached key-generating-key schedule.
-    fn derive_keys(&self, nonce: &[u8; NONCE_LEN]) -> ([u8; 16], Vec<u8>) {
-        let half = |counter: u32| -> [u8; 8] {
-            let mut block = [0u8; 16];
-            block[..4].copy_from_slice(&counter.to_le_bytes());
+    /// Per-nonce key derivation (RFC 8452 §4): four block encryptions
+    /// under the cached key-generating-key schedule (six for a 256-bit
+    /// key), one 8-byte half of key material each. Returns the
+    /// authentication key and the record-encryption cipher; both derived
+    /// keys are volatilely cleared before it returns (the expanded form
+    /// lives in the returned [`Aes`], which zeroizes itself on drop).
+    fn derive_keys(&self, nonce: &[u8; NONCE_LEN]) -> ([u8; 16], Aes) {
+        let mut halves = [0u8; 48];
+        let mut block = [0u8; 16];
+        for (counter, half) in halves.chunks_exact_mut(8).take(2 + self.key_len / 8).enumerate() {
+            block[..4].copy_from_slice(&(counter as u32).to_le_bytes());
             block[4..].copy_from_slice(nonce);
             self.kgk.encrypt_block(&mut block);
-            block[..8].try_into().expect("8-byte half")
-        };
-        let mut auth_key = [0u8; 16];
-        auth_key[..8].copy_from_slice(&half(0));
-        auth_key[8..].copy_from_slice(&half(1));
-        let enc_key_len = self.key_len;
-        let mut enc_key = Vec::with_capacity(enc_key_len);
-        enc_key.extend_from_slice(&half(2));
-        enc_key.extend_from_slice(&half(3));
-        if enc_key_len == 32 {
-            enc_key.extend_from_slice(&half(4));
-            enc_key.extend_from_slice(&half(5));
+            half.copy_from_slice(&block[..8]);
         }
-        (auth_key, enc_key)
+        let auth_key: [u8; 16] = halves[..16].try_into().expect("16-byte auth key");
+        let size = if self.key_len == 16 { KeySize::Aes128 } else { KeySize::Aes256 };
+        let enc = Aes::with_backend(&halves[16..16 + self.key_len], size, self.kgk.backend());
+        crate::ct::zeroize(&mut halves);
+        crate::ct::zeroize(&mut block);
+        (auth_key, enc)
     }
 
     fn polyval_tag(
@@ -283,16 +282,6 @@ impl AesGcmSiv {
         s
     }
 
-    /// Builds the per-nonce record-encryption cipher and volatilely clears
-    /// the raw derived key bytes (the expanded form lives inside the
-    /// returned [`Aes`], which zeroizes itself on drop).
-    fn enc_cipher(&self, enc_key: &mut Vec<u8>) -> Aes {
-        let size = if enc_key.len() == 16 { KeySize::Aes128 } else { KeySize::Aes256 };
-        let enc = Aes::with_backend(enc_key, size, self.kgk.backend());
-        crate::ct::zeroize(enc_key);
-        enc
-    }
-
     /// AES-CTR with the GCM-SIV convention: 32-bit little-endian counter in
     /// the first four bytes.
     fn ctr_xor(enc: &Aes, tag: &[u8; 16], data: &mut [u8]) {
@@ -310,6 +299,27 @@ impl AesGcmSiv {
         }
     }
 
+    /// Appends the encryption of `plaintext` to `out` and returns the
+    /// tag. `out` must have room for it: the plaintext is copied in and
+    /// encrypted where it lies, so a reallocation in between would leave a
+    /// copy of it in freed memory.
+    fn seal_onto(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        plaintext: &[u8],
+        out: &mut Vec<u8>,
+    ) -> [u8; TAG_LEN] {
+        debug_assert!(out.capacity() - out.len() >= plaintext.len());
+        let (mut auth_key, enc) = self.derive_keys(nonce);
+        let tag = Self::polyval_tag(&auth_key, &enc, nonce, aad, plaintext);
+        crate::ct::zeroize(&mut auth_key);
+        let start = out.len();
+        out.extend_from_slice(plaintext);
+        Self::ctr_xor(&enc, &tag, &mut out[start..]);
+        tag
+    }
+
     /// Encrypts `plaintext`, returning the ciphertext and detached tag.
     pub fn seal_detached(
         &self,
@@ -317,20 +327,18 @@ impl AesGcmSiv {
         aad: &[u8],
         plaintext: &[u8],
     ) -> (Vec<u8>, [u8; TAG_LEN]) {
-        let (mut auth_key, mut enc_key) = self.derive_keys(nonce);
-        let enc = self.enc_cipher(&mut enc_key);
-        let tag = Self::polyval_tag(&auth_key, &enc, nonce, aad, plaintext);
-        crate::ct::zeroize(&mut auth_key);
-        let mut ct = plaintext.to_vec();
-        Self::ctr_xor(&enc, &tag, &mut ct);
+        let mut ct = Vec::with_capacity(plaintext.len());
+        let tag = self.seal_onto(nonce, aad, plaintext, &mut ct);
         (ct, tag)
     }
 
-    /// Encrypts `plaintext` and returns `ciphertext || tag`.
+    /// Encrypts `plaintext` and returns `ciphertext || tag`, allocated once
+    /// at its final length.
     pub fn seal(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-        let (mut ct, tag) = self.seal_detached(nonce, aad, plaintext);
-        ct.extend_from_slice(&tag);
-        ct
+        let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
+        let tag = self.seal_onto(nonce, aad, plaintext, &mut out);
+        out.extend_from_slice(&tag);
+        out
     }
 
     /// Verifies and decrypts a detached-tag ciphertext.
@@ -364,8 +372,7 @@ impl AesGcmSiv {
         buf: &mut [u8],
         tag: &[u8; TAG_LEN],
     ) -> Result<(), AeadError> {
-        let (mut auth_key, mut enc_key) = self.derive_keys(nonce);
-        let enc = self.enc_cipher(&mut enc_key);
+        let (mut auth_key, enc) = self.derive_keys(nonce);
         Self::ctr_xor(&enc, tag, buf);
         let expected = Self::polyval_tag(&auth_key, &enc, nonce, aad, buf);
         crate::ct::zeroize(&mut auth_key);
@@ -393,6 +400,32 @@ impl AesGcmSiv {
         let (ct, tag) = sealed.split_at(sealed.len() - TAG_LEN);
         let tag: [u8; TAG_LEN] = tag.try_into().expect("split length");
         self.open_detached(nonce, aad, ct, &tag)
+    }
+
+    /// Opens a `ciphertext || tag` buffer produced by [`AesGcmSiv::seal`]
+    /// into `out`, which the caller owns and wipes: the way to unwrap a
+    /// key without the plaintext ever sitting in a heap buffer this
+    /// function frees. On a refusal `out` is left zeroed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AeadError`] if `sealed` is not exactly `out.len()` bytes
+    /// of ciphertext plus a tag, or if the tag fails.
+    pub fn open_into(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        sealed: &[u8],
+        out: &mut [u8],
+    ) -> Result<(), AeadError> {
+        if sealed.len() != out.len() + TAG_LEN {
+            crate::ct::zeroize(out);
+            return Err(AeadError);
+        }
+        let (ct, tag) = sealed.split_at(out.len());
+        let tag: [u8; TAG_LEN] = tag.try_into().expect("split length");
+        out.copy_from_slice(ct);
+        self.open_in_place(nonce, aad, out, &tag)
     }
 }
 
@@ -605,6 +638,29 @@ mod tests {
             let (ct_fast, tag_fast) = siv.seal_detached(&[7u8; 12], &aad, b"small");
             let (ct_ref, tag_ref) = spec::gcm_siv_seal(&key, &[7u8; 12], &aad, b"small");
             assert_eq!((ct_fast, tag_fast), (ct_ref, tag_ref), "aad-driven batch diverged");
+        }
+    }
+
+    /// `open_into` unwraps into the caller's array; a tampered wrap or a
+    /// destination of the wrong length leaves that array zeroed.
+    #[test]
+    fn open_into_fills_the_callers_array_or_zeroes_it() {
+        for backend in backends() {
+            let siv = AesGcmSiv::with_backend(&[0x19u8; 32], backend);
+            let nonce = [0x2au8; 12];
+            let sealed = siv.seal(&nonce, b"uuid", &[0x3bu8; 16]);
+            assert_eq!(sealed.len(), 16 + TAG_LEN);
+            assert_eq!(sealed.capacity(), sealed.len(), "{backend:?}: the wrap grew after its seal");
+            let mut key = [0u8; 16];
+            siv.open_into(&nonce, b"uuid", &sealed, &mut key).unwrap();
+            assert_eq!(key, [0x3bu8; 16], "{backend:?}");
+            let mut tampered = sealed.clone();
+            tampered[3] ^= 1;
+            assert!(siv.open_into(&nonce, b"uuid", &tampered, &mut key).is_err());
+            assert_eq!(key, [0u8; 16], "{backend:?}: a refused open left bytes behind");
+            let mut short = [0x77u8; 15];
+            assert!(siv.open_into(&nonce, b"uuid", &sealed, &mut short).is_err());
+            assert_eq!(short, [0u8; 15], "{backend:?}");
         }
     }
 

@@ -78,28 +78,50 @@ pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; 32] {
 ///
 /// Panics if `out_len > 255 * 32` as required by the RFC.
 pub fn hkdf_expand(prk: &[u8; 32], info: &[u8], out_len: usize) -> Vec<u8> {
-    assert!(out_len <= 255 * 32, "HKDF output too long");
-    let mut out = Vec::with_capacity(out_len);
-    let mut t: Vec<u8> = Vec::new();
-    let mut counter = 1u8;
-    while out.len() < out_len {
-        let mut msg = Vec::with_capacity(t.len() + info.len() + 1);
-        msg.extend_from_slice(&t);
-        msg.extend_from_slice(info);
-        msg.push(counter);
-        let block = hmac_sha256(prk, &msg);
-        t = block.to_vec();
-        let take = (out_len - out.len()).min(32);
-        out.extend_from_slice(&block[..take]);
-        counter = counter.wrapping_add(1);
-    }
+    let mut out = vec![0u8; out_len];
+    hkdf_expand_into(prk, info, &mut out);
     out
+}
+
+/// [`hkdf_expand`] into `out`. Every intermediate block is volatilely
+/// cleared before it returns.
+///
+/// # Panics
+///
+/// Panics if `out.len() > 255 * 32` as required by the RFC.
+fn hkdf_expand_into(prk: &[u8; 32], info: &[u8], out: &mut [u8]) {
+    assert!(out.len() <= 255 * 32, "HKDF output too long");
+    let mut msg = Vec::with_capacity(32 + info.len() + 1);
+    let mut t = [0u8; 32];
+    for (i, chunk) in out.chunks_mut(32).enumerate() {
+        msg.clear();
+        if i > 0 {
+            msg.extend_from_slice(&t);
+        }
+        msg.extend_from_slice(info);
+        msg.push(i as u8 + 1);
+        t = hmac_sha256(prk, &msg);
+        chunk.copy_from_slice(&t[..chunk.len()]);
+    }
+    // Each T(i) is output key material, and `msg` held every one but the
+    // last (`msg` never reallocated: its capacity fits the longest input).
+    crate::ct::zeroize(&mut t);
+    crate::ct::zeroize(&mut msg);
 }
 
 /// Convenience: full HKDF extract-then-expand.
 pub fn hkdf(salt: &[u8], ikm: &[u8], info: &[u8], out_len: usize) -> Vec<u8> {
-    let prk = hkdf_extract(salt, ikm);
-    hkdf_expand(&prk, info, out_len)
+    let mut out = vec![0u8; out_len];
+    hkdf_into(salt, ikm, info, &mut out);
+    out
+}
+
+/// [`hkdf`] into a buffer the caller owns; the pseudorandom key and every
+/// intermediate block are volatilely cleared before it returns.
+pub fn hkdf_into(salt: &[u8], ikm: &[u8], info: &[u8], out: &mut [u8]) {
+    let mut prk = hkdf_extract(salt, ikm);
+    hkdf_expand_into(&prk, info, out);
+    crate::ct::zeroize(&mut prk);
 }
 
 #[cfg(test)]

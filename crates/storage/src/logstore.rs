@@ -1144,6 +1144,35 @@ mod tests {
         assert!(store.audit().is_empty(), "{:?}", store.audit());
     }
 
+    /// The image is hashed, the checkpoint sorted: two stores filled in
+    /// opposite orders write byte-identical checkpoints, and each reopens
+    /// from its checkpoint clean.
+    #[test]
+    fn checkpoints_do_not_depend_on_insertion_order() {
+        let names: Vec<String> =
+            (0..200u32).map(|i| format!("{:08x}", i.wrapping_mul(0x9e37_79b9))).collect();
+        let checkpoint = |order: Vec<&String>| {
+            let root = tmp();
+            let store = open_cfg(&root, 0);
+            for name in order {
+                store.put(name, name.as_bytes()).unwrap();
+                if name.ends_with(['1', 'c']) {
+                    store.lock(name, 7).unwrap();
+                }
+            }
+            store.checkpoint_now().unwrap();
+            assert!(store.audit().is_empty(), "{:?}", store.audit());
+            drop(store);
+            let reopened = LogBackend::open(&root).unwrap();
+            assert_eq!(reopened.list("").len(), names.len());
+            fs::read(root.join(ckpt_name(1))).unwrap()
+        };
+        let forward = checkpoint(names.iter().collect());
+        let backward = checkpoint(names.iter().rev().collect());
+        assert!(forward.len() > 200 * 8);
+        assert!(forward == backward, "checkpoints differ");
+    }
+
     #[test]
     fn torn_tail_is_truncated_on_recovery() {
         let root = tmp();

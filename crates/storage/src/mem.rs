@@ -4,7 +4,11 @@
 //! `ObjectMap` is the one place that decides how a store holds objects
 //! in memory: versioned objects (a put bumps the version, a delete ends
 //! the chain), bounds-checked ranged reads, sorted prefix listing, and the
-//! advisory lock table whose owner may re-take its own lock.
+//! advisory lock table whose owner may re-take its own lock. Objects and
+//! locks are hashed, sorted on the way out: a lookup by name is one hash
+//! probe, and every listing (`list`, `objects`, `locks`) sorts what it
+//! returns by path, so listings, `LogBackend` checkpoints and audit
+//! replays come out in the same order whatever order the objects went in.
 //! [`MemBackend`] keeps one behind a single `RwLock`; `LogBackend`
 //! ([`crate::logstore`]) keeps its live image, its checkpoints and its
 //! audit replays in one.
@@ -24,8 +28,7 @@
 //! reader holds never change, and a shrunken object never pins its old
 //! size.
 
-use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::collections::HashMap;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
@@ -43,12 +46,13 @@ fn not_found(path: &str) -> StorageError {
     StorageError::NotFound(path.to_string())
 }
 
-/// A store's in-memory image: versioned objects and advisory locks.
+/// A store's in-memory image: versioned objects and advisory locks, in
+/// hash maps (module doc).
 #[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct ObjectMap {
-    objects: BTreeMap<String, Object>,
+    objects: HashMap<String, Object>,
     /// path → owner holding the advisory lock.
-    locks: BTreeMap<String, u64>,
+    locks: HashMap<String, u64>,
 }
 
 impl ObjectMap {
@@ -113,21 +117,30 @@ impl ObjectMap {
 
     /// Paths starting with `prefix`, sorted.
     pub(crate) fn list(&self, prefix: &str) -> Vec<String> {
-        self.objects
-            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, _)| k.clone())
-            .collect()
+        let mut paths: Vec<String> =
+            self.objects.keys().filter(|p| p.starts_with(prefix)).cloned().collect();
+        paths.sort_unstable();
+        paths
     }
 
     /// `(path, version, bytes)` of every object, sorted by path.
     pub(crate) fn objects(&self) -> impl Iterator<Item = (&str, u64, &[u8])> {
-        self.objects.iter().map(|(p, o)| (p.as_str(), o.version, o.data.as_slice()))
+        let mut objects: Vec<_> =
+            self.objects.iter().map(|(p, o)| (p.as_str(), o.version, o.data.as_slice())).collect();
+        objects.sort_unstable_by_key(|&(path, ..)| path);
+        objects.into_iter()
+    }
+
+    /// Total payload bytes of every object.
+    pub(crate) fn total_bytes(&self) -> u64 {
+        self.objects.values().map(|o| o.data.len() as u64).sum()
     }
 
     /// `(path, owner)` of every held lock, sorted by path.
     pub(crate) fn locks(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.locks.iter().map(|(p, &o)| (p.as_str(), o))
+        let mut locks: Vec<_> = self.locks.iter().map(|(p, &o)| (p.as_str(), o)).collect();
+        locks.sort_unstable_by_key(|&(path, _)| path);
+        locks.into_iter()
     }
 
     /// Fails when another owner holds `path`'s lock; its holder may take
@@ -191,7 +204,7 @@ impl MemBackend {
 
     /// Total payload bytes stored.
     pub fn total_bytes(&self) -> u64 {
-        self.map.read().objects().map(|(_, _, data)| data.len() as u64).sum()
+        self.map.read().total_bytes()
     }
 
     pub(crate) fn get_arc(&self, path: &str) -> Result<(Arc<Vec<u8>>, u64), StorageError> {
@@ -368,6 +381,50 @@ mod tests {
         }
         names.sort_unstable();
         assert_eq!(store.list(""), names);
+    }
+
+    /// Objects and locks hashed, listings sorted: two maps filled in
+    /// opposite orders give the same `list`, `objects` and `locks`, and
+    /// each comes out sorted by path.
+    #[test]
+    fn insertion_order_changes_no_listing() {
+        // Names in two namespaces, in an order no sort produces.
+        let names: Vec<String> = (0..300u32)
+            .map(|i| {
+                let spread = i.wrapping_mul(0x9e37_79b9);
+                if i % 3 == 0 { format!("meta/{spread:08x}") } else { format!("{spread:08x}") }
+            })
+            .collect();
+        let fill = |order: Vec<&String>| {
+            let mut map = ObjectMap::default();
+            for name in order {
+                map.put(name, name.as_bytes());
+                if name.ends_with(['0', '5', 'a']) {
+                    map.put(name, &name.as_bytes()[..4]);
+                }
+                map.set_lock(name.clone(), name.len() as u64);
+            }
+            map
+        };
+        let (a, b) = (fill(names.iter().collect()), fill(names.iter().rev().collect()));
+        for prefix in ["", "meta/", "a", "meta/f", "zz"] {
+            let listed = a.list(prefix);
+            assert_eq!(listed, b.list(prefix), "prefix {prefix:?}");
+            assert!(listed.is_sorted(), "prefix {prefix:?}");
+            assert_eq!(listed.len(), names.iter().filter(|n| n.starts_with(prefix)).count());
+        }
+        let objects = |map: &ObjectMap| {
+            map.objects().map(|(p, v, d)| (p.to_string(), v, d.to_vec())).collect::<Vec<_>>()
+        };
+        assert_eq!(objects(&a), objects(&b));
+        assert_eq!(objects(&a).len(), names.len());
+        assert!(objects(&a).is_sorted_by_key(|(p, ..)| p.clone()));
+        assert!(objects(&a).iter().any(|(_, v, _)| *v == 2));
+        let locks = |map: &ObjectMap| map.locks().map(|(p, o)| (p.to_string(), o)).collect::<Vec<_>>();
+        assert_eq!(locks(&a), locks(&b));
+        assert_eq!(locks(&a).len(), names.len());
+        assert!(locks(&a).is_sorted());
+        assert_eq!(a, b);
     }
 
     #[test]

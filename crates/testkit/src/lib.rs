@@ -21,7 +21,8 @@
 //!
 //! Beside the harness, [`spec`] holds the one reference the crypto suites
 //! compare against — AES, AES-GCM and AES-GCM-SIV written from FIPS 197,
-//! SP 800-38D and RFC 8452 — and [`timing`] the dudect-style leak test.
+//! SP 800-38D and RFC 8452 — [`timing`] the dudect-style leak test, and
+//! [`freed`] the allocator that finds key bytes left in freed memory.
 //!
 //! Environment overrides for exploration (never needed in CI):
 //! `NEXUS_TESTKIT_SEED` re-seeds generation, `NEXUS_TESTKIT_CASES`
@@ -180,6 +181,7 @@ impl Gen {
 
 pub mod dist;
 pub mod faults;
+pub mod freed;
 pub mod spec;
 pub mod timing;
 

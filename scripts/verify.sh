@@ -37,12 +37,14 @@ echo "== portable crypto engines, end to end =="
 # The override also switches the wide GCM kernel off, so the differential
 # rerun covers the bitsliced engine and, with the hardware engine pinned
 # beside it, the 128-bit kernel alone over every whole group; the audit
-# reads source and must not care which lane the process is on.
+# reads source and must not care which lane the process is on. `freed_keys`
+# runs the metadata seal and open on the bitsliced engine too, whose round
+# keys live in heap-allocated planes: none of its keys may be freed unwiped.
 export NEXUS_CRYPTO_FORCE_PORTABLE=1
-cargo test -q --offline -p nexus-core --test end_to_end --test golden_inventory --test properties > /dev/null
+cargo test -q --offline -p nexus-core --test end_to_end --test golden_inventory --test properties --test freed_keys > /dev/null
 cargo test -q --offline -p nexus-crypto --lib --test properties --test kernel_differential --test source_audit > /dev/null
 unset NEXUS_CRYPTO_FORCE_PORTABLE
-echo "ok: volume lifecycle, golden stored bytes, metadata and crypto properties, unit vectors and the kernel differential pass on the forced-portable engines"
+echo "ok: volume lifecycle, golden stored bytes, metadata and crypto properties, freed-memory key wipes, unit vectors and the kernel differential pass on the forced-portable engines"
 
 echo "== paper tables: shape gates, smoke sizes =="
 # Every §VII command runs and must clear the shape the paper claims for it

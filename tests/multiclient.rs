@@ -248,10 +248,21 @@ fn acl_updates_do_not_overwrite_concurrent_creates() {
     // like a create does, or it writes back the MACs it resolved before the
     // other client's create landed (entry lost, then every reader sees a
     // bucket that no longer matches its directory).
+    //
+    // The overlap is certain, not left to the scheduler: the creator starts
+    // only once the owner's first `set_acl` has returned, and the owner
+    // toggles at least once more after that, until the creator is done.
     use std::sync::atomic::{AtomicBool, Ordering};
     const FILES: usize = 60;
     let deployment = Deployment::new();
     let (owner, peer) = shared_pair(&deployment);
+    let mut toggles = 0u32;
+    let mut toggle = || {
+        let rights = if toggles.is_multiple_of(2) { Rights::READ } else { Rights::RW };
+        owner.set_acl("shared", "owner", rights).unwrap();
+        toggles += 1;
+    };
+    toggle();
     let done = Arc::new(AtomicBool::new(false));
     let creator_done = done.clone();
     let creator = std::thread::spawn(move || {
@@ -261,11 +272,11 @@ fn acl_updates_do_not_overwrite_concurrent_creates() {
         creator_done.store(true, Ordering::SeqCst);
         peer
     });
-    let mut toggles = 0u32;
-    while !done.load(Ordering::SeqCst) {
-        let rights = if toggles.is_multiple_of(2) { Rights::READ } else { Rights::RW };
-        owner.set_acl("shared", "owner", rights).unwrap();
-        toggles += 1;
+    loop {
+        toggle();
+        if done.load(Ordering::SeqCst) {
+            break;
+        }
     }
     let peer = creator.join().unwrap();
     assert!(toggles > 0);
