@@ -2,11 +2,11 @@
 //!
 //! One binary, `nexus-bench <cmd> [--smoke]`, regenerating every table and
 //! figure of the NEXUS evaluation (paper §VII) and the five `BENCH_*.json`
-//! documents. [`COMMANDS`] declares the nineteen commands beside `paper`;
+//! documents. [`COMMANDS`] declares the eighteen commands beside `paper`;
 //! run the binary with no argument for the list (a test holds the usage
 //! text and README's list to that table).
 //!
-//! The first twelve are the paper-facing ones; `paper` runs them all. Each
+//! The first eleven are the paper-facing ones; `paper` runs them all. Each
 //! returns the rows of a typed [`table::Table`] — simulated-I/O and
 //! measured-enclave cells next to the paper's figure — after asserting the
 //! shape the paper claims (who wins, by roughly what factor; never the
@@ -73,7 +73,6 @@ pub const COMMANDS: &[(&str, &str, Run)] = &[
     ),
     ("ablation_buckets", "§V-B — dirnode bucket-size sweep", paper::ABLATION_BUCKETS),
     ("ablation_chunks", "§VI-A — chunk-size sweep", paper::ABLATION_CHUNKS),
-    ("ablation_rollback", "§VI-C — freshness-manifest cost", paper::ABLATION_ROLLBACK),
     (
         "micro_crypto",
         "substrate micro-benchmarks (AES-GCM, SHA-256, ed25519, x25519)",
@@ -113,7 +112,7 @@ pub const COMMANDS: &[(&str, &str, Run)] = &[
 
 /// What `paper` is, for the usage text.
 pub const PAPER: &str =
-    "the twelve paper-facing commands in one run, EXPERIMENTS.md's tables rewritten from them";
+    "the eleven paper-facing commands in one run, EXPERIMENTS.md's tables rewritten from them";
 
 /// A `BENCH_<x>.json` emitter: a typed report of one run, the floors it
 /// must clear, and the document it becomes. The document is built from the
@@ -523,7 +522,7 @@ mod tests {
     fn docs_list_exactly_the_commands() {
         let listed: Vec<(&str, &str)> =
             COMMANDS.iter().map(|c| (c.0, c.1)).chain([("paper", PAPER)]).collect();
-        assert_eq!(listed.len(), 20);
+        assert_eq!(listed.len(), 19);
         let (readme, usage) = (read("README.md"), usage());
         for (name, artefact) in &listed {
             assert!(readme.contains(&format!("nexus-bench -- {name} ")), "README: {name}");
@@ -561,7 +560,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(paper.len(), 12);
+        assert_eq!(paper.len(), 11);
         // Panics on a block that names no command and a command with no block.
         let empty: Vec<(&str, String)> = paper.iter().map(|(n, _)| (*n, String::new())).collect();
         table::splice(&document, &empty);

@@ -1,5 +1,5 @@
-//! The twelve paper-facing commands: §VII's tables and figures, the §IV
-//! and §V-A claims, and the three design ablations.
+//! The eleven paper-facing commands: §VII's tables and figures, the §IV
+//! and §V-A claims, and the two design ablations.
 //!
 //! Every command measures over the same set-up — a [`TestRig`] on the
 //! paper-calibrated latency model, a fresh plain-AFS deployment and a
@@ -649,40 +649,6 @@ fn ablation_chunks(_smoke: bool) -> Vec<Row> {
             Secs(sequential.total()),
             Secs(random.total()),
             Bytes(16 * 3 + 8 + 4 + 4 + 4 + SIZE.div_ceil(chunk_kb * 1024) * 28),
-        ]);
-    }
-    rows
-}
-
-/// §VI-C ablation: create + delete 512 files under the base design's
-/// per-object versions and under the Merkle-anchored freshness manifest the
-/// paper deferred for its "protection and performance tradeoff" — extra
-/// writes per metadata update, growing with volume size.
-pub(crate) const ABLATION_ROLLBACK: Run = Run::Paper(
-    &["mode", "total", "enclave", "writes/op", "bytes/op", "vs per-object versions"],
-    ablation_rollback,
-);
-
-fn ablation_rollback(_smoke: bool) -> Vec<Row> {
-    const FILES: usize = 512;
-    let mut rows = Vec::new();
-    let mut base = Duration::ZERO;
-    for (mode, merkle_freshness) in [("per-object versions", false), ("merkle manifest", true)] {
-        let fs = rig_with(NexusConfig { merkle_freshness, ..Default::default() }).nexus_fs();
-        let before = fs.volume().io_stats();
-        let sample = run_dir_ops(&fs, FILES).expect("dir ops");
-        let delta = fs.volume().io_stats().delta_since(&before);
-        let ops = 2 * FILES as u64;
-        if !merkle_freshness {
-            base = sample.total();
-        }
-        rows.push(vec![
-            Text(mode.into()),
-            Secs(sample.total()),
-            Secs(sample.enclave),
-            Text(format!("{:.1}", delta.writes as f64 / ops as f64)),
-            Bytes(delta.bytes_written / ops),
-            Ratio(sample.total().as_secs_f64() / base.as_secs_f64()),
         ]);
     }
     rows

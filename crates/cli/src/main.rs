@@ -33,8 +33,7 @@ USAGE:
     nexus-cli [--home DIR] [--store DIR] [--user NAME] <COMMAND> [ARGS]
 
 VOLUME COMMANDS:
-    init [--merkle]              create a volume owned by --user
-                                 (--merkle: volume-wide rollback protection)
+    init                         create a volume owned by --user
     info                         show volume id, users, and I/O statistics
     ls [PATH]                    list a directory
     tree [PATH]                  recursive listing
@@ -158,24 +157,19 @@ fn run() -> Result<(), String> {
 
     match (cmd.as_str(), rest) {
         ("init", flags) => {
-            let merkle_freshness = flags.iter().any(|f| f == "--merkle");
-            if let Some(bad) = flags.iter().find(|f| *f != "--merkle") {
+            if let Some(bad) = flags.first() {
                 return Err(format!("unknown init flag {bad:?}"));
             }
-            let config = NexusConfig { merkle_freshness, ..Default::default() };
             let (volume, sealed) = NexusVolume::create(
                 &state.platform,
                 state.store.clone(),
                 &state.ias,
                 &state.user,
-                config,
+                NexusConfig::default(),
             )
             .map_err(|e| e.to_string())?;
             state.save_rootkey("default", &sealed)?;
             println!("created volume {}", volume.volume_id());
-            if merkle_freshness {
-                println!("volume-wide rollback protection: ON (freshness manifest)");
-            }
             println!("owner: {} ({})", args.user, hex(&state.user.public_key().to_bytes()));
             println!("sealed rootkey saved under {}", args.home.display());
         }

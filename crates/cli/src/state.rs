@@ -55,8 +55,7 @@ impl CliState {
         std::fs::create_dir_all(home).map_err(|e| format!("creating {}: {e}", home.display()))?;
         let platform_seed = read_or_create_seed(&home.join("platform.seed"))?;
         let user_seed = read_or_create_seed(&home.join("identity.seed"))?;
-        let platform =
-            Platform::from_identity_seed_persistent(&platform_seed, home.join("counters.bin"));
+        let platform = Platform::from_identity_seed(&platform_seed);
         let user = UserKeys::from_seed(user_name, &user_seed);
         let store: Arc<DirBackend> =
             Arc::new(DirBackend::open(store).map_err(|e| e.to_string())?);

@@ -145,23 +145,6 @@ fn sharing_and_revocation_between_machines() {
 }
 
 #[test]
-fn merkle_volume_works_across_processes() {
-    let root = test_root("merkle");
-    let owen = Cli::new(&root, "owen");
-    let out = owen.ok(&["init", "--merkle"]);
-    assert!(out.contains("rollback protection: ON"));
-    let local = root.join("f.txt");
-    std::fs::write(&local, b"protected").unwrap();
-    owen.ok(&["put", local.to_str().unwrap(), "f.txt"]);
-    owen.ok(&["put", local.to_str().unwrap(), "g.txt"]);
-    assert_eq!(owen.ok(&["cat", "f.txt"]), "protected");
-    owen.ok(&["rm", "g.txt"]);
-    let tree = owen.ok(&["tree"]);
-    assert!(tree.contains("f.txt"));
-    assert!(!tree.contains("g.txt"));
-}
-
-#[test]
 fn unauthorized_user_cannot_mount() {
     let root = test_root("unauthorized");
     let owen = Cli::new(&root, "owen");
@@ -190,6 +173,8 @@ fn help_and_bad_commands() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));
     let err = owen.fails(&["frobnicate"]);
     assert!(err.contains("unknown command"));
-    let err = owen.fails(&["init", "--bogus"]);
-    assert!(err.contains("unknown init flag"));
+    for flag in ["--bogus", "--merkle"] {
+        let err = owen.fails(&["init", flag]);
+        assert!(err.contains("unknown init flag"), "{flag}: {err}");
+    }
 }

@@ -37,11 +37,6 @@ pub struct NexusConfig {
     pub chunk_size: u32,
     /// Dirnode bucket size in entries (128 in the evaluation).
     pub bucket_size: usize,
-    /// Create volumes with the Merkle-anchored freshness manifest (§VI-C
-    /// extension): volume-wide rollback protection at the cost of one extra
-    /// metadata write per update. Read at volume *creation*; mounts follow
-    /// whatever the volume was created with.
-    pub merkle_freshness: bool,
 }
 
 impl Default for NexusConfig {
@@ -49,7 +44,6 @@ impl Default for NexusConfig {
         NexusConfig {
             chunk_size: crate::metadata::filenode::DEFAULT_CHUNK_SIZE,
             bucket_size: crate::metadata::dirnode::DEFAULT_BUCKET_SIZE,
-            merkle_freshness: false,
         }
     }
 }
@@ -107,8 +101,6 @@ pub(crate) struct Mounted {
     pub(crate) meta_cache: crate::cache::MetaCache,
     /// Rollback table: highest preamble version seen per object (§VI-C).
     pub(crate) version_table: HashMap<NexusUuid, u64>,
-    /// Volume freshness manifest, when the volume carries one.
-    pub(crate) manifest: Option<crate::freshness::ManifestState>,
 }
 
 impl Mounted {
@@ -132,7 +124,6 @@ impl Mounted {
             session: None,
             meta_cache: Default::default(),
             version_table: Default::default(),
-            manifest: None,
         }
     }
 }
@@ -520,8 +511,8 @@ impl<'a> MetaIo<'a> {
     }
 
     /// The storage version of one object (`None` when it does not exist).
-    /// Only the supernode and the manifest pay this round trip of their
-    /// own; metadata nodes go through [`MetaIo::probe_before_fetch`].
+    /// Only the supernode pays this round trip of its own; metadata nodes
+    /// go through [`MetaIo::probe_before_fetch`].
     pub(crate) fn version(&self, uuid: &NexusUuid) -> Option<u64> {
         let name = uuid.object_name();
         self.env
@@ -697,11 +688,11 @@ impl Drop for LockGuard<'_, '_> {
 ///
 /// The comparison runs whether the phases produced a value or an error (a
 /// `NotFound` derived from a stale parent is no answer). When it — or
-/// either phase, through a fetch that settled early, a bucket that no
-/// longer matches its dirnode, or a freshness-manifest disagreement —
-/// reports a concurrent update, the changed objects are evicted and the
-/// walk runs again. The second run follows at once (a stale cache is not a
-/// race); later ones back off so an in-flight writer can land. A
+/// either phase, through a fetch that settled early or a bucket that no
+/// longer matches its dirnode — reports a concurrent update, the changed
+/// objects are evicted and the walk runs again. The second run follows at
+/// once (a stale cache is not a race); later ones back off so an in-flight
+/// writer can land. A
 /// disagreement that outlives the budget is an integrity violation. A walk
 /// that names the locks already held keeps them (a create in a busy
 /// directory makes progress on its second attempt); one that names others
@@ -769,7 +760,6 @@ pub(crate) fn load_dirnode(
     }
     let storage_version = io.probe_before_fetch(&[uuid])?[0];
     let blob = io.get(&uuid)?;
-    crate::freshness::verify_fresh(state, io, &uuid, &blob)?;
     let (preamble, body) = open_meta_blob(state, io, &blob)?;
     let mounted = state.mounted()?;
     admit(mounted, &preamble, &uuid, ObjectKind::Dirnode, expected_parent)?;
@@ -784,8 +774,8 @@ pub(crate) fn load_dirnode(
     Ok(dir)
 }
 
-/// Checks in the sealed blob fetched for slot `idx` of `dir` — freshness,
-/// the MAC in the main dirnode, the seal, the preamble, the body — and
+/// Checks in the sealed blob fetched for slot `idx` of `dir` — the MAC in
+/// the main dirnode, the seal, the preamble, the body — and
 /// leaves the bucket in the cached dirnode's slot too (see
 /// [`crate::cache::MetaCache::write_back_bucket`]) so the next walk does not
 /// fetch it again.
@@ -797,7 +787,6 @@ fn admit_bucket(
     blob: &[u8],
 ) -> Result<()> {
     let re = dir.buckets[idx].re;
-    crate::freshness::verify_fresh(state, io, &re.uuid, blob)?;
     if Sha256::digest(blob) != re.mac {
         // Either an attack, or a concurrent writer updated the bucket after
         // we read the main dirnode. The phase runs again on a fresh dirnode
@@ -872,9 +861,6 @@ pub(crate) fn lookup_entry(
 pub(crate) struct MetaCommit {
     /// (object name, sealed blob), in staging order.
     pending: Vec<(String, Vec<u8>)>,
-    /// (uuid, SHA-256 of its sealed blob) for the freshness manifest; empty
-    /// on a volume without one, where nothing binds those digests.
-    manifest_updates: Vec<(NexusUuid, [u8; 32])>,
     /// (uuid, node, decrypted body bytes the node retains).
     cache_inserts: Vec<(NexusUuid, CachedNode, usize)>,
     /// The node this commit creates, if any (see [`MetaCommit::born`]).
@@ -919,7 +905,6 @@ pub(crate) fn stage_dirnode(
     let scoped = seal_scope(mounted, dir.scope)?;
     let scope = scoped.as_ref().map(|(scope, _)| *scope);
     let wrap = scoped.as_ref().map_or(&mounted.wrap, |(_, wrap)| wrap);
-    let has_manifest = !mounted.supernode.manifest_uuid.is_nil();
     let dir_mut = Arc::make_mut(&mut dir);
     let mut epc_bytes = 0;
     for slot in dir_mut.buckets.iter_mut() {
@@ -942,11 +927,8 @@ pub(crate) fn stage_dirnode(
         let blob = seal_object_with(wrap, &preamble, bucket.as_bytes(), |dest| {
             io.env.random_bytes(dest)
         });
-        // The main object binds this one on every volume.
+        // The main object binds this one.
         slot.re.mac = Sha256::digest(&blob);
-        if has_manifest {
-            commit.manifest_updates.push((slot.re.uuid, slot.re.mac));
-        }
         commit.pending.push((slot.re.uuid.object_name(), blob));
         slot.dirty = false;
     }
@@ -963,9 +945,6 @@ pub(crate) fn stage_dirnode(
     let blob = seal_object_with(wrap, &preamble, &body, |dest| {
         io.env.random_bytes(dest)
     });
-    if has_manifest {
-        commit.manifest_updates.push((dir.uuid, Sha256::digest(&blob)));
-    }
     commit.pending.push((dir.uuid.object_name(), blob));
     commit.cache_inserts.push((dir.uuid, CachedNode::Dir(dir), epc_bytes));
     Ok(())
@@ -988,7 +967,6 @@ pub(crate) fn stage_filenode(
     let scoped = seal_scope(mounted, dir_scope)?;
     let scope = scoped.as_ref().map(|(scope, _)| *scope);
     let wrap = scoped.as_ref().map_or(&mounted.wrap, |(_, wrap)| wrap);
-    let has_manifest = !mounted.supernode.manifest_uuid.is_nil();
     let version = next_version(&mut mounted.version_table, &fnode.uuid);
     let preamble = Preamble {
         kind: ObjectKind::Filenode,
@@ -1001,20 +979,16 @@ pub(crate) fn stage_filenode(
     let blob = seal_object_with(wrap, &preamble, &body, |dest| {
         io.env.random_bytes(dest)
     });
-    if has_manifest {
-        commit.manifest_updates.push((fnode.uuid, Sha256::digest(&blob)));
-    }
     commit.pending.push((fnode.uuid.object_name(), blob));
     commit.cache_inserts.push((fnode.uuid, CachedNode::File(fnode), body.len()));
     Ok(())
 }
 
-/// Lands a staged commit: every sealed blob in one `put_many` (one RPC,
-/// one lock epoch on the manifest); then the cache learns the versions just
-/// written from one `stat_many` (the caller holds the advisory lock of
-/// every node it rewrites, so no foreign write can slip in between — a
-/// node it creates is the exception, see [`MetaCommit::born`]), and a
-/// single freshness-manifest record covers all updated objects.
+/// Lands a staged commit: every sealed blob in one `put_many` (one RPC);
+/// then the cache learns the versions just written from one `stat_many`
+/// (the caller holds the advisory lock of every node it rewrites, so no
+/// foreign write can slip in between — a node it creates is the
+/// exception, see [`MetaCommit::born`]).
 pub(crate) fn commit_flush(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
@@ -1036,7 +1010,6 @@ pub(crate) fn commit_flush(
         }
         mounted.meta_cache.insert(io.env, uuid, node, version.unwrap_or(0), epc_bytes);
     }
-    crate::freshness::record_objects(state, io, &commit.manifest_updates, &[])?;
     Ok(())
 }
 
@@ -1077,7 +1050,6 @@ fn admit_filenode(
     blob: &[u8],
     storage_version: u64,
 ) -> Result<Arc<Filenode>> {
-    crate::freshness::verify_fresh(state, io, &uuid, blob)?;
     let (preamble, body) = open_meta_blob(state, io, blob)?;
     let mounted = state.mounted()?;
     admit(mounted, &preamble, &uuid, ObjectKind::Filenode, None)?;
@@ -1174,11 +1146,6 @@ pub(crate) fn store_supernode(state: &mut EnclaveState, io: &MetaIo<'_>) -> Resu
     io.put(&uuid, &blob)?;
     let storage_version = io.version(&uuid).unwrap_or(0);
     state.mounted()?.supernode_storage_version = storage_version;
-    // The supernode participates in the freshness manifest too: a rolled
-    // back user list would otherwise resurrect revoked identities for
-    // history-less clients.
-    let blob_hash = Sha256::digest(&blob);
-    crate::freshness::record_objects(state, io, &[(uuid, blob_hash)], &[])?;
     Ok(())
 }
 
@@ -1217,10 +1184,9 @@ mod tests {
     #[test]
     fn default_config_matches_paper() {
         // Exhaustive on purpose: a new field stops compiling here.
-        let NexusConfig { chunk_size, bucket_size, merkle_freshness } = NexusConfig::default();
+        let NexusConfig { chunk_size, bucket_size } = NexusConfig::default();
         assert_eq!(chunk_size, 1024 * 1024);
         assert_eq!(bucket_size, 128);
-        assert!(!merkle_freshness);
     }
 
     #[test]
@@ -1399,6 +1365,46 @@ mod tests {
         assert_eq!(reader.enclave().epc().current(), warm);
         assert_eq!(warm, cached_body_bytes(&reader));
         assert!(reader.enclave().epc().peak() > warm);
+    }
+
+    /// A volume an older build made with a freshness manifest carries the
+    /// manifest's uuid in its supernode: mounting it fails with the typed
+    /// error, so it is never served without the protection it was made
+    /// with.
+    #[test]
+    fn a_volume_made_with_a_manifest_is_not_mounted() {
+        use crate::volume::{NexusVolume, UserKeys};
+        let platform = nexus_sgx::Platform::seeded(0x01D);
+        let ias = nexus_sgx::AttestationService::new();
+        ias.register_platform(&platform);
+        let backend = Arc::new(nexus_storage::MemBackend::new());
+        let owner = UserKeys::from_seed("o", &[1; 32]);
+        let (volume, sealed) =
+            NexusVolume::create(&platform, backend.clone(), &ias, &owner, NexusConfig::default())
+                .unwrap();
+        volume.authenticate(&owner).unwrap();
+        // Rewrite the supernode as that build did: the reserved field, the
+        // last 16 bytes of a group-free body, names a manifest.
+        volume
+            .ecall(|state, io| {
+                let m = state.mounted()?;
+                let mut body = m.supernode.encode();
+                let last = body.len() - 1;
+                body[last] = 7;
+                let preamble = Preamble {
+                    kind: ObjectKind::Supernode,
+                    uuid: m.supernode_uuid,
+                    parent: NexusUuid::NIL,
+                    version: m.supernode_version + 1,
+                    scope: None,
+                };
+                let blob = seal_object_with(&m.wrap, &preamble, &body, |d| io.env.random_bytes(d));
+                io.put(&m.supernode_uuid, &blob)
+            })
+            .unwrap();
+        let err = NexusVolume::mount(&platform, backend, &ias, &sealed, NexusConfig::default())
+            .unwrap_err();
+        assert!(matches!(err, NexusError::UnsupportedVolume(_)), "{err:?}");
     }
 
     fn test_mounted(session: Option<Session>) -> Mounted {

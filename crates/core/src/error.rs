@@ -38,6 +38,8 @@ pub enum NexusError {
     InvalidName(String),
     /// Serialized metadata failed to parse.
     Malformed(String),
+    /// The volume was made in a format this build refuses to mount.
+    UnsupportedVolume(String),
     /// A concurrently-updated object was observed mid-update; the operation
     /// should be retried (internal; surfaces as [`NexusError::Integrity`]
     /// once retries are exhausted).
@@ -66,6 +68,7 @@ impl std::fmt::Display for NexusError {
             NexusError::NotEmpty(p) => write!(f, "directory not empty: {p}"),
             NexusError::InvalidName(n) => write!(f, "invalid name: {n:?}"),
             NexusError::Malformed(what) => write!(f, "malformed metadata: {what}"),
+            NexusError::UnsupportedVolume(why) => write!(f, "unsupported volume: {why}"),
             NexusError::StaleRead(what) => write!(f, "stale read, retry: {what}"),
             NexusError::NotMounted => f.write_str("volume not mounted"),
         }

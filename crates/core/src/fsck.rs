@@ -77,9 +77,6 @@ pub(crate) fn run_fsck(
 
     let mounted = state.mounted()?;
     reachable.insert(mounted.supernode_uuid);
-    if !mounted.supernode.manifest_uuid.is_nil() {
-        reachable.insert(mounted.supernode.manifest_uuid);
-    }
     let root = mounted.supernode.root_dir;
 
     // Iterative DFS over directories: (uuid, parent, path).

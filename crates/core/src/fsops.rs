@@ -340,15 +340,13 @@ pub(crate) fn fs_remove(state: &mut EnclaveState, io: &MetaIo<'_>, path: &str) -
     )?;
     let mut commit = MetaCommit::new();
     let mut unlinked: Vec<NexusUuid> = Vec::new();
-    let mut manifest_removals: Vec<NexusUuid> = Vec::new();
     match child {
         Child::Dir(child) => {
             if child.entry_count > 0 {
                 return Err(NexusError::NotEmpty(path.to_string()));
             }
-            manifest_removals.extend(child.buckets.iter().map(|slot| slot.re.uuid));
-            manifest_removals.push(child.uuid);
-            unlinked.extend(&manifest_removals);
+            unlinked.extend(child.buckets.iter().map(|slot| slot.re.uuid));
+            unlinked.push(child.uuid);
             evict(state, io, &child.uuid);
         }
         Child::File(mut fnode) if fnode.nlink > 1 => {
@@ -357,24 +355,19 @@ pub(crate) fn fs_remove(state: &mut EnclaveState, io: &MetaIo<'_>, path: &str) -
         }
         Child::File(fnode) => {
             unlinked.extend([fnode.data_uuid, fnode.uuid]);
-            manifest_removals.push(fnode.uuid);
             evict(state, io, &fnode.uuid);
         }
         Child::Symlink => {}
     }
     let dir_mut = Arc::make_mut(&mut dir);
     dir_mut.remove(&entry.name)?;
-    for pruned in dir_mut.prune_empty_buckets() {
-        unlinked.push(pruned);
-        manifest_removals.push(pruned);
-    }
+    unlinked.extend(dir_mut.prune_empty_buckets());
     stage_dirnode(state, io, &mut commit, dir)?;
     commit_flush(state, io, commit)?;
     for uuid in &unlinked {
         // Nothing names it any more: one left behind is an orphan for fsck.
         let _ = io.delete(uuid);
     }
-    crate::freshness::record_objects(state, io, &[], &manifest_removals)?;
     Ok(())
 }
 
@@ -694,7 +687,7 @@ pub(crate) fn fs_rename(
         // No longer named by the directory that just landed.
         let _ = io.delete(uuid);
     }
-    crate::freshness::record_objects(state, io, &[], &pruned)
+    Ok(())
 }
 
 /// What a rename's walk found: the source and destination directories and

@@ -62,9 +62,7 @@ pub mod enclave;
 pub mod error;
 pub mod fsck;
 pub mod fsops;
-pub(crate) mod freshness;
 pub mod groups;
-pub mod merkle;
 pub mod metadata;
 pub mod protocol;
 pub mod sync_exchange;

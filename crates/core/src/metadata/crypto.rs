@@ -74,8 +74,8 @@ pub enum ObjectKind {
     DirBucket,
     /// File node (inode analogue).
     Filenode,
-    /// The volume freshness manifest (§VI-C extension).
-    Manifest,
+    // Tag 5 is retired: older builds sealed a volume-wide freshness
+    // manifest under it. No later kind may reuse it.
 }
 
 impl ObjectKind {
@@ -85,7 +85,6 @@ impl ObjectKind {
             ObjectKind::Dirnode => 2,
             ObjectKind::DirBucket => 3,
             ObjectKind::Filenode => 4,
-            ObjectKind::Manifest => 5,
         }
     }
 
@@ -95,7 +94,6 @@ impl ObjectKind {
             2 => Ok(ObjectKind::Dirnode),
             3 => Ok(ObjectKind::DirBucket),
             4 => Ok(ObjectKind::Filenode),
-            5 => Ok(ObjectKind::Manifest),
             other => Err(NexusError::Malformed(format!("unknown object kind {other}"))),
         }
     }
@@ -462,10 +460,10 @@ mod tests {
             ObjectKind::Dirnode,
             ObjectKind::DirBucket,
             ObjectKind::Filenode,
-            ObjectKind::Manifest,
         ] {
             assert_eq!(ObjectKind::from_u8(kind.to_u8()).unwrap(), kind);
         }
+        assert!(ObjectKind::from_u8(5).is_err(), "the retired manifest tag");
         assert!(ObjectKind::from_u8(99).is_err());
     }
 }

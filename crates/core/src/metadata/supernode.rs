@@ -37,9 +37,6 @@ pub struct Supernode {
     pub users: Vec<UserRecord>,
     /// Next user id to hand out.
     pub next_user_id: u32,
-    /// UUID of the volume freshness manifest (§VI-C extension); NIL when
-    /// the volume was created without volume-wide rollback protection.
-    pub manifest_uuid: NexusUuid,
     /// Group table: memberships and epoch-wrapped group keys
     /// (see [`crate::groups`]).
     pub groups: GroupSet,
@@ -63,7 +60,6 @@ impl Supernode {
             },
             users: Vec::new(),
             next_user_id: 1,
-            manifest_uuid: NexusUuid::NIL,
             groups: GroupSet::default(),
         }
     }
@@ -138,7 +134,8 @@ impl Supernode {
             encode_user(&mut w, user);
         }
         w.u32(self.next_user_id);
-        w.uuid(&self.manifest_uuid);
+        // Reserved: older builds kept a freshness manifest's uuid here.
+        w.uuid(&NexusUuid::NIL);
         // The group table is an optional tail section: group-free volumes
         // keep the pre-groups byte format (and stay readable by old code).
         if !self.groups.is_default() {
@@ -151,7 +148,9 @@ impl Supernode {
     ///
     /// # Errors
     ///
-    /// [`NexusError::Malformed`] on framing or key-decoding failures.
+    /// [`NexusError::Malformed`] on framing or key-decoding failures;
+    /// [`NexusError::UnsupportedVolume`] when the reserved field names a
+    /// freshness manifest, which this build does not keep.
     pub fn decode(bytes: &[u8]) -> Result<Supernode> {
         let mut r = Reader::new(bytes);
         let uuid = r.uuid()?;
@@ -166,10 +165,15 @@ impl Supernode {
             users.push(decode_user(&mut r)?);
         }
         let next_user_id = r.u32()?;
-        let manifest_uuid = r.uuid()?;
+        if !r.uuid()?.is_nil() {
+            return Err(NexusError::UnsupportedVolume(
+                "created with a volume freshness manifest, which this build no longer keeps"
+                    .into(),
+            ));
+        }
         let groups = if r.is_empty() { GroupSet::default() } else { GroupSet::decode(&mut r)? };
         r.finish()?;
-        Ok(Supernode { uuid, root_dir, owner, users, next_user_id, manifest_uuid, groups })
+        Ok(Supernode { uuid, root_dir, owner, users, next_user_id, groups })
     }
 }
 
@@ -278,10 +282,27 @@ mod tests {
             encode_user(&mut w, user);
         }
         w.u32(sn.next_user_id);
-        w.uuid(&sn.manifest_uuid);
+        w.uuid(&NexusUuid::NIL);
         assert_eq!(bytes, w.into_bytes());
         // And old bytes decode to an empty group table.
         assert!(Supernode::decode(&bytes).unwrap().groups.is_default());
+    }
+
+    /// Older builds could make a volume with a freshness manifest, whose
+    /// uuid sat in the reserved field. This build keeps no manifest, so it
+    /// refuses that supernode rather than mount the volume unprotected.
+    #[test]
+    fn a_supernode_naming_a_manifest_is_refused() {
+        let mut bytes = sample().encode();
+        let reserved = bytes.len() - 16;
+        assert_eq!(bytes[reserved..], [0; 16], "a group-free body ends with the field");
+        for at in [reserved, bytes.len() - 1] {
+            bytes[at] = 1;
+            let err = Supernode::decode(&bytes).unwrap_err();
+            assert!(matches!(err, NexusError::UnsupportedVolume(_)), "{err:?}");
+            bytes[at] = 0;
+        }
+        assert_eq!(Supernode::decode(&bytes).unwrap(), sample());
     }
 
     #[test]

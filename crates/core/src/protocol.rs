@@ -94,29 +94,6 @@ pub(crate) fn auth_complete(
         mounted.supernode_version = version;
         mounted.supernode_storage_version = storage_version;
     }
-    // On manifest-protected volumes, the supernode must also match the
-    // volume freshness manifest (else a rolled-back user list could
-    // resurrect revoked identities for history-less clients). The signed
-    // blob cannot be refetched (the user signed this exact ciphertext), so
-    // persistent disagreement is surfaced for the caller to re-run the
-    // protocol; retries below absorb in-flight concurrent updates.
-    {
-        let mut attempt = 0u64;
-        loop {
-            match crate::freshness::verify_fresh(state, io, &supernode_uuid, &blob) {
-                Err(NexusError::StaleRead(why)) if attempt < 32 => {
-                    attempt += 1;
-                    std::thread::sleep(std::time::Duration::from_micros(50 * attempt));
-                    let _ = why;
-                }
-                Err(NexusError::StaleRead(why)) => {
-                    return Err(NexusError::Integrity(format!("{why} (persisted)")));
-                }
-                other => break other?,
-            }
-        }
-    }
-
     let msg = auth_challenge_message(&nonce, &blob);
     user_key
         .verify(&msg, signature)

@@ -136,9 +136,6 @@ impl NexusVolume {
             let wrap = AesGcmSiv::new(&rootkey);
             state.mounted = Some(Mounted::new(rootkey, wrap, supernode_uuid, supernode, 0, 0));
 
-            if config.merkle_freshness {
-                crate::freshness::create_manifest(state, &io)?;
-            }
             let root = Dirnode::new(root_dir_uuid, NexusUuid::NIL, config.bucket_size);
             crate::enclave::store_dirnode(state, &io, Arc::new(root))?;
             crate::enclave::store_supernode(state, &io)?;
@@ -411,13 +408,35 @@ impl NexusVolume {
         Ok(())
     }
 
+    /// Runs `edit` on the newest supernode on storage and stores the
+    /// result, all under the supernode's lock (owner only): two admin
+    /// sessions then apply their user-list and group changes one after the
+    /// other, and neither writes over the other's.
+    fn edit_supernode<T>(
+        state: &mut EnclaveState,
+        io: &MetaIo<'_>,
+        edit: impl FnOnce(&mut EnclaveState, &MetaIo<'_>) -> Result<T>,
+    ) -> Result<T> {
+        Self::require_owner(state)?;
+        let uuid = state.mounted()?.supernode_uuid;
+        let (_lock, (), ()) = crate::enclave::locked(
+            state,
+            io,
+            |_, _| Ok(((), vec![uuid])),
+            |state, io, ()| crate::enclave::ensure_supernode_current(state, io),
+        )?;
+        let out = edit(state, io)?;
+        crate::enclave::store_supernode(state, io)?;
+        Ok(out)
+    }
+
     /// Adds a user to the volume's user list (owner only).
     pub fn add_user(&self, name: &str, key: VerifyingKey) -> Result<()> {
         let name = name.to_string();
         self.ecall(move |state, io| {
-            Self::require_owner(state)?;
-            state.mounted()?.supernode.add_user(&name, key)?;
-            crate::enclave::store_supernode(state, io)
+            Self::edit_supernode(state, io, |state, _| {
+                state.mounted()?.supernode.add_user(&name, key).map(drop)
+            })
         })
     }
 
@@ -430,16 +449,16 @@ impl NexusVolume {
         let name = name.to_string();
         let cleanup = name.clone();
         self.ecall(move |state, io| {
-            Self::require_owner(state)?;
-            let user_id = state.mounted()?.supernode.remove_user(&name)?;
-            let m = state.mounted()?;
-            let master = group_master_key(&m.rootkey, &m.supernode_uuid);
-            m.supernode.groups.revoke_member_everywhere(user_id, &master, |d| {
-                io.env.random_bytes(d)
-            });
-            crate::enclave::store_supernode(state, io)?;
-            fsops::sweep_acl_user(state, io, user_id)?;
-            Ok(())
+            let user_id = Self::edit_supernode(state, io, |state, io| {
+                let user_id = state.mounted()?.supernode.remove_user(&name)?;
+                let m = state.mounted()?;
+                let master = group_master_key(&m.rootkey, &m.supernode_uuid);
+                m.supernode.groups.revoke_member_everywhere(user_id, &master, |d| {
+                    io.env.random_bytes(d)
+                });
+                Ok(user_id)
+            })?;
+            fsops::sweep_acl_user(state, io, user_id)
         })?;
         // Untrusted-side hygiene: the wrapped-rootkey grant (and any
         // in-flight exchange blobs) addressed to the revoked user are
@@ -545,13 +564,11 @@ impl NexusVolume {
     pub fn create_group(&self, name: &str) -> Result<()> {
         let name = name.to_string();
         self.ecall(move |state, io| {
-            Self::require_owner(state)?;
-            let m = state.mounted()?;
-            let master = group_master_key(&m.rootkey, &m.supernode_uuid);
-            m.supernode
-                .groups
-                .create(&name, &master, |d| io.env.random_bytes(d))?;
-            crate::enclave::store_supernode(state, io)
+            Self::edit_supernode(state, io, |state, io| {
+                let m = state.mounted()?;
+                let master = group_master_key(&m.rootkey, &m.supernode_uuid);
+                m.supernode.groups.create(&name, &master, |d| io.env.random_bytes(d)).map(drop)
+            })
         })
     }
 
@@ -623,25 +640,24 @@ impl NexusVolume {
         let group = group.to_string();
         let users: Vec<String> = users.iter().map(|s| s.to_string()).collect();
         self.ecall(move |state, io| {
-            Self::require_owner(state)?;
-            let m = state.mounted()?;
-            let ids = users
-                .iter()
-                .map(|u| {
-                    m.supernode
-                        .user_by_name(u)
-                        .map(|r| r.id)
-                        .ok_or_else(|| NexusError::NotFound(format!("user {u}")))
-                })
-                .collect::<Result<Vec<UserId>>>()?;
-            let rec = m
-                .supernode
-                .groups
-                .by_name_mut(&group)
-                .ok_or_else(|| NexusError::NotFound(format!("group {group}")))?;
-            let added = rec.add_members(&ids);
-            crate::enclave::store_supernode(state, io)?;
-            Ok(added)
+            Self::edit_supernode(state, io, |state, _| {
+                let m = state.mounted()?;
+                let ids = users
+                    .iter()
+                    .map(|u| {
+                        m.supernode
+                            .user_by_name(u)
+                            .map(|r| r.id)
+                            .ok_or_else(|| NexusError::NotFound(format!("user {u}")))
+                    })
+                    .collect::<Result<Vec<UserId>>>()?;
+                let rec = m
+                    .supernode
+                    .groups
+                    .by_name_mut(&group)
+                    .ok_or_else(|| NexusError::NotFound(format!("group {group}")))?;
+                Ok(rec.add_members(&ids))
+            })
         })
     }
 
@@ -658,27 +674,25 @@ impl NexusVolume {
         let group = group.to_string();
         let users: Vec<String> = users.iter().map(|s| s.to_string()).collect();
         self.ecall(move |state, io| {
-            Self::require_owner(state)?;
-            let m = state.mounted()?;
-            let ids = users
-                .iter()
-                .map(|u| {
-                    m.supernode
-                        .user_by_name(u)
-                        .map(|r| r.id)
-                        .ok_or_else(|| NexusError::NotFound(format!("user {u}")))
-                })
-                .collect::<Result<Vec<UserId>>>()?;
-            let master = group_master_key(&m.rootkey, &m.supernode_uuid);
-            let rec = m
-                .supernode
-                .groups
-                .by_name_mut(&group)
-                .ok_or_else(|| NexusError::NotFound(format!("group {group}")))?;
-            let removed =
-                rec.revoke_members(&ids, &master, |d| io.env.random_bytes(d))?;
-            crate::enclave::store_supernode(state, io)?;
-            Ok(removed)
+            Self::edit_supernode(state, io, |state, io| {
+                let m = state.mounted()?;
+                let ids = users
+                    .iter()
+                    .map(|u| {
+                        m.supernode
+                            .user_by_name(u)
+                            .map(|r| r.id)
+                            .ok_or_else(|| NexusError::NotFound(format!("user {u}")))
+                    })
+                    .collect::<Result<Vec<UserId>>>()?;
+                let master = group_master_key(&m.rootkey, &m.supernode_uuid);
+                let rec = m
+                    .supernode
+                    .groups
+                    .by_name_mut(&group)
+                    .ok_or_else(|| NexusError::NotFound(format!("group {group}")))?;
+                rec.revoke_members(&ids, &master, |d| io.env.random_bytes(d))
+            })
         })
     }
 
@@ -750,14 +764,9 @@ impl NexusVolume {
         let group = group.to_string();
         let ids = ids.to_vec();
         self.ecall(move |state, io| {
-            Self::require_owner(state)?;
-            let added = state
-                .mounted()?
-                .supernode
-                .groups
-                .splice_member_ids(&group, &ids)?;
-            crate::enclave::store_supernode(state, io)?;
-            Ok(added)
+            Self::edit_supernode(state, io, |state, _| {
+                state.mounted()?.supernode.groups.splice_member_ids(&group, &ids)
+            })
         })
     }
 
@@ -812,8 +821,9 @@ impl NexusVolume {
     pub(crate) fn unwind_added_user(&self, name: &str) {
         let name = name.to_string();
         let _ = self.ecall(move |state, io| {
-            state.mounted()?.supernode.remove_user(&name)?;
-            crate::enclave::store_supernode(state, io)
+            Self::edit_supernode(state, io, |state, _| {
+                state.mounted()?.supernode.remove_user(&name).map(drop)
+            })
         });
     }
 }

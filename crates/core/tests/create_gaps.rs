@@ -8,10 +8,11 @@
 //! Each case mounts the mutator over a [`HookedBackend`], fires another
 //! session's whole operation just before the mutator's call number `gap`,
 //! and repeats for every gap of the mutation's call sequence: a create with
-//! contents, an overwrite, a remove, a cross-directory rename and an ACL
-//! edit. The same rig pins the two races that the comparison under a
-//! mutation's locks closes: a right revoked between a walk and its lock,
-//! and a revocation sweep that rewrote a directory without its lock.
+//! contents, an overwrite, a remove, a cross-directory rename, an ACL edit
+//! and an edit of the user list. The same rig pins the two races that the
+//! comparison under a mutation's locks closes: a right revoked between a
+//! walk and its lock, and a revocation sweep that rewrote a directory
+//! without its lock.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
@@ -357,6 +358,43 @@ fn a_racing_writer_in_any_gap_leaves_one_entry_with_the_later_bytes() {
     let mut expected = vec![(lock, "creator")];
     expected.extend((lock + 1..=unlock).map(|gap| (gap, "racer")));
     assert_eq!(fell_back, expected, "{calls:?}");
+}
+
+/// A second owner session adding a user in any gap of `add_user` either
+/// finishes before the supernode's lock is taken or waits for it, and each
+/// edit is made on the supernode the other wrote: both users are listed,
+/// in the order the two ran.
+#[test]
+fn a_racing_admin_in_any_gap_of_add_user_keeps_both_users() {
+    let key = |seed| UserKeys::from_seed("u", &[seed; 32]).public_key();
+    let calls: Vec<Call> = {
+        let (log, admin) = world().mount(1);
+        admin.add_user("u1", key(3)).unwrap();
+        log.take_calls().into_iter().map(|(call, _)| call).collect()
+    };
+    let position = |wanted| calls.iter().position(|&call| call == wanted);
+    for gap in 0..calls.len() {
+        let w = world();
+        let (log, admin) = w.mount(1);
+        let (_, racer) = w.mount(2);
+        let racing = race_before_call(&w, &log, gap, move || racer.add_user("u2", key(4)));
+        admin.add_user("u1", key(3)).unwrap();
+        let (thread, finished_in_gap) = racing.try_recv().expect("the hook fired");
+        thread.join().unwrap().unwrap();
+        let users = w.mount(3).1.users().unwrap();
+        let mut kept = users.clone();
+        kept.sort();
+        assert_eq!(kept, ["owner", "u1", "u2"], "gap {gap} of {calls:?}");
+
+        // Done before the admin took the lock: the racer went first.
+        // Blocked until the admin let go: the admin did.
+        let lock = position(Call::Lock).expect("the edit takes the supernode's lock");
+        let unlock = position(Call::Unlock).expect("and releases it");
+        let holds = lock < gap && gap <= unlock;
+        assert_eq!(finished_in_gap, !holds, "gap {gap} of {calls:?}");
+        let first = if gap <= lock { "u2" } else { "u1" };
+        assert_eq!(users[1], first, "gap {gap} of {calls:?}");
+    }
 }
 
 // -- Every other mutation --------------------------------------------------

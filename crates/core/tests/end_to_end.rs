@@ -377,6 +377,24 @@ fn a_second_session_writes_the_supernode_forward() {
     assert_eq!(first.users().unwrap(), ["owen", "alice", "bob"]);
 }
 
+/// Two sessions of the owner, both mounted before either edits the user
+/// list: the second edit is made on the supernode the first one wrote, so
+/// neither user is lost.
+#[test]
+fn two_admin_sessions_keep_each_others_user_list_changes() {
+    let (platform, ias, backend, owner) = setup();
+    let (a, sealed) = create_volume(&platform, &ias, backend.clone(), &owner);
+    let b = NexusVolume::mount(&platform, backend.clone(), &ias, &sealed, NexusConfig::default())
+        .unwrap();
+    b.authenticate(&owner).unwrap();
+    a.add_user("u1", UserKeys::from_seed("u1", &[2u8; 32]).public_key()).unwrap();
+    b.add_user("u2", UserKeys::from_seed("u2", &[3u8; 32]).public_key()).unwrap();
+    let fresh =
+        NexusVolume::mount(&platform, backend, &ias, &sealed, NexusConfig::default()).unwrap();
+    fresh.authenticate(&owner).unwrap();
+    assert_eq!(fresh.users().unwrap(), ["owen", "u1", "u2"]);
+}
+
 #[test]
 fn users_listing_and_owner_admin_only() {
     let (platform, ias, backend, owner) = setup();

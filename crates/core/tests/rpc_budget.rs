@@ -165,6 +165,26 @@ fn a_supernode_written_after_the_signed_fetch_stays_out_of_the_session() {
 }
 
 #[test]
+fn an_admin_edit_is_made_under_the_supernode_lock() {
+    use Call::*;
+    let (log, v, _, beside) = warm_world(NexusConfig::default());
+    let key = |seed| UserKeys::from_seed("u", &[seed; 32]).public_key();
+    // Lock, compare the supernode's version with the one the session
+    // holds, write the edited supernode, read its version back, unlock.
+    assert_eq!(
+        calls_of(&log, || v.add_user("bob", key(3)).unwrap()),
+        [Lock, Stat, Put, Stat, Unlock],
+    );
+    // Another session edited it since: fetched under the lock first.
+    beside().add_user("carol", key(4)).unwrap();
+    assert_eq!(
+        calls_of(&log, || v.add_user("dave", key(5)).unwrap()),
+        [Lock, Stat, Get, Put, Stat, Unlock],
+    );
+    assert_eq!(v.users().unwrap(), ["owner", "alice", "bob", "carol", "dave"]);
+}
+
+#[test]
 fn a_cold_mutation_fetches_every_bucket_in_one_call() {
     use Call::*;
     // Two entries per bucket: f0..f4 spread `a/b` over three.

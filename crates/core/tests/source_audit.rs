@@ -34,36 +34,67 @@ fn item<'l>(code: &'l [(usize, String)], head: &str) -> &'l [(usize, String)] {
     &code[start..=start + end]
 }
 
-/// Every lock a mutation takes is taken by `enclave::locked`, after its
+/// Every shipped module of the crate, as paths under `src`.
+fn modules() -> Vec<String> {
+    let src = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("src");
+    let mut modules = Vec::new();
+    let mut dirs = vec![src.clone()];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("crates/core/src is readable") {
+            let path = entry.expect("a directory entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let module = path.strip_prefix(&src).expect("under src");
+                modules.push(module.to_string_lossy().into_owned());
+            }
+        }
+    }
+    assert!(modules.len() > 20, "only {} modules found", modules.len());
+    modules
+}
+
+/// Every lock the crate takes is taken by `enclave::locked`, after its
 /// walk and before the one comparison that covers the walk and the reload:
-/// `LockGuard::acquire` is called there and nowhere else, and no
-/// filesystem operation calls `MetaIo::lock` itself.
+/// in every module, `LockGuard::acquire` is called in `locked` and nowhere
+/// else, and the one call of `MetaIo::lock` is `LockGuard::acquire`'s.
 #[test]
 fn every_lock_is_taken_by_the_mutation_helper() {
     let enclave = shipped("enclave.rs");
-    let helper = item(&enclave, "pub(crate) fn locked<");
-    let (first, last) = (helper[0].0, helper[helper.len() - 1].0);
-    let acquires: Vec<usize> = enclave
-        .iter()
-        .filter(|(_, l)| l.contains("LockGuard::acquire("))
-        .map(|(number, _)| *number)
-        .collect();
-    assert!(!acquires.is_empty(), "`locked` takes no lock");
-    for number in acquires {
-        assert!(
-            (first..=last).contains(&number),
-            "enclave.rs:{number}: a lock taken outside `locked`"
-        );
-    }
-    for (number, line) in shipped("fsops.rs") {
-        for call in ["LockGuard::acquire(", ".lock(&"] {
-            assert!(
-                !line.contains(call),
-                "fsops.rs:{number}: a lock taken outside `locked`: {}",
-                line.trim()
-            );
+    let lines = |head| {
+        let item = item(&enclave, head);
+        item[0].0..=item[item.len() - 1].0
+    };
+    let helper = lines("pub(crate) fn locked<");
+    let (acquire, lock) = (lines("pub(crate) fn acquire("), lines("pub(crate) fn lock("));
+    let mut acquires = 0;
+    for module in modules() {
+        let within = |span: &std::ops::RangeInclusive<usize>, number| {
+            module == "enclave.rs" && span.contains(&number)
+        };
+        for (number, line) in shipped(&module) {
+            if line.contains("LockGuard::acquire(") {
+                acquires += 1;
+                assert!(
+                    within(&helper, number),
+                    "{module}:{number}: a lock taken outside `locked`: {}",
+                    line.trim()
+                );
+            }
+            // A mutex's `lock()` takes no argument; a storage lock names its
+            // object. `MetaIo::lock` itself calls the store's.
+            let names_an_object =
+                line.match_indices(".lock(").any(|(at, _)| !line[at..].starts_with(".lock()"));
+            if names_an_object {
+                assert!(
+                    within(&acquire, number) || within(&lock, number),
+                    "{module}:{number}: a lock taken outside `locked`: {}",
+                    line.trim()
+                );
+            }
         }
     }
+    assert!(acquires > 0, "`locked` takes no lock");
 }
 
 /// A lock carries no data, so taking one compares nothing: the walk's
@@ -128,22 +159,7 @@ fn object_names_are_spelled_without_the_formatter() {
 /// `NexusUuid`'s `Display` is the one hex spelling.
 #[test]
 fn no_module_formats_bytes_as_hex() {
-    let src = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("src");
-    let mut modules = Vec::new();
-    let mut dirs = vec![src.clone()];
-    while let Some(dir) = dirs.pop() {
-        for entry in std::fs::read_dir(&dir).expect("crates/core/src is readable") {
-            let path = entry.expect("a directory entry").path();
-            if path.is_dir() {
-                dirs.push(path);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                let module = path.strip_prefix(&src).expect("under src");
-                modules.push(module.to_string_lossy().into_owned());
-            }
-        }
-    }
-    assert!(modules.len() > 20, "only {} modules found", modules.len());
-    for module in modules {
+    for module in modules() {
         for (number, line) in shipped(&module) {
             assert!(
                 !line.contains("02x"),

@@ -9,9 +9,9 @@
 //! - [`gcm_siv`] — AES-GCM-SIV AEAD (RFC 8452), used to key-wrap per-metadata
 //!   keys under the volume rootkey;
 //! - [`sha2`] — SHA-256/512 (FIPS 180-4): enclave measurements, the bucket
-//!   MACs a dirnode binds its buckets by, manifest digests, and the hash
-//!   under HMAC/HKDF; SHA-256 runs on the SHA-NI kernel where
-//!   [`cpu::sha_lane`] finds the extensions;
+//!   MACs a dirnode binds its buckets by, and the hash under HMAC/HKDF;
+//!   SHA-256 runs on the SHA-NI kernel where [`cpu::sha_lane`] finds the
+//!   extensions;
 //! - [`hmac`] — HMAC and HKDF, used for SGX sealing-key derivation;
 //! - [`x25519`] — ECDH for the rootkey exchange protocol;
 //! - [`ed25519`] — signatures for user identities and quotes;

@@ -1,7 +1,7 @@
 //! The SHA-256 and SHA-512 hash functions (FIPS 180-4).
 //!
-//! SHA-256 is used for enclave measurements, bucket MACs, manifest digests
-//! and (through [`crate::hmac`]) HKDF; SHA-512 is required by
+//! SHA-256 is used for enclave measurements, bucket MACs and (through
+//! [`crate::hmac`]) HKDF; SHA-512 is required by
 //! [`crate::ed25519`].
 //!
 //! SHA-256 compresses on one of two byte-identical functions, chosen by

@@ -150,18 +150,6 @@ impl EnclaveEnv<'_> {
     pub fn epc_free(&self, bytes: usize) {
         self.epc.free(bytes);
     }
-
-    /// Reads hardware monotonic counter `id` (zero if never incremented).
-    /// Counters belong to the *platform*, so they survive enclave restarts
-    /// (and, for persistent platforms, process restarts).
-    pub fn counter_read(&self, id: u64) -> u64 {
-        self.platform.counters().read(id)
-    }
-
-    /// Increments hardware monotonic counter `id`, returning the new value.
-    pub fn counter_increment(&self, id: u64) -> u64 {
-        self.platform.counters().increment(id)
-    }
 }
 
 struct EnclaveInner<S> {
@@ -322,18 +310,6 @@ mod tests {
         e.destroy();
         assert!(e.is_destroyed());
         e.ecall(|_, _| ());
-    }
-
-    #[test]
-    fn monotonic_counters_via_env() {
-        let e = Enclave::create(&Platform::new(), &image(), ());
-        let (a, b, c) = e.ecall(|_, env| {
-            let a = env.counter_read(7);
-            let b = env.counter_increment(7);
-            let c = env.counter_read(7);
-            (a, b, c)
-        });
-        assert_eq!((a, b, c), (0, 1, 1));
     }
 
     #[test]

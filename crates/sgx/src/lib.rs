@@ -16,8 +16,6 @@
 //!   64 bytes of report data together with the enclave identity, verified
 //!   against a registry of genuine platforms (the IAS stand-in), with
 //!   revocation support.
-//! - **Monotonic counters** ([`MonotonicCounters`]): rollback-detection
-//!   anchors.
 //!
 //! The simulation is faithful in its *failure modes*: unsealing on the wrong
 //! platform fails, a quote from an unregistered or revoked platform fails,
@@ -48,7 +46,6 @@
 //! ```
 
 pub mod attestation;
-pub mod counter;
 pub mod enclave;
 pub mod epc;
 pub mod platform;
@@ -56,7 +53,6 @@ pub mod quote;
 pub mod seal;
 
 pub use attestation::{AttestError, AttestationService};
-pub use counter::MonotonicCounters;
 pub use enclave::{Enclave, EnclaveEnv, EnclaveImage, Measurement, TransitionStats};
 pub use epc::{EpcConfig, EpcUsage};
 pub use platform::{Platform, PlatformId};

@@ -13,8 +13,6 @@ use nexus_crypto::ed25519::SigningKey;
 use nexus_crypto::rng::{OsRandom, SecureRandom, SeededRandom};
 use nexus_sync::Mutex;
 
-use crate::counter::MonotonicCounters;
-
 /// Identifier of a simulated CPU package.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PlatformId(pub [u8; 16]);
@@ -36,8 +34,6 @@ pub(crate) struct PlatformInner {
     /// Key the quoting enclave signs with (provisioned by "Intel").
     pub(crate) attestation_key: SigningKey,
     pub(crate) rng: Mutex<Box<dyn SecureRandom>>,
-    /// Hardware monotonic counters (platform services).
-    pub(crate) counters: MonotonicCounters,
 }
 
 /// A simulated SGX-capable machine.
@@ -114,7 +110,6 @@ impl Platform {
                 hardware_key,
                 attestation_key: SigningKey::from_seed(&att_seed),
                 rng: Mutex::new(Box::new(SeededRandom::new(rng_seed))),
-                counters: MonotonicCounters::new(),
             }),
         }
     }
@@ -124,21 +119,6 @@ impl Platform {
     /// OS — the semantics of real hardware across reboots. Use this to
     /// persist a simulated machine across process restarts.
     pub fn from_identity_seed(seed: &[u8; 32]) -> Platform {
-        Platform::assemble_identity(seed, MonotonicCounters::new())
-    }
-
-    /// Like [`Platform::from_identity_seed`], with hardware monotonic
-    /// counters persisted to `counter_file` — the full semantics of one
-    /// machine across process restarts (identity, sealing keys, *and*
-    /// rollback-detection counters all survive).
-    pub fn from_identity_seed_persistent(
-        seed: &[u8; 32],
-        counter_file: impl Into<std::path::PathBuf>,
-    ) -> Platform {
-        Platform::assemble_identity(seed, MonotonicCounters::persistent(counter_file))
-    }
-
-    fn assemble_identity(seed: &[u8; 32], counters: MonotonicCounters) -> Platform {
         let okm = nexus_crypto::hmac::hkdf(b"sgx-platform-identity-v1", seed, b"", 80);
         let mut id = [0u8; 16];
         id.copy_from_slice(&okm[..16]);
@@ -152,14 +132,8 @@ impl Platform {
                 hardware_key,
                 attestation_key: SigningKey::from_seed(&att_seed),
                 rng: Mutex::new(Box::new(OsRandom::new())),
-                counters,
             }),
         }
-    }
-
-    /// The platform's hardware monotonic counters.
-    pub fn counters(&self) -> &MonotonicCounters {
-        &self.inner.counters
     }
 
     /// Creates a platform drawing all hardware secrets from `rng`.
@@ -176,7 +150,6 @@ impl Platform {
                 hardware_key,
                 attestation_key: SigningKey::from_seed(&att_seed),
                 rng: Mutex::new(rng),
-                counters: MonotonicCounters::new(),
             }),
         }
     }

@@ -163,62 +163,6 @@ fn threaded_clients_in_separate_directories() {
 }
 
 #[test]
-fn threaded_clients_on_merkle_volume() {
-    // The freshness manifest serializes writers and must tolerate readers
-    // observing objects before their manifest entry lands.
-    let deployment = Deployment::new();
-    let owner_machine = Platform::seeded(31);
-    let peer_machine = Platform::seeded(32);
-    deployment.ias.register_platform(&owner_machine);
-    deployment.ias.register_platform(&peer_machine);
-    let owner = UserKeys::from_seed("owner", &[1u8; 32]);
-    let peer = UserKeys::from_seed("peer", &[2u8; 32]);
-
-    let config = nexus::NexusConfig { merkle_freshness: true, ..Default::default() };
-    let (owner_volume, _) = NexusVolume::create(
-        &owner_machine,
-        deployment.client(),
-        &deployment.ias,
-        &owner,
-        config,
-    )
-    .unwrap();
-    owner_volume.authenticate(&owner).unwrap();
-    owner_volume.mkdir("shared").unwrap();
-
-    let joiner = VolumeJoiner::new(&peer_machine, deployment.client());
-    joiner.publish_offer(&peer).unwrap();
-    owner_volume.grant_access(&owner, "peer", &peer.public_key()).unwrap();
-    owner_volume.set_acl("shared", "peer", Rights::RW).unwrap();
-    let sealed = joiner.accept_grant(&peer, &owner.public_key()).unwrap();
-    let peer_volume = NexusVolume::mount(
-        &peer_machine,
-        deployment.client(),
-        &deployment.ias,
-        &sealed,
-        config,
-    )
-    .unwrap();
-    peer_volume.authenticate(&peer).unwrap();
-
-    let ha = std::thread::spawn(move || {
-        for i in 0..12 {
-            owner_volume.write_file(&format!("shared/o{i}"), b"O").unwrap();
-        }
-        owner_volume
-    });
-    let hb = std::thread::spawn(move || {
-        for i in 0..12 {
-            peer_volume.write_file(&format!("shared/p{i}"), b"P").unwrap();
-        }
-        peer_volume
-    });
-    let owner_volume = ha.join().unwrap();
-    let _ = hb.join().unwrap();
-    assert_eq!(owner_volume.list_dir("shared").unwrap().len(), 24);
-}
-
-#[test]
 fn threaded_clients_in_same_directory() {
     // The hard case: concurrent creates in one directory from two OS
     // threads. flock emulation serializes dirnode read-modify-write cycles.

@@ -136,6 +136,36 @@ fn rollback_detected() {
     );
 }
 
+/// The limit of per-object versions, and the paper's own (§VI-C leaves a
+/// volume-wide hash tree as future work): a client that never saw an
+/// object has no version to hold a stale copy against. The server serves
+/// the pair of objects an overwrite replaced, both authentic, and a fresh
+/// client reads the old contents without an error. Closing this gap takes
+/// a design such as SAFIUS's; DESIGN.md §5 lists it as not defended.
+#[test]
+fn a_history_less_client_accepts_a_rolled_back_object() {
+    let (platform, ias, evil, owner, volume, sealed) = setup();
+    volume.write_file("doc.txt", b"version 1").unwrap();
+    let before = evil.observed().len();
+    volume.write_file("doc.txt", b"version 2").unwrap();
+    // The server rolls back what the overwrite rewrote — the filenode and
+    // its data object — to the versions the create wrote.
+    let rewritten: Vec<String> =
+        evil.observed().split_off(before).into_iter().map(|(path, _)| path).collect();
+    let filenode_uuid = volume.lookup("doc.txt").unwrap().uuid.object_name();
+    assert_eq!(rewritten.len(), 2, "{rewritten:?}");
+    assert!(rewritten.contains(&filenode_uuid), "{rewritten:?}");
+    for path in &rewritten {
+        assert_eq!(evil.version_count(path), 2, "{path} was first written by the create");
+        evil.rollback(path);
+    }
+    let fresh =
+        NexusVolume::mount(&platform, evil.clone(), &ias, &sealed, NexusConfig::default())
+            .unwrap();
+    fresh.authenticate(&owner).unwrap();
+    assert_eq!(fresh.read_file("doc.txt").unwrap(), b"version 1", "served stale, silently");
+}
+
 #[test]
 fn stolen_sealed_rootkey_useless_without_identity() {
     // The attacker exfiltrates the sealed rootkey AND runs the genuine
