@@ -58,7 +58,7 @@ fn add_real_user(
     let platform = Platform::seeded(machine);
     ias.register_platform(&platform);
     let user = UserKeys::from_seed(name, &[seed; 32]);
-    let joiner = VolumeJoiner::new(&platform, backend.clone());
+    let joiner = VolumeJoiner::new(&platform, backend.clone(), ias);
     joiner.publish_offer(&user).expect("offer");
     volume.grant_access(owner, name, &user.public_key()).expect("grant");
 }

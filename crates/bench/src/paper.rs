@@ -419,13 +419,13 @@ fn sharing_costs(_smoke: bool) -> Vec<Row> {
     let alice_machine = Platform::seeded(77);
     rig.ias.register_platform(&alice_machine);
     let alice = UserKeys::from_seed("alice", &[2u8; 32]);
-    let joiner = VolumeJoiner::new(&alice_machine, backend.clone());
-    let ((), offer) = counted(&*backend, || joiner.publish_offer(&alice).expect("offer"));
+    let joiner = VolumeJoiner::new(&alice_machine, backend.clone(), &rig.ias);
+    let (sealed_offer, offer) = counted(&*backend, || joiner.publish_offer(&alice).expect("offer"));
     let ((), grant) = counted(&*backend, || {
         volume.grant_access(&rig.owner, "alice", &alice.public_key()).expect("grant")
     });
     let (sealed, accept) = counted(&*backend, || {
-        joiner.accept_grant(&alice, &rig.owner.public_key()).expect("accept")
+        joiner.accept_grant(&alice, &rig.owner.public_key(), sealed_offer).expect("accept")
     });
     // Alice mounting proves the exchange carried the rootkey.
     let alice_volume =
@@ -561,11 +561,12 @@ fn concurrency(_smoke: bool) -> Vec<Row> {
             let name = format!("user{i}");
             let peer = UserKeys::from_seed(&name, &seed);
             let client = Arc::new(AfsClient::connect(&server, clock.clone(), rig.latency));
-            let joiner = VolumeJoiner::new(&machine, client.clone());
-            joiner.publish_offer(&peer).expect("offer");
+            let joiner = VolumeJoiner::new(&machine, client.clone(), ias);
+            let sealed_offer = joiner.publish_offer(&peer).expect("offer");
             volumes[0].grant_access(owner, &name, &peer.public_key()).expect("grant");
             volumes[0].set_acl("shared", &name, Rights::RW).expect("acl");
-            let sealed = joiner.accept_grant(&peer, &owner.public_key()).expect("accept");
+            let sealed =
+                joiner.accept_grant(&peer, &owner.public_key(), sealed_offer).expect("accept");
             let volume =
                 NexusVolume::mount(&machine, client, ias, &sealed, rig.config).expect("mount");
             volume.authenticate(&peer).expect("peer auth");

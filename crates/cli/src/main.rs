@@ -56,10 +56,12 @@ ACCESS CONTROL:
     revoke PATH USER             remove a user's ACL entry (cheap!)
     revoke-user USER             remove a user from the volume entirely
 
-SHARING (paper Fig. 4):
-    offer                        publish this enclave's quoted exchange key
+SHARING (paper Fig. 4), each step its own run, at any time:
+    offer                        publish a fresh quoted exchange key; its
+                                 secret stays sealed under --home
     grant USER PUBKEY_HEX        verify USER's offer, share the rootkey
-    accept OWNER_PUBKEY_HEX      extract a granted rootkey and save it
+    accept OWNER_PUBKEY_HEX      extract a granted rootkey and save it;
+                                 deletes the sealed offer secret
 
 DEFAULTS:
     --home  ./.nexus-home        --store ./.nexus-store        --user owner
@@ -314,13 +316,12 @@ fn run() -> Result<(), String> {
             println!("removed {user} from the volume");
         }
         ("offer", []) => {
-            let joiner = VolumeJoiner::new(&state.platform, state.store.clone());
-            joiner.publish_offer(&state.user).map_err(|e| e.to_string())?;
-            // Persist nothing: the offer's ECDH secret lives in this
-            // enclave instance, so accept must re-derive; see `accept`.
+            let joiner = VolumeJoiner::new(&state.platform, state.store.clone(), &state.ias);
+            let sealed = joiner.publish_offer(&state.user).map_err(|e| e.to_string())?;
+            state.save_offer(&sealed)?;
             println!("offer published for {}", args.user);
             println!("your public key: {}", hex(&state.user.public_key().to_bytes()));
-            println!("note: run `accept` from the SAME home after the owner grants");
+            println!("once the owner has run `grant`, run `accept` from this home");
         }
         ("grant", [user, pubkey_hex]) => {
             let peer_key = parse_pubkey(pubkey_hex)?;
@@ -332,52 +333,14 @@ fn run() -> Result<(), String> {
         }
         ("accept", [owner_pubkey_hex]) => {
             let owner_key = parse_pubkey(owner_pubkey_hex)?;
-            // The offer and the extraction must use the same enclave ECDH
-            // key. The joiner regenerates its keypair per process, so the
-            // CLI publishes a fresh offer and requires a re-grant — unless
-            // the grant is already extractable by this fresh offer cycle.
-            let joiner = VolumeJoiner::new(&state.platform, state.store.clone());
-            match joiner.accept_grant(&state.user, &owner_key) {
-                Ok(sealed) => {
-                    state.save_rootkey("default", &sealed)?;
-                    println!("rootkey accepted and sealed to this machine");
-                }
-                Err(e) => {
-                    // Republish so the owner can re-grant against the
-                    // current enclave instance.
-                    joiner.publish_offer(&state.user).map_err(|e2| e2.to_string())?;
-                    return Err(format!(
-                        "{e}\na fresh offer was republished; ask the owner to run `grant` again, \
-                         then retry `accept` in the same session or use `join` below"
-                    ));
-                }
-            }
-        }
-        ("join", [owner_pubkey_hex]) => {
-            // One-shot interactive join: publish an offer and wait for the
-            // owner's grant to appear on the store, then extract.
-            let owner_key = parse_pubkey(owner_pubkey_hex)?;
-            let joiner = VolumeJoiner::new(&state.platform, state.store.clone());
-            joiner.publish_offer(&state.user).map_err(|e| e.to_string())?;
-            println!(
-                "offer published; waiting for the owner to run `grant {} {}` ...",
-                args.user,
-                hex(&state.user.public_key().to_bytes())
-            );
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(300);
-            loop {
-                match joiner.accept_grant(&state.user, &owner_key) {
-                    Ok(sealed) => {
-                        state.save_rootkey("default", &sealed)?;
-                        println!("rootkey accepted and sealed to this machine");
-                        break;
-                    }
-                    Err(_) if std::time::Instant::now() < deadline => {
-                        std::thread::sleep(std::time::Duration::from_millis(500));
-                    }
-                    Err(e) => return Err(format!("timed out waiting for grant: {e}")),
-                }
-            }
+            let offer = state.load_offer()?;
+            let joiner = VolumeJoiner::new(&state.platform, state.store.clone(), &state.ias);
+            let sealed = joiner
+                .accept_grant(&state.user, &owner_key, offer)
+                .map_err(|e| e.to_string())?;
+            state.save_rootkey("default", &sealed)?;
+            state.remove_offer()?;
+            println!("rootkey accepted and sealed to this machine");
         }
         (other, _) => {
             return Err(format!(

@@ -2,16 +2,17 @@
 //!
 //! A real NEXUS deployment keeps three things on the user's local disk: the
 //! identity keypair, the sealed volume rootkey, and (implicitly, in
-//! silicon) the platform identity. The CLI persists stand-ins for all three
-//! under `--home`, and publishes platform attestation records into the
-//! shared store so separate invocations — even "different machines"
-//! (different homes) — can verify each other's quotes, the way Intel's
-//! provisioning database does.
+//! silicon) the platform identity; between `offer` and `accept` it also
+//! keeps the sealed secret of the pending exchange offer. The CLI persists
+//! stand-ins for all of them under `--home`, and publishes platform
+//! attestation records into the shared store so separate invocations —
+//! even "different machines" (different homes) — can verify each other's
+//! quotes, the way Intel's provisioning database does.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use nexus_core::{SealedRootKey, UserKeys};
+use nexus_core::{SealedOffer, SealedRootKey, UserKeys};
 use nexus_crypto::ed25519::VerifyingKey;
 use nexus_sgx::{AttestationService, Platform, PlatformId};
 use nexus_storage::{DirBackend, StorageBackend};
@@ -97,6 +98,44 @@ impl CliState {
             )
         })?;
         Ok(SealedRootKey(bytes))
+    }
+
+    /// Path of the sealed secret of this home's pending exchange offer.
+    fn offer_path(&self) -> PathBuf {
+        self.home.join("offer.sealed")
+    }
+
+    /// Persists the sealed secret of a just-published offer, replacing any
+    /// earlier one.
+    ///
+    /// # Errors
+    ///
+    /// Filesystem errors.
+    pub fn save_offer(&self, offer: &SealedOffer) -> Result<(), String> {
+        std::fs::write(self.offer_path(), &offer.0).map_err(|e| format!("saving offer: {e}"))
+    }
+
+    /// Loads the pending offer's sealed secret.
+    ///
+    /// # Errors
+    ///
+    /// A readable message when no offer is pending in this home.
+    pub fn load_offer(&self) -> Result<SealedOffer, String> {
+        let path = self.offer_path();
+        let bytes = std::fs::read(&path).map_err(|_| {
+            format!("no pending offer at {} — run `nexus-cli offer` first", path.display())
+        })?;
+        Ok(SealedOffer(bytes))
+    }
+
+    /// Deletes the pending offer's sealed secret once its grant is
+    /// accepted: without it, nothing can open the grant again.
+    ///
+    /// # Errors
+    ///
+    /// Filesystem errors.
+    pub fn remove_offer(&self) -> Result<(), String> {
+        std::fs::remove_file(self.offer_path()).map_err(|e| format!("deleting offer: {e}"))
     }
 }
 

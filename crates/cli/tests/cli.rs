@@ -112,27 +112,15 @@ fn sharing_and_revocation_between_machines() {
     let owen_pk = owen.pubkey();
     let alice_pk = alice.pubkey();
 
-    // Fig. 4, each phase a separate process. The offer's ECDH secret lives
-    // in the enclave of one process, so `join` (which keeps the enclave
-    // alive while polling) is the cross-process-safe recipient flow; here
-    // we instead drive grant between alice's offer and accept by running
-    // `join` in the background.
-    let join_child = Command::new(bin())
-        .arg("--home")
-        .arg(&alice.home)
-        .arg("--store")
-        .arg(&alice.store)
-        .arg("--user")
-        .arg("alice")
-        .args(["join", &owen_pk])
-        .spawn()
-        .expect("spawn join");
-    // Give the joiner a moment to publish its offer.
-    std::thread::sleep(std::time::Duration::from_millis(800));
+    // Fig. 4, each phase a separate process: the offer's secret waits,
+    // sealed, in alice's home until she accepts.
+    alice.ok(&["offer"]);
     owen.ok(&["grant", "alice", &alice_pk]);
     owen.ok(&["setfacl", "shared", "alice", "rw"]);
-    let join_out = join_child.wait_with_output().expect("join finishes");
-    assert!(join_out.status.success(), "join failed");
+    alice.ok(&["accept", &owen_pk]);
+    // The offer is consumed: its sealed secret is gone from alice's home.
+    let err = alice.fails(&["accept", &owen_pk]);
+    assert!(err.contains("no pending offer"), "got: {err}");
 
     assert_eq!(alice.ok(&["cat", "shared/memo.txt"]), "hello alice");
     let users = owen.ok(&["users"]);
@@ -173,6 +161,9 @@ fn help_and_bad_commands() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));
     let err = owen.fails(&["frobnicate"]);
     assert!(err.contains("unknown command"));
+    let owen_pk = owen.pubkey();
+    let err = owen.fails(&["join", &owen_pk]);
+    assert!(err.contains("unknown command"), "join: {err}");
     for flag in ["--bogus", "--merkle"] {
         let err = owen.fails(&["init", flag]);
         assert!(err.contains("unknown init flag"), "{flag}: {err}");

@@ -58,19 +58,6 @@ pub struct Session {
     pub is_owner: bool,
 }
 
-/// The enclave's long-term ECDH identity for the rootkey exchange.
-#[derive(Clone)]
-pub(crate) struct ExchangeKeys {
-    pub(crate) secret: [u8; 32],
-    pub(crate) public: [u8; 32],
-}
-
-impl std::fmt::Debug for ExchangeKeys {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("ExchangeKeys { .. }")
-    }
-}
-
 /// A cached, decrypted metadata node, shared with whoever loaded it.
 #[derive(Debug, Clone)]
 pub(crate) enum CachedNode {
@@ -153,7 +140,6 @@ impl Drop for Mounted {
 #[derive(Debug, Default)]
 pub struct EnclaveState {
     pub(crate) config: Option<NexusConfig>,
-    pub(crate) exchange: Option<ExchangeKeys>,
     pub(crate) mounted: Option<Mounted>,
     /// Outstanding authentication challenges: user public key → nonce.
     pub(crate) pending_auth: HashMap<[u8; 32], [u8; 16]>,

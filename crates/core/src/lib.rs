@@ -65,7 +65,6 @@ pub mod fsops;
 pub mod groups;
 pub mod metadata;
 pub mod protocol;
-pub mod sync_exchange;
 pub mod uuid;
 pub mod vfs;
 pub mod volume;
@@ -79,9 +78,8 @@ pub use error::{NexusError, Result};
 pub use fsck::{FsckMode, FsckReport};
 pub use fsops::{DirRow, FileType, LookupInfo};
 pub use uuid::NexusUuid;
-pub use sync_exchange::SyncJoiner;
 pub use vfs::{NexusFile, OpenMode};
 pub use volume::{
-    nexus_enclave_image, nexus_enclave_measurement, NexusVolume, SealedRootKey, UserKeys,
-    VolumeJoiner,
+    nexus_enclave_image, nexus_enclave_measurement, NexusVolume, SealedOffer, SealedRootKey,
+    UserKeys, VolumeJoiner,
 };

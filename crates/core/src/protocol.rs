@@ -1,39 +1,53 @@
 //! Volume authentication (§IV-B) and the rootkey exchange protocol (§IV-B1,
-//! Fig. 4) — enclave-side logic and wire formats.
+//! Fig. 4, with §VI-B's per-exchange keys) — enclave-side logic and wire
+//! formats.
 //!
 //! Authentication is a challenge/response: the enclave returns a nonce, the
 //! user signs `nonce || ENC(rootkey, supernode)` with their identity key,
 //! and the enclave verifies the signature against a public key stored in
 //! the supernode.
 //!
-//! The exchange protocol moves a volume rootkey between two NEXUS enclaves
-//! on different machines using X25519 + SGX quotes, entirely in-band over
-//! the untrusted storage service, without requiring both users online:
+//! The exchange moves a volume rootkey between two NEXUS enclaves on
+//! different machines using X25519 + SGX quotes, entirely in-band over the
+//! untrusted storage service, without requiring both users online:
 //!
-//! 1. **Setup** — the recipient's enclave binds its ECDH public key into a
-//!    quote; the recipient signs it and stores the offer.
-//! 2. **Exchange** — the owner verifies signature + quote (expected
-//!    measurement = the NEXUS enclave), derives an ephemeral shared secret,
-//!    and stores the wrapped rootkey.
-//! 3. **Extraction** — the recipient's enclave derives the same secret and
-//!    recovers the rootkey, sealing it to its own platform.
+//! 1. **Offer** — the recipient's enclave draws a fresh X25519 key for this
+//!    offer, binds its public half into a quote, and seals its secret half
+//!    to the platform; the recipient signs the quote, stores the offer, and
+//!    keeps the sealed secret (a `SealedOffer`) on local disk.
+//! 2. **Grant** — the owner's enclave verifies signature + quote (expected
+//!    measurement = the NEXUS enclave), draws an ephemeral key, wraps the
+//!    rootkey under the shared secret, and quotes the ephemeral public key;
+//!    the owner signs and stores the grant. The ephemeral secret is wiped.
+//! 3. **Accept** — the recipient verifies the owner's signature, and its
+//!    enclave verifies the owner's quote (mutual attestation), unseals the
+//!    offer's secret, recovers the rootkey, and seals it to its own
+//!    platform. The offer's secret is wiped; once the recipient deletes
+//!    the sealed copy, no key that could open the grant exists anywhere.
 
-use nexus_crypto::ed25519::{Signature, SigningKey, VerifyingKey};
+use nexus_crypto::ct::zeroize;
+use nexus_crypto::ed25519::{Signature, VerifyingKey};
 use nexus_crypto::gcm::AesGcm;
-use nexus_crypto::hmac::hkdf;
+use nexus_crypto::hmac::hkdf_into;
 use nexus_crypto::x25519;
 use nexus_sgx::{AttestationService, EnclaveEnv, Measurement, Quote, SealPolicy, SealedData};
 
-use crate::enclave::{EnclaveState, ExchangeKeys, MetaIo, Mounted};
+use crate::enclave::{EnclaveState, MetaIo};
 use crate::error::{NexusError, Result};
 use crate::metadata::crypto::RootKey;
 use crate::uuid::NexusUuid;
+use crate::volume::UserKeys;
 use crate::wire::{Reader, Writer};
 
-/// Tag distinguishing NEXUS exchange quotes from other report data.
-const EXCHANGE_TAG: &[u8; 16] = b"NEXUS-XCHG-KEY-1";
+/// Tag binding a recipient's offer key into its quote.
+const OFFER_TAG: &[u8; 16] = b"NEXUS-XCHG-KEY-1";
+/// Tag binding an owner's ephemeral key into its quote; also the AAD of
+/// the wrapped rootkey.
+const GRANT_TAG: &[u8; 16] = b"NEXUS-XCHG-OWN-1";
 /// AAD under which rootkeys are sealed to the local platform.
 pub(crate) const ROOTKEY_SEAL_AAD: &[u8] = b"nexus-volume-rootkey";
+/// AAD under which an offer's X25519 secret is sealed.
+const OFFER_SEAL_AAD: &[u8] = b"nexus-exchange-offer";
 
 // ---------------------------------------------------------------------------
 // Authentication.
@@ -116,17 +130,51 @@ pub(crate) fn auth_complete(
 // Sealed rootkey handling.
 // ---------------------------------------------------------------------------
 
+/// `rootkey || volume_uuid`, the payload of a sealed rootkey and of a grant.
+fn rootkey_payload(rootkey: &RootKey, volume: &NexusUuid) -> [u8; 48] {
+    let mut payload = [0u8; 48];
+    payload[..32].copy_from_slice(rootkey);
+    payload[32..].copy_from_slice(&volume.0);
+    payload
+}
+
+/// Splits a [`rootkey_payload`] and wipes it.
+fn split_rootkey_payload(payload: &mut [u8; 48]) -> (RootKey, NexusUuid) {
+    let mut rootkey = [0u8; 32];
+    rootkey.copy_from_slice(&payload[..32]);
+    let uuid = NexusUuid(payload[32..].try_into().expect("16 bytes"));
+    zeroize(payload);
+    (rootkey, uuid)
+}
+
+/// Copies a decrypted buffer out when it is exactly `N` bytes long, and
+/// wipes it either way.
+fn take_exact<const N: usize>(mut plain: Vec<u8>) -> Option<[u8; N]> {
+    let exact = <[u8; N]>::try_from(plain.as_slice()).ok();
+    zeroize(&mut plain);
+    exact
+}
+
+/// Unseals a blob whose payload is exactly `N` bytes.
+fn unseal_exact<const N: usize>(
+    env: &EnclaveEnv<'_>,
+    sealed: &[u8],
+    aad: &[u8],
+) -> Result<[u8; N]> {
+    let sealed = SealedData::from_bytes(sealed).map_err(|e| NexusError::Seal(e.to_string()))?;
+    let plain = env.unseal(&sealed, aad).map_err(|e| NexusError::Seal(e.to_string()))?;
+    take_exact(plain).ok_or_else(|| NexusError::Seal("sealed payload has wrong length".into()))
+}
+
 /// Seals `rootkey || volume_uuid` to the local platform and enclave.
 pub(crate) fn seal_rootkey(
     env: &EnclaveEnv<'_>,
     rootkey: &RootKey,
     volume: &NexusUuid,
 ) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(48);
-    payload.extend_from_slice(rootkey);
-    payload.extend_from_slice(&volume.0);
+    let mut payload = rootkey_payload(rootkey, volume);
     let sealed = env.seal(SealPolicy::MrEnclave, &payload, ROOTKEY_SEAL_AAD).to_bytes();
-    nexus_crypto::ct::zeroize(&mut payload);
+    zeroize(&mut payload);
     sealed
 }
 
@@ -135,31 +183,39 @@ pub(crate) fn unseal_rootkey(
     env: &EnclaveEnv<'_>,
     sealed: &[u8],
 ) -> Result<(RootKey, NexusUuid)> {
-    let sealed = SealedData::from_bytes(sealed)
-        .map_err(|e| NexusError::Seal(e.to_string()))?;
-    let mut payload = env
-        .unseal(&sealed, ROOTKEY_SEAL_AAD)
-        .map_err(|e| NexusError::Seal(e.to_string()))?;
-    if payload.len() != 48 {
-        nexus_crypto::ct::zeroize(&mut payload);
-        return Err(NexusError::Seal("sealed rootkey payload has wrong length".into()));
-    }
-    let mut rootkey = [0u8; 32];
-    rootkey.copy_from_slice(&payload[..32]);
-    let mut uuid = [0u8; 16];
-    uuid.copy_from_slice(&payload[32..]);
-    nexus_crypto::ct::zeroize(&mut payload);
-    Ok((rootkey, NexusUuid(uuid)))
+    Ok(split_rootkey_payload(&mut unseal_exact(env, sealed, ROOTKEY_SEAL_AAD)?))
 }
 
 // ---------------------------------------------------------------------------
 // Exchange protocol messages.
 // ---------------------------------------------------------------------------
 
-/// Message 1: the recipient's signed, quoted ECDH public key.
+/// Report data binding an exchange public key under `tag`.
+fn key_report(public: &[u8; 32], tag: &[u8; 16]) -> [u8; 64] {
+    let mut report = [0u8; 64];
+    report[..32].copy_from_slice(public);
+    report[32..48].copy_from_slice(tag);
+    report
+}
+
+/// The exchange public key `quote` binds under `tag`.
+fn quoted_key(quote: &Quote, tag: &[u8; 16]) -> Result<[u8; 32]> {
+    if &quote.report_data[32..48] != tag {
+        return Err(NexusError::Protocol("quote is not a NEXUS exchange quote of this kind".into()));
+    }
+    Ok(quote.report_data[..32].try_into().expect("32 bytes"))
+}
+
+/// The error of a message that ends early or runs on past its end.
+fn framing(what: &'static str) -> impl Fn(NexusError) -> NexusError {
+    move |_| NexusError::Protocol(format!("{what} truncated or overlong"))
+}
+
+/// Message 1: the recipient's signed, quoted X25519 public key, drawn for
+/// this one offer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExchangeOffer {
-    /// Quote binding the enclave ECDH public key into report data.
+    /// Quote binding the offer's public key into report data.
     pub quote: Quote,
     /// Recipient's signature over the serialized quote.
     pub signature: Signature,
@@ -181,54 +237,45 @@ impl ExchangeOffer {
     /// [`NexusError::Protocol`] on framing problems.
     pub fn from_bytes(bytes: &[u8]) -> Result<ExchangeOffer> {
         let mut r = Reader::new(bytes);
-        let quote_bytes = r.bytes().map_err(|_| NexusError::Protocol("offer truncated".into()))?;
-        let quote = Quote::from_bytes(&quote_bytes)
+        let quote = Quote::from_bytes(&r.bytes().map_err(framing("offer"))?)
             .ok_or_else(|| NexusError::Protocol("offer quote malformed".into()))?;
-        let sig_bytes = r
-            .raw(64)
-            .map_err(|_| NexusError::Protocol("offer signature truncated".into()))?;
-        let signature =
-            Signature::from_bytes(sig_bytes).map_err(|_| NexusError::Protocol("bad signature".into()))?;
+        let signature = Signature::from_bytes(r.raw(64).map_err(framing("offer"))?)
+            .map_err(|_| NexusError::Protocol("bad signature".into()))?;
+        r.finish().map_err(framing("offer"))?;
         Ok(ExchangeOffer { quote, signature })
     }
 
-    /// The ECDH public key bound into the quote.
+    /// The X25519 public key bound into the quote.
     pub fn enclave_public_key(&self) -> Result<[u8; 32]> {
-        if &self.quote.report_data[32..48] != EXCHANGE_TAG {
-            return Err(NexusError::Protocol("quote is not a NEXUS exchange quote".into()));
-        }
-        Ok(self.quote.report_data[..32].try_into().unwrap())
+        quoted_key(&self.quote, OFFER_TAG)
     }
 }
 
 /// Message 2: the owner's wrapped rootkey.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RootKeyGrant {
-    /// The owner's ephemeral ECDH public key.
-    pub ephemeral_public: [u8; 32],
+    /// Owner-enclave quote binding the owner's ephemeral X25519 key.
+    pub quote: Quote,
     /// AES-GCM nonce for the wrapped payload.
     pub nonce: [u8; 12],
     /// `ENC(k, rootkey || volume_uuid)` under the ECDH-derived key.
     pub wrapped: Vec<u8>,
-    /// Owner's signature over (ephemeral_public || nonce || wrapped).
+    /// Owner's signature over (quote || nonce || wrapped).
     pub signature: Signature,
 }
 
 impl RootKeyGrant {
-    fn signed_portion(ephemeral_public: &[u8; 32], nonce: &[u8; 12], wrapped: &[u8]) -> Vec<u8> {
+    fn signed_portion(quote: &Quote, nonce: &[u8; 12], wrapped: &[u8]) -> Vec<u8> {
         let mut w = Writer::new();
-        w.raw(ephemeral_public).raw(nonce).bytes(wrapped);
+        w.bytes(&quote.to_bytes()).raw(nonce).bytes(wrapped);
         w.into_bytes()
     }
 
     /// Serializes for in-band storage.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.raw(&self.ephemeral_public)
-            .raw(&self.nonce)
-            .bytes(&self.wrapped)
-            .raw(&self.signature.to_bytes());
-        w.into_bytes()
+        let mut bytes = Self::signed_portion(&self.quote, &self.nonce, &self.wrapped);
+        bytes.extend_from_slice(&self.signature.to_bytes());
+        bytes
     }
 
     /// Parses a grant.
@@ -238,19 +285,19 @@ impl RootKeyGrant {
     /// [`NexusError::Protocol`] on framing problems.
     pub fn from_bytes(bytes: &[u8]) -> Result<RootKeyGrant> {
         let mut r = Reader::new(bytes);
-        let ephemeral_public = r
-            .array::<32>()
-            .map_err(|_| NexusError::Protocol("grant truncated".into()))?;
-        let nonce = r
-            .array::<12>()
-            .map_err(|_| NexusError::Protocol("grant truncated".into()))?;
-        let wrapped = r.bytes().map_err(|_| NexusError::Protocol("grant truncated".into()))?;
-        let sig_bytes = r
-            .raw(64)
-            .map_err(|_| NexusError::Protocol("grant signature truncated".into()))?;
-        let signature =
-            Signature::from_bytes(sig_bytes).map_err(|_| NexusError::Protocol("bad signature".into()))?;
-        Ok(RootKeyGrant { ephemeral_public, nonce, wrapped, signature })
+        let quote = Quote::from_bytes(&r.bytes().map_err(framing("grant"))?)
+            .ok_or_else(|| NexusError::Protocol("grant quote malformed".into()))?;
+        let nonce = r.array::<12>().map_err(framing("grant"))?;
+        let wrapped = r.bytes().map_err(framing("grant"))?;
+        let signature = Signature::from_bytes(r.raw(64).map_err(framing("grant"))?)
+            .map_err(|_| NexusError::Protocol("bad signature".into()))?;
+        r.finish().map_err(framing("grant"))?;
+        Ok(RootKeyGrant { quote, nonce, wrapped, signature })
+    }
+
+    /// The owner's ephemeral X25519 public key bound into the quote.
+    pub fn owner_public_key(&self) -> Result<[u8; 32]> {
+        quoted_key(&self.quote, GRANT_TAG)
     }
 
     /// Verifies the owner's signature.
@@ -259,7 +306,7 @@ impl RootKeyGrant {
     ///
     /// [`NexusError::Protocol`] when it does not verify.
     pub fn verify(&self, owner: &VerifyingKey) -> Result<()> {
-        let msg = Self::signed_portion(&self.ephemeral_public, &self.nonce, &self.wrapped);
+        let msg = Self::signed_portion(&self.quote, &self.nonce, &self.wrapped);
         owner
             .verify(&msg, &self.signature)
             .map_err(|_| NexusError::Protocol("grant signature invalid".into()))
@@ -267,15 +314,9 @@ impl RootKeyGrant {
 
     /// Signs the grant body with the owner's identity key (done by the
     /// untrusted client, as in the paper: `m2 = SIGN(sk_o, h) | pk_eph`).
-    pub fn sign(
-        ephemeral_public: [u8; 32],
-        nonce: [u8; 12],
-        wrapped: Vec<u8>,
-        owner: &SigningKey,
-    ) -> RootKeyGrant {
-        let msg = Self::signed_portion(&ephemeral_public, &nonce, &wrapped);
-        let signature = owner.sign(&msg);
-        RootKeyGrant { ephemeral_public, nonce, wrapped, signature }
+    pub fn sign(quote: Quote, nonce: [u8; 12], wrapped: Vec<u8>, owner: &UserKeys) -> RootKeyGrant {
+        let signature = owner.sign(&Self::signed_portion(&quote, &nonce, &wrapped));
+        RootKeyGrant { quote, nonce, wrapped, signature }
     }
 }
 
@@ -293,112 +334,117 @@ pub fn grant_path(user_name: &str) -> String {
 // Enclave-side exchange operations.
 // ---------------------------------------------------------------------------
 
-/// Ensures the enclave has an ECDH identity, returning the public key.
-pub(crate) fn ensure_exchange_keys(state: &mut EnclaveState, env: &EnclaveEnv<'_>) -> [u8; 32] {
-    if state.exchange.is_none() {
-        let mut secret = [0u8; 32];
-        env.random_bytes(&mut secret);
-        let public = x25519::x25519_public_key(&secret);
-        state.exchange = Some(ExchangeKeys { secret, public });
-    }
-    state.exchange.as_ref().unwrap().public
+/// The AES-GCM key both ends derive from one X25519 agreement: `secret` is
+/// this end's key, `peer` the other end's public key. The HKDF info is
+/// always the owner's public key, then the recipient's. The shared secret
+/// and the derived key are wiped; the cipher wipes its own schedule.
+fn exchange_cipher(
+    secret: &[u8; 32],
+    peer: &[u8; 32],
+    owner_public: &[u8; 32],
+    recipient_public: &[u8; 32],
+) -> AesGcm {
+    let mut shared = x25519::x25519(secret, peer);
+    let mut info = [0u8; 64];
+    info[..32].copy_from_slice(owner_public);
+    info[32..].copy_from_slice(recipient_public);
+    let mut key = [0u8; 32];
+    hkdf_into(b"nexus-exchange-v1", &shared, &info, &mut key);
+    let gcm = AesGcm::new_256(&key);
+    zeroize(&mut shared);
+    zeroize(&mut key);
+    gcm
 }
 
-/// Ecall (setup phase): produces the quote binding this enclave's ECDH key.
-pub(crate) fn make_offer_quote(state: &mut EnclaveState, env: &EnclaveEnv<'_>) -> Quote {
-    let public = ensure_exchange_keys(state, env);
-    let mut report_data = [0u8; 64];
-    report_data[..32].copy_from_slice(&public);
-    report_data[32..48].copy_from_slice(EXCHANGE_TAG);
-    env.quote(&report_data)
-}
-
-/// Derives the wrapping key from an ECDH shared secret.
-fn wrap_key(shared: &[u8; 32], pk_eph: &[u8; 32], pk_peer: &[u8; 32]) -> [u8; 32] {
-    let mut info = Vec::with_capacity(64);
-    info.extend_from_slice(pk_eph);
-    info.extend_from_slice(pk_peer);
-    hkdf(b"nexus-exchange-v1", shared, &info, 32)
-        .try_into()
-        .expect("hkdf length")
+/// Ecall (setup phase, recipient side): draws a fresh X25519 key for one
+/// offer, quotes its public half, and seals its secret half to this
+/// platform and enclave. Returns the quote and the sealed secret.
+pub(crate) fn make_offer(env: &EnclaveEnv<'_>) -> (Quote, Vec<u8>) {
+    let mut secret = [0u8; 32];
+    env.random_bytes(&mut secret);
+    let public = x25519::x25519_public_key(&secret);
+    let sealed = env.seal(SealPolicy::MrEnclave, &secret, OFFER_SEAL_AAD).to_bytes();
+    zeroize(&mut secret);
+    (env.quote(&key_report(&public, OFFER_TAG)), sealed)
 }
 
 /// Ecall (exchange phase, owner side): verifies the recipient's offer and
-/// wraps the mounted volume's rootkey for the recipient's enclave.
+/// wraps the mounted volume's rootkey for it under a fresh ephemeral key,
+/// which is wiped before this returns. Returns the owner-enclave quote
+/// binding the ephemeral public key, the nonce, and the wrapped rootkey.
 pub(crate) fn wrap_rootkey_for(
     state: &mut EnclaveState,
     env: &EnclaveEnv<'_>,
     offer: &ExchangeOffer,
     ias: &AttestationService,
     expected_measurement: Measurement,
-) -> Result<([u8; 32], [u8; 12], Vec<u8>)> {
+) -> Result<(Quote, [u8; 12], Vec<u8>)> {
     ias.verify_expecting(&offer.quote, expected_measurement)
         .map_err(|e| NexusError::Attestation(e.to_string()))?;
     let peer_public = offer.enclave_public_key()?;
+    let mounted = state.mounted()?;
 
-    let mounted: &mut Mounted = state.mounted()?;
-    let rootkey = mounted.rootkey;
-    let volume = mounted.supernode_uuid;
-
-    let mut eph_secret = [0u8; 32];
-    env.random_bytes(&mut eph_secret);
-    let eph_public = x25519::x25519_public_key(&eph_secret);
-    let shared = x25519::x25519(&eph_secret, &peer_public);
-    let key = wrap_key(&shared, &eph_public, &peer_public);
+    let mut secret = [0u8; 32];
+    env.random_bytes(&mut secret);
+    let public = x25519::x25519_public_key(&secret);
+    let gcm = exchange_cipher(&secret, &peer_public, &public, &peer_public);
+    zeroize(&mut secret);
 
     let mut nonce = [0u8; 12];
     env.random_bytes(&mut nonce);
-    let mut payload = Vec::with_capacity(48);
-    payload.extend_from_slice(&rootkey);
-    payload.extend_from_slice(&volume.0);
-    let gcm = AesGcm::new_256(&key);
-    let wrapped = gcm.seal(&nonce, EXCHANGE_TAG, &payload);
-    // The ephemeral secret is dropped here — forward secrecy for this grant
-    // rests on the recipient's long-term enclave key, as §VI-B discusses.
-    Ok((eph_public, nonce, wrapped))
+    let mut payload = rootkey_payload(&mounted.rootkey, &mounted.supernode_uuid);
+    let wrapped = gcm.seal(&nonce, GRANT_TAG, &payload);
+    zeroize(&mut payload);
+    Ok((env.quote(&key_report(&public, GRANT_TAG)), nonce, wrapped))
 }
 
-/// Ecall (extraction phase, recipient side): recovers the rootkey from a
-/// verified grant and seals it to the local platform.
+/// Ecall (extraction phase, recipient side): checks that the grant's quote
+/// comes from a NEXUS enclave, unseals the offer's secret, recovers the
+/// rootkey and seals it to the local platform. Every secret is wiped.
 pub(crate) fn unwrap_rootkey(
-    state: &mut EnclaveState,
     env: &EnclaveEnv<'_>,
+    sealed_offer: &[u8],
     grant: &RootKeyGrant,
+    ias: &AttestationService,
+    expected_measurement: Measurement,
 ) -> Result<Vec<u8>> {
-    let keys = state
-        .exchange
-        .as_ref()
-        .ok_or_else(|| NexusError::Protocol("no exchange keypair in this enclave".into()))?;
-    let shared = x25519::x25519(&keys.secret, &grant.ephemeral_public);
-    let key = wrap_key(&shared, &grant.ephemeral_public, &keys.public);
-    let gcm = AesGcm::new_256(&key);
-    let payload = gcm
-        .open(&grant.nonce, EXCHANGE_TAG, &grant.wrapped)
+    ias.verify_expecting(&grant.quote, expected_measurement)
+        .map_err(|e| NexusError::Attestation(e.to_string()))?;
+    let owner_public = grant.owner_public_key()?;
+    let mut secret = unseal_exact::<32>(env, sealed_offer, OFFER_SEAL_AAD)?;
+    let public = x25519::x25519_public_key(&secret);
+    let gcm = exchange_cipher(&secret, &owner_public, &owner_public, &public);
+    zeroize(&mut secret);
+    let plain = gcm
+        .open(&grant.nonce, GRANT_TAG, &grant.wrapped)
         .map_err(|_| NexusError::Protocol("rootkey unwrap failed (wrong enclave?)".into()))?;
-    if payload.len() != 48 {
-        return Err(NexusError::Protocol("grant payload has wrong length".into()));
-    }
-    let mut rootkey = [0u8; 32];
-    rootkey.copy_from_slice(&payload[..32]);
-    let mut uuid_bytes = [0u8; 16];
-    uuid_bytes.copy_from_slice(&payload[32..]);
-    Ok(seal_rootkey(env, &rootkey, &NexusUuid(uuid_bytes)))
+    let mut payload = take_exact::<48>(plain)
+        .ok_or_else(|| NexusError::Protocol("grant payload has wrong length".into()))?;
+    let (mut rootkey, volume) = split_rootkey_payload(&mut payload);
+    let sealed = seal_rootkey(env, &rootkey, &volume);
+    zeroize(&mut rootkey);
+    Ok(sealed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nexus_sgx::{Enclave, EnclaveImage, Platform};
+
+    fn quote(report: &[u8; 64]) -> Quote {
+        let platform = Platform::seeded(1);
+        let enclave = Enclave::create(&platform, &EnclaveImage::new(b"x".to_vec()), ());
+        enclave.ecall(|_, env| env.quote(report))
+    }
+
+    fn owner() -> UserKeys {
+        UserKeys::from_seed("owen", &[9; 32])
+    }
 
     #[test]
     fn offer_roundtrip() {
-        use nexus_sgx::{Enclave, EnclaveImage, Platform};
-        let platform = Platform::seeded(1);
-        let enclave = Enclave::create(&platform, &EnclaveImage::new(b"x".to_vec()), ());
-        let mut report = [0u8; 64];
-        report[32..48].copy_from_slice(EXCHANGE_TAG);
-        let quote = enclave.ecall(|_, env| env.quote(&report));
-        let sk = SigningKey::from_seed(&[7; 32]);
-        let signature = sk.sign(&quote.to_bytes());
+        let quote = quote(&key_report(&[0; 32], OFFER_TAG));
+        let signature = owner().sign(&quote.to_bytes());
         let offer = ExchangeOffer { quote, signature };
         let parsed = ExchangeOffer::from_bytes(&offer.to_bytes()).unwrap();
         assert_eq!(parsed, offer);
@@ -407,35 +453,41 @@ mod tests {
 
     #[test]
     fn offer_rejects_wrong_tag() {
-        use nexus_sgx::{Enclave, EnclaveImage, Platform};
-        let platform = Platform::seeded(1);
-        let enclave = Enclave::create(&platform, &EnclaveImage::new(b"x".to_vec()), ());
-        let quote = enclave.ecall(|_, env| env.quote(&[0u8; 64]));
-        let sk = SigningKey::from_seed(&[7; 32]);
-        let signature = sk.sign(&quote.to_bytes());
+        let quote = quote(&key_report(&[5; 32], GRANT_TAG));
+        let signature = owner().sign(&quote.to_bytes());
         let offer = ExchangeOffer { quote, signature };
         assert!(offer.enclave_public_key().is_err());
+        assert!(quote_of_grant(offer.quote).owner_public_key().is_ok());
+    }
+
+    fn quote_of_grant(quote: Quote) -> RootKeyGrant {
+        RootKeyGrant::sign(quote, [2; 12], vec![3; 48], &owner())
     }
 
     #[test]
     fn grant_roundtrip_and_signature() {
-        let owner = SigningKey::from_seed(&[9; 32]);
-        let grant = RootKeyGrant::sign([1; 32], [2; 12], vec![3; 48], &owner);
+        let grant = quote_of_grant(quote(&key_report(&[1; 32], GRANT_TAG)));
         let parsed = RootKeyGrant::from_bytes(&grant.to_bytes()).unwrap();
         assert_eq!(parsed, grant);
-        parsed.verify(&owner.verifying_key()).unwrap();
-        let other = SigningKey::from_seed(&[10; 32]);
-        assert!(parsed.verify(&other.verifying_key()).is_err());
+        assert_eq!(parsed.owner_public_key().unwrap(), [1; 32]);
+        parsed.verify(&owner().public_key()).unwrap();
+        let other = UserKeys::from_seed("mallory", &[10; 32]);
+        assert!(parsed.verify(&other.public_key()).is_err());
+        // An offer's quote is not an owner's: the tags keep the roles apart.
+        let reflected = quote_of_grant(quote(&key_report(&[1; 32], OFFER_TAG)));
+        assert!(reflected.owner_public_key().is_err());
     }
 
     #[test]
     fn grant_tamper_detected() {
-        let owner = SigningKey::from_seed(&[9; 32]);
-        let grant = RootKeyGrant::sign([1; 32], [2; 12], vec![3; 48], &owner);
+        let grant = quote_of_grant(quote(&key_report(&[1; 32], GRANT_TAG)));
         let mut bytes = grant.to_bytes();
-        bytes[0] ^= 1;
+        bytes[4 + 48] ^= 1; // the first byte of the quoted key
         let parsed = RootKeyGrant::from_bytes(&bytes).unwrap();
-        assert!(parsed.verify(&owner.verifying_key()).is_err());
+        assert!(parsed.verify(&owner().public_key()).is_err());
+        let mut overlong = grant.to_bytes();
+        overlong.push(0);
+        assert!(matches!(RootKeyGrant::from_bytes(&overlong), Err(NexusError::Protocol(_))));
     }
 
     #[test]

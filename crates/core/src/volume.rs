@@ -83,6 +83,19 @@ impl UserKeys {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SealedRootKey(pub Vec<u8>);
 
+/// An opaque, platform-bound sealed offer secret: the recipient's half of
+/// one rootkey exchange, kept on local disk between
+/// [`VolumeJoiner::publish_offer`] and [`VolumeJoiner::accept_grant`], which
+/// consumes it. Its bytes are wiped when it is dropped.
+#[derive(Debug)]
+pub struct SealedOffer(pub Vec<u8>);
+
+impl Drop for SealedOffer {
+    fn drop(&mut self) {
+        nexus_crypto::ct::zeroize(&mut self.0);
+    }
+}
+
 /// A mounted NEXUS volume.
 pub struct NexusVolume {
     enclave: Enclave<EnclaveState>,
@@ -202,11 +215,6 @@ impl NexusVolume {
     /// The storage backend this volume runs over.
     pub fn backend(&self) -> &Arc<dyn StorageBackend> {
         &self.backend
-    }
-
-    /// The attestation service this volume verifies quotes against.
-    pub(crate) fn ias_handle(&self) -> &AttestationService {
-        &self.ias
     }
 
     pub(crate) fn ecall<R>(
@@ -460,14 +468,12 @@ impl NexusVolume {
             })?;
             fsops::sweep_acl_user(state, io, user_id)
         })?;
-        // Untrusted-side hygiene: the wrapped-rootkey grant (and any
-        // in-flight exchange blobs) addressed to the revoked user are
-        // garbage now — and the grant in particular must not survive, or
-        // the revoked user's enclave could re-extract the rootkey.
+        // Untrusted-side hygiene: the wrapped-rootkey grant and the offer
+        // addressed to the revoked user are garbage now — and the grant in
+        // particular must not survive, or the revoked user's enclave could
+        // re-extract the rootkey from it while its sealed offer lives.
         let _ = self.backend.delete(&protocol::grant_path(&cleanup));
         let _ = self.backend.delete(&protocol::offer_path(&cleanup));
-        let _ = self.backend.delete(&crate::sync_exchange::sync_request_path(&cleanup));
-        let _ = self.backend.delete(&crate::sync_exchange::sync_response_path(&cleanup));
         Ok(())
     }
 
@@ -791,16 +797,14 @@ impl NexusVolume {
             .verify(&offer.quote.to_bytes(), &offer.signature)
             .map_err(|_| NexusError::Protocol("offer signature does not match peer key".into()))?;
 
-        let ias = self.ias.clone();
         let expected = self.enclave.measurement();
-        let offer2 = offer.clone();
-        let (eph_public, nonce, wrapped) = self.enclave.ecall(move |state, env| {
-            protocol::wrap_rootkey_for(state, env, &offer2, &ias, expected)
+        let (quote, nonce, wrapped) = self.enclave.ecall(|state, env| {
+            protocol::wrap_rootkey_for(state, env, &offer, &self.ias, expected)
         })?;
 
         self.add_user(peer_name, *peer_key)?;
 
-        let grant = RootKeyGrant::sign(eph_public, nonce, wrapped, &owner.signing);
+        let grant = RootKeyGrant::sign(quote, nonce, wrapped, owner);
         if let Err(e) = self
             .backend
             .put(&protocol::grant_path(peer_name), &grant.to_bytes())
@@ -818,7 +822,7 @@ impl NexusVolume {
     /// Best-effort: if even the rollback write fails, the stale record is
     /// caught later by `fsck` (the user has no rights and no grant, so
     /// nothing is exposed in the meantime).
-    pub(crate) fn unwind_added_user(&self, name: &str) {
+    fn unwind_added_user(&self, name: &str) {
         let name = name.to_string();
         let _ = self.ecall(move |state, io| {
             Self::edit_supernode(state, io, |state, _| {
@@ -830,12 +834,14 @@ impl NexusVolume {
 
 /// The recipient side of volume sharing, before any volume can be mounted.
 ///
-/// Keeps the enclave (and its ECDH secret) alive between publishing the
-/// offer and extracting the grant; the two steps may be separated by
-/// arbitrary time, and the peers never need to be online simultaneously.
+/// Holds nothing secret between the two steps: the offer's X25519 secret
+/// leaves the enclave only sealed, as the [`SealedOffer`] the caller keeps.
+/// The steps may run in different processes, separated by arbitrary time,
+/// and the peers never need to be online simultaneously.
 pub struct VolumeJoiner {
-    enclave: Enclave<EnclaveState>,
+    enclave: Enclave<()>,
     backend: Arc<dyn StorageBackend>,
+    ias: AttestationService,
 }
 
 impl std::fmt::Debug for VolumeJoiner {
@@ -845,42 +851,58 @@ impl std::fmt::Debug for VolumeJoiner {
 }
 
 impl VolumeJoiner {
-    /// Creates the joiner's enclave on `platform`.
-    pub fn new(platform: &Platform, backend: Arc<dyn StorageBackend>) -> VolumeJoiner {
-        let enclave = Enclave::create(platform, &nexus_enclave_image(), EnclaveState::default());
-        VolumeJoiner { enclave, backend }
+    /// Creates the joiner's enclave on `platform`; `ias` verifies the
+    /// owner's quote when a grant is accepted.
+    pub fn new(
+        platform: &Platform,
+        backend: Arc<dyn StorageBackend>,
+        ias: &AttestationService,
+    ) -> VolumeJoiner {
+        let enclave = Enclave::create(platform, &nexus_enclave_image(), ());
+        VolumeJoiner { enclave, backend, ias: ias.clone() }
     }
 
-    /// Setup phase: publishes the signed, quoted ECDH key in-band.
+    /// Setup phase: draws a fresh X25519 key, publishes its signed, quoted
+    /// public half in-band, and returns its secret half sealed to this
+    /// platform, for [`VolumeJoiner::accept_grant`].
     ///
     /// # Errors
     ///
     /// Storage failures writing the offer.
-    pub fn publish_offer(&self, user: &UserKeys) -> Result<()> {
-        let quote = self
-            .enclave
-            .ecall(protocol::make_offer_quote);
+    pub fn publish_offer(&self, user: &UserKeys) -> Result<SealedOffer> {
+        let (quote, sealed) = self.enclave.ecall(|_, env| protocol::make_offer(env));
         let signature = user.sign(&quote.to_bytes());
         let offer = ExchangeOffer { quote, signature };
         self.backend
             .put(&protocol::offer_path(user.name()), &offer.to_bytes())?;
-        Ok(())
+        Ok(SealedOffer(sealed))
     }
 
-    /// Extraction phase: verifies the owner's grant and returns the rootkey
-    /// sealed to *this* platform.
+    /// Extraction phase: verifies the owner's signature and quote, opens
+    /// the grant with `offer`'s secret, and returns the rootkey sealed to
+    /// *this* platform. The offer is consumed: its secret is wiped inside
+    /// the enclave and its sealed bytes when the call returns.
     ///
     /// # Errors
     ///
-    /// [`NexusError::Protocol`] when the grant is malformed, signed by the
-    /// wrong owner, or wrapped for a different enclave.
-    pub fn accept_grant(&self, user: &UserKeys, owner_key: &VerifyingKey) -> Result<SealedRootKey> {
+    /// [`NexusError::Attestation`] when the owner's quote does not come
+    /// from a NEXUS enclave on a known platform; [`NexusError::Seal`] when
+    /// `offer` was sealed elsewhere; [`NexusError::Protocol`] when the
+    /// grant is malformed, signed by the wrong owner, or wrapped for
+    /// another offer.
+    pub fn accept_grant(
+        &self,
+        user: &UserKeys,
+        owner_key: &VerifyingKey,
+        offer: SealedOffer,
+    ) -> Result<SealedRootKey> {
         let blob = self.backend.get(&protocol::grant_path(user.name()))?;
         let grant = RootKeyGrant::from_bytes(&blob)?;
         grant.verify(owner_key)?;
-        let sealed = self
-            .enclave
-            .ecall(move |state, env| protocol::unwrap_rootkey(state, env, &grant))?;
+        let expected = self.enclave.measurement();
+        let sealed = self.enclave.ecall(|_, env| {
+            protocol::unwrap_rootkey(env, &offer.0, &grant, &self.ias, expected)
+        })?;
         Ok(SealedRootKey(sealed))
     }
 }

@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use nexus_core::{
-    NexusConfig, NexusError, NexusVolume, OpenMode, NexusFile, Rights, SealedRootKey, UserKeys,
-    VolumeJoiner,
+    NexusConfig, NexusError, NexusVolume, OpenMode, NexusFile, Rights, SealedOffer, SealedRootKey,
+    UserKeys, VolumeJoiner,
 };
 use nexus_sgx::{AttestationService, Platform};
 use nexus_storage::afs::{AfsClient, AfsServer};
@@ -219,15 +219,30 @@ fn sharing_via_key_exchange_across_machines() {
     let alice_machine = Platform::seeded(1001);
     ias.register_platform(&alice_machine);
     let alice = UserKeys::from_seed("alice", &[2u8; 32]);
-    let joiner = VolumeJoiner::new(&alice_machine, backend.clone());
-    joiner.publish_offer(&alice).unwrap();
+    // The offer's secret leaves the enclave only sealed; alice's disk keeps
+    // these bytes until she accepts, and this joiner is gone by then.
+    let offer_bytes = VolumeJoiner::new(&alice_machine, backend.clone(), &ias)
+        .publish_offer(&alice)
+        .unwrap()
+        .0
+        .clone();
 
     // Owen grants access (verifies Alice's quote) and opens the directory.
     volume.grant_access(&owner, "alice", &alice.public_key()).unwrap();
     volume.set_acl("shared", "alice", Rights::RW).unwrap();
 
-    // Alice extracts and mounts.
-    let sealed = joiner.accept_grant(&alice, &owner.public_key()).unwrap();
+    // A copy of the sealed offer opens nothing on another machine.
+    let thief_machine = Platform::seeded(1002);
+    ias.register_platform(&thief_machine);
+    let err = VolumeJoiner::new(&thief_machine, backend.clone(), &ias)
+        .accept_grant(&alice, &owner.public_key(), SealedOffer(offer_bytes.clone()))
+        .unwrap_err();
+    assert!(matches!(err, NexusError::Seal(_)), "got {err:?}");
+
+    // Alice extracts, from a new joiner, and mounts.
+    let sealed = VolumeJoiner::new(&alice_machine, backend.clone(), &ias)
+        .accept_grant(&alice, &owner.public_key(), SealedOffer(offer_bytes))
+        .unwrap();
     let alice_volume = NexusVolume::mount(
         &alice_machine,
         backend,
@@ -254,12 +269,12 @@ fn acl_enforcement_and_revocation() {
     let alice_machine = Platform::seeded(1001);
     ias.register_platform(&alice_machine);
     let alice = UserKeys::from_seed("alice", &[2u8; 32]);
-    let joiner = VolumeJoiner::new(&alice_machine, backend.clone());
-    joiner.publish_offer(&alice).unwrap();
+    let joiner = VolumeJoiner::new(&alice_machine, backend.clone(), &ias);
+    let sealed_offer = joiner.publish_offer(&alice).unwrap();
     volume.grant_access(&owner, "alice", &alice.public_key()).unwrap();
     volume.set_acl("shared", "alice", Rights::READ).unwrap();
 
-    let sealed = joiner.accept_grant(&alice, &owner.public_key()).unwrap();
+    let sealed = joiner.accept_grant(&alice, &owner.public_key(), sealed_offer).unwrap();
     let alice_volume = NexusVolume::mount(
         &alice_machine,
         backend,

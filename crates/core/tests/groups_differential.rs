@@ -43,10 +43,10 @@ fn join(
     let machine = Platform::seeded(machine_seed);
     ias.register_platform(&machine);
     let user = UserKeys::from_seed(name, &[seed; 32]);
-    let joiner = VolumeJoiner::new(&machine, backend.clone());
-    joiner.publish_offer(&user).unwrap();
+    let joiner = VolumeJoiner::new(&machine, backend.clone(), ias);
+    let sealed_offer = joiner.publish_offer(&user).unwrap();
     owner_vol.grant_access(owner, name, &user.public_key()).unwrap();
-    let sealed = joiner.accept_grant(&user, &owner.public_key()).unwrap();
+    let sealed = joiner.accept_grant(&user, &owner.public_key(), sealed_offer).unwrap();
     let vol =
         NexusVolume::mount(&machine, backend.clone(), ias, &sealed, NexusConfig::default())
             .unwrap();
@@ -121,10 +121,10 @@ fn stale_supernode_enclave_cannot_open_post_bump_objects() {
     let bob = UserKeys::from_seed("bob", &[3u8; 32]);
     let bob_machine = Platform::seeded(1002);
     ias.register_platform(&bob_machine);
-    let joiner = VolumeJoiner::new(&bob_machine, backend.clone());
-    joiner.publish_offer(&bob).unwrap();
+    let joiner = VolumeJoiner::new(&bob_machine, backend.clone(), &ias);
+    let sealed_offer = joiner.publish_offer(&bob).unwrap();
     volume.grant_access(&owner, "bob", &bob.public_key()).unwrap();
-    let sealed = joiner.accept_grant(&bob, &owner.public_key()).unwrap();
+    let sealed = joiner.accept_grant(&bob, &owner.public_key(), sealed_offer).unwrap();
 
     volume.create_group("eng").unwrap();
     volume.add_group_members("eng", &["bob"]).unwrap();

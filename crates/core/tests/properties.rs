@@ -1,13 +1,20 @@
-//! Property-based tests for the metadata layer: the wire format and sealed
-//! object format must never panic on attacker-supplied bytes, and all
+//! Property-based tests for the metadata layer and the exchange messages:
+//! the wire format, the sealed object format and the rootkey exchange's
+//! offer and grant must never panic on attacker-supplied bytes, and all
 //! structures must roundtrip. Runs on the in-repo `nexus-testkit` harness.
 
 use nexus_core::metadata::crypto::{open_object, seal_object, ObjectKind, Preamble};
 use nexus_core::metadata::dirnode::{Bucket, DirEntry, EntryKind};
 use nexus_core::metadata::filenode::{ChunkContext, Filenode};
 use nexus_core::metadata::supernode::Supernode;
+use nexus_core::protocol::{grant_path, offer_path, ExchangeOffer, RootKeyGrant};
 use nexus_core::wire::{Reader, Writer};
-use nexus_core::{Acl, GroupId, NexusUuid, Principal, Rights, UserId};
+use nexus_core::{
+    Acl, GroupId, NexusConfig, NexusError, NexusUuid, NexusVolume, Principal, Rights, UserId,
+    UserKeys, VolumeJoiner,
+};
+use nexus_sgx::{AttestationService, Platform};
+use nexus_storage::{MemBackend, StorageBackend};
 use nexus_testkit::{shrink, tk_assert, tk_assert_eq, Gen, Runner};
 
 const CASES: u32 = 96;
@@ -416,4 +423,93 @@ fn acl_decode_rejects_duplicate_principals() {
     w.u8(0).u32(5).u8(1);
     w.u8(1).u32(5).u8(3);
     assert!(Acl::decode(&mut Reader::new(&w.into_bytes())).is_ok());
+}
+
+/// A hostile edit of a valid exchange message.
+#[derive(Debug, Clone)]
+enum Hostile {
+    /// Keep only the first `len` bytes.
+    Truncate(usize),
+    /// Flip one bit.
+    Flip { at: usize, bit: u8 },
+    /// Raise the `field`-th length prefix by `by`.
+    Inflate { field: usize, by: u32 },
+}
+
+fn apply(blob: &[u8], edit: &Hostile, length_fields: &[usize]) -> Vec<u8> {
+    let mut out = blob.to_vec();
+    match *edit {
+        Hostile::Truncate(len) => out.truncate(len),
+        Hostile::Flip { at, bit } => out[at] ^= 1 << bit,
+        Hostile::Inflate { field, by } => {
+            let at = length_fields[field];
+            let len = u32::from_le_bytes(out[at..at + 4].try_into().unwrap());
+            out[at..at + 4].copy_from_slice(&len.saturating_add(by).to_le_bytes());
+        }
+    }
+    out
+}
+
+#[test]
+fn exchange_messages_refuse_hostile_bytes() {
+    // One real exchange's offer and grant, as they sit on the store.
+    let ias = AttestationService::new();
+    let (owner_machine, alice_machine) = (Platform::seeded(1), Platform::seeded(2));
+    ias.register_platform(&owner_machine);
+    ias.register_platform(&alice_machine);
+    let backend = std::sync::Arc::new(MemBackend::new());
+    let owner = UserKeys::from_seed("owen", &[1; 32]);
+    let alice = UserKeys::from_seed("alice", &[2; 32]);
+    let (volume, _) =
+        NexusVolume::create(&owner_machine, backend.clone(), &ias, &owner, NexusConfig::default())
+            .unwrap();
+    volume.authenticate(&owner).unwrap();
+    VolumeJoiner::new(&alice_machine, backend.clone(), &ias).publish_offer(&alice).unwrap();
+    volume.grant_access(&owner, "alice", &alice.public_key()).unwrap();
+    let offer = backend.get(&offer_path("alice")).unwrap();
+    let grant = backend.get(&grant_path("alice")).unwrap();
+    // Where the u32 length prefixes sit: the offer's quote; the grant's
+    // quote and its wrapped rootkey (after the 12-byte nonce).
+    let quote_len = ExchangeOffer::from_bytes(&offer).unwrap().quote.to_bytes().len();
+    let (offer_fields, grant_fields) = ([0], [0, 4 + quote_len + 12]);
+
+    Runner::new("exchange_messages_refuse_hostile_bytes").cases(CASES * 4).run(
+        |g| {
+            let is_grant = g.bool();
+            let len = if is_grant { grant.len() } else { offer.len() };
+            let edit = match g.usize_below(3) {
+                0 => Hostile::Truncate(g.usize_below(len)),
+                1 => Hostile::Flip { at: g.usize_below(len), bit: g.usize_below(8) as u8 },
+                _ => Hostile::Inflate {
+                    field: g.usize_below(if is_grant { 2 } else { 1 }),
+                    by: 1 + g.u32() % if g.bool() { 64 } else { u32::MAX },
+                },
+            };
+            (is_grant, edit)
+        },
+        shrink::none,
+        |(is_grant, edit)| {
+            let bytes = if *is_grant {
+                apply(&grant, edit, &grant_fields)
+            } else {
+                apply(&offer, edit, &offer_fields)
+            };
+            let outcome = if *is_grant {
+                RootKeyGrant::from_bytes(&bytes).map(|parsed| parsed.verify(&owner.public_key()))
+            } else {
+                ExchangeOffer::from_bytes(&bytes).map(|parsed| {
+                    let quote = parsed.quote.to_bytes();
+                    let signed = alice.public_key().verify(&quote, &parsed.signature);
+                    signed.map_err(|_| NexusError::Protocol("offer signature invalid".into()))
+                })
+            };
+            // A typed refusal from the parser or, where a flipped bit left
+            // the framing intact, from the signature over what it changed.
+            match (edit, outcome) {
+                (_, Err(NexusError::Protocol(_))) => Ok(()),
+                (Hostile::Flip { .. }, Ok(Err(NexusError::Protocol(_)))) => Ok(()),
+                (edit, outcome) => Err(format!("{edit:?}: {outcome:?}")),
+            }
+        },
+    );
 }

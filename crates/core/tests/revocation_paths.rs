@@ -6,7 +6,8 @@
 use std::sync::{Arc, Mutex};
 
 use nexus_core::{
-    protocol, FsckMode, NexusConfig, NexusError, NexusVolume, Rights, UserKeys, VolumeJoiner,
+    protocol, FsckMode, NexusConfig, NexusError, NexusVolume, Rights, SealedOffer, UserKeys,
+    VolumeJoiner,
 };
 use nexus_sgx::{AttestationService, Platform};
 use nexus_storage::{
@@ -27,12 +28,17 @@ fn setup_on(
     (platform, ias, owner, volume, sealed)
 }
 
-fn offer(ias: &AttestationService, backend: &Arc<MemBackend>, user: &UserKeys, machine: u64) -> VolumeJoiner {
+fn offer(
+    ias: &AttestationService,
+    backend: &Arc<MemBackend>,
+    user: &UserKeys,
+    machine: u64,
+) -> (VolumeJoiner, SealedOffer) {
     let platform = Platform::seeded(machine);
     ias.register_platform(&platform);
-    let joiner = VolumeJoiner::new(&platform, backend.clone());
-    joiner.publish_offer(user).unwrap();
-    joiner
+    let joiner = VolumeJoiner::new(&platform, backend.clone(), ias);
+    let sealed_offer = joiner.publish_offer(user).unwrap();
+    (joiner, sealed_offer)
 }
 
 #[test]
@@ -40,7 +46,7 @@ fn revoked_user_cannot_extract_the_grant_afterwards() {
     let backend = Arc::new(MemBackend::new());
     let (_p, ias, owner, volume, _sealed) = setup_on(backend.clone());
     let bob = UserKeys::from_seed("bob", &[3u8; 32]);
-    let joiner = offer(&ias, &backend, &bob, 1002);
+    let (joiner, sealed_offer) = offer(&ias, &backend, &bob, 1002);
     volume.grant_access(&owner, "bob", &bob.public_key()).unwrap();
     assert!(backend.exists(&protocol::grant_path("bob")));
 
@@ -50,7 +56,7 @@ fn revoked_user_cannot_extract_the_grant_afterwards() {
     // storage, so the revoked enclave has nothing left to extract.
     assert!(!backend.exists(&protocol::grant_path("bob")));
     assert!(!backend.exists(&protocol::offer_path("bob")));
-    let err = joiner.accept_grant(&bob, &owner.public_key()).unwrap_err();
+    let err = joiner.accept_grant(&bob, &owner.public_key(), sealed_offer).unwrap_err();
     assert!(matches!(err, NexusError::NotFound(_)), "got {err:?}");
 }
 
@@ -205,8 +211,8 @@ fn failed_grant_put_unwinds_the_user_record() {
     let bob = UserKeys::from_seed("bob", &[3u8; 32]);
     let bob_machine = Platform::seeded(1002);
     ias.register_platform(&bob_machine);
-    let joiner = VolumeJoiner::new(&bob_machine, backend.clone());
-    joiner.publish_offer(&bob).unwrap();
+    let joiner = VolumeJoiner::new(&bob_machine, backend.clone(), &ias);
+    let sealed_offer = joiner.publish_offer(&bob).unwrap();
 
     backend.set_hook(Some(Arc::new(PathFault { needle: protocol::grant_path("bob") })));
     let err = volume.grant_access(&owner, "bob", &bob.public_key()).unwrap_err();
@@ -221,5 +227,5 @@ fn failed_grant_put_unwinds_the_user_record() {
     backend.set_hook(None);
     volume.grant_access(&owner, "bob", &bob.public_key()).unwrap();
     assert_eq!(volume.users().unwrap(), vec!["owen".to_string(), "bob".to_string()]);
-    joiner.accept_grant(&bob, &owner.public_key()).unwrap();
+    joiner.accept_grant(&bob, &owner.public_key(), sealed_offer).unwrap();
 }

@@ -3,7 +3,7 @@
 //! test: the mutation it serves still commits, it just compares the cache
 //! hits it relied on before its lock instead of after, and the race that
 //! opens shows only under a concurrent revocation. So the gate reads the
-//! source.
+//! source. The same reading keeps the rootkey exchange to one module.
 
 use std::path::PathBuf;
 
@@ -50,7 +50,7 @@ fn modules() -> Vec<String> {
             }
         }
     }
-    assert!(modules.len() > 20, "only {} modules found", modules.len());
+    assert!(modules.len() >= 20, "only {} modules found", modules.len());
     modules
 }
 
@@ -168,4 +168,27 @@ fn no_module_formats_bytes_as_hex() {
             );
         }
     }
+}
+
+/// The rootkey exchange is one protocol in one module: no shipped module
+/// but `protocol.rs` runs an X25519 agreement, so a second exchange, with
+/// its own key lifetimes and its own wiping, cannot grow beside it.
+#[test]
+fn one_module_runs_the_key_exchange() {
+    for module in modules() {
+        if module == "protocol.rs" {
+            continue;
+        }
+        for (number, line) in shipped(&module) {
+            assert!(
+                !line.contains("x25519::"),
+                "{module}:{number}: a second key exchange: {}",
+                line.trim()
+            );
+        }
+    }
+    assert!(
+        shipped("protocol.rs").iter().any(|(_, l)| l.contains("x25519::")),
+        "protocol.rs runs no exchange"
+    );
 }

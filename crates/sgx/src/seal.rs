@@ -8,7 +8,7 @@
 
 use nexus_crypto::ct::{ct_eq, zeroize};
 use nexus_crypto::gcm::AesGcm;
-use nexus_crypto::hmac::hkdf;
+use nexus_crypto::hmac::hkdf_into;
 
 use crate::enclave::Measurement;
 use crate::platform::{Platform, PlatformId};
@@ -73,8 +73,9 @@ impl SealedData {
             SealPolicy::MrEnclave => &measurement.0,
             SealPolicy::Platform => b"platform-policy",
         };
-        let okm = hkdf(b"sgx-seal-v1", &platform.inner.hardware_key, info, 32);
-        okm.try_into().expect("hkdf output length")
+        let mut key = [0u8; 32];
+        hkdf_into(b"sgx-seal-v1", &platform.inner.hardware_key, info, &mut key);
+        key
     }
 
     pub(crate) fn seal(

@@ -339,6 +339,9 @@ impl DirBackend {
         self.commit_file(st, SIDECAR, &bytes)
     }
 
+    /// Refuses reads and mutations alike on a handle an injected fault has
+    /// crashed: its disk is that of a machine that lost power, which only
+    /// a reopen may read.
     fn guard(st: &DirState) -> Result<(), StorageError> {
         if st.crashed {
             return Err(StorageError::Io(
@@ -419,6 +422,7 @@ impl StorageBackend for DirBackend {
     }
 
     fn get(&self, path: &str) -> Result<Vec<u8>, StorageError> {
+        Self::guard(&self.state.lock())?;
         let data = fs::read(self.file_for(path)).map_err(|e| object_err(path, e))?;
         let mut st = self.state.lock();
         st.stats.reads += 1;
@@ -427,6 +431,7 @@ impl StorageBackend for DirBackend {
     }
 
     fn get_range(&self, path: &str, offset: u64, len: u64) -> Result<Vec<u8>, StorageError> {
+        Self::guard(&self.state.lock())?;
         let mut file = File::open(self.file_for(path)).map_err(|e| object_err(path, e))?;
         let size = file.metadata().map_err(io_err)?.len();
         check_range(path, offset, len, size)?;
@@ -455,6 +460,8 @@ impl StorageBackend for DirBackend {
     }
 
     fn stat(&self, path: &str) -> Result<ObjectStat, StorageError> {
+        let st = self.state.lock();
+        Self::guard(&st)?;
         let meta = fs::metadata(self.file_for(path)).map_err(|e| {
             if e.kind() == std::io::ErrorKind::NotFound {
                 StorageError::NotFound(path.to_string())
@@ -462,8 +469,7 @@ impl StorageBackend for DirBackend {
                 io_err(e)
             }
         })?;
-        let version = *self.state.lock().versions.get(path).unwrap_or(&0);
-        Ok(ObjectStat { size: meta.len(), version })
+        Ok(ObjectStat { size: meta.len(), version: st.versions.get(path).copied().unwrap_or(0) })
     }
 
     fn list(&self, prefix: &str) -> Vec<String> {

@@ -12,6 +12,10 @@
 //!   `stat().version` must survive a reopen on both backends — the
 //!   freshness machinery admits cached metadata by version, so a backend
 //!   that resets versions to 0 silently reopens the rollback window.
+//! - **Reads after a crash** (`DirBackend` guarded only its mutations): a
+//!   handle an injected fault crashed must refuse `get`, `get_range`,
+//!   `stat` and `stat_many` with `Io`, as `LogBackend` does, at every
+//!   crash point of the sweeps below.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -92,6 +96,7 @@ fn dir_backend_torn_put_regression() {
             assert!(matches!(err, StorageError::Io(_)), "{err}");
             assert!(store.crashed());
             let fired = hook.fired_at().unwrap();
+            assert_reads_refused(&store, &format!("crash at {fired} ({kind:?})"));
             drop(store);
 
             let store = DirBackend::open(&root).unwrap();
@@ -110,6 +115,17 @@ fn dir_backend_torn_put_regression() {
     }
 }
 
+/// A crashed handle answers no read from the disk it left behind: every
+/// read path returns `Io` until the store is reopened.
+fn assert_reads_refused(store: &DirBackend, at: &str) {
+    let refused = |r: Result<(), StorageError>| matches!(r, Err(StorageError::Io(_)));
+    assert!(refused(store.get("obj").map(drop)), "{at}: get");
+    assert!(refused(store.get_range("obj", 0, 4).map(drop)), "{at}: get_range");
+    assert!(refused(store.stat("obj").map(drop)), "{at}: stat");
+    let stats = store.stat_many(&["obj".to_string(), "missing".to_string()]);
+    assert!(stats.into_iter().all(|s| refused(s.map(drop))), "{at}: stat_many");
+}
+
 #[test]
 fn dir_backend_first_put_crash_leaves_no_object() {
     // Same sweep for a freshly created object: a crash before the commit
@@ -119,6 +135,7 @@ fn dir_backend_first_put_crash_leaves_no_object() {
         let hook = FireAt::new(point, FaultKind::Torn);
         let store = DirBackend::open_with_hook(&root, Some(hook)).unwrap();
         store.put("fresh", b"payload").unwrap_err();
+        assert_reads_refused(&store, &format!("first put, point {point}"));
         drop(store);
         let store = DirBackend::open(&root).unwrap();
         assert!(!store.exists("fresh"), "point {point}");

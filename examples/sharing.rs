@@ -39,21 +39,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     owen_volume.write_file("shared/plan.txt", b"phase 1: collect underpants")?;
     println!("[owen]  volume {} created with shared/plan.txt", owen_volume.volume_id());
 
-    // --- Alice, setup phase: her enclave publishes a quoted ECDH key.
+    // --- Alice, setup phase: her enclave draws a key for this offer,
+    // publishes its quoted public half, and hands back the secret half
+    // sealed to her machine, for her to keep on local disk.
     let alice_afs = Arc::new(AfsClient::connect(&server, clock.clone(), LatencyModel::default()));
-    let joiner = VolumeJoiner::new(&alice_machine, alice_afs.clone());
-    joiner.publish_offer(&alice)?;
-    println!("[alice] exchange offer published in-band (signed quote over enclave ECDH key)");
+    let joiner = VolumeJoiner::new(&alice_machine, alice_afs.clone(), &ias);
+    let sealed_offer = joiner.publish_offer(&alice)?;
+    println!("[alice] exchange offer published in-band (signed quote over a fresh X25519 key)");
 
     // --- Owen, exchange phase: verify Alice's quote with the attestation
-    // service, add her to the supernode, store the wrapped rootkey.
+    // service, add her to the supernode, store the wrapped rootkey with
+    // his own enclave's quote over his ephemeral key.
     owen_volume.grant_access(&owen, "alice", &alice.public_key())?;
     owen_volume.set_acl("shared", "alice", Rights::RW)?;
     println!("[owen]  quote verified; rootkey wrapped to alice's enclave; ACL granted on shared/");
 
-    // --- Alice, extraction phase: recover the rootkey (sealed to HER
+    // --- Alice, extraction phase: check Owen's quote, open the grant with
+    // the sealed offer (consumed here), recover the rootkey (sealed to HER
     // machine now), mount, authenticate, and read.
-    let sealed_for_alice = joiner.accept_grant(&alice, &owen.public_key())?;
+    let sealed_for_alice = joiner.accept_grant(&alice, &owen.public_key(), sealed_offer)?;
     let alice_volume = NexusVolume::mount(
         &alice_machine,
         alice_afs,

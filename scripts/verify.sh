@@ -39,9 +39,10 @@ echo "== portable crypto engines, end to end =="
 # beside it, the 128-bit kernel alone over every whole group; the audit
 # reads source and must not care which lane the process is on. `freed_keys`
 # runs the metadata seal and open on the bitsliced engine too, whose round
-# keys live in heap-allocated planes: none of its keys may be freed unwiped.
+# keys live in heap-allocated planes: none of its keys may be freed unwiped;
+# `freed_exchange_keys` does the same for the rootkey exchange's secrets.
 export NEXUS_CRYPTO_FORCE_PORTABLE=1
-cargo test -q --offline -p nexus-core --test end_to_end --test golden_inventory --test properties --test freed_keys > /dev/null
+cargo test -q --offline -p nexus-core --test end_to_end --test golden_inventory --test properties --test freed_keys --test freed_exchange_keys > /dev/null
 cargo test -q --offline -p nexus-crypto --lib --test properties --test kernel_differential --test source_audit > /dev/null
 unset NEXUS_CRYPTO_FORCE_PORTABLE
 echo "ok: volume lifecycle, golden stored bytes, metadata and crypto properties, freed-memory key wipes, unit vectors and the kernel differential pass on the forced-portable engines"

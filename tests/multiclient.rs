@@ -66,11 +66,11 @@ fn shared_pair_over(
     owner_volume.set_acl("shared", "owner", Rights::RW).unwrap();
 
     let peer_client = deployment.client();
-    let joiner = VolumeJoiner::new(&peer_machine, peer_client.clone());
-    joiner.publish_offer(&peer).unwrap();
+    let joiner = VolumeJoiner::new(&peer_machine, peer_client.clone(), &deployment.ias);
+    let sealed_offer = joiner.publish_offer(&peer).unwrap();
     owner_volume.grant_access(&owner, "peer", &peer.public_key()).unwrap();
     owner_volume.set_acl("shared", "peer", Rights::RW).unwrap();
-    let sealed = joiner.accept_grant(&peer, &owner.public_key()).unwrap();
+    let sealed = joiner.accept_grant(&peer, &owner.public_key(), sealed_offer).unwrap();
     let peer_volume = NexusVolume::mount(
         &peer_machine,
         peer_client,

@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use nexus::storage::{MaliciousBackend, MemBackend, StorageBackend};
 use nexus::{
-    AttestationService, NexusConfig, NexusError, NexusVolume, Platform, Rights, UserKeys,
-    VolumeJoiner,
+    AttestationService, NexusConfig, NexusError, NexusVolume, Platform, Rights, SealedOffer,
+    UserKeys, VolumeJoiner,
 };
 
 type Evil = Arc<MaliciousBackend<MemBackend>>;
@@ -202,14 +202,14 @@ fn revoked_user_denied_immediately() {
 
     let alice_machine = Platform::seeded(0xA11CE);
     ias.register_platform(&alice_machine);
-    let joiner = VolumeJoiner::new(&alice_machine, evil.clone());
-    joiner.publish_offer(&alice).unwrap();
+    let joiner = VolumeJoiner::new(&alice_machine, evil.clone(), &ias);
+    let sealed_offer = joiner.publish_offer(&alice).unwrap();
     volume.grant_access(&owner, "alice", &alice.public_key()).unwrap();
     volume.mkdir("shared").unwrap();
     volume.write_file("shared/f.txt", b"content").unwrap();
     volume.set_acl("shared", "alice", Rights::RW).unwrap();
 
-    let sealed_alice = joiner.accept_grant(&alice, &owner.public_key()).unwrap();
+    let sealed_alice = joiner.accept_grant(&alice, &owner.public_key(), sealed_offer).unwrap();
     let alice_volume = NexusVolume::mount(
         &alice_machine,
         evil.clone(),
@@ -261,10 +261,10 @@ fn exchange_rejects_wrong_enclave() {
 #[test]
 fn exchange_rejects_unregistered_platform() {
     // A quote from a machine Intel never provisioned (an SGX emulator).
-    let (_, _, evil, owner, volume, _) = setup();
+    let (_, ias, evil, owner, volume, _) = setup();
     let rogue_machine = Platform::seeded(0xBAD); // never registered with IAS
     let eve = UserKeys::from_seed("eve", &[66u8; 32]);
-    let joiner = VolumeJoiner::new(&rogue_machine, evil.clone());
+    let joiner = VolumeJoiner::new(&rogue_machine, evil.clone(), &ias);
     joiner.publish_offer(&eve).unwrap();
     let err = volume.grant_access(&owner, "eve", &eve.public_key()).unwrap_err();
     assert!(matches!(err, NexusError::Attestation(_)), "got {err}");
@@ -278,20 +278,64 @@ fn grant_for_one_enclave_unusable_by_another() {
     let alice = UserKeys::from_seed("alice", &[2u8; 32]);
     let alice_machine = Platform::seeded(0xA11CE);
     ias.register_platform(&alice_machine);
-    let joiner = VolumeJoiner::new(&alice_machine, evil.clone());
+    let joiner = VolumeJoiner::new(&alice_machine, evil.clone(), &ias);
     joiner.publish_offer(&alice).unwrap();
     volume.grant_access(&owner, "alice", &alice.public_key()).unwrap();
 
     let mallory_machine = Platform::seeded(0x3A110);
     ias.register_platform(&mallory_machine);
-    let mallory_joiner = VolumeJoiner::new(&mallory_machine, evil.clone());
+    let mallory_joiner = VolumeJoiner::new(&mallory_machine, evil.clone(), &ias);
     // Mallory copies alice's grant to her own slot and tries to extract.
     let grant = evil.get(&nexus::core::protocol::grant_path("alice")).unwrap();
     evil.put(&nexus::core::protocol::grant_path("mallory"), &grant).unwrap();
     let mallory = UserKeys::from_seed("mallory", &[7u8; 32]);
-    mallory_joiner.publish_offer(&mallory).unwrap();
-    let err = mallory_joiner.accept_grant(&mallory, &owner.public_key()).unwrap_err();
+    let mallory_offer = mallory_joiner.publish_offer(&mallory).unwrap();
+    let err = mallory_joiner
+        .accept_grant(&mallory, &owner.public_key(), mallory_offer)
+        .unwrap_err();
     assert!(matches!(err, NexusError::Protocol(_)), "got {err}");
+}
+
+#[test]
+fn accept_rejects_a_grant_the_owner_enclave_did_not_make() {
+    // Mutual attestation: the recipient's enclave checks the owner's side
+    // too. The wrapped rootkey must come from a NEXUS enclave (its quote
+    // binds the owner's ephemeral key) and be signed by the owner.
+    use nexus::core::protocol::{grant_path, RootKeyGrant};
+    use nexus::sgx::{Enclave, EnclaveImage};
+    let (platform, ias, evil, owner, volume, _) = setup();
+    let alice = UserKeys::from_seed("alice", &[2u8; 32]);
+    let alice_machine = Platform::seeded(0xA11CE);
+    ias.register_platform(&alice_machine);
+    let joiner = VolumeJoiner::new(&alice_machine, evil.clone(), &ias);
+    // The caller's copy of the sealed offer, reused for each attempt.
+    let offer = joiner.publish_offer(&alice).unwrap().0.clone();
+    volume.grant_access(&owner, "alice", &alice.public_key()).unwrap();
+    let genuine = evil.get(&grant_path("alice")).unwrap();
+    let accept = || joiner.accept_grant(&alice, &owner.public_key(), SealedOffer(offer.clone()));
+
+    // Mallory re-signs the genuine grant with her own identity key.
+    let mallory = UserKeys::from_seed("mallory", &[7u8; 32]);
+    let grant = RootKeyGrant::from_bytes(&genuine).unwrap();
+    let resigned = RootKeyGrant::sign(grant.quote, grant.nonce, grant.wrapped, &mallory);
+    evil.put(&grant_path("alice"), &resigned.to_bytes()).unwrap();
+    let err = accept().unwrap_err();
+    assert!(matches!(err, NexusError::Protocol(_)), "got {err}");
+
+    // A grant signed by the owner, but whose key an enclave that is not
+    // NEXUS quoted, on a provisioned platform.
+    let fake = Enclave::create(&platform, &EnclaveImage::new(b"evil-enclave".to_vec()), ());
+    let mut report = [0u8; 64];
+    report[32..48].copy_from_slice(b"NEXUS-XCHG-OWN-1");
+    let quote = fake.ecall(|_, env| env.quote(&report));
+    let forged = RootKeyGrant::sign(quote, [0; 12], vec![0; 64], &owner);
+    evil.put(&grant_path("alice"), &forged.to_bytes()).unwrap();
+    let err = accept().unwrap_err();
+    assert!(matches!(err, NexusError::Attestation(_)), "got {err}");
+
+    // The genuine grant still opens with the same offer.
+    evil.put(&grant_path("alice"), &genuine).unwrap();
+    accept().unwrap();
 }
 
 #[test]
