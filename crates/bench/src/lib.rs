@@ -402,7 +402,10 @@ pub fn measure_micro<R>(mut f: impl FnMut() -> R) -> Duration {
             for _ in 0..iters {
                 std::hint::black_box(f());
             }
-            t.elapsed() / iters as u32
+            // Rounded to the nearest nanosecond, never below one: an
+            // operation faster than that still took time.
+            let ns = (t.elapsed().as_nanos() + u128::from(iters) / 2) / u128::from(iters);
+            Duration::from_nanos(ns.max(1) as u64)
         })
         .collect();
     samples.sort();

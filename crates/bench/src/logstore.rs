@@ -9,7 +9,8 @@
 //!    durability per put costs one sequential append, not four scattered
 //!    metadata operations.
 //! 2. **Recovery time vs log length** — an overwrite-heavy history of L
-//!    puts over a small key set, reopened cold in both modes: checkpoints
+//!    puts over a small key set, written as group commits of one put per
+//!    key, reopened cold in both modes: checkpoints
 //!    disabled (recovery replays all L records) and periodic checkpoints
 //!    (recovery loads the last snapshot + a bounded tail).
 //!
@@ -111,17 +112,14 @@ fn throughput(store: &dyn StorageBackend, objects: usize, value_bytes: usize) ->
 fn recovery_run(ops: usize, checkpoint_every: u64) -> (f64, Vec<(String, Vec<u8>, u64)>) {
     let root = scratch(&format!("recovery-{ops}-{checkpoint_every}"));
     {
-        let log = LogBackend::open_with(
-            &root,
-            // Durability is not under test here (recovery time is), so the
-            // history is written with per-put fsync off to keep the setup
-            // phase fast; the final state is identical either way.
-            LogConfig { fsync: false, checkpoint_every, fault_hook: None },
-        )
-        .expect("open for history");
-        for i in 0..ops {
-            let path = format!("key-{}", i % RECOVERY_PATHS);
-            log.put(&path, &value(i, RECOVERY_VALUE_BYTES)).expect("history put");
+        // The store's defaults: each batch is one frame and one fsync.
+        let log = LogBackend::open_with(&root, LogConfig { checkpoint_every, fault_hook: None })
+            .expect("open for history");
+        for start in (0..ops).step_by(RECOVERY_PATHS) {
+            let batch: Vec<(String, Vec<u8>)> = (start..ops.min(start + RECOVERY_PATHS))
+                .map(|i| (format!("key-{}", i % RECOVERY_PATHS), value(i, RECOVERY_VALUE_BYTES)))
+                .collect();
+            assert!(log.put_many(&batch).iter().all(|r| r.is_ok()), "history batch");
         }
     }
     let t0 = Instant::now();

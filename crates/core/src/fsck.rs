@@ -145,11 +145,8 @@ pub(crate) fn run_fsck(
                             continue;
                         }
                     };
-                    if fnode.nlink <= 1 && fnode.parent != uuid {
-                        report.errors.push((
-                            child_path.clone(),
-                            "filenode parent pointer mismatch".into(),
-                        ));
+                    if let Err(e) = fsops::check_reached_via(uuid, &fnode) {
+                        report.errors.push((child_path.clone(), e.to_string()));
                         continue;
                     }
                     reachable.insert(fnode.data_uuid);

@@ -350,7 +350,11 @@ pub(crate) fn fs_remove(state: &mut EnclaveState, io: &MetaIo<'_>, path: &str) -
             evict(state, io, &child.uuid);
         }
         Child::File(mut fnode) if fnode.nlink > 1 => {
-            Arc::make_mut(&mut fnode).nlink -= 1;
+            // The names left may all be in other directories: the filenode
+            // stops naming a parent.
+            let fnode_mut = Arc::make_mut(&mut fnode);
+            fnode_mut.nlink -= 1;
+            fnode_mut.parent = NexusUuid::NIL;
             stage_filenode(state, io, &mut commit, fnode, dir.scope)?;
         }
         Child::File(fnode) => {
@@ -435,11 +439,12 @@ fn load_file_via(
     Ok(fnode)
 }
 
-/// The parent-pointer check for a file reached through directory `dir`
-/// (non-hardlinked files only: a hardlinked one legitimately has one
-/// parent pointer and several parents).
-fn check_reached_via(dir: NexusUuid, fnode: &Filenode) -> Result<()> {
-    if fnode.nlink <= 1 && fnode.parent != dir {
+/// The parent-pointer check for a file reached through directory `dir`.
+/// It skips a hard-linked file, which legitimately has one parent pointer
+/// and several parents, and a NIL parent: a file that was linked and then
+/// lost a name no longer records which directory holds it.
+pub(crate) fn check_reached_via(dir: NexusUuid, fnode: &Filenode) -> Result<()> {
+    if fnode.nlink <= 1 && !fnode.parent.is_nil() && fnode.parent != dir {
         return Err(NexusError::Integrity(format!(
             "filenode {} reached via {dir} but claims parent {} (swapping attack)",
             fnode.uuid, fnode.parent

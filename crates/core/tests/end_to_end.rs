@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use nexus_core::{
-    NexusConfig, NexusError, NexusVolume, OpenMode, NexusFile, Rights, SealedOffer, SealedRootKey,
-    UserKeys, VolumeJoiner,
+    FsckMode, NexusConfig, NexusError, NexusVolume, OpenMode, NexusFile, Rights, SealedOffer,
+    SealedRootKey, UserKeys, VolumeJoiner,
 };
 use nexus_sgx::{AttestationService, Platform};
 use nexus_storage::afs::{AfsClient, AfsServer};
@@ -160,6 +160,29 @@ fn symlinks_and_hardlinks() {
     volume.remove("real.txt").unwrap();
     assert_eq!(volume.read_file("hard.txt").unwrap(), b"content");
     assert_eq!(volume.lookup("hard.txt").unwrap().nlink, 1);
+}
+
+/// A hard link in another directory outlives the first name: the filenode
+/// stops naming a parent when a name goes, so reading, fsck and a later
+/// rename all find it through the name that is left.
+#[test]
+fn a_hard_link_in_another_directory_outlives_the_first_name() {
+    let (platform, ias, backend, owner) = setup();
+    let (volume, _) = create_volume(&platform, &ias, backend, &owner);
+    volume.mkdir("a").unwrap();
+    volume.mkdir("b").unwrap();
+    volume.write_file("a/x", b"linked").unwrap();
+    volume.hardlink("a/x", "b/y").unwrap();
+
+    volume.remove("a/x").unwrap();
+    assert_eq!(volume.read_file("b/y").unwrap(), b"linked");
+    let report = volume.fsck(FsckMode::Deep).unwrap();
+    assert!(report.is_clean(), "{:?}", report.errors);
+
+    volume.rename("b/y", "a/z").unwrap();
+    assert_eq!(volume.read_file("a/z").unwrap(), b"linked");
+    let report = volume.fsck(FsckMode::Deep).unwrap();
+    assert!(report.is_clean(), "{:?}", report.errors);
 }
 
 #[test]

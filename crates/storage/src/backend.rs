@@ -232,7 +232,16 @@ pub trait StorageBackend: Send + Sync {
     /// `out[i]` is the result for `items[i]`; per-object failures do not
     /// abort the rest of the batch. Defaults to looping over
     /// [`StorageBackend::put`]; overrides must preserve per-object
-    /// write/callback semantics and differ only in RPC accounting.
+    /// write/callback semantics and differ only in RPC accounting and in
+    /// whether the batch is all-or-none — lands whole or not at all, for
+    /// readers and across a crash:
+    ///
+    /// - `MemBackend`: yes, one write lock for the batch;
+    /// - `LogBackend`: yes, the batch is one log frame and one fsync, and
+    ///   replay drops a torn frame whole;
+    /// - `DirBackend` and `CloudStore`: no, each item commits on its own;
+    /// - `AfsClient`: each item is its own call on its server's store, so
+    ///   it gives what that store gives one call at a time.
     fn put_many(&self, items: &[(String, Vec<u8>)]) -> Vec<Result<(), StorageError>> {
         items.iter().map(|(p, d)| self.put(p, d)).collect()
     }

@@ -8,10 +8,12 @@
 //! such map. The design (DESIGN.md §12) is the classic write-ahead shape
 //! production stores use:
 //!
-//! - **Append-only segment files** (`seg-NNNNNNNNNN.log`): every mutation
-//!   is one length-prefixed, CRC-32-checksummed record carrying the path,
-//!   the assigned version (or lock epoch), and the payload, fsynced before
-//!   the operation is acknowledged.
+//! - **Append-only segment files** (`seg-NNNNNNNNNN.log`): every mutating
+//!   call is one length-prefixed, CRC-32-checksummed frame holding that
+//!   call's records — a `put`, `delete`, `lock` or `unlock` one record, a
+//!   `put_many` one per item — each carrying the path, the assigned
+//!   version (or lock epoch), and the payload. The frame is fsynced before
+//!   the call is acknowledged; all writes go through one private `commit`.
 //! - **Checkpoints** (`ckpt-NNNNNNNNNN.idx`): periodically the full object
 //!   map + lock table is written to a temp file, fsynced, and committed by
 //!   an atomic rename followed by a directory fsync; segments older than
@@ -22,9 +24,11 @@
 //! - **Recovery replay**: [`LogBackend::open`] loads the newest committed
 //!   checkpoint (a partially written one can only exist under its `.tmp`
 //!   name and is discarded), then replays every segment at or above the
-//!   watermark in order, truncating the log at the first corrupt record —
-//!   the torn tail a crash mid-append leaves behind. Object versions and
-//!   lock epochs come back exactly as acknowledged.
+//!   watermark in order, truncating the log at the first corrupt frame —
+//!   the torn tail a crash mid-append leaves behind. A frame is decoded
+//!   whole before any of its records applies, so a batch comes back all
+//!   or none. Object versions and lock epochs come back exactly as
+//!   acknowledged.
 //!
 //! Every physical I/O step consults the [`crate::fault`] shim, so the
 //! crash-recovery suite (`tests/crash_recovery.rs`) can kill the backend
@@ -50,7 +54,7 @@ use crate::backend::{IoStats, ObjectStat, StorageBackend, StorageError};
 use crate::fault::{FaultAction, FaultHook, FaultPoint};
 use crate::mem::ObjectMap;
 
-/// Per-record frame magic: "NXLG".
+/// Frame magic: "NXLG".
 const REC_MAGIC: u32 = 0x4E58_4C47;
 /// Checkpoint file magic: "NXCK".
 const CKPT_MAGIC: u32 = 0x4E58_434B;
@@ -109,14 +113,16 @@ const OP_LOCK: u8 = 3;
 const OP_UNLOCK: u8 = 4;
 
 impl Record {
-    fn encode(&self) -> Vec<u8> {
+    /// Appends the record's encoding: op, sequence (version or lock
+    /// epoch), owner, then the length-prefixed path and data.
+    fn encode_into(&self, out: &mut Vec<u8>) {
         let (op, path, seq, owner, data): (u8, &str, u64, u64, &[u8]) = match self {
             Record::Put { path, version, data } => (OP_PUT, path, *version, 0, data),
             Record::Delete { path } => (OP_DELETE, path, 0, 0, &[]),
             Record::Lock { path, owner, epoch } => (OP_LOCK, path, *epoch, *owner, &[]),
             Record::Unlock { path, owner } => (OP_UNLOCK, path, 0, *owner, &[]),
         };
-        let mut out = Vec::with_capacity(1 + 8 + 8 + 4 + path.len() + 4 + data.len());
+        out.reserve(1 + 8 + 8 + 4 + path.len() + 4 + data.len());
         out.push(op);
         out.extend_from_slice(&seq.to_le_bytes());
         out.extend_from_slice(&owner.to_le_bytes());
@@ -124,19 +130,15 @@ impl Record {
         out.extend_from_slice(path.as_bytes());
         out.extend_from_slice(&(data.len() as u32).to_le_bytes());
         out.extend_from_slice(data);
-        out
     }
 
-    fn decode(payload: &[u8]) -> Option<Record> {
-        let mut r = Reader::new(payload);
+    /// Reads one record from `r`.
+    fn decode(r: &mut Reader<'_>) -> Option<Record> {
         let op = r.u8()?;
         let seq = r.u64()?;
         let owner = r.u64()?;
         let path = String::from_utf8(r.bytes_u32_len()?.to_vec()).ok()?;
         let data = r.bytes_u32_len()?.to_vec();
-        if !r.done() {
-            return None;
-        }
         match op {
             OP_PUT => Some(Record::Put { path, version: seq, data }),
             OP_DELETE if data.is_empty() => Some(Record::Delete { path }),
@@ -145,16 +147,40 @@ impl Record {
             _ => None,
         }
     }
+}
 
-    /// Frames the record for the log: magic, length, CRC, payload.
-    fn frame(&self) -> Vec<u8> {
-        let payload = self.encode();
-        let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-        out.extend_from_slice(&REC_MAGIC.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+/// Frames one call's records for the log: magic, payload length, payload
+/// CRC, then the records' encodings back to back. A one-record frame is
+/// byte for byte the single-record frame of every earlier log.
+///
+/// # Errors
+///
+/// [`StorageError::Io`] when the payload does not fit the frame's 32-bit
+/// length.
+fn frame(records: &[Record]) -> Result<Vec<u8>, StorageError> {
+    let mut out = vec![0u8; FRAME_HEADER];
+    for rec in records {
+        rec.encode_into(&mut out);
+    }
+    let len = u32::try_from(out.len() - FRAME_HEADER)
+        .map_err(|_| StorageError::Io(format!("log frame of {} bytes", out.len())))?;
+    let crc = crc32(&out[FRAME_HEADER..]);
+    out[0..4].copy_from_slice(&REC_MAGIC.to_le_bytes());
+    out[4..8].copy_from_slice(&len.to_le_bytes());
+    out[8..12].copy_from_slice(&crc.to_le_bytes());
+    Ok(out)
+}
+
+/// Decodes every record of a frame's payload, or none: a payload that
+/// does not split exactly into one or more records is corrupt.
+fn decode_frame(payload: &[u8]) -> Option<Vec<Record>> {
+    let mut r = Reader::new(payload);
+    let mut records = Vec::new();
+    loop {
+        records.push(Record::decode(&mut r)?);
+        if r.done() {
+            return Some(records);
+        }
     }
 }
 
@@ -207,10 +233,6 @@ impl<'a> Reader<'a> {
 /// Tuning knobs for [`LogBackend`].
 #[derive(Clone)]
 pub struct LogConfig {
-    /// Fsync the active segment after every acknowledged mutation. On by
-    /// default: turning it off trades the durability of the unsynced tail
-    /// for throughput (group commit still syncs batches once).
-    pub fsync: bool,
     /// Write a checkpoint after this many logged mutations; 0 disables
     /// automatic checkpoints (recovery then replays the full log).
     pub checkpoint_every: u64,
@@ -221,14 +243,13 @@ pub struct LogConfig {
 
 impl Default for LogConfig {
     fn default() -> LogConfig {
-        LogConfig { fsync: true, checkpoint_every: 1024, fault_hook: None }
+        LogConfig { checkpoint_every: 1024, fault_hook: None }
     }
 }
 
 impl std::fmt::Debug for LogConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LogConfig")
-            .field("fsync", &self.fsync)
             .field("checkpoint_every", &self.checkpoint_every)
             .field("fault_hook", &self.fault_hook.is_some())
             .finish()
@@ -313,12 +334,14 @@ fn parse_seq(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
 /// Outcome of scanning one segment during recovery or audit.
 enum SegmentScan {
     Clean,
-    /// First corrupt record starts at this offset; everything after is the
+    /// First corrupt frame starts at this offset; everything after is the
     /// torn tail a crash left behind.
     CorruptAt(u64),
 }
 
-/// Parses the records of one segment, applying each valid one via `apply`.
+/// Parses the frames of one segment, applying the records of each valid
+/// frame via `apply`; a frame is decoded whole before any record of it is
+/// applied, so a torn or malformed frame drops whole.
 fn scan_segment(
     bytes: &[u8],
     mut apply: impl FnMut(Record),
@@ -339,8 +362,8 @@ fn scan_segment(
         if crc32(payload) != crc {
             return SegmentScan::CorruptAt(pos as u64);
         }
-        match Record::decode(payload) {
-            Some(rec) => apply(rec),
+        match decode_frame(payload) {
+            Some(records) => records.into_iter().for_each(&mut apply),
             None => return SegmentScan::CorruptAt(pos as u64),
         }
         pos += FRAME_HEADER + len;
@@ -464,48 +487,53 @@ impl LogInner {
         StorageError::Io(format!("injected crash: {what}"))
     }
 
-    /// Appends one framed record to the active segment (no sync).
-    fn append_record(&mut self, rec: &Record) -> Result<(), StorageError> {
-        let bytes = rec.frame();
+    /// The one write path: appends `records` as one frame, fsyncs it, then
+    /// applies the records to the image and counts them. A crash before the
+    /// fsync lands leaves the frame torn or absent, and replay drops it
+    /// whole, so one call's records are durable all together or not at all.
+    /// An empty call logs nothing.
+    fn commit(&mut self, records: Vec<Record>) -> Result<(), StorageError> {
+        if records.is_empty() {
+            return Ok(());
+        }
+        let bytes = frame(&records)?;
         let name = seg_name(self.seg.seq);
-        match self.fault(FaultPoint::Write { file: name, len: bytes.len() }) {
+        match self.fault(FaultPoint::Write { file: name.clone(), len: bytes.len() }) {
             FaultAction::Proceed => {
                 self.seg.file.write_all(&bytes).map_err(io_err)?;
                 self.seg.written += bytes.len() as u64;
-                Ok(())
             }
             FaultAction::Torn { keep } => {
                 let keep = keep.min(bytes.len().saturating_sub(1));
                 let _ = self.seg.file.write_all(&bytes[..keep]);
-                self.seg.written += keep as u64;
-                Err(self.crash("torn segment append"))
+                return Err(self.crash("torn segment append"));
             }
-            FaultAction::Drop => Err(self.crash("dropped segment append")),
+            FaultAction::Drop => return Err(self.crash("dropped segment append")),
         }
-    }
-
-    /// Makes appended records durable; a simulated dropped fsync loses the
-    /// unsynced tail, exactly as a real crash would lose the page cache.
-    fn sync_segment(&mut self) -> Result<(), StorageError> {
-        if !self.cfg.fsync {
-            // Without fsync the tail's durability is the OS's business;
-            // track it as durable so a later injected crash is modelled
-            // against what the backend actually promised.
-            self.seg.durable = self.seg.written;
-            return Ok(());
-        }
-        match self.fault(FaultPoint::Fsync { file: seg_name(self.seg.seq) }) {
-            FaultAction::Proceed => {
-                self.seg.file.sync_data().map_err(io_err)?;
-                self.seg.durable = self.seg.written;
-                Ok(())
-            }
+        // A dropped fsync loses the unsynced tail, exactly as a real crash
+        // would lose the page cache.
+        match self.fault(FaultPoint::Fsync { file: name }) {
+            FaultAction::Proceed => self.seg.file.sync_data().map_err(io_err)?,
             _ => {
                 let _ = self.seg.file.set_len(self.seg.durable);
-                self.seg.written = self.seg.durable;
-                Err(self.crash("dropped segment fsync"))
+                return Err(self.crash("dropped segment fsync"));
             }
         }
+        self.seg.durable = self.seg.written;
+        let n = records.len() as u64;
+        for rec in records {
+            match &rec {
+                Record::Put { data, .. } => {
+                    self.stats.writes += 1;
+                    self.stats.bytes_written += data.len() as u64;
+                }
+                Record::Delete { .. } => self.stats.deletes += 1,
+                Record::Lock { .. } => self.stats.locks += 1,
+                Record::Unlock { .. } => {}
+            }
+            self.image.apply(rec);
+        }
+        self.note_ops(n)
     }
 
     /// Counts `n` acknowledged mutations toward the next checkpoint.
@@ -531,9 +559,7 @@ impl LogInner {
                     .append(true)
                     .open(&seg_path)
                     .map_err(io_err)?;
-                if self.cfg.fsync {
-                    file.sync_all().map_err(io_err)?;
-                }
+                file.sync_all().map_err(io_err)?;
                 self.seg = ActiveSegment { seq: new_seq, file, written: 0, durable: 0 };
             }
             _ => return Err(self.crash("dropped segment create")),
@@ -678,7 +704,7 @@ impl LogBackend {
         }
 
         // Replay the log tail in segment order, truncating at the first
-        // corrupt record (the torn tail of the crashed writer).
+        // corrupt frame (the torn tail of the crashed writer).
         let live_segs: Vec<(u64, PathBuf)> =
             segs.range(watermark..).map(|(&s, p)| (s, p.clone())).collect();
         let mut truncated_after: Option<u64> = None;
@@ -850,7 +876,7 @@ impl LogBackend {
         }
 
         // Segments: contiguous from the watermark to the append head, all
-        // records framed and checksummed.
+        // frames whole and checksummed.
         let live: Vec<u64> = segs.keys().copied().filter(|&s| s >= watermark).collect();
         let expect: Vec<u64> = (watermark..=inner.seg.seq).collect();
         if live != expect {
@@ -865,7 +891,7 @@ impl LogBackend {
                     let scan = scan_segment(&bytes, |rec| replay.apply(rec));
                     if let SegmentScan::CorruptAt(off) = scan {
                         findings.push(format!(
-                            "corrupt record in {} at offset {off}",
+                            "corrupt frame in {} at offset {off}",
                             path.display()
                         ));
                     }
@@ -908,13 +934,7 @@ impl StorageBackend for LogBackend {
         let mut inner = self.inner.lock();
         inner.guard()?;
         let version = inner.image.map.version(path) + 1;
-        let rec = Record::Put { path: path.to_string(), version, data: data.to_vec() };
-        inner.append_record(&rec)?;
-        inner.sync_segment()?;
-        inner.image.apply(rec);
-        inner.stats.writes += 1;
-        inner.stats.bytes_written += data.len() as u64;
-        inner.note_ops(1)
+        inner.commit(vec![Record::Put { path: path.to_string(), version, data: data.to_vec() }])
     }
 
     fn get(&self, path: &str) -> Result<Vec<u8>, StorageError> {
@@ -934,12 +954,7 @@ impl StorageBackend for LogBackend {
         let mut inner = self.inner.lock();
         inner.guard()?;
         inner.image.map.stat(path)?; // NotFound before anything is logged
-        let rec = Record::Delete { path: path.to_string() };
-        inner.append_record(&rec)?;
-        inner.sync_segment()?;
-        inner.image.apply(rec);
-        inner.stats.deletes += 1;
-        inner.note_ops(1)
+        inner.commit(vec![Record::Delete { path: path.to_string() }])
     }
 
     fn exists(&self, path: &str) -> bool {
@@ -959,65 +974,39 @@ impl StorageBackend for LogBackend {
         inner.guard()?;
         inner.image.map.check_lock(path, owner)?;
         let epoch = inner.image.lock_epoch + 1;
-        let rec = Record::Lock { path: path.to_string(), owner, epoch };
-        inner.append_record(&rec)?;
-        inner.sync_segment()?;
-        inner.image.apply(rec);
-        inner.stats.locks += 1;
-        inner.note_ops(1)
+        inner.commit(vec![Record::Lock { path: path.to_string(), owner, epoch }])
     }
 
     fn unlock(&self, path: &str, owner: u64) {
         let mut inner = self.inner.lock();
-        if inner.guard().is_err() || !inner.image.map.holds(path, owner) {
-            return;
+        if inner.guard().is_ok() && inner.image.map.holds(path, owner) {
+            let _ = inner.commit(vec![Record::Unlock { path: path.to_string(), owner }]);
         }
-        let rec = Record::Unlock { path: path.to_string(), owner };
-        if inner.append_record(&rec).is_err() || inner.sync_segment().is_err() {
-            return;
-        }
-        inner.image.apply(rec);
-        let _ = inner.note_ops(1);
     }
 
     fn put_many(&self, items: &[(String, Vec<u8>)]) -> Vec<Result<(), StorageError>> {
         let mut inner = self.inner.lock();
-        if let Err(e) = inner.guard() {
-            return items.iter().map(|_| Err(e.clone())).collect();
-        }
-        // Group commit: all records appended, then one fsync. A crash
-        // durably applies some prefix of the batch (per-item results are
-        // only acknowledged after the sync).
-        let mut staged: Vec<Record> = Vec::with_capacity(items.len());
-        let mut versions: HashMap<&str, u64> = HashMap::new();
-        for (path, data) in items {
-            let current = match versions.get(path.as_str()) {
-                Some(&v) => v,
-                None => inner.image.map.version(path),
-            };
-            let version = current + 1;
-            versions.insert(path, version);
-            let rec = Record::Put { path: path.clone(), version, data: data.clone() };
-            if let Err(e) = inner.append_record(&rec) {
-                return items.iter().map(|_| Err(e.clone())).collect();
-            }
-            staged.push(rec);
-        }
-        if let Err(e) = inner.sync_segment() {
-            return items.iter().map(|_| Err(e.clone())).collect();
-        }
-        inner.stats.writes += items.len() as u64;
-        inner.stats.bytes_written += items.iter().map(|(_, data)| data.len() as u64).sum::<u64>();
-        for rec in staged {
-            inner.image.apply(rec);
-        }
-        if let Err(e) = inner.note_ops(items.len() as u64) {
-            // The batch itself is durable and applied; only the follow-on
-            // checkpoint crashed. Report the batch as failed so callers
-            // retry against the reopened store.
-            return items.iter().map(|_| Err(e.clone())).collect();
-        }
-        items.iter().map(|_| Ok(())).collect()
+        // Group commit: the whole batch is one frame and one fsync, so a
+        // crash lands all of it or none of it.
+        let result = inner.guard().and_then(|()| {
+            let mut versions: HashMap<&str, u64> = HashMap::new();
+            let records = items
+                .iter()
+                .map(|(path, data)| {
+                    let current = match versions.get(path.as_str()) {
+                        Some(&v) => v,
+                        None => inner.image.map.version(path),
+                    };
+                    versions.insert(path, current + 1);
+                    Record::Put { path: path.clone(), version: current + 1, data: data.clone() }
+                })
+                .collect();
+            // A crash in the checkpoint that may follow fails the batch even
+            // though it is durable, so callers retry against the reopened
+            // store.
+            inner.commit(records)
+        });
+        items.iter().map(|_| result.clone()).collect()
     }
 
     fn get_many(&self, paths: &[String]) -> Vec<Result<Vec<u8>, StorageError>> {
@@ -1279,31 +1268,144 @@ mod tests {
         assert_eq!(stats.bytes_read, 7);
     }
 
+    /// What a store reads back from its directory: every object with its
+    /// version, the lock holders and the lock epoch.
+    fn image_of(store: &LogBackend) -> (Vec<(String, Vec<u8>, u64)>, Vec<(String, u64)>, u64) {
+        let objects = store
+            .list("")
+            .into_iter()
+            .map(|p| {
+                let data = store.get(&p).unwrap();
+                (p.clone(), data, store.stat(&p).unwrap().version)
+            })
+            .collect();
+        (objects, store.lock_holders(), store.lock_epoch())
+    }
+
     #[test]
     fn record_roundtrip_all_ops() {
-        let records = [
+        let records = vec![
             Record::Put { path: "p/%2F".into(), version: 9, data: vec![1, 2, 3] },
             Record::Delete { path: String::new() },
             Record::Lock { path: "l".into(), owner: u64::MAX, epoch: 7 },
             Record::Unlock { path: "l".into(), owner: 3 },
         ];
-        for rec in records {
-            let framed = rec.frame();
-            let payload = &framed[FRAME_HEADER..];
-            assert_eq!(Record::decode(payload), Some(rec.clone()));
-            let mut seen = Vec::new();
-            assert!(matches!(
-                scan_segment(&framed, |r| seen.push(r)),
-                SegmentScan::Clean
-            ));
-            assert_eq!(seen, vec![rec]);
+        for rec in &records {
+            let framed = frame(std::slice::from_ref(rec)).unwrap();
+            assert_eq!(decode_frame(&framed[FRAME_HEADER..]), Some(vec![rec.clone()]));
         }
+        // One frame holds every record of a call, in order.
+        let framed = frame(&records).unwrap();
+        let mut seen = Vec::new();
+        assert!(matches!(scan_segment(&framed, |r| seen.push(r)), SegmentScan::Clean));
+        assert_eq!(seen, records);
+        assert_eq!(decode_frame(&[]), None, "an empty payload is no frame");
+    }
+
+    /// The bytes a one-record put has always put on disk: magic "NXLG",
+    /// payload length 30, CRC-32, then op 1, version 1, owner 0, the path
+    /// "ab" and the data 01 02 03, each length little-endian.
+    #[test]
+    fn a_one_record_frame_keeps_its_golden_bytes() {
+        let root = tmp();
+        let store = open_cfg(&root, 0);
+        store.put("ab", &[1, 2, 3]).unwrap();
+        let golden: [u8; 42] = [
+            0x47, 0x4C, 0x58, 0x4E, 0x1E, 0x00, 0x00, 0x00, 0x61, 0xC0, 0xFC, 0x7D, // header
+            0x01, // op
+            0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // version
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // owner
+            0x02, 0x00, 0x00, 0x00, 0x61, 0x62, // path
+            0x03, 0x00, 0x00, 0x00, 0x01, 0x02, 0x03, // data
+        ];
+        assert_eq!(fs::read(root.join(seg_name(0))).unwrap(), golden);
+    }
+
+    /// A segment written before a frame could hold several records has a
+    /// batch as one frame per record; it replays to the image the same
+    /// calls make today.
+    #[test]
+    fn a_batch_of_one_record_frames_replays_to_the_same_image() {
+        let batch = [
+            ("a".to_string(), b"new".to_vec()),
+            ("b".to_string(), b"fresh".to_vec()),
+            ("a".to_string(), b"newest".to_vec()),
+        ];
+        let today = tmp();
+        let store = open_cfg(&today, 0);
+        store.put("a", b"old").unwrap();
+        store.lock("b", 5).unwrap();
+        assert!(store.put_many(&batch).iter().all(|r| r.is_ok()));
+        store.delete("a").unwrap();
+        drop(store);
+
+        let earlier = tmp();
+        fs::create_dir_all(&earlier).unwrap();
+        let records = [
+            Record::Put { path: "a".into(), version: 1, data: b"old".to_vec() },
+            Record::Lock { path: "b".into(), owner: 5, epoch: 1 },
+            Record::Put { path: "a".into(), version: 2, data: b"new".to_vec() },
+            Record::Put { path: "b".into(), version: 1, data: b"fresh".to_vec() },
+            Record::Put { path: "a".into(), version: 3, data: b"newest".to_vec() },
+            Record::Delete { path: "a".into() },
+        ];
+        let segment: Vec<u8> =
+            records.iter().flat_map(|rec| frame(std::slice::from_ref(rec)).unwrap()).collect();
+        fs::write(earlier.join(seg_name(0)), segment).unwrap();
+
+        let today = LogBackend::open(&today).unwrap();
+        let earlier = LogBackend::open(&earlier).unwrap();
+        assert_eq!(image_of(&earlier), image_of(&today));
+        assert_eq!(image_of(&earlier).0, vec![("b".to_string(), b"fresh".to_vec(), 1)]);
+        assert!(earlier.audit().is_empty(), "{:?}", earlier.audit());
+    }
+
+    /// A batch is one frame: cut anywhere, or carrying a malformed record
+    /// under a valid CRC, it replays as none of its records.
+    #[test]
+    fn a_damaged_batch_frame_drops_whole() {
+        let root = tmp();
+        let store = open_cfg(&root, 0);
+        store.put("kept", b"1").unwrap();
+        let head = fs::read(root.join(seg_name(0))).unwrap().len();
+        let batch: Vec<(String, Vec<u8>)> =
+            (0..3).map(|i| (format!("o{i}"), vec![i as u8; 40])).collect();
+        assert!(store.put_many(&batch).iter().all(|r| r.is_ok()));
+        drop(store);
+        let full = fs::read(root.join(seg_name(0))).unwrap();
+        for cut in [head + FRAME_HEADER + 1, full.len() - 60, full.len() - 1] {
+            fs::write(root.join(seg_name(0)), &full[..cut]).unwrap();
+            let store = LogBackend::open(&root).unwrap();
+            assert_eq!(store.list(""), vec!["kept".to_string()], "cut at {cut}");
+            assert!(store.audit().is_empty(), "{:?}", store.audit());
+        }
+
+        // Trailing bytes after the last record, under a CRC that holds.
+        let rec = Record::Put { path: "x".into(), version: 1, data: vec![9; 8] };
+        let mut payload = Vec::new();
+        rec.encode_into(&mut payload);
+        payload.push(OP_PUT);
+        let mut bad = REC_MAGIC.to_le_bytes().to_vec();
+        bad.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bad.extend_from_slice(&crc32(&payload).to_le_bytes());
+        bad.extend_from_slice(&payload);
+        let mut seen = Vec::new();
+        assert!(matches!(scan_segment(&bad, |r| seen.push(r)), SegmentScan::CorruptAt(0)));
+        assert!(seen.is_empty(), "no record of a malformed frame applies");
+    }
+
+    #[test]
+    fn an_empty_batch_logs_nothing() {
+        let root = tmp();
+        let store = open_cfg(&root, 0);
+        assert!(store.put_many(&[]).is_empty());
+        assert_eq!(fs::read(root.join(seg_name(0))).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
     fn scan_rejects_bad_magic_length_and_crc() {
         let rec = Record::Put { path: "x".into(), version: 1, data: vec![9; 8] };
-        let good = rec.frame();
+        let good = frame(&[rec]).unwrap();
         // Bad magic.
         let mut bad = good.clone();
         bad[0] ^= 1;

@@ -17,10 +17,6 @@
 //! The driver is deliberately generic over the fault-kind type: the
 //! concrete hook machinery (`FaultHook`, `FireAt`, …) lives with the
 //! backends in `nexus-storage`, and the testkit stays dependency-free.
-//!
-//! `NEXUS_TESTKIT_FAULT_STRIDE` (default 1 = exhaustive) sweeps every
-//! N-th point instead — an exploration knob for very long workloads,
-//! never needed in CI.
 
 use std::fmt::Debug;
 
@@ -29,7 +25,7 @@ use std::fmt::Debug;
 pub struct SweepStats {
     /// Fault points the workload crosses (as counted by the caller).
     pub points: u64,
-    /// Injected runs executed (`points x kinds`, divided by the stride).
+    /// Injected runs executed (`points x kinds`).
     pub runs: u64,
 }
 
@@ -74,13 +70,8 @@ pub fn sweep_result<K: Copy + Debug>(
     kinds: &[K],
     mut check: impl FnMut(u64, K) -> Result<(), String>,
 ) -> Result<SweepStats, SweepFailure<K>> {
-    let stride = std::env::var("NEXUS_TESTKIT_FAULT_STRIDE")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&s| s > 0)
-        .unwrap_or(1);
     let mut runs = 0;
-    for point in (0..points).step_by(stride as usize) {
+    for point in 0..points {
         for &kind in kinds {
             runs += 1;
             if let Err(message) = check(point, kind) {
