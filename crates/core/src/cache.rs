@@ -9,7 +9,7 @@
 //!
 //! The cache is also where EPC is accounted: an entry is charged the
 //! plaintext body bytes it retains (main object plus loaded buckets, each
-//! with its name index) when it is inserted or grows, and released when it
+//! with its name table) when it is inserted or grows, and released when it
 //! is replaced or removed.
 
 use std::collections::HashMap;
@@ -101,7 +101,7 @@ impl MetaCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metadata::dirnode::{DirEntry, Dirnode, EntryKind};
+    use crate::metadata::dirnode::{slots_for, DirEntry, Dirnode, EntryKind};
     use nexus_sgx::{Enclave, EnclaveImage, Platform};
 
     fn enclave() -> Enclave<MetaCache> {
@@ -170,7 +170,8 @@ mod tests {
             // A second offer for a loaded slot changes (and charges) nothing.
             cache.write_back_bucket(env, &uuid(1), 1, &full.buckets[1].re, &bucket(1));
             assert_eq!(e.epc().current(), main.len() + bucket(1).epc_bytes());
-            assert_eq!(bucket(1).epc_bytes(), bucket(1).as_bytes().len() + 4, "body + one offset");
+            let table = 4 * slots_for(1);
+            assert_eq!(bucket(1).epc_bytes(), bucket(1).as_bytes().len() + table, "body + table");
             cache.remove(env, &uuid(1));
             assert_eq!(e.epc().current(), 0);
         });

@@ -24,7 +24,7 @@ use crate::metadata::crypto::{
     open_object_scoped, open_object_with, seal_object_with, KeyScope, ObjectKind, Preamble,
     RootKey,
 };
-use crate::metadata::dirnode::{Bucket, Dirnode};
+use crate::metadata::dirnode::{Bucket, Dirnode, HashedName};
 use crate::metadata::filenode::Filenode;
 use crate::metadata::supernode::Supernode;
 use crate::uuid::NexusUuid;
@@ -814,16 +814,17 @@ pub(crate) fn load_all_buckets(
     Ok(())
 }
 
-/// Looks up `name` in `dir`: the buckets already loaded first (a binary
-/// search each, no storage call), then the others, loaded one at a time
-/// until the name turns up.
+/// Looks up `name` in `dir`: the buckets already loaded first (one probe
+/// of each bucket's name table, no storage call), then the others, loaded
+/// one at a time until the name turns up. The name is hashed once.
 pub(crate) fn lookup_entry(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
     dir: &mut Arc<Dirnode>,
     name: &str,
 ) -> Result<Option<crate::metadata::dirnode::DirEntry>> {
-    if let Some(entry) = dir.find_loaded(name) {
+    let name = HashedName::new(name);
+    if let Some(entry) = dir.find_loaded_hashed(name) {
         return Ok(Some(entry.to_entry()));
     }
     for idx in 0..dir.buckets.len() {
@@ -833,7 +834,7 @@ pub(crate) fn lookup_entry(
         let blob = io.get(&dir.buckets[idx].re.uuid)?;
         admit_bucket(state, io, dir, idx, &blob)?;
         let bucket = dir.buckets[idx].bucket.as_ref().expect("loaded just above");
-        if let Some(entry) = bucket.find(name) {
+        if let Some(entry) = bucket.find_hashed(name) {
             return Ok(Some(entry.to_entry()));
         }
     }
@@ -1166,6 +1167,7 @@ pub(crate) fn open_supernode(
 mod tests {
     use super::*;
     use crate::acl::OWNER_USER_ID;
+    use crate::metadata::dirnode::slots_for;
 
     #[test]
     fn default_config_matches_paper() {
@@ -1303,7 +1305,7 @@ mod tests {
                     let fetched = log.take_calls();
                     assert_eq!(fetched.len(), 2, "{fetched:?}");
                     assert!(lookup_entry(state, io, &mut dir, "nope")?.is_none());
-                    assert_eq!(log.take_calls(), [], "a warm miss is 3 binary searches");
+                    assert_eq!(log.take_calls(), [], "a warm miss is one table probe per bucket");
                     Ok(())
                 })
             })
@@ -1338,9 +1340,11 @@ mod tests {
         assert_eq!(warm, cached_body_bytes(&reader), "root + d with 3 buckets + 10 filenodes");
         let d = load_full(&reader, "d");
         let held = d.buckets.iter().map(|s| s.bucket.as_ref().unwrap());
-        let (body, total): (usize, usize) =
-            held.fold((0, 0), |(b, t), bucket| (b + bucket.as_bytes().len(), t + bucket.epc_bytes()));
-        assert_eq!(total, body + 10 * 4, "each of d's ten names is charged its index offset");
+        let (body, total, table): (usize, usize, usize) = held.fold((0, 0, 0), |(b, t, s), bucket| {
+            (b + bucket.as_bytes().len(), t + bucket.epc_bytes(), s + 4 * slots_for(bucket.len()))
+        });
+        assert_eq!(table, 4 * (slots_for(4) + slots_for(4) + slots_for(2)), "d's ten names");
+        assert_eq!(total, body + table, "each bucket is charged its name table");
         assert_eq!(writer.enclave().epc().current(), cached_body_bytes(&writer));
 
         // Create then remove puts every byte back: the directory's node is

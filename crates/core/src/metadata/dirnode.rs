@@ -7,7 +7,6 @@
 //! the main dirnode stores each bucket's MAC, preventing bucket-level
 //! rollback, and only dirty buckets are re-encrypted on flush.
 
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 use crate::acl::Acl;
@@ -87,23 +86,55 @@ fn le32(body: &[u8], at: usize) -> Option<usize> {
     Some(u32::from_le_bytes(bytes.try_into().ok()?) as usize)
 }
 
-/// Byte order of two names, as `<[u8]>::cmp` gives it. Component names are
-/// short and differ early, and a lookup compares a handful of them in every
-/// bucket of the directory: the leading bytes are compared in line, and
-/// `memcmp` — a call, three times the cost of the comparison it would make
-/// here — only takes over behind a long common prefix.
-fn cmp_names(a: &[u8], b: &[u8]) -> Ordering {
-    const IN_LINE: usize = 16;
-    for (x, y) in a.iter().zip(b).take(IN_LINE) {
-        if x != y {
-            return x.cmp(y);
+/// A component name with its hash. A directory operation hashes the name
+/// once and probes every bucket's table with the same value.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HashedName<'a> {
+    name: &'a [u8],
+    hash: u64,
+}
+
+impl<'a> HashedName<'a> {
+    pub(crate) fn new(name: &'a str) -> HashedName<'a> {
+        HashedName::of(name.as_bytes())
+    }
+
+    /// A fixed, unkeyed multiply–xor hash over the name's 8-byte words,
+    /// seeded with its length. Unkeyed, a writer of the directory can choose
+    /// names that share a home slot; the cost of that is bounded by the
+    /// bucket size (DESIGN.md §5).
+    fn of(name: &'a [u8]) -> HashedName<'a> {
+        const K: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mix = |h: u64, word: u64| {
+            let h = (h ^ word).wrapping_mul(K);
+            h ^ (h >> 32)
+        };
+        let mut words = name.chunks_exact(8);
+        let mut hash = (name.len() as u64).wrapping_mul(K);
+        for word in &mut words {
+            hash = mix(hash, u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
         }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            hash = mix(hash, u64::from_le_bytes(word));
+        }
+        HashedName { name, hash: mix(hash, 0) }
     }
-    if a.len().min(b.len()) <= IN_LINE {
-        a.len().cmp(&b.len())
-    } else {
-        a[IN_LINE..].cmp(&b[IN_LINE..])
+
+    /// The slot a probe for this name starts at, in a table of `slots`
+    /// (a power of two).
+    fn home(&self, slots: usize) -> usize {
+        self.hash as usize & (slots - 1)
     }
+}
+
+/// Table slots for a bucket of `len` entries: a pure function of the count,
+/// so [`Bucket::epc_bytes`] is exact, and never more than half full, so a
+/// probe always ends at an empty slot.
+pub(crate) fn slots_for(len: usize) -> usize {
+    (2 * len).next_power_of_two().max(8)
 }
 
 /// The smallest entry encoding: empty name (4-byte length), uuid, kind tag.
@@ -198,18 +229,29 @@ impl<'a> Iterator for BucketIter<'a> {
 /// [`Bucket::decode`], and read in place afterwards, so loading, cloning
 /// and dropping a bucket allocate nothing per entry.
 ///
-/// Beside the body sits the in-enclave **name index**: the offset of every
-/// entry, sorted by name bytes, so a lookup is a binary search and only
-/// [`Bucket::iter`] walks the body. It is never stored — a function of the
-/// body (names are unique), rebuilt by `decode` — and it lives inside the
-/// `Arc<Bucket>`, shared by every copy of the dirnode and copied only with
-/// the one bucket a mutation changes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Beside the body sits the in-enclave **name table**: an open-addressed
+/// hash table of entry offsets with linear probing, so a lookup is one
+/// hash probe and only [`Bucket::iter`] walks the body. It is never
+/// stored — a function of the body (names are unique), rebuilt by `decode`
+/// — and it lives inside the `Arc<Bucket>`, shared by every copy of the
+/// dirnode and copied only with the one bucket a mutation changes.
+#[derive(Debug, Clone)]
 pub struct Bucket {
     body: Vec<u8>,
-    /// Entry offsets into `body`, strictly increasing by name.
-    index: Vec<u32>,
+    /// Entry offsets into `body`, placed by name hash; 0 marks an empty
+    /// slot (no entry starts there: the count does). `slots_for(len)` long.
+    table: Vec<u32>,
 }
+
+/// Bodies only: the table is derived from the body, and two tables can hold
+/// the same offsets in another order.
+impl PartialEq for Bucket {
+    fn eq(&self, other: &Bucket) -> bool {
+        self.body == other.body
+    }
+}
+
+impl Eq for Bucket {}
 
 impl Default for Bucket {
     fn default() -> Bucket {
@@ -220,7 +262,7 @@ impl Default for Bucket {
 impl Bucket {
     /// An empty bucket.
     pub fn new() -> Bucket {
-        Bucket { body: 0u32.to_le_bytes().to_vec(), index: Vec::new() }
+        Bucket { body: 0u32.to_le_bytes().to_vec(), table: vec![0; slots_for(0)] }
     }
 
     /// The bucket body as stored (inside the sealed object).
@@ -233,14 +275,14 @@ impl Bucket {
         self.body.clone()
     }
 
-    /// What the bucket occupies in enclave memory: the body and its index.
+    /// What the bucket occupies in enclave memory: the body and its table.
     pub fn epc_bytes(&self) -> usize {
-        self.body.len() + self.index.len() * std::mem::size_of::<u32>()
+        self.body.len() + self.table.len() * std::mem::size_of::<u32>()
     }
 
     /// Parses and validates a bucket body — framing, entry count, kind tags,
     /// UTF-8 of every name and symlink target, no trailing bytes, no name
-    /// twice — and builds the name index in the same pass.
+    /// twice — and fills the name table in the same pass.
     ///
     /// # Errors
     ///
@@ -252,7 +294,7 @@ impl Bucket {
             return Err(malformed("larger than an entry offset can address"));
         }
         // Sized by what the input can hold, never by the count it claims.
-        let mut index = Vec::with_capacity(count.min(bytes.len() / MIN_ENTRY_LEN));
+        let mut table = vec![0; slots_for(count.min(bytes.len() / MIN_ENTRY_LEN))];
         let mut pos = 4;
         for _ in 0..count {
             let (entry, next) = EntryRef::parse(bytes, pos)
@@ -261,19 +303,17 @@ impl Bucket {
             {
                 return Err(malformed("invalid utf-8"));
             }
-            index.push(pos as u32);
+            let Err(slot) = probe(bytes, &table, HashedName::of(entry.name)) else {
+                return Err(malformed("duplicate name"));
+            };
+            table[slot] = pos as u32;
             pos = next;
         }
         if pos != bytes.len() {
             return Err(malformed("trailing bytes"));
         }
-        index.sort_unstable_by(|&a, &b| cmp_names(name_at(bytes, a), name_at(bytes, b)));
-        let same = |w: &[u32]| cmp_names(name_at(bytes, w[0]), name_at(bytes, w[1])).is_eq();
-        if index.windows(2).any(same) {
-            return Err(malformed("duplicate name"));
-        }
-        let bucket = Bucket { body: bytes.to_vec(), index };
-        debug_assert!(bucket.index_is_consistent());
+        let bucket = Bucket { body: bytes.to_vec(), table };
+        debug_assert!(bucket.table_is_consistent());
         Ok(bucket)
     }
 
@@ -296,19 +336,19 @@ impl Bucket {
         BucketIter { body: &self.body, pos: 4 }
     }
 
-    /// Where `name` is in the index, or where it would go.
-    fn search(&self, name: &str) -> std::result::Result<usize, usize> {
-        self.index.binary_search_by(|&at| cmp_names(name_at(&self.body, at), name.as_bytes()))
-    }
-
     fn entry_at(&self, at: u32) -> (EntryRef<'_>, usize) {
-        EntryRef::parse(&self.body, at as usize).expect("index offsets point at validated entries")
+        EntryRef::parse(&self.body, at as usize).expect("table offsets point at validated entries")
     }
 
     /// Finds an entry by name.
     pub fn find(&self, name: &str) -> Option<EntryRef<'_>> {
-        let slot = self.search(name).ok()?;
-        Some(self.entry_at(self.index[slot]).0)
+        self.find_hashed(HashedName::new(name))
+    }
+
+    /// [`Bucket::find`] with a name the caller has hashed.
+    pub(crate) fn find_hashed(&self, name: HashedName<'_>) -> Option<EntryRef<'_>> {
+        let slot = probe(&self.body, &self.table, name).ok()?;
+        Some(self.entry_at(self.table[slot]).0)
     }
 
     /// Appends an entry.
@@ -319,53 +359,122 @@ impl Bucket {
     /// a body holding one twice would not decode again) or the body outgrows
     /// a `u32` offset.
     pub fn push(&mut self, entry: &DirEntry) {
-        let Err(slot) = self.search(&entry.name) else {
+        self.push_hashed(entry, HashedName::new(&entry.name));
+    }
+
+    /// [`Bucket::push`] with `entry`'s name, which the caller has hashed.
+    pub(crate) fn push_hashed(&mut self, entry: &DirEntry, name: HashedName<'_>) {
+        if probe(&self.body, &self.table, name).is_ok() {
             panic!("bucket already holds an entry named {:?}", entry.name);
-        };
+        }
         let at = self.body.len();
         let mut w = Writer::new();
         entry.encode(&mut w);
         self.body.extend_from_slice(&w.into_bytes());
         assert!(self.body.len() <= u32::MAX as usize, "bucket body outgrew its u32 offsets");
-        self.index.insert(slot, at as u32);
         self.set_len(self.len() + 1);
-        debug_assert!(self.index_is_consistent());
+        self.resize_table();
+        let Err(slot) = probe(&self.body, &self.table, name) else { unreachable!("absent above") };
+        self.table[slot] = at as u32;
+        debug_assert!(self.table_is_consistent());
     }
 
     /// Removes and returns the entry named `name`.
     pub fn remove(&mut self, name: &str) -> Option<DirEntry> {
-        let slot = self.search(name).ok()?;
-        let start = self.index.remove(slot);
+        self.remove_hashed(HashedName::new(name))
+    }
+
+    /// [`Bucket::remove`] with a name the caller has hashed.
+    pub(crate) fn remove_hashed(&mut self, name: HashedName<'_>) -> Option<DirEntry> {
+        let slot = probe(&self.body, &self.table, name).ok()?;
+        let start = self.table[slot];
         let (entry, end) = self.entry_at(start);
         let removed = entry.to_entry();
+        self.unlink(slot);
         self.body.drain(start as usize..end);
         // The entries behind the hole moved up by its length.
         let hole = end as u32 - start;
-        for at in self.index.iter_mut().filter(|at| **at > start) {
+        for at in self.table.iter_mut().filter(|at| **at > start) {
             *at -= hole;
         }
         self.set_len(self.len() - 1);
-        debug_assert!(self.index_is_consistent());
+        self.resize_table();
+        debug_assert!(self.table_is_consistent());
         Some(removed)
     }
 
-    /// The index lists exactly the entries of the body, strictly increasing
-    /// by name (debug builds check it after every change).
-    fn index_is_consistent(&self) -> bool {
-        let mut starts = Vec::with_capacity(self.index.len());
+    /// Empties `slot` by backward-shift deletion: each later entry of the
+    /// probe run whose home slot does not lie between the hole and itself
+    /// moves back into the hole, so every probe still ends at the first
+    /// empty slot and no tombstone is needed.
+    fn unlink(&mut self, slot: usize) {
+        let mask = self.table.len() - 1;
+        let (mut hole, mut next) = (slot, slot);
+        loop {
+            next = (next + 1) & mask;
+            let at = self.table[next];
+            if at == 0 {
+                break;
+            }
+            let home = HashedName::of(name_at(&self.body, at)).home(self.table.len());
+            if (next.wrapping_sub(home) & mask) >= (next.wrapping_sub(hole) & mask) {
+                self.table[hole] = at;
+                hole = next;
+            }
+        }
+        self.table[hole] = 0;
+    }
+
+    /// Rebuilds the table when the entry count has left its size class.
+    fn resize_table(&mut self) {
+        let slots = slots_for(self.len());
+        if self.table.len() == slots {
+            return;
+        }
+        let old = std::mem::replace(&mut self.table, vec![0; slots]);
+        for at in old.into_iter().filter(|&at| at != 0) {
+            let name = HashedName::of(name_at(&self.body, at));
+            let Err(slot) = probe(&self.body, &self.table, name) else {
+                unreachable!("names are unique")
+            };
+            self.table[slot] = at;
+        }
+    }
+
+    /// The table is `slots_for(len)` long, holds every entry offset of the
+    /// body exactly once, and a probe for each entry's name from its home
+    /// slot reaches it without crossing an empty slot (debug builds check
+    /// it after every change).
+    fn table_is_consistent(&self) -> bool {
+        let mut starts = Vec::with_capacity(self.len());
         let mut pos = 4;
         while pos < self.body.len() {
             let Some((_, next)) = EntryRef::parse(&self.body, pos) else { return false };
             starts.push(pos as u32);
             pos = next;
         }
-        let mut by_offset = self.index.clone();
-        by_offset.sort_unstable();
-        let names_increase = self
-            .index
-            .windows(2)
-            .all(|w| name_at(&self.body, w[0]) < name_at(&self.body, w[1]));
-        self.index.len() == self.len() && by_offset == starts && names_increase
+        let mut held: Vec<u32> = self.table.iter().copied().filter(|&at| at != 0).collect();
+        held.sort_unstable();
+        let reachable = (0..self.table.len()).filter(|&slot| self.table[slot] != 0).all(|slot| {
+            let name = HashedName::of(name_at(&self.body, self.table[slot]));
+            probe(&self.body, &self.table, name) == Ok(slot)
+        });
+        self.table.len() == slots_for(self.len()) && held == starts && reachable
+    }
+}
+
+/// Probes `table` for `name` from its home slot: `Ok` with the slot holding
+/// it, or `Err` with the empty slot that ends the probe run, where it would
+/// go. The table is never full, so the run ends.
+fn probe(body: &[u8], table: &[u32], name: HashedName<'_>) -> std::result::Result<usize, usize> {
+    let mask = table.len() - 1;
+    let mut slot = name.home(table.len());
+    loop {
+        match table[slot] {
+            0 => return Err(slot),
+            at if name_at(body, at) == name.name => return Ok(slot),
+            _ => slot = (slot + 1) & mask,
+        }
     }
 }
 
@@ -497,10 +606,16 @@ impl Dirnode {
 
     /// Looks up `name` among *loaded* buckets.
     pub fn find_loaded(&self, name: &str) -> Option<EntryRef<'_>> {
+        self.find_loaded_hashed(HashedName::new(name))
+    }
+
+    /// [`Dirnode::find_loaded`] with a name the caller has hashed once for
+    /// every bucket.
+    pub(crate) fn find_loaded_hashed(&self, name: HashedName<'_>) -> Option<EntryRef<'_>> {
         self.buckets
             .iter()
             .filter_map(|s| s.bucket.as_ref())
-            .find_map(|b| b.find(name))
+            .find_map(|b| b.find_hashed(name))
     }
 
     /// True when every bucket slot has been loaded.
@@ -520,7 +635,8 @@ impl Dirnode {
     /// Panics if any bucket is unloaded (enclave-layer invariant).
     pub fn insert(&mut self, entry: DirEntry, fresh_uuid: NexusUuid) -> Result<()> {
         assert!(self.fully_loaded(), "insert requires all buckets loaded");
-        if self.find_loaded(&entry.name).is_some() {
+        let name = HashedName::new(&entry.name);
+        if self.find_loaded_hashed(name).is_some() {
             return Err(NexusError::AlreadyExists(entry.name));
         }
         let cap = self.bucket_size;
@@ -529,11 +645,12 @@ impl Dirnode {
             .iter_mut()
             .find(|s| s.bucket.as_ref().is_some_and(|b| b.len() < cap));
         if let Some(slot) = room {
-            Arc::make_mut(slot.bucket.as_mut().expect("matched a loaded bucket")).push(&entry);
+            let bucket = Arc::make_mut(slot.bucket.as_mut().expect("matched a loaded bucket"));
+            bucket.push_hashed(&entry, name);
             slot.dirty = true;
         } else {
             let mut bucket = Bucket::new();
-            bucket.push(&entry);
+            bucket.push_hashed(&entry, name);
             self.buckets.push(BucketSlot {
                 re: BucketRef { uuid: fresh_uuid, mac: [0u8; 32] },
                 bucket: Some(Arc::new(bucket)),
@@ -555,14 +672,15 @@ impl Dirnode {
     /// Panics if any bucket is unloaded (enclave-layer invariant).
     pub fn remove(&mut self, name: &str) -> Result<DirEntry> {
         assert!(self.fully_loaded(), "remove requires all buckets loaded");
+        let hashed = HashedName::new(name);
         for slot in self.buckets.iter_mut() {
             let bucket = slot.bucket.as_mut().expect("checked fully loaded");
             // Probe the shared bucket first: only the one holding `name`
             // is copied.
-            if bucket.find(name).is_none() {
+            if bucket.find_hashed(hashed).is_none() {
                 continue;
             }
-            let entry = Arc::make_mut(bucket).remove(name).expect("found above");
+            let entry = Arc::make_mut(bucket).remove_hashed(hashed).expect("found above");
             slot.dirty = true;
             self.entry_count -= 1;
             return Ok(entry);
@@ -578,7 +696,8 @@ impl Dirnode {
             .flat_map(|b| b.iter())
     }
 
-    /// Drops empty trailing bucket slots (after removals).
+    /// Drops every empty bucket slot, wherever it sits (after removals),
+    /// and returns the uuids of the buckets it dropped.
     pub fn prune_empty_buckets(&mut self) -> Vec<NexusUuid> {
         let mut removed = Vec::new();
         self.buckets.retain(|slot| match &slot.bucket {
@@ -766,19 +885,73 @@ mod tests {
         assert!(Bucket::decode(&bad_count).is_err(), "count must match the entries");
     }
 
+    /// `count` names, found by a deterministic search, that share one home
+    /// slot in tables of 8, 16 and 32 slots.
+    fn colliding_names(count: usize) -> Vec<String> {
+        let home = |name: &str| HashedName::new(name).home(32);
+        let target = home("n0");
+        let names: Vec<String> =
+            (0..).map(|i| format!("n{i}")).filter(|n| home(n) == target).take(count).collect();
+        assert!(names.iter().all(|n| HashedName::new(n).home(16) == target % 16));
+        names
+    }
+
     #[test]
-    fn names_order_as_byte_strings_on_both_sides_of_the_inline_compare() {
-        let stem = "a-common-prefix-"; // 16 bytes: what `cmp_names` compares in line
+    fn colliding_names_share_one_probe_run() {
+        let names = colliding_names(12);
+        // Pushed in a shuffled order, the table growing 8 → 16 → 32 slots
+        // with every name in one run.
+        let mut bucket = Bucket::new();
+        for i in [5, 0, 11, 3, 8, 1, 10, 6, 2, 9, 4, 7] {
+            bucket.push(&entry(&names[i], i as u8));
+        }
+        assert_eq!(bucket.table.len(), 32);
+        let run = |bucket: &Bucket| -> Vec<String> {
+            let home = HashedName::new(&names[0]).home(bucket.table.len());
+            let mask = bucket.table.len() - 1;
+            (0..bucket.table.len())
+                .map(|k| bucket.table[(home + k) & mask])
+                .take_while(|&at| at != 0)
+                .map(|at| String::from_utf8(name_at(&bucket.body, at).to_vec()).unwrap())
+                .collect()
+        };
+        assert_eq!(run(&bucket).len(), 12, "one run of twelve");
+        // Out of the head, the middle and the tail of the run (the fourth
+        // removal shrinks the table to 16 slots, the fifth probes it).
+        let mut removed = Vec::new();
+        for pick in [0, 5, usize::MAX, 0, 3] {
+            let order = run(&bucket);
+            let name = order[pick.min(order.len() - 1)].clone();
+            assert_eq!(bucket.remove(&name).map(|e| e.name), Some(name.clone()));
+            removed.push(name);
+            for n in &names {
+                assert_eq!(bucket.find(n).is_some(), !removed.contains(n), "{n} after {removed:?}");
+            }
+        }
+        assert_eq!((bucket.len(), bucket.table.len()), (7, 16));
+        let decoded = Bucket::decode(&bucket.encode()).unwrap();
+        assert_eq!(decoded.encode(), bucket.encode());
+        for n in &names {
+            assert_eq!(decoded.find(n).is_some(), !removed.contains(n), "{n}");
+        }
+        // A duplicate of the fourth survivor: `decode` fills the table in
+        // body order, so the probe meets it inside the run, not at its head.
+        let mut body = bucket.encode();
+        let survivor = bucket.iter().nth(3).unwrap().name();
+        body.extend_from_slice(&bucket_of(&[entry(survivor, 99)]).as_bytes()[4..]);
+        body[..4].copy_from_slice(&8u32.to_le_bytes());
+        match Bucket::decode(&body) {
+            Err(NexusError::Malformed(why)) => assert!(why.contains("duplicate name"), "{why}"),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+
+        // Names that are prefixes of one another, the empty name, past the
+        // 8-byte word and multi-byte: pushed in reverse, every one is found.
+        let stem = "a-common-prefix-";
         let mut names: Vec<String> = vec!["".into(), "a".into(), "b".into(), stem[..15].into()];
         for tail in ["", "0", "00", "01", "1", "\u{e9}"] {
             names.push(format!("{stem}{tail}"));
         }
-        for a in &names {
-            for b in &names {
-                assert_eq!(cmp_names(a.as_bytes(), b.as_bytes()), a.as_bytes().cmp(b.as_bytes()));
-            }
-        }
-        // Pushed in reverse order, every one of them is found again.
         let entries: Vec<DirEntry> = names.iter().rev().map(|n| entry(n, 1)).collect();
         let bucket = Bucket::decode(&bucket_of(&entries).encode()).unwrap();
         for e in &entries {
@@ -811,7 +984,8 @@ mod tests {
         ));
         let bucket = bucket_of(&[entry("", 1), entry("b", 2)]);
         assert_eq!(bucket.as_bytes().len(), 4 + MIN_ENTRY_LEN + MIN_ENTRY_LEN + 1);
-        assert_eq!(bucket.epc_bytes(), bucket.as_bytes().len() + 2 * 4);
+        assert_eq!(bucket.epc_bytes(), bucket.as_bytes().len() + 4 * slots_for(2));
+        assert_eq!([0, 4, 5, 8, 9, 128].map(slots_for), [8, 8, 16, 16, 32, 256]);
     }
 
     #[test]
@@ -837,7 +1011,7 @@ mod tests {
 
     #[test]
     fn a_sibling_copy_keeps_finding_every_name_after_the_other_mutates() {
-        // The index lives in the shared `Arc<Bucket>`: a mutation through one
+        // The table lives in the shared `Arc<Bucket>`: a mutation through one
         // dirnode must copy it with the bucket, not edit it in place.
         let link = |name: &str| DirEntry {
             name: name.into(),

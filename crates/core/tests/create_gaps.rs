@@ -8,11 +8,11 @@
 //! Each case mounts the mutator over a [`HookedBackend`], fires another
 //! session's whole operation just before the mutator's call number `gap`,
 //! and repeats for every gap of the mutation's call sequence: a create with
-//! contents, an overwrite, a remove, a cross-directory rename, an ACL edit
-//! and an edit of the user list. The same rig pins the two races that the
-//! comparison under a mutation's locks closes: a right revoked between a
-//! walk and its lock, and a revocation sweep that rewrote a directory
-//! without its lock.
+//! contents, an overwrite, a remove, a cross-directory rename, a hard link,
+//! an ACL edit and an edit of the user list. The same rig pins the two
+//! races that the comparison under a mutation's locks closes: a right
+//! revoked between a walk and its lock, and a revocation sweep that
+//! rewrote a directory without its lock.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
@@ -407,11 +407,17 @@ enum Mutation {
     Remove,
     Rename,
     SetAcl,
+    Hardlink,
 }
 
 impl Mutation {
-    const ALL: [Mutation; 4] =
-        [Mutation::Overwrite, Mutation::Remove, Mutation::Rename, Mutation::SetAcl];
+    const ALL: [Mutation; 5] = [
+        Mutation::Overwrite,
+        Mutation::Remove,
+        Mutation::Rename,
+        Mutation::SetAcl,
+        Mutation::Hardlink,
+    ];
 
     fn run(self, v: &NexusVolume) -> Result<(), NexusError> {
         match self {
@@ -419,15 +425,18 @@ impl Mutation {
             Mutation::Remove => v.remove("d/f"),
             Mutation::Rename => v.rename("d/f", "e/f"),
             Mutation::SetAcl => v.set_acl("d", "alice", Rights::READ),
+            Mutation::Hardlink => v.hardlink("d/f", "e/h"),
         }
     }
 
     /// Another client's write that needs a lock this mutation takes: the
-    /// filenode's for an overwrite and a cross-directory rename, `d`'s for
-    /// a remove and an ACL edit.
+    /// filenode's for an overwrite, a cross-directory rename and a hard
+    /// link, `d`'s for a remove and an ACL edit.
     fn conflict(self, v: &NexusVolume) -> Result<(), NexusError> {
         match self {
-            Mutation::Overwrite | Mutation::Rename => v.write_file("d/f", &contents(2)),
+            Mutation::Overwrite | Mutation::Rename | Mutation::Hardlink => {
+                v.write_file("d/f", &contents(2))
+            }
             Mutation::Remove | Mutation::SetAcl => v.write_file("d/g", &contents(2)),
         }
     }
