@@ -100,7 +100,7 @@ pub const COMMANDS: &[(&str, &str, Run)] = &[
     ),
     (
         "micro_scale",
-        "`BENCH_scale.json` — 1k/10k/100k clients, wire and fs level, three worlds",
+        "`BENCH_scale.json` — 1k/10k/100k mounted fs clients, three worlds",
         Run::Emit(emit::<scale::Scale>),
     ),
     (
@@ -581,7 +581,8 @@ mod tests {
 
     /// Measures a smoke report, which must pass its gate, and holds the
     /// gate to refusing it once any one field is doctored.
-    fn negative_controls<R: Report + Clone>(emitter: &str, doctored: &[Doctored<R>]) {
+    /// Returns the passing report.
+    fn negative_controls<R: Report + Clone>(emitter: &str, doctored: &[Doctored<R>]) -> R {
         let good = R::measure(true);
         good.gate();
         for (what, doctor) in doctored {
@@ -591,6 +592,21 @@ mod tests {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| bad.gate())).is_err();
             assert!(refused, "{emitter}: the gate accepted {what}");
         }
+        good
+    }
+
+    /// Dresses a smoke scale report as a full run whose headline is `ratio`
+    /// times the thread world, consistently: the full ladder, and the
+    /// headline cell and its recorded speedup both at `ratio`.
+    fn as_full_scale_run(r: &mut scale::Scale, ratio: f64) {
+        r.smoke = false;
+        let third = r.fs.cells[1].clone();
+        r.fs.cells.push(third);
+        for (cell, clients) in r.fs.cells.iter_mut().zip([1000, 10_000, 100_000]) {
+            cell.clients = clients;
+        }
+        r.fs.cells[1].agg_ops_per_sec = r.fs.thread_world.agg_ops_per_sec * ratio;
+        r.fs.over_thread_baseline = ratio;
     }
 
     #[test]
@@ -634,22 +650,32 @@ mod tests {
                 }),
             ],
         );
-        negative_controls::<scale::Scale>(
+        let scale = negative_controls::<scale::Scale>(
             "micro_scale",
             &[
                 ("fs_worlds_identical = false", |r| r.fs.worlds_identical = false),
                 ("os_threads = 9", |r| r.os_threads = 9),
-                ("a cell with os_threads = 9", |r| r.wire.cells[0].os_threads = 9),
+                ("a cell with os_threads = 9", |r| r.fs.cells[0].os_threads = 9),
                 ("quantiles out of order", |r| {
                     let h = &mut r.fs.cells[1].latency;
                     h.p50_us = h.p99_us + 1.0;
                 }),
-                ("a headline that is not the cells' ratio", |r| r.wire.over_thread_baseline *= 1.5),
+                ("a headline that is not the cells' ratio", |r| r.fs.over_thread_baseline *= 1.5),
                 ("a headline cell that moved under its headline", |r| {
                     r.fs.cells[1].agg_ops_per_sec *= 0.5
                 }),
+                ("a full run that does not ladder 1k/10k/100k", |r| {
+                    as_full_scale_run(r, 6.0);
+                    r.fs.cells.pop();
+                }),
+                ("a full run at x4.9 over the thread world", |r| as_full_scale_run(r, 4.9)),
             ],
         );
+        // The full-run controls fail for what they doctor: the same report
+        // at x5.1 passes.
+        let mut full = scale;
+        as_full_scale_run(&mut full, 5.1);
+        full.gate();
         negative_controls::<groups::Groups>(
             "micro_groups",
             &[

@@ -8,7 +8,7 @@
 //! *counts* are the paper's; file *sizes* are scaled where a constant says
 //! so. A paper overhead that ours exceeds by more than [`DIVERGES`] is
 //! marked in the row and deliberately not gated: it is a finding to chase
-//! (ROADMAP item 3(d)), not a shape to enforce.
+//! (ROADMAP item 4(d)), not a shape to enforce.
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -1,18 +1,15 @@
 //! `micro_scale` → `BENCH_scale.json`: the massive-scale load harness.
 //!
 //! Drives the `nexus-workloads` load driver (DESIGN.md §14) at 1k / 10k /
-//! 100k simulated clients (`--smoke`: 100 / 1k), once per op source: at the
-//! **wire** level every client is a raw RPC connection issuing Zipf-popular
-//! shared reads and private writes; at the **fs** level (DESIGN.md §15)
-//! every client is a *real mounted `NexusVolume`* — enclave seal/open,
-//! `MetaCommit` group commits, freshness checks, batched `get_many`
-//! fetch→decrypt bulk reads, ACL churn. Either way a client is a future on
-//! the `nexus-exec` executor, multiplexed over at most
-//! `nexus_exec::MAX_WORKERS` OS threads against one simulated AFS server on
-//! the paper-calibrated latency model. Latencies are recorded per operation
-//! into log-bucketed histograms (p50/p99/p999); an open-loop cell replays a
-//! Poisson arrival schedule so queueing delay (coordinated omission) shows
-//! up in the tail. Every such figure is virtual time; each cell also
+//! 100k simulated clients (`--smoke`: 100 / 1k). Every client is a *real
+//! mounted `NexusVolume`* (DESIGN.md §15) — enclave seal/open, `MetaCommit`
+//! group commits, freshness checks, batched `get_many` fetch→decrypt bulk
+//! reads, ACL churn — and a future on the `nexus-exec` executor,
+//! multiplexed over at most `nexus_exec::MAX_WORKERS` OS threads against
+//! one simulated AFS server on the paper-calibrated latency model.
+//! Latencies are recorded per operation into log-bucketed histograms
+//! (p50/p99/p999); an open-loop cell replays a Poisson arrival schedule so
+//! queueing delay (coordinated omission) shows up in the tail. Every such figure is virtual time; each cell also
 //! carries the host wall clock of its measured epoch (`wall_s`,
 //! `host_ns_per_op`).
 //!
@@ -26,16 +23,14 @@
 //! and it has a host cost; the headline — aggregate executor throughput at
 //! the headline rung over the thread world's at its own maximum — is what
 //! the cells say. A full run also ladders 1k/10k/100k with the 10k cell as
-//! the headline, clears 5x at both levels, and has no p999 under its mean.
+//! the headline, clears 5x, and has no p999 under its mean.
 
-use nexus_workloads::loadgen::{
-    run, Arrival, Cell, Fs, LatencyHistogram, ScaleReport, Source, Wire, World,
-};
+use nexus_workloads::loadgen::{run, Arrival, Cell, Fs, LatencyHistogram, ScaleReport, World};
 
 use crate::json::Json;
 use crate::Report;
 
-/// What one source's section runs, as (clients, ops per client) pairs.
+/// What the harness runs, as (clients, ops per client) pairs.
 struct Plan {
     /// The closed-loop ladder: more clients, fewer ops apiece, so the
     /// total stays tractable while the *concurrency* under test grows.
@@ -68,7 +63,7 @@ pub(crate) struct Hist {
 /// One cell of one world.
 #[derive(Clone)]
 pub(crate) struct CellReport {
-    clients: usize,
+    pub(crate) clients: usize,
     ops_per_client: usize,
     total_ops: u64,
     pub(crate) os_threads: usize,
@@ -81,7 +76,7 @@ pub(crate) struct CellReport {
     per_client_hz: Option<f64>,
 }
 
-/// One source's results.
+/// The fs source's results.
 #[derive(Clone)]
 pub(crate) struct Section {
     pub(crate) worlds_identical: bool,
@@ -89,7 +84,7 @@ pub(crate) struct Section {
     open_loop: CellReport,
     /// The thread-per-client world at its sustainable size, and what the
     /// executor world made of the same cell.
-    thread_world: CellReport,
+    pub(crate) thread_world: CellReport,
     exec_at_baseline_agg_ops_per_sec: f64,
     /// Headline-rung executor throughput over the thread world's.
     pub(crate) over_thread_baseline: f64,
@@ -98,10 +93,8 @@ pub(crate) struct Section {
 #[derive(Clone)]
 pub(crate) struct Scale {
     pub(crate) smoke: bool,
-    wire_source: Wire,
     fs_source: Fs,
     pub(crate) os_threads: usize,
-    pub(crate) wire: Section,
     pub(crate) fs: Section,
 }
 
@@ -142,15 +135,15 @@ fn same_execution(a: &ScaleReport, b: &ScaleReport) -> bool {
     a.transcripts == b.transcripts && a.inventory == b.inventory
 }
 
-/// One source's whole section: differential runs, ladder, open loop,
-/// baseline, headline.
-fn section<S: Source>(source: &S, plan: &Plan) -> Section {
+/// The whole section: differential runs, ladder, open loop, baseline,
+/// headline.
+fn section(source: &Fs, plan: &Plan) -> Section {
     // Against the serial oracle, lanes being charged identically, the
     // simulated makespan must match too.
-    let oracle_cell = S::cell(plan.oracle.0, plan.oracle.1);
+    let oracle_cell = Fs::cell(plan.oracle.0, plan.oracle.1);
     let serial = run(source, &oracle_cell, World::Serial);
     let exec = run(source, &oracle_cell, World::exec());
-    let baseline_cell = S::cell(plan.baseline.0, plan.baseline.1);
+    let baseline_cell = Fs::cell(plan.baseline.0, plan.baseline.1);
     let threads = run(source, &baseline_cell, World::Threads);
     let exec_at_baseline = run(source, &baseline_cell, World::exec());
     let worlds_identical = same_execution(&exec, &serial)
@@ -160,7 +153,7 @@ fn section<S: Source>(source: &S, plan: &Plan) -> Section {
         .ladder
         .iter()
         .map(|&(clients, ops)| {
-            let cell = S::cell(clients, ops);
+            let cell = Fs::cell(clients, ops);
             cell_report(&cell, &run(source, &cell, World::exec()))
         })
         .collect();
@@ -170,7 +163,7 @@ fn section<S: Source>(source: &S, plan: &Plan) -> Section {
     // silently absorbed by the issue loop (coordinated omission).
     let open_cell = Cell {
         arrival: Arrival::Open { per_client_hz: plan.open_hz },
-        ..S::cell(plan.open.0, plan.open.1)
+        ..Fs::cell(plan.open.0, plan.open.1)
     };
     let open_loop = cell_report(&open_cell, &run(source, &open_cell, World::exec()));
 
@@ -250,9 +243,9 @@ impl CellReport {
 }
 
 impl Section {
-    /// Appends this section's fields to `doc`, each key behind `prefix`.
-    fn emit(&self, doc: Json, prefix: &str) -> Json {
-        let key = |name: &str| format!("{prefix}{name}");
+    /// Appends this section's fields to `doc`, each key behind `fs_`.
+    fn emit(&self, doc: Json) -> Json {
+        let key = |name: &str| format!("fs_{name}");
         let headline = &self.cells[HEADLINE];
         let b = &self.thread_world;
         doc.field(&key("clients"), Json::ints(self.cells.iter().map(|c| c.clients as i64)))
@@ -317,26 +310,9 @@ impl Section {
 
 impl Report for Scale {
     fn measure(smoke: bool) -> Scale {
-        let wire_plan = if smoke {
-            Plan {
-                ladder: &[(100, 16), (1000, 16)],
-                oracle: (16, 16),
-                baseline: (16, 16),
-                open: (1000, 16),
-                open_hz: 50.0,
-            }
-        } else {
-            Plan {
-                ladder: &[(1000, 64), (10_000, 32), (100_000, 16)],
-                oracle: (64, 64),
-                baseline: (64, 64),
-                open: (10_000, 32),
-                open_hz: 50.0,
-            }
-        };
-        // Fs ops cost several RPCs each, so fewer of them per client and a
-        // lower open-loop rate keep the cells loaded-but-stable.
-        let fs_plan = if smoke {
+        // Fs ops cost several RPCs each, so few of them per client and a
+        // modest open-loop rate keep the cells loaded-but-stable.
+        let plan = if smoke {
             Plan {
                 ladder: &[(100, 8), (1000, 8)],
                 oracle: (32, 8),
@@ -353,11 +329,10 @@ impl Report for Scale {
                 open_hz: 25.0,
             }
         };
-        let (wire_source, fs_source) = (Wire::standard(), Fs::standard());
-        let wire = section(&wire_source, &wire_plan);
-        let fs = section(&fs_source, &fs_plan);
-        let os_threads = wire.cells.iter().map(|c| c.os_threads).max().expect("cells");
-        Scale { smoke, wire_source, fs_source, os_threads, wire, fs }
+        let fs_source = Fs::standard();
+        let fs = section(&fs_source, &plan);
+        let os_threads = fs.cells.iter().map(|c| c.os_threads).max().expect("cells");
+        Scale { smoke, fs_source, os_threads, fs }
     }
 
     fn gate(&self) {
@@ -367,7 +342,6 @@ impl Report for Scale {
             self.os_threads,
             nexus_exec::MAX_WORKERS
         );
-        self.wire.gate("wire", self.smoke);
         self.fs.gate("fs", self.smoke);
     }
 
@@ -377,15 +351,9 @@ impl Report for Scale {
             .field("emitter", Json::Str("nexus-bench micro_scale (scripts/bench.sh)".into()))
             .field("smoke", Json::Bool(self.smoke))
             .field("latency_model", Json::Str("paper_calibrated".into()))
-            .field("zipf_alpha", Json::Num(self.wire_source.zipf_alpha))
-            .field("shared_keys", Json::Int(self.wire_source.shared_keys as i64))
-            .field("value_bytes", Json::Int(self.wire_source.value_bytes as i64))
-            .field("os_threads", Json::Int(self.os_threads as i64));
-        let doc = self
-            .wire
-            .emit(doc, "")
+            .field("os_threads", Json::Int(self.os_threads as i64))
             .field("fs_shared_files", Json::Int(self.fs_source.shared_files as i64))
             .field("fs_value_bytes", Json::Int(self.fs_source.value_bytes as i64));
-        self.fs.emit(doc, "fs_")
+        self.fs.emit(doc)
     }
 }

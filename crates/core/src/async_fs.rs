@@ -1,8 +1,7 @@
 //! Async front end for the crypto-fs layer (DESIGN.md §15).
 //!
 //! [`AsyncVolume`] lifts a mounted [`NexusVolume`] onto the `nexus-exec`
-//! executor the same way [`nexus_exec::io::AsyncStorage`] lifts the raw
-//! RPC surface: the volume's operations stay synchronous (one ecall
+//! executor. The volume's operations stay synchronous (one ecall
 //! sequence that charges its RPC costs to the client's [`ClockLane`] as
 //! it goes), and what makes them *async* is ordering — before each
 //! operation the adapter parks its task in the executor's reactor at
@@ -136,8 +135,8 @@ impl AsyncVolume {
     }
 
     /// Parks until `arrival`, raising the lane there — the open-loop
-    /// arrival primitive, mirroring
-    /// [`nexus_exec::io::AsyncStorage::begin_at`].
+    /// arrival primitive. A client still busy at `arrival` parks at its
+    /// own lane time instead, and the lane is never lowered.
     pub async fn begin_at(&self, arrival: Duration) {
         let at = arrival.max(self.lane.local_now());
         self.timer.schedule_at(at).await;

@@ -348,12 +348,18 @@ struct Probes {
 pub(crate) struct MetaIo<'a> {
     pub(crate) env: &'a EnclaveEnv<'a>,
     backend: &'a dyn StorageBackend,
+    /// The mount's lock owner: every session on a store locks as itself.
+    owner: u64,
     probes: RefCell<Probes>,
 }
 
 impl<'a> MetaIo<'a> {
-    pub(crate) fn new(env: &'a EnclaveEnv<'a>, backend: &'a dyn StorageBackend) -> MetaIo<'a> {
-        MetaIo { env, backend, probes: RefCell::default() }
+    pub(crate) fn new(
+        env: &'a EnclaveEnv<'a>,
+        backend: &'a dyn StorageBackend,
+        owner: u64,
+    ) -> MetaIo<'a> {
+        MetaIo { env, backend, owner, probes: RefCell::default() }
     }
 
     /// Records that the operation is using the cached copy of `uuid`
@@ -531,14 +537,21 @@ impl<'a> MetaIo<'a> {
     pub(crate) fn lock(&self, uuid: &NexusUuid) -> Result<()> {
         // `flock` blocks until the lock is granted; emulate with a bounded
         // retry loop so cross-client contention resolves instead of erroring.
+        // After the first hundred attempts each retry waits a millisecond,
+        // so the bound (about 10 s) outlasts a holder's commit on the
+        // slowest crypto lane rather than a burst of yields.
         let name = uuid.object_name();
         let mut attempts = 0u32;
         loop {
-            match self.env.ocall(|| self.backend.lock(&name, 0)) {
+            match self.env.ocall(|| self.backend.lock(&name, self.owner)) {
                 Ok(()) => return Ok(()),
                 Err(nexus_storage::StorageError::LockContended(_)) if attempts < 10_000 => {
                     attempts += 1;
-                    std::thread::yield_now();
+                    if attempts <= 100 {
+                        std::thread::yield_now();
+                    } else {
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
                 }
                 Err(e) => return Err(NexusError::from(e)),
             }
@@ -547,7 +560,7 @@ impl<'a> MetaIo<'a> {
 
     pub(crate) fn unlock(&self, uuid: &NexusUuid) {
         let name = uuid.object_name();
-        self.env.ocall(|| self.backend.unlock(&name, 0));
+        self.env.ocall(|| self.backend.unlock(&name, self.owner));
     }
 }
 

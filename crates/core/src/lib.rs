@@ -66,7 +66,6 @@ pub mod groups;
 pub mod metadata;
 pub mod protocol;
 pub mod uuid;
-pub mod vfs;
 pub mod volume;
 pub mod wire;
 
@@ -78,7 +77,6 @@ pub use error::{NexusError, Result};
 pub use fsck::{FsckMode, FsckReport};
 pub use fsops::{DirRow, FileType, LookupInfo};
 pub use uuid::NexusUuid;
-pub use vfs::{NexusFile, OpenMode};
 pub use volume::{
     nexus_enclave_image, nexus_enclave_measurement, NexusVolume, SealedOffer, SealedRootKey,
     UserKeys, VolumeJoiner,

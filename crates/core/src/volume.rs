@@ -5,6 +5,7 @@
 //! into the enclave, and never sees a key or a plaintext name. This is the
 //! surface the shim layer (and the examples/benchmarks) program against.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use nexus_crypto::ed25519::{SigningKey, VerifyingKey};
@@ -96,12 +97,20 @@ impl Drop for SealedOffer {
     }
 }
 
+/// The next mount's storage lock owner. Every mount in the process locks
+/// as an owner of its own, so two sessions on one store object exclude
+/// each other; a counter rather than an enclave draw leaves every seeded
+/// RNG stream, and so every seeded uuid, as it was.
+static NEXT_LOCK_OWNER: AtomicU64 = AtomicU64::new(1);
+
 /// A mounted NEXUS volume.
 pub struct NexusVolume {
     enclave: Enclave<EnclaveState>,
     backend: Arc<dyn StorageBackend>,
     ias: AttestationService,
     volume_id: NexusUuid,
+    /// The owner this mount's storage locks are taken as.
+    lock_owner: u64,
 }
 
 impl std::fmt::Debug for NexusVolume {
@@ -131,9 +140,10 @@ impl NexusVolume {
         let b = backend.clone();
         let owner_name = owner.name.clone();
         let owner_key = owner.public_key();
+        let lock_owner = NEXT_LOCK_OWNER.fetch_add(1, Ordering::Relaxed);
         let (volume_id, sealed) = enclave.ecall(move |state, env| -> Result<(NexusUuid, Vec<u8>)> {
             state.config = Some(config);
-            let io = MetaIo::new(env, b.as_ref());
+            let io = MetaIo::new(env, b.as_ref(), lock_owner);
 
             let mut rootkey = [0u8; 32];
             env.random_bytes(&mut rootkey);
@@ -157,7 +167,7 @@ impl NexusVolume {
             Ok((supernode_uuid, sealed))
         })?;
         Ok((
-            NexusVolume { enclave, backend, ias: ias.clone(), volume_id },
+            NexusVolume { enclave, backend, ias: ias.clone(), volume_id, lock_owner },
             SealedRootKey(sealed),
         ))
     }
@@ -179,12 +189,13 @@ impl NexusVolume {
         let enclave = Enclave::create(platform, &nexus_enclave_image(), EnclaveState::default());
         let b = backend.clone();
         let sealed_bytes = sealed.0.clone();
+        let lock_owner = NEXT_LOCK_OWNER.fetch_add(1, Ordering::Relaxed);
         let volume_id = enclave.ecall(move |state, env| -> Result<NexusUuid> {
             state.config = Some(config);
             let (rootkey, uuid) = protocol::unseal_rootkey(env, &sealed_bytes)?;
             // The one expansion of the rootkey for this mount.
             let wrap = AesGcmSiv::new(&rootkey);
-            let io = MetaIo::new(env, b.as_ref());
+            let io = MetaIo::new(env, b.as_ref(), lock_owner);
             // Probe before fetch: if a writer lands between the two, the
             // recorded probe is merely stale and the next probe refetches.
             let storage_version = io.version(&uuid).unwrap_or(0);
@@ -193,7 +204,7 @@ impl NexusVolume {
                 Some(Mounted::new(rootkey, wrap, uuid, supernode, version, storage_version));
             Ok(uuid)
         })?;
-        Ok(NexusVolume { enclave, backend, ias: ias.clone(), volume_id })
+        Ok(NexusVolume { enclave, backend, ias: ias.clone(), volume_id, lock_owner })
     }
 
     /// The volume identifier (the supernode's UUID).
@@ -221,9 +232,9 @@ impl NexusVolume {
         &self,
         f: impl FnOnce(&mut EnclaveState, &MetaIo<'_>) -> Result<R>,
     ) -> Result<R> {
-        let backend = self.backend.clone();
+        let (backend, owner) = (self.backend.clone(), self.lock_owner);
         self.enclave.ecall(move |state, env| {
-            let io = MetaIo::new(env, backend.as_ref());
+            let io = MetaIo::new(env, backend.as_ref(), owner);
             let out = f(state, &io);
             debug_assert!(io.is_settled(), "an operation replied on unverified cache hits");
             out

@@ -24,10 +24,9 @@ use nexus_storage::{HookedBackend, IoStats, MemBackend, ObjectStat, StorageBacke
 
 const PATH: &str = "d/f";
 
-/// `flock` over one store: each client locks as its own owner, and a
-/// contended `lock` blocks until the holder unlocks. (`MemBackend` answers
-/// a contended lock with an error, and every volume there locks as owner
-/// 0, so two volumes on one `MemBackend` never exclude each other.)
+/// `flock` over one store: each session locks as the owner it passes, and
+/// a contended `lock` blocks until the holder unlocks. (`MemBackend`
+/// answers a contended lock with an error.)
 #[derive(Default)]
 struct Flock {
     locks: Mutex<Locks>,
@@ -85,11 +84,10 @@ impl Drop for Done {
 }
 
 /// One client's connection to the shared store: objects go to `mem`, locks
-/// to `flock` under the client's own owner id.
+/// to `flock`.
 struct Client {
     mem: Arc<MemBackend>,
     flock: Arc<Flock>,
-    owner: u64,
 }
 
 impl StorageBackend for Client {
@@ -123,12 +121,12 @@ impl StorageBackend for Client {
     fn list(&self, prefix: &str) -> Vec<String> {
         self.mem.list(prefix)
     }
-    fn lock(&self, path: &str, _: u64) -> Result<(), StorageError> {
-        self.flock.lock(path, self.owner);
+    fn lock(&self, path: &str, owner: u64) -> Result<(), StorageError> {
+        self.flock.lock(path, owner);
         Ok(())
     }
-    fn unlock(&self, path: &str, _: u64) {
-        self.flock.unlock(path, self.owner)
+    fn unlock(&self, path: &str, owner: u64) {
+        self.flock.unlock(path, owner)
     }
     fn stats(&self) -> IoStats {
         self.mem.stats()
@@ -138,7 +136,7 @@ impl StorageBackend for Client {
 type Log = Arc<HookedBackend<Client>>;
 
 /// A volume its owner has set up, and a way to mount another session on
-/// it as lock owner `id` over its own call log.
+/// it over its own call log.
 struct World {
     flock: Arc<Flock>,
     mount_as: Box<Mount>,
@@ -146,7 +144,7 @@ struct World {
 
 type Session = (Log, NexusVolume);
 
-type Mount = dyn Fn(u64, &UserKeys) -> Session;
+type Mount = dyn Fn(&UserKeys) -> Session;
 
 /// One client's whole operation.
 type Op = dyn Fn(&NexusVolume) -> Result<(), NexusError>;
@@ -169,14 +167,14 @@ fn world_with(setup: impl FnOnce(&NexusVolume)) -> World {
     let config = NexusConfig { chunk_size: 16, ..NexusConfig::default() };
     let client = {
         let (mem, flock) = (Arc::new(MemBackend::new()), flock.clone());
-        move |id| Arc::new(Client { mem: mem.clone(), flock: flock.clone(), owner: id })
+        move || Arc::new(Client { mem: mem.clone(), flock: flock.clone() })
     };
     let (first, sealed) =
-        NexusVolume::create(&platform, client(0), &ias, &owner(), config).unwrap();
+        NexusVolume::create(&platform, client(), &ias, &owner(), config).unwrap();
     first.authenticate(&owner()).unwrap();
     setup(&first);
-    let mount_as = move |id, user: &UserKeys| {
-        let log = Arc::new(HookedBackend::new(client(id)));
+    let mount_as = move |user: &UserKeys| {
+        let log = Arc::new(HookedBackend::new(client()));
         let v = NexusVolume::mount(&platform, log.clone(), &ias, &sealed, config).unwrap();
         v.authenticate(user).unwrap();
         (log, v)
@@ -186,8 +184,8 @@ fn world_with(setup: impl FnOnce(&NexusVolume)) -> World {
 
 impl World {
     /// An owner session that has read everything, with an empty log.
-    fn mount(&self, id: u64) -> Session {
-        let (log, v) = (self.mount_as)(id, &owner());
+    fn mount(&self) -> Session {
+        let (log, v) = (self.mount_as)(&owner());
         tree(&v).unwrap();
         log.take_calls();
         (log, v)
@@ -235,7 +233,7 @@ fn contents(fill: u8) -> Vec<u8> {
 
 /// The calls of a warm create of `PATH` with contents.
 fn create_calls() -> Vec<Call> {
-    let (log, creator) = world().mount(1);
+    let (log, creator) = world().mount();
     creator.write_file(PATH, &contents(1)).unwrap();
     log.take_calls().into_iter().map(|(call, _)| call).collect()
 }
@@ -265,8 +263,8 @@ fn a_reader_in_any_gap_sees_the_file_absent_or_whole() {
     let whole = contents(1);
     for gap in 0..calls.len() {
         let w = world();
-        let (log, creator) = w.mount(1);
-        let (_, reader) = w.mount(2);
+        let (log, creator) = w.mount();
+        let (_, reader) = w.mount();
         let (looked, seen) = mpsc::channel();
         before_call(&log, gap, move || {
             let view = match reader.lookup(PATH) {
@@ -316,8 +314,8 @@ fn a_racing_writer_in_any_gap_leaves_one_entry_with_the_later_bytes() {
     let mut fell_back = Vec::new();
     for gap in 0..calls.len() {
         let w = world();
-        let (log, creator) = w.mount(1);
-        let (racer_log, racer) = w.mount(2);
+        let (log, creator) = w.mount();
+        let (racer_log, racer) = w.mount();
         let racer = Arc::new(racer);
         let (writer, bytes) = (racer.clone(), theirs.clone());
         let racing = race_before_call(&w, &log, gap, move || writer.write_file(PATH, &bytes));
@@ -333,7 +331,7 @@ fn a_racing_writer_in_any_gap_leaves_one_entry_with_the_later_bytes() {
         // Done before the creator took the lock: the creator wrote last.
         // Blocked until the creator let go: the racer did.
         let later = if gap <= lock { &mine } else { &theirs };
-        let (_, fresh) = w.mount(3);
+        let (_, fresh) = w.mount();
         for (who, volume) in [("creator", &creator), ("racer", &*racer), ("fresh", &fresh)] {
             assert_eq!(volume.read_file(PATH).unwrap(), *later, "{who} after gap {gap}");
             let rows = volume.list_dir("d").unwrap();
@@ -368,20 +366,20 @@ fn a_racing_writer_in_any_gap_leaves_one_entry_with_the_later_bytes() {
 fn a_racing_admin_in_any_gap_of_add_user_keeps_both_users() {
     let key = |seed| UserKeys::from_seed("u", &[seed; 32]).public_key();
     let calls: Vec<Call> = {
-        let (log, admin) = world().mount(1);
+        let (log, admin) = world().mount();
         admin.add_user("u1", key(3)).unwrap();
         log.take_calls().into_iter().map(|(call, _)| call).collect()
     };
     let position = |wanted| calls.iter().position(|&call| call == wanted);
     for gap in 0..calls.len() {
         let w = world();
-        let (log, admin) = w.mount(1);
-        let (_, racer) = w.mount(2);
+        let (log, admin) = w.mount();
+        let (_, racer) = w.mount();
         let racing = race_before_call(&w, &log, gap, move || racer.add_user("u2", key(4)));
         admin.add_user("u1", key(3)).unwrap();
         let (thread, finished_in_gap) = racing.try_recv().expect("the hook fired");
         thread.join().unwrap().unwrap();
-        let users = w.mount(3).1.users().unwrap();
+        let users = w.mount().1.users().unwrap();
         let mut kept = users.clone();
         kept.sort();
         assert_eq!(kept, ["owner", "u1", "u2"], "gap {gap} of {calls:?}");
@@ -453,7 +451,7 @@ fn mutation_world() -> World {
 
 /// The calls of `m` from a warm session.
 fn mutation_calls(m: Mutation) -> Vec<Call> {
-    let (log, v) = mutation_world().mount(1);
+    let (log, v) = mutation_world().mount();
     m.run(&v).unwrap();
     log.take_calls().into_iter().map(|(call, _)| call).collect()
 }
@@ -461,11 +459,11 @@ fn mutation_calls(m: Mutation) -> Vec<Call> {
 /// What `ops` leave when one session runs them one after the other.
 fn serial(ops: &[&Op]) -> Tree {
     let w = mutation_world();
-    let (_, v) = w.mount(1);
+    let (_, v) = w.mount();
     for op in ops {
         op(&v).unwrap();
     }
-    tree(&w.mount(2).1).unwrap()
+    tree(&w.mount().1).unwrap()
 }
 
 #[test]
@@ -477,8 +475,8 @@ fn a_reader_in_any_gap_of_a_mutation_sees_its_old_state_or_its_new_one() {
         assert_ne!(old, new, "{m:?}");
         for gap in 0..calls.len() {
             let w = mutation_world();
-            let (log, mutator) = w.mount(1);
-            let (_, reader) = w.mount(2);
+            let (log, mutator) = w.mount();
+            let (_, reader) = w.mount();
             let (looked, seen) = mpsc::channel();
             before_call(&log, gap, move || looked.send(tree(&reader)).unwrap());
             m.run(&mutator).unwrap();
@@ -498,13 +496,13 @@ fn a_conflicting_writer_in_any_gap_of_a_mutation_leaves_a_serial_outcome() {
         let allowed = [serial(&[&run, &conflict]), serial(&[&conflict, &run])];
         for gap in 0..calls.len() {
             let w = mutation_world();
-            let (log, mutator) = w.mount(1);
-            let (_, racer) = w.mount(2);
+            let (log, mutator) = w.mount();
+            let (_, racer) = w.mount();
             let racing = race_before_call(&w, &log, gap, move || m.conflict(&racer));
             m.run(&mutator).unwrap();
             let (thread, _) = racing.try_recv().expect("the hook fired");
             thread.join().unwrap().unwrap();
-            let (_, fresh) = w.mount(3);
+            let (_, fresh) = w.mount();
             let left = tree(&fresh).unwrap();
             assert!(allowed.contains(&left), "{m:?}, gap {gap} of {calls:?}: {left:?}");
             let report = fresh.fsck(FsckMode::Deep).unwrap();
@@ -554,9 +552,9 @@ fn revoke_between_walk_and_lock(dir: &str, warm: impl Fn(&NexusVolume)) {
             v.set_acl("d", "alice", Rights::RW).unwrap();
             v.set_acl("e", "alice", Rights::RW).unwrap();
         });
-        let (log, user) = (w.mount_as)(1, &alice());
+        let (log, user) = (w.mount_as)(&alice());
         warm(&user);
-        let (_, owner) = w.mount(2);
+        let (_, owner) = w.mount();
         let before = tree(&owner).unwrap();
         log.take_calls();
         log.before(
@@ -572,7 +570,7 @@ fn revoke_between_walk_and_lock(dir: &str, warm: impl Fn(&NexusVolume)) {
         );
         let mut expected = before;
         expected.insert("d".into(), Node::Dir(vec![("alice".into(), Rights::READ)]));
-        assert_eq!(tree(&w.mount(3).1).unwrap(), expected, "{what} in {dir}");
+        assert_eq!(tree(&w.mount().1).unwrap(), expected, "{what} in {dir}");
     }
 }
 
@@ -587,8 +585,8 @@ fn a_create_racing_the_revocation_sweep_is_kept() {
         v.add_user("alice", alice().public_key()).unwrap();
         v.set_acl("d", "alice", Rights::RW).unwrap();
     });
-    let (log, revoker) = w.mount(1);
-    let (_, racer) = w.mount(2);
+    let (log, revoker) = w.mount();
+    let (_, racer) = w.mount();
     let racing = {
         let (started, racing) = mpsc::channel();
         let flock = w.flock.clone();
@@ -609,7 +607,7 @@ fn a_create_racing_the_revocation_sweep_is_kept() {
     let (thread, finished_before_the_sweep_wrote) = racing.try_recv().expect("the sweep wrote");
     thread.join().unwrap().unwrap();
 
-    let (_, fresh) = w.mount(3);
+    let (_, fresh) = w.mount();
     let left = tree(&fresh).unwrap();
     assert_eq!(left.get("d/x"), Some(&Node::File(contents(3))));
     assert_eq!(left.get("d"), Some(&Node::Dir(Vec::new())), "alice is swept out");
@@ -627,12 +625,12 @@ fn a_create_racing_the_revocation_sweep_is_kept() {
 #[test]
 fn an_overwrite_that_walked_cold_follows_a_rename_before_its_lock() {
     let w = mutation_world();
-    let (log, writer) = (w.mount_as)(1, &owner());
-    let (_, mover) = w.mount(2);
+    let (log, writer) = (w.mount_as)(&owner());
+    let (_, mover) = w.mount();
     log.before(|call, _| call == Call::Lock, move || mover.rename("d/f", "e/f").unwrap());
     writer.write_file("d/f", &contents(1)).unwrap();
     assert!(!log.is_armed(), "the rename ran before the overwrite's lock");
-    let left = tree(&w.mount(3).1).unwrap();
+    let left = tree(&w.mount().1).unwrap();
     assert_eq!(left.get("d/f"), Some(&Node::File(contents(1))));
     assert_eq!(left.get("e/f"), Some(&Node::File(contents(0))));
 }

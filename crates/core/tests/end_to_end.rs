@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use nexus_core::{
-    FsckMode, NexusConfig, NexusError, NexusVolume, OpenMode, NexusFile, Rights, SealedOffer,
-    SealedRootKey, UserKeys, VolumeJoiner,
+    FsckMode, NexusConfig, NexusError, NexusVolume, Rights, SealedOffer, SealedRootKey, UserKeys,
+    VolumeJoiner,
 };
 use nexus_sgx::{AttestationService, Platform};
 use nexus_storage::afs::{AfsClient, AfsServer};
@@ -207,28 +207,6 @@ fn multi_chunk_files_roundtrip() {
         assert!(err.to_string().contains("beyond eof"), "{offset}+{len}: {err}");
     }
     assert_eq!(volume.read_range("big.bin", 4000, 1000).unwrap(), data[4000..]);
-}
-
-#[test]
-fn file_handles_flush_on_close() {
-    let (platform, ias, backend, owner) = setup();
-    let (volume, _) = create_volume(&platform, &ias, backend, &owner);
-    let mut f = NexusFile::open(&volume, "log.txt", OpenMode::Truncate).unwrap();
-    f.write(b"line one\n").unwrap();
-    f.write(b"line two\n").unwrap();
-    f.close().unwrap();
-
-    let mut f = NexusFile::open(&volume, "log.txt", OpenMode::Append).unwrap();
-    f.write(b"line three\n").unwrap();
-    f.close().unwrap();
-
-    assert_eq!(
-        volume.read_file("log.txt").unwrap(),
-        b"line one\nline two\nline three\n"
-    );
-    let mut f = NexusFile::open(&volume, "log.txt", OpenMode::Read).unwrap();
-    assert_eq!(f.read(8), b"line one");
-    assert!(f.write(b"x").is_err());
 }
 
 #[test]

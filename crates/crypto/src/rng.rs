@@ -6,8 +6,8 @@
 //! discipline the paper applies to the enclave:
 //!
 //! - [`OsRandom`] draws from the operating system CSPRNG
-//!   (`/dev/urandom`), falling back to a SHA-256 counter DRBG seeded from
-//!   ambient entropy when no device is available.
+//!   (`/dev/urandom`) and panics when the device fails: there is no
+//!   weaker source to fall back on for key material.
 //! - [`SeededRandom`] is a deterministic xoshiro256** generator for tests
 //!   and reproducible simulations (workloads, the SGX simulator).
 //!
@@ -17,9 +17,6 @@
 
 use std::fs::File;
 use std::io::Read;
-use std::time::{SystemTime, UNIX_EPOCH};
-
-use crate::sha2::Sha256;
 
 /// A source of cryptographically strong randomness.
 ///
@@ -90,51 +87,29 @@ pub trait SecureRandom: Send {
     }
 }
 
-enum OsSource {
-    /// The platform CSPRNG device, kept open across fills.
-    Device(File),
-    /// SHA-256 counter DRBG over ambient entropy — used only when the
-    /// device cannot be opened (e.g. exotic sandboxes).
-    Fallback { state: [u8; 32], counter: u64 },
-}
-
-/// The default OS-backed generator.
-pub struct OsRandom(OsSource);
+/// The default OS-backed generator: `/dev/urandom`, kept open across
+/// fills.
+pub struct OsRandom(File);
 
 impl std::fmt::Debug for OsRandom {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.0 {
-            OsSource::Device(_) => f.write_str("OsRandom(/dev/urandom)"),
-            OsSource::Fallback { .. } => f.write_str("OsRandom(drbg-fallback)"),
-        }
+        f.write_str("OsRandom(/dev/urandom)")
     }
 }
 
 impl OsRandom {
-    /// Creates a generator backed by the operating system.
+    /// Opens the operating system's generator.
+    ///
+    /// # Panics
+    ///
+    /// When `/dev/urandom` cannot be opened: a caller that needs key
+    /// material must not get guessable bytes instead.
     pub fn new() -> OsRandom {
         match File::open("/dev/urandom") {
-            Ok(f) => OsRandom(OsSource::Device(f)),
-            Err(_) => OsRandom(OsSource::Fallback { state: ambient_seed(), counter: 0 }),
+            Ok(f) => OsRandom(f),
+            Err(e) => panic!("OsRandom: cannot open /dev/urandom ({e}); refusing to make keys"),
         }
     }
-}
-
-/// Gathers whatever entropy std exposes without OS-specific syscalls:
-/// wall-clock nanos, monotonic timer jitter, thread id, and ASLR-shifted
-/// addresses, all mixed through SHA-256.
-fn ambient_seed() -> [u8; 32] {
-    let mut h = Sha256::new();
-    if let Ok(d) = SystemTime::now().duration_since(UNIX_EPOCH) {
-        h.update(&d.as_nanos().to_le_bytes());
-    }
-    let t0 = std::time::Instant::now();
-    h.update(&format!("{:?}", std::thread::current().id()).into_bytes());
-    let stack_probe = 0u8;
-    h.update(&(&stack_probe as *const u8 as usize).to_le_bytes());
-    h.update(&(ambient_seed as fn() -> [u8; 32] as usize).to_le_bytes());
-    h.update(&t0.elapsed().as_nanos().to_le_bytes());
-    h.finalize()
 }
 
 impl Default for OsRandom {
@@ -144,31 +119,12 @@ impl Default for OsRandom {
 }
 
 impl SecureRandom for OsRandom {
+    /// # Panics
+    ///
+    /// When the device fails mid-stream.
     fn fill(&mut self, dest: &mut [u8]) {
-        match &mut self.0 {
-            OsSource::Device(f) => {
-                if f.read_exact(dest).is_ok() {
-                    return;
-                }
-                // Device went away mid-stream; degrade to the DRBG.
-                self.0 = OsSource::Fallback { state: ambient_seed(), counter: 0 };
-                self.fill(dest);
-            }
-            OsSource::Fallback { state, counter } => {
-                for chunk in dest.chunks_mut(32) {
-                    let mut h = Sha256::new();
-                    h.update(&state[..]);
-                    h.update(&counter.to_le_bytes());
-                    *counter += 1;
-                    let block = h.finalize();
-                    chunk.copy_from_slice(&block[..chunk.len()]);
-                }
-                // Ratchet the state so past outputs cannot be recomputed.
-                let mut h = Sha256::new();
-                h.update(&state[..]);
-                h.update(b"ratchet");
-                *state = h.finalize();
-            }
+        if let Err(e) = self.0.read_exact(dest) {
+            panic!("OsRandom: reading /dev/urandom failed ({e}); refusing to make keys");
         }
     }
 }
@@ -263,16 +219,6 @@ mod tests {
         let mut r = OsRandom::new();
         let x: [u8; 32] = r.bytes();
         assert_ne!(x, [0u8; 32]);
-    }
-
-    #[test]
-    fn drbg_fallback_streams_and_ratchets() {
-        let mut r = OsRandom(OsSource::Fallback { state: [7u8; 32], counter: 0 });
-        let a: [u8; 48] = r.bytes();
-        let b: [u8; 48] = r.bytes();
-        assert_ne!(a, b);
-        // Distinct counter blocks within one fill differ too.
-        assert_ne!(a[..16], a[32..48]);
     }
 
     #[test]

@@ -15,10 +15,11 @@
 //!   parked the driver advances the shared clock straight to the earliest
 //!   deadline and wakes that batch — simulated time never waits for
 //!   wall-clock sleeps;
-//! - **async storage adapters** ([`io`]) that park each RPC at the issuing
-//!   client's [`ClockLane`] time, so cross-client operations execute in
-//!   global issue-time order and in-flight RPCs genuinely overlap in
-//!   simulated time.
+//! - **issue-time ordering** ([`Timer::schedule_at`]): a client parks at
+//!   its lane's local time before each operation, so cross-client
+//!   operations execute in global issue-time order and in-flight RPCs
+//!   genuinely overlap in simulated time (`nexus_core::async_fs` parks
+//!   every fs operation this way).
 //!
 //! ## Determinism
 //!
@@ -47,8 +48,6 @@ use std::time::Duration;
 
 use nexus_storage::SimClock;
 use nexus_sync::{Monitor, Mutex};
-
-pub mod io;
 
 /// Hard ceiling on OS threads an executor may use (driver included). The
 /// whole point of this crate is that client count and thread count are

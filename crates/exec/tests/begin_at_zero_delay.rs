@@ -1,14 +1,17 @@
-//! Regression gate: `AsyncStorage::begin_at` with an arrival at (or
-//! before) the lane's current time must not spin. The reactor's
-//! `schedule_at` is specified to yield exactly once even when the
-//! deadline is already due; if a refactor ever turns that into a
-//! ready-poll loop or a double wakeup, open-loop clients that have
-//! fallen behind their arrival schedule — the common case under
-//! overload — would burn a poll per spin on every queued operation.
+//! Regression gate: an open-loop arrival at (or before) the lane's
+//! current time must not spin. An arrival parks with
+//! `Timer::schedule_at(arrival.max(lane.local_now()))` and then raises
+//! the lane to the arrival (what `AsyncVolume::begin_at` does for the
+//! scale harness); the reactor's `schedule_at` is specified to yield
+//! exactly once even when the deadline is already due. If a refactor
+//! ever turns that into a ready-poll loop or a double wakeup, open-loop
+//! clients that have fallen behind their arrival schedule — the common
+//! case under overload — would burn a poll per spin on every queued
+//! operation.
 //!
 //! The probe counts raw `Future::poll` calls on the client task around
-//! the `begin_at().await`. The poll that registers in the reactor is the
-//! one already running when the await starts, so a correct `begin_at`
+//! the arrival's await. The poll that registers in the reactor is the
+//! one already running when the await starts, so a correct arrival
 //! suspends the task exactly once: precisely one further poll (the
 //! wakeup) completes it. Zero would mean the yield was skipped; two or
 //! more means the reactor re-queued the task — a spin.
@@ -20,10 +23,9 @@ use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::time::Duration;
 
-use nexus_exec::io::AsyncStorage;
 use nexus_exec::Executor;
 use nexus_storage::afs::{AfsClient, AfsServer};
-use nexus_storage::{LatencyModel, SimClock};
+use nexus_storage::{LatencyModel, SimClock, StorageBackend};
 
 /// Wraps a future and counts every `poll` the executor issues to it.
 struct CountPolls<F> {
@@ -44,39 +46,40 @@ fn polls_for(arrival_offset: Option<Duration>) -> usize {
     let clock = SimClock::new();
     // Single-threaded executor: the poll count is exact, not racy.
     let ex = Executor::single(clock.clone());
-    let afs = AsyncStorage::new(
-        Arc::new(AfsClient::connect(&server, clock.clone(), LatencyModel::paper_calibrated())),
-        ex.timer(),
-    );
+    let afs = AfsClient::connect(&server, clock.clone(), LatencyModel::paper_calibrated());
+    let timer = ex.timer();
     let polls = Arc::new(AtomicUsize::new(0));
     let counted = CountPolls {
         polls: polls.clone(),
         inner: Box::pin(async move {
+            let lane = afs.lane();
             // Give the lane some history so "now" is not the epoch.
-            afs.put("warm", b"x").await.expect("warm put");
+            timer.schedule_at(lane.local_now()).await;
+            afs.put("warm", b"x").expect("warm put");
             let arrival = match arrival_offset {
                 // Arrival exactly at the lane's current time.
-                None => afs.local_now(),
+                None => lane.local_now(),
                 // Arrival strictly in the past: client is behind schedule.
-                Some(back) => afs.local_now().saturating_sub(back),
+                Some(back) => lane.local_now().saturating_sub(back),
             };
             let before = polls.load(Ordering::SeqCst);
-            afs.begin_at(arrival).await;
+            timer.schedule_at(arrival.max(lane.local_now())).await;
+            lane.raise_to(arrival);
             polls.load(Ordering::SeqCst) - before
         }),
     };
     let inner_polls = counted.polls.clone();
     let handle = ex.spawn(counted);
     ex.run_until_idle();
-    let begin_at_polls = handle.try_take().expect("client completed");
+    let arrival_polls = handle.try_take().expect("client completed");
     // Sanity: the wrapper really observed the polls it reports on.
-    assert!(inner_polls.load(Ordering::SeqCst) >= begin_at_polls);
-    begin_at_polls
+    assert!(inner_polls.load(Ordering::SeqCst) >= arrival_polls);
+    arrival_polls
 }
 
 #[test]
 fn begin_at_with_zero_delay_yields_exactly_once() {
-    // begin_at(local_now()): already due. The await must suspend the
+    // An arrival at local_now(): already due. The await must suspend the
     // task exactly once — one wakeup poll, no spin. Zero would skip the
     // yield and break the global issue-time ordering the differential
     // suites rely on; two or more is the spin this gate exists to catch.

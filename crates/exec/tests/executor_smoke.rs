@@ -4,12 +4,11 @@
 //!
 //! One compact scenario exercises the whole stack: many simulated clients
 //! multiplexed over a bounded thread count, reactor wakeups in virtual
-//! time, and the async storage adapter overlapping lanes in simulated time.
+//! time, and each client parking at its lane's time before every call so
+//! that the clients' RPCs overlap in simulated time.
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use nexus_exec::io::AsyncStorage;
 use nexus_exec::{Executor, MAX_WORKERS};
 use nexus_storage::afs::{AfsClient, AfsServer};
 use nexus_storage::{LatencyModel, SimClock, StorageBackend};
@@ -26,17 +25,18 @@ fn two_thousand_clients_on_a_handful_of_threads() {
     const OPS: usize = 3;
     let handles: Vec<_> = (0..CLIENTS)
         .map(|c| {
-            let afs = AsyncStorage::new(
-                Arc::new(AfsClient::connect(&server, clock.clone(), latency)),
-                ex.timer(),
-            );
+            let afs = Arc::new(AfsClient::connect(&server, clock.clone(), latency));
+            let timer = ex.timer();
             ex.spawn(async move {
+                let lane = afs.lane();
                 for k in 0..OPS {
-                    afs.put(&format!("c{c}/o{k}"), &[c as u8; 24]).await.expect("put");
+                    timer.schedule_at(lane.local_now()).await;
+                    afs.put(&format!("c{c}/o{k}"), &[c as u8; 24]).expect("put");
                 }
-                let back = afs.get(&format!("c{c}/o0")).await.expect("get");
+                timer.schedule_at(lane.local_now()).await;
+                let back = afs.get(&format!("c{c}/o0")).expect("get");
                 assert_eq!(back, vec![c as u8; 24]);
-                afs.local_now()
+                lane.local_now()
             })
         })
         .collect();

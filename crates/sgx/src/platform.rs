@@ -61,7 +61,11 @@ impl std::fmt::Debug for Platform {
 }
 
 impl Platform {
-    /// Creates a platform with OS randomness and the default EPC size.
+    /// Creates a platform whose hardware RNG is the operating system's.
+    ///
+    /// # Panics
+    ///
+    /// When `/dev/urandom` cannot be opened ([`OsRandom::new`]).
     pub fn new() -> Platform {
         Platform::with_rng(Box::new(OsRandom::new()))
     }

@@ -1,23 +1,21 @@
 //! The load driver of the scale harness (DESIGN.md §14): one
-//! [`run`]`(source, cell, world)` for every combination of
+//! [`run`]`(source, cell, world)` for
 //!
-//! - an **op source** ([`Source`]) — what a client does. [`Wire`] drives
-//!   the raw RPC surface (`AsyncStorage<AfsClient>`: Zipf reads of a
-//!   shared keyspace, private writes); [`Fs`] mounts a real
+//! - the **op source** ([`Fs`]) — what a client does: it mounts a real
 //!   [`NexusVolume`] per client and drives the paper's data path
 //!   (`AsyncVolume`: reads, batched `read_files`, whole-file writes, ACL
 //!   churn — seal/open, metadata commits, freshness checks and all);
-//! - a **cell** ([`Cell`]) — how many clients, how many ops each, the run
+//! - each **cell** ([`Cell`]) — how many clients, how many ops each, the run
 //!   seed, the arrival process, the latency model;
-//! - a **world** ([`World`]) — what schedules the clients: futures on the
+//! - each **world** ([`World`]) — what schedules the clients: futures on the
 //!   `nexus-exec` executor (100k clients on ≤ 8 OS threads), the same
 //!   futures one client after another (the serial oracle), or one OS
 //!   thread per client (the baseline the executor is gated against).
 //!
 //! A client is one future, `drive_client`, in every world: the serial
 //! and thread worlds poll it on a driver-local single-thread executor
-//! instead of keeping a synchronous twin, so each source's op → call
-//! mapping exists once, over the adapters users get.
+//! instead of keeping a synchronous twin, so the op → call mapping exists
+//! once, over the adapter users get.
 //!
 //! ## Why the worlds agree
 //!
@@ -55,11 +53,10 @@ use std::time::{Duration, Instant};
 use nexus_core::async_fs::{AsyncVolume, CryptoCost};
 use nexus_core::{NexusConfig, NexusVolume, Rights, UserKeys};
 use nexus_crypto::rng::{SecureRandom, SeededRandom};
-use nexus_exec::io::AsyncStorage;
 use nexus_exec::{Executor, Timer};
 use nexus_sgx::{AttestationService, Platform};
 use nexus_storage::afs::{AfsClient, AfsServer};
-use nexus_storage::{ClockLane, LatencyModel, SimClock, StorageBackend};
+use nexus_storage::{LatencyModel, SimClock};
 use nexus_testkit::dist::{PoissonArrivals, Zipf};
 
 /// How clients issue their operations.
@@ -113,15 +110,15 @@ impl World {
     }
 }
 
-/// One generated operation. [`Wire`] streams hold `Read` and `Write` only.
+/// One generated operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
-    /// Read the shared object of this Zipf rank.
+    /// Read the shared file of this Zipf rank.
     Read(usize),
     /// Batched `read_files` of `bulk_width` shared files from this rank.
     Bulk(usize),
-    /// Write one of this client's private objects ([`Wire`]: object
-    /// number `k`, never rewritten; [`Fs`]: a slot the writes cycle over).
+    /// Write one of this client's private files (a slot the writes cycle
+    /// over).
     Write(usize),
     /// Toggle the auditor's rights on this client's directory (`n`th ACL
     /// update: even = read-only, odd = read-write).
@@ -136,67 +133,15 @@ impl Op {
 }
 
 /// A deployed cell: the shared (untrusted) server, the shared virtual
-/// clock, and one connection per client (index = client id), every lane
-/// at the clock's post-setup value.
-pub struct Deployment<C> {
+/// clock, and one mounted client per index, every lane at the clock's
+/// post-setup value.
+pub struct Deployment {
     /// The shared store.
     pub server: AfsServer,
     /// The shared virtual clock.
     pub clock: SimClock,
-    /// The clients' connections.
-    pub conns: Vec<C>,
-}
-
-/// What the clients of a cell do: how the world is set up, which ops a
-/// client issues, and — once — which adapter call each op is.
-pub trait Source: Clone + Send + Sync + 'static {
-    /// One client's connection as [`Source::deploy`] leaves it.
-    type Conn: Send;
-    /// The async adapter a client's ops go through.
-    type Client: Send + Sync + 'static;
-
-    /// The standard cell's run seed (one per source, so wire and fs
-    /// streams are independent).
-    const SEED: u64;
-    /// Salts the arrival stream apart from the op stream, so closed- and
-    /// open-loop runs execute identical ops.
-    const ARRIVAL_SALT: u64;
-
-    /// The standard cell: paper-calibrated latencies, closed loop.
-    fn cell(clients: usize, ops_per_client: usize) -> Cell {
-        Cell {
-            clients,
-            ops_per_client,
-            seed: Self::SEED,
-            arrival: Arrival::Closed,
-            latency: LatencyModel::paper_calibrated(),
-        }
-    }
-
-    /// Builds the world outside the measured epoch.
-    fn deploy(&self, cell: &Cell) -> Deployment<Self::Conn>;
-
-    /// Lifts a connection onto `timer`'s executor.
-    fn connect(&self, conn: Self::Conn, timer: Timer) -> Self::Client;
-
-    /// The lane every cost of `client` is charged to.
-    fn lane(client: &Self::Client) -> &ClockLane;
-
-    /// The popularity sampler over the shared keyspace.
-    fn zipf(&self) -> Zipf;
-
-    /// The deterministic op stream of client `c` — the same in every
-    /// world, derived only from the source, the cell and the index.
-    fn ops(&self, cell: &Cell, zipf: &Zipf, c: usize) -> Vec<Op>;
-
-    /// Executes `op` for client `c` and returns the transcript-relevant
-    /// bytes.
-    fn apply(
-        &self,
-        client: &Self::Client,
-        c: usize,
-        op: Op,
-    ) -> impl Future<Output = Vec<u8>> + Send;
+    /// The clients' mounts.
+    pub conns: Vec<FsConn>,
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -234,7 +179,7 @@ fn f64_unit(rng: &mut SeededRandom) -> f64 {
 /// measured epoch `t0`: setup (mounts, the owner's directory tree) has
 /// already consumed virtual time, and a schedule anchored at zero would
 /// book all of it as queueing delay on the first arrivals.
-fn arrivals_for_client<S: Source>(
+fn arrivals_for_client(
     cell: &Cell,
     per_client_hz: f64,
     c: usize,
@@ -242,7 +187,7 @@ fn arrivals_for_client<S: Source>(
 ) -> Vec<Duration> {
     let process = PoissonArrivals::from_rate_hz(per_client_hz);
     let mut rng = SeededRandom::new(
-        cell.seed ^ S::ARRIVAL_SALT ^ fnv1a(FNV_OFFSET, &(c as u64).to_le_bytes()),
+        cell.seed ^ Fs::ARRIVAL_SALT ^ fnv1a(FNV_OFFSET, &(c as u64).to_le_bytes()),
     );
     let mut t = t0;
     (0..cell.ops_per_client)
@@ -438,16 +383,14 @@ pub struct ScaleReport {
 /// One client's whole run, in every world: hold each op until its issue
 /// time, execute it, record the latency, fold the transcript. `arrivals`
 /// is `Some` for open loop.
-async fn drive_client<S: Source>(
-    source: S,
-    client: S::Client,
-    timer: Timer,
+async fn drive_client(
+    source: Fs,
+    client: AsyncVolume,
     c: usize,
     ops: Vec<Op>,
     arrivals: Option<Vec<Duration>>,
     hist: Arc<RunHistograms>,
 ) -> u64 {
-    let lane = S::lane(&client).clone();
     let mut chain = FNV_OFFSET;
     for (k, op) in ops.into_iter().enumerate() {
         let issue = match &arrivals {
@@ -455,14 +398,13 @@ async fn drive_client<S: Source>(
             // that is still busy then issues late, and the wait is booked
             // as latency from the arrival.
             Some(at) => {
-                timer.schedule_at(at[k].max(lane.local_now())).await;
-                lane.raise_to(at[k]);
+                client.begin_at(at[k]).await;
                 at[k]
             }
-            None => lane.local_now(),
+            None => client.local_now(),
         };
         let result = source.apply(&client, c, op).await;
-        let latency = lane.local_now().saturating_sub(issue);
+        let latency = client.local_now().saturating_sub(issue);
         if op.is_read() {
             hist.reads.record(latency);
         } else {
@@ -506,7 +448,7 @@ fn thread_per_client<C: Send, F: Future<Output = u64> + Send + 'static>(
 }
 
 /// Runs one cell of `source` in `world`.
-pub fn run<S: Source>(source: &S, cell: &Cell, world: World) -> ScaleReport {
+pub fn run(source: &Fs, cell: &Cell, world: World) -> ScaleReport {
     // Every connection exists before the first op: a lane is born at the
     // shared clock's current value, so one opened while earlier clients
     // already charge RPCs would start ahead and inflate the makespan.
@@ -516,17 +458,16 @@ pub fn run<S: Source>(source: &S, cell: &Cell, world: World) -> ScaleReport {
 
     let t0 = clock.now();
     let started = Instant::now();
-    let client = |c: usize, conn: S::Conn, timer: Timer| {
+    let client = |c: usize, conn: FsConn, timer: Timer| {
         let arrivals = match cell.arrival {
             Arrival::Closed => None,
             Arrival::Open { per_client_hz } => {
-                Some(arrivals_for_client::<S>(cell, per_client_hz, c, t0))
+                Some(arrivals_for_client(cell, per_client_hz, c, t0))
             }
         };
         drive_client(
             source.clone(),
-            source.connect(conn, timer.clone()),
-            timer,
+            source.connect(conn, timer),
             c,
             source.ops(cell, &zipf, c),
             arrivals,
@@ -569,107 +510,6 @@ pub fn run<S: Source>(source: &S, cell: &Cell, world: World) -> ScaleReport {
         transcripts,
         inventory: inventory_digest(&server),
         os_threads,
-    }
-}
-
-/// The wire-level source: every client an `AsyncStorage<AfsClient>` on
-/// the raw RPC surface (the classic key-value scale recipe).
-///
-/// - **Zipf(α) reads** over a shared keyspace populated at setup. Shared
-///   keys are never written during the run, so a client's hit/miss
-///   sequence depends only on its own access history.
-/// - **Private writes**: each client appends to its own `c{i}/w{k}`
-///   namespace — no cross-client callback invalidations.
-#[derive(Debug, Clone)]
-pub struct Wire {
-    /// Size of the shared read-only keyspace.
-    pub shared_keys: usize,
-    /// Object payload size in bytes.
-    pub value_bytes: usize,
-    /// Zipf skew over the shared keyspace (0 = uniform).
-    pub zipf_alpha: f64,
-    /// Fraction of operations that are shared-keyspace reads; the rest
-    /// are private writes.
-    pub read_fraction: f64,
-}
-
-impl Wire {
-    /// The standard mix: Zipf(0.99) over 512 keys of 64 bytes, half reads
-    /// half writes.
-    pub fn standard() -> Wire {
-        Wire { shared_keys: 512, value_bytes: 64, zipf_alpha: 0.99, read_fraction: 0.5 }
-    }
-}
-
-/// Path of a shared key: the same name for every client that draws `rank`.
-fn shared_key(rank: usize) -> String {
-    format!("shared/k{rank}")
-}
-
-/// Path of client `c`'s private object `k`.
-fn private_key(c: usize, k: usize) -> String {
-    format!("c{c}/w{k}")
-}
-
-impl Source for Wire {
-    type Conn = Arc<AfsClient>;
-    type Client = AsyncStorage<AfsClient>;
-
-    const SEED: u64 = 0x5CA1E_2026;
-    const ARRIVAL_SALT: u64 = fnv1a(FNV_OFFSET, b"arrivals");
-
-    /// Populates the shared keyspace directly on the server's raw store
-    /// (outside simulated time), so every client's first read of a key is
-    /// a real fetch and later reads are cache hits.
-    fn deploy(&self, cell: &Cell) -> Deployment<Arc<AfsClient>> {
-        let server = AfsServer::new();
-        let clock = SimClock::new();
-        for rank in 0..self.shared_keys {
-            let value = payload(self.value_bytes, rank as u64, 1);
-            server.raw_store().put(&shared_key(rank), &value).expect("populate shared key");
-        }
-        let conns = (0..cell.clients).map(|_| connect_afs(&server, &clock, cell)).collect();
-        Deployment { server, clock, conns }
-    }
-
-    fn connect(&self, conn: Arc<AfsClient>, timer: Timer) -> AsyncStorage<AfsClient> {
-        AsyncStorage::new(conn, timer)
-    }
-
-    fn lane(client: &AsyncStorage<AfsClient>) -> &ClockLane {
-        client.backend().lane()
-    }
-
-    fn zipf(&self) -> Zipf {
-        Zipf::new(self.shared_keys, self.zipf_alpha)
-    }
-
-    fn ops(&self, cell: &Cell, zipf: &Zipf, c: usize) -> Vec<Op> {
-        let mut rng =
-            SeededRandom::new(cell.seed ^ fnv1a(FNV_OFFSET, &(c as u64).to_le_bytes()));
-        let mut writes = 0usize;
-        (0..cell.ops_per_client)
-            .map(|_| {
-                if f64_unit(&mut rng) < self.read_fraction {
-                    Op::Read(zipf.sample_with(f64_unit(&mut rng)))
-                } else {
-                    writes += 1;
-                    Op::Write(writes - 1)
-                }
-            })
-            .collect()
-    }
-
-    async fn apply(&self, afs: &AsyncStorage<AfsClient>, c: usize, op: Op) -> Vec<u8> {
-        match op {
-            Op::Read(rank) => afs.get(&shared_key(rank)).await.expect("shared read"),
-            Op::Write(k) => {
-                let value = vec![c as u8; self.value_bytes];
-                afs.put(&private_key(c, k), &value).await.expect("private write");
-                value
-            }
-            Op::Bulk(_) | Op::Acl(_) => unreachable!("wire streams hold reads and writes only"),
-        }
     }
 }
 
@@ -756,14 +596,25 @@ pub struct FsConn {
     pub afs: Arc<AfsClient>,
 }
 
-impl Source for Fs {
-    type Conn = FsConn;
-    type Client = AsyncVolume;
-
+impl Fs {
+    /// The standard cell's run seed.
     const SEED: u64 = 0xF5_5CA1E_2026;
-    // The second factor is the wire stream's salt, which the fs stream
-    // has always carried; recorded schedules depend on it.
-    const ARRIVAL_SALT: u64 = fnv1a(FNV_OFFSET, b"fs-arrivals") ^ Wire::ARRIVAL_SALT;
+    /// Salts the arrival stream apart from the op stream, so closed- and
+    /// open-loop runs execute identical ops. Both factors are part of
+    /// every recorded open-loop schedule.
+    const ARRIVAL_SALT: u64 =
+        fnv1a(FNV_OFFSET, b"fs-arrivals") ^ fnv1a(FNV_OFFSET, b"arrivals");
+
+    /// The standard cell: paper-calibrated latencies, closed loop.
+    pub fn cell(clients: usize, ops_per_client: usize) -> Cell {
+        Cell {
+            clients,
+            ops_per_client,
+            seed: Fs::SEED,
+            arrival: Arrival::Closed,
+            latency: LatencyModel::paper_calibrated(),
+        }
+    }
 
     /// The owner creates the volume on stream 0 of the seeded machine,
     /// registers an auditor user, writes the shared keyspace, and creates
@@ -772,7 +623,7 @@ impl Source for Fs {
     /// randomness) and authenticates. All setup cost lands before the
     /// measured epoch: every client lane is raised to the clock's
     /// post-setup value before this returns.
-    fn deploy(&self, cell: &Cell) -> Deployment<FsConn> {
+    pub fn deploy(&self, cell: &Cell) -> Deployment {
         let server = AfsServer::new();
         let clock = SimClock::new();
         let id_seed = cell.seed ^ fnv1a(FNV_OFFSET, b"fs-platform");
@@ -838,18 +689,18 @@ impl Source for Fs {
         Deployment { server, clock, conns }
     }
 
+    /// Lifts a mounted client onto `timer`'s executor.
     fn connect(&self, conn: FsConn, timer: Timer) -> AsyncVolume {
         AsyncVolume::new(conn.volume, conn.afs.lane().clone(), timer, self.crypto)
     }
 
-    fn lane(client: &AsyncVolume) -> &ClockLane {
-        client.lane()
-    }
-
+    /// The popularity sampler over the shared files.
     fn zipf(&self) -> Zipf {
         Zipf::new(self.shared_files, self.zipf_alpha)
     }
 
+    /// The deterministic op stream of client `c` — the same in every
+    /// world, derived only from the source, the cell and the index.
     fn ops(&self, cell: &Cell, zipf: &Zipf, c: usize) -> Vec<Op> {
         let salt = fnv1a(fnv1a(FNV_OFFSET, b"fs-ops"), &(c as u64).to_le_bytes());
         let mut rng = SeededRandom::new(cell.seed ^ salt);
@@ -873,6 +724,8 @@ impl Source for Fs {
             .collect()
     }
 
+    /// Executes `op` for client `c` and returns the transcript-relevant
+    /// bytes.
     async fn apply(&self, av: &AsyncVolume, c: usize, op: Op) -> Vec<u8> {
         match op {
             Op::Read(rank) => av.read_file(&self.shared(rank)).await.expect("fs read"),
@@ -992,21 +845,6 @@ mod tests {
     }
 
     #[test]
-    fn op_streams_are_deterministic_and_respect_the_mix() {
-        let (wire, cell) = (Wire::standard(), Wire::cell(4, 1000));
-        let zipf = wire.zipf();
-        let a = wire.ops(&cell, &zipf, 2);
-        let b = wire.ops(&cell, &zipf, 2);
-        assert_eq!(a, b, "same client, same stream");
-        assert_ne!(a, wire.ops(&cell, &zipf, 3), "clients diverge");
-        let reads = a.iter().filter(|op| matches!(op, Op::Read(_))).count();
-        let writes = a.iter().filter(|op| matches!(op, Op::Write(_))).count();
-        assert_eq!(reads + writes, 1000, "wire streams hold reads and writes only");
-        // 1000 ops at read_fraction 0.5: binomial ±~5σ bound.
-        assert!((420..=580).contains(&reads), "{reads} reads of 1000");
-    }
-
-    #[test]
     fn fs_op_streams_are_deterministic_and_respect_the_mix() {
         let (fs, cell) = (Fs::standard(), Fs::cell(4, 400));
         let zipf = fs.zipf();
@@ -1027,45 +865,45 @@ mod tests {
 
     #[test]
     fn arrival_times_are_increasing_and_deterministic() {
-        let cell = Wire::cell(2, 100);
-        let a = arrivals_for_client::<Wire>(&cell, 50.0, 0, Duration::ZERO);
-        assert_eq!(a, arrivals_for_client::<Wire>(&cell, 50.0, 0, Duration::ZERO));
+        let cell = Fs::cell(2, 100);
+        let a = arrivals_for_client(&cell, 50.0, 0, Duration::ZERO);
+        assert_eq!(a, arrivals_for_client(&cell, 50.0, 0, Duration::ZERO));
         assert!(a.windows(2).all(|w| w[0] <= w[1]));
         // Mean gap 20 ms over 100 arrivals: the last lands around 2 s.
         assert!(a[99] > Duration::from_millis(500) && a[99] < Duration::from_secs(8), "{:?}", a[99]);
-        // The schedule is anchored at the measured epoch, and the fs
-        // stream is salted apart from the wire one.
+        // The schedule is anchored at the measured epoch, and every client
+        // has a stream of its own.
         let t0 = Duration::from_secs(3);
         let shifted: Vec<Duration> = a.iter().map(|&at| at + t0).collect();
-        assert_eq!(arrivals_for_client::<Wire>(&cell, 50.0, 0, t0), shifted);
-        assert_ne!(arrivals_for_client::<Fs>(&cell, 50.0, 0, Duration::ZERO), a);
+        assert_eq!(arrivals_for_client(&cell, 50.0, 0, t0), shifted);
+        assert_ne!(arrivals_for_client(&cell, 50.0, 1, Duration::ZERO), a);
     }
 
     #[test]
     fn exec_world_runs_a_small_cell() {
-        let cell = Wire::cell(50, 8);
+        let cell = Fs::cell(16, 6);
         let world = World::Exec { threads: 2 };
-        let report = run(&Wire::standard(), &cell, world);
-        assert_eq!(report.total_ops, 400);
-        assert_eq!(report.transcripts.len(), 50);
+        let report = run(&Fs::standard(), &cell, world);
+        assert_eq!(report.total_ops, 96);
+        assert_eq!(report.transcripts.len(), 16);
         assert!(report.os_threads <= nexus_exec::MAX_WORKERS);
         assert!(report.makespan > Duration::ZERO);
         assert!(report.wall > Duration::ZERO);
         assert!(report.agg_ops_per_sec > 0.0);
-        assert_eq!(report.hist.all.count(), 400);
+        assert_eq!(report.hist.all.count(), 96);
         assert_eq!(
             report.hist.reads.count() + report.hist.writes.count(),
             report.hist.all.count()
         );
         // Same cell, fresh world: identical transcripts and inventory.
-        let again = run(&Wire::standard(), &cell, world);
+        let again = run(&Fs::standard(), &cell, world);
         assert_eq!(report.transcripts, again.transcripts);
         assert_eq!(report.inventory, again.inventory);
     }
 
     /// Runs `cell` in every world and checks that nothing but the wall
     /// clock depends on which one ran.
-    fn assert_worlds_agree<S: Source>(source: &S, cell: &Cell, what: &str) {
+    fn assert_worlds_agree(source: &Fs, cell: &Cell, what: &str) {
         let serial = run(source, cell, World::Serial);
         assert_eq!(serial.os_threads, 1);
         assert_eq!(serial.hist.all.count(), serial.total_ops, "{what}");
@@ -1094,28 +932,8 @@ mod tests {
         // identically, the simulated makespan — closed and open loop.
         let open =
             |cell: Cell, per_client_hz| Cell { arrival: Arrival::Open { per_client_hz }, ..cell };
-        assert_worlds_agree(&Wire::standard(), &Wire::cell(24, 12), "wire closed");
-        assert_worlds_agree(&Wire::standard(), &open(Wire::cell(12, 16), 2000.0), "wire open");
         assert_worlds_agree(&Fs::standard(), &Fs::cell(12, 6), "fs closed");
         assert_worlds_agree(&Fs::standard(), &open(Fs::cell(6, 8), 2000.0), "fs open");
-    }
-
-    #[test]
-    fn open_loop_records_queueing_delay() {
-        // Arrivals far faster than service: closed loop would hide the
-        // backlog (coordinated omission); open loop must surface it as
-        // tail latency well above one op's service time.
-        let wire = Wire::standard();
-        let mut cell = Wire::cell(4, 32);
-        cell.arrival = Arrival::Open { per_client_hz: 10_000.0 };
-        let report = run(&wire, &cell, World::Exec { threads: 1 });
-        let service = cell.latency.rpc_cost(wire.value_bytes);
-        assert!(
-            report.hist.all.quantile(0.99) > service * 4,
-            "p99 {:?} vs one-op service {:?}",
-            report.hist.all.quantile(0.99),
-            service
-        );
     }
 
     #[test]

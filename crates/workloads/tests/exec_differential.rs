@@ -6,8 +6,9 @@
 //! A case is a list of timed events: event `i` is issued by one of a few
 //! clients at virtual time `(i+1)·STEP` — strictly increasing, so list
 //! order *is* issue order. The async world runs each client as a future on
-//! a deterministic single-thread executor, using `begin_at` to hold every
-//! op until its virtual issue time; the serial oracle executes the same
+//! a deterministic single-thread executor, parking every op in the reactor
+//! until its virtual issue time (`Timer::schedule_at`, then raising the
+//! lane there — an open-loop arrival); the serial oracle executes the same
 //! list in order on plain sync clients, raising each lane by hand. Both
 //! worlds must agree on every per-op result, every client's final lane
 //! time, the server's object inventory, and the shared clock.
@@ -15,13 +16,11 @@
 //! Reads here cross client boundaries on purpose (unlike the scale
 //! harness, where commuting ops are a design choice): a client may read
 //! another client's freshest write, which is only deterministic because
-//! the reactor fires `begin_at` wakeups in exact virtual-deadline
-//! order.
+//! the reactor fires arrival wakeups in exact virtual-deadline order.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use nexus_exec::io::AsyncStorage;
 use nexus_exec::Executor;
 use nexus_storage::afs::{AfsClient, AfsServer};
 use nexus_storage::{LatencyModel, SimClock, StorageBackend};
@@ -106,8 +105,8 @@ fn run_serial(script: &[Event]) -> WorldOutcome {
     }
 }
 
-/// Async world: one future per client, each holding every op until its
-/// virtual issue time with `begin_at`, on a deterministic single-thread
+/// Async world: one future per client, each parking every op in the
+/// reactor until its virtual issue time, on a deterministic single-thread
 /// executor. Events interleave across clients purely by reactor order.
 fn run_async(script: &[Event]) -> WorldOutcome {
     let server = AfsServer::new();
@@ -115,13 +114,8 @@ fn run_async(script: &[Event]) -> WorldOutcome {
     let latency = LatencyModel::paper_calibrated();
     let ex = Executor::single(clock.clone());
 
-    let storages: Vec<AsyncStorage<AfsClient>> = (0..CLIENTS)
-        .map(|_| {
-            AsyncStorage::new(
-                Arc::new(AfsClient::connect(&server, clock.clone(), latency)),
-                ex.timer(),
-            )
-        })
+    let clients: Vec<Arc<AfsClient>> = (0..CLIENTS)
+        .map(|_| Arc::new(AfsClient::connect(&server, clock.clone(), latency)))
         .collect();
     // Split the script into per-client (event index, op, key) streams;
     // within a client, issue times increase, so a sequential future
@@ -134,24 +128,18 @@ fn run_async(script: &[Event]) -> WorldOutcome {
                 .filter(|(_, &(ec, _, _))| ec as usize % CLIENTS == c)
                 .map(|(i, &(_, op, key))| (i, op, key))
                 .collect();
-            let afs = storages[c].clone();
+            let (afs, timer) = (clients[c].clone(), ex.timer());
             ex.spawn(async move {
+                let lane = afs.lane();
                 let mut out = Vec::with_capacity(events.len());
                 for (i, op, key) in events {
-                    afs.begin_at(issue_time(i)).await;
-                    let obs = match op {
-                        OpKind::Put => {
-                            afs.put(&key_path(key), &value_for(c as u8, i))
-                                .await
-                                .expect("put");
-                            Observed::Put
-                        }
-                        OpKind::Get => Observed::Got(afs.get(&key_path(key)).await.ok()),
-                        OpKind::Stat => {
-                            Observed::Sized(afs.stat(&key_path(key)).await.ok().map(|s| s.size))
-                        }
-                    };
-                    out.push((i, obs));
+                    let arrival = issue_time(i);
+                    timer.schedule_at(arrival.max(lane.local_now())).await;
+                    lane.raise_to(arrival);
+                    // Every call parks at its issue time once more, as a
+                    // call of the scale harness does.
+                    timer.schedule_at(lane.local_now()).await;
+                    out.push((i, apply(&afs, op, key, c as u8, i)));
                 }
                 out
             })
@@ -167,7 +155,7 @@ fn run_async(script: &[Event]) -> WorldOutcome {
     }
     WorldOutcome {
         observed,
-        lane_ends: storages.iter().map(|s| s.backend().lane().local_now()).collect(),
+        lane_ends: clients.iter().map(|cl| cl.lane().local_now()).collect(),
         inventory: sorted_inventory(&server),
         clock_end: clock.now(),
     }

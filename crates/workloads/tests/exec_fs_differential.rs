@@ -24,9 +24,7 @@ use nexus_core::async_fs::AsyncVolume;
 use nexus_core::Rights;
 use nexus_exec::Executor;
 use nexus_testkit::Runner;
-use nexus_workloads::loadgen::{
-    client_dir, inventory_digest, shared_file, Deployment, Fs, FsConn, Source,
-};
+use nexus_workloads::loadgen::{client_dir, inventory_digest, shared_file, Deployment, Fs};
 
 const CLIENTS: usize = 3;
 const SHARED: usize = 4;
@@ -63,7 +61,7 @@ fn source() -> Fs {
     Fs { shared_files: SHARED, value_bytes: 32, files_per_client: 2, ..Fs::standard() }
 }
 
-fn deploy(source: &Fs) -> Deployment<FsConn> {
+fn deploy(source: &Fs) -> Deployment {
     source.deploy(&Fs::cell(CLIENTS, 0))
 }
 

@@ -26,7 +26,7 @@ pub use nexus_storage as storage;
 pub use nexus_workloads as workloads;
 
 pub use nexus_core::{
-    NexusConfig, NexusError, NexusFile, NexusVolume, OpenMode, Rights, SealedOffer, SealedRootKey,
-    UserKeys, VolumeJoiner,
+    NexusConfig, NexusError, NexusVolume, Rights, SealedOffer, SealedRootKey, UserKeys,
+    VolumeJoiner,
 };
 pub use nexus_sgx::{AttestationService, Platform};

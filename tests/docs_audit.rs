@@ -2,7 +2,7 @@
 //!
 //! Every backticked repo path (`crates/exec/src/lib.rs`, a bare `io.rs`, a
 //! `tests/security.rs::some_test`) must name a file or directory in the
-//! tree, and every backticked crate path (`nexus_exec::io`,
+//! tree, and every backticked crate path (`nexus_core::async_fs`,
 //! `storage::afs`) must resolve to a module file of that crate, or to an
 //! item its module declares. A bare `Type::item` (`MemBackend::put_many`,
 //! `Dirnode::{insert, remove}`) must name a type declared in the tree and a
