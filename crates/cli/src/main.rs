@@ -1,7 +1,9 @@
 //! `nexus-cli` — command-line client for NEXUS protected volumes.
 //!
 //! The store directory (`--store`) plays the untrusted file-sharing
-//! service; the home directory (`--home`) holds this user's local state
+//! service: a `LogBackend` directory, which each command holds until it
+//! exits, so commands run concurrently on one store take turns. The home
+//! directory (`--home`) holds this user's local state
 //! (identity seed, platform seed, sealed rootkeys). Different homes against
 //! the same store behave as different users on different machines, so the
 //! full sharing protocol can be exercised from a shell:

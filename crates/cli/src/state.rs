@@ -11,11 +11,12 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
 use nexus_core::{SealedOffer, SealedRootKey, UserKeys};
 use nexus_crypto::ed25519::VerifyingKey;
 use nexus_sgx::{AttestationService, Platform, PlatformId};
-use nexus_storage::{DirBackend, StorageBackend};
+use nexus_storage::{LogBackend, StorageBackend, StorageError};
 
 /// Everything a CLI invocation needs to act as one user on one machine.
 pub struct CliState {
@@ -23,8 +24,8 @@ pub struct CliState {
     pub platform: Platform,
     /// The user's identity keys.
     pub user: UserKeys,
-    /// The shared untrusted store.
-    pub store: Arc<DirBackend>,
+    /// The shared untrusted store, held by this process until it exits.
+    pub store: Arc<LogBackend>,
     /// The attestation service, loaded from published platform records.
     pub ias: AttestationService,
     home: PathBuf,
@@ -51,15 +52,15 @@ impl CliState {
     ///
     /// # Errors
     ///
-    /// Filesystem errors creating or reading the state files.
+    /// Filesystem errors creating or reading the state files, or a store
+    /// in the old per-file layout.
     pub fn open(home: &Path, store: &Path, user_name: &str) -> Result<CliState, String> {
         std::fs::create_dir_all(home).map_err(|e| format!("creating {}: {e}", home.display()))?;
         let platform_seed = read_or_create_seed(&home.join("platform.seed"))?;
         let user_seed = read_or_create_seed(&home.join("identity.seed"))?;
         let platform = Platform::from_identity_seed(&platform_seed);
         let user = UserKeys::from_seed(user_name, &user_seed);
-        let store: Arc<DirBackend> =
-            Arc::new(DirBackend::open(store).map_err(|e| e.to_string())?);
+        let store = Arc::new(open_store(store)?);
 
         // Publish this platform's attestation record and load everyone's.
         let ias = AttestationService::new();
@@ -139,9 +140,26 @@ impl CliState {
     }
 }
 
+/// Opens the store, retrying every 10 ms while another process holds it.
+fn open_store(store: &Path) -> Result<LogBackend, String> {
+    if store.join("%versions%").exists() {
+        return Err(format!(
+            "{} holds a %versions% file: it is a store in the old per-file (DirBackend) \
+             layout, which this nexus-cli does not read, and there is no migration",
+            store.display()
+        ));
+    }
+    loop {
+        match LogBackend::open(store) {
+            Err(StorageError::LockContended(_)) => std::thread::sleep(Duration::from_millis(10)),
+            opened => return opened.map_err(|e| e.to_string()),
+        }
+    }
+}
+
 const IAS_PREFIX: &str = "ias-record-";
 
-fn publish_platform_record(store: &DirBackend, platform: &Platform) -> Result<(), String> {
+fn publish_platform_record(store: &LogBackend, platform: &Platform) -> Result<(), String> {
     let id = platform.id();
     let mut record = Vec::with_capacity(48);
     record.extend_from_slice(&id.0);
@@ -150,7 +168,7 @@ fn publish_platform_record(store: &DirBackend, platform: &Platform) -> Result<()
     store.put(&name, &record).map_err(|e| e.to_string())
 }
 
-fn load_platform_records(store: &DirBackend, ias: &AttestationService) -> Result<(), String> {
+fn load_platform_records(store: &LogBackend, ias: &AttestationService) -> Result<(), String> {
     for name in store.list(IAS_PREFIX) {
         let record = store.get(&name).map_err(|e| e.to_string())?;
         if record.len() != 48 {
@@ -179,32 +197,37 @@ mod tests {
         dir
     }
 
+    // One state holds a store at a time, so each test lets go of one
+    // before it opens the next.
+
     #[test]
     fn state_is_stable_across_opens() {
         let home = tmp("home");
         let store = tmp("store");
         let a = CliState::open(&home, &store, "owen").unwrap();
+        let (platform, user) = (a.platform.id(), a.user.public_key());
+        drop(a);
         let b = CliState::open(&home, &store, "owen").unwrap();
-        assert_eq!(a.platform.id(), b.platform.id());
-        assert_eq!(a.user.public_key(), b.user.public_key());
+        assert_eq!(platform, b.platform.id());
+        assert_eq!(user, b.user.public_key());
     }
 
     #[test]
     fn different_homes_are_different_machines() {
         let store = tmp("store2");
-        let a = CliState::open(&tmp("home-a"), &store, "a").unwrap();
+        let a = CliState::open(&tmp("home-a"), &store, "a").unwrap().platform.id();
         let b = CliState::open(&tmp("home-b"), &store, "b").unwrap();
-        assert_ne!(a.platform.id(), b.platform.id());
+        assert_ne!(a, b.platform.id());
     }
 
     #[test]
     fn platform_records_cross_homes() {
         let store = tmp("store3");
-        let a = CliState::open(&tmp("home-c"), &store, "a").unwrap();
+        let a = CliState::open(&tmp("home-c"), &store, "a").unwrap().platform;
         // b's IAS must know a's platform (published record).
         let b = CliState::open(&tmp("home-d"), &store, "b").unwrap();
         use nexus_sgx::{Enclave, EnclaveImage};
-        let enclave = Enclave::create(&a.platform, &EnclaveImage::new(b"x".to_vec()), ());
+        let enclave = Enclave::create(&a, &EnclaveImage::new(b"x".to_vec()), ());
         let quote = enclave.ecall(|_, env| env.quote(&[0u8; 64]));
         b.ias.verify(&quote).unwrap();
     }

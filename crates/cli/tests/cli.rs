@@ -3,7 +3,7 @@
 //! separate homes (separate machines).
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Child, Command, Output, Stdio};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_nexus-cli")
@@ -24,17 +24,28 @@ impl Cli {
         }
     }
 
-    fn run(&self, args: &[&str]) -> Output {
-        Command::new(bin())
+    fn command(&self, args: &[&str]) -> Command {
+        let mut command = Command::new(bin());
+        command
             .arg("--home")
             .arg(&self.home)
             .arg("--store")
             .arg(&self.store)
             .arg("--user")
             .arg(&self.user)
-            .args(args)
-            .output()
-            .expect("spawn nexus-cli")
+            .args(args);
+        command
+    }
+
+    fn run(&self, args: &[&str]) -> Output {
+        self.command(args).output().expect("spawn nexus-cli")
+    }
+
+    /// Starts the command without waiting for it.
+    fn spawn(&self, args: &[&str]) -> Child {
+        let mut command = self.command(args);
+        command.stdout(Stdio::piped()).stderr(Stdio::piped());
+        command.spawn().expect("spawn nexus-cli")
     }
 
     fn ok(&self, args: &[&str]) -> String {
@@ -168,4 +179,48 @@ fn help_and_bad_commands() {
         let err = owen.fails(&["init", flag]);
         assert!(err.contains("unknown init flag"), "{flag}: {err}");
     }
+}
+
+/// Sixteen `put` processes at once into one directory, twice: each holds
+/// the store until it exits, so they take turns and every put lands.
+#[test]
+fn concurrent_puts_from_many_processes_all_land() {
+    let root = test_root("race");
+    let owen = Cli::new(&root, "owen");
+    owen.ok(&["init"]);
+    owen.ok(&["mkdir", "race"]);
+    let local = root.join("payload.txt");
+    std::fs::write(&local, b"raced").unwrap();
+    let local = local.to_str().unwrap();
+    for round in 0..2 {
+        let puts: Vec<Child> = (0..16)
+            .map(|i| owen.spawn(&["put", local, &format!("race/f{round}-{i}")]))
+            .collect();
+        for (i, put) in puts.into_iter().enumerate() {
+            let out = put.wait_with_output().unwrap();
+            assert!(
+                out.status.success(),
+                "round {round}, put {i} failed: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+    }
+    let listing = owen.ok(&["ls", "race"]);
+    assert_eq!(listing.lines().count(), 32, "{listing}");
+    assert!(owen.ok(&["fsck", "--deep"]).contains("volume is clean"));
+}
+
+/// A store written in the per-file layout of earlier versions is refused,
+/// untouched, with a message that names that layout.
+#[test]
+fn a_store_in_the_old_per_file_layout_is_refused() {
+    let root = test_root("old-layout");
+    let owen = Cli::new(&root, "owen");
+    std::fs::create_dir_all(&owen.store).unwrap();
+    std::fs::write(owen.store.join("%versions%"), b"NXDV").unwrap();
+    let err = owen.fails(&["ls"]);
+    assert!(err.contains("%versions%") && err.contains("DirBackend"), "got: {err}");
+    let names: Vec<_> =
+        std::fs::read_dir(&owen.store).unwrap().map(|e| e.unwrap().file_name()).collect();
+    assert_eq!(names, ["%versions%"]);
 }

@@ -2,8 +2,8 @@
 //!
 //! An [`Enclave<S>`] holds private state `S` that is only reachable through
 //! [`Enclave::ecall`], mirroring how SGX code can only be entered through
-//! predeclared entry points. The state is dropped (EPC pages "cleared") when
-//! the enclave is destroyed.
+//! predeclared entry points. The state is dropped (EPC pages "cleared") with
+//! the last handle to the enclave.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -76,17 +76,10 @@ impl TransitionStats {
     pub fn enclave_time(&self) -> std::time::Duration {
         std::time::Duration::from_nanos(self.enclave_nanos.load(Ordering::Relaxed))
     }
-
-    /// Resets all counters (between benchmark phases).
-    pub fn reset(&self) {
-        self.ecalls.store(0, Ordering::Relaxed);
-        self.ocalls.store(0, Ordering::Relaxed);
-        self.enclave_nanos.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Capabilities available to code running *inside* the enclave: sealing,
-/// quoting, hardware randomness, monotonic counters, ocall bookkeeping.
+/// quoting, hardware randomness, ocall bookkeeping, EPC accounting.
 pub struct EnclaveEnv<'a> {
     platform: &'a Platform,
     measurement: Measurement,
@@ -156,7 +149,7 @@ struct EnclaveInner<S> {
     platform: Platform,
     measurement: Measurement,
     /// Private state; `Mutex` models the EPC pages holding enclave data.
-    data: Mutex<Option<S>>,
+    data: Mutex<S>,
     stats: TransitionStats,
     epc: EpcUsage,
 }
@@ -199,7 +192,7 @@ impl<S> Enclave<S> {
             inner: Arc::new(EnclaveInner {
                 platform: platform.clone(),
                 measurement: image.measurement(),
-                data: Mutex::new(Some(initial_state)),
+                data: Mutex::new(initial_state),
                 stats: TransitionStats::default(),
                 epc: EpcUsage::new(),
             }),
@@ -228,10 +221,6 @@ impl<S> Enclave<S> {
 
     /// Enters the enclave (EENTER): runs `f` against the private state with
     /// access to in-enclave capabilities.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the enclave was destroyed.
     pub fn ecall<R>(&self, f: impl FnOnce(&mut S, &EnclaveEnv<'_>) -> R) -> R {
         self.inner.stats.ecalls.fetch_add(1, Ordering::Relaxed);
         let started = std::time::Instant::now();
@@ -241,23 +230,12 @@ impl<S> Enclave<S> {
             stats: &self.inner.stats,
             epc: &self.inner.epc,
         };
-        let mut data = self.inner.data.lock();
-        let state = data.as_mut().expect("ecall into destroyed enclave");
-        let result = f(state, &env);
+        let result = f(&mut self.inner.data.lock(), &env);
         let elapsed = started.elapsed().as_nanos() as u64;
         self.inner.stats.enclave_nanos.fetch_add(elapsed, Ordering::Relaxed);
         result
     }
 
-    /// Destroys the enclave, dropping its state (EPC pages are cleared).
-    pub fn destroy(&self) {
-        *self.inner.data.lock() = None;
-    }
-
-    /// True once [`Enclave::destroy`] has run.
-    pub fn is_destroyed(&self) -> bool {
-        self.inner.data.lock().is_none()
-    }
 }
 
 #[cfg(test)]
@@ -299,17 +277,6 @@ mod tests {
         });
         assert_eq!(e.stats().ecalls(), 1);
         assert_eq!(e.stats().ocalls(), 2);
-        e.stats().reset();
-        assert_eq!(e.stats().ecalls(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "destroyed enclave")]
-    fn ecall_after_destroy_panics() {
-        let e = Enclave::create(&Platform::new(), &image(), ());
-        e.destroy();
-        assert!(e.is_destroyed());
-        e.ecall(|_, _| ());
     }
 
     #[test]

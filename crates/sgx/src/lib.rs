@@ -19,9 +19,9 @@
 //!
 //! The simulation is faithful in its *failure modes*: unsealing on the wrong
 //! platform fails, a quote from an unregistered or revoked platform fails,
-//! a quote whose report data was altered fails, and destroying an enclave
-//! drops its state. These are exactly the checks NEXUS's authentication and
-//! rootkey-exchange protocols (paper §IV-B) exercise.
+//! and a quote whose report data was altered fails. These are exactly the
+//! checks NEXUS's authentication and rootkey-exchange protocols (paper
+//! §IV-B) exercise.
 //!
 //! ## Example
 //!

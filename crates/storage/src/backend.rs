@@ -18,7 +18,7 @@ pub enum StorageError {
     BadRange { path: String, offset: u64, len: u64, size: u64 },
     /// An OS-level I/O failure (DirBackend).
     Io(String),
-    /// The lock is held by another client.
+    /// The lock is held by another client, or the store by another handle.
     LockContended(String),
 }
 

@@ -2,22 +2,22 @@
 //!
 //! [`LogBackend`] is the durable counterpart of [`crate::MemBackend`]: its
 //! live image is the same object map (`mem::ObjectMap`: per-put version
-//! bumps, advisory locks, atomic batches), persisted so that a host crash —
-//! or restart — at *any* instant loses at most the operation in flight.
-//! Checkpoints, recovery replay and [`LogBackend::audit`] all rebuild one
-//! such map. The design (DESIGN.md §12) is the classic write-ahead shape
-//! production stores use:
+//! bumps, advisory locks, atomic batches), whose objects and versions are
+//! persisted so that a host crash — or restart — at *any* instant loses at
+//! most the operation in flight. Checkpoints, recovery replay and
+//! [`LogBackend::audit`] all rebuild one such map. The design (DESIGN.md
+//! §12) is the classic write-ahead shape production stores use:
 //!
-//! - **Append-only segment files** (`seg-NNNNNNNNNN.log`): every mutating
-//!   call is one length-prefixed, CRC-32-checksummed frame holding that
-//!   call's records — a `put`, `delete`, `lock` or `unlock` one record, a
-//!   `put_many` one per item — each carrying the path, the assigned
-//!   version (or lock epoch), and the payload. The frame is fsynced before
-//!   the call is acknowledged; all writes go through one private `commit`.
+//! - **Append-only segment files** (`seg-NNNNNNNNNN.log`): every `put`,
+//!   `delete` and `put_many` is one length-prefixed, CRC-32-checksummed
+//!   frame holding that call's records — one per item — each carrying the
+//!   path, the assigned version and the payload. The frame is fsynced
+//!   before the call is acknowledged; all writes go through one private
+//!   `commit`.
 //! - **Checkpoints** (`ckpt-NNNNNNNNNN.idx`): periodically the full object
-//!   map + lock table is written to a temp file, fsynced, and committed by
-//!   an atomic rename followed by a directory fsync; segments older than
-//!   the checkpoint's watermark are then deleted. A checkpoint is the
+//!   map is written to a temp file, fsynced, and committed by an atomic
+//!   rename followed by a directory fsync; segments older than the
+//!   checkpoint's watermark are then deleted. A checkpoint is the
 //!   compaction step of the log-structured layout — overwritten versions
 //!   are dropped, so recovery cost is bounded by `checkpoint_every`, not
 //!   by history length.
@@ -27,8 +27,7 @@
 //!   watermark in order, truncating the log at the first corrupt frame —
 //!   the torn tail a crash mid-append leaves behind. A frame is decoded
 //!   whole before any of its records applies, so a batch comes back all
-//!   or none. Object versions and lock epochs come back exactly as
-//!   acknowledged.
+//!   or none. Objects and versions come back exactly as acknowledged.
 //!
 //! Every physical I/O step consults the [`crate::fault`] shim, so the
 //! crash-recovery suite (`tests/crash_recovery.rs`) can kill the backend
@@ -36,11 +35,14 @@
 //! dropped fsync — and differentially check recovery against the
 //! in-memory oracle.
 //!
-//! Advisory locks are persisted deliberately: the backend plays the *server*
-//! side of the paper's `flock()` protocol, and a server restart must not
-//! silently release a client's lock (the client would still believe it
-//! holds it). Each acquisition gets a monotonically increasing lock epoch,
-//! logged with the record and restored on reopen.
+//! One process holds a store: `open` takes `<root>/LOCK` with
+//! [`File::try_lock`] and keeps it for the handle's lifetime, so a second
+//! opener, in another process or this one, gets
+//! [`StorageError::LockContended`]. Advisory locks are therefore process
+//! state, kept in the image and never logged: like the server `flock` of
+//! the paper (§V-A), a lock lives exactly as long as the session holding
+//! it. Logs written while locks were logged still hold lock and unlock
+//! records and checkpoints a lock table; replay reads them and drops them.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
@@ -62,6 +64,8 @@ const CKPT_MAGIC: u32 = 0x4E58_434B;
 const FORMAT_VERSION: u32 = 1;
 /// Frame header: magic + payload length + payload CRC, 4 bytes each.
 const FRAME_HEADER: usize = 12;
+/// The file whose lock a handle holds (module doc).
+const LOCK_FILE: &str = "LOCK";
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE), table-driven; the checksum guarding records and checkpoints.
@@ -101,50 +105,55 @@ enum Record {
     Put { path: String, version: u64, data: Vec<u8> },
     /// Object removal.
     Delete { path: String },
-    /// Advisory lock acquisition at `epoch`.
-    Lock { path: String, owner: u64, epoch: u64 },
-    /// Advisory lock release.
-    Unlock { path: String, owner: u64 },
 }
 
 const OP_PUT: u8 = 1;
 const OP_DELETE: u8 = 2;
+/// Advisory lock and unlock records, which older logs hold: read and
+/// dropped, never written.
 const OP_LOCK: u8 = 3;
 const OP_UNLOCK: u8 = 4;
 
 impl Record {
-    /// Appends the record's encoding: op, sequence (version or lock
-    /// epoch), owner, then the length-prefixed path and data.
+    /// Appends the record's encoding: op, version, a zero owner, then the
+    /// length-prefixed path and data.
     fn encode_into(&self, out: &mut Vec<u8>) {
-        let (op, path, seq, owner, data): (u8, &str, u64, u64, &[u8]) = match self {
-            Record::Put { path, version, data } => (OP_PUT, path, *version, 0, data),
-            Record::Delete { path } => (OP_DELETE, path, 0, 0, &[]),
-            Record::Lock { path, owner, epoch } => (OP_LOCK, path, *epoch, *owner, &[]),
-            Record::Unlock { path, owner } => (OP_UNLOCK, path, 0, *owner, &[]),
+        let (op, path, version, data): (u8, &str, u64, &[u8]) = match self {
+            Record::Put { path, version, data } => (OP_PUT, path, *version, data),
+            Record::Delete { path } => (OP_DELETE, path, 0, &[]),
         };
         out.reserve(1 + 8 + 8 + 4 + path.len() + 4 + data.len());
         out.push(op);
-        out.extend_from_slice(&seq.to_le_bytes());
-        out.extend_from_slice(&owner.to_le_bytes());
+        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&0u64.to_le_bytes());
         out.extend_from_slice(&(path.len() as u32).to_le_bytes());
         out.extend_from_slice(path.as_bytes());
         out.extend_from_slice(&(data.len() as u32).to_le_bytes());
         out.extend_from_slice(data);
     }
 
-    /// Reads one record from `r`.
-    fn decode(r: &mut Reader<'_>) -> Option<Record> {
+    /// Reads one record from `r`: `Some(None)` for a lock or unlock, which
+    /// decodes (so its frame is no torn tail) and then applies nothing.
+    fn decode(r: &mut Reader<'_>) -> Option<Option<Record>> {
         let op = r.u8()?;
         let seq = r.u64()?;
-        let owner = r.u64()?;
+        let _owner = r.u64()?;
         let path = String::from_utf8(r.bytes_u32_len()?.to_vec()).ok()?;
         let data = r.bytes_u32_len()?.to_vec();
         match op {
-            OP_PUT => Some(Record::Put { path, version: seq, data }),
-            OP_DELETE if data.is_empty() => Some(Record::Delete { path }),
-            OP_LOCK if data.is_empty() => Some(Record::Lock { path, owner, epoch: seq }),
-            OP_UNLOCK if data.is_empty() => Some(Record::Unlock { path, owner }),
+            OP_PUT => Some(Some(Record::Put { path, version: seq, data })),
+            OP_DELETE if data.is_empty() => Some(Some(Record::Delete { path })),
+            OP_LOCK | OP_UNLOCK if data.is_empty() => Some(None),
             _ => None,
+        }
+    }
+
+    fn apply(self, map: &mut ObjectMap) {
+        match self {
+            Record::Put { path, version, data } => map.insert(path, version, Arc::new(data)),
+            Record::Delete { path } => {
+                let _ = map.remove(&path);
+            }
         }
     }
 }
@@ -171,13 +180,14 @@ fn frame(records: &[Record]) -> Result<Vec<u8>, StorageError> {
     Ok(out)
 }
 
-/// Decodes every record of a frame's payload, or none: a payload that
-/// does not split exactly into one or more records is corrupt.
+/// Decodes every put and delete of a frame's payload, or none: a payload
+/// that does not split exactly into one or more records is corrupt. Lock
+/// and unlock records count toward the split and are dropped.
 fn decode_frame(payload: &[u8]) -> Option<Vec<Record>> {
     let mut r = Reader::new(payload);
     let mut records = Vec::new();
     loop {
-        records.push(Record::decode(&mut r)?);
+        records.extend(Record::decode(&mut r)?);
         if r.done() {
             return Some(records);
         }
@@ -275,7 +285,7 @@ struct ActiveSegment {
 struct LogInner {
     root: PathBuf,
     cfg: LogConfig,
-    image: Image,
+    image: ObjectMap,
     seg: ActiveSegment,
     /// Sequence of the newest committed checkpoint (0 = none yet).
     ckpt_seq: u64,
@@ -284,6 +294,9 @@ struct LogInner {
     ops_since_ckpt: u64,
     stats: IoStats,
     crashed: bool,
+    /// The open, `try_lock`ed `<root>/LOCK`; a crash drops it, as a dying
+    /// process would.
+    store_lock: Option<File>,
 }
 
 /// The log-structured, file-backed storage backend.
@@ -300,7 +313,7 @@ struct LogInner {
 /// let store = LogBackend::open("/tmp/nexus-volume").unwrap();
 /// store.put("4f2a..uuid", b"ciphertext").unwrap();
 /// drop(store);
-/// // A reopen recovers objects, versions, and lock epochs from the log.
+/// // A reopen recovers objects and versions from the log.
 /// let store = LogBackend::open("/tmp/nexus-volume").unwrap();
 /// assert_eq!(store.get("4f2a..uuid").unwrap(), b"ciphertext");
 /// assert_eq!(store.stat("4f2a..uuid").unwrap().version, 1);
@@ -324,6 +337,29 @@ fn ckpt_name(seq: u64) -> String {
 
 fn ckpt_tmp_name(seq: u64) -> String {
     format!("ckpt-{seq:010}.tmp")
+}
+
+/// Takes `<root>/LOCK` for as long as the returned `File` lives.
+///
+/// # Errors
+///
+/// [`StorageError::LockContended`] naming the file while another handle,
+/// here or in another process, holds it; [`StorageError::Io`] otherwise.
+fn lock_store(root: &Path) -> Result<File, StorageError> {
+    let path = root.join(LOCK_FILE);
+    let file = OpenOptions::new()
+        .create(true)
+        .truncate(false)
+        .write(true)
+        .open(&path)
+        .map_err(io_err)?;
+    match file.try_lock() {
+        Ok(()) => Ok(file),
+        Err(fs::TryLockError::WouldBlock) => {
+            Err(StorageError::LockContended(path.display().to_string()))
+        }
+        Err(fs::TryLockError::Error(e)) => Err(io_err(e)),
+    }
 }
 
 /// Parses `prefix-NNNNNNNNNN.suffix` names back to their sequence number.
@@ -371,65 +407,38 @@ fn scan_segment(
     SegmentScan::Clean
 }
 
-/// What the log and its checkpoints describe: the object map (objects,
-/// versions, lock holders) and the lock epoch, the count of acquisitions
-/// over the store's lifetime.
-#[derive(Debug, Default)]
-struct Image {
-    map: ObjectMap,
-    lock_epoch: u64,
-}
-
-impl Image {
-    fn apply(&mut self, rec: Record) {
-        match rec {
-            Record::Put { path, version, data } => self.map.insert(path, version, Arc::new(data)),
-            Record::Delete { path } => {
-                let _ = self.map.remove(&path);
-            }
-            Record::Lock { path, owner, epoch } => {
-                self.map.set_lock(path, owner);
-                self.lock_epoch = self.lock_epoch.max(epoch);
-            }
-            Record::Unlock { path, owner } => self.map.unlock(&path, owner),
-        }
-    }
-}
-
-/// A decoded checkpoint: the image snapshot plus its log watermark.
+/// A decoded checkpoint: the object map plus its log watermark.
 struct Checkpoint {
     watermark: u64,
-    image: Image,
+    image: ObjectMap,
 }
 
 impl Checkpoint {
-    fn encode(image: &Image, ckpt_seq: u64, watermark: u64) -> Vec<u8> {
+    /// Encodes `image`'s objects; the lock epoch and lock table an older
+    /// reader expects are written as zero and empty.
+    fn encode(image: &ObjectMap, ckpt_seq: u64, watermark: u64) -> Vec<u8> {
         let mut body = Vec::new();
         body.extend_from_slice(&CKPT_MAGIC.to_le_bytes());
         body.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         body.extend_from_slice(&ckpt_seq.to_le_bytes());
         body.extend_from_slice(&watermark.to_le_bytes());
-        body.extend_from_slice(&image.lock_epoch.to_le_bytes());
-        body.extend_from_slice(&(image.map.len() as u64).to_le_bytes());
-        for (path, version, data) in image.map.objects() {
+        body.extend_from_slice(&0u64.to_le_bytes());
+        body.extend_from_slice(&(image.len() as u64).to_le_bytes());
+        for (path, version, data) in image.objects() {
             body.extend_from_slice(&(path.len() as u32).to_le_bytes());
             body.extend_from_slice(path.as_bytes());
             body.extend_from_slice(&version.to_le_bytes());
             body.extend_from_slice(&(data.len() as u32).to_le_bytes());
             body.extend_from_slice(data);
         }
-        let locks: Vec<(&str, u64)> = image.map.locks().collect();
-        body.extend_from_slice(&(locks.len() as u64).to_le_bytes());
-        for (path, owner) in locks {
-            body.extend_from_slice(&(path.len() as u32).to_le_bytes());
-            body.extend_from_slice(path.as_bytes());
-            body.extend_from_slice(&owner.to_le_bytes());
-        }
+        body.extend_from_slice(&0u64.to_le_bytes());
         let crc = crc32(&body);
         body.extend_from_slice(&crc.to_le_bytes());
         body
     }
 
+    /// Decodes a checkpoint, dropping the lock epoch and lock entries an
+    /// older writer may have put in it.
     fn decode(bytes: &[u8], expect_seq: u64) -> Option<Checkpoint> {
         if bytes.len() < 4 {
             return None;
@@ -447,16 +456,18 @@ impl Checkpoint {
             return None;
         }
         let watermark = r.u64()?;
-        let mut image = Image { map: ObjectMap::default(), lock_epoch: r.u64()? };
+        r.u64()?; // the lock epoch: read, dropped
+        let mut image = ObjectMap::default();
         for _ in 0..r.u64()? {
             let path = String::from_utf8(r.bytes_u32_len()?.to_vec()).ok()?;
             let version = r.u64()?;
             let data = r.bytes_u32_len()?.to_vec();
-            image.map.insert(path, version, Arc::new(data));
+            image.insert(path, version, Arc::new(data));
         }
         for _ in 0..r.u64()? {
-            let path = String::from_utf8(r.bytes_u32_len()?.to_vec()).ok()?;
-            image.map.set_lock(path, r.u64()?);
+            // A lock entry, path and owner: read, dropped.
+            String::from_utf8(r.bytes_u32_len()?.to_vec()).ok()?;
+            r.u64()?;
         }
         if !r.done() {
             return None;
@@ -484,6 +495,7 @@ impl LogInner {
 
     fn crash(&mut self, what: &str) -> StorageError {
         self.crashed = true;
+        self.store_lock = None;
         StorageError::Io(format!("injected crash: {what}"))
     }
 
@@ -528,10 +540,8 @@ impl LogInner {
                     self.stats.bytes_written += data.len() as u64;
                 }
                 Record::Delete { .. } => self.stats.deletes += 1,
-                Record::Lock { .. } => self.stats.locks += 1,
-                Record::Unlock { .. } => {}
             }
-            self.image.apply(rec);
+            rec.apply(&mut self.image);
         }
         self.note_ops(n)
     }
@@ -649,9 +659,10 @@ impl LogBackend {
     ///
     /// # Errors
     ///
-    /// [`StorageError::Io`] on filesystem failures or a corrupt *committed*
-    /// checkpoint (which a crash cannot produce — it means bit rot or
-    /// tampering, so recovery refuses to silently drop state).
+    /// [`StorageError::LockContended`] while another handle holds the
+    /// store; [`StorageError::Io`] on filesystem failures or a corrupt
+    /// *committed* checkpoint (which a crash cannot produce — it means bit
+    /// rot or tampering, so recovery refuses to silently drop state).
     pub fn open(root: impl AsRef<Path>) -> Result<LogBackend, StorageError> {
         LogBackend::open_with(root, LogConfig::default())
     }
@@ -667,6 +678,7 @@ impl LogBackend {
     pub fn open_with(root: impl AsRef<Path>, cfg: LogConfig) -> Result<LogBackend, StorageError> {
         let root = root.as_ref().to_path_buf();
         fs::create_dir_all(&root).map_err(io_err)?;
+        let store_lock = lock_store(&root)?;
 
         // Inventory the directory.
         let mut segs: BTreeMap<u64, PathBuf> = BTreeMap::new();
@@ -687,7 +699,7 @@ impl LogBackend {
         // Load the newest committed checkpoint. A committed checkpoint was
         // fully fsynced before its rename, so failing to decode one is not
         // a crash artifact — refuse to open rather than losing data.
-        let mut image = Image::default();
+        let mut image = ObjectMap::default();
         let mut watermark = 0u64;
         let mut ckpt_seq = 0u64;
         if let Some((&seq, path)) = ckpts.iter().next_back() {
@@ -719,7 +731,7 @@ impl LogBackend {
                 }
             }
             let bytes = fs::read(path).map_err(io_err)?;
-            let scan = scan_segment(&bytes, |rec| image.apply(rec));
+            let scan = scan_segment(&bytes, |rec| rec.apply(&mut image));
             if let SegmentScan::CorruptAt(offset) = scan {
                 let f = OpenOptions::new().write(true).open(path).map_err(io_err)?;
                 f.set_len(offset).map_err(io_err)?;
@@ -770,6 +782,7 @@ impl LogBackend {
             ops_since_ckpt: 0,
             stats: IoStats::default(),
             crashed: false,
+            store_lock: Some(store_lock),
         };
         Ok(LogBackend { inner: Arc::new(Mutex::new(inner)) })
     }
@@ -791,19 +804,7 @@ impl LogBackend {
         self.inner.lock().crashed
     }
 
-    /// Current advisory-lock holders, sorted by path (recovery-inspection
-    /// surface for the differential suite).
-    pub fn lock_holders(&self) -> Vec<(String, u64)> {
-        self.inner.lock().image.map.locks().map(|(p, o)| (p.to_string(), o)).collect()
-    }
-
-    /// The persisted lock epoch: total successful acquisitions over the
-    /// store's lifetime, surviving reopen.
-    pub fn lock_epoch(&self) -> u64 {
-        self.inner.lock().image.lock_epoch
-    }
-
-    /// On-disk footprint: (number of log/checkpoint files, total bytes).
+    /// On-disk footprint: (number of files in the store root, total bytes).
     pub fn disk_footprint(&self) -> (u64, u64) {
         let inner = self.inner.lock();
         let mut files = 0u64;
@@ -822,9 +823,8 @@ impl LogBackend {
     /// Audits the on-disk form against the in-memory state (the storage
     /// half of `fsck`): checkpoint validity, segment contiguity and record
     /// integrity, absence of uncommitted temp files, and an independent
-    /// replay that must reconstruct exactly the live object map, lock
-    /// table, and lock epoch. Returns human-readable findings; empty means
-    /// clean.
+    /// replay that must reconstruct exactly the live objects and versions.
+    /// Returns human-readable findings; empty means clean.
     pub fn audit(&self) -> Vec<String> {
         let inner = self.inner.lock();
         let mut findings = Vec::new();
@@ -843,14 +843,14 @@ impl LogBackend {
                 segs.insert(seq, entry.path());
             } else if let Some(seq) = parse_seq(&name, "ckpt-", ".idx") {
                 ckpts.insert(seq, entry.path());
-            } else {
+            } else if name != LOCK_FILE {
                 findings.push(format!("unexpected file in store root: {name}"));
             }
         }
 
         // Checkpoint: at most the committed one, decodable, watermark
         // agreeing with the in-memory view.
-        let mut replay = Image::default();
+        let mut replay = ObjectMap::default();
         let mut watermark = 0u64;
         for (&seq, path) in &ckpts {
             if seq != inner.ckpt_seq {
@@ -888,7 +888,7 @@ impl LogBackend {
             let path = &segs[&seq];
             match fs::read(path) {
                 Ok(bytes) => {
-                    let scan = scan_segment(&bytes, |rec| replay.apply(rec));
+                    let scan = scan_segment(&bytes, |rec| rec.apply(&mut replay));
                     if let SegmentScan::CorruptAt(off) = scan {
                         findings.push(format!(
                             "corrupt frame in {} at offset {off}",
@@ -905,25 +905,14 @@ impl LogBackend {
             }
         }
 
-        // Independent replay must reconstruct the live image exactly.
-        if findings.is_empty() {
-            let live = &inner.image;
-            if replay.map != live.map {
-                findings.push(format!(
-                    "replayed object map ({} objects, {} locks) disagrees with the live one \
-                     ({} objects, {} locks)",
-                    replay.map.len(),
-                    replay.map.locks().count(),
-                    live.map.len(),
-                    live.map.locks().count()
-                ));
-            }
-            if replay.lock_epoch != live.lock_epoch {
-                findings.push(format!(
-                    "replayed lock epoch {} != live {}",
-                    replay.lock_epoch, live.lock_epoch
-                ));
-            }
+        // Independent replay must reconstruct the live objects and
+        // versions exactly.
+        if findings.is_empty() && !replay.objects().eq(inner.image.objects()) {
+            findings.push(format!(
+                "replayed object map ({} objects) disagrees with the live one ({} objects)",
+                replay.len(),
+                inner.image.len()
+            ));
         }
         findings
     }
@@ -933,7 +922,7 @@ impl StorageBackend for LogBackend {
     fn put(&self, path: &str, data: &[u8]) -> Result<(), StorageError> {
         let mut inner = self.inner.lock();
         inner.guard()?;
-        let version = inner.image.map.version(path) + 1;
+        let version = inner.image.version(path) + 1;
         inner.commit(vec![Record::Put { path: path.to_string(), version, data: data.to_vec() }])
     }
 
@@ -944,7 +933,7 @@ impl StorageBackend for LogBackend {
     fn get_range(&self, path: &str, offset: u64, len: u64) -> Result<Vec<u8>, StorageError> {
         let mut inner = self.inner.lock();
         inner.guard()?;
-        let out = inner.image.map.get_range(path, offset, len)?;
+        let out = inner.image.get_range(path, offset, len)?;
         inner.stats.reads += 1;
         inner.stats.bytes_read += len;
         Ok(out)
@@ -953,12 +942,12 @@ impl StorageBackend for LogBackend {
     fn delete(&self, path: &str) -> Result<(), StorageError> {
         let mut inner = self.inner.lock();
         inner.guard()?;
-        inner.image.map.stat(path)?; // NotFound before anything is logged
+        inner.image.stat(path)?; // NotFound before anything is logged
         inner.commit(vec![Record::Delete { path: path.to_string() }])
     }
 
     fn exists(&self, path: &str) -> bool {
-        self.inner.lock().image.map.contains(path)
+        self.inner.lock().image.contains(path)
     }
 
     fn stat(&self, path: &str) -> Result<ObjectStat, StorageError> {
@@ -966,22 +955,19 @@ impl StorageBackend for LogBackend {
     }
 
     fn list(&self, prefix: &str) -> Vec<String> {
-        self.inner.lock().image.map.list(prefix)
+        self.inner.lock().image.list(prefix)
     }
 
     fn lock(&self, path: &str, owner: u64) -> Result<(), StorageError> {
         let mut inner = self.inner.lock();
         inner.guard()?;
-        inner.image.map.check_lock(path, owner)?;
-        let epoch = inner.image.lock_epoch + 1;
-        inner.commit(vec![Record::Lock { path: path.to_string(), owner, epoch }])
+        inner.image.lock(path, owner)?;
+        inner.stats.locks += 1;
+        Ok(())
     }
 
     fn unlock(&self, path: &str, owner: u64) {
-        let mut inner = self.inner.lock();
-        if inner.guard().is_ok() && inner.image.map.holds(path, owner) {
-            let _ = inner.commit(vec![Record::Unlock { path: path.to_string(), owner }]);
-        }
+        self.inner.lock().image.unlock(path, owner);
     }
 
     fn put_many(&self, items: &[(String, Vec<u8>)]) -> Vec<Result<(), StorageError>> {
@@ -995,7 +981,7 @@ impl StorageBackend for LogBackend {
                 .map(|(path, data)| {
                     let current = match versions.get(path.as_str()) {
                         Some(&v) => v,
-                        None => inner.image.map.version(path),
+                        None => inner.image.version(path),
                     };
                     versions.insert(path, current + 1);
                     Record::Put { path: path.clone(), version: current + 1, data: data.clone() }
@@ -1017,7 +1003,7 @@ impl StorageBackend for LogBackend {
         paths
             .iter()
             .map(|path| {
-                let (data, _) = inner.image.map.get(path)?;
+                let (data, _) = inner.image.get(path)?;
                 inner.stats.reads += 1;
                 inner.stats.bytes_read += data.len() as u64;
                 Ok(data.as_ref().clone())
@@ -1030,7 +1016,7 @@ impl StorageBackend for LogBackend {
         if let Err(e) = inner.guard() {
             return paths.iter().map(|_| Err(e.clone())).collect();
         }
-        paths.iter().map(|path| inner.image.map.stat(path)).collect()
+        paths.iter().map(|path| inner.image.stat(path)).collect()
     }
 
     fn stats(&self) -> IoStats {
@@ -1098,11 +1084,9 @@ mod tests {
         assert_eq!(store.get("x").unwrap(), b"2");
         assert_eq!(store.stat("x").unwrap().version, 2);
         assert_eq!(store.get("dir/child").unwrap(), vec![7u8; 1000]);
-        assert_eq!(store.lock_holders(), vec![("x".to_string(), 42)]);
-        assert_eq!(store.lock_epoch(), 1);
-        // The lock survives for its owner, still excludes others.
-        assert!(store.lock("x", 42).is_ok());
-        assert!(matches!(store.lock("x", 7), Err(StorageError::LockContended(_))));
+        // The lock died with the handle that held it.
+        store.lock("x", 7).unwrap();
+        assert!(matches!(store.lock("x", 42), Err(StorageError::LockContended(_))));
         assert!(store.audit().is_empty(), "{:?}", store.audit());
     }
 
@@ -1269,17 +1253,16 @@ mod tests {
     }
 
     /// What a store reads back from its directory: every object with its
-    /// version, the lock holders and the lock epoch.
-    fn image_of(store: &LogBackend) -> (Vec<(String, Vec<u8>, u64)>, Vec<(String, u64)>, u64) {
-        let objects = store
+    /// version.
+    fn image_of(store: &LogBackend) -> Vec<(String, Vec<u8>, u64)> {
+        store
             .list("")
             .into_iter()
             .map(|p| {
                 let data = store.get(&p).unwrap();
                 (p.clone(), data, store.stat(&p).unwrap().version)
             })
-            .collect();
-        (objects, store.lock_holders(), store.lock_epoch())
+            .collect()
     }
 
     #[test]
@@ -1287,8 +1270,6 @@ mod tests {
         let records = vec![
             Record::Put { path: "p/%2F".into(), version: 9, data: vec![1, 2, 3] },
             Record::Delete { path: String::new() },
-            Record::Lock { path: "l".into(), owner: u64::MAX, epoch: 7 },
-            Record::Unlock { path: "l".into(), owner: 3 },
         ];
         for rec in &records {
             let framed = frame(std::slice::from_ref(rec)).unwrap();
@@ -1321,6 +1302,121 @@ mod tests {
         assert_eq!(fs::read(root.join(seg_name(0))).unwrap(), golden);
     }
 
+    /// The frame of `put("ab", [1, 2, 3])` at version 1, as above.
+    const PUT_FRAME: [u8; 42] = [
+        0x47, 0x4C, 0x58, 0x4E, 0x1E, 0x00, 0x00, 0x00, 0x61, 0xC0, 0xFC, 0x7D, // header
+        0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // op 1, version 1
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // owner 0
+        0x02, 0x00, 0x00, 0x00, 0x61, 0x62, 0x03, 0x00, 0x00, 0x00, 0x01, 0x02, 0x03,
+    ];
+
+    /// A lock of "ab" by owner 5 at lock epoch 1, as logs held it while
+    /// locks were logged: op 3, epoch, owner, path, empty data.
+    const LOCK_FRAME: [u8; 39] = [
+        0x47, 0x4C, 0x58, 0x4E, 0x1B, 0x00, 0x00, 0x00, 0xEF, 0x90, 0xA6, 0x8E, // header
+        0x03, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // op 3, epoch 1
+        0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // owner 5
+        0x02, 0x00, 0x00, 0x00, 0x61, 0x62, 0x00, 0x00, 0x00, 0x00,
+    ];
+
+    /// Owner 5's unlock of "ab": op 4, sequence 0.
+    const UNLOCK_FRAME: [u8; 39] = [
+        0x47, 0x4C, 0x58, 0x4E, 0x1B, 0x00, 0x00, 0x00, 0xFE, 0x70, 0x6E, 0xBB, // header
+        0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // op 4, sequence 0
+        0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // owner 5
+        0x02, 0x00, 0x00, 0x00, 0x61, 0x62, 0x00, 0x00, 0x00, 0x00,
+    ];
+
+    /// Opens `root`, checks it holds "ab" = [1, 2, 3] at `version` and
+    /// audits clean, and that no lock is held: owner 6 takes "ab".
+    fn assert_ab_at(root: &Path, version: u64) {
+        let store = LogBackend::open(root).unwrap();
+        assert_eq!(image_of(&store), vec![("ab".to_string(), vec![1, 2, 3], version)]);
+        assert!(store.audit().is_empty(), "{:?}", store.audit());
+        store.lock("ab", 6).unwrap();
+    }
+
+    /// Lock and unlock frames an older log holds replay as nothing: the
+    /// put before them stands, and the lock is not held.
+    #[test]
+    fn logged_lock_and_unlock_frames_replay_to_no_lock() {
+        for tail in [&LOCK_FRAME[..], &UNLOCK_FRAME[..], &[LOCK_FRAME, UNLOCK_FRAME].concat()] {
+            let root = tmp();
+            fs::create_dir_all(&root).unwrap();
+            fs::write(root.join(seg_name(0)), [&PUT_FRAME[..], tail].concat()).unwrap();
+            assert_ab_at(&root, 1);
+            // Replay kept the frames whole rather than cutting them as torn.
+            let kept = fs::read(root.join(seg_name(0))).unwrap();
+            assert_eq!(kept.len(), PUT_FRAME.len() + tail.len());
+        }
+    }
+
+    /// A checkpoint an older writer made: lock epoch 7 and "ab" locked by
+    /// owner 5 beside "ab" = [1, 2, 3] at version 3. Its objects load; its
+    /// lock is dropped.
+    #[test]
+    fn a_checkpoint_with_a_lock_table_reopens_with_no_lock_held() {
+        let golden: [u8; 87] = [
+            0x4B, 0x43, 0x58, 0x4E, 0x01, 0x00, 0x00, 0x00, // "NXCK", format 1
+            0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // checkpoint 1
+            0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // watermark 1
+            0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // lock epoch 7
+            0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // one object
+            0x02, 0x00, 0x00, 0x00, 0x61, 0x62, // "ab"
+            0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // version 3
+            0x03, 0x00, 0x00, 0x00, 0x01, 0x02, 0x03, // data
+            0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // one lock
+            0x02, 0x00, 0x00, 0x00, 0x61, 0x62, // "ab"
+            0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // owner 5
+            0x9A, 0xC3, 0x62, 0x91, // CRC-32
+        ];
+        let root = tmp();
+        fs::create_dir_all(&root).unwrap();
+        fs::write(root.join(ckpt_name(1)), golden).unwrap();
+        assert_ab_at(&root, 3);
+        // The next checkpoint writes lock epoch 0 and no lock entry.
+        let store = LogBackend::open(&root).unwrap();
+        store.lock("ab", 6).unwrap();
+        store.checkpoint_now().unwrap();
+        let rewritten = fs::read(root.join(ckpt_name(2))).unwrap();
+        assert_eq!(rewritten.len(), golden.len() - 14);
+        assert_eq!(rewritten[24..32], [0; 8], "lock epoch");
+        assert_eq!(rewritten[rewritten.len() - 12..rewritten.len() - 4], [0; 8], "lock count");
+    }
+
+    /// One handle holds a store: a second open is refused while any clone
+    /// of it lives, and succeeds once the last is dropped.
+    #[test]
+    fn a_second_open_is_refused_while_a_handle_lives() {
+        let root = tmp();
+        let store = open_cfg(&root, 0);
+        let clone = store.clone();
+        drop(store);
+        let refused = LogBackend::open(&root).unwrap_err();
+        assert_eq!(refused, StorageError::LockContended(root.join("LOCK").display().to_string()));
+        clone.put("ab", &[1, 2, 3]).unwrap();
+        clone.lock("ab", 5).unwrap();
+        // Locks write nothing: the segment is the put's frame alone.
+        assert_eq!(fs::read(root.join(seg_name(0))).unwrap(), PUT_FRAME);
+        drop(clone);
+        assert_ab_at(&root, 1);
+    }
+
+    /// A crash lets go of the store as a dying process would, though the
+    /// crashed handle is still referenced.
+    #[test]
+    fn a_crashed_handle_does_not_block_the_reopen() {
+        let root = tmp();
+        let cfg = LogConfig {
+            checkpoint_every: 0,
+            fault_hook: Some(crate::fault::FireAt::new(1, crate::FaultKind::Drop)),
+        };
+        let crashed = LogBackend::open_with(&root, cfg).unwrap();
+        crashed.put("ab", &[1, 2, 3]).unwrap_err();
+        assert!(crashed.crashed());
+        assert!(LogBackend::open(&root).unwrap().list("").is_empty());
+    }
+
     /// A segment written before a frame could hold several records has a
     /// batch as one frame per record; it replays to the image the same
     /// calls make today.
@@ -1343,20 +1439,22 @@ mod tests {
         fs::create_dir_all(&earlier).unwrap();
         let records = [
             Record::Put { path: "a".into(), version: 1, data: b"old".to_vec() },
-            Record::Lock { path: "b".into(), owner: 5, epoch: 1 },
             Record::Put { path: "a".into(), version: 2, data: b"new".to_vec() },
             Record::Put { path: "b".into(), version: 1, data: b"fresh".to_vec() },
             Record::Put { path: "a".into(), version: 3, data: b"newest".to_vec() },
             Record::Delete { path: "a".into() },
         ];
-        let segment: Vec<u8> =
+        let mut segment: Vec<u8> =
             records.iter().flat_map(|rec| frame(std::slice::from_ref(rec)).unwrap()).collect();
+        // The lock taken after the first put was logged then.
+        let first = frame(&records[..1]).unwrap().len();
+        segment.splice(first..first, LOCK_FRAME);
         fs::write(earlier.join(seg_name(0)), segment).unwrap();
 
         let today = LogBackend::open(&today).unwrap();
         let earlier = LogBackend::open(&earlier).unwrap();
         assert_eq!(image_of(&earlier), image_of(&today));
-        assert_eq!(image_of(&earlier).0, vec![("b".to_string(), b"fresh".to_vec(), 1)]);
+        assert_eq!(image_of(&earlier), vec![("b".to_string(), b"fresh".to_vec(), 1)]);
         assert!(earlier.audit().is_empty(), "{:?}", earlier.audit());
     }
 

@@ -6,8 +6,8 @@
 //! the chain), bounds-checked ranged reads, sorted prefix listing, and the
 //! advisory lock table whose owner may re-take its own lock. Objects and
 //! locks are hashed, sorted on the way out: a lookup by name is one hash
-//! probe, and every listing (`list`, `objects`, `locks`) sorts what it
-//! returns by path, so listings, `LogBackend` checkpoints and audit
+//! probe, and every listing (`list`, `objects`) sorts what it returns by
+//! path, so listings, `LogBackend` checkpoints and audit
 //! replays come out in the same order whatever order the objects went in.
 //! [`MemBackend`] keeps one behind a single `RwLock`; `LogBackend`
 //! ([`crate::logstore`]) keeps its live image, its checkpoints and its
@@ -136,34 +136,21 @@ impl ObjectMap {
         self.objects.values().map(|o| o.data.len() as u64).sum()
     }
 
-    /// `(path, owner)` of every held lock, sorted by path.
-    pub(crate) fn locks(&self) -> impl Iterator<Item = (&str, u64)> {
-        let mut locks: Vec<_> = self.locks.iter().map(|(p, &o)| (p.as_str(), o)).collect();
-        locks.sort_unstable_by_key(|&(path, _)| path);
-        locks.into_iter()
-    }
-
-    /// Fails when another owner holds `path`'s lock; its holder may take
-    /// it again.
-    pub(crate) fn check_lock(&self, path: &str, owner: u64) -> Result<(), StorageError> {
+    /// Takes `path`'s lock for `owner`; fails when another owner holds
+    /// it, while its holder may take it again.
+    pub(crate) fn lock(&mut self, path: &str, owner: u64) -> Result<(), StorageError> {
         match self.locks.get(path) {
             Some(&holder) if holder != owner => Err(StorageError::LockContended(path.to_string())),
-            _ => Ok(()),
+            _ => {
+                self.locks.insert(path.to_string(), owner);
+                Ok(())
+            }
         }
-    }
-
-    pub(crate) fn set_lock(&mut self, path: String, owner: u64) {
-        self.locks.insert(path, owner);
-    }
-
-    /// True when `owner` holds `path`'s lock.
-    pub(crate) fn holds(&self, path: &str, owner: u64) -> bool {
-        self.locks.get(path) == Some(&owner)
     }
 
     /// Releases `path`'s lock if `owner` holds it.
     pub(crate) fn unlock(&mut self, path: &str, owner: u64) {
-        if self.holds(path, owner) {
+        if self.locks.get(path) == Some(&owner) {
             self.locks.remove(path);
         }
     }
@@ -287,9 +274,7 @@ impl StorageBackend for MemBackend {
     }
 
     fn lock(&self, path: &str, owner: u64) -> Result<(), StorageError> {
-        let mut map = self.map.write();
-        map.check_lock(path, owner)?;
-        map.set_lock(path.to_string(), owner);
+        self.map.write().lock(path, owner)?;
         self.stats.locks.fetch_add(1, Relaxed);
         Ok(())
     }
@@ -384,8 +369,8 @@ mod tests {
     }
 
     /// Objects and locks hashed, listings sorted: two maps filled in
-    /// opposite orders give the same `list`, `objects` and `locks`, and
-    /// each comes out sorted by path.
+    /// opposite orders give the same `list` and `objects`, each sorted by
+    /// path, and equal lock tables.
     #[test]
     fn insertion_order_changes_no_listing() {
         // Names in two namespaces, in an order no sort produces.
@@ -402,7 +387,7 @@ mod tests {
                 if name.ends_with(['0', '5', 'a']) {
                     map.put(name, &name.as_bytes()[..4]);
                 }
-                map.set_lock(name.clone(), name.len() as u64);
+                map.lock(name, name.len() as u64).unwrap();
             }
             map
         };
@@ -420,10 +405,6 @@ mod tests {
         assert_eq!(objects(&a).len(), names.len());
         assert!(objects(&a).is_sorted_by_key(|(p, ..)| p.clone()));
         assert!(objects(&a).iter().any(|(_, v, _)| *v == 2));
-        let locks = |map: &ObjectMap| map.locks().map(|(p, o)| (p.to_string(), o)).collect::<Vec<_>>();
-        assert_eq!(locks(&a), locks(&b));
-        assert_eq!(locks(&a).len(), names.len());
-        assert!(locks(&a).is_sorted());
         assert_eq!(a, b);
     }
 

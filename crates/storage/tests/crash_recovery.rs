@@ -7,6 +7,10 @@
 //!    every per-op result must agree, the final worlds must match, and the
 //!    match must survive a reopen with a clean on-disk audit.
 //!
+//! The world recovery must bring back is objects and versions. Locks are
+//! the state of the process holding the store, so after any reopen any
+//! owner takes any lock.
+//!
 //! 2. **Exhaustive fault sweep** — a fixed op sequence is replayed once
 //!    per `(fault point, fault kind)` cell, injecting a torn or dropped
 //!    I/O step exactly there (`nexus_testkit::faults::sweep` +
@@ -56,89 +60,57 @@ enum Op {
 
 impl Op {
     /// Micro-ops this op contributes to the timeline: a batch is `len`
-    /// micro-ops (which land together); a checkpoint changes no logical
-    /// state.
+    /// micro-ops (which land together); a lock, an unlock and a checkpoint
+    /// change no recovered state.
     fn micro_count(&self) -> usize {
-        match self {
-            Op::PutMany(items) => items.len(),
-            Op::Checkpoint => 0,
-            _ => 1,
-        }
+        micros_of(self).len()
     }
 }
 
-/// The logical world both backends must agree on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct World {
-    /// path -> (content, version)
-    objects: BTreeMap<String, (Vec<u8>, u64)>,
-    /// path -> lock owner
-    locks: BTreeMap<String, u64>,
-    lock_epoch: u64,
-}
-
-impl World {
-    fn empty() -> World {
-        World { objects: BTreeMap::new(), locks: BTreeMap::new(), lock_epoch: 0 }
-    }
-
-    /// Applies one micro-op with `MemBackend` semantics (versions start at
-    /// 1 and restart after delete; locks are exclusive but reentrant).
-    fn apply(&mut self, micro: &Micro) {
-        match micro {
-            Micro::Put(path, data) => {
-                let version = self.objects.get(path).map(|(_, v)| v + 1).unwrap_or(1);
-                self.objects.insert(path.clone(), (data.clone(), version));
-            }
-            Micro::Delete(path) => {
-                self.objects.remove(path);
-            }
-            Micro::Lock(path, owner) => match self.locks.get(path) {
-                Some(&holder) if holder != *owner => {}
-                _ => {
-                    self.locks.insert(path.clone(), *owner);
-                    self.lock_epoch += 1;
-                }
-            },
-            Micro::Unlock(path, owner) => {
-                if self.locks.get(path) == Some(owner) {
-                    self.locks.remove(path);
-                }
-            }
-        }
-    }
-}
+/// The logical world both backends must agree on and recovery must bring
+/// back: path -> (content, version).
+type World = BTreeMap<String, (Vec<u8>, u64)>;
 
 /// The micro-op alphabet of the timeline.
 #[derive(Debug, Clone)]
 enum Micro {
     Put(String, Vec<u8>),
     Delete(String),
-    Lock(String, u64),
-    Unlock(String, u64),
+}
+
+/// Applies one micro-op with `MemBackend` semantics (versions start at 1
+/// and restart after delete).
+fn apply(world: &mut World, micro: &Micro) {
+    match micro {
+        Micro::Put(path, data) => {
+            let version = world.get(path).map(|(_, v)| v + 1).unwrap_or(1);
+            world.insert(path.clone(), (data.clone(), version));
+        }
+        Micro::Delete(path) => {
+            world.remove(path);
+        }
+    }
 }
 
 fn micros_of(op: &Op) -> Vec<Micro> {
     match op {
         Op::Put(p, data) => vec![Micro::Put(PATHS[*p].to_string(), data.clone())],
         Op::Delete(p) => vec![Micro::Delete(PATHS[*p].to_string())],
-        Op::Lock(p, o) => vec![Micro::Lock(PATHS[*p].to_string(), *o)],
-        Op::Unlock(p, o) => vec![Micro::Unlock(PATHS[*p].to_string(), *o)],
         Op::PutMany(items) => items
             .iter()
             .map(|(p, data)| Micro::Put(PATHS[*p].to_string(), data.clone()))
             .collect(),
-        Op::Checkpoint => Vec::new(),
+        Op::Lock(..) | Op::Unlock(..) | Op::Checkpoint => Vec::new(),
     }
 }
 
 /// `timeline[j]` = the world after the first `j` micro-ops of `ops`.
 fn build_timeline(ops: &[Op]) -> Vec<World> {
-    let mut world = World::empty();
+    let mut world = World::new();
     let mut timeline = vec![world.clone()];
     for op in ops {
         for micro in micros_of(op) {
-            world.apply(&micro);
+            apply(&mut world, &micro);
             timeline.push(world.clone());
         }
     }
@@ -190,11 +162,16 @@ fn snapshot_of(log: &LogBackend) -> World {
         let version = log.stat(&path).expect("listed object stattable").version;
         objects.insert(path, (data, version));
     }
-    World {
-        objects,
-        locks: log.lock_holders().into_iter().collect(),
-        lock_epoch: log.lock_epoch(),
+    objects
+}
+
+/// After a reopen no lock is held: an owner the workloads never use takes
+/// every path's lock.
+fn no_lock_held(log: &LogBackend) -> Result<(), String> {
+    for path in PATHS {
+        log.lock(path, 99).map_err(|e| format!("lock {path:?} after reopen: {e}"))?;
     }
+    Ok(())
 }
 
 /// The deterministic workload the exhaustive sweep replays: every op kind,
@@ -224,6 +201,8 @@ fn sweep_ops() -> Vec<Op> {
         Op::Put(0, b"alpha-v4".to_vec()),
         Op::Put(2, b"meta-v2".to_vec()),
         Op::Put(4, b"deep-v3".to_vec()),
+        Op::Delete(3),
+        Op::Put(3, b"percent-v2".to_vec()),
     ]
 }
 
@@ -284,6 +263,7 @@ fn crash_at_every_fault_point_recovers_prefix_consistently() {
             );
             let findings = recovered.audit();
             tk_assert!(findings.is_empty(), "crash at {fired}: audit found {findings:?}");
+            no_lock_held(&recovered).map_err(|e| format!("crash at {fired}: {e}"))?;
 
             // The recovered store must keep working.
             recovered
@@ -389,12 +369,13 @@ fn logstore_agrees_with_membackend_and_survives_reopen() {
             tk_assert!(findings.is_empty(), "pre-reopen audit: {findings:?}");
             drop(log);
 
-            // Reopen: versions, lock table, and epoch must all survive.
+            // Reopen: objects and versions survive; no lock does.
             let log = LogBackend::open(&root).map_err(|e| e.to_string())?;
             against_mem(&log)?;
             tk_assert_eq!(snapshot_of(&log), world_before, "reopen changed the world");
             let findings = log.audit();
             tk_assert!(findings.is_empty(), "post-reopen audit: {findings:?}");
+            no_lock_held(&log)?;
             let _ = std::fs::remove_dir_all(&root);
             Ok(())
         });

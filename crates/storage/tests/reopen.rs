@@ -237,25 +237,22 @@ fn adversarial_names_roundtrip_both_backends() {
         );
 }
 
+/// Locks are state of the process holding the store: a second handle is
+/// refused while the first lives, and after a reopen no lock is held.
 #[test]
-fn log_backend_lock_epoch_survives_reopen() {
+fn log_backend_locks_die_with_the_handle() {
     let root = tmp();
     {
         let log = LogBackend::open(&root).unwrap();
+        log.put("a", b"x").unwrap();
         log.lock("a", 1).unwrap();
-        log.unlock("a", 1);
-        log.lock("a", 2).unwrap();
-        log.lock("b", 1).unwrap();
-        assert_eq!(log.lock_epoch(), 3);
+        log.lock("b", 2).unwrap();
+        assert!(matches!(log.lock("a", 2), Err(StorageError::LockContended(_))));
+        assert!(matches!(LogBackend::open(&root), Err(StorageError::LockContended(_))));
     }
     let log = LogBackend::open(&root).unwrap();
-    assert_eq!(log.lock_epoch(), 3, "epoch persists");
-    assert_eq!(
-        log.lock_holders(),
-        vec![("a".to_string(), 2), ("b".to_string(), 1)]
-    );
-    // Reentrant for holders, contended for others — exactly as pre-crash.
-    assert!(log.lock("a", 2).is_ok());
-    assert!(matches!(log.lock("a", 1), Err(StorageError::LockContended(_))));
-    assert_eq!(log.lock_epoch(), 4);
+    log.lock("a", 2).unwrap();
+    log.lock("b", 1).unwrap();
+    assert_eq!(log.stat("a").unwrap().version, 1);
+    assert!(log.audit_storage().is_empty(), "{:?}", log.audit_storage());
 }
