@@ -96,6 +96,13 @@ impl MetaCache {
     pub(crate) fn nodes(&self) -> impl Iterator<Item = &CachedNode> {
         self.map.values().map(|e| &e.node)
     }
+
+    /// Every cached uuid with the storage version its entry holds (for the
+    /// version oracle test).
+    #[cfg(test)]
+    pub(crate) fn versions(&self) -> impl Iterator<Item = (NexusUuid, u64)> + '_ {
+        self.map.iter().map(|(uuid, e)| (*uuid, e.storage_version))
+    }
 }
 
 #[cfg(test)]

@@ -863,8 +863,6 @@ pub(crate) struct MetaCommit {
     pending: Vec<(String, Vec<u8>)>,
     /// (uuid, node, decrypted body bytes the node retains).
     cache_inserts: Vec<(NexusUuid, CachedNode, usize)>,
-    /// The node this commit creates, if any (see [`MetaCommit::born`]).
-    born: Option<NexusUuid>,
 }
 
 impl MetaCommit {
@@ -876,14 +874,6 @@ impl MetaCommit {
     /// so it rides the same batched flush.
     pub(crate) fn stage_raw(&mut self, uuid: NexusUuid, blob: Vec<u8>) {
         self.pending.push((uuid.object_name(), blob));
-    }
-
-    /// Marks the staged node `uuid` as one this commit creates. No lock
-    /// covers it, so once the commit lands another client may rewrite it
-    /// before [`commit_flush`] reads its version back; it is cached only at
-    /// the version its own first write gave it.
-    pub(crate) fn born(&mut self, uuid: NexusUuid) {
-        self.born = Some(uuid);
     }
 }
 
@@ -984,11 +974,19 @@ pub(crate) fn stage_filenode(
     Ok(())
 }
 
-/// Lands a staged commit: every sealed blob in one `put_many` (one RPC);
-/// then the cache learns the versions just written from one `stat_many`
-/// (the caller holds the advisory lock of every node it rewrites, so no
-/// foreign write can slip in between — a node it creates is the
-/// exception, see [`MetaCommit::born`]).
+/// Lands a staged commit: every sealed blob in one `put_many` (one RPC),
+/// then every staged node is cached at the version its own put gave it,
+/// with no call to read that back. A put leaves an object one version past
+/// the last (`ObjectStat::version`), so:
+///
+/// - a node the commit rewrites was compared with storage under its lock
+///   ([`locked`]) and found at the version its cache entry holds, *v*: it
+///   is now at *v* + 1;
+/// - a node the cache lacks is one this commit creates: it is now at 1.
+///
+/// A racer that rewrites a node between the comparison and the put (or
+/// after it) takes storage past that figure for good, and the next probe
+/// reloads; a computed version never names a body it does not belong to.
 pub(crate) fn commit_flush(
     state: &mut EnclaveState,
     io: &MetaIo<'_>,
@@ -999,16 +997,10 @@ pub(crate) fn commit_flush(
     // splits for those small long-lived nodes, and the next write's buffer
     // no longer fits where this one was.
     io.put_many(&commit.pending)?;
-    let written = io.versions(commit.cache_inserts.iter().map(|(uuid, ..)| uuid));
-    let mounted = state.mounted()?;
-    for ((uuid, node, epc_bytes), version) in commit.cache_inserts.into_iter().zip(written) {
-        // A first write is version 1 (0 on a store that keeps none): past
-        // it, another client has already rewritten the node just created,
-        // and its next load fetches that rather than trust this copy.
-        if commit.born == Some(uuid) && version.is_some_and(|v| v > 1) {
-            continue;
-        }
-        mounted.meta_cache.insert(io.env, uuid, node, version.unwrap_or(0), epc_bytes);
+    let cache = &mut state.mounted()?.meta_cache;
+    for (uuid, node, epc_bytes) in commit.cache_inserts {
+        let version = cache.get(&uuid).map_or(1, |(_, settled)| settled + 1);
+        cache.insert(io.env, uuid, node, version, epc_bytes);
     }
     Ok(())
 }
@@ -1144,8 +1136,9 @@ pub(crate) fn store_supernode(state: &mut EnclaveState, io: &MetaIo<'_>) -> Resu
         io.env.random_bytes(dest)
     });
     io.put(&uuid, &blob)?;
-    let storage_version = io.version(&uuid).unwrap_or(0);
-    state.mounted()?.supernode_storage_version = storage_version;
+    // Written under the supernode's lock (or before the volume exists), on
+    // top of the storage version that lock's comparison confirmed.
+    state.mounted()?.supernode_storage_version += 1;
     Ok(())
 }
 
@@ -1408,6 +1401,108 @@ mod tests {
         let err = NexusVolume::mount(&platform, backend, &ias, &sealed, NexusConfig::default())
             .unwrap_err();
         assert!(matches!(err, NexusError::UnsupportedVolume(_)), "{err:?}");
+    }
+
+    /// A commit caches what it wrote at the version it computes, not at one
+    /// it reads back: on an honest store that is the version a fresh `stat`
+    /// reports. After every operation of a seeded mix, every node the
+    /// session caches, and its supernode, must carry exactly that.
+    #[test]
+    fn cached_versions_are_the_versions_storage_reports() {
+        use crate::volume::{NexusVolume, UserKeys};
+        use nexus_storage::afs::{AfsClient, AfsServer};
+        use nexus_storage::{LatencyModel, LogBackend, MemBackend, SimClock};
+
+        type Stat = Box<dyn Fn(&str) -> Option<u64>>;
+        let of = |store: Arc<dyn StorageBackend>| -> Stat {
+            Box::new(move |name| store.stat(name).ok().map(|s| s.version))
+        };
+        let mem: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
+        let root = std::env::temp_dir().join(format!("nexus-oracle-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let log: Arc<dyn StorageBackend> = Arc::new(LogBackend::open(&root).unwrap());
+        let server = AfsServer::new();
+        let afs = AfsClient::connect(&server, SimClock::new(), LatencyModel::default());
+        // A client of its own asks the server, past the session's AFS cache.
+        let auditor = AfsClient::connect(&server, SimClock::new(), LatencyModel::default());
+        let stores: [(&str, Arc<dyn StorageBackend>, Stat); 3] = [
+            ("mem", mem.clone(), of(mem)),
+            ("log", log.clone(), of(log)),
+            ("afs", Arc::new(afs), of(Arc::new(auditor))),
+        ];
+
+        for (name, store, stat) in stores {
+            let platform = nexus_sgx::Platform::seeded(0x0AC1E);
+            let ias = nexus_sgx::AttestationService::new();
+            ias.register_platform(&platform);
+            let owner = UserKeys::from_seed("o", &[1; 32]);
+            let config = NexusConfig { bucket_size: 4, ..NexusConfig::default() };
+            let (v, _) = NexusVolume::create(&platform, store, &ias, &owner, config).unwrap();
+            v.authenticate(&owner).unwrap();
+            let check = |v: &NexusVolume, what: &str| {
+                v.enclave().ecall(|state, _| {
+                    let m = state.mounted.as_ref().expect("mounted");
+                    for (uuid, cached) in m.meta_cache.versions() {
+                        let on_store = stat(&uuid.object_name());
+                        assert_eq!(on_store, Some(cached), "{name}, {what}: node {uuid}");
+                    }
+                    let on_store = stat(&m.supernode_uuid.object_name());
+                    let held = Some(m.supernode_storage_version);
+                    assert_eq!(on_store, held, "{name}, {what}: supernode");
+                })
+            };
+            let key = |i: usize| UserKeys::from_seed("u", &[i as u8 + 2; 32]).public_key();
+            v.add_user("u0", key(0)).unwrap();
+            check(&v, "create");
+            let dirs = ["d0", "d1", "d0/s", "d1/s"];
+            let file = |g: &mut nexus_testkit::Gen| {
+                format!("{}/f{}", g.choose(&dirs[..]), g.usize_below(6))
+            };
+            let mut g = nexus_testkit::Gen::new(0x5EED);
+            let mut done = [0usize; 9];
+            for step in 0..300 {
+                let kind = if step < 4 { 0 } else { g.usize_below(9) };
+                let result = match kind {
+                    0 => v.mkdir(dirs[step % 4]),
+                    1 => v.write_file(&file(&mut g), &g.byte_vec(0, 40)),
+                    2 => v.create_file(&file(&mut g)),
+                    3 => v.remove(&file(&mut g)),
+                    4 => {
+                        // Within one directory.
+                        let from = file(&mut g);
+                        let dir = &from[..from.rfind('/').expect("a path in a directory")];
+                        let to = format!("{dir}/g{}", g.usize_below(6));
+                        v.rename(&from, &to)
+                    }
+                    5 => {
+                        // A file, or a directory, to another directory.
+                        let (from, to) = match g.usize_below(3) {
+                            0 => ("d0/s".to_string(), "d1/t".to_string()),
+                            1 => ("d1/t".to_string(), "d0/s".to_string()),
+                            _ => (file(&mut g), file(&mut g)),
+                        };
+                        v.rename(&from, &to)
+                    }
+                    6 => v.set_acl(dirs[g.usize_below(dirs.len())], "u0", Rights::READ),
+                    7 => {
+                        let (existing, link) = (file(&mut g), file(&mut g));
+                        v.hardlink(&existing, &link)
+                    }
+                    _ => v.add_user(&format!("u{step}"), key(step)),
+                };
+                match result {
+                    Ok(()) => done[kind] += 1,
+                    Err(e) => assert!(
+                        matches!(e, NexusError::NotFound(_) | NexusError::AlreadyExists(_)
+                            | NexusError::NotEmpty(_) | NexusError::IsADirectory(_)),
+                        "{name}, step {step}: {e:?}"
+                    ),
+                }
+                check(&v, &format!("step {step}, op {kind}"));
+            }
+            assert!(done.iter().all(|&n| n > 0), "{name}: some operation never ran: {done:?}");
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     fn test_mounted(session: Option<Session>) -> Mounted {

@@ -271,7 +271,6 @@ fn create_entry(
             EntryKind::Directory
         }
     };
-    commit.born(uuid);
     Arc::make_mut(&mut dir).insert(DirEntry { name: name.into(), uuid, kind }, fresh_uuid(io.env))?;
     stage_dirnode(state, io, &mut commit, dir)?;
     commit_flush(state, io, commit)?;

@@ -98,11 +98,11 @@ fn a_warm_operation_pays_one_probe_per_phase() {
     );
 
     // Walk, lock the filenode, the walk's nodes and the filenode compared
-    // in one probe, data object and filenode in one batch, the versions
-    // just written, unlock.
+    // in one probe, data object and filenode in one batch, unlock. The
+    // commit knows the versions it wrote: nothing reads them back.
     assert_eq!(
         calls_of(&log, || v.write_file("a/b/f0", b"overwritten").unwrap()),
-        [Lock, StatMany, PutMany, StatMany, Unlock],
+        [Lock, StatMany, PutMany, Unlock],
     );
 
     let ecalls = v.enclave().stats().ecalls();
@@ -110,8 +110,8 @@ fn a_warm_operation_pays_one_probe_per_phase() {
     assert_eq!(v.enclave().stats().ecalls() - ecalls, 1, "create-and-write is one enclave call");
     // Walk, lock b, one probe for the walk and for b as reloaded under the
     // lock, the data object, the filenode, b's bucket and b in one batch,
-    // the versions, unlock.
-    assert_eq!(create, [Lock, StatMany, PutMany, StatMany, Unlock]);
+    // unlock.
+    assert_eq!(create, [Lock, StatMany, PutMany, Unlock]);
     let touch = calls_of(&log, || v.create_file("a/b/touched").unwrap());
     assert_eq!(create, touch, "the calls of an empty create");
     let table_5b = calls_of(&log, || v.write_file("a/b/empty", b"").unwrap());
@@ -120,19 +120,19 @@ fn a_warm_operation_pays_one_probe_per_phase() {
     let rename = calls_of(&log, || v.rename("a/b/f1", "a/c/g1").unwrap());
     assert_eq!(
         rename,
-        [Lock, Lock, Lock, StatMany, PutMany, StatMany, Unlock, Unlock, Unlock],
+        [Lock, Lock, Lock, StatMany, PutMany, Unlock, Unlock, Unlock],
         "one walk over both paths; b, c and the filenode locked; one probe; one commit",
     );
 
     let set_acl = calls_of(&log, || v.set_acl("a/b", "alice", Rights::READ).unwrap());
-    assert_eq!(set_acl, [Lock, StatMany, PutMany, StatMany, Unlock]);
+    assert_eq!(set_acl, [Lock, StatMany, PutMany, Unlock]);
 
     // The directory stops naming the file before its filenode and data
     // object are deleted: a crash in between leaves orphans, not a name
     // whose file is gone.
     assert_eq!(
         calls_of(&log, || v.remove("a/b/f2").unwrap()),
-        [Lock, StatMany, PutMany, StatMany, Delete, Delete, Unlock],
+        [Lock, StatMany, PutMany, Delete, Delete, Unlock],
     );
     assert_eq!(v.read_file("a/c/g1").unwrap(), b"contents 1");
     assert_eq!(v.read_file("a/b/new").unwrap(), b"created");
@@ -170,16 +170,16 @@ fn an_admin_edit_is_made_under_the_supernode_lock() {
     let (log, v, _, beside) = warm_world(NexusConfig::default());
     let key = |seed| UserKeys::from_seed("u", &[seed; 32]).public_key();
     // Lock, compare the supernode's version with the one the session
-    // holds, write the edited supernode, read its version back, unlock.
+    // holds, write the edited supernode, unlock.
     assert_eq!(
         calls_of(&log, || v.add_user("bob", key(3)).unwrap()),
-        [Lock, Stat, Put, Stat, Unlock],
+        [Lock, Stat, Put, Unlock],
     );
     // Another session edited it since: fetched under the lock first.
     beside().add_user("carol", key(4)).unwrap();
     assert_eq!(
         calls_of(&log, || v.add_user("dave", key(5)).unwrap()),
-        [Lock, Stat, Get, Put, Stat, Unlock],
+        [Lock, Stat, Get, Put, Unlock],
     );
     assert_eq!(v.users().unwrap(), ["owner", "alice", "bob", "carol", "dave"]);
 }
@@ -198,14 +198,14 @@ fn a_cold_mutation_fetches_every_bucket_in_one_call() {
     let (calls, named): (Vec<Call>, Vec<Vec<String>>) = log.take_calls().into_iter().unzip();
     assert_eq!(
         calls,
-        [Lock, StatMany, GetMany, PutMany, StatMany, Unlock],
+        [Lock, StatMany, GetMany, PutMany, Unlock],
         "the buckets the insert needs are one fetch, not three",
     );
     assert_eq!(named[2].len(), 3, "all of b's buckets: {:?}", named[2]);
-    assert_eq!(calls_of(&log, || cold.create_file("a/b/newer").unwrap()).len(), 5, "and now held");
+    assert_eq!(calls_of(&log, || cold.create_file("a/b/newer").unwrap()).len(), 4, "and now held");
     assert_eq!(
         calls_of(&log, || cold.write_file("a/b/f0", b"again").unwrap()),
-        [Lock, StatMany, Get, PutMany, StatMany, Unlock],
+        [Lock, StatMany, Get, PutMany, Unlock],
         "a filenode the cache lacks is fetched under its lock, and its version then needs no probe",
     );
     assert_eq!(v.list_dir("a/b").unwrap().len(), 7);
@@ -242,7 +242,7 @@ fn a_directory_changed_before_its_lock_is_reloaded_under_the_lock_it_keeps() {
     // retry compares again what the failed probe found current).
     assert_eq!(
         calls,
-        [Lock, StatMany, StatMany, Get, StatMany, GetMany, PutMany, StatMany, Unlock],
+        [Lock, StatMany, StatMany, Get, StatMany, GetMany, PutMany, Unlock],
     );
     let mut names: Vec<String> = v.list_dir("a/b").unwrap().into_iter().map(|r| r.name).collect();
     names.sort();
@@ -283,7 +283,7 @@ fn a_hard_link_the_cache_lacks_is_locked_on_a_second_walk() {
         calls_of(&log, || cold.remove("a/c/link").unwrap()),
         [
             Lock, StatMany, Get, Unlock,
-            Lock, Lock, StatMany, PutMany, StatMany, Delete, Unlock, Unlock,
+            Lock, Lock, StatMany, PutMany, Delete, Unlock, Unlock,
         ],
     );
     assert_eq!(v.read_file("a/b/f0").unwrap(), b"contents 0");

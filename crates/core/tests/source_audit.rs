@@ -192,3 +192,80 @@ fn one_module_runs_the_key_exchange() {
         "protocol.rs runs no exchange"
     );
 }
+
+/// A commit knows the versions it writes (DESIGN.md §9, "A commit knows
+/// its versions"): the crate's one `stat_many`, in `MetaIo::versions`,
+/// serves the probe before a fetch and nothing else.
+#[test]
+fn versions_are_read_only_by_the_probe_before_a_fetch() {
+    let enclave = shipped("enclave.rs");
+    let span = |head| {
+        let item = item(&enclave, head);
+        item[0].0..=item[item.len() - 1].0
+    };
+    let (probe, versions) =
+        (span("pub(crate) fn probe_before_fetch("), span("pub(crate) fn versions<"));
+    let mut callers = 0;
+    for module in modules() {
+        for (number, line) in shipped(&module) {
+            let within = |span: &std::ops::RangeInclusive<usize>| {
+                module == "enclave.rs" && span.contains(&number)
+            };
+            if line.contains(".versions(") {
+                callers += 1;
+                assert!(
+                    within(&probe),
+                    "{module}:{number}: versions read outside `probe_before_fetch`: {}",
+                    line.trim()
+                );
+            }
+            if line.contains("stat_many(") {
+                assert!(
+                    within(&versions),
+                    "{module}:{number}: a `stat_many` outside `MetaIo::versions`: {}",
+                    line.trim()
+                );
+            }
+        }
+    }
+    assert_eq!(callers, 1, "`probe_before_fetch` reads no versions");
+}
+
+/// A put leaves its object one version past the one its lock confirmed
+/// (`ObjectStat::version`), so no function of the crate stats an object
+/// once it has written one: no line that stats follows, in the same
+/// function, a line that puts or commits.
+#[test]
+fn nothing_stats_after_a_put() {
+    const WRITES: [&str; 5] =
+        [".put(", ".put_many(", "commit_flush(", "store_dirnode(", "store_supernode("];
+    const STATS: [&str; 4] = [".version(", ".versions(", ".stat(", "stat_many("];
+    let mut writers = 0;
+    for module in modules() {
+        let code = shipped(&module);
+        for (at, (_, line)) in code.iter().enumerate() {
+            let head = line.trim_start();
+            let is_fn = ["fn ", "pub fn ", "pub(crate) fn "].iter().any(|p| head.starts_with(p));
+            if !is_fn || head.ends_with(';') {
+                continue;
+            }
+            let body = item(&code[at..], head);
+            let Some(first) =
+                body.iter().position(|(_, l)| WRITES.iter().any(|w| l.contains(w)))
+            else {
+                continue;
+            };
+            writers += 1;
+            for (number, l) in &body[first..] {
+                for stat in STATS {
+                    assert!(
+                        !l.contains(stat),
+                        "{module}:{number}: a stat after a write in `{head}`: {}",
+                        l.trim()
+                    );
+                }
+            }
+        }
+    }
+    assert!(writers >= 10, "only {writers} writing functions found");
+}

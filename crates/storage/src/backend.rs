@@ -42,8 +42,7 @@ impl std::error::Error for StorageError {}
 pub struct ObjectStat {
     /// Size in bytes.
     pub size: u64,
-    /// Server-side version (increments on every put); 0 for backends that
-    /// do not track versions.
+    /// Server-side version: one higher per put; a new object starts at 1.
     pub version: u64,
 }
 
@@ -154,6 +153,15 @@ pub(crate) fn check_range(
 ///
 /// Implementations must be safe to share across threads; NEXUS issues
 /// concurrent requests from the filesystem layer and the enclave's ocalls.
+///
+/// **Versions.** Every put — through [`StorageBackend::put`] or as one item
+/// of [`StorageBackend::put_many`] — leaves its object exactly one version
+/// past the one before, and an object that does not exist (never written,
+/// or deleted) is put at version 1. The enclave caches what it commits at
+/// the version it computes from that rule, with no `stat` to read it back;
+/// on a store that numbers otherwise, each such object is reloaded at its
+/// next use (`crates/storage/tests/version_contract.rs` holds every
+/// backend here to the rule).
 pub trait StorageBackend: Send + Sync {
     /// Stores the full contents of `path`, replacing any existing object.
     ///
