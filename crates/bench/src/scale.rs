@@ -4,17 +4,17 @@
 //! 100k simulated clients (`--smoke`: 100 / 1k). Every client is a *real
 //! mounted `NexusVolume`* (DESIGN.md §15) — enclave seal/open, `MetaCommit`
 //! group commits, freshness checks, batched `get_many` fetch→decrypt bulk
-//! reads, ACL churn — and a future on the `nexus-exec` executor,
-//! multiplexed over at most `nexus_exec::MAX_WORKERS` OS threads against
-//! one simulated AFS server on the paper-calibrated latency model.
+//! reads, ACL churn — and a future on the `nexus-exec` executor, all of
+//! them polled on one OS thread against one simulated AFS server on the
+//! paper-calibrated latency model.
 //! Latencies are recorded per operation into log-bucketed histograms
 //! (p50/p99/p999); an open-loop cell replays a Poisson arrival schedule so
 //! queueing delay (coordinated omission) shows up in the tail. Every such figure is virtual time; each cell also
 //! carries the host wall clock of its measured epoch (`wall_s`,
 //! `host_ns_per_op`).
 //!
-//! Floors, at both sizes: no cell drove more OS threads than the executor's
-//! cap, however many clients it simulated; the executor world executed what
+//! Floors, at both sizes: every executor cell ran on one OS thread, however
+//! many clients it simulated; the executor world executed what
 //! the serial oracle did (transcripts, server inventory, simulated makespan)
 //! and what the thread-per-client world did at that world's sustainable
 //! client count (transcripts, inventory) — swapping the scheduling
@@ -142,10 +142,10 @@ fn section(source: &Fs, plan: &Plan) -> Section {
     // simulated makespan must match too.
     let oracle_cell = Fs::cell(plan.oracle.0, plan.oracle.1);
     let serial = run(source, &oracle_cell, World::Serial);
-    let exec = run(source, &oracle_cell, World::exec());
+    let exec = run(source, &oracle_cell, World::Exec);
     let baseline_cell = Fs::cell(plan.baseline.0, plan.baseline.1);
     let threads = run(source, &baseline_cell, World::Threads);
-    let exec_at_baseline = run(source, &baseline_cell, World::exec());
+    let exec_at_baseline = run(source, &baseline_cell, World::Exec);
     let worlds_identical = same_execution(&exec, &serial)
         && exec.makespan == serial.makespan
         && same_execution(&exec_at_baseline, &threads);
@@ -154,7 +154,7 @@ fn section(source: &Fs, plan: &Plan) -> Section {
         .iter()
         .map(|&(clients, ops)| {
             let cell = Fs::cell(clients, ops);
-            cell_report(&cell, &run(source, &cell, World::exec()))
+            cell_report(&cell, &run(source, &cell, World::Exec))
         })
         .collect();
 
@@ -165,7 +165,7 @@ fn section(source: &Fs, plan: &Plan) -> Section {
         arrival: Arrival::Open { per_client_hz: plan.open_hz },
         ..Fs::cell(plan.open.0, plan.open.1)
     };
-    let open_loop = cell_report(&open_cell, &run(source, &open_cell, World::exec()));
+    let open_loop = cell_report(&open_cell, &run(source, &open_cell, World::Exec));
 
     let over_thread_baseline =
         cells[HEADLINE].agg_ops_per_sec / threads.agg_ops_per_sec.max(1e-9);
@@ -218,12 +218,7 @@ impl CellReport {
 
     fn gate(&self, what: &str, smoke: bool) {
         let at = format!("{}-client {what} cell", self.clients);
-        assert!(
-            self.os_threads <= nexus_exec::MAX_WORKERS,
-            "{at} drove {} OS threads (cap is {})",
-            self.os_threads,
-            nexus_exec::MAX_WORKERS
-        );
+        assert_eq!(self.os_threads, 1, "{at} drove more than one OS thread");
         assert!(self.wall_s > 0.0 && self.total_ops > 0, "{at} has no host cost");
         let h = &self.latency;
         assert!(h.p50_us <= h.p99_us && h.p99_us <= h.p999_us, "{at}: quantiles out of order");
@@ -336,12 +331,7 @@ impl Report for Scale {
     }
 
     fn gate(&self) {
-        assert!(
-            self.os_threads <= nexus_exec::MAX_WORKERS,
-            "executor used {} OS threads (cap is {})",
-            self.os_threads,
-            nexus_exec::MAX_WORKERS
-        );
+        assert_eq!(self.os_threads, 1, "the executor used more than one OS thread");
         self.fs.gate("fs", self.smoke);
     }
 

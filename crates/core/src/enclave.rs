@@ -9,7 +9,7 @@
 
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use nexus_crypto::gcm_siv::AesGcmSiv;
@@ -351,6 +351,8 @@ pub(crate) struct MetaIo<'a> {
     /// The mount's lock owner: every session on a store locks as itself.
     owner: u64,
     probes: RefCell<Probes>,
+    /// The advisory locks this operation holds right now.
+    held: RefCell<BTreeSet<NexusUuid>>,
 }
 
 impl<'a> MetaIo<'a> {
@@ -359,7 +361,7 @@ impl<'a> MetaIo<'a> {
         backend: &'a dyn StorageBackend,
         owner: u64,
     ) -> MetaIo<'a> {
-        MetaIo { env, backend, owner, probes: RefCell::default() }
+        MetaIo { env, backend, owner, probes: RefCell::default(), held: RefCell::default() }
     }
 
     /// Records that the operation is using the cached copy of `uuid`
@@ -544,7 +546,10 @@ impl<'a> MetaIo<'a> {
         let mut attempts = 0u32;
         loop {
             match self.env.ocall(|| self.backend.lock(&name, self.owner)) {
-                Ok(()) => return Ok(()),
+                Ok(()) => {
+                    self.held.borrow_mut().insert(*uuid);
+                    return Ok(());
+                }
                 Err(nexus_storage::StorageError::LockContended(_)) if attempts < 10_000 => {
                     attempts += 1;
                     if attempts <= 100 {
@@ -561,6 +566,12 @@ impl<'a> MetaIo<'a> {
     pub(crate) fn unlock(&self, uuid: &NexusUuid) {
         let name = uuid.object_name();
         self.env.ocall(|| self.backend.unlock(&name, self.owner));
+        self.held.borrow_mut().remove(uuid);
+    }
+
+    /// True while this operation holds the advisory lock on `uuid`.
+    fn holds(&self, uuid: &NexusUuid) -> bool {
+        self.held.borrow().contains(uuid)
     }
 }
 
@@ -635,15 +646,16 @@ pub(crate) fn revalidated<T>(
 }
 
 /// The server-side advisory locks a mutation holds (§V-A), taken in the
-/// order named and released in reverse when dropped.
+/// order of the set and released in reverse when dropped.
 pub(crate) struct LockGuard<'x, 'a> {
     io: &'x MetaIo<'a>,
     held: Vec<NexusUuid>,
 }
 
 impl<'x, 'a> LockGuard<'x, 'a> {
-    /// Takes every lock of `set` in order. When one cannot be had, those
-    /// already taken are released.
+    /// Takes every lock of `set` in order (sorted and deduplicated, which
+    /// [`locked`] sees to). When one cannot be had, those already taken are
+    /// released.
     pub(crate) fn acquire(io: &'x MetaIo<'a>, set: &[NexusUuid]) -> Result<LockGuard<'x, 'a>> {
         let mut guard = LockGuard { io, held: Vec::with_capacity(set.len()) };
         for uuid in set {
@@ -671,9 +683,11 @@ impl Drop for LockGuard<'_, '_> {
 ///
 /// 1. `walk` finds what the operation is about and checks the session's
 ///    rights on it. It fetches only on a cache miss and does not settle
-///    when it ends. It names the locks the commit needs, directory locks
-///    first, then a filenode's.
-/// 2. Those locks are taken.
+///    when it ends. It names the locks the commit needs, in any order.
+/// 2. Those locks are taken in one global order: sorted by uuid, each
+///    once. Two mutations that need the same locks then take them in the
+///    same order, so neither can hold one the other waits for while it
+///    waits for one the other holds.
 /// 3. `reload` loads what the commit is built on, from the cache when it
 ///    can.
 /// 4. **One** `stat_many` settles the cache hits of both and what the
@@ -715,7 +729,9 @@ pub(crate) fn locked<'x, 'a, W, R>(
         if attempt > 1 {
             std::thread::sleep(std::time::Duration::from_micros(50 * attempt));
         }
-        let out = walk(state, io).and_then(|(plan, set)| {
+        let out = walk(state, io).and_then(|(plan, mut set)| {
+            set.sort_unstable();
+            set.dedup();
             if locks.held != set {
                 locks.release();
                 locks = LockGuard::acquire(io, &set)?;
@@ -992,6 +1008,18 @@ pub(crate) fn commit_flush(
     io: &MetaIo<'_>,
     commit: MetaCommit,
 ) -> Result<()> {
+    // Computed versions are only sound for nodes the comparison under a
+    // lock settled: a cached node rewritten without its lock may have moved
+    // on storage since, and its write would overwrite what moved it.
+    if cfg!(debug_assertions) {
+        let cache = &state.mounted()?.meta_cache;
+        for (uuid, ..) in &commit.cache_inserts {
+            assert!(
+                io.holds(uuid) || cache.get(uuid).is_none(),
+                "a commit rewrites the cached node {uuid} without its lock"
+            );
+        }
+    }
     // The blobs are borrowed, and so outlive the cache inserts below: freed
     // first, a multi-megabyte data object's chunk is what the allocator
     // splits for those small long-lived nodes, and the next write's buffer

@@ -535,8 +535,7 @@ pub(crate) fn fs_hardlink(
             let (dst_dir, dst_name, dst_effective) = resolve_parent(state, io, linkpath)?;
             validate_name(dst_name)?;
             state.check_access(&dst_dir, dst_effective, Rights::WRITE)?;
-            // The link count lives in the filenode: its lock (after the
-            // directory's, the order every operation uses) excludes a
+            // The link count lives in the filenode: its lock excludes a
             // concurrent overwrite or unlink of the same file.
             let locks = vec![dst_dir.uuid, src_entry.uuid];
             let plan = (src_entry.uuid, src_dir.uuid, src_dir.scope, dst_dir.uuid, dst_name);
@@ -616,10 +615,11 @@ pub(crate) fn fs_rename(
             let mut locks = vec![src_dir.uuid];
             if dst_dir.uuid != src_dir.uuid {
                 locks.push(dst_dir.uuid);
-                // A file that changes directory has its filenode rewritten
-                // (the parent pointer): the filenode's lock excludes a
-                // concurrent overwrite.
-                if matches!(entry.kind, EntryKind::File) {
+                // A file or directory that changes directory has its own
+                // node rewritten (the parent pointer): its lock excludes a
+                // concurrent overwrite of the file, or a create inside the
+                // directory, that the rewrite would otherwise write over.
+                if !matches!(entry.kind, EntryKind::Symlink(_)) {
                     locks.push(entry.uuid);
                 }
             }

@@ -185,6 +185,25 @@ fn an_admin_edit_is_made_under_the_supernode_lock() {
 }
 
 #[test]
+fn a_directory_move_locks_both_directories_and_the_one_it_moves() {
+    use Call::*;
+    let (log, v, _, _) = warm_world(NexusConfig::default());
+    v.mkdir("a/b/sub").unwrap();
+    let name = |path: &str| v.lookup(path).unwrap().uuid.object_name();
+    let mut locked = [name("a/b"), name("a/c"), name("a/b/sub")];
+    locked.sort();
+    log.take_calls();
+    v.rename("a/b/sub", "a/c/sub").unwrap();
+    let (calls, named): (Vec<Call>, Vec<Vec<String>>) = log.take_calls().into_iter().unzip();
+    // The moved directory's main object is rewritten (its parent pointer):
+    // under its own lock, like a moved file's filenode. Every lock set is
+    // taken in uuid order.
+    assert_eq!(calls, [Lock, Lock, Lock, StatMany, PutMany, Unlock, Unlock, Unlock]);
+    assert_eq!(named[..3].concat(), locked);
+    assert_eq!(v.list_dir("a/c/sub").unwrap().len(), 0);
+}
+
+#[test]
 fn a_cold_mutation_fetches_every_bucket_in_one_call() {
     use Call::*;
     // Two entries per bucket: f0..f4 spread `a/b` over three.

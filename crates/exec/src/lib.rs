@@ -2,14 +2,14 @@
 //!
 //! A std-only async executor for the NEXUS scale harness (DESIGN.md §14).
 //!
-//! The multi-client engine of PR 4 burns one OS thread (or pool worker)
-//! per simulated client, which caps rigs at tens of clients. This crate
-//! multiplexes *tens of thousands* of client state machines over a handful
-//! of OS threads using nothing but `std`: hand-rolled `Future` polling — no
-//! tokio, per the hermetic zero-dependency policy — with
+//! An OS thread per simulated client caps a rig at tens of clients. This
+//! crate multiplexes *tens of thousands* of client state machines over the one
+//! thread that calls [`Executor::run_until_idle`], using nothing but
+//! `std`: hand-rolled `Future` polling — no tokio, per the hermetic
+//! zero-dependency policy — with
 //!
 //! - a **run queue** of waker-schedulable tasks ([`Executor::spawn`]),
-//!   drained by the driver thread plus up to [`MAX_WORKERS`]`-1` helpers;
+//!   drained in FIFO order by the driver thread;
 //! - a **virtual-time reactor**: one ordered map of wakeups keyed by
 //!   `(deadline, seq)` in [`SimClock`] nanoseconds. When every task is
 //!   parked the driver advances the shared clock straight to the earliest
@@ -23,14 +23,13 @@
 //!
 //! ## Determinism
 //!
-//! With a single worker (the driver itself, [`Executor::single`]) execution
-//! is fully deterministic: the reactor fires `(deadline, seq)`-ordered
-//! batches into a FIFO queue drained by one thread, so an async-interleaved
-//! run equals the serial oracle event-for-event (pinned by the
-//! `exec_differential` suite in `nexus-workloads`). With extra workers,
-//! tasks from one batch race; per-client streams stay deterministic but
-//! cross-client interleaving is only transcript-stable for commuting
-//! operations — which is what the scale workloads use.
+//! Execution is fully deterministic: the reactor fires `(deadline,
+//! seq)`-ordered batches into a FIFO queue that one thread drains, so a
+//! multi-client run replays bit for bit from its seed and an
+//! async-interleaved run equals the serial oracle event-for-event (pinned
+//! by the `exec_differential` suite in `nexus-workloads`). A waker may
+//! still fire on another OS thread; it only queues the task, which the
+//! driver polls.
 //!
 //! A task's waker is its task handle: wakers are stable across polls, so
 //! futures in this crate register once and never re-register on spurious
@@ -41,31 +40,23 @@ use std::collections::{BTreeMap, VecDeque};
 use std::future::Future;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::Duration;
 
 use nexus_storage::SimClock;
-use nexus_sync::{Monitor, Mutex};
-
-/// Hard ceiling on OS threads an executor may use (driver included). The
-/// whole point of this crate is that client count and thread count are
-/// independent; the scale gates assert `os_threads() <= MAX_WORKERS` while
-/// driving 100k clients.
-pub const MAX_WORKERS: usize = 8;
+use nexus_sync::Mutex;
 
 type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 
-// Task scheduling states: the state machine guarantees a task is in the
-// run queue at most once, no matter how many wakers fire concurrently.
-const IDLE: u8 = 0; // parked, not queued
-const QUEUED: u8 = 1; // in the run queue
-const RUNNING: u8 = 2; // being polled
-const NOTIFIED: u8 = 3; // being polled AND woken again: requeue after poll
-
 struct Task {
-    state: AtomicU8,
+    /// In the run queue. Cleared just before each poll, so a wakeup during
+    /// the poll queues the task again, once; set, a wakeup coalesces. A
+    /// waker sets it with a release swap and the driver clears it with an
+    /// acquire swap, so what a coalesced waker's thread wrote before it
+    /// woke the task is visible to the poll that follows.
+    queued: AtomicBool,
     future: Mutex<Option<BoxFuture>>,
     shared: Arc<Shared>,
 }
@@ -78,15 +69,6 @@ impl Wake for Task {
     fn wake_by_ref(self: &Arc<Self>) {
         Shared::schedule(self.clone());
     }
-}
-
-/// Run-queue state guarded by the executor's monitor. `active` counts
-/// tasks currently being polled; quiescence is `runnable.is_empty() &&
-/// active == 0`, the only point where firing timers is race-free.
-struct QueueState {
-    runnable: VecDeque<Arc<Task>>,
-    active: usize,
-    shutdown: bool,
 }
 
 /// One parked wakeup: the task to wake, and the flag its [`Sleep`] reads
@@ -130,7 +112,7 @@ impl Reactor {
 }
 
 struct Shared {
-    queue: Monitor<QueueState>,
+    runnable: Mutex<VecDeque<Arc<Task>>>,
     clock: SimClock,
     reactor: Mutex<Reactor>,
     /// First panic payload captured from a task; re-raised (with the
@@ -140,116 +122,30 @@ struct Shared {
 
 impl Shared {
     fn schedule(task: Arc<Task>) {
-        loop {
-            let state = task.state.load(Ordering::Acquire);
-            match state {
-                IDLE => {
-                    if task
-                        .state
-                        .compare_exchange(IDLE, QUEUED, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        let shared = task.shared.clone();
-                        shared.queue.lock().runnable.push_back(task);
-                        shared.queue.notify_one();
-                        return;
-                    }
-                }
-                RUNNING => {
-                    if task
-                        .state
-                        .compare_exchange(RUNNING, NOTIFIED, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        return;
-                    }
-                }
-                // Already queued / already notified: the wakeup coalesces.
-                _ => return,
-            }
+        if !task.queued.swap(true, Ordering::AcqRel) {
+            let shared = task.shared.clone();
+            shared.runnable.lock().push_back(task);
         }
     }
 
-    /// Polls one task. Runs on the driver and on helper workers alike.
-    fn run_task(self: &Arc<Self>, task: Arc<Task>) {
-        task.state.store(RUNNING, Ordering::Release);
+    /// The next runnable task; the queue's lock is released on return.
+    fn pop(&self) -> Option<Arc<Task>> {
+        self.runnable.lock().pop_front()
+    }
+
+    /// Polls one task on the driver.
+    fn run_task(&self, task: Arc<Task>) {
+        task.queued.swap(false, Ordering::AcqRel);
         let Some(mut fut) = task.future.lock().take() else {
             // Completed task woken by a stale timer entry: nothing to do.
-            task.state.store(IDLE, Ordering::Release);
             return;
         };
         let waker = Waker::from(task.clone());
         let mut cx = Context::from_waker(&waker);
         match catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx))) {
-            Ok(Poll::Ready(())) => {
-                task.state.store(IDLE, Ordering::Release);
-            }
-            Ok(Poll::Pending) => {
-                *task.future.lock() = Some(fut);
-                if task
-                    .state
-                    .compare_exchange(RUNNING, IDLE, Ordering::AcqRel, Ordering::Acquire)
-                    .is_err()
-                {
-                    // Woken during the poll (NOTIFIED): requeue.
-                    task.state.store(QUEUED, Ordering::Release);
-                    self.queue.lock().runnable.push_back(task);
-                    self.queue.notify_one();
-                }
-            }
-            Err(payload) => {
-                task.state.store(IDLE, Ordering::Release);
-                self.panics.lock().push(payload);
-            }
-        }
-    }
-
-    /// Pops a runnable task, or returns `None` at quiescence (queue empty
-    /// and nobody mid-poll). Blocks while other workers are still active,
-    /// since they may enqueue more work.
-    fn pop_or_quiesce(&self) -> Option<Arc<Task>> {
-        let mut guard = self.queue.lock();
-        loop {
-            if let Some(task) = guard.runnable.pop_front() {
-                guard.active += 1;
-                return Some(task);
-            }
-            if guard.active == 0 {
-                return None;
-            }
-            guard = self.queue.wait(guard);
-        }
-    }
-
-    /// Marks a popped task finished; wakes quiescence waiters at the end.
-    fn finish_task(&self) {
-        let mut guard = self.queue.lock();
-        guard.active -= 1;
-        if guard.active == 0 && guard.runnable.is_empty() {
-            drop(guard);
-            self.queue.notify_all();
-        }
-    }
-
-    /// Helper-worker loop: drain tasks until shutdown. Helpers never fire
-    /// timers — only the driver advances virtual time.
-    fn worker_loop(self: Arc<Self>) {
-        loop {
-            let task = {
-                let mut guard = self.queue.lock();
-                loop {
-                    if guard.shutdown {
-                        return;
-                    }
-                    if let Some(task) = guard.runnable.pop_front() {
-                        guard.active += 1;
-                        break task;
-                    }
-                    guard = self.queue.wait(guard);
-                }
-            };
-            self.run_task(task);
-            self.finish_task();
+            Ok(Poll::Ready(())) => {}
+            Ok(Poll::Pending) => *task.future.lock() = Some(fut),
+            Err(payload) => self.panics.lock().push(payload),
         }
     }
 }
@@ -293,42 +189,28 @@ impl<T> Future for JoinHandle<T> {
 /// The executor. See the crate docs for the model.
 pub struct Executor {
     shared: Arc<Shared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Executor {
-    /// An executor over `clock` using `threads` OS threads in total — the
-    /// calling (driver) thread plus `threads - 1` helpers. Clamped to
-    /// `[1, MAX_WORKERS]`.
-    pub fn new(clock: SimClock, threads: usize) -> Executor {
-        let threads = threads.clamp(1, MAX_WORKERS);
-        let shared = Arc::new(Shared {
-            queue: Monitor::new(QueueState {
-                runnable: VecDeque::new(),
-                active: 0,
-                shutdown: false,
-            }),
-            clock,
-            reactor: Mutex::new(Reactor::default()),
-            panics: Mutex::new(Vec::new()),
-        });
-        let workers = (1..threads)
-            .map(|_| {
-                let shared = shared.clone();
-                std::thread::spawn(move || shared.worker_loop())
-            })
-            .collect();
-        Executor { shared, workers }
-    }
-
-    /// A single-threaded (fully deterministic) executor.
+    /// An executor over `clock` whose tasks are all polled on the thread
+    /// that calls [`Executor::run_until_idle`].
     pub fn single(clock: SimClock) -> Executor {
-        Executor::new(clock, 1)
+        Executor {
+            shared: Arc::new(Shared {
+                runnable: Mutex::new(VecDeque::new()),
+                clock,
+                reactor: Mutex::new(Reactor::default()),
+                panics: Mutex::new(Vec::new()),
+            }),
+        }
     }
 
-    /// Total OS threads this executor polls tasks on (driver included).
-    pub fn os_threads(&self) -> usize {
-        1 + self.workers.len()
+    /// [`Executor::single`], for callers that still pass a thread count.
+    /// Every task runs on the driver thread, so any count but 1 is a
+    /// caller's mistake and panics.
+    pub fn new(clock: SimClock, threads: usize) -> Executor {
+        assert_eq!(threads, 1, "the executor polls every task on the driver thread");
+        Executor::single(clock)
     }
 
     /// The virtual clock driving the reactor.
@@ -361,7 +243,7 @@ impl Executor {
             }
         };
         let task = Arc::new(Task {
-            state: AtomicU8::new(IDLE),
+            queued: AtomicBool::new(false),
             future: Mutex::new(Some(Box::pin(wrapped))),
             shared: self.shared.clone(),
         });
@@ -379,9 +261,8 @@ impl Executor {
     /// tasks have run.
     pub fn run_until_idle(&self) -> Duration {
         loop {
-            while let Some(task) = self.shared.pop_or_quiesce() {
+            while let Some(task) = self.shared.pop() {
                 self.shared.run_task(task);
-                self.shared.finish_task();
             }
             // Quiescent: all tasks parked. Jump virtual time to the next
             // deadline and wake that batch, earliest-(deadline, seq) first.
@@ -399,16 +280,6 @@ impl Executor {
             resume_unwind(p);
         }
         self.shared.clock.now()
-    }
-}
-
-impl Drop for Executor {
-    fn drop(&mut self) {
-        self.shared.queue.lock().shutdown = true;
-        self.shared.queue.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
     }
 }
 
@@ -643,20 +514,32 @@ mod tests {
     #[test]
     fn ten_thousand_tasks_on_bounded_threads() {
         let clock = SimClock::new();
-        let ex = Executor::new(clock.clone(), 64); // asks for 64, gets MAX_WORKERS
-        assert!(ex.os_threads() <= MAX_WORKERS);
+        let ex = Executor::single(clock.clone());
         let handles: Vec<_> = (0..10_000u64)
             .map(|i| {
                 let t = ex.timer();
                 ex.spawn(async move {
                     t.sleep(Duration::from_micros(i % 97)).await;
-                    i
+                    (i, std::thread::current().id())
                 })
             })
             .collect();
         ex.run_until_idle();
-        let sum: u64 = handles.iter().map(|h| h.try_take().expect("completed")).sum();
+        let driver = std::thread::current().id();
+        let mut sum = 0;
+        for h in &handles {
+            let (i, polled_on) = h.try_take().expect("completed");
+            assert_eq!(polled_on, driver, "every task is polled on the driver thread");
+            sum += i;
+        }
         assert_eq!(sum, (0..10_000u64).sum());
+        assert_eq!(clock.now(), Duration::from_micros(96));
+    }
+
+    #[test]
+    #[should_panic(expected = "driver thread")]
+    fn a_thread_count_other_than_one_is_refused() {
+        Executor::new(SimClock::new(), 2);
     }
 
     #[test]

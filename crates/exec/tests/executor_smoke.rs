@@ -3,23 +3,22 @@
 //! gate loudly instead of silently shrinking coverage.
 //!
 //! One compact scenario exercises the whole stack: many simulated clients
-//! multiplexed over a bounded thread count, reactor wakeups in virtual
+//! multiplexed over the one driver thread, reactor wakeups in virtual
 //! time, and each client parking at its lane's time before every call so
 //! that the clients' RPCs overlap in simulated time.
 
 use std::sync::Arc;
 
-use nexus_exec::{Executor, MAX_WORKERS};
+use nexus_exec::Executor;
 use nexus_storage::afs::{AfsClient, AfsServer};
 use nexus_storage::{LatencyModel, SimClock, StorageBackend};
 
 #[test]
-fn two_thousand_clients_on_a_handful_of_threads() {
+fn two_thousand_clients_on_one_thread() {
     let server = AfsServer::new();
     let clock = SimClock::new();
     let latency = LatencyModel::paper_calibrated();
-    let ex = Executor::new(clock.clone(), MAX_WORKERS);
-    assert!(ex.os_threads() <= MAX_WORKERS);
+    let ex = Executor::single(clock.clone());
 
     const CLIENTS: usize = 2000;
     const OPS: usize = 3;

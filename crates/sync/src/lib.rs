@@ -161,71 +161,6 @@ impl<T: fmt::Debug> fmt::Debug for RwLock<T> {
     }
 }
 
-/// A mutex/condition-variable pair that never poisons.
-///
-/// `std::sync::Condvar` must be paired with a raw `std::sync::Mutex`, which
-/// re-introduces the poisoning `Result`s this crate exists to remove, so the
-/// pair is wrapped together: `lock()` returns the guard directly and
-/// `wait_while` re-checks the caller's predicate across spurious wakeups.
-/// Used by the `nexus-exec` run queue (workers park here between tasks).
-pub struct Monitor<T> {
-    cv: sync::Condvar,
-    lock: sync::Mutex<T>,
-}
-
-impl<T> Monitor<T> {
-    /// Creates a new monitor around `value`.
-    pub const fn new(value: T) -> Monitor<T> {
-        Monitor { cv: sync::Condvar::new(), lock: sync::Mutex::new(value) }
-    }
-
-    /// Acquires the lock, blocking until it is available.
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        self.lock.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Releases `guard` and blocks until notified, reacquiring the lock
-    /// before returning. Callers must re-check their predicate (spurious
-    /// wakeups happen); prefer [`Monitor::wait_while`].
-    pub fn wait<'a>(&'a self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-        self.cv.wait(guard).unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Blocks until `condition` returns false, handling spurious wakeups.
-    pub fn wait_while<'a>(
-        &'a self,
-        mut guard: MutexGuard<'a, T>,
-        mut condition: impl FnMut(&mut T) -> bool,
-    ) -> MutexGuard<'a, T> {
-        while condition(&mut guard) {
-            guard = self.wait(guard);
-        }
-        guard
-    }
-
-    /// Wakes one thread blocked in [`Monitor::wait`]/[`Monitor::wait_while`].
-    pub fn notify_one(&self) {
-        self.cv.notify_one();
-    }
-
-    /// Wakes every thread blocked in [`Monitor::wait`]/[`Monitor::wait_while`].
-    pub fn notify_all(&self) {
-        self.cv.notify_all();
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for Monitor<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.lock.try_lock() {
-            Ok(guard) => f.debug_tuple("Monitor").field(&&*guard).finish(),
-            Err(TryLockError::Poisoned(e)) => {
-                f.debug_tuple("Monitor").field(&&*e.into_inner()).finish()
-            }
-            Err(TryLockError::WouldBlock) => f.write_str("Monitor(<locked>)"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,30 +221,6 @@ mod tests {
         .join();
         *l.write() += 1;
         assert_eq!(*l.read(), 42);
-    }
-
-    #[test]
-    fn monitor_hands_work_between_threads() {
-        let m = Arc::new(Monitor::new(Vec::<u32>::new()));
-        let consumer = {
-            let m = Arc::clone(&m);
-            thread::spawn(move || {
-                let guard = m.wait_while(m.lock(), |queue| queue.len() < 3);
-                guard.iter().sum::<u32>()
-            })
-        };
-        for v in [1u32, 2, 3] {
-            m.lock().push(v);
-            m.notify_all();
-        }
-        assert_eq!(consumer.join().unwrap(), 6);
-    }
-
-    #[test]
-    fn monitor_wait_while_returns_immediately_when_false() {
-        let m = Monitor::new(7u32);
-        let guard = m.wait_while(m.lock(), |v| *v != 7);
-        assert_eq!(*guard, 7);
     }
 
     #[test]

@@ -15,11 +15,10 @@
 //! - [`apps`] — tar/du/grep/cp/mv over the LFSD/MFMD/SFLD workloads
 //!   (Table III, Fig. 6);
 //! - [`loadgen`] — the massive-scale load driver: one
-//!   `run(source, cell, world)` over seeded Zipf/Poisson op streams at
-//!   the wire level (raw RPC clients) or the fs level (real `NexusVolume`
-//!   mounts), scheduled as futures on the `nexus-exec` executor (100k
-//!   clients, ≤ 8 OS threads), as a serial oracle, or as the
-//!   thread-per-client baseline (DESIGN.md §14, §15).
+//!   `run(source, cell, world)` over seeded Zipf/Poisson op streams of
+//!   real `NexusVolume` mounts, scheduled as futures on the `nexus-exec`
+//!   executor (100k clients on one OS thread), as a serial oracle, or as
+//!   the thread-per-client baseline (DESIGN.md §14, §15).
 
 pub mod apps;
 pub mod bench_fs;

@@ -8,7 +8,7 @@
 //! - each **cell** ([`Cell`]) — how many clients, how many ops each, the run
 //!   seed, the arrival process, the latency model;
 //! - each **world** ([`World`]) — what schedules the clients: futures on the
-//!   `nexus-exec` executor (100k clients on ≤ 8 OS threads), the same
+//!   `nexus-exec` executor (100k clients on one OS thread), the same
 //!   futures one client after another (the serial oracle), or one OS
 //!   thread per client (the baseline the executor is gated against).
 //!
@@ -90,24 +90,15 @@ pub struct Cell {
 /// What schedules a cell's clients.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum World {
-    /// Every client a future on one `nexus-exec` executor.
-    Exec {
-        /// OS-thread budget (clamped to `nexus_exec::MAX_WORKERS`).
-        threads: usize,
-    },
+    /// Every client a future on one `nexus-exec` executor, polled on
+    /// the calling thread.
+    Exec,
     /// One client at a time, in client order, on the calling thread —
     /// the ground truth the other worlds must be byte-identical to.
     Serial,
     /// One OS thread per client: the world the executor is benchmarked
     /// against, which cannot reach 100k clients.
     Threads,
-}
-
-impl World {
-    /// The executor world at its full thread budget.
-    pub fn exec() -> World {
-        World::Exec { threads: nexus_exec::MAX_WORKERS }
-    }
 }
 
 /// One generated operation.
@@ -475,8 +466,8 @@ pub fn run(source: &Fs, cell: &Cell, world: World) -> ScaleReport {
         )
     };
     let (transcripts, os_threads): (Vec<u64>, usize) = match world {
-        World::Exec { threads } => {
-            let ex = Executor::new(clock.clone(), threads);
+        World::Exec => {
+            let ex = Executor::single(clock.clone());
             let handles: Vec<_> = conns
                 .into_iter()
                 .enumerate()
@@ -484,7 +475,7 @@ pub fn run(source: &Fs, cell: &Cell, world: World) -> ScaleReport {
                 .collect();
             ex.run_until_idle();
             let done = handles.iter().map(|h| h.try_take().expect("client completed"));
-            (done.collect(), ex.os_threads())
+            (done.collect(), 1)
         }
         World::Serial => {
             let ex = Executor::single(clock.clone());
@@ -882,11 +873,11 @@ mod tests {
     #[test]
     fn exec_world_runs_a_small_cell() {
         let cell = Fs::cell(16, 6);
-        let world = World::Exec { threads: 2 };
+        let world = World::Exec;
         let report = run(&Fs::standard(), &cell, world);
         assert_eq!(report.total_ops, 96);
         assert_eq!(report.transcripts.len(), 16);
-        assert!(report.os_threads <= nexus_exec::MAX_WORKERS);
+        assert_eq!(report.os_threads, 1);
         assert!(report.makespan > Duration::ZERO);
         assert!(report.wall > Duration::ZERO);
         assert!(report.agg_ops_per_sec > 0.0);
@@ -907,7 +898,7 @@ mod tests {
         let serial = run(source, cell, World::Serial);
         assert_eq!(serial.os_threads, 1);
         assert_eq!(serial.hist.all.count(), serial.total_ops, "{what}");
-        for world in [World::Exec { threads: 1 }, World::Exec { threads: 4 }, World::Threads] {
+        for world in [World::Exec, World::Threads] {
             let other = run(source, cell, world);
             assert_eq!(other.transcripts, serial.transcripts, "{what}: {world:?} transcripts");
             assert_eq!(other.inventory, serial.inventory, "{what}: {world:?} inventory");
@@ -919,7 +910,7 @@ mod tests {
                 // The baseline burned a thread per client; the executor
                 // did not.
                 World::Threads => assert_eq!(other.os_threads, cell.clients),
-                _ => assert!(other.os_threads <= 4),
+                _ => assert_eq!(other.os_threads, 1),
             }
         }
     }
@@ -940,7 +931,7 @@ mod tests {
     fn fs_open_loop_runs_and_records_queueing() {
         let mut cell = Fs::cell(4, 8);
         cell.arrival = Arrival::Open { per_client_hz: 2000.0 };
-        let exec = run(&Fs::standard(), &cell, World::Exec { threads: 1 });
+        let exec = run(&Fs::standard(), &cell, World::Exec);
         assert_eq!(exec.hist.all.count(), 32);
         // 2 kHz arrivals against multi-ms enclave ops: the tail must
         // show queueing delay beyond a single op's cost.
@@ -953,8 +944,8 @@ mod tests {
         // throughput grows with the client count; this fails if lanes ever
         // serialise again.
         let fs = Fs::standard();
-        let one = run(&fs, &Fs::cell(1, 16), World::exec());
-        let sixteen = run(&fs, &Fs::cell(16, 16), World::exec());
+        let one = run(&fs, &Fs::cell(1, 16), World::Exec);
+        let sixteen = run(&fs, &Fs::cell(16, 16), World::Exec);
         let scaling = sixteen.agg_ops_per_sec / one.agg_ops_per_sec;
         assert!(scaling >= 3.0, "x{scaling:.2} aggregate fs throughput at 16 clients vs 1");
     }

@@ -56,10 +56,10 @@ echo "== bench smoke (JSON emitters and their floors) =="
 scripts/bench.sh --smoke
 
 echo "== scale harness determinism =="
-# Every virtual-time figure micro_scale reports is a function of its seeds,
-# however its executor threads interleave on the host: a second smoke run
-# must match the first byte for byte once the host wall-clock lines
-# ("wall_s", "host_ns_per_op") are dropped.
+# Every virtual-time figure micro_scale reports is a function of its seeds:
+# the executor polls every client on one thread, in an order the seeds fix,
+# so a second smoke run must match the first byte for byte once the host
+# wall-clock lines ("wall_s", "host_ns_per_op") are dropped.
 virtual_only() { grep -v -e '"wall_s"' -e '"host_ns_per_op"' "$1"; }
 first=$(mktemp)
 trap 'rm -f "$first"' EXIT

@@ -367,3 +367,104 @@ fn two_sessions_on_one_log_backend_keep_every_create() {
     two_sessions_on_one_store_keep_every_create(Arc::new(LogBackend::open(&root).unwrap()));
     std::fs::remove_dir_all(&root).unwrap();
 }
+
+/// Two owner sessions on one `MemBackend`, which answers a contended lock
+/// with an error that each session retries: the first over a call log of
+/// the store, the second on the store itself. `d` holds `a/d`, `b`, `a/f`
+/// and `b/g`, and both sessions have walked it.
+fn two_sessions_on_one_mem_backend() -> (Arc<HookedBackend<MemBackend>>, NexusVolume, NexusVolume)
+{
+    let platform = Platform::seeded(0x2D1);
+    let ias = AttestationService::new();
+    ias.register_platform(&platform);
+    let owner = UserKeys::from_seed("owner", &[1u8; 32]);
+    let config = NexusConfig::default();
+    let mem = Arc::new(MemBackend::new());
+    let log = Arc::new(HookedBackend::new(mem.clone()));
+    let (first, sealed) =
+        NexusVolume::create(&platform, log.clone(), &ias, &owner, config).unwrap();
+    first.authenticate(&owner).unwrap();
+    first.mkdir_all("a/d").unwrap();
+    first.mkdir("b").unwrap();
+    first.write_file("a/f", b"f").unwrap();
+    first.write_file("b/g", b"g").unwrap();
+    let second = NexusVolume::mount(&platform, mem, &ias, &sealed, config).unwrap();
+    second.authenticate(&owner).unwrap();
+    for v in [&first, &second] {
+        v.list_dir("a/d").unwrap();
+        v.list_dir("b").unwrap();
+    }
+    (log, first, second)
+}
+
+#[test]
+fn a_create_inside_a_directory_moved_across_directories_is_kept_or_refused() {
+    // The move rewrites the moved directory's main object (its parent
+    // pointer). Just before that commit lands, the other session creates
+    // `x` inside the directory. Holding the moved directory's lock, the
+    // move makes the create wait for it and then find `a/d` gone. Without
+    // that lock the create lands first and the move writes back the old
+    // bucket MACs over it: `x` is lost and `b/d` never loads again.
+    use std::sync::mpsc;
+    use std::time::Duration;
+    let (log, mover, creator) = two_sessions_on_one_mem_backend();
+    let (racing, raced) = mpsc::channel();
+    log.before(
+        |call, _| call == Call::PutMany,
+        move || {
+            let (done, finished) = mpsc::channel();
+            let racer = std::thread::spawn(move || {
+                let created = creator.write_file("a/d/x", b"x");
+                let _ = done.send(());
+                (creator, created)
+            });
+            let _ = finished.recv_timeout(Duration::from_millis(200));
+            racing.send(racer).unwrap();
+        },
+    );
+    mover.rename("a/d", "b/d").unwrap();
+    let (creator, created) = raced.recv().expect("the hook fired").join().unwrap();
+
+    let listed = |v: &NexusVolume| -> Vec<String> {
+        v.list_dir("b/d").unwrap().into_iter().map(|row| row.name).collect()
+    };
+    match created {
+        Ok(()) => assert_eq!(creator.read_file("b/d/x").unwrap(), b"x"),
+        Err(nexus::NexusError::NotFound(_)) => assert!(listed(&creator).is_empty()),
+        Err(e) => panic!("the create failed: {e}"),
+    }
+    assert_eq!(listed(&mover), listed(&creator));
+    for v in [&mover, &creator] {
+        let report = v.fsck(nexus::core::FsckMode::Deep).unwrap();
+        assert!(report.is_clean(), "{:?}", report.errors);
+    }
+}
+
+#[test]
+fn renames_across_two_directories_in_opposite_directions_do_not_deadlock() {
+    // One session moves a file from `a` to `b` and back, the other a file
+    // from `b` to `a` and back: each rename locks both directories. Taken
+    // source first, one session could hold `a` and wait for `b` while the
+    // other held `b` and waited for `a`, until a retry budget ran out and a
+    // rename failed "lock contended". Every lock set is taken in one global
+    // order, so one of the two always gets both.
+    const ROUNDS: usize = 2000;
+    let (_, first, second) = two_sessions_on_one_mem_backend();
+    let shuttle = |v: NexusVolume, there: [&'static str; 2]| {
+        std::thread::spawn(move || {
+            for _ in 0..ROUNDS {
+                v.rename(there[0], there[1]).unwrap();
+                v.rename(there[1], there[0]).unwrap();
+            }
+            v
+        })
+    };
+    let forth = shuttle(first, ["a/f", "b/f"]);
+    let back = shuttle(second, ["b/g", "a/g"]);
+    let first = forth.join().unwrap();
+    back.join().unwrap();
+    assert_eq!(first.read_file("a/f").unwrap(), b"f");
+    assert_eq!(first.read_file("b/g").unwrap(), b"g");
+    let report = first.fsck(nexus::core::FsckMode::Deep).unwrap();
+    assert!(report.is_clean(), "{:?}", report.errors);
+}

@@ -53,7 +53,7 @@ fn gate_suites_exist() {
         ("crates/storage", &["crash_recovery", "reopen", "batch_differential", "source_audit"]),
         ("crates/crypto", &["source_audit", "kernel_differential", "properties"]),
         ("crates/testkit", &["timing_leak"]),
-        ("crates/exec", &["executor_smoke", "begin_at_zero_delay"]),
+        ("crates/exec", &["executor_smoke", "begin_at_zero_delay", "source_audit"]),
         ("crates/workloads", &["source_audit", "exec_differential", "exec_fs_differential"]),
         (
             "crates/core",
