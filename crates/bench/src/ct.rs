@@ -14,7 +14,11 @@
 //!    control, which the model must flag. The shipped engines make no
 //!    secret-indexed access to trace (`crates/crypto/tests/source_audit.rs`
 //!    reads every module for one); both get an informational wall-clock t,
-//!    which never gates anything — real timers are too noisy for CI.
+//!    which never gates anything — real timers are too noisy for CI. So do
+//!    the two curve operations on secret scalars: Ed25519 signing (a fixed
+//!    signing key against random ones) and X25519 (a fixed scalar against
+//!    random ones). Their deterministic gate is the field-operation count
+//!    in `nexus-crypto`'s unit tests.
 //!
 //! Floors: every lane's four throughputs positive; the model *flags* the
 //! table-driven reference (Welch's t above the 4.5 threshold) at both
@@ -24,8 +28,10 @@
 use std::time::Instant;
 
 use nexus_crypto::aes::{Aes, KeySize};
+use nexus_crypto::ed25519::SigningKey;
 use nexus_crypto::gcm::AesGcm;
 use nexus_crypto::gcm_siv::AesGcmSiv;
+use nexus_crypto::x25519;
 use nexus_crypto::CryptoBackend;
 use nexus_testkit::spec;
 use nexus_testkit::timing::{analyze, Class, LeakReport, LEAK_T_THRESHOLD};
@@ -71,6 +77,8 @@ pub(crate) struct Ct {
     pub(crate) table_flagged: bool,
     wall_constant_time_t: f64,
     wall_hw_accel_t: Option<f64>,
+    wall_ed25519_sign_t: f64,
+    wall_x25519_t: f64,
 }
 
 fn measure_lane(backend: CryptoBackend, gcm_bytes: usize) -> Lane {
@@ -152,6 +160,47 @@ fn classify_wallclock(backend: CryptoBackend, per_class: usize) -> f64 {
     .t
 }
 
+/// Wall-clock nanoseconds of `op` on this sample's class of secret: the
+/// fixed one or a fresh random one (drawn outside the timed region).
+fn classify_secret<K>(
+    seed: u64,
+    per_class: usize,
+    fixed: &K,
+    random: impl Fn([u8; 32]) -> K,
+    op: impl Fn(&K),
+) -> f64 {
+    analyze(seed, per_class, |class, g| {
+        let fresh;
+        let secret = match class {
+            Class::Fixed => fixed,
+            Class::Random => {
+                fresh = random(g.bytes::<32>());
+                &fresh
+            }
+        };
+        let start = Instant::now();
+        op(secret);
+        start.elapsed().as_nanos() as f64
+    })
+    .t
+}
+
+/// Informational wall-clock t of Ed25519 signing, fixed vs random key.
+fn classify_ed25519_sign(per_class: usize) -> f64 {
+    let fixed = SigningKey::from_seed(&[0x3c; 32]);
+    classify_secret(0xed_5164, per_class, &fixed, |seed| SigningKey::from_seed(&seed), |key| {
+        std::hint::black_box(key.sign(b"micro_ct"));
+    })
+}
+
+/// Informational wall-clock t of X25519, fixed vs random scalar.
+fn classify_x25519(per_class: usize) -> f64 {
+    let peer = x25519::x25519_public_key(&[0x24; 32]);
+    classify_secret(0x0072_5519, per_class, &[0x3c; 32], |scalar| scalar, |scalar| {
+        std::hint::black_box(x25519::x25519(scalar, &peer));
+    })
+}
+
 impl Report for Ct {
     fn measure(smoke: bool) -> Ct {
         let payload_bytes = if smoke { 8 * 1024 } else { 64 * 1024 };
@@ -169,6 +218,8 @@ impl Report for Ct {
             table_flagged: model.leaking,
             wall_constant_time_t: classify_wallclock(CryptoBackend::Bitsliced, wall_per_class),
             wall_hw_accel_t: hw.then(|| classify_wallclock(CryptoBackend::HwAccel, wall_per_class)),
+            wall_ed25519_sign_t: classify_ed25519_sign(wall_per_class),
+            wall_x25519_t: classify_x25519(wall_per_class),
         }
     }
 
@@ -188,6 +239,10 @@ impl Report for Ct {
             None => Json::obj().field("hw_absent", Json::Bool(true)),
         };
         let wall = Json::obj().field("constant_time_t", Json::Num(self.wall_constant_time_t));
+        let wall = match self.wall_hw_accel_t {
+            Some(t) => wall.field("hw_accel_t", Json::Num(t)),
+            None => wall,
+        };
         Json::obj()
             .field("bench", Json::Str("ct".into()))
             .field("emitter", Json::Str("nexus-bench micro_ct (scripts/bench.sh)".into()))
@@ -215,10 +270,8 @@ impl Report for Ct {
             )
             .field(
                 "leak_wallclock_informational",
-                match self.wall_hw_accel_t {
-                    Some(t) => wall.field("hw_accel_t", Json::Num(t)),
-                    None => wall,
-                },
+                wall.field("ed25519_sign_t", Json::Num(self.wall_ed25519_sign_t))
+                    .field("x25519_t", Json::Num(self.wall_x25519_t)),
             )
     }
 }

@@ -36,6 +36,8 @@ pub enum NexusError {
     NotEmpty(String),
     /// Name contains `/`, is empty, or is otherwise invalid.
     InvalidName(String),
+    /// A public key does not decode to a curve point.
+    InvalidKey(String),
     /// Serialized metadata failed to parse.
     Malformed(String),
     /// The volume was made in a format this build refuses to mount.
@@ -67,6 +69,7 @@ impl std::fmt::Display for NexusError {
             NexusError::IsADirectory(p) => write!(f, "is a directory: {p}"),
             NexusError::NotEmpty(p) => write!(f, "directory not empty: {p}"),
             NexusError::InvalidName(n) => write!(f, "invalid name: {n:?}"),
+            NexusError::InvalidKey(what) => write!(f, "invalid key: {what} is not a curve point"),
             NexusError::Malformed(what) => write!(f, "malformed metadata: {what}"),
             NexusError::UnsupportedVolume(why) => write!(f, "unsupported volume: {why}"),
             NexusError::StaleRead(what) => write!(f, "stale read, retry: {what}"),

@@ -92,8 +92,13 @@ impl Supernode {
     ///
     /// # Errors
     ///
-    /// [`NexusError::AlreadyExists`] when the name or key is already present.
+    /// [`NexusError::InvalidKey`] when the key does not decode to a curve
+    /// point; [`NexusError::AlreadyExists`] when the name or key is already
+    /// present.
     pub fn add_user(&mut self, name: &str, key: VerifyingKey) -> Result<UserId> {
+        if VerifyingKey::from_bytes(&key.0).is_err() {
+            return Err(NexusError::InvalidKey(format!("public key of {name}")));
+        }
         if self.user_by_name(name).is_some() {
             return Err(NexusError::AlreadyExists(format!("user {name}")));
         }
@@ -148,7 +153,7 @@ impl Supernode {
     ///
     /// # Errors
     ///
-    /// [`NexusError::Malformed`] on framing or key-decoding failures;
+    /// [`NexusError::Malformed`] on framing failures;
     /// [`NexusError::UnsupportedVolume`] when the reserved field names a
     /// freshness manifest, which this build does not keep.
     pub fn decode(bytes: &[u8]) -> Result<Supernode> {
@@ -183,12 +188,13 @@ fn encode_user(w: &mut Writer, user: &UserRecord) {
     w.raw(&user.public_key.to_bytes());
 }
 
+/// Keeps the key's 32 bytes as stored: [`Supernode::add_user`] admitted
+/// only curve points, the supernode is authenticated, and `verify` refuses
+/// a key that is not one.
 fn decode_user(r: &mut Reader<'_>) -> Result<UserRecord> {
     let id = UserId(r.u32()?);
     let name = r.string()?;
-    let key_bytes = r.array::<32>()?;
-    let public_key = VerifyingKey::from_bytes(&key_bytes)
-        .map_err(|_| NexusError::Malformed("invalid user public key".into()))?;
+    let public_key = VerifyingKey(r.array::<32>()?);
     Ok(UserRecord { id, name, public_key })
 }
 

@@ -60,6 +60,16 @@
 //! engine's round-key and H-power state; a refused open wipes the
 //! plaintext it decrypted before returning.
 //!
+//! The curve25519 code holds the same line for every secret scalar: Ed25519
+//! key derivation and signing multiply the base point through a table of
+//! its multiples that each digit reads whole, selecting by mask
+//! ([`field25519::Fe::cmov`]); scalars reduce modulo L by Barrett with
+//! masked corrections; X25519's ladder swaps by mask
+//! ([`field25519::Fe::cswap`]); inversion is a fixed addition chain. The
+//! unit tests count field operations and hold them equal across scalars.
+//! Only [`ed25519::VerifyingKey::verify`], whose inputs are all public,
+//! runs variable-time.
+//!
 //! ## Example
 //!
 //! ```

@@ -39,7 +39,9 @@ pub fn clamp_scalar(mut scalar: [u8; 32]) -> [u8; 32] {
 /// The X25519 function: scalar multiplication on the Montgomery curve.
 ///
 /// `scalar` is clamped internally; `u` is a little-endian u-coordinate whose
-/// top bit is ignored, both per RFC 7748.
+/// top bit is ignored, both per RFC 7748. The Montgomery ladder runs the
+/// same field operations for every scalar: each bit only steers masked
+/// swaps ([`Fe::cswap`]), and the final inversion is a fixed addition chain.
 pub fn x25519(scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
     let k = clamp_scalar(*scalar);
     let x1 = Fe::from_bytes(u);
@@ -48,10 +50,10 @@ pub fn x25519(scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
     let mut x3 = x1;
     let mut z3 = Fe::ONE;
     let a24 = Fe::from_u64(121665);
-    let mut swap = false;
+    let mut swap = 0u64;
 
     for t in (0..255).rev() {
-        let k_t = (k[t / 8] >> (t % 8)) & 1 == 1;
+        let k_t = ((k[t / 8] >> (t % 8)) & 1) as u64;
         swap ^= k_t;
         Fe::cswap(swap, &mut x2, &mut x3);
         Fe::cswap(swap, &mut z2, &mut z3);
@@ -85,7 +87,69 @@ pub fn x25519_public_key(secret: &[u8; 32]) -> [u8; 32] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::field25519::op_count;
+    use crate::field25519::tests::invert_by_pow;
     use crate::test_util::{hex, unhex};
+    use nexus_testkit::Gen;
+
+    /// The ladder as it was before the masked swap: `if swap` exchanges the
+    /// pairs and square-and-multiply inverts. The oracle for the
+    /// differential test.
+    fn x25519_oracle(scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
+        let k = clamp_scalar(*scalar);
+        let x1 = Fe::from_bytes(u);
+        let (mut x2, mut z2, mut x3, mut z3) = (Fe::ONE, Fe::ZERO, x1, Fe::ONE);
+        let a24 = Fe::from_u64(121665);
+        let mut swap = false;
+        for t in (0..255).rev() {
+            let k_t = (k[t / 8] >> (t % 8)) & 1 == 1;
+            swap ^= k_t;
+            if swap {
+                std::mem::swap(&mut x2, &mut x3);
+                std::mem::swap(&mut z2, &mut z3);
+            }
+            swap = k_t;
+            let a = x2.add(&z2);
+            let aa = a.square();
+            let b = x2.sub(&z2);
+            let bb = b.square();
+            let e = aa.sub(&bb);
+            let c = x3.add(&z3);
+            let d = x3.sub(&z3);
+            let da = d.mul(&a);
+            let cb = c.mul(&b);
+            x3 = da.add(&cb).square();
+            z3 = x1.mul(&da.sub(&cb).square());
+            x2 = aa.mul(&bb);
+            z2 = e.mul(&aa.add(&a24.mul(&e)));
+        }
+        if swap {
+            std::mem::swap(&mut x2, &mut x3);
+            std::mem::swap(&mut z2, &mut z3);
+        }
+        x2.mul(&invert_by_pow(&z2)).to_bytes()
+    }
+
+    #[test]
+    fn matches_the_oracle_on_random_scalars_and_points() {
+        let mut g = Gen::new(0x0072_5519);
+        for _ in 0..1000 {
+            let scalar = g.bytes::<32>();
+            let u = g.bytes::<32>();
+            assert_eq!(x25519(&scalar, &u), x25519_oracle(&scalar, &u));
+            assert_eq!(x25519_public_key(&scalar), x25519_oracle(&scalar, &X25519_BASEPOINT));
+        }
+    }
+
+    #[test]
+    fn field_op_count_is_independent_of_the_scalar() {
+        let sparse = [0u8; 32];
+        let dense = [0xffu8; 32];
+        let u = x25519_public_key(&[0x24; 32]);
+        let (_, sparse_ops) = op_count::of(|| x25519(&sparse, &u));
+        let (_, dense_ops) = op_count::of(|| x25519(&dense, &u));
+        assert_eq!(sparse_ops, dense_ops);
+    }
 
     #[test]
     fn rfc7748_vector_1() {

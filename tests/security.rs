@@ -338,6 +338,32 @@ fn accept_rejects_a_grant_the_owner_enclave_did_not_make() {
     accept().unwrap();
 }
 
+/// A public key that is not a curve point is refused where it enters: the
+/// supernode is not rewritten, so the volume still mounts and its owner
+/// still authenticates. (Before the check, `add_user` stored the key and
+/// every later mount failed decoding it.)
+#[test]
+fn a_key_that_is_not_a_curve_point_is_refused_and_the_volume_still_mounts() {
+    use nexus::crypto::ed25519::VerifyingKey;
+    let (platform, ias, evil, owner, volume, sealed) = setup();
+    let not_a_point = (0u8..=255)
+        .map(|y| {
+            let mut bytes = [0u8; 32];
+            bytes[0] = y;
+            bytes
+        })
+        .find(|bytes| VerifyingKey::from_bytes(bytes).is_err())
+        .expect("some small y is off the curve");
+    let err = volume.add_user("mallory", VerifyingKey(not_a_point)).unwrap_err();
+    assert!(matches!(err, NexusError::InvalidKey(_)), "got {err}");
+    assert_eq!(volume.users().unwrap(), ["owen"]);
+    let fresh =
+        NexusVolume::mount(&platform, evil.clone(), &ias, &sealed, NexusConfig::default())
+            .unwrap();
+    fresh.authenticate(&owner).unwrap();
+    assert_eq!(fresh.users().unwrap(), ["owen"]);
+}
+
 #[test]
 fn non_owner_cannot_administer() {
     let (_, _, _, _, volume, _) = setup();
