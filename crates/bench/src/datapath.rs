@@ -18,6 +18,14 @@
 //!    row 2's: the same kernels over the same bytes, so what is missing from
 //!    1.0 is what allocating the output costs the chunk path.
 //!
+//! Row 2 and the one-thread cell of row 3 are measured in pairs: [`ROUNDS`]
+//! rounds, each timing the streamed kernel and the chunk path back to back,
+//! the first of the two alternating from one round to the next. A ratio is
+//! taken within each round and `one_thread_vs_streamed` is the median of
+//! those, so a host that slows down for a second moves both sides of a
+//! ratio, not one; the throughputs reported for both rows are their
+//! medians over the same rounds.
+//!
 //! Floors: the parallel ciphertext is byte-identical to serial at every
 //! thread count, `gcm_kernel` is `cpu::describe()`'s line, and in a full
 //! run the one-thread chunk path keeps [`STREAMED_FLOOR`] of the streamed
@@ -37,6 +45,9 @@ use crate::{measure_micro, mibps, Report};
 
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 const STREAM_CHUNKS: usize = 8;
+/// Paired rounds of the streamed row and the one-thread chunk path: even,
+/// so each goes first equally often.
+const ROUNDS: usize = 8;
 /// Least share of the streamed row's throughput the one-thread chunk path
 /// may keep. Ten full runs with write-once output buffers read 0.93–1.02
 /// (seal) and 0.94–1.00 (open); five of the parent, which zero-filled the
@@ -52,20 +63,72 @@ pub(crate) struct Datapath {
     chunk_bytes: usize,
     chunks: usize,
     fused: Duration,
-    pub(crate) stream_seal: Duration,
+    /// Row 2 and row 3's one-thread cell, paired; the gate reads these.
+    pub(crate) rounds: Vec<Round>,
+    /// Row 2's medians over the rounds.
+    stream_seal: Duration,
     stream_open: Duration,
-    pub(crate) seal_wall: Vec<Duration>,
+    /// Row 3 at each [`THREAD_SWEEP`] count, the one-thread cell the
+    /// rounds' median.
+    seal_wall: Vec<Duration>,
     open_wall: Vec<Duration>,
     pub(crate) parallel_output_identical_to_serial: bool,
 }
 
+/// One paired round: the streamed row and the one-thread chunk path, each
+/// direction timed back to back.
+#[derive(Clone)]
+pub(crate) struct Round {
+    pub(crate) stream_seal: Duration,
+    pub(crate) chunk_seal: Duration,
+    stream_open: Duration,
+    chunk_open: Duration,
+}
+
+/// The median of `values`: the mean of the middle two when there is an
+/// even number of them.
+fn median(values: impl Iterator<Item = f64>) -> f64 {
+    let mut values: Vec<f64> = values.collect();
+    values.sort_by(f64::total_cmp);
+    let mid = values.len() / 2;
+    if values.len() % 2 == 0 {
+        (values[mid - 1] + values[mid]) / 2.0
+    } else {
+        values[mid]
+    }
+}
+
+/// Times `a` and `b` back to back, `b` first when `flip`.
+fn paired(
+    flip: bool,
+    a: impl FnOnce() -> Duration,
+    b: impl FnOnce() -> Duration,
+) -> (Duration, Duration) {
+    if flip {
+        let tb = b();
+        (a(), tb)
+    } else {
+        let ta = a();
+        (ta, b())
+    }
+}
+
+/// The median over `rounds` of one of their times.
+fn median_time(rounds: &[Round], time: fn(&Round) -> Duration) -> Duration {
+    Duration::from_secs_f64(median(rounds.iter().map(|r| time(r).as_secs_f64())))
+}
+
 impl Datapath {
     /// One-thread chunk-path throughput as a share of the streamed row's
-    /// (reused buffers, no allocation), `[seal, open]`.
+    /// (reused buffers, no allocation), `[seal, open]`: the median of the
+    /// rounds' ratios.
     fn one_thread_vs_streamed(&self) -> [f64; 2] {
         let stream_bytes = STREAM_CHUNKS * self.chunk_bytes;
-        [(self.seal_wall[0], self.stream_seal), (self.open_wall[0], self.stream_open)]
-            .map(|(chunked, streamed)| mibps(self.file_bytes, chunked) / mibps(stream_bytes, streamed))
+        let ratio = |chunk, stream| mibps(self.file_bytes, chunk) / mibps(stream_bytes, stream);
+        [
+            median(self.rounds.iter().map(|r| ratio(r.chunk_seal, r.stream_seal))),
+            median(self.rounds.iter().map(|r| ratio(r.chunk_open, r.stream_open))),
+        ]
     }
 }
 
@@ -89,18 +152,7 @@ impl Report for Datapath {
         let stream_bytes = STREAM_CHUNKS * gcm_bytes;
         let stream_pt = file_contents(stream_bytes, 0x57e4);
         let mut stream_ct = vec![0u8; STREAM_CHUNKS * sealed.len()];
-        let stream_seal = measure_micro(|| {
-            for (pt, out) in stream_pt.chunks(gcm_bytes).zip(stream_ct.chunks_mut(sealed.len())) {
-                gcm.seal_into(&nonce, b"aad", pt, out);
-            }
-        });
         let mut stream_back = vec![0u8; stream_bytes];
-        let stream_open = measure_micro(|| {
-            for (ct, out) in stream_ct.chunks(sealed.len()).zip(stream_back.chunks_mut(gcm_bytes)) {
-                gcm.open_into(&nonce, b"aad", ct, out).expect("own ciphertext");
-            }
-        });
-        assert!(stream_back == stream_pt, "streamed open diverged from its plaintext");
 
         // 3. Chunk path at each worker count.
         let data = file_contents(file_bytes, 0x5eed);
@@ -119,10 +171,48 @@ impl Report for Datapath {
         fnode.size = file_bytes as u64;
         fnode.chunks = contexts.clone();
 
-        let serial_ct = seal_chunks(&ThreadPool::new(1), &uuid, &data, chunk_bytes, &contexts);
-        let (mut seal_wall, mut open_wall) = (Vec::new(), Vec::new());
+        let one = ThreadPool::new(1);
+        let serial_ct = seal_chunks(&one, &uuid, &data, chunk_bytes, &contexts);
+
+        // Row 2 and row 3's one-thread cell, in paired rounds.
+        let seal_one = || seal_chunks(&one, &uuid, &data, chunk_bytes, &contexts);
+        let open_one = || open_chunks(&one, &fnode, &serial_ct, 0, chunks as u64).unwrap();
+        let mut rounds = Vec::with_capacity(ROUNDS);
+        for round in 0..ROUNDS {
+            let flip = round % 2 == 1;
+            let (stream_seal, chunk_seal) = paired(
+                flip,
+                || {
+                    measure_micro(|| {
+                        let outs = stream_ct.chunks_mut(sealed.len());
+                        for (pt, out) in stream_pt.chunks(gcm_bytes).zip(outs) {
+                            gcm.seal_into(&nonce, b"aad", pt, out);
+                        }
+                    })
+                },
+                || measure_micro(&seal_one),
+            );
+            let (stream_open, chunk_open) = paired(
+                flip,
+                || {
+                    measure_micro(|| {
+                        let outs = stream_back.chunks_mut(gcm_bytes);
+                        for (ct, out) in stream_ct.chunks(sealed.len()).zip(outs) {
+                            gcm.open_into(&nonce, b"aad", ct, out).expect("own ciphertext");
+                        }
+                    })
+                },
+                || measure_micro(&open_one),
+            );
+            rounds.push(Round { stream_seal, chunk_seal, stream_open, chunk_open });
+        }
+        assert!(stream_back == stream_pt, "streamed open diverged from its plaintext");
+
+        // Row 3 at more threads.
+        let mut seal_wall = vec![median_time(&rounds, |r| r.chunk_seal)];
+        let mut open_wall = vec![median_time(&rounds, |r| r.chunk_open)];
         let mut identical = true;
-        for &threads in &THREAD_SWEEP {
+        for &threads in &THREAD_SWEEP[1..] {
             let pool = ThreadPool::new(threads);
             identical &= seal_chunks(&pool, &uuid, &data, chunk_bytes, &contexts) == serial_ct;
             let t_seal = measure_micro(|| seal_chunks(&pool, &uuid, &data, chunk_bytes, &contexts));
@@ -140,8 +230,9 @@ impl Report for Datapath {
             chunk_bytes,
             chunks,
             fused,
-            stream_seal,
-            stream_open,
+            stream_seal: median_time(&rounds, |r| r.stream_seal),
+            stream_open: median_time(&rounds, |r| r.stream_open),
+            rounds,
             seal_wall,
             open_wall,
             parallel_output_identical_to_serial: identical,

@@ -100,7 +100,7 @@ pub const COMMANDS: &[(&str, &str, Run)] = &[
     ),
     (
         "micro_scale",
-        "`BENCH_scale.json` — 1k/10k/100k mounted fs clients, three worlds",
+        "`BENCH_scale.json` — 1k/10k/100k mounted fs clients as futures on one thread",
         Run::Emit(emit::<scale::Scale>),
     ),
     (
@@ -595,18 +595,14 @@ mod tests {
         good
     }
 
-    /// Dresses a smoke scale report as a full run whose headline is `ratio`
-    /// times the thread world, consistently: the full ladder, and the
-    /// headline cell and its recorded speedup both at `ratio`.
-    fn as_full_scale_run(r: &mut scale::Scale, ratio: f64) {
+    /// Dresses a smoke scale report as a full run: the full ladder.
+    fn as_full_scale_run(r: &mut scale::Scale) {
         r.smoke = false;
         let third = r.fs.cells[1].clone();
         r.fs.cells.push(third);
         for (cell, clients) in r.fs.cells.iter_mut().zip([1000, 10_000, 100_000]) {
             cell.clients = clients;
         }
-        r.fs.cells[1].agg_ops_per_sec = r.fs.thread_world.agg_ops_per_sec * ratio;
-        r.fs.over_thread_baseline = ratio;
     }
 
     #[test]
@@ -620,7 +616,9 @@ mod tests {
                 ("a gcm_kernel that is not cpu::describe()'s line", |r| r.gcm_kernel = "fast".into()),
                 ("a full run whose chunk path seals at half the streamed kernel's rate", |r| {
                     r.smoke = false;
-                    r.seal_wall[0] = r.stream_seal * 2;
+                    for round in &mut r.rounds {
+                        round.chunk_seal = round.stream_seal * 2;
+                    }
                 }),
             ],
         );
@@ -654,27 +652,20 @@ mod tests {
             "micro_scale",
             &[
                 ("fs_worlds_identical = false", |r| r.fs.worlds_identical = false),
-                ("os_threads = 9", |r| r.os_threads = 9),
-                ("a cell with os_threads = 9", |r| r.fs.cells[0].os_threads = 9),
                 ("quantiles out of order", |r| {
                     let h = &mut r.fs.cells[1].latency;
                     h.p50_us = h.p99_us + 1.0;
                 }),
-                ("a headline that is not the cells' ratio", |r| r.fs.over_thread_baseline *= 1.5),
-                ("a headline cell that moved under its headline", |r| {
-                    r.fs.cells[1].agg_ops_per_sec *= 0.5
-                }),
                 ("a full run that does not ladder 1k/10k/100k", |r| {
-                    as_full_scale_run(r, 6.0);
+                    as_full_scale_run(r);
                     r.fs.cells.pop();
                 }),
-                ("a full run at x4.9 over the thread world", |r| as_full_scale_run(r, 4.9)),
             ],
         );
-        // The full-run controls fail for what they doctor: the same report
-        // at x5.1 passes.
+        // The full-run control fails for what it doctors: the same report
+        // with the whole ladder passes.
         let mut full = scale;
-        as_full_scale_run(&mut full, 5.1);
+        as_full_scale_run(&mut full);
         full.gate();
         negative_controls::<groups::Groups>(
             "micro_groups",

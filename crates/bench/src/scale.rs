@@ -9,21 +9,17 @@
 //! paper-calibrated latency model.
 //! Latencies are recorded per operation into log-bucketed histograms
 //! (p50/p99/p999); an open-loop cell replays a Poisson arrival schedule so
-//! queueing delay (coordinated omission) shows up in the tail. Every such figure is virtual time; each cell also
-//! carries the host wall clock of its measured epoch (`wall_s`,
-//! `host_ns_per_op`).
+//! queueing delay (coordinated omission) shows up in the tail. Every such
+//! figure is virtual time; each cell also carries the host wall clock of
+//! its measured epoch (`wall_s`, `host_ns_per_op`).
 //!
-//! Floors, at both sizes: every executor cell ran on one OS thread, however
-//! many clients it simulated; the executor world executed what
-//! the serial oracle did (transcripts, server inventory, simulated makespan)
-//! and what the thread-per-client world did at that world's sustainable
-//! client count (transcripts, inventory) — swapping the scheduling
-//! substrate may change *when* things happen on the host, never *what*
-//! happened; every cell's quantiles are ordered, its per-kind histograms sum
-//! and it has a host cost; the headline — aggregate executor throughput at
-//! the headline rung over the thread world's at its own maximum — is what
-//! the cells say. A full run also ladders 1k/10k/100k with the 10k cell as
-//! the headline, clears 5x, and has no p999 under its mean.
+//! Floors, at both sizes: the executor world executed what the serial
+//! oracle did (transcripts, server inventory, simulated makespan) —
+//! polling the clients together instead of one after another may change
+//! *when* things happen on the host, never *what* happened; every cell's
+//! quantiles are ordered, its per-kind histograms sum and it has a host
+//! cost. A full run also ladders 1k/10k/100k and has no p999 under its
+//! mean.
 
 use nexus_workloads::loadgen::{run, Arrival, Cell, Fs, LatencyHistogram, ScaleReport, World};
 
@@ -37,18 +33,11 @@ struct Plan {
     ladder: &'static [(usize, usize)],
     /// Where the executor world is held against the serial oracle.
     oracle: (usize, usize),
-    /// The thread-per-client world's sustainable size: 100k OS threads is
-    /// exactly what the executor exists to avoid.
-    baseline: (usize, usize),
     /// The open-loop cell and its per-client arrival rate, in simulated
     /// ops per second.
     open: (usize, usize),
     open_hz: f64,
 }
-
-/// The ladder rung behind the headline: 10k clients in full mode, 1k in
-/// smoke.
-const HEADLINE: usize = 1;
 
 #[derive(Clone)]
 pub(crate) struct Hist {
@@ -60,16 +49,15 @@ pub(crate) struct Hist {
     max_us: f64,
 }
 
-/// One cell of one world.
+/// One cell of the executor world.
 #[derive(Clone)]
 pub(crate) struct CellReport {
     pub(crate) clients: usize,
     ops_per_client: usize,
     total_ops: u64,
-    pub(crate) os_threads: usize,
     wall_s: f64,
     makespan_ms: f64,
-    pub(crate) agg_ops_per_sec: f64,
+    agg_ops_per_sec: f64,
     pub(crate) latency: Hist,
     reads: Hist,
     writes: Hist,
@@ -82,19 +70,12 @@ pub(crate) struct Section {
     pub(crate) worlds_identical: bool,
     pub(crate) cells: Vec<CellReport>,
     open_loop: CellReport,
-    /// The thread-per-client world at its sustainable size, and what the
-    /// executor world made of the same cell.
-    pub(crate) thread_world: CellReport,
-    exec_at_baseline_agg_ops_per_sec: f64,
-    /// Headline-rung executor throughput over the thread world's.
-    pub(crate) over_thread_baseline: f64,
 }
 
 #[derive(Clone)]
 pub(crate) struct Scale {
     pub(crate) smoke: bool,
     fs_source: Fs,
-    pub(crate) os_threads: usize,
     pub(crate) fs: Section,
 }
 
@@ -117,7 +98,6 @@ fn cell_report(cell: &Cell, report: &ScaleReport) -> CellReport {
         clients: cell.clients,
         ops_per_client: cell.ops_per_client,
         total_ops: report.total_ops,
-        os_threads: report.os_threads,
         wall_s: report.wall.as_secs_f64(),
         makespan_ms: report.makespan.as_secs_f64() * 1e3,
         agg_ops_per_sec: report.agg_ops_per_sec,
@@ -131,24 +111,16 @@ fn cell_report(cell: &Cell, report: &ScaleReport) -> CellReport {
     }
 }
 
-fn same_execution(a: &ScaleReport, b: &ScaleReport) -> bool {
-    a.transcripts == b.transcripts && a.inventory == b.inventory
-}
-
-/// The whole section: differential runs, ladder, open loop, baseline,
-/// headline.
+/// The whole section: the differential run, ladder, open loop.
 fn section(source: &Fs, plan: &Plan) -> Section {
-    // Against the serial oracle, lanes being charged identically, the
-    // simulated makespan must match too.
+    // Lanes being charged identically, the simulated makespan must match
+    // the serial oracle's too.
     let oracle_cell = Fs::cell(plan.oracle.0, plan.oracle.1);
     let serial = run(source, &oracle_cell, World::Serial);
     let exec = run(source, &oracle_cell, World::Exec);
-    let baseline_cell = Fs::cell(plan.baseline.0, plan.baseline.1);
-    let threads = run(source, &baseline_cell, World::Threads);
-    let exec_at_baseline = run(source, &baseline_cell, World::Exec);
-    let worlds_identical = same_execution(&exec, &serial)
-        && exec.makespan == serial.makespan
-        && same_execution(&exec_at_baseline, &threads);
+    let worlds_identical = exec.transcripts == serial.transcripts
+        && exec.inventory == serial.inventory
+        && exec.makespan == serial.makespan;
     let cells: Vec<CellReport> = plan
         .ladder
         .iter()
@@ -166,17 +138,7 @@ fn section(source: &Fs, plan: &Plan) -> Section {
         ..Fs::cell(plan.open.0, plan.open.1)
     };
     let open_loop = cell_report(&open_cell, &run(source, &open_cell, World::Exec));
-
-    let over_thread_baseline =
-        cells[HEADLINE].agg_ops_per_sec / threads.agg_ops_per_sec.max(1e-9);
-    Section {
-        worlds_identical,
-        cells,
-        open_loop,
-        thread_world: cell_report(&baseline_cell, &threads),
-        exec_at_baseline_agg_ops_per_sec: exec_at_baseline.agg_ops_per_sec,
-        over_thread_baseline,
-    }
+    Section { worlds_identical, cells, open_loop }
 }
 
 /// The host cost of a run, beside its virtual-time figures.
@@ -202,8 +164,7 @@ impl CellReport {
         let head = Json::obj()
             .field("clients", Json::Int(self.clients as i64))
             .field("ops_per_client", Json::Int(self.ops_per_client as i64))
-            .field("total_ops", Json::Int(self.total_ops as i64))
-            .field("os_threads", Json::Int(self.os_threads as i64));
+            .field("total_ops", Json::Int(self.total_ops as i64));
         let json = with_wall(head, self.wall_s, self.total_ops)
             .field("makespan_ms", Json::Num(self.makespan_ms))
             .field("agg_ops_per_sec", Json::Num(self.agg_ops_per_sec))
@@ -218,7 +179,6 @@ impl CellReport {
 
     fn gate(&self, what: &str, smoke: bool) {
         let at = format!("{}-client {what} cell", self.clients);
-        assert_eq!(self.os_threads, 1, "{at} drove more than one OS thread");
         assert!(self.wall_s > 0.0 && self.total_ops > 0, "{at} has no host cost");
         let h = &self.latency;
         assert!(h.p50_us <= h.p99_us && h.p99_us <= h.p999_us, "{at}: quantiles out of order");
@@ -241,64 +201,23 @@ impl Section {
     /// Appends this section's fields to `doc`, each key behind `fs_`.
     fn emit(&self, doc: Json) -> Json {
         let key = |name: &str| format!("fs_{name}");
-        let headline = &self.cells[HEADLINE];
-        let b = &self.thread_world;
         doc.field(&key("clients"), Json::ints(self.cells.iter().map(|c| c.clients as i64)))
             .field(&key("worlds_identical"), Json::Bool(self.worlds_identical))
             .field(&key("cells"), Json::Arr(self.cells.iter().map(CellReport::json).collect()))
             .field(&key("open_loop"), self.open_loop.json())
-            .field(
-                &key("baseline"),
-                with_wall(
-                    Json::obj()
-                        .field("clients", Json::Int(b.clients as i64))
-                        .field("ops_per_client", Json::Int(b.ops_per_client as i64))
-                        .field("os_threads", Json::Int(b.os_threads as i64)),
-                    b.wall_s,
-                    b.total_ops,
-                )
-                .field("agg_ops_per_sec", Json::Num(b.agg_ops_per_sec))
-                .field(
-                    "exec_world_agg_ops_per_sec",
-                    Json::Num(self.exec_at_baseline_agg_ops_per_sec),
-                ),
-            )
-            .field(
-                &key("speedup"),
-                Json::obj()
-                    .field("exec_clients", Json::Int(headline.clients as i64))
-                    .field("exec_agg_ops_per_sec", Json::Num(headline.agg_ops_per_sec))
-                    .field("over_thread_baseline", Json::Num(self.over_thread_baseline)),
-            )
     }
 
     fn gate(&self, what: &str, smoke: bool) {
         assert!(
             self.worlds_identical,
-            "{what}: executor, serial and thread worlds must be transcript-identical"
+            "{what}: the executor and serial worlds must be transcript-identical"
         );
         for cell in self.cells.iter().chain([&self.open_loop]) {
             cell.gate(what, smoke);
         }
-        let baseline = &self.thread_world;
-        assert!(baseline.wall_s > 0.0 && baseline.total_ops > 0, "{what}: no baseline host cost");
-        // Recomputed from the raw cells rather than trusted.
-        let headline = &self.cells[HEADLINE];
-        let recomputed = headline.agg_ops_per_sec / baseline.agg_ops_per_sec;
-        assert!(
-            (recomputed - self.over_thread_baseline).abs() < 1e-6 * recomputed.max(1.0),
-            "{what} speedup x{:.2} does not match the raw cells' x{recomputed:.2}",
-            self.over_thread_baseline
-        );
         if !smoke {
             let clients: Vec<usize> = self.cells.iter().map(|c| c.clients).collect();
             assert_eq!(clients, [1000, 10_000, 100_000], "a full {what} run ladders 1k/10k/100k");
-            assert!(
-                self.over_thread_baseline >= 5.0,
-                "need >= 5x {what} executor throughput at 10k clients over the thread-per-client \
-                 baseline, got x{:.2}",
-                self.over_thread_baseline
-            );
         }
     }
 }
@@ -311,7 +230,6 @@ impl Report for Scale {
             Plan {
                 ladder: &[(100, 8), (1000, 8)],
                 oracle: (32, 8),
-                baseline: (16, 8),
                 open: (1000, 8),
                 open_hz: 25.0,
             }
@@ -319,19 +237,16 @@ impl Report for Scale {
             Plan {
                 ladder: &[(1000, 16), (10_000, 8), (100_000, 4)],
                 oracle: (128, 8),
-                baseline: (64, 32),
                 open: (10_000, 8),
                 open_hz: 25.0,
             }
         };
         let fs_source = Fs::standard();
         let fs = section(&fs_source, &plan);
-        let os_threads = fs.cells.iter().map(|c| c.os_threads).max().expect("cells");
-        Scale { smoke, fs_source, os_threads, fs }
+        Scale { smoke, fs_source, fs }
     }
 
     fn gate(&self) {
-        assert_eq!(self.os_threads, 1, "the executor used more than one OS thread");
         self.fs.gate("fs", self.smoke);
     }
 
@@ -341,7 +256,6 @@ impl Report for Scale {
             .field("emitter", Json::Str("nexus-bench micro_scale (scripts/bench.sh)".into()))
             .field("smoke", Json::Bool(self.smoke))
             .field("latency_model", Json::Str("paper_calibrated".into()))
-            .field("os_threads", Json::Int(self.os_threads as i64))
             .field("fs_shared_files", Json::Int(self.fs_source.shared_files as i64))
             .field("fs_value_bytes", Json::Int(self.fs_source.value_bytes as i64));
         self.fs.emit(doc)

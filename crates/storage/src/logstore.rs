@@ -19,8 +19,12 @@
 //!   rename followed by a directory fsync; segments older than the
 //!   checkpoint's watermark are then deleted. A checkpoint is the
 //!   compaction step of the log-structured layout — overwritten versions
-//!   are dropped, so recovery cost is bounded by `checkpoint_every`, not
-//!   by history length.
+//!   are dropped. One fires after `checkpoint_every` mutations through
+//!   one handle, and the count starts at 0 at every `open`: the bound is
+//!   per handle, not per store. A store written by processes that each
+//!   make fewer mutations than that (every CLI command does) never
+//!   checkpoints, so its replay grows with its whole history
+//!   (ROADMAP item 16).
 //! - **Recovery replay**: [`LogBackend::open`] loads the newest committed
 //!   checkpoint (a partially written one can only exist under its `.tmp`
 //!   name and is discarded), then replays every segment at or above the

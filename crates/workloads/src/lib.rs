@@ -16,9 +16,9 @@
 //!   (Table III, Fig. 6);
 //! - [`loadgen`] — the massive-scale load driver: one
 //!   `run(source, cell, world)` over seeded Zipf/Poisson op streams of
-//!   real `NexusVolume` mounts, scheduled as futures on the `nexus-exec`
-//!   executor (100k clients on one OS thread), as a serial oracle, or as
-//!   the thread-per-client baseline (DESIGN.md §14, §15).
+//!   real `NexusVolume` mounts, polled as futures on the `nexus-exec`
+//!   executor (100k clients on one OS thread) or one after another as a
+//!   serial oracle (DESIGN.md §14, §15).
 
 pub mod apps;
 pub mod bench_fs;

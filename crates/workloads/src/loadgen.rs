@@ -5,17 +5,23 @@
 //!   [`NexusVolume`] per client and drives the paper's data path
 //!   (`AsyncVolume`: reads, batched `read_files`, whole-file writes, ACL
 //!   churn — seal/open, metadata commits, freshness checks and all);
-//! - each **cell** ([`Cell`]) — how many clients, how many ops each, the run
-//!   seed, the arrival process, the latency model;
-//! - each **world** ([`World`]) — what schedules the clients: futures on the
-//!   `nexus-exec` executor (100k clients on one OS thread), the same
-//!   futures one client after another (the serial oracle), or one OS
-//!   thread per client (the baseline the executor is gated against).
+//! - each **cell** ([`Cell`]) — how many clients, how many ops each, the
+//!   arrival process;
+//! - each **world** ([`World`]) — in what order the clients are polled:
+//!   all at once as futures on the `nexus-exec` executor (100k clients on
+//!   one OS thread), or one after another (the serial oracle). Both run on
+//!   the calling thread; which OS thread polls a client is not part of the
+//!   system under test.
 //!
-//! A client is one future, `drive_client`, in every world: the serial
-//! and thread worlds poll it on a driver-local single-thread executor
-//! instead of keeping a synchronous twin, so the op → call mapping exists
-//! once, over the adapter users get.
+//! The run seed (`Fs::SEED`), the latency model
+//! (`LatencyModel::paper_calibrated`), the op mix and the modelled crypto
+//! cost are constants: every figure the harness records is a function of
+//! the three settings a cell or a source takes.
+//!
+//! A client is one future, `drive_client`, in both worlds: the serial
+//! world polls it on the same single-thread executor instead of keeping a
+//! synchronous twin, so the op → call mapping exists once, over the
+//! adapter users get.
 //!
 //! ## Why the worlds agree
 //!
@@ -45,7 +51,6 @@
 //! times, so queueing delay — the coordinated-omission tail — lands in
 //! the latency histogram.
 
-use std::future::Future;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -72,33 +77,26 @@ pub enum Arrival {
     },
 }
 
-/// One scale-harness cell: N clients, each running a seeded op stream.
+/// One scale-harness cell: N clients, each running an op stream seeded
+/// from `Fs::SEED` and its index.
 #[derive(Debug, Clone)]
 pub struct Cell {
     /// Simulated client count.
     pub clients: usize,
     /// Operations per client.
     pub ops_per_client: usize,
-    /// Run seed; per-client streams derive from it.
-    pub seed: u64,
     /// Arrival process.
     pub arrival: Arrival,
-    /// Simulated network/disk cost model.
-    pub latency: LatencyModel,
 }
 
-/// What schedules a cell's clients.
+/// In what order a cell's clients are polled, on the calling thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum World {
-    /// Every client a future on one `nexus-exec` executor, polled on
-    /// the calling thread.
+    /// Every client a future on one `nexus-exec` executor.
     Exec,
-    /// One client at a time, in client order, on the calling thread —
-    /// the ground truth the other worlds must be byte-identical to.
+    /// One client at a time, in client order — the ground truth the
+    /// executor world must be byte-identical to.
     Serial,
-    /// One OS thread per client: the world the executor is benchmarked
-    /// against, which cannot reach 100k clients.
-    Threads,
 }
 
 /// One generated operation.
@@ -106,7 +104,8 @@ pub enum World {
 pub enum Op {
     /// Read the shared file of this Zipf rank.
     Read(usize),
-    /// Batched `read_files` of `bulk_width` shared files from this rank.
+    /// Batched `read_files` of `Fs::BULK_WIDTH` shared files from this
+    /// rank.
     Bulk(usize),
     /// Write one of this client's private files (a slot the writes cycle
     /// over).
@@ -157,8 +156,8 @@ fn payload(len: usize, tag: u64, stride: usize) -> Vec<u8> {
 }
 
 /// Opens one client's connection, on a lane of its own.
-fn connect_afs(server: &AfsServer, clock: &SimClock, cell: &Cell) -> Arc<AfsClient> {
-    Arc::new(AfsClient::connect(server, clock.clone(), cell.latency))
+fn connect_afs(server: &AfsServer, clock: &SimClock) -> Arc<AfsClient> {
+    Arc::new(AfsClient::connect(server, clock.clone(), LatencyModel::paper_calibrated()))
 }
 
 /// Uniform `f64` in `[0, 1)` from the top 53 bits of a `u64` draw.
@@ -178,7 +177,7 @@ fn arrivals_for_client(
 ) -> Vec<Duration> {
     let process = PoissonArrivals::from_rate_hz(per_client_hz);
     let mut rng = SeededRandom::new(
-        cell.seed ^ Fs::ARRIVAL_SALT ^ fnv1a(FNV_OFFSET, &(c as u64).to_le_bytes()),
+        Fs::SEED ^ Fs::ARRIVAL_SALT ^ fnv1a(FNV_OFFSET, &(c as u64).to_le_bytes()),
     );
     let mut t = t0;
     (0..cell.ops_per_client)
@@ -301,23 +300,6 @@ impl LatencyHistogram {
         Duration::from_nanos(self.max_nanos.load(Ordering::Relaxed))
     }
 
-    /// Folds `other`'s samples into `self` — a lock-free bucket sum, so
-    /// per-client histograms can aggregate at end of run without sharing
-    /// a global histogram on the hot path. Merging is exact: the merged
-    /// histogram is indistinguishable from one that recorded every
-    /// sample directly (same buckets, count, sum, and max).
-    pub fn merge(&self, other: &LatencyHistogram) {
-        for (dst, src) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = src.load(Ordering::Relaxed);
-            if n != 0 {
-                dst.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum_nanos.fetch_add(other.sum_nanos.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max_nanos.fetch_max(other.max_nanos.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// The `q`-quantile (`0.5` = p50, `0.999` = p999), resolved to the upper
     /// edge of the bucket holding that sample, or to [`Self::max`] when that
     /// is lower: never below the sample, and above it by at most 1/32 of it.
@@ -367,11 +349,9 @@ pub struct ScaleReport {
     pub transcripts: Vec<u64>,
     /// Digest of the server's final object inventory.
     pub inventory: u64,
-    /// OS threads that drove the run.
-    pub os_threads: usize,
 }
 
-/// One client's whole run, in every world: hold each op until its issue
+/// One client's whole run, in both worlds: hold each op until its issue
 /// time, execute it, record the latency, fold the transcript. `arrivals`
 /// is `Some` for open loop.
 async fn drive_client(
@@ -407,37 +387,6 @@ async fn drive_client(
     chain
 }
 
-/// Polls one client to completion on `ex`.
-fn complete(ex: &Executor, client: impl Future<Output = u64> + Send + 'static) -> u64 {
-    let handle = ex.spawn(client);
-    ex.run_until_idle();
-    handle.try_take().expect("client completed")
-}
-
-/// [`World::Threads`]: an OS thread per client, each polling its client on
-/// an executor of its own. The only place the harness may spawn threads
-/// (`tests/source_audit.rs`).
-fn thread_per_client<C: Send, F: Future<Output = u64> + Send + 'static>(
-    clock: &SimClock,
-    conns: Vec<C>,
-    client: impl Fn(usize, C, Timer) -> F + Sync,
-) -> Vec<u64> {
-    let client = &client;
-    std::thread::scope(|scope| {
-        let joins: Vec<_> = conns
-            .into_iter()
-            .enumerate()
-            .map(|(c, conn)| {
-                scope.spawn(move || {
-                    let ex = Executor::single(clock.clone());
-                    complete(&ex, client(c, conn, ex.timer()))
-                })
-            })
-            .collect();
-        joins.into_iter().map(|join| join.join().expect("client thread")).collect()
-    })
-}
-
 /// Runs one cell of `source` in `world`.
 pub fn run(source: &Fs, cell: &Cell, world: World) -> ScaleReport {
     // Every connection exists before the first op: a lane is born at the
@@ -449,44 +398,29 @@ pub fn run(source: &Fs, cell: &Cell, world: World) -> ScaleReport {
 
     let t0 = clock.now();
     let started = Instant::now();
-    let client = |c: usize, conn: FsConn, timer: Timer| {
+    let ex = Executor::single(clock.clone());
+    let mut handles = Vec::with_capacity(cell.clients);
+    for (c, conn) in conns.into_iter().enumerate() {
         let arrivals = match cell.arrival {
             Arrival::Closed => None,
             Arrival::Open { per_client_hz } => {
                 Some(arrivals_for_client(cell, per_client_hz, c, t0))
             }
         };
-        drive_client(
+        handles.push(ex.spawn(drive_client(
             source.clone(),
-            source.connect(conn, timer),
+            source.connect(conn, ex.timer()),
             c,
             source.ops(cell, &zipf, c),
             arrivals,
             hist.clone(),
-        )
-    };
-    let (transcripts, os_threads): (Vec<u64>, usize) = match world {
-        World::Exec => {
-            let ex = Executor::single(clock.clone());
-            let handles: Vec<_> = conns
-                .into_iter()
-                .enumerate()
-                .map(|(c, conn)| ex.spawn(client(c, conn, ex.timer())))
-                .collect();
+        )));
+        if world == World::Serial {
             ex.run_until_idle();
-            let done = handles.iter().map(|h| h.try_take().expect("client completed"));
-            (done.collect(), 1)
         }
-        World::Serial => {
-            let ex = Executor::single(clock.clone());
-            let done = conns
-                .into_iter()
-                .enumerate()
-                .map(|(c, conn)| complete(&ex, client(c, conn, ex.timer())));
-            (done.collect(), 1)
-        }
-        World::Threads => (thread_per_client(&clock, conns, client), cell.clients),
-    };
+    }
+    ex.run_until_idle();
+    let transcripts = handles.iter().map(|h| h.try_take().expect("client completed")).collect();
     let wall = started.elapsed();
     let makespan = clock.now() - t0;
 
@@ -500,7 +434,6 @@ pub fn run(source: &Fs, cell: &Cell, world: World) -> ScaleReport {
         hist,
         transcripts,
         inventory: inventory_digest(&server),
-        os_threads,
     }
 }
 
@@ -513,7 +446,8 @@ const DIR_FANOUT_BITS: u32 = 7;
 /// [`NexusVolume`] behind an `AsyncVolume` — over one shared server. A
 /// repos/dbbench-flavoured mix of Zipf reads and batched reads of a
 /// setup-time shared keyspace, whole-file writes to the client's own
-/// slots and ACL churn on its own directory.
+/// slots and ACL churn on its own directory, its in-enclave CPU cost
+/// charged to the lane as `CryptoCost::paper_calibrated`.
 #[derive(Debug, Clone)]
 pub struct Fs {
     /// Files in the shared read-only keyspace (written at setup).
@@ -522,37 +456,13 @@ pub struct Fs {
     pub value_bytes: usize,
     /// Private files per client (writes cycle through these slots).
     pub files_per_client: usize,
-    /// Files per bulk (`read_files`) operation.
-    pub bulk_width: usize,
-    /// Zipf skew over the shared files.
-    pub zipf_alpha: f64,
-    /// Fraction of ops that are single shared-file reads.
-    pub read_fraction: f64,
-    /// Fraction of ops that are batched `read_files` bulk reads.
-    pub bulk_fraction: f64,
-    /// Fraction of ops that are ACL updates on the client's directory;
-    /// what the three fractions leave are private writes.
-    pub acl_fraction: f64,
-    /// Modelled in-enclave CPU cost, charged per op on the lane.
-    pub crypto: CryptoCost,
 }
 
 impl Fs {
-    /// The standard mix: Zipf(0.99) over 64 shared files of 256 bytes,
-    /// 40% reads / 15% bulk reads of 4 / 10% ACL churn / 35% writes over 8
-    /// slots, paper-calibrated crypto cost.
+    /// The standard keyspace: 64 shared files of 256 bytes and 8 private
+    /// slots per client.
     pub fn standard() -> Fs {
-        Fs {
-            shared_files: 64,
-            value_bytes: 256,
-            files_per_client: 8,
-            bulk_width: 4,
-            zipf_alpha: 0.99,
-            read_fraction: 0.40,
-            bulk_fraction: 0.15,
-            acl_fraction: 0.10,
-            crypto: CryptoCost::paper_calibrated(),
-        }
+        Fs { shared_files: 64, value_bytes: 256, files_per_client: 8 }
     }
 
     /// The shared file a sampled rank names.
@@ -588,23 +498,29 @@ pub struct FsConn {
 }
 
 impl Fs {
-    /// The standard cell's run seed.
+    /// The run seed; every client's op and arrival streams derive from it
+    /// and the client's index.
     const SEED: u64 = 0xF5_5CA1E_2026;
     /// Salts the arrival stream apart from the op stream, so closed- and
     /// open-loop runs execute identical ops. Both factors are part of
     /// every recorded open-loop schedule.
     const ARRIVAL_SALT: u64 =
         fnv1a(FNV_OFFSET, b"fs-arrivals") ^ fnv1a(FNV_OFFSET, b"arrivals");
+    /// Files per bulk (`read_files`) operation.
+    const BULK_WIDTH: usize = 4;
+    /// Zipf skew over the shared files.
+    const ZIPF_ALPHA: f64 = 0.99;
+    /// Fraction of ops that are single shared-file reads.
+    const READ_FRACTION: f64 = 0.40;
+    /// Fraction of ops that are batched `read_files` bulk reads.
+    const BULK_FRACTION: f64 = 0.15;
+    /// Fraction of ops that are ACL updates on the client's directory;
+    /// what the three fractions leave are private writes.
+    const ACL_FRACTION: f64 = 0.10;
 
-    /// The standard cell: paper-calibrated latencies, closed loop.
+    /// A closed-loop cell.
     pub fn cell(clients: usize, ops_per_client: usize) -> Cell {
-        Cell {
-            clients,
-            ops_per_client,
-            seed: Fs::SEED,
-            arrival: Arrival::Closed,
-            latency: LatencyModel::paper_calibrated(),
-        }
+        Cell { clients, ops_per_client, arrival: Arrival::Closed }
     }
 
     /// The owner creates the volume on stream 0 of the seeded machine,
@@ -617,7 +533,7 @@ impl Fs {
     pub fn deploy(&self, cell: &Cell) -> Deployment {
         let server = AfsServer::new();
         let clock = SimClock::new();
-        let id_seed = cell.seed ^ fnv1a(FNV_OFFSET, b"fs-platform");
+        let id_seed = Fs::SEED ^ fnv1a(FNV_OFFSET, b"fs-platform");
         let owner_platform = Platform::seeded_stream(id_seed, 0);
         let ias = AttestationService::new();
         ias.register_platform(&owner_platform);
@@ -625,7 +541,7 @@ impl Fs {
         let auditor = UserKeys::from_seed("auditor", &[0x52u8; 32]);
         let nexus_cfg = NexusConfig::default();
 
-        let owner_afs = connect_afs(&server, &clock, cell);
+        let owner_afs = connect_afs(&server, &clock);
         let (owner_volume, sealed) =
             NexusVolume::create(&owner_platform, owner_afs.clone(), &ias, &owner, nexus_cfg)
                 .expect("fs world: volume create");
@@ -664,7 +580,7 @@ impl Fs {
         let conns: Vec<FsConn> = (0..cell.clients)
             .map(|c| {
                 let platform = Platform::seeded_stream(id_seed, c as u64 + 1);
-                let afs = connect_afs(&server, &clock, cell);
+                let afs = connect_afs(&server, &clock);
                 let volume = NexusVolume::mount(&platform, afs.clone(), &ias, &sealed, nexus_cfg)
                     .expect("fs world: client mount");
                 volume.authenticate(&owner).expect("fs world: client auth");
@@ -682,29 +598,30 @@ impl Fs {
 
     /// Lifts a mounted client onto `timer`'s executor.
     fn connect(&self, conn: FsConn, timer: Timer) -> AsyncVolume {
-        AsyncVolume::new(conn.volume, conn.afs.lane().clone(), timer, self.crypto)
+        let crypto = CryptoCost::paper_calibrated();
+        AsyncVolume::new(conn.volume, conn.afs.lane().clone(), timer, crypto)
     }
 
     /// The popularity sampler over the shared files.
     fn zipf(&self) -> Zipf {
-        Zipf::new(self.shared_files, self.zipf_alpha)
+        Zipf::new(self.shared_files, Fs::ZIPF_ALPHA)
     }
 
     /// The deterministic op stream of client `c` — the same in every
     /// world, derived only from the source, the cell and the index.
     fn ops(&self, cell: &Cell, zipf: &Zipf, c: usize) -> Vec<Op> {
         let salt = fnv1a(fnv1a(FNV_OFFSET, b"fs-ops"), &(c as u64).to_le_bytes());
-        let mut rng = SeededRandom::new(cell.seed ^ salt);
+        let mut rng = SeededRandom::new(Fs::SEED ^ salt);
         let mut writes = 0usize;
         let mut acls = 0usize;
         (0..cell.ops_per_client)
             .map(|_| {
                 let u = f64_unit(&mut rng);
-                if u < self.read_fraction {
+                if u < Fs::READ_FRACTION {
                     Op::Read(zipf.sample_with(f64_unit(&mut rng)))
-                } else if u < self.read_fraction + self.bulk_fraction {
+                } else if u < Fs::READ_FRACTION + Fs::BULK_FRACTION {
                     Op::Bulk(zipf.sample_with(f64_unit(&mut rng)))
-                } else if u < self.read_fraction + self.bulk_fraction + self.acl_fraction {
+                } else if u < Fs::READ_FRACTION + Fs::BULK_FRACTION + Fs::ACL_FRACTION {
                     acls += 1;
                     Op::Acl(acls - 1)
                 } else {
@@ -722,7 +639,7 @@ impl Fs {
             Op::Read(rank) => av.read_file(&self.shared(rank)).await.expect("fs read"),
             Op::Bulk(start) => {
                 let paths: Vec<String> =
-                    (0..self.bulk_width).map(|i| self.shared(start + i)).collect();
+                    (0..Fs::BULK_WIDTH).map(|i| self.shared(start + i)).collect();
                 av.read_files(&paths).await.expect("fs bulk read").concat()
             }
             Op::Write(slot) => {
@@ -804,38 +721,6 @@ mod tests {
     }
 
     #[test]
-    fn merged_histograms_equal_one_shared_histogram() {
-        // Per-client recording + merge must be indistinguishable from
-        // every sample landing in one shared histogram: same count,
-        // mean, max, and every quantile.
-        let mut rng = SeededRandom::new(0xACC0);
-        let shared = LatencyHistogram::new();
-        let parts: Vec<LatencyHistogram> =
-            (0..7).map(|_| LatencyHistogram::new()).collect();
-        for i in 0..5000u64 {
-            // Skewed spread across 9 orders of magnitude.
-            let nanos = (rng.next_u64() % 1_000_000_000).saturating_pow(1) >> (i % 20);
-            let sample = Duration::from_nanos(nanos);
-            shared.record(sample);
-            parts[(i % 7) as usize].record(sample);
-        }
-        let merged = LatencyHistogram::new();
-        for p in &parts {
-            merged.merge(p);
-        }
-        assert_eq!(merged.count(), shared.count());
-        assert_eq!(merged.mean(), shared.mean());
-        assert_eq!(merged.max(), shared.max());
-        for q in [0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0] {
-            assert_eq!(merged.quantile(q), shared.quantile(q), "q={q}");
-        }
-        // Merging an empty histogram changes nothing.
-        merged.merge(&LatencyHistogram::new());
-        assert_eq!(merged.count(), shared.count());
-        assert_eq!(merged.quantile(0.5), shared.quantile(0.5));
-    }
-
-    #[test]
     fn fs_op_streams_are_deterministic_and_respect_the_mix() {
         let (fs, cell) = (Fs::standard(), Fs::cell(4, 400));
         let zipf = fs.zipf();
@@ -877,7 +762,6 @@ mod tests {
         let report = run(&Fs::standard(), &cell, world);
         assert_eq!(report.total_ops, 96);
         assert_eq!(report.transcripts.len(), 16);
-        assert_eq!(report.os_threads, 1);
         assert!(report.makespan > Duration::ZERO);
         assert!(report.wall > Duration::ZERO);
         assert!(report.agg_ops_per_sec > 0.0);
@@ -892,32 +776,23 @@ mod tests {
         assert_eq!(report.inventory, again.inventory);
     }
 
-    /// Runs `cell` in every world and checks that nothing but the wall
+    /// Runs `cell` in both worlds and checks that nothing but the wall
     /// clock depends on which one ran.
     fn assert_worlds_agree(source: &Fs, cell: &Cell, what: &str) {
         let serial = run(source, cell, World::Serial);
-        assert_eq!(serial.os_threads, 1);
         assert_eq!(serial.hist.all.count(), serial.total_ops, "{what}");
-        for world in [World::Exec, World::Threads] {
-            let other = run(source, cell, world);
-            assert_eq!(other.transcripts, serial.transcripts, "{what}: {world:?} transcripts");
-            assert_eq!(other.inventory, serial.inventory, "{what}: {world:?} inventory");
-            assert_eq!(other.makespan, serial.makespan, "{what}: {world:?} makespan");
-            assert_eq!(other.total_ops, serial.total_ops);
-            assert_eq!(other.hist.all.count(), serial.hist.all.count());
-            assert_eq!(other.hist.all.max(), serial.hist.all.max(), "{what}: {world:?} latency");
-            match world {
-                // The baseline burned a thread per client; the executor
-                // did not.
-                World::Threads => assert_eq!(other.os_threads, cell.clients),
-                _ => assert_eq!(other.os_threads, 1),
-            }
-        }
+        let exec = run(source, cell, World::Exec);
+        assert_eq!(exec.transcripts, serial.transcripts, "{what}: transcripts");
+        assert_eq!(exec.inventory, serial.inventory, "{what}: inventory");
+        assert_eq!(exec.makespan, serial.makespan, "{what}: makespan");
+        assert_eq!(exec.total_ops, serial.total_ops);
+        assert_eq!(exec.hist.all.count(), serial.hist.all.count());
+        assert_eq!(exec.hist.all.max(), serial.hist.all.max(), "{what}: latency");
     }
 
     #[test]
     fn every_world_executes_every_source_identically() {
-        // The harness invariant: swapping the scheduling substrate changes
+        // The harness invariant: swapping the polling order changes
         // *nothing* about what executed — per-client transcript chains,
         // the server's (ciphertext) inventory and, lanes being charged
         // identically, the simulated makespan — closed and open loop.
@@ -936,6 +811,34 @@ mod tests {
         // 2 kHz arrivals against multi-ms enclave ops: the tail must
         // show queueing delay beyond a single op's cost.
         assert!(exec.hist.all.quantile(0.99) > exec.hist.all.quantile(0.1));
+    }
+
+    /// What a run executed and what it measured, as literals: the
+    /// transcript chains folded to one digest, the server's inventory, the
+    /// makespan in ns and the p99 of every op in ns.
+    fn pinned(cell: &Cell) -> [u64; 4] {
+        let report = run(&Fs::standard(), cell, World::Exec);
+        let chains = report.transcripts.iter().fold(FNV_OFFSET, |h, t| fnv1a(h, &t.to_le_bytes()));
+        let nanos = |d: Duration| d.as_nanos() as u64;
+        [chains, report.inventory, nanos(report.makespan), nanos(report.hist.all.quantile(0.99))]
+    }
+
+    #[test]
+    fn the_standard_harness_runs_the_recorded_workload() {
+        // Every figure `micro_scale` records is a function of the harness's
+        // settings; these literals hold a change to the harness to
+        // executing and charging what it did before, closed and open loop.
+        assert_eq!(
+            pinned(&Fs::cell(16, 6)),
+            [14_900_224_294_755_041_673, 8_008_771_141_146_723_733, 42_471_147, 16_839_713],
+            "closed loop"
+        );
+        let open = Cell { arrival: Arrival::Open { per_client_hz: 2000.0 }, ..Fs::cell(4, 8) };
+        assert_eq!(
+            pinned(&open),
+            [7_231_178_927_031_364_303, 14_420_578_100_499_000_523, 48_313_612, 44_731_373],
+            "open loop"
+        );
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use std::time::Duration;
 
-use nexus_core::async_fs::AsyncVolume;
+use nexus_core::async_fs::{AsyncVolume, CryptoCost};
 use nexus_core::Rights;
 use nexus_exec::Executor;
 use nexus_testkit::Runner;
@@ -58,7 +58,7 @@ enum Observed {
 }
 
 fn source() -> Fs {
-    Fs { shared_files: SHARED, value_bytes: 32, files_per_client: 2, ..Fs::standard() }
+    Fs { shared_files: SHARED, value_bytes: 32, files_per_client: 2 }
 }
 
 fn deploy(source: &Fs) -> Deployment {
@@ -86,8 +86,8 @@ struct WorldOutcome {
 /// raised to the event's issue time first, charging the exact crypto
 /// model the async adapter charges.
 fn run_serial(script: &[Event]) -> WorldOutcome {
-    let fs = source();
-    let world = deploy(&fs);
+    let crypto = CryptoCost::paper_calibrated();
+    let world = deploy(&source());
     let base = world.clock.now();
     let observed = script
         .iter()
@@ -102,12 +102,12 @@ fn run_serial(script: &[Event]) -> WorldOutcome {
                 FsKind::Write => {
                     let data = value_for(c as u8, i);
                     let r = fsc.volume.write_file(&shared_file(key as usize % SHARED), &data);
-                    fs.crypto.charge(lane, data.len());
+                    crypto.charge(lane, data.len());
                     Observed::Wrote(r.is_ok())
                 }
                 FsKind::Read => {
                     let r = fsc.volume.read_file(&shared_file(key as usize % SHARED)).ok();
-                    fs.crypto.charge(lane, r.as_ref().map(Vec::len).unwrap_or(0));
+                    crypto.charge(lane, r.as_ref().map(Vec::len).unwrap_or(0));
                     Observed::Got(r)
                 }
                 FsKind::Bulk => {
@@ -116,18 +116,18 @@ fn run_serial(script: &[Event]) -> WorldOutcome {
                     let r = fsc.volume.read_files(&refs).ok();
                     let bytes =
                         r.as_ref().map(|vs| vs.iter().map(Vec::len).sum()).unwrap_or(0);
-                    fs.crypto.charge(lane, bytes);
+                    crypto.charge(lane, bytes);
                     Observed::BulkGot(r)
                 }
                 FsKind::Lookup => {
                     let r = fsc.volume.lookup(&shared_file(key as usize % SHARED)).ok();
-                    fs.crypto.charge(lane, 0);
+                    crypto.charge(lane, 0);
                     Observed::Sized(r.map(|info| info.size))
                 }
                 FsKind::Acl => {
                     let rights = if key % 2 == 0 { Rights::READ } else { Rights::RW };
                     let r = fsc.volume.set_acl(&client_dir(c), "auditor", rights);
-                    fs.crypto.charge(lane, 0);
+                    crypto.charge(lane, 0);
                     Observed::AclSet(r.is_ok())
                 }
             };
@@ -160,8 +160,7 @@ fn bulk_paths(key: u8) -> Vec<String> {
 /// deterministic single-thread executor; events interleave across clients
 /// purely by the reactor's deadline order.
 fn run_async(script: &[Event]) -> WorldOutcome {
-    let fs = source();
-    let world = deploy(&fs);
+    let world = deploy(&source());
     let base = world.clock.now();
     let ex = Executor::single(world.clock.clone());
 
@@ -169,7 +168,12 @@ fn run_async(script: &[Event]) -> WorldOutcome {
         .conns
         .iter()
         .map(|fsc| {
-            AsyncVolume::new(fsc.volume.clone(), fsc.afs.lane().clone(), ex.timer(), fs.crypto)
+            AsyncVolume::new(
+                fsc.volume.clone(),
+                fsc.afs.lane().clone(),
+                ex.timer(),
+                CryptoCost::paper_calibrated(),
+            )
         })
         .collect();
     let handles: Vec<_> = (0..CLIENTS)

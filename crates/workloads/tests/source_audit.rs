@@ -9,42 +9,30 @@
 
 use std::path::Path;
 
-/// The one function that may burn a thread per client: `World::Threads`.
-const THREAD_WORLD: &str = "fn thread_per_client";
-
 #[test]
-fn only_the_thread_world_spawns_threads() {
+fn the_load_path_spawns_no_thread() {
     const LOAD_PATH: [&str; 3] = [
         "workloads/src/loadgen.rs",
         "core/src/async_fs.rs",
         "bench/src/scale.rs",
     ];
     let crates = Path::new(env!("CARGO_MANIFEST_DIR")).parent().expect("crates/");
-    let mut exempted = 0;
     for file in LOAD_PATH {
         // A deleted file must fail here, not silently shrink the audit.
         let text = std::fs::read_to_string(crates.join(file))
             .unwrap_or_else(|e| panic!("load-path source {file}: {e}"));
         // Only code before `#[cfg(test)]` is policed, and comments are not
-        // code. A top-level item ends at the first `}` in column 0.
-        let mut in_thread_world = false;
+        // code.
         for (idx, line) in text.lines().take_while(|l| !l.starts_with("#[cfg(test)]")).enumerate()
         {
-            if line.starts_with(THREAD_WORLD) {
-                in_thread_world = true;
-                exempted += 1;
-            } else if line == "}" {
-                in_thread_world = false;
-            }
             let code = !line.trim_start().starts_with("//");
             let threaded = line.contains("thread::") || line.contains("ThreadPool");
             assert!(
-                !(code && threaded) || in_thread_world,
-                "{file}:{}: OS threads outside `{THREAD_WORLD}`: {}",
+                !(code && threaded),
+                "{file}:{}: OS threads on the load path: {}",
                 idx + 1,
                 line.trim()
             );
         }
     }
-    assert_eq!(exempted, 1, "`{THREAD_WORLD}` must exist exactly once on the load path");
 }
