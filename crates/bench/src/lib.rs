@@ -149,18 +149,22 @@ pub fn usage() -> String {
     text.push_str(
         "\n--smoke runs reduced sizes: the JSON emitters write target/BENCH_<x>.smoke.json\n\
          instead of ./BENCH_<x>.json, table_5b drops its 8192-file row, fig_5c its nodejs\n\
-         tree, and `paper` leaves EXPERIMENTS.md as it is.\n",
+         tree, and `paper` leaves EXPERIMENTS.md as it is.\n\
+         micro_scale --check runs full size, writes nothing and names the first line, host-time\n\
+         lines aside, on which the run departs from ./BENCH_scale.json.\n",
     );
     text
 }
 
 /// Runs `nexus-bench` on its arguments (the program name already dropped).
-/// Anything but `<command>` or `<command> --smoke` gets the usage text and
-/// a failing exit code; a failed gate panics.
+/// Anything but `<command>`, `<command> --smoke` or `micro_scale --check`
+/// gets the usage text and a failing exit code; a failed gate panics, a
+/// failed check exits 1.
 pub fn run(args: &[String]) -> ExitCode {
     let (command, smoke) = match args {
         [command] => (command.as_str(), false),
         [command, flag] if flag == "--smoke" => (command.as_str(), true),
+        [command, flag] if command == "micro_scale" && flag == "--check" => return check_scale(),
         _ => ("", false),
     };
     if command == "paper" {
@@ -194,6 +198,29 @@ pub fn run(args: &[String]) -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+/// `micro_scale --check`: a full run, written nowhere, held to the
+/// checked-in `BENCH_scale.json` on every line but the host-time ones.
+/// Every virtual-time figure is a function of the seeds, so any line that
+/// moved means the simulation itself changed.
+fn check_scale() -> ExitCode {
+    header("micro_scale --check", "a full run against `BENCH_scale.json`, virtual time only");
+    let path = repo_root().join("BENCH_scale.json");
+    let recorded = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let fresh = emit::<scale::Scale>(false).render();
+    print!("{fresh}");
+    match scale::first_virtual_difference(&recorded, &fresh) {
+        None => {
+            println!("ok: a full run matches {} on every virtual-time line", path.display());
+            ExitCode::SUCCESS
+        }
+        Some(diff) => {
+            eprintln!("{}: {diff}", path.display());
+            ExitCode::FAILURE
+        }
+    }
 }
 
 /// Prints a command's header: a throughput or an enclave time is never
@@ -546,9 +573,29 @@ mod tests {
             &["table_5b", "--mx", "10"],
             &["table_5b", "--smoke=1"],
             &["table_5b", "--smoke", "--smoke"],
+            &["table_5b", "--check"],
+            &["micro_scale", "--check", "--smoke"],
         ] {
             assert_eq!(format!("{:?}", run(args)), format!("{usage_error:?}"), "{args:?}");
         }
+    }
+
+    /// `micro_scale --check` passes a recording that differs from the run
+    /// in host time only, and names the first virtual-time line that moved.
+    #[test]
+    fn scale_check_names_the_first_virtual_line_that_moved() {
+        let recorded = read("BENCH_scale.json");
+        let rehosted = recorded.replace("\"wall_s\": ", "\"wall_s\": 99");
+        assert_ne!(rehosted, recorded);
+        assert_eq!(scale::first_virtual_difference(&recorded, &rehosted), None);
+
+        let (n, line) =
+            recorded.lines().enumerate().find(|(_, l)| l.contains("\"makespan_ms\"")).unwrap();
+        let doctored = recorded.replacen(line, &line.replace(": ", ": 1"), 1);
+        let diff = scale::first_virtual_difference(&recorded, &doctored).expect("caught");
+        assert!(diff.starts_with(&format!("line {}: recorded `{}`", n + 1, line.trim())), "{diff}");
+        let cut = recorded[..recorded.rfind("\"makespan_ms\"").unwrap()].trim_end();
+        assert!(scale::first_virtual_difference(&recorded, cut).unwrap().ends_with("this run <end>"));
     }
 
     /// EXPERIMENTS.md's generated blocks and the paper-facing commands are

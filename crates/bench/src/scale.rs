@@ -222,6 +222,31 @@ impl Section {
     }
 }
 
+/// The keys of the lines that hold host time: the only lines two runs of
+/// one build may differ on.
+const HOST_KEYS: [&str; 2] = ["\"wall_s\"", "\"host_ns_per_op\""];
+
+/// The first line, host-time lines dropped, on which a `fresh` document
+/// departs from the `recorded` one, named by its line number in
+/// `recorded` (in `fresh` when it runs past the recorded end).
+pub(crate) fn first_virtual_difference(recorded: &str, fresh: &str) -> Option<String> {
+    let virtual_lines = |text| -> Vec<(usize, &str)> {
+        str::lines(text)
+            .enumerate()
+            .filter(|(_, line)| !HOST_KEYS.iter().any(|key| line.contains(key)))
+            .map(|(n, line)| (n + 1, line.trim()))
+            .collect()
+    };
+    let (want, got) = (virtual_lines(recorded), virtual_lines(fresh));
+    (0..want.len().max(got.len())).find_map(|i| {
+        let (w, g) = (want.get(i), got.get(i));
+        let line = w.or(g).map_or(0, |l| l.0);
+        let text = |l: Option<&(usize, &str)>| l.map_or("<end>".into(), |l| format!("`{}`", l.1));
+        (w.map(|l| l.1) != g.map(|l| l.1))
+            .then(|| format!("line {line}: recorded {}, this run {}", text(w), text(g)))
+    })
+}
+
 impl Report for Scale {
     fn measure(smoke: bool) -> Scale {
         // Fs ops cost several RPCs each, so few of them per client and a

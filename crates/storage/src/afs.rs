@@ -13,20 +13,25 @@
 //!   [`SimClock`] by an RTT plus a bandwidth term, so benchmark harnesses
 //!   measure simulated network time without sleeping.
 //!
-//! Concurrency model (DESIGN.md §10): the server's callback/write-time
-//! state is one lock, its object store ([`MemBackend`]) another, each
-//! client's data+status cache one lock of its own (one client's cache
-//! serves one enclave at a time), and per-client accounting lock-free
-//! atomics. Each client charges RPC costs to its own [`ClockLane`]; the
-//! shared clock reads the *maximum* over lanes, so independent clients'
-//! round trips overlap in simulated time. A server-side store/callback
-//! mutation happens atomically under the state lock
-//! (`fetch_with_callback`/`put_with_callback`), which is what makes a
-//! callback break delivered mid-batch always win over a racing stale
-//! re-grant. Lock order is always server state → store; the client cache
-//! lock is never held across a server call.
+//! Concurrency model (DESIGN.md §10): a callback promise is one shared
+//! cell per path ([`Promise`]: a generation and the path's last write
+//! time), held by the server and by every client that caches the path.
+//! Breaking the promise bumps its generation; a client's cached copy is
+//! valid while the cell still reads the generation it was granted, so a
+//! cache hit asks the server nothing. The server's path → cell map is one
+//! lock, its object store ([`MemBackend`]) another, each client's cache one
+//! lock of its own (one client's cache serves one enclave at a time), and
+//! per-client accounting lock-free atomics. Each client charges RPC costs
+//! to its own [`ClockLane`]; the shared clock reads the *maximum* over
+//! lanes, so independent clients' round trips overlap in simulated time.
+//! A fetch reads the object and the generation it grants under the map
+//! lock, and a store writes the object and bumps the generation under the
+//! same lock (`fetch_with_callback`/`put_with_callback`), so a fetch whose
+//! bytes a writer has already replaced carries a generation the writer
+//! already broke and is never served again. Lock order is always server
+//! map → store; the client cache lock is never held across a server call.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -37,22 +42,33 @@ use crate::backend::{AtomicIoStats, IoStats, ObjectStat, StorageBackend, Storage
 use crate::clock::{ClockLane, LatencyModel, SimClock};
 use crate::mem::MemBackend;
 
-/// Server state: callback holders and, per path, the lane time at which
-/// the last write to it finished (the happens-before edge handed to later
-/// readers on other lanes).
+/// One path's callback promise, shared by the server and every client
+/// caching the path. A cell stays in the server's map for the server's
+/// lifetime, so a path's write time outlives a delete as it always has.
 #[derive(Debug, Default)]
-struct ServerState {
-    /// path → clients holding a valid callback promise.
-    callbacks: HashMap<String, HashSet<u64>>,
-    /// path → latest writer-lane nanosecond the object became available.
-    write_nanos: HashMap<String, u64>,
+struct Promise {
+    /// Bumped by every break; a copy granted under an older value is stale.
+    gen: AtomicU64,
+    /// Latest writer-lane nanosecond the object became available (the
+    /// happens-before edge handed to later readers on other lanes).
+    write_nanos: AtomicU64,
 }
 
-impl ServerState {
-    fn write_time(&self, path: &str) -> Duration {
-        Duration::from_nanos(self.write_nanos.get(path).copied().unwrap_or(0))
+impl Promise {
+    fn write_time(&self) -> Duration {
+        Duration::from_nanos(self.write_nanos.load(Ordering::Acquire))
+    }
+
+    /// Records that the object finished being written at writer-lane time
+    /// `at` (monotonic).
+    fn record_write(&self, at: Duration) {
+        let nanos = u64::try_from(at.as_nanos()).unwrap_or(u64::MAX);
+        self.write_nanos.fetch_max(nanos, Ordering::AcqRel);
     }
 }
+
+/// A granted promise: the path's cell and the generation granted.
+type Grant = (Arc<Promise>, u64);
 
 /// The shared AFS file server.
 ///
@@ -61,7 +77,8 @@ impl ServerState {
 #[derive(Debug, Clone, Default)]
 pub struct AfsServer {
     store: MemBackend,
-    state: Arc<Mutex<ServerState>>,
+    /// path → its callback promise.
+    promises: Arc<Mutex<HashMap<String, Arc<Promise>>>>,
     next_client_id: Arc<AtomicU64>,
 }
 
@@ -82,87 +99,63 @@ impl AfsServer {
         self.next_client_id.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    fn has_callback(&self, path: &str, client: u64) -> bool {
-        self.state.lock().callbacks.get(path).is_some_and(|s| s.contains(&client))
+    /// `path`'s cell, made on first use.
+    fn cell(promises: &mut HashMap<String, Arc<Promise>>, path: &str) -> Arc<Promise> {
+        match promises.get(path) {
+            Some(cell) => cell.clone(),
+            None => promises.entry(path.to_string()).or_default().clone(),
+        }
     }
 
-    /// Breaks every callback on `path` except the updating client's.
-    fn break_callbacks(&self, path: &str, except: u64) {
-        if let Some(holders) = self.state.lock().callbacks.get_mut(path) {
-            holders.retain(|&c| c == except);
+    /// Breaks every callback on `path`, the caller's included.
+    fn break_callbacks(&self, path: &str) {
+        if let Some(cell) = self.promises.lock().get(path) {
+            cell.gen.fetch_add(1, Ordering::AcqRel);
         }
     }
 
     /// Atomic server-side FetchData: reads the object and grants the
-    /// caller's callback under the state lock, so a concurrent
-    /// writer's break either happens entirely before (the caller reads the
-    /// new bytes) or entirely after (the caller's fresh promise is broken
-    /// and the next read refetches). Returns the data, its version, and
-    /// the writer-lane time it became available.
+    /// caller a promise under the map lock, so a concurrent writer's break
+    /// either happens entirely before (the caller reads the new bytes) or
+    /// entirely after (the caller's generation is already stale and the
+    /// next read refetches). Returns the data, its version, the grant, and
+    /// the writer-lane time the data became available.
     fn fetch_with_callback(
         &self,
         path: &str,
-        client: u64,
-    ) -> Result<(Arc<Vec<u8>>, u64, Duration), StorageError> {
-        let mut state = self.state.lock();
+    ) -> Result<(Arc<Vec<u8>>, u64, Grant, Duration), StorageError> {
+        let mut promises = self.promises.lock();
         let (data, version) = self.store.get_arc(path)?;
-        state.callbacks.entry(path.to_string()).or_default().insert(client);
-        let avail = state.write_time(path);
-        Ok((data, version, avail))
+        let cell = AfsServer::cell(&mut promises, path);
+        let (gen, avail) = (cell.gen.load(Ordering::Acquire), cell.write_time());
+        Ok((data, version, (cell, gen), avail))
     }
 
-    /// Atomic server-side StoreData: writes the object, breaks every other
-    /// client's callback, and grants the writer's, all under the state
-    /// lock. Returns the new object version.
-    fn put_with_callback(
-        &self,
-        path: &str,
-        data: &[u8],
-        client: u64,
-    ) -> Result<u64, StorageError> {
-        let mut state = self.state.lock();
+    /// Atomic server-side StoreData: writes the object and breaks every
+    /// callback on it under the map lock. Returns the new object version
+    /// and the writer's grant, the generation after its own break.
+    fn put_with_callback(&self, path: &str, data: &[u8]) -> Result<(u64, Grant), StorageError> {
+        let mut promises = self.promises.lock();
         let version = self.store.put_versioned(path, data);
-        let holders = state.callbacks.entry(path.to_string()).or_default();
-        holders.retain(|&c| c == client);
-        holders.insert(client);
-        Ok(version)
+        let cell = AfsServer::cell(&mut promises, path);
+        let gen = cell.gen.fetch_add(1, Ordering::AcqRel) + 1;
+        Ok((version, (cell, gen)))
     }
 
     /// Atomic server-side FetchStatus: stats the object and grants the
-    /// caller's callback (real AFS caches attributes under the same
-    /// promise as data).
-    fn stat_with_callback(&self, path: &str, client: u64) -> Result<ObjectStat, StorageError> {
-        let mut state = self.state.lock();
+    /// caller a promise (real AFS caches attributes under the same promise
+    /// as data).
+    fn stat_with_callback(&self, path: &str) -> Result<(ObjectStat, Grant), StorageError> {
+        let mut promises = self.promises.lock();
         let stat = self.store.stat(path)?;
-        state.callbacks.entry(path.to_string()).or_default().insert(client);
-        Ok(stat)
+        let cell = AfsServer::cell(&mut promises, path);
+        let gen = cell.gen.load(Ordering::Acquire);
+        Ok((stat, (cell, gen)))
     }
 
     /// Writer-lane time at which `path` last finished being written.
     fn write_time(&self, path: &str) -> Duration {
-        self.state.lock().write_time(path)
-    }
-
-    /// Records that `path` finished being written at writer-lane time `at`
-    /// (monotonic per path).
-    fn record_write(&self, path: &str, at: Duration) {
-        let nanos = u64::try_from(at.as_nanos()).unwrap_or(u64::MAX);
-        let mut state = self.state.lock();
-        let entry = state.write_nanos.entry(path.to_string()).or_insert(0);
-        *entry = (*entry).max(nanos);
-    }
-
-    /// Clients currently holding a callback promise on `path`, sorted.
-    ///
-    /// Test and diagnostic visibility: the batched-vs-serial differential
-    /// suite asserts that `put_many` breaks exactly the callbacks the
-    /// serial puts would have broken.
-    pub fn callback_holders(&self, path: &str) -> Vec<u64> {
-        let state = self.state.lock();
-        let mut holders: Vec<u64> =
-            state.callbacks.get(path).into_iter().flatten().copied().collect();
-        holders.sort_unstable();
-        holders
+        self.promises.lock().get(path).map_or(Duration::ZERO, |cell| cell.write_time())
     }
 
     /// Server-visible view: paths and sizes of all stored objects.
@@ -178,33 +171,46 @@ impl AfsServer {
     }
 }
 
-/// The client's local cache: whole-file data and status (FetchStatus)
-/// entries live together, so the fetch and invalidation paths take exactly
-/// one lock — there is no second mutex to acquire in a conflicting order.
-#[derive(Debug, Default)]
-struct ClientCache {
-    data: HashMap<String, Arc<Vec<u8>>>,
-    status: HashMap<String, ObjectStat>,
+/// A client's cached copy of one path: its status, whole-file data once
+/// fetched, and the promise it was granted under.
+#[derive(Debug)]
+struct Cached {
+    stat: ObjectStat,
+    data: Option<Arc<Vec<u8>>>,
+    cell: Arc<Promise>,
+    gen: u64,
 }
 
-impl ClientCache {
-    /// Admits a fetched/stored snapshot of `path`, refusing to go
-    /// backwards: a slow racing insert of version *n* never overwrites
-    /// version *n+1* already admitted by a newer fetch.
-    fn admit(&mut self, path: &str, data: Option<Arc<Vec<u8>>>, stat: ObjectStat) {
-        let known = self.status.get(path).map(|s| s.version).unwrap_or(0);
-        if stat.version < known {
-            return;
-        }
-        self.status.insert(path.to_string(), stat);
-        if let Some(d) = data {
-            self.data.insert(path.to_string(), d);
-        }
+impl Cached {
+    /// No break since the grant: the copy may be served without asking the
+    /// server.
+    fn valid(&self) -> bool {
+        self.cell.gen.load(Ordering::Acquire) == self.gen
     }
+}
 
-    fn purge(&mut self, path: &str) {
-        self.data.remove(path);
-        self.status.remove(path);
+/// Admits a fetched/stored snapshot of `path` granted under `cell`/`gen`.
+/// The grant always lands (a path's cell never changes, and the newest
+/// grant wins); the snapshot never goes backwards: a slow racing insert of
+/// version *n* never overwrites version *n+1* already admitted by a newer
+/// fetch.
+fn admit(
+    cache: &mut HashMap<String, Cached>,
+    path: &str,
+    data: Option<Arc<Vec<u8>>>,
+    stat: ObjectStat,
+    (cell, gen): Grant,
+) {
+    let Some(entry) = cache.get_mut(path) else {
+        cache.insert(path.to_string(), Cached { stat, data, cell, gen });
+        return;
+    };
+    entry.gen = entry.gen.max(gen);
+    if stat.version >= entry.stat.version {
+        entry.stat = stat;
+        if data.is_some() {
+            entry.data = data;
+        }
     }
 }
 
@@ -225,7 +231,7 @@ pub struct AfsClient {
     clock: SimClock,
     lane: ClockLane,
     latency: LatencyModel,
-    cache: Mutex<ClientCache>,
+    cache: Mutex<HashMap<String, Cached>>,
     accounting: AtomicAccounting,
 }
 
@@ -246,10 +252,14 @@ impl AfsClient {
 
     /// Connects a client charging an explicit, possibly shared lane.
     ///
-    /// Handing every client a clone of one lane reproduces the pre-lane
-    /// single-channel world where all clients' RPC costs sum — the serial
-    /// baseline the multi-client benchmarks compare against.
-    pub fn connect_on_lane(server: &AfsServer, lane: ClockLane, latency: LatencyModel) -> AfsClient {
+    /// Clients handed clones of one lane share one channel: their RPC
+    /// costs sum instead of overlapping, which is how a differential test
+    /// replays several clients one after another on one timeline.
+    pub fn connect_on_lane(
+        server: &AfsServer,
+        lane: ClockLane,
+        latency: LatencyModel,
+    ) -> AfsClient {
         let clock = lane.clock().clone();
         AfsClient::with_lane(server, clock, lane, latency)
     }
@@ -286,17 +296,25 @@ impl AfsClient {
         &self.lane
     }
 
+    /// Whether this client caches `path` under an unbroken callback
+    /// promise.
+    ///
+    /// Test and diagnostic visibility: the batched-vs-serial differential
+    /// suite asserts that `put_many` breaks exactly the callbacks the
+    /// serial puts would have broken.
+    pub fn holds_callback(&self, path: &str) -> bool {
+        self.cache.lock().get(path).is_some_and(Cached::valid)
+    }
+
     /// Drops all locally cached file contents (the evaluation flushes the
     /// AFS cache before each run, §VII-A).
     pub fn flush_cache(&self) {
-        *self.cache.lock() = ClientCache::default();
+        *self.cache.lock() = HashMap::new();
     }
 
     fn charge(&self, cost: Duration) {
         self.lane.advance(cost);
-        self.accounting
-            .simulated_nanos
-            .fetch_add(cost.as_nanos() as u64, Ordering::Relaxed);
+        self.accounting.simulated_nanos.fetch_add(cost.as_nanos() as u64, Ordering::Relaxed);
     }
 
     fn charge_rpc(&self, bytes: usize) {
@@ -310,20 +328,28 @@ impl AfsClient {
         self.accounting.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn cache_valid(&self, path: &str) -> Option<Arc<Vec<u8>>> {
-        if !self.server.has_callback(path, self.id) {
-            self.cache.lock().purge(path);
-            return None;
+    /// Reads `path`'s cached copy through `read` while its promise holds,
+    /// without asking the server; a copy whose promise broke is purged.
+    fn cached<T>(&self, path: &str, read: impl FnOnce(&Cached) -> Option<T>) -> Option<T> {
+        let mut cache = self.cache.lock();
+        let entry = cache.get(path)?;
+        if entry.valid() {
+            return read(entry);
         }
-        self.cache.lock().data.get(path).cloned()
+        cache.remove(path);
+        None
+    }
+
+    fn cache_valid(&self, path: &str) -> Option<Arc<Vec<u8>>> {
+        self.cached(path, |entry| entry.data.clone())
     }
 
     fn status_valid(&self, path: &str) -> Option<ObjectStat> {
-        if !self.server.has_callback(path, self.id) {
-            self.cache.lock().purge(path);
-            return None;
-        }
-        self.cache.lock().status.get(path).copied()
+        self.cached(path, |entry| Some(entry.stat))
+    }
+
+    fn admit(&self, path: &str, data: Option<Arc<Vec<u8>>>, stat: ObjectStat, grant: Grant) {
+        admit(&mut self.cache.lock(), path, data, stat, grant);
     }
 
     /// Server-side rename (`RXAFS_Rename`): one RPC, no data transfer.
@@ -333,32 +359,30 @@ impl AfsClient {
     /// [`StorageError::NotFound`] when the source does not exist.
     pub fn rename_object(&self, from: &str, to: &str) -> Result<(), StorageError> {
         let (data, _) = self.server.store.get_arc(from)?;
-        let version = self.server.put_with_callback(to, &data, self.id)?;
+        let (version, grant) = self.server.put_with_callback(to, &data)?;
+        let cell = grant.0.clone();
         self.server.store.delete(from)?;
-        self.server.break_callbacks(from, u64::MAX);
+        self.server.break_callbacks(from);
         let mut cache = self.cache.lock();
-        cache.status.remove(from);
-        let moved = cache.data.remove(from);
-        cache.admit(to, moved, ObjectStat { size: data.len() as u64, version });
+        let moved = cache.remove(from).and_then(|entry| entry.data);
+        admit(&mut cache, to, moved, ObjectStat { size: data.len() as u64, version }, grant);
         drop(cache);
         self.charge_rpc(0);
         self.accounting.stats.writes.fetch_add(1, Ordering::Relaxed);
-        self.server.record_write(to, self.lane.local_now());
+        cell.record_write(self.lane.local_now());
         Ok(())
     }
 }
 
 impl StorageBackend for AfsClient {
     fn put(&self, path: &str, data: &[u8]) -> Result<(), StorageError> {
-        let version = self.server.put_with_callback(path, data, self.id)?;
-        self.cache.lock().admit(
-            path,
-            Some(Arc::new(data.to_vec())),
-            ObjectStat { size: data.len() as u64, version },
-        );
+        let (version, grant) = self.server.put_with_callback(path, data)?;
+        let cell = grant.0.clone();
+        let stat = ObjectStat { size: data.len() as u64, version };
+        self.admit(path, Some(Arc::new(data.to_vec())), stat, grant);
         self.charge_rpc(data.len());
         self.accounting.stats.count_write(data.len() as u64);
-        self.server.record_write(path, self.lane.local_now());
+        cell.record_write(self.lane.local_now());
         Ok(())
     }
 
@@ -368,12 +392,9 @@ impl StorageBackend for AfsClient {
             self.accounting.stats.count_read(data.len() as u64);
             return Ok(data.as_ref().clone());
         }
-        let (data, version, avail) = self.server.fetch_with_callback(path, self.id)?;
-        self.cache.lock().admit(
-            path,
-            Some(data.clone()),
-            ObjectStat { size: data.len() as u64, version },
-        );
+        let (data, version, grant, avail) = self.server.fetch_with_callback(path)?;
+        let stat = ObjectStat { size: data.len() as u64, version };
+        self.admit(path, Some(data.clone()), stat, grant);
         // The data cannot arrive before its writer's lane finished storing
         // it: raise this lane to the availability time, then pay the RPC.
         self.lane.raise_to(avail);
@@ -398,8 +419,8 @@ impl StorageBackend for AfsClient {
 
     fn delete(&self, path: &str) -> Result<(), StorageError> {
         self.server.store.delete(path)?;
-        self.server.break_callbacks(path, u64::MAX);
-        self.cache.lock().purge(path);
+        self.server.break_callbacks(path);
+        self.cache.lock().remove(path);
         self.charge_rpc(0);
         self.accounting.stats.deletes.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -411,9 +432,9 @@ impl StorageBackend for AfsClient {
             return true;
         }
         self.charge_rpc(0);
-        match self.server.stat_with_callback(path, self.id) {
-            Ok(stat) => {
-                self.cache.lock().admit(path, None, stat);
+        match self.server.stat_with_callback(path) {
+            Ok((stat, grant)) => {
+                self.admit(path, None, stat, grant);
                 true
             }
             Err(_) => false,
@@ -426,8 +447,8 @@ impl StorageBackend for AfsClient {
             return Ok(stat);
         }
         self.charge_rpc(0);
-        let stat = self.server.stat_with_callback(path, self.id)?;
-        self.cache.lock().admit(path, None, stat);
+        let (stat, grant) = self.server.stat_with_callback(path)?;
+        self.admit(path, None, stat, grant);
         Ok(stat)
     }
 
@@ -471,13 +492,10 @@ impl StorageBackend for AfsClient {
                 out.push(Ok(data.as_ref().clone()));
                 continue;
             }
-            match self.server.fetch_with_callback(path, self.id) {
-                Ok((data, version, wrote_at)) => {
-                    self.cache.lock().admit(
-                        path,
-                        Some(data.clone()),
-                        ObjectStat { size: data.len() as u64, version },
-                    );
+            match self.server.fetch_with_callback(path) {
+                Ok((data, version, grant, wrote_at)) => {
+                    let stat = ObjectStat { size: data.len() as u64, version };
+                    self.admit(path, Some(data.clone()), stat, grant);
                     total_bytes += data.len();
                     served += 1;
                     avail = avail.max(wrote_at);
@@ -498,22 +516,16 @@ impl StorageBackend for AfsClient {
     }
 
     fn put_many(&self, items: &[(String, Vec<u8>)]) -> Vec<Result<(), StorageError>> {
-        if items.is_empty() {
-            return Vec::new();
-        }
         let mut out = Vec::with_capacity(items.len());
+        let mut written = Vec::with_capacity(items.len());
         let mut total_bytes = 0usize;
-        let mut served = 0usize;
         for (path, data) in items {
-            match self.server.put_with_callback(path, data, self.id) {
-                Ok(version) => {
-                    self.cache.lock().admit(
-                        path,
-                        Some(Arc::new(data.clone())),
-                        ObjectStat { size: data.len() as u64, version },
-                    );
+            match self.server.put_with_callback(path, data) {
+                Ok((version, grant)) => {
+                    written.push(grant.0.clone());
+                    let stat = ObjectStat { size: data.len() as u64, version };
+                    self.admit(path, Some(Arc::new(data.clone())), stat, grant);
                     total_bytes += data.len();
-                    served += 1;
                     self.accounting.stats.count_write(data.len() as u64);
                     out.push(Ok(()));
                 }
@@ -522,14 +534,12 @@ impl StorageBackend for AfsClient {
         }
         // Rejected writes (e.g. a lock held by another client) are free in
         // the serial path, so only accepted objects make up the round trip.
-        if served > 0 {
-            self.charge(self.latency.batch_rpc_cost(served, total_bytes));
+        if !written.is_empty() {
+            self.charge(self.latency.batch_rpc_cost(written.len(), total_bytes));
             self.accounting.stats.remote_rpcs.fetch_add(1, Ordering::Relaxed);
             let done = self.lane.local_now();
-            for ((path, _), result) in items.iter().zip(&out) {
-                if result.is_ok() {
-                    self.server.record_write(path, done);
-                }
+            for cell in &written {
+                cell.record_write(done);
             }
         }
         out
@@ -549,9 +559,9 @@ impl StorageBackend for AfsClient {
                 continue;
             }
             misses += 1;
-            match self.server.stat_with_callback(path, self.id) {
-                Ok(stat) => {
-                    self.cache.lock().admit(path, None, stat);
+            match self.server.stat_with_callback(path) {
+                Ok((stat, grant)) => {
+                    self.admit(path, None, stat, grant);
                     out.push(Ok(stat));
                 }
                 Err(e) => out.push(Err(e)),
@@ -624,7 +634,7 @@ mod tests {
         a.put("f", b"v1").unwrap();
         b.get("f").unwrap();
         a.put("f", b"v2").unwrap();
-        assert_eq!(b.cache.lock().data["f"].as_slice(), b"v1");
+        assert_eq!(b.cache.lock()["f"].data.as_deref().map(Vec::as_slice), Some(&b"v1"[..]));
         assert_eq!(b.get("f").unwrap(), b"v2");
     }
 
@@ -787,7 +797,7 @@ mod tests {
 
     #[test]
     fn batched_put_breaks_callbacks_like_serial() {
-        let (server, a, b) = setup();
+        let (_, a, b) = setup();
         a.put("f0", b"v1").unwrap();
         a.put("f1", b"v1").unwrap();
         b.get("f0").unwrap();
@@ -803,8 +813,7 @@ mod tests {
         assert_eq!(after.remote_rpcs - before.remote_rpcs, 1);
         assert_eq!(after.writes - before.writes, 3);
         // b lost both callbacks, exactly as with serial puts.
-        assert_eq!(server.callback_holders("f0"), vec![a.client_id()]);
-        assert_eq!(server.callback_holders("f1"), vec![a.client_id()]);
+        assert!(["f0", "f1"].iter().all(|p| a.holds_callback(p) && !b.holds_callback(p)));
         assert_eq!(b.get("f0").unwrap(), b"v2");
         assert_eq!(b.stats().cache_hits, 0, "b had to refetch");
     }

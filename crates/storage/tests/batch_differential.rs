@@ -131,8 +131,9 @@ impl AfsWorld {
         }
     }
 
-    fn callbacks(&self) -> Vec<(String, Vec<u64>)> {
-        (0..PATHS).map(|i| (path(i), self.server.callback_holders(&path(i)))).collect()
+    fn callbacks(&self) -> Vec<(String, bool, bool)> {
+        let held = |c: &AfsClient, i| c.holds_callback(&path(i));
+        (0..PATHS).map(|i| (path(i), held(&self.client, i), held(&self.observer, i))).collect()
     }
 }
 

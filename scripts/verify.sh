@@ -68,4 +68,12 @@ virtual_only target/BENCH_scale.smoke.json > "$first"
 cmp "$first" <(virtual_only target/BENCH_scale.smoke.json)
 echo "ok: two micro_scale --smoke runs agree on every virtual-time figure"
 
+echo "== scale harness against its recording =="
+# The same at full size against the checked-in document: a full run
+# (about 1 min, 2.3 GB RSS) must reproduce every line of BENCH_scale.json
+# but the host-time ones. It writes nothing and names the first line that
+# moved, so a change to the simulation cannot leave the recording stale.
+./target/release/nexus-bench micro_scale --check > /dev/null
+echo "ok: a full micro_scale run matches BENCH_scale.json on every virtual-time figure"
+
 echo "verify: OK"
