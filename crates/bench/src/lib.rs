@@ -685,13 +685,11 @@ mod tests {
             &[
                 ("recovered_state_identical = false", |r| r.recovered_state_identical = false),
                 ("sweep arrays of different lengths", |r| {
-                    r.replay_ms.pop();
+                    r.open_ms.pop();
                 }),
                 ("a backend without put throughput", |r| r.dir.put_ops_per_s = 0.0),
-                ("a full run whose checkpointed recovery is slower", |r| {
-                    r.smoke = false;
-                    r.log.put_ops_per_s = r.dir.put_ops_per_s * 2.0;
-                    r.checkpointed_ms = r.replay_ms.iter().map(|ms| ms + 1.0).collect();
+                ("log bytes 3 x live", |r| {
+                    r.log_bytes = r.live_bytes.iter().map(|live| 3 * live).collect();
                 }),
             ],
         );

@@ -8,31 +8,35 @@
 //!    version sidecar). The log-structured layout is the whole point:
 //!    durability per put costs one sequential append, not four scattered
 //!    metadata operations.
-//! 2. **Recovery time vs log length** — an overwrite-heavy history of L
+//! 2. **Recovery vs history length** — an overwrite-heavy history of L
 //!    puts over a small key set, written as group commits of one put per
-//!    key, reopened cold in both modes: checkpoints
-//!    disabled (recovery replays all L records) and periodic checkpoints
-//!    (recovery loads the last snapshot + a bounded tail).
+//!    key, then reopened cold: the open time, the log's bytes and the live
+//!    bytes (one `Put` frame per object) per L. The log is rewritten
+//!    whenever its dead bytes outnumber its live ones, so neither its
+//!    length nor the open grows with L.
 //!
-//! Floors: throughputs positive; the sweep arrays parallel; both recovery
-//! modes reconstruct identical worlds — checkpointing must change recovery
-//! *time*, never recovered *state*; and in a full run durable log puts
-//! beat per-file commits and checkpointed recovery is no slower than full
-//! replay at the longest history.
+//! Floors: throughputs positive; the sweep arrays parallel; at every L the
+//! log holds at most twice its live bytes plus one batch frame, and the
+//! recovered world equals an in-memory replay of the same history; and in
+//! a full run durable log puts beat per-file commits.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
-use nexus_storage::{DirBackend, LogBackend, LogConfig, StorageBackend};
+use nexus_storage::{DirBackend, LogBackend, MemBackend, StorageBackend};
 
 use crate::json::Json;
 use crate::Report;
 
 /// Overwrite-heavy recovery workload: L puts spread over this many paths,
-/// so a checkpoint compacts almost the whole history away.
+/// so almost the whole history is dead.
 const RECOVERY_PATHS: usize = 16;
 const RECOVERY_VALUE_BYTES: usize = 256;
-const CHECKPOINT_EVERY: u64 = 256;
+/// A log frame's header: magic, payload length, CRC (DESIGN.md §12).
+const FRAME_HEADER: usize = 12;
+/// A record's bytes besides its path and data: op, version, owner and the
+/// two lengths.
+const RECORD_OVERHEAD: usize = 1 + 8 + 8 + 4 + 4;
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("nexus-benchlog-{}-{name}", std::process::id()));
@@ -75,8 +79,11 @@ pub(crate) struct Logstore {
     pub(crate) log: Throughput,
     pub(crate) dir: Throughput,
     log_ops: Vec<i64>,
-    pub(crate) replay_ms: Vec<f64>,
-    pub(crate) checkpointed_ms: Vec<f64>,
+    pub(crate) open_ms: Vec<f64>,
+    pub(crate) log_bytes: Vec<i64>,
+    pub(crate) live_bytes: Vec<i64>,
+    /// The largest frame the history appends: one batch.
+    batch_frame_bytes: i64,
     pub(crate) recovered_state_identical: bool,
 }
 
@@ -107,36 +114,63 @@ fn throughput(store: &dyn StorageBackend, objects: usize, value_bytes: usize) ->
     }
 }
 
-/// Writes an L-put overwrite history, then measures a cold reopen.
-/// Returns (open_ms, recovered world fingerprint).
-fn recovery_run(ops: usize, checkpoint_every: u64) -> (f64, Vec<(String, Vec<u8>, u64)>) {
-    let root = scratch(&format!("recovery-{ops}-{checkpoint_every}"));
-    {
+/// A store's world: every object with its bytes and version, sorted.
+fn world_of(store: &dyn StorageBackend) -> Vec<(String, Vec<u8>, u64)> {
+    store
+        .list("")
+        .into_iter()
+        .map(|p| {
+            let data = store.get(&p).expect("recovered get");
+            let version = store.stat(&p).expect("recovered stat").version;
+            (p, data, version)
+        })
+        .collect()
+}
+
+/// One recovery run: an L-put overwrite history and its cold reopen.
+struct Recovery {
+    open_ms: f64,
+    log_bytes: u64,
+    live_bytes: u64,
+    batch_frame_bytes: u64,
+    /// The reopened world equals an in-memory replay of the history.
+    identical: bool,
+}
+
+/// Writes an L-put overwrite history to a log and, as an oracle, to
+/// memory, then measures a cold reopen of the log.
+fn recovery_run(ops: usize) -> Recovery {
+    let root = scratch(&format!("recovery-{ops}"));
+    let mem = MemBackend::new();
+    let mut batch_frame_bytes = 0;
+    let log_bytes = {
         // The store's defaults: each batch is one frame and one fsync.
-        let log = LogBackend::open_with(&root, LogConfig { checkpoint_every, fault_hook: None })
-            .expect("open for history");
+        let log = LogBackend::open(&root).expect("open for history");
         for start in (0..ops).step_by(RECOVERY_PATHS) {
             let batch: Vec<(String, Vec<u8>)> = (start..ops.min(start + RECOVERY_PATHS))
                 .map(|i| (format!("key-{}", i % RECOVERY_PATHS), value(i, RECOVERY_VALUE_BYTES)))
                 .collect();
+            let records: usize =
+                batch.iter().map(|(p, d)| RECORD_OVERHEAD + p.len() + d.len()).sum();
+            batch_frame_bytes = batch_frame_bytes.max((FRAME_HEADER + records) as u64);
             assert!(log.put_many(&batch).iter().all(|r| r.is_ok()), "history batch");
+            assert!(mem.put_many(&batch).iter().all(|r| r.is_ok()), "oracle batch");
         }
-    }
+        log.disk_footprint().1
+    };
     let t0 = Instant::now();
     let log = LogBackend::open(&root).expect("recovery open");
     let open_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let mut world: Vec<(String, Vec<u8>, u64)> = log
-        .list("")
-        .into_iter()
-        .map(|p| {
-            let data = log.get(&p).expect("recovered get");
-            let version = log.stat(&p).expect("recovered stat").version;
-            (p, data, version)
-        })
-        .collect();
-    world.sort();
+    let world = world_of(&log);
+    let live_bytes = world
+        .iter()
+        .map(|(p, d, _)| (FRAME_HEADER + RECORD_OVERHEAD + p.len() + d.len()) as u64)
+        .sum();
+    assert_eq!(world.len(), RECOVERY_PATHS.min(ops), "recovery must reconstruct every live key");
+    let identical = world == world_of(&mem);
+    drop(log);
     let _ = std::fs::remove_dir_all(&root);
-    (open_ms, world)
+    Recovery { open_ms, log_bytes, live_bytes, batch_frame_bytes, identical }
 }
 
 impl Report for Logstore {
@@ -152,7 +186,6 @@ impl Report for Logstore {
         let dir = throughput(&DirBackend::open(&dir_root).expect("open dir"), objects, value_bytes);
         let _ = std::fs::remove_dir_all(&dir_root);
 
-        // Recovery sweep: replay-everything vs checkpoint+tail, same history.
         let mut report = Logstore {
             smoke,
             objects,
@@ -160,22 +193,20 @@ impl Report for Logstore {
             log,
             dir,
             log_ops: Vec::new(),
-            replay_ms: Vec::new(),
-            checkpointed_ms: Vec::new(),
+            open_ms: Vec::new(),
+            log_bytes: Vec::new(),
+            live_bytes: Vec::new(),
+            batch_frame_bytes: 0,
             recovered_state_identical: true,
         };
         for &ops in sweep {
-            let (replay_ms, replayed) = recovery_run(ops, 0);
-            let (checkpointed_ms, checkpointed) = recovery_run(ops, CHECKPOINT_EVERY);
-            report.recovered_state_identical &= replayed == checkpointed;
-            assert_eq!(
-                replayed.len(),
-                RECOVERY_PATHS.min(ops),
-                "recovery must reconstruct every live key"
-            );
+            let run = recovery_run(ops);
+            report.recovered_state_identical &= run.identical;
             report.log_ops.push(ops as i64);
-            report.replay_ms.push(replay_ms);
-            report.checkpointed_ms.push(checkpointed_ms);
+            report.open_ms.push(run.open_ms);
+            report.log_bytes.push(run.log_bytes as i64);
+            report.live_bytes.push(run.live_bytes as i64);
+            report.batch_frame_bytes = report.batch_frame_bytes.max(run.batch_frame_bytes as i64);
         }
         report
     }
@@ -186,25 +217,26 @@ impl Report for Logstore {
                 assert!(value > 0.0, "throughput.{lane}.{key} must be positive, got {value}");
             }
         }
+        let n = self.log_ops.len();
         assert!(
-            self.log_ops.len() == self.replay_ms.len()
-                && self.log_ops.len() == self.checkpointed_ms.len()
-                && !self.log_ops.is_empty(),
+            n > 0 && [self.open_ms.len(), self.log_bytes.len(), self.live_bytes.len()] == [n; 3],
             "recovery sweep arrays must be parallel"
         );
         assert!(
             self.recovered_state_identical,
-            "checkpointed recovery must not change the recovered state"
+            "the recovered world must equal an in-memory replay of the history"
         );
+        for ((ops, log), live) in self.log_ops.iter().zip(&self.log_bytes).zip(&self.live_bytes) {
+            assert!(
+                *log <= 2 * live + self.batch_frame_bytes,
+                "after {ops} puts the log holds {log} bytes, over twice its {live} live bytes \
+                 plus a {}-byte batch frame",
+                self.batch_frame_bytes
+            );
+        }
         if !self.smoke {
             let ratio = self.put_ratio();
             assert!(ratio > 1.0, "durable log puts must beat per-file commits, got x{ratio:.2}");
-            let last = self.log_ops.len() - 1;
-            assert!(
-                self.checkpointed_ms[last] <= self.replay_ms[last],
-                "checkpointed recovery slower than full replay at {} ops",
-                self.log_ops[last]
-            );
         }
     }
 
@@ -227,10 +259,11 @@ impl Report for Logstore {
                 Json::obj()
                     .field("paths", Json::Int(RECOVERY_PATHS as i64))
                     .field("value_bytes", Json::Int(RECOVERY_VALUE_BYTES as i64))
-                    .field("checkpoint_every", Json::Int(CHECKPOINT_EVERY as i64))
+                    .field("batch_frame_bytes", Json::Int(self.batch_frame_bytes))
                     .field("log_ops", Json::ints(self.log_ops.iter().copied()))
-                    .field("replay_ms", Json::nums(self.replay_ms.iter().copied()))
-                    .field("checkpointed_ms", Json::nums(self.checkpointed_ms.iter().copied())),
+                    .field("open_ms", Json::nums(self.open_ms.iter().copied()))
+                    .field("log_bytes", Json::ints(self.log_bytes.iter().copied()))
+                    .field("live_bytes", Json::ints(self.live_bytes.iter().copied())),
             )
             .field("recovered_state_identical", Json::Bool(self.recovered_state_identical))
     }

@@ -5,6 +5,8 @@
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
 
+use nexus_storage::{LogBackend, StorageBackend};
+
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_nexus-cli")
 }
@@ -223,4 +225,55 @@ fn a_store_in_the_old_per_file_layout_is_refused() {
     let names: Vec<_> =
         std::fs::read_dir(&owen.store).unwrap().map(|e| e.unwrap().file_name()).collect();
     assert_eq!(names, ["%versions%"]);
+}
+
+/// A log `Put` frame's bytes besides its path and data: the frame header
+/// (magic, length, CRC), then op, version, owner and the two lengths.
+const PUT_FRAME_OVERHEAD: u64 = 12 + 1 + 8 + 8 + 4 + 4;
+
+/// The store's bytes on disk, then the bytes its objects take as one `Put`
+/// frame each and the largest such frame. Disk is read before the store
+/// is opened, since an open may rewrite it.
+fn store_bytes(store: &Path) -> (u64, u64, u64) {
+    let disk = std::fs::read_dir(store).unwrap().map(|e| e.unwrap().metadata().unwrap().len());
+    let disk = disk.sum();
+    let log = LogBackend::open(store).unwrap();
+    let frames: Vec<u64> = log
+        .list("")
+        .iter()
+        .map(|p| PUT_FRAME_OVERHEAD + p.len() as u64 + log.stat(p).unwrap().size)
+        .collect();
+    (disk, frames.iter().sum(), frames.into_iter().max().unwrap_or(0))
+}
+
+/// Processes that each make a handful of mutations keep the store bounded
+/// by what is live: after every command, at most twice the live frame
+/// bytes plus one frame, however many overwrites came before.
+#[test]
+fn the_store_stays_bounded_across_processes() {
+    let root = test_root("bounded");
+    let owen = Cli::new(&root, "owen");
+    let bounded = |after: &str| {
+        let (disk, live, frame) = store_bytes(&owen.store);
+        assert!(
+            disk <= 2 * live + frame,
+            "after {after}: {disk} bytes on disk for {live} live bytes (largest frame {frame})"
+        );
+    };
+    owen.ok(&["init"]);
+    bounded("init");
+    let local = root.join("small.txt");
+    for name in ["a", "b", "c"] {
+        std::fs::write(&local, format!("file {name}\n")).unwrap();
+        owen.ok(&["put", local.to_str().unwrap(), name]);
+        bounded(&format!("put {name}"));
+    }
+    for round in 0..20 {
+        std::fs::write(&local, format!("overwrite {round}\n")).unwrap();
+        owen.ok(&["put", local.to_str().unwrap(), "a"]);
+        bounded(&format!("overwrite {round}"));
+    }
+    owen.ok(&["rm", "b"]);
+    bounded("rm b");
+    assert_eq!(owen.ok(&["cat", "a"]), "overwrite 19\n");
 }

@@ -189,7 +189,7 @@ impl NexusVolume {
     pub fn fsck(&self, mode: FsckMode) -> Result<FsckReport> {
         let inventory = self.backend().list("");
         let mut report = self.enclave_fsck(mode, inventory)?;
-        // Durable backends also audit their on-disk form (log/checkpoint
+        // Durable backends also audit their on-disk form (log
         // integrity, version indices, stray files); RAM backends return
         // nothing. These findings are storage-level, not tied to a volume
         // path.

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use nexus_core::{FsckMode, NexusConfig, NexusVolume, Rights, SealedRootKey, UserKeys};
 use nexus_sgx::{AttestationService, Platform};
 use nexus_storage::fault::{CountHook, FireAt};
-use nexus_storage::{FaultHook, FaultKind, LogBackend, LogConfig};
+use nexus_storage::{FaultHook, FaultKind, LogBackend};
 use nexus_testkit::{faults, tk_assert};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -160,8 +160,7 @@ fn old_or_new(got: &State, old: &State, new: &State, stale_allowed: bool) -> Res
 }
 
 fn open(root: &PathBuf, hook: Arc<dyn FaultHook>) -> Arc<LogBackend> {
-    let cfg = LogConfig { fault_hook: Some(hook), ..LogConfig::default() };
-    Arc::new(LogBackend::open_with(root, cfg).unwrap())
+    Arc::new(LogBackend::open_with_hook(root, Some(hook)).unwrap())
 }
 
 /// Crashes `op` at its `point`-th fault point, then checks what recovery

@@ -190,10 +190,13 @@ impl Cached {
 }
 
 /// Admits a fetched/stored snapshot of `path` granted under `cell`/`gen`.
-/// The grant always lands (a path's cell never changes, and the newest
-/// grant wins); the snapshot never goes backwards: a slow racing insert of
-/// version *n* never overwrites version *n+1* already admitted by a newer
-/// fetch.
+/// The snapshot never goes backwards: one granted under an older
+/// generation than the cached one is dropped, so a slow racing insert
+/// never overwrites what a newer grant admitted. Generations, not
+/// versions, order them: a path's cell never leaves the server's map, so
+/// its generation never restarts, while a delete restarts the version at 1.
+/// A status-only snapshot under a newer generation drops the cached bytes,
+/// which belong to an older one.
 fn admit(
     cache: &mut HashMap<String, Cached>,
     path: &str,
@@ -205,13 +208,13 @@ fn admit(
         cache.insert(path.to_string(), Cached { stat, data, cell, gen });
         return;
     };
-    entry.gen = entry.gen.max(gen);
-    if stat.version >= entry.stat.version {
-        entry.stat = stat;
-        if data.is_some() {
-            entry.data = data;
-        }
+    if gen < entry.gen {
+        return;
     }
+    if data.is_some() || gen > entry.gen {
+        entry.data = data;
+    }
+    (entry.stat, entry.gen) = (stat, gen);
 }
 
 /// Per-client accounting: lock-free so hot RPC paths never serialize on
@@ -359,12 +362,15 @@ impl AfsClient {
     /// [`StorageError::NotFound`] when the source does not exist.
     pub fn rename_object(&self, from: &str, to: &str) -> Result<(), StorageError> {
         let (data, _) = self.server.store.get_arc(from)?;
+        // Cached bytes move with the object only while their promise
+        // holds: then no write has replaced what the server just read.
+        let moved = self.cache_valid(from);
         let (version, grant) = self.server.put_with_callback(to, &data)?;
         let cell = grant.0.clone();
         self.server.store.delete(from)?;
         self.server.break_callbacks(from);
         let mut cache = self.cache.lock();
-        let moved = cache.remove(from).and_then(|entry| entry.data);
+        cache.remove(from);
         admit(&mut cache, to, moved, ObjectStat { size: data.len() as u64, version }, grant);
         drop(cache);
         self.charge_rpc(0);
@@ -695,6 +701,34 @@ mod tests {
         b.get("f").unwrap();
         a.delete("f").unwrap();
         assert!(matches!(b.get("f"), Err(StorageError::NotFound(_))));
+    }
+
+    /// A delete restarts the version, not the generation: the writer's own
+    /// newer put after another client deleted and re-created the path is
+    /// admitted, and its next read is its own bytes.
+    #[test]
+    fn a_put_after_a_delete_and_recreate_elsewhere_is_read_back() {
+        let (_, x, y) = setup();
+        for v in [&b"x-v1"[..], b"x-v2", b"x-v3"] {
+            x.put("f", v).unwrap();
+        }
+        y.delete("f").unwrap();
+        y.put("f", b"y-v1").unwrap();
+        x.put("f", b"x-mine").unwrap();
+        assert_eq!(x.stat("f").unwrap().version, 2);
+        assert_eq!(x.get("f").unwrap(), b"x-mine");
+    }
+
+    /// A rename moves the renamer's cached bytes only while their promise
+    /// holds: after another client's overwrite, the target serves the
+    /// server's bytes, not the stale copy.
+    #[test]
+    fn a_rename_does_not_carry_bytes_another_client_replaced() {
+        let (_, x, y) = setup();
+        x.put("from", b"old").unwrap();
+        y.put("from", b"new").unwrap();
+        x.rename_object("from", "to").unwrap();
+        assert_eq!(x.get("to").unwrap(), b"new");
     }
 
     #[test]

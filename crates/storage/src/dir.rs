@@ -20,21 +20,22 @@
 //!   sidecar entries whose object vanished are dropped.
 //!
 //! Every physical step of the commit path consults the [`crate::fault`]
-//! shim, so the recovery suite can pin the torn-put and version-amnesia
-//! regressions with injected crashes. Advisory locks remain in-process:
+//! shim (the commit is [`crate::fault::replace_file`], which the log's
+//! rewrite shares), so the recovery suite can pin the torn-put and
+//! version-amnesia regressions with injected crashes. Advisory locks remain in-process:
 //! the paper's `flock()` lives on the *server*, which here is
 //! [`crate::logstore::LogBackend`]'s job to persist.
 
 use std::collections::HashMap;
 use std::fs::{self, File};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use nexus_sync::Mutex;
 
 use crate::backend::{check_range, IoStats, ObjectStat, StorageBackend, StorageError};
-use crate::fault::{FaultAction, FaultHook, FaultPoint};
+use crate::fault::{replace_file, FaultHook};
 use crate::logstore::crc32;
 
 /// Sidecar file holding the persisted version index. Encoded object names
@@ -259,78 +260,20 @@ impl DirBackend {
         self.root.join(encode_name(path))
     }
 
-    /// Commits `bytes` to `rel_name` crash-consistently: temp file in the
-    /// same directory, fsync, atomic rename over the target, directory
-    /// fsync. Every step consults the fault hook; an injected fault leaves
-    /// the disk exactly as a crash at that step would and poisons the
-    /// handle.
+    /// Commits `bytes` to `rel_name` through [`replace_file`], the temp
+    /// file taking the next `%tmp%-N` name. A failed commit, an injected
+    /// crash included, poisons the handle.
     fn commit_file(
         &self,
         st: &mut DirState,
         rel_name: &str,
         bytes: &[u8],
     ) -> Result<(), StorageError> {
-        let fault = |st: &DirState, point: FaultPoint| match &st.hook {
-            Some(hook) => hook.on(&point),
-            None => FaultAction::Proceed,
-        };
-        let crash = |st: &mut DirState, what: &str| -> StorageError {
-            st.crashed = true;
-            StorageError::Io(format!("injected crash: {what}"))
-        };
-
-        let tmp_name = format!("{TMP_PREFIX}{}", st.tmp_seq);
+        let tmp = format!("{TMP_PREFIX}{}", st.tmp_seq);
         st.tmp_seq += 1;
-        let tmp = self.root.join(&tmp_name);
-        let target = self.root.join(rel_name);
-
-        let mut f = File::create(&tmp).map_err(io_err)?;
-        match fault(st, FaultPoint::Write { file: tmp_name.clone(), len: bytes.len() }) {
-            FaultAction::Proceed => f.write_all(bytes).map_err(io_err)?,
-            FaultAction::Torn { keep } => {
-                let keep = keep.min(bytes.len().saturating_sub(1));
-                let _ = f.write_all(&bytes[..keep]);
-                return Err(crash(st, "torn temp write"));
-            }
-            FaultAction::Drop => return Err(crash(st, "dropped temp write")),
-        }
-        match fault(st, FaultPoint::Fsync { file: tmp_name.clone() }) {
-            FaultAction::Proceed => f.sync_all().map_err(io_err)?,
-            _ => {
-                // Unsynced page cache: an arbitrary prefix survives.
-                let _ = f.set_len(bytes.len() as u64 / 2);
-                return Err(crash(st, "dropped temp fsync"));
-            }
-        }
-        drop(f);
-
-        // Save what the rename will replace, so a dropped directory fsync
-        // (rename never reaching disk) can be modelled by undoing it.
-        let previous = if st.hook.is_some() { fs::read(&target).ok() } else { None };
-
-        match fault(st, FaultPoint::Rename { from: tmp_name, to: rel_name.to_string() }) {
-            FaultAction::Proceed => fs::rename(&tmp, &target).map_err(io_err)?,
-            _ => return Err(crash(st, "dropped rename")),
-        }
-        match fault(st, FaultPoint::DirFsync) {
-            FaultAction::Proceed => {
-                File::open(&self.root).and_then(|d| d.sync_all()).map_err(io_err)?;
-            }
-            _ => {
-                // Model the un-persisted rename: the target reverts to its
-                // pre-op content (or to absence).
-                match previous {
-                    Some(old) => {
-                        let _ = File::create(&target).and_then(|mut f| f.write_all(&old));
-                    }
-                    None => {
-                        let _ = fs::remove_file(&target);
-                    }
-                }
-                return Err(crash(st, "dropped directory fsync"));
-            }
-        }
-        Ok(())
+        let done = replace_file(&self.root, &tmp, rel_name, bytes, st.hook.as_deref());
+        st.crashed |= done.is_err();
+        done
     }
 
     /// Commits the current version index to the sidecar file.
@@ -520,6 +463,7 @@ impl StorageBackend for DirBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);

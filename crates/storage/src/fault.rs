@@ -3,7 +3,7 @@
 //! The threat model assumes the untrusted store can crash or misbehave at
 //! any instant, so the durable backends ([`crate::logstore::LogBackend`],
 //! [`crate::DirBackend`]) route every physical I/O step — byte writes,
-//! fsyncs, renames, directory syncs, file creation, cleanup — through a
+//! fsyncs, renames, directory syncs, cleanup — through a
 //! [`FaultHook`] consulted *before* the step runs. A hook can let the step
 //! proceed, tear it (persist only a prefix of the bytes), or drop it
 //! entirely; either injected outcome "crashes" the backend: the in-flight
@@ -20,11 +20,20 @@
 //!
 //! Production code never installs a hook; the shim then compiles down to a
 //! `None` check per I/O step.
+//!
+//! [`replace_file`] is the one crash-consistent file replacement both
+//! backends commit whole files with (temp file, fsync, atomic rename,
+//! directory fsync), with its fault modelling in one place.
 
+use std::fs::{self, File};
+use std::io::Write;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use nexus_sync::Mutex;
+
+use crate::StorageError;
 
 /// A physical I/O step about to be performed by a durable backend.
 ///
@@ -45,8 +54,8 @@ pub enum FaultPoint {
         /// Root-relative file name.
         file: String,
     },
-    /// Atomic rename `from` → `to` (the commit point of checkpoint and
-    /// object writes).
+    /// Atomic rename `from` → `to` (the commit point of a log rewrite and
+    /// of an object write).
     Rename {
         /// Root-relative source name.
         from: String,
@@ -57,12 +66,7 @@ pub enum FaultPoint {
     /// renames/creates. Dropping it un-does the renames it would have
     /// committed.
     DirFsync,
-    /// Creation of a new (empty) `file`.
-    Create {
-        /// Root-relative file name.
-        file: String,
-    },
-    /// Deletion of files made obsolete by a committed checkpoint.
+    /// Deletion of files a committed replacement made obsolete.
     Cleanup,
 }
 
@@ -73,7 +77,6 @@ impl std::fmt::Display for FaultPoint {
             FaultPoint::Fsync { file } => write!(f, "fsync({file})"),
             FaultPoint::Rename { from, to } => write!(f, "rename({from} -> {to})"),
             FaultPoint::DirFsync => write!(f, "dirfsync"),
-            FaultPoint::Create { file } => write!(f, "create({file})"),
             FaultPoint::Cleanup => write!(f, "cleanup"),
         }
     }
@@ -169,6 +172,70 @@ impl FaultHook for FireAt {
         match (self.kind, point) {
             (FaultKind::Torn, FaultPoint::Write { len, .. }) => FaultAction::Torn { keep: len / 2 },
             _ => FaultAction::Drop,
+        }
+    }
+}
+
+/// Replaces `root/name` with `bytes` crash-consistently: writes them to
+/// `root/tmp`, fsyncs it, renames it over `name` and fsyncs `root`. A crash
+/// at any step leaves `name` whole, old or new, never a prefix; a leftover
+/// `tmp` is debris for the next open to delete.
+///
+/// `hook` is consulted before each of the four steps. An injected fault
+/// leaves the disk as a crash at that step would: a torn temp write keeps
+/// a prefix, a dropped fsync keeps half the temp file (the unsynced page
+/// cache), and a dropped directory fsync undoes the rename, restoring what
+/// `name` held before (or its absence).
+///
+/// # Errors
+///
+/// [`StorageError::Io`] when the filesystem refuses a step or the hook
+/// crashes one; either way the caller's handle must be poisoned, since
+/// what the disk holds is no longer what it believes.
+pub(crate) fn replace_file(
+    root: &Path,
+    tmp: &str,
+    name: &str,
+    bytes: &[u8],
+    hook: Option<&dyn FaultHook>,
+) -> Result<(), StorageError> {
+    let fault = |point: FaultPoint| hook.map_or(FaultAction::Proceed, |h| h.on(&point));
+    let crash = |what: &str| Err(StorageError::Io(format!("injected crash: {what}")));
+    let io = |e: std::io::Error| StorageError::Io(e.to_string());
+    let (tmp_path, target) = (root.join(tmp), root.join(name));
+    let mut f = File::create(&tmp_path).map_err(io)?;
+    match fault(FaultPoint::Write { file: tmp.to_string(), len: bytes.len() }) {
+        FaultAction::Proceed => f.write_all(bytes).map_err(io)?,
+        FaultAction::Torn { keep } => {
+            let keep = keep.min(bytes.len().saturating_sub(1));
+            let _ = f.write_all(&bytes[..keep]);
+            return crash("torn temp write");
+        }
+        FaultAction::Drop => return crash("dropped temp write"),
+    }
+    match fault(FaultPoint::Fsync { file: tmp.to_string() }) {
+        FaultAction::Proceed => f.sync_all().map_err(io)?,
+        _ => {
+            let _ = f.set_len(bytes.len() as u64 / 2);
+            return crash("dropped temp fsync");
+        }
+    }
+    drop(f);
+    // What the rename replaces, so that a dropped directory fsync can undo
+    // it; read only under a hook, which production never installs.
+    let previous = if hook.is_some() { fs::read(&target).ok() } else { None };
+    match fault(FaultPoint::Rename { from: tmp.to_string(), to: name.to_string() }) {
+        FaultAction::Proceed => fs::rename(&tmp_path, &target).map_err(io)?,
+        _ => return crash("dropped rename"),
+    }
+    match fault(FaultPoint::DirFsync) {
+        FaultAction::Proceed => File::open(root).and_then(|d| d.sync_all()).map_err(io),
+        _ => {
+            let _ = match previous {
+                Some(old) => File::create(&target).and_then(|mut f| f.write_all(&old)),
+                None => fs::remove_file(&target),
+            };
+            crash("dropped directory fsync")
         }
     }
 }

@@ -10,9 +10,9 @@
 //!   crash-consistently (temp file + fsync + atomic rename) with a
 //!   persisted version index;
 //! - [`logstore`] — the log-structured durable backend ([`LogBackend`]):
-//!   append-only checksummed segments, periodic checkpoints committed by
-//!   atomic rename, and recovery replay that survives a crash at any
-//!   fault point ([`fault`]);
+//!   one append-only checksummed log, rewritten by atomic rename once its
+//!   dead bytes outnumber its live ones, and recovery replay that survives
+//!   a crash at any fault point ([`fault`]);
 //! - [`afs`] — a simulated AFS client/server pair with whole-file caching,
 //!   callback-based invalidation, open-to-close semantics, server-side
 //!   `flock`, and a virtual-clock latency model ([`SimClock`],
@@ -55,7 +55,7 @@ pub use cloud::{CloudBilling, CloudStore};
 pub use dir::DirBackend;
 pub use fault::{FaultAction, FaultHook, FaultKind, FaultPoint};
 pub use hooked::HookedBackend;
-pub use logstore::{LogBackend, LogConfig};
+pub use logstore::LogBackend;
 pub use malicious::MaliciousBackend;
 pub use mem::MemBackend;
 

@@ -4,40 +4,45 @@
 //! live image is the same object map (`mem::ObjectMap`: per-put version
 //! bumps, advisory locks, atomic batches), whose objects and versions are
 //! persisted so that a host crash — or restart — at *any* instant loses at
-//! most the operation in flight. Checkpoints, recovery replay and
-//! [`LogBackend::audit`] all rebuild one such map. The design (DESIGN.md
-//! §12) is the classic write-ahead shape production stores use:
+//! most the operation in flight. The store is one append-only file,
+//! `<root>/log` (DESIGN.md §12):
 //!
-//! - **Append-only segment files** (`seg-NNNNNNNNNN.log`): every `put`,
-//!   `delete` and `put_many` is one length-prefixed, CRC-32-checksummed
-//!   frame holding that call's records — one per item — each carrying the
-//!   path, the assigned version and the payload. The frame is fsynced
-//!   before the call is acknowledged; all writes go through one private
-//!   `commit`.
-//! - **Checkpoints** (`ckpt-NNNNNNNNNN.idx`): periodically the full object
-//!   map is written to a temp file, fsynced, and committed by an atomic
-//!   rename followed by a directory fsync; segments older than the
-//!   checkpoint's watermark are then deleted. A checkpoint is the
-//!   compaction step of the log-structured layout — overwritten versions
-//!   are dropped. One fires after `checkpoint_every` mutations through
-//!   one handle, and the count starts at 0 at every `open`: the bound is
-//!   per handle, not per store. A store written by processes that each
-//!   make fewer mutations than that (every CLI command does) never
-//!   checkpoints, so its replay grows with its whole history
-//!   (ROADMAP item 16).
-//! - **Recovery replay**: [`LogBackend::open`] loads the newest committed
-//!   checkpoint (a partially written one can only exist under its `.tmp`
-//!   name and is discarded), then replays every segment at or above the
-//!   watermark in order, truncating the log at the first corrupt frame —
-//!   the torn tail a crash mid-append leaves behind. A frame is decoded
-//!   whole before any of its records applies, so a batch comes back all
-//!   or none. Objects and versions come back exactly as acknowledged.
+//! - **Appends**: every `put`, `delete` and `put_many` is one
+//!   length-prefixed, CRC-32-checksummed frame holding that call's records
+//!   — one per item — each carrying the path, the assigned version and the
+//!   payload. The frame is fsynced before the call is acknowledged; all
+//!   writes go through one private `commit`.
+//! - **Rewrites**: the image's *live bytes* are what it takes as one `Put`
+//!   frame per object. Once the log is longer than twice that — its dead
+//!   bytes, superseded and deleted records, outnumber the live ones — it is
+//!   rewritten as the image alone, sorted by path, through
+//!   [`crate::fault::replace_file`]: temp file, fsync, atomic rename over
+//!   `log`, directory fsync. The trigger reads nothing but the log's length
+//!   and the image, and is checked after every commit and at `open`, so a
+//!   store that many short-lived processes write stays as bounded as one
+//!   a long-lived process writes: at most twice its live bytes after every
+//!   call, and exactly those right after a rewrite.
+//! - **Recovery**: [`LogBackend::open`] replays the log, truncating it at
+//!   the first corrupt frame — the torn tail a crash mid-append leaves
+//!   behind. A frame is decoded whole before any of its records applies,
+//!   so a batch comes back all or none. Objects and versions come back
+//!   exactly as acknowledged. A leftover `log.tmp` is a rewrite that never
+//!   committed, and is deleted.
+//! - **Import**: a store in the segment layout
+//!   (`seg-NNNNNNNNNN.log` files, maybe beside an `NXCK` checkpoint
+//!   `ckpt-NNNNNNNNNN.idx`; docs/INTERNALS.md §9) has no `log`. `open`
+//!   reads it — the newest checkpoint, then the segments from its watermark
+//!   on, stopping at the first corrupt frame — writes that image as `log`
+//!   by a rewrite, and deletes the segment-layout files. Once `log` exists
+//!   it is the store, and any segment-layout file is garbage; until its
+//!   rename lands, the old files are the store, read and never changed.
 //!
-//! Every physical I/O step consults the [`crate::fault`] shim, so the
-//! crash-recovery suite (`tests/crash_recovery.rs`) can kill the backend
-//! at every op boundary — torn write, dropped write, dropped rename,
-//! dropped fsync — and differentially check recovery against the
-//! in-memory oracle.
+//! Every physical write step, the rewrites' included, consults the
+//! [`crate::fault`] shim, so the crash-recovery suite
+//! (`tests/crash_recovery.rs`) can kill the backend at every op boundary —
+//! torn write, dropped write, dropped rename, dropped fsync — and
+//! differentially check recovery against the in-memory oracle. Replay
+//! models the process *after* a crash and consults nothing.
 //!
 //! One process holds a store: `open` takes `<root>/LOCK` with
 //! [`File::try_lock`] and keeps it for the handle's lifetime, so a second
@@ -45,8 +50,9 @@
 //! [`StorageError::LockContended`]. Advisory locks are therefore process
 //! state, kept in the image and never logged: like the server `flock` of
 //! the paper (§V-A), a lock lives exactly as long as the session holding
-//! it. Logs written while locks were logged still hold lock and unlock
-//! records and checkpoints a lock table; replay reads them and drops them.
+//! it. Segments written while locks were logged hold lock and unlock
+//! records, and checkpoints a lock table; the import reads them and drops
+//! them.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
@@ -57,22 +63,30 @@ use std::sync::Arc;
 use nexus_sync::Mutex;
 
 use crate::backend::{IoStats, ObjectStat, StorageBackend, StorageError};
-use crate::fault::{FaultAction, FaultHook, FaultPoint};
+use crate::fault::{replace_file, FaultAction, FaultHook, FaultPoint};
 use crate::mem::ObjectMap;
 
 /// Frame magic: "NXLG".
 const REC_MAGIC: u32 = 0x4E58_4C47;
-/// Checkpoint file magic: "NXCK".
+/// The segment layout's checkpoint magic: "NXCK".
 const CKPT_MAGIC: u32 = 0x4E58_434B;
-/// On-disk format version (bumped on incompatible layout changes).
+/// The checkpoint format version the import reads.
 const FORMAT_VERSION: u32 = 1;
 /// Frame header: magic + payload length + payload CRC, 4 bytes each.
 const FRAME_HEADER: usize = 12;
+/// A record's fixed fields: op, version, owner, path length, data length.
+const RECORD_FIXED: usize = 1 + 8 + 8 + 4 + 4;
+/// The store (module doc).
+const LOG_FILE: &str = "log";
+/// A rewrite until its rename commits it.
+const LOG_TMP: &str = "log.tmp";
 /// The file whose lock a handle holds (module doc).
 const LOCK_FILE: &str = "LOCK";
+/// Name prefixes of the segment layout's files (module doc).
+const OLD_LAYOUT: [&str; 2] = ["seg-", "ckpt-"];
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE), table-driven; the checksum guarding records and checkpoints.
+// CRC-32 (IEEE), table-driven; the checksum guarding frames and checkpoints.
 
 const fn crc_table() -> [u32; 256] {
     let mut table = [0u32; 256];
@@ -113,27 +127,30 @@ enum Record {
 
 const OP_PUT: u8 = 1;
 const OP_DELETE: u8 = 2;
-/// Advisory lock and unlock records, which older logs hold: read and
+/// Advisory lock and unlock records, which older segments hold: read and
 /// dropped, never written.
 const OP_LOCK: u8 = 3;
 const OP_UNLOCK: u8 = 4;
 
+/// Appends one record's encoding: op, version, a zero owner, then the
+/// length-prefixed path and data.
+fn encode_record(out: &mut Vec<u8>, op: u8, path: &str, version: u64, data: &[u8]) {
+    out.reserve(RECORD_FIXED + path.len() + data.len());
+    out.push(op);
+    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&0u64.to_le_bytes());
+    out.extend_from_slice(&(path.len() as u32).to_le_bytes());
+    out.extend_from_slice(path.as_bytes());
+    out.extend_from_slice(&(data.len() as u32).to_le_bytes());
+    out.extend_from_slice(data);
+}
+
 impl Record {
-    /// Appends the record's encoding: op, version, a zero owner, then the
-    /// length-prefixed path and data.
     fn encode_into(&self, out: &mut Vec<u8>) {
-        let (op, path, version, data): (u8, &str, u64, &[u8]) = match self {
-            Record::Put { path, version, data } => (OP_PUT, path, *version, data),
-            Record::Delete { path } => (OP_DELETE, path, 0, &[]),
-        };
-        out.reserve(1 + 8 + 8 + 4 + path.len() + 4 + data.len());
-        out.push(op);
-        out.extend_from_slice(&version.to_le_bytes());
-        out.extend_from_slice(&0u64.to_le_bytes());
-        out.extend_from_slice(&(path.len() as u32).to_le_bytes());
-        out.extend_from_slice(path.as_bytes());
-        out.extend_from_slice(&(data.len() as u32).to_le_bytes());
-        out.extend_from_slice(data);
+        match self {
+            Record::Put { path, version, data } => encode_record(out, OP_PUT, path, *version, data),
+            Record::Delete { path } => encode_record(out, OP_DELETE, path, 0, &[]),
+        }
     }
 
     /// Reads one record from `r`: `Some(None)` for a lock or unlock, which
@@ -151,37 +168,41 @@ impl Record {
             _ => None,
         }
     }
-
-    fn apply(self, map: &mut ObjectMap) {
-        match self {
-            Record::Put { path, version, data } => map.insert(path, version, Arc::new(data)),
-            Record::Delete { path } => {
-                let _ = map.remove(&path);
-            }
-        }
-    }
 }
 
-/// Frames one call's records for the log: magic, payload length, payload
-/// CRC, then the records' encodings back to back. A one-record frame is
-/// byte for byte the single-record frame of every earlier log.
+/// Appends one frame to `out`: magic, payload length, payload CRC, then
+/// the payload `body` appends — records' encodings back to back.
 ///
 /// # Errors
 ///
 /// [`StorageError::Io`] when the payload does not fit the frame's 32-bit
 /// length.
+fn push_frame(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) -> Result<(), StorageError> {
+    let start = out.len();
+    out.resize(start + FRAME_HEADER, 0);
+    body(out);
+    let payload = &out[start + FRAME_HEADER..];
+    let len = u32::try_from(payload.len())
+        .map_err(|_| StorageError::Io(format!("log frame of {} bytes", payload.len())))?;
+    let crc = crc32(payload);
+    out[start..start + 4].copy_from_slice(&REC_MAGIC.to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&len.to_le_bytes());
+    out[start + 8..start + 12].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
+}
+
+/// Frames one call's records for the log. A one-record frame is byte for
+/// byte the single-record frame of every earlier log.
 fn frame(records: &[Record]) -> Result<Vec<u8>, StorageError> {
-    let mut out = vec![0u8; FRAME_HEADER];
-    for rec in records {
-        rec.encode_into(&mut out);
-    }
-    let len = u32::try_from(out.len() - FRAME_HEADER)
-        .map_err(|_| StorageError::Io(format!("log frame of {} bytes", out.len())))?;
-    let crc = crc32(&out[FRAME_HEADER..]);
-    out[0..4].copy_from_slice(&REC_MAGIC.to_le_bytes());
-    out[4..8].copy_from_slice(&len.to_le_bytes());
-    out[8..12].copy_from_slice(&crc.to_le_bytes());
+    let mut out = Vec::new();
+    push_frame(&mut out, |out| records.iter().for_each(|rec| rec.encode_into(out)))?;
     Ok(out)
+}
+
+/// The bytes a `Put` frame of `path` holding `size` bytes takes: that
+/// object's share of the live bytes.
+fn put_frame_len(path: &str, size: u64) -> u64 {
+    (FRAME_HEADER + RECORD_FIXED + path.len()) as u64 + size
 }
 
 /// Decodes every put and delete of a frame's payload, or none: a payload
@@ -241,66 +262,226 @@ impl<'a> Reader<'a> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Configuration
-
-/// Tuning knobs for [`LogBackend`].
-#[derive(Clone)]
-pub struct LogConfig {
-    /// Write a checkpoint after this many logged mutations; 0 disables
-    /// automatic checkpoints (recovery then replays the full log).
-    pub checkpoint_every: u64,
-    /// Fault-injection hook consulted before every physical I/O step;
-    /// `None` in production.
-    pub fault_hook: Option<Arc<dyn FaultHook>>,
+/// Outcome of scanning a run of frames during recovery or audit.
+enum Scan {
+    Clean,
+    /// First corrupt frame starts at this offset; everything after is the
+    /// torn tail a crash left behind.
+    CorruptAt(u64),
 }
 
-impl Default for LogConfig {
-    fn default() -> LogConfig {
-        LogConfig { checkpoint_every: 1024, fault_hook: None }
+/// Parses the frames of `bytes`, applying the records of each valid frame
+/// via `apply`; a frame is decoded whole before any record of it is
+/// applied, so a torn or malformed frame drops whole.
+fn scan_frames(bytes: &[u8], mut apply: impl FnMut(Record)) -> Scan {
+    let mut pos = 0usize;
+    while pos < bytes.len() {
+        let rest = &bytes[pos..];
+        if rest.len() < FRAME_HEADER {
+            return Scan::CorruptAt(pos as u64);
+        }
+        let magic = u32::from_le_bytes(rest[0..4].try_into().unwrap());
+        let len = u32::from_le_bytes(rest[4..8].try_into().unwrap()) as usize;
+        let crc = u32::from_le_bytes(rest[8..12].try_into().unwrap());
+        if magic != REC_MAGIC || rest.len() - FRAME_HEADER < len {
+            return Scan::CorruptAt(pos as u64);
+        }
+        let payload = &rest[FRAME_HEADER..FRAME_HEADER + len];
+        if crc32(payload) != crc {
+            return Scan::CorruptAt(pos as u64);
+        }
+        match decode_frame(payload) {
+            Some(records) => records.into_iter().for_each(&mut apply),
+            None => return Scan::CorruptAt(pos as u64),
+        }
+        pos += FRAME_HEADER + len;
+    }
+    Scan::Clean
+}
+
+// ---------------------------------------------------------------------------
+// The image
+
+/// The object map and its live bytes (module doc), kept in step.
+#[derive(Debug, Default)]
+struct Image {
+    map: ObjectMap,
+    live: u64,
+}
+
+impl Image {
+    fn apply(&mut self, rec: Record) {
+        let (Record::Put { path, .. } | Record::Delete { path }) = &rec;
+        if let Ok(old) = self.map.stat(path) {
+            self.live -= put_frame_len(path, old.size);
+        }
+        match rec {
+            Record::Put { path, version, data } => {
+                self.live += put_frame_len(&path, data.len() as u64);
+                self.map.insert(path, version, Arc::new(data));
+            }
+            Record::Delete { path } => {
+                let _ = self.map.remove(&path);
+            }
+        }
+    }
+
+    /// Whether a log of `len` bytes holding this image has more dead bytes
+    /// than live ones: the rewrite trigger.
+    fn outgrown_by(&self, len: u64) -> bool {
+        len > 2 * self.live
+    }
+
+    /// What a rewrite writes: the objects sorted by path, each one `Put`
+    /// frame at its version, `live` bytes in all.
+    fn log_bytes(&self) -> Result<Vec<u8>, StorageError> {
+        let mut out = Vec::with_capacity(self.live as usize);
+        for (path, version, data) in self.map.objects() {
+            push_frame(&mut out, |out| encode_record(out, OP_PUT, path, version, data))?;
+        }
+        Ok(out)
     }
 }
 
-impl std::fmt::Debug for LogConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LogConfig")
-            .field("checkpoint_every", &self.checkpoint_every)
-            .field("fault_hook", &self.fault_hook.is_some())
-            .finish()
+// ---------------------------------------------------------------------------
+// The import of the segment layout
+
+/// Decodes an `NXCK` checkpoint of the segment layout into its watermark
+/// (the first segment it does not cover) and image, dropping the lock
+/// epoch and lock entries an older writer may have put in it.
+fn decode_checkpoint(bytes: &[u8], expect_seq: u64) -> Option<(u64, Image)> {
+    if bytes.len() < 4 {
+        return None;
+    }
+    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
+    let crc = u32::from_le_bytes(crc_bytes.try_into().unwrap());
+    if crc32(body) != crc {
+        return None;
+    }
+    let mut r = Reader::new(body);
+    if r.u32()? != CKPT_MAGIC || r.u32()? != FORMAT_VERSION {
+        return None;
+    }
+    if r.u64()? != expect_seq {
+        return None;
+    }
+    let watermark = r.u64()?;
+    r.u64()?; // the lock epoch: read, dropped
+    let mut image = Image::default();
+    for _ in 0..r.u64()? {
+        let path = String::from_utf8(r.bytes_u32_len()?.to_vec()).ok()?;
+        let version = r.u64()?;
+        let data = r.bytes_u32_len()?.to_vec();
+        image.apply(Record::Put { path, version, data });
+    }
+    for _ in 0..r.u64()? {
+        // A lock entry, path and owner: read, dropped.
+        String::from_utf8(r.bytes_u32_len()?.to_vec()).ok()?;
+        r.u64()?;
+    }
+    if !r.done() {
+        return None;
+    }
+    Some((watermark, image))
+}
+
+/// Parses `prefix-NNNNNNNNNN.suffix` names back to their sequence number.
+fn parse_seq(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
+    name.strip_prefix(prefix)?.strip_suffix(suffix)?.parse().ok()
+}
+
+/// Reads a store in the segment layout (module doc); `None` when `root`
+/// holds no segment or checkpoint. It only reads, so a crash before the
+/// import's rename leaves the old store as it was.
+///
+/// # Errors
+///
+/// [`StorageError::Io`] when a file is unreadable or the newest committed
+/// checkpoint does not decode: it was fsynced before its rename, so a
+/// crash cannot produce one, and the import refuses to drop state.
+fn read_segments(root: &Path) -> Result<Option<Image>, StorageError> {
+    let mut segs: BTreeMap<u64, PathBuf> = BTreeMap::new();
+    let mut ckpts: BTreeMap<u64, PathBuf> = BTreeMap::new();
+    for entry in fs::read_dir(root).map_err(io_err)?.filter_map(|e| e.ok()) {
+        let Ok(name) = entry.file_name().into_string() else { continue };
+        if let Some(seq) = parse_seq(&name, "seg-", ".log") {
+            segs.insert(seq, entry.path());
+        } else if let Some(seq) = parse_seq(&name, "ckpt-", ".idx") {
+            ckpts.insert(seq, entry.path());
+        }
+    }
+    if segs.is_empty() && ckpts.is_empty() {
+        return Ok(None);
+    }
+    let (watermark, mut image) = match ckpts.last_key_value() {
+        Some((&seq, path)) => {
+            let bytes = fs::read(path).map_err(io_err)?;
+            decode_checkpoint(&bytes, seq).ok_or_else(|| {
+                StorageError::Io(format!(
+                    "corrupt committed checkpoint {}: refusing to open",
+                    path.display()
+                ))
+            })?
+        }
+        None => (0, Image::default()),
+    };
+    for path in segs.range(watermark..).map(|(_, path)| path) {
+        let bytes = fs::read(path).map_err(io_err)?;
+        if let Scan::CorruptAt(_) = scan_frames(&bytes, |rec| image.apply(rec)) {
+            break; // a torn tail: nothing after it was acknowledged
+        }
+    }
+    Ok(Some(image))
+}
+
+/// Deletes what is not the store once `log` exists: an uncommitted rewrite
+/// and every file of the segment layout.
+fn remove_garbage(root: &Path) {
+    let Ok(entries) = fs::read_dir(root) else { return };
+    for entry in entries.filter_map(|e| e.ok()) {
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if name == LOG_TMP || OLD_LAYOUT.iter().any(|prefix| name.starts_with(prefix)) {
+            let _ = fs::remove_file(entry.path());
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
 // Backend
 
-#[derive(Debug)]
-struct ActiveSegment {
-    seq: u64,
-    file: File,
-    /// Bytes physically written to the file.
-    written: u64,
-    /// Bytes known durable (file length at the last successful fsync).
-    /// A simulated dropped fsync truncates back to this point, modelling
-    /// the loss of the OS page cache.
-    durable: u64,
-}
-
-#[derive(Debug)]
 struct LogInner {
     root: PathBuf,
-    cfg: LogConfig,
-    image: ObjectMap,
-    seg: ActiveSegment,
-    /// Sequence of the newest committed checkpoint (0 = none yet).
-    ckpt_seq: u64,
-    /// First segment NOT covered by the committed checkpoint.
-    watermark: u64,
-    ops_since_ckpt: u64,
+    hook: Option<Arc<dyn FaultHook>>,
+    image: Image,
+    /// `<root>/log`, open for appending.
+    log: File,
+    /// Bytes physically written to the log.
+    written: u64,
+    /// Bytes known durable (the log's length at the last successful
+    /// fsync). A simulated dropped fsync truncates back to this point,
+    /// modelling the loss of the OS page cache.
+    durable: u64,
+    /// No frame appended since the last rewrite: the log is exactly the
+    /// live bytes.
+    rewritten: bool,
     stats: IoStats,
     crashed: bool,
     /// The open, `try_lock`ed `<root>/LOCK`; a crash drops it, as a dying
     /// process would.
     store_lock: Option<File>,
+}
+
+impl std::fmt::Debug for LogInner {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LogInner")
+            .field("root", &self.root)
+            .field("objects", &self.image.map.len())
+            .field("live", &self.image.live)
+            .field("written", &self.written)
+            .field("crashed", &self.crashed)
+            .finish()
+    }
 }
 
 /// The log-structured, file-backed storage backend.
@@ -331,18 +512,6 @@ fn io_err(e: std::io::Error) -> StorageError {
     StorageError::Io(e.to_string())
 }
 
-fn seg_name(seq: u64) -> String {
-    format!("seg-{seq:010}.log")
-}
-
-fn ckpt_name(seq: u64) -> String {
-    format!("ckpt-{seq:010}.idx")
-}
-
-fn ckpt_tmp_name(seq: u64) -> String {
-    format!("ckpt-{seq:010}.tmp")
-}
-
 /// Takes `<root>/LOCK` for as long as the returned `File` lives.
 ///
 /// # Errors
@@ -366,177 +535,94 @@ fn lock_store(root: &Path) -> Result<File, StorageError> {
     }
 }
 
-/// Parses `prefix-NNNNNNNNNN.suffix` names back to their sequence number.
-fn parse_seq(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
-    name.strip_prefix(prefix)?.strip_suffix(suffix)?.parse().ok()
+/// Opens `<root>/log` for appending, creating it empty if absent.
+fn open_log(root: &Path) -> Result<File, StorageError> {
+    OpenOptions::new().create(true).append(true).open(root.join(LOG_FILE)).map_err(io_err)
 }
 
-/// Outcome of scanning one segment during recovery or audit.
-enum SegmentScan {
-    Clean,
-    /// First corrupt frame starts at this offset; everything after is the
-    /// torn tail a crash left behind.
-    CorruptAt(u64),
-}
-
-/// Parses the frames of one segment, applying the records of each valid
-/// frame via `apply`; a frame is decoded whole before any record of it is
-/// applied, so a torn or malformed frame drops whole.
-fn scan_segment(
-    bytes: &[u8],
-    mut apply: impl FnMut(Record),
-) -> SegmentScan {
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let rest = &bytes[pos..];
-        if rest.len() < FRAME_HEADER {
-            return SegmentScan::CorruptAt(pos as u64);
-        }
-        let magic = u32::from_le_bytes(rest[0..4].try_into().unwrap());
-        let len = u32::from_le_bytes(rest[4..8].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(rest[8..12].try_into().unwrap());
-        if magic != REC_MAGIC || rest.len() - FRAME_HEADER < len {
-            return SegmentScan::CorruptAt(pos as u64);
-        }
-        let payload = &rest[FRAME_HEADER..FRAME_HEADER + len];
-        if crc32(payload) != crc {
-            return SegmentScan::CorruptAt(pos as u64);
-        }
-        match decode_frame(payload) {
-            Some(records) => records.into_iter().for_each(&mut apply),
-            None => return SegmentScan::CorruptAt(pos as u64),
-        }
-        pos += FRAME_HEADER + len;
-    }
-    SegmentScan::Clean
-}
-
-/// A decoded checkpoint: the object map plus its log watermark.
-struct Checkpoint {
-    watermark: u64,
-    image: ObjectMap,
-}
-
-impl Checkpoint {
-    /// Encodes `image`'s objects; the lock epoch and lock table an older
-    /// reader expects are written as zero and empty.
-    fn encode(image: &ObjectMap, ckpt_seq: u64, watermark: u64) -> Vec<u8> {
-        let mut body = Vec::new();
-        body.extend_from_slice(&CKPT_MAGIC.to_le_bytes());
-        body.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        body.extend_from_slice(&ckpt_seq.to_le_bytes());
-        body.extend_from_slice(&watermark.to_le_bytes());
-        body.extend_from_slice(&0u64.to_le_bytes());
-        body.extend_from_slice(&(image.len() as u64).to_le_bytes());
-        for (path, version, data) in image.objects() {
-            body.extend_from_slice(&(path.len() as u32).to_le_bytes());
-            body.extend_from_slice(path.as_bytes());
-            body.extend_from_slice(&version.to_le_bytes());
-            body.extend_from_slice(&(data.len() as u32).to_le_bytes());
-            body.extend_from_slice(data);
-        }
-        body.extend_from_slice(&0u64.to_le_bytes());
-        let crc = crc32(&body);
-        body.extend_from_slice(&crc.to_le_bytes());
-        body
-    }
-
-    /// Decodes a checkpoint, dropping the lock epoch and lock entries an
-    /// older writer may have put in it.
-    fn decode(bytes: &[u8], expect_seq: u64) -> Option<Checkpoint> {
-        if bytes.len() < 4 {
-            return None;
-        }
-        let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let crc = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-        if crc32(body) != crc {
-            return None;
-        }
-        let mut r = Reader::new(body);
-        if r.u32()? != CKPT_MAGIC || r.u32()? != FORMAT_VERSION {
-            return None;
-        }
-        if r.u64()? != expect_seq {
-            return None;
-        }
-        let watermark = r.u64()?;
-        r.u64()?; // the lock epoch: read, dropped
-        let mut image = ObjectMap::default();
-        for _ in 0..r.u64()? {
-            let path = String::from_utf8(r.bytes_u32_len()?.to_vec()).ok()?;
-            let version = r.u64()?;
-            let data = r.bytes_u32_len()?.to_vec();
-            image.insert(path, version, Arc::new(data));
-        }
-        for _ in 0..r.u64()? {
-            // A lock entry, path and owner: read, dropped.
-            String::from_utf8(r.bytes_u32_len()?.to_vec()).ok()?;
-            r.u64()?;
-        }
-        if !r.done() {
-            return None;
-        }
-        Some(Checkpoint { watermark, image })
-    }
+/// Writes `image` as `root`'s log by a rewrite ([`replace_file`]) and opens
+/// the result for appending; returns it with its length.
+fn write_log(
+    root: &Path,
+    image: &Image,
+    hook: Option<&dyn FaultHook>,
+) -> Result<(File, u64), StorageError> {
+    let bytes = image.log_bytes()?;
+    replace_file(root, LOG_TMP, LOG_FILE, &bytes, hook)?;
+    Ok((open_log(root)?, bytes.len() as u64))
 }
 
 impl LogInner {
     fn guard(&self) -> Result<(), StorageError> {
         if self.crashed {
             return Err(StorageError::Io(
-                "log backend crashed (injected fault); reopen to recover".into(),
+                "log backend crashed (a failed or injected-fault write); reopen to recover"
+                    .into(),
             ));
         }
         Ok(())
     }
 
     fn fault(&self, point: FaultPoint) -> FaultAction {
-        match &self.cfg.fault_hook {
+        match &self.hook {
             Some(hook) => hook.on(&point),
             None => FaultAction::Proceed,
         }
     }
 
-    fn crash(&mut self, what: &str) -> StorageError {
+    /// Marks the handle crashed and returns `err`: after a failed write
+    /// the log may not be what the handle believes, so only a reopen may
+    /// read it. The store lock goes as a dying process's would.
+    fn poison(&mut self, err: StorageError) -> StorageError {
         self.crashed = true;
         self.store_lock = None;
-        StorageError::Io(format!("injected crash: {what}"))
+        err
+    }
+
+    fn crash(&mut self, what: &str) -> StorageError {
+        self.poison(StorageError::Io(format!("injected crash: {what}")))
     }
 
     /// The one write path: appends `records` as one frame, fsyncs it, then
-    /// applies the records to the image and counts them. A crash before the
-    /// fsync lands leaves the frame torn or absent, and replay drops it
-    /// whole, so one call's records are durable all together or not at all.
-    /// An empty call logs nothing.
+    /// applies the records to the image and counts them, and rewrites the
+    /// log if they left it outgrown. A crash before the fsync lands leaves
+    /// the frame torn or absent, and replay drops it whole, so one call's
+    /// records are durable all together or not at all. An empty call logs
+    /// nothing.
     fn commit(&mut self, records: Vec<Record>) -> Result<(), StorageError> {
         if records.is_empty() {
             return Ok(());
         }
         let bytes = frame(&records)?;
-        let name = seg_name(self.seg.seq);
-        match self.fault(FaultPoint::Write { file: name.clone(), len: bytes.len() }) {
+        match self.fault(FaultPoint::Write { file: LOG_FILE.into(), len: bytes.len() }) {
             FaultAction::Proceed => {
-                self.seg.file.write_all(&bytes).map_err(io_err)?;
-                self.seg.written += bytes.len() as u64;
+                if let Err(e) = self.log.write_all(&bytes) {
+                    return Err(self.poison(io_err(e)));
+                }
+                self.written += bytes.len() as u64;
             }
             FaultAction::Torn { keep } => {
                 let keep = keep.min(bytes.len().saturating_sub(1));
-                let _ = self.seg.file.write_all(&bytes[..keep]);
-                return Err(self.crash("torn segment append"));
+                let _ = self.log.write_all(&bytes[..keep]);
+                return Err(self.crash("torn log append"));
             }
-            FaultAction::Drop => return Err(self.crash("dropped segment append")),
+            FaultAction::Drop => return Err(self.crash("dropped log append")),
         }
         // A dropped fsync loses the unsynced tail, exactly as a real crash
         // would lose the page cache.
-        match self.fault(FaultPoint::Fsync { file: name }) {
-            FaultAction::Proceed => self.seg.file.sync_data().map_err(io_err)?,
+        match self.fault(FaultPoint::Fsync { file: LOG_FILE.into() }) {
+            FaultAction::Proceed => {
+                if let Err(e) = self.log.sync_data() {
+                    return Err(self.poison(io_err(e)));
+                }
+            }
             _ => {
-                let _ = self.seg.file.set_len(self.seg.durable);
-                return Err(self.crash("dropped segment fsync"));
+                let _ = self.log.set_len(self.durable);
+                return Err(self.crash("dropped log fsync"));
             }
         }
-        self.seg.durable = self.seg.written;
-        let n = records.len() as u64;
+        self.durable = self.written;
+        self.rewritten = false;
         for rec in records {
             match &rec {
                 Record::Put { data, .. } => {
@@ -545,265 +631,126 @@ impl LogInner {
                 }
                 Record::Delete { .. } => self.stats.deletes += 1,
             }
-            rec.apply(&mut self.image);
+            self.image.apply(rec);
         }
-        self.note_ops(n)
-    }
-
-    /// Counts `n` acknowledged mutations toward the next checkpoint.
-    fn note_ops(&mut self, n: u64) -> Result<(), StorageError> {
-        self.ops_since_ckpt += n;
-        if self.cfg.checkpoint_every > 0 && self.ops_since_ckpt >= self.cfg.checkpoint_every {
-            self.checkpoint()?;
+        if self.image.outgrown_by(self.written) {
+            self.rewrite()?;
         }
         Ok(())
     }
 
-    /// Writes and commits a checkpoint, then prunes the log behind it.
-    fn checkpoint(&mut self) -> Result<(), StorageError> {
-        self.guard()?;
-        // 1. Roll to a fresh segment so the checkpoint's watermark has a
-        //    stable meaning: everything below it is inside the snapshot.
-        let new_seq = self.seg.seq + 1;
-        let seg_path = self.root.join(seg_name(new_seq));
-        match self.fault(FaultPoint::Create { file: seg_name(new_seq) }) {
-            FaultAction::Proceed => {
-                let file = OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&seg_path)
-                    .map_err(io_err)?;
-                file.sync_all().map_err(io_err)?;
-                self.seg = ActiveSegment { seq: new_seq, file, written: 0, durable: 0 };
-            }
-            _ => return Err(self.crash("dropped segment create")),
-        }
-
-        // 2. Write the snapshot to a temp file.
-        let ck_seq = self.ckpt_seq + 1;
-        let body = Checkpoint::encode(&self.image, ck_seq, new_seq);
-        let tmp = self.root.join(ckpt_tmp_name(ck_seq));
-        let committed = self.root.join(ckpt_name(ck_seq));
-        let mut f = File::create(&tmp).map_err(io_err)?;
-        match self.fault(FaultPoint::Write { file: ckpt_tmp_name(ck_seq), len: body.len() }) {
-            FaultAction::Proceed => f.write_all(&body).map_err(io_err)?,
-            FaultAction::Torn { keep } => {
-                let keep = keep.min(body.len().saturating_sub(1));
-                let _ = f.write_all(&body[..keep]);
-                return Err(self.crash("torn checkpoint write"));
-            }
-            FaultAction::Drop => return Err(self.crash("dropped checkpoint write")),
-        }
-        // 3. Fsync the temp file before the rename may commit it.
-        match self.fault(FaultPoint::Fsync { file: ckpt_tmp_name(ck_seq) }) {
-            FaultAction::Proceed => f.sync_all().map_err(io_err)?,
-            _ => {
-                // The unsynced temp may survive only partially.
-                let _ = f.set_len(body.len() as u64 / 2);
-                return Err(self.crash("dropped checkpoint fsync"));
-            }
-        }
-        drop(f);
-        // 4. The commit point: atomic rename.
-        match self.fault(FaultPoint::Rename {
-            from: ckpt_tmp_name(ck_seq),
-            to: ckpt_name(ck_seq),
-        }) {
-            FaultAction::Proceed => fs::rename(&tmp, &committed).map_err(io_err)?,
-            _ => return Err(self.crash("dropped checkpoint rename")),
-        }
-        // 5. Persist the rename itself.
-        match self.fault(FaultPoint::DirFsync) {
-            FaultAction::Proceed => {
-                File::open(&self.root).and_then(|d| d.sync_all()).map_err(io_err)?;
-            }
-            _ => {
-                // The rename never reached disk: model it as undone.
-                let _ = fs::rename(&committed, &tmp);
-                return Err(self.crash("dropped directory fsync"));
-            }
-        }
-        self.ckpt_seq = ck_seq;
-        self.watermark = new_seq;
-        self.ops_since_ckpt = 0;
-        // 6. Prune obsolete files. Failure here loses nothing: recovery
-        //    ignores anything below the committed watermark.
-        match self.fault(FaultPoint::Cleanup) {
-            FaultAction::Proceed => {
-                self.prune_obsolete();
+    /// Rewrites the log as the image alone (module doc). Its bytes count
+    /// in no [`IoStats`] field. A failure poisons the handle: once the
+    /// rename may have landed, appends through the old file would be lost.
+    fn rewrite(&mut self) -> Result<(), StorageError> {
+        match write_log(&self.root, &self.image, self.hook.as_deref()) {
+            Ok((log, len)) => {
+                (self.log, self.written, self.durable, self.rewritten) = (log, len, len, true);
                 Ok(())
             }
-            _ => Err(self.crash("dropped checkpoint cleanup")),
-        }
-    }
-
-    /// Deletes segments below the watermark and checkpoints older than the
-    /// committed one (plus any stray temp files).
-    fn prune_obsolete(&self) {
-        let Ok(entries) = fs::read_dir(&self.root) else { return };
-        for entry in entries.filter_map(|e| e.ok()) {
-            let Ok(name) = entry.file_name().into_string() else { continue };
-            let stale = match parse_seq(&name, "seg-", ".log") {
-                Some(seq) => seq < self.watermark,
-                None => match parse_seq(&name, "ckpt-", ".idx") {
-                    Some(seq) => seq < self.ckpt_seq,
-                    None => parse_seq(&name, "ckpt-", ".tmp").is_some(),
-                },
-            };
-            if stale {
-                let _ = fs::remove_file(entry.path());
-            }
+            Err(e) => Err(self.poison(e)),
         }
     }
 }
 
 impl LogBackend {
-    /// Opens (recovering if needed) a backend rooted at `root` with default
-    /// configuration.
+    /// Opens (recovering or importing if needed) a backend rooted at
+    /// `root`.
     ///
     /// # Errors
     ///
     /// [`StorageError::LockContended`] while another handle holds the
-    /// store; [`StorageError::Io`] on filesystem failures or a corrupt
-    /// *committed* checkpoint (which a crash cannot produce — it means bit
-    /// rot or tampering, so recovery refuses to silently drop state).
+    /// store; [`StorageError::Io`] on filesystem failures or, in a store
+    /// of the segment layout, a corrupt *committed* checkpoint (which a
+    /// crash cannot produce — it means bit rot or tampering, so the import
+    /// refuses to silently drop state).
     pub fn open(root: impl AsRef<Path>) -> Result<LogBackend, StorageError> {
-        LogBackend::open_with(root, LogConfig::default())
+        LogBackend::open_with_hook(root, None)
     }
 
-    /// Opens with explicit [`LogConfig`].
-    ///
-    /// Recovery itself never consults the fault hook: it models the process
-    /// *after* the crash, reading whatever the dying process left on disk.
+    /// [`LogBackend::open`] with a fault-injection hook consulted before
+    /// every physical write step (tests only; production passes `None`
+    /// via [`LogBackend::open`]). Replay consults nothing; the rewrite an
+    /// import or an outgrown log makes at `open` does.
     ///
     /// # Errors
     ///
-    /// See [`LogBackend::open`].
-    pub fn open_with(root: impl AsRef<Path>, cfg: LogConfig) -> Result<LogBackend, StorageError> {
+    /// See [`LogBackend::open`]; an injected crash in that rewrite fails
+    /// the open.
+    pub fn open_with_hook(
+        root: impl AsRef<Path>,
+        hook: Option<Arc<dyn FaultHook>>,
+    ) -> Result<LogBackend, StorageError> {
         let root = root.as_ref().to_path_buf();
         fs::create_dir_all(&root).map_err(io_err)?;
         let store_lock = lock_store(&root)?;
 
-        // Inventory the directory.
-        let mut segs: BTreeMap<u64, PathBuf> = BTreeMap::new();
-        let mut ckpts: BTreeMap<u64, PathBuf> = BTreeMap::new();
-        let mut strays: Vec<PathBuf> = Vec::new();
-        for entry in fs::read_dir(&root).map_err(io_err)?.filter_map(|e| e.ok()) {
-            let Ok(name) = entry.file_name().into_string() else { continue };
-            if let Some(seq) = parse_seq(&name, "seg-", ".log") {
-                segs.insert(seq, entry.path());
-            } else if let Some(seq) = parse_seq(&name, "ckpt-", ".idx") {
-                ckpts.insert(seq, entry.path());
-            } else if parse_seq(&name, "ckpt-", ".tmp").is_some() {
-                // An uncommitted checkpoint: a crash before the rename.
-                strays.push(entry.path());
-            }
-        }
-
-        // Load the newest committed checkpoint. A committed checkpoint was
-        // fully fsynced before its rename, so failing to decode one is not
-        // a crash artifact — refuse to open rather than losing data.
-        let mut image = ObjectMap::default();
-        let mut watermark = 0u64;
-        let mut ckpt_seq = 0u64;
-        if let Some((&seq, path)) = ckpts.iter().next_back() {
-            let bytes = fs::read(path).map_err(io_err)?;
-            let ckpt = Checkpoint::decode(&bytes, seq).ok_or_else(|| {
-                StorageError::Io(format!(
-                    "corrupt committed checkpoint {}: refusing to open",
-                    path.display()
-                ))
-            })?;
-            image = ckpt.image;
-            watermark = ckpt.watermark;
-            ckpt_seq = seq;
-        }
-
-        // Replay the log tail in segment order, truncating at the first
-        // corrupt frame (the torn tail of the crashed writer).
-        let live_segs: Vec<(u64, PathBuf)> =
-            segs.range(watermark..).map(|(&s, p)| (s, p.clone())).collect();
-        let mut truncated_after: Option<u64> = None;
-        for (seq, path) in &live_segs {
-            if let Some(stop) = truncated_after {
-                // Everything after a truncation point is unreachable
-                // history; a crash cannot create it, but defensively drop
-                // it so the surviving log is contiguous.
-                if *seq > stop {
-                    strays.push(path.clone());
-                    continue;
+        let mut image = Image::default();
+        let (log, written, rewritten) = match fs::read(root.join(LOG_FILE)) {
+            Ok(bytes) => {
+                let log = open_log(&root)?;
+                // Truncate the torn tail of the crashed writer.
+                if let Scan::CorruptAt(len) = scan_frames(&bytes, |rec| image.apply(rec)) {
+                    log.set_len(len).and_then(|()| log.sync_all()).map_err(io_err)?;
                 }
+                let len = log.metadata().map_err(io_err)?.len();
+                (log, len, false)
             }
-            let bytes = fs::read(path).map_err(io_err)?;
-            let scan = scan_segment(&bytes, |rec| rec.apply(&mut image));
-            if let SegmentScan::CorruptAt(offset) = scan {
-                let f = OpenOptions::new().write(true).open(path).map_err(io_err)?;
-                f.set_len(offset).map_err(io_err)?;
-                f.sync_all().map_err(io_err)?;
-                truncated_after = Some(*seq);
-            }
-        }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => match read_segments(&root)? {
+                Some(old) => {
+                    image = old;
+                    let (log, len) = write_log(&root, &image, hook.as_deref())?;
+                    let cleanup = |h: &Arc<dyn FaultHook>| h.on(&FaultPoint::Cleanup);
+                    if hook.as_ref().is_some_and(|h| cleanup(h) != FaultAction::Proceed) {
+                        let crash = "injected crash: dropped import cleanup";
+                        return Err(StorageError::Io(crash.into()));
+                    }
+                    (log, len, true)
+                }
+                None => {
+                    // A new store: its empty log, whose name must outlive
+                    // a crash before the first append.
+                    let log = open_log(&root)?;
+                    File::open(&root).and_then(|d| d.sync_all()).map_err(io_err)?;
+                    (log, 0, false)
+                }
+            },
+            Err(e) => return Err(io_err(e)),
+        };
+        remove_garbage(&root);
 
-        // The append head: the newest surviving segment, or a fresh one.
-        let head_seq = live_segs
-            .iter()
-            .filter(|(s, _)| truncated_after.is_none_or(|stop| *s <= stop))
-            .map(|(s, _)| *s)
-            .next_back()
-            .unwrap_or(watermark);
-        let head_path = root.join(seg_name(head_seq));
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&head_path)
-            .map_err(io_err)?;
-        let written = file.metadata().map_err(io_err)?.len();
-
-        // Prune what recovery decided is garbage (stale checkpoints and
-        // segments below the watermark, uncommitted temp files, segments
-        // beyond a truncation point).
-        for (&seq, path) in &ckpts {
-            if seq < ckpt_seq {
-                strays.push(path.clone());
-            }
-        }
-        for (&seq, path) in &segs {
-            if seq < watermark {
-                strays.push(path.clone());
-            }
-        }
-        for path in strays {
-            let _ = fs::remove_file(path);
-        }
-
-        let inner = LogInner {
+        let mut inner = LogInner {
             root,
-            cfg,
+            hook,
             image,
-            seg: ActiveSegment { seq: head_seq, file, written, durable: written },
-            ckpt_seq,
-            watermark,
-            ops_since_ckpt: 0,
+            log,
+            written,
+            durable: written,
+            rewritten,
             stats: IoStats::default(),
             crashed: false,
             store_lock: Some(store_lock),
         };
+        if inner.image.outgrown_by(written) {
+            inner.rewrite()?;
+        }
         Ok(LogBackend { inner: Arc::new(Mutex::new(inner)) })
     }
 
-    /// Forces a checkpoint now (also exposed for tests and benches).
+    /// Rewrites the log now, whatever its dead bytes (also exposed for
+    /// tests and benches).
     ///
     /// # Errors
     ///
     /// [`StorageError::Io`] on filesystem failures or injected crashes.
-    pub fn checkpoint_now(&self) -> Result<(), StorageError> {
+    pub fn compact_now(&self) -> Result<(), StorageError> {
         let mut inner = self.inner.lock();
         inner.guard()?;
-        inner.checkpoint()
+        inner.rewrite()
     }
 
-    /// True once an injected fault has crashed this handle; every
-    /// operation fails until the store is reopened from disk.
+    /// True once a failed write or an injected fault has crashed this
+    /// handle; every operation fails until the store is reopened from disk.
     pub fn crashed(&self) -> bool {
         self.inner.lock().crashed
     }
@@ -825,97 +772,48 @@ impl LogBackend {
     }
 
     /// Audits the on-disk form against the in-memory state (the storage
-    /// half of `fsck`): checkpoint validity, segment contiguity and record
-    /// integrity, absence of uncommitted temp files, and an independent
-    /// replay that must reconstruct exactly the live objects and versions.
-    /// Returns human-readable findings; empty means clean.
+    /// half of `fsck`): the root holds the lock and the log alone, every
+    /// frame is whole and checksummed, the log is at most twice its live
+    /// bytes and exactly those right after a rewrite, and an independent
+    /// replay reconstructs exactly the live objects and versions. Returns
+    /// human-readable findings; empty means clean.
     pub fn audit(&self) -> Vec<String> {
         let inner = self.inner.lock();
-        let mut findings = Vec::new();
-        let mut segs: BTreeMap<u64, PathBuf> = BTreeMap::new();
-        let mut ckpts: BTreeMap<u64, PathBuf> = BTreeMap::new();
         let entries = match fs::read_dir(&inner.root) {
             Ok(entries) => entries,
             Err(e) => return vec![format!("unreadable store root: {e}")],
         };
-        for entry in entries.filter_map(|e| e.ok()) {
-            let Ok(name) = entry.file_name().into_string() else {
-                findings.push("non-UTF-8 file name in store root".into());
-                continue;
-            };
-            if let Some(seq) = parse_seq(&name, "seg-", ".log") {
-                segs.insert(seq, entry.path());
-            } else if let Some(seq) = parse_seq(&name, "ckpt-", ".idx") {
-                ckpts.insert(seq, entry.path());
-            } else if name != LOCK_FILE {
-                findings.push(format!("unexpected file in store root: {name}"));
+        let mut findings: Vec<String> = entries
+            .filter_map(|e| e.ok())
+            .map(|entry| entry.file_name().to_string_lossy().into_owned())
+            .filter(|name| name != LOCK_FILE && name != LOG_FILE)
+            .map(|name| format!("unexpected file in store root: {name}"))
+            .collect();
+        let bytes = match fs::read(inner.root.join(LOG_FILE)) {
+            Ok(bytes) => bytes,
+            Err(e) => {
+                findings.push(format!("unreadable log: {e}"));
+                return findings;
             }
+        };
+        let mut replay = Image::default();
+        if let Scan::CorruptAt(off) = scan_frames(&bytes, |rec| replay.apply(rec)) {
+            findings.push(format!("corrupt frame in the log at offset {off}"));
         }
-
-        // Checkpoint: at most the committed one, decodable, watermark
-        // agreeing with the in-memory view.
-        let mut replay = ObjectMap::default();
-        let mut watermark = 0u64;
-        for (&seq, path) in &ckpts {
-            if seq != inner.ckpt_seq {
-                findings.push(format!("stale checkpoint on disk: {}", path.display()));
-                continue;
-            }
-            match fs::read(path).ok().and_then(|b| Checkpoint::decode(&b, seq)) {
-                Some(ckpt) => {
-                    if ckpt.watermark != inner.watermark {
-                        findings.push(format!(
-                            "checkpoint watermark {} disagrees with live watermark {}",
-                            ckpt.watermark, inner.watermark
-                        ));
-                    }
-                    replay = ckpt.image;
-                    watermark = ckpt.watermark;
-                }
-                None => findings.push(format!("undecodable checkpoint: {}", path.display())),
-            }
+        let (len, live) = (bytes.len() as u64, replay.live);
+        if replay.outgrown_by(len) {
+            findings.push(format!("a log of {len} bytes is over twice its {live} live bytes"));
         }
-        if inner.ckpt_seq > 0 && !ckpts.contains_key(&inner.ckpt_seq) {
-            findings.push(format!("committed checkpoint {} missing on disk", inner.ckpt_seq));
+        if inner.rewritten && len != live {
+            findings.push(format!("a rewritten log of {len} bytes is not its {live} live bytes"));
         }
-
-        // Segments: contiguous from the watermark to the append head, all
-        // frames whole and checksummed.
-        let live: Vec<u64> = segs.keys().copied().filter(|&s| s >= watermark).collect();
-        let expect: Vec<u64> = (watermark..=inner.seg.seq).collect();
-        if live != expect {
-            findings.push(format!(
-                "segment sequence not contiguous: have {live:?}, expected {expect:?}"
-            ));
-        }
-        for &seq in &live {
-            let path = &segs[&seq];
-            match fs::read(path) {
-                Ok(bytes) => {
-                    let scan = scan_segment(&bytes, |rec| rec.apply(&mut replay));
-                    if let SegmentScan::CorruptAt(off) = scan {
-                        findings.push(format!(
-                            "corrupt frame in {} at offset {off}",
-                            path.display()
-                        ));
-                    }
-                }
-                Err(e) => findings.push(format!("unreadable segment {}: {e}", path.display())),
-            }
-        }
-        for (&seq, path) in &segs {
-            if seq < watermark {
-                findings.push(format!("stale segment on disk: {}", path.display()));
-            }
-        }
-
-        // Independent replay must reconstruct the live objects and
-        // versions exactly.
-        if findings.is_empty() && !replay.objects().eq(inner.image.objects()) {
+        if findings.is_empty()
+            && (!replay.map.objects().eq(inner.image.map.objects()) || live != inner.image.live)
+        {
             findings.push(format!(
                 "replayed object map ({} objects) disagrees with the live one ({} objects)",
-                replay.len(),
-                inner.image.len()
+                replay.map.len(),
+                inner.image.map.len()
             ));
         }
         findings
@@ -926,7 +824,7 @@ impl StorageBackend for LogBackend {
     fn put(&self, path: &str, data: &[u8]) -> Result<(), StorageError> {
         let mut inner = self.inner.lock();
         inner.guard()?;
-        let version = inner.image.version(path) + 1;
+        let version = inner.image.map.version(path) + 1;
         inner.commit(vec![Record::Put { path: path.to_string(), version, data: data.to_vec() }])
     }
 
@@ -937,7 +835,7 @@ impl StorageBackend for LogBackend {
     fn get_range(&self, path: &str, offset: u64, len: u64) -> Result<Vec<u8>, StorageError> {
         let mut inner = self.inner.lock();
         inner.guard()?;
-        let out = inner.image.get_range(path, offset, len)?;
+        let out = inner.image.map.get_range(path, offset, len)?;
         inner.stats.reads += 1;
         inner.stats.bytes_read += len;
         Ok(out)
@@ -946,12 +844,12 @@ impl StorageBackend for LogBackend {
     fn delete(&self, path: &str) -> Result<(), StorageError> {
         let mut inner = self.inner.lock();
         inner.guard()?;
-        inner.image.stat(path)?; // NotFound before anything is logged
+        inner.image.map.stat(path)?; // NotFound before anything is logged
         inner.commit(vec![Record::Delete { path: path.to_string() }])
     }
 
     fn exists(&self, path: &str) -> bool {
-        self.inner.lock().image.contains(path)
+        self.inner.lock().image.map.contains(path)
     }
 
     fn stat(&self, path: &str) -> Result<ObjectStat, StorageError> {
@@ -959,19 +857,19 @@ impl StorageBackend for LogBackend {
     }
 
     fn list(&self, prefix: &str) -> Vec<String> {
-        self.inner.lock().image.list(prefix)
+        self.inner.lock().image.map.list(prefix)
     }
 
     fn lock(&self, path: &str, owner: u64) -> Result<(), StorageError> {
         let mut inner = self.inner.lock();
         inner.guard()?;
-        inner.image.lock(path, owner)?;
+        inner.image.map.lock(path, owner)?;
         inner.stats.locks += 1;
         Ok(())
     }
 
     fn unlock(&self, path: &str, owner: u64) {
-        self.inner.lock().image.unlock(path, owner);
+        self.inner.lock().image.map.unlock(path, owner);
     }
 
     fn put_many(&self, items: &[(String, Vec<u8>)]) -> Vec<Result<(), StorageError>> {
@@ -985,13 +883,13 @@ impl StorageBackend for LogBackend {
                 .map(|(path, data)| {
                     let current = match versions.get(path.as_str()) {
                         Some(&v) => v,
-                        None => inner.image.version(path),
+                        None => inner.image.map.version(path),
                     };
                     versions.insert(path, current + 1);
                     Record::Put { path: path.clone(), version: current + 1, data: data.clone() }
                 })
                 .collect();
-            // A crash in the checkpoint that may follow fails the batch even
+            // A crash in the rewrite that may follow fails the batch even
             // though it is durable, so callers retry against the reopened
             // store.
             inner.commit(records)
@@ -1007,7 +905,7 @@ impl StorageBackend for LogBackend {
         paths
             .iter()
             .map(|path| {
-                let (data, _) = inner.image.get(path)?;
+                let (data, _) = inner.image.map.get(path)?;
                 inner.stats.reads += 1;
                 inner.stats.bytes_read += data.len() as u64;
                 Ok(data.as_ref().clone())
@@ -1020,7 +918,7 @@ impl StorageBackend for LogBackend {
         if let Err(e) = inner.guard() {
             return paths.iter().map(|_| Err(e.clone())).collect();
         }
-        paths.iter().map(|path| inner.image.stat(path)).collect()
+        paths.iter().map(|path| inner.image.map.stat(path)).collect()
     }
 
     fn stats(&self) -> IoStats {
@@ -1049,12 +947,24 @@ mod tests {
         dir
     }
 
-    fn open_cfg(root: &Path, checkpoint_every: u64) -> LogBackend {
-        LogBackend::open_with(
-            root,
-            LogConfig { checkpoint_every, ..LogConfig::default() },
-        )
-        .unwrap()
+    /// A segment of the segment layout, which the import reads.
+    fn seg_name(seq: u64) -> String {
+        format!("seg-{seq:010}.log")
+    }
+
+    /// A checkpoint of the segment layout.
+    fn ckpt_name(seq: u64) -> String {
+        format!("ckpt-{seq:010}.idx")
+    }
+
+    /// The files in `root`, sorted.
+    fn files(root: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(root)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
     }
 
     #[test]
@@ -1078,7 +988,7 @@ mod tests {
     fn state_survives_reopen_without_checkpoint() {
         let root = tmp();
         {
-            let store = open_cfg(&root, 0);
+            let store = LogBackend::open(&root).unwrap();
             store.put("x", b"1").unwrap();
             store.put("x", b"2").unwrap();
             store.put("dir/child", &[7u8; 1000]).unwrap();
@@ -1094,73 +1004,71 @@ mod tests {
         assert!(store.audit().is_empty(), "{:?}", store.audit());
     }
 
+    /// Twenty overwrites of one object outgrow the log; the rewrite keeps
+    /// it within twice the live bytes, and a reopen reads it back.
     #[test]
-    fn checkpoint_compacts_and_recovery_uses_it() {
+    fn compaction_drops_dead_bytes_and_recovery_reads_the_rewrite() {
         let root = tmp();
         {
-            let store = open_cfg(&root, 4);
+            let store = LogBackend::open(&root).unwrap();
             for i in 0..20u32 {
                 store.put("hot", &i.to_le_bytes()).unwrap();
             }
             store.put("cold", b"keep").unwrap();
         }
-        // Compaction: overwritten versions dropped, few files on disk.
-        let names: Vec<String> = fs::read_dir(&root)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter_map(|e| e.file_name().into_string().ok())
-            .collect();
-        assert!(
-            names.iter().filter(|n| n.starts_with("seg-")).count() <= 2,
-            "old segments pruned: {names:?}"
-        );
-        assert_eq!(names.iter().filter(|n| n.starts_with("ckpt-")).count(), 1);
+        let live = put_frame_len("hot", 4) + put_frame_len("cold", 4);
+        let len = fs::metadata(root.join(LOG_FILE)).unwrap().len();
+        assert!(len <= 2 * live, "a log of {len} bytes for {live} live bytes");
+        assert_eq!(files(&root), ["LOCK", LOG_FILE]);
         let store = LogBackend::open(&root).unwrap();
         assert_eq!(store.stat("hot").unwrap().version, 20);
         assert_eq!(store.get("cold").unwrap(), b"keep");
         assert!(store.audit().is_empty(), "{:?}", store.audit());
+        store.compact_now().unwrap();
+        assert_eq!(fs::metadata(root.join(LOG_FILE)).unwrap().len(), live);
+        assert!(store.audit().is_empty(), "{:?}", store.audit());
     }
 
-    /// The image is hashed, the checkpoint sorted: two stores filled in
-    /// opposite orders write byte-identical checkpoints, and each reopens
-    /// from its checkpoint clean.
+    /// The image is hashed, the rewrite sorted: two stores filled in
+    /// opposite orders rewrite byte-identical logs, and each reopens from
+    /// its rewrite clean.
     #[test]
-    fn checkpoints_do_not_depend_on_insertion_order() {
+    fn rewrites_do_not_depend_on_insertion_order() {
         let names: Vec<String> =
             (0..200u32).map(|i| format!("{:08x}", i.wrapping_mul(0x9e37_79b9))).collect();
-        let checkpoint = |order: Vec<&String>| {
+        let rewrite = |order: Vec<&String>| {
             let root = tmp();
-            let store = open_cfg(&root, 0);
+            let store = LogBackend::open(&root).unwrap();
             for name in order {
                 store.put(name, name.as_bytes()).unwrap();
                 if name.ends_with(['1', 'c']) {
                     store.lock(name, 7).unwrap();
                 }
             }
-            store.checkpoint_now().unwrap();
+            store.compact_now().unwrap();
             assert!(store.audit().is_empty(), "{:?}", store.audit());
             drop(store);
             let reopened = LogBackend::open(&root).unwrap();
             assert_eq!(reopened.list("").len(), names.len());
-            fs::read(root.join(ckpt_name(1))).unwrap()
+            fs::read(root.join(LOG_FILE)).unwrap()
         };
-        let forward = checkpoint(names.iter().collect());
-        let backward = checkpoint(names.iter().rev().collect());
+        let forward = rewrite(names.iter().collect());
+        let backward = rewrite(names.iter().rev().collect());
         assert!(forward.len() > 200 * 8);
-        assert!(forward == backward, "checkpoints differ");
+        assert!(forward == backward, "rewrites differ");
     }
 
     #[test]
     fn torn_tail_is_truncated_on_recovery() {
         let root = tmp();
         {
-            let store = open_cfg(&root, 0);
+            let store = LogBackend::open(&root).unwrap();
             store.put("a", b"alpha").unwrap();
             store.put("b", b"beta").unwrap();
         }
         // Simulate a torn append: garbage after the last valid record.
-        let seg = root.join(seg_name(0));
-        let mut f = OpenOptions::new().append(true).open(&seg).unwrap();
+        let log = root.join(LOG_FILE);
+        let mut f = OpenOptions::new().append(true).open(&log).unwrap();
         f.write_all(&[0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0x11]).unwrap();
         drop(f);
         let store = LogBackend::open(&root).unwrap();
@@ -1174,41 +1082,68 @@ mod tests {
         assert_eq!(store.get("c").unwrap(), b"gamma");
     }
 
+    /// A store of the segment layout, written by its writer: a checkpoint
+    /// with watermark 1, then a second checkpoint that crashed after rolling
+    /// to segment 2, so segments 1 and 2 both hold puts past it.
+    fn segment_layout_store() -> PathBuf {
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/segment-layout");
+        let root = tmp();
+        fs::create_dir_all(&root).unwrap();
+        for name in files(&fixture) {
+            fs::copy(fixture.join(&name), root.join(&name)).unwrap();
+        }
+        root
+    }
+
+    /// The segment-layout store imports with every object and version its
+    /// writer acknowledged, and leaves the log alone behind.
+    #[test]
+    fn a_segment_layout_store_imports_its_objects_and_versions() {
+        let root = segment_layout_store();
+        assert_eq!(files(&root), [ckpt_name(1), seg_name(1), seg_name(2)]);
+        let store = LogBackend::open(&root).unwrap();
+        let want = [
+            ("a", &b"alpha-v3"[..], 3),
+            ("a%2Fb", b"percent", 1),
+            ("b", b"b-back", 1),
+            ("dir/deep/leaf", b"deep-v2", 2),
+            ("meta/uuid-1", b"meta", 1),
+        ];
+        let want: Vec<_> = want.iter().map(|(p, d, v)| (p.to_string(), d.to_vec(), *v)).collect();
+        assert_eq!(image_of(&store), want);
+        assert_eq!(files(&root), ["LOCK", LOG_FILE]);
+        assert!(store.audit().is_empty(), "{:?}", store.audit());
+        drop(store);
+        assert_eq!(image_of(&LogBackend::open(&root).unwrap()), want);
+    }
+
     #[test]
     fn corrupt_committed_checkpoint_refuses_to_open() {
-        let root = tmp();
-        {
-            let store = open_cfg(&root, 2);
-            for i in 0..4u32 {
-                store.put(&format!("o{i}"), b"x").unwrap();
-            }
-        }
-        let ckpt = fs::read_dir(&root)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .find(|e| e.file_name().to_string_lossy().ends_with(".idx"))
-            .expect("checkpoint exists")
-            .path();
+        let root = segment_layout_store();
+        let ckpt = root.join(ckpt_name(1));
         let mut bytes = fs::read(&ckpt).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         fs::write(&ckpt, &bytes).unwrap();
         let err = LogBackend::open(&root).unwrap_err();
         assert!(matches!(err, StorageError::Io(ref m) if m.contains("corrupt")), "{err}");
+        assert!(!root.join(LOG_FILE).exists(), "the old files stay the store");
     }
 
     #[test]
     fn uncommitted_checkpoint_tmp_is_discarded() {
         let root = tmp();
         {
-            let store = open_cfg(&root, 0);
+            let store = LogBackend::open(&root).unwrap();
             store.put("a", b"1").unwrap();
         }
-        fs::write(root.join(ckpt_tmp_name(1)), b"partial garbage").unwrap();
+        for stray in ["ckpt-0000000001.tmp", LOG_TMP] {
+            fs::write(root.join(stray), b"partial garbage").unwrap();
+        }
         let store = LogBackend::open(&root).unwrap();
         assert_eq!(store.get("a").unwrap(), b"1");
         assert!(store.audit().is_empty(), "{:?}", store.audit());
-        assert!(!root.join(ckpt_tmp_name(1)).exists(), "tmp cleaned on open");
+        assert_eq!(files(&root), ["LOCK", LOG_FILE], "temp files cleaned on open");
     }
 
     #[test]
@@ -1282,7 +1217,7 @@ mod tests {
         // One frame holds every record of a call, in order.
         let framed = frame(&records).unwrap();
         let mut seen = Vec::new();
-        assert!(matches!(scan_segment(&framed, |r| seen.push(r)), SegmentScan::Clean));
+        assert!(matches!(scan_frames(&framed, |r| seen.push(r)), Scan::Clean));
         assert_eq!(seen, records);
         assert_eq!(decode_frame(&[]), None, "an empty payload is no frame");
     }
@@ -1293,7 +1228,7 @@ mod tests {
     #[test]
     fn a_one_record_frame_keeps_its_golden_bytes() {
         let root = tmp();
-        let store = open_cfg(&root, 0);
+        let store = LogBackend::open(&root).unwrap();
         store.put("ab", &[1, 2, 3]).unwrap();
         let golden: [u8; 42] = [
             0x47, 0x4C, 0x58, 0x4E, 0x1E, 0x00, 0x00, 0x00, 0x61, 0xC0, 0xFC, 0x7D, // header
@@ -1303,7 +1238,7 @@ mod tests {
             0x02, 0x00, 0x00, 0x00, 0x61, 0x62, // path
             0x03, 0x00, 0x00, 0x00, 0x01, 0x02, 0x03, // data
         ];
-        assert_eq!(fs::read(root.join(seg_name(0))).unwrap(), golden);
+        assert_eq!(fs::read(root.join(LOG_FILE)).unwrap(), golden);
     }
 
     /// The frame of `put("ab", [1, 2, 3])` at version 1, as above.
@@ -1340,18 +1275,23 @@ mod tests {
         store.lock("ab", 6).unwrap();
     }
 
-    /// Lock and unlock frames an older log holds replay as nothing: the
-    /// put before them stands, and the lock is not held.
+    /// Lock and unlock frames an older segment holds replay as nothing:
+    /// the put before them stands, and the lock is not held.
     #[test]
     fn logged_lock_and_unlock_frames_replay_to_no_lock() {
+        let put_v2 = frame(&[Record::Put { path: "ab".into(), version: 2, data: vec![1, 2, 3] }]);
         for tail in [&LOCK_FRAME[..], &UNLOCK_FRAME[..], &[LOCK_FRAME, UNLOCK_FRAME].concat()] {
             let root = tmp();
             fs::create_dir_all(&root).unwrap();
             fs::write(root.join(seg_name(0)), [&PUT_FRAME[..], tail].concat()).unwrap();
             assert_ab_at(&root, 1);
-            // Replay kept the frames whole rather than cutting them as torn.
-            let kept = fs::read(root.join(seg_name(0))).unwrap();
-            assert_eq!(kept.len(), PUT_FRAME.len() + tail.len());
+            // Replay read past the frames rather than cutting them as torn:
+            // a put after them stands.
+            let root = tmp();
+            fs::create_dir_all(&root).unwrap();
+            let segment = [&PUT_FRAME[..], tail, put_v2.as_ref().unwrap()].concat();
+            fs::write(root.join(seg_name(0)), segment).unwrap();
+            assert_ab_at(&root, 2);
         }
     }
 
@@ -1378,14 +1318,11 @@ mod tests {
         fs::create_dir_all(&root).unwrap();
         fs::write(root.join(ckpt_name(1)), golden).unwrap();
         assert_ab_at(&root, 3);
-        // The next checkpoint writes lock epoch 0 and no lock entry.
-        let store = LogBackend::open(&root).unwrap();
-        store.lock("ab", 6).unwrap();
-        store.checkpoint_now().unwrap();
-        let rewritten = fs::read(root.join(ckpt_name(2))).unwrap();
-        assert_eq!(rewritten.len(), golden.len() - 14);
-        assert_eq!(rewritten[24..32], [0; 8], "lock epoch");
-        assert_eq!(rewritten[rewritten.len() - 12..rewritten.len() - 4], [0; 8], "lock count");
+        // The import left one log, holding the object alone, and no
+        // checkpoint.
+        assert_eq!(files(&root), ["LOCK", LOG_FILE]);
+        let put_v3 = frame(&[Record::Put { path: "ab".into(), version: 3, data: vec![1, 2, 3] }]);
+        assert_eq!(fs::read(root.join(LOG_FILE)).unwrap(), put_v3.unwrap());
     }
 
     /// One handle holds a store: a second open is refused while any clone
@@ -1393,15 +1330,15 @@ mod tests {
     #[test]
     fn a_second_open_is_refused_while_a_handle_lives() {
         let root = tmp();
-        let store = open_cfg(&root, 0);
+        let store = LogBackend::open(&root).unwrap();
         let clone = store.clone();
         drop(store);
         let refused = LogBackend::open(&root).unwrap_err();
         assert_eq!(refused, StorageError::LockContended(root.join("LOCK").display().to_string()));
         clone.put("ab", &[1, 2, 3]).unwrap();
         clone.lock("ab", 5).unwrap();
-        // Locks write nothing: the segment is the put's frame alone.
-        assert_eq!(fs::read(root.join(seg_name(0))).unwrap(), PUT_FRAME);
+        // Locks write nothing: the log is the put's frame alone.
+        assert_eq!(fs::read(root.join(LOG_FILE)).unwrap(), PUT_FRAME);
         drop(clone);
         assert_ab_at(&root, 1);
     }
@@ -1411,11 +1348,8 @@ mod tests {
     #[test]
     fn a_crashed_handle_does_not_block_the_reopen() {
         let root = tmp();
-        let cfg = LogConfig {
-            checkpoint_every: 0,
-            fault_hook: Some(crate::fault::FireAt::new(1, crate::FaultKind::Drop)),
-        };
-        let crashed = LogBackend::open_with(&root, cfg).unwrap();
+        let hook = crate::fault::FireAt::new(1, crate::FaultKind::Drop);
+        let crashed = LogBackend::open_with_hook(&root, Some(hook)).unwrap();
         crashed.put("ab", &[1, 2, 3]).unwrap_err();
         assert!(crashed.crashed());
         assert!(LogBackend::open(&root).unwrap().list("").is_empty());
@@ -1432,7 +1366,7 @@ mod tests {
             ("a".to_string(), b"newest".to_vec()),
         ];
         let today = tmp();
-        let store = open_cfg(&today, 0);
+        let store = LogBackend::open(&today).unwrap();
         store.put("a", b"old").unwrap();
         store.lock("b", 5).unwrap();
         assert!(store.put_many(&batch).iter().all(|r| r.is_ok()));
@@ -1467,16 +1401,16 @@ mod tests {
     #[test]
     fn a_damaged_batch_frame_drops_whole() {
         let root = tmp();
-        let store = open_cfg(&root, 0);
+        let store = LogBackend::open(&root).unwrap();
         store.put("kept", b"1").unwrap();
-        let head = fs::read(root.join(seg_name(0))).unwrap().len();
+        let head = fs::read(root.join(LOG_FILE)).unwrap().len();
         let batch: Vec<(String, Vec<u8>)> =
             (0..3).map(|i| (format!("o{i}"), vec![i as u8; 40])).collect();
         assert!(store.put_many(&batch).iter().all(|r| r.is_ok()));
         drop(store);
-        let full = fs::read(root.join(seg_name(0))).unwrap();
+        let full = fs::read(root.join(LOG_FILE)).unwrap();
         for cut in [head + FRAME_HEADER + 1, full.len() - 60, full.len() - 1] {
-            fs::write(root.join(seg_name(0)), &full[..cut]).unwrap();
+            fs::write(root.join(LOG_FILE), &full[..cut]).unwrap();
             let store = LogBackend::open(&root).unwrap();
             assert_eq!(store.list(""), vec!["kept".to_string()], "cut at {cut}");
             assert!(store.audit().is_empty(), "{:?}", store.audit());
@@ -1492,16 +1426,16 @@ mod tests {
         bad.extend_from_slice(&crc32(&payload).to_le_bytes());
         bad.extend_from_slice(&payload);
         let mut seen = Vec::new();
-        assert!(matches!(scan_segment(&bad, |r| seen.push(r)), SegmentScan::CorruptAt(0)));
+        assert!(matches!(scan_frames(&bad, |r| seen.push(r)), Scan::CorruptAt(0)));
         assert!(seen.is_empty(), "no record of a malformed frame applies");
     }
 
     #[test]
     fn an_empty_batch_logs_nothing() {
         let root = tmp();
-        let store = open_cfg(&root, 0);
+        let store = LogBackend::open(&root).unwrap();
         assert!(store.put_many(&[]).is_empty());
-        assert_eq!(fs::read(root.join(seg_name(0))).unwrap(), Vec::<u8>::new());
+        assert_eq!(fs::read(root.join(LOG_FILE)).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
@@ -1511,23 +1445,23 @@ mod tests {
         // Bad magic.
         let mut bad = good.clone();
         bad[0] ^= 1;
-        assert!(matches!(scan_segment(&bad, |_| ()), SegmentScan::CorruptAt(0)));
+        assert!(matches!(scan_frames(&bad, |_| ()), Scan::CorruptAt(0)));
         // Length past the buffer.
         let mut bad = good.clone();
         bad[4] = 0xFF;
-        assert!(matches!(scan_segment(&bad, |_| ()), SegmentScan::CorruptAt(0)));
+        assert!(matches!(scan_frames(&bad, |_| ()), Scan::CorruptAt(0)));
         // Flipped payload byte breaks the CRC.
         let mut bad = good.clone();
         let last = bad.len() - 1;
         bad[last] ^= 1;
-        assert!(matches!(scan_segment(&bad, |_| ()), SegmentScan::CorruptAt(0)));
+        assert!(matches!(scan_frames(&bad, |_| ()), Scan::CorruptAt(0)));
         // Corruption after a valid record reports the second offset.
         let mut two = good.clone();
         two.extend_from_slice(&good[..FRAME_HEADER - 1]);
         let off = good.len() as u64;
-        match scan_segment(&two, |_| ()) {
-            SegmentScan::CorruptAt(o) => assert_eq!(o, off),
-            SegmentScan::Clean => panic!("tail must be corrupt"),
+        match scan_frames(&two, |_| ()) {
+            Scan::CorruptAt(o) => assert_eq!(o, off),
+            Scan::Clean => panic!("tail must be corrupt"),
         }
     }
 

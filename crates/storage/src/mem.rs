@@ -7,11 +7,11 @@
 //! advisory lock table whose owner may re-take its own lock. Objects and
 //! locks are hashed, sorted on the way out: a lookup by name is one hash
 //! probe, and every listing (`list`, `objects`) sorts what it returns by
-//! path, so listings, `LogBackend` checkpoints and audit
+//! path, so listings, `LogBackend` rewrites and audit
 //! replays come out in the same order whatever order the objects went in.
 //! [`MemBackend`] keeps one behind a single `RwLock`; `LogBackend`
-//! ([`crate::logstore`]) keeps its live image, its checkpoints and its
-//! audit replays in one.
+//! ([`crate::logstore`]) keeps its live image, the checkpoints its import
+//! reads and its audit replays in one.
 //!
 //! `MemBackend` is the simplest [`StorageBackend`], used directly in unit
 //! tests and as the server-side store of the AFS and cloud simulators.
@@ -62,7 +62,7 @@ impl ObjectMap {
     }
 
     /// Stores `data` at `path` under an explicit `version` (what a log
-    /// record or checkpoint carries).
+    /// record carries).
     pub(crate) fn insert(&mut self, path: String, version: u64, data: Arc<Vec<u8>>) {
         self.objects.insert(path, Object { data, version });
     }

@@ -152,13 +152,16 @@ impl Model {
         self.holders.entry(p).or_default().insert(c);
         self.admit(c, p, data, stat);
     }
-    /// Caches a snapshot unless it is older than the status already cached.
+    /// Caches a snapshot. Calls run one at a time here, so every grant is
+    /// the newest, whatever its version (a delete restarts versions); a
+    /// status-only snapshot leaves no older bytes beside it.
     fn admit(&mut self, c: usize, p: usize, data: Option<Vec<u8>>, stat: ObjectStat) {
         let cl = &mut self.clients[c];
-        if stat.version >= cl.status.get(&p).map_or(0, |s| s.version) {
-            cl.status.insert(p, stat);
-            cl.data.extend(data.map(|d| (p, d)));
-        }
+        cl.status.insert(p, stat);
+        match data {
+            Some(d) => cl.data.insert(p, d),
+            None => cl.data.remove(&p),
+        };
     }
     /// StoreData: the new version, and `c` the only holder left.
     fn store(&mut self, c: usize, p: usize, d: &[u8]) -> ObjectStat {
@@ -210,11 +213,13 @@ impl Model {
             }
             Call::Rename(from, to) => {
                 let out = self.object(*from).map(|(d, _)| {
+                    // Cached bytes move only under a promise still held.
+                    let moved = self.cached_data(c, *from);
                     let stat = self.store(c, *to, &d);
                     self.store.delete(&path(*from)).unwrap();
                     self.holders.remove(from);
                     self.clients[c].status.remove(from);
-                    let moved = self.clients[c].data.remove(from);
+                    self.clients[c].data.remove(from);
                     self.admit(c, *to, moved, stat);
                     self.rpc(c, self.lat.rpc_cost(0));
                     self.wrote(c, *to);
@@ -300,6 +305,32 @@ impl Model {
     }
 }
 
+/// Client 0 puts three times; client 1 deletes and re-creates the path, so
+/// its version restarts; client 0's own put after that must be what it
+/// reads back.
+fn put_after_recreate() -> Vec<Step> {
+    vec![
+        (0, Call::Put(0, b"x1".to_vec())),
+        (0, Call::Put(0, b"x2".to_vec())),
+        (0, Call::Put(0, b"x3".to_vec())),
+        (1, Call::Delete(0)),
+        (1, Call::Put(0, b"y1".to_vec())),
+        (0, Call::Put(0, b"x-mine".to_vec())),
+        (0, Call::Get(0)),
+    ]
+}
+
+/// Client 1 overwrites a path client 0 caches; client 0's rename of it
+/// must not carry its stale bytes to the target.
+fn rename_after_overwrite() -> Vec<Step> {
+    vec![
+        (0, Call::Put(0, b"old".to_vec())),
+        (1, Call::Put(0, b"new".to_vec())),
+        (0, Call::Rename(0, 1)),
+        (0, Call::Get(1)),
+    ]
+}
+
 fn regression() -> Vec<Step> {
     vec![
         (0, Call::Put(0, b"v1".to_vec())),
@@ -322,6 +353,8 @@ fn afs_client_matches_the_holder_set_model() {
         .cases(160)
         .seed(0xca11_bac5)
         .regression(regression())
+        .regression(put_after_recreate())
+        .regression(rename_after_overwrite())
         .run(
             |g| g.vec(1, 40, gen_step),
             |steps| shrink::ops(steps),

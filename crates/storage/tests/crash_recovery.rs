@@ -20,7 +20,10 @@
 //!    `acked + in-flight` — everything acknowledged before the crash is
 //!    durable, the in-flight operation (a whole batch included) is there
 //!    entirely or not at all, and nothing else ever appears. The
-//!    recovered store must also audit clean and accept new writes.
+//!    recovered store must also audit clean and accept new writes. The
+//!    sequence rewrites the log on request and, twice, because its dead
+//!    bytes outgrew its live ones; a third sweep crashes the import of a
+//!    store in the segment layout.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -28,7 +31,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use nexus_storage::fault::{CountHook, FireAt};
-use nexus_storage::{FaultKind, LogBackend, LogConfig, MemBackend, StorageBackend, StorageError};
+use nexus_storage::{
+    FaultHook, FaultKind, FaultPoint, LogBackend, MemBackend, StorageBackend, StorageError,
+};
+use nexus_sync::Mutex;
 use nexus_testkit::{faults, shrink, tk_assert, tk_assert_eq, Gen, Runner};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -55,12 +61,12 @@ enum Op {
     Lock(usize, u64),
     Unlock(usize, u64),
     PutMany(Vec<(usize, Vec<u8>)>),
-    Checkpoint,
+    Compact,
 }
 
 impl Op {
     /// Micro-ops this op contributes to the timeline: a batch is `len`
-    /// micro-ops (which land together); a lock, an unlock and a checkpoint
+    /// micro-ops (which land together); a lock, an unlock and a rewrite
     /// change no recovered state.
     fn micro_count(&self) -> usize {
         micros_of(self).len()
@@ -100,7 +106,7 @@ fn micros_of(op: &Op) -> Vec<Micro> {
             .iter()
             .map(|(p, data)| Micro::Put(PATHS[*p].to_string(), data.clone()))
             .collect(),
-        Op::Lock(..) | Op::Unlock(..) | Op::Checkpoint => Vec::new(),
+        Op::Lock(..) | Op::Unlock(..) | Op::Compact => Vec::new(),
     }
 }
 
@@ -142,8 +148,8 @@ fn run_ops(log: &LogBackend, ops: &[Op]) -> (usize, usize) {
                     .collect();
                 let _ = log.put_many(&batch);
             }
-            Op::Checkpoint => {
-                let _ = log.checkpoint_now();
+            Op::Compact => {
+                let _ = log.compact_now();
             }
         }
         if log.crashed() {
@@ -176,8 +182,8 @@ fn no_lock_held(log: &LogBackend) -> Result<(), String> {
 
 /// The deterministic workload the exhaustive sweep replays: every op kind,
 /// `%`-adversarial names, a semantic error (delete of a missing object),
-/// an explicit checkpoint, and enough post-checkpoint mutations that
-/// `checkpoint_every = 6` also fires an automatic one mid-stream.
+/// an explicit rewrite, and deletes and overwrites that make the log's dead
+/// bytes outgrow its live ones before and after it.
 fn sweep_ops() -> Vec<Op> {
     vec![
         Op::Put(0, b"alpha-v1".to_vec()),
@@ -192,7 +198,7 @@ fn sweep_ops() -> Vec<Op> {
         Op::Unlock(0, 1),
         Op::Lock(0, 2),
         Op::Put(3, b"percent-literal".to_vec()),
-        Op::Checkpoint,
+        Op::Compact,
         Op::Put(4, b"deep".to_vec()),
         Op::Delete(1), // semantic NotFound: must not consume durability
         Op::Lock(4, 2),
@@ -203,11 +209,25 @@ fn sweep_ops() -> Vec<Op> {
         Op::Put(4, b"deep-v3".to_vec()),
         Op::Delete(3),
         Op::Put(3, b"percent-v2".to_vec()),
+        Op::Put(1, vec![0xB8; 300]),
+        Op::Delete(1),
     ]
 }
 
-fn sweep_cfg(hook: Option<Arc<dyn nexus_storage::FaultHook>>) -> LogConfig {
-    LogConfig { checkpoint_every: 6, fault_hook: hook }
+/// Records the fault points it sees, proceeding at every one.
+#[derive(Default)]
+struct Seen(Mutex<Vec<FaultPoint>>);
+
+impl FaultHook for Seen {
+    fn on(&self, point: &FaultPoint) -> nexus_storage::FaultAction {
+        self.0.lock().push(point.clone());
+        nexus_storage::FaultAction::Proceed
+    }
+}
+
+/// How many rewrites `points` commit: one rename each.
+fn rewrites(points: &[FaultPoint]) -> usize {
+    points.iter().filter(|p| matches!(p, FaultPoint::Rename { .. })).count()
 }
 
 #[test]
@@ -216,13 +236,18 @@ fn crash_at_every_fault_point_recovers_prefix_consistently() {
     let timeline = build_timeline(&ops);
 
     // Sizing pass: count the fault points the workload crosses.
-    let count = CountHook::new();
+    let seen = Arc::new(Seen::default());
     let root = tmp();
-    let log = LogBackend::open_with(&root, sweep_cfg(Some(count.clone()))).unwrap();
+    let log = LogBackend::open_with_hook(&root, Some(seen.clone())).unwrap();
     let (acked, inflight) = run_ops(&log, &ops);
     assert_eq!(inflight, 0, "counting pass must not crash");
     assert_eq!(acked + 1, timeline.len(), "timeline covers every micro-op");
-    let points = count.count();
+    let seen = seen.0.lock().clone();
+    // The first delete of `b`'s 300 bytes fires one, `Compact` makes a
+    // second, the overwrites after it fire a third and the last delete a
+    // fourth.
+    assert_eq!(rewrites(&seen), 4, "three triggered rewrites and an explicit one: {seen:?}");
+    let points = seen.len() as u64;
     assert!(points > 40, "workload must cross many fault points, got {points}");
     drop(log);
     let _ = std::fs::remove_dir_all(&root);
@@ -235,7 +260,7 @@ fn crash_at_every_fault_point_recovers_prefix_consistently() {
             let root = tmp();
             let hook = FireAt::new(point, kind);
             let log =
-                LogBackend::open_with(&root, sweep_cfg(Some(hook.clone()))).map_err(|e| e.to_string())?;
+                LogBackend::open_with_hook(&root, Some(hook.clone())).map_err(|e| e.to_string())?;
             let (acked, inflight) = run_ops(&log, &ops);
             tk_assert!(
                 log.crashed(),
@@ -286,7 +311,7 @@ fn gen_ops(g: &mut Gen) -> Vec<Op> {
         7 => Op::Lock(g.index(PATHS.len()), 1 + g.u64_below(3)),
         8 => Op::Unlock(g.index(PATHS.len()), 1 + g.u64_below(3)),
         9 => Op::PutMany(g.vec(1, 4, |g| (g.index(PATHS.len()), g.byte_vec(0, 24)))),
-        _ => Op::Checkpoint,
+        _ => Op::Compact,
     })
 }
 
@@ -296,7 +321,7 @@ fn logstore_agrees_with_membackend_and_survives_reopen() {
     Runner::new("logstore_vs_membackend")
         .cases(48)
         .regression(sweep_ops())
-        // A batch spanning an automatic checkpoint boundary, then deletes.
+        // Overwrites that outgrow the log, a batch, then deletes.
         .regression(vec![
             Op::Put(0, b"1".to_vec()),
             Op::Put(0, b"2".to_vec()),
@@ -315,11 +340,7 @@ fn logstore_agrees_with_membackend_and_survives_reopen() {
             ));
             let _ = std::fs::remove_dir_all(&root);
             let mem = MemBackend::new();
-            let log = LogBackend::open_with(
-                &root,
-                LogConfig { checkpoint_every: 5, fault_hook: None },
-            )
-            .map_err(|e| e.to_string())?;
+            let log = LogBackend::open(&root).map_err(|e| e.to_string())?;
 
             // Every per-op result must agree with the oracle.
             for (i, op) in ops.iter().enumerate() {
@@ -348,10 +369,14 @@ fn logstore_agrees_with_membackend_and_survives_reopen() {
                             .collect();
                         tk_assert_eq!(log.put_many(&batch), mem.put_many(&batch), "op {i}");
                     }
-                    Op::Checkpoint => {
-                        log.checkpoint_now().map_err(|e| e.to_string())?;
+                    Op::Compact => {
+                        log.compact_now().map_err(|e| e.to_string())?;
                     }
                 }
+                // Among its findings: a log over twice its live bytes, or
+                // a rewrite that is not exactly them.
+                let findings = log.audit();
+                tk_assert!(findings.is_empty(), "audit after op {i}: {findings:?}");
             }
 
             let against_mem = |log: &LogBackend| -> Result<(), String> {
@@ -379,4 +404,80 @@ fn logstore_agrees_with_membackend_and_survives_reopen() {
             let _ = std::fs::remove_dir_all(&root);
             Ok(())
         });
+}
+
+/// The store of the segment layout `tests/fixtures/segment-layout` holds:
+/// an `NXCK` checkpoint plus two segments, as its writer left them.
+fn segment_layout_world() -> World {
+    [
+        ("a", &b"alpha-v3"[..], 3),
+        ("a%2Fb", b"percent", 1),
+        ("b", b"b-back", 1),
+        ("dir/deep/leaf", b"deep-v2", 2),
+        ("meta/uuid-1", b"meta", 1),
+    ]
+    .into_iter()
+    .map(|(path, data, version)| (path.to_string(), (data.to_vec(), version)))
+    .collect()
+}
+
+/// A copy of the segment-layout fixture in a fresh directory.
+fn segment_layout_store() -> PathBuf {
+    let fixture =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/segment-layout");
+    let root = tmp();
+    std::fs::create_dir_all(&root).unwrap();
+    for entry in std::fs::read_dir(&fixture).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), root.join(entry.file_name())).unwrap();
+    }
+    root
+}
+
+/// The files in `root`, sorted.
+fn files(root: &PathBuf) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(root)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+/// A crash at any step of an import — the rewrite of the old store's image
+/// as the log, or the deletion of the old files after it — loses nothing:
+/// the reopen imports the old store, or reads the log the import committed.
+#[test]
+fn a_crash_during_an_import_loses_nothing() {
+    let want = segment_layout_world();
+    let count = CountHook::new();
+    let root = segment_layout_store();
+    let log = LogBackend::open_with_hook(&root, Some(count.clone())).unwrap();
+    assert_eq!(snapshot_of(&log), want);
+    drop(log);
+    assert_eq!(files(&root), ["LOCK", "log"]);
+    let points = count.count();
+    assert_eq!(points, 5, "write, fsync, rename, directory fsync, cleanup");
+
+    let stats = faults::sweep(
+        "logstore_import_crash",
+        points,
+        &[FaultKind::Torn, FaultKind::Drop],
+        |point, kind| {
+            let root = segment_layout_store();
+            let hook = FireAt::new(point, kind);
+            let crashed = LogBackend::open_with_hook(&root, Some(hook.clone()));
+            let fired = hook.fired_at().unwrap_or_default();
+            tk_assert!(crashed.is_err(), "point {point} ({kind:?}) never failed the open");
+            let recovered = LogBackend::open(&root)
+                .map_err(|e| format!("reopen after crash at {fired}: {e}"))?;
+            tk_assert_eq!(snapshot_of(&recovered), want, "crash at {fired}");
+            let findings = recovered.audit();
+            tk_assert!(findings.is_empty(), "crash at {fired}: audit found {findings:?}");
+            tk_assert_eq!(files(&root), ["LOCK", "log"], "crash at {fired}");
+            let _ = std::fs::remove_dir_all(&root);
+            Ok(())
+        },
+    );
+    assert_eq!(stats.runs, stats.points * 2);
 }
